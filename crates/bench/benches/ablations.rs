@@ -10,13 +10,12 @@
 //!   manual ladder (decision quality measured as simulated cycles).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fortrans::{ArgVal, ExecMode};
-use sarb::variants::{build_engine, SarbVariant};
+use fortrans::{ArgVal, ExecMode, Session};
+use sarb::variants::{build_artifact, SarbVariant};
 use simcpu::{time_trace, MachineModel};
 
 fn trace_for(variant: SarbVariant, threads: usize) -> fortrans::CostTrace {
-    let engine = build_engine(variant);
-    engine
+    Session::solo(build_artifact(variant))
         .run("run_columns", &[ArgVal::I(2)], ExecMode::Simulated { threads })
         .unwrap()
         .trace

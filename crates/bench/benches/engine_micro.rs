@@ -3,7 +3,7 @@
 //! GLAF pipeline (analyze + generate).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use fortrans::{ArgVal, Engine, ExecMode, ExecTier};
+use fortrans::{ArgVal, ExecMode, ExecTier, Session};
 use glaf::Glaf;
 use glaf_codegen::CodegenOptions;
 
@@ -31,7 +31,7 @@ fn bench_compile(c: &mut Criterion) {
     g.sample_size(20);
     g.bench_function("parse_resolve_sarb_original", |b| {
         b.iter(|| {
-            Engine::compile(&[
+            Session::compile(&[
                 sarb::legacy::FULIOU_MOD_SRC,
                 sarb::original::ORIGINAL_KERNELS_SRC,
                 sarb::legacy::DRIVER_SRC,
@@ -49,7 +49,7 @@ fn bench_compile(c: &mut Criterion) {
 }
 
 fn bench_exec_modes(c: &mut Criterion) {
-    let engine = Engine::compile(&[KERNEL]).unwrap();
+    let engine = Session::compile(&[KERNEL]).unwrap();
     let data: Vec<f64> = (0..4096).map(|i| i as f64 * 0.001).collect();
     let mut g = c.benchmark_group("exec_modes");
     g.sample_size(20);
@@ -70,13 +70,13 @@ fn bench_exec_modes(c: &mut Criterion) {
 }
 
 /// The zero-overhead contract of `fortrans::trace`: `plain` (no
-/// collector — the default `Engine::run` path) against `profiled`
-/// (`Engine::run_profiled`, spans + step counts + omprt metrics on).
+/// collector — the default `Session::run` path) against `profiled`
+/// (`Session::run_profiled`, spans + step counts + omprt metrics on).
 /// Tracing only branches at unit/loop/region boundaries, so the two
 /// series should be indistinguishable on this iteration-heavy kernel;
 /// a gap opening up here means the disabled path grew a real cost.
 fn bench_tracing_overhead(c: &mut Criterion) {
-    let engine = Engine::compile(&[KERNEL]).unwrap();
+    let engine = Session::compile(&[KERNEL]).unwrap();
     let data: Vec<f64> = (0..4096).map(|i| i as f64 * 0.001).collect();
     let mut g = c.benchmark_group("tracing_overhead");
     g.sample_size(20);

@@ -17,7 +17,7 @@
 //! prints once at the end of each group.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fortrans::{ArgVal, Engine, ExecMode, Schedule};
+use fortrans::{ArgVal, ExecMode, Schedule, Session};
 
 const THREADS: usize = 4;
 
@@ -53,7 +53,9 @@ fn bench_sarb(c: &mut Criterion) {
     let mut g = c.benchmark_group("schedule_matrix_sarb");
     g.sample_size(10);
     for (name, sched) in SCHEDULES {
-        let engine = sarb::variants::build_engine(sarb::variants::SarbVariant::GlafParallel(3));
+        let engine = Session::solo(sarb::variants::build_artifact(
+            sarb::variants::SarbVariant::GlafParallel(3),
+        ));
         engine.set_schedule_override_all(sched);
         g.bench_function(format!("run_columns_{name}"), |b| {
             b.iter(|| {
@@ -71,7 +73,9 @@ fn bench_fun3d(c: &mut Criterion) {
     g.sample_size(10);
     for (name, sched) in SCHEDULES {
         let cfg = fun3d::variants::Fun3dConfig::best();
-        let engine = fun3d::variants::build_engine(fun3d::variants::Fun3dVariant::Glaf(cfg));
+        let engine = Session::solo(fun3d::variants::build_artifact(
+            fun3d::variants::Fun3dVariant::Glaf(cfg),
+        ));
         engine.set_schedule_override_all(sched);
         engine.run("build_mesh", &[ArgVal::I(120)], ExecMode::Serial).unwrap();
         g.bench_function(format!("edgejp_{name}"), |b| {
@@ -87,7 +91,7 @@ fn bench_skewed(c: &mut Criterion) {
     let mut g = c.benchmark_group("schedule_matrix_skewed");
     g.sample_size(10);
     for (name, sched) in SCHEDULES {
-        let engine = Engine::compile(&[SKEWED]).unwrap();
+        let engine = Session::compile(&[SKEWED]).unwrap();
         engine.set_schedule_override_all(sched);
         g.bench_function(format!("triangular_{name}"), |b| {
             b.iter(|| {

@@ -20,8 +20,6 @@
 //! manual ladder).
 
 
-pub mod calibrate;
-pub mod compare;
 pub mod observe;
 
 /// One labeled measurement (speed-up bar).

@@ -2,7 +2,7 @@
 //!
 //! Joins three views of one kernel run:
 //!
-//! 1. **measured** — a profiled execution ([`fortrans::Engine::run_profiled`])
+//! 1. **measured** — a profiled execution ([`fortrans::Session::run_profiled`])
 //!    giving per-unit / per-DO-loop wall time, VM step counts against the
 //!    [`fortrans::RunLimits`] budget, tier-fallback diagnostics, and
 //!    per-region `omprt` worker utilization;
@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use fortrans::{ArgVal, Engine, ExecMode, ExecTier, Profile, SpanKind, SpanNode};
+use fortrans::{ArgVal, ExecMode, ExecTier, Profile, Session, SpanKind, SpanNode};
 use simcpu::MachineModel;
 
 use crate::{ordering_agreement, Bar};
@@ -195,13 +195,13 @@ fn omp_spans(spans: &[SpanNode]) -> Vec<(String, u32, u64, u64)> {
     out
 }
 
-/// Profiles `entry` on `engine` (measured side), re-runs it in Simulated
+/// Profiles `entry` on `session` (measured side), re-runs it in Simulated
 /// mode (predicted side), and joins the two by parallel-DO source line.
 ///
 /// `decisions` is the rendered autopar decision log for the program the
-/// engine was generated from (pass an empty string when unavailable).
+/// session's artifact was generated from (pass an empty string when unavailable).
 pub fn observe(
-    engine: &Engine,
+    session: &Session,
     entry: &str,
     args: &[ArgVal],
     threads: usize,
@@ -209,8 +209,8 @@ pub fn observe(
     decisions: String,
 ) -> Result<ObservabilityReport, fortrans::RunError> {
     let (_, profile) =
-        engine.run_profiled(entry, args, ExecMode::Parallel { threads }, ExecTier::Vm)?;
-    let sim = engine.run(entry, args, ExecMode::Simulated { threads })?;
+        session.run_profiled(entry, args, ExecMode::Parallel { threads }, ExecTier::Vm)?;
+    let sim = session.run(entry, args, ExecMode::Simulated { threads })?;
     let costs = simcpu::region_costs(&sim.trace, machine);
 
     // Predicted side, aggregated per source line.
@@ -260,7 +260,7 @@ pub fn observe(
 /// measured counterpart of the cost model's static irregularity
 /// analysis. Regions already running a dynamic or guided schedule, and
 /// untagged forks (line 0), are left alone. Feed the result to
-/// [`Engine::set_schedule_overrides`].
+/// [`Session::set_schedule_overrides`].
 pub fn reschedule(
     profile: &Profile,
     imbalance_threshold: f64,
@@ -287,11 +287,12 @@ pub fn observe_sarb(
     ncol: i64,
     threads: usize,
 ) -> Result<ObservabilityReport, fortrans::RunError> {
-    let engine = sarb::variants::build_engine(sarb::variants::SarbVariant::GlafParallel(3));
+    let session =
+        Session::solo(sarb::variants::build_artifact(sarb::variants::SarbVariant::GlafParallel(3)));
     let g = glaf::Glaf::new(sarb::glaf_model::build_sarb_program())
         .expect("SARB program validates");
     observe(
-        &engine,
+        &session,
         "run_columns",
         &[ArgVal::I(ncol)],
         threads,

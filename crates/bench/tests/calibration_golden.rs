@@ -1,42 +1,36 @@
 //! Golden tests for the measurement-calibrated cost model.
 //!
-//! PR 6 committed `BENCH_pr6.json` with measured scalar-vs-vector
-//! speedups and per-kernel vector-entry counts. This suite locks the
-//! feedback loop that replaces the flat `simd_speedup = 4.0` prior with
-//! the entry-weighted geometric mean of those measurements, and pins the
+//! The cost model's `simd_speedup` and `native_speedup` were fitted to
+//! per-kernel `(speedup over the scalar VM, loop entries)` samples
+//! measured when the vector and native rungs landed. This suite locks
+//! the feedback loop that replaces the flat `simd_speedup = 4.0` prior
+//! with the entry-weighted geometric mean of those samples, and pins the
 //! SARB/FUN3D directive verdicts the recalibrated advisor produces — so
-//! any change to the calibration math, the committed measurements, or
-//! the cost model shows up as an exact diff here.
+//! any change to the calibration math, the samples, or the cost model
+//! shows up as an exact diff here.
 
-use glaf_autopar::{analyze_program_with_log_using, CostAdvisor, CostParams, DecisionLog};
-use glaf_bench::calibrate::{
-    calibrated_native_speedup, calibrated_simd_speedup, native_samples, vector_samples,
+use glaf_autopar::{
+    analyze_program_with_log_using, calibrate_native_speedup, calibrate_simd_speedup, CostAdvisor,
+    CostParams, DecisionLog,
 };
 
-/// The measured trajectory this repo ships: three kernels from the PR 6
-/// vector smoke run.
-const BENCH_PR6: &str = include_str!("../../../BENCH_pr6.json");
+/// `(scalar-over-vector speedup, vector loop entries)` of the SARB
+/// longwave integration, the fused FUN3D edge gather and the 4096-element
+/// dot product, in that order.
+const VECTOR_SAMPLES: [(f64, u64); 3] = [(2.025, 4464), (1.618, 40889), (15.591, 512)];
 
-/// The PR 10 trajectory: the same three kernels measured against the
-/// native (tier-3 JIT) execution path.
-const BENCH_PR10: &str = include_str!("../../../BENCH_pr10.json");
+/// `(scalar-over-native speedup, native loop entries)` of the same three
+/// kernels, same order.
+const NATIVE_SAMPLES: [(f64, u64); 3] = [(3.411, 10224), (1.444, 40888), (12.649, 512)];
 
 fn calibrated_params() -> CostParams {
-    let pairs: Vec<(f64, u64)> = vector_samples(BENCH_PR6)
-        .expect("BENCH_pr6.json parses")
-        .into_iter()
-        .map(|s| (s.speedup, s.entries))
-        .collect();
-    CostParams::calibrated_simd(&pairs)
+    CostParams::calibrated_simd(&VECTOR_SAMPLES)
 }
 
-/// The fully-measured model: SIMD speedup from the PR 6 vector smoke,
-/// native speedup from the PR 10 JIT smoke.
+/// The fully-measured model: both speedups from their samples.
 fn native_calibrated_params() -> CostParams {
     let mut p = calibrated_params();
-    if let Some(n) = calibrated_native_speedup(BENCH_PR10).expect("BENCH_pr10.json parses") {
-        p.native_speedup = n;
-    }
+    p.native_speedup = calibrate_native_speedup(&NATIVE_SAMPLES).expect("samples carry weight");
     p
 }
 
@@ -56,9 +50,7 @@ fn verdicts(log: &DecisionLog) -> String {
 
 #[test]
 fn calibrated_value_is_pinned() {
-    let v = calibrated_simd_speedup(BENCH_PR6)
-        .expect("BENCH_pr6.json parses")
-        .expect("BENCH_pr6.json carries vector samples");
+    let v = calibrate_simd_speedup(&VECTOR_SAMPLES).expect("samples carry weight");
     // Entry-weighted geometric mean of (2.025, w=4464), (1.618, w=40889),
     // (15.591, w=512): dominated by the large fun3d gather kernel, pulled
     // up slightly by the reduction microbenchmark.
@@ -147,11 +139,7 @@ edgejp step 0: advisor=serial
 
 #[test]
 fn native_calibrated_value_is_pinned() {
-    let samples = native_samples(BENCH_PR10).expect("BENCH_pr10.json parses");
-    assert_eq!(samples.len(), 3, "three kernels carry native evidence: {samples:?}");
-    let v = calibrated_native_speedup(BENCH_PR10)
-        .expect("BENCH_pr10.json parses")
-        .expect("BENCH_pr10.json carries native samples");
+    let v = calibrate_native_speedup(&NATIVE_SAMPLES).expect("samples carry weight");
     // Entry-weighted geometric mean of (3.411, w=10224), (1.444,
     // w=40888), (12.649, w=512): as with the vector calibration, the
     // heavyweight fun3d gather kernel dominates, and the deep SARB
@@ -159,7 +147,7 @@ fn native_calibrated_value_is_pinned() {
     assert_eq!((v * 1000.0).round() / 1000.0, 1.749, "calibrated native_speedup = {v}");
     // Sanity: the native tier measures faster than the vector tier it
     // replaces on the same kernels.
-    let simd = calibrated_simd_speedup(BENCH_PR6).unwrap().unwrap();
+    let simd = calibrate_simd_speedup(&VECTOR_SAMPLES).unwrap();
     assert!(v > simd, "native {v} should beat vector {simd}");
 }
 
@@ -197,16 +185,9 @@ fn calibration_flips_vs_default_are_pinned() {
 
 /// Per-program calibration: the advisor for one code uses that code's
 /// own kernel measurement, not the fleet-wide entry-weighted mean.
-fn per_kernel_native_params(kernel_substr: &str) -> CostParams {
+fn per_kernel_native_params(sample: (f64, u64)) -> CostParams {
     let mut p = calibrated_params();
-    let s = native_samples(BENCH_PR10)
-        .expect("BENCH_pr10.json parses")
-        .into_iter()
-        .find(|s| s.kernel.contains(kernel_substr))
-        .unwrap_or_else(|| panic!("no native sample for {kernel_substr}"));
-    if let Some(n) = glaf_autopar::calibrate_native_speedup(&[(s.speedup, s.entries)]) {
-        p.native_speedup = n;
-    }
+    p.native_speedup = calibrate_native_speedup(&[sample]).expect("sample carries weight");
     p
 }
 
@@ -252,7 +233,7 @@ fn native_tier_flips_vs_vector_calibration_are_pinned() {
     // Calibrated from SARB's own measured 3.411x, the serial native
     // tier overtakes threading for the emissivity nest — undoing the
     // PR 6 flip above.
-    let sarb_native = CostAdvisor::new(per_kernel_native_params("sarb"));
+    let sarb_native = CostAdvisor::new(per_kernel_native_params(NATIVE_SAMPLES[0]));
     assert_eq!(
         flips_between(&vec_advisor, &sarb_native, &sarb::glaf_model::build_sarb_program()),
         "g_lw_emis step 0: threads -> simd\n"
@@ -260,7 +241,7 @@ fn native_tier_flips_vs_vector_calibration_are_pinned() {
 
     // FUN3D's own native measurement (1.444x) loses to the vector
     // tier, so `max(simd, native)` leaves every verdict alone.
-    let fun3d_native = CostAdvisor::new(per_kernel_native_params("fun3d"));
+    let fun3d_native = CostAdvisor::new(per_kernel_native_params(NATIVE_SAMPLES[1]));
     assert_eq!(
         flips_between(&vec_advisor, &fun3d_native, &fun3d::glaf_model::build_fun3d_program()),
         ""

@@ -2,7 +2,7 @@
 //! imbalance produces schedule overrides that demonstrably change the
 //! schedule an imbalanced region runs under on the next run.
 
-use fortrans::{ArgVal, Engine, ExecMode, ExecTier};
+use fortrans::{ArgVal, ExecMode, ExecTier, Session};
 use glaf_bench::observe::reschedule;
 
 /// Triangular workload: iteration `i` performs `i * 300` flops, so a
@@ -33,7 +33,7 @@ END MODULE w
 
 #[test]
 fn measured_imbalance_flips_static_region_to_dynamic() {
-    let engine = Engine::compile(&[SKEWED]).unwrap();
+    let engine = Session::compile(&[SKEWED]).unwrap();
     let args = [ArgVal::I(64), ArgVal::I(3)];
     let mode = ExecMode::Parallel { threads: 4 };
 

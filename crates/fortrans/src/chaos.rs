@@ -222,9 +222,9 @@ impl FaultKind {
     }
 }
 
-/// Campaign shape. The default is the CI smoke configuration scaled
-/// down; `chaos_smoke` raises `rounds`/`jobs_per_round` to clear the
-/// ≥200-injected-faults bar.
+/// Campaign shape. The default is a short campaign;
+/// `tests/chaos_campaign.rs` raises `rounds`/`jobs_per_round` to clear
+/// the ≥200-injected-faults bar.
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignConfig {
     /// RNG seed; the whole campaign is a pure function of the config.

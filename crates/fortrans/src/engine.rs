@@ -1,13 +1,6 @@
-//! The public engine facade: compile sources, run subprograms, inspect
-//! globals.
-//!
-//! Since the service split, [`Engine`] is a thin shell over the
-//! artifact/session architecture in [`crate::service`]: `compile`
-//! produces a [`crate::service::CompiledProgram`] and wraps it in a
-//! solo [`crate::service::Session`], to which the engine derefs. The
-//! one-shot API every existing caller uses is unchanged; multi-tenant
-//! callers reach the same machinery through
-//! [`crate::service::EngineService`].
+//! The value types of the run API: arguments, outcomes, the tier
+//! selector and the static vectorization report. The machinery that
+//! consumes them is [`crate::service`] (`CompiledProgram` + `Session`).
 //!
 //! This file is part of the user-reachable API surface, so internal
 //! panics are a bug here: keep it free of `unwrap`/`expect` (checked by
@@ -16,12 +9,13 @@
 
 use std::sync::Arc;
 
-use crate::error::{CompileError, RunError};
+use crate::error::RunError;
 use crate::rir::ScalarTy;
-use crate::service::{CompiledProgram, Session};
+#[cfg(doc)]
+use crate::service::Session;
 use crate::storage::ArrayObj;
 
-/// An argument for [`Engine::run`].
+/// An argument for [`Session::run`].
 #[derive(Debug, Clone)]
 pub enum ArgVal {
     I(i64),
@@ -119,59 +113,12 @@ pub struct VectorLoopInfo {
 /// [`ExecTier::Vm`] (the default for [`Session::run`]) compiles units to
 /// flat bytecode and executes them on the register/stack VM in
 /// [`crate::vm`]; hot `VecLoop` regions are promoted to native code by
-/// [`crate::jit`] when the session's native tier is enabled.
-/// [`ExecTier::Native`] is the VM tier with native promotion forced on
-/// and eager for that run (regardless of the session toggles) — on
-/// targets without a JIT it is identical to `Vm`. [`ExecTier::TreeWalk`]
-/// runs the original tree-walking interpreter; it is kept as the
-/// reference oracle for differential testing.
+/// [`crate::jit`] when the session's native tier is enabled (see
+/// [`Session::set_native_enabled`] / [`Session::set_native_eager`]).
+/// [`ExecTier::TreeWalk`] runs the original tree-walking interpreter; it
+/// is kept as the reference oracle for differential testing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecTier {
     Vm,
-    Native,
     TreeWalk,
-}
-
-/// A compiled FORTRAN program with live global storage: one
-/// [`CompiledProgram`] artifact plus one private [`Session`] over it.
-///
-/// Global state (module variables, COMMON blocks, SAVE arrays) persists
-/// across `run` calls, exactly like a linked FORTRAN process image; use
-/// [`Session::reset_globals`] to reinitialize. All session methods are
-/// available directly on the engine through deref.
-pub struct Engine {
-    session: Session,
-}
-
-impl Engine {
-    /// Parses and resolves one or more source files (order-independent for
-    /// modules; later sources may USE earlier ones and vice versa), then
-    /// opens a private session over the compiled artifact.
-    pub fn compile(sources: &[&str]) -> Result<Engine, CompileError> {
-        Ok(Engine { session: Session::solo(CompiledProgram::compile(sources)?) })
-    }
-
-    /// An engine over an existing artifact (private pools, fresh globals).
-    pub fn from_artifact(artifact: Arc<CompiledProgram>) -> Engine {
-        Engine { session: Session::solo(artifact) }
-    }
-
-    /// Surrenders the underlying session (e.g. to hand it to service
-    /// plumbing that wants `Session` by value).
-    pub fn into_session(self) -> Session {
-        self.session
-    }
-}
-
-impl std::ops::Deref for Engine {
-    type Target = Session;
-    fn deref(&self) -> &Session {
-        &self.session
-    }
-}
-
-impl std::ops::DerefMut for Engine {
-    fn deref_mut(&mut self) -> &mut Session {
-        &mut self.session
-    }
 }

@@ -3943,11 +3943,12 @@ impl ProgramSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{ArgVal, Engine};
+    use crate::engine::ArgVal;
+    use crate::service::Session;
     use crate::interp::{ExecMode, Val};
 
     fn run1(src: &str, unit: &str, args: &[ArgVal]) -> Option<Val> {
-        let engine = Engine::compile(&[src]).expect("compile");
+        let engine = Session::compile(&[src]).expect("compile");
         engine
             .run_tiered(unit, args, ExecMode::Serial, crate::engine::ExecTier::Vm)
             .expect("run")
@@ -3978,7 +3979,7 @@ C     CLASSIC FIXED-FORM KERNEL
    20 CONTINUE
       END
 ";
-        let engine = Engine::compile(&[src]).expect("compile");
+        let engine = Session::compile(&[src]).expect("compile");
         engine
             .run_tiered("main", &[], ExecMode::Serial, crate::engine::ExecTier::Vm)
             .expect("run");
@@ -4098,7 +4099,7 @@ C     CLASSIC FIXED-FORM KERNEL
    20 CONTINUE
       END
 ";
-        let engine = Engine::compile(&[f1, f2]).expect("compile");
+        let engine = Session::compile(&[f1, f2]).expect("compile");
         engine
             .run_tiered("main", &[], ExecMode::Serial, crate::engine::ExecTier::Vm)
             .expect("run");
@@ -4141,7 +4142,7 @@ C     CLASSIC FIXED-FORM KERNEL
       COUNTER = C
       END
 ";
-        let engine = Engine::compile(&[src]).expect("compile");
+        let engine = Session::compile(&[src]).expect("compile");
         for want in [101i64, 102, 103] {
             let got = engine
                 .run_tiered("counter", &[], ExecMode::Serial, crate::engine::ExecTier::Vm)
@@ -4161,7 +4162,7 @@ C     CLASSIC FIXED-FORM KERNEL
       X = UNDEF(
       END
 ";
-        let err = match Engine::compile(&[src]) {
+        let err = match Session::compile(&[src]) {
             Ok(_) => panic!("must fail"),
             Err(e) => e,
         };

@@ -209,9 +209,9 @@ impl EffLimits {
 /// clauses. Precedence: per-line override > blanket override > the
 /// schedule recorded in the descriptor.
 ///
-/// Set on an engine with [`crate::Engine::set_schedule_overrides`] (the
+/// Set on a session with [`crate::Session::set_schedule_overrides`] (the
 /// feedback path: a measured profile keys overrides by `omp@line`) or
-/// [`crate::Engine::set_schedule_override_all`] (schedule-matrix
+/// [`crate::Session::set_schedule_override_all`] (schedule-matrix
 /// benchmarking). Both execution tiers consult the same snapshot.
 #[derive(Debug, Default, Clone)]
 pub struct ScheduleOverrides {
@@ -293,7 +293,7 @@ pub(crate) struct Task<'e> {
     /// Statements executed (checked against `RunLimits::max_steps`).
     steps: u64,
     /// Profiling collector, attached only to the orchestrating task of a
-    /// profiled run (`Engine::run_profiled`); worker tasks never carry
+    /// profiled run (`Session::run_profiled`); worker tasks never carry
     /// one. Same boundary-only cost contract as the VM tier.
     pub(crate) prof: Option<&'e crate::trace::Collector>,
 }

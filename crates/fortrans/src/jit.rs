@@ -41,7 +41,7 @@
 //! to the vector/scalar paths — a clean no-JIT build.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -878,10 +878,10 @@ impl NativeCache {
 
     /// One promotion step for a loop entry: returns the compiled
     /// region when this entry should run natively. Counts the entry
-    /// otherwise, compiling once the count passes `threshold` (or at
-    /// once under `eager`). Compilation runs outside the lock; a
-    /// racing duplicate compile is harmless (last insert wins, both
-    /// results are equivalent).
+    /// otherwise, compiling once the count reaches
+    /// [`DEFAULT_HOT_THRESHOLD`] (or at once under `eager`). Compilation
+    /// runs outside the lock; a racing duplicate compile is harmless
+    /// (last insert wins, both results are equivalent).
     fn promote(
         &self,
         prog: &RProgram,
@@ -889,7 +889,6 @@ impl NativeCache {
         uidx: u32,
         desc: u32,
         eager: bool,
-        threshold: u32,
     ) -> Promotion {
         let key = (uidx, desc);
         {
@@ -899,13 +898,13 @@ impl NativeCache {
                 Some(Slot::Refused) => return Promotion::Refused,
                 Some(Slot::Warm(n)) => {
                     *n = n.saturating_add(1);
-                    if !eager && *n < threshold {
+                    if !eager && *n < DEFAULT_HOT_THRESHOLD {
                         return Promotion::NotYet;
                     }
                 }
                 None => {
                     slots.insert(key, Slot::Warm(1));
-                    if !eager && threshold > 1 {
+                    if !eager {
                         return Promotion::NotYet;
                     }
                 }
@@ -931,8 +930,6 @@ impl NativeCache {
 pub struct NativeHooks {
     /// Compile on first entry instead of waiting for the threshold.
     pub eager: bool,
-    /// Loop entries before a region is promoted.
-    pub threshold: u32,
     pub cache: Arc<NativeCache>,
     /// Loop entries that ran natively (session-lifetime, all threads).
     pub entries: Arc<AtomicU64>,
@@ -951,7 +948,7 @@ impl NativeHooks {
         uidx: u32,
         desc: u32,
     ) -> Promotion {
-        self.cache.promote(prog, bunits, uidx, desc, self.eager, self.threshold)
+        self.cache.promote(prog, bunits, uidx, desc, self.eager)
     }
 
     pub(crate) fn count_deopt(&self) {
@@ -968,7 +965,6 @@ impl NativeHooks {
 pub struct NativeState {
     pub enabled: AtomicBool,
     pub eager: AtomicBool,
-    pub threshold: AtomicU32,
     pub entries: Arc<AtomicU64>,
     pub deopts: Arc<AtomicU64>,
     /// Swappable so bytecode injection detaches from the shared cache.
@@ -980,24 +976,20 @@ impl NativeState {
         NativeState {
             enabled: AtomicBool::new(true),
             eager: AtomicBool::new(false),
-            threshold: AtomicU32::new(DEFAULT_HOT_THRESHOLD),
             entries: Arc::new(AtomicU64::new(0)),
             deopts: Arc::new(AtomicU64::new(0)),
             cache: Mutex::new(cache),
         }
     }
 
-    /// Builds the per-run snapshot; `None` when the tier is off for
-    /// this run or the target has no JIT. `force_eager` is the
-    /// [`crate::ExecTier::Native`] override: native on and eager for
-    /// this run regardless of the session toggles.
-    pub fn hooks(&self, force_eager: bool) -> Option<Arc<NativeHooks>> {
-        if !available() || !(force_eager || self.enabled.load(Ordering::Relaxed)) {
+    /// Builds the per-run snapshot; `None` when the tier is off or the
+    /// target has no JIT.
+    pub fn hooks(&self) -> Option<Arc<NativeHooks>> {
+        if !available() || !self.enabled.load(Ordering::Relaxed) {
             return None;
         }
         Some(Arc::new(NativeHooks {
-            eager: force_eager || self.eager.load(Ordering::Relaxed),
-            threshold: self.threshold.load(Ordering::Relaxed).max(1),
+            eager: self.eager.load(Ordering::Relaxed),
             cache: Arc::clone(&self.cache.lock()),
             entries: Arc::clone(&self.entries),
             deopts: Arc::clone(&self.deopts),

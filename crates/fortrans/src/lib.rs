@@ -23,7 +23,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use fortrans::{ArgVal, Engine, ExecMode};
+//! use fortrans::{ArgVal, ExecMode, Session};
 //!
 //! let src = r#"
 //! MODULE demo
@@ -41,9 +41,9 @@
 //!   END SUBROUTINE scale
 //! END MODULE demo
 //! "#;
-//! let engine = Engine::compile(&[src]).unwrap();
+//! let session = Session::compile(&[src]).unwrap();
 //! let a = ArgVal::array_f(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], 1);
-//! engine
+//! session
 //!     .run("scale", &[a.clone(), ArgVal::I(8), ArgVal::F(2.0)], ExecMode::Parallel { threads: 2 })
 //!     .unwrap();
 //! assert_eq!(a.handle().unwrap().get_f(0), 2.0);
@@ -72,7 +72,7 @@ pub mod verify;
 pub mod vm;
 
 pub use cost::{CostCounters, CostTrace, OpCounts, RegionEvent, TraceEvent};
-pub use engine::{ArgVal, Engine, ExecTier, RunOutcome, TierFallback, VectorLoopInfo};
+pub use engine::{ArgVal, ExecTier, RunOutcome, TierFallback, VectorLoopInfo};
 pub use error::{CompileError, Diagnostic, Diagnostics, Severity};
 pub use error::RunError;
 pub use fixedform::{is_fixed_form, lex_fixed, to_fixed_form, to_fixed_form_wrapped, ProgramSet};

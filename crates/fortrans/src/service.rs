@@ -268,10 +268,15 @@ impl Session {
         }
     }
 
-    /// Opens a session with a private pool set — the one-shot shape the
-    /// standalone [`crate::Engine`] presents.
+    /// Opens a session with a private pool set — the one-shot shape.
     pub fn solo(artifact: Arc<CompiledProgram>) -> Session {
         Session::new(artifact, Arc::new(PoolSet::new()))
+    }
+
+    /// [`CompiledProgram::compile`] plus [`Session::solo`]: compile one
+    /// program, run it.
+    pub fn compile(sources: &[&str]) -> Result<Session, CompileError> {
+        Ok(Session::solo(CompiledProgram::compile(sources)?))
     }
 
     /// The shared artifact this session executes.
@@ -420,17 +425,11 @@ impl Session {
     }
 
     /// Compile loop regions to native code on first entry instead of
-    /// waiting for the hotness threshold. Benchmarks and differential
-    /// sweeps use this to guarantee the native path is exercised.
+    /// waiting for [`crate::jit::DEFAULT_HOT_THRESHOLD`] entries.
+    /// Benchmarks and differential sweeps use this to guarantee the
+    /// native path is exercised.
     pub fn set_native_eager(&self, eager: bool) {
         self.native.eager.store(eager, Ordering::Relaxed);
-    }
-
-    /// Sets how many entries a loop region needs before it is promoted
-    /// to native code (default [`crate::jit::DEFAULT_HOT_THRESHOLD`]);
-    /// clamped to at least 1.
-    pub fn set_native_hot_threshold(&self, entries: u32) {
-        self.native.threshold.store(entries.max(1), Ordering::Relaxed);
     }
 
     /// Loop entries that executed natively so far (this session's runs,
@@ -502,38 +501,7 @@ impl Session {
         mode: ExecMode,
         tier: ExecTier,
     ) -> Result<RunOutcome, RunError> {
-        let unit_id = self
-            .artifact
-            .prog
-            .unit_id(name)
-            .ok_or_else(|| RunError::BadCall { name: name.into(), msg: "unknown unit".into() })?;
-        match tier {
-            ExecTier::Vm | ExecTier::Native => {
-                let force_native = matches!(tier, ExecTier::Native);
-                let forced = self.force_vm_trap.swap(false, Ordering::Relaxed);
-                let vm_run = catch_unwind(AssertUnwindSafe(|| {
-                    if forced {
-                        panic!("forced VM trap (test hook)");
-                    }
-                    self.run_on_vm_native(unit_id, args, mode, None, force_native)
-                }));
-                let trap = match vm_run {
-                    Err(payload) => payload_str(&*payload),
-                    // A contained worker panic surfaces as `Trap`: an
-                    // internal fault, so it also falls back.
-                    Ok(Err(ref e)) if matches!(e.root(), RunError::Trap { .. }) => e.to_string(),
-                    Ok(run) => return run,
-                };
-                // The VM trapped: record the diagnostic and give the
-                // caller the oracle's answer instead.
-                self.fallback_count.fetch_add(1, Ordering::Relaxed);
-                let fb = TierFallback { unit: name.into(), what: trap };
-                let mut out = self.run_on_oracle(unit_id, args, mode, None)?;
-                out.fallback = Some(fb);
-                Ok(out)
-            }
-            ExecTier::TreeWalk => self.run_on_oracle(unit_id, args, mode, None),
-        }
+        Ok(self.run_ladder(name, args, mode, tier, false)?.0)
     }
 
     /// Runs subprogram `name` with a profiling collector attached,
@@ -556,130 +524,131 @@ impl Session {
         mode: ExecMode,
         tier: ExecTier,
     ) -> Result<(RunOutcome, crate::trace::Profile), RunError> {
+        let (out, profile) = self.run_ladder(name, args, mode, tier, true)?;
+        let profile = profile.ok_or_else(|| RunError::Trap {
+            what: "profiled run returned no profile".into(),
+        })?;
+        Ok((out, profile))
+    }
+
+    /// The one trap→oracle ladder behind [`Session::run_tiered`] and
+    /// [`Session::run_profiled`]: one attempt on the VM (unless `tier`
+    /// asks for the oracle outright), and on a trap one on the oracle
+    /// with the [`TierFallback`] attached. With `profiled` every attempt
+    /// runs under its own fresh [`crate::trace::Collector`] and the
+    /// answering attempt's profile comes back beside the outcome.
+    fn run_ladder(
+        &self,
+        name: &str,
+        args: &[ArgVal],
+        mode: ExecMode,
+        tier: ExecTier,
+        profiled: bool,
+    ) -> Result<(RunOutcome, Option<crate::trace::Profile>), RunError> {
         let unit_id = self
             .artifact
             .prog
             .unit_id(name)
             .ok_or_else(|| RunError::BadCall { name: name.into(), msg: "unknown unit".into() })?;
-        let mode_str = match mode {
-            ExecMode::Serial => "serial".to_string(),
-            ExecMode::Parallel { threads } => format!("parallel({threads})"),
-            ExecMode::Simulated { threads } => format!("simulated({threads})"),
-        };
         // Worker busy-time accounting is cheap but not free: the pool
         // collects it only while a profiled Parallel run is in flight.
         let pool = match mode {
-            ExecMode::Parallel { threads } => Some(self.pool_for(threads)),
+            ExecMode::Parallel { threads } if profiled => Some(self.pool_for(threads)),
             _ => None,
         };
         if let Some(p) = &pool {
             p.set_metrics(true);
             p.take_metrics(); // discard leftovers from earlier runs
         }
-        let finish = |prof: crate::trace::Collector, tier_str: &str, wall_ns: u64| {
-            let (spans, steps) = prof.finish();
-            let regions = pool
-                .as_ref()
-                .map(|p| {
-                    p.take_metrics()
-                        .into_iter()
-                        .map(|m| crate::trace::RegionReport {
-                            threads: m.threads as u64,
-                            wall_ns: m.wall_ns,
-                            busy_ns: m.busy_ns,
-                            line: m.line as u64,
-                            sched: m.sched.render(),
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
-            crate::trace::Profile {
-                entry: name.to_string(),
-                tier: tier_str.to_string(),
-                mode: mode_str.clone(),
-                wall_ns,
-                steps,
-                max_steps: self.limits.max_steps,
-                spans,
-                regions,
-                fallback: None,
-                fallback_count: self.fallback_count(),
-                native_entries: self.native_entry_count(),
-                native_deopts: self.native_deopt_count(),
+        // Closes the ladder on the attempt that answered.
+        let finish = |run: Result<RunOutcome, RunError>,
+                      rung: &str,
+                      prof: Option<crate::trace::Collector>,
+                      t0: Instant,
+                      fallback: Option<TierFallback>| {
+            let wall_ns = t0.elapsed().as_nanos() as u64;
+            if let Some(p) = &pool {
+                p.set_metrics(false);
             }
+            let mut out = run?;
+            let profile = prof.map(|prof| {
+                let (spans, steps) = prof.finish();
+                let regions = pool
+                    .as_ref()
+                    .map(|p| {
+                        p.take_metrics()
+                            .into_iter()
+                            .map(|m| crate::trace::RegionReport {
+                                threads: m.threads as u64,
+                                wall_ns: m.wall_ns,
+                                busy_ns: m.busy_ns,
+                                line: m.line as u64,
+                                sched: m.sched.render(),
+                            })
+                            .collect()
+                    })
+                    .unwrap_or_default();
+                crate::trace::Profile {
+                    entry: name.to_string(),
+                    tier: rung.to_string(),
+                    mode: match mode {
+                        ExecMode::Serial => "serial".to_string(),
+                        ExecMode::Parallel { threads } => format!("parallel({threads})"),
+                        ExecMode::Simulated { threads } => format!("simulated({threads})"),
+                    },
+                    wall_ns,
+                    steps,
+                    max_steps: self.limits.max_steps,
+                    spans,
+                    regions,
+                    fallback: fallback.clone().map(|fb| crate::trace::FallbackInfo {
+                        unit: fb.unit,
+                        what: fb.what,
+                    }),
+                    fallback_count: self.fallback_count(),
+                    native_entries: self.native_entry_count(),
+                    native_deopts: self.native_deopt_count(),
+                }
+            });
+            out.fallback = fallback;
+            Ok((out, profile))
         };
-        match tier {
-            ExecTier::Vm | ExecTier::Native => {
-                // Profiled runs want per-iteration loop spans, so the
-                // VM takes the scalar path even under `Native` — the
-                // profile still surfaces the session-lifetime native
-                // entry/deopt counters alongside `fallback_count`.
-                let force_native = matches!(tier, ExecTier::Native);
-                let forced = self.force_vm_trap.swap(false, Ordering::Relaxed);
-                let prof = crate::trace::Collector::new();
-                let t0 = std::time::Instant::now();
-                let vm_run = catch_unwind(AssertUnwindSafe(|| {
-                    if forced {
-                        panic!("forced VM trap (test hook)");
-                    }
-                    self.run_on_vm_native(unit_id, args, mode, Some(&prof), force_native)
-                }));
-                let trap = match vm_run {
-                    Err(payload) => payload_str(&*payload),
-                    Ok(Err(ref e)) if matches!(e.root(), RunError::Trap { .. }) => e.to_string(),
-                    Ok(run) => {
-                        let wall_ns = t0.elapsed().as_nanos() as u64;
-                        if let Some(p) = &pool {
-                            p.set_metrics(false);
-                        }
-                        let out = run?;
-                        return Ok((out, finish(prof, "vm", wall_ns)));
-                    }
-                };
-                // The VM trapped: re-profile on the oracle with a fresh
-                // collector, so the profile matches the answer's tier.
-                self.fallback_count.fetch_add(1, Ordering::Relaxed);
-                if let Some(p) = &pool {
-                    p.take_metrics(); // drop partials from the trapped attempt
+        let mut fallback = None;
+        if tier == ExecTier::Vm {
+            let forced = self.force_vm_trap.swap(false, Ordering::Relaxed);
+            // Under a collector the VM takes the scalar path (profiles
+            // want per-iteration loop spans); the profile still surfaces
+            // the session-lifetime native entry/deopt counters.
+            let prof = profiled.then(crate::trace::Collector::new);
+            let t0 = Instant::now();
+            let vm_run = catch_unwind(AssertUnwindSafe(|| {
+                if forced {
+                    panic!("forced VM trap (test hook)");
                 }
-                let fb = TierFallback { unit: name.into(), what: trap };
-                let prof = crate::trace::Collector::new();
-                let t0 = std::time::Instant::now();
-                let run = self.run_on_oracle(unit_id, args, mode, Some(&prof));
-                let wall_ns = t0.elapsed().as_nanos() as u64;
-                if let Some(p) = &pool {
-                    p.set_metrics(false);
-                }
-                let mut out = run?;
-                out.fallback = Some(fb.clone());
-                let mut profile = finish(prof, "tree-walk", wall_ns);
-                profile.fallback =
-                    Some(crate::trace::FallbackInfo { unit: fb.unit, what: fb.what });
-                Ok((out, profile))
+                self.run_on_vm(unit_id, args, mode, prof.as_ref())
+            }));
+            let trap = match vm_run {
+                Err(payload) => payload_str(&*payload),
+                // A contained worker panic surfaces as `Trap`: an
+                // internal fault, so it also falls back.
+                Ok(Err(ref e)) if matches!(e.root(), RunError::Trap { .. }) => e.to_string(),
+                Ok(run) => return finish(run, "vm", prof, t0, None),
+            };
+            // The VM trapped: record the diagnostic and answer from the
+            // oracle, so a profile matches the tier the result came from.
+            self.fallback_count.fetch_add(1, Ordering::Relaxed);
+            if let Some(p) = &pool {
+                p.take_metrics(); // drop partials from the trapped attempt
             }
-            ExecTier::TreeWalk => {
-                let prof = crate::trace::Collector::new();
-                let t0 = std::time::Instant::now();
-                let run = self.run_on_oracle(unit_id, args, mode, Some(&prof));
-                let wall_ns = t0.elapsed().as_nanos() as u64;
-                if let Some(p) = &pool {
-                    p.set_metrics(false);
-                }
-                let out = run?;
-                Ok((out, finish(prof, "tree-walk", wall_ns)))
-            }
+            fallback = Some(TierFallback { unit: name.into(), what: trap });
         }
+        let prof = profiled.then(crate::trace::Collector::new);
+        let t0 = Instant::now();
+        let run = self.run_on_oracle(unit_id, args, mode, prof.as_ref());
+        finish(run, "tree-walk", prof, t0, fallback)
     }
 
     fn make_exec(&self, mode: ExecMode) -> Exec {
-        self.make_exec_native(mode, false)
-    }
-
-    /// Builds a run's `Exec` snapshot. `force_native` is the
-    /// [`ExecTier::Native`] override: native promotion on and eager for
-    /// this run regardless of the session toggles (still `None` on
-    /// targets without a JIT).
-    fn make_exec_native(&self, mode: ExecMode, force_native: bool) -> Exec {
         let pool = match mode {
             ExecMode::Parallel { threads } => Some(self.pool_for(threads)),
             _ => None,
@@ -697,19 +666,18 @@ impl Session {
             vector_enabled: self.vector_enabled.load(Ordering::Relaxed),
             vector_entries: Arc::clone(&self.vector_entries),
             debug_panic_worker: usize::try_from(panic_worker).ok(),
-            native: self.native.hooks(force_native),
+            native: self.native.hooks(),
         }
     }
 
-    fn run_on_vm_native(
+    fn run_on_vm(
         &self,
         unit_id: usize,
         args: &[ArgVal],
         mode: ExecMode,
         prof: Option<&crate::trace::Collector>,
-        force_native: bool,
     ) -> Result<RunOutcome, RunError> {
-        let exec = self.make_exec_native(mode, force_native);
+        let exec = self.make_exec(mode);
         let traced = matches!(mode, ExecMode::Simulated { .. });
         let bunits = self.bytecode_for(traced);
         let (result, trace, printed) = crate::vm::run_vm(&exec, &bunits, unit_id, args, prof)?;

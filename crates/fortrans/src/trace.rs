@@ -2,7 +2,7 @@
 //! [`Profile`] report.
 //!
 //! Both execution tiers accept an optional [`Collector`] reference. When
-//! absent (the default for [`crate::Engine::run`]), the only cost is a
+//! absent (the default for [`crate::Session::run`]), the only cost is a
 //! branch on an `Option` at unit, DO-loop and OMP-region boundaries —
 //! never per instruction or per iteration. When present, the tiers record
 //!
@@ -173,7 +173,7 @@ pub struct Profile {
     pub regions: Vec<RegionReport>,
     /// Set when the VM trapped and the oracle re-ran the request.
     pub fallback: Option<FallbackInfo>,
-    /// Engine-lifetime fallback total (monotonic across runs).
+    /// Session-lifetime fallback total (monotonic across runs).
     pub fallback_count: u64,
     /// Session-lifetime count of loop entries executed on the native
     /// (JIT) tier (monotonic across runs; 0 on targets without one).

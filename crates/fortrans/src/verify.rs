@@ -23,7 +23,7 @@
 //!    all three stacks empty.
 //!
 //! [`verify_program`] runs after `compile_program` inside
-//! [`crate::engine::Engine::compile`], so a program that compiles has
+//! [`crate::CompiledProgram::compile`], so a program that compiles has
 //! *verified* bytecode before the first run. The [`mutate`] submodule
 //! is the other half of the bargain: a deterministic fault injector
 //! that corrupts verified bytecode in ways the verifier (or the

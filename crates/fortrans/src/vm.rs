@@ -181,7 +181,7 @@ pub(crate) struct Vm<'e, const TRACE: bool> {
     depth: usize,
     out: String,
     /// Profiling collector, attached only to the main-thread VM of a
-    /// profiled run (`Engine::run_profiled`); `None` everywhere else —
+    /// profiled run (`Session::run_profiled`); `None` everywhere else —
     /// workers never carry one, keeping the hot path a single
     /// pointer-null test at loop/unit/region boundaries.
     prof: Option<&'e crate::trace::Collector>,

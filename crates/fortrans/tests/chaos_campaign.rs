@@ -14,16 +14,27 @@ use fortrans::{
 
 #[test]
 fn refuse_mode_campaign_survives() {
-    let report = chaos::run_campaign(&CampaignConfig {
-        rounds: 5,
-        jobs_per_round: 10,
-        ..CampaignConfig::default()
-    });
-    assert!(report.ok(), "violations: {:#?}", report.violations);
-    assert!(report.injected_total() >= 30, "campaign too quiet: {:?}", report.injected);
-    assert!(report.watchdog_fired >= 1, "no deadline ever fired");
-    assert!(report.actions.contains_key("completed"));
-    assert!(report.actions.contains_key("cancelled"));
+    // A short campaign on the default seed, and a long fixed-seed one
+    // that must clear 200 injected faults.
+    for (seed, rounds, jobs_per_round, min_faults) in
+        [(CampaignConfig::default().seed, 5, 10, 30), (0x00C0_FFEE, 20, 16, 200)]
+    {
+        let report = chaos::run_campaign(&CampaignConfig {
+            seed,
+            rounds,
+            jobs_per_round,
+            ..CampaignConfig::default()
+        });
+        assert!(report.ok(), "seed {seed:#x}: violations: {:#?}", report.violations);
+        assert!(
+            report.injected_total() >= min_faults,
+            "seed {seed:#x}: campaign too quiet: {:?}",
+            report.injected
+        );
+        assert!(report.watchdog_fired >= 1, "seed {seed:#x}: no deadline ever fired");
+        assert!(report.actions.contains_key("completed"));
+        assert!(report.actions.contains_key("cancelled"));
+    }
 }
 
 #[test]
@@ -185,8 +196,15 @@ fn thirty_job_mixed_batch_acceptance() {
     assert!(report.watchdog_fired >= 5, "all five hung jobs should trip the watchdog");
 
     // No pool left unusable: a fresh all-clean batch on the same
-    // service completes with zero faults.
+    // service completes with zero faults — under a fully armed policy
+    // that must never trigger (one attempt each, verdict `completed`).
     let mut queue = service.queue(4);
+    queue.set_default_policy(JobPolicy {
+        deadline: Some(Duration::from_secs(30)),
+        retries: 2,
+        backoff: Duration::from_millis(1),
+        degrade: true,
+    });
     let mut outs = Vec::new();
     for (pi, prog) in corpus.iter().enumerate() {
         let (args, out) = chaos::make_args(prog.entry);
@@ -196,6 +214,8 @@ fn thirty_job_mixed_batch_acceptance() {
     for (k, jr) in queue.run_batch().iter().enumerate() {
         let ok = jr.result.as_ref().unwrap_or_else(|e| panic!("post-batch job {k}: {e}"));
         assert!(ok.fallback.is_none(), "post-batch job {k} fell back");
+        assert_eq!(jr.action, PolicyAction::Completed, "post-batch job {k}");
+        assert_eq!(jr.attempts.len(), 1, "post-batch job {k} needed a retry");
         let (pi, out) = &outs[k];
         assert_eq!(
             chaos::out_bits(out),

@@ -2,10 +2,10 @@
 //! with precise, located errors — a FORTRAN front-end that silently
 //! mis-executes legacy code is worse than none.
 
-use fortrans::{ArgVal, CompileError, Engine, ExecMode};
+use fortrans::{ArgVal, CompileError, ExecMode, Session};
 
 fn compile_err(src: &str) -> CompileError {
-    match Engine::compile(&[src]) {
+    match Session::compile(&[src]) {
         Err(e) => e,
         Ok(_) => panic!("should not compile:\n{src}"),
     }
@@ -227,7 +227,7 @@ CONTAINS
   END SUBROUTINE s
 END MODULE m
 "#;
-    let e = Engine::compile(&[src]).unwrap();
+    let e = Session::compile(&[src]).unwrap();
     let err = e.run("s", &[], ExecMode::Serial).unwrap_err();
     assert!(err.to_string().contains("before ALLOCATE"), "{err}");
 }
@@ -244,7 +244,7 @@ CONTAINS
   END SUBROUTINE s
 END MODULE m
 "#;
-    let e = Engine::compile(&[src]).unwrap();
+    let e = Session::compile(&[src]).unwrap();
     let err = e.run("s", &[], ExecMode::Serial).unwrap_err();
     assert!(err.to_string().contains("already allocated"), "{err}");
 }
@@ -260,7 +260,7 @@ CONTAINS
   END SUBROUTINE s
 END MODULE m
 "#;
-    let e = Engine::compile(&[src]).unwrap();
+    let e = Session::compile(&[src]).unwrap();
     let err = e.run("s", &[], ExecMode::Serial).unwrap_err();
     assert!(err.to_string().contains("takes 1 args, got 0"), "{err}");
 

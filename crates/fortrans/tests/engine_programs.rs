@@ -2,10 +2,10 @@
 //! in all three modes, exercising every §3 integration feature the GLAF
 //! code generator relies on.
 
-use fortrans::{ArgVal, Engine, ExecMode, TraceEvent, Val};
+use fortrans::{ArgVal, ExecMode, Session, TraceEvent, Val};
 
-fn engine(src: &str) -> Engine {
-    Engine::compile(&[src]).unwrap_or_else(|e| panic!("{e}\n{src}"))
+fn engine(src: &str) -> Session {
+    Session::compile(&[src]).unwrap_or_else(|e| panic!("{e}\n{src}"))
 }
 
 const ALL_MODES: [ExecMode; 3] = [
@@ -63,7 +63,7 @@ CONTAINS
   END SUBROUTINE run2
 END MODULE m2
 "#;
-    let e2 = Engine::compile(&[src, src2]).unwrap();
+    let e2 = Session::compile(&[src, src2]).unwrap();
     let out = ArgVal::array_f(&[0.0], 1);
     e2.run("run2", std::slice::from_ref(&out), ExecMode::Serial).unwrap();
     assert_eq!(out.handle().unwrap().get_f(0), 12.0);

@@ -5,14 +5,14 @@
 //! indices and line numbers — so diagnostics cannot silently regress.
 //! The same malformed sources are also pushed through the service batch
 //! path to prove the full multi-error report reaches `Rejected` job
-//! results, not just direct [`Engine::compile`] callers.
+//! results, not just direct [`Session::compile`] callers.
 
-use fortrans::{CompileError, Engine, EngineService, Job, ProgramSet, RunError};
+use fortrans::{CompileError, EngineService, Job, ProgramSet, RunError, Session};
 
 /// Compiles and returns the accumulated diagnostics, panicking if the
 /// front end accepted the sources.
 fn expect_fixed_err(sources: &[&str]) -> fortrans::Diagnostics {
-    match Engine::compile(sources) {
+    match Session::compile(sources) {
         Ok(_) => panic!("sources unexpectedly compiled"),
         Err(CompileError::Fixed { diags }) => diags,
         Err(e) => panic!("expected CompileError::Fixed, got: {e}"),
@@ -57,7 +57,7 @@ fn golden_column_73_overflow_is_a_warning() {
     );
     // And the discarded text really is gone: the program compiles clean.
     let refs = [src.as_str()];
-    Engine::compile(&refs).expect("compiles despite overflow");
+    Session::compile(&refs).expect("compiles despite overflow");
 }
 
 #[test]

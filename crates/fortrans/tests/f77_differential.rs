@@ -15,7 +15,7 @@
 //!   printed output as a line multiset; traces are not compared.
 
 use fortrans::service::CompiledProgram;
-use fortrans::{CostTrace, Engine, ExecMode, ExecTier, ScalarTy, Val};
+use fortrans::{CostTrace, ExecMode, ExecTier, ScalarTy, Session, Val};
 
 /// Seeds per fixed corpus; every seed is a distinct two-file program.
 const SEEDS: u64 = 200;
@@ -41,7 +41,7 @@ struct Snap {
     globals: Vec<(String, GSnap)>,
 }
 
-fn snapshot(engine: &Engine, mode: ExecMode, tier: ExecTier) -> Snap {
+fn snapshot(engine: &Session, mode: ExecMode, tier: ExecTier) -> Snap {
     let run = engine.run_tiered("main", &[], mode, tier);
     let (result, printed, trace) = match run {
         Ok(out) => (Ok(out.result), out.printed, out.trace),
@@ -126,8 +126,8 @@ fn generated_corpus_vm_matches_oracle() {
         let artifact = CompiledProgram::compile(&refs)
             .unwrap_or_else(|e| panic!("seed {seed}: generated program failed to compile: {e}"));
         for mode in MODES {
-            let evm = Engine::from_artifact(artifact.clone());
-            let etw = Engine::from_artifact(artifact.clone());
+            let evm = Session::solo(artifact.clone());
+            let etw = Session::solo(artifact.clone());
             let vm = snapshot(&evm, mode, ExecTier::Vm);
             let tw = snapshot(&etw, mode, ExecTier::TreeWalk);
             assert!(
@@ -141,10 +141,10 @@ fn generated_corpus_vm_matches_oracle() {
 }
 
 /// Native-tier arm of the sweep: every generated program must run
-/// bit-identically under [`ExecTier::Native`] (VM dispatch with eager
-/// JIT promotion) vs the tree-walking oracle in Serial mode. Where the
-/// JIT backend is unavailable the tier falls through to the VM paths
-/// and the identity still must hold.
+/// bit-identically on the VM with eager JIT promotion
+/// ([`Session::set_native_eager`]) vs the tree-walking oracle in Serial
+/// mode. Where the JIT backend is unavailable the tier falls through to
+/// the VM paths and the identity still must hold.
 #[test]
 fn generated_corpus_native_matches_oracle_serially() {
     let mut entries = 0u64;
@@ -153,9 +153,10 @@ fn generated_corpus_native_matches_oracle_serially() {
         let refs: Vec<&str> = srcs.iter().map(|s| s.as_str()).collect();
         let artifact = CompiledProgram::compile(&refs)
             .unwrap_or_else(|e| panic!("seed {seed}: generated program failed to compile: {e}"));
-        let en = Engine::from_artifact(artifact.clone());
-        let etw = Engine::from_artifact(artifact);
-        let nv = snapshot(&en, ExecMode::Serial, ExecTier::Native);
+        let en = Session::solo(artifact.clone());
+        en.set_native_eager(true);
+        let etw = Session::solo(artifact);
+        let nv = snapshot(&en, ExecMode::Serial, ExecTier::Vm);
         let tw = snapshot(&etw, ExecMode::Serial, ExecTier::TreeWalk);
         assert!(
             nv.result.is_ok(),
@@ -179,8 +180,8 @@ fn generated_corpus_is_deterministic() {
         let refs: Vec<&str> = srcs.iter().map(|s| s.as_str()).collect();
         let artifact = CompiledProgram::compile(&refs)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        let a = snapshot(&Engine::from_artifact(artifact.clone()), ExecMode::Serial, ExecTier::Vm);
-        let b = snapshot(&Engine::from_artifact(artifact), ExecMode::Serial, ExecTier::Vm);
+        let a = snapshot(&Session::solo(artifact.clone()), ExecMode::Serial, ExecTier::Vm);
+        let b = snapshot(&Session::solo(artifact), ExecMode::Serial, ExecTier::Vm);
         assert_eq!(a, b, "seed {seed}: serial rerun diverged");
     }
 }

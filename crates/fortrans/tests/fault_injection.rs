@@ -10,7 +10,7 @@
 //! 2. When corrupt bytecode is injected *past* the verifier (via the
 //!    `debug_inject_bytecode` hook, simulating a verifier gap or a
 //!    miscompile), the engine still never lets a panic escape
-//!    `Engine::run`: the VM traps, the call falls back to the
+//!    `Session::run`: the VM traps, the call falls back to the
 //!    tree-walk oracle, and the caller sees either a clean `RunError`
 //!    or a correct result carrying a [`fortrans::TierFallback`]
 //!    diagnostic.
@@ -21,7 +21,7 @@
 
 use fortrans::bytecode::compile_program;
 use fortrans::verify::{mutate, verify_program};
-use fortrans::{ArgVal, Engine, ExecMode, RunLimits};
+use fortrans::{ArgVal, ExecMode, RunLimits, Session};
 
 // ---------------------------------------------------------------------
 // Corpus: small programs with enough instruction variety (loops with
@@ -243,7 +243,7 @@ fn seeded_corruptions_are_all_rejected_by_the_verifier() {
     let mut by_kind: std::collections::BTreeMap<&'static str, usize> = Default::default();
     for (pi, p) in corpus().iter().enumerate() {
         let engine =
-            Engine::compile(&[p.src]).unwrap_or_else(|e| panic!("{} compiles: {e}", p.label));
+            Session::compile(&[p.src]).unwrap_or_else(|e| panic!("{} compiles: {e}", p.label));
         for traced in [false, true] {
             let base = compile_program(engine.program(), traced);
             for round in 0..40u64 {
@@ -288,7 +288,7 @@ fn seeded_corruptions_are_all_rejected_by_the_verifier() {
 
 /// Injects corrupt bytecode *past* the verifier and runs it. The engine
 /// boundary must hold: each run returns `Ok` or `Err` — any panic
-/// escaping `Engine::run` fails this test (there is no `catch_unwind`
+/// escaping `Session::run` fails this test (there is no `catch_unwind`
 /// here). A step budget bounds corruptions that turn loops infinite
 /// (e.g. a zeroed stride).
 #[test]
@@ -298,7 +298,7 @@ fn injected_corruption_never_panics_across_the_engine_boundary() {
     let mut counted = 0u64;
     for (pi, p) in corpus().iter().enumerate() {
         let mut engine =
-            Engine::compile(&[p.src]).unwrap_or_else(|e| panic!("{} compiles: {e}", p.label));
+            Session::compile(&[p.src]).unwrap_or_else(|e| panic!("{} compiles: {e}", p.label));
         engine.set_limits(RunLimits { max_steps: Some(2_000_000), ..RunLimits::default() });
         let base = compile_program(engine.program(), false);
         for round in 0..24u64 {
@@ -352,12 +352,12 @@ fn corrupt_vector_descriptors_are_refused_at_promotion_or_deopt() {
             // promotion verdicts per (unit, descriptor) key, and a prior
             // seed's verdict must not mask this seed's corruption.
             let engine =
-                Engine::compile(&[p.src]).unwrap_or_else(|e| panic!("{} compiles: {e}", p.label));
+                Session::compile(&[p.src]).unwrap_or_else(|e| panic!("{} compiles: {e}", p.label));
             let clean = engine
                 .run(p.entry, &(p.mk_args)(), ExecMode::Serial)
                 .expect("clean run succeeds")
                 .result;
-            let engine = Engine::compile(&[p.src]).unwrap();
+            let engine = Session::compile(&[p.src]).unwrap();
             let mut mutated = compile_program(engine.program(), false);
             let Some(m) = mutate::corrupt(&mut mutated, seed) else { continue };
             // The descriptor-level kinds: these must deopt cleanly. The
@@ -426,7 +426,7 @@ END MODULE demo
 /// and the engine's fallback counter ticks exactly once.
 #[test]
 fn forced_vm_trap_falls_back_to_the_oracle_with_the_correct_result() {
-    let engine = Engine::compile(&[SCALE_SRC]).unwrap();
+    let engine = Session::compile(&[SCALE_SRC]).unwrap();
     engine.debug_force_vm_trap();
     let a = ArgVal::array_f(&[1.0, 2.0, 3.0, 4.0], 1);
     let out = engine
@@ -454,7 +454,7 @@ fn forced_vm_trap_falls_back_to_the_oracle_with_the_correct_result() {
 #[test]
 fn trapped_corruption_recovers_the_oracle_answer() {
     use fortrans::bytecode::BInstr;
-    let engine = Engine::compile(&[SCALE_SRC]).unwrap();
+    let engine = Session::compile(&[SCALE_SRC]).unwrap();
     let mut bad = compile_program(engine.program(), false);
     let u = (0..bad.len())
         .find(|&u| engine.program().units[u].name == "scale")
@@ -598,7 +598,7 @@ fn batched_faults_do_not_poison_sibling_jobs_or_the_pool() {
 /// `CompileError::Verify` whose display names the unit and pc.
 #[test]
 fn verify_error_display_names_unit_and_pc() {
-    let engine = Engine::compile(&[SCALE_SRC]).unwrap();
+    let engine = Session::compile(&[SCALE_SRC]).unwrap();
     let mut bad = compile_program(engine.program(), false);
     let m = mutate::corrupt(&mut bad, 1).expect("mutator finds a target");
     let err = verify_program(engine.program(), &bad).expect_err("rejected");

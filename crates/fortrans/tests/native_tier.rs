@@ -5,19 +5,20 @@
 //! sharing one native cache must stay bit-identical to the oracle.
 //!
 //! Every test runs on every platform: where the JIT backend is
-//! unavailable (`!fortrans::jit::available()`), `ExecTier::Native`
-//! falls through to the VM tiers, every behavioral assertion still
-//! holds, and only the native-counter assertions are gated.
+//! unavailable (`!fortrans::jit::available()`), eager promotion is a
+//! no-op and the runs take the VM's vector/scalar paths, every
+//! behavioral assertion still holds, and only the native-counter
+//! assertions are gated.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use fortrans::{
-    ArgVal, CancelToken, Engine, EngineService, ExecMode, ExecTier, RunLimits, ScalarTy, Val,
+    ArgVal, CancelToken, EngineService, ExecMode, ExecTier, RunLimits, ScalarTy, Session, Val,
 };
 
 /// A long vectorizable reduction — the same shape `run_limits` meters;
-/// promoted to native code on its first entry under `ExecTier::Native`.
+/// promoted to native code on its first entry on an [`eager`] session.
 const SPIN: &str = r#"
 MODULE m
 CONTAINS
@@ -35,6 +36,14 @@ CONTAINS
 END MODULE m
 "#;
 
+/// A solo session with eager native promotion: every `VecLoop` region is
+/// compiled on its first entry, so a single run exercises the JIT.
+fn eager(src: &str) -> Session {
+    let session = Session::compile(&[src]).unwrap();
+    session.set_native_eager(true);
+    session
+}
+
 fn spin_args(n: i64) -> (Vec<ArgVal>, ArgVal) {
     let out = ArgVal::array_f(&[0.0], 1);
     (vec![ArgVal::I(n), out.clone()], out)
@@ -42,7 +51,7 @@ fn spin_args(n: i64) -> (Vec<ArgVal>, ArgVal) {
 
 #[test]
 fn cancel_token_fires_inside_native_loop() {
-    let engine = Engine::compile(&[SPIN]).unwrap();
+    let engine = eager(SPIN);
     let token = CancelToken::new();
     engine.set_cancel_token(Some(Arc::clone(&token)));
     let (args, _out) = spin_args(2_000_000_000);
@@ -52,7 +61,7 @@ fn cancel_token_fires_inside_native_loop() {
         arm.cancel("tier-3 watchdog");
     });
     let err = engine
-        .run_tiered("spin", &args, ExecMode::Serial, ExecTier::Native)
+        .run_tiered("spin", &args, ExecMode::Serial, ExecTier::Vm)
         .expect_err("a 2e9-iteration loop must not outrun the token");
     watchdog.join().unwrap();
     let msg = err.to_string();
@@ -68,14 +77,14 @@ fn cancel_token_fires_inside_native_loop() {
 
 #[test]
 fn deadline_trips_inside_native_loop() {
-    let mut engine = Engine::compile(&[SPIN]).unwrap();
+    let mut engine = eager(SPIN);
     engine.set_limits(RunLimits {
         deadline: Some(Duration::from_millis(25)),
         ..RunLimits::default()
     });
     let (args, _out) = spin_args(2_000_000_000);
     let err = engine
-        .run_tiered("spin", &args, ExecMode::Serial, ExecTier::Native)
+        .run_tiered("spin", &args, ExecMode::Serial, ExecTier::Vm)
         .expect_err("deadline must trip mid-loop");
     assert!(err.to_string().contains("deadline exceeded"), "{err}");
     if fortrans::jit::available() {
@@ -91,21 +100,21 @@ fn step_budget_and_results_agree_with_oracle() {
     // Tight budget: the native tier pre-reserves the whole trip count,
     // sees it cannot fit, and falls through so the scalar loop trips
     // with the stock error at the exact iteration — same text as Vm.
-    let mut engine = Engine::compile(&[SPIN]).unwrap();
+    let mut engine = eager(SPIN);
     engine.set_limits(RunLimits { max_steps: Some(1_000), ..RunLimits::default() });
     let (args, _out) = spin_args(1_000_000);
     let err = engine
-        .run_tiered("spin", &args, ExecMode::Serial, ExecTier::Native)
+        .run_tiered("spin", &args, ExecMode::Serial, ExecTier::Vm)
         .expect_err("budget trips");
     assert!(err.to_string().contains("step budget of 1000 exhausted"), "{err}");
 
     // Generous budget: the native answer is bit-identical to the
     // tree-walking oracle.
-    let mut native = Engine::compile(&[SPIN]).unwrap();
+    let mut native = eager(SPIN);
     native.set_limits(RunLimits { max_steps: Some(100_000_000), ..RunLimits::default() });
     let (nargs, nout) = spin_args(100_000);
-    native.run_tiered("spin", &nargs, ExecMode::Serial, ExecTier::Native).unwrap();
-    let oracle = Engine::compile(&[SPIN]).unwrap();
+    native.run_tiered("spin", &nargs, ExecMode::Serial, ExecTier::Vm).unwrap();
+    let oracle = Session::compile(&[SPIN]).unwrap();
     let (oargs, oout) = spin_args(100_000);
     oracle.run_tiered("spin", &oargs, ExecMode::Serial, ExecTier::TreeWalk).unwrap();
     assert_eq!(
@@ -144,13 +153,13 @@ fn aliased_streams_deopt_and_match_oracle() {
     // region's entry guard must refuse (write a(i) overlaps read
     // b(i+1) in the same storage) and the scalar path must produce
     // exactly what the oracle produces for the same aliased call.
-    let native = Engine::compile(&[SHIFT]).unwrap();
+    let native = eager(SHIFT);
     let arr = ArgVal::array_f(&init, 1);
     native
-        .run_tiered("shift", &[arr.clone(), arr.clone()], ExecMode::Serial, ExecTier::Native)
+        .run_tiered("shift", &[arr.clone(), arr.clone()], ExecMode::Serial, ExecTier::Vm)
         .unwrap();
 
-    let oracle = Engine::compile(&[SHIFT]).unwrap();
+    let oracle = Session::compile(&[SHIFT]).unwrap();
     let oarr = ArgVal::array_f(&init, 1);
     oracle
         .run_tiered("shift", &[oarr.clone(), oarr.clone()], ExecMode::Serial, ExecTier::TreeWalk)
@@ -168,7 +177,7 @@ fn aliased_streams_deopt_and_match_oracle() {
     // Distinct arrays: the same session now passes the guard and runs
     // natively (the compiled region was cached by the deopted call).
     let (a, b) = (ArgVal::array_f(&init, 1), ArgVal::array_f(&init, 1));
-    native.run_tiered("shift", &[a.clone(), b], ExecMode::Serial, ExecTier::Native).unwrap();
+    native.run_tiered("shift", &[a.clone(), b], ExecMode::Serial, ExecTier::Vm).unwrap();
     assert_eq!(a.handle().unwrap().get_f(0), 2.0 * 2.0 + 1.0);
     if fortrans::jit::available() {
         assert!(native.native_entry_count() > 0, "unaliased call should run natively");
@@ -177,23 +186,23 @@ fn aliased_streams_deopt_and_match_oracle() {
 
 #[test]
 fn run_profiled_surfaces_native_counters() {
-    let engine = Engine::compile(&[SHIFT]).unwrap();
+    let engine = eager(SHIFT);
     let init: Vec<f64> = (1..=64).map(|k| k as f64).collect();
 
     // One deopting (aliased) call and one committing (clean) call...
     let arr = ArgVal::array_f(&init, 1);
     engine
-        .run_tiered("shift", &[arr.clone(), arr.clone()], ExecMode::Serial, ExecTier::Native)
+        .run_tiered("shift", &[arr.clone(), arr.clone()], ExecMode::Serial, ExecTier::Vm)
         .unwrap();
     let (a, b) = (ArgVal::array_f(&init, 1), ArgVal::array_f(&init, 1));
-    engine.run_tiered("shift", &[a, b], ExecMode::Serial, ExecTier::Native).unwrap();
+    engine.run_tiered("shift", &[a, b], ExecMode::Serial, ExecTier::Vm).unwrap();
 
     // ...then a profiled run. Profiled runs themselves take the scalar
     // path (they want per-iteration loop events), but the profile must
     // surface the session-lifetime native entry/deopt counters.
     let (c, d) = (ArgVal::array_f(&init, 1), ArgVal::array_f(&init, 1));
     let (_out, profile) = engine
-        .run_profiled("shift", &[c, d], ExecMode::Serial, ExecTier::Native)
+        .run_profiled("shift", &[c, d], ExecMode::Serial, ExecTier::Vm)
         .unwrap();
     assert_eq!(profile.native_entries, engine.native_entry_count());
     assert_eq!(profile.native_deopts, engine.native_deopt_count());
@@ -231,7 +240,7 @@ CONTAINS
 END MODULE m
 "#;
 
-fn global_bits(engine: &Engine) -> Vec<(String, Vec<u64>)> {
+fn global_bits(engine: &Session) -> Vec<(String, Vec<u64>)> {
     let mut names = engine.global_names();
     names.sort();
     names
@@ -256,12 +265,12 @@ fn global_bits(engine: &Engine) -> Vec<(String, Vec<u64>)> {
 
 #[test]
 fn reset_globals_after_native_run_matches_fresh_session() {
-    let run = |e: &Engine, x: f64| {
-        e.run_tiered("accum", &[ArgVal::F(x)], ExecMode::Serial, ExecTier::Native).unwrap()
+    let run = |e: &Session, x: f64| {
+        e.run_tiered("accum", &[ArgVal::F(x)], ExecMode::Serial, ExecTier::Vm).unwrap()
     };
 
     // Dirty a session with two native runs, then reset and run once.
-    let mut recycled = Engine::compile(&[ACCUM]).unwrap();
+    let mut recycled = eager(ACCUM);
     run(&recycled, 3.0);
     run(&recycled, 7.0);
     recycled.reset_globals();
@@ -269,11 +278,11 @@ fn reset_globals_after_native_run_matches_fresh_session() {
 
     // A fresh session's single run must match bit-for-bit — and so
     // must the tree-walking oracle's view of the same program.
-    let fresh = Engine::compile(&[ACCUM]).unwrap();
+    let fresh = eager(ACCUM);
     run(&fresh, 1.5);
     assert_eq!(global_bits(&recycled), global_bits(&fresh), "reset session diverged from fresh");
 
-    let oracle = Engine::compile(&[ACCUM]).unwrap();
+    let oracle = Session::compile(&[ACCUM]).unwrap();
     oracle.run_tiered("accum", &[ArgVal::F(1.5)], ExecMode::Serial, ExecTier::TreeWalk).unwrap();
     assert_eq!(global_bits(&fresh), global_bits(&oracle), "native globals diverged from oracle");
 
@@ -308,10 +317,11 @@ fn eight_thread_native_stress_is_bit_identical() {
             let artifact = artifact.clone();
             scope.spawn(move || {
                 let session = service.session_for(&artifact);
+                session.set_native_eager(true);
                 for rep in 0..REPS {
                     let (args, out) = spin_args(20_000);
                     let run = session
-                        .run_tiered("spin", &args, ExecMode::Serial, ExecTier::Native)
+                        .run_tiered("spin", &args, ExecMode::Serial, ExecTier::Vm)
                         .unwrap_or_else(|e| panic!("thread {t} rep {rep}: {e}"));
                     assert!(run.fallback.is_none(), "thread {t} rep {rep}: fell back");
                     assert_eq!(

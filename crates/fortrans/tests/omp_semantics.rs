@@ -2,15 +2,15 @@
 //! firstprivate behaviour through frame cloning, product/min reductions,
 //! negative-step parallel loops, and printing from parallel regions.
 //!
-//! `Engine::run` executes on the bytecode VM by default, so every test
+//! `Session::run` executes on the bytecode VM by default, so every test
 //! here exercises the VM's OMP implementation; the tier-matrix test at
 //! the bottom additionally pins VM/tree-walker agreement for the full
 //! clause set.
 
-use fortrans::{ArgVal, Engine, ExecMode, ExecTier, Val};
+use fortrans::{ArgVal, ExecMode, ExecTier, Session, Val};
 
-fn engine(src: &str) -> Engine {
-    Engine::compile(&[src]).unwrap_or_else(|e| panic!("{e}\n{src}"))
+fn engine(src: &str) -> Session {
+    Session::compile(&[src]).unwrap_or_else(|e| panic!("{e}\n{src}"))
 }
 
 const ALL: [ExecMode; 3] = [

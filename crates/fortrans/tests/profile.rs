@@ -1,8 +1,8 @@
-//! End-to-end tests for [`Engine::run_profiled`]: span shape, omprt
+//! End-to-end tests for [`Session::run_profiled`]: span shape, omprt
 //! region capture, trap/fallback surfacing, and the zero-overhead guard
 //! for the disabled-tracing path.
 
-use fortrans::{ArgVal, Engine, ExecMode, ExecTier, RunLimits, SpanKind};
+use fortrans::{ArgVal, ExecMode, ExecTier, RunLimits, Session, SpanKind};
 
 const KERNEL: &str = r#"
 MODULE m
@@ -41,7 +41,7 @@ fn args() -> Vec<ArgVal> {
 #[test]
 fn profile_records_units_loops_and_regions() {
     for tier in [ExecTier::Vm, ExecTier::TreeWalk] {
-        let engine = Engine::compile(&[KERNEL]).unwrap();
+        let engine = Session::compile(&[KERNEL]).unwrap();
         let (out, p) = engine
             .run_profiled("work", &args(), ExecMode::Parallel { threads: 2 }, tier)
             .unwrap();
@@ -96,7 +96,7 @@ fn profile_records_units_loops_and_regions() {
 
 #[test]
 fn steps_headroom_tracks_run_limits() {
-    let mut engine = Engine::compile(&[KERNEL]).unwrap();
+    let mut engine = Session::compile(&[KERNEL]).unwrap();
     engine.set_limits(RunLimits { max_steps: Some(1_000_000), ..RunLimits::default() });
     let (_, p) = engine
         .run_profiled("work", &args(), ExecMode::Serial, ExecTier::Vm)
@@ -108,7 +108,7 @@ fn steps_headroom_tracks_run_limits() {
 
 #[test]
 fn forced_trap_appears_in_profile() {
-    let engine = Engine::compile(&[KERNEL]).unwrap();
+    let engine = Session::compile(&[KERNEL]).unwrap();
     engine.debug_force_vm_trap();
     let (out, p) = engine
         .run_profiled("work", &args(), ExecMode::Serial, ExecTier::Vm)
@@ -135,7 +135,7 @@ fn forced_trap_appears_in_profile() {
     assert_eq!(p2.fallback_count, 1, "lifetime counter is monotonic");
 }
 
-/// Zero-overhead guard: the disabled-tracing path (`Engine::run`, which
+/// Zero-overhead guard: the disabled-tracing path (`Session::run`, which
 /// passes no collector) must stay within noise of the profiled path's
 /// *lower* bound — i.e. profiling is cheap enough that `run` showing up
 /// slower than `run_profiled * 4` can only mean the disabled path grew a
@@ -163,7 +163,7 @@ CONTAINS
   END FUNCTION spin
 END MODULE m
 "#;
-    let engine = Engine::compile(&[src]).unwrap();
+    let engine = Session::compile(&[src]).unwrap();
     let a = [ArgVal::I(2000)];
     let min_of = |f: &dyn Fn()| -> u64 {
         (0..7)

@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use fortrans::{ArgVal, Engine, ExecMode, ExecTier, RunLimits, Val};
+use fortrans::{ArgVal, ExecMode, ExecTier, RunLimits, Session, Val};
 
 const SPIN: &str = r#"
 MODULE m
@@ -26,13 +26,13 @@ CONTAINS
 END MODULE m
 "#;
 
-fn spin_engine(limits: RunLimits) -> Engine {
-    let mut engine = Engine::compile(&[SPIN]).unwrap();
+fn spin_engine(limits: RunLimits) -> Session {
+    let mut engine = Session::compile(&[SPIN]).unwrap();
     engine.set_limits(limits);
     engine
 }
 
-fn run_spin(engine: &Engine, n: i64, tier: ExecTier) -> Result<f64, String> {
+fn run_spin(engine: &Session, n: i64, tier: ExecTier) -> Result<f64, String> {
     let out = ArgVal::array_f(&[0.0], 1);
     engine
         .run_tiered("spin", &[ArgVal::I(n), out.clone()], ExecMode::Serial, tier)
@@ -102,7 +102,7 @@ END MODULE m
 
 #[test]
 fn call_depth_limit_is_configurable() {
-    let mut engine = Engine::compile(&[PINGPONG]).unwrap();
+    let mut engine = Session::compile(&[PINGPONG]).unwrap();
     engine.set_limits(RunLimits { max_call_depth: 16, ..RunLimits::default() });
     for tier in [ExecTier::Vm, ExecTier::TreeWalk] {
         // Ten nested frames fit under a depth cap of 16 ...
@@ -124,7 +124,7 @@ fn limit_defaults_are_off_except_call_depth() {
     assert_eq!(limits.max_steps, None);
     assert_eq!(limits.deadline, None);
     assert!(limits.max_call_depth > 0);
-    let engine = Engine::compile(&[SPIN]).unwrap();
+    let engine = Session::compile(&[SPIN]).unwrap();
     assert_eq!(engine.limits().max_steps, None);
 }
 
@@ -143,7 +143,7 @@ CONTAINS
   END FUNCTION shatter
 END MODULE m
 "#;
-    let engine = Engine::compile(&[src]).unwrap();
+    let engine = Session::compile(&[src]).unwrap();
     for tier in [ExecTier::Vm, ExecTier::TreeWalk] {
         let err = engine
             .run_tiered("shatter", &[ArgVal::I(0)], ExecMode::Serial, tier)

@@ -2,7 +2,7 @@
 //!
 //! Every kernel runs three ways on fresh engines — VM with the vector
 //! path enabled (the default), VM with it disabled
-//! ([`Engine::set_vector_enabled`]), and the tree-walk oracle — in all
+//! ([`Session::set_vector_enabled`]), and the tree-walk oracle — in all
 //! three execution modes. Vector execution is designed to be
 //! *bit-identical* to scalar execution (same per-element operations,
 //! same statement order, same reduction fold order), so Serial and
@@ -11,13 +11,13 @@
 //! tolerance.
 //!
 //! Each vectorizable kernel also asserts the vector path actually ran
-//! (`Engine::vector_entry_count`), so a silent de-vectorization
+//! (`Session::vector_entry_count`), so a silent de-vectorization
 //! regression fails loudly here rather than only showing up as a bench
 //! slowdown.
 
 use std::sync::Arc;
 
-use fortrans::{ArgVal, ArrayObj, Engine, ExecMode, ExecTier, RunLimits, ScalarTy, Val};
+use fortrans::{ArgVal, ArrayObj, ExecMode, ExecTier, RunLimits, ScalarTy, Session, Val};
 
 const MODES: [ExecMode; 3] = [
     ExecMode::Serial,
@@ -39,7 +39,7 @@ fn dump(h: &ArrayObj) -> Vec<u64> {
     (0..h.len()).map(|k| h.get_bits(k)).collect()
 }
 
-fn snapshot(engine: &Engine, unit: &str, args: &[ArgVal], mode: ExecMode, tier: ExecTier) -> Snap {
+fn snapshot(engine: &Session, unit: &str, args: &[ArgVal], mode: ExecMode, tier: ExecTier) -> Snap {
     let run = engine.run_tiered(unit, args, mode, tier);
     let (result, printed) = match run {
         Ok(out) => (Ok(out.result), out.printed),
@@ -116,10 +116,10 @@ fn vector_differential(
     expect_vec: bool,
 ) {
     for mode in MODES {
-        let von = Engine::compile(&[src]).unwrap_or_else(|e| panic!("{label}: {e}"));
-        let voff = Engine::compile(&[src]).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let von = Session::compile(&[src]).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let voff = Session::compile(&[src]).unwrap_or_else(|e| panic!("{label}: {e}"));
         voff.set_vector_enabled(false);
-        let oracle = Engine::compile(&[src]).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let oracle = Session::compile(&[src]).unwrap_or_else(|e| panic!("{label}: {e}"));
 
         let a_on = mk_args();
         let a_off = mk_args();
@@ -456,7 +456,7 @@ CONTAINS
 END MODULE m
 "#;
     for on in [true, false] {
-        let mut e = Engine::compile(&[src]).unwrap();
+        let mut e = Session::compile(&[src]).unwrap();
         e.set_limits(RunLimits { max_steps: Some(500), ..RunLimits::default() });
         e.set_vector_enabled(on);
         let err = e
@@ -490,7 +490,7 @@ CONTAINS
   END SUBROUTINE two
 END MODULE m
 "#;
-    let e = Engine::compile(&[src]).unwrap();
+    let e = Session::compile(&[src]).unwrap();
     let rep = e.vector_report();
     assert_eq!(rep.len(), 2, "expected both loops vectorized: {rep:?}");
     assert!(rep.iter().all(|r| r.unit == "two"));

@@ -6,21 +6,21 @@
 //! refuses the stream with a diagnostic naming the violation. The sweep
 //! at the bottom compiles a corpus spanning the whole feature surface
 //! and checks both bytecode variants (optimized and traced) verify
-//! clean — the same check `Engine::compile` performs eagerly, asserted
+//! clean — the same check `Session::compile` performs eagerly, asserted
 //! here explicitly so a verifier regression fails loudly rather than
 //! through some downstream test.
 
 use fortrans::bytecode::{compile_program, BInstr, BUnit};
 use fortrans::verify::verify_program;
-use fortrans::Engine;
+use fortrans::Session;
 
-fn compiled(src: &str) -> (Engine, Vec<BUnit>) {
-    let engine = Engine::compile(&[src]).expect("corpus program compiles");
+fn compiled(src: &str) -> (Session, Vec<BUnit>) {
+    let engine = Session::compile(&[src]).expect("corpus program compiles");
     let bunits = compile_program(engine.program(), false);
     (engine, bunits)
 }
 
-fn reject_msg(engine: &Engine, bad: &[BUnit]) -> String {
+fn reject_msg(engine: &Session, bad: &[BUnit]) -> String {
     verify_program(engine.program(), bad)
         .expect_err("verifier accepts a corrupted stream")
         .to_string()
@@ -399,7 +399,7 @@ END MODULE m
 fn every_corpus_program_verifies_in_both_variants() {
     for (label, src) in SWEEP {
         let engine =
-            Engine::compile(&[src]).unwrap_or_else(|e| panic!("{label} compiles: {e}"));
+            Session::compile(&[src]).unwrap_or_else(|e| panic!("{label} compiles: {e}"));
         for traced in [false, true] {
             let bunits = compile_program(engine.program(), traced);
             verify_program(engine.program(), &bunits).unwrap_or_else(|e| {

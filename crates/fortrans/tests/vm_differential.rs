@@ -24,7 +24,7 @@
 //!   relative tolerance, printed output is compared as a line multiset,
 //!   and both tiers merely have to agree on error-ness.
 
-use fortrans::{ArgVal, CostTrace, Engine, ExecMode, ExecTier, ScalarTy, Schedule, Val};
+use fortrans::{ArgVal, CostTrace, ExecMode, ExecTier, ScalarTy, Schedule, Session, Val};
 
 const MODES: [ExecMode; 3] = [
     ExecMode::Serial,
@@ -55,7 +55,7 @@ fn dump_arr(h: &fortrans::ArrayObj) -> (ScalarTy, Vec<u64>) {
     (h.ty, (0..h.len()).map(|k| h.get_bits(k)).collect())
 }
 
-fn snapshot(engine: &Engine, unit: &str, args: &[ArgVal], mode: ExecMode, tier: ExecTier) -> Snap {
+fn snapshot(engine: &Session, unit: &str, args: &[ArgVal], mode: ExecMode, tier: ExecTier) -> Snap {
     let run = engine.run_tiered(unit, args, mode, tier);
     let (result, printed, trace) = match run {
         Ok(out) => (Ok(out.result), out.printed, out.trace),
@@ -159,7 +159,7 @@ fn assert_tolerant(label: &str, vm: &Snap, tw: &Snap) {
 type ProfSnap = Option<(std::collections::BTreeMap<(String, u32), u64>, u64)>;
 
 fn profile_snapshot(
-    engine: &Engine,
+    engine: &Session,
     unit: &str,
     args: &[ArgVal],
     mode: ExecMode,
@@ -192,10 +192,10 @@ const SCHED_SWEEP: [(&str, Schedule); 3] = [
 /// the default-schedule baseline (schedule invariance).
 fn differential_n(label: &str, src: &str, unit: &str, mk_args: impl Fn() -> Vec<ArgVal>, runs: usize) {
     for mode in MODES {
-        let evm = Engine::compile(&[src]).unwrap_or_else(|e| panic!("{label}: {e}"));
-        let etw = Engine::compile(&[src]).unwrap_or_else(|e| panic!("{label}: {e}"));
-        let pvm = Engine::compile(&[src]).unwrap_or_else(|e| panic!("{label}: {e}"));
-        let ptw = Engine::compile(&[src]).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let evm = Session::compile(&[src]).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let etw = Session::compile(&[src]).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let pvm = Session::compile(&[src]).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let ptw = Session::compile(&[src]).unwrap_or_else(|e| panic!("{label}: {e}"));
         let mut baselines = Vec::with_capacity(runs);
         for r in 0..runs {
             let vm = snapshot(&evm, unit, &mk_args(), mode, ExecTier::Vm);
@@ -214,8 +214,8 @@ fn differential_n(label: &str, src: &str, unit: &str, mk_args: impl Fn() -> Vec<
             continue; // schedule is irrelevant without a (simulated) team
         }
         for (sname, sched) in SCHED_SWEEP {
-            let svm = Engine::compile(&[src]).unwrap_or_else(|e| panic!("{label}: {e}"));
-            let stw = Engine::compile(&[src]).unwrap_or_else(|e| panic!("{label}: {e}"));
+            let svm = Session::compile(&[src]).unwrap_or_else(|e| panic!("{label}: {e}"));
+            let stw = Session::compile(&[src]).unwrap_or_else(|e| panic!("{label}: {e}"));
             svm.set_schedule_override_all(Some(sched));
             stw.set_schedule_override_all(Some(sched));
             for (r, base) in baselines.iter().enumerate() {

@@ -219,11 +219,11 @@ impl Mesh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fortrans::{ArgVal, Engine, ExecMode, Val};
+    use fortrans::{ArgVal, ExecMode, Session, Val};
 
     #[test]
     fn engine_and_rust_generators_agree() {
-        let e = Engine::compile(&[MESH_MOD_SRC]).unwrap();
+        let e = Session::compile(&[MESH_MOD_SRC]).unwrap();
         e.run("build_mesh", &[ArgVal::I(200)], ExecMode::Serial).unwrap();
         let m = Mesh::build(200);
 
@@ -283,7 +283,7 @@ mod tests {
 
     #[test]
     fn rebuild_is_idempotent_on_shapes() {
-        let e = Engine::compile(&[MESH_MOD_SRC]).unwrap();
+        let e = Session::compile(&[MESH_MOD_SRC]).unwrap();
         e.run("build_mesh", &[ArgVal::I(100)], ExecMode::Serial).unwrap();
         // Second build with the same size reuses the allocation guards.
         e.run("build_mesh", &[ArgVal::I(100)], ExecMode::Serial).unwrap();

@@ -205,7 +205,7 @@ END MODULE jac_kernels
 #[cfg(test)]
 mod tests {
     use crate::mesh::{Mesh, EDGES, JROW, MESH_MOD_SRC, NST};
-    use fortrans::{ArgVal, Engine, ExecMode};
+    use fortrans::{ArgVal, ExecMode, Session};
 
     /// (Superseded by `crate::native::native_jacobian`; kept here as an
     /// independently-written second oracle — two implementations agreeing
@@ -260,7 +260,7 @@ mod tests {
     }
 
     fn run(src: &str, ncell: i64, mode: ExecMode) -> Vec<f64> {
-        let e = Engine::compile(&[MESH_MOD_SRC, src]).unwrap();
+        let e = Session::compile(&[MESH_MOD_SRC, src]).unwrap();
         e.run("build_mesh", &[ArgVal::I(ncell)], ExecMode::Serial).unwrap();
         e.run("jacobian_recon", &[], mode).unwrap();
         e.global_array("mesh_mod::jac").unwrap().to_f64_vec()

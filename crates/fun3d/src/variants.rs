@@ -5,7 +5,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use fortrans::{ArgVal, CompiledProgram, Engine, ExecMode, Session};
+use fortrans::{ArgVal, CompiledProgram, ExecMode, Session};
 use glaf::Glaf;
 use glaf_codegen::{CodegenOptions, DirectivePolicy};
 use simcpu::{time_trace, MachineModel, SimReport};
@@ -168,12 +168,6 @@ pub fn build_artifact(variant: Fun3dVariant) -> Arc<CompiledProgram> {
         .unwrap_or_else(|e| panic!("{} sources compile: {e}", variant.name()))
 }
 
-/// Builds a one-shot engine for a variant (a private session over
-/// [`build_artifact`]'s output).
-pub fn build_engine(variant: Fun3dVariant) -> Engine {
-    Engine::from_artifact(build_artifact(variant))
-}
-
 /// The entry subprogram a variant's run calls after `build_mesh`.
 pub fn entry_point(variant: Fun3dVariant) -> &'static str {
     entry(variant)
@@ -279,6 +273,37 @@ mod tests {
         let f = d.fusion.as_ref().expect("fusion rationale recorded");
         assert!(f.contains("state difference"), "{f}");
         assert!(log.render().contains("fusion: fused"), "{}", log.render());
+    }
+
+    /// The fused `edge_loop` is the gather kernel the vector and native
+    /// rungs are measured on: the compiled artifact must carry a
+    /// `VecLoop` in it and a Serial run must enter it — vectorized with
+    /// promotion off, natively (no deopts) with eager promotion on.
+    #[test]
+    fn fused_edge_loop_runs_on_the_fast_rungs() {
+        let cfg = Fun3dConfig { fuse: true, ..Default::default() };
+        let artifact = build_artifact(Fun3dVariant::Glaf(cfg));
+        assert!(
+            artifact.vector_report().iter().any(|v| v.unit == "edge_loop"),
+            "no VecLoop compiled in `edge_loop`"
+        );
+        let run = |s: &Session| {
+            s.run("build_mesh", &[ArgVal::I(40)], ExecMode::Serial).unwrap();
+            s.run("edgejp", &[], ExecMode::Serial).unwrap();
+        };
+
+        let vector = Session::solo(Arc::clone(&artifact));
+        vector.set_native_enabled(false);
+        run(&vector);
+        assert!(vector.vector_entry_count() > 0, "no loop entry ran vectorized");
+
+        let native = Session::solo(artifact);
+        native.set_native_eager(true);
+        run(&native);
+        if fortrans::jit::available() {
+            assert!(native.native_entry_count() > 0, "no loop entry ran natively");
+            assert_eq!(native.native_deopt_count(), 0, "clean kernel deopted");
+        }
     }
 
     #[test]

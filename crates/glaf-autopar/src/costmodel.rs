@@ -114,32 +114,24 @@ impl CostParams {
 /// prior — when no sample has both a positive speedup and nonzero
 /// weight.
 pub fn calibrate_simd_speedup(samples: &[(f64, u64)]) -> Option<f64> {
-    let mut log_sum = 0.0;
-    let mut weight = 0.0;
-    for &(speedup, entries) in samples {
-        if speedup > 0.0 && entries > 0 {
-            log_sum += entries as f64 * speedup.ln();
-            weight += entries as f64;
-        }
-    }
-    if weight == 0.0 {
-        return None;
-    }
-    Some((log_sum / weight).exp().clamp(1.0, 16.0))
+    calibrate_speedup(samples, 16.0)
 }
 
 /// Recalibrates the `native_speedup` parameter from measured tier-3
 /// results: each sample is `(measured scalar-over-native speedup, native
 /// entry count)` for one kernel, as reported by
 /// `Session::native_entry_count` plus scalar-vs-native timings. Same
-/// estimator as [`calibrate_simd_speedup`] — the entry-weighted
-/// geometric mean — so the two tiers' evidence is directly comparable.
-/// The clamp is wider, `[1, 32]`: native code eliminates dispatch
-/// overhead *and* vectorizes, so reduction microkernels legitimately
-/// measure past any SIMD lane budget. Returns `None` — keep the
-/// no-native-tier prior — when no sample has both a positive speedup
-/// and nonzero weight.
+/// estimator as [`calibrate_simd_speedup`], so the two tiers' evidence
+/// is directly comparable. The clamp is wider, `[1, 32]`: native code
+/// eliminates dispatch overhead *and* vectorizes, so reduction
+/// microkernels legitimately measure past any SIMD lane budget.
 pub fn calibrate_native_speedup(samples: &[(f64, u64)]) -> Option<f64> {
+    calibrate_speedup(samples, 32.0)
+}
+
+/// Entry-weighted geometric mean of the usable samples, clamped to
+/// `[1, max]`.
+fn calibrate_speedup(samples: &[(f64, u64)], max: f64) -> Option<f64> {
     let mut log_sum = 0.0;
     let mut weight = 0.0;
     for &(speedup, entries) in samples {
@@ -151,7 +143,7 @@ pub fn calibrate_native_speedup(samples: &[(f64, u64)]) -> Option<f64> {
     if weight == 0.0 {
         return None;
     }
-    Some((log_sum / weight).exp().clamp(1.0, 32.0))
+    Some((log_sum / weight).exp().clamp(1.0, max))
 }
 
 /// Which OpenMP loop schedule the advisor recommends.
@@ -299,7 +291,7 @@ impl CostAdvisor {
     /// data-dependent, where dynamic self-scheduling wins. Irregular
     /// loops with large trip counts get `GUIDED` so chunk dispatch
     /// amortizes. Measured profiles can later override this via
-    /// `Engine::set_schedule_overrides` (feedback-directed rescheduling).
+    /// `Session::set_schedule_overrides` (feedback-directed rescheduling).
     pub fn choose_schedule(
         &self,
         func: &Function,

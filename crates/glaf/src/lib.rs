@@ -11,7 +11,7 @@
 //!        └──────── glaf_codegen ◀────────┘
 //!                      │ FORTRAN source (serial / v0..v3 / cost-model)
 //!                      ▼
-//!              fortrans::Engine  ──Simulated──▶ simcpu::SimReport
+//!              fortrans::Session  ──Simulated──▶ simcpu::SimReport
 //! ```
 //!
 //! [`verify`] implements the paper's §4.1.1 methodology: "a code-wide
@@ -23,7 +23,7 @@ pub mod ingest;
 pub mod sloc;
 pub mod verify;
 
-use fortrans::Engine;
+use fortrans::Session;
 use glaf_autopar::{
     analyze_program_with_log, fuse_program, CostAdvisor, DecisionLog, FusionReport, ProgramPlan,
 };
@@ -128,15 +128,15 @@ impl Glaf {
         &self,
         opts: &CodegenOptions,
         legacy_sources: &[&str],
-    ) -> Result<Engine, fortrans::CompileError> {
+    ) -> Result<Session, fortrans::CompileError> {
         let generated = self.generate(Lang::Fortran, opts);
         let mut sources: Vec<&str> = legacy_sources.to_vec();
         sources.push(&generated.source);
-        Engine::compile(&sources)
+        Session::compile(&sources)
     }
 
     /// [`Glaf::compile_with`], producing a shareable service-layer
-    /// artifact instead of a one-shot engine: open sessions on it (or
+    /// artifact instead of a solo session: open sessions on it (or
     /// submit jobs against it) without recompiling.
     pub fn compile_artifact_with(
         &self,

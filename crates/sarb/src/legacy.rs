@@ -120,7 +120,7 @@ END MODULE sarb_driver
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fortrans::{ArgVal, Engine, ExecMode};
+    use fortrans::{ArgVal, ExecMode, Session};
 
     #[test]
     fn legacy_module_compiles_and_fills_profiles() {
@@ -135,7 +135,7 @@ CONTAINS
   END SUBROUTINE fill
 END MODULE probe
 "#;
-        let e = Engine::compile(&[FULIOU_MOD_SRC, probe]).unwrap();
+        let e = Session::compile(&[FULIOU_MOD_SRC, probe]).unwrap();
         e.run("fill", &[ArgVal::I(3)], ExecMode::Serial).unwrap();
         let pt = e.global_array("fuliou_mod::fi%pt").unwrap();
         // Temperature profile in a physical range.
@@ -165,7 +165,7 @@ CONTAINS
   END FUNCTION read_u0
 END MODULE probe
 "#;
-        let e = Engine::compile(&[FULIOU_MOD_SRC, probe]).unwrap();
+        let e = Session::compile(&[FULIOU_MOD_SRC, probe]).unwrap();
         let out = e.run("read_u0", &[ArgVal::I(1)], ExecMode::Serial).unwrap();
         let fortrans::Val::F(u0) = out.result.unwrap() else { panic!() };
         assert!((0.1..=0.8).contains(&u0), "u0 = {u0}");

@@ -177,10 +177,10 @@ END MODULE sarb_kernels
 #[cfg(test)]
 mod tests {
     use crate::legacy::{DRIVER_SRC, FULIOU_MOD_SRC};
-    use fortrans::{ArgVal, Engine, ExecMode, Val};
+    use fortrans::{ArgVal, ExecMode, Session, Val};
 
-    fn original_engine() -> Engine {
-        Engine::compile(&[FULIOU_MOD_SRC, super::ORIGINAL_KERNELS_SRC, DRIVER_SRC])
+    fn original_engine() -> Session {
+        Session::compile(&[FULIOU_MOD_SRC, super::ORIGINAL_KERNELS_SRC, DRIVER_SRC])
             .unwrap_or_else(|e| panic!("{e}"))
     }
 

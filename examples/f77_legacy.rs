@@ -14,7 +14,7 @@
 //!
 //! Run with: `cargo run --release --example f77_legacy`
 
-use glaf_repro::fortrans::{self, ArtifactCache, Engine, ExecMode, ExecTier};
+use glaf_repro::fortrans::{self, ArtifactCache, ExecMode, ExecTier, Session};
 
 /// Main program: DATA-initialized control block, sweep driver, report.
 const MAIN_F: &str = "\
@@ -84,7 +84,7 @@ fn main() {
     // 2. Run on both tiers and compare everything observable.
     let mut outputs = Vec::new();
     for tier in [ExecTier::Vm, ExecTier::TreeWalk] {
-        let engine = Engine::from_artifact(artifact.clone());
+        let engine = Session::solo(artifact.clone());
         let out = engine
             .run_tiered("heat", &[], ExecMode::Serial, tier)
             .expect("legacy program runs");
