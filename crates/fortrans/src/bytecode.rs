@@ -9,8 +9,12 @@
 //! * frame variables become indices into unboxed per-type value banks
 //!   (`i64`/`f64`/`bool`/array-handle) — see [`VSlot`];
 //! * structured control flow becomes jump-target PCs;
-//! * fixed-shape local arrays get precomputed strides/bounds
-//!   ([`SDims`], the `LoadElemS`/`StoreElemS` fast path);
+//! * subscripts that are INTEGER frame scalars or integer constants are
+//!   not pushed at all: the element instruction names a run of
+//!   [`SubOp`]s in the unit's subscript table and the VM reads the
+//!   slots directly (`LoadElemS`/`StoreElemS`; fixed-shape local arrays
+//!   additionally carry their precomputed strides/bounds, [`SDims`]) —
+//!   optimized build only;
 //! * canonical unit-stride `DO` loops compile to a fused
 //!   `DoInitC`/`DoHead1`/`DoIncr1` triple (one bounds check + one
 //!   counter store + one increment per iteration);
@@ -93,6 +97,30 @@ impl SDims {
     }
 }
 
+/// "Dynamic shape" marker for `LoadElemS`/`StoreElemS::sd`: bounds and
+/// strides come from the array handle at run time.
+pub const NO_SDIMS: u16 = u16::MAX;
+
+/// Longest subscript list an operand-addressed element instruction may
+/// name (the VM gathers the subscripts into a stack buffer this long).
+pub const MAX_INLINE_RANK: usize = 8;
+
+/// One subscript operand of a `LoadElemS`/`StoreElemS`, resolved at
+/// lowering time. A `Slot` is read when the access executes — *after*
+/// its sibling subscripts (and a store's right-hand side) have been
+/// evaluated — so the compiler only uses it when none of those can
+/// change the variable (see `UnitCompiler::emit_sub_operands`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SubOp {
+    /// INTEGER frame scalar: `frame.i[slot]`.
+    Slot(u32),
+    /// Integer constant.
+    Const(i32),
+    /// General expression: popped from the operand stack (`Stack`
+    /// operands of one access are pushed in subscript order).
+    Stack,
+}
+
 /// One flat instruction. Operands live on an untyped `u64` stack whose
 /// static types the compiler tracks; `B` values are stored as 0/1.
 #[derive(Debug, Clone, Copy)]
@@ -151,9 +179,13 @@ pub enum BInstr {
     // Array element access: pops `nsubs` i64 subscripts.
     LoadElem { vs: VSlot, v: u32, nsubs: u8, want: ScalarTy },
     StoreElem { vs: VSlot, v: u32, nsubs: u8, src: ScalarTy },
-    /// Static-shape fast path (frame fixed arrays only).
-    LoadElemS { a: u32, sd: u32, v: u32, want: ScalarTy },
-    StoreElemS { a: u32, sd: u32, v: u32, src: ScalarTy },
+    /// Operand-addressed element access (optimized builds only): the
+    /// `n` subscripts are `subops[subs..subs + n]`; only the `Stack`
+    /// ones are popped. `sd` is the static shape of a fixed frame array
+    /// (`vs` is then its `A` slot) or [`NO_SDIMS`].
+    LoadElemS { vs: VSlot, v: u32, subs: u32, n: u8, sd: u16, want: ScalarTy },
+    /// As `LoadElemS`; pops the value first, then the `Stack` subscripts.
+    StoreElemS { vs: VSlot, v: u32, subs: u32, n: u8, sd: u16, src: ScalarTy },
     ArrRed { f: ArrRed, vs: VSlot, v: u32, want: ScalarTy },
     AllocatedQ { vs: VSlot },
     Broadcast { vs: VSlot, v: u32, src: ScalarTy },
@@ -291,6 +323,9 @@ pub struct BUnit {
     pub omps: Vec<OmpDesc>,
     pub prints: Vec<Vec<PItem>>,
     pub sdims: Vec<SDims>,
+    /// Subscript table: the operand runs `LoadElemS`/`StoreElemS` name
+    /// (optimized builds only).
+    pub subops: Vec<SubOp>,
     /// Error/CRITICAL-name/STOP message string table.
     pub msgs: Vec<String>,
     /// Function result slot.
@@ -350,7 +385,7 @@ pub const VEC_CHUNK: usize = 64;
 
 /// Caps keeping descriptors (and the executor's scratch) small.
 pub const VEC_MAX_DEPTH: u32 = 16;
-const VEC_MAX_ACCESSES: usize = 32;
+pub const VEC_MAX_ACCESSES: usize = 32;
 const VEC_MAX_STMTS: usize = 32;
 const VEC_MAX_OPS: usize = 256;
 const VEC_MAX_ARGC: usize = 8;
@@ -437,6 +472,11 @@ pub struct VecDesc {
     pub accesses: Vec<VecAccess>,
     pub stmts: Vec<Vec<VecOp>>,
     pub red: Option<VecRed>,
+    /// Access pairs `(i, j)`, `i < j`, of which at least one is written
+    /// — exactly [`VecDesc::write_pairs`] of `accesses`. Compile time
+    /// only proves distinct *slots*; the entry guard checks these pairs
+    /// (and no read-read pair) for runtime storage aliasing.
+    pub alias_pairs: Vec<(u32, u32)>,
     /// Max operand depth over all statement programs.
     pub max_depth: u32,
     /// Scalar-tier instructions per iteration (`DoHead1` through
@@ -446,6 +486,22 @@ pub struct VecDesc {
     pub iter_cost: u32,
     /// DO statement source line.
     pub line: u32,
+}
+
+impl VecDesc {
+    /// The write-involving access pairs the runtime alias guard must
+    /// compare (the content of [`VecDesc::alias_pairs`]).
+    pub fn write_pairs(accesses: &[VecAccess]) -> Vec<(u32, u32)> {
+        let mut pairs = Vec::new();
+        for (i, a) in accesses.iter().enumerate() {
+            for (j, b) in accesses.iter().enumerate().skip(i + 1) {
+                if a.write || b.write {
+                    pairs.push((i as u32, j as u32));
+                }
+            }
+        }
+        pairs
+    }
 }
 
 /// Per-unit slot assignment (phase 1; needed across units for calls).
@@ -660,6 +716,33 @@ pub fn vec_stack_effect(ops: &[VecOp]) -> Option<(u32, u32)> {
     Some((d as u32, mx as u32))
 }
 
+/// True when evaluating `e` can store to frame scalar `var`: only a
+/// user function call passing `var` by reference does (copy-out on
+/// return); nothing else in an expression assigns.
+fn expr_copies_out_to(e: &RExpr, var: VarIdx) -> bool {
+    let any = |es: &[RExpr]| es.iter().any(|x| expr_copies_out_to(x, var));
+    match e {
+        RExpr::ConstI(_)
+        | RExpr::ConstF(_)
+        | RExpr::ConstB(_)
+        | RExpr::LoadScalar(_)
+        | RExpr::AllocatedQ(_)
+        | RExpr::ArrReduce { .. } => false,
+        RExpr::LoadElem { subs, .. } => any(subs),
+        RExpr::Bin { l, r, .. } => expr_copies_out_to(l, var) || expr_copies_out_to(r, var),
+        RExpr::Neg(x) | RExpr::Not(x) | RExpr::ToF(x) | RExpr::ToI(x) => {
+            expr_copies_out_to(x, var)
+        }
+        RExpr::Intrinsic { args, .. } => any(args),
+        RExpr::CallFn { args, .. } => args.iter().any(|a| match a {
+            RArg::ByRefScalar(v) => *v == var,
+            RArg::ByRefElem { subs, .. } => any(subs),
+            RArg::Value(x) => expr_copies_out_to(x, var),
+            RArg::Array(_) => false,
+        }),
+    }
+}
+
 /// True when `e` references variable `var` anywhere (conservatively true
 /// for user calls, whose by-ref arguments could smuggle it through).
 fn expr_uses_var(e: &RExpr, var: VarIdx) -> bool {
@@ -722,6 +805,7 @@ struct UnitCompiler<'a> {
     prints: Vec<Vec<PItem>>,
     sdims: Vec<SDims>,
     sdim_of: Vec<Option<u32>>,
+    subops: Vec<SubOp>,
     msgs: Vec<String>,
     ctx: Vec<Ctx>,
     /// Frame scalars that are never read (DSE candidates).
@@ -774,6 +858,7 @@ impl<'a> UnitCompiler<'a> {
             prints: Vec::new(),
             sdims,
             sdim_of,
+            subops: Vec::new(),
             msgs: Vec::new(),
             ctx: Vec::new(),
             dead,
@@ -802,6 +887,7 @@ impl<'a> UnitCompiler<'a> {
             omps: self.omps,
             prints: self.prints,
             sdims: self.sdims,
+            subops: self.subops,
             msgs: self.msgs,
             result: t.result,
             unit: self.unit_idx as u32,
@@ -991,8 +1077,18 @@ impl<'a> UnitCompiler<'a> {
             }
             RExpr::LoadScalar(v) => self.emit_load_scalar(*v),
             RExpr::LoadElem { v, subs } => {
-                self.emit_subs(subs);
-                self.emit_elem_load(*v, subs.len(), self.unit.vars[*v].ty, false);
+                let (vs, want) = (self.vslot(*v), self.unit.vars[*v].ty);
+                let n = subs.len() as u8;
+                match self.emit_sub_operands(subs, None) {
+                    Some(first) => {
+                        let sd = self.static_shape(*v, subs.len());
+                        self.push(BInstr::LoadElemS { vs, v: *v as u32, subs: first, n, sd, want });
+                    }
+                    None => {
+                        self.emit_subs(subs);
+                        self.push(BInstr::LoadElem { vs, v: *v as u32, nsubs: n, want });
+                    }
+                }
             }
             RExpr::Bin { op, ty, l, r } => self.emit_bin(*op, *ty, l, r),
             RExpr::Neg(x) => {
@@ -1184,34 +1280,67 @@ impl<'a> UnitCompiler<'a> {
         }
     }
 
-    fn emit_elem_load(&mut self, v: VarIdx, nsubs: usize, want: ScalarTy, stash: bool) {
-        let vs = self.vslot(v);
-        if stash {
-            self.push(BInstr::StashElem { vs, v: v as u32, nsubs: nsubs as u8, want });
-            return;
+    /// Lowers the subscript list of an element load/store to a run of
+    /// [`SubOp`]s in the unit's subscript table and returns the run's
+    /// first index; code is emitted for the `Stack` operands only.
+    /// `None` — nothing emitted, caller takes the all-stack form — in
+    /// traced builds (every push stays, so op counts are exact) and for
+    /// lists longer than [`MAX_INLINE_RANK`].
+    ///
+    /// Legality of `Slot`: the VM reads the slot when the access
+    /// executes, i.e. after every sibling subscript and (for a store)
+    /// the right-hand side `rhs` have been evaluated, where the stack
+    /// form read it in subscript order. The two agree unless one of
+    /// those expressions stores to the variable in between, which only
+    /// a function call's copy-out can do (`a(i, bump(i))`); such a
+    /// subscript keeps the stack path.
+    fn emit_sub_operands(&mut self, subs: &[RExpr], rhs: Option<&RExpr>) -> Option<u32> {
+        if self.traced || subs.len() > MAX_INLINE_RANK {
+            return None;
         }
-        if !self.traced {
-            if let (Some(sd), VSlot::A(a)) = (self.sdim_of[v], vs) {
-                if self.sdims[sd as usize].dims.len() == nsubs {
-                    self.push(BInstr::LoadElemS { a, sd, v: v as u32, want });
-                    return;
-                }
+        // A nested access (`qn(m, c2n(k, c))`) appends its own run while
+        // this one's `Stack` operands are emitted, so collect first.
+        let mut run = [SubOp::Stack; MAX_INLINE_RANK];
+        for (k, (s, op)) in subs.iter().zip(&mut run).enumerate() {
+            *op = match s {
+                _ if self.ty_of(s) != ScalarTy::I => SubOp::Stack,
+                RExpr::LoadScalar(var) => match self.vslot(*var) {
+                    VSlot::I(slot)
+                        if !subs
+                            .iter()
+                            .enumerate()
+                            .any(|(j, t)| j != k && expr_copies_out_to(t, *var))
+                            && !rhs.is_some_and(|e| expr_copies_out_to(e, *var)) =>
+                    {
+                        SubOp::Slot(slot)
+                    }
+                    _ => SubOp::Stack,
+                },
+                _ => match self.fold(s).map(|c| i32::try_from(c.as_i())) {
+                    Some(Ok(c)) => SubOp::Const(c),
+                    _ => SubOp::Stack,
+                },
+            };
+            if *op == SubOp::Stack {
+                self.emit_expr(s);
+                self.emit_cvt(self.ty_of(s), ScalarTy::I);
             }
         }
-        self.push(BInstr::LoadElem { vs, v: v as u32, nsubs: nsubs as u8, want });
+        let first = self.subops.len() as u32;
+        self.subops.extend_from_slice(&run[..subs.len()]);
+        Some(first)
     }
 
-    fn emit_elem_store(&mut self, v: VarIdx, nsubs: usize, src: ScalarTy) {
-        let vs = self.vslot(v);
-        if !self.traced {
-            if let (Some(sd), VSlot::A(a)) = (self.sdim_of[v], vs) {
-                if self.sdims[sd as usize].dims.len() == nsubs {
-                    self.push(BInstr::StoreElemS { a, sd, v: v as u32, src });
-                    return;
-                }
+    /// Static-shape descriptor for an access to `v` with `nsubs`
+    /// subscripts: fixed-shape frame locals referenced at full rank.
+    fn static_shape(&self, v: VarIdx, nsubs: usize) -> u16 {
+        match (self.sdim_of[v], self.vslot(v)) {
+            (Some(sd), VSlot::A(_)) if self.sdims[sd as usize].dims.len() == nsubs => {
+                // Shapes past the u16 index space just stay dynamic.
+                u16::try_from(sd).unwrap_or(NO_SDIMS)
             }
+            _ => NO_SDIMS,
         }
-        self.push(BInstr::StoreElem { vs, v: v as u32, nsubs: nsubs as u8, src });
     }
 
     // ---------- calls ----------
@@ -1241,7 +1370,12 @@ impl<'a> UnitCompiler<'a> {
                 RArg::ByRefElem { v, subs } => {
                     self.emit_subs(subs);
                     let want = self.unit.vars[*v].ty;
-                    self.emit_elem_load(*v, subs.len(), want, true);
+                    self.push(BInstr::StashElem {
+                        vs: self.vslot(*v),
+                        v: *v as u32,
+                        nsubs: subs.len() as u8,
+                        want,
+                    });
                     n_stash += subs.len() as u32;
                     bargs.push(BArg::Elem {
                         vs: self.vslot(*v),
@@ -1302,9 +1436,20 @@ impl<'a> UnitCompiler<'a> {
                 self.emit_store_scalar(*v, self.ty_of(e));
             }
             RStmt::AssignElem { v, subs, e } => {
-                self.emit_subs(subs);
-                self.emit_expr(e);
-                self.emit_elem_store(*v, subs.len(), self.ty_of(e));
+                let (vs, src) = (self.vslot(*v), self.ty_of(e));
+                let n = subs.len() as u8;
+                match self.emit_sub_operands(subs, Some(e)) {
+                    Some(first) => {
+                        self.emit_expr(e);
+                        let sd = self.static_shape(*v, subs.len());
+                        self.push(BInstr::StoreElemS { vs, v: *v as u32, subs: first, n, sd, src });
+                    }
+                    None => {
+                        self.emit_subs(subs);
+                        self.emit_expr(e);
+                        self.push(BInstr::StoreElem { vs, v: *v as u32, nsubs: n, src });
+                    }
+                }
             }
             RStmt::Broadcast { v, e } => {
                 self.emit_expr(e);
@@ -2044,6 +2189,7 @@ impl<'a> UnitCompiler<'a> {
             }
             let desc = self.vecs.len() as u32;
             self.vecs.push(VecDesc {
+                alias_pairs: VecDesc::write_pairs(&accesses),
                 accesses,
                 stmts,
                 red,
@@ -2397,9 +2543,86 @@ CONTAINS
 END MODULE m
 "#,
         );
-        assert!(opt[0].code.iter().any(|i| matches!(i, BInstr::StoreElemS { .. })));
-        assert!(opt[0].code.iter().any(|i| matches!(i, BInstr::LoadElemS { .. })));
+        // Both accesses fold their constant subscripts into the subscript
+        // table (nothing pushed) and carry the static shape.
+        let (a, sd) = (opt[0].vslots[0], 0);
+        assert!(opt[0].code.iter().any(|i| matches!(
+            *i,
+            BInstr::StoreElemS { vs, subs: 0, n: 2, sd: s, .. } if vs == a && s == sd
+        )));
+        assert!(opt[0].code.iter().any(|i| matches!(
+            *i,
+            BInstr::LoadElemS { vs, subs: 2, n: 2, sd: s, .. } if vs == a && s == sd
+        )));
+        assert_eq!(opt[0].subops, vec![SubOp::Const(2); 4]);
+        assert!(!opt[0].code.iter().any(|i| matches!(i, BInstr::LoadI(_))));
         assert_eq!(opt[0].sdims.len(), 1);
         assert_eq!(opt[0].sdims[0].strides, vec![1, 4]);
+    }
+
+    #[test]
+    fn subscript_operands_resolve_at_lowering_time() {
+        let (_, opt, traced) = compile(
+            r#"
+MODULE m
+CONTAINS
+  INTEGER FUNCTION bump(k)
+    INTEGER :: k
+    k = k + 1
+    bump = k
+  END FUNCTION bump
+  SUBROUTINE work(a, n)
+    REAL(8), DIMENSION(1:8, 1:8) :: a
+    INTEGER :: n, i, j
+    i = 1
+    j = 2
+    a(i, j) = a(j, 3) + a(i + 1, n)
+    a(i, bump(i)) = 1.0D0
+  END SUBROUTINE work
+END MODULE m
+"#,
+        );
+        let w = &opt[1];
+        let VSlot::I(si) = w.vslots[2] else { panic!("i is a frame INTEGER") };
+        let VSlot::I(sj) = w.vslots[3] else { panic!("j is a frame INTEGER") };
+        let VSlot::I(sn) = w.vslots[1] else { panic!("n is a frame INTEGER") };
+        let run = |first: u32, n: u8| &w.subops[first as usize..first as usize + n as usize];
+        let stores: Vec<_> = w
+            .code
+            .iter()
+            .filter_map(|i| match *i {
+                BInstr::StoreElemS { subs, n, .. } => Some(run(subs, n).to_vec()),
+                _ => None,
+            })
+            .collect();
+        // `a(i, j) = ...`: both subscripts read from their slots.
+        // `a(i, bump(i))`: the call copies out to `i`, so `i` must be
+        // pushed before it runs; the call itself goes through the stack.
+        assert_eq!(
+            stores,
+            vec![vec![SubOp::Slot(si), SubOp::Slot(sj)], vec![SubOp::Stack, SubOp::Stack]]
+        );
+        let loads: Vec<_> = w
+            .code
+            .iter()
+            .filter_map(|i| match *i {
+                BInstr::LoadElemS { subs, n, .. } => Some(run(subs, n).to_vec()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            loads,
+            vec![
+                vec![SubOp::Slot(sj), SubOp::Const(3)],
+                vec![SubOp::Stack, SubOp::Slot(sn)]
+            ]
+        );
+        // The traced build keeps every push and emits none of the new forms.
+        assert!(traced.iter().all(|u| u.subops.is_empty()
+            && !u.code.iter().any(|i| matches!(
+                i,
+                BInstr::LoadElemS { .. } | BInstr::StoreElemS { .. }
+            ))));
+        assert!(std::mem::size_of::<BInstr>() <= 24);
     }
 }

@@ -1183,7 +1183,8 @@ mod tests {
                 })
                 .max()
                 .unwrap_or(0);
-            VecDesc { accesses, stmts, red, max_depth, iter_cost: 4, line: 1 }
+            let alias_pairs = VecDesc::write_pairs(&accesses);
+            VecDesc { accesses, alias_pairs, stmts, red, max_depth, iter_cost: 4, line: 1 }
         }
 
         fn check(d: &VecDesc, nbufs: usize, streams: &[(usize, i64, i64)], n: i64, acc0: f64) {

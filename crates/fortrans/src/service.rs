@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use omprt::{CriticalRegistry, PoolSet, ThreadPool};
 use parking_lot::Mutex;
 
-use crate::bytecode::{compile_program, BInstr, BUnit, VSlot};
+use crate::bytecode::{compile_program, BInstr, BUnit, SubOp, VSlot};
 use crate::engine::{ArgVal, ExecTier, RunOutcome, TierFallback, VectorLoopInfo};
 use crate::error::{CompileError, RunError};
 use crate::interp::{
@@ -181,6 +181,7 @@ fn estimate_bytes(prog: &RProgram, builds: &[&Vec<BUnit>]) -> usize {
             total += bu.code.len() * std::mem::size_of::<BInstr>();
             total += bu.vslots.len() * std::mem::size_of::<VSlot>();
             total += bu.lines.len() * std::mem::size_of::<(u32, u32)>();
+            total += bu.subops.len() * std::mem::size_of::<SubOp>();
             total += bu.msgs.iter().map(String::len).sum::<usize>();
             total += (bu.fixed_arrays.len()
                 + bu.calls.len()

@@ -107,27 +107,57 @@ impl ArrayObj {
         self.cells.is_empty()
     }
 
+    /// Linear offset of `subs` (column-major); `None` on a rank mismatch
+    /// or an out-of-range subscript. The VM's element-access fast path:
+    /// [`ArrayObj::offset`] names the failed check.
+    #[inline(always)]
+    pub fn offset_of(&self, subs: &[i64]) -> Option<usize> {
+        if subs.len() != self.dims.len() {
+            return None;
+        }
+        let (mut off, mut stride) = (0usize, 1usize);
+        for (&ix, &(lo, hi)) in subs.iter().zip(self.dims.iter()) {
+            if ix < lo || ix > hi {
+                return None;
+            }
+            off += (ix - lo) as usize * stride;
+            stride *= (hi - lo + 1) as usize;
+        }
+        Some(off)
+    }
+
     /// Linear, bounds-checked offset of `subs` (column-major).
     pub fn offset(&self, name: &str, subs: &[i64]) -> Result<usize, RunError> {
+        self.offset_of(subs).ok_or_else(|| self.offset_fault(name, subs))
+    }
+
+    /// Why [`ArrayObj::offset_of`] refused `subs`: the rank, else the
+    /// first out-of-range dimension.
+    #[cold]
+    fn offset_fault(&self, name: &str, subs: &[i64]) -> RunError {
         if subs.len() != self.dims.len() {
-            return Err(RunError::Type {
+            return RunError::Type {
                 msg: format!(
                     "`{name}`: rank {} referenced with {} subscripts",
                     self.dims.len(),
                     subs.len()
                 ),
-            });
+            };
         }
-        let mut off = 0usize;
-        let mut stride = 1usize;
-        for (d, (&ix, &(lo, hi))) in subs.iter().zip(self.dims.iter()).enumerate() {
-            if ix < lo || ix > hi {
-                return Err(RunError::OutOfBounds { var: name.to_string(), dim: d, index: ix, lo, hi });
-            }
-            off += (ix - lo) as usize * stride;
-            stride *= (hi - lo + 1) as usize;
-        }
-        Ok(off)
+        let bad = subs.iter().zip(self.dims.iter()).enumerate().find_map(
+            |(d, (&ix, &(lo, hi)))| {
+                (ix < lo || ix > hi).then(|| RunError::OutOfBounds {
+                    var: name.to_string(),
+                    dim: d,
+                    index: ix,
+                    lo,
+                    hi,
+                })
+            },
+        );
+        bad.unwrap_or_else(|| RunError::Trap {
+            what: format!("`{name}`: offset fault without cause"),
+        })
     }
 
     #[inline]
@@ -218,13 +248,24 @@ impl ArrayObj {
     }
 }
 
+/// One thread's instance of a SAVE / THREADPRIVATE array.
+#[derive(Debug, Default)]
+pub struct ThreadInstance {
+    arr: Option<Arc<ArrayObj>>,
+    /// The instance's own thread ALLOCATEd it. False while it is only
+    /// *provisioned* — filled in by another thread's ALLOCATE (see
+    /// [`GlobalCell::set_array_all_threads`]) — which the owning thread
+    /// may still ALLOCATE once without an "already allocated" error.
+    claimed: bool,
+}
+
 /// One global storage cell.
 #[derive(Debug)]
 pub enum GlobalCell {
     Scalar(AtomicU64),
     Array(RwLock<Option<Arc<ArrayObj>>>),
     /// SAVE / THREADPRIVATE array: one instance per logical thread.
-    PerThreadArray(Box<[RwLock<Option<Arc<ArrayObj>>>]>),
+    PerThreadArray(Box<[RwLock<ThreadInstance>]>),
     /// THREADPRIVATE scalar.
     PerThreadScalar(Box<[AtomicU64]>),
 }
@@ -240,7 +281,7 @@ impl GlobalCell {
 
     pub fn new_per_thread_array() -> Self {
         let mut v = Vec::with_capacity(MAX_THREADS);
-        v.resize_with(MAX_THREADS, || RwLock::new(None));
+        v.resize_with(MAX_THREADS, || RwLock::new(ThreadInstance::default()));
         GlobalCell::PerThreadArray(v.into_boxed_slice())
     }
 
@@ -280,7 +321,7 @@ impl GlobalCell {
     pub fn array_handle(&self, tid: usize) -> Option<Arc<ArrayObj>> {
         match self {
             GlobalCell::Array(l) => l.read().clone(),
-            GlobalCell::PerThreadArray(v) => v[tid].read().clone(),
+            GlobalCell::PerThreadArray(v) => v[tid].read().arr.clone(),
             _ => panic!("array access to scalar cell"),
         }
     }
@@ -289,7 +330,11 @@ impl GlobalCell {
     pub fn set_array(&self, tid: usize, a: Option<Arc<ArrayObj>>) -> Option<Arc<ArrayObj>> {
         match self {
             GlobalCell::Array(l) => std::mem::replace(&mut *l.write(), a),
-            GlobalCell::PerThreadArray(v) => std::mem::replace(&mut *v[tid].write(), a),
+            GlobalCell::PerThreadArray(v) => {
+                let mut w = v[tid].write();
+                w.claimed = a.is_some();
+                std::mem::replace(&mut w.arr, a)
+            }
             _ => panic!("array access to scalar cell"),
         }
     }
@@ -299,12 +344,18 @@ impl GlobalCell {
         matches!(self, GlobalCell::PerThreadArray(_) | GlobalCell::PerThreadScalar(_))
     }
 
-    /// ALLOCATE semantics for per-thread arrays: provision *every*
-    /// thread's instance (each a fresh zeroed array), so inner parallel
-    /// regions forked by any thread find their instance allocated —
-    /// FORTRAN SAVE-allocate-once semantics lifted to the per-thread
-    /// model. Returns the previous handle of `tid` (for the
-    /// already-allocated check).
+    /// ALLOCATE semantics for per-thread arrays: `tid` claims its own
+    /// instance (a fresh zeroed array) and *provisions* every other
+    /// thread's unallocated instance, so inner parallel regions forked
+    /// by any thread find their instance allocated — FORTRAN
+    /// SAVE-allocate-once semantics lifted to the per-thread model.
+    ///
+    /// Returns `tid`'s previous handle for the already-allocated check:
+    /// `Some` only when `tid` itself allocated the instance before. An
+    /// instance merely provisioned by another thread reports `None` and
+    /// is replaced — otherwise `IF (.NOT. ALLOCATED(x)) ALLOCATE(x)`
+    /// races: thread B sees "not allocated", thread A's ALLOCATE
+    /// provisions B's instance, and B's own ALLOCATE would then fail.
     pub fn set_array_all_threads(
         &self,
         tid: usize,
@@ -312,26 +363,35 @@ impl GlobalCell {
     ) -> Option<Arc<ArrayObj>> {
         match self {
             GlobalCell::PerThreadArray(v) => {
-                let prev = v[tid].read().clone();
+                {
+                    let mut own = v[tid].write();
+                    if own.claimed {
+                        return own.arr.clone();
+                    }
+                    *own = ThreadInstance { arr: Some(mk()), claimed: true };
+                }
+                // One lock at a time: two threads allocating concurrently
+                // never wait on each other while holding a slot.
                 for slot in v.iter() {
                     let mut w = slot.write();
-                    if w.is_none() {
-                        *w = Some(mk());
+                    if w.arr.is_none() {
+                        w.arr = Some(mk());
                     }
                 }
-                prev
+                None
             }
             _ => self.set_array(tid, Some(mk())),
         }
     }
 
-    /// DEALLOCATE counterpart: clears every thread's instance.
+    /// DEALLOCATE counterpart: clears every thread's instance (and its
+    /// claim).
     pub fn clear_array_all_threads(&self, tid: usize) -> Option<Arc<ArrayObj>> {
         match self {
             GlobalCell::PerThreadArray(v) => {
-                let prev = v[tid].read().clone();
+                let prev = v[tid].read().arr.clone();
                 for slot in v.iter() {
-                    *slot.write() = None;
+                    *slot.write() = ThreadInstance::default();
                 }
                 prev
             }
@@ -447,6 +507,30 @@ mod tests {
         arr.set_array(2, Some(Arc::new(ArrayObj::new(ScalarTy::F, vec![(1, 4)]))));
         assert!(arr.array_handle(2).is_some());
         assert!(arr.array_handle(3).is_none());
+    }
+
+    #[test]
+    fn provisioned_instance_can_be_claimed_once() {
+        let mk = || Arc::new(ArrayObj::new(ScalarTy::F, vec![(1, 5)]));
+        let c = GlobalCell::new_per_thread_array();
+        // Thread 1 has seen "not allocated" ...
+        assert!(c.array_handle(1).is_none());
+        // ... thread 0 allocates, provisioning thread 1's instance ...
+        assert!(c.set_array_all_threads(0, mk).is_none());
+        let provisioned = c.array_handle(1).expect("provisioned for inner regions");
+        provisioned.set_f(0, 7.0);
+        // ... and thread 1's own ALLOCATE claims a fresh zeroed array.
+        assert!(c.set_array_all_threads(1, mk).is_none());
+        let claimed = c.array_handle(1).expect("claimed");
+        assert!(!Arc::ptr_eq(&provisioned, &claimed));
+        assert_eq!(claimed.get_f(0), 0.0);
+        // A second ALLOCATE by either owning thread is still an error.
+        assert!(c.set_array_all_threads(0, mk).is_some());
+        assert!(c.set_array_all_threads(1, mk).is_some());
+        // DEALLOCATE resets instances and claims alike.
+        assert!(c.clear_array_all_threads(1).is_some());
+        assert!(c.array_handle(0).is_none());
+        assert!(c.set_array_all_threads(0, mk).is_none());
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //! `tests/fault_injection.rs`.
 
 use crate::bytecode::{
-    vec_stack_effect, BArg, BInstr, BUnit, PItem, VSlot, VecOp, NO_PC, NO_SLOT, VEC_MAX_DEPTH,
+    vec_stack_effect, BArg, BInstr, BUnit, PItem, SubOp, VSlot, VecDesc, VecOp, MAX_INLINE_RANK,
+    NO_PC, NO_SDIMS, NO_SLOT, VEC_MAX_ACCESSES, VEC_MAX_DEPTH,
 };
 use crate::error::CompileError;
 use crate::rir::RProgram;
@@ -197,14 +198,37 @@ impl Verifier<'_> {
                 self.var_ok(dv).map_err(at)?;
                 self.var_ok(sv).map_err(at)?;
             }
-            LoadElemS { a, sd, v, .. } | StoreElemS { a, sd, v, .. } => {
-                if a >= bu.na {
-                    return Err(at(format!("a-slot {a} out of range (na={})", bu.na)));
-                }
-                if sd as usize >= bu.sdims.len() {
-                    return Err(at(format!("shape descriptor {sd} out of range")));
-                }
+            LoadElemS { vs, v, subs, n, sd, .. } | StoreElemS { vs, v, subs, n, sd, .. } => {
+                self.slot_ok(bu, vs).map_err(at)?;
                 self.var_ok(v).map_err(at)?;
+                // The VM gathers the subscripts into a fixed buffer and
+                // reads `Slot` operands straight from the i-bank.
+                if n as usize > MAX_INLINE_RANK {
+                    return Err(at(format!(
+                        "subscript operand list of {n} exceeds the cap {MAX_INLINE_RANK}"
+                    )));
+                }
+                let ops = self.sub_operands(subs, n).map_err(at)?;
+                for op in ops {
+                    if let SubOp::Slot(s) = *op {
+                        islot(s, "subscript operand")?;
+                    }
+                }
+                if sd != NO_SDIMS {
+                    let shape = bu
+                        .sdims
+                        .get(sd as usize)
+                        .ok_or_else(|| at(format!("shape descriptor {sd} out of range")))?;
+                    if !matches!(vs, VSlot::A(_)) {
+                        return Err(at(format!("static shape on non-frame-array slot {vs:?}")));
+                    }
+                    if shape.dims.len() != n as usize || shape.strides.len() != n as usize {
+                        return Err(at(format!(
+                            "static shape of rank {} referenced with {n} subscripts",
+                            shape.dims.len()
+                        )));
+                    }
+                }
             }
             Alloc { vs, v, .. } | Dealloc { vs, v } => {
                 self.slot_ok(bu, vs).map_err(at)?;
@@ -456,14 +480,12 @@ impl Verifier<'_> {
                 pop(&mut s, u32::from(nsubs))?;
                 s += 1;
             }
-            LoadElemS { sd, .. } => {
-                pop(&mut s, self.bu.sdims[sd as usize].dims.len() as u32)?;
+            LoadElemS { subs, n, .. } => {
+                pop(&mut s, self.stack_operands(pc, subs, n)?)?;
                 s += 1;
             }
             StoreElem { nsubs, .. } => pop(&mut s, 1 + u32::from(nsubs))?,
-            StoreElemS { sd, .. } => {
-                pop(&mut s, 1 + self.bu.sdims[sd as usize].dims.len() as u32)?;
-            }
+            StoreElemS { subs, n, .. } => pop(&mut s, 1 + self.stack_operands(pc, subs, n)?)?,
             AtomicElem { nsubs, .. } => pop(&mut s, u32::from(nsubs) + 1)?,
             Alloc { ndims, .. } => pop(&mut s, 2 * u32::from(ndims))?,
             CopyArr { .. } | Dealloc { .. } | CostBranch | VecEnter(_) | VecLeave | CallPre => {}
@@ -587,6 +609,17 @@ impl Verifier<'_> {
         if d.iter_cost == 0 {
             return Err(format!("vector descriptor {desc} has zero iteration cost"));
         }
+        // The entry path resolves the streams into a stack buffer of
+        // this length and walks `alias_pairs` instead of all pairs.
+        if d.accesses.len() > VEC_MAX_ACCESSES {
+            return Err(format!(
+                "vector descriptor has {} accesses, cap is {VEC_MAX_ACCESSES}",
+                d.accesses.len()
+            ));
+        }
+        if d.alias_pairs != VecDesc::write_pairs(&d.accesses) {
+            return Err("vector alias pair list disagrees with the accesses".into());
+        }
         for a in &d.accesses {
             self.slot_ok(bu, a.vs)?;
             self.var_ok(a.v)?;
@@ -668,6 +701,24 @@ impl Verifier<'_> {
     }
 
     // ---------- helpers ----------
+
+    /// The operand run `subops[first..first + n]` of an element access.
+    fn sub_operands(&self, first: u32, n: u8) -> Result<&[SubOp], String> {
+        let (lo, n) = (first as usize, n as usize);
+        self.bu.subops.get(lo..lo + n).ok_or_else(|| {
+            format!(
+                "subscript operands {lo}..{} out of range ({} in table)",
+                lo + n,
+                self.bu.subops.len()
+            )
+        })
+    }
+
+    /// How many of an access's operands are popped from the stack.
+    fn stack_operands(&self, pc: u32, first: u32, n: u8) -> Result<u32, Violation> {
+        let ops = self.sub_operands(first, n).map_err(|m| (pc, m))?;
+        Ok(ops.iter().filter(|op| **op == SubOp::Stack).count() as u32)
+    }
 
     fn glob_ok(&self, c: u32) -> Result<(), String> {
         if c as usize >= self.prog.globals.len() {
@@ -807,7 +858,7 @@ pub mod mutate {
             return None;
         }
         let u = units[rng.below(units.len())];
-        const KINDS: usize = 11;
+        const KINDS: usize = 12;
         let start = rng.below(KINDS);
         for k in 0..KINDS {
             let got = match (start + k) % KINDS {
@@ -821,6 +872,7 @@ pub mod mutate {
                 7 => vec_iter_cost(&mut bunits[u], &mut rng),
                 8 => vec_access_slot(&mut bunits[u], &mut rng),
                 9 => vec_red_slot(&mut bunits[u], &mut rng),
+                10 => sub_operand(&mut bunits[u], &mut rng),
                 _ => call_arity(&mut bunits[u], &mut rng),
             };
             if let Some((kind, detail)) = got {
@@ -887,8 +939,6 @@ pub mod mutate {
                         | StoreB(_)
                         | LoadG(_)
                         | StoreG(_)
-                        | LoadElemS { .. }
-                        | StoreElemS { .. }
                 )
             })
             .map(|(pc, _)| pc)
@@ -901,10 +951,51 @@ pub mod mutate {
         match &mut bu.code[pc] {
             LoadI(s) | LoadF(s) | LoadB(s) | StoreI(s) | StoreF(s) | StoreB(s) | LoadG(s)
             | StoreG(s) => *s = bad,
-            LoadElemS { a, .. } | StoreElemS { a, .. } => *a = bad,
             _ => return None,
         }
         Some(("slot-out-of-range", format!("pc {pc}: slot -> {bad}")))
+    }
+
+    /// Corrupts an operand-addressed element access: points an i-slot
+    /// operand far outside the bank, moves the operand run past the end
+    /// of the subscript table, or grows the list beyond the VM's
+    /// subscript buffer.
+    fn sub_operand(bu: &mut BUnit, rng: &mut Rng) -> Applied {
+        use crate::bytecode::{SubOp, MAX_INLINE_RANK};
+        use BInstr::*;
+        let sites: Vec<usize> = bu
+            .code
+            .iter()
+            .enumerate()
+            .filter(|(_, i)| matches!(i, LoadElemS { .. } | StoreElemS { .. }))
+            .map(|(pc, _)| pc)
+            .collect();
+        if sites.is_empty() {
+            return None;
+        }
+        let pc = sites[rng.below(sites.len())];
+        let table_len = bu.subops.len() as u32;
+        let (LoadElemS { subs, n, .. } | StoreElemS { subs, n, .. }) = &mut bu.code[pc] else {
+            return None;
+        };
+        let run = *subs as usize..*subs as usize + *n as usize;
+        let slot_at = bu.subops[run.clone()].iter().position(|op| matches!(op, SubOp::Slot(_)));
+        let detail = match (rng.below(3), slot_at) {
+            (0, Some(k)) => {
+                let bad = u32::MAX - (rng.next_u64() % 1000) as u32;
+                bu.subops[run.start + k] = SubOp::Slot(bad);
+                format!("pc {pc}: operand {k} -> Slot({bad})")
+            }
+            (1, _) | (0, None) => {
+                *subs = table_len + 1 + (rng.next_u64() % 97) as u32;
+                format!("pc {pc}: operand run -> {subs}..")
+            }
+            _ => {
+                *n = (MAX_INLINE_RANK + 1 + rng.below(16)) as u8;
+                format!("pc {pc}: operand count -> {n}")
+            }
+        };
+        Some(("sub-operand", detail))
     }
 
     /// Replaces the entry instruction with one that pops from the empty

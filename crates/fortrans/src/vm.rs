@@ -21,8 +21,8 @@ use omprt::{chunks_for, ThreadPool};
 use parking_lot::Mutex;
 
 use crate::bytecode::{
-    BArg, BInstr, BUnit, Cmp, OmpDesc, PItem, RedSpec, VSlot, VecDesc, VecOp, VecRedOp, NO_PC,
-    NO_SLOT, VEC_CHUNK,
+    BArg, BInstr, BUnit, Cmp, OmpDesc, PItem, RedSpec, SDims, SubOp, VSlot, VecDesc, VecOp,
+    VecRedOp, MAX_INLINE_RANK, NO_PC, NO_SDIMS, NO_SLOT, VEC_CHUNK, VEC_MAX_ACCESSES,
 };
 use crate::cost::{CostCounters, CostTrace, RegionEvent};
 use crate::engine::ArgVal;
@@ -31,7 +31,7 @@ use crate::interp::{
     atomic_scalar_update, build_owner_map, combine_f, combine_i, combine_vals, identity_val,
     store_val, trip_count, Exec, ExecMode, Flow, Val,
 };
-use crate::jit::{JitCtx, PoolEntry, Stream as JitStream};
+use crate::jit::{JitCtx, NativeRegion, PoolEntry, Stream as JitStream};
 use crate::rir::{ScalarTy, VecClass};
 use crate::storage::{ArrayObj, MAX_THREADS};
 
@@ -40,9 +40,93 @@ use crate::storage::{ArrayObj, MAX_THREADS};
 /// iteration of the chunk under dynamic/guided).
 type KeyedPartials = Vec<(usize, Result<Vec<Val>, RunError>)>;
 
-/// One native-tier memo entry: `(unit, descriptor)` key mapped to the
-/// resolved region, or `None` when promotion refused the descriptor.
-type NativeMemoEntry = ((u32, u32), Option<Arc<crate::jit::NativeRegion>>);
+/// Per-run promotion verdict for one vector descriptor. `Ready` and
+/// `Refused` are final for the run's cache; `Unknown` asks the shared
+/// cache again on the next entry.
+#[derive(Clone)]
+enum NativeMemo {
+    Unknown,
+    Ready(Arc<NativeRegion>),
+    Refused,
+}
+
+/// One access stream of a vector-loop entry, resolved for the whole
+/// trip range: the array (borrowed from the frame or the global-handle
+/// cache, which own the `Arc`s for the entry's duration — no
+/// `Alloc`/`Dealloc` executes inside a region), the flat offset at the
+/// first iteration and the per-iteration element stride.
+#[derive(Clone, Copy)]
+struct VStream<'a> {
+    arr: &'a ArrayObj,
+    base: i64,
+    stride: i64,
+}
+
+/// The resolved streams of one entry, indexed like `VecDesc::accesses`.
+type VStreams<'a> = [Option<VStream<'a>>; VEC_MAX_ACCESSES];
+
+/// [`ArrayObj::offset_of`] against a fixed-shape local's declared bounds
+/// and precomputed strides (rank equality is a verifier invariant).
+#[inline(always)]
+fn elem_offset_static(sd: &SDims, ix: &[i64]) -> Option<usize> {
+    let mut off = 0usize;
+    for ((&i, &(lo, hi)), &stride) in ix.iter().zip(&sd.dims).zip(&sd.strides) {
+        if i < lo || i > hi {
+            return None;
+        }
+        off += (i - lo) as usize * stride;
+    }
+    Some(off)
+}
+
+/// The error of a failed element access, in the tree-walker's order:
+/// not an array / unallocated, then rank, then the first out-of-range
+/// dimension. Only here is the variable's name looked up.
+#[cold]
+fn elem_fault(
+    ex: &Exec,
+    uidx: usize,
+    vs: VSlot,
+    v: u32,
+    arr: Option<&ArrayObj>,
+    ix: &[i64],
+) -> RunError {
+    let name = &ex.prog.units[uidx].vars[v as usize].name;
+    match (arr, vs) {
+        (Some(a), _) => a.offset(name, ix).err().unwrap_or_else(|| RunError::Trap {
+            what: format!("`{name}`: static shape disagrees with the array"),
+        }),
+        (None, VSlot::A(_) | VSlot::GlobA(_) | VSlot::GlobS(_)) => {
+            RunError::Unallocated { var: name.clone() }
+        }
+        (None, _) => RunError::Type { msg: format!("`{name}` is not an array") },
+    }
+}
+
+/// Element bits converted to the static type `want` the stack expects.
+#[inline(always)]
+fn load_elem_bits(arr: &ArrayObj, off: usize, want: ScalarTy) -> u64 {
+    if arr.ty == want {
+        // Stack and cell share the bit convention.
+        return arr.get_bits(off);
+    }
+    let val = match arr.ty {
+        ScalarTy::I => Val::I(arr.get_i(off)),
+        ScalarTy::F => Val::F(arr.get_f(off)),
+        ScalarTy::B => Val::B(arr.get_b(off)),
+    };
+    val.to_bits(want)
+}
+
+/// Stores stack bits of static type `src` into an element.
+#[inline(always)]
+fn store_elem_bits(arr: &ArrayObj, off: usize, bits: u64, src: ScalarTy) {
+    if arr.ty == src {
+        arr.set_bits(off, bits);
+    } else {
+        store_val(arr, off, Val::from_bits(bits, src));
+    }
+}
 
 /// Unboxed per-type value banks for one call frame.
 #[derive(Clone)]
@@ -148,9 +232,6 @@ enum VOp {
     Store,
 }
 
-/// Maximum rank handled without heap-allocating the subscript buffer.
-const MAX_INLINE_RANK: usize = 8;
-
 pub(crate) struct Vm<'e, const TRACE: bool> {
     ex: &'e Exec,
     bunits: &'e [BUnit],
@@ -195,15 +276,12 @@ pub(crate) struct Vm<'e, const TRACE: bool> {
     /// Lane scratch for the vector superinstruction path: `max_depth`
     /// stacked lanes of [`VEC_CHUNK`] f64 each, reused across loops.
     vbuf: Vec<f64>,
-    /// Resolved access streams `(handle, base, stride)` for the vector
-    /// path, reused across loop entries to avoid per-entry allocation.
-    vres: Vec<(Arc<ArrayObj>, i64, i64)>,
-    /// Native-tier promotion memo, keyed `(unit, descriptor)`. `Ready`
-    /// and `Refused` are final for the run's cache, so after the first
-    /// resolution a loop entry costs a short linear scan instead of the
-    /// shared cache's mutex + hash lookup (hot kernels make thousands
-    /// of entries over a handful of distinct loops). `None` = refused.
-    nmemo: Vec<NativeMemoEntry>,
+    /// Native-tier promotion memo, indexed `[unit][descriptor]` (rows
+    /// sized on a unit's first entry): after the first resolution a loop
+    /// entry costs two indexed loads instead of the shared cache's
+    /// mutex + hash lookup (hot kernels make thousands of entries over
+    /// a handful of distinct loops).
+    nmemo: Vec<Vec<NativeMemo>>,
     /// Reused operand-pool and stream buffers for native-tier entries.
     npool: Vec<u64>,
     nstreams: Vec<JitStream>,
@@ -232,7 +310,6 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             cur_pc: 0,
             steps: 0,
             vbuf: Vec::new(),
-            vres: Vec::new(),
             nmemo: Vec::new(),
             npool: Vec::new(),
             nstreams: Vec::new(),
@@ -381,27 +458,54 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         }
     }
 
-    /// Array of slot `vs` by reference — the element-access fast path
-    /// (no lock, no refcount). `name` must be fetched by the caller
-    /// beforehand (it lives in `'e`, so it survives this borrow).
+    /// Resolves one element access to its array and flat offset — the
+    /// element-access fast path: no lock, no refcount, and the variable
+    /// name is only looked up by [`elem_fault`] once a check has failed.
+    /// `shape` is the static shape of a fixed frame array, if any.
+    ///
+    /// `#[inline]`, not `always` (likewise [`Self::gather_subs`]):
+    /// forcing the body into all four element handlers of both
+    /// `run_range` instantiations grew the dispatch loop enough to cost
+    /// the `simulated` benchmark workload 10 % and `sarb_warm` 6 %.
     #[inline]
-    fn aref<'s>(
+    fn elem_at<'s>(
         &'s mut self,
+        uidx: usize,
         frame: &'s VFrame,
-        vs: VSlot,
-        name: &str,
-    ) -> Result<&'s ArrayObj, RunError> {
-        match vs {
-            VSlot::A(s) => frame.a[s as usize]
-                .as_deref()
-                .ok_or_else(|| RunError::Unallocated { var: name.to_string() }),
+        (vs, v): (VSlot, u32),
+        shape: Option<&SDims>,
+        ix: &[i64],
+    ) -> Result<(&'s ArrayObj, usize), RunError> {
+        let ex = self.ex;
+        let arr = match vs {
+            VSlot::A(s) => frame.a[s as usize].as_deref(),
             VSlot::GlobA(c) | VSlot::GlobS(c) => {
                 self.gfill(c);
-                self.gcache[c as usize]
-                    .as_deref()
-                    .ok_or_else(|| RunError::Unallocated { var: name.to_string() })
+                self.gcache[c as usize].as_deref()
             }
-            _ => Err(RunError::Type { msg: format!("`{name}` is not an array") }),
+            _ => None,
+        };
+        let off = arr.and_then(|a| match shape {
+            Some(sd) => elem_offset_static(sd, ix),
+            None => a.offset_of(ix),
+        });
+        match (arr, off) {
+            (Some(a), Some(off)) => Ok((a, off)),
+            _ => Err(elem_fault(ex, uidx, vs, v, arr, ix)),
+        }
+    }
+
+    /// Gathers the subscripts of an operand-addressed access into `ix`:
+    /// slots and constants directly, `Stack` operands popped (they were
+    /// pushed in subscript order, so walk the run backwards).
+    #[inline]
+    fn gather_subs(&mut self, frame: &VFrame, ops: &[SubOp], ix: &mut [i64; MAX_INLINE_RANK]) {
+        for (d, op) in ops.iter().enumerate().rev() {
+            ix[d] = match *op {
+                SubOp::Slot(s) => frame.i[s as usize],
+                SubOp::Const(c) => i64::from(c),
+                SubOp::Stack => self.popi(),
+            };
         }
     }
 
@@ -447,47 +551,57 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
 
     // ---------- vector superinstruction execution ----------
 
+    /// Fills the global-handle cache for every global stream of `d`, so
+    /// [`Self::resolve_vec_streams`] can borrow from it immutably.
+    fn prefetch_globals(
+        gcache: &mut [Option<Arc<ArrayObj>>],
+        ex: &Exec,
+        tid: usize,
+        d: &VecDesc,
+    ) {
+        for a in &d.accesses {
+            if let VSlot::GlobA(c) | VSlot::GlobS(c) = a.vs {
+                if let Some(slot @ None) = gcache.get_mut(c as usize) {
+                    *slot = ex.globals.cells[c as usize].array_handle(tid);
+                }
+            }
+        }
+    }
+
     /// Resolves every access stream of `d` for the whole range
-    /// `[lo, hi]` into `rt` as `(handle, base, stride)` triples:
-    /// array handle, flat base offset at iteration `lo`, and
+    /// `[lo, hi]`: the array (borrowed from the frame's handle bank
+    /// `fa` or the prefetched global-handle cache — no refcount
+    /// traffic), the flat base offset at iteration `lo`, and the
     /// per-iteration element stride, with per-dimension bounds proven
     /// for the whole range. Shared by the vector and native tiers so
     /// both commit (or give up) on exactly the same guards. Returns
-    /// `false` — with `rt` cleared and no state touched — when any
-    /// guard fails: unallocated/mistyped handle, rank mismatch,
-    /// subscript overflow, out-of-range endpoint extrema, or aliasing.
-    fn resolve_vec_streams(
-        &mut self,
-        frame: &VFrame,
+    /// `None` — no state touched — when any guard fails:
+    /// unallocated/mistyped handle, rank mismatch, subscript overflow,
+    /// out-of-range endpoint extrema, or aliasing.
+    fn resolve_vec_streams<'a>(
+        gcache: &'a [Option<Arc<ArrayObj>>],
+        fa: &'a [Option<Arc<ArrayObj>>],
+        fi: &[i64],
         d: &VecDesc,
         lo: i64,
         hi: i64,
-        rt: &mut Vec<(Arc<ArrayObj>, i64, i64)>,
-    ) -> bool {
-        rt.clear();
-        let uidx = self.cur_uidx;
-        for a in &d.accesses {
-            // Injected/corrupted descriptors (fault-injection harness)
-            // must deopt, not index out of range: validate the slot and
-            // invariant indices before touching the banks.
-            let in_range = match a.vs {
-                VSlot::A(s) => (s as usize) < frame.a.len(),
-                VSlot::GlobA(c) | VSlot::GlobS(c) => (c as usize) < self.gcache.len(),
-                _ => false,
-            };
-            if !in_range
-                || a.subs.iter().any(|s| s.inv != NO_SLOT && s.inv as usize >= frame.i.len())
-            {
-                rt.clear();
-                return false;
-            }
-            let Ok(h) = self.handle_in(uidx, frame, a.vs, a.v) else {
-                rt.clear();
-                return false;
+    ) -> Option<VStreams<'a>> {
+        // Injected/corrupted descriptors (fault-injection harness) must
+        // deopt, not index out of range: the length check and every
+        // `get` below validate the stream count and the slot, cell and
+        // invariant indices before touching the banks.
+        if d.accesses.len() > VEC_MAX_ACCESSES {
+            return None;
+        }
+        let mut rt: VStreams<'a> = [None; VEC_MAX_ACCESSES];
+        for (a, out) in d.accesses.iter().zip(rt.iter_mut()) {
+            let h = match a.vs {
+                VSlot::A(s) => fa.get(s as usize)?.as_deref()?,
+                VSlot::GlobA(c) | VSlot::GlobS(c) => gcache.get(c as usize)?.as_deref()?,
+                _ => return None,
             };
             if h.ty != ScalarTy::F || h.dims.len() != a.subs.len() {
-                rt.clear();
-                return false;
+                return None;
             }
             let mut base: i64 = 0;
             let mut stride: i64 = 0;
@@ -495,51 +609,94 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             for (sub, &(dlo, dhi)) in a.subs.iter().zip(h.dims.iter()) {
                 let inv = match sub.inv {
                     NO_SLOT => 0,
-                    s => frame.i[s as usize],
+                    s => *fi.get(s as usize)?,
                 };
                 let at = |i: i64| {
-                    sub.coeff.checked_mul(i).and_then(|x| x.checked_add(sub.add)).and_then(|x| {
-                        x.checked_add(inv)
-                    })
+                    sub.coeff.checked_mul(i)?.checked_add(sub.add)?.checked_add(inv)
                 };
-                let (Some(at_lo), Some(at_hi)) = (at(lo), at(hi)) else {
-                    rt.clear();
-                    return false;
-                };
+                let (at_lo, at_hi) = (at(lo)?, at(hi)?);
                 // The subscript is affine in i, so its extrema over the
                 // range sit at the endpoints.
-                let (mn, mx) = if at_lo <= at_hi { (at_lo, at_hi) } else { (at_hi, at_lo) };
-                if mn < dlo || mx > dhi {
-                    rt.clear();
-                    return false;
+                if at_lo.min(at_hi) < dlo || at_lo.max(at_hi) > dhi {
+                    return None;
                 }
-                let Some(ds) = sub.coeff.checked_mul(dim_stride) else {
-                    rt.clear();
-                    return false;
-                };
+                let ds = sub.coeff.checked_mul(dim_stride)?;
                 base += (at_lo - dlo) * dim_stride;
                 stride += ds;
                 dim_stride *= (dhi - dlo + 1).max(0);
             }
-            rt.push((h, base, stride));
+            *out = Some(VStream { arr: h, base, stride });
         }
         // Aliasing: compile time only proved distinct *slots*. If a
         // written stream shares storage with any other stream they must
         // walk the exact same cells (a loop-independent dependence the
         // per-element statement order already honors); anything else —
         // offset overlap, different strides — re-runs scalar.
-        for (i, a) in d.accesses.iter().enumerate() {
-            for (j, b) in d.accesses.iter().enumerate().skip(i + 1) {
-                if !(a.write || b.write) {
-                    continue;
-                }
-                if Arc::ptr_eq(&rt[i].0, &rt[j].0) && (rt[i].1 != rt[j].1 || rt[i].2 != rt[j].2) {
-                    rt.clear();
-                    return false;
-                }
+        for &(i, j) in &d.alias_pairs {
+            let (a, b) = (rt.get(i as usize)?.as_ref()?, rt.get(j as usize)?.as_ref()?);
+            if std::ptr::eq(a.arr, b.arr) && (a.base != b.base || a.stride != b.stride) {
+                return None;
             }
         }
-        true
+        Some(rt)
+    }
+
+    /// Runs a compiled region over iterations `[0, n)` in blocks of
+    /// ~1024 scalar-equivalent steps, polling the deadline/token between
+    /// blocks — the scalar `tick()` cadence. Returns the reduction
+    /// accumulator (`acc` passed through when the region has none).
+    #[allow(clippy::too_many_arguments)]
+    fn enter_native(
+        ex: &Exec,
+        region: &NativeRegion,
+        rt: &VStreams<'_>,
+        pool: &[u64],
+        streams: &mut Vec<JitStream>,
+        n: i64,
+        iter_cost: u32,
+        acc: f64,
+    ) -> Result<f64, RunError> {
+        // Stream pointers address the element at iteration `lo`; every
+        // offset `base + stride*k` for the whole range was proven
+        // in-bounds by `resolve_vec_streams` (affine subscripts,
+        // endpoint extrema), so the emitted code needs no bounds checks.
+        streams.clear();
+        streams.extend(rt.iter().map_while(|s| s.as_ref()).map(|s| JitStream {
+            // SAFETY: `base` is an in-bounds element offset of `cells`
+            // (proven above), and `AtomicU64` has `u64`'s layout.
+            ptr: unsafe { (s.arr.cells.as_ptr() as *mut u64).offset(s.base as isize) },
+            stride8: s.stride * 8,
+        }));
+        let mut ctx = JitCtx {
+            k0: 0,
+            k1: 0,
+            streams: streams.as_ptr(),
+            pool: pool.as_ptr(),
+            acc,
+            spill: [0; 24],
+        };
+        let block = (1024 / i64::from(iter_cost.max(1))).max(1);
+        let mut k0: i64 = 0;
+        while k0 < n {
+            if ex.limits.poll {
+                ex.limits.check_interrupt(None)?;
+            }
+            let k1 = (k0 + block).min(n);
+            ctx.k0 = k0;
+            ctx.k1 = k1;
+            // SAFETY: `rt` borrows every stream's array for the whole
+            // call — the frame and the global-handle cache own the
+            // `Arc`s for the entry's duration, and no `Alloc`/`Dealloc`
+            // executes inside a region — so the stream pointers stay
+            // valid; `streams`/`pool` outlive the call; every iteration
+            // offset in `[k0, k1)` was proven in-bounds; the region was
+            // emitted from a verifier-accepted descriptor. The VM owns
+            // this frame's arrays meanwhile (same discipline as the
+            // vector tier's relaxed loads/stores).
+            unsafe { region.enter(&mut ctx) };
+            k0 = k1;
+        }
+        Ok(ctx.acc)
     }
 
     /// Tier-3 entry: runs a promoted vector region in native code.
@@ -569,7 +726,8 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         if TRACE || self.prof.is_some() {
             return Ok(false);
         }
-        let Some(nh) = self.ex.native.clone() else {
+        let ex = self.ex;
+        let Some(nh) = ex.native.as_deref() else {
             return Ok(false);
         };
         let d = &bu.vecs[desc as usize];
@@ -584,7 +742,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         // scalar so it trips with the stock error at the right
         // iteration.
         let cost = (n as u64).saturating_mul(u64::from(d.iter_cost));
-        if let Some(max) = self.ex.limits.max_steps {
+        if let Some(max) = ex.limits.max_steps {
             if self.steps.saturating_add(cost) > max {
                 return Ok(false);
             }
@@ -594,42 +752,45 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         // first promotion; refusals are cached). Final outcomes are
         // memoized per run so steady-state entries skip the shared
         // cache's mutex.
-        let key = (self.cur_uidx as u32, desc);
-        let region = match self.nmemo.iter().find(|(k, _)| *k == key) {
-            Some((_, Some(r))) => Arc::clone(r),
-            Some((_, None)) => return Ok(false),
-            None => match nh.promote(&self.ex.prog, self.bunits, key.0, key.1) {
-                crate::jit::Promotion::NotYet => return Ok(false),
-                crate::jit::Promotion::Ready(r) => {
-                    self.nmemo.push((key, Some(Arc::clone(&r))));
-                    r
-                }
-                crate::jit::Promotion::Refused => {
-                    self.nmemo.push((key, None));
-                    return Ok(false);
-                }
-            },
-        };
-        let mut rt = std::mem::take(&mut self.vres);
-        if !self.resolve_vec_streams(frame, d, lo, hi, &mut rt) || rt.len() != region.naccess {
-            rt.clear();
-            self.vres = rt;
-            nh.count_deopt();
-            return Ok(false);
+        let uidx = self.cur_uidx;
+        if self.nmemo.is_empty() {
+            self.nmemo.resize_with(self.bunits.len(), Vec::new);
         }
+        let row = &mut self.nmemo[uidx];
+        if row.is_empty() {
+            row.resize(bu.vecs.len(), NativeMemo::Unknown);
+        }
+        let memo = &mut row[desc as usize];
+        if let NativeMemo::Unknown = memo {
+            *memo = match nh.promote(&ex.prog, self.bunits, uidx as u32, desc) {
+                crate::jit::Promotion::NotYet => return Ok(false),
+                crate::jit::Promotion::Ready(r) => NativeMemo::Ready(r),
+                crate::jit::Promotion::Refused => NativeMemo::Refused,
+            };
+        }
+        let NativeMemo::Ready(region) = &*memo else {
+            return Ok(false);
+        };
+        Self::prefetch_globals(&mut self.gcache, ex, self.tid, d);
+        let rt = match Self::resolve_vec_streams(&self.gcache, &frame.a, &frame.i, d, lo, hi) {
+            Some(rt) if d.accesses.len() == region.naccess => rt,
+            _ => {
+                nh.count_deopt();
+                return Ok(false);
+            }
+        };
         // Committed: all guards passed.
         self.steps = self.steps.saturating_add(cost);
         nh.count_entry();
         // Resolve the loop-invariant operand pool from the region's
         // recipe (frame scalars / globals can change between entries;
-        // the machine code only sees pool offsets). Both buffers are
-        // per-VM scratch, reused across entries.
-        let mut pool = std::mem::take(&mut self.npool);
-        pool.clear();
-        pool.extend(region.pool.iter().map(|e| match *e {
+        // the machine code only sees pool offsets). Pool and stream
+        // buffers are per-VM scratch, reused across entries.
+        self.npool.clear();
+        self.npool.extend(region.pool.iter().map(|e| match *e {
             PoolEntry::ConstF(b) => b,
             PoolEntry::FrameF(s) => frame.f[s as usize].to_bits(),
-            PoolEntry::GlobF(c) => self.ex.globals.cells[c as usize].load_bits(self.tid),
+            PoolEntry::GlobF(c) => ex.globals.cells[c as usize].load_bits(self.tid),
             PoolEntry::ICoeff(c) => c as u64,
             PoolEntry::IBase { coeff, add, inv } => {
                 let invv = match inv {
@@ -639,72 +800,32 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 coeff.wrapping_mul(lo).wrapping_add(add).wrapping_add(invv) as u64
             }
         }));
-        // Stream pointers address the element at iteration `lo`; every
-        // offset `base + stride*k` for the whole range was proven
-        // in-bounds above (affine subscripts, endpoint extrema), so the
-        // emitted code needs no bounds checks. The `AtomicU64` cells
-        // have guaranteed `u64` layout, and the VM owns this frame's
-        // arrays for the duration (same discipline as the vector
-        // tier's relaxed loads/stores).
-        let mut streams = std::mem::take(&mut self.nstreams);
-        streams.clear();
-        streams.extend(rt.iter().map(|(h, base, stride)| JitStream {
-            ptr: unsafe { (h.cells.as_ptr() as *mut u64).offset(*base as isize) },
-            stride8: stride * 8,
-        }));
-        let mut ctx = JitCtx {
-            k0: 0,
-            k1: 0,
-            streams: streams.as_ptr(),
-            pool: pool.as_ptr(),
-            acc: 0.0,
-            spill: [0; 24],
+        let acc0 = match d.red.map(|r| r.vs) {
+            None => 0.0,
+            Some(VSlot::F(s)) => frame.f[s as usize],
+            Some(VSlot::GlobS(c)) => {
+                f64::from_bits(ex.globals.cells[c as usize].load_bits(self.tid))
+            }
+            Some(_) => unreachable!("verified reduction accumulator slot"),
         };
-        if let Some(r) = d.red {
-            ctx.acc = match r.vs {
-                VSlot::F(s) => frame.f[s as usize],
-                VSlot::GlobS(c) => {
-                    f64::from_bits(self.ex.globals.cells[c as usize].load_bits(self.tid))
-                }
-                _ => unreachable!("verified reduction accumulator slot"),
-            };
-        }
-        // Run in blocks of ~1024 scalar-equivalent steps, polling the
-        // deadline/token between blocks — the scalar tick() cadence.
-        let block = (1024 / i64::from(d.iter_cost.max(1))).max(1);
-        let mut k0: i64 = 0;
-        while k0 < n {
-            if self.ex.limits.poll {
-                if let Err(e) = self.ex.limits.check_interrupt(None) {
-                    rt.clear();
-                    self.vres = rt;
-                    self.npool = pool;
-                    self.nstreams = streams;
-                    return Err(e);
-                }
+        let acc = Self::enter_native(
+            ex,
+            region,
+            &rt,
+            &self.npool,
+            &mut self.nstreams,
+            n,
+            d.iter_cost,
+            acc0,
+        )?;
+        match d.red.map(|r| r.vs) {
+            None => {}
+            Some(VSlot::F(s)) => frame.f[s as usize] = acc,
+            Some(VSlot::GlobS(c)) => {
+                ex.globals.cells[c as usize].store_bits(self.tid, acc.to_bits());
             }
-            let k1 = (k0 + block).min(n);
-            ctx.k0 = k0;
-            ctx.k1 = k1;
-            // SAFETY: `streams`/`pool` outlive the call and every
-            // iteration offset in `[k0, k1)` was proven in-bounds; the
-            // region was emitted from a verifier-accepted descriptor.
-            unsafe { region.enter(&mut ctx) };
-            k0 = k1;
+            Some(_) => unreachable!("verified reduction accumulator slot"),
         }
-        if let Some(r) = d.red {
-            match r.vs {
-                VSlot::F(s) => frame.f[s as usize] = ctx.acc,
-                VSlot::GlobS(c) => {
-                    self.ex.globals.cells[c as usize].store_bits(self.tid, ctx.acc.to_bits());
-                }
-                _ => unreachable!("verified reduction accumulator slot"),
-            }
-        }
-        rt.clear();
-        self.vres = rt;
-        self.npool = pool;
-        self.nstreams = streams;
         // Leave the DO state exactly as the scalar head/incr would.
         frame.i[var as usize] = hi;
         frame.i[ctr as usize] = hi.wrapping_add(1);
@@ -763,11 +884,13 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 return Ok(false);
             }
         }
-        let mut rt = std::mem::take(&mut self.vres);
-        if !self.resolve_vec_streams(frame, d, lo, hi, &mut rt) {
-            self.vres = rt;
+        Self::prefetch_globals(&mut self.gcache, self.ex, self.tid, d);
+        let Some(rt) = Self::resolve_vec_streams(&self.gcache, &frame.a, &frame.i, d, lo, hi)
+        else {
             return Ok(false);
-        }
+        };
+        // A verified lane op only names declared accesses, all resolved.
+        let stream = |ai: u32| rt[ai as usize].expect("resolved access stream");
         // Committed: all guards passed.
         self.steps = self.steps.saturating_add(cost);
         self.ex.vector_entries.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -791,8 +914,6 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 if self.ex.limits.poll {
                     if let Err(e) = self.ex.limits.check_interrupt(None) {
                         self.vbuf = vbuf;
-                        rt.clear();
-                        self.vres = rt;
                         return Err(e);
                     }
                 }
@@ -802,10 +923,10 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     for op in ops {
                         match *op {
                             VecOp::Load(ai) => {
-                                let (h, base, stride) = &rt[ai as usize];
+                                let VStream { arr, base, stride } = stream(ai);
                                 let mut off = base + stride * k0;
                                 for x in &mut vbuf[dep * VEC_CHUNK..dep * VEC_CHUNK + m] {
-                                    *x = h.get_f(off as usize);
+                                    *x = arr.get_f(off as usize);
                                     off += stride;
                                 }
                                 dep += 1;
@@ -900,10 +1021,10 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                             }
                             VecOp::Store(ai) => {
                                 dep -= 1;
-                                let (h, base, stride) = &rt[ai as usize];
+                                let VStream { arr, base, stride } = stream(ai);
                                 let mut off = base + stride * k0;
                                 for &x in &vbuf[dep * VEC_CHUNK..dep * VEC_CHUNK + m] {
-                                    h.set_f(off as usize, x);
+                                    arr.set_f(off as usize, x);
                                     off += stride;
                                 }
                             }
@@ -936,8 +1057,6 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             }
             self.vbuf = vbuf;
         }
-        rt.clear();
-        self.vres = rt;
         // Leave the DO state exactly as the scalar head/incr would:
         // the variable holds the last iteration, the counter one past.
         frame.i[var as usize] = hi;
@@ -1154,61 +1273,26 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     let mut buf = [0i64; MAX_INLINE_RANK];
                     let bits = if n <= MAX_INLINE_RANK {
                         self.pop_subs_into(n, &mut buf);
-                        let name = self.var_name(uidx, v);
-                        let arr = self.aref(frame, vs, name)?;
-                        let off = arr.offset(name, &buf[..n])?;
-                        if arr.ty == want {
-                            // Stack and cell share the bit convention.
-                            arr.get_bits(off)
-                        } else {
-                            let val = match arr.ty {
-                                ScalarTy::I => Val::I(arr.get_i(off)),
-                                ScalarTy::F => Val::F(arr.get_f(off)),
-                                ScalarTy::B => Val::B(arr.get_b(off)),
-                            };
-                            val.to_bits(want)
-                        }
+                        let (arr, off) = self.elem_at(uidx, frame, (vs, v), None, &buf[..n])?;
+                        load_elem_bits(arr, off, want)
                     } else {
                         let subs = self.pop_subs(n);
                         let arr = self.handle_in(uidx, frame, vs, v)?;
                         let off = arr.offset(self.var_name(uidx, v), &subs)?;
-                        let val = match arr.ty {
-                            ScalarTy::I => Val::I(arr.get_i(off)),
-                            ScalarTy::F => Val::F(arr.get_f(off)),
-                            ScalarTy::B => Val::B(arr.get_b(off)),
-                        };
-                        val.to_bits(want)
+                        load_elem_bits(&arr, off, want)
                     };
                     self.op(VOp::Load);
                     self.push(bits);
                 }
-                BInstr::LoadElemS { a, sd, v, want: _ } => {
-                    let sdim = &bu.sdims[sd as usize];
-                    let n = sdim.dims.len();
-                    let at = self.stack.len() - n;
-                    let mut off = 0usize;
-                    for (d, (&(lo, hi), &stride)) in
-                        sdim.dims.iter().zip(sdim.strides.iter()).enumerate()
-                    {
-                        let ix = self.stack[at + d] as i64;
-                        if ix < lo || ix > hi {
-                            return Err(RunError::OutOfBounds {
-                                var: self.var_name(uidx, v).to_string(),
-                                dim: d,
-                                index: ix,
-                                lo,
-                                hi,
-                            });
-                        }
-                        off += (ix - lo) as usize * stride;
-                    }
-                    self.stack.truncate(at);
-                    let arr = frame.a[a as usize].as_ref().ok_or_else(|| {
-                        RunError::Unallocated { var: self.var_name(uidx, v).to_string() }
-                    })?;
-                    // Fixed-shape local: handle ty == declared ty == want.
-                    self.push(arr.get_bits(off));
+                BInstr::LoadElemS { vs, v, subs, n, sd, want } => {
+                    let n = n as usize;
+                    let mut ix = [0i64; MAX_INLINE_RANK];
+                    self.gather_subs(frame, &bu.subops[subs as usize..subs as usize + n], &mut ix);
+                    let shape = (sd != NO_SDIMS).then(|| &bu.sdims[sd as usize]);
+                    let (arr, off) = self.elem_at(uidx, frame, (vs, v), shape, &ix[..n])?;
+                    let bits = load_elem_bits(arr, off, want);
                     self.op(VOp::Load);
+                    self.push(bits);
                 }
                 BInstr::StoreElem { vs, v, nsubs, src } => {
                     let bits = self.pop();
@@ -1216,49 +1300,25 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     let mut buf = [0i64; MAX_INLINE_RANK];
                     if n <= MAX_INLINE_RANK {
                         self.pop_subs_into(n, &mut buf);
-                        let name = self.var_name(uidx, v);
-                        let arr = self.aref(frame, vs, name)?;
-                        let off = arr.offset(name, &buf[..n])?;
-                        if arr.ty == src {
-                            arr.set_bits(off, bits);
-                        } else {
-                            store_val(arr, off, Val::from_bits(bits, src));
-                        }
+                        let (arr, off) = self.elem_at(uidx, frame, (vs, v), None, &buf[..n])?;
+                        store_elem_bits(arr, off, bits, src);
                     } else {
                         let subs = self.pop_subs(n);
                         let arr = self.handle_in(uidx, frame, vs, v)?;
                         let off = arr.offset(self.var_name(uidx, v), &subs)?;
-                        store_val(&arr, off, Val::from_bits(bits, src));
+                        store_elem_bits(&arr, off, bits, src);
                     }
                     self.op(VOp::Store);
                 }
-                BInstr::StoreElemS { a, sd, v, src } => {
+                BInstr::StoreElemS { vs, v, subs, n, sd, src } => {
                     let bits = self.pop();
-                    let sdim = &bu.sdims[sd as usize];
-                    let n = sdim.dims.len();
-                    let at = self.stack.len() - n;
-                    let mut off = 0usize;
-                    for (d, (&(lo, hi), &stride)) in
-                        sdim.dims.iter().zip(sdim.strides.iter()).enumerate()
-                    {
-                        let ix = self.stack[at + d] as i64;
-                        if ix < lo || ix > hi {
-                            return Err(RunError::OutOfBounds {
-                                var: self.var_name(uidx, v).to_string(),
-                                dim: d,
-                                index: ix,
-                                lo,
-                                hi,
-                            });
-                        }
-                        off += (ix - lo) as usize * stride;
-                    }
-                    self.stack.truncate(at);
-                    let arr = frame.a[a as usize].as_ref().ok_or_else(|| {
-                        RunError::Unallocated { var: self.var_name(uidx, v).to_string() }
-                    })?;
+                    let n = n as usize;
+                    let mut ix = [0i64; MAX_INLINE_RANK];
+                    self.gather_subs(frame, &bu.subops[subs as usize..subs as usize + n], &mut ix);
+                    let shape = (sd != NO_SDIMS).then(|| &bu.sdims[sd as usize]);
+                    let (arr, off) = self.elem_at(uidx, frame, (vs, v), shape, &ix[..n])?;
+                    store_elem_bits(arr, off, bits, src);
                     self.op(VOp::Store);
-                    store_val(arr, off, Val::from_bits(bits, src));
                 }
                 BInstr::ArrRed { f, vs, v, want } => {
                     let arr = self.handle_in(uidx, frame, vs, v)?;
@@ -1364,18 +1424,28 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     }
                 }
                 BInstr::Alloc { vs, v, ndims, ty } => {
+                    // Bounds go to a stack buffer; a `Vec` is built only
+                    // when a new `ArrayObj` really is (pool miss).
                     let n = ndims as usize;
                     let at = self.stack.len() - 2 * n;
-                    let mut rd = Vec::with_capacity(n);
-                    for d in 0..n {
-                        let lo = self.stack[at + 2 * d] as i64;
-                        let hi = self.stack[at + 2 * d + 1] as i64;
-                        rd.push((lo, hi));
-                    }
+                    let bound = |d: usize| {
+                        (self.stack[at + 2 * d] as i64, self.stack[at + 2 * d + 1] as i64)
+                    };
+                    let mut buf = [(0i64, 0i64); MAX_INLINE_RANK];
+                    let spill: Vec<(i64, i64)>;
+                    let rd: &[(i64, i64)] = if n <= MAX_INLINE_RANK {
+                        for (d, b) in buf[..n].iter_mut().enumerate() {
+                            *b = bound(d);
+                        }
+                        &buf[..n]
+                    } else {
+                        spill = (0..n).map(bound).collect();
+                        &spill
+                    };
                     self.stack.truncate(at);
-                    let obj = match self.apool_take(ty, &rd) {
+                    let obj = match self.apool_take(ty, rd) {
                         Some(o) => o,
-                        None => Arc::new(ArrayObj::try_new(ty, rd.clone())?),
+                        None => Arc::new(ArrayObj::try_new(ty, rd.to_vec())?),
                     };
                     self.add_misc(|c| c.alloc_calls += 1);
                     let bytes = (obj.len() * 8) as u64;
@@ -1392,7 +1462,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                             let gc = &self.ex.globals.cells[c as usize];
                             let prev = if gc.is_per_thread() {
                                 gc.set_array_all_threads(self.tid, || {
-                                    Arc::new(ArrayObj::new(ty, rd.clone()))
+                                    Arc::new(ArrayObj::new(ty, rd.to_vec()))
                                 })
                             } else {
                                 gc.set_array(self.tid, Some(obj))
@@ -1624,13 +1694,8 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     let arr = self.handle_in(uidx, frame, vs, v)?;
                     let off = arr.offset(self.var_name(uidx, v), &subs)?;
                     self.op(VOp::Load);
-                    let val = match arr.ty {
-                        ScalarTy::I => Val::I(arr.get_i(off)),
-                        ScalarTy::F => Val::F(arr.get_f(off)),
-                        ScalarTy::B => Val::B(arr.get_b(off)),
-                    };
                     self.sstash.extend_from_slice(&subs);
-                    self.push(val.to_bits(want));
+                    self.push(load_elem_bits(&arr, off, want));
                 }
                 BInstr::PushArr { vs, v } => {
                     let h = self.handle_in(uidx, frame, vs, v)?;

@@ -184,6 +184,101 @@ fn aliased_streams_deopt_and_match_oracle() {
     }
 }
 
+/// Region entry borrows each stream's array from the frame's handle
+/// bank or the VM's global-handle cache instead of cloning the `Arc`.
+/// The invariant that makes the borrow sound — no `Alloc`/`Dealloc`
+/// executes inside a region, and the frame and the cache own the `Arc`s
+/// for the entry's duration — is attacked from outside the region here:
+/// the same promoted regions are re-entered after their frame
+/// allocatables were `DEALLOCATE`d and re-`ALLOCATE`d at a different
+/// size (recycled through the VM's allocation pool), and after a callee
+/// re-allocated the global stream (which must invalidate the cached
+/// handle). Any stream resolved from a previous entry's array would
+/// read stale cells or walk past the new bounds.
+const CHURN: &str = r#"
+MODULE m
+  REAL(8), ALLOCATABLE, DIMENSION(:) :: gbuf
+CONTAINS
+  SUBROUTINE regrow(n)
+    INTEGER :: n
+    INTEGER :: i
+    IF (ALLOCATED(gbuf)) DEALLOCATE(gbuf)
+    ALLOCATE(gbuf(1:n))
+    DO i = 1, n
+      gbuf(i) = i * 0.25D0
+    END DO
+  END SUBROUTINE regrow
+  SUBROUTINE churn(out, rounds)
+    REAL(8), DIMENSION(1:16) :: out
+    INTEGER :: rounds
+    REAL(8), ALLOCATABLE, DIMENSION(:) :: t, u
+    INTEGER :: r, i, n
+    DO r = 1, rounds
+      n = 3 + MOD(r * 5, 11)
+      ALLOCATE(t(1:n))
+      ALLOCATE(u(1:n))
+      CALL regrow(n)
+      DO i = 1, n
+        t(i) = gbuf(i) + r * 1.0D0
+      END DO
+      DO i = 1, n
+        u(i) = t(i) * 2.0D0 + gbuf(i)
+      END DO
+      DO i = 1, n
+        out(i) = out(i) + u(i)
+      END DO
+      DEALLOCATE(t)
+      DEALLOCATE(u)
+    END DO
+  END SUBROUTINE churn
+END MODULE m
+"#;
+
+#[test]
+fn reallocated_streams_between_entries_never_read_stale() {
+    const ROUNDS: i64 = 200;
+    // Every operation is exact in f64, so the expectation is too.
+    let mut want = [0.0f64; 16];
+    for r in 1..=ROUNDS {
+        let n = 3 + (r * 5) % 11;
+        for i in 1..=n {
+            let g = i as f64 * 0.25;
+            want[i as usize - 1] += (g + r as f64) * 2.0 + g;
+        }
+    }
+    let run = |session: &Session, tier| {
+        let out = ArgVal::array_f(&[0.0; 16], 1);
+        session
+            .run_tiered("churn", &[out.clone(), ArgVal::I(ROUNDS)], ExecMode::Serial, tier)
+            .unwrap();
+        out.handle().unwrap().to_f64_vec()
+    };
+    let oracle = run(&Session::compile(&[CHURN]).unwrap(), ExecTier::TreeWalk);
+    assert_eq!(oracle, want);
+
+    // Eager native, default promotion (regions go native mid-run, after
+    // 32 vector-rung entries), and the vector rung alone.
+    let native = eager(CHURN);
+    let promoted = Session::compile(&[CHURN]).unwrap();
+    let vector = Session::compile(&[CHURN]).unwrap();
+    vector.set_native_enabled(false);
+    for (label, session) in [("eager", &native), ("promoted", &promoted), ("vector", &vector)] {
+        let got = run(session, ExecTier::Vm);
+        for (k, (g, w)) in got.iter().zip(&oracle).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{label}: out({}) diverges from oracle", k + 1);
+        }
+        assert_eq!(session.fallback_count(), 0, "{label}: no trap-and-fallback");
+    }
+    // All four loops are regions and every entry commits: the guards
+    // see the arrays of *this* entry, so none of them fails.
+    assert_eq!(vector.vector_entry_count(), 4 * ROUNDS as u64);
+    if fortrans::jit::available() {
+        assert_eq!(native.native_entry_count(), 4 * ROUNDS as u64);
+        assert_eq!(native.native_deopt_count(), 0);
+        assert!(promoted.native_entry_count() > 0 && promoted.native_deopt_count() == 0);
+    }
+}
+
 #[test]
 fn run_profiled_surfaces_native_counters() {
     let engine = eager(SHIFT);

@@ -7,7 +7,7 @@
 //! the bottom additionally pins VM/tree-walker agreement for the full
 //! clause set.
 
-use fortrans::{ArgVal, ExecMode, ExecTier, Session, Val};
+use fortrans::{ArgVal, ExecMode, ExecTier, RunError, RunLimits, Session, Val};
 
 fn engine(src: &str) -> Session {
     Session::compile(&[src]).unwrap_or_else(|e| panic!("{e}\n{src}"))
@@ -234,6 +234,106 @@ END MODULE m
 /// CRITICAL — run through both execution tiers in all three modes.
 /// The accumulators are integer-valued reals, so even the Parallel
 /// combine is exact and both tiers must agree to the bit.
+/// `IF (.NOT. ALLOCATED(tb)) ALLOCATE(tb)` on a SAVE (per-thread)
+/// allocatable is check-then-act: thread 1 sees "not allocated",
+/// thread 0's ALLOCATE then provisions every thread's instance, and
+/// thread 1's own ALLOCATE must claim its instance instead of failing
+/// with `AlreadyAllocated`. The two module flags force exactly that
+/// interleaving (thread 0 waits until thread 1 has evaluated the guard,
+/// thread 1 waits until thread 0 has allocated); the deadline turns a
+/// broken handshake into an error instead of a hang.
+#[test]
+fn guarded_allocate_of_save_array_is_not_a_check_then_act_race() {
+    let src = r#"
+MODULE m
+  INTEGER :: seen, done
+CONTAINS
+  SUBROUTINE touch(i, out)
+    INTEGER :: i
+    REAL(8), DIMENSION(1:2) :: out
+    REAL(8), DIMENSION(:), ALLOCATABLE, SAVE :: tb
+    IF (i == 1) THEN
+      DO WHILE (seen == 0)
+      END DO
+      ALLOCATE(tb(1:5))
+      done = 1
+    ELSE
+      IF (.NOT. ALLOCATED(tb)) THEN
+        seen = 1
+        DO WHILE (done == 0)
+        END DO
+        ALLOCATE(tb(1:5))
+      END IF
+    END IF
+    tb(i) = tb(i) + i * 1.0D0
+    out(i) = tb(i)
+  END SUBROUTINE touch
+  SUBROUTINE race(out)
+    REAL(8), DIMENSION(1:2) :: out
+    INTEGER :: i
+    seen = 0
+    done = 0
+    !$OMP PARALLEL DO
+    DO i = 1, 2
+      CALL touch(i, out)
+    END DO
+    !$OMP END PARALLEL DO
+  END SUBROUTINE race
+END MODULE m
+"#;
+    for tier in [ExecTier::Vm, ExecTier::TreeWalk] {
+        let mut e = engine(src);
+        e.set_limits(RunLimits {
+            deadline: Some(std::time::Duration::from_secs(30)),
+            ..RunLimits::default()
+        });
+        let out = ArgVal::array_f(&[0.0; 2], 1);
+        e.run_tiered("race", std::slice::from_ref(&out), ExecMode::Parallel { threads: 2 }, tier)
+            .unwrap_or_else(|err| panic!("{tier:?}: {err}"));
+        // Each thread wrote its own fresh, zeroed instance.
+        assert_eq!(out.handle().unwrap().to_f64_vec(), vec![1.0, 2.0], "{tier:?}");
+    }
+}
+
+/// The claim is one-shot: a thread that ALLOCATEs its own instance
+/// twice still gets `AlreadyAllocated`, on thread 0 and inside a region.
+#[test]
+fn double_allocate_of_save_array_by_one_thread_still_fails() {
+    let src = r#"
+MODULE m
+CONTAINS
+  SUBROUTINE twice()
+    REAL(8), DIMENSION(:), ALLOCATABLE, SAVE :: tb
+    ALLOCATE(tb(1:5))
+    ALLOCATE(tb(1:5))
+  END SUBROUTINE twice
+  SUBROUTINE twice_in_region()
+    INTEGER :: i
+    !$OMP PARALLEL DO
+    DO i = 1, 2
+      CALL twice()
+    END DO
+    !$OMP END PARALLEL DO
+  END SUBROUTINE twice_in_region
+END MODULE m
+"#;
+    for tier in [ExecTier::Vm, ExecTier::TreeWalk] {
+        for (unit, mode) in [
+            ("twice", ExecMode::Serial),
+            ("twice_in_region", ExecMode::Parallel { threads: 2 }),
+        ] {
+            let err = engine(src)
+                .run_tiered(unit, &[], mode, tier)
+                .expect_err("second ALLOCATE by the same thread");
+            assert_eq!(
+                err.root(),
+                &RunError::AlreadyAllocated { var: "tb".into() },
+                "{tier:?} {unit}"
+            );
+        }
+    }
+}
+
 #[test]
 fn clause_matrix_agrees_across_tiers() {
     let src = r#"

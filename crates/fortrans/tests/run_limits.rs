@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use fortrans::{ArgVal, ExecMode, ExecTier, RunLimits, Session, Val};
+use fortrans::{ArgVal, ExecMode, ExecTier, RunError, RunLimits, Session, Val};
 
 const SPIN: &str = r#"
 MODULE m
@@ -150,6 +150,83 @@ END MODULE m
             .expect_err("division by zero");
         let s = err.to_string();
         assert!(s.contains("in shatter at line "), "{tier:?} context missing: {s}");
+    }
+}
+
+/// Element accesses whose subscripts the VM reads straight from frame
+/// slots / the subscript table (no pushes, name looked up only on the
+/// error path) fault exactly like the tree-walker: same `RunError`
+/// variant and fields, same `in unit at line N` context.
+#[test]
+fn operand_addressed_access_faults_match_the_oracle() {
+    let src = r#"
+MODULE m
+  REAL(8), ALLOCATABLE, DIMENSION(:, :) :: heap
+CONTAINS
+  REAL(8) FUNCTION dyn_load(a, i, j)
+    REAL(8), DIMENSION(1:4, 0:2) :: a
+    INTEGER :: i, j
+    dyn_load = a(i, j)
+  END FUNCTION dyn_load
+  SUBROUTINE dyn_store(a, i, j)
+    REAL(8), DIMENSION(1:4, 0:2) :: a
+    INTEGER :: i, j
+    a(i, 2) = 1.0D0
+    a(i, j) = 2.0D0
+  END SUBROUTINE dyn_store
+  REAL(8) FUNCTION fixed_local(i)
+    INTEGER :: i
+    REAL(8), DIMENSION(1:3, 1:2) :: t
+    t(i, 2) = 5.0D0
+    fixed_local = t(2, i)
+  END FUNCTION fixed_local
+  REAL(8) FUNCTION unallocated(i)
+    INTEGER :: i
+    unallocated = heap(i, 1)
+  END FUNCTION unallocated
+END MODULE m
+"#;
+    let oob = |var: &str, dim, index, lo, hi| RunError::OutOfBounds {
+        var: var.to_string(),
+        dim,
+        index,
+        lo,
+        hi,
+    };
+    let a = || ArgVal::array_f_dims(&[0.0; 12], vec![(1, 4), (0, 2)]).unwrap();
+    let flat = || ArgVal::array_f(&[0.0; 12], 1);
+    type Case = (&'static str, Vec<ArgVal>, u32, RunError);
+    let cases: Vec<Case> = vec![
+        ("dyn_load", vec![a(), ArgVal::I(5), ArgVal::I(0)], 8, oob("a", 0, 5, 1, 4)),
+        ("dyn_load", vec![a(), ArgVal::I(4), ArgVal::I(-1)], 8, oob("a", 1, -1, 0, 2)),
+        // Both subscripts bad: the first dimension is reported.
+        ("dyn_load", vec![a(), ArgVal::I(0), ArgVal::I(3)], 8, oob("a", 0, 0, 1, 4)),
+        ("dyn_store", vec![a(), ArgVal::I(0), ArgVal::I(0)], 13, oob("a", 0, 0, 1, 4)),
+        ("dyn_store", vec![a(), ArgVal::I(1), ArgVal::I(3)], 14, oob("a", 1, 3, 0, 2)),
+        // A rank-1 handle behind a rank-2 dummy.
+        (
+            "dyn_load",
+            vec![flat(), ArgVal::I(1), ArgVal::I(1)],
+            8,
+            RunError::Type { msg: "`a`: rank 1 referenced with 2 subscripts".into() },
+        ),
+        ("fixed_local", vec![ArgVal::I(4)], 19, oob("t", 0, 4, 1, 3)),
+        ("fixed_local", vec![ArgVal::I(3)], 20, oob("t", 1, 3, 1, 2)),
+        ("unallocated", vec![ArgVal::I(1)], 24, RunError::Unallocated { var: "heap".into() }),
+    ];
+    let engine = Session::compile(&[src]).unwrap();
+    for (unit, args, line, want) in cases {
+        let fault = |tier| {
+            engine
+                .run_tiered(unit, &args, ExecMode::Serial, tier)
+                .expect_err("the access faults")
+        };
+        let (vm, tw) = (fault(ExecTier::Vm), fault(ExecTier::TreeWalk));
+        assert_eq!(vm.root(), &want, "{unit}: VM fault");
+        assert_eq!(tw.root(), &want, "{unit}: oracle fault");
+        let ctx = format!("(in {unit} at line {line})");
+        assert!(vm.to_string().ends_with(&ctx), "{unit}: VM context: {vm}");
+        assert_eq!(vm.to_string(), tw.to_string(), "{unit}: rendered fault");
     }
 }
 

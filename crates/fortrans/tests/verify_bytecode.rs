@@ -10,7 +10,7 @@
 //! here explicitly so a verifier regression fails loudly rather than
 //! through some downstream test.
 
-use fortrans::bytecode::{compile_program, BInstr, BUnit};
+use fortrans::bytecode::{compile_program, BInstr, BUnit, SubOp, MAX_INLINE_RANK};
 use fortrans::verify::verify_program;
 use fortrans::Session;
 
@@ -87,6 +87,88 @@ fn rejects_scalar_slot_out_of_range() {
     }
     let msg = reject_msg(&engine, &bad);
     assert!(msg.contains("out of range"), "got: {msg}");
+}
+
+const GATHER: &str = r#"
+MODULE m
+CONTAINS
+  SUBROUTINE gather(a, nbr, n)
+    REAL(8), DIMENSION(1:8, 1:8) :: a
+    INTEGER, DIMENSION(1:8) :: nbr
+    INTEGER :: n, i, j
+    DO j = 1, n
+      DO i = 1, n
+        a(i, j) = a(nbr(i), j) + a(i, 1)
+      END DO
+    END DO
+  END SUBROUTINE gather
+END MODULE m
+"#;
+
+/// The first operand-addressed store of `GATHER` with an i-slot operand.
+fn slot_addressed_store(bad: &[BUnit]) -> (usize, usize) {
+    bad.iter()
+        .enumerate()
+        .find_map(|(u, b)| {
+            b.code
+                .iter()
+                .position(|i| match *i {
+                    BInstr::StoreElemS { subs, n, .. } => b.subops
+                        [subs as usize..subs as usize + n as usize]
+                        .iter()
+                        .any(|op| matches!(op, SubOp::Slot(_))),
+                    _ => false,
+                })
+                .map(|pc| (u, pc))
+        })
+        .expect("a(i, j) = ... lowers to a slot-addressed store")
+}
+
+#[test]
+fn rejects_subscript_table_index_out_of_range() {
+    let (engine, mut bad) = compiled(GATHER);
+    let (u, pc) = slot_addressed_store(&bad);
+    let len = bad[u].subops.len() as u32;
+    let BInstr::StoreElemS { subs, .. } = &mut bad[u].code[pc] else { unreachable!() };
+    *subs = len - 1; // the run now hangs over the end of the table
+    let msg = reject_msg(&engine, &bad);
+    assert!(msg.contains("subscript operands"), "got: {msg}");
+    assert!(msg.contains("out of range"), "got: {msg}");
+}
+
+#[test]
+fn rejects_subscript_operand_slot_out_of_range() {
+    let (engine, mut bad) = compiled(GATHER);
+    let (u, pc) = slot_addressed_store(&bad);
+    let BInstr::StoreElemS { subs, .. } = bad[u].code[pc] else { unreachable!() };
+    bad[u].subops[subs as usize] = SubOp::Slot(bad[u].ni);
+    let msg = reject_msg(&engine, &bad);
+    assert!(msg.contains("subscript operand i-slot"), "got: {msg}");
+    assert!(msg.contains("out of range"), "got: {msg}");
+}
+
+#[test]
+fn rejects_over_long_subscript_operand_list() {
+    let (engine, mut bad) = compiled(GATHER);
+    let (u, pc) = slot_addressed_store(&bad);
+    // Even with the table grown so the run itself is in range.
+    bad[u].subops.extend([SubOp::Const(1); MAX_INLINE_RANK + 1]);
+    let BInstr::StoreElemS { n, .. } = &mut bad[u].code[pc] else { unreachable!() };
+    *n = MAX_INLINE_RANK as u8 + 1;
+    let msg = reject_msg(&engine, &bad);
+    assert!(msg.contains("exceeds the cap"), "got: {msg}");
+}
+
+#[test]
+fn rejects_a_stack_operand_nobody_pushed() {
+    let (engine, mut bad) = compiled(GATHER);
+    let (u, pc) = slot_addressed_store(&bad);
+    let BInstr::StoreElemS { subs, .. } = bad[u].code[pc] else { unreachable!() };
+    // The slot read becomes a pop: the access now consumes one value
+    // more than the lowering pushed.
+    bad[u].subops[subs as usize] = SubOp::Stack;
+    let msg = reject_msg(&engine, &bad);
+    assert!(msg.contains("underflow") || msg.contains("inconsistent"), "got: {msg}");
 }
 
 #[test]
@@ -414,6 +496,8 @@ fn every_corpus_program_verifies_in_both_variants() {
 /// corruption, not a pre-existing violation.
 #[test]
 fn rejection_baselines_are_clean() {
-    let (engine, bunits) = compiled(BRANCHY);
-    verify_program(engine.program(), &bunits).expect("baseline verifies");
+    for src in [BRANCHY, GATHER] {
+        let (engine, bunits) = compiled(src);
+        verify_program(engine.program(), &bunits).expect("baseline verifies");
+    }
 }

@@ -1090,6 +1090,59 @@ END MODULE m
     }
 }
 
+/// Operand-addressed element access reads an INTEGER frame subscript
+/// from its slot when the access executes, i.e. after the sibling
+/// subscripts and a store's right-hand side. A function that changes
+/// the subscript variable through copy-out in between must not be
+/// observed: `a(i, bump(i))` and `g(i) = bump(i)` index with the old
+/// `i`. Also nests accesses (`a(j, nbr(j))`) so one operand run is
+/// lowered while another is open.
+#[test]
+fn diff_subscript_read_before_copy_out() {
+    let src = r#"
+MODULE m
+CONTAINS
+  INTEGER FUNCTION bump(k)
+    INTEGER :: k
+    k = k + 1
+    bump = k
+  END FUNCTION bump
+  INTEGER FUNCTION work(a, g)
+    REAL(8), DIMENSION(1:6, 1:6) :: a
+    REAL(8), DIMENSION(1:6) :: g
+    INTEGER, DIMENSION(1:3) :: nbr
+    INTEGER :: i, j
+    i = 1
+    a(i, bump(i)) = 10.0D0
+    a(bump(i), i) = 20.0D0
+    g(i) = bump(i)
+    g(i + 1) = a(i - 3, bump(i) - 3) + a(bump(i) - 5, i - 4)
+    nbr(1) = 3
+    nbr(2) = 1
+    nbr(3) = 2
+    DO j = 1, 3
+      a(j + 3, nbr(j)) = a(nbr(j), j) + g(nbr(nbr(j)) + 2) + 1.0D0
+    END DO
+    work = i
+  END FUNCTION work
+END MODULE m
+"#;
+    differential("subscript-copy-out", src, "work", || {
+        let a: Vec<f64> = (0..36).map(|k| k as f64 * 0.5).collect();
+        let g: Vec<f64> = (0..6).map(|k| 100.0 + k as f64).collect();
+        vec![ArgVal::array_f_dims(&a, vec![(1, 6), (1, 6)]).unwrap(), ArgVal::array_f(&g, 1)]
+    });
+    // Pin the oracle's answer too, so both tiers agreeing on the wrong
+    // one still fails: a(1,2)=10, a(3,3)=20, g(3)=4, final i = 6.
+    let e = Session::compile(&[src]).unwrap();
+    let a = ArgVal::array_f_dims(&[0.0; 36], vec![(1, 6), (1, 6)]).unwrap();
+    let g = ArgVal::array_f(&[0.0; 6], 1);
+    let out = e.run("work", &[a.clone(), g.clone()], ExecMode::Serial).unwrap();
+    assert_eq!(out.result, Some(Val::I(6)));
+    let (a, g) = (a.handle().unwrap().to_f64_vec(), g.handle().unwrap().to_f64_vec());
+    assert_eq!((a[6], a[2 + 2 * 6], g[2]), (10.0, 20.0, 4.0));
+}
+
 #[test]
 fn diff_call_depth_limit_error() {
     let src = r#"
