@@ -43,8 +43,8 @@ fn bench_native_oracles(c: &mut Criterion) {
     let mut g = c.benchmark_group("fun3d_native");
     g.sample_size(20);
     g.bench_function("native_serial", |b| b.iter(|| fun3d::native::native_jacobian(&mesh)));
-    g.bench_function("native_rayon", |b| {
-        b.iter(|| fun3d::native::native_jacobian_rayon(&mesh))
+    g.bench_function("native_parallel", |b| {
+        b.iter(|| fun3d::native::native_jacobian_parallel(&mesh))
     });
     g.finish();
 }

@@ -5,6 +5,16 @@
 //! a serial loop the (modeled) compiler could vectorize lands in the
 //! vector bucket; everything else is scalar. The `simcpu` crate turns a
 //! [`CostTrace`] into simulated time on a machine model.
+//!
+//! Both executors tally through one [`CostAcc`]: it owns the serial
+//! counters, the open parallel region (per-thread buckets, the owner
+//! map that routes each iteration to its thread, the CRITICAL bucket)
+//! and the vectorization class in force. The executors keep only their
+//! call sites — and the gate in front of them (`collect` in the
+//! tree-walker, the `TRACE` const generic in the VM), so an untraced
+//! run never reaches this module.
+
+use crate::rir::VecClass;
 
 /// Raw operation counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -150,6 +160,150 @@ impl CostTrace {
     }
 }
 
+/// Operation kinds the executors report.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum OpKind {
+    Flop,
+    FDiv,
+    FSpecial,
+    IOp,
+    Load,
+    Store,
+}
+
+/// The parallel region a simulated run is currently inside.
+struct OpenRegion {
+    per_thread: Vec<CostCounters>,
+    /// Bucket of the iteration now executing.
+    cur: usize,
+    critical: CostCounters,
+    trip: u64,
+    reductions: usize,
+    /// Flat iteration → owning thread under the region's schedule.
+    owner: Vec<u16>,
+}
+
+/// The cost accumulator of one simulated run.
+#[derive(Default)]
+pub(crate) struct CostAcc {
+    serial: CostCounters,
+    region: Option<Box<OpenRegion>>,
+    trace: CostTrace,
+    /// Nesting depth of the `!$OMP CRITICAL` sections being executed.
+    pub(crate) critical_depth: u32,
+    /// Vectorization class of the serial loop being executed.
+    pub(crate) vec_mode: VecClass,
+}
+
+impl CostAcc {
+    /// The bucket operations are charged to — the running iteration's
+    /// thread inside a region, the serial stretch outside — and, while
+    /// inside a CRITICAL section inside a region, the region's CRITICAL
+    /// bucket as well.
+    #[inline]
+    fn buckets(&mut self) -> (&mut CostCounters, Option<&mut CostCounters>) {
+        match &mut self.region {
+            Some(r) => {
+                let critical = (self.critical_depth > 0).then_some(&mut r.critical);
+                (&mut r.per_thread[r.cur], critical)
+            }
+            None => (&mut self.serial, None),
+        }
+    }
+
+    /// Counts `n` operations of kind `k` in the current bucket (and the
+    /// region's CRITICAL bucket when inside a section). The
+    /// vectorization class picks the scalar or vector side; stores of a
+    /// memset-recognizable loop count as bytes instead.
+    #[inline]
+    pub(crate) fn op_n(&mut self, k: OpKind, n: u64) {
+        let vec = self.vec_mode;
+        let apply = |c: &mut CostCounters| {
+            let o = match vec {
+                VecClass::Simd => &mut c.vector,
+                _ => &mut c.scalar,
+            };
+            match k {
+                OpKind::Flop => o.flop += n,
+                OpKind::FDiv => o.fdiv += n,
+                OpKind::FSpecial => o.fspecial += n,
+                OpKind::IOp => o.iop += n,
+                OpKind::Load => o.load += n,
+                OpKind::Store if vec == VecClass::Memset => c.memset_bytes += 8 * n,
+                OpKind::Store => o.store += n,
+            }
+        };
+        let (bucket, critical) = self.buckets();
+        apply(bucket);
+        if let Some(c) = critical {
+            apply(c);
+        }
+    }
+
+    /// Applies `f` to the current bucket (and the CRITICAL bucket): the
+    /// non-operation counters — branches, calls, allocations, atomics.
+    #[inline]
+    pub(crate) fn add_misc(&mut self, f: impl Fn(&mut CostCounters)) {
+        let (bucket, critical) = self.buckets();
+        f(bucket);
+        if let Some(c) = critical {
+            f(c);
+        }
+    }
+
+    pub(crate) fn in_region(&self) -> bool {
+        self.region.is_some()
+    }
+
+    /// Flushes the serial stretch and opens a region of `team` threads
+    /// whose iteration `k` belongs to thread `owner[k]`.
+    pub(crate) fn open_region(&mut self, owner: Vec<u16>, team: usize, reductions: usize) {
+        let serial = std::mem::take(&mut self.serial);
+        self.trace.push_serial(serial);
+        self.region = Some(Box::new(OpenRegion {
+            per_thread: vec![CostCounters::default(); team],
+            cur: 0,
+            critical: CostCounters::default(),
+            trip: owner.len() as u64,
+            reductions,
+            owner,
+        }));
+    }
+
+    /// Routes what follows to the thread owning flat iteration `k`.
+    pub(crate) fn begin_iteration(&mut self, k: usize) {
+        if let Some(r) = &mut self.region {
+            r.cur = usize::from(r.owner[k]);
+        }
+    }
+
+    /// Routes what follows to the master thread (the end of a nest).
+    pub(crate) fn end_iterations(&mut self) {
+        if let Some(r) = &mut self.region {
+            r.cur = 0;
+        }
+    }
+
+    /// Closes the open region into a [`RegionEvent`] tagged `line`.
+    pub(crate) fn close_region(&mut self, line: u32) {
+        let r = self.region.take().expect("a region is open");
+        self.trace.push_region(RegionEvent {
+            threads: r.per_thread.len(),
+            per_thread: r.per_thread,
+            critical: r.critical,
+            reductions: r.reductions,
+            trip: r.trip,
+            line,
+        });
+    }
+
+    /// Flushes the trailing serial stretch and yields the trace.
+    pub(crate) fn finish(mut self) -> CostTrace {
+        self.trace.push_serial(std::mem::take(&mut self.serial));
+        self.trace
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,5 +357,83 @@ mod tests {
     fn mem_bytes() {
         let o = OpCounts { load: 3, store: 2, ..Default::default() };
         assert_eq!(o.mem_bytes(), 40);
+    }
+
+    #[test]
+    fn critical_op_in_a_region_lands_in_thread_and_critical_buckets() {
+        let mut acc = CostAcc::default();
+        acc.op_n(OpKind::Flop, 2); // serial stretch
+        acc.open_region(vec![0, 1, 1], 2, 0);
+        acc.begin_iteration(2);
+        acc.critical_depth += 1;
+        acc.op_n(OpKind::Load, 3);
+        acc.add_misc(|c| c.atomics += 1);
+        acc.critical_depth -= 1;
+        acc.op_n(OpKind::IOp, 5); // outside the section: thread bucket only
+        acc.close_region(17);
+        // A CRITICAL outside any region serializes nothing.
+        acc.critical_depth += 1;
+        acc.op_n(OpKind::FDiv, 1);
+        acc.critical_depth -= 1;
+        let events = acc.finish().events;
+        let [TraceEvent::Serial(before), TraceEvent::Region(r), TraceEvent::Serial(after)] =
+            &events[..]
+        else {
+            panic!("{events:?}");
+        };
+        assert_eq!(before.scalar.flop, 2);
+        assert!(r.per_thread[0].is_zero());
+        assert_eq!((r.per_thread[1].scalar.load, r.per_thread[1].atomics), (3, 1));
+        assert_eq!(r.per_thread[1].scalar.iop, 5);
+        assert_eq!((r.critical.scalar.load, r.critical.atomics, r.critical.scalar.iop), (3, 1, 0));
+        assert_eq!(after.scalar.fdiv, 1);
+    }
+
+    #[test]
+    fn vec_class_picks_the_bucket() {
+        let mut acc = CostAcc { vec_mode: VecClass::Memset, ..Default::default() };
+        acc.op_n(OpKind::Store, 4);
+        acc.op_n(OpKind::IOp, 1);
+        acc.vec_mode = VecClass::Simd;
+        acc.op_n(OpKind::Store, 2);
+        acc.op_n(OpKind::FSpecial, 6);
+        acc.vec_mode = VecClass::None;
+        acc.op_n(OpKind::Store, 1);
+        let t = acc.finish().total();
+        assert_eq!(t.memset_bytes, 32);
+        assert_eq!((t.vector.store, t.vector.fspecial), (2, 6));
+        assert_eq!((t.scalar.store, t.scalar.iop), (1, 1));
+    }
+
+    #[test]
+    fn owner_map_routes_iterations_and_close_emits_the_event() {
+        let owner = vec![0, 0, 2, 1, 2];
+        let mut acc = CostAcc::default();
+        acc.open_region(owner.clone(), 3, 2);
+        assert!(acc.in_region());
+        for k in 0..owner.len() {
+            acc.begin_iteration(k);
+            acc.op_n(OpKind::Flop, 10u64.pow(k as u32));
+        }
+        acc.end_iterations();
+        acc.add_misc(|c| c.branches += 1); // after the nest: master thread
+        acc.close_region(42);
+        assert!(!acc.in_region());
+        let mut expect = vec![CostCounters::default(); 3];
+        expect[0].scalar.flop = 11;
+        expect[0].branches = 1;
+        expect[1].scalar.flop = 1_000;
+        expect[2].scalar.flop = 10_100;
+        assert_eq!(
+            acc.finish().events,
+            vec![TraceEvent::Region(RegionEvent {
+                threads: 3,
+                per_thread: expect,
+                critical: CostCounters::default(),
+                reductions: 2,
+                trip: 5,
+                line: 42,
+            })]
+        );
     }
 }

@@ -16,23 +16,26 @@
 //! `OMP_NESTED=false`) while still paying the fork cost — the mechanism
 //! behind the FUN3D "inner-loop parallelization only adds overhead"
 //! finding (§4.2.2).
+//!
+//! The three modes' region protocol is [`crate::region`]'s and the cost
+//! bookkeeping is [`crate::cost::CostAcc`]'s, both shared with the VM;
+//! this file keeps what makes the tree-walker an independent oracle —
+//! expression and statement evaluation over [`Frame`]s — and tells the
+//! driver how to drive it (`TaskSite`).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use omprt::{chunks_for, CriticalRegistry, Schedule, ThreadPool};
+use omprt::{CriticalRegistry, Schedule, ThreadPool};
 use parking_lot::Mutex;
 
 use crate::ast::{Bin, RedOp};
-use crate::cost::{CostCounters, CostTrace, RegionEvent};
+use crate::cost::{CostCounters, CostTrace, OpKind};
 use crate::error::RunError;
 use crate::intrinsics::Intr;
+use crate::region::{self, Reduction, RegionSpec, RegionState};
 use crate::rir::*;
-use crate::storage::{ArrayObj, Frame, FrameVal, GlobalCell, Globals};
-
-/// Reduction partials from one parallel region, keyed for a
-/// deterministic combine order (tid under static schedules, first flat
-/// iteration of the chunk under dynamic/guided).
-type KeyedPartials = Vec<(usize, Result<Vec<Val>, RunError>)>;
+use crate::storage::{ArrayObj, Frame, FrameVal, Globals};
 
 /// Execution mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,6 +185,23 @@ impl EffLimits {
         }
     }
 
+    /// Per-step accounting (a statement in the tree-walker, an instruction
+    /// in the VM): the step budget on every step, the interrupt safepoint
+    /// every 1024. `line` (0 = unknown) locates a cancellation report.
+    #[inline(always)]
+    pub(crate) fn tick(&self, steps: &mut u64, line: u32) -> Result<(), RunError> {
+        *steps += 1;
+        if let Some(max) = self.max_steps {
+            if *steps > max {
+                return Err(RunError::Limit { msg: format!("step budget of {max} exhausted") });
+            }
+        }
+        if self.poll && steps.is_multiple_of(1024) {
+            self.check_interrupt((line > 0).then_some(line))?;
+        }
+        Ok(())
+    }
+
     pub(crate) fn check_deadline(&self) -> Result<(), RunError> {
         if let Some(t) = self.deadline {
             if std::time::Instant::now() >= t {
@@ -273,19 +293,11 @@ pub(crate) struct Task<'e> {
     ex: &'e Exec,
     /// Logical thread id (selects per-thread global cells).
     tid: usize,
-    /// Collect cost counters (Simulated mode)?
+    /// Collect cost counters (Simulated mode)? Gates every call into
+    /// `st.cost`.
     collect: bool,
-    serial_cost: CostCounters,
-    region: Option<Box<RegionCtx>>,
-    trace: CostTrace,
-    /// Real threads currently executing under a forked region.
-    in_real_region: bool,
-    /// Simulated-mode: inside a region (for nesting detection).
-    in_sim_region: bool,
-    critical_depth: u32,
-    vec_mode: VecClass,
+    st: RegionState,
     depth: usize,
-    out: String,
     /// Source line of the statement currently executing (fault context).
     cur_line: u32,
     /// Unit currently executing (fault context).
@@ -298,41 +310,14 @@ pub(crate) struct Task<'e> {
     pub(crate) prof: Option<&'e crate::trace::Collector>,
 }
 
-struct RegionCtx {
-    per_thread: Vec<CostCounters>,
-    cur: usize,
-    critical: CostCounters,
-    threads: usize,
-    trip: u64,
-    reductions: usize,
-}
-
-/// Operation kinds for cost hooks.
-#[derive(Clone, Copy)]
-enum OpK {
-    Flop,
-    FDiv,
-    FSpecial,
-    IOp,
-    Load,
-    Store,
-}
-
 impl<'e> Task<'e> {
     pub(crate) fn new(ex: &'e Exec, tid: usize, collect: bool) -> Self {
         Task {
             ex,
             tid,
             collect,
-            serial_cost: CostCounters::default(),
-            region: None,
-            trace: CostTrace::default(),
-            in_real_region: false,
-            in_sim_region: false,
-            critical_depth: 0,
-            vec_mode: VecClass::None,
+            st: RegionState::default(),
             depth: 0,
-            out: String::new(),
             cur_line: 0,
             cur_unit: 0,
             steps: 0,
@@ -351,64 +336,21 @@ impl<'e> Task<'e> {
         e.with_ctx(self.cur_unit_name(), line, None)
     }
 
-    fn bucket(&mut self) -> &mut CostCounters {
-        match &mut self.region {
-            Some(r) => &mut r.per_thread[r.cur],
-            None => &mut self.serial_cost,
-        }
-    }
-
     #[inline]
-    fn op(&mut self, k: OpK) {
-        if !self.collect {
-            return;
-        }
+    fn op(&mut self, k: OpKind) {
         self.op_n(k, 1);
     }
 
-    fn op_n(&mut self, k: OpK, n: u64) {
-        if !self.collect {
-            return;
-        }
-        let vec = self.vec_mode;
-        let crit = self.critical_depth > 0 && self.region.is_some();
-        let apply = |c: &mut CostCounters| {
-            let o = match vec {
-                VecClass::Simd => &mut c.vector,
-                _ => &mut c.scalar,
-            };
-            match k {
-                OpK::Flop => o.flop += n,
-                OpK::FDiv => o.fdiv += n,
-                OpK::FSpecial => o.fspecial += n,
-                OpK::IOp => o.iop += n,
-                OpK::Load => o.load += n,
-                OpK::Store => {
-                    if vec == VecClass::Memset {
-                        c.memset_bytes += 8 * n;
-                    } else {
-                        o.store += n;
-                    }
-                }
-            }
-        };
-        apply(self.bucket());
-        if crit {
-            if let Some(r) = &mut self.region {
-                apply(&mut r.critical);
-            }
+    #[inline]
+    fn op_n(&mut self, k: OpKind, n: u64) {
+        if self.collect {
+            self.st.cost.op_n(k, n);
         }
     }
 
     fn add_misc(&mut self, f: impl Fn(&mut CostCounters)) {
-        if !self.collect {
-            return;
-        }
-        f(self.bucket());
-        if self.critical_depth > 0 {
-            if let Some(r) = &mut self.region {
-                f(&mut r.critical);
-            }
+        if self.collect {
+            self.st.cost.add_misc(f);
         }
     }
 
@@ -427,7 +369,7 @@ impl<'e> Task<'e> {
                 }),
             },
             Place::Global(cell) => {
-                self.op(OpK::Load);
+                self.op(OpKind::Load);
                 let bits = self.ex.globals.cells[cell].load_bits(self.tid);
                 Ok(Val::from_bits(bits, info.ty))
             }
@@ -440,21 +382,13 @@ impl<'e> Task<'e> {
         frame: &mut Frame,
         v: VarIdx,
         val: Val,
-    ) -> Result<(), RunError> {
+    ) {
         let info = &unit.vars[v];
         match info.place {
-            Place::Frame(slot) => {
-                frame.slots[slot] = match info.ty {
-                    ScalarTy::I => FrameVal::I(val.as_i()),
-                    ScalarTy::F => FrameVal::F(val.as_f()),
-                    ScalarTy::B => FrameVal::B(val.as_b()),
-                };
-                Ok(())
-            }
+            Place::Frame(slot) => frame.slots[slot] = typed_frameval(val, info.ty),
             Place::Global(cell) => {
-                self.op(OpK::Store);
+                self.op(OpKind::Store);
                 self.ex.globals.cells[cell].store_bits(self.tid, val.to_bits(info.ty));
-                Ok(())
             }
         }
     }
@@ -501,7 +435,7 @@ impl<'e> Task<'e> {
                 let ix = self.eval_subs(unit, frame, subs)?;
                 let arr = self.array_handle(unit, frame, *v)?;
                 let off = arr.offset(&unit.vars[*v].name, &ix)?;
-                self.op(OpK::Load);
+                self.op(OpKind::Load);
                 Ok(match arr.ty {
                     ScalarTy::I => Val::I(arr.get_i(off)),
                     ScalarTy::F => Val::F(arr.get_f(off)),
@@ -516,8 +450,8 @@ impl<'e> Task<'e> {
             RExpr::Neg(x) => {
                 let v = self.eval(unit, frame, x)?;
                 self.op(match v {
-                    Val::F(_) => OpK::Flop,
-                    _ => OpK::IOp,
+                    Val::F(_) => OpKind::Flop,
+                    _ => OpKind::IOp,
                 });
                 Ok(match v {
                     Val::I(i) => Val::I(-i),
@@ -527,7 +461,7 @@ impl<'e> Task<'e> {
             }
             RExpr::Not(x) => {
                 let v = self.eval(unit, frame, x)?;
-                self.op(OpK::IOp);
+                self.op(OpKind::IOp);
                 Ok(Val::B(!v.as_b()))
             }
             RExpr::ToF(x) => {
@@ -543,7 +477,7 @@ impl<'e> Task<'e> {
                 for a in args {
                     vals.push(self.eval(unit, frame, a)?);
                 }
-                self.op(if f.is_special() { OpK::FSpecial } else { OpK::Flop });
+                self.op(if f.is_special() { OpKind::FSpecial } else { OpKind::Flop });
                 // Integer-flavored when every operand is I.
                 if vals.iter().all(|v| matches!(v, Val::I(_)))
                     && matches!(
@@ -564,8 +498,8 @@ impl<'e> Task<'e> {
             RExpr::ArrReduce { f, v } => {
                 let arr = self.array_handle(unit, frame, *v)?;
                 let n = arr.len();
-                self.op_n(OpK::Load, n as u64);
-                self.op_n(OpK::Flop, n as u64);
+                self.op_n(OpKind::Load, n as u64);
+                self.op_n(OpKind::Flop, n as u64);
                 Ok(match f {
                     ArrRed::Size => Val::I(n as i64),
                     ArrRed::Sum => match arr.ty {
@@ -608,15 +542,15 @@ impl<'e> Task<'e> {
     fn eval_bin(&mut self, op: Bin, ty: ScalarTy, a: Val, b: Val) -> Result<Val, RunError> {
         match op {
             Bin::And => {
-                self.op(OpK::IOp);
+                self.op(OpKind::IOp);
                 return Ok(Val::B(a.as_b() && b.as_b()));
             }
             Bin::Or => {
-                self.op(OpK::IOp);
+                self.op(OpKind::IOp);
                 return Ok(Val::B(a.as_b() || b.as_b()));
             }
             Bin::Eq | Bin::Ne | Bin::Lt | Bin::Le | Bin::Gt | Bin::Ge => {
-                self.op(if ty == ScalarTy::F { OpK::Flop } else { OpK::IOp });
+                self.op(if ty == ScalarTy::F { OpKind::Flop } else { OpKind::IOp });
                 let r = match ty {
                     ScalarTy::F => {
                         let (x, y) = (a.as_f(), b.as_f());
@@ -650,23 +584,23 @@ impl<'e> Task<'e> {
                 let (x, y) = (a.as_f(), b.as_f());
                 let r = match op {
                     Bin::Add => {
-                        self.op(OpK::Flop);
+                        self.op(OpKind::Flop);
                         x + y
                     }
                     Bin::Sub => {
-                        self.op(OpK::Flop);
+                        self.op(OpKind::Flop);
                         x - y
                     }
                     Bin::Mul => {
-                        self.op(OpK::Flop);
+                        self.op(OpKind::Flop);
                         x * y
                     }
                     Bin::Div => {
-                        self.op(OpK::FDiv);
+                        self.op(OpKind::FDiv);
                         x / y
                     }
                     Bin::Pow => {
-                        self.op(OpK::FSpecial);
+                        self.op(OpKind::FSpecial);
                         match b {
                             Val::I(e) if e.unsigned_abs() <= 64 => x.powi(e as i32),
                             _ => x.powf(y),
@@ -678,7 +612,7 @@ impl<'e> Task<'e> {
             }
             ScalarTy::I => {
                 let (x, y) = (a.as_i(), b.as_i());
-                self.op(OpK::IOp);
+                self.op(OpKind::IOp);
                 let r = match op {
                     Bin::Add => x.wrapping_add(y),
                     Bin::Sub => x.wrapping_sub(y),
@@ -766,7 +700,7 @@ impl<'e> Task<'e> {
                     let ix = self.eval_subs(unit, frame, subs)?;
                     let arr = self.array_handle(unit, frame, *v)?;
                     let off = arr.offset(&unit.vars[*v].name, &ix)?;
-                    self.op(OpK::Load);
+                    self.op(OpKind::Load);
                     let val = match arr.ty {
                         ScalarTy::I => Val::I(arr.get_i(off)),
                         ScalarTy::F => Val::F(arr.get_f(off)),
@@ -819,13 +753,13 @@ impl<'e> Task<'e> {
             match wb {
                 Writeback::Scalar(v) => {
                     let val = frameval_to_val(&cframe.slots[pslot], pinfo.ty);
-                    self.write_scalar(unit, frame, v, val)?;
+                    self.write_scalar(unit, frame, v, val);
                 }
                 Writeback::Elem(v, ix) => {
                     let val = frameval_to_val(&cframe.slots[pslot], pinfo.ty);
                     let arr = self.array_handle(unit, frame, v)?;
                     let off = arr.offset(&unit.vars[v].name, &ix)?;
-                    self.op(OpK::Store);
+                    self.op(OpKind::Store);
                     store_val(&arr, off, val);
                 }
                 Writeback::None => {}
@@ -851,29 +785,13 @@ impl<'e> Task<'e> {
     ) -> Result<Flow, RunError> {
         for sp in body {
             self.cur_line = sp.line;
-            self.tick()?;
+            self.ex.limits.tick(&mut self.steps, self.cur_line)?;
             match self.exec_stmt(unit, frame, &sp.s)? {
                 Flow::Normal => {}
                 f => return Ok(f),
             }
         }
         Ok(Flow::Normal)
-    }
-
-    /// Per-statement accounting against the engine's `RunLimits`.
-    #[inline]
-    fn tick(&mut self) -> Result<(), RunError> {
-        self.steps += 1;
-        let lim = &self.ex.limits;
-        if let Some(max) = lim.max_steps {
-            if self.steps > max {
-                return Err(RunError::Limit { msg: format!("step budget of {max} exhausted") });
-            }
-        }
-        if lim.poll && self.steps.is_multiple_of(1024) {
-            lim.check_interrupt((self.cur_line > 0).then_some(self.cur_line))?;
-        }
-        Ok(())
     }
 
     fn exec_stmt(
@@ -885,7 +803,7 @@ impl<'e> Task<'e> {
         match s {
             RStmt::AssignScalar { v, e } => {
                 let val = self.eval(unit, frame, e)?;
-                self.write_scalar(unit, frame, *v, val)?;
+                self.write_scalar(unit, frame, *v, val);
                 Ok(Flow::Normal)
             }
             RStmt::AssignElem { v, subs, e } => {
@@ -893,7 +811,7 @@ impl<'e> Task<'e> {
                 let val = self.eval(unit, frame, e)?;
                 let arr = self.array_handle(unit, frame, *v)?;
                 let off = arr.offset(&unit.vars[*v].name, &ix)?;
-                self.op(OpK::Store);
+                self.op(OpKind::Store);
                 store_val(&arr, off, val);
                 Ok(Flow::Normal)
             }
@@ -901,7 +819,7 @@ impl<'e> Task<'e> {
                 let val = self.eval(unit, frame, e)?;
                 let arr = self.array_handle(unit, frame, *v)?;
                 let n = arr.len();
-                self.op_n(OpK::Store, n as u64);
+                self.op_n(OpKind::Store, n as u64);
                 for off in 0..n {
                     store_val(&arr, off, val);
                 }
@@ -920,8 +838,8 @@ impl<'e> Task<'e> {
                     });
                 }
                 let n = d.len();
-                self.op_n(OpK::Load, n as u64);
-                self.op_n(OpK::Store, n as u64);
+                self.op_n(OpKind::Load, n as u64);
+                self.op_n(OpKind::Store, n as u64);
                 for off in 0..n {
                     d.set_bits(off, s.get_bits(off));
                 }
@@ -930,41 +848,30 @@ impl<'e> Task<'e> {
             RStmt::AtomicUpdate { v, subs, op, e } => {
                 let delta = self.eval(unit, frame, e)?;
                 self.add_misc(|c| c.atomics += 1);
-                self.op(OpK::Load);
-                self.op(OpK::Store);
+                self.op(OpKind::Load);
+                self.op(OpKind::Store);
                 let info = &unit.vars[*v];
                 if info.rank == 0 {
                     match info.place {
-                        Place::Global(cell) =>
-
-                        {
-                            let g = &self.ex.globals.cells[cell];
-                            atomic_scalar_update(g, self.tid, info.ty, *op, delta);
+                        Place::Global(cell) => {
+                            let atom = self.ex.globals.cells[cell].scalar_atomic(self.tid);
+                            atomic_update(atom, info.ty, *op, delta);
                         }
                         Place::Frame(_) => {
                             // Frame scalar: thread-private anyway; plain RMW.
                             let cur = self.read_scalar(unit, frame, *v)?;
                             let nv = combine_vals(info.ty, *op, cur, delta);
-                            self.write_scalar(unit, frame, *v, nv)?;
+                            self.write_scalar(unit, frame, *v, nv);
                         }
                     }
                 } else {
                     let ix = self.eval_subs(unit, frame, subs)?;
                     let arr = self.array_handle(unit, frame, *v)?;
                     let off = arr.offset(&info.name, &ix)?;
-                    match arr.ty {
-                        ScalarTy::F => {
-                            let d = delta.as_f();
-                            arr.atomic_update_f(off, |x| combine_f(*op, x, d));
-                        }
-                        ScalarTy::I => {
-                            let d = delta.as_i();
-                            arr.atomic_update_i(off, |x| combine_i(*op, x, d));
-                        }
-                        ScalarTy::B => {
-                            return Err(RunError::Type { msg: "ATOMIC on LOGICAL".into() })
-                        }
+                    if arr.ty == ScalarTy::B {
+                        return Err(RunError::Type { msg: "ATOMIC on LOGICAL".into() });
                     }
+                    atomic_update(&arr.cells[off], arr.ty, *op, delta);
                 }
                 Ok(Flow::Normal)
             }
@@ -1069,16 +976,12 @@ impl<'e> Task<'e> {
                 Ok(Flow::Normal)
             }
             RStmt::Critical { name, body } => {
-                self.critical_depth += 1;
-                let result = if matches!(self.ex.mode, ExecMode::Parallel { .. })
-                    && self.in_real_region
-                {
-                    let _guard = self.ex.critical.enter(name);
-                    self.exec_block(unit, frame, body)
-                } else {
-                    self.exec_block(unit, frame, body)
-                };
-                self.critical_depth -= 1;
+                self.st.cost.critical_depth += 1;
+                // Only team members of a real fork contend for the lock.
+                let guard = self.st.in_real_region.then(|| self.ex.critical.enter(name));
+                let result = self.exec_block(unit, frame, body);
+                drop(guard);
+                self.st.cost.critical_depth -= 1;
                 result
             }
             RStmt::Return => Ok(Flow::Return),
@@ -1104,7 +1007,7 @@ impl<'e> Task<'e> {
                     }
                 }
                 line.push('\n');
-                self.out.push_str(&line);
+                self.st.out.push_str(&line);
                 Ok(Flow::Normal)
             }
             RStmt::Stop(msg) => Err(RunError::Stop { msg: msg.clone().unwrap_or_default() }),
@@ -1159,115 +1062,55 @@ impl<'e> Task<'e> {
         };
 
         // --- OpenMP PARALLEL DO ---
-        let outer_trip = trip_count(s0, e0, st);
         // Collapsed inner dims (bounds evaluated once, per OpenMP rules).
-        let mut dims: Vec<(VarIdx, i64, i64)> = vec![(var, s0, e0)];
+        let mut dims = vec![var];
+        let mut bounds = vec![(s0, e0)];
         for cd in collapse_with {
             let lo = self.eval(unit, frame, &cd.start)?.as_i();
             let hi = self.eval(unit, frame, &cd.end)?.as_i();
-            dims.push((cd.var, lo, hi));
+            dims.push(cd.var);
+            bounds.push((lo, hi));
         }
-        let total_trip: u64 = if collapse_with.is_empty() {
-            outer_trip
-        } else {
-            dims.iter()
-                .map(|&(_, lo, hi)| trip_count(lo, hi, 1))
-                .product()
-        };
-
-        let mode_threads = self.ex.mode.threads();
-        let clause_threads = match &o.num_threads {
-            Some(e) => Some(self.eval(unit, frame, e)?.as_i().max(1) as usize),
+        let num_threads = match &o.num_threads {
+            Some(e) => Some(self.eval(unit, frame, e)?.as_i()),
             None => None,
         };
-        let team = clause_threads.unwrap_or(mode_threads).min(crate::storage::MAX_THREADS);
+        let reductions: Vec<Reduction> = o
+            .reductions
+            .iter()
+            .map(|&(op, v)| {
+                let info = &unit.vars[v];
+                let cell = match info.place {
+                    Place::Global(c) => Some(c),
+                    Place::Frame(_) => None,
+                };
+                Reduction { op, ty: info.ty, cell }
+            })
+            .collect();
+        let site =
+            TaskSite { ex: self.ex, unit, cur_unit: self.cur_unit, body, dims: &dims, omp: o };
+        let spec = RegionSpec {
+            line: do_line,
+            sched: o.sched,
+            per_thread_access: o.per_thread_access,
+            num_threads,
+            bounds: &bounds,
+            outer_step: st,
+            reductions: &reductions,
+        };
 
         if let Some(p) = self.prof {
             // Matches the VM's `OmpDo` instruction: after bounds, step,
             // collapse bounds and NUM_THREADS have evaluated.
             p.omp_enter(do_line);
         }
-        let r = self.exec_omp_dispatch(unit, frame, &dims, st, body, o, team, total_trip, do_line);
+        let r = region::run(self.ex, &site, self, frame, &spec);
         if let Some(p) = self.prof {
             if r.is_ok() {
                 p.omp_exit();
             }
         }
         r
-    }
-
-    /// Mode dispatch for an OMP nest whose bounds are already evaluated.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_omp_dispatch(
-        &mut self,
-        unit: &RUnit,
-        frame: &mut Frame,
-        dims: &[(VarIdx, i64, i64)],
-        st: i64,
-        body: &[SpStmt],
-        o: &ROmp,
-        team: usize,
-        total_trip: u64,
-        do_line: u32,
-    ) -> Result<Flow, RunError> {
-        // OMP region entry is a safepoint: never fork a team for a run
-        // whose token already fired (or whose deadline already passed).
-        if self.ex.limits.poll {
-            self.ex.limits.check_interrupt(Some(do_line))?;
-        }
-        match self.ex.mode {
-            ExecMode::Serial => {
-                // Directives ignored; plain serial nest. A serial build
-                // would also vectorize eligible loops, but GLAF-parallel
-                // loops are structurally complex (that's why they kept
-                // directives); classify anyway for fairness.
-                self.exec_omp_serially(unit, frame, dims, st, body, o, None)
-            }
-            ExecMode::Simulated { .. } => {
-                if self.in_sim_region || self.in_real_region {
-                    // Nested region: team of one + fork overhead.
-                    self.add_misc(|c| c.nested_forks += 1);
-                    return self.exec_omp_serially(unit, frame, dims, st, body, o, None);
-                }
-                // Flush serial counters, open a region.
-                let serial = std::mem::take(&mut self.serial_cost);
-                self.trace.push_serial(serial);
-                self.region = Some(Box::new(RegionCtx {
-                    per_thread: vec![CostCounters::default(); team],
-                    cur: 0,
-                    critical: CostCounters::default(),
-                    threads: team,
-                    trip: total_trip,
-                    reductions: o.reductions.len(),
-                }));
-                self.in_sim_region = true;
-                let mut sched = self.ex.sched_overrides.resolve(do_line, o.sched);
-                if o.per_thread_access {
-                    sched = sched.legalize_for_per_thread();
-                }
-                // Owner map: iteration -> thread (serial-order execution).
-                let owner = build_owner_map(sched, total_trip as usize, team);
-                let r = self.exec_omp_serially(unit, frame, dims, st, body, o, Some(&owner));
-                self.in_sim_region = false;
-                let region = self.region.take().expect("region open");
-                self.trace.push_region(RegionEvent {
-                    threads: region.threads,
-                    per_thread: region.per_thread,
-                    critical: region.critical,
-                    reductions: region.reductions,
-                    trip: region.trip,
-                    line: do_line,
-                });
-                r
-            }
-            ExecMode::Parallel { .. } => {
-                if self.in_real_region {
-                    // Nested: team of one.
-                    return self.exec_omp_serially(unit, frame, dims, st, body, o, None);
-                }
-                self.exec_omp_parallel(unit, frame, dims, st, body, o, team, total_trip, do_line)
-            }
-        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1282,16 +1125,16 @@ impl<'e> Task<'e> {
         body: &[SpStmt],
         vec: VecClass,
     ) -> Result<Flow, RunError> {
-        let prev_vec = self.vec_mode;
+        let prev_vec = self.st.cost.vec_mode;
         if self.collect && vec != VecClass::None {
-            self.vec_mode = vec;
+            self.st.cost.vec_mode = vec;
         }
         let mut i = s0;
         let flow = loop {
             if (st > 0 && i > e0) || (st < 0 && i < e0) {
                 break Flow::Normal;
             }
-            self.write_scalar(unit, frame, var, Val::I(i))?;
+            self.write_scalar(unit, frame, var, Val::I(i));
             match self.exec_block(unit, frame, body)? {
                 Flow::Normal | Flow::Cycle => {}
                 Flow::Exit => break Flow::Normal,
@@ -1299,250 +1142,8 @@ impl<'e> Task<'e> {
             }
             i += st;
         };
-        self.vec_mode = prev_vec;
+        self.st.cost.vec_mode = prev_vec;
         Ok(flow)
-    }
-
-    /// Executes an OMP nest in serial iteration order. `owner` switches the
-    /// simulated-cost bucket per iteration.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_omp_serially(
-        &mut self,
-        unit: &RUnit,
-        frame: &mut Frame,
-        dims: &[(VarIdx, i64, i64)],
-        outer_step: i64,
-        body: &[SpStmt],
-        _o: &ROmp,
-        owner: Option<&[u16]>,
-    ) -> Result<Flow, RunError> {
-        // Iterate the collapsed space in row-major (outer slowest) order.
-        let trips: Vec<u64> = dims
-            .iter()
-            .enumerate()
-            .map(|(k, &(_, lo, hi))| {
-                if k == 0 {
-                    trip_count(lo, hi, outer_step)
-                } else {
-                    trip_count(lo, hi, 1)
-                }
-            })
-            .collect();
-        let total: u64 = trips.iter().product();
-        let mut result = Flow::Normal;
-        'outer: for k in 0..total {
-            if let (Some(map), Some(region)) = (owner, self.region.as_mut()) {
-                region.cur = map[k as usize] as usize;
-            }
-            // Decompose flat k into per-dim indices, outer slowest.
-            let mut rem = k;
-            for (d, &(v, lo, _hi)) in dims.iter().enumerate().rev() {
-                let t = trips[d].max(1);
-                let ix = rem % t;
-                rem /= t;
-                let step = if d == 0 { outer_step } else { 1 };
-                self.write_scalar(unit, frame, v, Val::I(lo + ix as i64 * step))?;
-            }
-            match self.exec_block(unit, frame, body)? {
-                Flow::Normal | Flow::Cycle => {}
-                Flow::Exit => break 'outer,
-                Flow::Return => {
-                    result = Flow::Return;
-                    break 'outer;
-                }
-            }
-        }
-        if let Some(region) = self.region.as_mut() {
-            region.cur = 0;
-        }
-        Ok(result)
-    }
-
-    /// Real fork-join execution on the pool.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_omp_parallel(
-        &mut self,
-        unit: &RUnit,
-        frame: &mut Frame,
-        dims: &[(VarIdx, i64, i64)],
-        outer_step: i64,
-        body: &[SpStmt],
-        o: &ROmp,
-        team: usize,
-        total_trip: u64,
-        do_line: u32,
-    ) -> Result<Flow, RunError> {
-        let pool = self
-            .ex
-            .pool
-            .as_ref()
-            .expect("Parallel mode has a pool")
-            .clone();
-        let team = team.min(pool.threads());
-        let mut sched = self.ex.sched_overrides.resolve(do_line, o.sched);
-        if o.per_thread_access {
-            sched = sched.legalize_for_per_thread();
-        }
-        let trips: Vec<u64> = dims
-            .iter()
-            .enumerate()
-            .map(|(k, &(_, lo, hi))| {
-                if k == 0 {
-                    trip_count(lo, hi, outer_step)
-                } else {
-                    trip_count(lo, hi, 1)
-                }
-            })
-            .collect();
-
-        // Reduction setup: identity per thread, combine after.
-        let red_info: Vec<(RedOp, VarIdx, ScalarTy, Val)> = o
-            .reductions
-            .iter()
-            .map(|&(op, v)| {
-                let ty = unit.vars[v].ty;
-                let cur = match unit.vars[v].place {
-                    Place::Frame(slot) => frameval_to_val(&frame.slots[slot], ty),
-                    Place::Global(cell) => {
-                        Val::from_bits(self.ex.globals.cells[cell].load_bits(self.tid), ty)
-                    }
-                };
-                (op, v, ty, cur)
-            })
-            .collect();
-
-        // Partials are keyed so the reduction combine is deterministic
-        // regardless of thread completion (or chunk claim) order: one
-        // partial per thread keyed by tid under static schedules, one
-        // partial per chunk keyed by its first flat iteration under
-        // dynamic/guided. The join sorts by key and folds in order.
-        let results: Mutex<KeyedPartials> = Mutex::new(Vec::new());
-        let prints: Mutex<String> = Mutex::new(String::new());
-        let ex = self.ex;
-        let cur_unit = self.cur_unit;
-        let base_frame = &*frame;
-        let dims_ref = dims;
-        let trips_ref = &trips;
-        let o_ref = o;
-        let red_ref = &red_info;
-        let total = trips.iter().product::<u64>() as usize;
-        let dispenser =
-            sched.is_runtime_dispatched().then(|| omprt::Dispenser::new(sched, total, team));
-        let disp_ref = &dispenser;
-
-        pool.run_tagged(do_line, sched, |tid| {
-            if tid >= team {
-                return;
-            }
-            if ex.debug_panic_worker == Some(tid) {
-                panic!("chaos: injected worker panic on tid {tid}");
-            }
-            let mut task = Task::new(ex, tid, false);
-            task.in_real_region = true;
-            task.cur_unit = cur_unit;
-            let mut tframe = base_frame.clone();
-            // PRIVATE arrays: detach per-thread deep copies.
-            for &pv in &o_ref.private {
-                let info = &unit.vars[pv];
-                if info.rank > 0 {
-                    if let Place::Frame(slot) = info.place {
-                        if let FrameVal::Arr(Some(a)) = &tframe.slots[slot] {
-                            tframe.slots[slot] = FrameVal::Arr(Some(Arc::new(a.deep_clone())));
-                        }
-                    }
-                }
-            }
-            let set_identities = |tframe: &mut Frame| {
-                for &(op, v, ty, _) in red_ref {
-                    if let Place::Frame(slot) = unit.vars[v].place {
-                        tframe.slots[slot] = typed_frameval(identity_val(op, ty), ty);
-                    }
-                }
-            };
-            let collect_partials = |tframe: &Frame| -> Vec<Val> {
-                red_ref
-                    .iter()
-                    .map(|&(_, v, ty, _)| match unit.vars[v].place {
-                        Place::Frame(slot) => frameval_to_val(&tframe.slots[slot], ty),
-                        _ => Val::I(0),
-                    })
-                    .collect()
-            };
-            let run_range =
-                |task: &mut Task<'_>, tframe: &mut Frame, lo: usize, hi: usize| {
-                    for k in lo..hi {
-                        let mut rem = k as u64;
-                        for (d, &(v, dlo, _)) in dims_ref.iter().enumerate().rev() {
-                            let t = trips_ref[d].max(1);
-                            let ix = rem % t;
-                            rem /= t;
-                            let step = if d == 0 { outer_step } else { 1 };
-                            task.write_scalar(unit, tframe, v, Val::I(dlo + ix as i64 * step))?;
-                        }
-                        match task.exec_block(unit, tframe, body)? {
-                            Flow::Normal | Flow::Cycle => {}
-                            Flow::Exit | Flow::Return => {
-                                return Err(RunError::Type {
-                                    msg: "EXIT/RETURN out of a parallel loop".into(),
-                                })
-                            }
-                        }
-                    }
-                    Ok(())
-                };
-
-            match disp_ref {
-                // Dynamic/guided: claim chunks first-come-first-served.
-                Some(disp) => {
-                    while let Some((lo, hi)) = disp.claim() {
-                        set_identities(&mut tframe);
-                        let r = run_range(&mut task, &mut tframe, lo, hi)
-                            .map(|()| collect_partials(&tframe));
-                        let failed = r.is_err();
-                        results.lock().push((lo, r.map_err(|e| task.attach_ctx(e))));
-                        if failed {
-                            // Stop claiming; let the team drain and join.
-                            break;
-                        }
-                    }
-                }
-                // Static: the thread owns its chunks up front and
-                // accumulates one partial across all of them.
-                None => {
-                    set_identities(&mut tframe);
-                    let r = (|| {
-                        for (lo, hi) in chunks_for(sched, total, tid, team) {
-                            run_range(&mut task, &mut tframe, lo, hi)?;
-                        }
-                        Ok(collect_partials(&tframe))
-                    })();
-                    results.lock().push((tid, r.map_err(|e| task.attach_ctx(e))));
-                }
-            }
-            if !task.out.is_empty() {
-                prints.lock().push_str(&task.out);
-            }
-        })
-        .map_err(|p| RunError::Trap { what: p.to_string() })?;
-
-        self.out.push_str(&prints.into_inner());
-        let mut keyed = results.into_inner();
-        keyed.sort_by_key(|&(k, _)| k);
-        let mut all_partials: Vec<Vec<Val>> = Vec::new();
-        for (_, r) in keyed {
-            all_partials.push(r?);
-        }
-        let _ = total_trip;
-
-        // Combine reductions into the original variables, in key order.
-        for (ri, &(op, v, ty, init)) in red_info.iter().enumerate() {
-            let mut acc = init;
-            for p in &all_partials {
-                acc = combine_vals(ty, op, acc, p[ri]);
-            }
-            self.write_scalar(unit, frame, v, acc)?;
-        }
-        Ok(Flow::Normal)
     }
 
     /// Runs a top-level unit call and returns (result, trace, printed).
@@ -1570,9 +1171,7 @@ impl<'e> Task<'e> {
             let Place::Frame(slot) = unit.vars[rv].place else { unreachable!() };
             frameval_to_val(&frame.slots[slot], rty)
         });
-        let serial = std::mem::take(&mut self.serial_cost);
-        self.trace.push_serial(serial);
-        Ok((result, self.trace, self.out))
+        Ok((result, self.st.cost.finish(), self.st.out))
     }
 
     /// Builds and fills the entry frame for an external call.
@@ -1601,6 +1200,70 @@ impl<'e> Task<'e> {
             };
         }
         Ok(frame)
+    }
+}
+
+/// One `!$OMP PARALLEL DO` site of the tree-walker, as the shared
+/// region driver sees it.
+struct TaskSite<'a, 'e> {
+    ex: &'e Exec,
+    unit: &'a RUnit,
+    /// The unit the region sits in (workers' fault context).
+    cur_unit: UnitId,
+    body: &'a [SpStmt],
+    /// Loop variable per collapsed dimension, outer first.
+    dims: &'a [VarIdx],
+    omp: &'a ROmp,
+}
+
+impl<'e> region::Tier for TaskSite<'_, 'e> {
+    type Exe = Task<'e>;
+    type Frame = Frame;
+
+    fn worker(&self, tid: usize, base: &Frame) -> (Task<'e>, Frame) {
+        let mut task = Task::new(self.ex, tid, false);
+        task.st.in_real_region = true;
+        task.cur_unit = self.cur_unit;
+        let mut frame = base.clone();
+        // PRIVATE arrays: detach per-thread deep copies.
+        for &pv in &self.omp.private {
+            if let Place::Frame(slot) = self.unit.vars[pv].place {
+                if let FrameVal::Arr(Some(a)) = &frame.slots[slot] {
+                    frame.slots[slot] = FrameVal::Arr(Some(Arc::new(a.deep_clone())));
+                }
+            }
+        }
+        (task, frame)
+    }
+
+    fn set_index(&self, task: &mut Task<'e>, frame: &mut Frame, dim: usize, v: i64) {
+        task.write_scalar(self.unit, frame, self.dims[dim], Val::I(v));
+    }
+
+    fn run_body(&self, task: &mut Task<'e>, frame: &mut Frame) -> Result<Flow, RunError> {
+        task.exec_block(self.unit, frame, self.body)
+    }
+
+    fn red_read(&self, task: &Task<'e>, frame: &Frame, ri: usize) -> Val {
+        let info = &self.unit.vars[self.omp.reductions[ri].1];
+        match info.place {
+            Place::Frame(slot) => frameval_to_val(&frame.slots[slot], info.ty),
+            Place::Global(cell) => {
+                Val::from_bits(self.ex.globals.cells[cell].load_bits(task.tid), info.ty)
+            }
+        }
+    }
+
+    fn red_write(&self, task: &mut Task<'e>, frame: &mut Frame, ri: usize, v: Val) {
+        task.write_scalar(self.unit, frame, self.omp.reductions[ri].1, v);
+    }
+
+    fn fault_ctx(&self, task: &Task<'e>, e: RunError) -> RunError {
+        task.attach_ctx(e)
+    }
+
+    fn state(task: &mut Self::Exe) -> &mut RegionState {
+        &mut task.st
     }
 }
 
@@ -1690,55 +1353,15 @@ pub(crate) fn identity_val(op: RedOp, ty: ScalarTy) -> Val {
     }
 }
 
-pub(crate) fn atomic_scalar_update(cell: &GlobalCell, tid: usize, ty: ScalarTy, op: RedOp, delta: Val) {
-    let atom = cell.scalar_atomic(tid);
-    match ty {
-        ScalarTy::F => {
-            let d = delta.as_f();
-            let mut cur = atom.load(std::sync::atomic::Ordering::Relaxed);
-            loop {
-                let next = combine_f(op, f64::from_bits(cur), d).to_bits();
-                match atom.compare_exchange_weak(
-                    cur,
-                    next,
-                    std::sync::atomic::Ordering::AcqRel,
-                    std::sync::atomic::Ordering::Relaxed,
-                ) {
-                    Ok(_) => return,
-                    Err(a) => cur = a,
-                }
-            }
-        }
-        _ => {
-            let d = delta.as_i();
-            let mut cur = atom.load(std::sync::atomic::Ordering::Relaxed);
-            loop {
-                let next = combine_i(op, cur as i64, d) as u64;
-                match atom.compare_exchange_weak(
-                    cur,
-                    next,
-                    std::sync::atomic::Ordering::AcqRel,
-                    std::sync::atomic::Ordering::Relaxed,
-                ) {
-                    Ok(_) => return,
-                    Err(a) => cur = a,
-                }
-            }
-        }
-    }
-}
-
-/// Precomputed iteration -> owning-thread map for simulated regions.
-pub(crate) fn build_owner_map(sched: Schedule, n: usize, threads: usize) -> Vec<u16> {
-    let mut owner = vec![0u16; n];
-    for t in 0..threads {
-        for (lo, hi) in chunks_for(sched, n, t, threads) {
-            for slot in owner.iter_mut().take(hi).skip(lo) {
-                *slot = t as u16;
-            }
-        }
-    }
-    owner
+/// `!$OMP ATOMIC` read-modify-write of one storage cell, scalar or array
+/// element (a LOGICAL scalar combines as its 0/1 integer bits).
+pub(crate) fn atomic_update(cell: &AtomicU64, ty: ScalarTy, op: RedOp, delta: Val) {
+    let next = |cur: u64| match ty {
+        ScalarTy::F => combine_f(op, f64::from_bits(cur), delta.as_f()).to_bits(),
+        _ => combine_i(op, cur as i64, delta.as_i()) as u64,
+    };
+    // The closure never declines, so the update cannot fail.
+    let _ = cell.fetch_update(Ordering::AcqRel, Ordering::Relaxed, |cur| Some(next(cur)));
 }
 
 #[cfg(test)]
@@ -1752,14 +1375,6 @@ mod tests {
         assert_eq!(trip_count(10, 1, -1), 10);
         assert_eq!(trip_count(5, 4, 1), 0);
         assert_eq!(trip_count(4, 5, -1), 0);
-    }
-
-    #[test]
-    fn owner_map_covers() {
-        let m = build_owner_map(Schedule::StaticBlock, 10, 4);
-        assert_eq!(m.len(), 10);
-        assert_eq!(m[0], 0);
-        assert_eq!(m[9], 3);
     }
 
     #[test]

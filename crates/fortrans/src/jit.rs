@@ -11,14 +11,14 @@
 //!
 //! ## Contract with the VM
 //!
-//! The native path slots in *above* the vector superinstruction at the
-//! `VecLoop` dispatch site and keeps the exact guard/deopt model of
-//! [`exec_vec_loop`]: every guard (type/rank, whole-range affine
-//! bounds, alias, step-budget pre-reservation) runs in Rust before the
-//! first element is written, so a loop either completes natively or
-//! falls through — a *deopt* — to the vector/scalar path, which
-//! produces the bit-identical answer (or the stock error at the exact
-//! faulting iteration). The emitted code therefore contains no bounds
+//! The native path slots in *above* the vector superinstruction inside
+//! the VM's one `VecLoop` entry (`Vm::exec_fast_loop`) and shares its
+//! guards: every guard (type/rank, whole-range affine bounds, alias,
+//! step-budget pre-reservation) runs once, in Rust, before the first
+//! element is written, so a loop either completes natively or falls
+//! through — a *deopt* — to the vector/scalar path, which produces the
+//! bit-identical answer (or the stock error at the exact faulting
+//! iteration). The emitted code therefore contains no bounds
 //! checks and no error paths: it is a pure counted loop over streams
 //! whose safety was proven at entry.
 //!

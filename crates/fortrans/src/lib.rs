@@ -63,6 +63,7 @@ pub mod intrinsics;
 pub mod jit;
 pub mod lex;
 pub mod parse;
+mod region;
 pub mod rir;
 pub mod sema;
 pub mod service;

@@ -1,0 +1,381 @@
+//! The `!$OMP PARALLEL DO` region protocol, said once for both
+//! execution tiers.
+//!
+//! Everything that decides the paper's two acceptance tests lives here:
+//! team sizing, schedule override and per-thread legalization, the mode
+//! dispatch (Serial / nested team-of-one / Simulated with an owner map /
+//! real fork), decomposition of the collapsed iteration space, work
+//! distribution (`Dispenser` for runtime-dispatched schedules,
+//! `chunks_for` otherwise), reduction identities, keyed partials and
+//! their key-ordered fold, print merging, the worker-panic chaos hook
+//! and the region-entry safepoint.
+//!
+//! A tier plugs in through [`Tier`]: how to make a worker, set a loop
+//! index, run the body, read and write a reduction variable and attach
+//! fault context. Expression and statement evaluation, frames and
+//! storage stay with the tiers, so the tree-walker remains an independent
+//! oracle for lowering and the VM — what is shared is bookkeeping, not
+//! evaluation. Calls are monomorphized per tier; nothing here is `dyn`.
+
+use omprt::{chunks_for, Dispenser, Schedule};
+use parking_lot::Mutex;
+
+use crate::ast::RedOp;
+use crate::cost::CostAcc;
+use crate::error::RunError;
+use crate::interp::{combine_vals, identity_val, trip_count, Exec, ExecMode, Flow, Val};
+use crate::rir::ScalarTy;
+use crate::storage::MAX_THREADS;
+
+/// The part of an executor the protocol reads and writes; both tiers'
+/// executors embed one.
+#[derive(Default)]
+pub(crate) struct RegionState {
+    /// Simulated-mode cost accumulator (dormant otherwise).
+    pub cost: CostAcc,
+    /// Team member of a real fork (so only ever set in Parallel mode):
+    /// regions met here run with a team of one, CRITICAL sections take
+    /// their lock.
+    pub in_real_region: bool,
+    /// PRINT output; a worker's is merged into the forker's at the join.
+    pub out: String,
+}
+
+/// One `REDUCTION(op:var)` entry of a region.
+#[derive(Clone, Copy)]
+pub(crate) struct Reduction {
+    pub op: RedOp,
+    pub ty: ScalarTy,
+    /// The variable's global cell, when it is module/COMMON scope.
+    pub cell: Option<usize>,
+}
+
+/// A region entry: the clauses as compiled plus the bounds evaluated at
+/// this entry.
+pub(crate) struct RegionSpec<'a> {
+    /// Source line of the parallel DO: schedule overrides, pool metrics
+    /// and the `RegionEvent` key on it.
+    pub line: u32,
+    pub sched: Schedule,
+    pub per_thread_access: bool,
+    /// Evaluated `NUM_THREADS` clause.
+    pub num_threads: Option<i64>,
+    /// Inclusive bounds per collapsed dimension, outer first.
+    pub bounds: &'a [(i64, i64)],
+    /// Step of the outer dimension (collapsed inner loops step by 1).
+    pub outer_step: i64,
+    pub reductions: &'a [Reduction],
+}
+
+/// What differs between the tiers at a region: the executor and frame
+/// types, and the operations on them the protocol needs. One value
+/// describes one region site (unit, body, clause variables).
+pub(crate) trait Tier: Sync {
+    type Exe;
+    type Frame: Sync;
+
+    /// A fresh executor for team member `tid` of a real fork, and its
+    /// copy of the forking frame (PRIVATE arrays detached).
+    fn worker(&self, tid: usize, base: &Self::Frame) -> (Self::Exe, Self::Frame);
+    /// Writes the loop variable of collapsed dimension `dim`.
+    fn set_index(&self, exe: &mut Self::Exe, frame: &mut Self::Frame, dim: usize, v: i64);
+    fn run_body(&self, exe: &mut Self::Exe, frame: &mut Self::Frame) -> Result<Flow, RunError>;
+    fn red_read(&self, exe: &Self::Exe, frame: &Self::Frame, ri: usize) -> Val;
+    fn red_write(&self, exe: &mut Self::Exe, frame: &mut Self::Frame, ri: usize, v: Val);
+    /// Wraps a worker's fault with its location registers.
+    fn fault_ctx(&self, exe: &Self::Exe, e: RunError) -> RunError;
+    /// The forking executor resumes after a real join (workers may have
+    /// changed shared storage behind its back).
+    fn joined(&self, _exe: &mut Self::Exe) {}
+    fn state(exe: &mut Self::Exe) -> &mut RegionState;
+}
+
+/// Iterations of the whole collapsed space.
+fn total(trips: &[u64]) -> usize {
+    trips.iter().product::<u64>() as usize
+}
+
+/// Decomposes flat iteration `k` of the collapsed space (row-major,
+/// outer dimension slowest) and writes every loop variable.
+fn set_indices<T: Tier>(
+    tier: &T,
+    exe: &mut T::Exe,
+    frame: &mut T::Frame,
+    spec: &RegionSpec<'_>,
+    trips: &[u64],
+    k: usize,
+) {
+    let mut rem = k as u64;
+    for (d, &(lo, _)) in spec.bounds.iter().enumerate().rev() {
+        let t = trips[d].max(1);
+        let step = if d == 0 { spec.outer_step } else { 1 };
+        tier.set_index(exe, frame, d, lo + (rem % t) as i64 * step);
+        rem /= t;
+    }
+}
+
+/// Runs the region `spec` describes under the run's [`ExecMode`].
+/// Yields `Normal`, or `Return` when a serially executed body returned.
+pub(crate) fn run<T: Tier>(
+    ex: &Exec,
+    tier: &T,
+    exe: &mut T::Exe,
+    frame: &mut T::Frame,
+    spec: &RegionSpec<'_>,
+) -> Result<Flow, RunError> {
+    // Region entry is a safepoint: never fork a team for a run whose
+    // token already fired (or whose deadline already passed).
+    if ex.limits.poll {
+        ex.limits.check_interrupt(Some(spec.line))?;
+    }
+    // Trip count per collapsed dimension.
+    let step = |d| if d == 0 { spec.outer_step } else { 1 };
+    let trips: Vec<u64> =
+        spec.bounds.iter().enumerate().map(|(d, &(lo, hi))| trip_count(lo, hi, step(d))).collect();
+    let team = spec.num_threads.map_or(ex.mode.threads(), |n| n.max(1) as usize).min(MAX_THREADS);
+    let st = T::state(exe);
+    match ex.mode {
+        ExecMode::Simulated { .. } if !st.in_real_region && !st.cost.in_region() => {
+            let owner = build_owner_map(schedule(ex, spec), total(&trips), team);
+            st.cost.open_region(owner, team, spec.reductions.len());
+            let r = serial_nest(tier, exe, frame, spec, &trips, true);
+            T::state(exe).cost.close_region(spec.line);
+            r
+        }
+        ExecMode::Simulated { .. } => {
+            // Nested region: team of one, but the fork is still paid.
+            st.cost.add_misc(|c| c.nested_forks += 1);
+            serial_nest(tier, exe, frame, spec, &trips, false)
+        }
+        ExecMode::Parallel { .. } if !st.in_real_region => {
+            fork(ex, tier, exe, frame, spec, &trips, team)?;
+            tier.joined(exe);
+            Ok(Flow::Normal)
+        }
+        // Serial ("compiled without -fopenmp": directives ignored) and
+        // nested real regions (team of one).
+        _ => serial_nest(tier, exe, frame, spec, &trips, false),
+    }
+}
+
+/// The schedule in force: session override over the compiled clause,
+/// legalized to static when the body stages data in per-thread cells.
+fn schedule(ex: &Exec, spec: &RegionSpec<'_>) -> Schedule {
+    let sched = ex.sched_overrides.resolve(spec.line, spec.sched);
+    if spec.per_thread_access {
+        sched.legalize_for_per_thread()
+    } else {
+        sched
+    }
+}
+
+/// Executes the nest in serial iteration order on `exe` itself. `owned`:
+/// this nest is the open simulated region's own loop, so each iteration
+/// is charged to its owning thread.
+fn serial_nest<T: Tier>(
+    tier: &T,
+    exe: &mut T::Exe,
+    frame: &mut T::Frame,
+    spec: &RegionSpec<'_>,
+    trips: &[u64],
+    owned: bool,
+) -> Result<Flow, RunError> {
+    let mut result = Flow::Normal;
+    for k in 0..total(trips) {
+        if owned {
+            T::state(exe).cost.begin_iteration(k);
+        }
+        set_indices(tier, exe, frame, spec, trips, k);
+        match tier.run_body(exe, frame)? {
+            Flow::Normal | Flow::Cycle => {}
+            Flow::Exit => break,
+            Flow::Return => {
+                result = Flow::Return;
+                break;
+            }
+        }
+    }
+    // Also at the end of a nested team-of-one nest: the rest of the
+    // enclosing iteration is charged to the master thread.
+    T::state(exe).cost.end_iterations();
+    Ok(result)
+}
+
+/// Reduction partials of one fork, keyed for a deterministic combine
+/// order whatever the completion (or chunk-claim) order: one partial per
+/// thread keyed by tid under static schedules, one per chunk keyed by
+/// its first flat iteration under dynamic/guided.
+type KeyedPartials = Vec<(usize, Result<Vec<Val>, RunError>)>;
+
+/// Folds `keyed` onto `acc` in key order; the lowest-keyed error wins.
+fn join(
+    mut keyed: KeyedPartials,
+    reds: &[Reduction],
+    mut acc: Vec<Val>,
+) -> Result<Vec<Val>, RunError> {
+    keyed.sort_by_key(|&(k, _)| k);
+    for (_, partial) in keyed {
+        for ((a, r), p) in acc.iter_mut().zip(reds).zip(partial?) {
+            *a = combine_vals(r.ty, r.op, *a, p);
+        }
+    }
+    Ok(acc)
+}
+
+/// Real fork-join execution on the run's pool.
+fn fork<T: Tier>(
+    ex: &Exec,
+    tier: &T,
+    exe: &mut T::Exe,
+    frame: &mut T::Frame,
+    spec: &RegionSpec<'_>,
+    trips: &[u64],
+    team: usize,
+) -> Result<(), RunError> {
+    let pool = ex.pool.as_ref().expect("Parallel mode has a pool").clone();
+    let team = team.min(pool.threads());
+    let sched = schedule(ex, spec);
+    let total = total(trips);
+    let reds = spec.reductions;
+    let init: Vec<Val> = (0..reds.len()).map(|ri| tier.red_read(exe, frame, ri)).collect();
+    // A module-scope reduction variable is one cell every worker's body
+    // addresses: split it into per-thread partials for the fork.
+    let split = |on: bool| {
+        for c in reds.iter().filter_map(|r| r.cell) {
+            ex.globals.cells[c].split_for_reduction(on);
+        }
+    };
+    split(true);
+
+    let results: Mutex<KeyedPartials> = Mutex::new(Vec::new());
+    let prints: Mutex<String> = Mutex::new(String::new());
+    let dispenser = sched.is_runtime_dispatched().then(|| Dispenser::new(sched, total, team));
+    let base_frame = &*frame;
+
+    let joined = pool.run_tagged(spec.line, sched, |tid| {
+        if tid >= team {
+            return;
+        }
+        if ex.debug_panic_worker == Some(tid) {
+            panic!("chaos: injected worker panic on tid {tid}");
+        }
+        let (mut w, mut wf) = tier.worker(tid, base_frame);
+        let seed = |w: &mut T::Exe, wf: &mut T::Frame| {
+            for (ri, r) in reds.iter().enumerate() {
+                tier.red_write(w, wf, ri, identity_val(r.op, r.ty));
+            }
+        };
+        let partial = |w: &T::Exe, wf: &T::Frame| -> Vec<Val> {
+            (0..reds.len()).map(|ri| tier.red_read(w, wf, ri)).collect()
+        };
+        let run_range = |w: &mut T::Exe, wf: &mut T::Frame, lo: usize, hi: usize| {
+            for k in lo..hi {
+                set_indices(tier, w, wf, spec, trips, k);
+                if let Flow::Exit | Flow::Return = tier.run_body(w, wf)? {
+                    return Err(RunError::Type { msg: "EXIT/RETURN out of a parallel loop".into() });
+                }
+            }
+            Ok(())
+        };
+        match &dispenser {
+            // Dynamic/guided: claim chunks first-come-first-served, one
+            // partial per chunk.
+            Some(disp) => {
+                while let Some((lo, hi)) = disp.claim() {
+                    seed(&mut w, &mut wf);
+                    let r = run_range(&mut w, &mut wf, lo, hi).map(|()| partial(&w, &wf));
+                    let failed = r.is_err();
+                    results.lock().push((lo, r.map_err(|e| tier.fault_ctx(&w, e))));
+                    if failed {
+                        // Stop claiming; let the team drain and join.
+                        break;
+                    }
+                }
+            }
+            // Static: the thread owns its chunks up front and accumulates
+            // one partial across all of them.
+            None => {
+                seed(&mut w, &mut wf);
+                let r = chunks_for(sched, total, tid, team)
+                    .into_iter()
+                    .try_for_each(|(lo, hi)| run_range(&mut w, &mut wf, lo, hi))
+                    .map(|()| partial(&w, &wf));
+                results.lock().push((tid, r.map_err(|e| tier.fault_ctx(&w, e))));
+            }
+        }
+        let out = &T::state(&mut w).out;
+        if !out.is_empty() {
+            prints.lock().push_str(out);
+        }
+    });
+    split(false);
+    joined.map_err(|p| RunError::Trap { what: p.to_string() })?;
+
+    T::state(exe).out.push_str(&prints.into_inner());
+    let folded = join(results.into_inner(), reds, init)?;
+    for (ri, v) in folded.into_iter().enumerate() {
+        tier.red_write(exe, frame, ri, v);
+    }
+    Ok(())
+}
+
+/// Iteration → owning-thread map of a simulated region.
+fn build_owner_map(sched: Schedule, n: usize, threads: usize) -> Vec<u16> {
+    let mut owner = vec![0u16; n];
+    for t in 0..threads {
+        for (lo, hi) in chunks_for(sched, n, t, threads) {
+            owner[lo..hi].fill(t as u16);
+        }
+    }
+    owner
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn owner_map_covers() {
+        let m = build_owner_map(Schedule::StaticBlock, 10, 4);
+        assert_eq!(m.len(), 10);
+        assert_eq!(m[0], 0);
+        assert_eq!(m[9], 3);
+    }
+
+    fn f_sum() -> [Reduction; 1] {
+        [Reduction { op: RedOp::Add, ty: ScalarTy::F, cell: None }]
+    }
+
+    #[test]
+    fn partials_fold_in_key_order_whatever_the_push_order() {
+        // (1e16 + 1) + -1e16 == 0 but (1e16 + -1e16) + 1 == 1: the fold
+        // order is observable, and it is the key order.
+        let terms = [(0, 1e16), (1, 1.0), (2, -1e16)];
+        for order in [[2, 0, 1], [1, 2, 0], [0, 1, 2]] {
+            let kp: KeyedPartials =
+                order.iter().map(|&i| (terms[i].0, Ok(vec![Val::F(terms[i].1)]))).collect();
+            assert_eq!(join(kp, &f_sum(), vec![Val::F(0.0)]).unwrap(), vec![Val::F(0.0)]);
+        }
+        // Same terms, other keys: the other grouping, the other answer.
+        let swapped: KeyedPartials = vec![
+            (1, Ok(vec![Val::F(1e16)])),
+            (0, Ok(vec![Val::F(-1e16)])),
+            (2, Ok(vec![Val::F(1.0)])),
+        ];
+        assert_eq!(join(swapped, &f_sum(), vec![Val::F(0.0)]).unwrap(), vec![Val::F(1.0)]);
+    }
+
+    #[test]
+    fn lowest_keyed_error_wins_the_join() {
+        let kp: KeyedPartials = vec![
+            (7, Err(RunError::Stop { msg: "late".into() })),
+            (9, Ok(vec![Val::F(1.0)])),
+            (3, Err(RunError::Stop { msg: "early".into() })),
+            (0, Ok(vec![Val::F(2.0)])),
+        ];
+        assert_eq!(
+            join(kp, &f_sum(), vec![Val::F(0.0)]),
+            Err(RunError::Stop { msg: "early".into() })
+        );
+    }
+}

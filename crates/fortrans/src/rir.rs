@@ -205,6 +205,11 @@ pub struct GlobalDecl {
     pub allocatable: bool,
     /// Per-thread storage (THREADPRIVATE, or SAVE used in parallel).
     pub per_thread: bool,
+    /// Shared scalar some `REDUCTION` clause names: its cell must be
+    /// splittable into per-thread partials (see
+    /// [`crate::storage::GlobalCell::ReductionScalar`]). Computed by
+    /// [`mark_per_thread_regions`].
+    pub reduction: bool,
     /// Scalar initializer bits.
     pub init_bits: Option<u64>,
     /// Per-element initializer bits for statically-shaped arrays
@@ -223,7 +228,8 @@ pub struct RProgram {
 /// whose body references a per-thread (SAVE / THREADPRIVATE) global cell.
 /// Only direct references count — a callee that uses its own SAVE locals
 /// writes and reads them within one invocation, which is consistent on
-/// whichever thread runs that iteration.
+/// whichever thread runs that iteration. Also flags every shared global
+/// scalar a `REDUCTION` clause names ([`GlobalDecl::reduction`]).
 pub fn mark_per_thread_regions(prog: &mut RProgram) {
     let RProgram { units, globals } = prog;
     for u in units.iter_mut() {
@@ -232,7 +238,7 @@ pub fn mark_per_thread_regions(prog: &mut RProgram) {
     }
 }
 
-fn mark_stmts(stmts: &mut [SpStmt], vars: &[VarInfo], globals: &[GlobalDecl]) {
+fn mark_stmts(stmts: &mut [SpStmt], vars: &[VarInfo], globals: &mut [GlobalDecl]) {
     for sp in stmts.iter_mut() {
         match &mut sp.s {
             RStmt::Do { var, body, omp, collapse_with, .. } => {
@@ -242,6 +248,11 @@ fn mark_stmts(stmts: &mut [SpStmt], vars: &[VarInfo], globals: &[GlobalDecl]) {
                         || collapse_with.iter().any(|c| pt_var(c.var, vars, globals));
                     touched = touched || stmts_touch_pt(body, vars, globals);
                     o.per_thread_access = touched;
+                    for &(_, rv) in &o.reductions {
+                        if let Place::Global(c) = vars[rv].place {
+                            globals[c].reduction = !globals[c].per_thread;
+                        }
+                    }
                 }
             }
             RStmt::If { arms, else_body } => {

@@ -275,6 +275,7 @@ impl Resolver {
             dims: if allocatable { vec![] } else { dims.clone() },
             allocatable,
             per_thread,
+            reduction: false,
             init_bits,
             init_elems: None,
         });
@@ -585,6 +586,7 @@ impl Resolver {
                             dims: info.dims.clone(),
                             allocatable: false,
                             per_thread: false,
+                            reduction: false,
                             init_bits,
                             init_elems,
                         });
@@ -637,6 +639,7 @@ impl Resolver {
                     dims: info.dims.clone(),
                     allocatable: info.allocatable,
                     per_thread: true,
+                    reduction: false,
                     init_bits,
                     init_elems,
                 });

@@ -1760,20 +1760,17 @@ pub(crate) fn build_globals(prog: &RProgram) -> Globals {
             if decl.rank == 0 && !decl.allocatable && decl.dims.is_empty() {
                 let cell = if decl.per_thread {
                     GlobalCell::new_per_thread_scalar()
+                } else if decl.reduction {
+                    GlobalCell::new_reduction_scalar()
                 } else {
                     GlobalCell::new_scalar()
                 };
                 if let Some(bits) = decl.init_bits {
-                    match &cell {
-                        GlobalCell::Scalar(c) => {
-                            c.store(bits, std::sync::atomic::Ordering::Relaxed)
-                        }
-                        GlobalCell::PerThreadScalar(v) => {
-                            for c in v.iter() {
-                                c.store(bits, std::sync::atomic::Ordering::Relaxed);
-                            }
-                        }
-                        _ => {}
+                    // Every thread's instance of a per-thread scalar;
+                    // tid 0 is the one cell of a shared scalar.
+                    let tids = if decl.per_thread { crate::storage::MAX_THREADS } else { 1 };
+                    for t in 0..tids {
+                        cell.store_bits(t, bits);
                     }
                 }
                 cell

@@ -12,7 +12,7 @@
 // from program input): failures must surface as `RunError`, not panics.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -268,6 +268,11 @@ pub enum GlobalCell {
     PerThreadArray(Box<[RwLock<ThreadInstance>]>),
     /// THREADPRIVATE scalar.
     PerThreadScalar(Box<[AtomicU64]>),
+    /// Shared scalar named in a `REDUCTION` clause. One cell (slot 0)
+    /// everywhere except inside a fork reducing on it, where `split` is
+    /// set and each thread addresses its own partial — the worker bodies
+    /// name the cell itself, so privatization has to happen here.
+    ReductionScalar { split: AtomicBool, slots: Box<[AtomicU64]> },
 }
 
 impl GlobalCell {
@@ -285,27 +290,30 @@ impl GlobalCell {
         GlobalCell::PerThreadArray(v.into_boxed_slice())
     }
 
-    pub fn new_per_thread_scalar() -> Self {
+    fn per_thread_slots() -> Box<[AtomicU64]> {
         let mut v = Vec::with_capacity(MAX_THREADS);
         v.resize_with(MAX_THREADS, || AtomicU64::new(0));
-        GlobalCell::PerThreadScalar(v.into_boxed_slice())
+        v.into_boxed_slice()
+    }
+
+    pub fn new_per_thread_scalar() -> Self {
+        GlobalCell::PerThreadScalar(Self::per_thread_slots())
+    }
+
+    pub fn new_reduction_scalar() -> Self {
+        GlobalCell::ReductionScalar {
+            split: AtomicBool::new(false),
+            slots: Self::per_thread_slots(),
+        }
     }
 
     /// Scalar bits access (thread-aware).
     pub fn load_bits(&self, tid: usize) -> u64 {
-        match self {
-            GlobalCell::Scalar(c) => c.load(Ordering::Relaxed),
-            GlobalCell::PerThreadScalar(v) => v[tid].load(Ordering::Relaxed),
-            _ => panic!("scalar access to array cell"),
-        }
+        self.scalar_atomic(tid).load(Ordering::Relaxed)
     }
 
     pub fn store_bits(&self, tid: usize, bits: u64) {
-        match self {
-            GlobalCell::Scalar(c) => c.store(bits, Ordering::Relaxed),
-            GlobalCell::PerThreadScalar(v) => v[tid].store(bits, Ordering::Relaxed),
-            _ => panic!("scalar access to array cell"),
-        }
+        self.scalar_atomic(tid).store(bits, Ordering::Relaxed)
     }
 
     /// The scalar atomic itself (for ATOMIC updates).
@@ -313,7 +321,23 @@ impl GlobalCell {
         match self {
             GlobalCell::Scalar(c) => c,
             GlobalCell::PerThreadScalar(v) => &v[tid],
+            GlobalCell::ReductionScalar { split, slots } => {
+                // Relaxed: the flag only flips outside a fork, and the
+                // pool's fork and join order it against the team.
+                &slots[if split.load(Ordering::Relaxed) { tid } else { 0 }]
+            }
             _ => panic!("scalar access to array cell"),
+        }
+    }
+
+    /// Enters (`on`) or leaves a fork that reduces on this cell: while
+    /// split, thread `tid` sees its own partial; slot 0 doubles as the
+    /// shared value, which the forking thread reads before and writes
+    /// after. A no-op for every other kind of cell (per-thread scalars
+    /// are private already).
+    pub fn split_for_reduction(&self, on: bool) {
+        if let GlobalCell::ReductionScalar { split, .. } = self {
+            split.store(on, Ordering::Relaxed);
         }
     }
 
@@ -507,6 +531,18 @@ mod tests {
         arr.set_array(2, Some(Arc::new(ArrayObj::new(ScalarTy::F, vec![(1, 4)]))));
         assert!(arr.array_handle(2).is_some());
         assert!(arr.array_handle(3).is_none());
+    }
+
+    #[test]
+    fn reduction_scalar_is_one_cell_until_split() {
+        let c = GlobalCell::new_reduction_scalar();
+        c.store_bits(3, 7);
+        assert_eq!(c.load_bits(0), 7, "shared: every thread sees one cell");
+        c.split_for_reduction(true);
+        c.store_bits(3, 11);
+        assert_eq!((c.load_bits(0), c.load_bits(3)), (7, 11));
+        c.split_for_reduction(false);
+        assert_eq!(c.load_bits(3), 7, "partials drop out of sight at the join");
     }
 
     #[test]

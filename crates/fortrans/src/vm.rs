@@ -7,38 +7,33 @@
 //! cost-accounting layer out of the Serial/Parallel fast path: with
 //! `TRACE = false` every `op()` call is an empty inlined function.
 //!
-//! Semantics mirror [`crate::interp::Task`] exactly — same side-effect
+//! Semantics match [`crate::interp::Task`] exactly — same side-effect
 //! order, same error messages, same cost-event stream in Simulated mode
 //! (the differential suite in `tests/vm_differential.rs` pins this).
-//! Parallel regions fork `Vm<false>` workers over the same
-//! [`omprt::ThreadPool`] the tree-walker uses, with cloned frames
-//! (private/firstprivate), deep-copied PRIVATE arrays, reduction
-//! identities and completion-order result collection.
+//! Evaluation, frames and dispatch are this tier's own; the run-time
+//! protocol around them is shared with the tree-walker rather than
+//! copied: cost events go to one [`crate::cost::CostAcc`], `OmpDo`
+//! hands its region to the [`crate::region`] driver (this file only
+//! says how to make a worker VM, set a loop index, run the body range
+//! and touch a reduction slot — `VmSite`), the step budget ticks through
+//! `EffLimits::tick`. Every `VecLoop` goes through one entry,
+//! `exec_fast_loop`, which runs the guards once and then picks the
+//! native or the chunked vector rung.
 
 use std::sync::Arc;
 
-use omprt::{chunks_for, ThreadPool};
-use parking_lot::Mutex;
-
 use crate::bytecode::{
-    BArg, BInstr, BUnit, Cmp, OmpDesc, PItem, RedSpec, SDims, SubOp, VSlot, VecDesc, VecOp,
-    VecRedOp, MAX_INLINE_RANK, NO_PC, NO_SDIMS, NO_SLOT, VEC_CHUNK, VEC_MAX_ACCESSES,
+    BArg, BInstr, BUnit, Cmp, OmpDesc, PItem, SDims, SubOp, VSlot, VecDesc, VecOp, VecRedOp,
+    MAX_INLINE_RANK, NO_PC, NO_SDIMS, NO_SLOT, VEC_CHUNK, VEC_MAX_ACCESSES,
 };
-use crate::cost::{CostCounters, CostTrace, RegionEvent};
+use crate::cost::{CostCounters, CostTrace, OpKind};
 use crate::engine::ArgVal;
 use crate::error::RunError;
-use crate::interp::{
-    atomic_scalar_update, build_owner_map, combine_f, combine_i, combine_vals, identity_val,
-    store_val, trip_count, Exec, ExecMode, Flow, Val,
-};
+use crate::interp::{atomic_update, combine_vals, store_val, Exec, ExecMode, Flow, Val};
 use crate::jit::{JitCtx, NativeRegion, PoolEntry, Stream as JitStream};
+use crate::region::{self, Reduction, RegionSpec, RegionState};
 use crate::rir::{ScalarTy, VecClass};
-use crate::storage::{ArrayObj, MAX_THREADS};
-
-/// Reduction partials from one parallel region, keyed for a
-/// deterministic combine order (tid under static schedules, first flat
-/// iteration of the chunk under dynamic/guided).
-type KeyedPartials = Vec<(usize, Result<Vec<Val>, RunError>)>;
+use crate::storage::ArrayObj;
 
 /// Per-run promotion verdict for one vector descriptor. `Ready` and
 /// `Refused` are final for the run's cache; `Unknown` asks the shared
@@ -198,40 +193,6 @@ impl VFrame {
     }
 }
 
-/// Cost-region context (mirror of the interpreter's `RegionCtx`).
-struct VRegion {
-    per_thread: Vec<CostCounters>,
-    cur: usize,
-    critical: CostCounters,
-    threads: usize,
-    trip: u64,
-    reductions: usize,
-}
-
-/// Simulated-mode cost state; dormant (all fields untouched) when
-/// `TRACE = false`.
-#[derive(Default)]
-struct Tracer {
-    serial: CostCounters,
-    region: Option<Box<VRegion>>,
-    trace: CostTrace,
-    in_sim_region: bool,
-    critical_depth: u32,
-    vec_mode: VecClass,
-    vec_stack: Vec<VecClass>,
-}
-
-/// Operation kinds (mirror of the interpreter's `OpK`).
-#[derive(Clone, Copy)]
-enum VOp {
-    Flop,
-    FDiv,
-    FSpecial,
-    IOp,
-    Load,
-    Store,
-}
-
 pub(crate) struct Vm<'e, const TRACE: bool> {
     ex: &'e Exec,
     bunits: &'e [BUnit],
@@ -257,10 +218,13 @@ pub(crate) struct Vm<'e, const TRACE: bool> {
     /// Only uniquely-owned handles enter the pool; reuse re-zeroes the
     /// cells, matching `ArrayObj::new`.
     apool: Vec<Arc<ArrayObj>>,
-    tr: Tracer,
-    in_real_region: bool,
+    /// Region-protocol state; its cost accumulator is dormant (never
+    /// touched) when `TRACE = false`.
+    st: RegionState,
+    /// Vectorization classes of the enclosing `VecEnter`s (the
+    /// tree-walker keeps these on its recursion stack).
+    vec_stack: Vec<VecClass>,
     depth: usize,
-    out: String,
     /// Profiling collector, attached only to the main-thread VM of a
     /// profiled run (`Session::run_profiled`); `None` everywhere else —
     /// workers never carry one, keeping the hot path a single
@@ -301,10 +265,9 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             gcache: vec![None; ex.globals.cells.len()],
             fpool: vec![Vec::new(); bunits.len()],
             apool: Vec::new(),
-            tr: Tracer::default(),
-            in_real_region: false,
+            st: RegionState::default(),
+            vec_stack: Vec::new(),
             depth: 0,
-            out: String::new(),
             prof: None,
             cur_uidx: 0,
             cur_pc: 0,
@@ -316,82 +279,24 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         }
     }
 
-    /// Per-instruction accounting against the engine's `RunLimits`.
+    // ---------- cost hooks: compiled out unless TRACE ----------
+
     #[inline(always)]
-    fn tick(&mut self) -> Result<(), RunError> {
-        self.steps += 1;
-        let lim = &self.ex.limits;
-        if let Some(max) = lim.max_steps {
-            if self.steps > max {
-                return Err(RunError::Limit { msg: format!("step budget of {max} exhausted") });
-            }
-        }
-        if lim.poll && self.steps.is_multiple_of(1024) {
-            // Line attribution happens in `vm_ctx` at the catch site
-            // (`line_for_pc` is a table walk; keep the hot path lean).
-            lim.check_interrupt(None)?;
-        }
-        Ok(())
+    fn op(&mut self, k: OpKind) {
+        self.op_n(k, 1);
     }
 
-    // ---------- cost hooks (exact mirror of Task::op / op_n / add_misc) ----------
-
     #[inline(always)]
-    fn op(&mut self, k: VOp) {
+    fn op_n(&mut self, k: OpKind, n: u64) {
         if TRACE {
-            self.op_n(k, 1);
+            self.st.cost.op_n(k, n);
         }
     }
 
-    fn op_n(&mut self, k: VOp, n: u64) {
-        if !TRACE {
-            return;
-        }
-        let vec = self.tr.vec_mode;
-        let crit = self.tr.critical_depth > 0 && self.tr.region.is_some();
-        let apply = |c: &mut CostCounters| {
-            let o = match vec {
-                VecClass::Simd => &mut c.vector,
-                _ => &mut c.scalar,
-            };
-            match k {
-                VOp::Flop => o.flop += n,
-                VOp::FDiv => o.fdiv += n,
-                VOp::FSpecial => o.fspecial += n,
-                VOp::IOp => o.iop += n,
-                VOp::Load => o.load += n,
-                VOp::Store => {
-                    if vec == VecClass::Memset {
-                        c.memset_bytes += 8 * n;
-                    } else {
-                        o.store += n;
-                    }
-                }
-            }
-        };
-        apply(match &mut self.tr.region {
-            Some(r) => &mut r.per_thread[r.cur],
-            None => &mut self.tr.serial,
-        });
-        if crit {
-            if let Some(r) = &mut self.tr.region {
-                apply(&mut r.critical);
-            }
-        }
-    }
-
+    #[inline(always)]
     fn add_misc(&mut self, f: impl Fn(&mut CostCounters)) {
-        if !TRACE {
-            return;
-        }
-        f(match &mut self.tr.region {
-            Some(r) => &mut r.per_thread[r.cur],
-            None => &mut self.tr.serial,
-        });
-        if self.tr.critical_depth > 0 {
-            if let Some(r) = &mut self.tr.region {
-                f(&mut r.critical);
-            }
+        if TRACE {
+            self.st.cost.add_misc(f);
         }
     }
 
@@ -539,13 +444,13 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
     }
 
     fn vec_snapshot(&self) -> (VecClass, usize) {
-        (self.tr.vec_mode, self.tr.vec_stack.len())
+        (self.st.cost.vec_mode, self.vec_stack.len())
     }
 
     fn vec_restore(&mut self, snap: (VecClass, usize)) {
         if TRACE {
-            self.tr.vec_mode = snap.0;
-            self.tr.vec_stack.truncate(snap.1);
+            self.st.cost.vec_mode = snap.0;
+            self.vec_stack.truncate(snap.1);
         }
     }
 
@@ -699,20 +604,23 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         Ok(ctx.acc)
     }
 
-    /// Tier-3 entry: runs a promoted vector region in native code.
+    /// The one entry of a `VecLoop` region: runs the whole loop on the
+    /// best rung available — native code once the region is promoted,
+    /// the chunked vector executor otherwise.
     ///
-    /// `Ok(true)` — the whole loop ran natively (caller jumps to
-    /// `exit`). `Ok(false)` — the tier is off for this run, the region
-    /// isn't past its hotness threshold yet, compilation was refused,
-    /// or an entry guard failed on a promoted region (a *deopt*,
-    /// counted on the session); the caller falls through to the
-    /// vector/scalar paths, which re-check the same guards and produce
-    /// the bit-identical answer — or the stock error at the exact
-    /// faulting iteration. Step pre-reservation and the interrupt
-    /// cadence (one poll per ~1024 scalar-equivalent steps) are
-    /// exactly the vector tier's, so `RunLimits` and cancellation trip
-    /// identically in all three tiers.
-    fn exec_native_loop(
+    /// `Ok(true)` — the loop ran (caller jumps to `exit`). `Ok(false)` —
+    /// a guard failed, no state was touched and the caller falls through
+    /// to the scalar `DoHead1`, which re-runs the loop with the exact
+    /// scalar semantics, including the bounds/limit error at the precise
+    /// faulting iteration. All guards run once, before the first element
+    /// is written, and both rungs commit on the same set, so a loop
+    /// either completes on a fast rung or executes fully scalar, with
+    /// bit-identical results. A guard failure on a promoted region is a
+    /// *deopt*, counted on the session. Step pre-reservation and the
+    /// interrupt cadence (one poll per ~1024 scalar-equivalent steps) are
+    /// the same on every rung, so `RunLimits` and cancellation trip
+    /// identically.
+    fn exec_fast_loop(
         &mut self,
         frame: &mut VFrame,
         bu: &'e BUnit,
@@ -721,139 +629,11 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         end: u32,
         var: u32,
     ) -> Result<bool, RunError> {
-        // Traced builds never emit VecLoop; profiled runs want
-        // per-iteration loop events, so they take the scalar path.
-        if TRACE || self.prof.is_some() {
-            return Ok(false);
-        }
         let ex = self.ex;
-        let Some(nh) = ex.native.as_deref() else {
-            return Ok(false);
-        };
-        let d = &bu.vecs[desc as usize];
-        let lo = frame.i[ctr as usize];
-        let hi = frame.i[end as usize];
-        let n = match hi.checked_sub(lo).and_then(|x| x.checked_add(1)) {
-            Some(x) if x > 0 => x,
-            _ => return Ok(false), // zero-trip: scalar head exits at once
-        };
-        // Pre-reserve the steps the scalar loop would retire, exactly
-        // like the vector tier: if the budget can't cover them, run
-        // scalar so it trips with the stock error at the right
-        // iteration.
-        let cost = (n as u64).saturating_mul(u64::from(d.iter_cost));
-        if let Some(max) = ex.limits.max_steps {
-            if self.steps.saturating_add(cost) > max {
-                return Ok(false);
-            }
-        }
-        // Promotion: count this entry's heat and fetch the compiled
-        // region if it's past the threshold (re-verified + emitted on
-        // first promotion; refusals are cached). Final outcomes are
-        // memoized per run so steady-state entries skip the shared
-        // cache's mutex.
-        let uidx = self.cur_uidx;
-        if self.nmemo.is_empty() {
-            self.nmemo.resize_with(self.bunits.len(), Vec::new);
-        }
-        let row = &mut self.nmemo[uidx];
-        if row.is_empty() {
-            row.resize(bu.vecs.len(), NativeMemo::Unknown);
-        }
-        let memo = &mut row[desc as usize];
-        if let NativeMemo::Unknown = memo {
-            *memo = match nh.promote(&ex.prog, self.bunits, uidx as u32, desc) {
-                crate::jit::Promotion::NotYet => return Ok(false),
-                crate::jit::Promotion::Ready(r) => NativeMemo::Ready(r),
-                crate::jit::Promotion::Refused => NativeMemo::Refused,
-            };
-        }
-        let NativeMemo::Ready(region) = &*memo else {
-            return Ok(false);
-        };
-        Self::prefetch_globals(&mut self.gcache, ex, self.tid, d);
-        let rt = match Self::resolve_vec_streams(&self.gcache, &frame.a, &frame.i, d, lo, hi) {
-            Some(rt) if d.accesses.len() == region.naccess => rt,
-            _ => {
-                nh.count_deopt();
-                return Ok(false);
-            }
-        };
-        // Committed: all guards passed.
-        self.steps = self.steps.saturating_add(cost);
-        nh.count_entry();
-        // Resolve the loop-invariant operand pool from the region's
-        // recipe (frame scalars / globals can change between entries;
-        // the machine code only sees pool offsets). Pool and stream
-        // buffers are per-VM scratch, reused across entries.
-        self.npool.clear();
-        self.npool.extend(region.pool.iter().map(|e| match *e {
-            PoolEntry::ConstF(b) => b,
-            PoolEntry::FrameF(s) => frame.f[s as usize].to_bits(),
-            PoolEntry::GlobF(c) => ex.globals.cells[c as usize].load_bits(self.tid),
-            PoolEntry::ICoeff(c) => c as u64,
-            PoolEntry::IBase { coeff, add, inv } => {
-                let invv = match inv {
-                    NO_SLOT => 0,
-                    s => frame.i[s as usize],
-                };
-                coeff.wrapping_mul(lo).wrapping_add(add).wrapping_add(invv) as u64
-            }
-        }));
-        let acc0 = match d.red.map(|r| r.vs) {
-            None => 0.0,
-            Some(VSlot::F(s)) => frame.f[s as usize],
-            Some(VSlot::GlobS(c)) => {
-                f64::from_bits(ex.globals.cells[c as usize].load_bits(self.tid))
-            }
-            Some(_) => unreachable!("verified reduction accumulator slot"),
-        };
-        let acc = Self::enter_native(
-            ex,
-            region,
-            &rt,
-            &self.npool,
-            &mut self.nstreams,
-            n,
-            d.iter_cost,
-            acc0,
-        )?;
-        match d.red.map(|r| r.vs) {
-            None => {}
-            Some(VSlot::F(s)) => frame.f[s as usize] = acc,
-            Some(VSlot::GlobS(c)) => {
-                ex.globals.cells[c as usize].store_bits(self.tid, acc.to_bits());
-            }
-            Some(_) => unreachable!("verified reduction accumulator slot"),
-        }
-        // Leave the DO state exactly as the scalar head/incr would.
-        frame.i[var as usize] = hi;
-        frame.i[ctr as usize] = hi.wrapping_add(1);
-        Ok(true)
-    }
-
-    /// Executes a vectorized unit-stride DO loop in chunked slice form.
-    ///
-    /// Returns `Ok(true)` when the whole loop ran on the vector path
-    /// (caller jumps to `exit`). `Ok(false)` means a runtime guard
-    /// failed; no state was touched and the caller falls through to the
-    /// scalar `DoHead1`, which re-runs the loop with the exact scalar
-    /// semantics — including producing the bounds/limit error at the
-    /// precise faulting iteration. All guards run before the first
-    /// element is written, so a loop either completes vectorized or
-    /// executes fully scalar; results are bit-identical either way.
-    fn exec_vec_loop(
-        &mut self,
-        frame: &mut VFrame,
-        bu: &'e BUnit,
-        desc: u32,
-        ctr: u32,
-        end: u32,
-        var: u32,
-    ) -> Result<bool, RunError> {
+        let nh = ex.native.as_deref();
         // Traced builds never emit VecLoop; profiled runs want
         // per-iteration loop events, so they take the scalar path.
-        if TRACE || !self.ex.vector_enabled || self.prof.is_some() {
+        if TRACE || self.prof.is_some() || (nh.is_none() && !ex.vector_enabled) {
             return Ok(false);
         }
         let d = &bu.vecs[desc as usize];
@@ -867,201 +647,281 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         // budget can't cover them, run scalar so it trips with the
         // stock error at the right iteration.
         let cost = (n as u64).saturating_mul(u64::from(d.iter_cost));
-        if let Some(max) = self.ex.limits.max_steps {
+        if let Some(max) = ex.limits.max_steps {
             if self.steps.saturating_add(cost) > max {
                 return Ok(false);
             }
         }
-        // Same injected-corruption defense as the access streams: an
-        // out-of-range accumulator slot deopts to the scalar head.
-        if let Some(r) = d.red {
-            let ok = match r.vs {
-                VSlot::F(s) => (s as usize) < frame.f.len(),
-                VSlot::GlobS(c) => (c as usize) < self.ex.globals.cells.len(),
-                _ => false,
-            };
-            if !ok {
-                return Ok(false);
+        // Promotion: count this entry's heat and fetch the compiled
+        // region if it's past the threshold (re-verified + emitted on
+        // first promotion; refusals are cached). Final outcomes are
+        // memoized per run so steady-state entries skip the shared
+        // cache's mutex.
+        let mut native: Option<&NativeRegion> = None;
+        if let Some(nh) = nh {
+            let uidx = self.cur_uidx;
+            if self.nmemo.is_empty() {
+                self.nmemo.resize_with(self.bunits.len(), Vec::new);
+            }
+            let row = &mut self.nmemo[uidx];
+            if row.is_empty() {
+                row.resize(bu.vecs.len(), NativeMemo::Unknown);
+            }
+            let memo = &mut row[desc as usize];
+            if let NativeMemo::Unknown = memo {
+                match nh.promote(&ex.prog, self.bunits, uidx as u32, desc) {
+                    crate::jit::Promotion::NotYet => {}
+                    crate::jit::Promotion::Ready(r) => *memo = NativeMemo::Ready(r),
+                    crate::jit::Promotion::Refused => *memo = NativeMemo::Refused,
+                }
+            }
+            if let NativeMemo::Ready(region) = &*memo {
+                native = Some(region);
             }
         }
-        Self::prefetch_globals(&mut self.gcache, self.ex, self.tid, d);
-        let Some(rt) = Self::resolve_vec_streams(&self.gcache, &frame.a, &frame.i, d, lo, hi)
-        else {
+        if native.is_none() && !ex.vector_enabled {
+            return Ok(false);
+        }
+        // Same injected-corruption defense as the access streams: an
+        // out-of-range accumulator slot deopts to the scalar head.
+        let red_ok = d.red.is_none_or(|r| match r.vs {
+            VSlot::F(s) => (s as usize) < frame.f.len(),
+            VSlot::GlobS(c) => (c as usize) < ex.globals.cells.len(),
+            _ => false,
+        });
+        Self::prefetch_globals(&mut self.gcache, ex, self.tid, d);
+        let rt = Self::resolve_vec_streams(&self.gcache, &frame.a, &frame.i, d, lo, hi);
+        if let (Some(nh), Some(region)) = (nh, native) {
+            if !red_ok || rt.is_none() || d.accesses.len() != region.naccess {
+                nh.count_deopt();
+                native = None;
+            }
+        }
+        let Some(rt) = rt.filter(|_| red_ok && (native.is_some() || ex.vector_enabled)) else {
             return Ok(false);
         };
-        // A verified lane op only names declared accesses, all resolved.
-        let stream = |ai: u32| rt[ai as usize].expect("resolved access stream");
         // Committed: all guards passed.
         self.steps = self.steps.saturating_add(cost);
-        self.ex.vector_entries.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if !d.stmts.is_empty() {
-            let depth = (d.max_depth as usize).max(1);
-            let mut vbuf = std::mem::take(&mut self.vbuf);
-            vbuf.clear();
-            vbuf.resize(depth * VEC_CHUNK, 0.0);
-            let mut args = [0.0f64; 8];
-            let mut acc = d.red.map(|r| match r.vs {
-                VSlot::F(s) => frame.f[s as usize],
+        let acc = d.red.map(|r| match r.vs {
+            VSlot::F(s) => frame.f[s as usize],
+            VSlot::GlobS(c) => f64::from_bits(ex.globals.cells[c as usize].load_bits(self.tid)),
+            _ => unreachable!("verified reduction accumulator slot"),
+        });
+        let acc = match (nh, native) {
+            (Some(nh), Some(region)) => {
+                nh.count_entry();
+                // Resolve the loop-invariant operand pool from the
+                // region's recipe (frame scalars / globals can change
+                // between entries; the machine code only sees pool
+                // offsets). Pool and stream buffers are per-VM scratch,
+                // reused across entries.
+                self.npool.clear();
+                self.npool.extend(region.pool.iter().map(|e| match *e {
+                    PoolEntry::ConstF(b) => b,
+                    PoolEntry::FrameF(s) => frame.f[s as usize].to_bits(),
+                    PoolEntry::GlobF(c) => ex.globals.cells[c as usize].load_bits(self.tid),
+                    PoolEntry::ICoeff(c) => c as u64,
+                    PoolEntry::IBase { coeff, add, inv } => {
+                        let invv = match inv {
+                            NO_SLOT => 0,
+                            s => frame.i[s as usize],
+                        };
+                        coeff.wrapping_mul(lo).wrapping_add(add).wrapping_add(invv) as u64
+                    }
+                }));
+                let acc0 = acc.unwrap_or(0.0);
+                let out = Self::enter_native(
+                    ex,
+                    region,
+                    &rt,
+                    &self.npool,
+                    &mut self.nstreams,
+                    n,
+                    d.iter_cost,
+                    acc0,
+                )?;
+                acc.map(|_| out)
+            }
+            _ => {
+                ex.vector_entries.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                Self::run_chunks(ex, self.tid, &mut self.vbuf, frame, d, &rt, lo, n, acc)?
+            }
+        };
+        if let (Some(r), Some(a)) = (d.red, acc) {
+            match r.vs {
+                VSlot::F(s) => frame.f[s as usize] = a,
                 VSlot::GlobS(c) => {
-                    f64::from_bits(self.ex.globals.cells[c as usize].load_bits(self.tid))
+                    ex.globals.cells[c as usize].store_bits(self.tid, a.to_bits());
                 }
                 _ => unreachable!("verified reduction accumulator slot"),
-            });
-            let mut k0: i64 = 0;
-            while k0 < n {
-                // The scalar tick() only polls the deadline/token every
-                // 1024 steps; checking every chunk is at least as prompt.
-                if self.ex.limits.poll {
-                    if let Err(e) = self.ex.limits.check_interrupt(None) {
-                        self.vbuf = vbuf;
-                        return Err(e);
-                    }
-                }
-                let m = ((n - k0) as usize).min(VEC_CHUNK);
-                for ops in &d.stmts {
-                    let mut dep = 0usize;
-                    for op in ops {
-                        match *op {
-                            VecOp::Load(ai) => {
-                                let VStream { arr, base, stride } = stream(ai);
-                                let mut off = base + stride * k0;
-                                for x in &mut vbuf[dep * VEC_CHUNK..dep * VEC_CHUNK + m] {
-                                    *x = arr.get_f(off as usize);
-                                    off += stride;
-                                }
-                                dep += 1;
-                            }
-                            VecOp::Splat(c) => {
-                                vbuf[dep * VEC_CHUNK..dep * VEC_CHUNK + m].fill(c);
-                                dep += 1;
-                            }
-                            VecOp::SplatF(s) => {
-                                vbuf[dep * VEC_CHUNK..dep * VEC_CHUNK + m]
-                                    .fill(frame.f[s as usize]);
-                                dep += 1;
-                            }
-                            VecOp::SplatG(c) => {
-                                let v = f64::from_bits(
-                                    self.ex.globals.cells[c as usize].load_bits(self.tid),
-                                );
-                                vbuf[dep * VEC_CHUNK..dep * VEC_CHUNK + m].fill(v);
-                                dep += 1;
-                            }
-                            VecOp::SplatI { coeff, add, inv } => {
-                                let invv = match inv {
-                                    NO_SLOT => 0,
-                                    s => frame.i[s as usize],
-                                };
-                                let i0 = lo.wrapping_add(k0);
-                                for (j, x) in vbuf[dep * VEC_CHUNK..dep * VEC_CHUNK + m]
-                                    .iter_mut()
-                                    .enumerate()
-                                {
-                                    let i = i0.wrapping_add(j as i64);
-                                    *x = coeff.wrapping_mul(i).wrapping_add(add).wrapping_add(invv)
-                                        as f64;
-                                }
-                                dep += 1;
-                            }
-                            VecOp::Add | VecOp::Sub | VecOp::Mul | VecOp::Div | VecOp::Pow => {
-                                let at = (dep - 2) * VEC_CHUNK;
-                                let (a, b) = vbuf[at..].split_at_mut(VEC_CHUNK);
-                                let (a, b) = (&mut a[..m], &b[..m]);
-                                match *op {
-                                    VecOp::Add => {
-                                        for (x, y) in a.iter_mut().zip(b) {
-                                            *x += y;
-                                        }
-                                    }
-                                    VecOp::Sub => {
-                                        for (x, y) in a.iter_mut().zip(b) {
-                                            *x -= y;
-                                        }
-                                    }
-                                    VecOp::Mul => {
-                                        for (x, y) in a.iter_mut().zip(b) {
-                                            *x *= y;
-                                        }
-                                    }
-                                    VecOp::Div => {
-                                        for (x, y) in a.iter_mut().zip(b) {
-                                            *x /= y;
-                                        }
-                                    }
-                                    _ => {
-                                        for (x, &y) in a.iter_mut().zip(b.iter()) {
-                                            *x = x.powf(y);
-                                        }
-                                    }
-                                }
-                                dep -= 1;
-                            }
-                            VecOp::PowI(e) => {
-                                let at = (dep - 1) * VEC_CHUNK;
-                                for x in &mut vbuf[at..at + m] {
-                                    *x = x.powi(e);
-                                }
-                            }
-                            VecOp::Neg => {
-                                let at = (dep - 1) * VEC_CHUNK;
-                                for x in &mut vbuf[at..at + m] {
-                                    *x = -*x;
-                                }
-                            }
-                            VecOp::Intr { f, argc } => {
-                                let na = argc as usize;
-                                dep -= na;
-                                for j in 0..m {
-                                    for (t, a) in args.iter_mut().enumerate().take(na) {
-                                        *a = vbuf[(dep + t) * VEC_CHUNK + j];
-                                    }
-                                    vbuf[dep * VEC_CHUNK + j] = f.eval_f(&args[..na]);
-                                }
-                                dep += 1;
-                            }
-                            VecOp::Store(ai) => {
-                                dep -= 1;
-                                let VStream { arr, base, stride } = stream(ai);
-                                let mut off = base + stride * k0;
-                                for &x in &vbuf[dep * VEC_CHUNK..dep * VEC_CHUNK + m] {
-                                    arr.set_f(off as usize, x);
-                                    off += stride;
-                                }
-                            }
-                        }
-                    }
-                }
-                if let (Some(r), Some(a)) = (d.red, acc.as_mut()) {
-                    // The single reduction program left its term lanes
-                    // at depth 0; fold them in iteration order with the
-                    // accumulator on the side it held in source.
-                    for &t in &vbuf[..m] {
-                        *a = match (r.op, r.acc_left) {
-                            (VecRedOp::Add, true) => *a + t,
-                            (VecRedOp::Add, false) => t + *a,
-                            (VecRedOp::Mul, true) => *a * t,
-                            (VecRedOp::Mul, false) => t * *a,
-                        };
-                    }
-                }
-                k0 += m as i64;
             }
-            if let (Some(r), Some(a)) = (d.red, acc) {
-                match r.vs {
-                    VSlot::F(s) => frame.f[s as usize] = a,
-                    VSlot::GlobS(c) => {
-                        self.ex.globals.cells[c as usize].store_bits(self.tid, a.to_bits());
-                    }
-                    _ => unreachable!("verified reduction accumulator slot"),
-                }
-            }
-            self.vbuf = vbuf;
         }
         // Leave the DO state exactly as the scalar head/incr would:
         // the variable holds the last iteration, the counter one past.
         frame.i[var as usize] = hi;
         frame.i[ctr as usize] = hi.wrapping_add(1);
         Ok(true)
+    }
+
+    /// The vector rung: iterations `[0, n)` of `d` as chunked slice
+    /// loops over [`VEC_CHUNK`] lanes. Returns the reduction accumulator
+    /// (`acc` passed through when the region has none).
+    #[allow(clippy::too_many_arguments)]
+    fn run_chunks(
+        ex: &Exec,
+        tid: usize,
+        vbuf: &mut Vec<f64>,
+        frame: &VFrame,
+        d: &VecDesc,
+        rt: &VStreams<'_>,
+        lo: i64,
+        n: i64,
+        mut acc: Option<f64>,
+    ) -> Result<Option<f64>, RunError> {
+        if d.stmts.is_empty() {
+            return Ok(acc);
+        }
+        // A verified lane op only names declared accesses, all resolved.
+        let stream = |ai: u32| rt[ai as usize].expect("resolved access stream");
+        vbuf.clear();
+        vbuf.resize((d.max_depth as usize).max(1) * VEC_CHUNK, 0.0);
+        let vbuf = vbuf.as_mut_slice();
+        let mut args = [0.0f64; 8];
+        let mut k0: i64 = 0;
+        while k0 < n {
+            // The scalar tick() only polls the deadline/token every
+            // 1024 steps; checking every chunk is at least as prompt.
+            if ex.limits.poll {
+                ex.limits.check_interrupt(None)?;
+            }
+            let m = ((n - k0) as usize).min(VEC_CHUNK);
+            for ops in &d.stmts {
+                let mut dep = 0usize;
+                for op in ops {
+                    match *op {
+                        VecOp::Load(ai) => {
+                            let VStream { arr, base, stride } = stream(ai);
+                            let mut off = base + stride * k0;
+                            for x in &mut vbuf[dep * VEC_CHUNK..dep * VEC_CHUNK + m] {
+                                *x = arr.get_f(off as usize);
+                                off += stride;
+                            }
+                            dep += 1;
+                        }
+                        VecOp::Splat(c) => {
+                            vbuf[dep * VEC_CHUNK..dep * VEC_CHUNK + m].fill(c);
+                            dep += 1;
+                        }
+                        VecOp::SplatF(s) => {
+                            vbuf[dep * VEC_CHUNK..dep * VEC_CHUNK + m]
+                                .fill(frame.f[s as usize]);
+                            dep += 1;
+                        }
+                        VecOp::SplatG(c) => {
+                            let v = f64::from_bits(ex.globals.cells[c as usize].load_bits(tid));
+                            vbuf[dep * VEC_CHUNK..dep * VEC_CHUNK + m].fill(v);
+                            dep += 1;
+                        }
+                        VecOp::SplatI { coeff, add, inv } => {
+                            let invv = match inv {
+                                NO_SLOT => 0,
+                                s => frame.i[s as usize],
+                            };
+                            let i0 = lo.wrapping_add(k0);
+                            for (j, x) in vbuf[dep * VEC_CHUNK..dep * VEC_CHUNK + m]
+                                .iter_mut()
+                                .enumerate()
+                            {
+                                let i = i0.wrapping_add(j as i64);
+                                *x = coeff.wrapping_mul(i).wrapping_add(add).wrapping_add(invv)
+                                    as f64;
+                            }
+                            dep += 1;
+                        }
+                        VecOp::Add | VecOp::Sub | VecOp::Mul | VecOp::Div | VecOp::Pow => {
+                            let at = (dep - 2) * VEC_CHUNK;
+                            let (a, b) = vbuf[at..].split_at_mut(VEC_CHUNK);
+                            let (a, b) = (&mut a[..m], &b[..m]);
+                            match *op {
+                                VecOp::Add => {
+                                    for (x, y) in a.iter_mut().zip(b) {
+                                        *x += y;
+                                    }
+                                }
+                                VecOp::Sub => {
+                                    for (x, y) in a.iter_mut().zip(b) {
+                                        *x -= y;
+                                    }
+                                }
+                                VecOp::Mul => {
+                                    for (x, y) in a.iter_mut().zip(b) {
+                                        *x *= y;
+                                    }
+                                }
+                                VecOp::Div => {
+                                    for (x, y) in a.iter_mut().zip(b) {
+                                        *x /= y;
+                                    }
+                                }
+                                _ => {
+                                    for (x, &y) in a.iter_mut().zip(b.iter()) {
+                                        *x = x.powf(y);
+                                    }
+                                }
+                            }
+                            dep -= 1;
+                        }
+                        VecOp::PowI(e) => {
+                            let at = (dep - 1) * VEC_CHUNK;
+                            for x in &mut vbuf[at..at + m] {
+                                *x = x.powi(e);
+                            }
+                        }
+                        VecOp::Neg => {
+                            let at = (dep - 1) * VEC_CHUNK;
+                            for x in &mut vbuf[at..at + m] {
+                                *x = -*x;
+                            }
+                        }
+                        VecOp::Intr { f, argc } => {
+                            let na = argc as usize;
+                            dep -= na;
+                            for j in 0..m {
+                                for (t, a) in args.iter_mut().enumerate().take(na) {
+                                    *a = vbuf[(dep + t) * VEC_CHUNK + j];
+                                }
+                                vbuf[dep * VEC_CHUNK + j] = f.eval_f(&args[..na]);
+                            }
+                            dep += 1;
+                        }
+                        VecOp::Store(ai) => {
+                            dep -= 1;
+                            let VStream { arr, base, stride } = stream(ai);
+                            let mut off = base + stride * k0;
+                            for &x in &vbuf[dep * VEC_CHUNK..dep * VEC_CHUNK + m] {
+                                arr.set_f(off as usize, x);
+                                off += stride;
+                            }
+                        }
+                    }
+                }
+            }
+            if let (Some(r), Some(a)) = (d.red, acc.as_mut()) {
+                // The single reduction program left its term lanes
+                // at depth 0; fold them in iteration order with the
+                // accumulator on the side it held in source.
+                for &t in &vbuf[..m] {
+                    *a = match (r.op, r.acc_left) {
+                        (VecRedOp::Add, true) => *a + t,
+                        (VecRedOp::Add, false) => t + *a,
+                        (VecRedOp::Mul, true) => *a * t,
+                        (VecRedOp::Mul, false) => t * *a,
+                    };
+                }
+            }
+            k0 += m as i64;
+        }
+        Ok(acc)
     }
 
     // ---------- the dispatch loop ----------
@@ -1080,7 +940,9 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         self.cur_uidx = uidx;
         while pc < hi {
             self.cur_pc = pc as u32;
-            self.tick()?;
+            // No line: attribution happens in `vm_ctx` at the catch site
+            // (`line_for_pc` is a table walk; keep the hot path lean).
+            self.ex.limits.tick(&mut self.steps, 0)?;
             match code[pc] {
                 BInstr::Const(b) => self.push(b),
                 BInstr::LoadI(s) => self.push(frame.i[s as usize] as u64),
@@ -1090,11 +952,11 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 BInstr::StoreF(s) => frame.f[s as usize] = f64::from_bits(self.pop()),
                 BInstr::StoreB(s) => frame.b[s as usize] = self.pop() != 0,
                 BInstr::LoadG(c) => {
-                    self.op(VOp::Load);
+                    self.op(OpKind::Load);
                     self.push(self.ex.globals.cells[c as usize].load_bits(self.tid));
                 }
                 BInstr::StoreG(c) => {
-                    self.op(VOp::Store);
+                    self.op(OpKind::Store);
                     let bits = self.pop();
                     self.ex.globals.cells[c as usize].store_bits(self.tid, bits);
                 }
@@ -1116,59 +978,59 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 }
                 BInstr::AddF => {
                     let (b, a) = (self.popf(), self.popf());
-                    self.op(VOp::Flop);
+                    self.op(OpKind::Flop);
                     self.push((a + b).to_bits());
                 }
                 BInstr::SubF => {
                     let (b, a) = (self.popf(), self.popf());
-                    self.op(VOp::Flop);
+                    self.op(OpKind::Flop);
                     self.push((a - b).to_bits());
                 }
                 BInstr::MulF => {
                     let (b, a) = (self.popf(), self.popf());
-                    self.op(VOp::Flop);
+                    self.op(OpKind::Flop);
                     self.push((a * b).to_bits());
                 }
                 BInstr::DivF => {
                     let (b, a) = (self.popf(), self.popf());
-                    self.op(VOp::FDiv);
+                    self.op(OpKind::FDiv);
                     self.push((a / b).to_bits());
                 }
                 BInstr::PowFF => {
                     let (b, a) = (self.popf(), self.popf());
-                    self.op(VOp::FSpecial);
+                    self.op(OpKind::FSpecial);
                     self.push(a.powf(b).to_bits());
                 }
                 BInstr::PowFI => {
                     let e = self.popi();
                     let x = self.popf();
-                    self.op(VOp::FSpecial);
+                    self.op(OpKind::FSpecial);
                     let r = if e.unsigned_abs() <= 64 { x.powi(e as i32) } else { x.powf(e as f64) };
                     self.push(r.to_bits());
                 }
                 BInstr::NegF => {
                     let x = self.popf();
-                    self.op(VOp::Flop);
+                    self.op(OpKind::Flop);
                     self.push((-x).to_bits());
                 }
                 BInstr::AddI => {
                     let (b, a) = (self.popi(), self.popi());
-                    self.op(VOp::IOp);
+                    self.op(OpKind::IOp);
                     self.push(a.wrapping_add(b) as u64);
                 }
                 BInstr::SubI => {
                     let (b, a) = (self.popi(), self.popi());
-                    self.op(VOp::IOp);
+                    self.op(OpKind::IOp);
                     self.push(a.wrapping_sub(b) as u64);
                 }
                 BInstr::MulI => {
                     let (b, a) = (self.popi(), self.popi());
-                    self.op(VOp::IOp);
+                    self.op(OpKind::IOp);
                     self.push(a.wrapping_mul(b) as u64);
                 }
                 BInstr::DivI => {
                     let (b, a) = (self.popi(), self.popi());
-                    self.op(VOp::IOp);
+                    self.op(OpKind::IOp);
                     if b == 0 {
                         return Err(RunError::Arith { msg: "integer division by zero".into() });
                     }
@@ -1176,7 +1038,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 }
                 BInstr::PowII => {
                     let (b, a) = (self.popi(), self.popi());
-                    self.op(VOp::IOp);
+                    self.op(OpKind::IOp);
                     let r = if b < 0 {
                         0
                     } else {
@@ -1186,27 +1048,27 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 }
                 BInstr::NegI => {
                     let x = self.popi();
-                    self.op(VOp::IOp);
+                    self.op(OpKind::IOp);
                     self.push(x.wrapping_neg() as u64);
                 }
                 BInstr::NotB => {
                     let x = self.pop();
-                    self.op(VOp::IOp);
+                    self.op(OpKind::IOp);
                     self.push(u64::from(x == 0));
                 }
                 BInstr::AndB => {
                     let (b, a) = (self.pop(), self.pop());
-                    self.op(VOp::IOp);
+                    self.op(OpKind::IOp);
                     self.push(u64::from(a != 0 && b != 0));
                 }
                 BInstr::OrB => {
                     let (b, a) = (self.pop(), self.pop());
-                    self.op(VOp::IOp);
+                    self.op(OpKind::IOp);
                     self.push(u64::from(a != 0 || b != 0));
                 }
                 BInstr::CmpF(c) => {
                     let (b, a) = (self.popf(), self.popf());
-                    self.op(VOp::Flop);
+                    self.op(OpKind::Flop);
                     let r = match c {
                         Cmp::Eq => a == b,
                         Cmp::Ne => a != b,
@@ -1219,7 +1081,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 }
                 BInstr::CmpI(c) => {
                     let (b, a) = (self.popi(), self.popi());
-                    self.op(VOp::IOp);
+                    self.op(OpKind::IOp);
                     let r = match c {
                         Cmp::Eq => a == b,
                         Cmp::Ne => a != b,
@@ -1234,7 +1096,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     return Err(RunError::Type { msg: "arithmetic on LOGICAL".into() });
                 }
                 BInstr::FailNegB => {
-                    self.op(VOp::IOp);
+                    self.op(OpKind::IOp);
                     return Err(RunError::Type { msg: "negate LOGICAL".into() });
                 }
                 BInstr::FailType { msg } => {
@@ -1246,7 +1108,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     self.iscratch.clear();
                     self.iscratch.extend(self.stack[at..].iter().map(|&b| b as i64));
                     self.stack.truncate(at);
-                    self.op(if f.is_special() { VOp::FSpecial } else { VOp::Flop });
+                    self.op(if f.is_special() { OpKind::FSpecial } else { OpKind::Flop });
                     let args = std::mem::take(&mut self.iscratch);
                     let r = f.eval_i(&args);
                     self.iscratch = args;
@@ -1258,7 +1120,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     self.fscratch.clear();
                     self.fscratch.extend(self.stack[at..].iter().map(|&b| f64::from_bits(b)));
                     self.stack.truncate(at);
-                    self.op(if f.is_special() { VOp::FSpecial } else { VOp::Flop });
+                    self.op(if f.is_special() { OpKind::FSpecial } else { OpKind::Flop });
                     let args = std::mem::take(&mut self.fscratch);
                     let r = f.eval_f(&args);
                     self.fscratch = args;
@@ -1281,7 +1143,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                         let off = arr.offset(self.var_name(uidx, v), &subs)?;
                         load_elem_bits(&arr, off, want)
                     };
-                    self.op(VOp::Load);
+                    self.op(OpKind::Load);
                     self.push(bits);
                 }
                 BInstr::LoadElemS { vs, v, subs, n, sd, want } => {
@@ -1291,7 +1153,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     let shape = (sd != NO_SDIMS).then(|| &bu.sdims[sd as usize]);
                     let (arr, off) = self.elem_at(uidx, frame, (vs, v), shape, &ix[..n])?;
                     let bits = load_elem_bits(arr, off, want);
-                    self.op(VOp::Load);
+                    self.op(OpKind::Load);
                     self.push(bits);
                 }
                 BInstr::StoreElem { vs, v, nsubs, src } => {
@@ -1308,7 +1170,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                         let off = arr.offset(self.var_name(uidx, v), &subs)?;
                         store_elem_bits(&arr, off, bits, src);
                     }
-                    self.op(VOp::Store);
+                    self.op(OpKind::Store);
                 }
                 BInstr::StoreElemS { vs, v, subs, n, sd, src } => {
                     let bits = self.pop();
@@ -1318,13 +1180,13 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     let shape = (sd != NO_SDIMS).then(|| &bu.sdims[sd as usize]);
                     let (arr, off) = self.elem_at(uidx, frame, (vs, v), shape, &ix[..n])?;
                     store_elem_bits(arr, off, bits, src);
-                    self.op(VOp::Store);
+                    self.op(OpKind::Store);
                 }
                 BInstr::ArrRed { f, vs, v, want } => {
                     let arr = self.handle_in(uidx, frame, vs, v)?;
                     let n = arr.len();
-                    self.op_n(VOp::Load, n as u64);
-                    self.op_n(VOp::Flop, n as u64);
+                    self.op_n(OpKind::Load, n as u64);
+                    self.op_n(OpKind::Flop, n as u64);
                     let val = match f {
                         crate::rir::ArrRed::Size => Val::I(n as i64),
                         crate::rir::ArrRed::Sum => match arr.ty {
@@ -1362,7 +1224,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     let bits = self.pop();
                     let arr = self.handle_in(uidx, frame, vs, v)?;
                     let n = arr.len();
-                    self.op_n(VOp::Store, n as u64);
+                    self.op_n(OpKind::Store, n as u64);
                     let val = Val::from_bits(bits, src);
                     for off in 0..n {
                         store_val(&arr, off, val);
@@ -1377,8 +1239,8 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                         });
                     }
                     let n = d.len();
-                    self.op_n(VOp::Load, n as u64);
-                    self.op_n(VOp::Store, n as u64);
+                    self.op_n(OpKind::Load, n as u64);
+                    self.op_n(OpKind::Store, n as u64);
                     for off in 0..n {
                         d.set_bits(off, s.get_bits(off));
                     }
@@ -1386,12 +1248,12 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 BInstr::AtomicScal { vs, v: _, op, ety, vty } => {
                     let delta = Val::from_bits(self.pop(), ety);
                     self.add_misc(|c| c.atomics += 1);
-                    self.op(VOp::Load);
-                    self.op(VOp::Store);
+                    self.op(OpKind::Load);
+                    self.op(OpKind::Store);
                     match vs {
                         VSlot::GlobS(c) => {
-                            let g = &self.ex.globals.cells[c as usize];
-                            atomic_scalar_update(g, self.tid, vty, op, delta);
+                            let atom = self.ex.globals.cells[c as usize].scalar_atomic(self.tid);
+                            atomic_update(atom, vty, op, delta);
                         }
                         _ => {
                             // Frame scalar: thread-private anyway; plain RMW.
@@ -1405,23 +1267,14 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     let subs = self.pop_subs(nsubs as usize);
                     let delta = Val::from_bits(self.pop(), ety);
                     self.add_misc(|c| c.atomics += 1);
-                    self.op(VOp::Load);
-                    self.op(VOp::Store);
+                    self.op(OpKind::Load);
+                    self.op(OpKind::Store);
                     let arr = self.handle_in(uidx, frame, vs, v)?;
                     let off = arr.offset(self.var_name(uidx, v), &subs)?;
-                    match arr.ty {
-                        ScalarTy::F => {
-                            let d = delta.as_f();
-                            arr.atomic_update_f(off, |x| combine_f(op, x, d));
-                        }
-                        ScalarTy::I => {
-                            let d = delta.as_i();
-                            arr.atomic_update_i(off, |x| combine_i(op, x, d));
-                        }
-                        ScalarTy::B => {
-                            return Err(RunError::Type { msg: "ATOMIC on LOGICAL".into() });
-                        }
+                    if arr.ty == ScalarTy::B {
+                        return Err(RunError::Type { msg: "ATOMIC on LOGICAL".into() });
                     }
+                    atomic_update(&arr.cells[off], arr.ty, op, delta);
                 }
                 BInstr::Alloc { vs, v, ndims, ty } => {
                     // Bounds go to a stack buffer; a `Vec` is built only
@@ -1520,13 +1373,13 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 BInstr::CostBranch => self.add_misc(|c| c.branches += 1),
                 BInstr::VecEnter(v) => {
                     if TRACE {
-                        self.tr.vec_stack.push(self.tr.vec_mode);
-                        self.tr.vec_mode = v;
+                        self.vec_stack.push(self.st.cost.vec_mode);
+                        self.st.cost.vec_mode = v;
                     }
                 }
                 BInstr::VecLeave => {
                     if TRACE {
-                        self.tr.vec_mode = self.tr.vec_stack.pop().unwrap_or(VecClass::None);
+                        self.st.cost.vec_mode = self.vec_stack.pop().unwrap_or(VecClass::None);
                     }
                 }
                 BInstr::DoInitC { ctr, end } => {
@@ -1541,11 +1394,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     }
                 }
                 BInstr::VecLoop { desc, ctr, end, var, exit } => {
-                    // Tier ladder: native (promoted machine code), then
-                    // the vector superinstruction, then the scalar head.
-                    if self.exec_native_loop(frame, bu, desc, ctr, end, var)?
-                        || self.exec_vec_loop(frame, bu, desc, ctr, end, var)?
-                    {
+                    if self.exec_fast_loop(frame, bu, desc, ctr, end, var)? {
                         pc = exit as usize;
                         continue;
                     }
@@ -1624,19 +1473,16 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 BInstr::FlowReturn => return Ok(Flow::Return),
                 BInstr::Critical { name, end, exit, cycle } => {
                     if TRACE {
-                        self.tr.critical_depth += 1;
+                        self.st.cost.critical_depth += 1;
                     }
                     let snap = self.vec_snapshot();
-                    let r = if matches!(self.ex.mode, ExecMode::Parallel { .. })
-                        && self.in_real_region
-                    {
-                        let _guard = self.ex.critical.enter(&bu.msgs[name as usize]);
-                        self.run_range(uidx, frame, pc as u32 + 1, end)
-                    } else {
-                        self.run_range(uidx, frame, pc as u32 + 1, end)
-                    };
+                    // Only team members of a real fork contend for the lock.
+                    let section = &bu.msgs[name as usize];
+                    let guard = self.st.in_real_region.then(|| self.ex.critical.enter(section));
+                    let r = self.run_range(uidx, frame, pc as u32 + 1, end);
+                    drop(guard);
                     if TRACE {
-                        self.tr.critical_depth -= 1;
+                        self.st.cost.critical_depth -= 1;
                     }
                     match r? {
                         Flow::Normal => {
@@ -1693,7 +1539,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     let subs = self.pop_subs(nsubs as usize);
                     let arr = self.handle_in(uidx, frame, vs, v)?;
                     let off = arr.offset(self.var_name(uidx, v), &subs)?;
-                    self.op(VOp::Load);
+                    self.op(OpKind::Load);
                     self.sstash.extend_from_slice(&subs);
                     self.push(load_elem_bits(&arr, off, want));
                 }
@@ -1739,7 +1585,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     }
                     self.stack.truncate(at);
                     line.push('\n');
-                    self.out.push_str(&line);
+                    self.st.out.push_str(&line);
                 }
                 BInstr::Stop { msg } => {
                     return Err(RunError::Stop { msg: bu.msgs[msg as usize].clone() });
@@ -1817,7 +1663,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 BArg::Scalar { src_vs, src_v, src_ty, p, pty } => {
                     let val = Val::from_bits(cframe.read(p, self.ex, self.tid), pty);
                     match src_vs {
-                        VSlot::GlobS(_) => self.op(VOp::Store),
+                        VSlot::GlobS(_) => self.op(OpKind::Store),
                         VSlot::A(_) | VSlot::GlobA(_) => {
                             return Err(RunError::Type {
                                 msg: format!(
@@ -1836,7 +1682,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     soff += nsubs as usize;
                     let arr = self.handle_in(uidx, frame, vs, v)?;
                     let off = arr.offset(self.var_name(uidx, v), &subs)?;
-                    self.op(VOp::Store);
+                    self.op(OpKind::Store);
                     store_val(&arr, off, val);
                 }
                 BArg::Arr { .. } | BArg::Val { .. } => {}
@@ -1852,18 +1698,6 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
 
     // ---------- OMP PARALLEL DO ----------
 
-    /// Writes a loop-dimension variable (interpreter's per-iteration
-    /// `write_scalar`, including the Store cost for globals).
-    #[inline]
-    fn store_dim(&mut self, frame: &mut VFrame, vs: VSlot, ty: ScalarTy, v: i64) {
-        if TRACE {
-            if let VSlot::GlobS(_) = vs {
-                self.op(VOp::Store);
-            }
-        }
-        frame.write(vs, ty, Val::I(v), self.ex, self.tid);
-    }
-
     fn exec_omp(
         &mut self,
         uidx: usize,
@@ -1874,296 +1708,100 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
     ) -> Result<Flow, RunError> {
         let d: &'e OmpDesc = &bu.omps[desc];
         // Stack (top last): s0, e0, st, [lo,hi]*, [num_threads].
-        let clause_threads = if d.has_nt { Some(self.popi().max(1) as usize) } else { None };
-        let ndims = d.dims.len();
-        let mut bounds = vec![(0i64, 0i64); ndims];
-        for k in (1..ndims).rev() {
+        let num_threads = d.has_nt.then(|| self.popi());
+        let mut bounds = vec![(0i64, 0i64); d.dims.len()];
+        for b in bounds[1..].iter_mut().rev() {
             let hi = self.popi();
-            let lo = self.popi();
-            bounds[k] = (lo, hi);
+            *b = (self.popi(), hi);
         }
-        let st = self.popi();
+        let outer_step = self.popi();
         let e0 = self.popi();
-        let s0 = self.popi();
-        bounds[0] = (s0, e0);
-        let outer_trip = trip_count(s0, e0, st);
-        let total_trip: u64 = if ndims == 1 {
-            outer_trip
-        } else {
-            bounds.iter().map(|&(lo, hi)| trip_count(lo, hi, 1)).product()
-        };
-        let mode_threads = self.ex.mode.threads();
-        let team = clause_threads.unwrap_or(mode_threads).min(MAX_THREADS);
-
-        // OMP region entry is a safepoint: never fork a team for a run
-        // whose token already fired (or whose deadline already passed).
-        if self.ex.limits.poll {
-            self.ex.limits.check_interrupt(Some(line))?;
-        }
-
-        match self.ex.mode {
-            ExecMode::Serial => self.omp_serial_nest(uidx, frame, d, &bounds, st, None),
-            ExecMode::Simulated { .. } => {
-                if self.tr.in_sim_region || self.in_real_region {
-                    // Nested region: team of one + fork overhead.
-                    self.add_misc(|c| c.nested_forks += 1);
-                    return self.omp_serial_nest(uidx, frame, d, &bounds, st, None);
-                }
-                let serial = std::mem::take(&mut self.tr.serial);
-                self.tr.trace.push_serial(serial);
-                self.tr.region = Some(Box::new(VRegion {
-                    per_thread: vec![CostCounters::default(); team],
-                    cur: 0,
-                    critical: CostCounters::default(),
-                    threads: team,
-                    trip: total_trip,
-                    reductions: d.reductions.len(),
-                }));
-                self.tr.in_sim_region = true;
-                let mut sched = self.ex.sched_overrides.resolve(line, d.sched);
-                if d.per_thread_access {
-                    sched = sched.legalize_for_per_thread();
-                }
-                let owner = build_owner_map(sched, total_trip as usize, team);
-                let r = self.omp_serial_nest(uidx, frame, d, &bounds, st, Some(&owner));
-                self.tr.in_sim_region = false;
-                let region = self.tr.region.take().expect("region open");
-                self.tr.trace.push_region(RegionEvent {
-                    threads: region.threads,
-                    per_thread: region.per_thread,
-                    critical: region.critical,
-                    reductions: region.reductions,
-                    trip: region.trip,
-                    line,
-                });
-                r
-            }
-            ExecMode::Parallel { .. } => {
-                if self.in_real_region {
-                    // Nested: team of one.
-                    return self.omp_serial_nest(uidx, frame, d, &bounds, st, None);
-                }
-                self.omp_parallel(uidx, frame, d, &bounds, st, team, line)?;
-                // Workers may have allocated or freed global arrays; drop
-                // every cached handle so we re-read the cells.
-                self.gcache.iter_mut().for_each(|s| *s = None);
-                Ok(Flow::Normal)
-            }
-        }
-    }
-
-    fn omp_serial_nest(
-        &mut self,
-        uidx: usize,
-        frame: &mut VFrame,
-        d: &'e OmpDesc,
-        bounds: &[(i64, i64)],
-        outer_step: i64,
-        owner: Option<&[u16]>,
-    ) -> Result<Flow, RunError> {
-        let trips: Vec<u64> = bounds
-            .iter()
-            .enumerate()
-            .map(|(k, &(lo, hi))| trip_count(lo, hi, if k == 0 { outer_step } else { 1 }))
-            .collect();
-        let total: u64 = trips.iter().product();
-        let (blo, bhi) = d.body;
-        let mut result = Flow::Normal;
-        for k in 0..total {
-            if TRACE {
-                if let (Some(map), Some(region)) = (owner, self.tr.region.as_mut()) {
-                    region.cur = map[k as usize] as usize;
-                }
-            }
-            let mut rem = k;
-            for (dim, &(vs, ty)) in d.dims.iter().enumerate().rev() {
-                let t = trips[dim].max(1);
-                let ix = rem % t;
-                rem /= t;
-                let step = if dim == 0 { outer_step } else { 1 };
-                self.store_dim(frame, vs, ty, bounds[dim].0 + ix as i64 * step);
-            }
-            match self.run_range(uidx, frame, blo, bhi)? {
-                Flow::Normal | Flow::Cycle => {}
-                Flow::Exit => break,
-                Flow::Return => {
-                    result = Flow::Return;
-                    break;
-                }
-            }
-        }
-        if TRACE {
-            if let Some(region) = self.tr.region.as_mut() {
-                region.cur = 0;
-            }
-        }
-        Ok(result)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn omp_parallel(
-        &mut self,
-        uidx: usize,
-        frame: &mut VFrame,
-        d: &'e OmpDesc,
-        bounds: &[(i64, i64)],
-        outer_step: i64,
-        team: usize,
-        do_line: u32,
-    ) -> Result<(), RunError> {
-        let pool: Arc<ThreadPool> =
-            self.ex.pool.as_ref().expect("Parallel mode has a pool").clone();
-        let team = team.min(pool.threads());
-        let mut sched = self.ex.sched_overrides.resolve(do_line, d.sched);
-        if d.per_thread_access {
-            sched = sched.legalize_for_per_thread();
-        }
-        let trips: Vec<u64> = bounds
-            .iter()
-            .enumerate()
-            .map(|(k, &(lo, hi))| trip_count(lo, hi, if k == 0 { outer_step } else { 1 }))
-            .collect();
-        let total = trips.iter().product::<u64>() as usize;
-
-        // Reduction setup: read the incoming value, combine at the join.
-        let red_info: Vec<(RedSpec, Val)> = d
+        bounds[0] = (self.popi(), e0);
+        let reductions: Vec<Reduction> = d
             .reductions
             .iter()
-            .map(|&spec| {
-                let cur = Val::from_bits(frame.read(spec.vs, self.ex, self.tid), spec.ty);
-                (spec, cur)
+            .map(|r| {
+                let cell = match r.vs {
+                    VSlot::GlobS(c) => Some(c as usize),
+                    _ => None,
+                };
+                Reduction { op: r.op, ty: r.ty, cell }
             })
             .collect();
+        let site = VmSite::<TRACE> { ex: self.ex, bunits: self.bunits, uidx, d };
+        let spec = RegionSpec {
+            line,
+            sched: d.sched,
+            per_thread_access: d.per_thread_access,
+            num_threads,
+            bounds: &bounds,
+            outer_step,
+            reductions: &reductions,
+        };
+        region::run(self.ex, &site, self, frame, &spec)
+    }
+}
 
-        // Keyed partials, exactly like the interpreter tier: per-thread
-        // keyed by tid under static schedules, per-chunk keyed by the
-        // chunk's first flat iteration under dynamic/guided; sorted and
-        // folded in key order at the join for a deterministic combine.
-        let results: Mutex<KeyedPartials> = Mutex::new(Vec::new());
-        let prints: Mutex<String> = Mutex::new(String::new());
-        let ex = self.ex;
-        let bunits = self.bunits;
-        let base_frame = &*frame;
-        let (blo, bhi) = d.body;
-        let dispenser =
-            sched.is_runtime_dispatched().then(|| omprt::Dispenser::new(sched, total, team));
-        let disp_ref = &dispenser;
+/// One `OmpDo` site of the VM, as the shared region driver sees it.
+struct VmSite<'e, const TRACE: bool> {
+    ex: &'e Exec,
+    bunits: &'e [BUnit],
+    uidx: usize,
+    d: &'e OmpDesc,
+}
 
-        pool.run_tagged(do_line, sched, |tid| {
-            if tid >= team {
-                return;
-            }
-            if ex.debug_panic_worker == Some(tid) {
-                panic!("chaos: injected worker panic on tid {tid}");
-            }
-            let mut vm = Vm::<'_, false>::new(ex, bunits, tid);
-            vm.in_real_region = true;
-            let mut tframe = base_frame.clone();
-            // PRIVATE arrays: detach per-thread deep copies.
-            for &pa in &d.private_arrays {
-                if let Some(h) = &tframe.a[pa as usize] {
-                    tframe.a[pa as usize] = Some(Arc::new(h.deep_clone()));
-                }
-            }
-            // Reduction identities (frame slots only, like the interpreter).
-            let set_identities = |tframe: &mut VFrame| {
-                for (spec, _) in &red_info {
-                    if !matches!(spec.vs, VSlot::GlobS(_) | VSlot::GlobA(_)) {
-                        let ident = identity_val(spec.op, spec.ty);
-                        tframe.write(spec.vs, spec.ty, ident, ex, tid);
-                    }
-                }
-            };
-            let collect_partials = |tframe: &mut VFrame| -> Vec<Val> {
-                red_info
-                    .iter()
-                    .map(|(spec, _)| {
-                        if matches!(spec.vs, VSlot::GlobS(_) | VSlot::GlobA(_)) {
-                            Val::I(0)
-                        } else {
-                            Val::from_bits(tframe.read(spec.vs, ex, tid), spec.ty)
-                        }
-                    })
-                    .collect()
-            };
-            let run_range =
-                |vm: &mut Vm<'_, false>, tframe: &mut VFrame, lo: usize, hi: usize| {
-                    for k in lo..hi {
-                        let mut rem = k as u64;
-                        for (dim, &(vs, ty)) in d.dims.iter().enumerate().rev() {
-                            let t = trips[dim].max(1);
-                            let ix = rem % t;
-                            rem /= t;
-                            let step = if dim == 0 { outer_step } else { 1 };
-                            vm.store_dim(tframe, vs, ty, bounds[dim].0 + ix as i64 * step);
-                        }
-                        match vm.run_range(uidx, tframe, blo, bhi)? {
-                            Flow::Normal | Flow::Cycle => {}
-                            Flow::Exit | Flow::Return => {
-                                return Err(RunError::Type {
-                                    msg: "EXIT/RETURN out of a parallel loop".into(),
-                                });
-                            }
-                        }
-                    }
-                    Ok(())
-                };
+impl<'e, const TRACE: bool> region::Tier for VmSite<'e, TRACE> {
+    type Exe = Vm<'e, TRACE>;
+    type Frame = VFrame;
 
-            match disp_ref {
-                // Dynamic/guided: claim chunks first-come-first-served.
-                Some(disp) => {
-                    while let Some((lo, hi)) = disp.claim() {
-                        set_identities(&mut tframe);
-                        let r = run_range(&mut vm, &mut tframe, lo, hi)
-                            .map(|()| collect_partials(&mut tframe));
-                        let failed = r.is_err();
-                        results.lock().push((lo, r.map_err(|e| vm_ctx(ex, bunits, &vm, e))));
-                        if failed {
-                            break;
-                        }
-                    }
-                }
-                // Static: the thread owns its chunks up front.
-                None => {
-                    set_identities(&mut tframe);
-                    let r = (|| {
-                        for (lo, hi) in chunks_for(sched, total, tid, team) {
-                            run_range(&mut vm, &mut tframe, lo, hi)?;
-                        }
-                        Ok(collect_partials(&mut tframe))
-                    })();
-                    results.lock().push((tid, r.map_err(|e| vm_ctx(ex, bunits, &vm, e))));
-                }
+    fn worker(&self, tid: usize, base: &VFrame) -> (Vm<'e, TRACE>, VFrame) {
+        let mut vm = Vm::new(self.ex, self.bunits, tid);
+        vm.st.in_real_region = true;
+        let mut frame = base.clone();
+        // PRIVATE arrays: detach per-thread deep copies.
+        for &pa in &self.d.private_arrays {
+            if let Some(h) = &frame.a[pa as usize] {
+                frame.a[pa as usize] = Some(Arc::new(h.deep_clone()));
             }
-            if !vm.out.is_empty() {
-                prints.lock().push_str(&vm.out);
-            }
-        })
-        .map_err(|p| RunError::Trap { what: p.to_string() })?;
-
-        self.out.push_str(&prints.into_inner());
-        let mut keyed = results.into_inner();
-        keyed.sort_by_key(|&(k, _)| k);
-        let mut all_partials: Vec<Vec<Val>> = Vec::new();
-        for (_, r) in keyed {
-            all_partials.push(r?);
         }
+        (vm, frame)
+    }
 
-        // Combine reductions into the original variables.
-        for (ri, (spec, init)) in red_info.iter().enumerate() {
-            let mut acc = *init;
-            for p in &all_partials {
-                acc = combine_vals(spec.ty, spec.op, acc, p[ri]);
-            }
-            if TRACE {
-                if let VSlot::GlobS(_) = spec.vs {
-                    self.op(VOp::Store);
-                }
-            }
-            frame.write(spec.vs, spec.ty, acc, self.ex, self.tid);
+    fn set_index(&self, vm: &mut Vm<'e, TRACE>, frame: &mut VFrame, dim: usize, v: i64) {
+        let (vs, ty) = self.d.dims[dim];
+        if let VSlot::GlobS(_) = vs {
+            vm.op(OpKind::Store); // a global loop variable costs a store
         }
-        let _ = uidx;
-        Ok(())
+        frame.write(vs, ty, Val::I(v), self.ex, vm.tid);
+    }
+
+    fn run_body(&self, vm: &mut Vm<'e, TRACE>, frame: &mut VFrame) -> Result<Flow, RunError> {
+        let (lo, hi) = self.d.body;
+        vm.run_range(self.uidx, frame, lo, hi)
+    }
+
+    fn red_read(&self, vm: &Vm<'e, TRACE>, frame: &VFrame, ri: usize) -> Val {
+        let r = &self.d.reductions[ri];
+        Val::from_bits(frame.read(r.vs, self.ex, vm.tid), r.ty)
+    }
+
+    fn red_write(&self, vm: &mut Vm<'e, TRACE>, frame: &mut VFrame, ri: usize, v: Val) {
+        let r = &self.d.reductions[ri];
+        frame.write(r.vs, r.ty, v, self.ex, vm.tid);
+    }
+
+    fn fault_ctx(&self, vm: &Vm<'e, TRACE>, e: RunError) -> RunError {
+        vm_ctx(self.ex, self.bunits, vm, e)
+    }
+
+    fn joined(&self, vm: &mut Vm<'e, TRACE>) {
+        // Workers may have allocated or freed global arrays; drop every
+        // cached handle so we re-read the cells.
+        vm.gcache.iter_mut().for_each(|s| *s = None);
+    }
+
+    fn state(vm: &mut Self::Exe) -> &mut RegionState {
+        &mut vm.st
     }
 }
 
@@ -2262,9 +1900,5 @@ fn go<const TRACE: bool>(
     let result = bu
         .result
         .map(|(rvs, rty)| Val::from_bits(frame.read(rvs, exec, 0), rty));
-    if TRACE {
-        let serial = std::mem::take(&mut vm.tr.serial);
-        vm.tr.trace.push_serial(serial);
-    }
-    Ok((result, vm.tr.trace, vm.out))
+    Ok((result, vm.st.cost.finish(), vm.st.out))
 }

@@ -7,7 +7,9 @@
 //! the bottom additionally pins VM/tree-walker agreement for the full
 //! clause set.
 
-use fortrans::{ArgVal, ExecMode, ExecTier, RunError, RunLimits, Session, Val};
+use fortrans::{
+    ArgVal, ExecMode, ExecTier, RunError, RunLimits, Schedule, Session, TraceEvent, Val,
+};
 
 fn engine(src: &str) -> Session {
     Session::compile(&[src]).unwrap_or_else(|e| panic!("{e}\n{src}"))
@@ -335,6 +337,104 @@ END MODULE m
 }
 
 #[test]
+fn reduction_on_module_scalar_matches_serial() {
+    // `glaf-codegen` emits `REDUCTION(op:grid)` for module-scope grids
+    // too: every worker's body then names one shared cell, so the
+    // partial has to be privatized by the runtime, not by frame cloning.
+    let src = r#"
+MODULE m
+  REAL(8) :: gsum, gprod, gmin
+CONTAINS
+  SUBROUTINE fold(a, n)
+    REAL(8), DIMENSION(1:16) :: a
+    INTEGER :: n
+    INTEGER :: i
+    gsum = 0.0D0
+    gprod = 1.0D0
+    gmin = 1.0D30
+    !$OMP PARALLEL DO REDUCTION(+:gsum) REDUCTION(*:gprod) REDUCTION(MIN:gmin)
+    DO i = 1, n
+      gsum = gsum + a(i)
+      gprod = gprod * a(i)
+      gmin = MIN(gmin, a(i))
+    END DO
+    !$OMP END PARALLEL DO
+  END SUBROUTINE fold
+END MODULE m
+"#;
+    let data: Vec<f64> = (1..=16).map(|i| 1.0 + f64::from(i) / 16.0).collect();
+    let modes = [
+        ExecMode::Serial,
+        ExecMode::Parallel { threads: 4 },
+        ExecMode::Simulated { threads: 4 },
+    ];
+    let scheds = [Schedule::StaticBlock, Schedule::Dynamic(3), Schedule::Guided(1)];
+    for tier in [ExecTier::Vm, ExecTier::TreeWalk] {
+        for mode in modes {
+            for sched in scheds {
+                let e = engine(src);
+                e.set_schedule_override_all(Some(sched));
+                let a = ArgVal::array_f(&data, 1);
+                e.run_tiered("fold", &[a, ArgVal::I(16)], mode, tier).unwrap();
+                let g = |name: &str| e.global_scalar(name).unwrap().as_f();
+                let at = format!("{tier:?} {mode:?} {sched:?}");
+                // Sixteenths sum exactly in any order; the product's
+                // grouping moves its last bits (the paper's 1e-7 RMS
+                // gate exists for exactly that).
+                assert_eq!(g("m::gsum"), 24.5, "{at}");
+                let prod = g("m::gprod");
+                assert!((prod - 681.7614347287937).abs() < 1e-9, "{at}: {prod}");
+                assert_eq!(g("m::gmin"), 1.0625, "{at}");
+            }
+        }
+    }
+}
+
+#[test]
+fn collapsed_region_with_stepped_outer_loop_counts_real_iterations() {
+    // `DO i = 1, 8, 2` collapsed with `DO j = 1, 3` is 4 x 3 iterations.
+    // Sizing the region (and its owner map) by the unit-step extent
+    // instead — 24 — would hand all twelve to thread 0 of a static team
+    // of two.
+    let src = r#"
+MODULE m
+CONTAINS
+  SUBROUTINE fill(a)
+    REAL(8), DIMENSION(1:8, 1:3) :: a
+    INTEGER :: i, j
+    !$OMP PARALLEL DO COLLAPSE(2)
+    DO i = 1, 8, 2
+      DO j = 1, 3
+        a(i, j) = 1.0D0
+      END DO
+    END DO
+    !$OMP END PARALLEL DO
+  END SUBROUTINE fill
+END MODULE m
+"#;
+    for tier in [ExecTier::Vm, ExecTier::TreeWalk] {
+        let a = ArgVal::array_f_dims(&[0.0; 24], vec![(1, 8), (1, 3)]).unwrap();
+        let out = engine(src)
+            .run_tiered("fill", std::slice::from_ref(&a), ExecMode::Simulated { threads: 2 }, tier)
+            .unwrap();
+        let regions: Vec<_> = out
+            .trace
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Region(r) => Some(r),
+                TraceEvent::Serial(_) => None,
+            })
+            .collect();
+        assert_eq!(regions.len(), 1, "{tier:?}");
+        assert_eq!(regions[0].trip, 12, "{tier:?}");
+        let stores: Vec<u64> = regions[0].per_thread.iter().map(|c| c.scalar.store).collect();
+        assert_eq!(stores, [6, 6], "{tier:?}");
+        assert_eq!(a.handle().unwrap().to_f64_vec().iter().sum::<f64>(), 12.0, "{tier:?}");
+    }
+}
+
+#[test]
 fn clause_matrix_agrees_across_tiers() {
     let src = r#"
 MODULE m
@@ -373,9 +473,25 @@ CONTAINS
   END SUBROUTINE kitchen_sink
 END MODULE m
 "#;
-    for mode in ALL {
+    // The clause's own SCHEDULE(STATIC, 7) first, then every schedule
+    // kind as a session override, each under every team size.
+    let scheds = [
+        None,
+        Some(Schedule::StaticBlock),
+        Some(Schedule::StaticChunk(5)),
+        Some(Schedule::Dynamic(3)),
+        Some(Schedule::Guided(2)),
+    ];
+    let modes = [2, 3, 4, 8].into_iter().flat_map(|threads| {
+        [ExecMode::Parallel { threads }, ExecMode::Simulated { threads }]
+    });
+    let matrix = std::iter::once(ExecMode::Serial)
+        .chain(modes)
+        .flat_map(|mode| scheds.map(|sched| (mode, sched)));
+    for (mode, sched) in matrix {
         let run_tier = |tier| {
             let e = engine(src);
+            e.set_schedule_override_all(sched);
             let a = ArgVal::array_f_dims(&vec![0.0; 240], vec![(1, 6), (1, 40)]).unwrap();
             let res = ArgVal::array_f(&[0.0, 0.0], 1);
             let out = e
@@ -391,8 +507,8 @@ END MODULE m
         };
         let vm = run_tier(ExecTier::Vm);
         let tw = run_tier(ExecTier::TreeWalk);
-        assert_eq!(vm, tw, "tier divergence under {mode:?}");
+        assert_eq!(vm, tw, "tier divergence under {mode:?} {sched:?}");
         // Sanity: 240 iterations hit the critical section exactly once.
-        assert_eq!(vm.2[1], 240.0, "{mode:?}");
+        assert_eq!(vm.2[1], 240.0, "{mode:?} {sched:?}");
     }
 }

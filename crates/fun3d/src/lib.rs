@@ -14,7 +14,7 @@
 //! * [`glaf_model`] — the five-function GLAF decomposition
 //!   (EdgeJP / cell_loop / edge_loop / angle_check / ioff_search);
 //! * [`variants`] — the Fig. 7 option matrix and run harness;
-//! * [`native`] — Rust oracles (serial bit-identical; rayon fold/reduce).
+//! * [`native`] — Rust oracles (serial bit-identical; `omprt` fork-join fold).
 
 pub mod glaf_model;
 pub mod mesh;

@@ -1,10 +1,15 @@
-//! The native Rust oracle for the Jacobian reconstruction, plus a rayon
-//! variant showing the idiomatic-Rust parallelization (per-cell map with
-//! per-thread partial Jacobians folded at the end — no atomics needed).
+//! The native Rust oracle for the Jacobian reconstruction, plus a
+//! fork-join variant on the workspace's own `omprt` runtime (per-thread
+//! partial Jacobians over a static partition of the cells, summed at the
+//! join — no atomics needed).
 
 // The index-based loops below intentionally mirror the FORTRAN sources
 // statement-for-statement so bit-level comparison stays reviewable.
 #![allow(clippy::needless_range_loop)]
+
+use std::sync::Mutex;
+
+use omprt::{chunks_for, Schedule};
 
 use crate::mesh::{Mesh, EDGES, JROW, NST};
 
@@ -64,30 +69,36 @@ pub fn native_jacobian(m: &Mesh) -> Vec<f64> {
     jac
 }
 
-/// Rayon version: per-thread partial Jacobians, reduced at the join —
-/// deterministic up to floating-point summation order.
-pub fn native_jacobian_rayon(m: &Mesh) -> Vec<f64> {
-    use rayon::prelude::*;
-    (0..m.ncell)
-        .into_par_iter()
-        .fold(
-            || vec![0.0f64; m.njac],
-            |mut jac, c| {
-                for (slot, flux) in cell_contributions(m, c) {
-                    jac[slot] += flux;
+/// Fork-join version: each thread of an [`omprt::ThreadPool`] folds its
+/// static block of cells into a partial Jacobian; the partials are
+/// summed in thread order at the join — deterministic for a given core
+/// count, and equal to the serial oracle up to summation order.
+pub fn native_jacobian_parallel(m: &Mesh) -> Vec<f64> {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let partials: Vec<Mutex<Vec<f64>>> =
+        (0..threads).map(|_| Mutex::new(vec![0.0f64; m.njac])).collect();
+    omprt::ThreadPool::new(threads)
+        .run(|tid| {
+            let mut jac = partials[tid].lock().expect("only thread `tid` locks slot `tid`");
+            for (lo, hi) in chunks_for(Schedule::StaticBlock, m.ncell, tid, threads) {
+                for c in lo..hi {
+                    for (slot, flux) in cell_contributions(m, c) {
+                        jac[slot] += flux;
+                    }
                 }
-                jac
-            },
-        )
-        .reduce(
-            || vec![0.0f64; m.njac],
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(b.iter()) {
-                    *x += y;
-                }
-                a
-            },
-        )
+            }
+        })
+        .expect("the fold does not panic");
+    let mut partials = partials
+        .into_iter()
+        .map(|p| p.into_inner().expect("no fold panicked holding its slot"));
+    let mut jac = partials.next().expect("a pool has at least one thread");
+    for p in partials {
+        for (x, y) in jac.iter_mut().zip(&p) {
+            *x += y;
+        }
+    }
+    jac
 }
 
 #[cfg(test)]
@@ -104,10 +115,10 @@ mod tests {
     }
 
     #[test]
-    fn rayon_matches_serial_at_rms_tolerance() {
+    fn parallel_matches_serial_at_rms_tolerance() {
         let m = Mesh::build(400);
         let a = native_jacobian(&m);
-        let b = native_jacobian_rayon(&m);
+        let b = native_jacobian_parallel(&m);
         let r = compare_slices(&a, &b);
         assert!(r.passes_rms(1e-12), "{r:?}");
     }

@@ -13,8 +13,8 @@
 //!   §3 integration features, interior-loop functions);
 //! * [`variants`] — the Table 2 ladder (original / GLAF serial / v0–v3 /
 //!   cost-model), engine construction, simulated and real-thread runs;
-//! * [`native`] — a Rust oracle (bit-identical to the engine) plus a
-//!   rayon column sweep.
+//! * [`native`] — a Rust oracle (bit-identical to the engine) plus an
+//!   `omprt` fork-join column sweep.
 //!
 //! The real CERES inputs and sources are restricted; the synthetic
 //! substitution is documented in DESIGN.md §2.

@@ -1,8 +1,8 @@
 //! A native Rust oracle for the SARB kernels: an implementation of the
 //! same mathematics written directly against the spec in `original.rs`,
 //! providing a trusted result *independent of the FORTRAN engine*. A
-//! rayon-parallel column sweep demonstrates the honest-Rust way to
-//! parallelize the workload (columns are independent given their index).
+//! fork-join column sweep on `omprt` (in the tests) shows the direct way
+//! to parallelize the workload: columns are independent given their index.
 
 // The index-based loops below intentionally mirror the FORTRAN sources
 // statement-for-statement so bit-level comparison stays reviewable.
@@ -265,14 +265,23 @@ mod tests {
     }
 
     #[test]
-    fn rayon_column_sweep_matches_serial_totals() {
-        use rayon::prelude::*;
-        let ncol = 16i64;
-        let (_, serial_total) = run_columns_native(ncol);
-        let parallel_total: f64 = (1..=ncol)
-            .into_par_iter()
-            .map(|c| run_column(&ColumnInput::column(c)).sent)
-            .sum();
+    fn parallel_column_sweep_matches_serial_totals() {
+        use omprt::{chunks_for, Schedule, ThreadPool};
+        let ncol = 16usize;
+        let (_, serial_total) = run_columns_native(ncol as i64);
+        let threads = 4;
+        let partials: Vec<std::sync::Mutex<f64>> =
+            (0..threads).map(|_| std::sync::Mutex::new(0.0)).collect();
+        ThreadPool::new(threads)
+            .run(|tid| {
+                for (lo, hi) in chunks_for(Schedule::StaticBlock, ncol, tid, threads) {
+                    let sent: f64 =
+                        (lo..hi).map(|c| run_column(&ColumnInput::column(c as i64 + 1)).sent).sum();
+                    *partials[tid].lock().unwrap() += sent;
+                }
+            })
+            .unwrap();
+        let parallel_total: f64 = partials.iter().map(|p| *p.lock().unwrap()).sum();
         assert!(
             (serial_total - parallel_total).abs() < 1e-9,
             "{serial_total} vs {parallel_total}"

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example fun3d_jacobian [ncells]`
 
 use glaf_repro::fun3d::mesh::Mesh;
-use glaf_repro::fun3d::native::{native_jacobian, native_jacobian_rayon};
+use glaf_repro::fun3d::native::{native_jacobian, native_jacobian_parallel};
 use glaf_repro::fun3d::variants::{run_real, run_simulated, Fun3dConfig, Fun3dVariant};
 use glaf_repro::glaf::{compare_slices, rms};
 use glaf_repro::simcpu::MachineModel;
@@ -52,9 +52,9 @@ fn main() {
             if r.passes_rms(1e-7) { "PASS" } else { "FAIL" }
         );
     }
-    let rayon_jac = native_jacobian_rayon(&mesh);
-    let r = compare_slices(&reference, &rayon_jac);
-    println!("  {:36} rms diff {:.2e}  -> native rayon oracle", "rayon fold/reduce", r.rms_diff);
+    let parallel_jac = native_jacobian_parallel(&mesh);
+    let r = compare_slices(&reference, &parallel_jac);
+    println!("  {:36} rms diff {:.2e}  -> native parallel oracle", "omprt fork-join fold", r.rms_diff);
 
     // 3. Fig. 7 highlights on the simulated dual-Xeon.
     println!("\n=== Fig. 7 highlights (simulated, 16 threads) ===");
