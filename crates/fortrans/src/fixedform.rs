@@ -9,10 +9,18 @@
 //!   non-blank); `C`/`*`/`!` in column 1 start a comment; `C$OMP`,
 //!   `*$OMP` and `!$OMP` are directive sentinels.
 //! * **Blank insensitivity** — card text is stripped of blanks (outside
-//!   character literals) and re-tokenized through the free-form scanner
+//!   character literals) and tokenized by the free-form scanner
 //!   ([`crate::lex`]); merged leading keywords (`DO10I`, `GOTO20`,
 //!   `ENDIF`) are re-split against a keyword table, gated on the classic
 //!   `DO10I=1.5` vs `DO10I=1,5` assignment classification.
+//! * **One buffer, borrowed cursors** — each card is walked once on the
+//!   `&str` (column boundaries are character positions, so the same path
+//!   serves ASCII and non-ASCII cards) and its text, minus inline
+//!   comment and blanks, is appended to the one statement buffer of a
+//!   [`Lexed`]; tokens are ranges of that buffer, re-splitting edits the
+//!   flat token buffer in place, and the statement parser's cursor
+//!   borrows both. An identifier is first copied into a `String` when
+//!   the AST node that keeps it is built.
 //! * **IMPLICIT typing** — default `I`–`N` INTEGER / rest REAL, plus
 //!   `IMPLICIT` statements and `IMPLICIT NONE`; undeclared names get
 //!   synthesized declarations.
@@ -36,9 +44,10 @@ use crate::ast::{
     Stmt, TypeSpec, Unit, UnitKind,
 };
 use crate::error::{CompileError, Diagnostics, Span};
-use crate::lex::{lex_fragment, Tok};
+use crate::lex::{fold_outside_quotes, strip_comment, Lexed, Line, Sym, Tok};
 use crate::parse::{desig_from_toks, expr_from_toks};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 // ---------------------------------------------------------------------------
 // Form detection
@@ -54,8 +63,10 @@ pub fn is_fixed_form(src: &str) -> bool {
         if t.is_empty() || t.starts_with('!') {
             continue;
         }
-        let lower = t.to_ascii_lowercase();
-        return !(lower.starts_with("module ") || lower == "module");
+        let b = t.as_bytes();
+        let module = b.get(..6).is_some_and(|h| h.eq_ignore_ascii_case(b"module"))
+            && matches!(b.get(6), None | Some(b' '));
+        return !module;
     }
     false
 }
@@ -64,46 +75,65 @@ pub fn is_fixed_form(src: &str) -> bool {
 // Phase 1: cards -> logical statements
 // ---------------------------------------------------------------------------
 
-/// One logical fixed-form statement after card assembly and blank
-/// stripping: label field, token stream, first physical line, OMP flag.
-#[derive(Debug, Clone)]
-pub struct FStmt {
-    pub label: Option<u32>,
-    pub toks: Vec<Tok>,
-    pub lineno: u32,
-    pub omp: bool,
-}
-
+/// One logical fixed-form statement after card assembly: label field, the
+/// range of the statement buffer holding its blank-stripped text, first
+/// physical line, OMP flag.
 #[derive(Debug)]
 struct RawStmt {
     label: Option<u32>,
-    text: String,
+    text: Range<usize>,
     lineno: u32,
     omp: bool,
 }
 
-fn is_comment_card(c: &[char]) -> bool {
-    matches!(c.first(), Some('c' | 'C' | '*' | '!'))
+fn omp_sentinel(card: &str) -> bool {
+    card.as_bytes().get(..5).is_some_and(|head| {
+        [b"C$OMP", b"*$OMP", b"!$OMP"].iter().any(|s| head.eq_ignore_ascii_case(*s))
+    })
 }
 
-fn omp_sentinel(c: &[char]) -> bool {
-    if c.len() < 5 {
-        return false;
+/// Appends card text to the statement buffer without its blanks —
+/// fixed-form FORTRAN is blank-insensitive outside character literals, so
+/// `D O 1 0 I` and `DO10I` are the same text. `in_str` carries the
+/// literal state across the cards of one statement.
+fn push_dense(text: &mut String, piece: &str, in_str: &mut bool) {
+    let mut run = 0;
+    for (i, c) in piece.char_indices() {
+        if c == '\'' {
+            *in_str = !*in_str;
+        } else if !*in_str && c.is_whitespace() {
+            text.push_str(&piece[run..i]);
+            run = i + c.len_utf8();
+        }
     }
-    let head: String = c[..5].iter().collect::<String>().to_ascii_uppercase();
-    head == "C$OMP" || head == "*$OMP" || head == "!$OMP"
+    text.push_str(&piece[run..]);
 }
 
 /// Splits one source into card-assembled raw statements, reporting
 /// column-discipline problems (bad labels, dangling continuations,
-/// col-73 overflow) without giving up on the file.
-fn split_cards(src: &str, file: usize, diags: &mut Diagnostics) -> Vec<RawStmt> {
+/// col-73 overflow) without giving up on the file. Each card is walked
+/// once: its column boundaries are character positions found on the
+/// `&str` (columns count characters, not bytes), and its statement text
+/// goes straight into `text`, the one buffer all statements share.
+fn split_cards(
+    src: &str,
+    file: usize,
+    text: &mut String,
+    diags: &mut Diagnostics,
+) -> Vec<RawStmt> {
     let mut out: Vec<RawStmt> = Vec::new();
+    // The statement later continuation cards may still extend (its text
+    // runs to the end of the buffer), and whether that text so far ends
+    // inside a character literal.
     let mut pending: Option<RawStmt> = None;
-    let flush = |p: &mut Option<RawStmt>, out: &mut Vec<RawStmt>, diags: &mut Diagnostics| {
-        if let Some(s) = p.take() {
-            if s.text.trim().is_empty() {
-                if s.label.is_some() {
+    let mut in_str = false;
+    let flush =
+        |p: &mut Option<RawStmt>, end: usize, out: &mut Vec<RawStmt>, diags: &mut Diagnostics| {
+            if let Some(mut s) = p.take() {
+                s.text.end = end;
+                if !s.text.is_empty() {
+                    out.push(s);
+                } else if s.label.is_some() {
                     diags.error_hint(
                         file,
                         s.lineno,
@@ -111,63 +141,60 @@ fn split_cards(src: &str, file: usize, diags: &mut Diagnostics) -> Vec<RawStmt> 
                         "a label in columns 1-5 must be followed by a statement in column 7+",
                     );
                 }
-            } else {
-                out.push(s);
             }
-        }
-    };
+        };
+
+    // A statement that starts at `at`, the end of the buffer so far.
+    let open = |at: usize, label, lineno, omp| Some(RawStmt { label, text: at..at, lineno, omp });
 
     for (idx, raw) in src.lines().enumerate() {
         let lineno = idx as u32 + 1;
-        let chars: Vec<char> = raw.chars().collect();
-        if chars.iter().all(|c| c.is_whitespace()) {
+        if raw.trim().is_empty() {
             continue;
         }
-        let omp = omp_sentinel(&chars);
-        if !omp && is_comment_card(&chars) {
+        let omp = omp_sentinel(raw);
+        if !omp && raw.starts_with(['c', 'C', '*', '!']) {
             continue; // comments may sit between continuation cards
         }
 
         // DEC tab format: a leading tab ends the label field; a digit
         // 1-9 right after the tab marks a continuation card.
-        let (label_field, cont_ch, body): (Vec<char>, char, Vec<char>) = if !omp
-            && chars.first() == Some(&'\t')
-        {
-            let rest = &chars[1..];
-            match rest.first() {
-                Some(d @ '1'..='9') => (vec![], *d, rest[1..].to_vec()),
-                _ => (vec![], ' ', rest.to_vec()),
-            }
-        } else {
-            let lf = chars.iter().take(5).copied().collect::<Vec<_>>();
-            let cc = chars.get(5).copied().unwrap_or(' ');
-            let body = if chars.len() > 6 { chars[6..].to_vec() } else { vec![] };
-            (lf, cc, body)
+        let (label_field, cont_ch, body) = match raw.strip_prefix('\t') {
+            Some(rest) if !omp => match rest.chars().next() {
+                Some(d @ '1'..='9') => ("", d, &rest[1..]),
+                _ => ("", ' ', rest),
+            },
+            _ => match raw.char_indices().nth(5) {
+                Some((at, c)) => (&raw[..at], c, &raw[at + c.len_utf8()..]),
+                None => (raw, ' ', ""),
+            },
         };
 
-        // Column 73+ is ignored (classic card sequence field).
-        let (body, overflow) = if body.len() > 66 {
-            (body[..66].to_vec(), body[66..].iter().any(|c| !c.is_whitespace()))
-        } else {
-            (body, false)
+        // Column 73+ is ignored (classic card sequence field). A body of
+        // at most 66 bytes has at most 66 characters: nothing to cut.
+        let col73 = if body.len() > 66 { body.char_indices().nth(66) } else { None };
+        let body = match col73 {
+            Some((cut, _)) => {
+                if !body[cut..].trim().is_empty() {
+                    diags.warn_hint(
+                        file,
+                        lineno,
+                        "text beyond column 72 is ignored",
+                        "fixed-form statements end at column 72; split the statement onto a \
+                         continuation card",
+                    );
+                }
+                &body[..cut]
+            }
+            None => body,
         };
-        if overflow {
-            diags.warn_hint(
-                file,
-                lineno,
-                "text beyond column 72 is ignored",
-                "fixed-form statements end at column 72; split the statement onto a \
-                 continuation card",
-            );
-        }
-        let joined: String = body.iter().collect();
-        let text = strip_inline_comment(&joined).trim_end().to_string();
+        let piece = strip_comment(body).trim_end();
 
         let is_cont = cont_ch != ' ' && cont_ch != '0';
         let (label, label_junk) = if omp {
             (None, false)
         } else {
-            parse_label_field(&label_field)
+            parse_label_field(label_field)
         };
         if label_junk {
             // Most often a free-form-style statement that starts in
@@ -178,10 +205,11 @@ fn split_cards(src: &str, file: usize, diags: &mut Diagnostics) -> Vec<RawStmt> 
                 "invalid character in label field (columns 1-5)",
                 "statement labels are 1-5 digits; statement text starts in column 7",
             );
-            flush(&mut pending, &mut out, diags);
-            let whole: String = chars.iter().take(72).collect();
-            let whole = strip_inline_comment(&whole).trim_end().to_string();
-            pending = Some(RawStmt { label: None, text: whole, lineno, omp: false });
+            flush(&mut pending, text.len(), &mut out, diags);
+            let whole = raw.char_indices().nth(72).map_or(raw, |(cut, _)| &raw[..cut]);
+            pending = open(text.len(), None, lineno, false);
+            in_str = false;
+            push_dense(text, strip_comment(whole).trim_end(), &mut in_str);
             continue;
         }
 
@@ -194,74 +222,40 @@ fn split_cards(src: &str, file: usize, diags: &mut Diagnostics) -> Vec<RawStmt> 
                     "only the initial line of a statement may carry a label",
                 );
             }
-            match pending.as_mut() {
-                Some(p) if p.omp == omp => p.text.push_str(&text),
-                _ => {
-                    diags.error_hint(
-                        file,
-                        lineno,
-                        "continuation line has nothing to continue",
-                        "column 6 must be blank or `0` on an initial line",
-                    );
-                    flush(&mut pending, &mut out, diags);
-                    pending = Some(RawStmt { label: None, text, lineno, omp });
-                }
+            if pending.as_ref().is_none_or(|p| p.omp != omp) {
+                diags.error_hint(
+                    file,
+                    lineno,
+                    "continuation line has nothing to continue",
+                    "column 6 must be blank or `0` on an initial line",
+                );
+                flush(&mut pending, text.len(), &mut out, diags);
+                pending = open(text.len(), None, lineno, omp);
+                in_str = false;
             }
         } else {
-            flush(&mut pending, &mut out, diags);
-            pending = Some(RawStmt { label, text, lineno, omp });
+            flush(&mut pending, text.len(), &mut out, diags);
+            pending = open(text.len(), label, lineno, omp);
+            in_str = false;
         }
+        push_dense(text, piece, &mut in_str);
     }
-    flush(&mut pending, &mut out, diags);
+    flush(&mut pending, text.len(), &mut out, diags);
     out
 }
 
 /// Parses columns 1-5: blanks are insignificant, digits form the label.
 /// Returns `(label, junk)` where `junk` flags non-digit characters.
-fn parse_label_field(field: &[char]) -> (Option<u32>, bool) {
-    let mut digits = String::new();
-    for &c in field {
-        if c.is_ascii_digit() {
-            digits.push(c);
+fn parse_label_field(field: &str) -> (Option<u32>, bool) {
+    let mut label = None;
+    for c in field.chars() {
+        if let Some(d) = c.to_digit(10) {
+            label = Some(label.unwrap_or(0) * 10 + d);
         } else if !c.is_whitespace() {
             return (None, true);
         }
     }
-    if digits.is_empty() {
-        (None, false)
-    } else {
-        (digits.parse::<u32>().ok().filter(|&l| l > 0), false)
-    }
-}
-
-/// Strips an inline `!` comment from card text (quote-aware).
-fn strip_inline_comment(text: &str) -> &str {
-    let b = text.as_bytes();
-    let mut in_str = false;
-    for (i, &c) in b.iter().enumerate() {
-        match c {
-            b'\'' => in_str = !in_str,
-            b'!' if !in_str => return &text[..i],
-            _ => {}
-        }
-    }
-    text
-}
-
-/// Removes blanks outside character literals — fixed-form FORTRAN is
-/// blank-insensitive, so `D O 1 0 I` and `DO10I` are the same text.
-fn strip_blanks(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut in_str = false;
-    for c in text.chars() {
-        if c == '\'' {
-            in_str = !in_str;
-            out.push(c);
-        } else if in_str || !c.is_whitespace() {
-            out.push(c);
-        }
-    }
-    out
+    (label.filter(|&l| l > 0), false)
 }
 
 /// The classic fixed-form classification: a statement is an assignment
@@ -304,55 +298,55 @@ fn is_assignment(dense: &str) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Statement keywords that may absorb following text when blanks vanish,
-/// longest first so `ENDDO` wins over `END`. Each maps to the token
-/// words it expands to.
-const KWS: &[(&str, &[&str])] = &[
-    ("doubleprecision", &["doubleprecision"]),
-    ("endsubroutine", &["end", "subroutine"]),
-    ("implicitnone", &["implicit", "none"]),
-    ("endfunction", &["end", "function"]),
-    ("equivalence", &["equivalence"]),
-    ("endprogram", &["end", "program"]),
-    ("subroutine", &["subroutine"]),
-    ("endmodule", &["end", "module"]),
-    ("character", &["character"]),
-    ("blockdata", &["blockdata"]),
-    ("dimension", &["dimension"]),
-    ("parameter", &["parameter"]),
-    ("intrinsic", &["intrinsic"]),
-    ("continue", &["continue"]),
-    ("critical", &["critical"]),
-    ("external", &["external"]),
-    ("function", &["function"]),
-    ("implicit", &["implicit"]),
-    ("endtype", &["end", "type"]),
-    ("integer", &["integer"]),
-    ("logical", &["logical"]),
-    ("program", &["program"]),
-    ("elseif", &["else", "if"]),
-    ("assign", &["assign"]),
-    ("common", &["common"]),
-    ("format", &["format"]),
-    ("module", &["module"]),
-    ("return", &["return"]),
-    ("cycle", &["cycle"]),
-    ("endif", &["end", "if"]),
-    ("enddo", &["end", "do"]),
-    ("print", &["print"]),
-    ("write", &["write"]),
-    ("call", &["call"]),
-    ("data", &["data"]),
-    ("exit", &["exit"]),
-    ("else", &["else"]),
-    ("goto", &["goto"]),
-    ("real", &["real"]),
-    ("save", &["save"]),
-    ("stop", &["stop"]),
-    ("type", &["type"]),
-    ("end", &["end"]),
-    ("use", &["use"]),
-    ("do", &["do"]),
-    ("if", &["if"]),
+/// longest first so `ENDDO` wins over `END`. Each comes with the length
+/// of its first word: `ENDDO` is the two tokens `END` `DO`.
+const KWS: &[(&str, usize)] = &[
+    ("doubleprecision", 15),
+    ("endsubroutine", 3),
+    ("implicitnone", 8),
+    ("endfunction", 3),
+    ("equivalence", 11),
+    ("endprogram", 3),
+    ("subroutine", 10),
+    ("endmodule", 3),
+    ("character", 9),
+    ("blockdata", 9),
+    ("dimension", 9),
+    ("parameter", 9),
+    ("intrinsic", 9),
+    ("continue", 8),
+    ("critical", 8),
+    ("external", 8),
+    ("function", 8),
+    ("implicit", 8),
+    ("endtype", 3),
+    ("integer", 7),
+    ("logical", 7),
+    ("program", 7),
+    ("elseif", 4),
+    ("assign", 6),
+    ("common", 6),
+    ("format", 6),
+    ("module", 6),
+    ("return", 6),
+    ("cycle", 5),
+    ("endif", 3),
+    ("enddo", 3),
+    ("print", 5),
+    ("write", 5),
+    ("call", 4),
+    ("data", 4),
+    ("exit", 4),
+    ("else", 4),
+    ("goto", 4),
+    ("real", 4),
+    ("save", 4),
+    ("stop", 4),
+    ("type", 4),
+    ("end", 3),
+    ("use", 3),
+    ("do", 2),
+    ("if", 2),
 ];
 
 /// Keywords OpenMP directive text can merge into (`PARALLELDOPRIVATE`).
@@ -375,85 +369,92 @@ const OMP_KWS: &[&str] = &[
     "do",
 ];
 
-/// Re-splits the merged leading identifier of a non-assignment statement
-/// against the keyword table, then fixes up the handful of second-word
-/// merges (`INTEGERFUNCTIONF`, `ASSIGN10TOK`, logical-IF tails).
-fn resplit_stmt(toks: Vec<Tok>, lineno: u32) -> Vec<Tok> {
-    let Some(Tok::Ident(w)) = toks.first() else { return toks };
-    let w = w.clone();
-    let mut out: Vec<Tok> = Vec::with_capacity(toks.len() + 2);
-    let mut consumed_first = false;
-    for (kw, words) in KWS {
-        if let Some(rest) = w.strip_prefix(kw) {
-            // `IF` must stand alone (it is always followed by `(`), and a
-            // non-empty remainder must itself lex cleanly (`10I`, `FOO`).
-            if *kw == "if" && !rest.is_empty() {
-                continue;
-            }
-            let rest_toks = if rest.is_empty() {
-                vec![]
-            } else {
-                match lex_fragment(rest, lineno) {
-                    Ok(t) if !t.is_empty() => t,
-                    _ => continue,
-                }
-            };
-            for wd in *words {
-                out.push(Tok::Ident((*wd).to_string()));
-            }
-            out.extend(rest_toks);
-            consumed_first = true;
-            break;
+/// The identifier token at `i`, if that is what is there.
+fn ident_at(lx: &Lexed, i: usize) -> Option<Sym> {
+    match lx.toks.get(i) {
+        Some(&Tok::Ident(w)) => Some(w),
+        _ => None,
+    }
+}
+
+/// Replaces the identifier at `i` by two identifiers spelt by its first
+/// `n` bytes and by the rest.
+fn split_ident(lx: &mut Lexed, i: usize, w: Sym, n: usize) {
+    lx.toks[i] = Tok::Ident(w.sub(0..n));
+    lx.toks.insert(i + 1, Tok::Ident(w.sub(n..w.range().len())));
+}
+
+/// Re-splits, in place, the merged leading identifier of the
+/// non-assignment statement `toks[from..]` (the last one scanned) against
+/// the keyword table, then fixes up the handful of second-word merges
+/// (`INTEGERFUNCTIONF`, `ASSIGN10TOK`, logical-IF tails). The new tokens
+/// are sub-ranges of the merged word: nothing is copied or re-lexed but
+/// the word's non-keyword remainder.
+fn resplit_stmt(lx: &mut Lexed, from: usize, lineno: u32) {
+    let Some(w) = ident_at(lx, from) else { return };
+    for &(kw, first) in KWS {
+        let Some(rest) = lx.text(w).strip_prefix(kw) else { continue };
+        // `IF` must stand alone (it is always followed by `(`), and a
+        // non-empty remainder must itself lex cleanly (`10I`, `FOO`).
+        if kw == "if" && !rest.is_empty() {
+            continue;
         }
+        let tail = lx.toks.len();
+        if lx.scan(w.sub(kw.len()..kw.len() + rest.len()).range(), lineno).is_err() {
+            lx.toks.truncate(tail);
+            continue;
+        }
+        // The remainder's tokens were scanned onto the end of the
+        // buffer: bring them in right behind the word.
+        let scanned = lx.toks.len() - tail;
+        lx.toks[from + 1..].rotate_right(scanned);
+        if first < kw.len() {
+            split_ident(lx, from, w.sub(0..kw.len()), first);
+        } else {
+            lx.toks[from] = Tok::Ident(w.sub(0..kw.len()));
+        }
+        break;
     }
-    if !consumed_first {
-        out.push(Tok::Ident(w));
-    }
-    out.extend(toks.into_iter().skip(1));
+    let head_is = |lx: &Lexed, kws: &[&str]| {
+        ident_at(lx, from).is_some_and(|w| kws.contains(&lx.text(w)))
+    };
 
     // `<type> FUNCTION name` with the middle words merged.
-    if matches!(out.first(), Some(Tok::Ident(t))
-        if matches!(t.as_str(), "integer" | "real" | "logical" | "doubleprecision"))
-    {
-        let mut j = 1;
+    if head_is(lx, &["integer", "real", "logical", "doubleprecision"]) {
+        let mut j = from + 1;
         // Skip a kind spec: `*8` or `(8)`.
-        if out.get(j) == Some(&Tok::Star) {
+        if lx.toks.get(j) == Some(&Tok::Star) {
             j += 2;
-        } else if out.get(j) == Some(&Tok::LParen) {
-            while j < out.len() && out[j] != Tok::RParen {
+        } else if lx.toks.get(j) == Some(&Tok::LParen) {
+            while j < lx.toks.len() && lx.toks[j] != Tok::RParen {
                 j += 1;
             }
             j += 1;
         }
-        if let Some(Tok::Ident(w2)) = out.get(j) {
-            if let Some(rest) = w2.strip_prefix("function") {
-                if !rest.is_empty() && rest.chars().next().is_some_and(|c| c.is_ascii_alphabetic())
-                {
-                    let name = rest.to_string();
-                    out.splice(j..=j, [Tok::Ident("function".into()), Tok::Ident(name)]);
+        if let Some(w2) = ident_at(lx, j) {
+            if let Some(name) = lx.text(w2).strip_prefix("function") {
+                if name.starts_with(|c: char| c.is_ascii_alphabetic()) {
+                    split_ident(lx, j, w2, "function".len());
                 }
             }
         }
     }
 
     // `ASSIGN 10 TO K` -> [assign][10][tok]; split the trailing `tok`.
-    if out.first().is_some_and(|t| t.is_kw("assign")) && out.len() >= 3 {
-        if let (Some(Tok::Int(_)), Some(Tok::Ident(w2))) = (out.get(1), out.get(2)) {
-            if let Some(var) = w2.strip_prefix("to") {
-                if !var.is_empty() {
-                    let var = var.to_string();
-                    out.splice(2..=2, [Tok::Ident("to".into()), Tok::Ident(var)]);
-                }
+    if head_is(lx, &["assign"]) && matches!(lx.toks.get(from + 1), Some(Tok::Int(_))) {
+        if let Some(w2) = ident_at(lx, from + 2) {
+            if lx.text(w2).strip_prefix("to").is_some_and(|var| !var.is_empty()) {
+                split_ident(lx, from + 2, w2, "to".len());
             }
         }
     }
 
     // Logical-IF tail: `IF(e)GOTO10` — the tail after the closing paren
     // is its own statement and needs the same treatment.
-    if out.first().is_some_and(|t| t.is_kw("if")) && out.get(1) == Some(&Tok::LParen) {
+    if head_is(lx, &["if"]) && lx.toks.get(from + 1) == Some(&Tok::LParen) {
         let mut depth = 0i32;
         let mut close = None;
-        for (i, t) in out.iter().enumerate().skip(1) {
+        for (i, t) in lx.toks.iter().enumerate().skip(from + 1) {
             match t {
                 Tok::LParen => depth += 1,
                 Tok::RParen => {
@@ -467,104 +468,99 @@ fn resplit_stmt(toks: Vec<Tok>, lineno: u32) -> Vec<Tok> {
             }
         }
         if let Some(ci) = close {
-            if ci + 1 < out.len() {
-                if let Tok::Ident(first) = &out[ci + 1] {
-                    if first != "then" {
-                        let tail = out.split_off(ci + 1);
-                        out.extend(resplit_stmt(tail, lineno));
-                    }
-                }
+            if ident_at(lx, ci + 1).is_some_and(|first| lx.text(first) != "then") {
+                resplit_stmt(lx, ci + 1, lineno);
             }
         }
     }
-    out
 }
 
-/// Greedy decomposition of a merged OMP directive word into directive /
-/// clause keywords; left intact when any segment is not a keyword.
-fn omp_split(w: &str) -> Option<Vec<String>> {
-    let mut rest = w;
-    let mut words = Vec::new();
-    'outer: while !rest.is_empty() {
-        for kw in OMP_KWS {
-            if let Some(r) = rest.strip_prefix(kw) {
-                words.push((*kw).to_string());
-                rest = r;
-                continue 'outer;
+/// Decomposes, in place, the merged keyword runs of the directive
+/// `toks[from..]` (the last statement scanned) outside parentheses —
+/// clause argument lists keep their names. The decomposition is greedy;
+/// a word is left intact when any segment of it is not a keyword.
+fn split_omp_words(lx: &mut Lexed, from: usize) {
+    let mut depth = 0i32;
+    let mut i = from;
+    while i < lx.toks.len() {
+        match lx.toks[i] {
+            Tok::LParen => depth += 1,
+            Tok::RParen => depth -= 1,
+            Tok::Ident(w) if depth == 0 => {
+                // Spell the keywords onto the end of the buffer, then swap
+                // them in for the word if it decomposed completely.
+                let tail = lx.toks.len();
+                let word = &lx.text[w.range()];
+                let mut at = 0;
+                while let Some(kw) = OMP_KWS.iter().find(|kw| word[at..].starts_with(**kw)) {
+                    lx.toks.push(Tok::Ident(w.sub(at..at + kw.len())));
+                    at += kw.len();
+                }
+                let words = lx.toks.len() - tail;
+                if at == word.len() {
+                    lx.toks[i..].rotate_right(words);
+                    lx.toks.remove(i + words);
+                    i += words - 1;
+                } else {
+                    lx.toks.truncate(tail);
+                }
             }
+            _ => {}
         }
-        return None;
+        i += 1;
     }
-    Some(words)
 }
 
 /// Lexes one fixed-form source into logical statements, accumulating
 /// diagnostics instead of failing fast.
-pub fn lex_fixed(src: &str) -> (Vec<FStmt>, Diagnostics) {
+pub fn lex_fixed(src: &str) -> (Lexed, Diagnostics) {
     let mut diags = Diagnostics::default();
-    let stmts = lex_fixed_in(src, 0, &mut diags);
-    (stmts, diags)
+    let lexed = lex_fixed_in(src, 0, &mut diags);
+    (lexed, diags)
 }
 
-fn lex_fixed_in(src: &str, file: usize, diags: &mut Diagnostics) -> Vec<FStmt> {
-    let mut out = Vec::new();
-    for raw in split_cards(src, file, diags) {
-        let dense = strip_blanks(&raw.text);
-        let toks = match lex_fragment(&dense, raw.lineno) {
-            Ok(t) => t,
-            Err(e) => {
-                diags.absorb(file, &e);
-                continue;
-            }
-        };
-        if toks.is_empty() {
+fn lex_fixed_in(src: &str, file: usize, diags: &mut Diagnostics) -> Lexed {
+    let mut lx = match Lexed::for_source(src) {
+        Ok(lx) => lx,
+        Err(e) => {
+            diags.absorb(file, &e);
+            return Lexed::default();
+        }
+    };
+    for raw in split_cards(src, file, &mut lx.text, diags) {
+        let from = lx.toks.len();
+        if let Err(e) = lx.scan(raw.text.clone(), raw.lineno) {
+            diags.absorb(file, &e);
+            lx.toks.truncate(from);
             continue;
         }
-        let toks = if raw.omp {
-            // Directive text: decompose merged keyword runs outside
-            // parentheses (clause argument lists keep their names).
-            let mut depth = 0i32;
-            let mut fixed = Vec::with_capacity(toks.len());
-            for t in toks {
-                match &t {
-                    Tok::LParen => {
-                        depth += 1;
-                        fixed.push(t);
-                    }
-                    Tok::RParen => {
-                        depth -= 1;
-                        fixed.push(t);
-                    }
-                    Tok::Ident(w) if depth == 0 => match omp_split(w) {
-                        Some(words) => {
-                            fixed.extend(words.into_iter().map(Tok::Ident));
-                        }
-                        None => fixed.push(t),
-                    },
-                    _ => fixed.push(t),
-                }
-            }
-            fixed
-        } else if is_assignment(&dense) {
-            toks
-        } else {
-            resplit_stmt(toks, raw.lineno)
-        };
-        out.push(FStmt { label: raw.label, toks, lineno: raw.lineno, omp: raw.omp });
+        // Folded after the scan: a lex error quotes the card as written.
+        fold_outside_quotes(&mut lx.text[raw.text.clone()]);
+        if raw.omp {
+            split_omp_words(&mut lx, from);
+        } else if !is_assignment(&lx.text[raw.text]) {
+            resplit_stmt(&mut lx, from, raw.lineno);
+        }
+        lx.lines.push(Line {
+            toks: from as u32..lx.toks.len() as u32,
+            lineno: raw.lineno,
+            omp: raw.omp,
+            label: raw.label,
+        });
     }
-    out
+    lx
 }
 
 // ---------------------------------------------------------------------------
 // Free-form -> fixed-form pretty printer (property-test oracle)
 // ---------------------------------------------------------------------------
 
-fn tok_text(t: &Tok) -> String {
+fn tok_text(text: &str, t: &Tok) -> String {
     match t {
-        Tok::Ident(s) => s.clone(),
+        Tok::Ident(s) => text[s.range()].to_string(),
         Tok::Int(v) => v.to_string(),
         Tok::Real(v) => format!("{v:?}"),
-        Tok::Str(s) => format!("'{s}'"),
+        Tok::Str(s) => format!("'{}'", &text[s.range()]),
         Tok::LParen => "(".into(),
         Tok::RParen => ")".into(),
         Tok::Comma => ",".into(),
@@ -605,14 +601,16 @@ pub fn to_fixed_form(free_src: &str) -> Result<String, CompileError> {
 /// literal (trailing card blanks are not preserved there).
 pub fn to_fixed_form_wrapped(free_src: &str, width: usize) -> Result<String, CompileError> {
     let width = width.clamp(1, 66);
-    let lines = crate::lex::lex(free_src)?;
+    let lx = crate::lex::lex(free_src)?;
     let mut out = String::new();
-    for line in &lines {
+    for line in lx.lines() {
         let text: String = {
-            let parts: Vec<String> = line.toks.iter().map(tok_text).collect();
+            let parts: Vec<String> =
+                lx.toks(line).iter().map(|t| tok_text(&lx.text, t)).collect();
             parts.join(" ")
         };
-        let dense = strip_blanks(&text);
+        let mut dense = String::new();
+        push_dense(&mut dense, &text, &mut false);
         // Cut points every `width` chars, nudged out of string literals.
         let chars: Vec<char> = dense.chars().collect();
         let mut pieces: Vec<String> = Vec::new();
@@ -729,22 +727,25 @@ fn emsg(e: &CompileError) -> String {
     }
 }
 
+/// A cursor over one statement: a slice of the flat token buffer plus
+/// the statement text its identifiers are ranges of.
 struct Cur<'a> {
+    text: &'a str,
     t: &'a [Tok],
     i: usize,
     line: u32,
 }
 
 impl<'a> Cur<'a> {
-    fn new(t: &'a [Tok], line: u32) -> Self {
-        Cur { t, i: 0, line }
+    fn new(text: &'a str, t: &'a [Tok], line: u32) -> Self {
+        Cur { text, t, i: 0, line }
     }
 
-    fn peek(&self) -> Option<&Tok> {
+    fn peek(&self) -> Option<&'a Tok> {
         self.t.get(self.i)
     }
 
-    fn bump(&mut self) -> Option<&Tok> {
+    fn bump(&mut self) -> Option<&'a Tok> {
         let t = self.t.get(self.i);
         if t.is_some() {
             self.i += 1;
@@ -752,13 +753,57 @@ impl<'a> Cur<'a> {
         t
     }
 
+    /// The text of an identifier or string-literal token.
+    fn str(&self, s: &Sym) -> &'a str {
+        &self.text[s.range()]
+    }
+
+    /// The identifier that is next, borrowed from the statement text.
+    fn word(&self) -> Option<&'a str> {
+        match self.peek() {
+            Some(Tok::Ident(s)) => Some(self.str(s)),
+            _ => None,
+        }
+    }
+
     fn done(&self) -> bool {
         self.i >= self.t.len()
     }
 
+    /// True when the statement opens with a designator-shaped run of
+    /// tokens (`a`, `a(...)`, `a%b(...)`) directly followed by `=`.
+    /// Decided on the token kinds alone, so that only an assignment pays
+    /// for parsing its target.
+    fn opens_assignment(&self) -> bool {
+        let mut i = self.i;
+        loop {
+            if !matches!(self.t.get(i), Some(Tok::Ident(_))) {
+                return false;
+            }
+            i += 1;
+            let mut depth = 0i32;
+            while depth > 0 || self.t.get(i) == Some(&Tok::LParen) {
+                match self.t.get(i) {
+                    Some(Tok::LParen) => depth += 1,
+                    Some(Tok::RParen) => depth -= 1,
+                    Some(_) => {}
+                    None => return false,
+                }
+                i += 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            if self.t.get(i) != Some(&Tok::Percent) {
+                return self.t.get(i) == Some(&Tok::Assign);
+            }
+            i += 1;
+        }
+    }
+
     /// Eats the identifier `kw` if it is next.
     fn kw(&mut self, kw: &str) -> bool {
-        if self.peek().is_some_and(|t| t.is_kw(kw)) {
+        if self.word() == Some(kw) {
             self.i += 1;
             true
         } else {
@@ -783,15 +828,11 @@ impl<'a> Cur<'a> {
         }
     }
 
+    /// Consumes an identifier into the `String` an AST node keeps.
     fn ident(&mut self, what: &str) -> Result<String, PErr> {
-        match self.peek() {
-            Some(Tok::Ident(s)) => {
-                let s = s.clone();
-                self.i += 1;
-                Ok(s)
-            }
-            _ => Err(perr(format!("expected {what}"))),
-        }
+        let w = self.word().ok_or_else(|| perr(format!("expected {what}")))?;
+        self.i += 1;
+        Ok(w.to_string())
     }
 
     fn label(&mut self) -> Result<u32, PErr> {
@@ -807,14 +848,14 @@ impl<'a> Cur<'a> {
 
     fn expr(&mut self) -> Result<Expr, PErr> {
         let (e, used) =
-            expr_from_toks(&self.t[self.i..], self.line).map_err(|e| perr(emsg(&e)))?;
+            expr_from_toks(self.text, &self.t[self.i..], self.line).map_err(|e| perr(emsg(&e)))?;
         self.i += used;
         Ok(e)
     }
 
     fn desig(&mut self) -> Result<Desig, PErr> {
         let (d, used) =
-            desig_from_toks(&self.t[self.i..], self.line).map_err(|e| perr(emsg(&e)))?;
+            desig_from_toks(self.text, &self.t[self.i..], self.line).map_err(|e| perr(emsg(&e)))?;
         self.i += used;
         Ok(d)
     }
@@ -825,7 +866,7 @@ impl<'a> Cur<'a> {
         } else {
             Err(perr(format!(
                 "unexpected `{}` after statement",
-                tok_text(&self.t[self.i])
+                tok_text(self.text, &self.t[self.i])
             )))
         }
     }
@@ -866,11 +907,8 @@ fn parse_entity(c: &mut Cur) -> Result<(String, Option<Vec<DimDecl>>), PErr> {
 /// A type keyword plus optional kind spec (`REAL*8`, `INTEGER*4`,
 /// `REAL(8)`). Returns `None` if the next token is not a type keyword.
 fn parse_type_kw(c: &mut Cur) -> Option<TypeSpec> {
-    let base = match c.peek() {
-        Some(Tok::Ident(s)) => s.clone(),
-        _ => return None,
-    };
-    let mut ts = match base.as_str() {
+    let base = c.word()?;
+    let mut ts = match base {
         "integer" => TypeSpec::Integer,
         "real" => TypeSpec::Real,
         "logical" => TypeSpec::Logical,
@@ -930,20 +968,15 @@ fn parse_label_list(c: &mut Cur) -> Result<Vec<u32>, PErr> {
     Ok(labels)
 }
 
-fn parse_stmt(
-    f: &FStmt,
-    file: usize,
-    diags: &mut Diagnostics,
-) -> Result<S, PErr> {
-    if f.omp {
-        return parse_omp(f, file, diags);
+fn parse_stmt(mut c: Cur, omp: bool, file: usize, diags: &mut Diagnostics) -> Result<S, PErr> {
+    if omp {
+        return parse_omp(c, file, diags);
     }
-    let mut c = Cur::new(&f.toks, f.lineno);
 
     // Assignment first — mirrors the classic F77 classifier. A leading
     // designator followed by `=` is an assignment no matter what the
     // first identifier looks like.
-    if matches!(c.peek(), Some(Tok::Ident(_))) {
+    if c.opens_assignment() {
         let save = c.i;
         if let Ok(d) = c.desig() {
             if c.eat(&Tok::Assign) {
@@ -955,12 +988,14 @@ fn parse_stmt(
     }
 
     let head = match c.peek() {
-        Some(Tok::Ident(s)) => s.clone(),
-        Some(t) => return Err(perr(format!("statement cannot start with `{}`", tok_text(t)))),
+        Some(Tok::Ident(s)) => c.str(s),
+        Some(t) => {
+            return Err(perr(format!("statement cannot start with `{}`", tok_text(c.text, t))))
+        }
         None => return Err(perr("empty statement")),
     };
 
-    match head.as_str() {
+    match head {
         "program" => {
             c.i += 1;
             let name = c.ident("the program name")?;
@@ -982,14 +1017,7 @@ fn parse_stmt(
         }
         "blockdata" => {
             c.i += 1;
-            let name = match c.peek() {
-                Some(Tok::Ident(s)) => {
-                    let s = s.clone();
-                    c.i += 1;
-                    Some(s)
-                }
-                _ => None,
-            };
+            let name = c.ident("the block data name").ok();
             c.finish(S::BlockData(name))
         }
         "integer" | "real" | "logical" | "character" | "doubleprecision" => {
@@ -1184,7 +1212,7 @@ fn parse_stmt(
         "format" => {
             diags.warn_hint(
                 file,
-                f.lineno,
+                c.line,
                 "FORMAT statements are ignored; output is list-directed",
                 "the engine prints PRINT/WRITE arguments in list-directed form",
             );
@@ -1245,13 +1273,8 @@ fn parse_stmt(
                 return c.finish(S::ArithIf(cond, l1, l2, l3));
             }
             // Logical IF: one simple trailing statement.
-            let inner = FStmt {
-                label: None,
-                toks: f.toks[c.i..].to_vec(),
-                lineno: f.lineno,
-                omp: false,
-            };
-            let s = parse_stmt(&inner, file, diags)?;
+            let inner = Cur::new(c.text, &c.t[c.i..], c.line);
+            let s = parse_stmt(inner, false, file, diags)?;
             match &s {
                 S::Assign(..)
                 | S::Goto(..)
@@ -1334,9 +1357,8 @@ fn parse_stmt(
             c.i += 1;
             let msg = match c.peek() {
                 Some(Tok::Str(s)) => {
-                    let s = s.clone();
                     c.i += 1;
-                    Some(s)
+                    Some(c.str(s).to_string())
                 }
                 Some(Tok::Int(v)) => {
                     let s = v.to_string();
@@ -1369,7 +1391,7 @@ fn parse_stmt(
                     let _ = c.label()?;
                     diags.warn_hint(
                         file,
-                        f.lineno,
+                        c.line,
                         "PRINT format label ignored; output is list-directed",
                         "the engine prints arguments in list-directed form",
                     );
@@ -1404,7 +1426,7 @@ fn parse_stmt(
                         let _ = c.label()?;
                         diags.warn_hint(
                             file,
-                            f.lineno,
+                            c.line,
                             "WRITE format label ignored; output is list-directed",
                             "the engine prints arguments in list-directed form",
                         );
@@ -1461,9 +1483,9 @@ fn parse_data_scalar(c: &mut Cur) -> Result<Expr, PErr> {
         Some(Tok::Real(v)) => Expr::Real(*v),
         Some(Tok::True) => Expr::Logical(true),
         Some(Tok::False) => Expr::Logical(false),
-        Some(Tok::Str(s)) => Expr::Str(s.clone()),
+        Some(Tok::Str(s)) => Expr::Str(c.str(s).to_string()),
         Some(Tok::Ident(n)) => Expr::Name(Desig {
-            parts: vec![Part { name: n.clone(), subs: vec![] }],
+            parts: vec![Part { name: c.str(n).to_string(), subs: vec![] }],
             span: Span { line: c.line },
         }),
         _ => return Err(perr("expected a constant in the DATA value list")),
@@ -1472,13 +1494,12 @@ fn parse_data_scalar(c: &mut Cur) -> Result<Expr, PErr> {
 }
 
 /// Parses an OMP directive statement.
-fn parse_omp(f: &FStmt, file: usize, diags: &mut Diagnostics) -> Result<S, PErr> {
-    let mut c = Cur::new(&f.toks, f.lineno);
+fn parse_omp(mut c: Cur, file: usize, diags: &mut Diagnostics) -> Result<S, PErr> {
     if c.kw("parallel") {
         if !c.kw("do") {
             diags.warn_hint(
                 file,
-                f.lineno,
+                c.line,
                 "unsupported OpenMP directive ignored",
                 "only PARALLEL DO, ATOMIC and CRITICAL are honoured",
             );
@@ -1495,8 +1516,8 @@ fn parse_omp(f: &FStmt, file: usize, diags: &mut Diagnostics) -> Result<S, PErr>
                 let op = match c.bump() {
                     Some(Tok::Plus) => RedOp::Add,
                     Some(Tok::Star) => RedOp::Mul,
-                    Some(Tok::Ident(s)) if s == "max" => RedOp::Max,
-                    Some(Tok::Ident(s)) if s == "min" => RedOp::Min,
+                    Some(Tok::Ident(s)) if c.str(s) == "max" => RedOp::Max,
+                    Some(Tok::Ident(s)) if c.str(s) == "min" => RedOp::Min,
                     _ => return Err(perr("expected +, *, MAX or MIN in REDUCTION")),
                 };
                 c.expect(&Tok::Colon, "`:` in REDUCTION")?;
@@ -1521,9 +1542,9 @@ fn parse_omp(f: &FStmt, file: usize, diags: &mut Diagnostics) -> Result<S, PErr>
             } else if c.kw("schedule") {
                 c.expect(&Tok::LParen, "`(` after SCHEDULE")?;
                 let kind = match c.bump() {
-                    Some(Tok::Ident(s)) if s == "static" => SchedKind::Static,
-                    Some(Tok::Ident(s)) if s == "dynamic" => SchedKind::Dynamic,
-                    Some(Tok::Ident(s)) if s == "guided" => SchedKind::Guided,
+                    Some(Tok::Ident(s)) if c.str(s) == "static" => SchedKind::Static,
+                    Some(Tok::Ident(s)) if c.str(s) == "dynamic" => SchedKind::Dynamic,
+                    Some(Tok::Ident(s)) if c.str(s) == "guided" => SchedKind::Guided,
                     _ => return Err(perr("expected STATIC, DYNAMIC or GUIDED in SCHEDULE")),
                 };
                 let chunk = if c.eat(&Tok::Comma) {
@@ -1547,7 +1568,7 @@ fn parse_omp(f: &FStmt, file: usize, diags: &mut Diagnostics) -> Result<S, PErr>
             } else {
                 return Err(perr(format!(
                     "unknown PARALLEL DO clause near `{}`",
-                    c.peek().map(tok_text).unwrap_or_default()
+                    c.peek().map(|t| tok_text(c.text, t)).unwrap_or_default()
                 )));
             }
         }
@@ -1578,7 +1599,7 @@ fn parse_omp(f: &FStmt, file: usize, diags: &mut Diagnostics) -> Result<S, PErr>
     }
     diags.warn_hint(
         file,
-        f.lineno,
+        c.line,
         "unsupported OpenMP directive ignored",
         "only PARALLEL DO, ATOMIC and CRITICAL are honoured",
     );
@@ -1824,6 +1845,17 @@ fn lower_simple(s: S, line: u32, atomic: bool) -> Stmt {
     }
 }
 
+/// The symbolic branch a branching S stands for.
+fn branch_of(s: S) -> Branch {
+    match s {
+        S::Goto(l) => Branch::Goto(l),
+        S::CGoto(ls, e) => Branch::CGoto(ls, e),
+        S::AGoto(v, ls) => Branch::AGoto(v, ls),
+        S::ArithIf(e, a, b, c) => Branch::Arith(e, a, b, c),
+        _ => unreachable!("branch_of called on a non-branch statement"),
+    }
+}
+
 fn is_simple(s: &S) -> bool {
     matches!(
         s,
@@ -1842,7 +1874,7 @@ fn is_simple(s: &S) -> bool {
 /// Scans one fixed-form source into unit accumulators, recovering at
 /// statement boundaries and reporting every problem found.
 fn lower_source(src: &str, file: usize, diags: &mut Diagnostics) -> Vec<UnitAcc> {
-    let stmts = lex_fixed_in(src, file, diags);
+    let lx = lex_fixed_in(src, file, diags);
     let mut units: Vec<UnitAcc> = Vec::new();
     let mut cur: Option<(UnitAcc, Shape)> = None;
     let mut pending_omp: Option<OmpDo> = None;
@@ -1882,8 +1914,9 @@ fn lower_source(src: &str, file: usize, diags: &mut Diagnostics) -> Vec<UnitAcc>
         }
     };
 
-    for f in &stmts {
-        let s = match parse_stmt(f, file, diags) {
+    for f in lx.lines() {
+        let stmt = Cur::new(&lx.text, lx.toks(f), f.lineno);
+        let s = match parse_stmt(stmt, f.omp, file, diags) {
             Ok(s) => s,
             Err((msg, hint)) => {
                 match hint {
@@ -1894,37 +1927,38 @@ fn lower_source(src: &str, file: usize, diags: &mut Diagnostics) -> Vec<UnitAcc>
             }
         };
 
-        // Unit heads.
-        let head = match &s {
-            S::Program(n) => Some((UnitKind::Subroutine, n.clone(), vec![], false)),
-            S::Subroutine(n, p) => Some((UnitKind::Subroutine, n.clone(), p.clone(), false)),
+        // Unit heads (`Err` hands any other statement back).
+        let head = match s {
+            S::Program(n) => Ok((UnitKind::Subroutine, n, vec![], false)),
+            S::Subroutine(n, p) => Ok((UnitKind::Subroutine, n, p, false)),
             S::Function(ts, n, p) => {
-                let untyped = *ts == TypeSpec::Character;
-                Some((UnitKind::Function(ts.clone()), n.clone(), p.clone(), untyped))
+                let untyped = ts == TypeSpec::Character;
+                Ok((UnitKind::Function(ts), n, p, untyped))
             }
-            S::BlockData(n) => Some((
-                UnitKind::Subroutine,
-                n.clone().unwrap_or_else(|| "blockdata".to_string()),
-                vec![],
-                false,
-            )),
-            _ => None,
+            S::BlockData(n) => {
+                let name = n.unwrap_or_else(|| "blockdata".to_string());
+                Ok((UnitKind::Subroutine, name, vec![], false))
+            }
+            other => Err(other),
         };
-        if let Some((kind, name, params, untyped)) = head {
-            if cur.is_some() {
-                diags.error_hint(
-                    file,
-                    f.lineno,
-                    format!("`{name}` starts before the previous unit's END"),
-                    "add an END statement to close the previous program unit",
-                );
-                close_unit(&mut cur, &mut units, diags);
+        let s = match head {
+            Err(s) => s,
+            Ok((kind, name, params, untyped)) => {
+                if cur.is_some() {
+                    diags.error_hint(
+                        file,
+                        f.lineno,
+                        format!("`{name}` starts before the previous unit's END"),
+                        "add an END statement to close the previous program unit",
+                    );
+                    close_unit(&mut cur, &mut units, diags);
+                }
+                let mut acc = UnitAcc::new(kind, name, params, f.lineno, file);
+                acc.untyped_function = untyped;
+                cur = Some((acc, Shape::new()));
+                continue;
             }
-            let mut acc = UnitAcc::new(kind, name, params, f.lineno, file);
-            acc.untyped_function = untyped;
-            cur = Some((acc, Shape::new()));
-            continue;
-        }
+        };
 
         // Any other statement before a unit head opens the implicit
         // main program (classic F77 main without a PROGRAM card).
@@ -2062,14 +2096,15 @@ fn lower_source(src: &str, file: usize, diags: &mut Diagnostics) -> Vec<UnitAcc>
             }
             S::ElseIf(newcond) => match shape.frames.last_mut() {
                 Some((Fr::If { arms, cond, in_else: false, .. }, body)) => {
-                    arms.push((cond.clone(), std::mem::take(body)));
-                    *cond = newcond;
+                    arms.push((std::mem::replace(cond, newcond), std::mem::take(body)));
                 }
                 _ => diags.error(file, f.lineno, "ELSE IF without a matching IF (...) THEN"),
             },
             S::Else => match shape.frames.last_mut() {
                 Some((Fr::If { arms, cond, in_else, .. }, body)) if !*in_else => {
-                    arms.push((cond.clone(), std::mem::take(body)));
+                    // The ELSE arm has no condition: leave a placeholder.
+                    let cond = std::mem::replace(cond, Expr::Logical(true));
+                    arms.push((cond, std::mem::take(body)));
                     *in_else = true;
                 }
                 _ => diags.error(file, f.lineno, "ELSE without a matching IF (...) THEN"),
@@ -2090,41 +2125,11 @@ fn lower_source(src: &str, file: usize, diags: &mut Diagnostics) -> Vec<UnitAcc>
                 }
             }
             // --- branches -----------------------------------------------
-            S::Goto(l) => {
+            s @ (S::Goto(..) | S::CGoto(..) | S::AGoto(..) | S::ArithIf(..)) => {
                 shape.body().push(LNode {
                     label: f.label,
                     line: f.lineno,
-                    node: Node::Br(Branch::Goto(l)),
-                });
-                if let Some(l) = f.label {
-                    shape.close_terms(l);
-                }
-            }
-            S::CGoto(ls, e) => {
-                shape.body().push(LNode {
-                    label: f.label,
-                    line: f.lineno,
-                    node: Node::Br(Branch::CGoto(ls, e)),
-                });
-                if let Some(l) = f.label {
-                    shape.close_terms(l);
-                }
-            }
-            S::AGoto(v, ls) => {
-                shape.body().push(LNode {
-                    label: f.label,
-                    line: f.lineno,
-                    node: Node::Br(Branch::AGoto(v, ls)),
-                });
-                if let Some(l) = f.label {
-                    shape.close_terms(l);
-                }
-            }
-            S::ArithIf(e, l1, l2, l3) => {
-                shape.body().push(LNode {
-                    label: f.label,
-                    line: f.lineno,
-                    node: Node::Br(Branch::Arith(e, l1, l2, l3)),
+                    node: Node::Br(branch_of(s)),
                 });
                 if let Some(l) = f.label {
                     shape.close_terms(l);
@@ -2132,10 +2137,9 @@ fn lower_source(src: &str, file: usize, diags: &mut Diagnostics) -> Vec<UnitAcc>
             }
             S::LogIf(cond, inner) => {
                 let inner_node = match *inner {
-                    S::Goto(l) => Node::Br(Branch::Goto(l)),
-                    S::CGoto(ls, e) => Node::Br(Branch::CGoto(ls, e)),
-                    S::AGoto(v, ls) => Node::Br(Branch::AGoto(v, ls)),
-                    S::ArithIf(e, a, b, d) => Node::Br(Branch::Arith(e, a, b, d)),
+                    s @ (S::Goto(..) | S::CGoto(..) | S::AGoto(..) | S::ArithIf(..)) => {
+                        Node::Br(branch_of(s))
+                    }
                     other => {
                         if let S::LabelAssign(l, v) = &other {
                             acc.label_assigns.entry(v.clone()).or_default().push(*l);
@@ -2231,8 +2235,9 @@ fn eqi(n: &str, k: i64, line: u32) -> Expr {
     Expr::Bin(Bin::Eq, Box::new(evar(n, line)), Box::new(Expr::Int(k)))
 }
 
-/// Fresh-name generator seeded with every identifier the unit mentions, so
-/// synthesized state variables and temporaries can never collide.
+/// Fresh-name generator for synthesized state variables and temporaries,
+/// seeded with the unit's identifiers it could collide with: every fresh
+/// name starts with [`TMP_PREFIX`], so only those are collected.
 struct TmpGen {
     used: HashSet<String>,
     n: u32,
@@ -2242,11 +2247,21 @@ impl TmpGen {
     fn fresh(&mut self, base: &str) -> String {
         loop {
             self.n += 1;
+            debug_assert!(base.starts_with(TMP_PREFIX));
             let c = format!("{base}{}", self.n);
             if self.used.insert(c.clone()) {
                 return c;
             }
         }
+    }
+}
+
+const TMP_PREFIX: &str = "go_";
+
+/// Records `n` as taken if a fresh name could ever spell it.
+fn note_name(n: &str, out: &mut HashSet<String>) {
+    if n.starts_with(TMP_PREFIX) {
+        out.insert(n.to_string());
     }
 }
 
@@ -2264,7 +2279,7 @@ fn names_in_expr(e: &Expr, out: &mut HashSet<String>) {
 
 fn names_in_desig(d: &Desig, out: &mut HashSet<String>) {
     for p in &d.parts {
-        out.insert(p.name.clone());
+        note_name(&p.name, out);
         for s in &p.subs {
             names_in_expr(s, out);
         }
@@ -2289,7 +2304,7 @@ fn names_in_stmt(s: &Stmt, out: &mut HashSet<String>) {
             }
         }
         Stmt::Do { var, start, end, step, body, .. } => {
-            out.insert(var.clone());
+            note_name(var, out);
             names_in_expr(start, out);
             names_in_expr(end, out);
             if let Some(e) = step {
@@ -2306,7 +2321,7 @@ fn names_in_stmt(s: &Stmt, out: &mut HashSet<String>) {
             }
         }
         Stmt::Call { name, args, .. } => {
-            out.insert(name.clone());
+            note_name(name, out);
             for a in args {
                 names_in_expr(a, out);
             }
@@ -2332,11 +2347,11 @@ fn names_in_node(n: &LNode, out: &mut HashSet<String>) {
             Branch::Goto(_) => {}
             Branch::CGoto(_, e) | Branch::Arith(e, ..) => names_in_expr(e, out),
             Branch::AGoto(v, _) => {
-                out.insert(v.clone());
+                note_name(v, out);
             }
         },
         Node::Do { var, start, end, step, body, .. } => {
-            out.insert(var.clone());
+            note_name(var, out);
             names_in_expr(start, out);
             names_in_expr(end, out);
             if let Some(e) = step {
@@ -2384,13 +2399,16 @@ fn names_in_body(b: &LBody, out: &mut HashSet<String>) {
 
 fn collect_unit_names(acc: &UnitAcc) -> HashSet<String> {
     let mut out = HashSet::new();
-    out.insert(acc.name.clone());
-    out.extend(acc.params.iter().cloned());
-    out.extend(acc.save.iter().cloned());
-    out.extend(acc.externals.iter().cloned());
-    out.extend(acc.label_assigns.keys().cloned());
+    let singles = std::iter::once(&acc.name)
+        .chain(&acc.params)
+        .chain(&acc.save)
+        .chain(&acc.externals)
+        .chain(acc.label_assigns.keys());
+    for n in singles {
+        note_name(n, &mut out);
+    }
     for (_, n, dims, _) in &acc.decls_ty {
-        out.insert(n.clone());
+        note_name(n, &mut out);
         for d in dims.iter().flatten() {
             if let Some(e) = &d.lo {
                 names_in_expr(e, &mut out);
@@ -2401,7 +2419,7 @@ fn collect_unit_names(acc: &UnitAcc) -> HashSet<String> {
         }
     }
     for (n, dims, _) in &acc.dimension {
-        out.insert(n.clone());
+        note_name(n, &mut out);
         for d in dims {
             if let Some(e) = &d.lo {
                 names_in_expr(e, &mut out);
@@ -2412,13 +2430,13 @@ fn collect_unit_names(acc: &UnitAcc) -> HashSet<String> {
         }
     }
     for ((b, members), _) in &acc.commons {
-        out.insert(b.clone());
+        note_name(b, &mut out);
         for (n, _) in members {
-            out.insert(n.clone());
+            note_name(n, &mut out);
         }
     }
     for (n, e, _) in &acc.params_c {
-        out.insert(n.clone());
+        note_name(n, &mut out);
         names_in_expr(e, &mut out);
     }
     for (g, _) in &acc.equiv {
@@ -2643,14 +2661,13 @@ impl Lg<'_> {
     /// Bottom-up: legalize every nested loop body, applying the
     /// GOTO->EXIT rewrite for jumps to the label right after the loop.
     fn legalize_children(&mut self, nodes: &mut [LNode]) {
-        let nexts: Vec<Option<u32>> =
-            (0..nodes.len()).map(|i| nodes.get(i + 1).and_then(|x| x.label)).collect();
-        for (i, n) in nodes.iter_mut().enumerate() {
-            match &mut n.node {
+        for i in 0..nodes.len() {
+            let next_label = nodes.get(i + 1).and_then(|x| x.label);
+            match &mut nodes[i].node {
                 Node::Do { body, .. } | Node::DoW { body, .. } => {
                     if let LBody::Raw(raw) = body {
                         let mut raw = std::mem::take(raw);
-                        if let Some(xl) = nexts[i] {
+                        if let Some(xl) = next_label {
                             rewrite_goto(&mut raw, xl, true);
                         }
                         let stmts = self.legalize_loop_body(raw);
@@ -3257,11 +3274,11 @@ fn rename_stmt(s: &mut Stmt, map: &HashMap<String, String>) {
 
 // --- bare-name collection for implicit typing -------------------------------
 
-fn bare_expr(e: &Expr, out: &mut HashSet<String>) {
+fn bare_expr<'a>(e: &'a Expr, out: &mut HashSet<&'a str>) {
     match e {
         Expr::Name(d) => {
             if d.parts.len() == 1 && d.parts[0].subs.is_empty() {
-                out.insert(d.parts[0].name.clone());
+                out.insert(&d.parts[0].name);
             }
             for p in &d.parts {
                 for s in &p.subs {
@@ -3278,10 +3295,10 @@ fn bare_expr(e: &Expr, out: &mut HashSet<String>) {
     }
 }
 
-fn bare_stmt(s: &Stmt, out: &mut HashSet<String>) {
+fn bare_stmt<'a>(s: &'a Stmt, out: &mut HashSet<&'a str>) {
     match s {
         Stmt::Assign { target, value, .. } => {
-            out.insert(target.parts[0].name.clone());
+            out.insert(&target.parts[0].name);
             for p in &target.parts {
                 for e in &p.subs {
                     bare_expr(e, out);
@@ -3301,7 +3318,7 @@ fn bare_stmt(s: &Stmt, out: &mut HashSet<String>) {
             }
         }
         Stmt::Do { var, start, end, step, body, .. } => {
-            out.insert(var.clone());
+            out.insert(var);
             bare_expr(start, out);
             bare_expr(end, out);
             if let Some(e) = step {
@@ -3336,24 +3353,22 @@ fn bare_stmt(s: &Stmt, out: &mut HashSet<String>) {
     }
 }
 
+/// What the specification part said about one name. The map key is the
+/// only copy of the name until its declaration is emitted.
 #[derive(Default)]
 struct Rec {
+    /// Position in first-mention order, the order declarations come out in.
+    seq: usize,
     ty: Option<TypeSpec>,
     dims: Option<Vec<DimDecl>>,
     line: u32,
-    common: Option<String>,
+    in_common: bool,
     removed: bool,
 }
 
-fn ent<'a>(
-    recs: &'a mut HashMap<String, Rec>,
-    order: &mut Vec<String>,
-    n: &str,
-    line: u32,
-) -> &'a mut Rec {
+fn ent<'a>(recs: &'a mut HashMap<String, Rec>, n: &str, line: u32) -> &'a mut Rec {
     if !recs.contains_key(n) {
-        order.push(n.to_string());
-        recs.insert(n.to_string(), Rec { line, ..Default::default() });
+        recs.insert(n.to_string(), Rec { seq: recs.len(), line, ..Default::default() });
     }
     recs.get_mut(n).expect("just inserted")
 }
@@ -3383,11 +3398,10 @@ fn finalize_unit(
     let mut body = legalize_unit(&mut acc, diags);
     let imap = build_imap(&acc);
 
-    let mut order: Vec<String> = Vec::new();
     let mut recs: HashMap<String, Rec> = HashMap::new();
 
     for (ts, n, dims, line) in std::mem::take(&mut acc.decls_ty) {
-        let r = ent(&mut recs, &mut order, &n, line);
+        let r = ent(&mut recs, &n, line);
         if r.ty.is_some() {
             diags.error(file, line, format!("`{n}` is declared more than once"));
         } else {
@@ -3402,7 +3416,7 @@ fn finalize_unit(
         }
     }
     for (n, d, line) in std::mem::take(&mut acc.dimension) {
-        let r = ent(&mut recs, &mut order, &n, line);
+        let r = ent(&mut recs, &n, line);
         if r.dims.is_some() {
             diags.error(file, line, format!("`{n}` is dimensioned more than once"));
         } else {
@@ -3414,7 +3428,7 @@ fn finalize_unit(
     for ((b, members), line) in std::mem::take(&mut acc.commons) {
         let names: Vec<String> = members.iter().map(|(n, _)| n.clone()).collect();
         for (n, dims) in members {
-            let r = ent(&mut recs, &mut order, &n, line);
+            let r = ent(&mut recs, &n, line);
             if let Some(d) = dims {
                 if r.dims.is_some() {
                     diags.error(file, line, format!("`{n}` is dimensioned more than once"));
@@ -3422,10 +3436,10 @@ fn finalize_unit(
                     r.dims = Some(d);
                 }
             }
-            if r.common.is_some() {
+            if r.in_common {
                 diags.error(file, line, format!("`{n}` appears in COMMON more than once"));
             } else {
-                r.common = Some(b.clone());
+                r.in_common = true;
             }
         }
         if let Some((_, v)) = commons_out.iter_mut().find(|(bb, _)| *bb == b) {
@@ -3460,7 +3474,7 @@ fn finalize_unit(
             continue;
         };
         if let Some(r) = recs.get_mut(n) {
-            if r.dims.is_some() || r.common.is_some() {
+            if r.dims.is_some() || r.in_common {
                 diags.error(
                     file,
                     *line,
@@ -3523,7 +3537,7 @@ fn finalize_unit(
     let mut ren: HashMap<String, String> = HashMap::new();
     for (g, gline) in &groups {
         let commoners: Vec<&String> =
-            g.iter().filter(|n| recs.get(*n).is_some_and(|r| r.common.is_some())).collect();
+            g.iter().filter(|n| recs.get(*n).is_some_and(|r| r.in_common)).collect();
         if commoners.len() > 1 {
             diags.error_hint(
                 file,
@@ -3605,11 +3619,10 @@ fn finalize_unit(
         if !ok {
             continue;
         }
-        struct Slot {
-            name: String,
+        struct Slot<'a> {
+            name: &'a str,
             arr_len: Option<i64>,
             idx: Option<i64>,
-            count: i64,
         }
         let mut slots: Vec<Slot> = Vec::new();
         let mut total = 0i64;
@@ -3619,24 +3632,24 @@ fn finalize_unit(
                 ok = false;
                 continue;
             }
-            let n = d.parts[0].name.clone();
-            if acc.params.contains(&n) {
+            let n = d.parts[0].name.as_str();
+            if acc.params.iter().any(|p| p == n) {
                 diags.error(file, line, format!("DATA initializes dummy argument `{n}`"));
                 ok = false;
                 continue;
             }
-            let dims = recs.get(&n).and_then(|r| r.dims.clone());
+            let dims = recs.get(n).and_then(|r| r.dims.as_deref());
             let subs = &d.parts[0].subs;
             if subs.is_empty() {
                 match dims {
                     None => {
-                        slots.push(Slot { name: n, arr_len: None, idx: None, count: 1 });
+                        slots.push(Slot { name: n, arr_len: None, idx: None });
                         total += 1;
                     }
-                    Some(ds) => match fold_extents(&ds, &consts) {
+                    Some(ds) => match fold_extents(ds, &consts) {
                         Some(ex) => {
                             let c = extent_count(&ex);
-                            slots.push(Slot { name: n, arr_len: Some(c), idx: None, count: c });
+                            slots.push(Slot { name: n, arr_len: Some(c), idx: None });
                             total += c;
                         }
                         None => {
@@ -3655,7 +3668,7 @@ fn finalize_unit(
                     ok = false;
                     continue;
                 };
-                let Some(ex) = fold_extents(&ds, &consts) else {
+                let Some(ex) = fold_extents(ds, &consts) else {
                     diags.error(file, line, format!("`{n}`: array bounds are not constant"));
                     ok = false;
                     continue;
@@ -3703,7 +3716,7 @@ fn finalize_unit(
                     continue;
                 }
                 let c = extent_count(&ex);
-                slots.push(Slot { name: n, arr_len: Some(c), idx: Some(idx), count: 1 });
+                slots.push(Slot { name: n, arr_len: Some(c), idx: Some(idx) });
                 total += 1;
             }
         }
@@ -3725,11 +3738,15 @@ fn finalize_unit(
         }
         let mut it = flat.into_iter();
         for s in slots {
-            ent(&mut recs, &mut order, &s.name, line);
-            let slot = inits.entry(s.name.clone()).or_insert_with(|| match s.arr_len {
-                Some(l) => InitAcc::Arr(vec![None; l.max(0) as usize]),
-                None => InitAcc::Scalar(None),
-            });
+            ent(&mut recs, s.name, line);
+            if !inits.contains_key(s.name) {
+                let fresh = match s.arr_len {
+                    Some(l) => InitAcc::Arr(vec![None; l.max(0) as usize]),
+                    None => InitAcc::Scalar(None),
+                };
+                inits.insert(s.name.to_string(), fresh);
+            }
+            let slot = inits.get_mut(s.name).expect("just inserted");
             let mut put = |cell: &mut Option<Expr>, v: Expr| {
                 if cell.is_some() {
                     diags.error(
@@ -3752,12 +3769,6 @@ fn finalize_unit(
                     }
                 }
             }
-            let _ = s.count;
-        }
-    }
-    for n in inits.keys() {
-        if recs.get(n).is_none_or(|r| r.common.is_none()) {
-            acc.save.insert(n.clone());
         }
     }
 
@@ -3766,29 +3777,26 @@ fn finalize_unit(
     for s in &body {
         bare_stmt(s, &mut used);
     }
-    let mut scan: Vec<String> = acc.params.clone();
-    let mut rest: Vec<String> = used
-        .iter()
+    let mut rest: Vec<&str> = used
+        .into_iter()
         .filter(|n| {
             !recs.contains_key(*n)
                 && !consts.contains_key(*n)
-                && !acc.params.contains(*n)
-                && **n != acc.name
+                && !acc.params.iter().any(|p| p == n)
+                && *n != acc.name
                 && !acc.externals.contains(*n)
                 && !unit_names.contains(*n)
                 && crate::intrinsics::Intr::from_name(n).is_none()
         })
-        .cloned()
         .collect();
-    rest.sort();
-    scan.extend(rest);
-    for n in scan {
-        if recs.contains_key(&n) {
+    rest.sort_unstable();
+    for n in acc.params.iter().map(String::as_str).chain(rest) {
+        if recs.contains_key(n) {
             continue;
         }
-        match imp_ty(&imap, &n) {
+        match imp_ty(&imap, n) {
             Some(t) => {
-                let r = ent(&mut recs, &mut order, &n, acc.line);
+                let r = ent(&mut recs, n, acc.line);
                 r.ty = Some(t);
             }
             None => diags.error_hint(
@@ -3824,12 +3832,13 @@ fn finalize_unit(
 
     // Emit declarations: parameters first (array bounds may use them).
     let mut decls = param_decls;
-    for n in &order {
-        let r = &recs[n];
+    let mut recs: Vec<(String, Rec)> = recs.into_iter().collect();
+    recs.sort_unstable_by_key(|(_, r)| r.seq);
+    for (n, r) in recs {
         if r.removed {
             continue;
         }
-        let Some(ty) = r.ty.clone().or_else(|| imp_ty(&imap, n)) else {
+        let Some(ty) = r.ty.or_else(|| imp_ty(&imap, &n)) else {
             diags.error_hint(
                 file,
                 r.line.max(1),
@@ -3838,7 +3847,11 @@ fn finalize_unit(
             );
             continue;
         };
-        let (init, init_list) = match inits.remove(n) {
+        // DATA-initialized locals are static storage.
+        let saved = (acc.save_all || acc.save.contains(&n) || inits.contains_key(&n))
+            && !r.in_common
+            && !acc.params.contains(&n);
+        let (init, init_list) = match inits.remove(&n) {
             Some(InitAcc::Scalar(v)) => (v, None),
             Some(InitAcc::Arr(v)) => (
                 None,
@@ -3846,13 +3859,10 @@ fn finalize_unit(
             ),
             None => (None, None),
         };
-        let saved = (acc.save_all || acc.save.contains(n))
-            && r.common.is_none()
-            && !acc.params.contains(n);
         decls.push(Decl {
             spec: ty,
             attrs: Attrs { dims: None, allocatable: false, save: saved, parameter: false },
-            entities: vec![Entity { name: n.clone(), dims: r.dims.clone(), init, init_list }],
+            entities: vec![Entity { name: n, dims: r.dims, init, init_list }],
             span: sp(r.line.max(1)),
         });
     }
@@ -3891,11 +3901,21 @@ impl ProgramSet {
     /// problem: the returned [`CompileError::Fixed`] carries the full
     /// accumulated diagnostics for all files.
     pub fn from_sources(sources: &[&str]) -> Result<ProgramSet, CompileError> {
+        let fixed: Vec<bool> = sources.iter().map(|s| is_fixed_form(s)).collect();
+        Self::from_detected(sources, &fixed)
+    }
+
+    /// [`Self::from_sources`] for a caller that has already detected each
+    /// source's form (`fixed_form[k]` is `is_fixed_form(sources[k])`).
+    pub(crate) fn from_detected(
+        sources: &[&str],
+        fixed_form: &[bool],
+    ) -> Result<ProgramSet, CompileError> {
         let mut diags = Diagnostics::default();
         let mut ast = Ast::default();
         let mut fixed: Vec<(usize, Vec<UnitAcc>)> = Vec::new();
         for (k, src) in sources.iter().enumerate() {
-            if is_fixed_form(src) {
+            if fixed_form[k] {
                 let accs = lower_source(src, k, &mut diags);
                 fixed.push((k, accs));
             } else {
@@ -4193,6 +4213,6 @@ end subroutine axpy
         assert!(is_fixed_form(&fixed));
         let (stmts, diags) = lex_fixed(&fixed);
         assert!(!diags.has_errors(), "{}", diags.render());
-        assert!(stmts.iter().any(|s| s.omp));
+        assert!(stmts.lines().iter().any(|s| s.omp));
     }
 }

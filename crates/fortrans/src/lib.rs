@@ -76,7 +76,7 @@ pub use cost::{CostCounters, CostTrace, OpCounts, RegionEvent, TraceEvent};
 pub use engine::{ArgVal, ExecTier, RunOutcome, TierFallback, VectorLoopInfo};
 pub use error::{CompileError, Diagnostic, Diagnostics, Severity};
 pub use error::RunError;
-pub use fixedform::{is_fixed_form, lex_fixed, to_fixed_form, to_fixed_form_wrapped, ProgramSet};
+pub use fixedform::{is_fixed_form, to_fixed_form, to_fixed_form_wrapped, ProgramSet};
 pub use chaos::{CampaignConfig, CampaignReport};
 pub use interp::{CancelToken, ExecMode, RunLimits, ScheduleOverrides, Val};
 pub use omprt::{PoolSet, Schedule};

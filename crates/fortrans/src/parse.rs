@@ -1,13 +1,19 @@
 //! Recursive-descent parser: logical lines → [`crate::ast`].
+//!
+//! The parser borrows a [`Lexed`] source and never copies a line or a
+//! token: a `LineCur` is a cursor over one line's slice of the flat
+//! token buffer plus the text its identifiers point into, and a one-line
+//! `IF` continues on the same slice. Identifier and string text is copied
+//! exactly once, into the AST node that keeps it.
 
 use crate::ast::*;
 use crate::error::{CompileError, Span};
-use crate::lex::{lex, Line, Tok};
+use crate::lex::{lex, Lexed, Shown, Tok};
 
 /// Parses a source file.
 pub fn parse(source: &str) -> Result<Ast, CompileError> {
-    let lines = lex(source)?;
-    let mut p = P { lines, li: 0 };
+    let lx = lex(source)?;
+    let mut p = P { lx: &lx, li: 0, skip: 0 };
     let mut ast = Ast::default();
     while !p.at_end() {
         ast.modules.push(p.parse_module()?);
@@ -15,65 +21,81 @@ pub fn parse(source: &str) -> Result<Ast, CompileError> {
     Ok(ast)
 }
 
-struct P {
-    lines: Vec<Line>,
+struct P<'a> {
+    lx: &'a Lexed,
+    /// Index of the current logical line.
     li: usize,
+    /// Tokens of the current line already consumed by a one-line `IF`
+    /// whose trailing statement is being parsed.
+    skip: usize,
 }
 
-/// Parses one expression from a token slice, returning it plus the
-/// number of tokens consumed. Reused by the fixed-form front end so both
-/// forms share one Pratt parser (same precedence, same intrinsics
+/// Parses one expression from a token slice of `text`, returning it plus
+/// the number of tokens consumed. Reused by the fixed-form front end so
+/// both forms share one Pratt parser (same precedence, same intrinsics
 /// disambiguation downstream).
-pub(crate) fn expr_from_toks(toks: &[Tok], lineno: u32) -> Result<(Expr, usize), CompileError> {
-    let line = Line { toks: toks.to_vec(), lineno, omp: false };
-    let mut c = LineCur::new(&line);
+pub(crate) fn expr_from_toks(
+    text: &str,
+    toks: &[Tok],
+    lineno: u32,
+) -> Result<(Expr, usize), CompileError> {
+    let mut c = LineCur::new(text, toks, lineno);
     let e = P::parse_expr_prec(&mut c, 0)?;
     Ok((e, c.i))
 }
 
-/// Parses one designator (`a`, `a(i,j)`, `fi%vd(i)`) from a token slice,
-/// returning it plus the number of tokens consumed.
-pub(crate) fn desig_from_toks(toks: &[Tok], lineno: u32) -> Result<(Desig, usize), CompileError> {
-    let line = Line { toks: toks.to_vec(), lineno, omp: false };
-    let mut c = LineCur::new(&line);
+/// Parses one designator (`a`, `a(i,j)`, `fi%vd(i)`) from a token slice
+/// of `text`, returning it plus the number of tokens consumed.
+pub(crate) fn desig_from_toks(
+    text: &str,
+    toks: &[Tok],
+    lineno: u32,
+) -> Result<(Desig, usize), CompileError> {
+    let mut c = LineCur::new(text, toks, lineno);
     let d = P::parse_desig(&mut c)?;
     Ok((d, c.i))
 }
 
 /// A cursor over one line's tokens.
 struct LineCur<'a> {
+    text: &'a str,
     toks: &'a [Tok],
     i: usize,
     span: Span,
 }
 
 impl<'a> LineCur<'a> {
-    fn new(line: &'a Line) -> Self {
-        LineCur { toks: &line.toks, i: 0, span: Span { line: line.lineno } }
+    fn new(text: &'a str, toks: &'a [Tok], lineno: u32) -> Self {
+        LineCur { text, toks, i: 0, span: Span { line: lineno } }
     }
 
     fn err(&self, msg: impl Into<String>) -> CompileError {
         CompileError::Parse { msg: msg.into(), span: self.span }
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.i)
+    fn peek(&self) -> Option<Tok> {
+        self.toks.get(self.i).copied()
     }
 
-    fn peek2(&self) -> Option<&Tok> {
-        self.toks.get(self.i + 1)
+    fn peek2(&self) -> Option<Tok> {
+        self.toks.get(self.i + 1).copied()
     }
 
     fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.i).cloned();
+        let t = self.peek();
         if t.is_some() {
             self.i += 1;
         }
         t
     }
 
+    /// `t` as error messages print it.
+    fn shown(&self, t: Option<Tok>) -> Option<Shown<'a>> {
+        t.map(|t| Shown(self.text, t))
+    }
+
     fn eat(&mut self, t: &Tok) -> bool {
-        if self.peek() == Some(t) {
+        if self.peek() == Some(*t) {
             self.i += 1;
             true
         } else {
@@ -85,12 +107,20 @@ impl<'a> LineCur<'a> {
         if self.eat(t) {
             Ok(())
         } else {
-            Err(self.err(format!("expected {what}, found {:?}", self.peek())))
+            Err(self.err(format!("expected {what}, found {:?}", self.shown(self.peek()))))
+        }
+    }
+
+    /// The identifier at `i`, borrowed from the source text.
+    fn word_at(&self, i: usize) -> Option<&'a str> {
+        match self.toks.get(i) {
+            Some(Tok::Ident(s)) => Some(&self.text[s.range()]),
+            _ => None,
         }
     }
 
     fn eat_kw(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Some(Tok::Ident(s)) if s == kw) {
+        if self.word_at(self.i) == Some(kw) {
             self.i += 1;
             true
         } else {
@@ -98,10 +128,32 @@ impl<'a> LineCur<'a> {
         }
     }
 
+    /// Consumes an identifier that is only matched against, not kept.
+    fn expect_word(&mut self, what: &str) -> Result<&'a str, CompileError> {
+        match self.word_at(self.i) {
+            Some(w) => {
+                self.i += 1;
+                Ok(w)
+            }
+            None => {
+                let other = self.next();
+                Err(self.err(format!("expected {what}, found {:?}", self.shown(other))))
+            }
+        }
+    }
+
+    /// Consumes an identifier into the `String` an AST node keeps.
     fn expect_ident(&mut self, what: &str) -> Result<String, CompileError> {
-        match self.next() {
-            Some(Tok::Ident(s)) => Ok(s),
-            other => Err(self.err(format!("expected {what}, found {other:?}"))),
+        self.expect_word(what).map(str::to_string)
+    }
+
+    /// `name {, name}` appended to `out`, each copied for the AST.
+    fn ident_list(&mut self, what: &str, out: &mut Vec<String>) -> Result<(), CompileError> {
+        loop {
+            out.push(self.expect_ident(what)?);
+            if !self.eat(&Tok::Comma) {
+                return Ok(());
+            }
         }
     }
 
@@ -113,22 +165,31 @@ impl<'a> LineCur<'a> {
         if self.done() {
             Ok(())
         } else {
-            Err(self.err(format!("unexpected trailing tokens: {:?}", &self.toks[self.i..])))
+            let rest: Vec<_> = self.toks[self.i..].iter().map(|t| Shown(self.text, *t)).collect();
+            Err(self.err(format!("unexpected trailing tokens: {rest:?}")))
         }
     }
 }
 
-impl P {
+impl<'a> P<'a> {
     fn at_end(&self) -> bool {
-        self.li >= self.lines.len()
+        self.li >= self.lx.lines.len()
     }
 
-    fn cur(&self) -> &Line {
-        &self.lines[self.li]
+    /// A cursor over what is left of the current line.
+    fn cur(&self) -> LineCur<'a> {
+        let lx = self.lx;
+        let line = &lx.lines[self.li];
+        LineCur::new(&lx.text, &lx.toks(line)[self.skip..], line.lineno)
+    }
+
+    /// True when the current line is an OMP directive.
+    fn cur_omp(&self) -> bool {
+        self.lx.lines[self.li].omp
     }
 
     fn span(&self) -> Span {
-        Span { line: self.lines.get(self.li).map(|l| l.lineno).unwrap_or(0) }
+        Span { line: self.lx.lines.get(self.li).map(|l| l.lineno).unwrap_or(0) }
     }
 
     fn err_here(&self, msg: impl Into<String>) -> CompileError {
@@ -137,28 +198,23 @@ impl P {
 
     fn advance(&mut self) {
         self.li += 1;
+        self.skip = 0;
     }
 
     /// First identifier of the current line, lowercase.
-    fn head(&self) -> Option<&str> {
-        match self.cur().toks.first() {
-            Some(Tok::Ident(s)) => Some(s.as_str()),
-            _ => None,
-        }
+    fn head(&self) -> Option<&'a str> {
+        self.cur().word_at(0)
     }
 
-    fn second_kw(&self) -> Option<&str> {
-        match self.cur().toks.get(1) {
-            Some(Tok::Ident(s)) => Some(s.as_str()),
-            _ => None,
-        }
+    fn second_kw(&self) -> Option<&'a str> {
+        self.cur().word_at(1)
     }
 
     // ---------------- module level ----------------
 
     fn parse_module(&mut self) -> Result<Module, CompileError> {
         let span = self.span();
-        let mut c = LineCur::new(self.cur());
+        let mut c = self.cur();
         if !c.eat_kw("module") {
             return Err(self.err_here("expected MODULE"));
         }
@@ -181,16 +237,11 @@ impl P {
             if self.at_end() {
                 return Err(self.err_here("unexpected end of file inside MODULE"));
             }
-            if self.cur().omp {
-                let mut c = LineCur::new(self.cur());
+            if self.cur_omp() {
+                let mut c = self.cur();
                 if c.eat_kw("threadprivate") {
                     c.expect(&Tok::LParen, "(")?;
-                    loop {
-                        m.threadprivate.push(c.expect_ident("variable name")?);
-                        if !c.eat(&Tok::Comma) {
-                            break;
-                        }
-                    }
+                    c.ident_list("variable name", &mut m.threadprivate)?;
                     c.expect(&Tok::RParen, ")")?;
                     self.advance();
                     continue;
@@ -199,7 +250,7 @@ impl P {
             }
             match self.head() {
                 Some("use") => {
-                    let mut c = LineCur::new(self.cur());
+                    let mut c = self.cur();
                     c.eat_kw("use");
                     m.uses.push(c.expect_ident("module name")?);
                     self.advance();
@@ -227,7 +278,7 @@ impl P {
             }
             match self.head() {
                 Some("end") => {
-                    let mut c = LineCur::new(self.cur());
+                    let mut c = self.cur();
                     c.eat_kw("end");
                     if !c.eat_kw("module") {
                         return Err(self.err_here("expected END MODULE"));
@@ -253,7 +304,7 @@ impl P {
 
     fn parse_typedef(&mut self) -> Result<TypeDef, CompileError> {
         let span = self.span();
-        let mut c = LineCur::new(self.cur());
+        let mut c = self.cur();
         c.eat_kw("type");
         let name = c.expect_ident("type name")?;
         c.expect_done()?;
@@ -264,7 +315,7 @@ impl P {
                 return Err(self.err_here("missing END TYPE"));
             }
             if self.head() == Some("end") {
-                let mut c = LineCur::new(self.cur());
+                let mut c = self.cur();
                 c.eat_kw("end");
                 if !c.eat_kw("type") {
                     return Err(self.err_here("expected END TYPE"));
@@ -279,8 +330,8 @@ impl P {
     /// Parses a type-spec: `INTEGER`, `REAL`, `REAL(8)`, `REAL(KIND=8)`,
     /// `DOUBLE PRECISION`, `LOGICAL`, `CHARACTER(LEN=n)`, `TYPE(name)`.
     fn parse_type_spec(c: &mut LineCur) -> Result<TypeSpec, CompileError> {
-        let kw = c.expect_ident("type keyword")?;
-        match kw.as_str() {
+        let kw = c.expect_word("type keyword")?;
+        match kw {
             "integer" => {
                 Self::skip_kind(c)?;
                 Ok(TypeSpec::Integer)
@@ -293,7 +344,7 @@ impl P {
                 Ok(TypeSpec::Real8)
             }
             "real" => {
-                if c.peek() == Some(&Tok::LParen) {
+                if c.peek() == Some(Tok::LParen) {
                     c.next();
                     // (8) or (KIND=8)
                     if c.eat_kw("kind") {
@@ -301,7 +352,10 @@ impl P {
                     }
                     let k = match c.next() {
                         Some(Tok::Int(v)) => v,
-                        other => return Err(c.err(format!("expected kind value, got {other:?}"))),
+                        other => {
+                            let other = c.shown(other);
+                            return Err(c.err(format!("expected kind value, got {other:?}")));
+                        }
                     };
                     c.expect(&Tok::RParen, ")")?;
                     Ok(if k == 8 { TypeSpec::Real8 } else { TypeSpec::Real })
@@ -317,7 +371,9 @@ impl P {
                     }
                     match c.next() {
                         Some(Tok::Int(_)) | Some(Tok::Star) => {}
-                        other => return Err(c.err(format!("bad CHARACTER length {other:?}"))),
+                        other => {
+                            return Err(c.err(format!("bad CHARACTER length {:?}", c.shown(other))))
+                        }
                     }
                     c.expect(&Tok::RParen, ")")?;
                 }
@@ -334,7 +390,7 @@ impl P {
     }
 
     fn skip_kind(c: &mut LineCur) -> Result<(), CompileError> {
-        if c.peek() == Some(&Tok::LParen) && !matches!(c.peek2(), Some(Tok::Ident(_))) {
+        if c.peek() == Some(Tok::LParen) && !matches!(c.peek2(), Some(Tok::Ident(_))) {
             c.next();
             loop {
                 match c.next() {
@@ -349,13 +405,12 @@ impl P {
 
     fn parse_decl(&mut self) -> Result<Decl, CompileError> {
         let span = self.span();
-        let line = self.cur().clone();
-        let mut c = LineCur::new(&line);
+        let mut c = self.cur();
         let spec = Self::parse_type_spec(&mut c)?;
         let mut attrs = Attrs::default();
         while c.eat(&Tok::Comma) {
-            let attr = c.expect_ident("attribute")?;
-            match attr.as_str() {
+            let attr = c.expect_word("attribute")?;
+            match attr {
                 "dimension" => {
                     c.expect(&Tok::LParen, "(")?;
                     attrs.dims = Some(Self::parse_dim_list(&mut c)?);
@@ -369,7 +424,7 @@ impl P {
                     // uses reference semantics for arrays, value-result for
                     // scalars).
                     c.expect(&Tok::LParen, "(")?;
-                    c.expect_ident("intent")?;
+                    c.expect_word("intent")?;
                     c.expect(&Tok::RParen, ")")?;
                 }
                 other => return Err(c.err(format!("unsupported attribute `{other}`"))),
@@ -401,7 +456,7 @@ impl P {
     fn parse_dim_list(c: &mut LineCur) -> Result<Vec<DimDecl>, CompileError> {
         let mut dims = Vec::new();
         loop {
-            if c.peek() == Some(&Tok::Colon) {
+            if c.peek() == Some(Tok::Colon) {
                 c.next();
                 dims.push(DimDecl { lo: None, hi: None, deferred: true });
             } else {
@@ -424,8 +479,7 @@ impl P {
 
     fn parse_unit(&mut self) -> Result<Unit, CompileError> {
         let span = self.span();
-        let line = self.cur().clone();
-        let mut c = LineCur::new(&line);
+        let mut c = self.cur();
         let kind = if c.eat_kw("subroutine") {
             UnitKind::Subroutine
         } else {
@@ -439,12 +493,7 @@ impl P {
         let mut params = Vec::new();
         if c.eat(&Tok::LParen)
             && !c.eat(&Tok::RParen) {
-                loop {
-                    params.push(c.expect_ident("parameter name")?);
-                    if !c.eat(&Tok::Comma) {
-                        break;
-                    }
-                }
+                c.ident_list("parameter name", &mut params)?;
                 c.expect(&Tok::RParen, ")")?;
             }
         c.expect_done()?;
@@ -466,31 +515,25 @@ impl P {
             if self.at_end() {
                 return Err(self.err_here("unexpected EOF in subprogram"));
             }
-            if self.cur().omp {
+            if self.cur_omp() {
                 break; // directives start the executable part
             }
             match self.head() {
                 Some("use") => {
-                    let mut c = LineCur::new(self.cur());
+                    let mut c = self.cur();
                     c.eat_kw("use");
                     unit.uses.push(c.expect_ident("module name")?);
                     self.advance();
                 }
                 Some("implicit") => self.advance(),
                 Some("common") => {
-                    let line = self.cur().clone();
-                    let mut c = LineCur::new(&line);
+                    let mut c = self.cur();
                     c.eat_kw("common");
                     c.expect(&Tok::Slash, "/")?;
                     let block = c.expect_ident("common block name")?;
                     c.expect(&Tok::Slash, "/")?;
                     let mut vars = Vec::new();
-                    loop {
-                        vars.push(c.expect_ident("variable")?);
-                        if !c.eat(&Tok::Comma) {
-                            break;
-                        }
-                    }
+                    c.ident_list("variable", &mut vars)?;
                     c.expect_done()?;
                     unit.commons.push((block, vars));
                     self.advance();
@@ -514,7 +557,7 @@ impl P {
         // Executable part.
         unit.body = self.parse_block(&["end"])?;
         // END [SUBROUTINE|FUNCTION] [name]
-        let mut c = LineCur::new(self.cur());
+        let mut c = self.cur();
         c.eat_kw("end");
         let _ = c.eat_kw("subroutine") || c.eat_kw("function");
         self.advance();
@@ -524,9 +567,9 @@ impl P {
     /// True when the current line begins a block terminator from `stops`
     /// ("end", "else", "elseif", ...).
     fn at_terminator(&self, stops: &[&str]) -> bool {
-        if self.cur().omp {
+        if self.cur_omp() {
             // OMP END CRITICAL terminates a critical block.
-            let mut c = LineCur::new(self.cur());
+            let mut c = self.cur();
             if c.eat_kw("end") {
                 return stops.contains(&"!$omp end");
             }
@@ -554,9 +597,8 @@ impl P {
                 }
                 return Ok(body);
             }
-            if self.cur().omp {
-                let line = self.cur().clone();
-                let mut c = LineCur::new(&line);
+            if self.cur_omp() {
+                let mut c = self.cur();
                 if c.eat_kw("parallel") {
                     if !c.eat_kw("do") {
                         return Err(self.err_here("only PARALLEL DO is supported"));
@@ -578,7 +620,7 @@ impl P {
                     self.advance();
                     let inner = self.parse_block(&["!$omp end"])?;
                     // consume "!$OMP END CRITICAL"
-                    let mut e = LineCur::new(self.cur());
+                    let mut e = self.cur();
                     e.eat_kw("end");
                     if !e.eat_kw("critical") {
                         return Err(self.err_here("expected !$OMP END CRITICAL"));
@@ -625,34 +667,24 @@ impl P {
         loop {
             // Optional commas between clauses.
             while c.eat(&Tok::Comma) {}
-            let Some(Tok::Ident(kw)) = c.peek().cloned() else {
+            let Some(kw) = c.word_at(c.i) else {
                 break;
             };
             c.next();
-            match kw.as_str() {
+            match kw {
                 "default" => {
                     c.expect(&Tok::LParen, "(")?;
-                    c.expect_ident("shared/none")?;
+                    c.expect_word("shared/none")?;
                     c.expect(&Tok::RParen, ")")?;
                 }
                 "private" => {
                     c.expect(&Tok::LParen, "(")?;
-                    loop {
-                        omp.private.push(c.expect_ident("name")?);
-                        if !c.eat(&Tok::Comma) {
-                            break;
-                        }
-                    }
+                    c.ident_list("name", &mut omp.private)?;
                     c.expect(&Tok::RParen, ")")?;
                 }
                 "firstprivate" => {
                     c.expect(&Tok::LParen, "(")?;
-                    loop {
-                        omp.firstprivate.push(c.expect_ident("name")?);
-                        if !c.eat(&Tok::Comma) {
-                            break;
-                        }
-                    }
+                    c.ident_list("name", &mut omp.firstprivate)?;
                     c.expect(&Tok::RParen, ")")?;
                 }
                 "reduction" => {
@@ -660,18 +692,15 @@ impl P {
                     let op = match c.next() {
                         Some(Tok::Plus) => RedOp::Add,
                         Some(Tok::Star) => RedOp::Mul,
-                        Some(Tok::Ident(s)) if s == "max" => RedOp::Max,
-                        Some(Tok::Ident(s)) if s == "min" => RedOp::Min,
-                        other => return Err(c.err(format!("bad reduction op {other:?}"))),
+                        Some(Tok::Ident(s)) if &c.text[s.range()] == "max" => RedOp::Max,
+                        Some(Tok::Ident(s)) if &c.text[s.range()] == "min" => RedOp::Min,
+                        other => {
+                            return Err(c.err(format!("bad reduction op {:?}", c.shown(other))))
+                        }
                     };
                     c.expect(&Tok::Colon, ":")?;
                     let mut vars = Vec::new();
-                    loop {
-                        vars.push(c.expect_ident("name")?);
-                        if !c.eat(&Tok::Comma) {
-                            break;
-                        }
-                    }
+                    c.ident_list("name", &mut vars)?;
                     c.expect(&Tok::RParen, ")")?;
                     omp.reductions.push((op, vars));
                 }
@@ -679,7 +708,7 @@ impl P {
                     c.expect(&Tok::LParen, "(")?;
                     match c.next() {
                         Some(Tok::Int(n)) if n >= 1 => omp.collapse = n as usize,
-                        other => return Err(c.err(format!("bad collapse {other:?}"))),
+                        other => return Err(c.err(format!("bad collapse {:?}", c.shown(other)))),
                     }
                     c.expect(&Tok::RParen, ")")?;
                 }
@@ -690,7 +719,7 @@ impl P {
                 }
                 "schedule" => {
                     c.expect(&Tok::LParen, "(")?;
-                    let kind = match c.expect_ident("schedule kind")?.as_str() {
+                    let kind = match c.expect_word("schedule kind")? {
                         "static" => SchedKind::Static,
                         "dynamic" => SchedKind::Dynamic,
                         "guided" => SchedKind::Guided,
@@ -704,7 +733,9 @@ impl P {
                     if c.eat(&Tok::Comma) {
                         match c.next() {
                             Some(Tok::Int(n)) if n >= 1 => chunk = Some(n as usize),
-                            other => return Err(c.err(format!("bad chunk {other:?}"))),
+                            other => {
+                                return Err(c.err(format!("bad chunk {:?}", c.shown(other))))
+                            }
                         }
                     }
                     c.expect(&Tok::RParen, ")")?;
@@ -719,10 +750,9 @@ impl P {
 
     fn parse_stmt(&mut self) -> Result<Stmt, CompileError> {
         let span = self.span();
-        let line = self.cur().clone();
-        let mut c = LineCur::new(&line);
-        match c.peek() {
-            Some(Tok::Ident(kw)) => match kw.as_str() {
+        let mut c = self.cur();
+        match c.word_at(0) {
+            Some(kw) => match kw {
                 "do" => self.parse_do(),
                 "if" => self.parse_if(),
                 "call" => {
@@ -800,7 +830,7 @@ impl P {
                 "stop" => {
                     c.eat_kw("stop");
                     let message = match c.peek() {
-                        Some(Tok::Str(s)) => Some(s.clone()),
+                        Some(Tok::Str(s)) => Some(c.text[s.range()].to_string()),
                         _ => None,
                     };
                     self.advance();
@@ -825,8 +855,7 @@ impl P {
 
     fn parse_assignment(&mut self) -> Result<Stmt, CompileError> {
         let span = self.span();
-        let line = self.cur().clone();
-        let mut c = LineCur::new(&line);
+        let mut c = self.cur();
         let target = Self::parse_desig(&mut c)?;
         c.expect(&Tok::Assign, "=")?;
         let value = Self::parse_expr_prec(&mut c, 0)?;
@@ -837,8 +866,7 @@ impl P {
 
     fn parse_do(&mut self) -> Result<Stmt, CompileError> {
         let span = self.span();
-        let line = self.cur().clone();
-        let mut c = LineCur::new(&line);
+        let mut c = self.cur();
         c.eat_kw("do");
         if c.eat_kw("while") {
             c.expect(&Tok::LParen, "(")?;
@@ -868,7 +896,7 @@ impl P {
     }
 
     fn expect_end_kw(&mut self, kw: &str) -> Result<(), CompileError> {
-        let mut c = LineCur::new(self.cur());
+        let mut c = self.cur();
         if !(c.eat_kw("end") && c.eat_kw(kw)) {
             return Err(self.err_here(format!("expected END {}", kw.to_uppercase())));
         }
@@ -878,8 +906,7 @@ impl P {
 
     fn parse_if(&mut self) -> Result<Stmt, CompileError> {
         let span = self.span();
-        let line = self.cur().clone();
-        let mut c = LineCur::new(&line);
+        let mut c = self.cur();
         c.eat_kw("if");
         c.expect(&Tok::LParen, "(")?;
         let cond = Self::parse_expr_prec(&mut c, 0)?;
@@ -890,8 +917,7 @@ impl P {
             let mut arms = vec![(cond, self.parse_block(&["end", "else"])?)];
             let mut else_body = Vec::new();
             loop {
-                let line = self.cur().clone();
-                let mut c = LineCur::new(&line);
+                let mut c = self.cur();
                 if c.eat_kw("end") {
                     if !c.eat_kw("if") {
                         return Err(self.err_here("expected END IF"));
@@ -914,7 +940,7 @@ impl P {
                 // `else` has no more tokens)
                 self.advance();
                 else_body = self.parse_block(&["end"])?;
-                let mut e = LineCur::new(self.cur());
+                let mut e = self.cur();
                 if !(e.eat_kw("end") && e.eat_kw("if")) {
                     return Err(self.err_here("expected END IF"));
                 }
@@ -923,14 +949,12 @@ impl P {
             }
             Ok(Stmt::If { arms, else_body, span })
         } else {
-            // One-line IF: `IF (cond) stmt`. Rewrap the remaining tokens as
-            // a synthetic line and parse a single statement.
-            let rest: Vec<Tok> = line.toks[c.i..].to_vec();
-            if rest.is_empty() {
+            // One-line IF: `IF (cond) stmt`. Parse the rest of the line as
+            // a single statement.
+            if c.done() {
                 return Err(self.err_here("empty one-line IF"));
             }
-            let synthetic = Line { toks: rest, lineno: line.lineno, omp: false };
-            self.lines[self.li] = synthetic;
+            self.skip += c.i;
             let inner = self.parse_stmt()?; // advances past the line
             Ok(Stmt::If { arms: vec![(cond, vec![inner])], else_body: vec![], span })
         }
@@ -1019,12 +1043,10 @@ impl P {
                 Ok(e)
             }
             Some(Tok::Int(v)) => {
-                let v = *v;
                 c.next();
                 Ok(Expr::Int(v))
             }
             Some(Tok::Real(v)) => {
-                let v = *v;
                 c.next();
                 Ok(Expr::Real(v))
             }
@@ -1037,12 +1059,11 @@ impl P {
                 Ok(Expr::Logical(false))
             }
             Some(Tok::Str(s)) => {
-                let s = s.clone();
                 c.next();
-                Ok(Expr::Str(s))
+                Ok(Expr::Str(c.text[s.range()].to_string()))
             }
             Some(Tok::Ident(_)) => Ok(Expr::Name(Self::parse_desig(c)?)),
-            other => Err(c.err(format!("unexpected token in expression: {other:?}"))),
+            other => Err(c.err(format!("unexpected token in expression: {:?}", c.shown(other)))),
         }
     }
 }

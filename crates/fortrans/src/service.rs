@@ -94,8 +94,9 @@ impl CompiledProgram {
         // Fixed-form F77 sources (auto-detected per file) route through the
         // legacy ingestion front end; a pure free-form batch keeps the
         // original single-parser path and its error variants.
-        let ast = if sources.iter().any(|s| crate::fixedform::is_fixed_form(s)) {
-            crate::fixedform::ProgramSet::from_sources(sources)?.ast
+        let fixed: Vec<bool> = sources.iter().map(|s| crate::fixedform::is_fixed_form(s)).collect();
+        let ast = if fixed.contains(&true) {
+            crate::fixedform::ProgramSet::from_detected(sources, &fixed)?.ast
         } else {
             let mut ast = crate::ast::Ast::default();
             for s in sources {

@@ -7,7 +7,7 @@
 //! path to prove the full multi-error report reaches `Rejected` job
 //! results, not just direct [`Session::compile`] callers.
 
-use fortrans::{CompileError, EngineService, Job, ProgramSet, RunError, Session};
+use fortrans::{CompileError, EngineService, ExecMode, Job, ProgramSet, RunError, Session};
 
 /// Compiles and returns the accumulated diagnostics, panicking if the
 /// front end accepted the sources.
@@ -136,4 +136,66 @@ fn batch_rejection_carries_full_diagnostics() {
     }
     let out = results[1].result.as_ref().expect("sibling job unaffected");
     assert_eq!(out.printed.trim(), "1");
+}
+
+// --- non-ASCII cards ---------------------------------------------------------
+//
+// Columns count characters, not bytes: the card walker finds its column
+// boundaries on the `&str`, and these cases pin what that means for text
+// outside ASCII.
+
+/// Runs `main` and returns what it printed.
+fn printed(sources: &[&str]) -> String {
+    let session = Session::compile(sources).unwrap_or_else(|e| panic!("{e}"));
+    session.run("main", &[], ExecMode::Serial).expect("runs").printed
+}
+
+#[test]
+fn non_ascii_comment_card_is_a_comment() {
+    let src = "C  r\u{e9}sum\u{e9} of the run\n      PRINT *, 7\n\
+               *  \u{2014} fin \u{2014}\n      END\n";
+    let set = ProgramSet::from_sources(&[src]).expect("comment cards are skipped");
+    assert!(set.warnings.is_empty(), "{}", set.warnings.render());
+    assert_eq!(printed(&[src]), "7\n");
+}
+
+#[test]
+fn columns_are_characters_not_bytes() {
+    // The literal closes in column 72 exactly: 72 characters, 76 bytes.
+    // A byte-counting walker would cut it at "column 72" and report an
+    // overflow plus an unterminated literal.
+    let lit = "caf\u{e9}".repeat(4);
+    let card = format!("      PRINT *, {:>57}", format!("'{lit}'"));
+    assert_eq!(card.chars().count(), 72);
+    assert_eq!(card.len(), 76);
+    let src = format!("{card}\n      END\n");
+    let set = ProgramSet::from_sources(&[&src]).expect("fits the card");
+    assert!(set.warnings.is_empty(), "{}", set.warnings.render());
+    assert_eq!(printed(&[&src]), format!("{lit}\n"));
+}
+
+#[test]
+fn golden_non_ascii_literal_cut_at_column_72() {
+    // 70 two-byte characters after `      X = '`: the cut at column 72
+    // falls between two of them (never inside one), which drops the rest
+    // of the literal and its closing quote.
+    let src = format!("      K = 1\n      X = '{}'\n      END\n", "\u{e9}".repeat(70));
+    let diags = expect_fixed_err(&[&src]);
+    assert_eq!(
+        diags.render(),
+        "file 0, line 2: warning: text beyond column 72 is ignored\n\
+         \x20 help: fixed-form statements end at column 72; split the statement onto a \
+         continuation card\n\
+         file 0, line 2: error: unterminated string literal"
+    );
+}
+
+#[test]
+fn dec_tab_format_continuation_card() {
+    // A leading tab ends the label field; a digit 1-9 right after it marks
+    // a continuation card, whatever follows (here a non-ASCII literal).
+    let src = "\tPRINT *, 'na\u{ef}ve',\n\t1 40 + 2\n\tEND\n";
+    let set = ProgramSet::from_sources(&[src]).expect("tab-format cards assemble");
+    assert!(set.warnings.is_empty(), "{}", set.warnings.render());
+    assert_eq!(printed(&[src]), "na\u{ef}ve 42\n");
 }

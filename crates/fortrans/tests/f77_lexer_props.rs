@@ -13,8 +13,9 @@
 //!    invisible to the fixed-form lexer.
 
 use fortrans::gen::Rng;
-use fortrans::lex::{lex, Tok};
-use fortrans::{lex_fixed, to_fixed_form, to_fixed_form_wrapped};
+use fortrans::fixedform::lex_fixed;
+use fortrans::lex::{lex, Lexed};
+use fortrans::{to_fixed_form, to_fixed_form_wrapped};
 
 /// Free-form sources chosen for lexical variety: keywords that collide
 /// with identifier prefixes, string literals with blanks, reals in every
@@ -28,24 +29,35 @@ const CORPUS: &[&str] = &[
     "program ops\n  integer :: k\n  logical :: t\n  k = 7\n  t = k >= 3 .or. .not. (k == 5)\n  do while (k > 0)\n    k = k - 2\n  end do\nend program ops\n",
 ];
 
-fn toks_of_fixed(fixed: &str) -> Vec<(Vec<Tok>, bool)> {
+/// One statement as compared across lexers: label, tokens (with their
+/// text resolved — token offsets differ between two buffers), OMP flag.
+type Stmt = (Option<u32>, Vec<String>, bool);
+
+fn stmts_of(lx: &Lexed) -> Vec<Stmt> {
+    lx.lines()
+        .iter()
+        .map(|l| {
+            let toks = lx.toks(l).iter().map(|t| format!("{:?}", lx.show(*t))).collect();
+            (l.label, toks, l.omp)
+        })
+        .collect()
+}
+
+fn toks_of_fixed(fixed: &str) -> Vec<Stmt> {
     let (stmts, diags) = lex_fixed(fixed);
     assert!(
         !diags.has_errors(),
         "printed fixed form must lex clean, got:\n{}",
         diags.render()
     );
-    stmts.into_iter().map(|s| (s.toks, s.omp)).collect()
+    stmts_of(&stmts)
 }
 
 #[test]
 fn free_to_fixed_roundtrip_is_token_identical() {
     for (i, src) in CORPUS.iter().enumerate() {
-        let free: Vec<(Vec<Tok>, bool)> = lex(src)
-            .unwrap_or_else(|e| panic!("corpus[{i}] must lex free-form: {e}"))
-            .into_iter()
-            .map(|l| (l.toks, l.omp))
-            .collect();
+        let free =
+            stmts_of(&lex(src).unwrap_or_else(|e| panic!("corpus[{i}] must lex free-form: {e}")));
         let fixed = to_fixed_form(src).unwrap_or_else(|e| panic!("corpus[{i}] prints: {e}"));
         let back = toks_of_fixed(&fixed);
         assert_eq!(
@@ -89,9 +101,7 @@ fn generated_fixed_sources_lex_deterministically() {
             let (b, d2) = lex_fixed(&src);
             assert!(!d1.has_errors(), "seed {seed}: {}", d1.render());
             assert_eq!(d1, d2);
-            let ta: Vec<_> = a.iter().map(|s| (&s.label, &s.toks, s.omp)).collect();
-            let tb: Vec<_> = b.iter().map(|s| (&s.label, &s.toks, s.omp)).collect();
-            assert_eq!(ta, tb, "seed {seed}: non-deterministic lex");
+            assert_eq!(stmts_of(&a), stmts_of(&b), "seed {seed}: non-deterministic lex");
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests at the token level: every literal the code generator
 //! can emit must survive the lexer exactly.
 
-use fortrans::lex::{lex, Tok};
+use fortrans::lex::{lex, Lexed, Tok};
 use proptest::prelude::*;
 
 /// The code generator's double-precision literal form (mirrors
@@ -10,10 +10,17 @@ fn fortran_real_literal(v: f64) -> String {
     format!("{v:e}").replacen('e', "D", 1)
 }
 
+/// The tokens of a one-line source.
 fn lex_single(src: &str) -> Vec<Tok> {
-    let lines = lex(src).unwrap_or_else(|e| panic!("{e} for {src:?}"));
-    assert_eq!(lines.len(), 1, "{src:?} -> {lines:?}");
-    lines[0].toks.clone()
+    lex_single_in(src).1
+}
+
+/// As [`lex_single`], with the buffer identifier tokens point into.
+fn lex_single_in(src: &str) -> (Lexed, Vec<Tok>) {
+    let lx = lex(src).unwrap_or_else(|e| panic!("{e} for {src:?}"));
+    assert_eq!(lx.lines().len(), 1, "{src:?} -> {lx:?}");
+    let toks = lx.toks(&lx.lines()[0]).to_vec();
+    (lx, toks)
 }
 
 proptest! {
@@ -42,20 +49,19 @@ proptest! {
     /// Identifiers fold to lowercase regardless of input case.
     #[test]
     fn identifiers_case_fold(name in "[A-Za-z][A-Za-z0-9_]{0,12}") {
-        let toks = lex_single(&name);
-        match &toks[0] {
-            Tok::Ident(s) => prop_assert_eq!(s, &name.to_ascii_lowercase()),
-            other => prop_assert!(false, "{:?}", other),
-        }
+        let (lx, toks) = lex_single_in(&name);
+        prop_assert_eq!(
+            format!("{:?}", lx.show(toks[0])),
+            format!("Ident({:?})", name.to_ascii_lowercase())
+        );
     }
 
     /// Splitting a statement across continuations never changes tokens.
     #[test]
     fn continuations_token_equivalent(a in 1i64..1000, b in 1i64..1000, c in 1i64..1000) {
         let one = lex_single(&format!("x = {a} + {b} * {c}"));
-        let lines = lex(&format!("x = {a} + &\n  {b} * &\n  {c}")).unwrap();
-        prop_assert_eq!(lines.len(), 1);
-        prop_assert_eq!(&lines[0].toks, &one);
+        // The only identifier, `x`, sits at the same offset in both.
+        prop_assert_eq!(lex_single(&format!("x = {a} + &\n  {b} * &\n  {c}")), one);
     }
 }
 

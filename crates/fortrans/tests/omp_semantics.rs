@@ -512,3 +512,46 @@ END MODULE m
         assert_eq!(vm.2[1], 240.0, "{mode:?} {sched:?}");
     }
 }
+
+/// A trailing `!` comment on a directive line is a comment in both source
+/// forms: the same loop, written free-form and on fixed-form cards with a
+/// comment after each directive, compiles and computes the same thing.
+#[test]
+fn directive_lines_may_carry_a_trailing_comment_in_both_forms() {
+    let free = "\
+MODULE m
+CONTAINS
+  SUBROUTINE scale(a, n)
+    REAL(8), DIMENSION(1:64) :: a
+    INTEGER :: n
+    INTEGER :: i
+    !$OMP PARALLEL DO PRIVATE(i) ! hot loop
+    DO i = 1, n
+      a(i) = a(i) * 2.5D0 + i
+    END DO
+    !$OMP END PARALLEL DO ! end of the hot loop
+  END SUBROUTINE scale
+END MODULE m
+";
+    let fixed = "
+      SUBROUTINE SCALE(A, N)
+      DOUBLE PRECISION A(64)
+      INTEGER N
+C$OMP PARALLEL DO PRIVATE(I) ! hot loop
+      DO I = 1, N
+        A(I) = A(I) * 2.5D0 + I
+      END DO
+C$OMP END PARALLEL DO ! end of the hot loop
+      END
+";
+    let input: Vec<f64> = (0..64).map(|k| 0.25 * k as f64).collect();
+    let want: Vec<f64> = input.iter().zip(1..).map(|(x, i)| x * 2.5 + f64::from(i)).collect();
+    for src in [free, fixed] {
+        let e = engine(src);
+        for mode in ALL {
+            let a = ArgVal::array_f(&input, 1);
+            e.run("scale", &[a.clone(), ArgVal::I(64)], mode).unwrap();
+            assert_eq!(a.handle().unwrap().to_f64_vec(), want, "{mode:?}\n{src}");
+        }
+    }
+}
