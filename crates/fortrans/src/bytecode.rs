@@ -13,20 +13,44 @@
 //!   not pushed at all: the element instruction names a run of
 //!   [`SubOp`]s in the unit's subscript table and the VM reads the
 //!   slots directly (`LoadElemS`/`StoreElemS`; fixed-shape local arrays
-//!   additionally carry their precomputed strides/bounds, [`SDims`]) —
-//!   optimized build only;
+//!   additionally carry their precomputed strides/bounds, [`SDims`]);
 //! * canonical unit-stride `DO` loops compile to a fused
 //!   `DoInitC`/`DoHead1`/`DoIncr1` triple (one bounds check + one
-//!   counter store + one increment per iteration);
+//!   counter store + one increment per iteration), and those whose body
+//!   is elementwise REAL arithmetic over affine subscripts get a
+//!   `VecLoop` in front that runs the whole trip as a [`VecDesc`];
 //! * constant subexpressions fold and provably-dead frame-scalar stores
 //!   are eliminated — but only in the *optimized* build variant.
 //!
-//! Two build variants exist per program: `traced = false` (used by
-//! `ExecMode::Serial` / `Parallel`) applies every optimization;
-//! `traced = true` (used by `ExecMode::Simulated`) disables anything
-//! that would change operation counts and inserts the cost-only
-//! instructions (`CostBranch`, `VecEnter`/`VecLeave`) so the VM emits a
-//! [`crate::cost::CostTrace`] bit-identical to the interpreter's.
+//! Two build variants exist per program, and they are the same lowering
+//! but for what changes operation counts. `traced = false` (used by
+//! `ExecMode::Serial` / `Parallel`) applies everything above.
+//! `traced = true` (used by `ExecMode::Simulated`) omits exactly two
+//! things — operator folding and dead-store elimination, each of which
+//! removes operations the interpreter counts — and adds the cost-only
+//! instructions (`CostBranch`, `VecEnter`/`VecLeave`, `Quiet`), so the
+//! VM emits a [`crate::cost::CostTrace`] bit-identical to the
+//! interpreter's. Everything else is cost-neutral and shared: frame
+//! loads, constants and the `Do*` loop instructions post nothing, so
+//! operand-addressed subscripts and fused heads cannot move a count.
+//!
+//! Vector regions are shared too. A `VecLoop` body is straight-line and
+//! lane-independent, so the scalar tier posts the same counts on every
+//! iteration; `iter_ledger` sums them once, from the emitted scalar
+//! loop `DoHead1 … DoIncr1` through the per-instruction table
+//! (`BInstr::posts`) the VM's own handlers post from, and a Simulated
+//! run that commits to the vector rung posts `trip x ledger` in one
+//! step. That is exact, not an estimate: the entry guards prove no
+//! iteration can fault, the counters are integers that only add, and
+//! the bucket they land in cannot change mid-loop (see below). The
+//! ledger describes the *traced* scalar body — unfolded constants, dead
+//! stores and all — while the lane program is built by an analysis that
+//! folds in both builds; the two need not mirror each other because one
+//! supplies only counts and the other only values. What the vector path
+//! adds around the loop (hoisted subscript parts, final values of
+//! forwarded temporaries) re-evaluates expressions the body already
+//! paid for, so a traced build brackets it in `Quiet`. The verifier
+//! recomputes every ledger ([`crate::verify`]).
 //!
 //! Evaluation *order* of side effects (stores, allocations, calls,
 //! prints, error checks) mirrors the interpreter exactly; cost-counter
@@ -43,6 +67,7 @@
 //! else.
 
 use crate::ast::{Bin, RedOp};
+use crate::cost::{Ledger, OpKind};
 use crate::intrinsics::Intr;
 use crate::interp::Val;
 use crate::rir::*;
@@ -179,9 +204,8 @@ pub enum BInstr {
     // Array element access: pops `nsubs` i64 subscripts.
     LoadElem { vs: VSlot, v: u32, nsubs: u8, want: ScalarTy },
     StoreElem { vs: VSlot, v: u32, nsubs: u8, src: ScalarTy },
-    /// Operand-addressed element access (optimized builds only): the
-    /// `n` subscripts are `subops[subs..subs + n]`; only the `Stack`
-    /// ones are popped. `sd` is the static shape of a fixed frame array
+    /// Operand-addressed element access: the `n` subscripts are
+    /// `subops[subs..subs + n]`; only the `Stack` ones are popped. `sd` is the static shape of a fixed frame array
     /// (`vs` is then its `A` slot) or [`NO_SDIMS`].
     LoadElemS { vs: VSlot, v: u32, subs: u32, n: u8, sd: u16, want: ScalarTy },
     /// As `LoadElemS`; pops the value first, then the `Stack` subscripts.
@@ -206,14 +230,18 @@ pub enum BInstr {
     /// Traced builds only: serial-loop vectorization bracket.
     VecEnter(VecClass),
     VecLeave,
+    /// Traced builds only: runs the straight-line code `[pc+1, end)`
+    /// with cost accounting suspended, then continues at `end`. Brackets
+    /// the vector path's prep and fixup code, which recomputes values
+    /// the scalar loop body already pays for.
+    Quiet { end: u32 },
     /// Pops end, start into i-slots; constant step 1.
     DoInitC { ctr: u32, end: u32 },
     /// Vector superinstruction covering the whole `DoHead1` loop that
     /// follows: executes `vecs[desc]` over `[i[ctr], i[end]]` in chunked
     /// slice form and jumps to `exit`, or — when any runtime guard fails
     /// (alias, bounds, shape, budget, vector tier disabled) — falls
-    /// through to the scalar head with no state changed. Optimized
-    /// builds only.
+    /// through to the scalar head with no state changed.
     VecLoop { desc: u32, ctr: u32, end: u32, var: u32, exit: u32 },
     /// Pops step, end, start; `check` enforces the zero-step error.
     DoInit { ctr: u32, end: u32, step: u32, check: bool },
@@ -245,6 +273,85 @@ pub enum BInstr {
     Call { spec: u32, push: bool },
     Print { spec: u32 },
     Stop { msg: u32 },
+}
+
+/// What one execution of an instruction posts to the Simulated-mode
+/// cost trace. [`BInstr::posts`] is the one definition both the VM's
+/// handlers and [`iter_ledger`] read, so a `VecLoop` region's static
+/// ledger cannot drift from what its scalar body posts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Posts {
+    Free,
+    Op(OpKind),
+    /// `!$OMP ATOMIC`: the atomics counter, one load and one store.
+    Atomic,
+    /// `branches += 1`.
+    Branch,
+    /// No per-instruction constant: the count depends on run-time state
+    /// (array length, allocation size), or the instruction transfers
+    /// control or runs other code. The VM handler posts for itself.
+    Dynamic,
+}
+
+impl BInstr {
+    #[inline(always)]
+    pub(crate) fn posts(&self) -> Posts {
+        use BInstr::*;
+        match self {
+            Const(_) | LoadI(_) | LoadF(_) | LoadB(_) | StoreI(_) | StoreF(_) | StoreB(_)
+            | CvtIF | CvtFI | CvtIB | CvtFB | AllocatedQ { .. } => Posts::Free,
+            AddF | SubF | MulF | NegF | CmpF(_) => Posts::Op(OpKind::Flop),
+            DivF => Posts::Op(OpKind::FDiv),
+            PowFF | PowFI => Posts::Op(OpKind::FSpecial),
+            AddI | SubI | MulI | DivI | PowII | NegI | NotB | AndB | OrB | CmpI(_) => {
+                Posts::Op(OpKind::IOp)
+            }
+            IntrI { f, .. } | IntrF { f, .. } => {
+                Posts::Op(if f.is_special() { OpKind::FSpecial } else { OpKind::Flop })
+            }
+            LoadG(_) | LoadElem { .. } | LoadElemS { .. } => Posts::Op(OpKind::Load),
+            StoreG(_) | StoreElem { .. } | StoreElemS { .. } => Posts::Op(OpKind::Store),
+            AtomicScal { .. } | AtomicElem { .. } => Posts::Atomic,
+            CostBranch => Posts::Branch,
+            FailArith2 | FailNegB | FailType { .. } | ArrRed { .. } | Broadcast { .. }
+            | CopyArr { .. } | Alloc { .. } | Dealloc { .. } | Jump(_) | JumpIfFalse(_)
+            | VecEnter(_) | VecLeave | Quiet { .. } | DoInitC { .. } | VecLoop { .. }
+            | DoInit { .. } | DoHead1 { .. } | DoHeadN { .. } | DoHead { .. } | DoIncr1 { .. }
+            | DoIncr { .. } | CheckStepNZ | FlowExit | FlowCycle | FlowReturn
+            | Critical { .. } | OmpDo { .. } | CallPre | StashElem { .. } | PushArr { .. }
+            | Call { .. } | Print { .. } | Stop { .. } => Posts::Dynamic,
+        }
+    }
+}
+
+/// The sum of what straight-line `code` posts per execution, or `None`
+/// when any instruction in it is [`Posts::Dynamic`].
+pub(crate) fn static_ledger(code: &[BInstr]) -> Option<Ledger> {
+    let mut l = Ledger::default();
+    for i in code {
+        match i.posts() {
+            Posts::Free => {}
+            Posts::Op(k) => l.op(k),
+            Posts::Atomic => {
+                l.atomics += 1;
+                l.op(OpKind::Load);
+                l.op(OpKind::Store);
+            }
+            Posts::Branch => l.branches += 1,
+            Posts::Dynamic => return None,
+        }
+    }
+    Some(l)
+}
+
+/// Per-iteration ledger of a fused unit-stride loop `DoHead1 … DoIncr1`
+/// (neither of which posts): what the scalar tier posts each time round,
+/// when the body between them is straight-line code of static cost.
+pub(crate) fn iter_ledger(scalar_loop: &[BInstr]) -> Option<Ledger> {
+    match scalar_loop {
+        [BInstr::DoHead1 { .. }, body @ .., BInstr::DoIncr1 { .. }] => static_ledger(body),
+        _ => None,
+    }
 }
 
 /// One OMP PARALLEL DO descriptor.
@@ -323,8 +430,7 @@ pub struct BUnit {
     pub omps: Vec<OmpDesc>,
     pub prints: Vec<Vec<PItem>>,
     pub sdims: Vec<SDims>,
-    /// Subscript table: the operand runs `LoadElemS`/`StoreElemS` name
-    /// (optimized builds only).
+    /// Subscript table: the operand runs `LoadElemS`/`StoreElemS` name.
     pub subops: Vec<SubOp>,
     /// Error/CRITICAL-name/STOP message string table.
     pub msgs: Vec<String>,
@@ -337,7 +443,7 @@ pub struct BUnit {
     pub lines: Vec<(u32, u32)>,
     /// Serial DO-loop sites, sorted by `init_pc` (profiling side table).
     pub loops: Vec<BLoopSite>,
-    /// Vector superinstruction descriptors (optimized builds only).
+    /// Vector superinstruction descriptors.
     pub vecs: Vec<VecDesc>,
 }
 
@@ -484,6 +590,13 @@ pub struct VecDesc {
     /// run that would exhaust its budget falls back to the scalar head
     /// and trips there, exactly as before. Patched after loop emission.
     pub iter_cost: u32,
+    /// What the scalar loop this descriptor shadows posts to the cost
+    /// trace per iteration, so a Simulated run can post a whole
+    /// vectorized trip in O(1). `None` (a body instruction of
+    /// run-time-dependent cost) keeps such a run on the scalar head.
+    /// Patched after loop emission like `iter_cost`, and recomputed by
+    /// the verifier.
+    pub iter_ledger: Option<Ledger>,
     /// DO statement source line.
     pub line: u32,
 }
@@ -808,7 +921,8 @@ struct UnitCompiler<'a> {
     subops: Vec<SubOp>,
     msgs: Vec<String>,
     ctx: Vec<Ctx>,
-    /// Frame scalars that are never read (DSE candidates).
+    /// Frame scalars that are never read: their pure stores are dropped
+    /// by optimized builds and ignored by the vector analysis of both.
     dead: Vec<bool>,
     /// Extra hidden i-slots for loop counters/bounds.
     ni_extra: u32,
@@ -845,7 +959,7 @@ impl<'a> UnitCompiler<'a> {
                 sdims.push(SDims::of(&info.dims));
             }
         }
-        let dead = if traced { vec![false; unit.vars.len()] } else { find_dead_scalars(unit) };
+        let dead = find_dead_scalars(unit);
         UnitCompiler {
             prog,
             unit,
@@ -925,6 +1039,18 @@ impl<'a> UnitCompiler<'a> {
         self.ni_extra - 1
     }
 
+    /// Opens a cost-suspended bracket in a traced build when `wanted`
+    /// (untraced runs post nothing anyway); pair with `close_quiet`.
+    fn open_quiet(&mut self, wanted: bool) -> Option<usize> {
+        (self.traced && wanted).then(|| self.push(BInstr::Quiet { end: NO_PC }))
+    }
+
+    fn close_quiet(&mut self, open: Option<usize>) {
+        if let Some(idx) = open {
+            self.code[idx] = BInstr::Quiet { end: self.pc() };
+        }
+    }
+
     /// Static type of an expression (mirrors sema's typing).
     fn ty_of(&self, e: &RExpr) -> ScalarTy {
         match e {
@@ -988,31 +1114,41 @@ impl<'a> UnitCompiler<'a> {
         }
     }
 
-    /// Compile-time constant evaluation (optimized builds only; `None`
-    /// keeps the runtime evaluation, including its error behaviour).
+    /// Constant folding at emission. Traced builds fold literals only:
+    /// a folded operator is an operation the interpreter counts.
     fn fold(&self, e: &RExpr) -> Option<Val> {
-        if self.traced {
+        let literal = matches!(e, RExpr::ConstI(_) | RExpr::ConstF(_) | RExpr::ConstB(_));
+        if self.traced && !literal {
             return None;
         }
+        self.const_eval(e)
+    }
+
+    /// Compile-time constant evaluation (`None` keeps the runtime
+    /// evaluation, including its error behaviour). The vector analysis
+    /// calls this directly in both builds: a lane program computes the
+    /// same values however its constants were obtained, and the cost of
+    /// a vectorized trip comes from the scalar body's ledger.
+    fn const_eval(&self, e: &RExpr) -> Option<Val> {
         match e {
             RExpr::ConstI(v) => Some(Val::I(*v)),
             RExpr::ConstF(v) => Some(Val::F(*v)),
             RExpr::ConstB(v) => Some(Val::B(*v)),
             RExpr::Bin { op, ty, l, r } => {
-                let a = self.fold(l)?;
-                let b = self.fold(r)?;
+                let a = self.const_eval(l)?;
+                let b = self.const_eval(r)?;
                 const_bin(*op, *ty, a, b)
             }
-            RExpr::Neg(x) => match self.fold(x)? {
+            RExpr::Neg(x) => match self.const_eval(x)? {
                 Val::I(v) => Some(Val::I(v.wrapping_neg())),
                 Val::F(v) => Some(Val::F(-v)),
                 Val::B(_) => None,
             },
-            RExpr::Not(x) => Some(Val::B(!self.fold(x)?.as_b())),
-            RExpr::ToF(x) => Some(Val::F(self.fold(x)?.as_f())),
-            RExpr::ToI(x) => Some(Val::I(self.fold(x)?.as_i())),
+            RExpr::Not(x) => Some(Val::B(!self.const_eval(x)?.as_b())),
+            RExpr::ToF(x) => Some(Val::F(self.const_eval(x)?.as_f())),
+            RExpr::ToI(x) => Some(Val::I(self.const_eval(x)?.as_i())),
             RExpr::Intrinsic { f, args } => {
-                let vals: Option<Vec<Val>> = args.iter().map(|a| self.fold(a)).collect();
+                let vals: Option<Vec<Val>> = args.iter().map(|a| self.const_eval(a)).collect();
                 let vals = vals?;
                 if self.intr_int_flavor(*f, args) {
                     let iv: Vec<i64> = vals.iter().map(|v| v.as_i()).collect();
@@ -1283,9 +1419,9 @@ impl<'a> UnitCompiler<'a> {
     /// Lowers the subscript list of an element load/store to a run of
     /// [`SubOp`]s in the unit's subscript table and returns the run's
     /// first index; code is emitted for the `Stack` operands only.
-    /// `None` — nothing emitted, caller takes the all-stack form — in
-    /// traced builds (every push stays, so op counts are exact) and for
-    /// lists longer than [`MAX_INLINE_RANK`].
+    /// `None` — nothing emitted, caller takes the all-stack form — for
+    /// lists longer than [`MAX_INLINE_RANK`]. Cost-neutral, so both
+    /// builds do it: the `LoadI`/`Const` pushes it saves post nothing.
     ///
     /// Legality of `Slot`: the VM reads the slot when the access
     /// executes, i.e. after every sibling subscript and (for a store)
@@ -1295,7 +1431,7 @@ impl<'a> UnitCompiler<'a> {
     /// a function call's copy-out can do (`a(i, bump(i))`); such a
     /// subscript keeps the stack path.
     fn emit_sub_operands(&mut self, subs: &[RExpr], rhs: Option<&RExpr>) -> Option<u32> {
-        if self.traced || subs.len() > MAX_INLINE_RANK {
+        if subs.len() > MAX_INLINE_RANK {
             return None;
         }
         // A nested access (`qn(m, c2n(k, c))`) appends its own run while
@@ -1429,8 +1565,8 @@ impl<'a> UnitCompiler<'a> {
     fn emit_stmt(&mut self, s: &RStmt) {
         match s {
             RStmt::AssignScalar { v, e } => {
-                if self.dead[*v] && self.pure_total(e) {
-                    return; // dead-store elimination (optimized builds)
+                if !self.traced && self.dead[*v] && self.pure_total(e) {
+                    return; // dead-store elimination: the store's operations go too
                 }
                 self.emit_expr(e);
                 self.emit_store_scalar(*v, self.ty_of(e));
@@ -1668,8 +1804,10 @@ impl<'a> UnitCompiler<'a> {
         for sp in body {
             match &sp.s {
                 RStmt::Nop => {}
-                // Statements DSE drops in this build don't block the
-                // vector path either.
+                // A dead pure store doesn't block the vector path, nor
+                // does the lane program run it: nothing reads the slot.
+                // (A traced build's scalar body keeps the store, so its
+                // operations are in the ledger.)
                 RStmt::AssignScalar { v, e } if self.dead[*v] && self.pure_total(e) => {}
                 s => real.push(s),
             }
@@ -1929,7 +2067,7 @@ impl<'a> UnitCompiler<'a> {
     /// expression; integer arithmetic distributes exactly over the
     /// wrapping ring, so the decomposition preserves scalar semantics.
     fn vec_affine(&mut self, e: &RExpr, var: VarIdx) -> Option<(i64, i64, Option<RExpr>)> {
-        if let Some(v) = self.fold(e) {
+        if let Some(v) = self.const_eval(e) {
             return Some((0, v.as_i(), None));
         }
         if !expr_uses_var(e, var) {
@@ -1958,9 +2096,9 @@ impl<'a> UnitCompiler<'a> {
                 Some((c1.checked_sub(c2)?, a1.checked_sub(a2)?, add_inv(i1, neg_inv(i2))))
             }
             RExpr::Bin { op: Bin::Mul, ty: ScalarTy::I, l, r } => {
-                let (k, x) = if let Some(k) = self.fold(l) {
+                let (k, x) = if let Some(k) = self.const_eval(l) {
                     (k.as_i(), r)
-                } else if let Some(k) = self.fold(r) {
+                } else if let Some(k) = self.const_eval(r) {
                     (k.as_i(), l)
                 } else {
                     return None; // runtime coefficient on the loop var
@@ -2022,7 +2160,7 @@ impl<'a> UnitCompiler<'a> {
             ScalarTy::I => {
                 // The scalar tier's CvtIF of an integer expression: only
                 // affine-in-var (or invariant) shapes stay vectorizable.
-                if let Some(v) = self.fold(e) {
+                if let Some(v) = self.const_eval(e) {
                     ops.push(VecOp::Splat(v.as_f()));
                     return Some(());
                 }
@@ -2045,7 +2183,7 @@ impl<'a> UnitCompiler<'a> {
         plan: &mut VecPlan,
         ops: &mut Vec<VecOp>,
     ) -> Option<()> {
-        if let Some(v) = self.fold(e) {
+        if let Some(v) = self.const_eval(e) {
             ops.push(VecOp::Splat(v.as_f()));
             return Some(());
         }
@@ -2087,7 +2225,7 @@ impl<'a> UnitCompiler<'a> {
                     if self.ty_of(r) == ScalarTy::I {
                         // `F ** I` needs a constant exponent so the
                         // powi-vs-powf rule resolves at compile time.
-                        let ev = self.fold(r)?.as_i();
+                        let ev = self.const_eval(r)?.as_i();
                         if ev.unsigned_abs() <= 64 {
                             ops.push(VecOp::PowI(ev as i32));
                         } else {
@@ -2141,8 +2279,8 @@ impl<'a> UnitCompiler<'a> {
         self.emit_expr(end);
         self.emit_cvt(self.ty_of(end), ScalarTy::I);
         // The step: a folded constant 1 selects the fused loop head
-        // (traced builds never fold, so they always take the generic
-        // path — including the interpreter's zero-step check).
+        // (traced builds fold a literal step only; a computed one takes
+        // the generic path — including the interpreter's zero-step check).
         let step_const: Option<i64> = match step {
             None => Some(1),
             Some(e) => self.fold(e).map(|v| v.as_i()),
@@ -2154,10 +2292,8 @@ impl<'a> UnitCompiler<'a> {
         };
         let fused1 = var_i.is_some() && step_const == Some(1);
         let do_line = self.last_line;
-        // Vector path: optimized builds, canonical unit-stride frame-I
-        // loops only (traced builds keep exact scalar op counts).
-        let vec_plan =
-            if !self.traced && fused1 { self.analyze_vec(var, body) } else { None };
+        // Vector path: canonical unit-stride frame-I loops only.
+        let vec_plan = if fused1 { self.analyze_vec(var, body) } else { None };
         let (ctr, ends) = (self.hidden_i(), self.hidden_i());
         let steps = if fused1 { 0 } else { self.hidden_i() };
         let init_idx = if fused1 {
@@ -2181,12 +2317,16 @@ impl<'a> UnitCompiler<'a> {
         }
         let vec_idx = vec_plan.map(|plan| {
             // Prep: loop-invariant subscript parts into hidden i-slots.
+            // The scalar body evaluates them again every iteration, so
+            // in a traced build the prep itself must post nothing.
             let VecPlan { accesses, stmts, red, max_depth, prep, fixup } = plan;
+            let quiet = self.open_quiet(!prep.is_empty());
             for (_, e, slot) in &prep {
                 self.emit_expr(e);
                 self.emit_cvt(self.ty_of(e), ScalarTy::I);
                 self.push(BInstr::StoreI(*slot));
             }
+            self.close_quiet(quiet);
             let desc = self.vecs.len() as u32;
             self.vecs.push(VecDesc {
                 alias_pairs: VecDesc::write_pairs(&accesses),
@@ -2195,6 +2335,7 @@ impl<'a> UnitCompiler<'a> {
                 red,
                 max_depth,
                 iter_cost: 0,
+                iter_ledger: None,
                 line: do_line,
             });
             let idx = self.push(BInstr::VecLoop {
@@ -2237,19 +2378,23 @@ impl<'a> UnitCompiler<'a> {
         if let Some((vi, fixup)) = vec_idx {
             if let BInstr::VecLoop { desc, exit, .. } = &mut self.code[vi] {
                 *exit = end_pc;
-                let d = *desc as usize;
+                let d = &mut self.vecs[*desc as usize];
                 // Scalar instructions per iteration: head through incr.
-                self.vecs[d].iter_cost = end_pc - head;
+                d.iter_cost = end_pc - head;
+                d.iter_ledger = iter_ledger(&self.code[head as usize..end_pc as usize]);
             }
             // Forwarded-temp fixup, reached only through the VecLoop
             // exit edge: the vector body never materializes the temps,
             // so recompute each one's final value here (the loop
             // variable holds the last trip value at this point). The
             // scalar loop stores the temps itself and exits past this.
+            // The last iteration's ledger already paid for these values.
+            let quiet = self.open_quiet(!fixup.is_empty());
             for (v, e) in &fixup {
                 self.emit_expr(e);
                 self.emit_store_scalar(*v, self.ty_of(e));
             }
+            self.close_quiet(quiet);
         }
         let after = self.pc();
         self.loops.push(BLoopSite { init_pc: init_idx as u32, end_pc: after, line: do_line });
@@ -2472,6 +2617,7 @@ fn find_dead_scalars(unit: &RUnit) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::OpCounts;
 
     fn compile(src: &str) -> (RProgram, Vec<BUnit>, Vec<BUnit>) {
         let mut ast = crate::ast::Ast::default();
@@ -2617,12 +2763,59 @@ END MODULE m
                 vec![SubOp::Stack, SubOp::Slot(sn)]
             ]
         );
-        // The traced build keeps every push and emits none of the new forms.
-        assert!(traced.iter().all(|u| u.subops.is_empty()
-            && !u.code.iter().any(|i| matches!(
-                i,
-                BInstr::LoadElemS { .. } | BInstr::StoreElemS { .. }
-            ))));
+        // The traced build addresses subscripts the same way — the
+        // pushes it saves post nothing — so every access names the same
+        // operand run; only what it *emits* for a `Stack` operand
+        // differs (`i + 1` stays an `AddI` in both, but is never folded).
+        assert_eq!(traced[1].subops, w.subops);
+        assert!(!traced[1]
+            .code
+            .iter()
+            .any(|i| matches!(i, BInstr::LoadElem { .. } | BInstr::StoreElem { .. })));
         assert!(std::mem::size_of::<BInstr>() <= 24);
+    }
+
+    #[test]
+    fn traced_build_vectorizes_with_a_ledger_and_quiet_brackets() {
+        let (_, opt, traced) = compile(
+            r#"
+MODULE m
+CONTAINS
+  SUBROUTINE work(a, b, n, j)
+    REAL(8), DIMENSION(1:64, 1:4) :: a
+    REAL(8), DIMENSION(1:64) :: b
+    INTEGER :: n, j, i
+    REAL(8) :: t, unused
+    DO i = 1, n
+      unused = 2.0D0 * 3.0D0
+      t = b(i) * (1.0D0 + 2.0D0)
+      a(i, j + 1) = t / 4.0D0 + EXP(b(i))
+    END DO
+  END SUBROUTINE work
+END MODULE m
+"#,
+        );
+        let (o, t) = (&opt[0], &traced[0]);
+        // Same region in both builds: the analysis folds and ignores the
+        // dead store whatever the emitter does.
+        assert_eq!((o.vecs.len(), t.vecs.len()), (1, 1));
+        assert_eq!(format!("{:?}", o.vecs[0].stmts), format!("{:?}", t.vecs[0].stmts));
+        assert_eq!(o.vecs[0].accesses.len(), t.vecs[0].accesses.len());
+        // The traced scalar body keeps the dead store's MulF and the
+        // unfolded AddF, and its ledger says so; the optimized body has
+        // neither. Subscript `j + 1` is one IOp per iteration in both.
+        let ops = |l: Option<Ledger>| l.expect("straight-line body").ops;
+        assert_eq!(
+            ops(t.vecs[0].iter_ledger),
+            OpCounts { flop: 4, fdiv: 1, fspecial: 1, iop: 1, load: 2, store: 1 }
+        );
+        assert_eq!(
+            ops(o.vecs[0].iter_ledger),
+            OpCounts { flop: 2, fdiv: 1, fspecial: 1, iop: 1, load: 2, store: 1 }
+        );
+        // Prep (`j + 1` into a hidden slot) and fixup (`t`'s last value)
+        // sit in quiet brackets in the traced build only.
+        let quiet = |u: &BUnit| u.code.iter().filter(|i| matches!(i, BInstr::Quiet { .. })).count();
+        assert_eq!((quiet(o), quiet(t)), (0, 2));
     }
 }

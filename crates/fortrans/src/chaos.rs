@@ -9,6 +9,10 @@
 //!
 //! * **drain** — every submitted job produces exactly one structured
 //!   [`JobResult`]; no panic escapes the batch;
+//! * **no silent trace drift** — a corrupted traced build run in
+//!   Simulated mode may only yield a cost trace different from the
+//!   oracle's if the static verifier rejects the stream or the VM traps
+//!   (a wrong `VecLoop` cost ledger changes no result, only the trace);
 //! * **clean-job fidelity** — jobs with no injected fault complete with
 //!   no fallback and outputs bit-equal to a quiet per-mode baseline
 //!   (parallel reductions combine partials in a fixed order, so the
@@ -48,6 +52,9 @@ use crate::verify::mutate::{corrupt, Rng};
 /// Array length shared by the corpus programs.
 pub const LANES: usize = 64;
 
+/// The mode corrupted traced builds run in.
+const SIMULATED: ExecMode = ExecMode::Simulated { threads: 2 };
+
 /// One corpus program: a label for reports, the entry subroutine, and
 /// the source (optionally tagged with a trailing comment so variants of
 /// the same semantics hash to distinct artifacts).
@@ -86,7 +93,7 @@ CONTAINS
     REAL(8), DIMENSION(1:{LANES}) :: a
     INTEGER :: n
     REAL(8), DIMENSION(1:4) :: out
-    REAL(8) :: s
+    REAL(8) :: s, t
     INTEGER :: i
     s = 0.0
     !$OMP PARALLEL DO DEFAULT(SHARED) REDUCTION(+:s)
@@ -96,6 +103,11 @@ CONTAINS
     !$OMP END PARALLEL DO
     out(1) = s
     out(2) = s * 0.25
+    t = 0.0
+    DO i = 1, n
+      t = t + a(i) * 0.5
+    END DO
+    out(3) = t
   END SUBROUTINE sumsq
 END MODULE rmod
 ! chaos variant: {tag}
@@ -353,6 +365,13 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let arts: Vec<Arc<CompiledProgram>> =
         corpus.iter().map(|p| compile_or_die(&service, &p.source)).collect();
     let baselines = quiet_baselines(&arts, &corpus);
+    let sumsq_trace = {
+        let (args, _) = make_args("sumsq");
+        crate::service::Session::solo(Arc::clone(&arts[1]))
+            .run_tiered("sumsq", &args, SIMULATED, ExecTier::TreeWalk)
+            .unwrap_or_else(|e| panic!("oracle trace run failed: {e}"))
+            .trace
+    };
 
     let victim_src = scale_src("victim");
     let victim = compile_or_die(&service, &victim_src);
@@ -402,6 +421,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         let clean_only = round + 1 == cfg.rounds;
         let mut queue = service.queue(cfg.queue_width);
         let mut planned: Vec<Planned> = Vec::new();
+        // Simulated jobs whose corrupted stream the verifier let through.
+        let mut verifier_passed: Vec<usize> = Vec::new();
 
         for j in 0..cfg.jobs_per_round {
             let kind =
@@ -433,21 +454,28 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
                     planned.push(Planned { kind, base: 0, mode: ExecMode::Serial, out });
                 }
                 FaultKind::CorruptBytecode => {
-                    // Corrupt a private copy of the optimized stream and
-                    // inject it into this job's session only; the shared
-                    // artifact stays pristine. Corruption may trap (then
-                    // the oracle recovers) or silently change semantics,
-                    // so the only invariants are structure + isolation.
+                    // Corrupt a private copy of one bytecode build (the
+                    // traced one runs Simulated) and inject it into this
+                    // job's session only; the shared artifact stays
+                    // pristine. Corruption may trap (then the oracle
+                    // recovers) or silently change semantics, so the
+                    // invariants are structure, isolation, and that only
+                    // a stream the verifier rejects may bend the trace.
                     inject(&mut report, kind);
                     let art = compile_or_die(&service, &reduce_src(&tag));
-                    let mut bunits = (*art.bytecode(false)).clone();
+                    let traced = rng.below(2) == 1;
+                    let mode = if traced { SIMULATED } else { ExecMode::Serial };
+                    let mut bunits = (*art.bytecode(traced)).clone();
                     let _ = corrupt(&mut bunits, rng.next_u64());
+                    if traced && crate::verify::verify_program(art.program(), &bunits).is_ok() {
+                        verifier_passed.push(planned.len());
+                    }
                     let (args, out) = make_args("sumsq");
                     queue.submit(
                         &art,
-                        Job::new("sumsq", args).debug_inject_bytecode(false, bunits),
+                        Job::new("sumsq", args).mode(mode).debug_inject_bytecode(traced, bunits),
                     );
-                    planned.push(Planned { kind, base: 1, mode: ExecMode::Serial, out });
+                    planned.push(Planned { kind, base: 1, mode, out });
                 }
                 FaultKind::DeadlineMiss => {
                     inject(&mut report, kind);
@@ -566,6 +594,16 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         for (slot, (p, jr)) in planned.iter().zip(&batch.results).enumerate() {
             *report.actions.entry(jr.action.to_string()).or_insert(0) += 1;
             check_job(round, slot, p, jr, &baselines, cfg, &mut report.violations);
+        }
+        for slot in verifier_passed {
+            if let Ok(out) = &batch.results[slot].result {
+                if out.fallback.is_none() && out.trace != sumsq_trace {
+                    report.violations.push(format!(
+                        "round {round} job {slot}: Simulated trace of a corrupted stream \
+                         diverged from the oracle with no verifier rejection and no trap"
+                    ));
+                }
+            }
         }
 
         if service.cache().len() > cfg.cache_capacity {

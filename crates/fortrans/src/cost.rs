@@ -9,7 +9,9 @@
 //! Both executors tally through one [`CostAcc`]: it owns the serial
 //! counters, the open parallel region (per-thread buckets, the owner
 //! map that routes each iteration to its thread, the CRITICAL bucket)
-//! and the vectorization class in force. The executors keep only their
+//! and the vectorization class in force. Postings collect in one
+//! pending set of counters and move to their bucket only when the
+//! bucket is about to change. The executors keep only their
 //! call sites — and the gate in front of them (`collect` in the
 //! tree-walker, the `TRACE` const generic in the VM), so an untraced
 //! run never reaches this module.
@@ -171,6 +173,33 @@ pub(crate) enum OpKind {
     Store,
 }
 
+/// What one pass over a straight-line stretch of code posts, before it
+/// is routed: operation counts not yet split into scalar/vector/memset
+/// (that is the accumulator's job at posting time) plus the two
+/// non-operation counters a single instruction can bump statically.
+/// A `VecLoop` region carries one per iteration
+/// ([`crate::bytecode::VecDesc::iter_ledger`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Ledger {
+    pub ops: OpCounts,
+    pub branches: u64,
+    pub atomics: u64,
+}
+
+impl Ledger {
+    pub(crate) fn op(&mut self, k: OpKind) {
+        let o = &mut self.ops;
+        match k {
+            OpKind::Flop => o.flop += 1,
+            OpKind::FDiv => o.fdiv += 1,
+            OpKind::FSpecial => o.fspecial += 1,
+            OpKind::IOp => o.iop += 1,
+            OpKind::Load => o.load += 1,
+            OpKind::Store => o.store += 1,
+        }
+    }
+}
+
 /// The parallel region a simulated run is currently inside.
 struct OpenRegion {
     per_thread: Vec<CostCounters>,
@@ -187,10 +216,14 @@ struct OpenRegion {
 #[derive(Default)]
 pub(crate) struct CostAcc {
     serial: CostCounters,
+    /// Posted since the last bucket switch, not yet in any bucket: a
+    /// posting then costs no region/thread/CRITICAL lookup. Already
+    /// split by vectorization class, so a class change needs no flush.
+    pending: CostCounters,
     region: Option<Box<OpenRegion>>,
     trace: CostTrace,
     /// Nesting depth of the `!$OMP CRITICAL` sections being executed.
-    pub(crate) critical_depth: u32,
+    critical_depth: u32,
     /// Vectorization class of the serial loop being executed.
     pub(crate) vec_mode: VecClass,
 }
@@ -208,6 +241,17 @@ impl CostAcc {
                 (&mut r.per_thread[r.cur], critical)
             }
             None => (&mut self.serial, None),
+        }
+    }
+
+    /// Moves what was posted since the last switch into the bucket(s)
+    /// in force. Every method that changes the routing calls this first.
+    fn flush(&mut self) {
+        let p = std::mem::take(&mut self.pending);
+        let (bucket, critical) = self.buckets();
+        bucket.add(&p);
+        if let Some(c) = critical {
+            c.add(&p);
         }
     }
 
@@ -233,22 +277,52 @@ impl CostAcc {
                 OpKind::Store => o.store += n,
             }
         };
-        let (bucket, critical) = self.buckets();
-        apply(bucket);
-        if let Some(c) = critical {
-            apply(c);
-        }
+        apply(&mut self.pending);
+    }
+
+    /// Posts `n` passes over the code `l` summarizes, exactly as `n`
+    /// times its per-instruction [`Self::op_n`] / [`Self::add_misc`]
+    /// calls would: same bucket, same CRITICAL bucket, same
+    /// vectorization class (none of the three can change inside a
+    /// straight-line stretch, and the counters only add).
+    pub(crate) fn post_scaled(&mut self, l: &Ledger, n: u64) {
+        let vec = self.vec_mode;
+        let apply = |c: &mut CostCounters| {
+            let mut ops = l.ops;
+            if vec == VecClass::Memset {
+                c.memset_bytes += 8 * n * ops.store;
+                ops.store = 0;
+            }
+            let side = if vec == VecClass::Simd { &mut c.vector } else { &mut c.scalar };
+            side.flop += n * ops.flop;
+            side.fdiv += n * ops.fdiv;
+            side.fspecial += n * ops.fspecial;
+            side.iop += n * ops.iop;
+            side.load += n * ops.load;
+            side.store += n * ops.store;
+            c.branches += n * l.branches;
+            c.atomics += n * l.atomics;
+        };
+        apply(&mut self.pending);
     }
 
     /// Applies `f` to the current bucket (and the CRITICAL bucket): the
     /// non-operation counters — branches, calls, allocations, atomics.
     #[inline]
     pub(crate) fn add_misc(&mut self, f: impl Fn(&mut CostCounters)) {
-        let (bucket, critical) = self.buckets();
-        f(bucket);
-        if let Some(c) = critical {
-            f(c);
-        }
+        f(&mut self.pending);
+    }
+
+    /// A `!$OMP CRITICAL` section begins: inside a region, what follows
+    /// is also charged to the region's CRITICAL bucket.
+    pub(crate) fn enter_critical(&mut self) {
+        self.flush();
+        self.critical_depth += 1;
+    }
+
+    pub(crate) fn leave_critical(&mut self) {
+        self.flush();
+        self.critical_depth -= 1;
     }
 
     pub(crate) fn in_region(&self) -> bool {
@@ -258,6 +332,7 @@ impl CostAcc {
     /// Flushes the serial stretch and opens a region of `team` threads
     /// whose iteration `k` belongs to thread `owner[k]`.
     pub(crate) fn open_region(&mut self, owner: Vec<u16>, team: usize, reductions: usize) {
+        self.flush();
         let serial = std::mem::take(&mut self.serial);
         self.trace.push_serial(serial);
         self.region = Some(Box::new(OpenRegion {
@@ -272,20 +347,30 @@ impl CostAcc {
 
     /// Routes what follows to the thread owning flat iteration `k`.
     pub(crate) fn begin_iteration(&mut self, k: usize) {
-        if let Some(r) = &mut self.region {
-            r.cur = usize::from(r.owner[k]);
+        if let Some(thread) = self.region.as_ref().map(|r| usize::from(r.owner[k])) {
+            self.route_to(thread);
         }
     }
 
     /// Routes what follows to the master thread (the end of a nest).
     pub(crate) fn end_iterations(&mut self) {
-        if let Some(r) = &mut self.region {
-            r.cur = 0;
+        self.route_to(0);
+    }
+
+    /// Under a block schedule consecutive iterations share a thread, so
+    /// most calls change nothing and flush nothing.
+    fn route_to(&mut self, thread: usize) {
+        if self.region.as_ref().is_some_and(|r| r.cur != thread) {
+            self.flush();
+            if let Some(r) = &mut self.region {
+                r.cur = thread;
+            }
         }
     }
 
     /// Closes the open region into a [`RegionEvent`] tagged `line`.
     pub(crate) fn close_region(&mut self, line: u32) {
+        self.flush();
         let r = self.region.take().expect("a region is open");
         self.trace.push_region(RegionEvent {
             threads: r.per_thread.len(),
@@ -299,6 +384,7 @@ impl CostAcc {
 
     /// Flushes the trailing serial stretch and yields the trace.
     pub(crate) fn finish(mut self) -> CostTrace {
+        self.flush();
         self.trace.push_serial(std::mem::take(&mut self.serial));
         self.trace
     }
@@ -365,16 +451,16 @@ mod tests {
         acc.op_n(OpKind::Flop, 2); // serial stretch
         acc.open_region(vec![0, 1, 1], 2, 0);
         acc.begin_iteration(2);
-        acc.critical_depth += 1;
+        acc.enter_critical();
         acc.op_n(OpKind::Load, 3);
         acc.add_misc(|c| c.atomics += 1);
-        acc.critical_depth -= 1;
+        acc.leave_critical();
         acc.op_n(OpKind::IOp, 5); // outside the section: thread bucket only
         acc.close_region(17);
         // A CRITICAL outside any region serializes nothing.
-        acc.critical_depth += 1;
+        acc.enter_critical();
         acc.op_n(OpKind::FDiv, 1);
-        acc.critical_depth -= 1;
+        acc.leave_critical();
         let events = acc.finish().events;
         let [TraceEvent::Serial(before), TraceEvent::Region(r), TraceEvent::Serial(after)] =
             &events[..]
@@ -403,6 +489,54 @@ mod tests {
         assert_eq!(t.memset_bytes, 32);
         assert_eq!((t.vector.store, t.vector.fspecial), (2, 6));
         assert_eq!((t.scalar.store, t.scalar.iop), (1, 1));
+    }
+
+    #[test]
+    fn post_scaled_is_n_passes_of_per_op_posting() {
+        let mut l = Ledger { branches: 1, atomics: 2, ..Default::default() };
+        let body = [
+            (OpKind::Flop, 3),
+            (OpKind::FDiv, 1),
+            (OpKind::FSpecial, 2),
+            (OpKind::IOp, 4),
+            (OpKind::Load, 5),
+            (OpKind::Store, 2),
+        ];
+        for (k, times) in body {
+            (0..times).for_each(|_| l.op(k));
+        }
+        // Every routing a VecLoop entry can meet: each class, serial and
+        // inside a region, outside and inside a CRITICAL section.
+        for vec in [VecClass::None, VecClass::Simd, VecClass::Memset] {
+            for (in_region, critical) in [(false, 0), (true, 0), (true, 1), (false, 1)] {
+                let mut accs = [CostAcc::default(), CostAcc::default()];
+                for acc in &mut accs {
+                    if in_region {
+                        acc.open_region(vec![1, 0], 2, 0);
+                        acc.begin_iteration(0);
+                    }
+                    acc.vec_mode = vec;
+                    (0..critical).for_each(|_| acc.enter_critical());
+                }
+                let [scaled, stepped] = &mut accs;
+                scaled.post_scaled(&l, 7);
+                for _ in 0..7 {
+                    for (k, times) in body {
+                        (0..times).for_each(|_| stepped.op_n(k, 1));
+                    }
+                    stepped.add_misc(|c| c.branches += 1);
+                    stepped.add_misc(|c| c.atomics += 2);
+                }
+                let [scaled, stepped] = accs.map(|mut acc| {
+                    if in_region {
+                        acc.close_region(1);
+                    }
+                    acc.finish()
+                });
+                assert_eq!(scaled, stepped, "{vec:?}, region {in_region}, critical {critical}");
+                assert!(!scaled.total().is_zero());
+            }
+        }
     }
 
     #[test]

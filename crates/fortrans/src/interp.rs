@@ -976,12 +976,12 @@ impl<'e> Task<'e> {
                 Ok(Flow::Normal)
             }
             RStmt::Critical { name, body } => {
-                self.st.cost.critical_depth += 1;
+                self.st.cost.enter_critical();
                 // Only team members of a real fork contend for the lock.
                 let guard = self.st.in_real_region.then(|| self.ex.critical.enter(name));
                 let result = self.exec_block(unit, frame, body);
                 drop(guard);
-                self.st.cost.critical_depth -= 1;
+                self.st.cost.leave_critical();
                 result
             }
             RStmt::Return => Ok(Flow::Return),

@@ -1184,7 +1184,16 @@ mod tests {
                 .max()
                 .unwrap_or(0);
             let alias_pairs = VecDesc::write_pairs(&accesses);
-            VecDesc { accesses, alias_pairs, stmts, red, max_depth, iter_cost: 4, line: 1 }
+            VecDesc {
+                accesses,
+                alias_pairs,
+                stmts,
+                red,
+                max_depth,
+                iter_cost: 4,
+                iter_ledger: None,
+                line: 1,
+            }
         }
 
         fn check(d: &VecDesc, nbufs: usize, streams: &[(usize, i64, i64)], n: i64, acc0: f64) {

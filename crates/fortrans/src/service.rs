@@ -69,9 +69,9 @@ pub fn source_hash(sources: &[&str]) -> u64 {
 /// and the content hash that keys the artifact in an [`ArtifactCache`].
 pub struct CompiledProgram {
     prog: Arc<RProgram>,
-    /// `[optimized, traced]`: the optimized build (constant folding,
-    /// dead-store elimination, fused/vectorized loops) serves
-    /// Serial/Parallel; the traced build preserves every cost-bearing
+    /// `[optimized, traced]`: the optimized build serves Serial/Parallel;
+    /// the traced build — the same lowering without constant folding
+    /// and dead-store elimination — preserves every cost-bearing
     /// operation for Simulated mode.
     bytecode: [Arc<Vec<BUnit>>; 2],
     source_hash: u64,
@@ -154,7 +154,7 @@ impl CompiledProgram {
     /// Static vectorization report: one line per loop the bytecode
     /// compiler proved legal to vectorize, with unit name, source line,
     /// statement count and reduction flag. Reflects the optimized
-    /// (Serial/Parallel) build; the traced build never vectorizes.
+    /// (Serial/Parallel) build.
     pub fn vector_report(&self) -> Vec<VectorLoopInfo> {
         let mut out = Vec::new();
         for bu in self.bytecode[0].iter() {
@@ -650,7 +650,7 @@ impl Session {
         finish(run, "tree-walk", prof, t0, fallback)
     }
 
-    fn make_exec(&self, mode: ExecMode) -> Exec {
+    pub(crate) fn make_exec(&self, mode: ExecMode) -> Exec {
         let pool = match mode {
             ExecMode::Parallel { threads } => Some(self.pool_for(threads)),
             _ => None,

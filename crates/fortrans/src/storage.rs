@@ -63,22 +63,30 @@ impl ArrayObj {
     /// overflow or exceed [`MAX_ARRAY_ELEMS`] instead of aborting inside
     /// the allocator. Runtime ALLOCATE goes through here.
     pub fn try_new(ty: ScalarTy, dims: Vec<(i64, i64)>) -> Result<Self, RunError> {
+        let n = Self::checked_len(&dims)?;
+        let mut v = Vec::with_capacity(n);
+        v.resize_with(n, || AtomicU64::new(0));
+        Ok(ArrayObj { ty, dims, cells: v.into_boxed_slice() })
+    }
+
+    /// Element count of an array shaped `dims`, or [`RunError::Limit`]
+    /// when it overflows or exceeds [`MAX_ARRAY_ELEMS`].
+    pub fn checked_len(dims: &[(i64, i64)]) -> Result<usize, RunError> {
         let mut n: usize = 1;
-        for &(lo, hi) in &dims {
+        for &(lo, hi) in dims {
             let extent = if hi >= lo {
                 usize::try_from(hi - lo).ok().and_then(|e| e.checked_add(1))
             } else {
                 Some(0)
             };
-            n = extent.and_then(|e| n.checked_mul(e)).ok_or(()).and_then(|n| {
-                if n > MAX_ARRAY_ELEMS { Err(()) } else { Ok(n) }
-            }).map_err(|()| RunError::Limit {
-                msg: format!("array allocation of {} exceeds the element cap", dims_desc(&dims)),
-            })?;
+            n = extent
+                .and_then(|e| n.checked_mul(e))
+                .filter(|&n| n <= MAX_ARRAY_ELEMS)
+                .ok_or_else(|| RunError::Limit {
+                    msg: format!("array allocation of {} exceeds the element cap", dims_desc(dims)),
+                })?;
         }
-        let mut v = Vec::with_capacity(n);
-        v.resize_with(n, || AtomicU64::new(0));
-        Ok(ArrayObj { ty, dims, cells: v.into_boxed_slice() })
+        Ok(n)
     }
 
     /// Element count.
@@ -88,19 +96,7 @@ impl ArrayObj {
 
     /// Whether static dims fit the allocation cap (compile-time check).
     pub fn dims_fit(dims: &[(i64, i64)]) -> bool {
-        let mut n: usize = 1;
-        for &(lo, hi) in dims {
-            let extent = if hi >= lo {
-                usize::try_from(hi - lo).ok().and_then(|e| e.checked_add(1))
-            } else {
-                Some(0)
-            };
-            match extent.and_then(|e| n.checked_mul(e)) {
-                Some(m) if m <= MAX_ARRAY_ELEMS => n = m,
-                _ => return false,
-            }
-        }
-        true
+        Self::checked_len(dims).is_ok()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -199,32 +195,6 @@ impl ArrayObj {
     #[inline]
     pub fn set_bits(&self, off: usize, v: u64) {
         self.cells[off].store(v, Ordering::Relaxed)
-    }
-
-    /// CAS update for `!$OMP ATOMIC` on a float cell.
-    pub fn atomic_update_f(&self, off: usize, f: impl Fn(f64) -> f64) {
-        let cell = &self.cells[off];
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let next = f(f64::from_bits(cur)).to_bits();
-            match cell.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// CAS update for `!$OMP ATOMIC` on an integer cell.
-    pub fn atomic_update_i(&self, off: usize, f: impl Fn(i64) -> i64) {
-        let cell = &self.cells[off];
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let next = f(cur as i64) as u64;
-            match cell.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
     }
 
     /// Deep copy (used for PRIVATE arrays in parallel regions).
@@ -497,17 +467,6 @@ mod tests {
         c.set_b(0, true);
         assert!(c.get_b(0));
         assert!(!c.get_b(1));
-    }
-
-    #[test]
-    fn atomic_updates() {
-        let a = ArrayObj::new(ScalarTy::F, vec![(1, 1)]);
-        a.set_f(0, 10.0);
-        a.atomic_update_f(0, |x| x + 2.5);
-        assert_eq!(a.get_f(0), 12.5);
-        let b = ArrayObj::new(ScalarTy::I, vec![(1, 1)]);
-        b.atomic_update_i(0, |x| x + 7);
-        assert_eq!(b.get_i(0), 7);
     }
 
     #[test]

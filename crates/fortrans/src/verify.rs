@@ -31,8 +31,8 @@
 //! `tests/fault_injection.rs`.
 
 use crate::bytecode::{
-    vec_stack_effect, BArg, BInstr, BUnit, PItem, SubOp, VSlot, VecDesc, VecOp, MAX_INLINE_RANK,
-    NO_PC, NO_SDIMS, NO_SLOT, VEC_MAX_ACCESSES, VEC_MAX_DEPTH,
+    iter_ledger, static_ledger, vec_stack_effect, BArg, BInstr, BUnit, PItem, SubOp, VSlot,
+    VecDesc, VecOp, MAX_INLINE_RANK, NO_PC, NO_SDIMS, NO_SLOT, VEC_MAX_ACCESSES, VEC_MAX_DEPTH,
 };
 use crate::error::CompileError;
 use crate::rir::RProgram;
@@ -274,6 +274,25 @@ impl Verifier<'_> {
                 islot(var, "DO variable")?;
                 tgt(exit, "vector loop exit")?;
                 self.vec_desc_ok(desc).map_err(at)?;
+                // A Simulated run posts `trip x iter_ledger` in place of
+                // the scalar loop `[pc + 1, exit)` this instruction
+                // shadows, so the two must agree (a loop the ledger
+                // cannot summarize has none).
+                let scalar = bu.code.get(pc as usize + 1..exit as usize);
+                if bu.vecs[desc as usize].iter_ledger != scalar.and_then(iter_ledger) {
+                    return Err(at(format!(
+                        "vector descriptor {desc}: iteration ledger disagrees with the scalar loop"
+                    )));
+                }
+            }
+            Quiet { end } => {
+                tgt(end, "quiet bracket end")?;
+                // The VM runs the bracket as a nested range and resumes
+                // at `end`, so nothing inside may transfer control.
+                let body = bu.code.get(pc as usize + 1..end as usize);
+                if body.and_then(static_ledger).is_none() {
+                    return Err(at("quiet bracket is not straight-line code".into()));
+                }
             }
             DoHeadN { ctr, end, step, var, exit } => {
                 islot(ctr, "DO counter")?;
@@ -488,7 +507,8 @@ impl Verifier<'_> {
             StoreElemS { subs, n, .. } => pop(&mut s, 1 + self.stack_operands(pc, subs, n)?)?,
             AtomicElem { nsubs, .. } => pop(&mut s, u32::from(nsubs) + 1)?,
             Alloc { ndims, .. } => pop(&mut s, 2 * u32::from(ndims))?,
-            CopyArr { .. } | Dealloc { .. } | CostBranch | VecEnter(_) | VecLeave | CallPre => {}
+            CopyArr { .. } | Dealloc { .. } | CostBranch | VecEnter(_) | VecLeave | CallPre
+            | Quiet { .. } => {}
             Jump(tg) => return Ok(vec![(tg, (s, a, t))]),
             JumpIfFalse(tg) => {
                 pop(&mut s, 1)?;
@@ -858,7 +878,7 @@ pub mod mutate {
             return None;
         }
         let u = units[rng.below(units.len())];
-        const KINDS: usize = 12;
+        const KINDS: usize = 13;
         let start = rng.below(KINDS);
         for k in 0..KINDS {
             let got = match (start + k) % KINDS {
@@ -873,6 +893,7 @@ pub mod mutate {
                 8 => vec_access_slot(&mut bunits[u], &mut rng),
                 9 => vec_red_slot(&mut bunits[u], &mut rng),
                 10 => sub_operand(&mut bunits[u], &mut rng),
+                11 => vec_iter_ledger(&mut bunits[u], &mut rng),
                 _ => call_arity(&mut bunits[u], &mut rng),
             };
             if let Some((kind, detail)) = got {
@@ -1126,6 +1147,44 @@ pub mod mutate {
         let d = sites[rng.below(sites.len())];
         bu.vecs[d].iter_cost = 0;
         Some(("vec-iter-cost", format!("descriptor {d}: iter_cost -> 0")))
+    }
+
+    /// Miscounts (or drops) a vector descriptor's per-iteration cost
+    /// ledger. Nothing traps: a Simulated run would post the wrong
+    /// counts for every vectorized trip and the figures built on the
+    /// trace would silently move, so only the verifier can catch it.
+    fn vec_iter_ledger(bu: &mut BUnit, rng: &mut Rng) -> Applied {
+        if bu.vecs.is_empty() {
+            return None;
+        }
+        let d = rng.below(bu.vecs.len());
+        let ledger = &mut bu.vecs[d].iter_ledger;
+        let bump = 1 + rng.next_u64() % 7;
+        let detail = match (ledger.as_mut(), rng.below(4)) {
+            (Some(_), 0) => {
+                *ledger = None;
+                "dropped".to_string()
+            }
+            (Some(l), 1) => {
+                l.ops.flop += bump;
+                format!("flop += {bump}")
+            }
+            (Some(l), 2) => {
+                l.ops.load += bump;
+                format!("load += {bump}")
+            }
+            (Some(l), _) => {
+                l.ops.store = l.ops.store.wrapping_sub(1);
+                "store -= 1".to_string()
+            }
+            (None, _) => {
+                let mut l = crate::cost::Ledger::default();
+                l.ops.iop = bump;
+                *ledger = Some(l);
+                format!("invented, iop = {bump}")
+            }
+        };
+        Some(("vec-iter-ledger", format!("descriptor {d}: ledger {detail}")))
     }
 
     /// Points a vector access stream at an array slot the frame doesn't

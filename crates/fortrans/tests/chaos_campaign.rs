@@ -225,6 +225,43 @@ fn thirty_job_mixed_batch_acceptance() {
     }
 }
 
+/// The campaign's trace invariant, driven directly over many seeds: a
+/// corrupted traced build run in Simulated mode never yields a cost
+/// trace different from the oracle's unless the verifier rejects the
+/// stream or the VM traps. Ledger corruptions are the sharp case — they
+/// change no result and trip no guard, so an injected one *does* bend
+/// the trace, and the verifier is the only thing standing in the way.
+#[test]
+fn corrupted_traced_streams_never_bend_the_trace_unnoticed() {
+    use fortrans::verify::{mutate, verify_program};
+    let corpus = chaos::base_corpus();
+    let sumsq = &corpus[1];
+    let art = fortrans::CompiledProgram::compile(&[sumsq.source.as_str()]).expect("compiles");
+    let mode = ExecMode::Simulated { threads: 2 };
+    let oracle = Session::solo(art.clone())
+        .run_tiered(sumsq.entry, &chaos::make_args(sumsq.entry).0, mode, ExecTier::TreeWalk)
+        .expect("oracle runs")
+        .trace;
+    let (mut ledger_hits, mut bent) = (0, 0);
+    for seed in 0..400u64 {
+        let mut bunits = (*art.bytecode(true)).clone();
+        let Some(m) = mutate::corrupt(&mut bunits, seed) else { continue };
+        let rejected = verify_program(art.program(), &bunits).is_err();
+        let mut session = Session::solo(art.clone());
+        session.set_limits(RunLimits { max_steps: Some(2_000_000), ..RunLimits::default() });
+        session.debug_inject_bytecode(true, bunits);
+        let run = session.run(sumsq.entry, &chaos::make_args(sumsq.entry).0, mode);
+        let diverged = matches!(&run, Ok(out) if out.fallback.is_none() && out.trace != oracle);
+        assert!(!diverged || rejected, "seed {seed}: trace diverged unnoticed after {m}");
+        if m.kind == "vec-iter-ledger" {
+            ledger_hits += 1;
+            bent += usize::from(diverged);
+        }
+    }
+    assert!(ledger_hits >= 10, "only {ledger_hits} ledger corruptions in 400 seeds");
+    assert!(bent > 0, "no injected ledger corruption reached the trace: the check is vacuous");
+}
+
 #[test]
 fn policy_named_in_structured_results() {
     // Every policy action renders to a stable lowercase name the batch

@@ -277,6 +277,7 @@ fn seeded_corruptions_are_all_rejected_by_the_verifier() {
         "vec-iter-cost",
         "vec-access-slot",
         "vec-red-slot",
+        "vec-iter-ledger",
         "sub-operand",
     ] {
         assert!(by_kind.contains_key(kind), "mutation kind {kind} never applied: {by_kind:?}");

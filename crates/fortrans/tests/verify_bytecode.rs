@@ -477,6 +477,85 @@ END MODULE m
     ),
 ];
 
+/// A vectorizable loop with prep (`k + 1` into a hidden slot) and a
+/// forwarded temp, so the traced build carries both quiet brackets.
+const LEDGER: &str = r#"
+MODULE m
+CONTAINS
+  SUBROUTINE sweep(a, b, n, k)
+    REAL(8), DIMENSION(1:32, 1:4) :: a
+    REAL(8), DIMENSION(1:32) :: b
+    INTEGER :: n, k, i
+    REAL(8) :: t
+    DO i = 1, n
+      t = b(i) * 0.5D0
+      a(i, k + 1) = t + SQRT(b(i))
+    END DO
+  END SUBROUTINE sweep
+END MODULE m
+"#;
+
+/// The per-iteration cost ledger of a `VecLoop` is recomputed from the
+/// scalar loop it shadows and must match — in either build: a Simulated
+/// run posts it unseen, nothing at run time could notice a wrong one.
+#[test]
+fn rejects_iteration_ledger_that_disagrees_with_the_scalar_loop() {
+    let engine = Session::compile(&[LEDGER]).unwrap();
+    for traced in [false, true] {
+        let base = compile_program(engine.program(), traced);
+        verify_program(engine.program(), &base).expect("baseline verifies");
+        let ledger = base[0].vecs[0].iter_ledger.expect("straight-line body has a ledger");
+        assert_eq!((ledger.ops.load, ledger.ops.store, ledger.ops.fspecial), (2, 1, 1));
+        let mut miscounted = base.clone();
+        miscounted[0].vecs[0].iter_ledger.as_mut().unwrap().ops.flop += 1;
+        let mut dropped = base.clone();
+        dropped[0].vecs[0].iter_ledger = None;
+        // The ledger also goes stale when the body changes under it.
+        let mut body_changed = base.clone();
+        let mul = body_changed[0]
+            .code
+            .iter()
+            .position(|i| matches!(i, BInstr::MulF))
+            .expect("t = b(i) * 0.5");
+        body_changed[0].code[mul] = BInstr::DivF;
+        for bad in [miscounted, dropped, body_changed] {
+            let msg = reject_msg(&engine, &bad);
+            assert!(msg.contains("iteration ledger disagrees"), "traced={traced}: {msg}");
+        }
+    }
+}
+
+#[test]
+fn rejects_quiet_bracket_that_is_not_straight_line() {
+    let engine = Session::compile(&[LEDGER]).unwrap();
+    let base = compile_program(engine.program(), true);
+    let brackets: Vec<(usize, u32)> = base[0]
+        .code
+        .iter()
+        .enumerate()
+        .filter_map(|(pc, i)| match *i {
+            BInstr::Quiet { end } => Some((pc, end)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(brackets.len(), 2, "prep and fixup brackets");
+    for (pc, end) in brackets {
+        // A jump inside the bracket would leave the nested range.
+        let mut jumps = base.clone();
+        jumps[0].code[pc + 1] = BInstr::Jump(0);
+        assert!(reject_msg(&engine, &jumps).contains("not straight-line"));
+        // So would a bracket that swallows what follows it (the loop,
+        // or past the fixup the unit's end).
+        let mut overlong = base.clone();
+        overlong[0].code[pc] = BInstr::Quiet { end: end + 2 };
+        let msg = reject_msg(&engine, &overlong);
+        assert!(msg.contains("not straight-line") || msg.contains("out of range"), "{msg}");
+        let mut backwards = base.clone();
+        backwards[0].code[pc] = BInstr::Quiet { end: pc as u32 };
+        assert!(reject_msg(&engine, &backwards).contains("not straight-line"));
+    }
+}
+
 #[test]
 fn every_corpus_program_verifies_in_both_variants() {
     for (label, src) in SWEEP {

@@ -6,7 +6,10 @@
 
 use glaf_repro::fun3d::mesh::Mesh;
 use glaf_repro::fun3d::native::{native_jacobian, native_jacobian_parallel};
-use glaf_repro::fun3d::variants::{run_real, run_simulated, Fun3dConfig, Fun3dVariant};
+use glaf_repro::fortrans::{ArgVal, ExecMode, Session};
+use glaf_repro::fun3d::variants::{
+    build_artifact, run_real, run_simulated, Fun3dConfig, Fun3dVariant,
+};
 use glaf_repro::glaf::{compare_slices, rms};
 use glaf_repro::simcpu::MachineModel;
 
@@ -87,4 +90,25 @@ fn main() {
             fuse: false,
         }),
     );
+
+    // 4. The same noRealloc option on this engine's own clock: the VM
+    //    pools ALLOCATE/DEALLOCATE, so SAVE'd temporaries buy nothing
+    //    here (EXPERIMENTS.md, "Simulated on the fast rungs").
+    println!("\n=== noRealloc, wall clock on the VM (Serial, best of 12) ===");
+    for no_realloc in [false, true] {
+        let cfg = Fun3dConfig { fuse: true, no_realloc, ..Default::default() };
+        let session = Session::solo(build_artifact(Fun3dVariant::Glaf(cfg)));
+        session.run("build_mesh", &[ArgVal::I(ncell)], ExecMode::Serial).expect("mesh builds");
+        let best = (0..12)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                for unit in ["zero_jac", "edgejp"] {
+                    session.run(unit, &[], ExecMode::Serial).expect("runs");
+                }
+                t.elapsed()
+            })
+            .min()
+            .expect("twelve runs");
+        println!("  {:36} {:>9.2} ms", cfg.tag(), best.as_secs_f64() * 1e3);
+    }
 }
