@@ -57,6 +57,11 @@ fn main() {
     if report.profile.regions.is_empty() {
         errors.push("profile recorded no omprt regions".into());
     }
+    for (i, r) in report.profile.regions.iter().enumerate() {
+        if r.busy_ns.len() as u64 != r.threads || r.start_ns.len() as u64 != r.threads {
+            errors.push(format!("region {i}: busy_ns/start_ns are not one entry per thread"));
+        }
+    }
     if report.loops.is_empty() {
         errors.push("predicted-vs-measured join produced no loops".into());
     }

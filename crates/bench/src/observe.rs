@@ -135,10 +135,11 @@ impl ObservabilityReport {
         }
         for (i, r) in p.regions.iter().enumerate() {
             out.push_str(&format!(
-                "region {i}: threads {} wall {:.3} ms utilization {:.2} imbalance {:.2} idle {:.3} ms\n",
+                "region {i}: threads {} wall {:.3} ms utilization {:.2} start {:.1} us imbalance {:.2} idle {:.3} ms\n",
                 r.threads,
                 r.wall_ns as f64 / 1e6,
                 r.utilization(),
+                r.median_start_ns() as f64 / 1e3,
                 r.imbalance(),
                 r.idle_ns() as f64 / 1e6,
             ));

@@ -1265,6 +1265,10 @@ impl<'e> region::Tier for TaskSite<'_, 'e> {
     fn state(task: &mut Self::Exe) -> &mut RegionState {
         &mut task.st
     }
+
+    fn steps(task: &mut Self::Exe) -> &mut u64 {
+        &mut task.steps
+    }
 }
 
 pub(crate) fn zero_of(ty: ScalarTy) -> Val {

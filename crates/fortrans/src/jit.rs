@@ -950,14 +950,6 @@ impl NativeHooks {
     ) -> Promotion {
         self.cache.promote(prog, bunits, uidx, desc, self.eager)
     }
-
-    pub(crate) fn count_deopt(&self) {
-        self.deopts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_entry(&self) {
-        self.entries.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// The session-owned durable native-tier state ([`NativeHooks`] is the

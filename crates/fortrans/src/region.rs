@@ -7,15 +7,17 @@
 //! real fork), decomposition of the collapsed iteration space, work
 //! distribution (`Dispenser` for runtime-dispatched schedules,
 //! `chunks_for` otherwise), reduction identities, keyed partials and
-//! their key-ordered fold, print merging, the worker-panic chaos hook
-//! and the region-entry safepoint.
+//! their key-ordered fold, print merging, the hand-over of the step
+//! budget to the team and back, the worker-panic chaos hook and the
+//! region-entry safepoint.
 //!
 //! A tier plugs in through [`Tier`]: how to make a worker, set a loop
-//! index, run the body, read and write a reduction variable and attach
-//! fault context. Expression and statement evaluation, frames and
-//! storage stay with the tiers, so the tree-walker remains an independent
-//! oracle for lowering and the VM — what is shared is bookkeeping, not
-//! evaluation. Calls are monomorphized per tier; nothing here is `dyn`.
+//! index, run the body, read and write a reduction variable, attach
+//! fault context, reach its step count and retire a worker. Expression
+//! and statement evaluation, frames and storage stay with the tiers, so
+//! the tree-walker remains an independent oracle for lowering and the VM
+//! — what is shared is bookkeeping, not evaluation. Calls are
+//! monomorphized per tier; nothing here is `dyn`.
 
 use omprt::{chunks_for, Dispenser, Schedule};
 use parking_lot::Mutex;
@@ -84,10 +86,19 @@ pub(crate) trait Tier: Sync {
     fn red_write(&self, exe: &mut Self::Exe, frame: &mut Self::Frame, ri: usize, v: Val);
     /// Wraps a worker's fault with its location registers.
     fn fault_ctx(&self, exe: &Self::Exe, e: RunError) -> RunError;
+    /// A team member has run its share: fold what it counted privately
+    /// into the run's shared counters.
+    fn retire(&self, _exe: &mut Self::Exe) {}
     /// The forking executor resumes after a real join (workers may have
     /// changed shared storage behind its back).
     fn joined(&self, _exe: &mut Self::Exe) {}
     fn state(exe: &mut Self::Exe) -> &mut RegionState;
+    /// The executor's count of steps retired, the one `RunLimits::max_steps`
+    /// is checked against. One budget covers the whole run: a team member
+    /// starts from the forker's count and what it retires is added to the
+    /// forker's at the join. (Not in [`RegionState`]: the tiers tick it on
+    /// every step and keep it where their dispatch loops want it.)
+    fn steps(exe: &mut Self::Exe) -> &mut u64;
 }
 
 /// Iterations of the whole collapsed space.
@@ -204,8 +215,20 @@ fn serial_nest<T: Tier>(
 /// Reduction partials of one fork, keyed for a deterministic combine
 /// order whatever the completion (or chunk-claim) order: one partial per
 /// thread keyed by tid under static schedules, one per chunk keyed by
-/// its first flat iteration under dynamic/guided.
+/// its first flat iteration under dynamic/guided. A region without
+/// reductions has nothing to combine and keeps only its errors.
 type KeyedPartials = Vec<(usize, Result<Vec<Val>, RunError>)>;
+
+/// What the members of one fork hand to the forker. A member collects
+/// its share privately and appends it under the lock once, when it has
+/// run out of work: nothing is shared per chunk.
+#[derive(Default)]
+struct Joined {
+    partials: KeyedPartials,
+    prints: String,
+    /// Steps the members retired, beyond the forker's count at the fork.
+    steps: u64,
+}
 
 /// Folds `keyed` onto `acc` in key order; the lowest-keyed error wins.
 fn join(
@@ -247,12 +270,12 @@ fn fork<T: Tier>(
     };
     split(true);
 
-    let results: Mutex<KeyedPartials> = Mutex::new(Vec::new());
-    let prints: Mutex<String> = Mutex::new(String::new());
+    let joined: Mutex<Joined> = Mutex::default();
     let dispenser = sched.is_runtime_dispatched().then(|| Dispenser::new(sched, total, team));
     let base_frame = &*frame;
+    let forked_steps = *T::steps(exe);
 
-    let joined = pool.run_tagged(spec.line, sched, |tid| {
+    let ran = pool.run_tagged(spec.line, sched, |tid| {
         if tid >= team {
             return;
         }
@@ -260,13 +283,11 @@ fn fork<T: Tier>(
             panic!("chaos: injected worker panic on tid {tid}");
         }
         let (mut w, mut wf) = tier.worker(tid, base_frame);
+        *T::steps(&mut w) = forked_steps;
         let seed = |w: &mut T::Exe, wf: &mut T::Frame| {
             for (ri, r) in reds.iter().enumerate() {
                 tier.red_write(w, wf, ri, identity_val(r.op, r.ty));
             }
-        };
-        let partial = |w: &T::Exe, wf: &T::Frame| -> Vec<Val> {
-            (0..reds.len()).map(|ri| tier.red_read(w, wf, ri)).collect()
         };
         let run_range = |w: &mut T::Exe, wf: &mut T::Frame, lo: usize, hi: usize| {
             for k in lo..hi {
@@ -277,17 +298,29 @@ fn fork<T: Tier>(
             }
             Ok(())
         };
+        let mut mine: KeyedPartials = Vec::new();
+        // Keeps the outcome of the work keyed `key`: the reduction
+        // partial `w` holds, or the fault. `false` after a fault.
+        let mut keep = |key: usize, r: Result<(), RunError>, w: &T::Exe, wf: &T::Frame| match r {
+            Ok(()) if reds.is_empty() => true,
+            Ok(()) => {
+                mine.push((key, Ok((0..reds.len()).map(|ri| tier.red_read(w, wf, ri)).collect())));
+                true
+            }
+            Err(e) => {
+                mine.push((key, Err(tier.fault_ctx(w, e))));
+                false
+            }
+        };
         match &dispenser {
             // Dynamic/guided: claim chunks first-come-first-served, one
-            // partial per chunk.
+            // partial per chunk. After a fault stop claiming; let the
+            // team drain and join.
             Some(disp) => {
                 while let Some((lo, hi)) = disp.claim() {
                     seed(&mut w, &mut wf);
-                    let r = run_range(&mut w, &mut wf, lo, hi).map(|()| partial(&w, &wf));
-                    let failed = r.is_err();
-                    results.lock().push((lo, r.map_err(|e| tier.fault_ctx(&w, e))));
-                    if failed {
-                        // Stop claiming; let the team drain and join.
+                    let r = run_range(&mut w, &mut wf, lo, hi);
+                    if !keep(lo, r, &w, &wf) {
                         break;
                     }
                 }
@@ -298,21 +331,26 @@ fn fork<T: Tier>(
                 seed(&mut w, &mut wf);
                 let r = chunks_for(sched, total, tid, team)
                     .into_iter()
-                    .try_for_each(|(lo, hi)| run_range(&mut w, &mut wf, lo, hi))
-                    .map(|()| partial(&w, &wf));
-                results.lock().push((tid, r.map_err(|e| tier.fault_ctx(&w, e))));
+                    .try_for_each(|(lo, hi)| run_range(&mut w, &mut wf, lo, hi));
+                keep(tid, r, &w, &wf);
             }
         }
-        let out = &T::state(&mut w).out;
-        if !out.is_empty() {
-            prints.lock().push_str(out);
-        }
+        tier.retire(&mut w);
+        let steps = *T::steps(&mut w) - forked_steps;
+        let mut joined = joined.lock();
+        joined.steps += steps;
+        joined.partials.append(&mut mine);
+        joined.prints.push_str(&T::state(&mut w).out);
     });
     split(false);
-    joined.map_err(|p| RunError::Trap { what: p.to_string() })?;
+    let Joined { partials, prints, steps } = joined.into_inner();
+    // Whatever the outcome, like a serial run's count at its fault.
+    let mine = T::steps(exe);
+    *mine = mine.saturating_add(steps);
+    ran.map_err(|p| RunError::Trap { what: p.to_string() })?;
 
-    T::state(exe).out.push_str(&prints.into_inner());
-    let folded = join(results.into_inner(), reds, init)?;
+    T::state(exe).out.push_str(&prints);
+    let folded = join(partials, reds, init)?;
     for (ri, v) in folded.into_iter().enumerate() {
         tier.red_write(exe, frame, ri, v);
     }

@@ -584,6 +584,7 @@ impl Session {
                                 threads: m.threads as u64,
                                 wall_ns: m.wall_ns,
                                 busy_ns: m.busy_ns,
+                                start_ns: m.start_ns,
                                 line: m.line as u64,
                                 sched: m.sched.render(),
                             })

@@ -105,6 +105,8 @@ pub struct RegionReport {
     pub wall_ns: u64,
     /// Per-worker busy time (`busy_ns[tid]`).
     pub busy_ns: Vec<u64>,
+    /// Per-worker wake latency, fork to closure entry (`start_ns[tid]`).
+    pub start_ns: Vec<u64>,
     /// Source line of the parallel DO that forked the region — the join
     /// key back to `omp@line` spans and schedule overrides (0 when the
     /// fork was untagged).
@@ -140,6 +142,14 @@ impl RegionReport {
             return 1.0;
         }
         max as f64 / mean
+    }
+
+    /// Median over the team of the fork-to-closure-entry latency (upper
+    /// median for an even team; 0 for an empty record).
+    pub fn median_start_ns(&self) -> u64 {
+        let mut v = self.start_ns.clone();
+        v.sort_unstable();
+        v.get(v.len() / 2).copied().unwrap_or(0)
     }
 }
 
@@ -245,12 +255,17 @@ impl Profile {
                 r.line,
                 json_str(&r.sched)
             );
-            for (j, b) in r.busy_ns.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
+            let per_thread = |s: &mut String, ns: &[u64]| {
+                for (j, b) in ns.iter().enumerate() {
+                    if j > 0 {
+                        s.push(',');
+                    }
+                    let _ = write!(s, "{b}");
                 }
-                let _ = write!(s, "{b}");
-            }
+            };
+            per_thread(&mut s, &r.busy_ns);
+            s.push_str("],\"start_ns\":[");
+            per_thread(&mut s, &r.start_ns);
             s.push_str("]}");
         }
         s.push(']');
@@ -287,17 +302,16 @@ impl Profile {
             .iter()
             .map(|r| {
                 let ro = r.obj("region")?;
+                let per_thread = |key: &str| {
+                    ro.req(key)?.arr(key)?.iter().map(|b| b.num(key)).collect::<Result<Vec<_>, _>>()
+                };
                 Ok(RegionReport {
                     threads: ro.req("threads")?.num("threads")?,
                     wall_ns: ro.req("wall_ns")?.num("wall_ns")?,
                     line: ro.req("line")?.num("line")?,
                     sched: ro.req("sched")?.str("sched")?,
-                    busy_ns: ro
-                        .req("busy_ns")?
-                        .arr("busy_ns")?
-                        .iter()
-                        .map(|b| b.num("busy_ns[]"))
-                        .collect::<Result<Vec<_>, _>>()?,
+                    busy_ns: per_thread("busy_ns")?,
+                    start_ns: per_thread("start_ns")?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
@@ -890,6 +904,7 @@ mod tests {
                 threads: 4,
                 wall_ns: 800,
                 busy_ns: vec![700, 650, 600, 550],
+                start_ns: vec![20, 45, 60, 75],
                 line: 5,
                 sched: "static".into(),
             }],

@@ -249,6 +249,13 @@ pub(crate) struct Vm<'e, const TRACE: bool> {
     /// Reused operand-pool and stream buffers for native-tier entries.
     npool: Vec<u64>,
     nstreams: Vec<JitStream>,
+    /// `VecLoop` entries this VM ran on the vector rung and natively, and
+    /// its native deopts. Counted here because a shared atomic bumped on
+    /// every entry is a cache line the whole team fights over;
+    /// [`Vm::retire`] folds them into the session's counters.
+    vector_entries: u64,
+    native_entries: u64,
+    native_deopts: u64,
 }
 
 impl<'e, const TRACE: bool> Vm<'e, TRACE> {
@@ -276,6 +283,26 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             nmemo: Vec::new(),
             npool: Vec::new(),
             nstreams: Vec::new(),
+            vector_entries: 0,
+            native_entries: 0,
+            native_deopts: 0,
+        }
+    }
+
+    /// Folds the rung entries counted privately into the session's shared
+    /// counters: called when a team member has run its share and when the
+    /// run ends. A method, not `Drop`: `go` moves fields out of the `Vm`.
+    fn retire(&mut self) {
+        use std::sync::atomic::Ordering::Relaxed;
+        let fold = |shared: &std::sync::atomic::AtomicU64, n: &mut u64| {
+            if *n > 0 {
+                shared.fetch_add(std::mem::take(n), Relaxed);
+            }
+        };
+        fold(&self.ex.vector_entries, &mut self.vector_entries);
+        if let Some(nh) = &self.ex.native {
+            fold(&nh.entries, &mut self.native_entries);
+            fold(&nh.deopts, &mut self.native_deopts);
         }
     }
 
@@ -726,9 +753,9 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         });
         Self::prefetch_globals(&mut self.gcache, ex, self.tid, d);
         let rt = Self::resolve_vec_streams(&self.gcache, &frame.a, &frame.i, d, lo, hi);
-        if let (Some(nh), Some(region)) = (nh, native) {
+        if let Some(region) = native {
             if !red_ok || rt.is_none() || d.accesses.len() != region.naccess {
-                nh.count_deopt();
+                self.native_deopts += 1;
                 native = None;
             }
         }
@@ -745,9 +772,9 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             VSlot::GlobS(c) => f64::from_bits(ex.globals.cells[c as usize].load_bits(self.tid)),
             _ => unreachable!("verified reduction accumulator slot"),
         });
-        let acc = match (nh, native) {
-            (Some(nh), Some(region)) => {
-                nh.count_entry();
+        let acc = match native {
+            Some(region) => {
+                self.native_entries += 1;
                 // Resolve the loop-invariant operand pool from the
                 // region's recipe (frame scalars / globals can change
                 // between entries; the machine code only sees pool
@@ -780,8 +807,8 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 )?;
                 acc.map(|_| out)
             }
-            _ => {
-                ex.vector_entries.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            None => {
+                self.vector_entries += 1;
                 Self::run_chunks(ex, self.tid, &mut self.vbuf, frame, d, &rt, lo, n, acc)?
             }
         };
@@ -804,7 +831,13 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
     /// The vector rung: iterations `[0, n)` of `d` as chunked slice
     /// loops over [`VEC_CHUNK`] lanes. Returns the reduction accumulator
     /// (`acc` passed through when the region has none).
+    ///
+    /// `#[inline(always)]`: its one caller is [`Self::exec_fast_loop`],
+    /// and LLVM stopped inlining it there when the entry counters became
+    /// plain fields, which cost `sarb_warm` and `fun3d_warm` 2 % each
+    /// (~20 ns per `VecLoop` entry).
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     fn run_chunks(
         ex: &Exec,
         tid: usize,
@@ -1866,6 +1899,10 @@ impl<'e, const TRACE: bool> region::Tier for VmSite<'e, TRACE> {
         vm_ctx(self.ex, self.bunits, vm, e)
     }
 
+    fn retire(&self, vm: &mut Vm<'e, TRACE>) {
+        vm.retire();
+    }
+
     fn joined(&self, vm: &mut Vm<'e, TRACE>) {
         // Workers may have allocated or freed global arrays; drop every
         // cached handle so we re-read the cells.
@@ -1874,6 +1911,10 @@ impl<'e, const TRACE: bool> region::Tier for VmSite<'e, TRACE> {
 
     fn state(vm: &mut Self::Exe) -> &mut RegionState {
         &mut vm.st
+    }
+
+    fn steps(vm: &mut Self::Exe) -> &mut u64 {
+        &mut vm.steps
     }
 }
 
@@ -1960,7 +2001,9 @@ fn go<const TRACE: bool>(
     if let Some(p) = prof {
         p.unit_enter(&unit.name);
     }
-    let flow = match vm.run_range(unit_id, &mut frame, 0, bu.code.len() as u32) {
+    let ran = vm.run_range(unit_id, &mut frame, 0, bu.code.len() as u32);
+    vm.retire();
+    let flow = match ran {
         Ok(f) => f,
         Err(e) => return Err(vm_ctx(exec, bunits, &vm, e)),
     };

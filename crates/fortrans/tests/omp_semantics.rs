@@ -513,6 +513,144 @@ END MODULE m
     }
 }
 
+/// `VecLoop` entries are counted per VM and folded into the session's
+/// counters when a team member retires and when the run ends: a team
+/// must report exactly the entries the serial run does.
+#[test]
+fn rung_entry_counts_survive_the_fold_from_team_members() {
+    let src = r#"
+MODULE m
+CONTAINS
+  SUBROUTINE rows(a, n, m)
+    REAL(8), DIMENSION(1:64, 1:40) :: a
+    INTEGER :: n, m
+    INTEGER :: i, j
+    !$OMP PARALLEL DO PRIVATE(i)
+    DO j = 1, m
+      DO i = 1, n
+        a(i, j) = a(i, j) * 2.0D0 + 1.0D0
+      END DO
+    END DO
+    !$OMP END PARALLEL DO
+  END SUBROUTINE rows
+END MODULE m
+"#;
+    for native in [false, true] {
+        // One session per mode: promotion heat lives on the artifact.
+        let entries = |mode: ExecMode| {
+            let e = engine(src);
+            e.set_native_enabled(native);
+            let a = ArgVal::array_f_dims(&vec![1.0; 64 * 40], vec![(1, 64), (1, 40)]).unwrap();
+            for _ in 0..3 {
+                e.run("rows", &[a.clone(), ArgVal::I(64), ArgVal::I(40)], mode).unwrap();
+            }
+            assert_eq!(a.handle().unwrap().get_f(0), 15.0, "{mode:?}");
+            (e.vector_entry_count(), e.native_entry_count())
+        };
+        let (sv, sn) = entries(ExecMode::Serial);
+        let (pv, pn) = entries(ExecMode::Parallel { threads: 2 });
+        assert_eq!(sv + sn, 3 * 40, "native={native}: one entry per row per run");
+        if native {
+            // Promotion heat may split the two rungs differently.
+            assert_eq!(pv + pn, sv + sn);
+        } else {
+            assert_eq!((pv, pn), (sv, 0));
+        }
+    }
+}
+
+/// Members of a dynamic-schedule region keep their outcomes to
+/// themselves until they run out of work, and a region without
+/// reductions keeps nothing but faults; the fault that is reported is
+/// still the one of the lowest iteration.
+#[test]
+fn dynamic_region_without_reductions_reports_the_lowest_keyed_fault() {
+    let src = r#"
+MODULE m
+CONTAINS
+  SUBROUTINE poke(a)
+    REAL(8), DIMENSION(1:64) :: a
+    INTEGER :: i
+    !$OMP PARALLEL DO SCHEDULE(DYNAMIC)
+    DO i = 1, 64
+      IF (i == 37 .OR. i == 5) THEN
+        a(i + 100) = 1.0D0
+      ELSE
+        a(i) = 1.0D0
+      END IF
+    END DO
+    !$OMP END PARALLEL DO
+  END SUBROUTINE poke
+END MODULE m
+"#;
+    let e = engine(src);
+    for tier in [ExecTier::Vm, ExecTier::TreeWalk] {
+        for threads in [2, 3] {
+            for _ in 0..20 {
+                let a = ArgVal::array_f(&[0.0; 64], 1);
+                let err = e
+                    .run_tiered("poke", &[a], ExecMode::Parallel { threads }, tier)
+                    .expect_err("two iterations fault");
+                assert!(
+                    matches!(err.root(), RunError::OutOfBounds { index: 105, .. }),
+                    "{tier:?} x{threads}: {err}"
+                );
+            }
+        }
+    }
+}
+
+/// Runtime-dispatched schedules hand chunks to whichever thread asks
+/// first, but partials are keyed by a chunk's first iteration and folded
+/// in key order, so a floating-point reduction does not depend on who
+/// ran what.
+#[test]
+fn dynamic_and_guided_reductions_are_bit_reproducible() {
+    let src = r#"
+MODULE m
+CONTAINS
+  REAL(8) FUNCTION dyn3(n)
+    INTEGER :: n
+    INTEGER :: i
+    REAL(8) :: s
+    s = 0.0D0
+    !$OMP PARALLEL DO SCHEDULE(DYNAMIC, 3) REDUCTION(+:s)
+    DO i = 1, n
+      s = s + (10.0D0 ** MOD(i, 13)) / (i * 1.0D0)
+    END DO
+    !$OMP END PARALLEL DO
+    dyn3 = s
+  END FUNCTION dyn3
+  REAL(8) FUNCTION guided(n)
+    INTEGER :: n
+    INTEGER :: i
+    REAL(8) :: s
+    s = 0.0D0
+    !$OMP PARALLEL DO SCHEDULE(GUIDED) REDUCTION(+:s)
+    DO i = 1, n
+      s = s + (10.0D0 ** MOD(i, 13)) / (i * 1.0D0)
+    END DO
+    !$OMP END PARALLEL DO
+    guided = s
+  END FUNCTION guided
+END MODULE m
+"#;
+    let e = engine(src);
+    for unit in ["dyn3", "guided"] {
+        let run = || {
+            let out = e.run(unit, &[ArgVal::I(1000)], ExecMode::Parallel { threads: 2 }).unwrap();
+            match out.result {
+                Some(Val::F(v)) => v.to_bits(),
+                other => panic!("{unit}: {other:?}"),
+            }
+        };
+        let first = run();
+        for k in 1..50 {
+            assert_eq!(run(), first, "{unit}: run {k} folded in another order");
+        }
+    }
+}
+
 /// A trailing `!` comment on a directive line is a comment in both source
 /// forms: the same loop, written free-form and on fixed-form cards with a
 /// comment after each directive, compiles and computes the same thing.

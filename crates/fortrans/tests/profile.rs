@@ -83,6 +83,12 @@ fn profile_records_units_loops_and_regions() {
         for r in &p.regions {
             assert_eq!(r.threads, 2);
             assert_eq!(r.busy_ns.len(), 2);
+            // Wake latency per thread: both got into the closure, and
+            // neither before the fork nor after the join.
+            assert_eq!(r.start_ns.len(), 2);
+            for (start, busy) in r.start_ns.iter().zip(&r.busy_ns) {
+                assert!(start + busy <= r.wall_ns, "{tier:?}: {r:?}");
+            }
         }
 
         // Unprofiled runs stay silent: the pool must not keep recording.

@@ -72,6 +72,7 @@ fn draw_profile(rng: &mut TestRng) -> Profile {
                 threads,
                 wall_ns: rng.below(1_000_000) as u64,
                 busy_ns: (0..threads).map(|_| rng.below(1_000_000) as u64).collect(),
+                start_ns: (0..threads).map(|_| rng.below(100_000) as u64).collect(),
                 line: rng.below(2000) as u64,
                 sched: ["static", "static,4", "dynamic,1", "guided,2"][rng.below(4)].into(),
             }

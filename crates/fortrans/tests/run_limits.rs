@@ -78,6 +78,59 @@ fn generous_deadline_does_not_trip() {
     }
 }
 
+const FORKS: &str = r#"
+MODULE m
+CONTAINS
+  SUBROUTINE go(a)
+    REAL(8), DIMENSION(1:64) :: a
+    INTEGER :: i, r
+    DO r = 1, 10
+      !$OMP PARALLEL DO
+      DO i = 1, 64
+        a(i) = a(i) + 1.0D0
+      END DO
+      !$OMP END PARALLEL DO
+    END DO
+  END SUBROUTINE go
+END MODULE m
+"#;
+
+/// One step budget covers the whole run, however many teams it forks:
+/// a member starts from the forker's count and hands back what it
+/// retired. (Each member used to start from zero at every region, so
+/// ten regions of 64 iterations never met a budget one region fits in.)
+#[test]
+fn step_budget_is_enforced_across_forks() {
+    // Total work is ~640 statements / a few thousand instructions; one
+    // region's share of it fits either budget many times over.
+    let tight = |tier| if tier == ExecTier::Vm { 1_000 } else { 300 };
+    let modes = [1, 2, 4].map(|threads| ExecMode::Parallel { threads });
+    for tier in [ExecTier::Vm, ExecTier::TreeWalk] {
+        let run = |max_steps: u64, mode: ExecMode| {
+            let mut engine = Session::compile(&[FORKS]).unwrap();
+            engine.set_limits(RunLimits { max_steps: Some(max_steps), ..RunLimits::default() });
+            let a = ArgVal::array_f(&[0.0; 64], 1);
+            engine
+                .run_profiled("go", std::slice::from_ref(&a), mode, tier)
+                .map(|(_, profile)| (a.handle().unwrap().to_f64_vec(), profile.steps))
+                .map_err(|e| e.to_string())
+        };
+        let (_, serial_steps) = run(100_000, ExecMode::Serial).expect("budget covers the work");
+        assert!(serial_steps > tight(tier), "{tier:?}: {serial_steps} steps");
+        for mode in std::iter::once(ExecMode::Serial).chain(modes) {
+            let err = run(tight(tier), mode).expect_err("budget trips");
+            let stock = format!("step budget of {} exhausted", tight(tier));
+            assert!(err.contains(&stock), "{tier:?} {mode:?}: {err}");
+
+            let (a, steps) = run(100_000, mode).expect("budget covers the work");
+            assert_eq!(a, vec![10.0; 64], "{tier:?} {mode:?}");
+            // Nothing is lost in the fold: the team retired what the
+            // serial run did.
+            assert_eq!(steps, serial_steps, "{tier:?} {mode:?}");
+        }
+    }
+}
+
 const PINGPONG: &str = r#"
 MODULE m
 CONTAINS

@@ -5,8 +5,8 @@
 //! this crate provides them from scratch:
 //!
 //! * a **persistent worker pool** ([`pool::ThreadPool`]) with fork-join
-//!   semantics — workers park between regions instead of being respawned,
-//!   like a real OpenMP runtime;
+//!   semantics — between regions workers spin briefly, then park, instead
+//!   of being respawned, like a real OpenMP runtime;
 //! * **loop scheduling** ([`schedule`]) — contiguous and round-robin
 //!   chunked variants of `SCHEDULE(STATIC[,chunk])`, plus a lock-free
 //!   iteration dispenser for `SCHEDULE(DYNAMIC)` / `SCHEDULE(GUIDED)`;

@@ -2,7 +2,8 @@
 //!
 //! The [`crate::pool::ThreadPool`] can account, per fork-join region, how
 //! long each team thread spent inside the region closure versus the
-//! region's fork-to-join wall time. Collection is off by default and
+//! region's fork-to-join wall time, and how long after the fork it got
+//! there. Collection is off by default and
 //! switched with [`crate::pool::ThreadPool::set_metrics`]; while off, the
 //! only residue in the hot path is one relaxed atomic load per region.
 
@@ -17,6 +18,10 @@ pub struct RegionMetrics {
     pub wall_ns: u64,
     /// Per-thread busy time inside the region closure, indexed by tid.
     pub busy_ns: Vec<u64>,
+    /// Per-thread wake latency — fork to closure entry — indexed by tid.
+    /// What thread 0 pays is the fork itself (publishing the job, waking
+    /// parked workers); what a worker pays is noticing it.
+    pub start_ns: Vec<u64>,
     /// Source line of the parallel construct that forked the region
     /// (0 when the caller did not tag the fork).
     pub line: u32,
@@ -59,7 +64,8 @@ mod tests {
     use super::*;
 
     fn metrics(threads: usize, wall_ns: u64, busy_ns: Vec<u64>) -> RegionMetrics {
-        RegionMetrics { threads, wall_ns, busy_ns, line: 0, sched: Schedule::default() }
+        let start_ns = vec![0; busy_ns.len()];
+        RegionMetrics { threads, wall_ns, busy_ns, start_ns, line: 0, sched: Schedule::default() }
     }
 
     #[test]

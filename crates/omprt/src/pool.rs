@@ -1,40 +1,130 @@
 //! A persistent fork-join worker pool.
 //!
-//! `ThreadPool::new(t)` spawns `t - 1` workers that park on a condvar; the
-//! calling thread acts as thread 0 of every region (exactly how OpenMP
-//! implementations reuse the master thread). [`ThreadPool::run`] executes a
-//! closure once per thread id and returns when every thread has finished —
-//! the fork-join contract that makes the single `unsafe` lifetime-erasure
-//! below sound.
+//! `ThreadPool::new(t)` spawns `t - 1` workers; the calling thread acts as
+//! thread 0 of every region (exactly how OpenMP implementations reuse the
+//! master thread). [`ThreadPool::run`] executes a closure once per thread
+//! id and returns when every thread has finished — the fork-join contract
+//! that makes the single `unsafe` lifetime-erasure below sound.
+//!
+//! # Waiting: spin, then park
+//!
+//! Two waits bracket every region: a worker waits for the next
+//! `generation`, the forking caller waits for `active == 0`. While the
+//! team is *hot* — the next fork follows the last join within
+//! [`SPIN_BOUND`] — both are served in user space by
+//! `Shared::spin_until`: Acquire loads of the one atomic the other side
+//! writes, a `yield_now` every `POLLS_PER_YIELD` loads, and a wall-clock
+//! bound. Past the bound the waiter parks on its condvar, as every waiter
+//! did before: an idle pool costs no CPU. The wake-up syscalls follow the
+//! same rule — `work_cv`/`done_cv` are notified only when
+//! `State::parked` / `State::joiner_parked` say somebody is really asleep
+//! — so a hot fork and a hot join are a handful of cache-line transfers,
+//! what an in-region [`crate::Barrier`] phase costs.
+//!
+//! Spinning pays only while every team thread has a CPU to itself, and
+//! two gates keep it to that case; neither is a setting.
+//!
+//! * A team wider than `std::thread::available_parallelism()` (read once
+//!   per pool) never spins: its members cannot all be running, so a
+//!   spinning waiter would burn the time slice of the thread it is
+//!   waiting for. Such a pool parks at once.
+//! * The yield doubles as a probe for *other people's* threads. Alone on
+//!   its CPU a waiter gets the CPU straight back; next to a runnable
+//!   thread of anybody's the kernel runs that thread for a scheduler
+//!   slice first — milliseconds, against regions of microseconds — and
+//!   does so on every other yield or so. One yield that comes back later
+//!   than `SPIN_BOUND` is only suspicious (a shared host interrupts a
+//!   lone thread that long a few times a second); a second one within the
+//!   same thread's next `CONFIRM_YIELDS` yields marks the host as
+//!   crowded, and the whole pool parks at once for `CROWDED_BACKOFF`
+//!   times what that yield lost, which caps what probing a busy host can
+//!   cost at about 1 % of the time. A parked thread is woken ahead of a
+//!   CPU hog, a spinning one queues behind it, so on a crowded host
+//!   parking is also simply the faster wait.
+//!
+//! # Lock order
+//!
+//! `generation` is written, and `parked`/`joiner_parked` are read and
+//! written, only under the `state` lock, and both condvars wait on that
+//! lock. A waiter re-checks its condition under the lock *before* it
+//! raises its parked mark and sleeps (one atomic step, `Condvar::wait`);
+//! the other side changes the condition first and only then takes the
+//! lock to read the mark. Whichever takes the lock second sees the
+//! other's write, so no wake-up is lost: either the waiter sees the
+//! condition met and does not sleep, or the notifier sees the mark and
+//! notifies. The `fork` mutex is taken before `state`, never inside it.
+//!
+//! # Panics
 //!
 //! Panics are contained at the pool boundary: a closure that panics (on a
 //! worker *or* on thread 0) does not kill the pool or leak the job
 //! pointer. Each invocation runs under `catch_unwind`, the join always
 //! completes, and [`ThreadPool::run`] reports the first panic as a
 //! [`RegionPanic`]. Because the catch happens *inside* the worker's loop,
-//! a panicked worker parks again and serves later regions — the pool
+//! a panicked worker waits again and serves later regions — the pool
 //! self-heals without respawning threads.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
 use crate::metrics::RegionMetrics;
 use crate::schedule::Schedule;
 
+/// How long a hot team's waiter polls in user space before it parks.
+///
+/// Sized from the gaps between a join and the next fork on SARB GLAF
+/// v3 under `Parallel{2}` (EXPERIMENTS.md, "Execution rungs", has the
+/// distribution): each column forks twice, 2 µs apart, and then runs its
+/// serial remainder, a gap of 85 µs in the median, 120 µs at the 90th
+/// percentile and 150 µs at the 99th on a quiet host, and 140 / 170 /
+/// 200–300 µs on a day the host runs 1.6x slow; 0.1 % resp. 1–3.5 % of
+/// those gaps pass 200 µs. So this bound keeps the team hot across a
+/// whole `run_columns` call, and an idle pool is parked a fifth of a
+/// millisecond after its last region. The same figure is the line
+/// between a yield that came straight back (0.4 µs; under 50 µs even
+/// when the host interrupts it) and one that ran another thread first
+/// (1 ms and up).
+pub const SPIN_BOUND: Duration = Duration::from_micros(200);
+
+/// Loads between two `yield_now` calls of [`Shared::spin_until`].
+const POLLS_PER_YIELD: u32 = 64;
+
+/// A yield slower than [`SPIN_BOUND`] is confirmed as crowding by a second
+/// one within the thread's next `CONFIRM_YIELDS` yields. Next to a CPU
+/// hog about every other yield is slow, on a lone CPU a few in a million.
+const CONFIRM_YIELDS: u32 = 16;
+
+/// After a confirming yield that lost the CPU for `d`, the pool parks at
+/// once for `CROWDED_BACKOFF * d` before it probes the host again (two
+/// slices lost per probe, so 200 caps the loss at 1 %).
+const CROWDED_BACKOFF: u32 = 200;
+
 /// Type-erased job pointer: a borrowed `&(dyn Fn(usize) + Sync)` smuggled
-/// across the `'static` requirement of worker threads. Soundness argument:
-/// `run` stores the pointer, wakes the workers, and *does not return* until
-/// `active` drops to zero, i.e. until no worker can touch the pointer again.
+/// across the `'static` requirement of worker threads.
+///
+/// Soundness argument. `run` publishes the pointer together with a new
+/// `generation` under the `state` lock, after setting `active` to the
+/// number of workers. A worker reads the pointer only under that lock and
+/// only together with a generation it has not served, so it takes each
+/// region's pointer at most once, and its `fetch_sub` on `active`
+/// (`AcqRel`) comes after its last use of it. `run` *does not return*
+/// until it has Acquire-observed `active == 0` — in [`Shared::spin_until`] or,
+/// past the bound, in the locked `done_cv` loop; the two differ only in
+/// how the caller waits — i.e. until every worker has taken this
+/// region's pointer and is done with it. The next region cannot be
+/// published earlier either (same caller, or one queued on `fork`), so no
+/// worker can skip a generation and wake up holding a stale pointer.
+/// Between regions the slot keeps the last pointer, dangling and unread.
 #[derive(Clone, Copy)]
 struct JobPtr(*const (dyn Fn(usize) + Sync));
 
 // SAFETY: the pointee is `Sync` (shared invocation from many threads is its
 // contract) and the pool guarantees the pointee outlives all uses (see
-// `run`).
+// above).
 unsafe impl Send for JobPtr {}
 unsafe impl Sync for JobPtr {}
 
@@ -66,27 +156,108 @@ fn payload_msg(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// What one team thread alone writes, on a cache line of its own.
+#[repr(align(64))]
+#[derive(Default)]
+struct Slot {
+    /// Busy time inside the current region's closure.
+    busy_ns: AtomicU64,
+    /// Fork-to-closure-entry latency of the current region.
+    start_ns: AtomicU64,
+    /// Lifetime count of waits this thread finished without parking.
+    spin_exits: AtomicU64,
+    /// Yields left in which a slow one confirms the host as crowded.
+    suspect: AtomicU32,
+}
+
 struct Shared {
     state: Mutex<State>,
     work_cv: Condvar,
     done_cv: Condvar,
+    /// Regions forked so far. Stored only under the `state` lock, together
+    /// with `State::job`; loaded lock-free by spinning workers.
+    generation: AtomicU64,
     /// Workers still executing the current generation's job.
     active: AtomicUsize,
     /// Panics caught on workers during the current generation.
     panics: Mutex<Vec<RegionPanic>>,
     /// When set, every region records a [`RegionMetrics`] entry.
     metrics_on: AtomicBool,
-    /// Per-thread busy time of the current region, zeroed at each fork.
-    busy_ns: Vec<AtomicU64>,
+    /// The team fits the host's CPUs, so its waits spin before parking.
+    hot: bool,
+    /// Pool creation: the origin of `crowded_until_ns`.
+    born: Instant,
+    /// While `born.elapsed()` is below this, the host is taken to be
+    /// crowded and no wait spins. A hint, so `Relaxed` throughout.
+    crowded_until_ns: AtomicU64,
+    /// Per-thread slots, indexed by tid (busy/start time are zeroed at
+    /// each timed fork).
+    slots: Vec<Slot>,
     /// Lifetime count of panics caught at the pool boundary (workers and
     /// thread 0 alike). Never reset: a health probe for shared pools.
     contained: AtomicU64,
 }
 
+impl Shared {
+    /// The bounded user-space wait both sides of a region use, here on
+    /// behalf of thread `tid`: polls `ready` until it holds (`true`), or
+    /// until [`SPIN_BOUND`] has passed or the pool may not spin at all
+    /// (`false`; the caller parks). See the module docs for the two gates.
+    fn spin_until(&self, tid: usize, ready: impl Fn() -> bool) -> bool {
+        if !self.hot {
+            return false;
+        }
+        let since_born = |t: Instant| (t - self.born).as_nanos() as u64;
+        let t0 = Instant::now();
+        if since_born(t0) < self.crowded_until_ns.load(Ordering::Relaxed) {
+            return false;
+        }
+        let slot = &self.slots[tid];
+        let mut last = t0;
+        let met = loop {
+            if (0..POLLS_PER_YIELD).any(|_| ready()) {
+                break true;
+            }
+            std::thread::yield_now();
+            let now = Instant::now();
+            let lost = now - last;
+            if lost > SPIN_BOUND {
+                // One round of polls is nanoseconds: the yield ran
+                // somebody else's thread on this CPU, or the host took
+                // the CPU away. The second time in a row it is the former.
+                if slot.suspect.swap(CONFIRM_YIELDS, Ordering::Relaxed) > 0 {
+                    let cold = lost.as_nanos() as u64 * u64::from(CROWDED_BACKOFF);
+                    self.crowded_until_ns.store(since_born(now) + cold, Ordering::Relaxed);
+                }
+                break ready();
+            }
+            let suspect = slot.suspect.load(Ordering::Relaxed);
+            if suspect > 0 {
+                slot.suspect.store(suspect - 1, Ordering::Relaxed);
+            }
+            if now - t0 >= SPIN_BOUND {
+                break ready();
+            }
+            last = now;
+        };
+        if met {
+            slot.spin_exits.fetch_add(1, Ordering::Relaxed);
+        }
+        met
+    }
+}
+
 struct State {
-    job: Option<JobPtr>,
-    generation: u64,
+    /// The current region's closure, and its fork time when the region is
+    /// timed.
+    job: Option<(JobPtr, Option<Instant>)>,
     shutdown: bool,
+    /// Workers asleep on `work_cv`.
+    parked: usize,
+    /// The forking caller is asleep on `done_cv`.
+    joiner_parked: bool,
+    /// Lifetime count of condvar sleeps, workers and callers alike.
+    parks: u64,
 }
 
 /// A fixed-size fork-join pool. Thread ids run `0..threads`, with the
@@ -96,7 +267,7 @@ pub struct ThreadPool {
     handles: Vec<std::thread::JoinHandle<()>>,
     threads: usize,
     /// Completed-region metrics in fork order (only the forking caller
-    /// touches this; workers write the `Shared::busy_ns` slots).
+    /// touches this; workers write their `Shared::slots` entry).
     records: Mutex<Vec<RegionMetrics>>,
     /// Serializes whole regions: a pool shared between sessions admits
     /// one forking caller at a time — later callers queue here instead of
@@ -111,14 +282,25 @@ impl ThreadPool {
     /// treated as 1.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         let shared = Arc::new(Shared {
-            state: Mutex::new(State { job: None, generation: 0, shutdown: false }),
+            state: Mutex::new(State {
+                job: None,
+                shutdown: false,
+                parked: 0,
+                joiner_parked: false,
+                parks: 0,
+            }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
+            generation: AtomicU64::new(0),
             active: AtomicUsize::new(0),
             panics: Mutex::new(Vec::new()),
             metrics_on: AtomicBool::new(false),
-            busy_ns: (0..threads).map(|_| AtomicU64::new(0)).collect(),
+            hot: threads <= cpus,
+            born: Instant::now(),
+            crowded_until_ns: AtomicU64::new(0),
+            slots: (0..threads).map(|_| Slot::default()).collect(),
             contained: AtomicU64::new(0),
         });
         let mut handles = Vec::with_capacity(threads - 1);
@@ -159,6 +341,16 @@ impl ThreadPool {
         self.shared.contained.load(Ordering::Relaxed)
     }
 
+    /// Lifetime counts of how this pool's waits ended, workers and forking
+    /// callers alike: `(spin exits, parks)` — waits that found their
+    /// condition within [`SPIN_BOUND`], and condvar sleeps. A probe for
+    /// tests of the spin/park boundary; read it between regions.
+    #[doc(hidden)]
+    pub fn wait_counts(&self) -> (u64, u64) {
+        let spins = self.shared.slots.iter().map(|s| s.spin_exits.load(Ordering::Relaxed)).sum();
+        (spins, self.shared.state.lock().parks)
+    }
+
     /// Runs `f(tid)` once for each `tid in 0..threads`, in parallel, and
     /// returns after all invocations complete (the join of fork-join).
     ///
@@ -183,13 +375,15 @@ impl ThreadPool {
     where
         F: Fn(usize) + Sync,
     {
-        let timing = self.shared.metrics_on.load(Ordering::Relaxed);
+        let shared = &*self.shared;
+        let timing = shared.metrics_on.load(Ordering::Relaxed);
         if self.threads == 1 {
             // Degenerate team: the region *is* the caller's inline call,
-            // so busy time equals wall time by construction.
+            // so busy time equals wall time by construction and the
+            // closure starts at the fork.
             let t0 = timing.then(Instant::now);
             let r = catch_unwind(AssertUnwindSafe(|| f(0))).map_err(|p| {
-                self.shared.contained.fetch_add(1, Ordering::Relaxed);
+                shared.contained.fetch_add(1, Ordering::Relaxed);
                 RegionPanic { tid: 0, what: payload_msg(&*p) }
             });
             if let Some(t0) = t0 {
@@ -198,6 +392,7 @@ impl ThreadPool {
                     threads: 1,
                     wall_ns: ns,
                     busy_ns: vec![ns],
+                    start_ns: vec![0],
                     line,
                     sched,
                 });
@@ -210,11 +405,12 @@ impl ThreadPool {
         // never abandoned mid-region.
         let _region = self.fork.lock();
         if timing {
-            for slot in &self.shared.busy_ns {
-                slot.store(0, Ordering::Relaxed);
+            for slot in &shared.slots {
+                slot.busy_ns.store(0, Ordering::Relaxed);
+                slot.start_ns.store(0, Ordering::Relaxed);
             }
         }
-        let region_start = timing.then(Instant::now);
+        let forked_at = timing.then(Instant::now);
         let erased: &(dyn Fn(usize) + Sync) = &f;
         // SAFETY: see `JobPtr` — we block until all workers are done with
         // the pointer before `f` can be dropped.
@@ -223,41 +419,46 @@ impl ThreadPool {
                 as *const _
         });
         {
-            let mut st = self.shared.state.lock();
-            debug_assert!(st.job.is_none(), "regions do not nest on one pool");
-            self.shared.active.store(self.threads - 1, Ordering::Release);
-            st.job = Some(ptr);
-            st.generation += 1;
-            self.shared.work_cv.notify_all();
+            let mut st = shared.state.lock();
+            shared.active.store(self.threads - 1, Ordering::Release);
+            st.job = Some((ptr, forked_at));
+            if st.parked > 0 {
+                shared.work_cv.notify_all();
+            }
+            // Last, so a spinning worker meets the lock about to open.
+            shared.generation.fetch_add(1, Ordering::Release);
         }
         // The caller is thread 0. Catch its panic too: unwinding out of
         // `run` while workers still hold the job pointer would free `f`
         // under them.
-        let t0_start = timing.then(Instant::now);
-        let t0 = catch_unwind(AssertUnwindSafe(|| f(0)));
-        if let Some(s) = t0_start {
-            self.shared.busy_ns[0].store(s.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
+        let t0 = run_member(shared, 0, forked_at, || f(0));
         // Join: wait for workers — unconditionally, for soundness.
-        {
-            let mut st = self.shared.state.lock();
-            while self.shared.active.load(Ordering::Acquire) != 0 {
-                self.shared.done_cv.wait(&mut st);
+        let done = || shared.active.load(Ordering::Acquire) == 0;
+        if !shared.spin_until(0, done) {
+            let mut st = shared.state.lock();
+            while !done() {
+                st.joiner_parked = true;
+                st.parks += 1;
+                shared.done_cv.wait(&mut st);
             }
-            st.job = None;
+            st.joiner_parked = false;
         }
-        if let Some(s) = region_start {
+        if let Some(s) = forked_at {
+            let per_thread = |ns: fn(&Slot) -> &AtomicU64| {
+                shared.slots.iter().map(|s| ns(s).load(Ordering::Relaxed)).collect()
+            };
             self.records.lock().push(RegionMetrics {
                 threads: self.threads,
                 wall_ns: s.elapsed().as_nanos() as u64,
-                busy_ns: self.shared.busy_ns.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
+                busy_ns: per_thread(|s| &s.busy_ns),
+                start_ns: per_thread(|s| &s.start_ns),
                 line,
                 sched,
             });
         }
-        let mut caught: Vec<RegionPanic> = self.shared.panics.lock().drain(..).collect();
+        let mut caught: Vec<RegionPanic> = shared.panics.lock().drain(..).collect();
         if let Err(p) = t0 {
-            self.shared.contained.fetch_add(1, Ordering::Relaxed);
+            shared.contained.fetch_add(1, Ordering::Relaxed);
             caught.push(RegionPanic { tid: 0, what: payload_msg(&*p) });
         }
         match caught.into_iter().min_by_key(|p| p.tid) {
@@ -274,44 +475,69 @@ impl Drop for ThreadPool {
             st.shutdown = true;
             self.shared.work_cv.notify_all();
         }
+        // A worker still spinning meets `shutdown` when its bound passes.
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
 }
 
+/// One team member's share of a region: `call` under `catch_unwind`,
+/// with the member's start latency and busy time written to its slot
+/// when the region is timed (`forked_at`).
+fn run_member(
+    shared: &Shared,
+    tid: usize,
+    forked_at: Option<Instant>,
+    call: impl FnOnce(),
+) -> std::thread::Result<()> {
+    let entered = forked_at.map(|f| {
+        let now = Instant::now();
+        shared.slots[tid].start_ns.store((now - f).as_nanos() as u64, Ordering::Relaxed);
+        now
+    });
+    let r = catch_unwind(AssertUnwindSafe(call));
+    if let Some(t) = entered {
+        shared.slots[tid].busy_ns.store(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    }
+    r
+}
+
 fn worker_loop(shared: Arc<Shared>, tid: usize) {
-    let mut last_gen = 0u64;
+    let mut served = 0u64;
     loop {
-        let job = {
+        shared.spin_until(tid, || shared.generation.load(Ordering::Acquire) != served);
+        let (job, forked_at) = {
             let mut st = shared.state.lock();
             loop {
                 if st.shutdown {
                     return;
                 }
-                if st.generation != last_gen {
-                    last_gen = st.generation;
+                let generation = shared.generation.load(Ordering::Relaxed);
+                if generation != served {
+                    served = generation;
                     break st.job.expect("generation bumped with job set");
                 }
+                st.parked += 1;
+                st.parks += 1;
                 shared.work_cv.wait(&mut st);
+                st.parked -= 1;
             }
         };
         // SAFETY: the pointer is valid for the duration of the generation —
-        // `run` blocks until `active` hits zero.
-        let t0 = shared.metrics_on.load(Ordering::Relaxed).then(Instant::now);
-        let r = catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)(tid) }));
-        if let Some(t0) = t0 {
-            shared.busy_ns[tid].store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        if let Err(p) = r {
+        // `run` does not return before it has observed this thread's
+        // decrement of `active` below (see `JobPtr`).
+        if let Err(p) = run_member(&shared, tid, forked_at, || unsafe { (*job.0)(tid) }) {
             shared.contained.fetch_add(1, Ordering::Relaxed);
             shared.panics.lock().push(RegionPanic { tid, what: payload_msg(&*p) });
         }
         // Decrement even after a panic — a hung join would be worse than
         // the panic itself.
         if shared.active.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = shared.state.lock();
-            shared.done_cv.notify_one();
+            let st = shared.state.lock();
+            if st.joiner_parked {
+                shared.done_cv.notify_one();
+            }
         }
     }
 }
