@@ -1505,7 +1505,7 @@ fn parse_omp(mut c: Cur, file: usize, diags: &mut Diagnostics) -> Result<S, PErr
             );
             return Ok(S::OmpIgnored);
         }
-        let mut omp = OmpDo::default();
+        let mut omp = OmpDo { collapse: 1, ..Default::default() };
         while !c.done() {
             if c.kw("private") {
                 omp.private.extend(parse_name_list(&mut c)?);
