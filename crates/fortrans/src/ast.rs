@@ -146,9 +146,27 @@ pub struct OmpDo {
     pub schedule: Option<(SchedKind, Option<usize>)>,
 }
 
+/// The four legacy branches, kept symbolic until [`crate::legalize`]
+/// turns them into structured control flow.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Branch {
+    /// `GO TO l`
+    Goto(u32),
+    /// `GO TO (l1, l2, ...), e`
+    Computed(Vec<u32>, Expr),
+    /// `GO TO v [, (l1, l2, ...)]`
+    Assigned(String, Vec<u32>),
+    /// `IF (e) l1, l2, l3`
+    Arith(Expr, u32, u32, u32),
+}
+
 /// Statements. (The `Do` variant is bigger than the rest; this is a
 /// parse-time structure that is immediately lowered, so clarity beats
 /// boxing.)
+///
+/// `Label` and `Branch` exist only between the parser and the legalizer:
+/// a `Label` marks the statement after it as a jump target, and the
+/// legalizer removes every one of both before sema sees the tree.
 #[derive(Debug, Clone, PartialEq)]
 #[allow(clippy::large_enum_variant)]
 pub enum Stmt {
@@ -174,6 +192,8 @@ pub enum Stmt {
     Continue(Span),
     Stop { message: Option<String>, span: Span },
     Print { args: Vec<Expr>, span: Span },
+    Label(u32, Span),
+    Branch(Branch, Span),
 }
 
 impl Stmt {
@@ -190,10 +210,103 @@ impl Stmt {
             | Stmt::Critical { span, .. }
             | Stmt::Stop { span, .. }
             | Stmt::Print { span, .. } => *span,
-            Stmt::Return(span) | Stmt::Exit(span) | Stmt::Cycle(span) | Stmt::Continue(span) => {
-                *span
-            }
+            Stmt::Return(span)
+            | Stmt::Exit(span)
+            | Stmt::Cycle(span)
+            | Stmt::Continue(span)
+            | Stmt::Label(_, span)
+            | Stmt::Branch(_, span) => *span,
         }
+    }
+}
+
+/// Calls `f` on every variable name in `body` — designator bases, DO
+/// variables, assigned-GOTO variables; never subprogram or component
+/// names — with `true` when the name stands whole there (a scalar read,
+/// an assignment target, a loop variable) and `false` when it is
+/// subscripted or heads a component path. Each name is handed out once,
+/// for the whole borrow, so `f` may rewrite it and keep it.
+pub fn for_each_name<'a>(body: &'a mut [Stmt], f: &mut impl FnMut(&'a mut String, bool)) {
+    for s in body {
+        match s {
+            Stmt::Assign { target, value, .. } => {
+                names_in_desig(target, true, f);
+                names_in_expr(value, f);
+            }
+            Stmt::If { arms, else_body, .. } => {
+                for (cond, arm) in arms {
+                    names_in_expr(cond, f);
+                    for_each_name(arm, f);
+                }
+                for_each_name(else_body, f);
+            }
+            Stmt::Do { var, start, end, step, body, .. } => {
+                f(var, true);
+                names_in_expr(start, f);
+                names_in_expr(end, f);
+                if let Some(e) = step {
+                    names_in_expr(e, f);
+                }
+                for_each_name(body, f);
+            }
+            Stmt::DoWhile { cond, body, .. } => {
+                names_in_expr(cond, f);
+                for_each_name(body, f);
+            }
+            Stmt::Call { args, .. } | Stmt::Print { args, .. } => {
+                args.iter_mut().for_each(|a| names_in_expr(a, f));
+            }
+            Stmt::Allocate { items, .. } => {
+                for (d, dims) in items {
+                    names_in_desig(d, false, f);
+                    for e in dims.iter_mut().flat_map(|d| d.lo.iter_mut().chain(&mut d.hi)) {
+                        names_in_expr(e, f);
+                    }
+                }
+            }
+            Stmt::Deallocate { names, .. } => {
+                names.iter_mut().for_each(|d| names_in_desig(d, false, f));
+            }
+            Stmt::Critical { body, .. } => for_each_name(body, f),
+            Stmt::Branch(Branch::Computed(_, e) | Branch::Arith(e, ..), _) => names_in_expr(e, f),
+            Stmt::Branch(Branch::Assigned(v, _), _) => f(v, true),
+            Stmt::Branch(Branch::Goto(_), _)
+            | Stmt::Return(_)
+            | Stmt::Exit(_)
+            | Stmt::Cycle(_)
+            | Stmt::Continue(_)
+            | Stmt::Stop { .. }
+            | Stmt::Label(..) => {}
+        }
+    }
+}
+
+/// [`for_each_name`] over one expression.
+pub fn names_in_expr<'a>(e: &'a mut Expr, f: &mut impl FnMut(&'a mut String, bool)) {
+    match e {
+        Expr::Name(d) => names_in_desig(d, false, f),
+        Expr::Bin(_, a, b) => {
+            names_in_expr(a, f);
+            names_in_expr(b, f);
+        }
+        Expr::Neg(a) | Expr::Not(a) => names_in_expr(a, f),
+        Expr::Int(_) | Expr::Real(_) | Expr::Logical(_) | Expr::Str(_) => {}
+    }
+}
+
+/// [`for_each_name`] over one designator; `defined` marks an assignment
+/// target, whose base counts as whole even when subscripted.
+pub fn names_in_desig<'a>(
+    d: &'a mut Desig,
+    defined: bool,
+    f: &mut impl FnMut(&'a mut String, bool),
+) {
+    let whole = defined || (d.parts.len() == 1 && d.parts[0].subs.is_empty());
+    for (k, p) in d.parts.iter_mut().enumerate() {
+        if k == 0 {
+            f(&mut p.name, whole);
+        }
+        p.subs.iter_mut().for_each(|s| names_in_expr(s, f));
     }
 }
 
@@ -228,6 +341,21 @@ pub struct Module {
     pub threadprivate: Vec<String>,
     pub units: Vec<Unit>,
     pub span: Span,
+}
+
+impl Module {
+    /// An empty module.
+    pub fn new(name: String, span: Span) -> Module {
+        Module {
+            name,
+            uses: vec![],
+            typedefs: vec![],
+            decls: vec![],
+            threadprivate: vec![],
+            units: vec![],
+            span,
+        }
+    }
 }
 
 /// A parsed compilation: one or more modules.

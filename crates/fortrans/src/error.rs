@@ -16,43 +16,39 @@ impl std::fmt::Display for Span {
 /// Errors raised while lexing, parsing or resolving a program.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompileError {
-    Lex { msg: String, span: Span },
-    Parse { msg: String, span: Span },
+    /// The front end rejected the source set. Lexing and parsing of
+    /// either source form recover at statement boundaries, so this
+    /// carries *every* problem found: one batch submission reports all
+    /// its errors in one pass.
+    Source { diags: Diagnostics },
     Sema { msg: String, span: Span },
     /// The static bytecode verifier rejected a compiled unit. `pc` is the
     /// instruction index within the unit (or the unit length for
     /// end-of-stream faults).
     Verify { unit: String, pc: u32, msg: String },
-    /// The fixed-form F77 front end rejected the source set. Unlike the
-    /// fail-fast variants above this carries *every* problem found: the
-    /// front end recovers at statement boundaries, so one batch
-    /// submission reports all errors in one pass.
-    Fixed { diags: Diagnostics },
 }
 
 impl std::fmt::Display for CompileError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CompileError::Lex { msg, span } => write!(f, "lex error at {span}: {msg}"),
-            CompileError::Parse { msg, span } => write!(f, "parse error at {span}: {msg}"),
-            CompileError::Sema { msg, span } => write!(f, "semantic error at {span}: {msg}"),
-            CompileError::Verify { unit, pc, msg } => {
-                write!(f, "bytecode verification failed in `{unit}` at pc {pc}: {msg}")
-            }
-            CompileError::Fixed { diags } => {
+            CompileError::Source { diags } => {
                 write!(
                     f,
-                    "fixed-form front end: {} error(s), {} warning(s)\n{}",
+                    "source rejected: {} error(s), {} warning(s)\n{}",
                     diags.error_count(),
                     diags.warning_count(),
                     diags.render()
                 )
             }
+            CompileError::Sema { msg, span } => write!(f, "semantic error at {span}: {msg}"),
+            CompileError::Verify { unit, pc, msg } => {
+                write!(f, "bytecode verification failed in `{unit}` at pc {pc}: {msg}")
+            }
         }
     }
 }
 
-/// How bad one fixed-form diagnostic is. `Warning`s alone never fail a
+/// How bad one front-end diagnostic is. `Warning`s alone never fail a
 /// compile (e.g. discarded text past column 72); `Error`s do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
@@ -69,8 +65,8 @@ impl std::fmt::Display for Severity {
     }
 }
 
-/// One recovered problem from the fixed-form front end: where, how bad,
-/// what, and (when we can guess) how to fix it.
+/// One recovered problem from the front end: where, how bad, what, and
+/// (when we can guess) how to fix it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Index of the offending source in the submitted set.
@@ -165,34 +161,6 @@ impl Diagnostics {
 
     pub fn is_empty(&self) -> bool {
         self.list.is_empty()
-    }
-
-    /// Absorbs a fail-fast [`CompileError`] (e.g. a free-form parse error
-    /// from a mixed source set) as one more diagnostic.
-    pub fn absorb(&mut self, file: usize, e: &CompileError) {
-        let (line, msg) = match e {
-            CompileError::Lex { msg, span }
-            | CompileError::Parse { msg, span }
-            | CompileError::Sema { msg, span } => (span.line, msg.clone()),
-            CompileError::Verify { unit, pc, msg } => {
-                (0, format!("bytecode verification failed in `{unit}` at pc {pc}: {msg}"))
-            }
-            CompileError::Fixed { diags } => {
-                for d in &diags.list {
-                    let mut d = d.clone();
-                    d.file = file;
-                    self.list.push(d);
-                }
-                return;
-            }
-        };
-        self.list.push(Diagnostic {
-            file,
-            span: Span { line },
-            severity: Severity::Error,
-            message: msg,
-            hint: None,
-        });
     }
 
     /// One line per diagnostic (plus indented help lines), in source
@@ -324,8 +292,15 @@ mod tests {
 
     #[test]
     fn displays() {
-        let e = CompileError::Parse { msg: "x".into(), span: Span { line: 3 } };
-        assert_eq!(e.to_string(), "parse error at line 3: x");
+        let e = CompileError::Sema { msg: "x".into(), span: Span { line: 3 } };
+        assert_eq!(e.to_string(), "semantic error at line 3: x");
+        let mut diags = Diagnostics::default();
+        diags.error(0, 3, "x");
+        let e = CompileError::Source { diags };
+        assert_eq!(
+            e.to_string(),
+            "source rejected: 1 error(s), 0 warning(s)\nfile 0, line 3: error: x"
+        );
         let r = RunError::OutOfBounds { var: "a".into(), dim: 0, index: 9, lo: 1, hi: 4 };
         assert!(r.to_string().contains("out of bounds"));
     }

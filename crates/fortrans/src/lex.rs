@@ -1,7 +1,11 @@
 //! The lexer: raw source → logical lines of tokens.
 //!
-//! Free-form FORTRAN with the conventions the GLAF code generator (and our
-//! hand-written "legacy" sources) use:
+//! A [`Lexed`] is what the one statement parser ([`crate::parse`]) reads,
+//! whichever source form it came from. The token scanner here serves both
+//! forms; what differs is how physical lines become logical statements.
+//! [`lex`] assembles free-form lines, [`crate::fixedform`] assembles
+//! punched cards. Free form follows the conventions the GLAF code
+//! generator (and our hand-written "legacy" sources) use:
 //!
 //! * `!` starts a comment — except the OpenMP sentinel `!$OMP`, which makes
 //!   the line a *directive line* (a trailing `!` comment is stripped from
@@ -23,12 +27,14 @@
 //! token is `Copy`: identifiers and string literals are [`Sym`] byte
 //! ranges of `text`, never owned strings. The source is read once, each
 //! statement is copied once into `text`, and nothing else is allocated
-//! per line or per token. The parsers' cursors borrow `text` and a token
+//! per line or per token. The parser's cursor borrows `text` and a token
 //! slice; an identifier is first copied into a `String` when an AST node
-//! that keeps it is built. The fixed-form front end fills the same
-//! structure from punched cards ([`crate::fixedform`]).
+//! that keeps it is built.
+//!
+//! A statement that does not scan is reported into the [`Diagnostics`]
+//! and left out; the scan goes on with the next one.
 
-use crate::error::{CompileError, Span};
+use crate::error::{CompileError, Diagnostics};
 use std::ops::Range;
 
 /// The byte range of a [`Lexed`]'s text that spells an identifier
@@ -116,8 +122,44 @@ pub struct Lexed {
 
 /// A token with its text resolved. `Debug` renders it the way a token
 /// owning its `String` would (`Ident("x")`, `Int(3)`, `Comma`), which is
-/// what parse-error messages embed.
+/// what the lexer property tests compare; `Display` spells it as source
+/// (`x`, `3`, `,`, `'b'`, `.and.`), which is what messages quote.
 pub struct Shown<'a>(pub(crate) &'a str, pub(crate) Tok);
+
+impl std::fmt::Display for Shown<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let spelt = match self.1 {
+            Tok::Ident(s) => &self.0[s.range()],
+            Tok::Int(v) => return write!(f, "{v}"),
+            Tok::Real(v) => return write!(f, "{v:?}"),
+            Tok::Str(s) => return write!(f, "'{}'", &self.0[s.range()]),
+            Tok::LParen => "(",
+            Tok::RParen => ")",
+            Tok::Comma => ",",
+            Tok::Percent => "%",
+            Tok::DoubleColon => "::",
+            Tok::Colon => ":",
+            Tok::Assign => "=",
+            Tok::Plus => "+",
+            Tok::Minus => "-",
+            Tok::Star => "*",
+            Tok::StarStar => "**",
+            Tok::Slash => "/",
+            Tok::Eq => "==",
+            Tok::Ne => "/=",
+            Tok::Lt => "<",
+            Tok::Le => "<=",
+            Tok::Gt => ">",
+            Tok::Ge => ">=",
+            Tok::And => ".and.",
+            Tok::Or => ".or.",
+            Tok::Not => ".not.",
+            Tok::True => ".true.",
+            Tok::False => ".false.",
+        };
+        f.write_str(spelt)
+    }
+}
 
 impl std::fmt::Debug for Shown<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -131,15 +173,14 @@ impl std::fmt::Debug for Shown<'_> {
 
 impl Lexed {
     /// An empty result sized for `source`; the text buffer never outgrows
-    /// the source it is copied from.
-    pub(crate) fn for_source(source: &str) -> Result<Lexed, CompileError> {
+    /// the source it is copied from. A source too large for [`Sym`]'s
+    /// offsets is reported and yields `None`.
+    pub(crate) fn for_source(source: &str, file: usize, diags: &mut Diagnostics) -> Option<Lexed> {
         if u32::try_from(source.len()).is_err() {
-            return Err(CompileError::Lex {
-                msg: "source is larger than 4 GiB".into(),
-                span: Span { line: 1 },
-            });
+            diags.error(file, 1, "source is larger than 4 GiB");
+            return None;
         }
-        Ok(Lexed {
+        Some(Lexed {
             text: String::with_capacity(source.len()),
             toks: Vec::with_capacity(source.len() / 8),
             lines: Vec::with_capacity(source.len() / 32),
@@ -167,28 +208,41 @@ impl Lexed {
         Shown(&self.text, t)
     }
 
-    /// Tokenizes `text[from..]` as one logical line and records it (an
-    /// all-blank statement leaves no line behind). Case is folded after
-    /// the scan, so a lex error quotes the text as it was written.
-    fn close_line(&mut self, from: usize, lineno: u32, omp: bool) -> Result<(), CompileError> {
-        let t0 = self.toks.len();
-        self.scan(from..self.text.len(), lineno)?;
-        fold_outside_quotes(&mut self.text[from..]);
+    /// Records the tokens scanned since `t0` as one logical line (an
+    /// all-blank statement leaves no line behind).
+    pub(crate) fn end_line(&mut self, t0: usize, lineno: u32, omp: bool, label: Option<u32>) {
         if self.toks.len() > t0 {
-            self.lines.push(Line {
-                toks: t0 as u32..self.toks.len() as u32,
-                lineno,
-                omp,
-                label: None,
-            });
+            self.lines.push(Line { toks: t0 as u32..self.toks.len() as u32, lineno, omp, label });
         }
-        Ok(())
     }
 }
 
-/// Lexes a whole source file into logical lines.
+/// Lexes a whole free-form source file into logical lines, reporting
+/// every statement that does not scan.
 pub fn lex(source: &str) -> Result<Lexed, CompileError> {
-    let mut lx = Lexed::for_source(source)?;
+    let mut diags = Diagnostics::default();
+    let lx = lex_in(source, 0, &mut diags);
+    if diags.has_errors() {
+        return Err(CompileError::Source { diags });
+    }
+    Ok(lx)
+}
+
+/// [`lex`] for source `file` of a set: problems go to `diags`, the
+/// statements that scanned come back.
+pub(crate) fn lex_in(source: &str, file: usize, diags: &mut Diagnostics) -> Lexed {
+    let Some(mut lx) = Lexed::for_source(source, file, diags) else { return Lexed::default() };
+    // Case is folded after the scan, so a lex error quotes the text as it
+    // was written.
+    let mut close = |lx: &mut Lexed, (lineno, omp, from): (u32, bool, usize)| {
+        let t0 = lx.toks.len();
+        if let Err(msg) = lx.scan(from..lx.text.len()) {
+            lx.toks.truncate(t0);
+            diags.error(file, lineno, msg);
+        }
+        fold_outside_quotes(&mut lx.text[from..]);
+        lx.end_line(t0, lineno, omp, None);
+    };
     // The logical line a trailing `&` left open: first physical line, OMP
     // flag, start of its text. A directive line can itself be continued.
     let mut open: Option<(u32, bool, usize)> = None;
@@ -221,14 +275,13 @@ pub fn lex(source: &str) -> Result<Lexed, CompileError> {
         if continued {
             open = Some(line);
         } else {
-            let (lineno, omp, from) = line;
-            lx.close_line(from, lineno, omp)?;
+            close(&mut lx, line);
         }
     }
-    if let Some((lineno, omp, from)) = open {
-        lx.close_line(from, lineno, omp)?;
+    if let Some(line) = open {
+        close(&mut lx, line);
     }
-    Ok(lx)
+    lx
 }
 
 /// Strips the OMP sentinel, returning the directive text if present.
@@ -286,14 +339,14 @@ const DOT_OPS: [(&str, Tok); 11] = [
 impl Lexed {
     /// Tokenizes the statement text `text[range]` onto the token buffer
     /// (no continuation/comment handling; the caller folds case
-    /// afterwards). Both forms' token streams come from this one scanner:
-    /// the fixed-form front end feeds it blank-stripped card text.
-    pub(crate) fn scan(&mut self, range: Range<usize>, lineno: u32) -> Result<(), CompileError> {
+    /// afterwards, and on an error drops what was scanned so far). Both
+    /// forms' token streams come from this one scanner: the card
+    /// assembler feeds it blank-stripped card text.
+    pub(crate) fn scan(&mut self, range: Range<usize>) -> Result<(), String> {
         let Lexed { text, toks, num, .. } = self;
         let text = &text[..range.end];
         let b = text.as_bytes();
         let mut i = range.start;
-        let err = |msg: String| CompileError::Lex { msg, span: Span { line: lineno } };
 
         while i < b.len() {
             let c = b[i];
@@ -318,13 +371,13 @@ impl Lexed {
                 b'/' if b.get(i + 1) == Some(&b'/') => {
                     // String concatenation — unsupported, but lex it so the
                     // parser can report a sensible error.
-                    return Err(err("string concatenation `//` is not supported".into()));
+                    return Err("string concatenation `//` is not supported".into());
                 }
                 b'/' => (Some((b'=', Tok::Ne)), Tok::Slash),
                 b'\'' => {
                     let start = i + 1;
                     let Some(len) = text[start..].find('\'') else {
-                        return Err(err("unterminated string literal".into()));
+                        return Err("unterminated string literal".into());
                     };
                     toks.push(Tok::Str(Sym::new(start..start + len)));
                     i = start + len + 1;
@@ -341,23 +394,20 @@ impl Lexed {
                         while !text.is_char_boundary(end) {
                             end -= 1;
                         }
-                        return Err(err(format!(
-                            "malformed dot-operator near `{}`",
-                            &text[i..end]
-                        )));
+                        return Err(format!("malformed dot-operator near `{}`", &text[i..end]));
                     }
                     let word = &text[i + 1..j];
                     let Some((_, tok)) = DOT_OPS.iter().find(|(w, _)| w.eq_ignore_ascii_case(word))
                     else {
                         let other = word.to_ascii_uppercase();
-                        return Err(err(format!("unknown dot-operator `.{other}.`")));
+                        return Err(format!("unknown dot-operator `.{other}.`"));
                     };
                     toks.push(*tok);
                     i = j + 1;
                     continue;
                 }
                 c if c == b'.' || c.is_ascii_digit() => {
-                    let (tok, ni) = lex_number(text, i, lineno, num)?;
+                    let (tok, ni) = lex_number(text, i, num)?;
                     toks.push(tok);
                     i = ni;
                     continue;
@@ -371,7 +421,7 @@ impl Lexed {
                     continue;
                 }
                 other => {
-                    return Err(err(format!("unexpected character `{}`", other as char)));
+                    return Err(format!("unexpected character `{}`", other as char));
                 }
             };
             match two {
@@ -392,12 +442,7 @@ impl Lexed {
 /// Lexes a numeric literal starting at `i`. Handles `123`, `1.5`, `.5`,
 /// `1.5D0`, `2E-3`, `1D-3`. A trailing `.` followed by a dot-operator
 /// letter (e.g. `1.AND.`) is left for the dot-operator path.
-fn lex_number(
-    text: &str,
-    i: usize,
-    lineno: u32,
-    num: &mut String,
-) -> Result<(Tok, usize), CompileError> {
+fn lex_number(text: &str, i: usize, num: &mut String) -> Result<(Tok, usize), String> {
     let b = text.as_bytes();
     let mut j = i;
     let mut is_real = false;
@@ -454,16 +499,10 @@ fn lex_number(
             }
             None => lit,
         };
-        let v: f64 = norm.parse().map_err(|_| CompileError::Lex {
-            msg: format!("bad real literal `{lit}`"),
-            span: Span { line: lineno },
-        })?;
+        let v: f64 = norm.parse().map_err(|_| format!("bad real literal `{lit}`"))?;
         Ok((Tok::Real(v), j))
     } else {
-        let v: i64 = lit.parse().map_err(|_| CompileError::Lex {
-            msg: format!("bad integer literal `{lit}`"),
-            span: Span { line: lineno },
-        })?;
+        let v: i64 = lit.parse().map_err(|_| format!("bad integer literal `{lit}`"))?;
         Ok((Tok::Int(v), j))
     }
 }
@@ -606,7 +645,7 @@ mod tests {
     #[test]
     fn lex_errors_quote_the_text_as_written() {
         let msg = |src| match lex(src) {
-            Err(CompileError::Lex { msg, .. }) => msg,
+            Err(CompileError::Source { diags }) => diags.list[0].message.clone(),
             other => panic!("{other:?}"),
         };
         assert_eq!(msg("X = .TRUE"), "malformed dot-operator near `.TRUE`");

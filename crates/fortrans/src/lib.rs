@@ -56,11 +56,13 @@ pub mod chaos;
 pub mod cost;
 pub mod engine;
 pub mod error;
+mod f77spec;
 pub mod fixedform;
 pub mod gen;
 pub mod interp;
 pub mod intrinsics;
 pub mod jit;
+mod legalize;
 pub mod lex;
 pub mod parse;
 mod region;
@@ -76,7 +78,8 @@ pub use cost::{CostCounters, CostTrace, OpCounts, RegionEvent, TraceEvent};
 pub use engine::{ArgVal, ExecTier, RunOutcome, TierFallback, VectorLoopInfo};
 pub use error::{CompileError, Diagnostic, Diagnostics, Severity};
 pub use error::RunError;
-pub use fixedform::{is_fixed_form, to_fixed_form, to_fixed_form_wrapped, ProgramSet};
+pub use fixedform::is_fixed_form;
+pub use parse::ProgramSet;
 pub use chaos::{CampaignConfig, CampaignReport};
 pub use interp::{CancelToken, ExecMode, RunLimits, ScheduleOverrides, Val};
 pub use omprt::{PoolSet, Schedule};

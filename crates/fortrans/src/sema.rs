@@ -867,6 +867,9 @@ impl Resolver {
                 Ok(RStmt::Cycle)
             }
             Stmt::Continue(_) => Ok(RStmt::Nop),
+            Stmt::Label(_, span) | Stmt::Branch(_, span) => {
+                Err(serr("internal error: a label or branch outlived the legalizer", *span))
+            }
             Stmt::Stop { message, .. } => Ok(RStmt::Stop(message.clone())),
             Stmt::Print { args, span } => {
                 let mut items = Vec::new();

@@ -38,7 +38,7 @@ use crate::error::{CompileError, RunError};
 use crate::interp::{
     CancelToken, EffLimits, Exec, ExecMode, RunLimits, ScheduleOverrides, Task, Val,
 };
-use crate::parse::parse;
+use crate::parse::ProgramSet;
 use crate::rir::{RProgram, ScalarTy};
 use crate::sema::resolve;
 use crate::storage::{ArrayObj, GlobalCell, Globals};
@@ -91,20 +91,7 @@ impl CompiledProgram {
     /// [`CompileError::Verify`] instead of undefined VM behavior later.
     pub fn compile(sources: &[&str]) -> Result<Arc<CompiledProgram>, CompileError> {
         let hash = source_hash(sources);
-        // Fixed-form F77 sources (auto-detected per file) route through the
-        // legacy ingestion front end; a pure free-form batch keeps the
-        // original single-parser path and its error variants.
-        let fixed: Vec<bool> = sources.iter().map(|s| crate::fixedform::is_fixed_form(s)).collect();
-        let ast = if fixed.contains(&true) {
-            crate::fixedform::ProgramSet::from_detected(sources, &fixed)?.ast
-        } else {
-            let mut ast = crate::ast::Ast::default();
-            for s in sources {
-                let mut part = parse(s)?;
-                ast.modules.append(&mut part.modules);
-            }
-            ast
-        };
+        let ast = ProgramSet::from_sources(sources)?.ast;
         let prog = resolve(&ast)?;
         let optimized = compile_program(&prog, false);
         crate::verify::verify_program(&prog, &optimized)?;

@@ -2,6 +2,9 @@
 //! with precise, located errors — a FORTRAN front-end that silently
 //! mis-executes legacy code is worse than none.
 
+#[path = "common/sources.rs"]
+mod sources;
+
 use fortrans::{ArgVal, CompileError, ExecMode, Session};
 
 fn compile_err(src: &str) -> CompileError {
@@ -268,4 +271,105 @@ END MODULE m
         .run("nosuch", &[ArgVal::F(1.0)], ExecMode::Serial)
         .unwrap_err();
     assert!(err.to_string().contains("unknown unit"), "{err}");
+}
+
+// --- statement-boundary recovery in free form --------------------------------
+
+/// The accumulated diagnostics of a source the front end rejects.
+fn source_diags(src: &str) -> fortrans::Diagnostics {
+    match compile_err(src) {
+        CompileError::Source { diags } => diags,
+        other => panic!("expected CompileError::Source, got: {other}"),
+    }
+}
+
+#[test]
+fn trailing_tokens_after_simple_statements_rejected() {
+    for (stmt, tail) in [
+        ("RETURN 1 2 3", "1"),
+        ("CONTINUE please", "please"),
+        ("STOP 'a' 'b'", "'b'"),
+        ("DO WHILE (x > 0.0)\n      EXIT now please\n    END DO", "now"),
+        ("DO WHILE (x > 0.0)\n      CYCLE 7\n    END DO", "7"),
+    ] {
+        let msg = compile_err(&wrap(&format!("    {stmt}"))).to_string();
+        assert!(msg.contains(&format!("unexpected `{tail}` after statement")), "{stmt}: {msg}");
+    }
+}
+
+#[test]
+fn stop_keeps_its_numeric_code() {
+    let e = Session::compile(&[&wrap("    STOP 7")]).unwrap();
+    let err = e.run("s", &[], ExecMode::Serial).unwrap_err();
+    assert_eq!(err.root().to_string(), "STOP: 7");
+}
+
+#[test]
+fn misplaced_directive_reported_on_the_offending_line() {
+    // `wrap` puts the body on line 6: the directive, then the statement
+    // that is not what the directive wanted on line 7.
+    let diags = source_diags(&wrap("    !$OMP ATOMIC\n    CALL s()"));
+    assert_eq!(diags.render(), "file 0, line 7: error: ATOMIC directive is not followed by an assignment");
+    let diags = source_diags(&wrap("    !$OMP PARALLEL DO\n    x = 1.0D0"));
+    assert_eq!(diags.list.len(), 1, "{}", diags.render());
+    assert_eq!(diags.list[0].span.line, 7);
+    assert_eq!(diags.list[0].message, "PARALLEL DO directive is not followed by a DO loop");
+}
+
+#[test]
+fn every_malformed_statement_is_reported() {
+    let diags = source_diags(&wrap("    x = )\n    a(1) = 2.0D0\n    a(2 = x"));
+    let lines: Vec<u32> = diags.list.iter().map(|d| d.span.line).collect();
+    assert_eq!(lines, [6, 8], "{}", diags.render());
+    // A statement that does not lex is one more entry, not the end of the
+    // report.
+    let diags = source_diags(&wrap("    x = 'open\n    x = x +"));
+    let lines: Vec<u32> = diags.list.iter().map(|d| d.span.line).collect();
+    assert_eq!(lines, [6, 7], "{}", diags.render());
+    assert_eq!(diags.list[0].message, "unterminated string literal");
+}
+
+/// Corruption sweep over the 13 GLAF source sets: a damaged free-form
+/// source must never panic the front end — the frame stack now meets
+/// `END DO` without `DO`, a unit head inside an open `IF`, `CONTAINS`
+/// twice. Every outcome is a clean compile or an error that says
+/// something.
+#[test]
+fn corrupted_free_form_sources_never_panic() {
+    use fortrans::gen::Rng;
+    for (k, set) in sources::glaf_source_sets().into_iter().enumerate() {
+        for seed in 0..6u64 {
+            let mut r = Rng::new((k as u64) << 8 ^ seed ^ 0xDEAD_BEEF);
+            let mut srcs = set.clone();
+            let fi = r.below(srcs.len() as u64) as usize;
+            let mut lines: Vec<String> = srcs[fi].lines().map(String::from).collect();
+            let li = r.below(lines.len() as u64) as usize;
+            match (seed + k as u64) % 5 {
+                0 => {
+                    lines.remove(li);
+                }
+                1 => {
+                    let mut cut = r.below(1 + lines[li].len() as u64) as usize;
+                    while !lines[li].is_char_boundary(cut) {
+                        cut -= 1;
+                    }
+                    lines[li].truncate(cut);
+                }
+                // A dangling continuation mark stands in for the orphaned
+                // continuation card.
+                2 => lines[li].push_str(" &"),
+                3 => lines[li] = lines[li].replacen(['0', '1', '2'], "X", 1),
+                _ => lines.insert(li, "$ %^ 123 ((".to_string()),
+            }
+            srcs[fi] = lines.join("\n");
+            let refs: Vec<&str> = srcs.iter().map(String::as_str).collect();
+            match Session::compile(&refs) {
+                Ok(_) => {}
+                Err(CompileError::Source { diags }) => {
+                    assert!(diags.has_errors(), "set {k} seed {seed}: rejected without an error");
+                }
+                Err(e) => assert!(!e.to_string().is_empty()),
+            }
+        }
+    }
 }

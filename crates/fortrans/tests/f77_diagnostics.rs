@@ -14,8 +14,8 @@ use fortrans::{CompileError, EngineService, ExecMode, Job, ProgramSet, RunError,
 fn expect_fixed_err(sources: &[&str]) -> fortrans::Diagnostics {
     match Session::compile(sources) {
         Ok(_) => panic!("sources unexpectedly compiled"),
-        Err(CompileError::Fixed { diags }) => diags,
-        Err(e) => panic!("expected CompileError::Fixed, got: {e}"),
+        Err(CompileError::Source { diags }) => diags,
+        Err(e) => panic!("expected CompileError::Source, got: {e}"),
     }
 }
 
@@ -128,7 +128,7 @@ fn batch_rejection_carries_full_diagnostics() {
 
     match &results[0].result {
         Err(RunError::Rejected { msg }) => {
-            assert!(msg.starts_with("compile failed: fixed-form front end: 2 error(s), 0 warning(s)"), "msg: {msg}");
+            assert!(msg.starts_with("compile failed: source rejected: 2 error(s), 0 warning(s)"), "msg: {msg}");
             assert!(msg.contains("continuation line has nothing to continue"), "msg: {msg}");
             assert!(msg.contains("label 999 is not defined in this unit"), "msg: {msg}");
         }

@@ -1,6 +1,6 @@
 //! Property tests for the fixed-form lexer against the free-form lexer.
 //!
-//! The bridge is [`fortrans::to_fixed_form`]: it prints a free-form
+//! The bridge is [`sources::to_fixed_form`]: it prints a free-form
 //! program's token stream onto fixed-form cards (labels blank, text in
 //! columns 7-72, `C$OMP` sentinels for directives). Two invariants:
 //!
@@ -12,10 +12,13 @@
 //!    token stream — continuation splitting, even mid-token, is
 //!    invisible to the fixed-form lexer.
 
-use fortrans::gen::Rng;
+#[path = "common/sources.rs"]
+mod sources;
+
 use fortrans::fixedform::lex_fixed;
+use fortrans::gen::Rng;
 use fortrans::lex::{lex, Lexed};
-use fortrans::{to_fixed_form, to_fixed_form_wrapped};
+use sources::{to_fixed_form, to_fixed_form_wrapped};
 
 /// Free-form sources chosen for lexical variety: keywords that collide
 /// with identifier prefixes, string literals with blanks, reals in every
@@ -104,4 +107,25 @@ fn generated_fixed_sources_lex_deterministically() {
             assert_eq!(stmts_of(&a), stmts_of(&b), "seed {seed}: non-deterministic lex");
         }
     }
+}
+
+/// The printer's output is detected as fixed form, keeps its directive
+/// lines, and lexes clean.
+#[test]
+fn roundtrip_through_fixed_printer() {
+    let free = "
+subroutine axpy(n, a, x, y)
+  integer :: n, i
+  real(8) :: a, x(n), y(n)
+  !$omp parallel do
+  do i = 1, n
+    y(i) = y(i) + a * x(i)
+  end do
+end subroutine axpy
+";
+    let fixed = to_fixed_form(free).expect("print");
+    assert!(fortrans::is_fixed_form(&fixed));
+    let (stmts, diags) = lex_fixed(&fixed);
+    assert!(!diags.has_errors(), "{}", diags.render());
+    assert!(stmts.lines().iter().any(|s| s.omp));
 }

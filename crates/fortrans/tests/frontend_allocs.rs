@@ -18,9 +18,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+#[path = "common/sources.rs"]
+mod sources;
+
 use fortrans::ProgramSet;
 use fun3d::variants::{Fun3dConfig, Fun3dVariant};
 use sarb::variants::SarbVariant;
+use sources::glaf_source_sets;
 
 struct Counting;
 
@@ -76,39 +80,6 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 fn refs(sources: &[String]) -> Vec<&str> {
     sources.iter().map(String::as_str).collect()
-}
-
-/// The 13 GLAF source sets the benchmark's `cold_compile` compiles: five
-/// generated SARB Table-2 variants, eight FUN3D configurations.
-fn glaf_source_sets() -> Vec<Vec<String>> {
-    let sarb = [
-        SarbVariant::GlafSerial,
-        SarbVariant::GlafParallel(0),
-        SarbVariant::GlafParallel(1),
-        SarbVariant::GlafParallel(2),
-        SarbVariant::GlafParallel(3),
-    ];
-    let base = Fun3dConfig::default();
-    let fun3d = [
-        base,
-        Fun3dConfig { fuse: true, ..base },
-        Fun3dConfig { no_realloc: true, ..base },
-        Fun3dConfig { no_realloc: true, fuse: true, ..base },
-        Fun3dConfig { par_edgejp: true, ..base },
-        Fun3dConfig::best(),
-        Fun3dConfig { par_cell_loop: true, ..base },
-        Fun3dConfig {
-            par_edgejp: true,
-            par_cell_loop: true,
-            par_edge_loop: true,
-            par_ioff_search: true,
-            ..base
-        },
-    ];
-    sarb.into_iter()
-        .map(sarb::variants::variant_sources)
-        .chain(fun3d.into_iter().map(|c| fun3d::variants::variant_sources(Fun3dVariant::Glaf(c))))
-        .collect()
 }
 
 const F77_SEEDS: std::ops::Range<u64> = 0..200;

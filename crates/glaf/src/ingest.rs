@@ -226,6 +226,13 @@ impl Lift<'_> {
                 ));
                 None
             }
+            fast::Stmt::Label(_, span) | fast::Stmt::Branch(_, span) => {
+                self.note(format_args!(
+                    "internal error: a label or branch at line {} outlived the legalizer",
+                    span.line
+                ));
+                None
+            }
             other => {
                 self.note(format_args!(
                     "statement at line {} outside the GLAF subset",
