@@ -690,6 +690,8 @@ struct Builder<'a> {
     /// The open `TYPE ... END TYPE` of the module's specification part.
     typedef: Option<TypeDef>,
     unit: Option<Open>,
+    /// The last unit's frame stack, empty again, kept for the next unit.
+    spare_frames: Vec<Frame>,
     /// A `PARALLEL DO` directive waiting for its DO statement.
     pending_omp: Option<OmpDo>,
     /// An `ATOMIC` directive waiting for its assignment.
@@ -708,6 +710,7 @@ impl<'a> Builder<'a> {
             module: None,
             typedef: None,
             unit: None,
+            spare_frames: Vec::new(),
             pending_omp: None,
             pending_atomic: false,
         }
@@ -814,7 +817,7 @@ impl<'a> Builder<'a> {
             labels: Labels::default(),
             legalize: false,
             first_tok: line.toks.start,
-            frames: Vec::new(),
+            frames: std::mem::take(&mut self.spare_frames),
         });
     }
 
@@ -847,6 +850,7 @@ impl<'a> Builder<'a> {
             );
             u.close_top();
         }
+        self.spare_frames = std::mem::take(&mut u.frames);
         if u.legalize {
             let lx = self.lx;
             let taken = lx.toks[u.first_tok as usize..end_tok as usize]
