@@ -77,6 +77,11 @@ pub struct Desig {
 }
 
 impl Desig {
+    /// The whole variable `name`: one part, no subscripts.
+    pub fn scalar(name: String, span: Span) -> Desig {
+        Desig { parts: vec![Part { name, subs: vec![] }], span }
+    }
+
     /// The base variable name.
     pub fn base(&self) -> &str {
         &self.parts[0].name
@@ -282,7 +287,7 @@ pub fn for_each_name<'a>(body: &'a mut [Stmt], f: &mut impl FnMut(&'a mut String
 }
 
 /// [`for_each_name`] over one expression.
-pub fn names_in_expr<'a>(e: &'a mut Expr, f: &mut impl FnMut(&'a mut String, bool)) {
+fn names_in_expr<'a>(e: &'a mut Expr, f: &mut impl FnMut(&'a mut String, bool)) {
     match e {
         Expr::Name(d) => names_in_desig(d, false, f),
         Expr::Bin(_, a, b) => {

@@ -21,8 +21,8 @@
 //! ([`Spec::into_module_unit`]).
 
 use crate::ast::{
-    for_each_name, names_in_desig, Attrs, Bin, Decl, Desig, DimDecl, Entity, Expr, Part, TypeSpec,
-    Unit, UnitKind,
+    for_each_name, names_in_desig, Attrs, Bin, Decl, Desig, DimDecl, Entity, Expr, TypeSpec, Unit,
+    UnitKind,
 };
 use crate::error::{Diagnostics, Span};
 use crate::lex::Tok;
@@ -88,10 +88,7 @@ fn data_value(c: &mut LineCur) -> Result<(usize, Expr), PErr> {
         Some(Tok::True) => Expr::Logical(true),
         Some(Tok::False) => Expr::Logical(false),
         Some(Tok::Str(s)) => Expr::Str(c.text(s).to_string()),
-        Some(Tok::Ident(n)) => Expr::Name(Desig {
-            parts: vec![Part { name: c.text(n).to_string(), subs: vec![] }],
-            span: c.span(),
-        }),
+        Some(Tok::Ident(n)) => Expr::Name(Desig::scalar(c.text(n).to_string(), c.span())),
         _ => return Err(perr("expected a constant in the DATA value list")),
     };
     Ok((rep, if neg { Expr::Neg(Box::new(e)) } else { e }))
@@ -106,8 +103,9 @@ impl Spec {
 
     /// Parses the specification statement `c` opens, if it is one of
     /// these, into the records; `Ok(false)` hands any other statement
-    /// back untouched. Nothing is recorded from a statement that does
-    /// not parse to its end.
+    /// back untouched. (What a statement said before it stopped parsing
+    /// stays recorded: the compile is failing by then, and the records
+    /// only steer which further problems it reports.)
     pub(crate) fn statement(&mut self, c: &mut LineCur) -> Result<bool, PErr> {
         let line = c.span().line;
         let Some(head) = c.word() else {
@@ -116,20 +114,17 @@ impl Spec {
         match head {
             "dimension" => {
                 c.skip(1);
-                let mut items = Vec::new();
                 loop {
                     let name = c.ident("an array name")?;
-                    items.push((name, parse::dims(c)?, line));
+                    self.dimension.push((name, parse::dims(c)?, line));
                     if !c.eat(Tok::Comma) {
                         break;
                     }
                 }
                 c.finish()?;
-                self.dimension.extend(items);
             }
             "common" => {
                 c.skip(1);
-                let mut groups: Vec<(CommonGroup, u32)> = Vec::new();
                 let mut block = String::new();
                 if c.eat(Tok::Slash) && !c.eat(Tok::Slash) {
                     block = c.ident("the COMMON block name")?;
@@ -143,7 +138,7 @@ impl Spec {
                             break;
                         }
                     }
-                    groups.push(((std::mem::take(&mut block), members), line));
+                    self.commons.push(((std::mem::take(&mut block), members), line));
                     if !c.eat(Tok::Slash) {
                         break;
                     }
@@ -153,7 +148,6 @@ impl Spec {
                     }
                 }
                 c.finish()?;
-                self.commons.extend(groups);
             }
             "implicit" => {
                 c.skip(1);
@@ -162,7 +156,6 @@ impl Spec {
                     self.implicit_none = true;
                     return Ok(true);
                 }
-                let mut specs = Vec::new();
                 loop {
                     let ts =
                         parse::type_spec(c)?.ok_or_else(|| perr("expected a type in IMPLICIT"))?;
@@ -177,33 +170,29 @@ impl Spec {
                         }
                     }
                     c.expect(Tok::RParen, "`)` after the IMPLICIT letter ranges")?;
-                    specs.push((ts, ranges));
+                    self.implicit.push((ts, ranges));
                     if !c.eat(Tok::Comma) {
                         break;
                     }
                 }
                 c.finish()?;
-                self.implicit.extend(specs);
             }
             "parameter" => {
                 c.skip(1);
                 c.expect(Tok::LParen, "`(` after PARAMETER")?;
-                let mut items = Vec::new();
                 loop {
                     let name = c.ident("a PARAMETER name")?;
                     c.expect(Tok::Assign, "`=` in PARAMETER")?;
-                    items.push((name, parse::expr(c)?, line));
+                    self.params_c.push((name, parse::expr(c)?, line));
                     if !c.eat(Tok::Comma) {
                         break;
                     }
                 }
                 c.expect(Tok::RParen, "`)` closing PARAMETER")?;
                 c.finish()?;
-                self.params_c.extend(items);
             }
             "equivalence" => {
                 c.skip(1);
-                let mut groups = Vec::new();
                 loop {
                     c.expect(Tok::LParen, "`(` opening an EQUIVALENCE group")?;
                     let mut items = vec![parse::desig(c)?];
@@ -211,17 +200,15 @@ impl Spec {
                         items.push(parse::desig(c)?);
                     }
                     c.expect(Tok::RParen, "`)` closing an EQUIVALENCE group")?;
-                    groups.push((items, line));
+                    self.equiv.push((items, line));
                     if !c.eat(Tok::Comma) {
                         break;
                     }
                 }
                 c.finish()?;
-                self.equiv.extend(groups);
             }
             "data" => {
                 c.skip(1);
-                let mut groups = Vec::new();
                 loop {
                     let mut targets = vec![parse::desig(c)?];
                     while c.eat(Tok::Comma) {
@@ -236,14 +223,13 @@ impl Spec {
                         }
                         c.expect(Tok::Comma, "`,` or `/` in the DATA value list")?;
                     }
-                    groups.push(((targets, values), line));
+                    self.data.push(((targets, values), line));
                     // The comma between groups is optional.
                     let _ = c.eat(Tok::Comma);
                     if c.done() {
                         break;
                     }
                 }
-                self.data.extend(groups);
             }
             "save" => {
                 c.skip(1);
@@ -251,7 +237,6 @@ impl Spec {
                     self.save_all = true;
                     return Ok(true);
                 }
-                let mut names = Vec::new();
                 loop {
                     if c.eat(Tok::Slash) {
                         // SAVE /block/ — COMMON storage is always persistent
@@ -259,21 +244,23 @@ impl Spec {
                         c.ident("the COMMON block name")?;
                         c.expect(Tok::Slash, "`/` after the COMMON block name")?;
                     } else {
-                        names.push(c.ident("a variable name")?);
+                        self.save.insert(c.ident("a variable name")?);
                     }
                     if !c.eat(Tok::Comma) {
                         break;
                     }
                 }
                 c.finish()?;
-                self.save.extend(names);
             }
             "external" | "intrinsic" => {
                 c.skip(1);
-                let mut names = Vec::new();
-                c.idents("a procedure name", &mut names)?;
+                loop {
+                    self.externals.insert(c.ident("a procedure name")?);
+                    if !c.eat(Tok::Comma) {
+                        break;
+                    }
+                }
                 c.finish()?;
-                self.externals.extend(names);
             }
             _ => return Ok(false),
         }
@@ -507,8 +494,7 @@ pub(crate) fn finalize(
             match e.init {
                 Some(init) if d.attrs.parameter => spec.params_c.push((n.clone(), init, line)),
                 Some(init) => {
-                    let target =
-                        Desig { parts: vec![Part { name: n.clone(), subs: vec![] }], span: d.span };
+                    let target = Desig::scalar(n.clone(), d.span);
                     spec.data.push(((vec![target], vec![(1, init)]), line));
                 }
                 None => {}

@@ -3,7 +3,7 @@
 //! [`generate`] derives a small, deterministic, terminating two-file F77
 //! program from a seed: file one holds subroutines/functions over a
 //! COMMON block, file two the main program. The statement pool is chosen
-//! to exercise the legacy surface of [`crate::fixedform`] — labeled DO
+//! to exercise the legacy surface of the front end — labeled DO
 //! loops with CONTINUE terminals, computed and backward GOTO, arithmetic
 //! IF, EQUIVALENCE, DATA/SAVE, IMPLICIT typing, OMP PARALLEL DO
 //! reductions, plus one deliberately vectorizable affine sweep per

@@ -14,7 +14,7 @@
 //! Only cards carry labels, so a unit from a free-form source never
 //! comes here.
 
-use crate::ast::{Attrs, Bin, Branch, Decl, Desig, Entity, Expr, Part, Stmt, TypeSpec, Unit};
+use crate::ast::{Attrs, Bin, Branch, Decl, Desig, Entity, Expr, Stmt, TypeSpec, Unit};
 use crate::error::{Diagnostics, Span};
 use std::collections::{HashMap, HashSet};
 
@@ -34,7 +34,7 @@ fn sp(line: u32) -> Span {
 }
 
 fn dvar(n: &str, line: u32) -> Desig {
-    Desig { parts: vec![Part { name: n.to_string(), subs: vec![] }], span: sp(line) }
+    Desig::scalar(n.to_string(), sp(line))
 }
 
 fn evar(n: &str, line: u32) -> Expr {

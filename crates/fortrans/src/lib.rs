@@ -4,13 +4,21 @@
 //! GLAF-generated FORTRAN with gfortran/ifort and runs it on real
 //! hardware; this crate provides the equivalent stack from scratch:
 //!
-//! * [`lex`] / [`parse`] — free-form FORTRAN 90 subset: modules with
-//!   `CONTAINS`, `USE`, derived `TYPE`s and `%` access, `COMMON` blocks,
-//!   `SUBROUTINE`/`FUNCTION`, allocatables, `SAVE`, `DO`/`DO WHILE`/`IF`,
-//!   the F77/F90 intrinsics GLAF's library back-end emits, and the OpenMP
-//!   directives GLAF generates (`!$OMP PARALLEL DO` with
-//!   PRIVATE/FIRSTPRIVATE/REDUCTION/COLLAPSE/NUM_THREADS/SCHEDULE,
-//!   `ATOMIC`, `CRITICAL`, `THREADPRIVATE`).
+//! * [`lex`] / [`fixedform`] / [`parse`] — one front end for both source
+//!   forms. `lex` assembles free-form lines and `fixedform` punched
+//!   cards (column rules, continuation, blank stripping) onto the same
+//!   token buffer; `parse` is the one statement parser behind both: a
+//!   FORTRAN 90 subset — modules with `CONTAINS`, `USE`, derived `TYPE`s
+//!   and `%` access, `SUBROUTINE`/`FUNCTION`, allocatables, `SAVE`,
+//!   `DO`/`DO WHILE`/`IF`, the F77/F90 intrinsics GLAF's library
+//!   back-end emits, the OpenMP directives GLAF generates (`!$OMP
+//!   PARALLEL DO` with PRIVATE/FIRSTPRIVATE/REDUCTION/COLLAPSE/
+//!   NUM_THREADS/SCHEDULE, `ATOMIC`, `CRITICAL`, `THREADPRIVATE`) —
+//!   united with the legacy F77 surface: statement labels, `GO TO` in
+//!   its three forms and arithmetic `IF` (legalized into structured
+//!   control flow), `IMPLICIT` typing, `COMMON`/`EQUIVALENCE`/`DATA`/
+//!   `PARAMETER`. It recovers at statement boundaries and reports every
+//!   problem of a source set in one [`Diagnostics`] (DESIGN.md §8).
 //! * [`sema`] — name/slot resolution, storage association for COMMON,
 //!   flattening of derived-type variables, type checking with FORTRAN
 //!   promotion rules.

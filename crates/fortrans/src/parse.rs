@@ -507,14 +507,17 @@ fn decl(c: &mut LineCur, spec: TypeSpec) -> Result<Decl, PErr> {
     Ok(Decl { spec, attrs, entities, span: c.span() })
 }
 
-/// `[( [name {, name}] )]`: the dummy arguments of a unit head.
-fn params(c: &mut LineCur) -> Result<Vec<String>, PErr> {
+/// `name [( [name {, name}] )]`: what follows SUBROUTINE or FUNCTION,
+/// to the end of the statement.
+fn unit_head(c: &mut LineCur) -> Result<(String, Vec<String>), PErr> {
+    let name = c.ident("the subprogram name")?;
     let mut params = Vec::new();
     if c.eat(Tok::LParen) && !c.eat(Tok::RParen) {
         c.idents("a dummy argument name", &mut params)?;
         c.expect(Tok::RParen, "`,` or `)` in the dummy argument list")?;
     }
-    Ok(params)
+    c.finish()?;
+    Ok((name, params))
 }
 
 // ---------------------------------------------------------------------------
@@ -1047,10 +1050,12 @@ impl<'a> Builder<'a> {
         // first identifier looks like.
         let head = if c.opens_assignment() { None } else { c.word() };
         // Inside TYPE ... END TYPE only field declarations are at home.
-        let ends_type =
-            matches!((head, c.word_at(1)), (Some("endtype"), _) | (Some("end"), Some("type")));
-        if self.typedef.is_some() && !ends_type && !opens_decl(&c) {
-            self.close_type(false)?;
+        if self.typedef.is_some() && !opens_decl(&c) {
+            let ends_type =
+                matches!((head, c.word_at(1)), (Some("endtype"), _) | (Some("end"), Some("type")));
+            if !ends_type {
+                self.close_type(false)?;
+            }
         }
 
         // Statements that do not need an open unit.
@@ -1109,9 +1114,7 @@ impl<'a> Builder<'a> {
             }
             Some("subroutine" | "function") => {
                 c.skip(1);
-                let name = c.ident("the subprogram name")?;
-                let params = params(&mut c)?;
-                c.finish()?;
+                let (name, params) = unit_head(&mut c)?;
                 // An untyped FUNCTION's result type follows from IMPLICIT
                 // rules; the placeholder is patched during finalization.
                 let kind = match head {
@@ -1159,9 +1162,7 @@ impl<'a> Builder<'a> {
             Some(_) => {
                 if let Some(spec) = type_spec(&mut c)? {
                     if c.eat_kw("function") {
-                        let name = c.ident("the function name")?;
-                        let params = params(&mut c)?;
-                        c.finish()?;
+                        let (name, params) = unit_head(&mut c)?;
                         self.open_unit(UnitKind::Function(spec), name, params, false, line);
                         return Ok(());
                     }
@@ -1215,9 +1216,8 @@ impl<'a> Builder<'a> {
                         }
                         None => None,
                     };
-                    let inner = inner.ok_or_else(|| {
-                        perr("this statement cannot be the body of a logical IF")
-                    })?;
+                    let inner = inner
+                        .ok_or_else(|| perr("this statement cannot be the body of a logical IF"))?;
                     Stmt::If { arms: vec![(cond, vec![inner])], else_body: Vec::new(), span }
                 };
                 c.finish()?;
@@ -1374,7 +1374,7 @@ impl<'a> Builder<'a> {
                 }
                 let var = c.ident("a variable")?;
                 u.labels.assigns.entry(var.clone()).or_default().push(l);
-                let target = Desig { parts: vec![Part { name: var, subs: vec![] }], span };
+                let target = Desig::scalar(var, span);
                 Stmt::Assign { target, value: Expr::Int(i64::from(l)), atomic: false, span }
             }
             "call" => {
@@ -1453,8 +1453,7 @@ impl<'a> Builder<'a> {
                 let mut items = Vec::new();
                 loop {
                     let name = c.ident("an array name")?;
-                    items
-                        .push((Desig { parts: vec![Part { name, subs: vec![] }], span }, dims(c)?));
+                    items.push((Desig::scalar(name, span), dims(c)?));
                     if !c.eat(Tok::Comma) {
                         break;
                     }
@@ -1468,7 +1467,7 @@ impl<'a> Builder<'a> {
                 let mut names = Vec::new();
                 loop {
                     let name = c.ident("an array name")?;
-                    names.push(Desig { parts: vec![Part { name, subs: vec![] }], span });
+                    names.push(Desig::scalar(name, span));
                     if !c.eat(Tok::Comma) {
                         break;
                     }

@@ -429,7 +429,7 @@ impl Resolver {
             alloc_rank: usize,
             save: bool,
             /// `DATA`-style static initializer: scalar bits or one word
-            /// per array element (fixed-form front end output).
+            /// per array element (what `f77spec` makes of a `DATA` statement).
             init: Option<InitV>,
         }
         enum InitV {

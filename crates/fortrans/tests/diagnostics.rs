@@ -309,7 +309,10 @@ fn misplaced_directive_reported_on_the_offending_line() {
     // `wrap` puts the body on line 6: the directive, then the statement
     // that is not what the directive wanted on line 7.
     let diags = source_diags(&wrap("    !$OMP ATOMIC\n    CALL s()"));
-    assert_eq!(diags.render(), "file 0, line 7: error: ATOMIC directive is not followed by an assignment");
+    assert_eq!(
+        diags.render(),
+        "file 0, line 7: error: ATOMIC directive is not followed by an assignment"
+    );
     let diags = source_diags(&wrap("    !$OMP PARALLEL DO\n    x = 1.0D0"));
     assert_eq!(diags.list.len(), 1, "{}", diags.render());
     assert_eq!(diags.list[0].span.line, 7);

@@ -1,6 +1,7 @@
-//! Allocation budgets and the AST fingerprint of the two front ends.
+//! Allocation budgets and the AST fingerprints of the front end, for both
+//! source forms.
 //!
-//! The front ends are judged against the size of what they return: this
+//! The front end is judged against the size of what it returns: this
 //! file counts heap allocations (`alloc` + `realloc` calls, per thread)
 //! made by `ProgramSet::from_sources`, `parse::parse` and `lex::lex` over
 //! fixed corpora and pins them under named budgets, and pins an FNV-1a
@@ -9,8 +10,8 @@
 //! something inferred from the downstream differential suites.
 //!
 //! The fingerprint literals were computed at the commit *before* the
-//! front ends were made allocation-lean; a change to them means the
-//! front end now hands sema a different program. (The F77 literal was
+//! front end was made allocation-lean (two front ends, then); a change
+//! to them means the front end now hands sema a different program. (The F77 literal was
 //! recomputed once since, when the card path's `PARALLEL DO` without a
 //! `COLLAPSE` clause started saying `collapse: 1` like the free-form
 //! path: 123 of the 200 programs, that substitution and nothing else.)

@@ -71,8 +71,9 @@ fn relative_lines(text: &str, base: u32) -> String {
         let (head, tail) = rest.split_at(at + "line".len());
         out.push_str(head);
         let sep = tail.len() - tail.trim_start_matches([':', ' ']).len();
-        let digits = tail[sep..].len() - tail[sep..].trim_start_matches(|c: char| c.is_ascii_digit()).len();
-        match tail[sep..sep + digits].parse::<i64>() {
+        let number = &tail[sep..];
+        let digits = number.len() - number.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+        match number[..digits].parse::<i64>() {
             Ok(n) if sep > 0 => {
                 out.push_str(&format!("{}{:+}", &tail[..sep], n - i64::from(base)));
                 rest = &tail[sep + digits..];
