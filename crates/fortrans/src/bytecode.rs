@@ -17,7 +17,8 @@
 //! * canonical unit-stride `DO` loops compile to a fused
 //!   `DoInitC`/`DoHead1`/`DoIncr1` triple (one bounds check + one
 //!   counter store + one increment per iteration), and those whose body
-//!   is elementwise REAL arithmetic over affine subscripts get a
+//!   is elementwise REAL arithmetic over affine subscripts — inner loops
+//!   of a few literal trips looked through as if unrolled — get a
 //!   `VecLoop` in front that runs the whole trip as a [`VecDesc`];
 //! * constant subexpressions fold and provably-dead frame-scalar stores
 //!   are eliminated — but only in the *optimized* build variant.
@@ -34,15 +35,16 @@
 //! loads, constants and the `Do*` loop instructions post nothing, so
 //! operand-addressed subscripts and fused heads cannot move a count.
 //!
-//! Vector regions are shared too. A `VecLoop` body is straight-line and
-//! lane-independent, so the scalar tier posts the same counts on every
-//! iteration; `iter_ledger` sums them once, from the emitted scalar
-//! loop `DoHead1 … DoIncr1` through the per-instruction table
+//! Vector regions are shared too. A flat `VecLoop` body is straight-line
+//! and lane-independent, so the scalar tier posts the same counts on
+//! every iteration; `region_cost` sums them once, from the emitted
+//! scalar loop `DoHead1 … DoIncr1` through the per-instruction table
 //! (`BInstr::posts`) the VM's own handlers post from, and a Simulated
 //! run that commits to the vector rung posts `trip x ledger` in one
-//! step. That is exact, not an estimate: the entry guards prove no
-//! iteration can fault, the counters are integers that only add, and
-//! the bucket they land in cannot change mid-loop (see below). The
+//! step (a nest region gets no ledger and stays scalar there). That is
+//! exact, not an estimate: the entry guards prove no iteration can
+//! fault, the counters are integers that only add, and the bucket they
+//! land in cannot change mid-loop (see below). The
 //! ledger describes the *traced* scalar body — unfolded constants, dead
 //! stores and all — while the lane program is built by an analysis that
 //! folds in both builds; the two need not mirror each other because one
@@ -277,7 +279,7 @@ pub enum BInstr {
 
 /// What one execution of an instruction posts to the Simulated-mode
 /// cost trace. [`BInstr::posts`] is the one definition both the VM's
-/// handlers and [`iter_ledger`] read, so a `VecLoop` region's static
+/// handlers and [`region_cost`] read, so a `VecLoop` region's static
 /// ledger cannot drift from what its scalar body posts.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Posts {
@@ -327,31 +329,120 @@ impl BInstr {
 /// The sum of what straight-line `code` posts per execution, or `None`
 /// when any instruction in it is [`Posts::Dynamic`].
 pub(crate) fn static_ledger(code: &[BInstr]) -> Option<Ledger> {
-    let mut l = Ledger::default();
-    for i in code {
-        match i.posts() {
-            Posts::Free => {}
-            Posts::Op(k) => l.op(k),
-            Posts::Atomic => {
+    pass_cost(code, 0, code.len())?.1
+}
+
+/// A fused loop over literal bounds, as `emit_serial_do` lays it out:
+/// `Const(start) Const(end) DoInitC [VecEnter] DoHead1 … DoIncr1`.
+struct ConstLoop {
+    start: i64,
+    end: i64,
+    ctr: u32,
+    ends: u32,
+    var: u32,
+    head: usize,
+    exit: usize,
+}
+
+/// The constant-bounds loop whose `DoInitC` sits at `code[init]`, if that
+/// is what the code there is.
+fn const_loop_at(code: &[BInstr], init: usize) -> Option<ConstLoop> {
+    let (BInstr::Const(s), BInstr::Const(e)) = (*code.get(init.checked_sub(2)?)?, code[init - 1])
+    else {
+        return None;
+    };
+    let BInstr::DoInitC { ctr, end: ends } = *code.get(init)? else { return None };
+    let head = init + 1 + usize::from(matches!(code.get(init + 1), Some(BInstr::VecEnter(_))));
+    let BInstr::DoHead1 { ctr: hc, end: he, var, exit } = *code.get(head)? else { return None };
+    let exit = exit as usize;
+    let incr = exit.checked_sub(1).filter(|&p| p > head)?;
+    match *code.get(incr)? {
+        BInstr::DoIncr1 { ctr: ic, head: ih }
+            if (hc, he, ic, ih as usize) == (ctr, ends, ctr, head) =>
+        {
+            Some(ConstLoop { start: s as i64, end: e as i64, ctr, ends, var, head, exit })
+        }
+        _ => None,
+    }
+}
+
+/// What one pass over `code[lo..hi]` retires (VM steps) and posts, when
+/// the range is straight-line code and constant-trip loops of at most
+/// [`VEC_NEST_TRIP`] iterations — the only shapes the body of a
+/// `VecLoop` region takes. `None` for anything else. The ledger is
+/// `None` as soon as the range holds a loop: innermost loops post under
+/// their own vectorization class (`VecEnter`), which one scaled posting
+/// cannot express, so a Simulated run leaves nests to the scalar tier.
+fn pass_cost(code: &[BInstr], lo: usize, hi: usize) -> Option<(u32, Option<Ledger>)> {
+    let mut steps = 0u32;
+    let mut ledger = Some(Ledger::default());
+    let mut pc = lo;
+    while pc < hi {
+        let ins = code.get(pc)?;
+        steps = steps.checked_add(1)?;
+        match (ins.posts(), ins) {
+            (Posts::Dynamic, BInstr::VecEnter(_) | BInstr::VecLeave) => ledger = None,
+            (Posts::Dynamic, BInstr::DoInitC { .. }) => {
+                let l = const_loop_at(code, pc).filter(|l| pc >= lo + 2 && l.exit <= hi)?;
+                let trip = l.end.checked_sub(l.start)?.checked_add(1)?;
+                let trip = u32::try_from(trip).ok().filter(|&t| i64::from(t) <= VEC_NEST_TRIP)?;
+                let (body, _) = pass_cost(code, l.head + 1, l.exit - 1)?;
+                // Head and increment retire every trip, the head once more
+                // to leave; a `VecEnter` in front of the head retires once.
+                steps = steps
+                    .checked_add((l.head - pc - 1) as u32)?
+                    .checked_add(trip.checked_mul(body.checked_add(2)?)?)?
+                    .checked_add(1)?;
+                ledger = None;
+                pc = l.exit;
+                continue;
+            }
+            (Posts::Dynamic, _) => return None,
+            (Posts::Free, _) => {}
+            (Posts::Op(k), _) => ledger.iter_mut().for_each(|l| l.op(k)),
+            (Posts::Atomic, _) => ledger.iter_mut().for_each(|l| {
                 l.atomics += 1;
                 l.op(OpKind::Load);
                 l.op(OpKind::Store);
-            }
-            Posts::Branch => l.branches += 1,
-            Posts::Dynamic => return None,
+            }),
+            (Posts::Branch, _) => ledger.iter_mut().for_each(|l| l.branches += 1),
         }
+        pc += 1;
     }
-    Some(l)
+    Some((steps, ledger))
 }
 
-/// Per-iteration ledger of a fused unit-stride loop `DoHead1 … DoIncr1`
-/// (neither of which posts): what the scalar tier posts each time round,
-/// when the body between them is straight-line code of static cost.
-pub(crate) fn iter_ledger(scalar_loop: &[BInstr]) -> Option<Ledger> {
-    match scalar_loop {
-        [BInstr::DoHead1 { .. }, body @ .., BInstr::DoIncr1 { .. }] => static_ledger(body),
+/// Cost of one iteration of the scalar loop `code[head..exit]` =
+/// `DoHead1 … DoIncr1` that a `VecLoop` region shadows: the VM steps it
+/// retires ([`VecDesc::iter_cost`]) and what it posts
+/// ([`VecDesc::iter_ledger`]). `None` when the range is not such a loop
+/// over straight-line code and constant-trip nests. The compiler patches
+/// both into the descriptor and the verifier recomputes them.
+pub(crate) fn region_cost(
+    code: &[BInstr],
+    head: usize,
+    exit: usize,
+) -> Option<(u32, Option<Ledger>)> {
+    match (code.get(head)?, code.get(exit.checked_sub(1)?)?) {
+        (BInstr::DoHead1 { .. }, BInstr::DoIncr1 { .. }) if exit - head >= 2 => {
+            let (body, ledger) = pass_cost(code, head + 1, exit - 1)?;
+            Some((body.checked_add(2)?, ledger))
+        }
         _ => None,
     }
+}
+
+/// The values the constant-trip loops inside `code[lo..hi]` (a nest
+/// region's scalar body) leave in their variable, counter and end slots,
+/// in code order: [`VecDesc::exit_state`].
+pub(crate) fn nest_exit_state(code: &[BInstr], lo: usize, hi: usize) -> Vec<(u32, i64)> {
+    let mut out = Vec::new();
+    for pc in lo..hi {
+        if let Some(l) = const_loop_at(code, pc) {
+            out.extend([(l.var, l.end), (l.ctr, l.end.wrapping_add(1)), (l.ends, l.end)]);
+        }
+    }
+    out
 }
 
 /// One OMP PARALLEL DO descriptor.
@@ -445,6 +536,10 @@ pub struct BUnit {
     pub loops: Vec<BLoopSite>,
     /// Vector superinstruction descriptors.
     pub vecs: Vec<VecDesc>,
+    /// Serial DO loops that got no `VecLoop`, as `(DO line, reason)` in
+    /// source order. Loops inside a region are covered by it and appear
+    /// in neither table.
+    pub vec_refusals: Vec<(u32, VecRefusal)>,
 }
 
 impl BUnit {
@@ -495,6 +590,53 @@ pub const VEC_MAX_ACCESSES: usize = 32;
 const VEC_MAX_STMTS: usize = 32;
 const VEC_MAX_OPS: usize = 256;
 const VEC_MAX_ARGC: usize = 8;
+/// Longest constant trip of an inner loop a region unrolls.
+const VEC_NEST_TRIP: i64 = 8;
+
+/// Why the vector analysis left a serial DO loop on the scalar tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VecRefusal {
+    /// The body branches, exits, or holds a loop that is not a short
+    /// constant-trip nest.
+    Control,
+    /// The body calls a subprogram.
+    Call,
+    /// A subscript (or an INTEGER operand) is not affine in the loop
+    /// variable.
+    NonAffine,
+    /// A loop-invariant subscript part can trap or has side effects and
+    /// is not a plain INTEGER element load.
+    ImpureInvariant,
+    /// A written array is accessed through two different subscript
+    /// patterns.
+    WrittenPatterns,
+    /// A written element does not move with the loop variable.
+    NotInjective,
+    /// The (unrolled) body exceeds a descriptor cap.
+    TooBig,
+    /// Anything else about the loop or a statement: non-unit step,
+    /// non-REAL data, a second reduction, a loop-carried scalar, I/O.
+    Shape,
+}
+
+/// A loop-invariant INTEGER element load that a region's subscripts (or
+/// integer operands) depend on — `c2n(2, cidx)` in `qn(m, c2n(2, cidx))`.
+/// Unlike prep code it can fault, so no bytecode evaluates it: the
+/// `VecLoop` entry reads it without trapping into the hidden i-slot
+/// `slot`, and a failed read (unallocated, out of range, not INTEGER)
+/// fails the entry guard, leaving the fault to the scalar loop at the
+/// iteration and line it belongs to. Reading it once, early, is exact
+/// because a region stores to REAL arrays only.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GuardedLoad {
+    pub slot: u32,
+    pub vs: VSlot,
+    /// Source var index, for diagnostics.
+    pub v: u32,
+    /// `Const` and `Slot` operands only; a `Slot` may be an earlier
+    /// guarded load's.
+    pub subs: Vec<SubOp>,
+}
 
 /// One affine subscript of a vector access: at iteration value `i` the
 /// subscript is `coeff*i + add + frame.i[inv]` (wrapping i64 arithmetic,
@@ -578,6 +720,8 @@ pub struct VecDesc {
     pub accesses: Vec<VecAccess>,
     pub stmts: Vec<Vec<VecOp>>,
     pub red: Option<VecRed>,
+    /// Invariant element loads the entry performs, in dependence order.
+    pub guarded: Vec<GuardedLoad>,
     /// Access pairs `(i, j)`, `i < j`, of which at least one is written
     /// — exactly [`VecDesc::write_pairs`] of `accesses`. Compile time
     /// only proves distinct *slots*; the entry guard checks these pairs
@@ -585,18 +729,24 @@ pub struct VecDesc {
     pub alias_pairs: Vec<(u32, u32)>,
     /// Max operand depth over all statement programs.
     pub max_depth: u32,
-    /// Scalar-tier instructions per iteration (`DoHead1` through
-    /// `DoIncr1`), used by the VM to pre-reserve the step budget so a
-    /// run that would exhaust its budget falls back to the scalar head
-    /// and trips there, exactly as before. Patched after loop emission.
+    /// Scalar-tier instructions one iteration retires (`DoHead1` through
+    /// `DoIncr1`, inner constant-trip loops counted trip by trip), used
+    /// by the VM to pre-reserve the step budget so a run that would
+    /// exhaust its budget falls back to the scalar head and trips
+    /// there, exactly as before. Patched after loop emission.
     pub iter_cost: u32,
     /// What the scalar loop this descriptor shadows posts to the cost
     /// trace per iteration, so a Simulated run can post a whole
-    /// vectorized trip in O(1). `None` (a body instruction of
-    /// run-time-dependent cost) keeps such a run on the scalar head.
-    /// Patched after loop emission like `iter_cost`, and recomputed by
-    /// the verifier.
+    /// vectorized trip in O(1). `None` (the body is a nest, see
+    /// `region_cost`) keeps such a run on the scalar head. Patched
+    /// after loop emission like `iter_cost`; the verifier recomputes
+    /// both.
     pub iter_ledger: Option<Ledger>,
+    /// `(i-slot, value)` stores a committed entry makes on top of the
+    /// outer DO state: the variable, counter and end slot of every
+    /// unrolled inner loop as the scalar nest leaves them. Read off the
+    /// emitted scalar loop like the two fields above.
+    pub exit_state: Vec<(u32, i64)>,
     /// DO statement source line.
     pub line: u32,
 }
@@ -791,14 +941,36 @@ struct VecPlan {
     red: Option<VecRed>,
     max_depth: u32,
     /// Loop-invariant subscript expressions to evaluate into hidden
-    /// i-slots between `DoInitC` and `VecLoop`: (dedup key, expr, slot).
-    prep: Vec<(String, RExpr, u32)>,
+    /// i-slots between `DoInitC` and `VecLoop`: (expr, slot).
+    prep: Vec<(RExpr, u32)>,
+    /// Invariant element loads the `VecLoop` entry performs instead.
+    guarded: Vec<GuardedLoad>,
+    /// Dedup table over both: (`{expr:?}`, slot).
+    inv_slots: Vec<(String, u32)>,
     /// Forward-substituted scalar temps: (temp, final substituted RHS).
     /// The vector body never materializes these, so the emitter places a
     /// fixup block on the `VecLoop` exit edge that recomputes each
     /// temp's last-iteration value (the loop variable already holds the
     /// final trip value there).
     fixup: Vec<(VarIdx, RExpr)>,
+}
+
+/// What the analysis knows about a loop body while it walks it.
+#[derive(Default)]
+struct VecBody {
+    /// The loop variable of the would-be region.
+    var: VarIdx,
+    /// Arrays written and scalars assigned anywhere in the body
+    /// (unrolled loop indices included) — filled by the pre-scan.
+    awritten: Vec<VarIdx>,
+    sassigned: Vec<VarIdx>,
+    plan: VecPlan,
+    /// Forwarded temps so far: (temp, substituted RHS).
+    temps: Vec<(VarIdx, RExpr)>,
+    /// Map statements compiled so far.
+    maps: usize,
+    /// The one non-forwardable scalar assignment (a reduction, or bust).
+    red: Option<(VarIdx, RExpr)>,
 }
 
 /// Simulates a vector statement program's operand-stack effect.
@@ -870,38 +1042,40 @@ fn expr_uses_var(e: &RExpr, var: VarIdx) -> bool {
     }
 }
 
-/// `e` with every `LoadScalar` of a forwarded temp replaced by the
+/// `e` with every `LoadScalar` of an unrolled loop index replaced by
+/// the constant it holds and every one of a forwarded temp by the
 /// temp's defining expression (itself already substituted, so the
 /// result never references another temp). `CallFn` arguments are left
 /// alone: a call anywhere disqualifies the loop from vectorizing, so
 /// the substituted tree is never emitted in that case.
-fn subst_scalars(e: &RExpr, subst: &[(VarIdx, RExpr)]) -> RExpr {
-    if subst.is_empty() {
+fn subst_scalars(e: &RExpr, idx: &[(VarIdx, i64)], temps: &[(VarIdx, RExpr)]) -> RExpr {
+    if idx.is_empty() && temps.is_empty() {
         return e.clone();
     }
+    let sub = |x: &RExpr| subst_scalars(x, idx, temps);
     match e {
-        RExpr::LoadScalar(v) => match subst.iter().find(|(u, _)| u == v) {
-            Some((_, d)) => d.clone(),
-            None => e.clone(),
-        },
-        RExpr::LoadElem { v, subs } => RExpr::LoadElem {
-            v: *v,
-            subs: subs.iter().map(|s| subst_scalars(s, subst)).collect(),
-        },
-        RExpr::Bin { op, ty, l, r } => RExpr::Bin {
-            op: *op,
-            ty: *ty,
-            l: Box::new(subst_scalars(l, subst)),
-            r: Box::new(subst_scalars(r, subst)),
-        },
-        RExpr::Neg(x) => RExpr::Neg(Box::new(subst_scalars(x, subst))),
-        RExpr::Not(x) => RExpr::Not(Box::new(subst_scalars(x, subst))),
-        RExpr::ToF(x) => RExpr::ToF(Box::new(subst_scalars(x, subst))),
-        RExpr::ToI(x) => RExpr::ToI(Box::new(subst_scalars(x, subst))),
-        RExpr::Intrinsic { f, args } => RExpr::Intrinsic {
-            f: *f,
-            args: args.iter().map(|a| subst_scalars(a, subst)).collect(),
-        },
+        RExpr::LoadScalar(v) => {
+            if let Some((_, c)) = idx.iter().find(|(u, _)| u == v) {
+                RExpr::ConstI(*c)
+            } else if let Some((_, d)) = temps.iter().find(|(u, _)| u == v) {
+                d.clone()
+            } else {
+                e.clone()
+            }
+        }
+        RExpr::LoadElem { v, subs } => {
+            RExpr::LoadElem { v: *v, subs: subs.iter().map(sub).collect() }
+        }
+        RExpr::Bin { op, ty, l, r } => {
+            RExpr::Bin { op: *op, ty: *ty, l: Box::new(sub(l)), r: Box::new(sub(r)) }
+        }
+        RExpr::Neg(x) => RExpr::Neg(Box::new(sub(x))),
+        RExpr::Not(x) => RExpr::Not(Box::new(sub(x))),
+        RExpr::ToF(x) => RExpr::ToF(Box::new(sub(x))),
+        RExpr::ToI(x) => RExpr::ToI(Box::new(sub(x))),
+        RExpr::Intrinsic { f, args } => {
+            RExpr::Intrinsic { f: *f, args: args.iter().map(sub).collect() }
+        }
         _ => e.clone(),
     }
 }
@@ -934,6 +1108,10 @@ struct UnitCompiler<'a> {
     loops: Vec<BLoopSite>,
     /// Vector descriptors under construction.
     vecs: Vec<VecDesc>,
+    vec_refusals: Vec<(u32, VecRefusal)>,
+    /// How many `VecLoop` regions enclose the statement being emitted:
+    /// loops in there belong to the region and get none of their own.
+    region_depth: u32,
 }
 
 impl<'a> UnitCompiler<'a> {
@@ -981,6 +1159,8 @@ impl<'a> UnitCompiler<'a> {
             last_line: u32::MAX,
             loops: Vec::new(),
             vecs: Vec::new(),
+            vec_refusals: Vec::new(),
+            region_depth: 0,
         }
     }
 
@@ -1008,6 +1188,7 @@ impl<'a> UnitCompiler<'a> {
             lines: self.lines,
             loops: self.loops,
             vecs: self.vecs,
+            vec_refusals: self.vec_refusals,
         }
     }
 
@@ -1795,157 +1976,234 @@ impl<'a> UnitCompiler<'a> {
     /// from expressions with no loop-carried reads are forward-
     /// substituted into their consumers (privatization): they don't
     /// block either shape, and a fixup block on the vector exit edge
-    /// restores their final values. Anything else (control flow, calls,
-    /// I/O, allocation, non-affine subscripts, LOGICAL/INTEGER element
-    /// types) keeps the scalar loop.
-    fn analyze_vec(&mut self, var: VarIdx, body: &[SpStmt]) -> Option<VecPlan> {
-        let mut plan = VecPlan::default();
-        let mut real: Vec<&RStmt> = Vec::new();
-        for sp in body {
-            match &sp.s {
-                RStmt::Nop => {}
-                // A dead pure store doesn't block the vector path, nor
-                // does the lane program run it: nothing reads the slot.
-                // (A traced build's scalar body keeps the store, so its
-                // operations are in the ledger.)
-                RStmt::AssignScalar { v, e } if self.dead[*v] && self.pure_total(e) => {}
-                s => real.push(s),
-            }
-        }
-        if real.len() > VEC_MAX_STMTS {
-            return None;
-        }
+    /// restores their final values. Inner loops over literal bounds of
+    /// at most [`VEC_NEST_TRIP`] trips are looked through: the body is
+    /// analysed as if they were fully unrolled in iteration order
+    /// (`vec_stmts`), so a same-cell chain such as
+    /// `g(d) = g(d) + w(d, f)` over `f` stays in statement order, which
+    /// statement-at-a-time lane execution preserves cell by cell.
+    /// Anything else (control flow, calls, I/O, allocation, non-affine
+    /// subscripts, LOGICAL/INTEGER element types) keeps the scalar loop
+    /// and says why.
+    fn analyze_vec(&mut self, var: VarIdx, body: &[SpStmt]) -> Result<VecPlan, VecRefusal> {
+        use VecRefusal::*;
         // Pre-scan for the forwarding legality checks: arrays written and
-        // scalars assigned anywhere in the body. A temp's RHS may not
-        // read either set — a written array would make the fixup re-read
-        // clobbered elements, and a still-assigned scalar read is either
-        // loop-carried or an accumulator reference.
-        let mut awritten: Vec<VarIdx> = Vec::new();
-        let mut sassigned: Vec<VarIdx> = Vec::new();
-        for s in &real {
-            match s {
-                RStmt::AssignElem { v, .. } => awritten.push(*v),
-                RStmt::AssignScalar { v, .. } => sassigned.push(*v),
-                _ => return None, // control flow, calls, I/O: scalar only
-            }
+        // scalars assigned anywhere in the body — unrolled loop indices
+        // included, which are constants inside their loop and loop-
+        // carried outside it. A temp's RHS may not read either set — a
+        // written array would make the fixup re-read clobbered elements,
+        // and a still-assigned scalar read is either loop-carried or an
+        // accumulator reference.
+        let mut b = VecBody { var, ..VecBody::default() };
+        if self.vec_prescan(body, &mut Vec::new(), &mut b)? > VEC_MAX_STMTS {
+            return Err(TooBig);
         }
-        let mut subst: Vec<(VarIdx, RExpr)> = Vec::new();
-        let mut maps: Vec<(VarIdx, Vec<RExpr>, RExpr)> = Vec::new();
-        let mut red_stmt: Option<(VarIdx, RExpr)> = None;
-        for s in &real {
-            match s {
-                RStmt::AssignElem { v, subs, e } => {
-                    let subs2: Vec<RExpr> =
-                        subs.iter().map(|s| subst_scalars(s, &subst)).collect();
-                    maps.push((*v, subs2, subst_scalars(e, &subst)));
-                }
-                RStmt::AssignScalar { v, e } => {
-                    let e2 = subst_scalars(e, &subst);
-                    let fwd = matches!(self.vslot(*v), VSlot::F(_))
-                        && self.unit.vars[*v].ty == ScalarTy::F
-                        && self.ty_of(&e2) == ScalarTy::F
-                        && self.vec_temp_ok(&e2, &awritten, &sassigned)
-                        && self.vec_intern_reads(&e2, var, &mut plan).is_some();
-                    if fwd {
-                        match subst.iter_mut().find(|(u, _)| u == v) {
-                            Some(slot) => slot.1 = e2,
-                            None => subst.push((*v, e2)),
-                        }
-                    } else {
-                        // Not forwardable: the only remaining legal role
-                        // is the (single) reduction statement.
-                        if red_stmt.is_some() {
-                            return None;
-                        }
-                        red_stmt = Some((*v, e2));
-                    }
-                }
-                _ => unreachable!(),
-            }
-        }
-        if let Some((acc, e)) = red_stmt {
-            // Reduction shape: the accumulator update must be the only
-            // non-forwarded statement.
-            if !maps.is_empty() {
-                return None;
-            }
-            if self.unit.vars[acc].ty != ScalarTy::F {
-                return None;
-            }
+        self.vec_stmts(body, &mut Vec::new(), &mut b)?;
+        let VecBody { mut plan, temps, maps, red, sassigned, .. } = b;
+        if let Some((acc, e)) = red {
+            // Reduction shape: the accumulator update is the only
+            // non-forwarded statement (`vec_stmts` saw to that).
             let avs = self.vslot(acc);
-            if !matches!(avs, VSlot::F(_) | VSlot::GlobS(_)) {
-                return None;
+            if self.unit.vars[acc].ty != ScalarTy::F
+                || !matches!(avs, VSlot::F(_) | VSlot::GlobS(_))
+            {
+                return Err(Shape);
             }
-            let RExpr::Bin { op, ty: ScalarTy::F, l, r } = &e else { return None };
+            let RExpr::Bin { op, ty: ScalarTy::F, l, r } = &e else { return Err(Shape) };
             let rop = match op {
                 Bin::Add => VecRedOp::Add,
                 Bin::Mul => VecRedOp::Mul,
-                _ => return None,
+                _ => return Err(Shape),
             };
             let is_acc = |x: &RExpr| matches!(x, RExpr::LoadScalar(v) if *v == acc);
             let (acc_left, term) = match (is_acc(l), is_acc(r)) {
                 (true, false) => (true, r.as_ref()),
                 (false, true) => (false, l.as_ref()),
-                _ => return None,
+                _ => return Err(Shape),
             };
             // After substitution the term may only reference a body-
             // assigned scalar through use-before-def — loop-carried, so
             // reject (this also subsumes the accumulator itself).
             if sassigned.iter().any(|&t| expr_uses_var(term, t)) {
-                return None;
+                return Err(Shape);
             }
             let mut ops = Vec::new();
             self.vec_operand_f(term, var, &mut plan, &mut ops)?;
             plan.stmts.push(ops);
             plan.red = Some(VecRed { vs: avs, op: rop, acc_left });
-        } else {
-            // Map shape: every non-forwarded statement an elementwise
-            // store. A body of only forwarded temps stays scalar — the
-            // empty vector loop would win nothing.
-            if maps.is_empty() && !subst.is_empty() {
-                return None;
-            }
-            for (v, subs, e) in &maps {
-                // A leftover reference to a body-assigned scalar is a
-                // use-before-def (loop-carried) read: the splat/prep
-                // machinery would freeze its pre-loop value.
-                if sassigned.iter().any(|&t| {
-                    expr_uses_var(e, t) || subs.iter().any(|s| expr_uses_var(s, t))
-                }) {
-                    return None;
-                }
-                let a = self.vec_access(*v, subs, var, true, &mut plan)?;
-                let mut ops = Vec::new();
-                self.vec_operand_f(e, var, &mut plan, &mut ops)?;
-                ops.push(VecOp::Store(a));
-                plan.stmts.push(ops);
-            }
+        } else if maps == 0 && !temps.is_empty() {
+            // A body of only forwarded temps stays scalar — the empty
+            // vector loop would win nothing.
+            return Err(Shape);
         }
-        plan.fixup = subst;
-        // Dependence rule: distinct subscript patterns on a written array
-        // would need cross-element ordering — reject. (Identical patterns
-        // were interned into one entry above.)
-        for (i, a) in plan.accesses.iter().enumerate() {
-            for b in plan.accesses.iter().skip(i + 1) {
-                if a.vs == b.vs && (a.write || b.write) {
-                    return None;
-                }
-            }
-            // Injectivity: a write must move with the loop, else later
-            // elements overwrite earlier ones out of statement order.
-            if a.write && a.subs.iter().all(|s| s.coeff == 0) {
-                return None;
-            }
-        }
+        plan.fixup = temps;
         for ops in &plan.stmts {
-            let (fin, mx) = vec_stack_effect(ops)?;
-            let want = u32::from(plan.red.is_some());
-            if fin != want || mx > VEC_MAX_DEPTH {
-                return None;
+            let (fin, mx) = vec_stack_effect(ops).ok_or(Shape)?;
+            if fin != u32::from(plan.red.is_some()) {
+                return Err(Shape);
+            }
+            if mx > VEC_MAX_DEPTH {
+                return Err(TooBig);
             }
             plan.max_depth = plan.max_depth.max(mx);
         }
-        Some(plan)
+        Ok(plan)
+    }
+
+    /// First pass over a loop body, nothing allocated per statement:
+    /// refuses statement kinds no region holds, records what the body
+    /// writes and assigns, and returns how many assignments one
+    /// iteration executes once every inner loop over literal bounds is
+    /// unrolled. `open` holds the variables of the enclosing inner
+    /// loops.
+    fn vec_prescan(
+        &self,
+        body: &[SpStmt],
+        open: &mut Vec<VarIdx>,
+        b: &mut VecBody,
+    ) -> Result<usize, VecRefusal> {
+        use VecRefusal::*;
+        let mut n = 0usize;
+        for sp in body {
+            n += match &sp.s {
+                RStmt::Nop => 0,
+                RStmt::AssignScalar { v, e } if self.vec_skips(*v, e) => 0,
+                RStmt::AssignScalar { v, .. } => {
+                    b.sassigned.push(*v);
+                    1
+                }
+                RStmt::AssignElem { v, .. } => {
+                    b.awritten.push(*v);
+                    1
+                }
+                RStmt::Do { var: k, body, .. } => match self.vec_unrolls(&sp.s, b.var, open) {
+                    Some((lo, hi)) => {
+                        b.sassigned.push(*k);
+                        open.push(*k);
+                        let inner = self.vec_prescan(body, open, b)?;
+                        open.pop();
+                        inner.saturating_mul((hi - lo + 1) as usize)
+                    }
+                    None => return Err(Control),
+                },
+                RStmt::CallSub { .. } => return Err(Call),
+                RStmt::If { .. }
+                | RStmt::DoWhile { .. }
+                | RStmt::Critical { .. }
+                | RStmt::Return
+                | RStmt::Exit
+                | RStmt::Cycle
+                | RStmt::Stop(_) => return Err(Control),
+                _ => return Err(Shape), // whole-array statements, ATOMIC, allocation, I/O
+            };
+        }
+        Ok(n)
+    }
+
+    /// A dead pure store doesn't block the vector path, nor does the
+    /// lane program run it: nothing reads the slot. (A traced build's
+    /// scalar body keeps the store, so its operations are in the
+    /// ledger.)
+    fn vec_skips(&self, v: VarIdx, e: &RExpr) -> bool {
+        self.dead[v] && self.pure_total(e)
+    }
+
+    /// The literal bounds of an inner `DO` a region looks through: unit
+    /// step, 1 to [`VEC_NEST_TRIP`] trips, a frame-I variable that is
+    /// neither the region's nor an enclosing inner loop's.
+    fn vec_unrolls(&self, s: &RStmt, var: VarIdx, open: &[VarIdx]) -> Option<(i64, i64)> {
+        match s {
+            RStmt::Do {
+                var: k,
+                start: RExpr::ConstI(lo),
+                end: RExpr::ConstI(hi),
+                step: None | Some(RExpr::ConstI(1)),
+                omp: None,
+                ..
+            } if matches!(self.vslot(*k), VSlot::I(_))
+                && *k != var
+                && !open.contains(k)
+                && hi.checked_sub(*lo).is_some_and(|d| (0..VEC_NEST_TRIP).contains(&d)) =>
+            {
+                Some((*lo, *hi))
+            }
+            _ => None,
+        }
+    }
+
+    /// Second pass: the assignments one iteration executes, in order,
+    /// as if every inner loop were unrolled — `idx` maps the enclosing
+    /// inner loops' variables to the constants they hold — each one
+    /// forwarded, compiled to its lane program, or kept as the
+    /// reduction statement. The first refusal stops the walk.
+    fn vec_stmts(
+        &mut self,
+        body: &[SpStmt],
+        idx: &mut Vec<(VarIdx, i64)>,
+        b: &mut VecBody,
+    ) -> Result<(), VecRefusal> {
+        use VecRefusal::Shape;
+        let var = b.var;
+        for sp in body {
+            match &sp.s {
+                RStmt::AssignScalar { v, e } if self.vec_skips(*v, e) => {}
+                RStmt::AssignElem { v, subs, e } => {
+                    let subs: Vec<RExpr> =
+                        subs.iter().map(|s| subst_scalars(s, idx, &b.temps)).collect();
+                    let e = subst_scalars(e, idx, &b.temps);
+                    // Map shape: every non-forwarded statement an
+                    // elementwise store.
+                    if b.red.is_some() {
+                        return Err(Shape);
+                    }
+                    let a = self.vec_access(*v, &subs, var, true, &mut b.plan)?;
+                    let mut ops = Vec::new();
+                    self.vec_operand_f(&e, var, &mut b.plan, &mut ops)?;
+                    ops.push(VecOp::Store(a));
+                    b.plan.stmts.push(ops);
+                    b.maps += 1;
+                    // A leftover reference to a body-assigned scalar is a
+                    // use-before-def (loop-carried) read: the splat/prep
+                    // machinery would freeze its pre-loop value.
+                    if b.sassigned.iter().any(|&t| {
+                        expr_uses_var(&e, t) || subs.iter().any(|s| expr_uses_var(s, t))
+                    }) {
+                        return Err(Shape);
+                    }
+                }
+                RStmt::AssignScalar { v, e } => {
+                    let e = subst_scalars(e, idx, &b.temps);
+                    let fwd = matches!(self.vslot(*v), VSlot::F(_))
+                        && self.unit.vars[*v].ty == ScalarTy::F
+                        && self.ty_of(&e) == ScalarTy::F
+                        && self.vec_temp_ok(&e, &b.awritten, &b.sassigned)
+                        && self.vec_intern_reads(&e, var, &mut b.plan).is_ok();
+                    if fwd {
+                        match b.temps.iter_mut().find(|(u, _)| u == v) {
+                            Some(slot) => slot.1 = e,
+                            None => b.temps.push((*v, e)),
+                        }
+                    } else if b.red.is_some() || b.maps > 0 {
+                        // Not forwardable: the only remaining legal role
+                        // is the single statement of a reduction.
+                        return Err(Shape);
+                    } else {
+                        b.red = Some((*v, e));
+                    }
+                }
+                RStmt::Do { var: k, body, .. } => {
+                    let open: Vec<VarIdx> = idx.iter().map(|&(j, _)| j).collect();
+                    let (lo, hi) = self.vec_unrolls(&sp.s, var, &open).expect("prescanned");
+                    for val in lo..=hi {
+                        idx.push((*k, val));
+                        self.vec_stmts(body, idx, b)?;
+                        idx.pop();
+                    }
+                }
+                _ => {} // `Nop`; `vec_prescan` refused the rest
+            }
+        }
+        Ok(())
     }
 
     /// Whether a (substituted) scalar-temp RHS is safe to forward: no
@@ -1997,17 +2255,21 @@ impl<'a> UnitCompiler<'a> {
         e: &RExpr,
         var: VarIdx,
         plan: &mut VecPlan,
-    ) -> Option<()> {
+    ) -> Result<(), VecRefusal> {
         match e {
             RExpr::ConstI(_)
             | RExpr::ConstF(_)
             | RExpr::ConstB(_)
             | RExpr::LoadScalar(_)
-            | RExpr::AllocatedQ(_) => Some(()),
-            RExpr::LoadElem { v, subs } => {
-                self.vec_access(*v, subs, var, false, plan)?;
-                Some(())
+            | RExpr::AllocatedQ(_) => Ok(()),
+            // An invariant INTEGER read is proven by the entry's guarded
+            // load of it instead.
+            RExpr::LoadElem { v, .. }
+                if self.unit.vars[*v].ty == ScalarTy::I && !expr_uses_var(e, var) =>
+            {
+                self.vec_inv_slot(e, plan).map(|_| ())
             }
+            RExpr::LoadElem { v, subs } => self.vec_access(*v, subs, var, false, plan).map(|_| ()),
             RExpr::Bin { l, r, .. } => {
                 self.vec_intern_reads(l, var, plan)?;
                 self.vec_intern_reads(r, var, plan)
@@ -2016,12 +2278,9 @@ impl<'a> UnitCompiler<'a> {
                 self.vec_intern_reads(x, var, plan)
             }
             RExpr::Intrinsic { args, .. } => {
-                for a in args {
-                    self.vec_intern_reads(a, var, plan)?;
-                }
-                Some(())
+                args.iter().try_for_each(|a| self.vec_intern_reads(a, var, plan))
             }
-            RExpr::ArrReduce { .. } | RExpr::CallFn { .. } => None,
+            RExpr::ArrReduce { .. } | RExpr::CallFn { .. } => Err(VecRefusal::Shape),
         }
     }
 
@@ -2033,14 +2292,14 @@ impl<'a> UnitCompiler<'a> {
         var: VarIdx,
         write: bool,
         plan: &mut VecPlan,
-    ) -> Option<u32> {
+    ) -> Result<u32, VecRefusal> {
         let vs = self.vslot(v);
-        if !matches!(vs, VSlot::A(_) | VSlot::GlobA(_)) {
-            return None;
-        }
         let info = &self.unit.vars[v];
-        if info.ty != ScalarTy::F || info.rank != subs.len() {
-            return None;
+        if !matches!(vs, VSlot::A(_) | VSlot::GlobA(_))
+            || info.ty != ScalarTy::F
+            || info.rank != subs.len()
+        {
+            return Err(VecRefusal::Shape);
         }
         let mut vsubs = Vec::with_capacity(subs.len());
         for s in subs {
@@ -2051,27 +2310,47 @@ impl<'a> UnitCompiler<'a> {
             };
             vsubs.push(VecSub { coeff, add, inv: slot });
         }
-        if let Some(i) = plan.accesses.iter().position(|a| a.vs == vs && a.subs == vsubs) {
-            plan.accesses[i].write |= write;
-            return Some(i as u32);
+        // Injectivity: a write must move with the loop, else later
+        // elements overwrite earlier ones out of statement order.
+        if write && vsubs.iter().all(|s| s.coeff == 0) {
+            return Err(VecRefusal::NotInjective);
         }
-        if plan.accesses.len() >= VEC_MAX_ACCESSES {
-            return None;
+        let at = match plan.accesses.iter().position(|a| a.vs == vs && a.subs == vsubs) {
+            Some(i) => {
+                plan.accesses[i].write |= write;
+                i
+            }
+            None if plan.accesses.len() >= VEC_MAX_ACCESSES => return Err(VecRefusal::TooBig),
+            None => {
+                plan.accesses.push(VecAccess { vs, v: v as u32, subs: vsubs, write });
+                plan.accesses.len() - 1
+            }
+        };
+        // Dependence rule: distinct subscript patterns on a written array
+        // would need cross-element ordering — reject. (Identical patterns
+        // are one interned entry.)
+        let a = &plan.accesses[at];
+        if plan.accesses.iter().any(|b| b.vs == a.vs && b.subs != a.subs && (a.write || b.write)) {
+            return Err(VecRefusal::WrittenPatterns);
         }
-        plan.accesses.push(VecAccess { vs, v: v as u32, subs: vsubs, write });
-        Some(plan.accesses.len() as u32 - 1)
+        Ok(at as u32)
     }
 
     /// Splits an I-typed expression into `coeff*var + add + invariant`.
     /// The invariant remainder comes back as a (possibly synthetic)
     /// expression; integer arithmetic distributes exactly over the
     /// wrapping ring, so the decomposition preserves scalar semantics.
-    fn vec_affine(&mut self, e: &RExpr, var: VarIdx) -> Option<(i64, i64, Option<RExpr>)> {
+    fn vec_affine(
+        &mut self,
+        e: &RExpr,
+        var: VarIdx,
+    ) -> Result<(i64, i64, Option<RExpr>), VecRefusal> {
+        use VecRefusal::NonAffine;
         if let Some(v) = self.const_eval(e) {
-            return Some((0, v.as_i(), None));
+            return Ok((0, v.as_i(), None));
         }
         if !expr_uses_var(e, var) {
-            return Some((0, 0, Some(e.clone())));
+            return Ok((0, 0, Some(e.clone())));
         }
         let add_inv = |a: Option<RExpr>, b: Option<RExpr>| match (a, b) {
             (None, x) | (x, None) => x,
@@ -2083,17 +2362,19 @@ impl<'a> UnitCompiler<'a> {
             }),
         };
         let neg_inv = |x: Option<RExpr>| x.map(|x| RExpr::Neg(Box::new(x)));
+        // Coefficients that overflow i64 are not worth a region.
+        let fit = |x: Option<i64>| x.ok_or(NonAffine);
         match e {
-            RExpr::LoadScalar(v) if *v == var => Some((1, 0, None)),
+            RExpr::LoadScalar(v) if *v == var => Ok((1, 0, None)),
             RExpr::Bin { op: Bin::Add, ty: ScalarTy::I, l, r } => {
                 let (c1, a1, i1) = self.vec_affine(l, var)?;
                 let (c2, a2, i2) = self.vec_affine(r, var)?;
-                Some((c1.checked_add(c2)?, a1.checked_add(a2)?, add_inv(i1, i2)))
+                Ok((fit(c1.checked_add(c2))?, fit(a1.checked_add(a2))?, add_inv(i1, i2)))
             }
             RExpr::Bin { op: Bin::Sub, ty: ScalarTy::I, l, r } => {
                 let (c1, a1, i1) = self.vec_affine(l, var)?;
                 let (c2, a2, i2) = self.vec_affine(r, var)?;
-                Some((c1.checked_sub(c2)?, a1.checked_sub(a2)?, add_inv(i1, neg_inv(i2))))
+                Ok((fit(c1.checked_sub(c2))?, fit(a1.checked_sub(a2))?, add_inv(i1, neg_inv(i2))))
             }
             RExpr::Bin { op: Bin::Mul, ty: ScalarTy::I, l, r } => {
                 let (k, x) = if let Some(k) = self.const_eval(l) {
@@ -2101,7 +2382,7 @@ impl<'a> UnitCompiler<'a> {
                 } else if let Some(k) = self.const_eval(r) {
                     (k.as_i(), l)
                 } else {
-                    return None; // runtime coefficient on the loop var
+                    return Err(NonAffine); // runtime coefficient on the loop var
                 };
                 let (c, a, i) = self.vec_affine(x, var)?;
                 let scaled = i.map(|x| RExpr::Bin {
@@ -2110,37 +2391,65 @@ impl<'a> UnitCompiler<'a> {
                     l: Box::new(RExpr::ConstI(k)),
                     r: Box::new(x),
                 });
-                Some((c.checked_mul(k)?, a.checked_mul(k)?, scaled))
+                Ok((fit(c.checked_mul(k))?, fit(a.checked_mul(k))?, scaled))
             }
             RExpr::Neg(x) if self.ty_of(x) == ScalarTy::I => {
                 let (c, a, i) = self.vec_affine(x, var)?;
-                Some((c.checked_neg()?, a.checked_neg()?, neg_inv(i)))
+                Ok((fit(c.checked_neg())?, fit(a.checked_neg())?, neg_inv(i)))
             }
             RExpr::ToI(x) if self.ty_of(x) == ScalarTy::I => self.vec_affine(x, var),
-            _ => None,
+            RExpr::CallFn { .. } => Err(VecRefusal::Call),
+            _ => Err(NonAffine),
         }
     }
 
-    /// Hidden i-slot holding a loop-invariant I expression; prep code
-    /// emitted between `DoInitC` and `VecLoop` fills it. A bare frame-I
-    /// scalar uses its own slot (no prep); identical expressions within
-    /// one loop share a slot.
-    fn vec_inv_slot(&mut self, e: &RExpr, plan: &mut VecPlan) -> Option<u32> {
-        if self.ty_of(e) != ScalarTy::I || !self.pure_total(e) {
-            return None;
+    /// Hidden i-slot holding a loop-invariant I expression. A bare
+    /// frame-I scalar uses its own slot; an expression that cannot fail
+    /// is evaluated by prep code emitted between `DoInitC` and
+    /// `VecLoop`; an INTEGER element load becomes a [`GuardedLoad`] of
+    /// the region's entry, its own subscripts constants or invariant
+    /// slots in turn. Identical expressions within one loop share a
+    /// slot.
+    fn vec_inv_slot(&mut self, e: &RExpr, plan: &mut VecPlan) -> Result<u32, VecRefusal> {
+        use VecRefusal::ImpureInvariant;
+        if self.ty_of(e) != ScalarTy::I {
+            return Err(ImpureInvariant);
         }
         if let RExpr::LoadScalar(v) = e {
             if let VSlot::I(s) = self.vslot(*v) {
-                return Some(s);
+                return Ok(s);
             }
         }
         let key = format!("{e:?}");
-        if let Some((_, _, s)) = plan.prep.iter().find(|(k, _, _)| *k == key) {
-            return Some(*s);
+        if let Some((_, s)) = plan.inv_slots.iter().find(|(k, _)| *k == key) {
+            return Ok(*s);
         }
-        let s = self.hidden_i();
-        plan.prep.push((key, e.clone(), s));
-        Some(s)
+        if self.pure_total(e) {
+            let s = self.hidden_i();
+            plan.prep.push((e.clone(), s));
+            plan.inv_slots.push((key, s));
+            return Ok(s);
+        }
+        let RExpr::LoadElem { v, subs } = e else { return Err(ImpureInvariant) };
+        let (vs, info) = (self.vslot(*v), &self.unit.vars[*v]);
+        if !matches!(vs, VSlot::A(_) | VSlot::GlobA(_))
+            || info.ty != ScalarTy::I
+            || info.rank != subs.len()
+            || subs.len() > MAX_INLINE_RANK
+        {
+            return Err(ImpureInvariant);
+        }
+        let mut ops = Vec::with_capacity(subs.len());
+        for s in subs {
+            ops.push(match self.const_eval(s).map(|c| i32::try_from(c.as_i())) {
+                Some(Ok(c)) if self.ty_of(s) == ScalarTy::I => SubOp::Const(c),
+                _ => SubOp::Slot(self.vec_inv_slot(s, plan)?),
+            });
+        }
+        let slot = self.hidden_i();
+        plan.guarded.push(GuardedLoad { slot, vs, v: *v as u32, subs: ops });
+        plan.inv_slots.push((key, slot));
+        Ok(slot)
     }
 
     /// Emits micro-ops evaluating `e` as an f64 lane vector, mirroring
@@ -2151,9 +2460,9 @@ impl<'a> UnitCompiler<'a> {
         var: VarIdx,
         plan: &mut VecPlan,
         ops: &mut Vec<VecOp>,
-    ) -> Option<()> {
+    ) -> Result<(), VecRefusal> {
         if ops.len() >= VEC_MAX_OPS {
-            return None;
+            return Err(VecRefusal::TooBig);
         }
         match self.ty_of(e) {
             ScalarTy::F => self.vec_expr_f(e, var, plan, ops),
@@ -2162,7 +2471,7 @@ impl<'a> UnitCompiler<'a> {
                 // affine-in-var (or invariant) shapes stay vectorizable.
                 if let Some(v) = self.const_eval(e) {
                     ops.push(VecOp::Splat(v.as_f()));
-                    return Some(());
+                    return Ok(());
                 }
                 let (coeff, add, inv) = self.vec_affine(e, var)?;
                 let slot = match inv {
@@ -2170,9 +2479,9 @@ impl<'a> UnitCompiler<'a> {
                     Some(x) => self.vec_inv_slot(&x, plan)?,
                 };
                 ops.push(VecOp::SplatI { coeff, add, inv: slot });
-                Some(())
+                Ok(())
             }
-            ScalarTy::B => None,
+            ScalarTy::B => Err(VecRefusal::Shape),
         }
     }
 
@@ -2182,31 +2491,22 @@ impl<'a> UnitCompiler<'a> {
         var: VarIdx,
         plan: &mut VecPlan,
         ops: &mut Vec<VecOp>,
-    ) -> Option<()> {
+    ) -> Result<(), VecRefusal> {
+        use VecRefusal::Shape;
         if let Some(v) = self.const_eval(e) {
             ops.push(VecOp::Splat(v.as_f()));
-            return Some(());
+            return Ok(());
         }
         match e {
-            RExpr::ConstF(c) => {
-                ops.push(VecOp::Splat(*c));
-                Some(())
-            }
-            RExpr::LoadScalar(v) => match self.vslot(*v) {
-                VSlot::F(s) => {
-                    ops.push(VecOp::SplatF(s));
-                    Some(())
-                }
-                VSlot::GlobS(c) => {
-                    ops.push(VecOp::SplatG(c));
-                    Some(())
-                }
-                _ => None,
-            },
+            RExpr::ConstF(c) => ops.push(VecOp::Splat(*c)),
+            RExpr::LoadScalar(v) => ops.push(match self.vslot(*v) {
+                VSlot::F(s) => VecOp::SplatF(s),
+                VSlot::GlobS(c) => VecOp::SplatG(c),
+                _ => return Err(Shape),
+            }),
             RExpr::LoadElem { v, subs } => {
                 let a = self.vec_access(*v, subs, var, false, plan)?;
                 ops.push(VecOp::Load(a));
-                Some(())
             }
             RExpr::Bin { op, ty: ScalarTy::F, l, r } => match op {
                 Bin::Add | Bin::Sub | Bin::Mul | Bin::Div => {
@@ -2218,14 +2518,13 @@ impl<'a> UnitCompiler<'a> {
                         Bin::Mul => VecOp::Mul,
                         _ => VecOp::Div,
                     });
-                    Some(())
                 }
                 Bin::Pow => {
                     self.vec_operand_f(l, var, plan, ops)?;
                     if self.ty_of(r) == ScalarTy::I {
                         // `F ** I` needs a constant exponent so the
                         // powi-vs-powf rule resolves at compile time.
-                        let ev = self.const_eval(r)?.as_i();
+                        let ev = self.const_eval(r).ok_or(Shape)?.as_i();
                         if ev.unsigned_abs() <= 64 {
                             ops.push(VecOp::PowI(ev as i32));
                         } else {
@@ -2236,31 +2535,30 @@ impl<'a> UnitCompiler<'a> {
                         self.vec_operand_f(r, var, plan, ops)?;
                         ops.push(VecOp::Pow);
                     }
-                    Some(())
                 }
-                _ => None,
+                _ => return Err(Shape),
             },
             RExpr::Neg(x) if self.ty_of(x) == ScalarTy::F => {
                 self.vec_expr_f(x, var, plan, ops)?;
                 ops.push(VecOp::Neg);
-                Some(())
             }
-            RExpr::ToF(x) => self.vec_operand_f(x, var, plan, ops),
+            RExpr::ToF(x) => self.vec_operand_f(x, var, plan, ops)?,
             RExpr::Intrinsic { f, args } => {
                 if self.intr_int_flavor(*f, args)
                     || matches!(f, Intr::Int | Intr::Nint)
                     || args.len() > VEC_MAX_ARGC
                 {
-                    return None;
+                    return Err(Shape);
                 }
                 for a in args {
                     self.vec_operand_f(a, var, plan, ops)?;
                 }
                 ops.push(VecOp::Intr { f: *f, argc: args.len() as u8 });
-                Some(())
             }
-            _ => None,
+            RExpr::CallFn { .. } => return Err(VecRefusal::Call),
+            _ => return Err(Shape),
         }
+        Ok(())
     }
 
     // ---------- DO loops ----------
@@ -2292,8 +2590,20 @@ impl<'a> UnitCompiler<'a> {
         };
         let fused1 = var_i.is_some() && step_const == Some(1);
         let do_line = self.last_line;
-        // Vector path: canonical unit-stride frame-I loops only.
-        let vec_plan = if fused1 { self.analyze_vec(var, body) } else { None };
+        // Vector path: canonical unit-stride frame-I loops only, and not
+        // the inner loops of a nest a region already covers. A refused
+        // analysis gives back the hidden slots it took.
+        let vec_plan = if self.region_depth > 0 {
+            None
+        } else {
+            let mark = self.ni_extra;
+            let plan = if fused1 { self.analyze_vec(var, body) } else { Err(VecRefusal::Shape) };
+            plan.map_err(|why| {
+                self.ni_extra = mark;
+                self.vec_refusals.push((do_line, why));
+            })
+            .ok()
+        };
         let (ctr, ends) = (self.hidden_i(), self.hidden_i());
         let steps = if fused1 { 0 } else { self.hidden_i() };
         let init_idx = if fused1 {
@@ -2319,9 +2629,9 @@ impl<'a> UnitCompiler<'a> {
             // Prep: loop-invariant subscript parts into hidden i-slots.
             // The scalar body evaluates them again every iteration, so
             // in a traced build the prep itself must post nothing.
-            let VecPlan { accesses, stmts, red, max_depth, prep, fixup } = plan;
+            let VecPlan { accesses, stmts, red, max_depth, prep, guarded, fixup, .. } = plan;
             let quiet = self.open_quiet(!prep.is_empty());
-            for (_, e, slot) in &prep {
+            for (e, slot) in &prep {
                 self.emit_expr(e);
                 self.emit_cvt(self.ty_of(e), ScalarTy::I);
                 self.push(BInstr::StoreI(*slot));
@@ -2333,9 +2643,11 @@ impl<'a> UnitCompiler<'a> {
                 accesses,
                 stmts,
                 red,
+                guarded,
                 max_depth,
                 iter_cost: 0,
                 iter_ledger: None,
+                exit_state: Vec::new(),
                 line: do_line,
             });
             let idx = self.push(BInstr::VecLoop {
@@ -2366,7 +2678,9 @@ impl<'a> UnitCompiler<'a> {
             }
         };
         self.ctx.push(Ctx::Loop { exit: vec![Patch::Target(head_idx)], cycle: Vec::new() });
+        self.region_depth += u32::from(vec_idx.is_some());
         self.emit_block(body);
+        self.region_depth -= u32::from(vec_idx.is_some());
         let incr = self.pc();
         if fused1 {
             self.push(BInstr::DoIncr1 { ctr, head });
@@ -2376,12 +2690,15 @@ impl<'a> UnitCompiler<'a> {
         let Some(Ctx::Loop { exit, cycle }) = self.ctx.pop() else { unreachable!() };
         let end_pc = self.pc();
         if let Some((vi, fixup)) = vec_idx {
+            let (lo, hi) = (head as usize, end_pc as usize);
+            // What the scalar loop retires and posts per iteration.
+            let (cost, ledger) = region_cost(&self.code, lo, hi)
+                .expect("a region's scalar loop is straight-line code and constant-trip nests");
             if let BInstr::VecLoop { desc, exit, .. } = &mut self.code[vi] {
                 *exit = end_pc;
                 let d = &mut self.vecs[*desc as usize];
-                // Scalar instructions per iteration: head through incr.
-                d.iter_cost = end_pc - head;
-                d.iter_ledger = iter_ledger(&self.code[head as usize..end_pc as usize]);
+                (d.iter_cost, d.iter_ledger) = (cost, ledger);
+                d.exit_state = nest_exit_state(&self.code, lo, hi);
             }
             // Forwarded-temp fixup, reached only through the VecLoop
             // exit edge: the vector body never materializes the temps,

@@ -108,6 +108,17 @@ pub struct VectorLoopInfo {
     pub reduction: bool,
 }
 
+/// One serial DO loop the vector analysis left on the scalar tier, as
+/// reported by [`crate::CompiledProgram::vector_refusals`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VectorRefusalInfo {
+    /// Unit (subroutine/function) containing the loop.
+    pub unit: String,
+    /// Source line of the DO statement.
+    pub line: u32,
+    pub why: crate::bytecode::VecRefusal,
+}
+
 /// Which execution tier [`Session::run_tiered`] uses.
 ///
 /// [`ExecTier::Vm`] (the default for [`Session::run`]) compiles units to

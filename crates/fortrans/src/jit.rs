@@ -1181,9 +1181,11 @@ mod tests {
                 alias_pairs,
                 stmts,
                 red,
+                guarded: Vec::new(),
                 max_depth,
                 iter_cost: 4,
                 iter_ledger: None,
+                exit_state: Vec::new(),
                 line: 1,
             }
         }

@@ -83,7 +83,9 @@ pub mod verify;
 pub mod vm;
 
 pub use cost::{CostCounters, CostTrace, OpCounts, RegionEvent, TraceEvent};
-pub use engine::{ArgVal, ExecTier, RunOutcome, TierFallback, VectorLoopInfo};
+pub use engine::{
+    ArgVal, ExecTier, RunOutcome, TierFallback, VectorLoopInfo, VectorRefusalInfo,
+};
 pub use error::{CompileError, Diagnostic, Diagnostics, Severity};
 pub use error::RunError;
 pub use fixedform::is_fixed_form;

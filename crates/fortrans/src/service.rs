@@ -32,8 +32,10 @@ use std::time::{Duration, Instant};
 use omprt::{CriticalRegistry, PoolSet, ThreadPool};
 use parking_lot::Mutex;
 
-use crate::bytecode::{compile_program, BInstr, BUnit, SubOp, VSlot};
-use crate::engine::{ArgVal, ExecTier, RunOutcome, TierFallback, VectorLoopInfo};
+use crate::bytecode::{compile_program, BInstr, BUnit, SubOp, VSlot, VecRefusal};
+use crate::engine::{
+    ArgVal, ExecTier, RunOutcome, TierFallback, VectorLoopInfo, VectorRefusalInfo,
+};
 use crate::error::{CompileError, RunError};
 use crate::interp::{
     CancelToken, EffLimits, Exec, ExecMode, RunLimits, ScheduleOverrides, Task, Val,
@@ -143,19 +145,34 @@ impl CompiledProgram {
     /// statement count and reduction flag. Reflects the optimized
     /// (Serial/Parallel) build.
     pub fn vector_report(&self) -> Vec<VectorLoopInfo> {
-        let mut out = Vec::new();
-        for bu in self.bytecode[0].iter() {
-            for d in &bu.vecs {
-                out.push(VectorLoopInfo {
-                    unit: self.prog.units[bu.unit as usize].name.clone(),
-                    line: d.line,
-                    stmts: d.stmts.len(),
-                    reduction: d.red.is_some(),
-                });
-            }
-        }
-        out
+        vector_report_of(&self.prog, &self.bytecode[0])
     }
+
+    /// The other half of [`Self::vector_report`]: every serial DO loop
+    /// of the optimized build that got no region, and why. Loops inside
+    /// a region (the unrolled inner loops of a nest) are in neither.
+    pub fn vector_refusals(&self) -> Vec<VectorRefusalInfo> {
+        let per_unit = self.bytecode[0].iter().flat_map(|bu| {
+            let unit = &self.prog.units[bu.unit as usize].name;
+            bu.vec_refusals
+                .iter()
+                .map(move |&(line, why)| VectorRefusalInfo { unit: unit.clone(), line, why })
+        });
+        per_unit.collect()
+    }
+}
+
+fn vector_report_of(prog: &RProgram, bunits: &[BUnit]) -> Vec<VectorLoopInfo> {
+    let per_unit = bunits.iter().flat_map(|bu| {
+        let unit = &prog.units[bu.unit as usize].name;
+        bu.vecs.iter().map(move |d| VectorLoopInfo {
+            unit: unit.clone(),
+            line: d.line,
+            stmts: d.stmts.len(),
+            reduction: d.red.is_some(),
+        })
+    });
+    per_unit.collect()
 }
 
 /// Rough retained-size model for one artifact: exact element sizes for
@@ -177,6 +194,7 @@ fn estimate_bytes(prog: &RProgram, builds: &[&Vec<BUnit>]) -> usize {
                 + bu.sdims.len()
                 + bu.loops.len())
                 * 64;
+            total += bu.vec_refusals.len() * std::mem::size_of::<(u32, VecRefusal)>();
             total += (bu.omps.len() + bu.vecs.len()) * 256;
         }
     }
@@ -436,19 +454,7 @@ impl Session {
     /// Static vectorization report for this session's optimized
     /// bytecode (the artifact's, unless a test injected a replacement).
     pub fn vector_report(&self) -> Vec<VectorLoopInfo> {
-        let bunits = self.bytecode_for(false);
-        let mut out = Vec::new();
-        for bu in bunits.iter() {
-            for d in &bu.vecs {
-                out.push(VectorLoopInfo {
-                    unit: self.artifact.prog.units[bu.unit as usize].name.clone(),
-                    line: d.line,
-                    stmts: d.stmts.len(),
-                    reduction: d.red.is_some(),
-                });
-            }
-        }
-        out
+        vector_report_of(&self.artifact.prog, &self.bytecode_for(false))
     }
 
     /// Reinitializes all global storage.

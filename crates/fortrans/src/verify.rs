@@ -31,8 +31,9 @@
 //! `tests/fault_injection.rs`.
 
 use crate::bytecode::{
-    iter_ledger, static_ledger, vec_stack_effect, BArg, BInstr, BUnit, PItem, SubOp, VSlot,
-    VecDesc, VecOp, MAX_INLINE_RANK, NO_PC, NO_SDIMS, NO_SLOT, VEC_MAX_ACCESSES, VEC_MAX_DEPTH,
+    nest_exit_state, region_cost, static_ledger, vec_stack_effect, BArg, BInstr, BUnit, PItem,
+    SubOp, VSlot, VecDesc, VecOp, MAX_INLINE_RANK, NO_PC, NO_SDIMS, NO_SLOT, VEC_MAX_ACCESSES,
+    VEC_MAX_DEPTH,
 };
 use crate::error::CompileError;
 use crate::rir::RProgram;
@@ -274,14 +275,35 @@ impl Verifier<'_> {
                 islot(var, "DO variable")?;
                 tgt(exit, "vector loop exit")?;
                 self.vec_desc_ok(desc).map_err(at)?;
-                // A Simulated run posts `trip x iter_ledger` in place of
-                // the scalar loop `[pc + 1, exit)` this instruction
-                // shadows, so the two must agree (a loop the ledger
-                // cannot summarize has none).
-                let scalar = bu.code.get(pc as usize + 1..exit as usize);
-                if bu.vecs[desc as usize].iter_ledger != scalar.and_then(iter_ledger) {
+                // A committed entry reserves `trip x iter_cost` steps
+                // and a Simulated one posts `trip x iter_ledger` in place
+                // of the scalar loop `[pc + 1, exit)` this instruction
+                // shadows, so both must be what that loop — inner
+                // constant-trip loops included — retires and posts (a
+                // nest has no ledger).
+                let d = &bu.vecs[desc as usize];
+                let Some((cost, ledger)) = region_cost(&bu.code, pc as usize + 1, exit as usize)
+                else {
+                    return Err(at(format!(
+                        "vector descriptor {desc}: the loop it shadows is not straight-line \
+                         code and constant-trip nests"
+                    )));
+                };
+                if d.iter_cost != cost {
+                    return Err(at(format!(
+                        "vector descriptor {desc}: iteration cost {} disagrees with the scalar \
+                         loop ({cost})",
+                        d.iter_cost
+                    )));
+                }
+                if d.iter_ledger != ledger {
                     return Err(at(format!(
                         "vector descriptor {desc}: iteration ledger disagrees with the scalar loop"
+                    )));
+                }
+                if d.exit_state != nest_exit_state(&bu.code, pc as usize + 1, exit as usize) {
+                    return Err(at(format!(
+                        "vector descriptor {desc}: exit state disagrees with the scalar loop"
                     )));
                 }
             }
@@ -657,6 +679,31 @@ impl Verifier<'_> {
             if a.write && a.subs.iter().all(|s| s.coeff == 0) {
                 return Err("vector write stream does not advance with the loop".into());
             }
+        }
+        // The entry gathers a guarded load's subscripts into a fixed
+        // buffer and reads `Slot` operands and writes `slot` unchecked.
+        for g in &d.guarded {
+            self.slot_ok(bu, g.vs)?;
+            self.var_ok(g.v)?;
+            if !matches!(g.vs, VSlot::A(_) | VSlot::GlobA(_)) {
+                return Err(format!("guarded load slot {:?} is not an array", g.vs));
+            }
+            if g.slot >= bu.ni {
+                return Err(format!("guarded load target i-slot {} out of range", g.slot));
+            }
+            if g.subs.is_empty() || g.subs.len() > MAX_INLINE_RANK {
+                return Err(format!("guarded load has {} subscripts", g.subs.len()));
+            }
+            for op in &g.subs {
+                match *op {
+                    SubOp::Const(_) => {}
+                    SubOp::Slot(s) if s < bu.ni => {}
+                    op => return Err(format!("guarded load subscript operand {op:?} invalid")),
+                }
+            }
+        }
+        if let Some(&(slot, _)) = d.exit_state.iter().find(|&&(slot, _)| slot >= bu.ni) {
+            return Err(format!("vector exit-state i-slot {slot} out of range"));
         }
         if let Some(r) = d.red {
             match r.vs {

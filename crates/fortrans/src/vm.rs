@@ -504,21 +504,55 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
 
     // ---------- vector superinstruction execution ----------
 
-    /// Fills the global-handle cache for every global stream of `d`, so
-    /// [`Self::resolve_vec_streams`] can borrow from it immutably.
+    /// Fills the global-handle cache for every global array `d` streams
+    /// or loads from, so [`Self::resolve_vec_streams`] and
+    /// [`Self::fill_guarded`] can borrow from it immutably.
     fn prefetch_globals(
         gcache: &mut [Option<Arc<ArrayObj>>],
         ex: &Exec,
         tid: usize,
         d: &VecDesc,
     ) {
-        for a in &d.accesses {
-            if let VSlot::GlobA(c) | VSlot::GlobS(c) = a.vs {
+        let arrays = d.accesses.iter().map(|a| a.vs).chain(d.guarded.iter().map(|g| g.vs));
+        for vs in arrays {
+            if let VSlot::GlobA(c) | VSlot::GlobS(c) = vs {
                 if let Some(slot @ None) = gcache.get_mut(c as usize) {
                     *slot = ex.globals.cells[c as usize].array_handle(tid);
                 }
             }
         }
+    }
+
+    /// Performs the guarded invariant loads of `d` into their hidden
+    /// i-slots (region-private, so writing them commits nothing).
+    /// `None` — an entry guard like any other — when a load would
+    /// fault or is not of an INTEGER array: the scalar loop then
+    /// raises the error where it belongs. Indices are checked, not
+    /// trusted, like the stream resolution's.
+    fn fill_guarded(
+        gcache: &[Option<Arc<ArrayObj>>],
+        fa: &[Option<Arc<ArrayObj>>],
+        fi: &mut [i64],
+        d: &VecDesc,
+    ) -> Option<()> {
+        for g in &d.guarded {
+            let h = match g.vs {
+                VSlot::A(s) => fa.get(s as usize)?.as_deref()?,
+                VSlot::GlobA(c) | VSlot::GlobS(c) => gcache.get(c as usize)?.as_deref()?,
+                _ => return None,
+            };
+            let mut ix = [0i64; MAX_INLINE_RANK];
+            for (x, op) in ix.iter_mut().zip(&g.subs) {
+                *x = match *op {
+                    SubOp::Const(c) => i64::from(c),
+                    SubOp::Slot(s) => *fi.get(s as usize)?,
+                    SubOp::Stack => return None,
+                };
+            }
+            let off = h.offset_of(ix.get(..g.subs.len())?).filter(|_| h.ty == ScalarTy::I)?;
+            *fi.get_mut(g.slot as usize)? = h.get_i(off);
+        }
+        Some(())
     }
 
     /// Resolves every access stream of `d` for the whole range
@@ -657,13 +691,14 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
     /// the chunked vector executor otherwise.
     ///
     /// `Ok(true)` — the loop ran (caller jumps to `exit`). `Ok(false)` —
-    /// a guard failed, no state was touched and the caller falls through
-    /// to the scalar `DoHead1`, which re-runs the loop with the exact
-    /// scalar semantics, including the bounds/limit error at the precise
-    /// faulting iteration. All guards run once, before the first element
-    /// is written, and both rungs commit on the same set, so a loop
-    /// either completes on a fast rung or executes fully scalar, with
-    /// bit-identical results. A guard failure on a promoted region is a
+    /// a guard failed, no program-visible state was touched (at most
+    /// the region's own guarded-load slots) and the caller falls through
+    /// to the scalar `DoHead1`, which re-runs the loop — the whole nest,
+    /// for a nest region — with the exact scalar semantics, including
+    /// the bounds/limit error at the precise faulting iteration. All
+    /// guards run once, before the first element is written, and both
+    /// rungs commit on the same set, so a loop either completes on a
+    /// fast rung or executes fully scalar, with bit-identical results. A guard failure on a promoted region is a
     /// *deopt*, counted on the session. Step pre-reservation and the
     /// interrupt cadence (one poll per ~1024 scalar-equivalent steps) are
     /// the same on every rung, so `RunLimits` and cancellation trip
@@ -752,7 +787,8 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             _ => false,
         });
         Self::prefetch_globals(&mut self.gcache, ex, self.tid, d);
-        let rt = Self::resolve_vec_streams(&self.gcache, &frame.a, &frame.i, d, lo, hi);
+        let rt = Self::fill_guarded(&self.gcache, &frame.a, &mut frame.i, d)
+            .and_then(|()| Self::resolve_vec_streams(&self.gcache, &frame.a, &frame.i, d, lo, hi));
         if let Some(region) = native {
             if !red_ok || rt.is_none() || d.accesses.len() != region.naccess {
                 self.native_deopts += 1;
@@ -822,9 +858,13 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             }
         }
         // Leave the DO state exactly as the scalar head/incr would:
-        // the variable holds the last iteration, the counter one past.
+        // the variable holds the last iteration, the counter one past —
+        // and likewise for the inner loops of a nest.
         frame.i[var as usize] = hi;
         frame.i[ctr as usize] = hi.wrapping_add(1);
+        for &(slot, v) in &d.exit_state {
+            frame.i[slot as usize] = v;
+        }
         Ok(true)
     }
 
@@ -1783,12 +1823,20 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 }
                 BArg::Elem { vs, v, nsubs, p, pty, .. } => {
                     let val = Val::from_bits(cframe.read(p, self.ex, self.tid), pty);
-                    let subs: Vec<i64> = self.sstash[soff..soff + nsubs as usize].to_vec();
-                    soff += nsubs as usize;
-                    let arr = self.handle_in(uidx, frame, vs, v)?;
-                    let off = arr.offset(self.var_name(uidx, v), &subs)?;
+                    let n = nsubs as usize;
+                    let mut buf = [0i64; MAX_INLINE_RANK];
+                    if n <= MAX_INLINE_RANK {
+                        buf[..n].copy_from_slice(&self.sstash[soff..soff + n]);
+                        let (arr, off) = self.elem_at(uidx, frame, (vs, v), None, &buf[..n])?;
+                        store_val(arr, off, val);
+                    } else {
+                        let subs = self.sstash[soff..soff + n].to_vec();
+                        let arr = self.handle_in(uidx, frame, vs, v)?;
+                        let off = arr.offset(self.var_name(uidx, v), &subs)?;
+                        store_val(&arr, off, val);
+                    }
+                    soff += n;
                     self.op(OpKind::Store);
-                    store_val(&arr, off, val);
                 }
                 BArg::Arr { .. } | BArg::Val { .. } => {}
             }

@@ -227,6 +227,37 @@ END MODULE m
             entry: "scratch",
             mk_args: || vec![ArgVal::I(16), ArgVal::array_f(&[0.0], 1)],
         },
+        // Last, so the seeds of the programs above keep their mutations:
+        // a nest region (unrolled inner loop, guarded invariant loads).
+        Prog {
+            label: "nest",
+            src: r#"
+MODULE m
+CONTAINS
+  REAL(8) FUNCTION pick(acc, tab, idx)
+    REAL(8), DIMENSION(1:5) :: acc
+    REAL(8), DIMENSION(1:12) :: tab
+    INTEGER, DIMENSION(1:3) :: idx
+    INTEGER :: m, k
+    DO m = 1, 5
+      DO k = 1, 3
+        acc(m) = acc(m) + tab(m + idx(k))
+      END DO
+    END DO
+    pick = acc(1) + acc(5) * k
+  END FUNCTION pick
+END MODULE m
+"#,
+            entry: "pick",
+            mk_args: || {
+                let tab: Vec<f64> = (1..=12).map(|i| i as f64 * 1.5).collect();
+                vec![
+                    ArgVal::array_f(&[0.25; 5], 1),
+                    ArgVal::array_f(&tab, 1),
+                    ArgVal::array_i(&[0, 3, 7], 1),
+                ]
+            },
+        },
     ]
 }
 
@@ -345,7 +376,7 @@ fn corrupt_vector_descriptors_are_refused_at_promotion_or_deopt() {
     let mut vec_hits = 0usize;
     let mut by_kind: std::collections::BTreeMap<&'static str, usize> = Default::default();
     for (pi, p) in corpus().iter().enumerate() {
-        if !matches!(p.label, "loops" | "redux") {
+        if !matches!(p.label, "loops" | "redux" | "nest") {
             continue; // only the vector-bearing programs have descriptors
         }
         for round in 0..48u64 {

@@ -240,6 +240,51 @@ END MODULE m
     assert_eq!(case.agree("not aliased", 4), 1);
 }
 
+/// A nest region has no ledger — its inner loop posts under its own
+/// vectorization class — so a Simulated run leaves it to the scalar
+/// tier and the trace stays the oracle's; the flat loop beside it
+/// still takes the vector rung.
+#[test]
+fn nest_regions_stay_scalar_under_simulated() {
+    let art = compile(
+        r#"
+MODULE m
+CONTAINS
+  SUBROUTINE gg(n, g, w, q)
+    INTEGER :: n, d, f
+    REAL(8), DIMENSION(1:6) :: g
+    REAL(8), DIMENSION(1:6, 1:4) :: w
+    REAL(8), DIMENSION(1:4) :: q
+    DO d = 1, n
+      g(d) = 0.5D0 * d
+    END DO
+    DO d = 1, n
+      DO f = 1, 4
+        g(d) = g(d) + w(d, f) * q(f)
+      END DO
+    END DO
+  END SUBROUTINE gg
+END MODULE m
+"#,
+    );
+    let traced = art.bytecode(true);
+    let ledgers: Vec<bool> = traced[0].vecs.iter().map(|d| d.iter_ledger.is_some()).collect();
+    assert_eq!(ledgers, [true, false], "flat region, nest region");
+    let mk = || {
+        let w: Vec<f64> = (0..24).map(|k| 1.0 / (1.0 + k as f64)).collect();
+        vec![
+            ArgVal::I(6),
+            ArgVal::array_f(&[0.0; 6], 1),
+            ArgVal::array_f_dims(&w, vec![(1, 6), (1, 4)]).unwrap(),
+            ArgVal::array_f(&[0.5, 1.0, 1.5, 2.0], 1),
+        ]
+    };
+    let case = Case { mk_args: &mk, ..Case::new(&art, "gg") };
+    for threads in TEAMS {
+        assert_eq!(case.agree("nest", threads), 1, "only the flat loop enters");
+    }
+}
+
 #[test]
 fn out_of_bounds_trip_faults_at_the_scalar_iteration() {
     let art = compile(

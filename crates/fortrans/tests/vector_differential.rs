@@ -115,7 +115,18 @@ fn vector_differential(
     mk_args: impl Fn() -> Vec<ArgVal>,
     expect_vec: bool,
 ) {
-    for mode in MODES {
+    vector_differential_in(&MODES, label, src, unit, mk_args, expect_vec);
+}
+
+fn vector_differential_in(
+    modes: &[ExecMode],
+    label: &str,
+    src: &str,
+    unit: &str,
+    mk_args: impl Fn() -> Vec<ArgVal>,
+    expect_vec: bool,
+) {
+    for &mode in modes {
         let von = Session::compile(&[src]).unwrap_or_else(|e| panic!("{label}: {e}"));
         let voff = Session::compile(&[src]).unwrap_or_else(|e| panic!("{label}: {e}"));
         voff.set_vector_enabled(false);
@@ -468,6 +479,465 @@ END MODULE m
         );
         assert_eq!(e.vector_entry_count(), 0, "vector={on}: budget fallback must stay scalar");
     }
+}
+
+// ---------------------------------------------------------------------
+// Nest regions: short constant-trip inner loops are looked through
+// ---------------------------------------------------------------------
+
+/// The wider matrix the nest cases run under.
+const NEST_MODES: [ExecMode; 5] = [
+    ExecMode::Serial,
+    ExecMode::Parallel { threads: 2 },
+    ExecMode::Parallel { threads: 4 },
+    ExecMode::Simulated { threads: 1 },
+    ExecMode::Simulated { threads: 4 },
+];
+
+/// One Serial run on the vector rung (no promotion): the argument
+/// arrays afterwards (as f64), the result, and the entries it made.
+fn serial_run(src: &str, unit: &str, args: Vec<ArgVal>) -> (Vec<Vec<f64>>, Option<Val>, u64) {
+    let e = Session::compile(&[src]).unwrap();
+    e.set_native_enabled(false);
+    let out = e.run(unit, &args, ExecMode::Serial).unwrap_or_else(|e| panic!("{unit}: {e}"));
+    let arrays = args
+        .iter()
+        .filter_map(|a| match a {
+            ArgVal::Arr(h) if h.ty == ScalarTy::F => Some(h.to_f64_vec()),
+            _ => None,
+        })
+        .collect();
+    (arrays, out.result, e.vector_entry_count())
+}
+
+const GREEN_GAUSS: &str = r#"
+MODULE m
+CONTAINS
+  SUBROUTINE gg(n, g, w, q)
+    INTEGER :: n, d, f
+    REAL(8), DIMENSION(1:6) :: g
+    REAL(8), DIMENSION(1:6, 1:4) :: w
+    REAL(8), DIMENSION(1:4) :: q
+    DO d = 1, n
+      DO f = 1, 4
+        g(d) = g(d) + w(d, f) * q(f)
+      END DO
+    END DO
+  END SUBROUTINE gg
+END MODULE m
+"#;
+
+fn green_gauss_args(n: i64) -> Vec<ArgVal> {
+    // w(d, f) = d + 10 f, column-major; q(f) = f / 2.
+    let w: Vec<f64> = (0..24).map(|k| (k % 6 + 1) as f64 + 10.0 * (k / 6 + 1) as f64).collect();
+    vec![
+        ArgVal::I(n),
+        ArgVal::array_f(&[1.0; 6], 1),
+        ArgVal::array_f_dims(&w, vec![(1, 6), (1, 4)]).unwrap(),
+        ArgVal::array_f(&[0.5, 1.0, 1.5, 2.0], 1),
+    ]
+}
+
+#[test]
+fn nest_accumulate_chain_under_an_unrolled_index() {
+    // The Green-Gauss shape: the same cell accumulates over the inner
+    // index, so the four unrolled statements must stay in order.
+    vector_differential_in(&NEST_MODES, "gg", GREEN_GAUSS, "gg", || green_gauss_args(6), true);
+    // g(d) = 1 + sum_f (d + 10 f) f / 2 = 151 + 5 d, one entry for it.
+    let (arrays, _, entries) = serial_run(GREEN_GAUSS, "gg", green_gauss_args(6));
+    assert_eq!(arrays[0], [156.0, 161.0, 166.0, 171.0, 176.0, 181.0]);
+    assert_eq!(entries, 1);
+    let rep = Session::compile(&[GREEN_GAUSS]).unwrap().artifact().vector_report();
+    assert_eq!(rep.len(), 1, "the inner loop belongs to the region: {rep:?}");
+    assert_eq!((rep[0].line, rep[0].stmts), (9, 4));
+}
+
+const GATHER_NEST: &str = r#"
+MODULE m
+CONTAINS
+  INTEGER FUNCTION gather(cidx, qavg, qn, c2n)
+    INTEGER :: cidx, m, k
+    REAL(8), DIMENSION(1:5) :: qavg
+    REAL(8), DIMENSION(1:5, 1:7) :: qn
+    INTEGER, DIMENSION(1:4, 1:3) :: c2n
+    DO m = 1, 5
+      DO k = 1, 4
+        qavg(m) = qavg(m) + qn(m, c2n(k, cidx))
+      END DO
+    END DO
+    gather = 100 * m + k
+  END FUNCTION gather
+END MODULE m
+"#;
+
+fn array_i_dims(data: &[i64], dims: Vec<(i64, i64)>) -> ArgVal {
+    let obj = ArrayObj::new(ScalarTy::I, dims);
+    for (k, &v) in data.iter().enumerate() {
+        obj.set_i(k, v);
+    }
+    ArgVal::Arr(Arc::new(obj))
+}
+
+fn gather_args(cidx: i64, nodes: &[i64; 12]) -> Vec<ArgVal> {
+    // qn(m, n) = m + 10 n.
+    let qn: Vec<f64> = (0..35).map(|k| (k % 5 + 1) as f64 + 10.0 * (k / 5 + 1) as f64).collect();
+    vec![
+        ArgVal::I(cidx),
+        ArgVal::array_f(&[0.0; 5], 1),
+        ArgVal::array_f_dims(&qn, vec![(1, 5), (1, 7)]).unwrap(),
+        array_i_dims(nodes, vec![(1, 4), (1, 3)]),
+    ]
+}
+
+const NODES: [i64; 12] = [1, 2, 3, 4, 7, 3, 5, 1, 2, 2, 6, 6];
+
+#[test]
+fn nest_indirect_invariant_subscript_and_inner_variable_after_the_nest() {
+    let mk = || gather_args(2, &NODES);
+    vector_differential_in(&NEST_MODES, "gather", GATHER_NEST, "gather", mk, true);
+    // Cell 2 gathers nodes 7, 3, 5, 1: qavg(m) = 4 m + 10 * 16. The DO
+    // variables hold their last values afterwards: m = 5, k = 4.
+    let (arrays, result, entries) = serial_run(GATHER_NEST, "gather", mk());
+    assert_eq!(arrays[0], [164.0, 168.0, 172.0, 176.0, 180.0]);
+    assert_eq!(result, Some(Val::I(504)));
+    assert_eq!(entries, 1);
+}
+
+#[test]
+fn nest_inside_an_omp_body() {
+    let src = r#"
+MODULE m
+CONTAINS
+  SUBROUTINE cells(nc, g, w, a)
+    INTEGER :: nc, c, d, f
+    REAL(8), DIMENSION(1:3, 1:40) :: g
+    REAL(8), DIMENSION(1:3, 1:4) :: w
+    REAL(8), DIMENSION(1:4, 1:40) :: a
+    !$OMP PARALLEL DO DEFAULT(SHARED) PRIVATE(d, f)
+    DO c = 1, nc
+      DO d = 1, 3
+        DO f = 1, 4
+          g(d, c) = g(d, c) + w(d, f) * a(f, c)
+        END DO
+      END DO
+    END DO
+    !$OMP END PARALLEL DO
+  END SUBROUTINE cells
+END MODULE m
+"#;
+    let mk = || {
+        // w(d, f) = d; a(f, c) = c.
+        let w: Vec<f64> = (0..12).map(|k| (k % 3 + 1) as f64).collect();
+        let a: Vec<f64> = (0..160).map(|k| (k / 4 + 1) as f64).collect();
+        vec![
+            ArgVal::I(40),
+            ArgVal::array_f_dims(&[0.0; 120], vec![(1, 3), (1, 40)]).unwrap(),
+            ArgVal::array_f_dims(&w, vec![(1, 3), (1, 4)]).unwrap(),
+            ArgVal::array_f_dims(&a, vec![(1, 4), (1, 40)]).unwrap(),
+        ]
+    };
+    vector_differential_in(&NEST_MODES, "omp-nest", src, "cells", mk, true);
+    // g(d, c) = 4 d c, one three-lane entry per cell.
+    let (arrays, _, entries) = serial_run(src, "cells", mk());
+    let want: Vec<f64> = (0..120).map(|k| 4.0 * (k % 3 + 1) as f64 * (k / 3 + 1) as f64).collect();
+    assert_eq!(arrays[0], want);
+    assert_eq!(entries, 40);
+}
+
+#[test]
+fn nest_two_levels_sibling_loops_and_a_forwarded_temp() {
+    // Two nested unrolled loops, a REAL temp forwarded inside them, an
+    // INTEGER invariant load used as a value, and a sibling loop that
+    // reuses `a`: 6 + 2 statements in one region.
+    let src = r#"
+MODULE m
+CONTAINS
+  REAL(8) FUNCTION sink(n, x, y, z, idx)
+    INTEGER :: n, i, a, b
+    REAL(8) :: t
+    REAL(8), DIMENSION(1:40) :: x, z
+    REAL(8), DIMENSION(1:40, 1:6) :: y
+    INTEGER, DIMENSION(1:3) :: idx
+    DO i = 1, n
+      DO a = 1, 2
+        DO b = 1, 3
+          t = y(i, a * b) * idx(b)
+          x(i) = x(i) + t / (a + b)
+        END DO
+      END DO
+      DO a = 2, 3
+        z(i) = z(i) - x(i) * a
+      END DO
+    END DO
+    sink = t + 100 * a + 10 * b + i
+  END FUNCTION sink
+END MODULE m
+"#;
+    let y: Vec<f64> = (0..240).map(|k| 0.125 * (k % 17) as f64 + 1.0).collect();
+    let mk = || {
+        vec![
+            ArgVal::I(40),
+            ArgVal::array_f(&[1.0; 40], 1),
+            ArgVal::array_f_dims(&y, vec![(1, 40), (1, 6)]).unwrap(),
+            ArgVal::array_f(&[2.0; 40], 1),
+            ArgVal::array_i(&[3, -1, 4], 1),
+        ]
+    };
+    vector_differential_in(&NEST_MODES, "sink", src, "sink", mk, true);
+    // The same arithmetic, in the nest's order.
+    let idx = [3.0, -1.0, 4.0];
+    let (mut x, mut z, mut t) = ([1.0f64; 40], [2.0f64; 40], 0.0);
+    for i in 0..40 {
+        for a in 1..=2usize {
+            for b in 1..=3usize {
+                t = y[i + 40 * (a * b - 1)] * idx[b - 1];
+                x[i] += t / (a + b) as f64;
+            }
+        }
+        for a in 2..=3 {
+            z[i] -= x[i] * a as f64;
+        }
+    }
+    let (arrays, result, entries) = serial_run(src, "sink", mk());
+    assert_eq!(arrays[0], x);
+    assert_eq!(arrays[2], z);
+    // DO variables after the nest: a = 3, b = 3, i = 40.
+    assert_eq!(result, Some(Val::F(t + 370.0)));
+    assert_eq!(entries, 1);
+}
+
+#[test]
+fn refusals_say_why_a_loop_stayed_scalar() {
+    use fortrans::bytecode::VecRefusal::*;
+    let src = r#"
+MODULE m
+CONTAINS
+  REAL(8) FUNCTION twice(v)
+    REAL(8) :: v
+    twice = 2.0D0 * v
+  END FUNCTION twice
+  SUBROUTINE zoo(n, a, b, g, idx)
+    INTEGER :: n, i, k
+    REAL(8), DIMENSION(1:64) :: a, b
+    REAL(8), DIMENSION(1:3, 1:64) :: g
+    INTEGER, DIMENSION(1:64) :: idx
+    DO i = 1, n
+      IF (a(i) > 0.0D0) a(i) = 0.0D0
+    END DO
+    DO i = 1, n
+      a(i) = twice(b(i))
+    END DO
+    DO i = 1, n
+      a(idx(i)) = b(i)
+    END DO
+    DO i = 1, n
+      a(i) = b(i + n / k)
+    END DO
+    DO i = 1, n
+      a(i) = a(i + 1)
+    END DO
+    DO i = 1, n
+      a(3) = b(i)
+    END DO
+    DO i = 1, n
+      DO k = 1, 3
+        g(k, i) = 0.0D0
+      END DO
+    END DO
+    DO i = 1, n
+      DO k = 1, 9
+        a(i) = a(i) + b(k)
+      END DO
+    END DO
+    DO i = 1, n, 2
+      a(i) = b(i)
+    END DO
+  END SUBROUTINE zoo
+END MODULE m
+"#;
+    let art = Session::compile(&[src]).unwrap();
+    let why: Vec<_> = art.artifact().vector_refusals().iter().map(|r| (r.line, r.why)).collect();
+    assert_eq!(
+        why,
+        [
+            (13, Control),
+            (16, Call),
+            (19, NonAffine),
+            (22, ImpureInvariant),
+            (25, WrittenPatterns),
+            (28, NotInjective),
+            (31, WrittenPatterns), // g(1, i), g(2, i), g(3, i) once unrolled
+            (36, Control),         // nine trips are not looked through ...
+            (37, NotInjective),    // ... and alone the inner loop writes one cell
+            (41, Shape),
+        ]
+    );
+    // The inner loop at 32 vectorizes on its own once 31 is refused.
+    let regions: Vec<u32> = art.vector_report().iter().map(|r| r.line).collect();
+    assert_eq!(regions, [32]);
+}
+
+/// Runs `unit` with the vector path on and off and checks both fail the
+/// same way: same error text (so same `in unit at line N`), same
+/// partial stores, and no vector entry.
+fn nest_guard_failure(src: &str, unit: &str, mk: impl Fn() -> Vec<ArgVal>, want_err: &str) {
+    let mut seen = Vec::new();
+    for on in [true, false] {
+        let e = Session::compile(&[src]).unwrap();
+        e.set_vector_enabled(on);
+        let s = snapshot(&e, unit, &mk(), ExecMode::Serial, ExecTier::Vm);
+        assert_eq!(e.vector_entry_count(), 0, "vector={on}: a failed guard must stay scalar");
+        seen.push(s);
+    }
+    let oracle = Session::compile(&[src]).unwrap();
+    seen.push(snapshot(&oracle, unit, &mk(), ExecMode::Serial, ExecTier::TreeWalk));
+    assert_eq!(seen[0].result, Err(want_err.to_string()));
+    assert_eq!(seen[0], seen[1], "vector-on and vector-off diverge");
+    assert_eq!(seen[0], seen[2], "VM and oracle diverge");
+}
+
+#[test]
+fn nest_invariant_load_out_of_range_faults_where_the_scalar_nest_does() {
+    // `idx` has two elements, the inner loop reads four: the guarded
+    // read of idx(3) fails the entry, and the scalar nest stores
+    // acc(1) twice before it faults on line 11.
+    let src = r#"
+MODULE m
+CONTAINS
+  SUBROUTINE pick(acc, tab, idx)
+    INTEGER :: m, k
+    REAL(8), DIMENSION(1:3) :: acc
+    REAL(8), DIMENSION(1:3, 1:9) :: tab
+    INTEGER, DIMENSION(1:2) :: idx
+    DO m = 1, 3
+      DO k = 1, 4
+        acc(m) = acc(m) + tab(m, idx(k))
+      END DO
+    END DO
+  END SUBROUTINE pick
+END MODULE m
+"#;
+    let mk = || {
+        let tab: Vec<f64> = (0..27).map(|k| k as f64).collect();
+        vec![
+            ArgVal::array_f(&[0.0; 3], 1),
+            ArgVal::array_f_dims(&tab, vec![(1, 3), (1, 9)]).unwrap(),
+            ArgVal::array_i(&[2, 9], 1),
+        ]
+    };
+    nest_guard_failure(
+        src,
+        "pick",
+        mk,
+        "index 3 out of bounds 1:2 in dimension 0 of `idx` (in pick at line 11)",
+    );
+    // tab(1, 2) + tab(1, 9) = 3 + 24 landed before the fault.
+    let e = Session::compile(&[src]).unwrap();
+    let args = mk();
+    e.run("pick", &args, ExecMode::Serial).expect_err("idx(3) is out of range");
+    assert_eq!(args[0].handle().unwrap().to_f64_vec(), [27.0, 0.0, 0.0]);
+}
+
+#[test]
+fn nest_invariant_load_from_an_unallocated_array_faults_in_the_scalar_nest() {
+    let src = r#"
+MODULE m
+  INTEGER, DIMENSION(:), ALLOCATABLE :: idx
+CONTAINS
+  SUBROUTINE pick(acc, tab)
+    INTEGER :: m, k
+    REAL(8), DIMENSION(1:3) :: acc
+    REAL(8), DIMENSION(1:3, 1:9) :: tab
+    DO m = 1, 3
+      DO k = 1, 2
+        acc(m) = acc(m) + tab(m, idx(k))
+      END DO
+    END DO
+  END SUBROUTINE pick
+END MODULE m
+"#;
+    let mk = || {
+        vec![
+            ArgVal::array_f(&[0.0; 3], 1),
+            ArgVal::array_f_dims(&[1.0; 27], vec![(1, 3), (1, 9)]).unwrap(),
+        ]
+    };
+    nest_guard_failure(src, "pick", mk, "array `idx` used before ALLOCATE (in pick at line 11)");
+}
+
+#[test]
+fn nest_aliased_streams_fall_back() {
+    // `u` and `v` are one array: the write u(d) overlaps the reads
+    // v(d + f), which only the runtime alias guard can see.
+    let src = r#"
+MODULE m
+CONTAINS
+  SUBROUTINE smear(n, u, v)
+    INTEGER :: n, d, f
+    REAL(8), DIMENSION(1:12) :: u, v
+    DO d = 1, n
+      DO f = 1, 3
+        u(d) = u(d) + v(d + f) * 0.5D0
+      END DO
+    END DO
+  END SUBROUTINE smear
+END MODULE m
+"#;
+    let shared = || {
+        let obj = ArrayObj::new(ScalarTy::F, vec![(1, 12)]);
+        for k in 0..12 {
+            obj.set_f(k, (k * k) as f64);
+        }
+        let h = Arc::new(obj);
+        vec![ArgVal::I(9), ArgVal::Arr(Arc::clone(&h)), ArgVal::Arr(h)]
+    };
+    vector_differential_in(&NEST_MODES, "nest-aliased", src, "smear", shared, false);
+    let e = Session::compile(&[src]).unwrap();
+    e.run("smear", &shared(), ExecMode::Serial).unwrap();
+    assert_eq!(e.vector_entry_count(), 0, "aliased streams must stay scalar");
+    // Distinct arrays take the region.
+    let distinct = || {
+        let v: Vec<f64> = (0..12).map(|k| (k * k) as f64).collect();
+        vec![ArgVal::I(9), ArgVal::array_f(&v, 1), ArgVal::array_f(&v, 1)]
+    };
+    vector_differential_in(&NEST_MODES, "nest-distinct", src, "smear", distinct, true);
+}
+
+#[test]
+fn nest_step_budget_trips_at_the_same_step_on_both_paths() {
+    // 200 steps run out inside the nest: the entry cannot reserve the
+    // whole trip, so both paths run the scalar nest and stop after the
+    // same stores.
+    let mut seen = Vec::new();
+    for on in [true, false] {
+        let mut e = Session::compile(&[GREEN_GAUSS]).unwrap();
+        e.set_limits(RunLimits { max_steps: Some(200), ..RunLimits::default() });
+        e.set_vector_enabled(on);
+        let args = green_gauss_args(6);
+        let err = e.run("gg", &args, ExecMode::Serial).expect_err("budget must trip");
+        assert!(err.to_string().contains("step budget of 200 exhausted"), "vector={on}: {err}");
+        assert_eq!(e.vector_entry_count(), 0, "vector={on}: budget fallback must stay scalar");
+        seen.push((err.to_string(), args[1].handle().unwrap().to_f64_vec()));
+    }
+    assert_eq!(seen[0], seen[1]);
+    let g = &seen[0].1;
+    assert!(g[0] == 156.0 && g[5] == 1.0, "tripped mid-nest, after some cells: {g:?}");
+    // What the entry reserves per outer iteration is what the scalar
+    // nest retires for one (profiled runs take the scalar path).
+    let scalar = Session::compile(&[GREEN_GAUSS]).unwrap();
+    let steps = |n: i64| {
+        let run = scalar.run_profiled("gg", &green_gauss_args(n), ExecMode::Serial, ExecTier::Vm);
+        run.unwrap().1.steps
+    };
+    let iter_cost = scalar.artifact().bytecode(false)[0].vecs[0].iter_cost;
+    assert_eq!(steps(6) - steps(5), u64::from(iter_cost));
+    // So with exactly the budget the scalar run needs, the entry can
+    // reserve the whole trip and the region runs.
+    let mut e = Session::compile(&[GREEN_GAUSS]).unwrap();
+    e.set_limits(RunLimits { max_steps: Some(steps(6)), ..RunLimits::default() });
+    e.set_native_enabled(false);
+    e.run("gg", &green_gauss_args(6), ExecMode::Serial).expect("the budget covers the run");
+    assert_eq!(e.vector_entry_count(), 1);
 }
 
 #[test]

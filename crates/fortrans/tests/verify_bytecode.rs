@@ -525,6 +525,94 @@ fn rejects_iteration_ledger_that_disagrees_with_the_scalar_loop() {
     }
 }
 
+/// A nest region: the inner loop is unrolled into the descriptor, and
+/// `idx(k)` is a guarded invariant load of its entry.
+const NEST: &str = r#"
+MODULE m
+CONTAINS
+  SUBROUTINE pick(acc, tab, idx)
+    INTEGER :: m, k
+    REAL(8), DIMENSION(1:5) :: acc
+    REAL(8), DIMENSION(1:5, 1:9) :: tab
+    INTEGER, DIMENSION(1:4) :: idx
+    DO m = 1, 5
+      DO k = 1, 4
+        acc(m) = acc(m) + tab(m, idx(k))
+      END DO
+    END DO
+  END SUBROUTINE pick
+END MODULE m
+"#;
+
+/// A nest region's `iter_cost`, (absent) ledger and exit state are all
+/// read off the scalar nest it shadows, inner trips included; the
+/// verifier recomputes each.
+#[test]
+fn rejects_nest_region_that_disagrees_with_the_nested_scalar_code() {
+    let engine = Session::compile(&[NEST]).unwrap();
+    for traced in [false, true] {
+        let base = compile_program(engine.program(), traced);
+        verify_program(engine.program(), &base).expect("baseline verifies");
+        let (at, head, exit) = base[0]
+            .code
+            .iter()
+            .enumerate()
+            .find_map(|(pc, i)| match *i {
+                BInstr::VecLoop { exit, .. } => Some((pc, pc as u32 + 1, exit)),
+                _ => None,
+            })
+            .expect("the nest compiles to a region");
+        let d = &base[0].vecs[0];
+        assert_eq!((base[0].vecs.len(), d.stmts.len(), d.guarded.len()), (1, 4, 4));
+        assert!(d.iter_ledger.is_none(), "a nest carries no ledger");
+        assert!(d.iter_cost > exit - head, "four inner trips retire more than the code is long");
+        assert_eq!(d.exit_state.len(), 3, "k, its counter, its end");
+
+        let reject = |edit: &dyn Fn(&mut BUnit), want: &str| {
+            let mut bad = base.clone();
+            edit(&mut bad[0]);
+            let msg = reject_msg(&engine, &bad);
+            assert!(msg.contains(want), "traced={traced}: {msg}");
+        };
+        // The cost a flat loop over the same code would carry.
+        reject(&|b| b.vecs[0].iter_cost = exit - head, "iteration cost");
+        reject(&|b| b.vecs[0].iter_ledger = Some(Default::default()), "iteration ledger disagrees");
+        reject(&|b| b.vecs[0].exit_state.truncate(2), "exit state disagrees");
+        reject(&|b| b.vecs[0].exit_state[0].1 += 1, "exit state disagrees");
+        // The descriptor goes stale when the inner trip changes under it,
+        // and a trip the walker cannot bound is no region body at all.
+        let end_const = (at..exit as usize)
+            .find(|&pc| matches!(base[0].code[pc], BInstr::DoInitC { .. }))
+            .expect("inner loop")
+            - 1;
+        reject(&|b| b.code[end_const] = BInstr::Const(3), "iteration cost");
+        reject(&|b| b.code[end_const] = BInstr::Const(1 << 40), "not straight-line");
+    }
+}
+
+#[test]
+fn rejects_guarded_load_out_of_range() {
+    let (engine, base) = compiled(NEST);
+    let ni = base[0].ni;
+    let reject = |edit: &dyn Fn(&mut BUnit), want: &str| {
+        let mut bad = base.clone();
+        edit(&mut bad[0]);
+        let msg = reject_msg(&engine, &bad);
+        assert!(msg.contains(want), "{msg}");
+    };
+    reject(&|b| b.vecs[0].guarded[1].slot = ni, "guarded load target i-slot");
+    reject(&|b| b.vecs[0].guarded[0].subs[0] = SubOp::Slot(ni + 7), "subscript operand");
+    reject(&|b| b.vecs[0].guarded[0].subs[0] = SubOp::Stack, "subscript operand");
+    reject(&|b| b.vecs[0].guarded[2].subs.clear(), "guarded load has 0 subscripts");
+    reject(
+        &|b| b.vecs[0].guarded[2].subs = vec![SubOp::Const(1); MAX_INLINE_RANK + 1],
+        "guarded load has 9 subscripts",
+    );
+    reject(&|b| b.vecs[0].guarded[3].vs = fortrans::bytecode::VSlot::A(900), "out of range");
+    reject(&|b| b.vecs[0].guarded[3].vs = fortrans::bytecode::VSlot::I(0), "not an array");
+    reject(&|b| b.vecs[0].exit_state[0].0 = ni, "exit-state i-slot");
+}
+
 #[test]
 fn rejects_quiet_bracket_that_is_not_straight_line() {
     let engine = Session::compile(&[LEDGER]).unwrap();
@@ -575,7 +663,7 @@ fn every_corpus_program_verifies_in_both_variants() {
 /// corruption, not a pre-existing violation.
 #[test]
 fn rejection_baselines_are_clean() {
-    for src in [BRANCHY, GATHER] {
+    for src in [BRANCHY, GATHER, NEST] {
         let (engine, bunits) = compiled(src);
         verify_program(engine.program(), &bunits).expect("baseline verifies");
     }

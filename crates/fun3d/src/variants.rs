@@ -306,6 +306,66 @@ mod tests {
         }
     }
 
+    /// `cell_loop`'s node gather (`DO m; DO k`) and Green-Gauss face
+    /// loop (`DO d; DO f` under `DO m`) are short constant-trip nests:
+    /// each must compile to one four-statement `VecLoop` region that
+    /// covers its inner loop, and a Serial run must enter exactly the
+    /// regions the cells passing `angle_check` reach.
+    #[test]
+    fn cell_loop_nests_run_on_the_fast_rungs() {
+        let cfg = Fun3dConfig { fuse: true, ..Default::default() };
+        // Per passing cell: zero `qavg`, gather, average, 5 x zero
+        // `grad(:, m)`, 5 x face nest; per edge the fused temporaries
+        // loop and the `jac` accumulate.
+        nests_run_on_the_fast_rungs(Fun3dVariant::Glaf(cfg), "cell_loop", 13 + 6 * 2);
+    }
+
+    /// `jacobian_recon` holds the same two nests inline; its `edge_loop`
+    /// part is ten unfused temporaries loops plus the accumulate.
+    #[test]
+    fn original_serial_nests_run_on_the_fast_rungs() {
+        nests_run_on_the_fast_rungs(Fun3dVariant::OriginalSerial, "jacobian_recon", 13 + 6 * 11);
+    }
+
+    fn nests_run_on_the_fast_rungs(variant: Fun3dVariant, unit: &str, entries_per_cell: u64) {
+        const CELLS: usize = 40;
+        let artifact = build_artifact(variant);
+        let nests: Vec<_> = artifact
+            .vector_report()
+            .into_iter()
+            .filter(|v| v.unit == unit && v.stmts == 4)
+            .collect();
+        assert_eq!(nests.len(), 2, "gather and face nest regions in `{unit}`: {nests:?}");
+
+        let mesh = crate::mesh::Mesh::build(CELLS);
+        let passing = (0..CELLS)
+            .filter(|&c| {
+                let adot: f64 = (0..3).map(|d| mesh.fnorm[c][0][d] * mesh.fnorm[c][1][d]).sum();
+                adot >= -0.2
+            })
+            .count() as u64;
+        assert!(passing > 0 && passing < CELLS as u64, "the mesh exercises both sides: {passing}");
+        let run = |s: &Session| {
+            s.run("build_mesh", &[ArgVal::I(CELLS as i64)], ExecMode::Serial).unwrap();
+            let before = (s.vector_entry_count(), s.native_entry_count());
+            s.run(entry(variant), &[], ExecMode::Serial).unwrap();
+            (s.vector_entry_count() - before.0, s.native_entry_count() - before.1)
+        };
+
+        let vector = Session::solo(Arc::clone(&artifact));
+        vector.set_native_enabled(false);
+        assert_eq!(run(&vector), (passing * entries_per_cell, 0));
+
+        let native = Session::solo(artifact);
+        native.set_native_eager(true);
+        let (on_vector, on_native) = run(&native);
+        assert_eq!(on_vector + on_native, passing * entries_per_cell);
+        assert_eq!(native.native_deopt_count(), 0, "clean kernel deopted");
+        if fortrans::jit::available() {
+            assert_eq!(on_vector, 0, "a region the emitter refused");
+        }
+    }
+
     #[test]
     fn no_realloc_does_not_change_results() {
         let base = run_real(Fun3dVariant::OriginalSerial, NC, 1);

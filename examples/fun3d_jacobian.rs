@@ -91,7 +91,18 @@ fn main() {
         }),
     );
 
-    // 4. The same noRealloc option on this engine's own clock: the VM
+    // 4. Where the fused configuration leaves the scalar rung: the loops
+    //    compiled to `VecLoop` regions, and why each other DO was not.
+    println!("\n=== vector regions, GLAF serial fused ===");
+    let fused = build_artifact(Fun3dVariant::Glaf(Fun3dConfig { fuse: true, ..Default::default() }));
+    for r in fused.vector_report() {
+        println!("  {:12} line {:>3}  region, {} statements", r.unit, r.line, r.stmts);
+    }
+    for r in fused.vector_refusals() {
+        println!("  {:12} line {:>3}  scalar: {:?}", r.unit, r.line, r.why);
+    }
+
+    // 5. The same noRealloc option on this engine's own clock: the VM
     //    pools ALLOCATE/DEALLOCATE, so SAVE'd temporaries buy nothing
     //    here (EXPERIMENTS.md, "Simulated on the fast rungs").
     println!("\n=== noRealloc, wall clock on the VM (Serial, best of 12) ===");
