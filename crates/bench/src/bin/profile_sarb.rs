@@ -4,7 +4,7 @@
 //!
 //! Runs the GLAF v3 parallel SARB build under the profiler, prints the
 //! observability report, and exits nonzero if the report violates its
-//! schema (JSON round-trip, required sections, join coverage).
+//! schema (required sections, join coverage).
 
 use glaf_bench::observe::observe_sarb;
 
@@ -25,16 +25,6 @@ fn main() {
     println!("{text}");
 
     let mut errors: Vec<String> = Vec::new();
-
-    // The profile must survive a JSON round-trip unchanged.
-    match fortrans::Profile::from_json(&report.profile.to_json()) {
-        Ok(back) => {
-            if back != report.profile {
-                errors.push("profile JSON round-trip changed the profile".into());
-            }
-        }
-        Err(e) => errors.push(format!("profile JSON does not parse back: {e}")),
-    }
 
     for section in [
         "== profile ==",

@@ -2,7 +2,7 @@
 //!
 //! The paper reports the line counts of the restricted NASA originals; we
 //! report (a) our synthetic originals and (b) the GLAF-generated code
-//! (serial policy). The shape criterion: `longwave_entropy_model`
+//! (serial policy). The shape to reproduce: `longwave_entropy_model`
 //! dominates, `shortwave_entropy_model` is the smallest.
 
 use glaf::sloc::{function_sloc_table, fortran_unit_sloc};

@@ -13,11 +13,12 @@
 //! | `repro_fig7` | Fig. 7 — FUN3D 16-thread option-matrix speed-ups |
 //! | `repro_all` | everything above, plus a machine-readable JSON dump |
 //!
-//! Criterion benches (`cargo bench`) measure the *real* wall-clock cost
-//! of the reproduction stack itself (compile pipeline, engine execution
-//! throughput, variant runs) and the ablation studies DESIGN.md calls
-//! out (fork-cost sweep, SIMD-width sweep, cost-model policy vs. the
-//! manual ladder).
+//! `profile_sarb` is the observability smoke run ([`observe`]). The
+//! *real* wall-clock cost of the reproduction stack (compile pipeline,
+//! engine rungs, runtime, service) is measured by the repository
+//! benchmark, `benchmark/`; the machine-model sweeps (fork cost, SIMD
+//! width, cost-model policy vs. the manual ladder) are assertions in
+//! the root `tests/figures_shape.rs`.
 
 
 pub mod observe;

@@ -15,6 +15,17 @@ pub enum TypeSpec {
     Derived(String),
 }
 
+/// The most dimensions an array may have (FORTRAN 77/90 allow 7). The
+/// parser refuses a longer dimension list and sema a longer flattened
+/// `base%field` shape, so every subscript list the engine sees fits the
+/// VM's fixed subscript buffer.
+pub(crate) const MAX_RANK: usize = 8;
+
+/// What an array of more than [`MAX_RANK`] dimensions is refused with.
+pub(crate) fn rank_error(rank: usize) -> String {
+    format!("rank {rank} exceeds the supported maximum of {MAX_RANK}")
+}
+
 /// One dimension declarator: `lo:hi`, `n` (meaning `1:n`), or `:`
 /// (deferred — allocatable).
 #[derive(Debug, Clone, PartialEq)]

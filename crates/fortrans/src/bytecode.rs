@@ -128,9 +128,11 @@ impl SDims {
 /// strides come from the array handle at run time.
 pub const NO_SDIMS: u16 = u16::MAX;
 
-/// Longest subscript list an operand-addressed element instruction may
-/// name (the VM gathers the subscripts into a stack buffer this long).
-pub const MAX_INLINE_RANK: usize = 8;
+/// Longest subscript or bound list an instruction may name: the VM
+/// gathers them into a stack buffer this long. The front end refuses
+/// arrays of higher rank (`ast::MAX_RANK`), so lowering never
+/// needs more.
+pub const MAX_INLINE_RANK: usize = crate::ast::MAX_RANK;
 
 /// One subscript operand of a `LoadElemS`/`StoreElemS`, resolved at
 /// lowering time. A `Slot` is read when the access executes — *after*
@@ -203,12 +205,10 @@ pub enum BInstr {
     IntrI { f: Intr, argc: u8 },
     /// Float-flavored intrinsic; `to_int` for INT/NINT results.
     IntrF { f: Intr, argc: u8, to_int: bool },
-    // Array element access: pops `nsubs` i64 subscripts.
-    LoadElem { vs: VSlot, v: u32, nsubs: u8, want: ScalarTy },
-    StoreElem { vs: VSlot, v: u32, nsubs: u8, src: ScalarTy },
-    /// Operand-addressed element access: the `n` subscripts are
-    /// `subops[subs..subs + n]`; only the `Stack` ones are popped. `sd` is the static shape of a fixed frame array
-    /// (`vs` is then its `A` slot) or [`NO_SDIMS`].
+    /// Array element access, operand-addressed: the `n` subscripts are
+    /// `subops[subs..subs + n]`; only the `Stack` ones are popped. `sd`
+    /// is the static shape of a fixed frame array (`vs` is then its `A`
+    /// slot) or [`NO_SDIMS`].
     LoadElemS { vs: VSlot, v: u32, subs: u32, n: u8, sd: u16, want: ScalarTy },
     /// As `LoadElemS`; pops the value first, then the `Stack` subscripts.
     StoreElemS { vs: VSlot, v: u32, subs: u32, n: u8, sd: u16, src: ScalarTy },
@@ -311,8 +311,8 @@ impl BInstr {
             IntrI { f, .. } | IntrF { f, .. } => {
                 Posts::Op(if f.is_special() { OpKind::FSpecial } else { OpKind::Flop })
             }
-            LoadG(_) | LoadElem { .. } | LoadElemS { .. } => Posts::Op(OpKind::Load),
-            StoreG(_) | StoreElem { .. } | StoreElemS { .. } => Posts::Op(OpKind::Store),
+            LoadG(_) | LoadElemS { .. } => Posts::Op(OpKind::Load),
+            StoreG(_) | StoreElemS { .. } => Posts::Op(OpKind::Store),
             AtomicScal { .. } | AtomicElem { .. } => Posts::Atomic,
             CostBranch => Posts::Branch,
             FailArith2 | FailNegB | FailType { .. } | ArrRed { .. } | Broadcast { .. }
@@ -1396,16 +1396,9 @@ impl<'a> UnitCompiler<'a> {
             RExpr::LoadElem { v, subs } => {
                 let (vs, want) = (self.vslot(*v), self.unit.vars[*v].ty);
                 let n = subs.len() as u8;
-                match self.emit_sub_operands(subs, None) {
-                    Some(first) => {
-                        let sd = self.static_shape(*v, subs.len());
-                        self.push(BInstr::LoadElemS { vs, v: *v as u32, subs: first, n, sd, want });
-                    }
-                    None => {
-                        self.emit_subs(subs);
-                        self.push(BInstr::LoadElem { vs, v: *v as u32, nsubs: n, want });
-                    }
-                }
+                let first = self.emit_sub_operands(subs, None);
+                let sd = self.static_shape(*v, subs.len());
+                self.push(BInstr::LoadElemS { vs, v: *v as u32, subs: first, n, sd, want });
             }
             RExpr::Bin { op, ty, l, r } => self.emit_bin(*op, *ty, l, r),
             RExpr::Neg(x) => {
@@ -1600,9 +1593,8 @@ impl<'a> UnitCompiler<'a> {
     /// Lowers the subscript list of an element load/store to a run of
     /// [`SubOp`]s in the unit's subscript table and returns the run's
     /// first index; code is emitted for the `Stack` operands only.
-    /// `None` — nothing emitted, caller takes the all-stack form — for
-    /// lists longer than [`MAX_INLINE_RANK`]. Cost-neutral, so both
-    /// builds do it: the `LoadI`/`Const` pushes it saves post nothing.
+    /// Cost-neutral, so both builds do it: the `LoadI`/`Const` pushes it
+    /// saves post nothing.
     ///
     /// Legality of `Slot`: the VM reads the slot when the access
     /// executes, i.e. after every sibling subscript and (for a store)
@@ -1611,10 +1603,8 @@ impl<'a> UnitCompiler<'a> {
     /// those expressions stores to the variable in between, which only
     /// a function call's copy-out can do (`a(i, bump(i))`); such a
     /// subscript keeps the stack path.
-    fn emit_sub_operands(&mut self, subs: &[RExpr], rhs: Option<&RExpr>) -> Option<u32> {
-        if subs.len() > MAX_INLINE_RANK {
-            return None;
-        }
+    fn emit_sub_operands(&mut self, subs: &[RExpr], rhs: Option<&RExpr>) -> u32 {
+        assert!(subs.len() <= MAX_INLINE_RANK, "the front end caps array rank");
         // A nested access (`qn(m, c2n(k, c))`) appends its own run while
         // this one's `Stack` operands are emitted, so collect first.
         let mut run = [SubOp::Stack; MAX_INLINE_RANK];
@@ -1645,7 +1635,7 @@ impl<'a> UnitCompiler<'a> {
         }
         let first = self.subops.len() as u32;
         self.subops.extend_from_slice(&run[..subs.len()]);
-        Some(first)
+        first
     }
 
     /// Static-shape descriptor for an access to `v` with `nsubs`
@@ -1755,18 +1745,10 @@ impl<'a> UnitCompiler<'a> {
             RStmt::AssignElem { v, subs, e } => {
                 let (vs, src) = (self.vslot(*v), self.ty_of(e));
                 let n = subs.len() as u8;
-                match self.emit_sub_operands(subs, Some(e)) {
-                    Some(first) => {
-                        self.emit_expr(e);
-                        let sd = self.static_shape(*v, subs.len());
-                        self.push(BInstr::StoreElemS { vs, v: *v as u32, subs: first, n, sd, src });
-                    }
-                    None => {
-                        self.emit_subs(subs);
-                        self.emit_expr(e);
-                        self.push(BInstr::StoreElem { vs, v: *v as u32, nsubs: n, src });
-                    }
-                }
+                let first = self.emit_sub_operands(subs, Some(e));
+                self.emit_expr(e);
+                let sd = self.static_shape(*v, subs.len());
+                self.push(BInstr::StoreElemS { vs, v: *v as u32, subs: first, n, sd, src });
             }
             RStmt::Broadcast { v, e } => {
                 self.emit_expr(e);
@@ -3085,10 +3067,6 @@ END MODULE m
         // operand run; only what it *emits* for a `Stack` operand
         // differs (`i + 1` stays an `AddI` in both, but is never folded).
         assert_eq!(traced[1].subops, w.subops);
-        assert!(!traced[1]
-            .code
-            .iter()
-            .any(|i| matches!(i, BInstr::LoadElem { .. } | BInstr::StoreElem { .. })));
         assert!(std::mem::size_of::<BInstr>() <= 24);
     }
 

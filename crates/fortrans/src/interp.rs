@@ -174,6 +174,11 @@ pub(crate) struct EffLimits {
 }
 
 impl EffLimits {
+    /// How the message of a step-budget trip opens. The retry policy
+    /// tells that trip (transient: the oracle counts statements, so the
+    /// same budget goes further there) from a deadline trip by it.
+    pub(crate) const STEP_BUDGET: &'static str = "step budget";
+
     pub(crate) fn start(lim: &RunLimits, cancel: Option<std::sync::Arc<CancelToken>>) -> Self {
         let deadline = lim.deadline.map(|d| std::time::Instant::now() + d);
         EffLimits {
@@ -193,7 +198,8 @@ impl EffLimits {
         *steps += 1;
         if let Some(max) = self.max_steps {
             if *steps > max {
-                return Err(RunError::Limit { msg: format!("step budget of {max} exhausted") });
+                let msg = format!("{} of {max} exhausted", Self::STEP_BUDGET);
+                return Err(RunError::Limit { msg });
             }
         }
         if self.poll && steps.is_multiple_of(1024) {

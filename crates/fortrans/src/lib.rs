@@ -21,12 +21,36 @@
 //!   problem of a source set in one [`Diagnostics`] (DESIGN.md §8).
 //! * [`sema`] — name/slot resolution, storage association for COMMON,
 //!   flattening of derived-type variables, type checking with FORTRAN
-//!   promotion rules.
-//! * [`interp`] — execution in three modes: `Serial`, `Parallel` (real
-//!   fork-join threads on the [`omprt`] runtime) and `Simulated`
-//!   (serial-order execution emitting a [`cost::CostTrace`] for the
-//!   `simcpu` machine model — the substitute for the paper's testbeds on
-//!   a single-core host, see DESIGN.md).
+//!   promotion rules; its output is the resolved program ([`rir`]).
+//! * [`interp`] — the tree-walk executor: the reference ("oracle") tier
+//!   every other rung must match bit for bit, and home of what the tiers
+//!   share ([`ExecMode`], [`RunLimits`], [`Val`], ATOMIC updates and
+//!   reduction combines). Every tier runs in three modes: `Serial`,
+//!   `Parallel` (real fork-join threads on the [`omprt`] runtime) and
+//!   `Simulated` (serial-order execution emitting a [`cost::CostTrace`]
+//!   for the `simcpu` machine model — the substitute for the paper's
+//!   testbeds on a single-core host, see DESIGN.md).
+//! * [`bytecode`] / [`verify`] / [`vm`] — the default tier. Each unit is
+//!   lowered to flat bytecode twice (an optimized build, and a traced one
+//!   that posts the cost events `Simulated` needs), statically verified
+//!   before it may run, and executed by the VM; affine `DO` loops become
+//!   `VecLoop` regions run a vector of iterations at a time. A VM trap
+//!   falls back to the tree-walk tier (DESIGN.md §6).
+//! * [`jit`] — x86-64 machine code for hot `VecLoop` regions, guarded and
+//!   deoptimizing back to the VM (DESIGN.md §9).
+//! * `region` — the one `!$OMP PARALLEL DO` driver both executors fork
+//!   through: scheduling, privatization, reduction join.
+//! * [`service`] — what callers hold: [`CompiledProgram`] (the immutable,
+//!   shareable artifact), [`Session`] (everything a run mutates) and
+//!   [`EngineService`] with its artifact cache, batch [`JobQueue`] and
+//!   failure policy (DESIGN.md §7).
+//! * [`trace`] — opt-in span profiles ([`Session::run_profiled`]): where
+//!   the time went per unit, loop and parallel region.
+//! * [`gen`] — seeded generator of legacy-style F77 programs (the
+//!   differential corpora and the benchmark's cold-compile workload).
+//! * [`storage`], [`cost`], [`intrinsics`], [`engine`], [`error`] — array
+//!   objects, cost accounting, intrinsic functions, argument/outcome
+//!   types, diagnostics.
 //!
 //! ## Quick example
 //!
@@ -60,7 +84,6 @@
 
 pub mod ast;
 pub mod bytecode;
-pub mod chaos;
 pub mod cost;
 pub mod engine;
 pub mod error;
@@ -90,12 +113,11 @@ pub use error::{CompileError, Diagnostic, Diagnostics, Severity};
 pub use error::RunError;
 pub use fixedform::is_fixed_form;
 pub use parse::ProgramSet;
-pub use chaos::{CampaignConfig, CampaignReport};
 pub use interp::{CancelToken, ExecMode, RunLimits, ScheduleOverrides, Val};
 pub use omprt::{PoolSet, Schedule};
 pub use service::{
-    source_hash, ArtifactCache, Attempt, BatchReport, CompiledProgram, EngineService, Job,
-    JobPolicy, JobQueue, JobResult, PolicyAction, QuarantineMode, QuarantinePolicy, Session,
+    source_hash, ArtifactCache, Attempt, BatchReport, CompiledProgram, EngineService, FaultPlan,
+    Job, JobPolicy, JobQueue, JobResult, PolicyAction, QuarantineMode, QuarantinePolicy, Session,
 };
 pub use rir::ScalarTy;
 pub use storage::ArrayObj;

@@ -390,7 +390,7 @@ fn prefix(c: &mut LineCur) -> Result<Expr, PErr> {
 // ---------------------------------------------------------------------------
 
 /// `( dim {, dim} )` where a dim is `lo:hi`, `n` (meaning `1:n`) or `:`
-/// (deferred).
+/// (deferred); at most [`MAX_RANK`] of them.
 pub(crate) fn dims(c: &mut LineCur) -> Result<Vec<DimDecl>, PErr> {
     c.expect(Tok::LParen, "`(`")?;
     let mut dims = Vec::new();
@@ -410,6 +410,9 @@ pub(crate) fn dims(c: &mut LineCur) -> Result<Vec<DimDecl>, PErr> {
         }
     }
     c.expect(Tok::RParen, "`)` after array bounds")?;
+    if dims.len() > MAX_RANK {
+        return Err(perr(rank_error(dims.len())));
+    }
     Ok(dims)
 }
 

@@ -170,6 +170,10 @@ impl Resolver {
                                 let mut dims = base_dims.clone();
                                 dims.extend(f.dims.iter().copied());
                                 let key = format!("{}%{}", e.name, f.name);
+                                if dims.len() > ast::MAX_RANK {
+                                    let why = ast::rank_error(dims.len());
+                                    return Err(serr(format!("`{key}`: {why}"), d.span));
+                                }
                                 self.add_module_global(
                                     mi,
                                     &m.name,

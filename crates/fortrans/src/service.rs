@@ -205,6 +205,29 @@ fn estimate_bytes(prog: &RProgram, builds: &[&Vec<BUnit>]) -> usize {
     total
 }
 
+/// Test hook: the faults a harness arms on one [`Session`] (directly
+/// with [`Session::debug_faults`], or on a batch job's private session
+/// with [`Job::debug_faults`]). Every field is one-shot.
+#[doc(hidden)]
+#[derive(Clone, Default)]
+pub struct FaultPlan {
+    /// The next VM-tier run traps before any user code runs, exercising
+    /// the trap-and-fallback path deterministically.
+    pub vm_trap: bool,
+    /// The next `n` oracle-tier runs panic inside the trap boundary,
+    /// surfacing as [`RunError::Trap`]. With `vm_trap` a *whole attempt*
+    /// (VM + fallback) fails, which is what retry policies see.
+    /// Decrements per oracle run; clears itself at zero.
+    pub oracle_traps: u32,
+    /// This worker tid panics on the next run's OMP region entry,
+    /// exercising `RegionPanic` containment and the pool's self-healing.
+    pub worker_panic: Option<usize>,
+    /// Replaces the session's view of one bytecode build (`true` selects
+    /// the traced one) so corrupted streams execute; the shared
+    /// [`CompiledProgram`] is not touched.
+    pub bytecode: Option<(bool, Vec<BUnit>)>,
+}
+
 /// Per-run mutable state over a shared [`CompiledProgram`]: live global
 /// storage (module variables, COMMON blocks, SAVE arrays — persisting
 /// across `run` calls exactly like a linked FORTRAN process image),
@@ -229,7 +252,7 @@ pub struct Session {
     /// Loop entries that actually ran vectorized, across all runs.
     vector_entries: Arc<AtomicU64>,
     /// Session-local bytecode replacement (`[optimized, traced]`),
-    /// normally empty. `debug_inject_bytecode` writes here so the
+    /// normally empty. `FaultPlan::bytecode` lands here so the
     /// fault-injection harness corrupts *this session's* view only —
     /// the shared artifact stays pristine for every other session.
     bytecode_override: Mutex<[Option<Arc<Vec<BUnit>>>; 2]>,
@@ -321,44 +344,28 @@ impl Session {
         self.cancel.lock().clone()
     }
 
-    /// Test hook: forces the next VM-tier run to trap, exercising the
-    /// trap-and-fallback path deterministically.
+    /// Test hook: arms every fault `plan` sets on this session; fields
+    /// left at their default leave what is already armed alone.
     #[doc(hidden)]
-    pub fn debug_force_vm_trap(&self) {
-        self.force_vm_trap.store(true, Ordering::Relaxed);
-    }
-
-    /// Test hook: the next `n` oracle-tier runs panic inside the trap
-    /// boundary, surfacing as [`RunError::Trap`]. Combined with
-    /// [`Session::debug_force_vm_trap`] this makes a *whole attempt*
-    /// (VM + fallback) fail, deterministically exercising retry
-    /// policies. Decrements per oracle run; clears itself at zero.
-    #[doc(hidden)]
-    pub fn debug_force_oracle_traps(&self, n: u32) {
-        self.force_oracle_traps.store(n, Ordering::Relaxed);
-    }
-
-    /// Test hook: worker `tid` panics on the next run's OMP region
-    /// entry (one-shot), exercising `RegionPanic` containment and the
-    /// pool's self-healing under batch traffic.
-    #[doc(hidden)]
-    pub fn debug_force_worker_panic(&self, tid: usize) {
-        self.panic_worker.store(tid as i64, Ordering::Relaxed);
-    }
-
-    /// Test hook: replaces this session's view of one bytecode variant
-    /// (`traced` selects the Simulated build). Used by the
-    /// fault-injection harness to execute corrupted streams; the shared
-    /// [`CompiledProgram`] is not touched.
-    #[doc(hidden)]
-    pub fn debug_inject_bytecode(&self, traced: bool, bunits: Vec<BUnit>) {
-        self.bytecode_override.lock()[usize::from(traced)] = Some(Arc::new(bunits));
-        // Detach from the artifact's shared promotion cache: its
-        // compiled regions were emitted from the *pristine* bytecode,
-        // whose descriptor indices no longer describe this session's
-        // view. A fresh private cache re-verifies (and usually refuses)
-        // the injected descriptors at promotion time.
-        *self.native.cache.lock() = Arc::new(crate::jit::NativeCache::new());
+    pub fn debug_faults(&self, plan: FaultPlan) {
+        if plan.vm_trap {
+            self.force_vm_trap.store(true, Ordering::Relaxed);
+        }
+        if plan.oracle_traps > 0 {
+            self.force_oracle_traps.store(plan.oracle_traps, Ordering::Relaxed);
+        }
+        if let Some(tid) = plan.worker_panic {
+            self.panic_worker.store(tid as i64, Ordering::Relaxed);
+        }
+        if let Some((traced, bunits)) = plan.bytecode {
+            self.bytecode_override.lock()[usize::from(traced)] = Some(Arc::new(bunits));
+            // Detach from the artifact's shared promotion cache: its
+            // compiled regions were emitted from the *pristine* bytecode,
+            // whose descriptor indices no longer describe this session's
+            // view. A fresh private cache re-verifies (and usually refuses)
+            // the injected descriptors at promotion time.
+            *self.native.cache.lock() = Arc::new(crate::jit::NativeCache::new());
+        }
     }
 
     /// The resolved program (introspection for tests and tooling).
@@ -1095,10 +1102,7 @@ pub struct Job {
     mode: ExecMode,
     limits: Option<RunLimits>,
     policy: Option<JobPolicy>,
-    force_trap: bool,
-    oracle_traps: u32,
-    panic_worker: Option<usize>,
-    inject_bytecode: Option<(bool, Vec<BUnit>)>,
+    faults: FaultPlan,
 }
 
 impl Job {
@@ -1110,10 +1114,7 @@ impl Job {
             mode: ExecMode::Serial,
             limits: None,
             policy: None,
-            force_trap: false,
-            oracle_traps: 0,
-            panic_worker: None,
-            inject_bytecode: None,
+            faults: FaultPlan::default(),
         }
     }
 
@@ -1139,36 +1140,12 @@ impl Job {
         self
     }
 
-    /// Test hook: the job's first VM run traps, exercising mid-batch
-    /// fallback isolation.
+    /// Test hook: arms `plan` on the job's private session before it
+    /// runs (mid-batch fallback isolation, retry ladders, the chaos
+    /// harness's corrupted streams).
     #[doc(hidden)]
-    pub fn debug_force_trap(mut self) -> Job {
-        self.force_trap = true;
-        self
-    }
-
-    /// Test hook: the job's first `n` oracle runs panic too, so whole
-    /// attempts fail (see [`Session::debug_force_oracle_traps`]).
-    #[doc(hidden)]
-    pub fn debug_force_oracle_traps(mut self, n: u32) -> Job {
-        self.oracle_traps = n;
-        self
-    }
-
-    /// Test hook: worker `tid` panics on the job's first OMP region
-    /// entry (see [`Session::debug_force_worker_panic`]).
-    #[doc(hidden)]
-    pub fn debug_panic_worker(mut self, tid: usize) -> Job {
-        self.panic_worker = Some(tid);
-        self
-    }
-
-    /// Test hook: replaces the job session's view of one bytecode
-    /// variant before it runs (the chaos harness corrupts streams this
-    /// way; the shared artifact stays pristine).
-    #[doc(hidden)]
-    pub fn debug_inject_bytecode(mut self, traced: bool, bunits: Vec<BUnit>) -> Job {
-        self.inject_bytecode = Some((traced, bunits));
+    pub fn debug_faults(mut self, plan: FaultPlan) -> Job {
+        self.faults = plan;
         self
     }
 }
@@ -1247,7 +1224,7 @@ enum Prep {
 fn transient(root: &RunError) -> bool {
     match root {
         RunError::Trap { .. } => true,
-        RunError::Limit { msg } => msg.starts_with("step budget"),
+        RunError::Limit { msg } => msg.starts_with(EffLimits::STEP_BUDGET),
         _ => false,
     }
 }
@@ -1464,18 +1441,7 @@ impl JobQueue {
                     if let Some(l) = job.limits {
                         s.set_limits(l);
                     }
-                    if job.force_trap {
-                        s.debug_force_vm_trap();
-                    }
-                    if job.oracle_traps > 0 {
-                        s.debug_force_oracle_traps(job.oracle_traps);
-                    }
-                    if let Some(tid) = job.panic_worker {
-                        s.debug_force_worker_panic(tid);
-                    }
-                    if let Some((traced, b)) = &job.inject_bytecode {
-                        s.debug_inject_bytecode(*traced, b.clone());
-                    }
+                    s.debug_faults(job.faults.clone());
                     let token = CancelToken::new();
                     s.set_cancel_token(Some(Arc::clone(&token)));
                     Box::new(ReadyJob { session: s, token, hash: artifact.source_hash() })

@@ -20,9 +20,9 @@
 //! locks this.
 //!
 //! The report renders as JSON (hand-rolled; the workspace has no serde)
-//! and as folded stacks (`a;b;c N`, flamegraph-ready). Both renderers
-//! have parsers, so profiles survive a round-trip through either format —
-//! locked by property tests.
+//! and as folded stacks (`a;b;c N`, flamegraph-ready). Nothing in the
+//! tree reads either back; goldens here and the properties in
+//! `tests/profile_property.rs` pin what the writers emit.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -78,19 +78,6 @@ impl SpanNode {
             SpanKind::Unit => self.name.clone(),
             SpanKind::Loop => format!("do@{}", self.line),
             SpanKind::OmpLoop => format!("omp@{}", self.line),
-        }
-    }
-
-    /// Copy with entry counts zeroed — the shape information a folded
-    /// stack preserves.
-    pub fn skeleton(&self) -> SpanNode {
-        SpanNode {
-            kind: self.kind,
-            name: self.name.clone(),
-            line: self.line,
-            entries: 0,
-            wall_ns: self.wall_ns,
-            children: self.children.iter().map(|c| c.skeleton()).collect(),
         }
     }
 }
@@ -287,63 +274,6 @@ impl Profile {
         s
     }
 
-    pub fn from_json(src: &str) -> Result<Profile, String> {
-        let v = Json::parse(src)?;
-        let o = v.obj("profile")?;
-        let spans = o
-            .req("spans")?
-            .arr("spans")?
-            .iter()
-            .map(span_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let regions = o
-            .req("regions")?
-            .arr("regions")?
-            .iter()
-            .map(|r| {
-                let ro = r.obj("region")?;
-                let per_thread = |key: &str| {
-                    ro.req(key)?.arr(key)?.iter().map(|b| b.num(key)).collect::<Result<Vec<_>, _>>()
-                };
-                Ok(RegionReport {
-                    threads: ro.req("threads")?.num("threads")?,
-                    wall_ns: ro.req("wall_ns")?.num("wall_ns")?,
-                    line: ro.req("line")?.num("line")?,
-                    sched: ro.req("sched")?.str("sched")?,
-                    busy_ns: per_thread("busy_ns")?,
-                    start_ns: per_thread("start_ns")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let fallback = match o.req("fallback")? {
-            Json::Null => None,
-            f => {
-                let fo = f.obj("fallback")?;
-                Some(FallbackInfo {
-                    unit: fo.req("unit")?.str("unit")?,
-                    what: fo.req("what")?.str("what")?,
-                })
-            }
-        };
-        Ok(Profile {
-            entry: o.req("entry")?.str("entry")?,
-            tier: o.req("tier")?.str("tier")?,
-            mode: o.req("mode")?.str("mode")?,
-            wall_ns: o.req("wall_ns")?.num("wall_ns")?,
-            steps: o.req("steps")?.num("steps")?,
-            max_steps: match o.req("max_steps")? {
-                Json::Null => None,
-                v => Some(v.num("max_steps")?),
-            },
-            spans,
-            regions,
-            fallback,
-            fallback_count: o.req("fallback_count")?.num("fallback_count")?,
-            native_entries: o.num_or_zero("native_entries")?,
-            native_deopts: o.num_or_zero("native_deopts")?,
-        })
-    }
-
     // ---- Folded stacks ----
 
     /// Flamegraph-ready folded stacks: one `path;to;frame self_ns` line
@@ -366,75 +296,6 @@ impl Profile {
         walk(&self.spans, &mut path, &mut out);
         out
     }
-
-    /// Rebuilds the span tree of [`Profile::to_folded`] output. Entry
-    /// counts are not representable in folded form, so the result
-    /// compares equal to the original's [`SpanNode::skeleton`].
-    pub fn parse_folded(src: &str) -> Result<Vec<SpanNode>, String> {
-        // Arena build: (label path) trie preserving first-appearance order.
-        #[derive(Debug)]
-        struct N {
-            label: String,
-            self_ns: u64,
-            children: Vec<N>,
-        }
-        fn insert(level: &mut Vec<N>, frames: &[&str], self_ns: u64) {
-            let (first, rest) = match frames.split_first() {
-                Some(x) => x,
-                None => return,
-            };
-            let pos = match level.iter().position(|n| n.label == *first) {
-                Some(p) => p,
-                None => {
-                    level.push(N { label: first.to_string(), self_ns: 0, children: Vec::new() });
-                    level.len() - 1
-                }
-            };
-            if rest.is_empty() {
-                level[pos].self_ns += self_ns;
-            } else {
-                insert(&mut level[pos].children, rest, self_ns);
-            }
-        }
-        let mut roots: Vec<N> = Vec::new();
-        for (lno, line) in src.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (stack, count) = line
-                .rsplit_once(' ')
-                .ok_or_else(|| format!("folded line {}: missing count", lno + 1))?;
-            let self_ns: u64 = count
-                .parse()
-                .map_err(|_| format!("folded line {}: bad count {count:?}", lno + 1))?;
-            let frames: Vec<&str> = stack.split(';').collect();
-            if frames.iter().any(|f| f.is_empty()) {
-                return Err(format!("folded line {}: empty frame", lno + 1));
-            }
-            insert(&mut roots, &frames, self_ns);
-        }
-        fn finish(n: N) -> Result<SpanNode, String> {
-            let (kind, name, line) = if let Some(rest) = n.label.strip_prefix("do@") {
-                (SpanKind::Loop, String::new(), rest.parse().map_err(|_| bad_label(&n.label))?)
-            } else if let Some(rest) = n.label.strip_prefix("omp@") {
-                (SpanKind::OmpLoop, String::new(), rest.parse().map_err(|_| bad_label(&n.label))?)
-            } else {
-                (SpanKind::Unit, n.label.clone(), 0)
-            };
-            let children = n
-                .children
-                .into_iter()
-                .map(finish)
-                .collect::<Result<Vec<SpanNode>, _>>()?;
-            let wall = n.self_ns + children.iter().map(|c| c.wall_ns).sum::<u64>();
-            Ok(SpanNode { kind, name, line, entries: 0, wall_ns: wall, children })
-        }
-        fn bad_label(l: &str) -> String {
-            format!("folded frame {l:?}: bad line number")
-        }
-        roots.into_iter().map(finish).collect()
-    }
 }
 
 fn span_json(n: &SpanNode, s: &mut String) {
@@ -454,29 +315,6 @@ fn span_json(n: &SpanNode, s: &mut String) {
         span_json(c, s);
     }
     s.push_str("]}");
-}
-
-fn span_from_json(v: &Json) -> Result<SpanNode, String> {
-    let o = v.obj("span")?;
-    let kind = match o.req("kind")?.str("kind")?.as_str() {
-        "unit" => SpanKind::Unit,
-        "loop" => SpanKind::Loop,
-        "omp" => SpanKind::OmpLoop,
-        other => return Err(format!("unknown span kind {other:?}")),
-    };
-    Ok(SpanNode {
-        kind,
-        name: o.req("name")?.str("name")?,
-        line: o.req("line")?.num("line")? as u32,
-        entries: o.req("entries")?.num("entries")?,
-        wall_ns: o.req("wall_ns")?.num("wall_ns")?,
-        children: o
-            .req("children")?
-            .arr("children")?
-            .iter()
-            .map(span_from_json)
-            .collect::<Result<Vec<_>, _>>()?,
-    })
 }
 
 /// JSON string literal with full escaping of quotes, backslashes and
@@ -499,208 +337,6 @@ fn json_str(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-// ---- minimal JSON reader (objects/arrays/strings/u64/null — exactly
-// what the writer above emits) ----
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn parse(src: &str) -> Result<Json, String> {
-        let b = src.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing JSON at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn obj(&self, what: &str) -> Result<ObjRef<'_>, String> {
-        match self {
-            Json::Obj(fields) => Ok(ObjRef(fields)),
-            _ => Err(format!("{what}: expected object")),
-        }
-    }
-
-    fn arr(&self, what: &str) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(v) => Ok(v),
-            _ => Err(format!("{what}: expected array")),
-        }
-    }
-
-    fn num(&self, what: &str) -> Result<u64, String> {
-        match self {
-            Json::Num(n) => Ok(*n),
-            _ => Err(format!("{what}: expected number")),
-        }
-    }
-
-    fn str(&self, what: &str) -> Result<String, String> {
-        match self {
-            Json::Str(s) => Ok(s.clone()),
-            _ => Err(format!("{what}: expected string")),
-        }
-    }
-}
-
-struct ObjRef<'a>(&'a [(String, Json)]);
-
-impl ObjRef<'_> {
-    fn req(&self, key: &str) -> Result<&Json, String> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field {key:?}"))
-    }
-
-    /// Numeric field that older snapshots may lack; absent → 0.
-    fn num_or_zero(&self, key: &str) -> Result<u64, String> {
-        match self.0.iter().find(|(k, _)| k == key) {
-            Some((_, v)) => v.num(key),
-            None => Ok(0),
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of JSON".into()),
-        Some(b'n') => {
-            if b[*pos..].starts_with(b"null") {
-                *pos += 4;
-                Ok(Json::Null)
-            } else {
-                Err(format!("bad token at byte {pos}", pos = *pos))
-            }
-        }
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut out = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(out));
-            }
-            loop {
-                out.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(out));
-                    }
-                    _ => return Err(format!("expected , or ] at byte {}", *pos)),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut out = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(out));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected : at byte {}", *pos));
-                }
-                *pos += 1;
-                out.push((key, parse_value(b, pos)?));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(out));
-                    }
-                    _ => return Err(format!("expected , or }} at byte {}", *pos)),
-                }
-            }
-        }
-        Some(c) if c.is_ascii_digit() => {
-            let start = *pos;
-            while *pos < b.len() && b[*pos].is_ascii_digit() {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos])
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .map(Json::Num)
-                .ok_or_else(|| format!("bad number at byte {start}"))
-        }
-        Some(c) => Err(format!("unexpected byte {c:?} at {}", *pos)),
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {}", *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("bad \\u escape")?;
-                        let cp = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        out.push(char::from_u32(cp).ok_or("bad \\u codepoint")?);
-                        *pos += 4;
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
 }
 
 // ---- the collector the tiers write into ----
@@ -915,31 +551,60 @@ mod tests {
         }
     }
 
-    #[test]
-    fn json_round_trip() {
-        let p = sample();
-        let back = Profile::from_json(&p.to_json()).unwrap();
-        assert_eq!(p, back);
+    /// Everything of `sample()`'s JSON between the header fields and the
+    /// fallback: the span tree (with `helper` spelled `helper_name`) and
+    /// the one region.
+    fn spans_and_regions_json(helper_name: &str) -> String {
+        [
+            r#""spans":[{"kind":"unit","name":"work","line":0,"entries":1,"wall_ns":1000,"children":["#,
+            r#"{"kind":"omp","name":"","line":5,"entries":1,"wall_ns":900,"children":["#,
+            r#"{"kind":"loop","name":"","line":7,"entries":12,"wall_ns":400,"children":[]}]},"#,
+            r#"{"kind":"unit","name":""#,
+            helper_name,
+            r#"","line":0,"entries":3,"wall_ns":50,"children":[]}]}],"#,
+            r#""regions":[{"threads":4,"wall_ns":800,"line":5,"sched":"static","#,
+            r#""busy_ns":[700,650,600,550],"start_ns":[20,45,60,75]}],"#,
+        ]
+        .concat()
     }
 
     #[test]
-    fn json_round_trip_with_fallback_and_escapes() {
+    fn to_json_golden() {
+        let want = [
+            r#"{"entry":"work","tier":"vm","mode":"parallel(4)","wall_ns":1100,"steps":12345,"#,
+            r#""max_steps":1000000,"#,
+            &spans_and_regions_json("helper"),
+            r#""fallback":null,"fallback_count":0,"native_entries":42,"native_deopts":3}"#,
+        ]
+        .concat();
+        assert_eq!(sample().to_json(), want);
+    }
+
+    #[test]
+    fn to_json_golden_with_fallback_and_escapes() {
         let mut p = sample();
+        p.spans[0].children[1].name = "hel\"per\\\u{2}".into();
         p.fallback = Some(FallbackInfo {
             unit: "we\"ird\\name".into(),
             what: "line1\nline2\ttab\u{1}".into(),
         });
         p.max_steps = None;
-        let back = Profile::from_json(&p.to_json()).unwrap();
-        assert_eq!(p, back);
+        let want = [
+            r#"{"entry":"work","tier":"vm","mode":"parallel(4)","wall_ns":1100,"steps":12345,"#,
+            r#""max_steps":null,"#,
+            &spans_and_regions_json(r#"hel\"per\\\u0002"#),
+            r#""fallback":{"unit":"we\"ird\\name","what":"line1\nline2\ttab\u0001"},"#,
+            r#""fallback_count":0,"native_entries":42,"native_deopts":3}"#,
+        ]
+        .concat();
+        assert_eq!(p.to_json(), want);
     }
 
     #[test]
-    fn folded_round_trip_is_skeleton() {
-        let p = sample();
-        let parsed = Profile::parse_folded(&p.to_folded()).unwrap();
-        let skel: Vec<SpanNode> = p.spans.iter().map(|s| s.skeleton()).collect();
-        assert_eq!(parsed, skel);
+    fn to_folded_golden() {
+        // Self time per path: `work` keeps 1000 - 900 - 50.
+        let want = "work 50\nwork;omp@5 500\nwork;omp@5;do@7 400\nwork;helper 50\n";
+        assert_eq!(sample().to_folded(), want);
     }
 
     #[test]

@@ -483,14 +483,6 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         Some(h)
     }
 
-    /// Pops `n` subscripts (pushed in order) into a fresh Vec.
-    fn pop_subs(&mut self, n: usize) -> Vec<i64> {
-        let at = self.stack.len() - n;
-        let subs = self.stack[at..].iter().map(|&b| b as i64).collect();
-        self.stack.truncate(at);
-        subs
-    }
-
     fn vec_snapshot(&self) -> (VecClass, usize) {
         (self.st.cost.vec_mode, self.vec_stack.len())
     }
@@ -1258,22 +1250,6 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                         self.push(r.to_bits());
                     }
                 }
-                ins @ BInstr::LoadElem { vs, v, nsubs, want } => {
-                    let n = nsubs as usize;
-                    let mut buf = [0i64; MAX_INLINE_RANK];
-                    let bits = if n <= MAX_INLINE_RANK {
-                        self.pop_subs_into(n, &mut buf);
-                        let (arr, off) = self.elem_at(uidx, frame, (vs, v), None, &buf[..n])?;
-                        load_elem_bits(arr, off, want)
-                    } else {
-                        let subs = self.pop_subs(n);
-                        let arr = self.handle_in(uidx, frame, vs, v)?;
-                        let off = arr.offset(self.var_name(uidx, v), &subs)?;
-                        load_elem_bits(&arr, off, want)
-                    };
-                    self.post(ins);
-                    self.push(bits);
-                }
                 ins @ BInstr::LoadElemS { vs, v, subs, n, sd, want } => {
                     let n = n as usize;
                     let mut ix = [0i64; MAX_INLINE_RANK];
@@ -1283,22 +1259,6 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     let bits = load_elem_bits(arr, off, want);
                     self.post(ins);
                     self.push(bits);
-                }
-                ins @ BInstr::StoreElem { vs, v, nsubs, src } => {
-                    let bits = self.pop();
-                    let n = nsubs as usize;
-                    let mut buf = [0i64; MAX_INLINE_RANK];
-                    if n <= MAX_INLINE_RANK {
-                        self.pop_subs_into(n, &mut buf);
-                        let (arr, off) = self.elem_at(uidx, frame, (vs, v), None, &buf[..n])?;
-                        store_elem_bits(arr, off, bits, src);
-                    } else {
-                        let subs = self.pop_subs(n);
-                        let arr = self.handle_in(uidx, frame, vs, v)?;
-                        let off = arr.offset(self.var_name(uidx, v), &subs)?;
-                        store_elem_bits(&arr, off, bits, src);
-                    }
-                    self.post(ins);
                 }
                 ins @ BInstr::StoreElemS { vs, v, subs, n, sd, src } => {
                     let bits = self.pop();
@@ -1390,11 +1350,13 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     }
                 }
                 ins @ BInstr::AtomicElem { vs, v, op, nsubs, ety } => {
-                    let subs = self.pop_subs(nsubs as usize);
+                    let n = nsubs as usize;
+                    let mut subs = [0i64; MAX_INLINE_RANK];
+                    self.pop_subs_into(n, &mut subs);
                     let delta = Val::from_bits(self.pop(), ety);
                     self.post(ins);
                     let arr = self.handle_in(uidx, frame, vs, v)?;
-                    let off = arr.offset(self.var_name(uidx, v), &subs)?;
+                    let off = arr.offset(self.var_name(uidx, v), &subs[..n])?;
                     if arr.ty == ScalarTy::B {
                         return Err(RunError::Type { msg: "ATOMIC on LOGICAL".into() });
                     }
@@ -1409,16 +1371,10 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                         (self.stack[at + 2 * d] as i64, self.stack[at + 2 * d + 1] as i64)
                     };
                     let mut buf = [(0i64, 0i64); MAX_INLINE_RANK];
-                    let spill: Vec<(i64, i64)>;
-                    let rd: &[(i64, i64)] = if n <= MAX_INLINE_RANK {
-                        for (d, b) in buf[..n].iter_mut().enumerate() {
-                            *b = bound(d);
-                        }
-                        &buf[..n]
-                    } else {
-                        spill = (0..n).map(bound).collect();
-                        &spill
-                    };
+                    for (d, b) in buf[..n].iter_mut().enumerate() {
+                        *b = bound(d);
+                    }
+                    let rd = &buf[..n];
                     self.stack.truncate(at);
                     // A per-thread cell builds one array per instance
                     // itself; every other target installs the array
@@ -1681,11 +1637,13 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     self.add_misc(|c| c.calls += 1);
                 }
                 BInstr::StashElem { vs, v, nsubs, want } => {
-                    let subs = self.pop_subs(nsubs as usize);
+                    let n = nsubs as usize;
+                    let mut subs = [0i64; MAX_INLINE_RANK];
+                    self.pop_subs_into(n, &mut subs);
                     let arr = self.handle_in(uidx, frame, vs, v)?;
-                    let off = arr.offset(self.var_name(uidx, v), &subs)?;
+                    let off = arr.offset(self.var_name(uidx, v), &subs[..n])?;
                     self.op(OpKind::Load);
-                    self.sstash.extend_from_slice(&subs);
+                    self.sstash.extend_from_slice(&subs[..n]);
                     self.push(load_elem_bits(&arr, off, want));
                 }
                 BInstr::PushArr { vs, v } => {
@@ -1825,16 +1783,9 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     let val = Val::from_bits(cframe.read(p, self.ex, self.tid), pty);
                     let n = nsubs as usize;
                     let mut buf = [0i64; MAX_INLINE_RANK];
-                    if n <= MAX_INLINE_RANK {
-                        buf[..n].copy_from_slice(&self.sstash[soff..soff + n]);
-                        let (arr, off) = self.elem_at(uidx, frame, (vs, v), None, &buf[..n])?;
-                        store_val(arr, off, val);
-                    } else {
-                        let subs = self.sstash[soff..soff + n].to_vec();
-                        let arr = self.handle_in(uidx, frame, vs, v)?;
-                        let off = arr.offset(self.var_name(uidx, v), &subs)?;
-                        store_val(&arr, off, val);
-                    }
+                    buf[..n].copy_from_slice(&self.sstash[soff..soff + n]);
+                    let (arr, off) = self.elem_at(uidx, frame, (vs, v), None, &buf[..n])?;
+                    store_val(arr, off, val);
                     soff += n;
                     self.op(OpKind::Store);
                 }

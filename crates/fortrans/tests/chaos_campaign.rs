@@ -6,11 +6,47 @@
 
 use std::time::Duration;
 
-use fortrans::chaos::{self, CampaignConfig};
 use fortrans::{
-    ArgVal, EngineService, ExecMode, ExecTier, Job, JobPolicy, PolicyAction, QuarantineMode,
-    QuarantinePolicy, RunError, RunLimits, Session,
+    ArgVal, EngineService, ExecMode, ExecTier, FaultPlan, Job, JobPolicy, PolicyAction,
+    QuarantineMode, QuarantinePolicy, RunError, RunLimits, Session,
 };
+
+#[path = "common/chaos.rs"]
+mod chaos;
+#[path = "common/mutate.rs"]
+mod mutate;
+
+use chaos::{run_campaign, CampaignConfig};
+
+#[test]
+fn default_campaign_survives() {
+    let cfg = CampaignConfig { rounds: 4, jobs_per_round: 8, ..CampaignConfig::default() };
+    let report = run_campaign(&cfg);
+    assert!(report.ok(), "violations: {:#?}", report.violations);
+    assert!(report.injected_total() > 0);
+    assert!(report.jobs >= 32);
+}
+
+#[test]
+fn campaign_is_deterministic_in_its_fault_plan() {
+    let cfg = CampaignConfig { rounds: 3, jobs_per_round: 6, ..CampaignConfig::default() };
+    let a = run_campaign(&cfg);
+    let b = run_campaign(&cfg);
+    assert_eq!(a.injected, b.injected, "fault plan must be a pure function of the seed");
+    assert!(a.ok() && b.ok(), "violations: {:?} / {:?}", a.violations, b.violations);
+}
+
+#[test]
+fn pin_oracle_quarantine_probe_stays_usable() {
+    let cfg = CampaignConfig {
+        rounds: 4,
+        jobs_per_round: 6,
+        quarantine: Some(QuarantinePolicy { threshold: 4, mode: QuarantineMode::PinOracle }),
+        ..CampaignConfig::default()
+    };
+    let report = run_campaign(&cfg);
+    assert!(report.ok(), "violations: {:#?}", report.violations);
+}
 
 #[test]
 fn refuse_mode_campaign_survives() {
@@ -19,7 +55,7 @@ fn refuse_mode_campaign_survives() {
     for (seed, rounds, jobs_per_round, min_faults) in
         [(CampaignConfig::default().seed, 5, 10, 30), (0x00C0_FFEE, 20, 16, 200)]
     {
-        let report = chaos::run_campaign(&CampaignConfig {
+        let report = run_campaign(&CampaignConfig {
             seed,
             rounds,
             jobs_per_round,
@@ -39,7 +75,7 @@ fn refuse_mode_campaign_survives() {
 
 #[test]
 fn quarantine_off_campaign_survives() {
-    let report = chaos::run_campaign(&CampaignConfig {
+    let report = run_campaign(&CampaignConfig {
         seed: 0xDEAD_BEEF,
         rounds: 4,
         jobs_per_round: 8,
@@ -122,17 +158,24 @@ fn thirty_job_mixed_batch_acceptance() {
             // 5 trapping jobs: oracle fallback recovers bit-equal.
             3 => {
                 let (args, out) = chaos::make_args(corpus[0].entry);
-                queue.submit(&arts[0], Job::new(corpus[0].entry, args).debug_force_trap());
+                queue.submit(
+                    &arts[0],
+                    Job::new(corpus[0].entry, args)
+                        .debug_faults(FaultPlan { vm_trap: true, ..FaultPlan::default() }),
+                );
                 plans.push((Plan::Trap { base: 0 }, out));
             }
             // 5 corrupted-bytecode jobs: structured result, no bleed.
             _ => {
                 let mut bunits = (*arts[1].bytecode(false)).clone();
-                let _ = fortrans::verify::mutate::corrupt(&mut bunits, 0x1000 + j as u64);
+                let _ = mutate::corrupt(&mut bunits, 0x1000 + j as u64);
                 let (args, out) = chaos::make_args(corpus[1].entry);
                 queue.submit(
                     &arts[1],
-                    Job::new(corpus[1].entry, args).debug_inject_bytecode(false, bunits),
+                    Job::new(corpus[1].entry, args).debug_faults(FaultPlan {
+                        bytecode: Some((false, bunits)),
+                        ..FaultPlan::default()
+                    }),
                 );
                 plans.push((Plan::Corrupt, out));
             }
@@ -233,7 +276,7 @@ fn thirty_job_mixed_batch_acceptance() {
 /// the trace, and the verifier is the only thing standing in the way.
 #[test]
 fn corrupted_traced_streams_never_bend_the_trace_unnoticed() {
-    use fortrans::verify::{mutate, verify_program};
+    use fortrans::verify::verify_program;
     let corpus = chaos::base_corpus();
     let sumsq = &corpus[1];
     let art = fortrans::CompiledProgram::compile(&[sumsq.source.as_str()]).expect("compiles");
@@ -249,7 +292,7 @@ fn corrupted_traced_streams_never_bend_the_trace_unnoticed() {
         let rejected = verify_program(art.program(), &bunits).is_err();
         let mut session = Session::solo(art.clone());
         session.set_limits(RunLimits { max_steps: Some(2_000_000), ..RunLimits::default() });
-        session.debug_inject_bytecode(true, bunits);
+        session.debug_faults(FaultPlan { bytecode: Some((true, bunits)), ..FaultPlan::default() });
         let run = session.run(sumsq.entry, &chaos::make_args(sumsq.entry).0, mode);
         let diverged = matches!(&run, Ok(out) if out.fallback.is_none() && out.trace != oracle);
         assert!(!diverged || rejected, "seed {seed}: trace diverged unnoticed after {m}");

@@ -41,13 +41,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::engine::{ArgVal, ExecTier};
-use crate::error::RunError;
-use crate::interp::{ExecMode, RunLimits};
-use crate::service::{
-    CompiledProgram, EngineService, Job, JobPolicy, JobResult, QuarantineMode, QuarantinePolicy,
+use fortrans::{
+    ArgVal, CompiledProgram, EngineService, ExecMode, ExecTier, FaultPlan, Job, JobPolicy,
+    JobResult, PolicyAction, QuarantineMode, QuarantinePolicy, RunError, RunLimits, Session,
 };
-use crate::verify::mutate::{corrupt, Rng};
+
+use crate::mutate::{corrupt, Rng};
 
 /// Array length shared by the corpus programs.
 pub const LANES: usize = 64;
@@ -286,7 +285,6 @@ impl Default for CampaignConfig {
 /// violation observed (empty = the campaign passed).
 #[derive(Debug, Default)]
 pub struct CampaignReport {
-    pub rounds: usize,
     pub jobs: usize,
     /// Injected fault count per kind label (eviction-storm compiles
     /// count as injections: they are deliberate cache abuse).
@@ -342,7 +340,7 @@ fn quiet_baselines(
     let mut base = BTreeMap::new();
     for (pi, prog) in corpus.iter().enumerate() {
         for mode in [ExecMode::Serial, ExecMode::Parallel { threads: 2 }] {
-            let session = crate::service::Session::solo(Arc::clone(&arts[pi]));
+            let session = Session::solo(Arc::clone(&arts[pi]));
             let (args, out) = make_args(prog.entry);
             session
                 .run_tiered(prog.entry, &args, mode, ExecTier::Vm)
@@ -367,7 +365,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let baselines = quiet_baselines(&arts, &corpus);
     let sumsq_trace = {
         let (args, _) = make_args("sumsq");
-        crate::service::Session::solo(Arc::clone(&arts[1]))
+        Session::solo(Arc::clone(&arts[1]))
             .run_tiered("sumsq", &args, SIMULATED, ExecTier::TreeWalk)
             .unwrap_or_else(|e| panic!("oracle trace run failed: {e}"))
             .trace
@@ -396,7 +394,10 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     // root must be Cancelled, not Limit).
     let hog_limits = RunLimits { deadline: Some(cfg.deadline * 40), ..RunLimits::default() };
 
-    let mut report = CampaignReport { rounds: cfg.rounds, ..CampaignReport::default() };
+    let trap = FaultPlan { vm_trap: true, ..FaultPlan::default() };
+    let double_fault = FaultPlan { oracle_traps: 1, ..trap.clone() };
+
+    let mut report = CampaignReport::default();
     let inject = |report: &mut CampaignReport, kind: FaultKind| {
         *report.injected.entry(kind.label().to_string()).or_insert(0) += 1;
     };
@@ -450,7 +451,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
                     inject(&mut report, kind);
                     let art = compile_or_die(&service, &scale_src(&tag));
                     let (args, out) = make_args("scale");
-                    queue.submit(&art, Job::new("scale", args).debug_force_trap());
+                    queue.submit(&art, Job::new("scale", args).debug_faults(trap.clone()));
                     planned.push(Planned { kind, base: 0, mode: ExecMode::Serial, out });
                 }
                 FaultKind::CorruptBytecode => {
@@ -467,13 +468,16 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
                     let mode = if traced { SIMULATED } else { ExecMode::Serial };
                     let mut bunits = (*art.bytecode(traced)).clone();
                     let _ = corrupt(&mut bunits, rng.next_u64());
-                    if traced && crate::verify::verify_program(art.program(), &bunits).is_ok() {
+                    if traced && fortrans::verify::verify_program(art.program(), &bunits).is_ok() {
                         verifier_passed.push(planned.len());
                     }
                     let (args, out) = make_args("sumsq");
                     queue.submit(
                         &art,
-                        Job::new("sumsq", args).mode(mode).debug_inject_bytecode(traced, bunits),
+                        Job::new("sumsq", args).mode(mode).debug_faults(FaultPlan {
+                            bytecode: Some((traced, bunits)),
+                            ..FaultPlan::default()
+                        }),
                     );
                     planned.push(Planned { kind, base: 1, mode, out });
                 }
@@ -500,7 +504,10 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
                     let mode = ExecMode::Parallel { threads: 2 };
                     queue.submit(
                         &art,
-                        Job::new("sumsq", args).mode(mode).debug_panic_worker(1),
+                        Job::new("sumsq", args).mode(mode).debug_faults(FaultPlan {
+                            worker_panic: Some(1),
+                            ..FaultPlan::default()
+                        }),
                     );
                     planned.push(Planned { kind, base: 1, mode, out });
                 }
@@ -515,8 +522,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
                         &art,
                         Job::new("scale", args)
                             .policy(degrade_policy)
-                            .debug_force_trap()
-                            .debug_force_oracle_traps(1),
+                            .debug_faults(double_fault.clone()),
                     );
                     planned.push(Planned { kind, base: 0, mode: ExecMode::Serial, out });
                 }
@@ -531,8 +537,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
                         &art,
                         Job::new("scale", args)
                             .policy(retry_policy)
-                            .debug_force_trap()
-                            .debug_force_oracle_traps(1),
+                            .debug_faults(double_fault.clone()),
                     );
                     planned.push(Planned { kind, base: 0, mode: ExecMode::Serial, out });
                 }
@@ -548,7 +553,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
                 for _ in 0..3 {
                     inject(&mut report, FaultKind::QuarantineHammer);
                     let (args, out) = make_args("scale");
-                    queue.submit(&victim, Job::new("scale", args).debug_force_trap());
+                    queue.submit(&victim, Job::new("scale", args).debug_faults(trap.clone()));
                     planned.push(Planned {
                         kind: FaultKind::QuarantineHammer,
                         base: 0,
@@ -679,7 +684,7 @@ fn check_job(
                 // VM attempt so no fallback record) — the breaker doing
                 // its job. Every other success must carry the fallback.
                 let pinned = p.kind == FaultKind::QuarantineHammer
-                    && jr.action == crate::service::PolicyAction::Quarantined;
+                    && jr.action == PolicyAction::Quarantined;
                 if out.fallback.is_none() && !pinned {
                     fail("forced trap produced no fallback record".to_string());
                 }
@@ -710,7 +715,7 @@ fn check_job(
             Ok(_) => fail("hog job finished under its deadline (spin too short?)".to_string()),
             Err(e) => match e.root() {
                 RunError::Cancelled { .. } => {
-                    if jr.action != crate::service::PolicyAction::Cancelled {
+                    if jr.action != PolicyAction::Cancelled {
                         fail(format!("deadline miss verdict was {}", jr.action));
                     }
                 }
@@ -732,7 +737,7 @@ fn check_job(
         },
         FaultKind::OracleRetryDegrade => match &jr.result {
             Ok(_) => {
-                if jr.action != crate::service::PolicyAction::Degraded {
+                if jr.action != PolicyAction::Degraded {
                     fail(format!("expected Degraded verdict, got {}", jr.action));
                 }
                 if jr.attempts.len() != 2 {
@@ -748,7 +753,7 @@ fn check_job(
         },
         FaultKind::RetrySameRung => match &jr.result {
             Ok(_) => {
-                if jr.action != crate::service::PolicyAction::Retried {
+                if jr.action != PolicyAction::Retried {
                     fail(format!("expected Retried verdict, got {}", jr.action));
                 }
                 if out_bits(&p.out) != *baseline {
@@ -764,14 +769,14 @@ fn check_job(
                     if !matches!(e.root(), RunError::Quarantined { .. }) {
                         fail(format!("probe refused with wrong error: {e}"));
                     }
-                    if jr.action != crate::service::PolicyAction::Quarantined {
+                    if jr.action != PolicyAction::Quarantined {
                         fail(format!("probe verdict was {}", jr.action));
                     }
                 }
             },
             Some(QuarantineMode::PinOracle) => match &jr.result {
                 Ok(_) => {
-                    if jr.action != crate::service::PolicyAction::Quarantined {
+                    if jr.action != PolicyAction::Quarantined {
                         fail(format!("pinned probe verdict was {}", jr.action));
                     }
                     if out_bits(&p.out) != *baseline {
@@ -782,43 +787,5 @@ fn check_job(
             },
             None => {}
         },
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_campaign_survives() {
-        let cfg = CampaignConfig { rounds: 4, jobs_per_round: 8, ..CampaignConfig::default() };
-        let report = run_campaign(&cfg);
-        assert!(report.ok(), "violations: {:#?}", report.violations);
-        assert!(report.injected_total() > 0);
-        assert!(report.jobs >= 32);
-    }
-
-    #[test]
-    fn campaign_is_deterministic_in_its_fault_plan() {
-        let cfg = CampaignConfig { rounds: 3, jobs_per_round: 6, ..CampaignConfig::default() };
-        let a = run_campaign(&cfg);
-        let b = run_campaign(&cfg);
-        assert_eq!(a.injected, b.injected, "fault plan must be a pure function of the seed");
-        assert!(a.ok() && b.ok(), "violations: {:?} / {:?}", a.violations, b.violations);
-    }
-
-    #[test]
-    fn pin_oracle_quarantine_probe_stays_usable() {
-        let cfg = CampaignConfig {
-            rounds: 4,
-            jobs_per_round: 6,
-            quarantine: Some(QuarantinePolicy {
-                threshold: 4,
-                mode: QuarantineMode::PinOracle,
-            }),
-            ..CampaignConfig::default()
-        };
-        let report = run_campaign(&cfg);
-        assert!(report.ok(), "violations: {:#?}", report.violations);
     }
 }

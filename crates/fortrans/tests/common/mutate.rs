@@ -1,0 +1,426 @@
+//! Deterministic fault injection for the hardened-execution test
+//! harness: seeded corruptions of verified bytecode, each invalid by
+//! construction so the verifier (or, for runtime-only faults, the
+//! engine's trap path) must reject it.
+
+use fortrans::bytecode::{BInstr, BUnit};
+
+/// xorshift64* — deterministic, dependency-free.
+pub struct Rng(u64);
+
+impl Rng {
+    pub fn new(seed: u64) -> Rng {
+        // Avoid the all-zero fixed point; decorrelate small seeds.
+        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+    }
+
+    pub fn next_u64(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n.max(1) as u64) as usize
+    }
+}
+
+/// What a corruption did, for test diagnostics.
+pub struct Mutation {
+    pub unit: usize,
+    pub kind: &'static str,
+    pub detail: String,
+}
+
+impl std::fmt::Display for Mutation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "[{}] unit {}: {}", self.kind, self.unit, self.detail)
+    }
+}
+
+/// Applies one seeded corruption to `bunits` in place. Deterministic:
+/// the same seed on the same program produces the same mutation.
+/// Returns `None` only when no unit has any code.
+pub fn corrupt(bunits: &mut [BUnit], seed: u64) -> Option<Mutation> {
+    let mut rng = Rng::new(seed);
+    let units: Vec<usize> = bunits
+        .iter()
+        .enumerate()
+        .filter(|(_, b)| !b.code.is_empty())
+        .map(|(i, _)| i)
+        .collect();
+    if units.is_empty() {
+        return None;
+    }
+    let u = units[rng.below(units.len())];
+    const KINDS: usize = 13;
+    let start = rng.below(KINDS);
+    for k in 0..KINDS {
+        let got = match (start + k) % KINDS {
+            0 => retarget_jump(&mut bunits[u], &mut rng),
+            1 => slot_out_of_range(&mut bunits[u], &mut rng),
+            2 => opcode_flip(&mut bunits[u], &mut rng),
+            3 => truncate_stream(&mut bunits[u]),
+            4 => zero_stride(&mut bunits[u]),
+            5 => vec_op_oob(&mut bunits[u], &mut rng),
+            6 => vec_unbalance(&mut bunits[u], &mut rng),
+            7 => vec_iter_cost(&mut bunits[u], &mut rng),
+            8 => vec_access_slot(&mut bunits[u], &mut rng),
+            9 => vec_red_slot(&mut bunits[u], &mut rng),
+            10 => sub_operand(&mut bunits[u], &mut rng),
+            11 => vec_iter_ledger(&mut bunits[u], &mut rng),
+            _ => call_arity(&mut bunits[u], &mut rng),
+        };
+        if let Some((kind, detail)) = got {
+            return Some(Mutation { unit: u, kind, detail });
+        }
+    }
+    None
+}
+
+type Applied = Option<(&'static str, String)>;
+
+/// Points a control-flow target past the end of the unit.
+fn retarget_jump(bu: &mut BUnit, rng: &mut Rng) -> Applied {
+    use BInstr::*;
+    let sites: Vec<usize> = bu
+        .code
+        .iter()
+        .enumerate()
+        .filter(|(_, i)| {
+            matches!(
+                i,
+                Jump(_)
+                    | JumpIfFalse(_)
+                    | DoHead1 { .. }
+                    | DoHeadN { .. }
+                    | DoHead { .. }
+                    | DoIncr1 { .. }
+                    | DoIncr { .. }
+                    | Critical { .. }
+            )
+        })
+        .map(|(pc, _)| pc)
+        .collect();
+    if sites.is_empty() {
+        return None;
+    }
+    let pc = sites[rng.below(sites.len())];
+    let bad = bu.code.len() as u32 + 1 + (rng.next_u64() % 97) as u32;
+    match &mut bu.code[pc] {
+        Jump(t) | JumpIfFalse(t) => *t = bad,
+        DoHead1 { exit, .. } | DoHeadN { exit, .. } | DoHead { exit, .. } => *exit = bad,
+        DoIncr1 { head, .. } | DoIncr { head, .. } => *head = bad,
+        Critical { end, .. } => *end = bad,
+        _ => return None,
+    }
+    Some(("retargeted-jump", format!("pc {pc}: target -> {bad}")))
+}
+
+/// Pushes a frame-bank or global-cell index far out of range.
+fn slot_out_of_range(bu: &mut BUnit, rng: &mut Rng) -> Applied {
+    use BInstr::*;
+    let sites: Vec<usize> = bu
+        .code
+        .iter()
+        .enumerate()
+        .filter(|(_, i)| {
+            matches!(
+                i,
+                LoadI(_)
+                    | LoadF(_)
+                    | LoadB(_)
+                    | StoreI(_)
+                    | StoreF(_)
+                    | StoreB(_)
+                    | LoadG(_)
+                    | StoreG(_)
+            )
+        })
+        .map(|(pc, _)| pc)
+        .collect();
+    if sites.is_empty() {
+        return None;
+    }
+    let pc = sites[rng.below(sites.len())];
+    let bad = u32::MAX - (rng.next_u64() % 1000) as u32;
+    match &mut bu.code[pc] {
+        LoadI(s) | LoadF(s) | LoadB(s) | StoreI(s) | StoreF(s) | StoreB(s) | LoadG(s)
+        | StoreG(s) => *s = bad,
+        _ => return None,
+    }
+    Some(("slot-out-of-range", format!("pc {pc}: slot -> {bad}")))
+}
+
+/// Corrupts an operand-addressed element access: points an i-slot
+/// operand far outside the bank, moves the operand run past the end
+/// of the subscript table, or grows the list beyond the VM's
+/// subscript buffer.
+fn sub_operand(bu: &mut BUnit, rng: &mut Rng) -> Applied {
+    use fortrans::bytecode::{SubOp, MAX_INLINE_RANK};
+    use BInstr::*;
+    let sites: Vec<usize> = bu
+        .code
+        .iter()
+        .enumerate()
+        .filter(|(_, i)| matches!(i, LoadElemS { .. } | StoreElemS { .. }))
+        .map(|(pc, _)| pc)
+        .collect();
+    if sites.is_empty() {
+        return None;
+    }
+    let pc = sites[rng.below(sites.len())];
+    let table_len = bu.subops.len() as u32;
+    let (LoadElemS { subs, n, .. } | StoreElemS { subs, n, .. }) = &mut bu.code[pc] else {
+        return None;
+    };
+    let run = *subs as usize..*subs as usize + *n as usize;
+    let slot_at = bu.subops[run.clone()].iter().position(|op| matches!(op, SubOp::Slot(_)));
+    let detail = match (rng.below(3), slot_at) {
+        (0, Some(k)) => {
+            let bad = u32::MAX - (rng.next_u64() % 1000) as u32;
+            bu.subops[run.start + k] = SubOp::Slot(bad);
+            format!("pc {pc}: operand {k} -> Slot({bad})")
+        }
+        (1, _) | (0, None) => {
+            *subs = table_len + 1 + (rng.next_u64() % 97) as u32;
+            format!("pc {pc}: operand run -> {subs}..")
+        }
+        _ => {
+            *n = (MAX_INLINE_RANK + 1 + rng.below(16)) as u8;
+            format!("pc {pc}: operand count -> {n}")
+        }
+    };
+    Some(("sub-operand", detail))
+}
+
+/// Replaces the entry instruction with one that pops from the empty
+/// stack (the entry depth is always zero, so this always underflows).
+fn opcode_flip(bu: &mut BUnit, rng: &mut Rng) -> Applied {
+    use BInstr::*;
+    let new = match rng.below(6) {
+        0 => AddI,
+        1 => AddF,
+        2 => MulI,
+        3 => DivF,
+        4 => CvtIF,
+        _ => NotB,
+    };
+    let old = format!("{:?}", bu.code[0]);
+    bu.code[0] = new;
+    Some(("opcode-flip", format!("pc 0: {old} -> {new:?}")))
+}
+
+/// Cuts the stream after a straight-line prefix that leaves values
+/// on the operand stack, so the unit ends mid-expression.
+fn truncate_stream(bu: &mut BUnit) -> Applied {
+    use BInstr::*;
+    let mut depth = 0u32;
+    for pc in 0..bu.code.len() {
+        let (pops, pushes) = match bu.code[pc] {
+            Const(_) | LoadI(_) | LoadF(_) | LoadB(_) | LoadG(_) => (0, 1),
+            CvtIF | CvtFI | CvtIB | CvtFB | NegF | NegI | NotB => (1, 1),
+            AddF | SubF | MulF | DivF | PowFF | PowFI | AddI | SubI | MulI | DivI
+            | PowII | AndB | OrB | CmpF(_) | CmpI(_) => (2, 1),
+            StoreI(_) | StoreF(_) | StoreB(_) | StoreG(_) => (1, 0),
+            _ => return None,
+        };
+        if depth < pops {
+            return None; // original bytecode should never get here
+        }
+        depth = depth - pops + pushes;
+        if depth > 0 {
+            let cut = pc + 1;
+            let dropped = bu.code.len() - cut;
+            bu.code.truncate(cut);
+            return Some((
+                "truncated-stream",
+                format!("cut at pc {cut}, dropped {dropped} instructions"),
+            ));
+        }
+    }
+    None
+}
+
+/// Turns a compiler-proven non-zero DO step constant into zero.
+fn zero_stride(bu: &mut BUnit) -> Applied {
+    use BInstr::*;
+    for pc in 1..bu.code.len() {
+        if let DoInit { check: false, .. } = bu.code[pc] {
+            bu.code[pc - 1] = Const(0);
+            return Some(("zero-stride", format!("pc {}: step constant -> 0", pc - 1)));
+        }
+    }
+    None
+}
+
+/// Points a vector lane op at an access stream the descriptor never
+/// declared — the bytecode analogue of non-conformable operands.
+fn vec_op_oob(bu: &mut BUnit, rng: &mut Rng) -> Applied {
+    let sites: Vec<usize> = (0..bu.vecs.len())
+        .filter(|&d| bu.vecs[d].stmts.iter().any(|ops| !ops.is_empty()))
+        .collect();
+    if sites.is_empty() {
+        return None;
+    }
+    let d = sites[rng.below(sites.len())];
+    let desc = &mut bu.vecs[d];
+    let bad = desc.accesses.len() as u32 + 1 + (rng.next_u64() % 9) as u32;
+    for ops in &mut desc.stmts {
+        for op in ops.iter_mut() {
+            match op {
+                fortrans::bytecode::VecOp::Load(ai) | fortrans::bytecode::VecOp::Store(ai) => {
+                    *ai = bad;
+                    return Some((
+                        "vec-op-oob",
+                        format!("descriptor {d}: access index -> {bad}"),
+                    ));
+                }
+                _ => {}
+            }
+        }
+    }
+    None
+}
+
+/// Drops the trailing store of a vector lane program, leaving the
+/// lane stack unbalanced (a slice-length/stack-effect corruption).
+fn vec_unbalance(bu: &mut BUnit, rng: &mut Rng) -> Applied {
+    let sites: Vec<usize> = (0..bu.vecs.len())
+        .filter(|&d| {
+            bu.vecs[d]
+                .stmts
+                .iter()
+                .any(|ops| matches!(ops.last(), Some(fortrans::bytecode::VecOp::Store(_))))
+        })
+        .collect();
+    if sites.is_empty() {
+        return None;
+    }
+    let d = sites[rng.below(sites.len())];
+    for (si, ops) in bu.vecs[d].stmts.iter_mut().enumerate() {
+        if matches!(ops.last(), Some(fortrans::bytecode::VecOp::Store(_))) {
+            ops.pop();
+            return Some((
+                "vec-unbalance",
+                format!("descriptor {d}: dropped trailing store of statement {si}"),
+            ));
+        }
+    }
+    None
+}
+
+/// Zeroes a vector descriptor's per-iteration scalar cost. The VM's
+/// step pre-reserve and the native tier's safepoint cadence both
+/// scale by it; promotion must refuse rather than divide by zero or
+/// run an unbounded block between interrupt polls.
+fn vec_iter_cost(bu: &mut BUnit, rng: &mut Rng) -> Applied {
+    let sites: Vec<usize> = (0..bu.vecs.len()).filter(|&d| bu.vecs[d].iter_cost != 0).collect();
+    if sites.is_empty() {
+        return None;
+    }
+    let d = sites[rng.below(sites.len())];
+    bu.vecs[d].iter_cost = 0;
+    Some(("vec-iter-cost", format!("descriptor {d}: iter_cost -> 0")))
+}
+
+/// Miscounts (or drops) a vector descriptor's per-iteration cost
+/// ledger. Nothing traps: a Simulated run would post the wrong
+/// counts for every vectorized trip and the figures built on the
+/// trace would silently move, so only the verifier can catch it.
+fn vec_iter_ledger(bu: &mut BUnit, rng: &mut Rng) -> Applied {
+    if bu.vecs.is_empty() {
+        return None;
+    }
+    let d = rng.below(bu.vecs.len());
+    let ledger = &mut bu.vecs[d].iter_ledger;
+    let bump = 1 + rng.next_u64() % 7;
+    let detail = match (ledger.as_mut(), rng.below(4)) {
+        (Some(_), 0) => {
+            *ledger = None;
+            "dropped".to_string()
+        }
+        (Some(l), 1) => {
+            l.ops.flop += bump;
+            format!("flop += {bump}")
+        }
+        (Some(l), 2) => {
+            l.ops.load += bump;
+            format!("load += {bump}")
+        }
+        (Some(l), _) => {
+            l.ops.store = l.ops.store.wrapping_sub(1);
+            "store -= 1".to_string()
+        }
+        (None, _) => {
+            let mut l = fortrans::cost::Ledger::default();
+            l.ops.iop = bump;
+            *ledger = Some(l);
+            format!("invented, iop = {bump}")
+        }
+    };
+    Some(("vec-iter-ledger", format!("descriptor {d}: ledger {detail}")))
+}
+
+/// Points a vector access stream at an array slot the frame doesn't
+/// have. A native region compiled from this descriptor would walk a
+/// wild stream base — promotion must refuse, and the VM tier must
+/// deopt at resolution instead of indexing out of range.
+fn vec_access_slot(bu: &mut BUnit, rng: &mut Rng) -> Applied {
+    use fortrans::bytecode::VSlot;
+    let sites: Vec<usize> =
+        (0..bu.vecs.len()).filter(|&d| !bu.vecs[d].accesses.is_empty()).collect();
+    if sites.is_empty() {
+        return None;
+    }
+    let d = sites[rng.below(sites.len())];
+    let a = rng.below(bu.vecs[d].accesses.len());
+    let bad = u32::MAX - (rng.next_u64() % 1000) as u32;
+    bu.vecs[d].accesses[a].vs = VSlot::A(bad);
+    Some(("vec-access-slot", format!("descriptor {d}: access {a} slot -> A({bad})")))
+}
+
+/// Points a vector reduction's accumulator at an out-of-range frame
+/// slot — the merged result of a native region would land outside
+/// the f64 bank.
+fn vec_red_slot(bu: &mut BUnit, rng: &mut Rng) -> Applied {
+    use fortrans::bytecode::VSlot;
+    let sites: Vec<usize> = (0..bu.vecs.len()).filter(|&d| bu.vecs[d].red.is_some()).collect();
+    if sites.is_empty() {
+        return None;
+    }
+    let d = sites[rng.below(sites.len())];
+    let bad = u32::MAX - (rng.next_u64() % 100) as u32;
+    if let Some(r) = &mut bu.vecs[d].red {
+        r.vs = VSlot::F(bad);
+    }
+    Some(("vec-red-slot", format!("descriptor {d}: accumulator -> F({bad})")))
+}
+
+/// Breaks a call site: drops an argument (arity mismatch) or, for
+/// zero-argument calls, points the callee out of range.
+fn call_arity(bu: &mut BUnit, rng: &mut Rng) -> Applied {
+    use BInstr::*;
+    let sites: Vec<u32> = bu
+        .code
+        .iter()
+        .filter_map(|i| match i {
+            Call { spec, .. } => Some(*spec),
+            _ => None,
+        })
+        .collect();
+    if sites.is_empty() {
+        return None;
+    }
+    let spec = sites[rng.below(sites.len())] as usize;
+    let cs = &mut bu.calls[spec];
+    if cs.args.pop().is_some() {
+        Some(("call-arity", format!("spec {spec}: dropped one argument")))
+    } else {
+        cs.callee = u32::MAX - 1;
+        Some(("call-arity", format!("spec {spec}: callee -> out of range")))
+    }
+}

@@ -320,6 +320,36 @@ fn misplaced_directive_reported_on_the_offending_line() {
 }
 
 #[test]
+fn rank_above_eight_rejected_on_the_declaring_line() {
+    let nine = "2,2,2,2,2,2,2,2,2";
+    // `wrap` puts the body on line 6.
+    for stmt in [
+        format!("    REAL(8) :: t({nine})"),
+        format!("    REAL(8), DIMENSION({nine}) :: t"),
+        "    REAL(8), ALLOCATABLE, DIMENSION(:,:,:,:,:,:,:,:,:) :: t".to_string(),
+        format!("    ALLOCATE(t({nine}))"),
+    ] {
+        let diags = source_diags(&wrap(&stmt));
+        assert_eq!(
+            diags.render(),
+            "file 0, line 6: error: rank 9 exceeds the supported maximum of 8",
+            "{stmt}"
+        );
+    }
+    // Rank 8 is the most there is (FORTRAN 77/90 stop at 7).
+    Session::compile(&[&wrap("    REAL(8) :: t(2,2,2,2,2,2,2,2)\n    t(1,1,1,1,1,1,1,1) = x")])
+        .expect("rank 8 compiles");
+    // A derived-type variable is flattened to one array per field whose
+    // shape is the variable's dimensions followed by the field's: each
+    // list is short enough, the two together are not.
+    let src = "MODULE m\n  TYPE cell\n    REAL(8), DIMENSION(2,2,2,2,2) :: f\n  END TYPE cell\n  \
+               TYPE(cell), DIMENSION(2,2,2,2) :: grid\nEND MODULE m\n";
+    let msg = compile_err(src).to_string();
+    assert!(msg.contains("`grid%f`: rank 9 exceeds the supported maximum of 8"), "{msg}");
+    assert!(msg.contains("line 5"), "{msg}");
+}
+
+#[test]
 fn every_malformed_statement_is_reported() {
     let diags = source_diags(&wrap("    x = )\n    a(1) = 2.0D0\n    a(2 = x"));
     let lines: Vec<u32> = diags.list.iter().map(|d| d.span.line).collect();

@@ -4,11 +4,11 @@
 //! The contract under test (ISSUE: hardened execution):
 //!
 //! 1. Every corruption produced by the seeded mutator
-//!    ([`fortrans::verify::mutate`]) is **rejected by the static
+//!    (`common/mutate.rs`) is **rejected by the static
 //!    verifier** — no corrupt stream reaches the VM through the normal
 //!    compile path.
 //! 2. When corrupt bytecode is injected *past* the verifier (via the
-//!    `debug_inject_bytecode` hook, simulating a verifier gap or a
+//!    `FaultPlan::bytecode` hook, simulating a verifier gap or a
 //!    miscompile), the engine still never lets a panic escape
 //!    `Session::run`: the VM traps, the call falls back to the
 //!    tree-walk oracle, and the caller sees either a clean `RunError`
@@ -19,9 +19,22 @@
 //! panic fails the test at the harness boundary, which is exactly the
 //! property being locked.
 
-use fortrans::bytecode::compile_program;
-use fortrans::verify::{mutate, verify_program};
-use fortrans::{ArgVal, ExecMode, RunLimits, Session};
+use fortrans::bytecode::{compile_program, BUnit};
+use fortrans::verify::verify_program;
+use fortrans::{ArgVal, ExecMode, FaultPlan, RunLimits, Session};
+
+#[path = "common/mutate.rs"]
+mod mutate;
+
+/// The plan that swaps `bunits` in for a session's optimized build.
+fn inject(bunits: Vec<BUnit>) -> FaultPlan {
+    FaultPlan { bytecode: Some((false, bunits)), ..FaultPlan::default() }
+}
+
+/// The plan whose next VM-tier run traps.
+fn vm_trap() -> FaultPlan {
+    FaultPlan { vm_trap: true, ..FaultPlan::default() }
+}
 
 // ---------------------------------------------------------------------
 // Corpus: small programs with enough instruction variety (loops with
@@ -340,12 +353,12 @@ fn injected_corruption_never_panics_across_the_engine_boundary() {
             let Some(m) = mutate::corrupt(&mut mutated, seed) else {
                 continue;
             };
-            engine.debug_inject_bytecode(false, mutated);
+            engine.debug_faults(inject(mutated));
             // The lock: this call must return, not unwind. Wrong results
             // are acceptable here (the verifier, tested above, is the
             // layer that prevents them in the real pipeline).
             let r = engine.run(p.entry, &(p.mk_args)(), ExecMode::Serial);
-            engine.debug_inject_bytecode(false, base.clone());
+            engine.debug_faults(inject(base.clone()));
             ran += 1;
             if let Ok(out) = r {
                 if let Some(fb) = out.fallback {
@@ -402,7 +415,7 @@ fn corrupt_vector_descriptors_are_refused_at_promotion_or_deopt() {
             }
             vec_hits += 1;
             *by_kind.entry(m.kind).or_default() += 1;
-            engine.debug_inject_bytecode(false, mutated);
+            engine.debug_faults(inject(mutated));
             engine.set_native_eager(true);
             let out = engine
                 .run(p.entry, &(p.mk_args)(), ExecMode::Serial)
@@ -460,7 +473,7 @@ END MODULE demo
 #[test]
 fn forced_vm_trap_falls_back_to_the_oracle_with_the_correct_result() {
     let engine = Session::compile(&[SCALE_SRC]).unwrap();
-    engine.debug_force_vm_trap();
+    engine.debug_faults(vm_trap());
     let a = ArgVal::array_f(&[1.0, 2.0, 3.0, 4.0], 1);
     let out = engine
         .run("scale", &[a.clone(), ArgVal::I(4), ArgVal::F(3.0)], ExecMode::Serial)
@@ -496,7 +509,7 @@ fn trapped_corruption_recovers_the_oracle_answer() {
     // stream (checked below); injection bypasses it on purpose.
     bad[u].code[0] = BInstr::AddI;
     assert!(verify_program(engine.program(), &bad).is_err(), "verifier rejects the stream");
-    engine.debug_inject_bytecode(false, bad);
+    engine.debug_faults(inject(bad));
     let a = ArgVal::array_f(&[1.0, 2.0, 3.0, 4.0], 1);
     let out = engine
         .run("scale", &[a.clone(), ArgVal::I(4), ArgVal::F(5.0)], ExecMode::Serial)
@@ -567,7 +580,7 @@ fn batched_faults_do_not_poison_sibling_jobs_or_the_pool() {
         queue.submit(&artifact, Job::new("scale", args).mode(*mode));
         clean_arrs.push((mi, arr));
         let (_, args) = mk();
-        queue.submit(&artifact, Job::new("scale", args).mode(*mode).debug_force_trap());
+        queue.submit(&artifact, Job::new("scale", args).mode(*mode).debug_faults(vm_trap()));
         let (_, args) = mk();
         queue.submit(
             &artifact,

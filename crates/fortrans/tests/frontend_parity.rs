@@ -208,6 +208,13 @@ const REJECTED: &[Case] = &[
     "!$OMP PARALLEL DO REDUCTION(-:x)\nDO i = 1, n\n  a(i) = 0.0\nEND DO",
     "!$OMP END CRITICAL",
     "!$OMP CRITICAL\nx = 1.0",
+    // More dimensions than the engine supports, through every statement
+    // that takes a dimension list.
+    "REAL(8) :: t(2,2,2,2,2,2,2,2,2)",
+    "REAL(8), DIMENSION(2,2,2,2,2,2,2,2,2) :: t",
+    "DIMENSION t(2,2,2,2,2,2,2,2,2)",
+    "COMMON /blk/ t(2,2,2,2,2,2,2,2,2)",
+    "ALLOCATE(w(2,2,2,2,2,2,2,2,2))",
 ];
 
 #[test]
@@ -248,6 +255,8 @@ fn shared_answers_are_the_documented_ones() {
         }
         let both = render("x = )\ny = (").unwrap_err();
         assert!(both.contains("line +0: error") && both.contains("line +1: error"), "{both}");
+        let rank = render("x = 1.0\nALLOCATE(w(2,2,2,2,2,2,2,2,2))").unwrap_err();
+        assert!(rank.contains("line +1: error: rank 9 exceeds the supported maximum of 8"), "{rank}");
         let late = render("x = 1.0\n!$OMP ATOMIC\nCALL helper(x)").unwrap_err();
         assert!(late.contains("line +2: error: ATOMIC directive is not followed"), "{late}");
     }

@@ -305,10 +305,12 @@ fn run_profiled_surfaces_native_counters() {
         assert!(profile.native_entries >= 1, "profile lost the native entry count");
         assert!(profile.native_deopts >= 1, "profile lost the native deopt count");
     }
-    // The round-trip encoding keeps them too.
-    let back = fortrans::Profile::from_json(&profile.to_json()).unwrap();
-    assert_eq!(back.native_entries, profile.native_entries);
-    assert_eq!(back.native_deopts, profile.native_deopts);
+    // The JSON rendering carries them too.
+    let counters = format!(
+        "\"native_entries\":{},\"native_deopts\":{}}}",
+        profile.native_entries, profile.native_deopts
+    );
+    assert!(profile.to_json().ends_with(&counters), "{}", profile.to_json());
 }
 
 /// Module globals mutated by vectorizable loops: a filled table plus a

@@ -2,7 +2,7 @@
 //! region capture, trap/fallback surfacing, and the zero-overhead guard
 //! for the disabled-tracing path.
 
-use fortrans::{ArgVal, ExecMode, ExecTier, RunLimits, Session, SpanKind};
+use fortrans::{ArgVal, ExecMode, ExecTier, FaultPlan, RunLimits, Session, SpanKind};
 
 const KERNEL: &str = r#"
 MODULE m
@@ -115,7 +115,7 @@ fn steps_headroom_tracks_run_limits() {
 #[test]
 fn forced_trap_appears_in_profile() {
     let engine = Session::compile(&[KERNEL]).unwrap();
-    engine.debug_force_vm_trap();
+    engine.debug_faults(FaultPlan { vm_trap: true, ..FaultPlan::default() });
     let (out, p) = engine
         .run_profiled("work", &args(), ExecMode::Serial, ExecTier::Vm)
         .unwrap();
@@ -146,7 +146,8 @@ fn forced_trap_appears_in_profile() {
 /// *lower* bound — i.e. profiling is cheap enough that `run` showing up
 /// slower than `run_profiled * 4` can only mean the disabled path grew a
 /// real cost. Min-of-N with generous slack keeps this robust on loaded
-/// CI machines; `engine_micro` (criterion) tracks the precise numbers.
+/// CI machines; the benchmark's `harness.trace_overhead_share` is the
+/// measured number.
 #[test]
 fn disabled_tracing_is_within_noise_of_profiled() {
     // Loop-heavy kernel: many iterations per span boundary, so span

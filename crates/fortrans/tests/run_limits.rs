@@ -7,7 +7,10 @@
 
 use std::time::Duration;
 
-use fortrans::{ArgVal, ExecMode, ExecTier, RunError, RunLimits, Session, Val};
+use fortrans::{
+    ArgVal, EngineService, ExecMode, ExecTier, Job, JobPolicy, PolicyAction, RunError, RunLimits,
+    Session, Val,
+};
 
 const SPIN: &str = r#"
 MODULE m
@@ -76,6 +79,45 @@ fn generous_deadline_does_not_trip() {
     for tier in [ExecTier::Vm, ExecTier::TreeWalk] {
         run_spin(&engine, 10_000, tier).expect("run completes");
     }
+}
+
+/// The retry policy tells the two `Limit` trips apart: an exhausted
+/// step budget is transient (the degraded rung counts statements, not
+/// instructions, so the same budget goes further), a wall-clock
+/// deadline is final.
+#[test]
+fn step_budget_trip_retries_and_deadline_trip_does_not() {
+    let service = EngineService::new(4);
+    let artifact = service.compile(&[SPIN]).unwrap();
+    let policy = JobPolicy { retries: 1, degrade: true, ..JobPolicy::default() };
+    let job = |limits: RunLimits| {
+        let out = ArgVal::array_f(&[0.0], 1);
+        (Job::new("spin", vec![ArgVal::I(1_000), out.clone()]).limits(limits).policy(policy), out)
+    };
+    // 1000 iterations: a few thousand VM instructions, about a thousand
+    // tree-walk statements.
+    let (budget, out) = job(RunLimits { max_steps: Some(2_500), ..RunLimits::default() });
+    let (deadline, _) = job(RunLimits { deadline: Some(Duration::ZERO), ..RunLimits::default() });
+    let mut queue = service.queue(1);
+    queue.submit(&artifact, budget);
+    queue.submit(&artifact, deadline);
+    let results = queue.run_batch();
+
+    let retried = &results[0];
+    assert!(retried.result.is_ok(), "{:?}", retried.result.as_ref().err());
+    assert_eq!(retried.action, PolicyAction::Degraded);
+    assert_eq!(retried.attempts.len(), 2);
+    let first = retried.attempts[0].error.as_deref().unwrap_or_default();
+    assert!(first.contains("step budget of 2500 exhausted"), "{first}");
+    assert_eq!(retried.attempts[1].tier, ExecTier::TreeWalk);
+    let want: f64 = (1..=1000).map(|i| (i as f64).sqrt()).sum();
+    assert!((out.handle().unwrap().get_f(0) - want).abs() < 1e-9);
+
+    let refused = &results[1];
+    let err = refused.result.as_ref().expect_err("deadline trips").to_string();
+    assert!(err.contains("deadline exceeded"), "{err}");
+    assert_eq!(refused.action, PolicyAction::Failed);
+    assert_eq!(refused.attempts.len(), 1, "a deadline trip must not be retried");
 }
 
 const FORKS: &str = r#"

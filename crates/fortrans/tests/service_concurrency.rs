@@ -23,7 +23,7 @@ mod common;
 use std::sync::Arc;
 
 use common::{assert_equivalent, corpus, snapshot, Snap};
-use fortrans::{ArgVal, CompiledProgram, EngineService, ExecMode, RunError, RunLimits};
+use fortrans::{ArgVal, CompiledProgram, EngineService, ExecMode, FaultPlan, RunError, RunLimits};
 
 const OS_THREADS: usize = 8;
 const SESSIONS_PER_THREAD: usize = 4;
@@ -164,7 +164,7 @@ fn fallbacks_and_limits_never_bleed_between_sessions() {
                     match (t + s) % 4 {
                         0 => {
                             // Forced trap: oracle answers, one fallback.
-                            session.debug_force_vm_trap();
+                            session.debug_faults(FaultPlan { vm_trap: true, ..FaultPlan::default() });
                             let out = session
                                 .run("scale", &scale_args(), ExecMode::Serial)
                                 .expect("trapped run recovers via the oracle");
@@ -237,7 +237,10 @@ fn injected_bytecode_corrupts_only_the_injecting_session() {
                 for _ in 0..SESSIONS_PER_THREAD {
                     let session = service.session_for(&artifact);
                     if t % 2 == 0 {
-                        session.debug_inject_bytecode(false, bad.clone());
+                        session.debug_faults(FaultPlan {
+                            bytecode: Some((false, bad.clone())),
+                            ..FaultPlan::default()
+                        });
                         let out = session
                             .run("scale", &scale_args(), ExecMode::Serial)
                             .expect("corrupt session recovers via the oracle");

@@ -9,7 +9,7 @@
 mod common;
 
 use common::{assert_equivalent, corpus, snapshot};
-use fortrans::{ArgVal, EngineService, ExecMode, ExecTier};
+use fortrans::{ArgVal, EngineService, ExecMode, ExecTier, FaultPlan};
 
 #[test]
 fn recycled_session_matches_fresh_over_corpus() {
@@ -42,7 +42,7 @@ fn reset_after_trapped_run_restores_fresh_behavior() {
     for case in corpus() {
         let artifact = service.compile(&[case.src]).expect(case.label);
         let mut recycled = service.session_for(&artifact);
-        recycled.debug_force_vm_trap();
+        recycled.debug_faults(FaultPlan { vm_trap: true, ..FaultPlan::default() });
         let trapped = recycled.run_tiered(
             case.unit,
             &(case.mk_args)(),

@@ -10,7 +10,7 @@
 //! here explicitly so a verifier regression fails loudly rather than
 //! through some downstream test.
 
-use fortrans::bytecode::{compile_program, BInstr, BUnit, SubOp, MAX_INLINE_RANK};
+use fortrans::bytecode::{compile_program, BArg, BInstr, BUnit, SubOp, MAX_INLINE_RANK};
 use fortrans::verify::verify_program;
 use fortrans::Session;
 
@@ -157,6 +157,78 @@ fn rejects_over_long_subscript_operand_list() {
     *n = MAX_INLINE_RANK as u8 + 1;
     let msg = reject_msg(&engine, &bad);
     assert!(msg.contains("exceeds the cap"), "got: {msg}");
+}
+
+/// The accesses that still pop their subscripts (or bounds) from the
+/// operand stack: a by-reference element argument, an ATOMIC element
+/// update and an ALLOCATE.
+const STACK_SUBSCRIPTS: &str = r#"
+MODULE m
+  REAL(8), ALLOCATABLE, DIMENSION(:,:) :: w
+CONTAINS
+  SUBROUTINE bump(x)
+    REAL(8) :: x
+    x = x + 1.0D0
+  END SUBROUTINE bump
+  SUBROUTINE work(a, n)
+    REAL(8), DIMENSION(1:4, 1:4) :: a
+    INTEGER :: n
+    INTEGER :: i
+    ALLOCATE(w(1:n, 1:n))
+    CALL bump(a(1, 2))
+    !$OMP PARALLEL DO DEFAULT(SHARED)
+    DO i = 1, n
+      !$OMP ATOMIC
+      a(1, 1) = a(1, 1) + 1.0D0
+    END DO
+    !$OMP END PARALLEL DO
+    DEALLOCATE(w)
+  END SUBROUTINE work
+END MODULE m
+"#;
+
+#[test]
+fn rejects_element_access_of_rank_above_the_inline_cap() {
+    // The VM gathers these into `[_; MAX_INLINE_RANK]` buffers; the
+    // front end never declares a longer list, so only a damaged stream
+    // can name one.
+    let over = MAX_INLINE_RANK as u8 + 1;
+    let (engine, base) = compiled(STACK_SUBSCRIPTS);
+    verify_program(engine.program(), &base).expect("baseline verifies");
+    let mut hits = 0;
+    for (u, unit) in base.iter().enumerate() {
+        for (pc, ins) in unit.code.iter().enumerate() {
+            let mut bad = base.clone();
+            match &mut bad[u].code[pc] {
+                BInstr::StashElem { nsubs: n, .. }
+                | BInstr::AtomicElem { nsubs: n, .. }
+                | BInstr::Alloc { ndims: n, .. } => *n = over,
+                _ => continue,
+            }
+            let msg = reject_msg(&engine, &bad);
+            assert!(msg.contains("exceeds the cap"), "{ins:?}: got: {msg}");
+            hits += 1;
+        }
+        // The copy-out half of the by-reference argument.
+        for (c, call) in unit.calls.iter().enumerate() {
+            for (k, arg) in call.args.iter().enumerate() {
+                if !matches!(arg, BArg::Elem { .. }) {
+                    continue;
+                }
+                // (With the call's stash count kept in step, so that the
+                // rank is the only thing wrong.)
+                let mut bad = base.clone();
+                let site = &mut bad[u].calls[c];
+                let BArg::Elem { nsubs, .. } = &mut site.args[k] else { unreachable!() };
+                site.n_stash += u32::from(over - *nsubs);
+                *nsubs = over;
+                let msg = reject_msg(&engine, &bad);
+                assert!(msg.contains("exceeds the cap"), "copy-out: got: {msg}");
+                hits += 1;
+            }
+        }
+    }
+    assert_eq!(hits, 4, "stash, its copy-out, atomic and allocate");
 }
 
 #[test]

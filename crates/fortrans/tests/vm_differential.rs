@@ -1180,3 +1180,75 @@ END MODULE m
         .join()
         .unwrap();
 }
+
+/// Ranks 7 and 8 — the highest the front end admits, so the longest
+/// subscript lists the VM's fixed buffers ever hold — through every
+/// access kind: operand-addressed loads and stores (frame, module and
+/// allocated arrays; the innermost loop is a `VecLoop` region), by-
+/// reference element arguments with copy-out, ATOMIC element updates,
+/// ALLOCATE bounds, and an out-of-range last subscript.
+#[test]
+fn diff_rank_seven_and_eight_arrays() {
+    let src = r#"
+MODULE hi
+  REAL(8), DIMENSION(2,2,2,2,2,2,2) :: g7
+  REAL(8), ALLOCATABLE, DIMENSION(:,:,:,:,:,:,:,:) :: w8
+CONTAINS
+  SUBROUTINE bump(x)
+    REAL(8) :: x
+    x = x * 2.0D0 + 1.0D0
+  END SUBROUTINE bump
+  SUBROUTINE fill(out, n)
+    REAL(8), DIMENSION(1:4) :: out
+    INTEGER :: n
+    REAL(8), DIMENSION(2,2,2,2,2,2,2,2) :: t8
+    INTEGER :: i, j, k
+    ALLOCATE(w8(2,2,2,2,2,2,2,n))
+    DO k = 1, 2
+      DO j = 1, 2
+        DO i = 1, 2
+          t8(i,j,k,1,2,1,2,1) = i + 10 * j + 100 * k
+          g7(i,j,k,2,1,2,1) = t8(i,j,k,1,2,1,2,1) * 0.5D0
+          w8(i,j,k,1,1,1,1,n) = g7(i,j,k,2,1,2,1) + t8(i,j,k,1,2,1,2,1)
+        END DO
+      END DO
+    END DO
+    CALL bump(t8(2,1,2,1,2,1,2,1))
+    CALL bump(w8(1,2,1,1,1,1,1,n))
+    !$OMP PARALLEL DO DEFAULT(SHARED)
+    DO i = 1, 8
+      !$OMP ATOMIC
+      g7(1,1,1,2,1,2,1) = g7(1,1,1,2,1,2,1) + 1.0D0
+      !$OMP ATOMIC
+      w8(2,2,2,1,1,1,1,n) = w8(2,2,2,1,1,1,1,n) + t8(1,1,1,1,2,1,2,1)
+    END DO
+    !$OMP END PARALLEL DO
+    out(1) = t8(2,1,2,1,2,1,2,1)
+    out(2) = g7(1,1,1,2,1,2,1)
+    out(3) = w8(1,2,1,1,1,1,1,n)
+    out(4) = w8(2,2,2,1,1,1,1,n + 1 - out(4))
+    DEALLOCATE(w8)
+  END SUBROUTINE fill
+END MODULE hi
+"#;
+    let args = |last: f64| move || vec![ArgVal::array_f(&[0.0, 0.0, 0.0, last], 1), ArgVal::I(3)];
+    differential("rank-8", src, "fill", args(1.0));
+    // `out(4) = 0` makes the last subscript of the last read `n + 1`.
+    differential("rank-8-oob", src, "fill", args(0.0));
+
+    // The scalar rung agrees bit for bit with the vector rung too.
+    for mode in [ExecMode::Serial, ExecMode::Simulated { threads: 4 }] {
+        for last in [1.0, 0.0] {
+            let snap = |vector: bool| {
+                let e = Session::compile(&[src]).unwrap();
+                e.set_vector_enabled(vector);
+                let s = snapshot(&e, "fill", &args(last)(), mode, ExecTier::Vm);
+                (s, e.vector_entry_count())
+            };
+            let ((on, entered), (off, _)) = (snap(true), snap(false));
+            assert_eq!(on, off, "rank-8 (last {last}) under {mode:?}: vector vs scalar rung");
+            assert!(entered > 0, "the rank-8 inner loop never reached the vector rung");
+            assert_eq!(on.result.is_err(), last == 0.0, "{:?}", on.result);
+        }
+    }
+}

@@ -13,8 +13,8 @@
 //!
 //! then chooses whichever is cheaper. The estimates intentionally use the
 //! same first-order structure as the `simcpu` machine model, so the
-//! advisor's decisions line up with the simulated measurements the benches
-//! report (ablation: `bench/benches/ablation_costmodel.rs`).
+//! advisor's decisions line up with the simulated measurements
+//! (`tests/figures_shape.rs`: `fig5_cost_model_matches_or_beats_v3`).
 
 use glaf_ir::{Callee, Expr, Function, LoopNest, StepBody, Stmt};
 
@@ -33,14 +33,6 @@ pub struct CostParams {
     pub reduction_cycles_per_thread: f64,
     /// Effective SIMD speedup for a vectorizable loop body.
     pub simd_speedup: f64,
-    /// Effective speedup of the native (tier-3 JIT) execution path for a
-    /// vectorizable loop body, over the scalar baseline. The default of
-    /// 1.0 models a target without a native tier, so it changes nothing
-    /// until a measured calibration (see [`calibrate_native_speedup`])
-    /// raises it; a vectorizable loop is then priced at the better of
-    /// the SIMD and native paths — the engine promotes exactly those
-    /// regions the vectorizer accepts, and runs whichever tier wins.
-    pub native_speedup: f64,
     /// Effective speedup for a zero-initialization loop replaced by
     /// memset.
     pub memset_speedup: f64,
@@ -66,7 +58,6 @@ impl Default for CostParams {
             fork_join_cycles: 1_650.0,
             reduction_cycles_per_thread: 150.0,
             simd_speedup: 4.0,
-            native_speedup: 1.0,
             memset_speedup: 16.0,
             cycles_per_node: 3.0,
             default_trip: 64,
@@ -74,76 +65,6 @@ impl Default for CostParams {
             guided_trip_threshold: 512,
         }
     }
-}
-
-impl CostParams {
-    /// Default parameters with `simd_speedup` replaced by a measured
-    /// calibration (see [`calibrate_simd_speedup`]); falls back to the
-    /// flat default when the samples carry no evidence.
-    pub fn calibrated_simd(samples: &[(f64, u64)]) -> CostParams {
-        let mut p = CostParams::default();
-        if let Some(s) = calibrate_simd_speedup(samples) {
-            p.simd_speedup = s;
-        }
-        p
-    }
-
-    /// Default parameters with `native_speedup` replaced by a measured
-    /// calibration (see [`calibrate_native_speedup`]); falls back to the
-    /// no-native-tier default when the samples carry no evidence.
-    pub fn calibrated_native(samples: &[(f64, u64)]) -> CostParams {
-        let mut p = CostParams::default();
-        if let Some(s) = calibrate_native_speedup(samples) {
-            p.native_speedup = s;
-        }
-        p
-    }
-}
-
-/// Recalibrates the `simd_speedup` parameter from measured vector-tier
-/// results: each sample is `(measured speedup, vector entry count)` for
-/// one kernel, as reported by `Session::vector_report` /
-/// `vector_entry_count` plus scalar-vs-vector timings. The estimate is
-/// the *entry-weighted geometric mean* — geometric because speedups
-/// compose multiplicatively (the flat default was itself a ratio), and
-/// weighted by vector-loop entries so a kernel whose vector loops
-/// actually dominate execution moves the estimate more than a micro
-/// benchmark entered a handful of times. The result is clamped to
-/// `[1, 16]` (below 1 the tier would have been disabled; above 16 no
-/// 512-bit lane budget is plausible for f64). Returns `None` — keep the
-/// prior — when no sample has both a positive speedup and nonzero
-/// weight.
-pub fn calibrate_simd_speedup(samples: &[(f64, u64)]) -> Option<f64> {
-    calibrate_speedup(samples, 16.0)
-}
-
-/// Recalibrates the `native_speedup` parameter from measured tier-3
-/// results: each sample is `(measured scalar-over-native speedup, native
-/// entry count)` for one kernel, as reported by
-/// `Session::native_entry_count` plus scalar-vs-native timings. Same
-/// estimator as [`calibrate_simd_speedup`], so the two tiers' evidence
-/// is directly comparable. The clamp is wider, `[1, 32]`: native code
-/// eliminates dispatch overhead *and* vectorizes, so reduction
-/// microkernels legitimately measure past any SIMD lane budget.
-pub fn calibrate_native_speedup(samples: &[(f64, u64)]) -> Option<f64> {
-    calibrate_speedup(samples, 32.0)
-}
-
-/// Entry-weighted geometric mean of the usable samples, clamped to
-/// `[1, max]`.
-fn calibrate_speedup(samples: &[(f64, u64)], max: f64) -> Option<f64> {
-    let mut log_sum = 0.0;
-    let mut weight = 0.0;
-    for &(speedup, entries) in samples {
-        if speedup > 0.0 && entries > 0 {
-            log_sum += entries as f64 * speedup.ln();
-            weight += entries as f64;
-        }
-    }
-    if weight == 0.0 {
-        return None;
-    }
-    Some((log_sum / weight).exp().clamp(1.0, max))
 }
 
 /// Which OpenMP loop schedule the advisor recommends.
@@ -257,9 +178,7 @@ impl CostAdvisor {
         let body = self.body_cycles(nest);
         let factor = match plan.class {
             LoopClass::ZeroInit => self.params.memset_speedup,
-            // A vectorizable body runs on whichever serial tier wins:
-            // compiler SIMD or (when the target has one) the native JIT.
-            _ if plan.vectorizable => self.params.simd_speedup.max(self.params.native_speedup),
+            _ if plan.vectorizable => self.params.simd_speedup,
             _ => 1.0,
         };
         trip * body / factor
@@ -665,57 +584,11 @@ mod tests {
     }
 
     #[test]
-    fn calibration_is_weighted_geometric_mean_clamped() {
-        // Equal weights -> plain geometric mean.
-        let g = calibrate_simd_speedup(&[(2.0, 10), (8.0, 10)]).unwrap();
-        assert!((g - 4.0).abs() < 1e-12, "{g}");
-        // Weight dominance: the heavy sample pulls the mean toward itself.
-        let g = calibrate_simd_speedup(&[(2.0, 1_000_000), (8.0, 1)]).unwrap();
-        assert!(g < 2.01, "{g}");
-        // Zero-weight and non-positive samples are ignored.
-        assert_eq!(
-            calibrate_simd_speedup(&[(2.0, 0), (0.0, 5), (-3.0, 5)]),
-            None
-        );
-        assert_eq!(calibrate_simd_speedup(&[]), None);
-        // Clamp band.
-        assert_eq!(calibrate_simd_speedup(&[(100.0, 1)]).unwrap(), 16.0);
-        assert_eq!(calibrate_simd_speedup(&[(0.25, 1)]).unwrap(), 1.0);
-        // CostParams plumbing: calibrated value lands in simd_speedup,
-        // everything else stays default.
-        let p = CostParams::calibrated_simd(&[(2.0, 1)]);
-        assert_eq!(p.simd_speedup, 2.0);
-        assert_eq!(p.threads, CostParams::default().threads);
-        assert_eq!(CostParams::calibrated_simd(&[]).simd_speedup, 4.0);
-    }
-
-    #[test]
-    fn native_calibration_mirrors_simd_with_wider_clamp() {
-        // Same estimator: equal weights -> plain geometric mean.
-        let g = calibrate_native_speedup(&[(2.0, 10), (8.0, 10)]).unwrap();
-        assert!((g - 4.0).abs() < 1e-12, "{g}");
-        // The clamp admits the deep-reduction regime SIMD cannot reach...
-        assert_eq!(calibrate_native_speedup(&[(100.0, 1)]).unwrap(), 32.0);
-        assert!(calibrate_simd_speedup(&[(20.0, 1)]).unwrap() < calibrate_native_speedup(&[(20.0, 1)]).unwrap());
-        // ...but still floors at parity with the scalar tier.
-        assert_eq!(calibrate_native_speedup(&[(0.25, 1)]).unwrap(), 1.0);
-        assert_eq!(calibrate_native_speedup(&[]), None);
-        // CostParams plumbing: calibrated value lands in native_speedup,
-        // everything else (incl. simd_speedup) stays default; no evidence
-        // keeps the no-native-tier prior of 1.0.
-        let p = CostParams::calibrated_native(&[(6.0, 1)]);
-        assert_eq!(p.native_speedup, 6.0);
-        assert_eq!(p.simd_speedup, CostParams::default().simd_speedup);
-        assert_eq!(CostParams::calibrated_native(&[]).native_speedup, 1.0);
-    }
-
-    #[test]
-    fn native_speedup_prices_the_better_serial_tier() {
+    fn simd_speedup_prices_the_vectorizable_serial_path() {
         // A wide vectorizable map: parallelizable, so `decide` compares
-        // serial (tiered) vs threaded cost. In the measured-SIMD regime
-        // (PR 7 calibrated ~1.7x, far below the 4.0 prior) threading
-        // wins; a measured native tier fast enough flips the verdict
-        // back to the serial path.
+        // serial (compiler-vectorized) vs threaded cost. With weak SIMD
+        // threading wins; SIMD strong enough flips the verdict back to
+        // the serial path.
         let a = Grid::build("a").typed(DataType::Real8).dim1(4096).finish().unwrap();
         let b = Grid::build("b").typed(DataType::Real8).dim1(4096).finish().unwrap();
         let p = ProgramBuilder::new()
@@ -742,10 +615,10 @@ mod tests {
             _ => unreachable!(),
         };
 
-        let mut measured = CostParams { simd_speedup: 1.7, ..Default::default() };
-        assert_eq!(CostAdvisor::new(measured.clone()).decide(&nest, &lplan), Decision::Threads);
-        measured.native_speedup = 12.0;
-        assert_eq!(CostAdvisor::new(measured).decide(&nest, &lplan), Decision::Simd);
+        let weak = CostParams { simd_speedup: 1.7, ..Default::default() };
+        assert_eq!(CostAdvisor::new(weak).decide(&nest, &lplan), Decision::Threads);
+        let strong = CostParams { simd_speedup: 12.0, ..Default::default() };
+        assert_eq!(CostAdvisor::new(strong).decide(&nest, &lplan), Decision::Simd);
     }
 
     #[test]

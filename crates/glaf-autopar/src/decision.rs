@@ -133,20 +133,10 @@ impl DecisionLog {
 /// records behind each [`crate::plan::LoopPlan`].
 pub fn analyze_function_with_log(
     program: &Program,
-    module: &GlafModule,
-    func: &Function,
-) -> (FunctionPlan, Vec<LoopDecision>) {
-    analyze_function_with_log_using(&CostAdvisor::default(), program, module, func)
-}
-
-/// [`analyze_function_with_log`] with an explicit (e.g. measurement-
-/// calibrated) cost advisor deciding the directive verdicts.
-pub fn analyze_function_with_log_using(
-    advisor: &CostAdvisor,
-    program: &Program,
     _module: &GlafModule,
     func: &Function,
 ) -> (FunctionPlan, Vec<LoopDecision>) {
+    let advisor = CostAdvisor::default();
     let mut loops = Vec::new();
     let mut decisions = Vec::new();
     for (step_index, step) in func.steps.iter().enumerate() {
@@ -184,20 +174,11 @@ pub fn analyze_function_with_log_using(
 /// Like [`crate::plan::analyze_program`], but also returns the
 /// [`DecisionLog`]. The returned plan is identical to the plain one.
 pub fn analyze_program_with_log(program: &Program) -> (ProgramPlan, DecisionLog) {
-    analyze_program_with_log_using(&CostAdvisor::default(), program)
-}
-
-/// [`analyze_program_with_log`] with an explicit (e.g. measurement-
-/// calibrated) cost advisor deciding the directive verdicts.
-pub fn analyze_program_with_log_using(
-    advisor: &CostAdvisor,
-    program: &Program,
-) -> (ProgramPlan, DecisionLog) {
     let mut plan = ProgramPlan::default();
     let mut log = DecisionLog::default();
     for module in &program.modules {
         for func in &module.functions {
-            let (fp, decisions) = analyze_function_with_log_using(advisor, program, module, func);
+            let (fp, decisions) = analyze_function_with_log(program, module, func);
             plan.functions.insert(func.name.clone(), fp);
             log.loops.extend(decisions);
         }

@@ -46,13 +46,9 @@ pub mod transform;
 pub use access::{collect_accesses, Access, AccessKind};
 pub use affine::{Affine, SubscriptForm};
 pub use classify::{classify_loop, LoopClass};
-pub use costmodel::{
-    calibrate_native_speedup, calibrate_simd_speedup, CostAdvisor, CostParams, Decision, SchedKind,
-    ScheduleChoice,
-};
+pub use costmodel::{CostAdvisor, CostParams, Decision, SchedKind, ScheduleChoice};
 pub use decision::{
-    analyze_function_with_log, analyze_function_with_log_using, analyze_program_with_log,
-    analyze_program_with_log_using, DecisionLog, DepRecord, LoopDecision,
+    analyze_function_with_log, analyze_program_with_log, DecisionLog, DepRecord, LoopDecision,
 };
 pub use depend::{test_dependence, test_dependence_explained, DepEvidence, DepResult, DepTest};
 pub use plan::{analyze_function, analyze_program, FunctionPlan, LoopPlan, ProgramPlan, RedOp};

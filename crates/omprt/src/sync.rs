@@ -1,103 +1,8 @@
-//! Synchronization primitives: atomic update cells and critical sections.
+//! Synchronization primitives: named critical sections.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::{Mutex, MutexGuard};
-
-/// A lock-free f64 cell supporting the update forms `!$OMP ATOMIC`
-/// protects: add, mul, max, min. Stored as IEEE-754 bits in an
-/// `AtomicU64`; updates are CAS loops.
-#[derive(Debug, Default)]
-pub struct AtomicF64Cell(AtomicU64);
-
-impl AtomicF64Cell {
-    pub fn new(v: f64) -> Self {
-        AtomicF64Cell(AtomicU64::new(v.to_bits()))
-    }
-
-    pub fn load(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-
-    pub fn store(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed)
-    }
-
-    fn update(&self, f: impl Fn(f64) -> f64) -> f64 {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = f(f64::from_bits(cur)).to_bits();
-            match self
-                .0
-                .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Relaxed)
-            {
-                Ok(_) => return f64::from_bits(next),
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    pub fn fetch_add(&self, v: f64) -> f64 {
-        self.update(|x| x + v)
-    }
-
-    pub fn fetch_mul(&self, v: f64) -> f64 {
-        self.update(|x| x * v)
-    }
-
-    pub fn fetch_max(&self, v: f64) -> f64 {
-        self.update(|x| x.max(v))
-    }
-
-    pub fn fetch_min(&self, v: f64) -> f64 {
-        self.update(|x| x.min(v))
-    }
-}
-
-/// The i64 counterpart of [`AtomicF64Cell`].
-#[derive(Debug, Default)]
-pub struct AtomicI64Cell(AtomicU64);
-
-impl AtomicI64Cell {
-    pub fn new(v: i64) -> Self {
-        AtomicI64Cell(AtomicU64::new(v as u64))
-    }
-
-    pub fn load(&self) -> i64 {
-        self.0.load(Ordering::Relaxed) as i64
-    }
-
-    pub fn store(&self, v: i64) {
-        self.0.store(v as u64, Ordering::Relaxed)
-    }
-
-    fn update(&self, f: impl Fn(i64) -> i64) -> i64 {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = f(cur as i64) as u64;
-            match self
-                .0
-                .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Relaxed)
-            {
-                Ok(_) => return next as i64,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    pub fn fetch_add(&self, v: i64) -> i64 {
-        self.update(|x| x.wrapping_add(v))
-    }
-
-    pub fn fetch_max(&self, v: i64) -> i64 {
-        self.update(|x| x.max(v))
-    }
-
-    pub fn fetch_min(&self, v: i64) -> i64 {
-        self.update(|x| x.min(v))
-    }
-}
 
 /// Named critical sections: `!$OMP CRITICAL (name)` maps every use of the
 /// same name, program-wide, to one lock — exactly OpenMP's semantics
@@ -134,45 +39,6 @@ impl CriticalRegistry {
 mod tests {
     use super::*;
     use crate::pool::ThreadPool;
-    use proptest::prelude::*;
-
-    #[test]
-    fn atomic_f64_updates() {
-        let c = AtomicF64Cell::new(1.0);
-        c.fetch_add(2.5);
-        assert_eq!(c.load(), 3.5);
-        c.fetch_mul(2.0);
-        assert_eq!(c.load(), 7.0);
-        c.fetch_max(100.0);
-        assert_eq!(c.load(), 100.0);
-        c.fetch_min(-1.0);
-        assert_eq!(c.load(), -1.0);
-    }
-
-    #[test]
-    fn atomic_i64_updates() {
-        let c = AtomicI64Cell::new(-5);
-        assert_eq!(c.load(), -5);
-        c.fetch_add(10);
-        assert_eq!(c.load(), 5);
-        c.fetch_max(3);
-        assert_eq!(c.load(), 5);
-        c.fetch_min(-7);
-        assert_eq!(c.load(), -7);
-    }
-
-    #[test]
-    fn concurrent_atomic_adds_lose_nothing() {
-        let pool = ThreadPool::new(4);
-        let cell = AtomicF64Cell::new(0.0);
-        pool.run(|_tid| {
-            for _ in 0..1000 {
-                cell.fetch_add(1.0);
-            }
-        })
-        .unwrap();
-        assert_eq!(cell.load(), 4000.0);
-    }
 
     #[test]
     fn critical_sections_exclude() {
@@ -204,14 +70,5 @@ mod tests {
         let g2 = reg.enter("b");
         drop(g1);
         drop(g2);
-    }
-
-    proptest! {
-        #[test]
-        fn f64_bits_roundtrip(v in prop::num::f64::ANY) {
-            let c = AtomicF64Cell::new(v);
-            let got = c.load();
-            prop_assert!(got == v || (got.is_nan() && v.is_nan()));
-        }
     }
 }

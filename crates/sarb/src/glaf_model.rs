@@ -16,7 +16,7 @@
 //!
 //! The arithmetic matches `original.rs` operation-for-operation, so the
 //! serial engine executions are bit-identical — the §4.1.1 verification
-//! criterion.
+//! test.
 
 use glaf_grid::{DataType, Grid};
 use glaf_ir::{Expr, LValue, LibFunc, Program, ProgramBuilder, Stmt};

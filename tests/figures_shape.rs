@@ -15,13 +15,23 @@ fn sarb_speedup(v: SarbVariant, threads: usize) -> f64 {
     base.report.total_cycles / r.report.total_cycles
 }
 
+/// Speed-ups over the original serial code of the Fig. 5 ladder
+/// `[GLAF serial, v0, v1, v2, v3]`, 4 columns at 4 threads on `m`.
+fn fig5_ladder(m: &MachineModel) -> [f64; 5] {
+    let base = sarb(SarbVariant::OriginalSerial, 4, 4, m).report.total_cycles;
+    [
+        SarbVariant::GlafSerial,
+        SarbVariant::GlafParallel(0),
+        SarbVariant::GlafParallel(1),
+        SarbVariant::GlafParallel(2),
+        SarbVariant::GlafParallel(3),
+    ]
+    .map(|v| base / sarb(v, 4, 4, m).report.total_cycles)
+}
+
 #[test]
 fn fig5_ladder_ordering() {
-    let glaf_serial = sarb_speedup(SarbVariant::GlafSerial, 4);
-    let v0 = sarb_speedup(SarbVariant::GlafParallel(0), 4);
-    let v1 = sarb_speedup(SarbVariant::GlafParallel(1), 4);
-    let v2 = sarb_speedup(SarbVariant::GlafParallel(2), 4);
-    let v3 = sarb_speedup(SarbVariant::GlafParallel(3), 4);
+    let [glaf_serial, v0, v1, v2, v3] = fig5_ladder(&MachineModel::i5_2400_like());
 
     // Paper: 0.89, 0.48, 0.66, 1.11, 1.41 — the load-bearing orderings:
     assert!(glaf_serial < 1.0, "GLAF serial slightly below original: {glaf_serial}");
@@ -42,6 +52,62 @@ fn fig5_cost_model_matches_or_beats_v3() {
         cm >= v3 * 0.99,
         "the future-work advisor reaches the hand-tuned configuration: {cm} vs {v3}"
     );
+}
+
+/// The orderings `fig5_ladder_ordering` asserts, without its ballpark
+/// bounds on v3.
+fn fig5_ordering_holds(&[glaf_serial, v0, v1, v2, v3]: &[f64; 5]) -> bool {
+    v0 < glaf_serial && v0 < 1.0 && v1 < 1.0 && v1 >= v0 && v2 > 1.0 && v3 > v2
+}
+
+/// Are the values strictly falling from one sweep point to the next?
+fn falls(xs: &[f64]) -> bool {
+    xs.windows(2).all(|w| w[1] < w[0])
+}
+
+#[test]
+fn fig5_shape_across_fork_cost_sweep() {
+    // The v0 -> v3 story is fork cost against loop size, and
+    // `fork_join_base` is a literal (1100 cycles). Swept over 80x:
+    // v0 0.64 .. 0.07, v3 1.43 .. 0.94.
+    let forks = [250.0, 500.0, 1_100.0, 2_500.0, 5_000.0, 20_000.0];
+    let ladders = forks.map(|fork| {
+        let mut m = MachineModel::i5_2400_like();
+        m.fork_join_base = fork;
+        fig5_ladder(&m)
+    });
+    assert!(falls(&ladders.map(|l| l[1])), "v0 falls as forks get dearer: {ladders:?}");
+    assert!(falls(&ladders.map(|l| l[4])), "v3 falls as forks get dearer: {ladders:?}");
+    for (fork, l) in forks.iter().zip(&ladders) {
+        assert!(l[1] < 1.0, "v0 loses to the original at every fork cost ({fork}): {l:?}");
+        // The whole ordering survives from 0.23x to 4.5x the default;
+        // at 18x even v3's few regions cost more than they save.
+        assert_eq!(fig5_ordering_holds(l), *fork <= 5_000.0, "fork {fork}: {l:?}");
+    }
+    assert!(ladders[5][4] < 1.0, "v3 below the serial line at 20000 cycles: {ladders:?}");
+}
+
+#[test]
+fn fig5_shape_across_simd_width_sweep() {
+    // How much of the serial baseline's edge is the compiler-
+    // vectorization model (`simd_width`, default 4): the wider the
+    // vectors the serial code gets, the less threads are worth.
+    // v0 1.05 .. 0.25, v3 1.52 .. 1.25.
+    let widths = [1.0, 2.0, 4.0, 8.0];
+    let ladders = widths.map(|width| {
+        let mut m = MachineModel::i5_2400_like();
+        m.simd_width = width;
+        fig5_ladder(&m)
+    });
+    assert!(falls(&ladders.map(|l| l[1])), "v0 falls as vectors widen: {ladders:?}");
+    assert!(falls(&ladders.map(|l| l[4])), "v3 falls as vectors widen: {ladders:?}");
+    for (width, l) in widths.iter().zip(&ladders) {
+        assert!(l[4] > 1.0, "v3 beats the original at every width ({width}): {l:?}");
+        // With no vectorization at all (width 1) even v0 edges past the
+        // original: its loss in Fig. 5 is the serial code's SIMD.
+        assert_eq!(fig5_ordering_holds(l), *width >= 2.0, "width {width}: {l:?}");
+    }
+    assert!(ladders[0][1] > 1.0, "v0 above the serial line at width 1: {ladders:?}");
 }
 
 #[test]
