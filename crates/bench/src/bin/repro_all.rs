@@ -4,113 +4,12 @@
 //!
 //! Usage: `repro_all [out.json]`.
 
-use fun3d::variants::{run_simulated as f3d_run, Fun3dConfig, Fun3dVariant};
-use glaf_bench::{ordering_agreement, print_bars, Bar, Experiment};
-use sarb::variants::{run_simulated as sarb_run, SarbVariant};
-use simcpu::MachineModel;
-
-fn fig5(ncol: i64, threads: usize) -> Experiment {
-    let m = MachineModel::i5_2400_like();
-    let base = sarb_run(SarbVariant::OriginalSerial, ncol, threads, &m);
-    let cases = [
-        (SarbVariant::OriginalSerial, Some(1.00)),
-        (SarbVariant::GlafSerial, Some(0.89)),
-        (SarbVariant::GlafParallel(0), Some(0.48)),
-        (SarbVariant::GlafParallel(1), Some(0.66)),
-        (SarbVariant::GlafParallel(2), Some(1.11)),
-        (SarbVariant::GlafParallel(3), Some(1.41)),
-        (SarbVariant::GlafCostModel, None),
-    ];
-    let bars = cases
-        .into_iter()
-        .map(|(v, paper)| {
-            let r = sarb_run(v, ncol, threads, &m);
-            Bar {
-                label: r.variant_name,
-                paper,
-                measured: base.report.total_cycles / r.report.total_cycles,
-            }
-        })
-        .collect();
-    Experiment {
-        id: "fig5".into(),
-        description: "SARB speed-up vs original serial, 4 threads, i5-2400-like".into(),
-        bars,
-    }
-}
-
-fn fig6(ncol: i64) -> Experiment {
-    let m = MachineModel::i5_2400_like();
-    let base = sarb_run(SarbVariant::GlafSerial, ncol, 1, &m);
-    let bars = [(1usize, 0.92), (2, 1.24), (4, 1.59), (8, 0.70)]
-        .iter()
-        .map(|&(t, p)| {
-            let r = sarb_run(SarbVariant::GlafParallel(3), ncol, t, &m);
-            Bar {
-                label: format!("v3 {t}T"),
-                paper: Some(p),
-                measured: base.report.total_cycles / r.report.total_cycles,
-            }
-        })
-        .collect();
-    Experiment {
-        id: "fig6".into(),
-        description: "SARB v3 thread scaling vs GLAF serial, i5-2400-like".into(),
-        bars,
-    }
-}
-
-fn fig7(ncell: i64, threads: usize) -> Experiment {
-    let m = MachineModel::xeon_e5_2637v4_dual_like();
-    let base = f3d_run(Fun3dVariant::OriginalSerial, ncell, threads, &m);
-    let sp = |v: Fun3dVariant| {
-        let r = f3d_run(v, ncell, threads, &m);
-        base.report.total_cycles / r.report.total_cycles
-    };
-    let mut bars = vec![
-        Bar { label: "original serial".into(), paper: Some(1.0), measured: 1.0 },
-        Bar {
-            label: "manual parallel".into(),
-            paper: Some(3.85),
-            measured: sp(Fun3dVariant::ManualParallel),
-        },
-        Bar {
-            label: "GLAF EdgeJP noRealloc (best)".into(),
-            paper: Some(1.67),
-            measured: sp(Fun3dVariant::Glaf(Fun3dConfig::best())),
-        },
-        Bar {
-            label: "GLAF all levels + realloc (worst)".into(),
-            paper: Some(1.0 / 128.0),
-            measured: sp(Fun3dVariant::Glaf(Fun3dConfig {
-                par_edgejp: true,
-                par_cell_loop: true,
-                par_edge_loop: true,
-                par_ioff_search: true,
-                no_realloc: false,
-                fuse: false,
-            })),
-        },
-    ];
-    for cfg in Fun3dConfig::all() {
-        bars.push(Bar {
-            label: format!("GLAF {}", cfg.tag()),
-            paper: None,
-            measured: sp(Fun3dVariant::Glaf(cfg)),
-        });
-    }
-    Experiment {
-        id: "fig7".into(),
-        description: format!(
-            "FUN3D 16-thread option matrix, {ncell} cells, 2x E5-2637v4-like"
-        ),
-        bars,
-    }
-}
+use glaf_bench::figures::{fig5, fig6, fig7};
+use glaf_bench::{ordering_agreement, print_bars};
 
 fn main() {
     let out_path = std::env::args().nth(1);
-    let experiments = vec![fig5(8, 4), fig6(8), fig7(2000, 16)];
+    let experiments = vec![fig5(8, 4), fig6(8, false), fig7(2000, 16, false)];
     for e in &experiments {
         print_bars(&format!("{} — {}", e.id, e.description), &e.bars);
         println!(

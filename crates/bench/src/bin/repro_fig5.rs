@@ -4,42 +4,19 @@
 //!
 //! Usage: `repro_fig5 [ncolumns] [threads]` (defaults 8, 4).
 
-use glaf_bench::{ordering_agreement, print_bars, Bar};
-use sarb::variants::{run_simulated, SarbVariant};
+use glaf_bench::{figures::fig5, ordering_agreement, print_bars};
 use simcpu::MachineModel;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let ncol: i64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(8);
     let threads: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(4);
-    let machine = MachineModel::i5_2400_like();
-    println!("machine: {}   columns: {ncol}   threads: {threads}", machine.name);
-
-    let base = run_simulated(SarbVariant::OriginalSerial, ncol, threads, &machine);
-    let cases: Vec<(SarbVariant, Option<f64>)> = vec![
-        (SarbVariant::OriginalSerial, Some(1.00)),
-        (SarbVariant::GlafSerial, Some(0.89)),
-        (SarbVariant::GlafParallel(0), Some(0.48)),
-        (SarbVariant::GlafParallel(1), Some(0.66)),
-        (SarbVariant::GlafParallel(2), Some(1.11)),
-        (SarbVariant::GlafParallel(3), Some(1.41)),
-        (SarbVariant::GlafCostModel, None),
-    ];
-    let bars: Vec<Bar> = cases
-        .into_iter()
-        .map(|(v, paper)| {
-            let run = run_simulated(v, ncol, threads, &machine);
-            Bar {
-                label: run.variant_name.clone(),
-                paper,
-                measured: base.report.total_cycles / run.report.total_cycles,
-            }
-        })
-        .collect();
-    print_bars(
-        "Figure 5: speed-up vs original serial (Synoptic SARB, 4 threads)",
-        &bars,
+    println!(
+        "machine: {}   columns: {ncol}   threads: {threads}",
+        MachineModel::i5_2400_like().name
     );
+    let bars = fig5(ncol, threads).bars;
+    print_bars("Figure 5: speed-up vs original serial (Synoptic SARB, 4 threads)", &bars);
     println!(
         "\npairwise ordering agreement with the paper: {:.0}%",
         ordering_agreement(&bars) * 100.0

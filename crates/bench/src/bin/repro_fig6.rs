@@ -6,31 +6,13 @@
 //!
 //! Usage: `repro_fig6 [ncolumns]` (default 8).
 
-use glaf_bench::{ordering_agreement, print_bars, Bar};
-use sarb::variants::{run_simulated, SarbVariant};
+use glaf_bench::{figures::fig6, ordering_agreement, print_bars};
 use simcpu::MachineModel;
 
 fn main() {
-    let ncol: i64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
-    let machine = MachineModel::i5_2400_like();
-    println!("machine: {}   columns: {ncol}", machine.name);
-
-    let glaf_serial = run_simulated(SarbVariant::GlafSerial, ncol, 1, &machine);
-    let paper = [(1usize, 0.92), (2, 1.24), (4, 1.59), (8, 0.70)];
-    let bars: Vec<Bar> = paper
-        .iter()
-        .map(|&(t, p)| {
-            let run = run_simulated(SarbVariant::GlafParallel(3), ncol, t, &machine);
-            Bar {
-                label: format!("GLAF-parallel v3 ({t}T)"),
-                paper: Some(p),
-                measured: glaf_serial.report.total_cycles / run.report.total_cycles,
-            }
-        })
-        .collect();
+    let ncol: i64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(8);
+    println!("machine: {}   columns: {ncol}", MachineModel::i5_2400_like().name);
+    let bars = fig6(ncol, true).bars;
     print_bars("Figure 6: v3 speed-up vs GLAF serial across threads", &bars);
     println!(
         "\npairwise ordering agreement with the paper: {:.0}%",

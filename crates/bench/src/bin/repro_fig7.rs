@@ -11,60 +11,31 @@
 //! Usage: `repro_fig7 [ncells] [threads]` (defaults 2000, 16; the paper
 //! used 1M cells — linear scaling, see EXPERIMENTS.md).
 
-use fun3d::variants::{run_simulated, Fun3dConfig, Fun3dVariant};
-use glaf_bench::{print_bars, Bar};
+use fun3d::variants::Fun3dConfig;
+use glaf_bench::{figures::fig7, print_bars};
 use simcpu::MachineModel;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let ncell: i64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2000);
     let threads: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(16);
-    let machine = MachineModel::xeon_e5_2637v4_dual_like();
-    println!("machine: {}   cells: {ncell}   threads: {threads}", machine.name);
+    println!(
+        "machine: {}   cells: {ncell}   threads: {threads}",
+        MachineModel::xeon_e5_2637v4_dual_like().name
+    );
 
-    let base = run_simulated(Fun3dVariant::OriginalSerial, ncell, threads, &machine);
-    let speedup = |v: Fun3dVariant| {
-        let r = run_simulated(v, ncell, threads, &machine);
-        base.report.total_cycles / r.report.total_cycles
-    };
+    let bars = fig7(ncell, threads, true).bars;
+    let named = bars.iter().take_while(|b| b.paper.is_some()).count();
+    let (anchors, matrix) = bars.split_at(named);
+    print_bars("Figure 7 anchors: paper's named bars", anchors);
 
-    // Anchor bars with paper values.
-    let mut bars = vec![
-        Bar { label: "original serial".into(), paper: Some(1.0), measured: 1.0 },
-        Bar {
-            label: "manual parallel (paper: 3.85x)".into(),
-            paper: Some(3.85),
-            measured: speedup(Fun3dVariant::ManualParallel),
-        },
-        Bar {
-            label: "GLAF EdgeJP noRealloc (best, paper: 1.67x)".into(),
-            paper: Some(1.67),
-            measured: speedup(Fun3dVariant::Glaf(Fun3dConfig::best())),
-        },
-        Bar {
-            label: "GLAF all levels + realloc (worst, ~1/128x)".into(),
-            paper: Some(1.0 / 128.0),
-            measured: speedup(Fun3dVariant::Glaf(Fun3dConfig {
-                par_edgejp: true,
-                par_cell_loop: true,
-                par_edge_loop: true,
-                par_ioff_search: true,
-                no_realloc: false,
-                fuse: false,
-            })),
-        },
-    ];
-    print_bars("Figure 7 anchors: paper's named bars", &bars);
-
-    // Full option matrix.
     println!("\nFull option matrix (speed-up vs original serial):");
     println!(
         "{:>7} {:>5} {:>5} {:>5} {:>9} | {:>10}",
         "EdgeJP", "Cell", "Edge", "IOff", "noRealloc", "speed-up"
     );
     let onoff = |b: bool| if b { "x" } else { "." };
-    for cfg in Fun3dConfig::all() {
-        let s = speedup(Fun3dVariant::Glaf(cfg));
+    for (cfg, bar) in Fun3dConfig::all().into_iter().zip(matrix) {
         println!(
             "{:>7} {:>5} {:>5} {:>5} {:>9} | {:>10.4}",
             onoff(cfg.par_edgejp),
@@ -72,20 +43,15 @@ fn main() {
             onoff(cfg.par_edge_loop),
             onoff(cfg.par_ioff_search),
             onoff(cfg.no_realloc),
-            s
+            bar.measured
         );
-        bars.push(Bar { label: format!("GLAF {}", cfg.tag()), paper: None, measured: s });
     }
 
-    // Paper's qualitative findings, checked live.
-    let best = speedup(Fun3dVariant::Glaf(Fun3dConfig::best()));
-    let manual = speedup(Fun3dVariant::ManualParallel);
+    // Paper's qualitative findings, from the anchors.
+    let (manual, best) = (anchors[1].measured, anchors[2].measured);
     println!("\nfindings:");
     println!(
         "  coarsest-granularity parallelism wins among GLAF configs (paper §4.2.2): best = EdgeJP+noRealloc = {best:.2}x"
     );
-    println!(
-        "  manual / best-GLAF ratio: {:.2}x (paper: ~2.3x)",
-        manual / best
-    );
+    println!("  manual / best-GLAF ratio: {:.2}x (paper: ~2.3x)", manual / best);
 }

@@ -20,7 +20,7 @@
 //! width, cost-model policy vs. the manual ladder) are assertions in
 //! the root `tests/figures_shape.rs`.
 
-
+pub mod figures;
 pub mod observe;
 
 /// One labeled measurement (speed-up bar).

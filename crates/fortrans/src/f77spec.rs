@@ -21,9 +21,10 @@
 //! ([`Spec::into_module_unit`]).
 
 use crate::ast::{
-    for_each_name, names_in_desig, Attrs, Bin, Decl, Desig, DimDecl, Entity, Expr, TypeSpec, Unit,
+    for_each_name, names_in_desig, Attrs, Decl, Desig, DimDecl, Entity, Expr, TypeSpec, Unit,
     UnitKind,
 };
+use crate::cfold::{cfold, extents};
 use crate::error::{Diagnostics, Span};
 use crate::lex::Tok;
 use crate::parse::{self, perr, LineCur, PErr};
@@ -305,86 +306,14 @@ impl Spec {
 // DATA expansion, synthesized declarations.
 // ---------------------------------------------------------------------------
 
-/// Folds a constant expression to a literal, resolving named constants.
-fn cfold(e: &Expr, consts: &HashMap<String, Expr>) -> Option<Expr> {
-    fn num(e: &Expr) -> Option<f64> {
-        match e {
-            Expr::Int(i) => Some(*i as f64),
-            Expr::Real(r) => Some(*r),
-            _ => None,
-        }
-    }
-    Some(match e {
-        Expr::Int(_) | Expr::Real(_) | Expr::Logical(_) | Expr::Str(_) => e.clone(),
-        Expr::Name(d) => {
-            if d.parts.len() == 1 && d.parts[0].subs.is_empty() {
-                consts.get(&d.parts[0].name)?.clone()
-            } else {
-                return None;
-            }
-        }
-        Expr::Neg(a) => match cfold(a, consts)? {
-            Expr::Int(i) => Expr::Int(i.wrapping_neg()),
-            Expr::Real(r) => Expr::Real(-r),
-            _ => return None,
-        },
-        Expr::Not(a) => match cfold(a, consts)? {
-            Expr::Logical(b) => Expr::Logical(!b),
-            _ => return None,
-        },
-        Expr::Bin(op, a, b) => {
-            let a = cfold(a, consts)?;
-            let b = cfold(b, consts)?;
-            match (op, &a, &b) {
-                (Bin::Add, Expr::Int(x), Expr::Int(y)) => Expr::Int(x.wrapping_add(*y)),
-                (Bin::Sub, Expr::Int(x), Expr::Int(y)) => Expr::Int(x.wrapping_sub(*y)),
-                (Bin::Mul, Expr::Int(x), Expr::Int(y)) => Expr::Int(x.wrapping_mul(*y)),
-                (Bin::Div, Expr::Int(x), Expr::Int(y)) if *y != 0 => Expr::Int(x / y),
-                (Bin::Pow, Expr::Int(x), Expr::Int(y)) if (0..=62).contains(y) => {
-                    Expr::Int(x.checked_pow(*y as u32)?)
-                }
-                (Bin::Add, _, _) => Expr::Real(num(&a)? + num(&b)?),
-                (Bin::Sub, _, _) => Expr::Real(num(&a)? - num(&b)?),
-                (Bin::Mul, _, _) => Expr::Real(num(&a)? * num(&b)?),
-                (Bin::Div, _, _) => Expr::Real(num(&a)? / num(&b)?),
-                (Bin::Pow, _, _) => Expr::Real(num(&a)?.powf(num(&b)?)),
-                (Bin::Eq, Expr::Logical(x), Expr::Logical(y)) => Expr::Logical(x == y),
-                (Bin::Ne, Expr::Logical(x), Expr::Logical(y)) => Expr::Logical(x != y),
-                (Bin::Eq, _, _) => Expr::Logical(num(&a)? == num(&b)?),
-                (Bin::Ne, _, _) => Expr::Logical(num(&a)? != num(&b)?),
-                (Bin::Lt, _, _) => Expr::Logical(num(&a)? < num(&b)?),
-                (Bin::Le, _, _) => Expr::Logical(num(&a)? <= num(&b)?),
-                (Bin::Gt, _, _) => Expr::Logical(num(&a)? > num(&b)?),
-                (Bin::Ge, _, _) => Expr::Logical(num(&a)? >= num(&b)?),
-                (Bin::And, Expr::Logical(x), Expr::Logical(y)) => Expr::Logical(*x && *y),
-                (Bin::Or, Expr::Logical(x), Expr::Logical(y)) => Expr::Logical(*x || *y),
-                _ => return None,
-            }
-        }
-    })
+/// Folds a constant expression to a literal over the PARAMETERs folded so far.
+fn fold(e: &Expr, consts: &HashMap<String, Expr>) -> Option<Expr> {
+    cfold(e, &|n| consts.get(n).cloned()).ok()
 }
 
 /// Folded `(lo, hi)` bounds of each dimension; `None` if non-constant.
 fn fold_extents(dims: &[DimDecl], consts: &HashMap<String, Expr>) -> Option<Vec<(i64, i64)>> {
-    let mut out = Vec::with_capacity(dims.len());
-    for d in dims {
-        if d.deferred {
-            return None;
-        }
-        let lo = match &d.lo {
-            Some(e) => match cfold(e, consts)? {
-                Expr::Int(i) => i,
-                _ => return None,
-            },
-            None => 1,
-        };
-        let hi = match cfold(d.hi.as_ref()?, consts)? {
-            Expr::Int(i) => i,
-            _ => return None,
-        };
-        out.push((lo, hi));
-    }
-    Some(out)
+    extents(dims, &|n| consts.get(n).cloned())
 }
 
 fn extent_count(ex: &[(i64, i64)]) -> i64 {
@@ -543,7 +472,7 @@ pub(crate) fn finalize(
     let mut consts: HashMap<String, Expr> = HashMap::new();
     let mut param_decls: Vec<Decl> = Vec::new();
     for (n, e, line) in &spec.params_c {
-        let Some(lit) = cfold(e, &consts) else {
+        let Some(lit) = fold(e, &consts) else {
             diags.error_hint(
                 file,
                 *line,
@@ -697,7 +626,7 @@ pub(crate) fn finalize(
         let mut flat: Vec<Expr> = Vec::new();
         let mut ok = true;
         for (rep, e) in &vals {
-            match cfold(e, &consts) {
+            match fold(e, &consts) {
                 Some(l) => flat.extend(std::iter::repeat_n(l, *rep)),
                 None => {
                     diags.error_hint(
@@ -780,7 +709,7 @@ pub(crate) fn finalize(
                 let mut stride = 1i64;
                 let mut sok = true;
                 for (s, (lo, hi)) in subs.iter().zip(&ex) {
-                    match cfold(s, &consts) {
+                    match fold(s, &consts) {
                         Some(Expr::Int(v)) if (*lo..=*hi).contains(&v) => {
                             idx += (v - lo) * stride;
                             stride *= hi - lo + 1;

@@ -19,9 +19,14 @@
 //!   control flow), `IMPLICIT` typing, `COMMON`/`EQUIVALENCE`/`DATA`/
 //!   `PARAMETER`. It recovers at statement boundaries and reports every
 //!   problem of a source set in one [`Diagnostics`] (DESIGN.md §8).
-//! * [`sema`] — name/slot resolution, storage association for COMMON,
-//!   flattening of derived-type variables, type checking with FORTRAN
-//!   promotion rules; its output is the resolved program ([`rir`]).
+//! * [`sema`] — name/slot resolution through a chain of scopes (the
+//!   unit, what its own `USE`s reach, what its module's reach; nothing
+//!   is copied at a `USE`), storage association for COMMON, flattening
+//!   of derived-type variables, type checking with FORTRAN promotion
+//!   rules; its output is the resolved program ([`rir`]). Constant
+//!   expressions — `PARAMETER` values, bounds, initializers — fold in
+//!   `cfold`, the one evaluator it shares with the F77 specification
+//!   pass.
 //! * [`interp`] — the tree-walk executor: the reference ("oracle") tier
 //!   every other rung must match bit for bit, and home of what the tiers
 //!   share ([`ExecMode`], [`RunLimits`], [`Val`], ATOMIC updates and
@@ -84,6 +89,7 @@
 
 pub mod ast;
 pub mod bytecode;
+mod cfold;
 pub mod cost;
 pub mod engine;
 pub mod error;

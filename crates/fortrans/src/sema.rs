@@ -15,10 +15,19 @@
 //!   NUM_THREADS/SCHEDULE) and `!$OMP ATOMIC` update patterns;
 //! * classifies serial DO loops for the compiler model (memset / SIMD /
 //!   not-vectorizable).
+//!
+//! Names resolve through a chain of scopes — what the unit binds, the
+//! modules its own `USE`s reach, the modules its module's `USE`s reach —
+//! and the nearest declaration wins; nothing is copied at a `USE`.
+//! Constant expressions fold in `crate::cfold`, looked up through the
+//! same chain. `Resolver::declare_global` is the one place a storage
+//! cell is made and `UnitCtx::bind` the one place a name is bound
+//! (DESIGN.md §8, "Name resolution").
 
 use std::collections::HashMap;
 
 use crate::ast::{self, Ast, Bin, DimDecl, Expr, Stmt, TypeSpec, UnitKind};
+use crate::cfold::{cfold, extents};
 use crate::error::{CompileError, Span};
 use crate::intrinsics::Intr;
 use crate::rir::*;
@@ -45,45 +54,86 @@ pub fn resolve(ast: &Ast) -> Result<RProgram, CompileError> {
     Ok(prog)
 }
 
-/// A compile-time constant (PARAMETER).
-#[derive(Debug, Clone, Copy)]
-enum Const {
-    I(i64),
-    F(f64),
-    B(bool),
-}
-
-/// A visible global symbol.
+/// Where a declared name lives, with the type and shape a reference needs.
 #[derive(Debug, Clone)]
-struct GlobalSym {
-    cell: usize,
+struct Sym {
+    place: Place,
     ty: ScalarTy,
     rank: usize,
     dims: Vec<(i64, i64)>,
     allocatable: bool,
 }
 
+/// What a declaration says of one entity, before the entity has storage.
+struct DeclInfo {
+    ty: ScalarTy,
+    rank: usize,
+    dims: Vec<(i64, i64)>,
+    allocatable: bool,
+    save: bool,
+    init: Option<InitV>,
+}
+
+/// A static initializer: scalar bits, or one word per array element (what
+/// `f77spec` makes of a `DATA` statement).
+enum InitV {
+    One(u64),
+    Many(Vec<u64>),
+}
+
+impl InitV {
+    /// The two fields a [`GlobalDecl`] keeps an initializer in.
+    fn split(init: Option<InitV>) -> (Option<u64>, Option<Vec<u64>>) {
+        match init {
+            Some(InitV::One(bits)) => (Some(bits), None),
+            Some(InitV::Many(words)) => (None, Some(words)),
+            None => (None, None),
+        }
+    }
+}
+
+impl DeclInfo {
+    /// The entity, stored at `place`.
+    fn at(self, place: Place) -> Sym {
+        let DeclInfo { ty, rank, dims, allocatable, .. } = self;
+        Sym { place, ty, rank, dims, allocatable }
+    }
+}
+
 /// A user subprogram signature.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct UnitSig {
     id: UnitId,
     ret: Option<ScalarTy>,
     nparams: usize,
 }
 
+/// What one module declares, and which modules its units can see.
+#[derive(Default)]
+struct ModScope {
+    /// The module itself, then the modules its `USE`s reach, nearest first.
+    visible: Vec<usize>,
+    vars: HashMap<String, Sym>,
+    consts: HashMap<String, Expr>,
+    types: HashMap<String, Vec<FieldInfo>>,
+}
+
+/// Where constants are looked up: a unit's own `PARAMETER`s (none at
+/// module scope), then the modules of a visibility chain in order.
+#[derive(Clone, Copy)]
+struct Scope<'a> {
+    consts: Option<&'a HashMap<String, Expr>>,
+    modules: &'a [usize],
+}
+
 #[derive(Default)]
 struct Resolver {
     globals: Vec<GlobalDecl>,
-    /// Per-module: visible global symbols (own + transitively used).
-    module_syms: Vec<HashMap<String, GlobalSym>>,
-    /// Per-module constants.
-    module_consts: Vec<HashMap<String, Const>>,
+    modules: Vec<ModScope>,
     /// Module name -> index.
     module_ids: HashMap<String, usize>,
-    /// Typedefs per module (name -> field decls).
-    typedefs: Vec<HashMap<String, Vec<FieldInfo>>>,
     /// COMMON block layouts: block name -> member cells.
-    commons: HashMap<String, Vec<GlobalSym>>,
+    commons: HashMap<String, Vec<Sym>>,
     unit_sigs: HashMap<String, UnitSig>,
     units: Vec<Option<RUnit>>,
 }
@@ -105,6 +155,11 @@ fn scalar_ty(spec: &TypeSpec) -> Option<ScalarTy> {
     }
 }
 
+/// The dimension list of entity `e`: its own, or the `DIMENSION` attribute's.
+fn declared_dims<'a>(d: &'a ast::Decl, e: &'a ast::Entity) -> Option<&'a Vec<DimDecl>> {
+    e.dims.as_ref().or(d.attrs.dims.as_ref())
+}
+
 fn serr(msg: impl Into<String>, span: Span) -> CompileError {
     CompileError::Sema { msg: msg.into(), span }
 }
@@ -117,13 +172,25 @@ impl Resolver {
             if self.module_ids.insert(m.name.clone(), mi).is_some() {
                 return Err(serr(format!("duplicate module `{}`", m.name), m.span));
             }
-            self.module_syms.push(HashMap::new());
-            self.module_consts.push(HashMap::new());
-            self.typedefs.push(HashMap::new());
+        }
+        for (mi, m) in ast.modules.iter().enumerate() {
+            let mut visible = vec![mi];
+            let mut at = 0;
+            while at < visible.len() {
+                for used in &ast.modules[visible[at]].uses {
+                    let ui = self.module_id(used, m.span)?;
+                    if !visible.contains(&ui) {
+                        visible.push(ui);
+                    }
+                }
+                at += 1;
+            }
+            self.modules.push(ModScope { visible, ..ModScope::default() });
         }
 
+        // Modules declare in source order, so a module-scope declaration
+        // sees of a used module what stands above it in the source set.
         for (mi, m) in ast.modules.iter().enumerate() {
-            // Typedefs (own module; uses resolved below through lookup).
             for td in &m.typedefs {
                 let mut fields = Vec::new();
                 for d in &td.fields {
@@ -131,60 +198,46 @@ impl Resolver {
                         serr("derived types may not nest derived/character fields", d.span)
                     })?;
                     for e in &d.entities {
-                        let dims = self.const_dims_owned(
-                            mi,
-                            e.dims.as_ref().or(d.attrs.dims.as_ref()),
-                            d.span,
-                        )?;
+                        let dims = self.dims_of(self.module_scope(mi), d, e)?;
                         fields.push(FieldInfo { name: e.name.clone(), ty, dims });
                     }
                 }
-                self.typedefs[mi].insert(td.name.clone(), fields);
+                self.modules[mi].types.insert(td.name.clone(), fields);
             }
 
-            // Module variables and constants.
             for d in &m.decls {
                 if d.attrs.parameter {
                     for e in &d.entities {
-                        let init = e.init.as_ref().ok_or_else(|| {
-                            serr(format!("PARAMETER `{}` needs a value", e.name), d.span)
-                        })?;
-                        let c = self.const_eval(mi, init, d.span)?;
-                        self.module_consts[mi].insert(e.name.clone(), c);
+                        let c = self.parameter_value(self.module_scope(mi), d, e)?;
+                        self.modules[mi].consts.insert(e.name.clone(), c);
                     }
                     continue;
                 }
                 match &d.spec {
                     TypeSpec::Derived(tname) => {
                         let fields = self
-                            .find_typedef(mi, m, tname)
+                            .find(&self.modules[mi].visible, tname, |m| &m.types)
                             .ok_or_else(|| serr(format!("unknown TYPE `{tname}`"), d.span))?
                             .clone();
                         for e in &d.entities {
-                            let base_dims = self.const_dims_owned(
-                                mi,
-                                e.dims.as_ref().or(d.attrs.dims.as_ref()),
-                                d.span,
-                            )?;
+                            let base = self.dims_of(self.module_scope(mi), d, e)?;
                             for f in &fields {
-                                let mut dims = base_dims.clone();
+                                let mut dims = base.clone();
                                 dims.extend(f.dims.iter().copied());
                                 let key = format!("{}%{}", e.name, f.name);
                                 if dims.len() > ast::MAX_RANK {
                                     let why = ast::rank_error(dims.len());
                                     return Err(serr(format!("`{key}`: {why}"), d.span));
                                 }
-                                self.add_module_global(
-                                    mi,
-                                    &m.name,
-                                    &key,
-                                    f.ty,
+                                let info = DeclInfo {
+                                    ty: f.ty,
+                                    rank: dims.len(),
                                     dims,
-                                    0,
-                                    false,
-                                    m.threadprivate.contains(&e.name),
-                                    None,
-                                );
+                                    allocatable: false,
+                                    save: false,
+                                    init: None,
+                                };
+                                self.add_module_global(mi, m, &e.name, key, info);
                             }
                         }
                     }
@@ -192,196 +245,176 @@ impl Resolver {
                         let ty = scalar_ty(spec)
                             .ok_or_else(|| serr("CHARACTER module variables unsupported", d.span))?;
                         for e in &d.entities {
-                            let edims = e.dims.as_ref().or(d.attrs.dims.as_ref());
-                            let alloc_rank = edims
-                                .map(|v| if v.iter().any(|x| x.deferred) { v.len() } else { 0 })
-                                .unwrap_or(0);
-                            let dims = self.const_dims_owned(mi, edims, d.span)?;
-                            let init_bits = match &e.init {
-                                Some(x) => Some(self.const_bits(mi, x, ty, d.span)?),
-                                None => None,
-                            };
-                            self.add_module_global(
-                                mi,
-                                &m.name,
-                                &e.name,
-                                ty,
-                                dims,
-                                alloc_rank,
-                                d.attrs.allocatable,
-                                m.threadprivate.contains(&e.name),
-                                init_bits,
-                            );
+                            let info = self.decl_info(self.module_scope(mi), d, e, ty)?;
+                            self.add_module_global(mi, m, &e.name, e.name.clone(), info);
                         }
                     }
                 }
             }
         }
-
-        // Import used modules' symbols (transitively).
-        for (mi, m) in ast.modules.iter().enumerate() {
-            let mut seen = vec![false; ast.modules.len()];
-            let mut stack: Vec<&str> = m.uses.iter().map(|s| s.as_str()).collect();
-            while let Some(used) = stack.pop() {
-                let Some(&ui) = self.module_ids.get(used) else {
-                    return Err(serr(format!("USE of unknown module `{used}`"), m.span));
-                };
-                if seen[ui] || ui == mi {
-                    continue;
-                }
-                seen[ui] = true;
-                let imported: Vec<(String, GlobalSym)> = self.module_syms[ui]
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect();
-                for (k, v) in imported {
-                    self.module_syms[mi].entry(k).or_insert(v);
-                }
-                let consts: Vec<(String, Const)> = self.module_consts[ui]
-                    .iter()
-                    .map(|(k, v)| (k.clone(), *v))
-                    .collect();
-                for (k, v) in consts {
-                    self.module_consts[mi].entry(k).or_insert(v);
-                }
-                let tds: Vec<(String, Vec<FieldInfo>)> = self.typedefs[ui]
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect();
-                for (k, v) in tds {
-                    self.typedefs[mi].entry(k).or_insert(v);
-                }
-                stack.extend(ast.modules[ui].uses.iter().map(|s| s.as_str()));
-            }
-        }
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
+    fn module_id(&self, name: &str, span: Span) -> Result<usize, CompileError> {
+        let id = self.module_ids.get(name).copied();
+        id.ok_or_else(|| serr(format!("USE of unknown module `{name}`"), span))
+    }
+
+    /// Declares the module variable `key` (`base` or `base%field`).
     fn add_module_global(
         &mut self,
         mi: usize,
-        module: &str,
-        key: &str,
-        ty: ScalarTy,
-        dims: Vec<(i64, i64)>,
-        alloc_rank: usize,
-        allocatable: bool,
-        per_thread: bool,
-        init_bits: Option<u64>,
+        m: &ast::Module,
+        base: &String,
+        key: String,
+        info: DeclInfo,
     ) {
-        let cell = self.globals.len();
-        let rank = if allocatable { alloc_rank.max(dims.len()) } else { dims.len() };
+        let per_thread = m.threadprivate.contains(base);
+        let sym = self.declare_global(format!("{}::{key}", m.name), info, per_thread);
+        self.modules[mi].vars.insert(key, sym);
+    }
+
+    /// Makes the storage cell `name` for a declared entity: the one place
+    /// a [`GlobalDecl`] is built.
+    fn declare_global(&mut self, name: String, mut info: DeclInfo, per_thread: bool) -> Sym {
+        let (init_bits, init_elems) = InitV::split(info.init.take());
+        let sym = info.at(Place::Global(self.globals.len()));
         self.globals.push(GlobalDecl {
-            name: format!("{module}::{key}"),
-            ty,
-            rank,
-            dims: if allocatable { vec![] } else { dims.clone() },
-            allocatable,
+            name,
+            ty: sym.ty,
+            rank: sym.rank,
+            dims: sym.dims.clone(),
+            allocatable: sym.allocatable,
             per_thread,
             reduction: false,
             init_bits,
-            init_elems: None,
+            init_elems,
         });
-        self.module_syms[mi].insert(
-            key.to_string(),
-            GlobalSym { cell, ty, rank, dims, allocatable },
-        );
+        sym
     }
 
-    fn find_typedef<'a>(
+    // ------------- names and constants -------------
+
+    /// What the first module of `modules` to declare `name` says of it, in
+    /// the table `of` picks.
+    fn find<'a, T>(
         &'a self,
-        mi: usize,
-        _m: &ast::Module,
+        modules: &[usize],
         name: &str,
-    ) -> Option<&'a Vec<FieldInfo>> {
-        self.typedefs[mi].get(name)
+        of: impl Fn(&'a ModScope) -> &'a HashMap<String, T>,
+    ) -> Option<&'a T> {
+        modules.iter().find_map(|&m| of(&self.modules[m]).get(name))
     }
 
-    // ------------- constants -------------
+    fn module_scope(&self, mi: usize) -> Scope<'_> {
+        Scope { consts: None, modules: &self.modules[mi].visible }
+    }
 
-    fn const_eval(&self, mi: usize, e: &Expr, span: Span) -> Result<Const, CompileError> {
-        Ok(match e {
-            Expr::Int(v) => Const::I(*v),
-            Expr::Real(v) => Const::F(*v),
-            Expr::Logical(b) => Const::B(*b),
-            Expr::Neg(x) => match self.const_eval(mi, x, span)? {
-                Const::I(v) => Const::I(-v),
-                Const::F(v) => Const::F(-v),
-                Const::B(_) => return Err(serr("cannot negate LOGICAL", span)),
-            },
-            Expr::Name(d) if d.parts.len() == 1 && d.parts[0].subs.is_empty() => self
-                .module_consts[mi]
-                .get(&d.parts[0].name)
-                .copied()
-                .ok_or_else(|| {
-                    serr(format!("`{}` is not a constant", d.parts[0].name), span)
-                })?,
-            Expr::Bin(op, l, r) => {
-                let l = self.const_eval(mi, l, span)?;
-                let r = self.const_eval(mi, r, span)?;
-                match (op, l, r) {
-                    (Bin::Add, Const::I(a), Const::I(b)) => Const::I(a + b),
-                    (Bin::Sub, Const::I(a), Const::I(b)) => Const::I(a - b),
-                    (Bin::Mul, Const::I(a), Const::I(b)) => Const::I(a * b),
-                    (Bin::Div, Const::I(a), Const::I(b)) if b != 0 => Const::I(a / b),
-                    (Bin::Add, Const::F(a), Const::F(b)) => Const::F(a + b),
-                    (Bin::Mul, Const::F(a), Const::F(b)) => Const::F(a * b),
-                    _ => return Err(serr("unsupported constant expression", span)),
-                }
-            }
-            _ => return Err(serr("unsupported constant expression", span)),
+    fn find_const<'a>(&'a self, scope: Scope<'a>, name: &str) -> Option<&'a Expr> {
+        let own = scope.consts.and_then(|c| c.get(name));
+        own.or_else(|| self.find(scope.modules, name, |m| &m.consts))
+    }
+
+    /// The literal `e` folds to in `scope`.
+    fn const_of(&self, scope: Scope, e: &Expr, span: Span) -> Result<Expr, CompileError> {
+        cfold(e, &|n| self.find_const(scope, n).cloned()).map_err(|at| match at {
+            Expr::Name(d) => serr(format!("`{}` is not a constant", d.base()), span),
+            _ => serr("unsupported constant expression", span),
         })
-    }
-
-    fn const_i(&self, mi: usize, e: &Expr, span: Span) -> Result<i64, CompileError> {
-        match self.const_eval(mi, e, span)? {
-            Const::I(v) => Ok(v),
-            _ => Err(serr("expected integer constant", span)),
-        }
     }
 
     fn const_bits(
         &self,
-        mi: usize,
+        scope: Scope,
         e: &Expr,
         ty: ScalarTy,
         span: Span,
     ) -> Result<u64, CompileError> {
-        Ok(match (self.const_eval(mi, e, span)?, ty) {
-            (Const::I(v), ScalarTy::I) => v as u64,
-            (Const::I(v), ScalarTy::F) => (v as f64).to_bits(),
-            (Const::F(v), ScalarTy::F) => v.to_bits(),
-            (Const::B(b), ScalarTy::B) => u64::from(b),
+        Ok(match (self.const_of(scope, e, span)?, ty) {
+            (Expr::Int(v), ScalarTy::I) => v as u64,
+            (Expr::Int(v), ScalarTy::F) => (v as f64).to_bits(),
+            (Expr::Real(v), ScalarTy::F) => v.to_bits(),
+            (Expr::Logical(b), ScalarTy::B) => u64::from(b),
             _ => return Err(serr("initializer type mismatch", span)),
         })
     }
 
-    /// Constant dims: `(lo, hi)` with lo defaulting to 1. Deferred (`:`)
-    /// dims yield an empty vec (allocatable).
-    fn const_dims_owned(
+    /// Constant dims of the entity `e` that `d` declares: `(lo, hi)` with
+    /// lo defaulting to 1. No dims, or deferred (`:`) ones, yield an empty
+    /// vec.
+    fn dims_of(
         &self,
-        mi: usize,
-        dims: Option<&Vec<DimDecl>>,
-        span: Span,
+        scope: Scope,
+        d: &ast::Decl,
+        e: &ast::Entity,
     ) -> Result<Vec<(i64, i64)>, CompileError> {
-        let Some(dims) = dims else { return Ok(vec![]) };
-        if dims.iter().any(|d| d.deferred) {
+        let span = d.span;
+        let Some(dims) = declared_dims(d, e).filter(|v| !v.iter().any(|d| d.deferred)) else {
             return Ok(vec![]);
+        };
+        let folded = extents(dims, &|n| self.find_const(scope, n).cloned()).ok_or_else(|| {
+            serr(
+                "array dimensions must be compile-time constants (use ALLOCATABLE for dynamic shapes)",
+                span,
+            )
+        })?;
+        match folded.iter().find(|(lo, hi)| hi < lo) {
+            Some((lo, hi)) => Err(serr(format!("empty dimension {lo}:{hi}"), span)),
+            None => Ok(folded),
         }
-        dims.iter()
-            .map(|d| {
-                let hi = self.const_i(mi, d.hi.as_ref().expect("non-deferred"), span)?;
-                let lo = match &d.lo {
-                    Some(e) => self.const_i(mi, e, span)?,
-                    None => 1,
-                };
-                if hi < lo {
-                    return Err(serr(format!("empty dimension {lo}:{hi}"), span));
+    }
+
+    /// The literal the PARAMETER entity `e` of `d` stands for.
+    fn parameter_value(
+        &self,
+        scope: Scope,
+        d: &ast::Decl,
+        e: &ast::Entity,
+    ) -> Result<Expr, CompileError> {
+        let init = e
+            .init
+            .as_ref()
+            .ok_or_else(|| serr(format!("PARAMETER `{}` needs a value", e.name), d.span))?;
+        self.const_of(scope, init, d.span)
+    }
+
+    /// Shape and initializer of the variable `e` that `d` declares.
+    fn decl_info(
+        &self,
+        scope: Scope,
+        d: &ast::Decl,
+        e: &ast::Entity,
+        ty: ScalarTy,
+    ) -> Result<DeclInfo, CompileError> {
+        let dims = self.dims_of(scope, d, e)?;
+        let rank = declared_dims(d, e).map_or(0, Vec::len);
+        if dims.len() != rank && !d.attrs.allocatable {
+            return Err(serr(
+                format!("`{}`: deferred shape requires ALLOCATABLE", e.name),
+                d.span,
+            ));
+        }
+        let init = match (&e.init, &e.init_list) {
+            (Some(x), _) => Some(InitV::One(self.const_bits(scope, x, ty, d.span)?)),
+            (None, Some(xs)) => {
+                let count: i64 = dims.iter().map(|(lo, hi)| hi - lo + 1).product();
+                if xs.len() as i64 != count {
+                    return Err(serr(
+                        format!(
+                            "`{}`: {} initializer value(s) for {} element(s)",
+                            e.name,
+                            xs.len(),
+                            count
+                        ),
+                        d.span,
+                    ));
                 }
-                Ok((lo, hi))
-            })
-            .collect()
+                let bits = xs.iter().map(|x| self.const_bits(scope, x, ty, d.span));
+                Some(InitV::Many(bits.collect::<Result<_, _>>()?))
+            }
+            (None, None) => None,
+        };
+        Ok(DeclInfo { ty, rank, dims, allocatable: d.attrs.allocatable, save: d.attrs.save, init })
     }
 
     // ------------- phase B: unit signatures -------------
@@ -413,41 +446,37 @@ impl Resolver {
     // ------------- phase C: units -------------
 
     fn resolve_unit(&mut self, mi: usize, u: &ast::Unit) -> Result<RUnit, CompileError> {
+        // The unit's own USEs (paper §3.1 — per-subprogram USE statements)
+        // come before its module's chain.
+        let mut scope: Vec<usize> = Vec::new();
+        for used in u.uses.iter().map(Some).chain([None]) {
+            let head = match used {
+                Some(name) => self.module_id(name, u.span)?,
+                None => mi,
+            };
+            for &v in &self.modules[head].visible {
+                if !scope.contains(&v) {
+                    scope.push(v);
+                }
+            }
+        }
         let mut uc = UnitCtx {
+            unit_name: &u.name,
+            scope,
             vars: Vec::new(),
             names: HashMap::new(),
             consts: HashMap::new(),
-            extra_syms: HashMap::new(),
             frame_size: 0,
             result: None,
-            unit_name: u.name.clone(),
-            mi,
             loop_depth: 0,
         };
 
-        // Declarations: build (name -> decl info) first.
-        struct DeclInfo {
-            ty: ScalarTy,
-            dims: Vec<(i64, i64)>,
-            allocatable: bool,
-            alloc_rank: usize,
-            save: bool,
-            /// `DATA`-style static initializer: scalar bits or one word
-            /// per array element (what `f77spec` makes of a `DATA` statement).
-            init: Option<InitV>,
-        }
-        enum InitV {
-            One(u64),
-            Many(Vec<u64>),
-        }
+        // Declarations: what each says (name -> decl info) first.
         let mut decls: HashMap<String, DeclInfo> = HashMap::new();
         for d in &u.decls {
             if d.attrs.parameter {
                 for e in &d.entities {
-                    let init = e.init.as_ref().ok_or_else(|| {
-                        serr(format!("PARAMETER `{}` needs a value", e.name), d.span)
-                    })?;
-                    let c = self.const_eval(mi, init, d.span)?;
+                    let c = self.parameter_value(uc.scope(), d, e)?;
                     uc.consts.insert(e.name.clone(), c);
                 }
                 continue;
@@ -465,99 +494,32 @@ impl Resolver {
                 },
             };
             for e in &d.entities {
-                let edims = e.dims.as_ref().or(d.attrs.dims.as_ref());
-                let deferred = edims.map(|v| v.iter().any(|x| x.deferred)).unwrap_or(false);
-                let alloc_rank = if deferred { edims.unwrap().len() } else { 0 };
-                let dims = if deferred {
-                    vec![]
-                } else {
-                    self.unit_const_dims(&uc, edims, d.span)?
-                };
-                if deferred && !d.attrs.allocatable {
-                    return Err(serr(
-                        format!("`{}`: deferred shape requires ALLOCATABLE", e.name),
-                        d.span,
-                    ));
-                }
-                let init = match (&e.init, &e.init_list) {
-                    (Some(x), _) => Some(InitV::One(self.const_bits(mi, x, ty, d.span)?)),
-                    (None, Some(xs)) => {
-                        let count: i64 = dims.iter().map(|(lo, hi)| hi - lo + 1).product();
-                        if xs.len() as i64 != count {
-                            return Err(serr(
-                                format!(
-                                    "`{}`: {} initializer value(s) for {} element(s)",
-                                    e.name,
-                                    xs.len(),
-                                    count
-                                ),
-                                d.span,
-                            ));
-                        }
-                        let mut bits = Vec::with_capacity(xs.len());
-                        for x in xs {
-                            bits.push(self.const_bits(mi, x, ty, d.span)?);
-                        }
-                        Some(InitV::Many(bits))
-                    }
-                    (None, None) => None,
-                };
-                decls.insert(
-                    e.name.clone(),
-                    DeclInfo {
-                        ty,
-                        dims,
-                        allocatable: d.attrs.allocatable,
-                        alloc_rank,
-                        save: d.attrs.save,
-                        init,
-                    },
-                );
+                decls.insert(e.name.clone(), self.decl_info(uc.scope(), d, e, ty)?);
             }
         }
 
         // Parameters.
         for p in &u.params {
-            let info = decls.remove(p).ok_or_else(|| {
+            let (name, info) = decls.remove_entry(p).ok_or_else(|| {
                 serr(format!("parameter `{p}` has no declaration"), u.span)
             })?;
-            let slot = uc.frame_size;
-            uc.frame_size += 1;
-            let idx = uc.vars.len();
-            uc.vars.push(VarInfo {
-                name: p.clone(),
-                ty: info.ty,
-                place: Place::Frame(slot),
-                rank: if info.allocatable { info.alloc_rank } else { info.dims.len() },
-                dims: info.dims,
-                allocatable: info.allocatable,
-                is_param: true,
-            });
-            uc.names.insert(p.clone(), idx);
+            let slot = uc.new_slot();
+            uc.bind(name, info.at(slot), true);
         }
 
         // COMMON members (§3.2): storage-associated by position.
         for (block, members) in &u.commons {
-            let mut layout: Vec<GlobalSym> = Vec::new();
-            let existing = self.commons.get(block).cloned();
+            let mut layout: Vec<Sym> = Vec::new();
             for (pos, name) in members.iter().enumerate() {
-                let info = decls.remove(name).ok_or_else(|| {
+                let (name, info) = decls.remove_entry(name).ok_or_else(|| {
                     serr(format!("COMMON member `{name}` has no type declaration"), u.span)
                 })?;
-                let (init_bits, init_elems) = match info.init {
-                    Some(InitV::One(b)) => (Some(b), None),
-                    Some(InitV::Many(v)) => (None, Some(v)),
-                    None => (None, None),
-                };
-                let sym = match &existing {
+                let sym = match self.commons.get(block) {
                     Some(prev) => {
-                        let prev_sym = prev.get(pos).ok_or_else(|| {
-                            serr(
-                                format!("COMMON /{block}/ has fewer members elsewhere"),
-                                u.span,
-                            )
+                        let prev = prev.get(pos).ok_or_else(|| {
+                            serr(format!("COMMON /{block}/ has fewer members elsewhere"), u.span)
                         })?;
-                        if prev_sym.ty != info.ty || prev_sym.dims != info.dims {
+                        if prev.ty != info.ty || prev.dims != info.dims {
                             return Err(serr(
                                 format!(
                                     "COMMON /{block}/ member {pos} shape/type mismatch for `{name}`"
@@ -565,8 +527,9 @@ impl Resolver {
                                 u.span,
                             ));
                         }
-                        if init_bits.is_some() || init_elems.is_some() {
-                            let g = &mut self.globals[prev_sym.cell];
+                        let prev = prev.clone();
+                        if let (Some(init), Place::Global(cell)) = (info.init, prev.place) {
+                            let g = &mut self.globals[cell];
                             if g.init_bits.is_some() || g.init_elems.is_some() {
                                 return Err(serr(
                                     format!(
@@ -576,129 +539,42 @@ impl Resolver {
                                     u.span,
                                 ));
                             }
-                            g.init_bits = init_bits;
-                            g.init_elems = init_elems;
+                            (g.init_bits, g.init_elems) = InitV::split(Some(init));
                         }
-                        prev_sym.clone()
+                        prev
                     }
-                    None => {
-                        let cell = self.globals.len();
-                        self.globals.push(GlobalDecl {
-                            name: format!("common {block}::{name}"),
-                            ty: info.ty,
-                            rank: info.dims.len(),
-                            dims: info.dims.clone(),
-                            allocatable: false,
-                            per_thread: false,
-                            reduction: false,
-                            init_bits,
-                            init_elems,
-                        });
-                        GlobalSym {
-                            cell,
-                            ty: info.ty,
-                            rank: info.dims.len(),
-                            dims: info.dims.clone(),
-                            allocatable: false,
-                        }
-                    }
+                    None => self.declare_global(format!("common {block}::{name}"), info, false),
                 };
-                let idx = uc.vars.len();
-                uc.vars.push(VarInfo {
-                    name: name.clone(),
-                    ty: sym.ty,
-                    place: Place::Global(sym.cell),
-                    rank: sym.rank,
-                    dims: sym.dims.clone(),
-                    allocatable: false,
-                    is_param: false,
-                });
-                uc.names.insert(name.clone(), idx);
+                uc.bind(name, sym.clone(), false);
                 layout.push(sym);
             }
-            if existing.is_none() {
+            if !self.commons.contains_key(block) {
                 self.commons.insert(block.clone(), layout);
             }
         }
 
-        // Remaining locals.
-        let mut local_names: Vec<String> = decls.keys().cloned().collect();
-        local_names.sort();
-        for name in local_names {
-            let info = &decls[&name];
-            let idx = uc.vars.len();
-            let place = if info.save {
+        // Remaining locals, in name order: slots and var numbers follow it.
+        let mut locals: Vec<(String, DeclInfo)> = decls.into_iter().collect();
+        locals.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        for (name, info) in locals {
+            let sym = if info.save {
                 // SAVE: persistent per-thread global (see DESIGN.md —
                 // matches the paper's SAVE + threadprivate adaptation).
-                let (init_bits, init_elems) = match &info.init {
-                    Some(InitV::One(b)) => (Some(*b), None),
-                    Some(InitV::Many(v)) => (None, Some(v.clone())),
-                    None => (None, None),
-                };
-                let cell = self.globals.len();
-                self.globals.push(GlobalDecl {
-                    name: format!("{}::{}", u.name, name),
-                    ty: info.ty,
-                    rank: if info.allocatable { info.alloc_rank } else { info.dims.len() },
-                    dims: info.dims.clone(),
-                    allocatable: info.allocatable,
-                    per_thread: true,
-                    reduction: false,
-                    init_bits,
-                    init_elems,
-                });
-                Place::Global(cell)
+                self.declare_global(format!("{}::{name}", u.name), info, true)
             } else {
-                let slot = uc.frame_size;
-                uc.frame_size += 1;
-                Place::Frame(slot)
+                let slot = uc.new_slot();
+                info.at(slot)
             };
-            uc.vars.push(VarInfo {
-                name: name.clone(),
-                ty: info.ty,
-                place,
-                rank: if info.allocatable { info.alloc_rank } else { info.dims.len() },
-                dims: info.dims.clone(),
-                allocatable: info.allocatable,
-                is_param: false,
-            });
-            uc.names.insert(name.clone(), idx);
+            uc.bind(name, sym, false);
         }
 
         // Function result slot.
         if let UnitKind::Function(spec) = &u.kind {
             let ty = scalar_ty(spec).unwrap();
-            let slot = uc.frame_size;
-            uc.frame_size += 1;
-            let idx = uc.vars.len();
-            uc.vars.push(VarInfo {
-                name: u.name.clone(),
-                ty,
-                place: Place::Frame(slot),
-                rank: 0,
-                dims: vec![],
-                allocatable: false,
-                is_param: false,
-            });
-            uc.names.insert(u.name.clone(), idx);
-            uc.result = Some((idx, ty));
+            let place = uc.new_slot();
+            let result = Sym { place, ty, rank: 0, dims: vec![], allocatable: false };
+            uc.result = Some((uc.bind(u.name.clone(), result, false), ty));
         }
-
-        // Extra USE inside the unit: import those modules' symbols for
-        // resolution (paper §3.1 — per-subprogram USE statements).
-        let mut extra_syms: HashMap<String, GlobalSym> = HashMap::new();
-        for used in &u.uses {
-            let Some(&ui) = self.module_ids.get(used) else {
-                return Err(serr(format!("USE of unknown module `{used}`"), u.span));
-            };
-            for (k, v) in &self.module_syms[ui] {
-                extra_syms.entry(k.clone()).or_insert_with(|| v.clone());
-            }
-            for (k, v) in &self.module_consts[ui] {
-                uc.consts.entry(k.clone()).or_insert(*v);
-            }
-        }
-        uc.extra_syms = extra_syms;
 
         let body = self.resolve_block(&mut uc, &u.body)?;
         Ok(RUnit {
@@ -709,53 +585,6 @@ impl Resolver {
             vars: uc.vars,
             body,
         })
-    }
-
-    fn unit_const_dims(
-        &self,
-        uc: &UnitCtx,
-        dims: Option<&Vec<DimDecl>>,
-        span: Span,
-    ) -> Result<Vec<(i64, i64)>, CompileError> {
-        let Some(dims) = dims else { return Ok(vec![]) };
-        dims.iter()
-            .map(|d| {
-                let hi_e = d.hi.as_ref().ok_or_else(|| serr("deferred dim here", span))?;
-                let hi = self.unit_const_i(uc, hi_e, span)?;
-                let lo = match &d.lo {
-                    Some(e) => self.unit_const_i(uc, e, span)?,
-                    None => 1,
-                };
-                if hi < lo {
-                    return Err(serr(format!("empty dimension {lo}:{hi}"), span));
-                }
-                Ok((lo, hi))
-            })
-            .collect()
-    }
-
-    fn unit_const_i(&self, uc: &UnitCtx, e: &Expr, span: Span) -> Result<i64, CompileError> {
-        let not_const = || {
-            serr(
-                "array dimensions must be compile-time constants (use ALLOCATABLE for dynamic shapes)",
-                span,
-            )
-        };
-        match e {
-            Expr::Int(v) => Ok(*v),
-            Expr::Neg(x) => Ok(-self.unit_const_i(uc, x, span)?),
-            Expr::Name(d) if d.parts.len() == 1 && d.parts[0].subs.is_empty() => {
-                match uc.consts.get(&d.parts[0].name) {
-                    Some(Const::I(v)) => Ok(*v),
-                    _ => self.const_i(uc.mi, e, span).map_err(|_| not_const()),
-                }
-            }
-            Expr::Bin(..) => {
-                // Try module consts.
-                self.const_i(uc.mi, e, span).map_err(|_| not_const())
-            }
-            _ => Err(not_const()),
-        }
     }
 
     // ------------- statements -------------
@@ -803,7 +632,7 @@ impl Resolver {
                 let sig = self
                     .unit_sigs
                     .get(name)
-                    .cloned()
+                    .copied()
                     .ok_or_else(|| serr(format!("CALL of unknown subroutine `{name}`"), *span))?;
                 if sig.ret.is_some() {
                     return Err(serr(format!("`{name}` is a FUNCTION, not a SUBROUTINE"), *span));
@@ -826,7 +655,7 @@ impl Resolver {
                     return Err(serr("one array per ALLOCATE statement, please", *span));
                 }
                 let (d, dims) = &items[0];
-                let v = uc.lookup(self, d.base(), *span)?;
+                let v = uc.var(self, d.base(), *span)?;
                 if !uc.vars[v].allocatable {
                     return Err(serr(format!("`{}` is not ALLOCATABLE", d.base()), *span));
                 }
@@ -850,7 +679,7 @@ impl Resolver {
                 if names.len() != 1 {
                     return Err(serr("one array per DEALLOCATE statement, please", *span));
                 }
-                let v = uc.lookup(self, names[0].base(), *span)?;
+                let v = uc.var(self, names[0].base(), *span)?;
                 Ok(RStmt::Deallocate { v })
             }
             Stmt::Critical { name, body, span: _ } => Ok(RStmt::Critical {
@@ -900,7 +729,7 @@ impl Resolver {
         span: Span,
     ) -> Result<RStmt, CompileError> {
         let (v, subs) = self.resolve_target(uc, target, span)?;
-        let info = uc.vars[v].clone();
+        let (ty, rank) = (uc.vars[v].ty, uc.vars[v].rank);
         if atomic {
             // Must match `t = t op e` / `t = max(t, e)` etc.
             let (op, rest) = match_atomic_pattern(target, value).ok_or_else(|| {
@@ -908,17 +737,17 @@ impl Resolver {
             })?;
             let rsubs = subs
                 .iter()
-                .map(|e| self.resolve_int_expr_ast(uc, e, span))
+                .map(|e| self.resolve_int_expr(uc, e, span))
                 .collect::<Result<Vec<_>, _>>()?;
             let (re, rty) = self.resolve_expr(uc, &rest, span)?;
-            let re = coerce(re, rty, info.ty, span)?;
+            let re = coerce(re, rty, ty, span)?;
             return Ok(RStmt::AtomicUpdate { v, subs: rsubs, op, e: re });
         }
         // Whole-array forms.
-        if info.rank > 0 && subs.is_empty() {
+        if rank > 0 && subs.is_empty() {
             if let Expr::Name(d) = value {
                 if d.parts.len() == 1 && d.parts[0].subs.is_empty() {
-                    if let Ok(src) = uc.lookup(self, d.base(), span) {
+                    if let Some(src) = uc.lookup(self, d.base()) {
                         if uc.vars[src].rank > 0 {
                             return Ok(RStmt::CopyArray { dst: v, src });
                         }
@@ -926,22 +755,22 @@ impl Resolver {
                 }
             }
             let (re, rty) = self.resolve_expr(uc, value, span)?;
-            let re = coerce(re, rty, info.ty, span)?;
+            let re = coerce(re, rty, ty, span)?;
             return Ok(RStmt::Broadcast { v, e: re });
         }
-        if info.rank > 0 && subs.len() != info.rank {
+        if rank > 0 && subs.len() != rank {
             return Err(serr(
-                format!("`{}` has rank {}, got {} subscripts", info.name, info.rank, subs.len()),
+                format!("`{}` has rank {rank}, got {} subscripts", uc.vars[v].name, subs.len()),
                 span,
             ));
         }
         let rsubs = subs
             .iter()
-            .map(|e| self.resolve_int_expr_ast(uc, e, span))
+            .map(|e| self.resolve_int_expr(uc, e, span))
             .collect::<Result<Vec<_>, _>>()?;
         let (re, rty) = self.resolve_expr(uc, value, span)?;
-        let re = coerce(re, rty, info.ty, span)?;
-        if info.rank == 0 {
+        let re = coerce(re, rty, ty, span)?;
+        if rank == 0 {
             Ok(RStmt::AssignScalar { v, e: re })
         } else {
             Ok(RStmt::AssignElem { v, subs: rsubs, e: re })
@@ -960,7 +789,7 @@ impl Resolver {
         omp: Option<&ast::OmpDo>,
         span: Span,
     ) -> Result<RStmt, CompileError> {
-        let v = uc.lookup(self, var, span)?;
+        let v = uc.var(self, var, span)?;
         if uc.vars[v].ty != ScalarTy::I || uc.vars[v].rank != 0 {
             return Err(serr(format!("loop variable `{var}` must be INTEGER scalar"), span));
         }
@@ -976,12 +805,12 @@ impl Resolver {
             Some(o) => {
                 let mut private = Vec::new();
                 for n in o.private.iter().chain(o.firstprivate.iter()) {
-                    private.push(uc.lookup(self, n, span)?);
+                    private.push(uc.var(self, n, span)?);
                 }
                 let mut reductions = Vec::new();
                 for (op, names) in &o.reductions {
                     for n in names {
-                        let rv = uc.lookup(self, n, span)?;
+                        let rv = uc.var(self, n, span)?;
                         if uc.vars[rv].rank != 0 {
                             return Err(serr(
                                 format!("REDUCTION variable `{n}` must be scalar"),
@@ -1029,7 +858,7 @@ impl Resolver {
             while need > 0 {
                 match inner_body {
                     [Stmt::Do { var, start, end, step: None, body, omp: None, span: ispan }] => {
-                        let iv = uc.lookup(self, var, *ispan)?;
+                        let iv = uc.var(self, var, *ispan)?;
                         collapse_with.push(CollapseDim {
                             var: iv,
                             start: self.resolve_int_expr(uc, start, *ispan)?,
@@ -1075,7 +904,7 @@ impl Resolver {
             .map(|a| {
                 if let Expr::Name(d) = a {
                     if d.parts.len() == 1 {
-                        if let Ok(v) = uc.lookup(self, d.base(), span) {
+                        if let Some(v) = uc.lookup(self, d.base()) {
                             let info = &uc.vars[v];
                             if d.parts[0].subs.is_empty() {
                                 return Ok(if info.rank > 0 {
@@ -1110,15 +939,6 @@ impl Resolver {
     ) -> Result<RExpr, CompileError> {
         let (re, ty) = self.resolve_expr(uc, e, span)?;
         coerce(re, ty, ScalarTy::I, span)
-    }
-
-    fn resolve_int_expr_ast(
-        &mut self,
-        uc: &mut UnitCtx,
-        e: &Expr,
-        span: Span,
-    ) -> Result<RExpr, CompileError> {
-        self.resolve_int_expr(uc, e, span)
     }
 
     fn resolve_expr(
@@ -1209,7 +1029,7 @@ impl Resolver {
         // Derived-type path: base%field — flattened global.
         if d.parts.len() == 2 {
             let key = format!("{}%{}", d.parts[0].name, d.parts[1].name);
-            let v = uc.lookup(self, &key, span)?;
+            let v = uc.var(self, &key, span)?;
             let mut subs = Vec::new();
             for s in d.parts[0].subs.iter().chain(d.parts[1].subs.iter()) {
                 subs.push(self.resolve_int_expr(uc, s, span)?);
@@ -1230,39 +1050,30 @@ impl Resolver {
         let part = &d.parts[0];
         let name = part.name.as_str();
 
-        // Constants.
-        if part.subs.is_empty() {
-            if let Some(c) = uc.consts.get(name).copied().or_else(|| {
-                self.module_consts[uc.mi].get(name).copied()
-            }) {
-                return Ok(match c {
-                    Const::I(v) => (RExpr::ConstI(v), ScalarTy::I),
-                    Const::F(v) => (RExpr::ConstF(v), ScalarTy::F),
-                    Const::B(b) => (RExpr::ConstB(b), ScalarTy::B),
-                });
+        // Constants, unless a variable the unit binds hides the name.
+        let bound = uc.names.get(name).copied();
+        if bound.is_none() && part.subs.is_empty() {
+            if let Some(lit) = self.find_const(uc.scope(), name).cloned() {
+                return self.resolve_expr(uc, &lit, span);
             }
         }
 
         // Variables.
-        if let Ok(v) = uc.lookup(self, name, span) {
-            let info = uc.vars[v].clone();
+        if let Some(v) = bound.or_else(|| uc.lookup(self, name)) {
+            let (ty, rank) = (uc.vars[v].ty, uc.vars[v].rank);
             if part.subs.is_empty() {
-                if info.rank == 0 {
-                    return Ok((RExpr::LoadScalar(v), info.ty));
+                if rank == 0 {
+                    return Ok((RExpr::LoadScalar(v), ty));
                 }
                 return Err(serr(
                     format!("whole-array `{name}` not valid in this expression"),
                     span,
                 ));
             }
-            if info.rank > 0 {
-                if part.subs.len() != info.rank {
+            if rank > 0 {
+                if part.subs.len() != rank {
                     return Err(serr(
-                        format!(
-                            "`{name}` has rank {}, got {} subscripts",
-                            info.rank,
-                            part.subs.len()
-                        ),
+                        format!("`{name}` has rank {rank}, got {} subscripts", part.subs.len()),
                         span,
                     ));
                 }
@@ -1271,7 +1082,7 @@ impl Resolver {
                     .iter()
                     .map(|e| self.resolve_int_expr(uc, e, span))
                     .collect::<Result<Vec<_>, _>>()?;
-                return Ok((RExpr::LoadElem { v, subs }, info.ty));
+                return Ok((RExpr::LoadElem { v, subs }, ty));
             }
             return Err(serr(format!("scalar `{name}` subscripted"), span));
         }
@@ -1279,7 +1090,7 @@ impl Resolver {
         // ALLOCATED(x).
         if name == "allocated" && part.subs.len() == 1 {
             if let Expr::Name(ad) = &part.subs[0] {
-                let v = uc.lookup(self, ad.base(), span)?;
+                let v = uc.var(self, ad.base(), span)?;
                 return Ok((RExpr::AllocatedQ(v), ScalarTy::B));
             }
             return Err(serr("ALLOCATED takes a variable", span));
@@ -1296,7 +1107,7 @@ impl Resolver {
             if part.subs.len() == 1 {
                 if let Expr::Name(ad) = &part.subs[0] {
                     if ad.parts.len() == 1 && ad.parts[0].subs.is_empty() {
-                        if let Ok(v) = uc.lookup(self, ad.base(), span) {
+                        if let Some(v) = uc.lookup(self, ad.base()) {
                             if uc.vars[v].rank > 0 {
                                 let ty = if f == ArrRed::Size {
                                     ScalarTy::I
@@ -1355,7 +1166,7 @@ impl Resolver {
         }
 
         // User function call.
-        if let Some(sig) = self.unit_sigs.get(name).cloned() {
+        if let Some(sig) = self.unit_sigs.get(name).copied() {
             let ret = sig
                 .ret
                 .ok_or_else(|| serr(format!("SUBROUTINE `{name}` used as a function"), span))?;
@@ -1381,59 +1192,65 @@ impl Resolver {
     ) -> Result<(VarIdx, Vec<&'a Expr>), CompileError> {
         if d.parts.len() == 2 {
             let key = format!("{}%{}", d.parts[0].name, d.parts[1].name);
-            let v = uc.lookup(self, &key, span)?;
+            let v = uc.var(self, &key, span)?;
             let subs: Vec<&Expr> = d.parts[0].subs.iter().chain(d.parts[1].subs.iter()).collect();
             return Ok((v, subs));
         }
-        let v = uc.lookup(self, d.base(), span)?;
+        let v = uc.var(self, d.base(), span)?;
         Ok((v, d.parts[0].subs.iter().collect()))
     }
 }
 
 /// Per-unit resolution context.
-#[derive(Default)]
-struct UnitCtx {
+struct UnitCtx<'a> {
+    unit_name: &'a str,
+    /// The modules a name the unit does not declare is looked up in, in
+    /// order: what the unit's own `USE`s see, then what its module sees.
+    scope: Vec<usize>,
     vars: Vec<VarInfo>,
     names: HashMap<String, VarIdx>,
-    consts: HashMap<String, Const>,
-    extra_syms: HashMap<String, GlobalSym>,
+    consts: HashMap<String, Expr>,
     frame_size: usize,
     result: Option<(VarIdx, ScalarTy)>,
-    unit_name: String,
-    mi: usize,
     loop_depth: usize,
 }
 
-impl UnitCtx {
-    /// Looks a name up: unit locals → unit USE imports → module symbols.
-    /// Global hits are interned into the unit var table on first use.
-    fn lookup(&mut self, r: &Resolver, name: &str, span: Span) -> Result<VarIdx, CompileError> {
-        if let Some(&idx) = self.names.get(name) {
-            return Ok(idx);
-        }
-        let sym = self
-            .extra_syms
-            .get(name)
-            .or_else(|| r.module_syms[self.mi].get(name))
-            .cloned()
-            .ok_or_else(|| {
-                serr(format!("unknown variable `{name}` in `{}`", self.unit_name), span)
-            })?;
+impl UnitCtx<'_> {
+    fn scope(&self) -> Scope<'_> {
+        Scope { consts: Some(&self.consts), modules: &self.scope }
+    }
+
+    fn new_slot(&mut self) -> Place {
+        self.frame_size += 1;
+        Place::Frame(self.frame_size - 1)
+    }
+
+    /// Binds `name` to `sym`: the one place a [`VarInfo`] is built.
+    fn bind(&mut self, name: String, sym: Sym, is_param: bool) -> VarIdx {
+        let Sym { place, ty, rank, dims, allocatable } = sym;
         let idx = self.vars.len();
-        self.vars.push(VarInfo {
-            name: name.to_string(),
-            ty: sym.ty,
-            place: Place::Global(sym.cell),
-            rank: if sym.allocatable { r.globals[sym.cell].rank } else { sym.rank },
-            dims: sym.dims,
-            allocatable: sym.allocatable,
-            is_param: false,
-        });
-        self.names.insert(name.to_string(), idx);
-        Ok(idx)
+        self.names.insert(name.clone(), idx);
+        self.vars.push(VarInfo { name, ty, place, rank, dims, allocatable, is_param });
+        idx
+    }
+
+    /// Looks a variable up: what the unit binds, then the module
+    /// variables of its scope chain, bound on first use.
+    fn lookup(&mut self, r: &Resolver, name: &str) -> Option<VarIdx> {
+        if let Some(&idx) = self.names.get(name) {
+            return Some(idx);
+        }
+        let sym = r.find(&self.scope, name, |m| &m.vars)?.clone();
+        Some(self.bind(name.to_string(), sym, false))
+    }
+
+    /// [`UnitCtx::lookup`] for a name that has to be a variable.
+    fn var(&mut self, r: &Resolver, name: &str, span: Span) -> Result<VarIdx, CompileError> {
+        self.lookup(r, name).ok_or_else(|| {
+            serr(format!("unknown variable `{name}` in `{}`", self.unit_name), span)
+        })
     }
 }
-
 
 fn promote(a: ScalarTy, b: ScalarTy, span: Span) -> Result<ScalarTy, CompileError> {
     match (a, b) {

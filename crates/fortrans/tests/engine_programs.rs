@@ -679,6 +679,92 @@ END MODULE m
     assert_eq!(out.result, Some(Val::F(21.0 * 2.5)));
 }
 
+/// Names resolve through a chain of scopes — the unit, the modules its
+/// own `USE`s reach, the modules its module's `USE`s reach — and the
+/// nearest declaration wins.
+#[test]
+fn names_resolve_through_the_scope_chain() {
+    let src = r#"
+MODULE c
+  INTEGER, PARAMETER :: nc = 3
+  TYPE pair_t
+    REAL(8) :: lo
+    REAL(8), DIMENSION(1:3) :: w
+  END TYPE pair_t
+  REAL(8) :: cv
+  REAL(8) :: shade
+END MODULE c
+MODULE b
+  USE c
+  REAL(8) :: bv
+END MODULE b
+MODULE side
+  INTEGER, PARAMETER :: ns = 2
+  REAL(8) :: sv
+  REAL(8) :: bv
+END MODULE side
+MODULE a
+  USE b
+  TYPE(pair_t) :: p
+  REAL(8) :: shade
+CONTAINS
+  SUBROUTINE fill()
+    USE side
+    REAL(8), DIMENSION(1:nc + ns) :: t
+    INTEGER :: i
+    DO i = 1, nc + ns
+      t(i) = i
+    END DO
+    cv = SUM(t)
+    p%w(nc) = nc
+    sv = ns
+    shade = 1.0D0
+    bv = 7.0D0
+  END SUBROUTINE fill
+END MODULE a
+"#;
+    let e = engine(src);
+    e.run("fill", &[], ExecMode::Serial).unwrap();
+    // `a USE b USE c`: a unit of `a` sees c's variable, its PARAMETER (in
+    // an expression and in a local's bounds, beside one of `side`) and,
+    // through the module variable `p`, its TYPE.
+    assert_eq!(e.global_scalar("c::cv"), Some(Val::F(15.0)));
+    assert_eq!(e.global_array("a::p%w").unwrap().get_f(2), 3.0);
+    // The unit's own USE reaches a module that `a` does not use ...
+    assert_eq!(e.global_scalar("side::sv"), Some(Val::F(2.0)));
+    // ... and wins over what `a` sees through its own.
+    assert_eq!(e.global_scalar("side::bv"), Some(Val::F(7.0)));
+    assert_eq!(e.global_scalar("b::bv"), Some(Val::F(0.0)));
+    // A module's own variable shadows a used module's.
+    assert_eq!(e.global_scalar("a::shade"), Some(Val::F(1.0)));
+    assert_eq!(e.global_scalar("c::shade"), Some(Val::F(0.0)));
+
+    // Two used modules declaring one name is not conforming Fortran (a
+    // compiler refuses the reference as ambiguous). The chain takes the
+    // module of the earlier USE statement; this pins that, so that a
+    // change of visit order is a decision and not an accident.
+    let clash = r#"
+MODULE first
+  REAL(8) :: twin
+END MODULE first
+MODULE second
+  REAL(8) :: twin
+END MODULE second
+MODULE user
+  USE first
+  USE second
+CONTAINS
+  SUBROUTINE poke()
+    twin = 1.0D0
+  END SUBROUTINE poke
+END MODULE user
+"#;
+    let e = engine(clash);
+    e.run("poke", &[], ExecMode::Serial).unwrap();
+    assert_eq!(e.global_scalar("first::twin"), Some(Val::F(1.0)));
+    assert_eq!(e.global_scalar("second::twin"), Some(Val::F(0.0)));
+}
+
 #[test]
 fn stop_statement_surfaces() {
     let src = r#"

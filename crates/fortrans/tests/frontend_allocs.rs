@@ -1,13 +1,14 @@
-//! Allocation budgets and the AST fingerprints of the front end, for both
-//! source forms.
+//! Allocation budgets and the AST and RIR fingerprints of the front end
+//! and of sema, for both source forms.
 //!
-//! The front end is judged against the size of what it returns: this
-//! file counts heap allocations (`alloc` + `realloc` calls, per thread)
-//! made by `ProgramSet::from_sources`, `parse::parse` and `lex::lex` over
-//! fixed corpora and pins them under named budgets, and pins an FNV-1a
-//! fingerprint of the `Debug` rendering of every AST those corpora
-//! produce — so "same AST, fewer allocations" is one test rather than
-//! something inferred from the downstream differential suites.
+//! Each stage is judged against the size of what it returns: this file
+//! counts heap allocations (`alloc` + `realloc` calls, per thread) made
+//! by `ProgramSet::from_sources`, `parse::parse`, `lex::lex` and
+//! `sema::resolve` over fixed corpora and pins them under named budgets,
+//! and pins an FNV-1a fingerprint of the `Debug` rendering of every AST
+//! and every resolved program those corpora produce — so "same program,
+//! fewer allocations" is one test rather than something inferred from
+//! the downstream differential suites.
 //!
 //! The fingerprint literals were computed at the commit *before* the
 //! front end was made allocation-lean (two front ends, then); a change
@@ -15,6 +16,8 @@
 //! recomputed once since, when the card path's `PARALLEL DO` without a
 //! `COLLAPSE` clause started saying `collapse: 1` like the free-form
 //! path: 123 of the 200 programs, that substitution and nothing else.)
+//! The RIR literals were computed at the commit before sema resolved
+//! names through a scope chain.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -32,27 +35,31 @@ struct Counting;
 thread_local! {
     /// Allocation calls made by this thread (tests run one per thread).
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Blocks this thread allocated and has not freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn bump() {
+fn bump(calls: u64, live: i64) {
     // `try_with`: the allocator also runs during thread teardown.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + calls));
+    let _ = LIVE.try_with(|c| c.set(c.get() + live));
 }
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        bump();
+        bump(1, 1);
         System.alloc(l)
     }
     unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        bump();
+        bump(1, 1);
         System.alloc_zeroed(l)
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
-        bump();
+        bump(1, 0);
         System.realloc(p, l, n)
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
+        bump(0, -1);
         System.dealloc(p, l)
     }
 }
@@ -63,9 +70,15 @@ static GLOBAL: Counting = Counting;
 /// Allocation calls `f` makes on this thread; its result is dropped
 /// outside the count.
 fn allocs_of<T>(f: impl FnOnce() -> T) -> u64 {
-    let before = ALLOCS.with(Cell::get);
+    allocs_and_live_of(f).0
+}
+
+/// As [`allocs_of`], with the number of blocks still allocated when `f`
+/// returns: what its result retains.
+fn allocs_and_live_of<T>(f: impl FnOnce() -> T) -> (u64, i64) {
+    let before = (ALLOCS.with(Cell::get), LIVE.with(Cell::get));
     let out = f();
-    let n = ALLOCS.with(Cell::get) - before;
+    let n = (ALLOCS.with(Cell::get) - before.0, LIVE.with(Cell::get) - before.1);
     drop(out);
     n
 }
@@ -85,6 +98,15 @@ fn refs(sources: &[String]) -> Vec<&str> {
 
 const F77_SEEDS: std::ops::Range<u64> = 0..200;
 
+/// The two free-form corpora the budgets are stated over.
+fn free_form_corpora() -> [(&'static str, Vec<String>); 2] {
+    let fun3d = Fun3dVariant::Glaf(Fun3dConfig::default());
+    [
+        ("SARB v3", sarb::variants::variant_sources(SarbVariant::GlafParallel(3))),
+        ("FUN3D default", fun3d::variants::variant_sources(fun3d)),
+    ]
+}
+
 #[test]
 fn fixed_form_ingest_allocation_budget() {
     let mut total = 0u64;
@@ -101,18 +123,11 @@ fn fixed_form_ingest_allocation_budget() {
 
 #[test]
 fn free_form_lex_and_parse_allocation_budgets() {
-    // (sources, lex budget, parse budget): SARB v3 is 2837 / 6135 at the
-    // parent (its AST retains 1550), FUN3D default 2049 / 4585.
-    let corpora = [
-        ("SARB v3", sarb::variants::variant_sources(SarbVariant::GlafParallel(3)), 1500, 3300),
-        (
-            "FUN3D default",
-            fun3d::variants::variant_sources(Fun3dVariant::Glaf(Fun3dConfig::default())),
-            1100,
-            2450,
-        ),
-    ];
-    for (name, sources, lex_budget, parse_budget) in corpora {
+    // (lex budget, parse budget): SARB v3 is 2837 / 6135 at the parent
+    // (its AST retains 1550), FUN3D default 2049 / 4585.
+    let budgets = [(1500, 3300), (1100, 2450)];
+    for ((name, sources), (lex_budget, parse_budget)) in free_form_corpora().into_iter().zip(budgets)
+    {
         let lex: u64 =
             sources.iter().map(|s| allocs_of(|| fortrans::lex::lex(s).expect("lexes"))).sum();
         let parse: u64 =
@@ -153,5 +168,68 @@ fn ast_fingerprint_is_the_parents() {
     assert_eq!(
         glaf, 0xe3bd_97dd_8fe0_301e,
         "GLAF source sets: the free-form front end built a different AST"
+    );
+}
+
+#[test]
+fn sema_allocation_budgets() {
+    // SARB v3 is 2256 at the parent (the RIR retains 722), FUN3D default
+    // 1154 (437).
+    for ((name, sources), budget) in free_form_corpora().into_iter().zip([1650, 800]) {
+        let ast = ProgramSet::from_sources(&refs(&sources)).expect("parses").ast;
+        let (n, live) = allocs_and_live_of(|| fortrans::sema::resolve(&ast).expect("resolves"));
+        // Printed, not gated: the quickest of 300 runs.
+        let quickest = (0..300)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                let prog = fortrans::sema::resolve(&ast);
+                let dt = t.elapsed();
+                drop(prog);
+                dt
+            })
+            .min()
+            .expect("ran");
+        println!(
+            "{name}: sema {n} allocations, {live} live after, {:.1} us",
+            quickest.as_secs_f64() * 1e6
+        );
+        assert!(n <= budget, "{name}: sema makes {n} allocations (budget {budget})");
+    }
+    // 680 at the parent; the RIRs returned retain 316.
+    let (mut total, mut live) = (0u64, 0i64);
+    for seed in F77_SEEDS {
+        let sources = fortrans::gen::generate(seed);
+        let ast = ProgramSet::from_sources(&refs(&sources)).expect("corpus program ingests").ast;
+        let (n, l) = allocs_and_live_of(|| fortrans::sema::resolve(&ast).expect("resolves"));
+        total += n;
+        live += l;
+    }
+    let programs = F77_SEEDS.end - F77_SEEDS.start;
+    let (mean, live) = (total / programs, live / programs as i64);
+    println!("generated F77 corpus: sema mean {mean} allocations per program, {live} live after");
+    assert!(mean <= 550, "sema makes {mean} allocations per generated program (budget 550)");
+}
+
+#[test]
+fn rir_fingerprint_is_the_parents() {
+    let mut f77 = FNV_OFFSET;
+    for seed in F77_SEEDS {
+        let sources = fortrans::gen::generate(seed);
+        let set = ProgramSet::from_sources(&refs(&sources)).expect("corpus program ingests");
+        fnv1a(&mut f77, &format!("{:?}", fortrans::sema::resolve(&set.ast)));
+    }
+    let mut glaf = FNV_OFFSET;
+    for sources in glaf_source_sets() {
+        let set = ProgramSet::from_sources(&refs(&sources)).expect("generated FORTRAN parses");
+        fnv1a(&mut glaf, &format!("{:?}", fortrans::sema::resolve(&set.ast)));
+    }
+    println!("RIR fingerprints: f77 {f77:#018x}, glaf {glaf:#018x}");
+    assert_eq!(
+        f77, 0xb2fd_67da_7fa4_b4ed,
+        "generated F77 corpus: sema handed lowering a different program"
+    );
+    assert_eq!(
+        glaf, 0xb22e_e5ee_20d5_b431,
+        "GLAF source sets: sema handed lowering a different program"
     );
 }

@@ -31,7 +31,7 @@
 //! `blank_stripping_is_not_drift` pins the first of these so the list
 //! stays honest.
 
-use fortrans::ProgramSet;
+use fortrans::{ExecMode, ExecTier, ProgramSet, Session, Val};
 
 /// The statements of a case, one per line; a line opening with `!$OMP`
 /// is a directive.
@@ -42,7 +42,7 @@ const FREE_HEAD: &str = "MODULE m\nCONTAINS\n  SUBROUTINE s()\n";
 /// What the card rendering puts above the first statement.
 const FIXED_HEAD: &str = "      SUBROUTINE S()\n";
 
-fn render_free(case: Case) -> String {
+fn render_free(case: &str) -> String {
     let mut src = FREE_HEAD.to_string();
     for stmt in case.lines() {
         src.push_str(&format!("    {stmt}\n"));
@@ -50,7 +50,7 @@ fn render_free(case: Case) -> String {
     src + "  END SUBROUTINE s\nEND MODULE m\n"
 }
 
-fn render_fixed(case: Case) -> String {
+fn render_fixed(case: &str) -> String {
     let mut src = FIXED_HEAD.to_string();
     for stmt in case.lines() {
         match stmt.strip_prefix("!$OMP") {
@@ -291,6 +291,42 @@ fn spellings_are_one_statement() {
         };
         assert_eq!(unit("DOUBLE PRECISION d\nd = 1.0D0"), unit("DOUBLEPRECISION d\nd = 1.0D0"));
         assert!(unit("DOUBLE PRECISION d\nd = 1.0D0").contains("Real8"));
+    }
+}
+
+/// A constant expression means the same number whichever form declares
+/// it, and wherever sema meets it: one evaluator folds `PARAMETER`
+/// values and array bounds for both. Each case leaves its answer in
+/// `COMMON /out/ r`; the four answers — two forms, two tiers — must be
+/// the expected one. (Free form used to refuse all of these but the
+/// last, and cards the first.)
+#[test]
+fn parameter_expressions_run_the_same_in_both_forms() {
+    let cases: &[(Case, f64)] = &[
+        // A unit's PARAMETER inside the bounds of one of its locals.
+        (
+            "INTEGER, PARAMETER :: n = 4\nREAL(8) :: a(n + 1)\nINTEGER :: i\n\
+             DO i = 1, n + 1\n  a(i) = 2.0D0 * i\nEND DO\nr = a(n + 1) + SIZE(a)",
+            15.0,
+        ),
+        // REAL division and subtraction.
+        ("REAL(8), PARAMETER :: half = 1.0D0 / 2.0D0, d = 3.0D0 - 1.0D0\nr = half + d", 2.5),
+        // A PARAMETER over an earlier one of the same unit.
+        ("INTEGER, PARAMETER :: n = 4\nINTEGER, PARAMETER :: k = n * 2\nr = k", 8.0),
+        // Integer overflow wraps instead of panicking a debug build.
+        ("INTEGER, PARAMETER :: big = 9223372036854775807 + 1\nr = big", i64::MIN as f64),
+    ];
+    for (case, expected) in cases {
+        let case = format!("REAL(8) :: r\nCOMMON /out/ r\n{case}");
+        for (form, src) in [("free", render_free(&case)), ("fixed", render_fixed(&case))] {
+            let session = Session::compile(&[&src])
+                .unwrap_or_else(|e| panic!("{form} form rejects:\n{src}\n{e}"));
+            for tier in [ExecTier::Vm, ExecTier::TreeWalk] {
+                session.run_tiered("s", &[], ExecMode::Serial, tier).expect("runs");
+                let r = session.global_scalar("common out::r");
+                assert_eq!(r, Some(Val::F(*expected)), "{form} form on {tier:?}:\n{src}");
+            }
+        }
     }
 }
 

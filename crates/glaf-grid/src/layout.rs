@@ -1,10 +1,14 @@
 //! Element addressing: array order and AoS/SoA layout.
 //!
 //! GLAF's code-optimization back-end exposes a data-layout choice
-//! (array-of-structures vs. structure-of-arrays, paper §2.1). Both the code
-//! generators and the property-based tests use the single source of truth in
-//! this module, so an index formula emitted into FORTRAN or C is provably
-//! the same bijection the tests check.
+//! (array-of-structures vs. structure-of-arrays, paper §2.1). What the
+//! rest of the workspace calls here is the [`Layout`] tag: a
+//! [`crate::Grid`] carries one, and `glaf-codegen`'s FORTRAN and C
+//! back-ends branch on it to declare and address struct grids (`a(i)%f`
+//! against `a_f(i)`). The index arithmetic — [`linear_index`],
+//! [`delinearize`], [`struct_offset`] and [`ArrayOrder`] — states the
+//! addressing those emitted forms denote; its only callers are this
+//! module's own unit and property tests, which prove each a bijection.
 
 
 /// Memory order of a multi-dimensional grid.
@@ -60,8 +64,7 @@ pub fn linear_index(indices: &[usize], dims: &[usize], order: ArrayOrder) -> usi
 }
 
 /// Inverse of [`linear_index`]: reconstructs the index vector from a linear
-/// offset. Used by the tests to prove bijectivity and by the interpreter's
-/// whole-array operations.
+/// offset. Called by this module's tests, to prove bijectivity.
 pub fn delinearize(mut off: usize, dims: &[usize], order: ArrayOrder) -> Vec<usize> {
     let mut out = vec![0usize; dims.len()];
     match order {

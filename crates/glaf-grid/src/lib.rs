@@ -19,10 +19,10 @@
 //! * a grid may be an **element of an existing TYPE variable** (§3.5) — all
 //!   uses are prefixed with `var%` in FORTRAN (`var.` in C).
 //!
-//! Finally, [`layout`] implements the optimization back-end's
-//! array-of-structures / structure-of-arrays choice (§2.1) as plain index
-//! arithmetic, so both code generation and the property tests share one
-//! definition of element addressing.
+//! Finally, [`layout`] names the optimization back-end's
+//! array-of-structures / structure-of-arrays choice (§2.1) — the tag the
+//! code generators branch on — and states the element addressing each
+//! choice means as plain index arithmetic, checked by property tests.
 
 pub mod grid;
 pub mod layout;
