@@ -205,7 +205,7 @@ pub enum RunError {
     /// Cooperative cancellation observed at a safepoint (DO-loop
     /// back-edge, OMP region entry, VM dispatch poll). `at_line` is the
     /// source line executing when the token was observed, when known.
-    /// `reason` records who fired the token (e.g. a batch watchdog's
+    /// `reason` records who fired the token (e.g. an expired job
     /// deadline). Cancellation is final: it never retries and never
     /// falls back to the oracle tier.
     Cancelled { at_line: Option<u32>, reason: String },

@@ -125,21 +125,32 @@ impl Default for RunLimits {
 }
 
 /// Cooperative cancellation token shared between a run and whoever may
-/// need to stop it (a batch watchdog, a caller-side ctrl-c handler, a
-/// test). Both execution tiers poll it at the same safepoints the step
-/// budget uses — DO-loop back-edges and statement/instruction dispatch
-/// (every 1024 steps) plus OMP region entry — so a fired token surfaces
-/// as [`RunError::Cancelled`] instead of a hang. The first `cancel` call
+/// need to stop it (a caller-side ctrl-c handler, a test, or the token's
+/// own expiry: the job queue gives a job with a deadline a token that
+/// fires itself once the deadline has passed). Both execution tiers poll
+/// it at the same safepoints the step budget uses — DO-loop back-edges
+/// and statement/instruction dispatch (every 1024 steps), every 64-lane
+/// vector chunk, OMP region entry — so a fired token surfaces as
+/// [`RunError::Cancelled`] instead of a hang. The first `cancel` call
 /// wins; later calls keep the original reason.
 #[derive(Debug, Default)]
 pub struct CancelToken {
     cancelled: std::sync::atomic::AtomicBool,
     reason: Mutex<String>,
+    /// Once this instant has passed, the next poll fires the token with
+    /// this reason.
+    expiry: Option<(std::time::Instant, String)>,
 }
 
 impl CancelToken {
     pub fn new() -> std::sync::Arc<CancelToken> {
         std::sync::Arc::new(CancelToken::default())
+    }
+
+    /// A token that fires itself with `reason` at the first poll after
+    /// `at`.
+    pub(crate) fn expiring(at: std::time::Instant, reason: String) -> std::sync::Arc<CancelToken> {
+        std::sync::Arc::new(CancelToken { expiry: Some((at, reason)), ..CancelToken::default() })
     }
 
     /// Fires the token. Idempotent; the first reason is kept.
@@ -153,7 +164,28 @@ impl CancelToken {
     }
 
     pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(std::sync::atomic::Ordering::Acquire)
+        if self.cancelled.load(std::sync::atomic::Ordering::Acquire) {
+            return true;
+        }
+        match &self.expiry {
+            Some((at, reason)) if std::time::Instant::now() >= *at => {
+                self.cancel(reason);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Sleeps `wait`, cut short at the expiry; returns the time slept.
+    pub(crate) fn sleep(&self, wait: std::time::Duration) -> std::time::Duration {
+        let wait = match &self.expiry {
+            Some((at, _)) => wait.min(at.saturating_duration_since(std::time::Instant::now())),
+            None => wait,
+        };
+        if !wait.is_zero() {
+            std::thread::sleep(wait);
+        }
+        wait
     }
 
     /// The reason passed to the winning `cancel` call (empty if unfired).
@@ -217,10 +249,10 @@ impl EffLimits {
         Ok(())
     }
 
-    /// The shared safepoint check: cancellation first (so a watchdog that
-    /// fired the token wins over a simultaneous deadline trip), then the
-    /// wall-clock deadline. `at_line` is the caller's best known source
-    /// line for the [`RunError::Cancelled`] report.
+    /// The shared safepoint check: cancellation first (so a fired or
+    /// expired token wins over a simultaneous [`RunLimits::deadline`]
+    /// trip), then that wall-clock deadline. `at_line` is the caller's
+    /// best known source line for the [`RunError::Cancelled`] report.
     pub(crate) fn check_interrupt(&self, at_line: Option<u32>) -> Result<(), RunError> {
         if let Some(tok) = &self.cancel {
             if tok.is_cancelled() {

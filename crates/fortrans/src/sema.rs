@@ -557,9 +557,10 @@ impl Resolver {
         let mut locals: Vec<(String, DeclInfo)> = decls.into_iter().collect();
         locals.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         for (name, info) in locals {
-            let sym = if info.save {
-                // SAVE: persistent per-thread global (see DESIGN.md —
-                // matches the paper's SAVE + threadprivate adaptation).
+            let sym = if info.save || info.init.is_some() {
+                // SAVE, or an initializer (which implies SAVE): persistent
+                // per-thread global (see DESIGN.md — matches the paper's
+                // SAVE + threadprivate adaptation).
                 self.declare_global(format!("{}::{name}", u.name), info, true)
             } else {
                 let slot = uc.new_slot();

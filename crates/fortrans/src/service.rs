@@ -257,8 +257,9 @@ pub struct Session {
     /// the shared artifact stays pristine for every other session.
     bytecode_override: Mutex<[Option<Arc<Vec<BUnit>>>; 2]>,
     /// Cooperative cancellation token snapshotted into every run's
-    /// safepoint checks; a watchdog (or any holder of the `Arc`) firing
-    /// it makes in-flight and future runs return [`RunError::Cancelled`].
+    /// safepoint checks; any holder of the `Arc` firing it, or its
+    /// expiry passing, makes in-flight and future runs return
+    /// [`RunError::Cancelled`].
     cancel: Mutex<Option<Arc<CancelToken>>>,
     /// Chaos hook: the next N oracle-tier runs panic inside the trap
     /// boundary (so retry policies see a fully failed attempt).
@@ -333,8 +334,9 @@ impl Session {
     /// Installs (or with `None` clears) the cancellation token polled by
     /// every subsequent run at its safepoints. Fire the token from any
     /// thread via [`CancelToken::cancel`]; affected runs return
-    /// [`RunError::Cancelled`]. [`JobQueue`] installs one per job so its
-    /// deadline watchdog can stop exactly that job.
+    /// [`RunError::Cancelled`]. [`JobQueue`] installs one per job, expiring
+    /// at the job's [`JobPolicy::deadline`], so the deadline stops exactly
+    /// that job.
     pub fn set_cancel_token(&self, token: Option<Arc<CancelToken>>) {
         *self.cancel.lock() = token;
     }
@@ -1022,9 +1024,9 @@ impl ArtifactCache {
 /// existing callers see nothing new until they opt in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobPolicy {
-    /// Wall-clock budget enforced by the batch watchdog: past it the
-    /// job's [`CancelToken`] fires and the job returns
-    /// [`RunError::Cancelled`] at its next safepoint. Unlike
+    /// Wall-clock budget from the job's start: the job's [`CancelToken`]
+    /// expires then, so the job returns [`RunError::Cancelled`] at its
+    /// next safepoint, and a backoff never sleeps past it. Unlike
     /// [`RunLimits::deadline`] (which each attempt restarts), this
     /// covers the job end to end — retries and backoff included.
     pub deadline: Option<Duration>,
@@ -1056,7 +1058,7 @@ pub enum PolicyAction {
     Retried,
     /// Succeeded after degrading mode/tier.
     Degraded,
-    /// The job's cancel token fired (watchdog deadline or external).
+    /// The job's cancel token fired (its deadline passed).
     Cancelled,
     /// The artifact's circuit breaker was open: refused or pinned to the
     /// oracle tier per [`QuarantineMode`].
@@ -1170,15 +1172,28 @@ pub struct JobResult {
     pub wall: Duration,
 }
 
+impl JobResult {
+    /// This job produced no run: refused at setup, or lost to a panic
+    /// outside its policy loop. Like every result built inside a batch,
+    /// it gets its session (if one was opened) when the batch hands it
+    /// back.
+    fn no_run(err: RunError) -> JobResult {
+        JobResult {
+            session: None,
+            result: Err(err),
+            attempts: Vec::new(),
+            action: PolicyAction::Failed,
+            wall: Duration::ZERO,
+        }
+    }
+}
+
 /// What a whole batch did: per-job results in submission order plus
-/// batch-level timings and watchdog accounting.
+/// the batch's wall time.
 pub struct BatchReport {
     pub results: Vec<JobResult>,
     /// Wall time of the whole `run_batch_report` call.
     pub wall: Duration,
-    /// Deadlines the watchdog actually fired (jobs that finished before
-    /// their deadline disarm without firing).
-    pub watchdog_fired: u64,
 }
 
 impl BatchReport {
@@ -1188,30 +1203,12 @@ impl BatchReport {
     }
 }
 
-type BatchSlot = Mutex<Option<(Result<RunOutcome, RunError>, Vec<Attempt>, PolicyAction, Duration)>>;
-
 /// Where a pending job's artifact comes from: already compiled, or
-/// sources compiled at batch time (through the queue's cache when one
-/// is attached) so one job's compile failure is *its* structured
-/// failure, not the batch's.
+/// sources compiled through the queue's cache at batch time, so one
+/// job's compile failure is *its* structured failure, not the batch's.
 enum JobSource {
     Artifact(Arc<CompiledProgram>),
     Sources(Vec<String>),
-}
-
-/// A job that made it through setup: its private session, the cancel
-/// token the watchdog fires, and the artifact hash for the fault ledger.
-struct ReadyJob {
-    session: Session,
-    token: Arc<CancelToken>,
-    hash: u64,
-}
-
-/// Setup outcome per job — refusal is a per-job result, never a batch
-/// abort.
-enum Prep {
-    Ready(Box<ReadyJob>),
-    Refused(RunError),
 }
 
 /// Classifies a fault for the retry policy. Traps (VM panics, contained
@@ -1229,94 +1226,68 @@ fn transient(root: &RunError) -> bool {
     }
 }
 
-/// The per-job policy loop: run on the current ladder rung, retry with
-/// deterministic exponential backoff on transient faults, degrade
-/// `Parallel → Serial → oracle` when asked, stop immediately on
+/// The rungs a job runs on, in order: the requested configuration, then
+/// under `degrade` `Parallel → Serial → oracle` (`Serial`/`Simulated`
+/// skip straight to the oracle rung).
+fn ladder(mode: ExecMode, degrade: bool) -> Vec<(ExecMode, ExecTier)> {
+    let mut rungs = vec![(mode, ExecTier::Vm)];
+    if degrade {
+        if matches!(mode, ExecMode::Parallel { .. }) {
+            rungs.push((ExecMode::Serial, ExecTier::Vm));
+            rungs.push((ExecMode::Serial, ExecTier::TreeWalk));
+        } else {
+            rungs.push((mode, ExecTier::TreeWalk));
+        }
+    }
+    rungs
+}
+
+/// The per-job policy loop over `rungs`: run on the current rung, retry
+/// with deterministic exponential backoff on transient faults (one rung
+/// further down each time, while there is one), stop immediately on
 /// cancellation. Returns the final outcome, the full attempt log, and
-/// the policy verdict.
+/// the policy verdict; the caller times the job and the batch attaches
+/// its session.
 fn run_with_policy(
     session: &Session,
     job: &Job,
     policy: &JobPolicy,
-    token: &Arc<CancelToken>,
-    pin_oracle: bool,
-) -> (Result<RunOutcome, RunError>, Vec<Attempt>, PolicyAction) {
-    // Rung 0 is the requested configuration; further rungs exist only
-    // under `degrade`. A quarantine-pinned job has exactly one rung:
-    // the oracle tier at the requested mode.
-    let mut rungs: Vec<(ExecMode, ExecTier)> = vec![(job.mode, ExecTier::Vm)];
-    if policy.degrade {
-        if matches!(job.mode, ExecMode::Parallel { .. }) {
-            rungs.push((ExecMode::Serial, ExecTier::Vm));
-            rungs.push((ExecMode::Serial, ExecTier::TreeWalk));
-        } else {
-            rungs.push((job.mode, ExecTier::TreeWalk));
-        }
-    }
-    if pin_oracle {
-        rungs = vec![(job.mode, ExecTier::TreeWalk)];
-    }
-    let allowed = 1 + policy.retries as usize;
+    token: &CancelToken,
+    rungs: &[(ExecMode, ExecTier)],
+) -> JobResult {
     let mut attempts: Vec<Attempt> = Vec::new();
     let mut rung = 0usize;
-    let mut degraded = false;
-    let mut last: Option<RunError> = None;
-    for attempt in 0..allowed {
-        let wait = if attempt == 0 {
-            Duration::ZERO
-        } else {
-            // backoff, 2·backoff, 4·backoff, … (shift capped well past
-            // any plausible retry count).
-            policy.backoff.saturating_mul(1u32 << (attempt - 1).min(16))
+    loop {
+        let retry = attempts.len();
+        // backoff, 2·backoff, 4·backoff, … (shift capped well past any
+        // plausible retry count), cut short at the job's deadline.
+        let backoff = match retry {
+            0 => Duration::ZERO,
+            n => token.sleep(policy.backoff.saturating_mul(1u32 << (n - 1).min(16))),
         };
-        if !wait.is_zero() {
-            std::thread::sleep(wait);
-        }
         let (mode, tier) = rungs[rung];
-        if token.is_cancelled() {
+        let run = if token.is_cancelled() {
             // Fired between attempts (e.g. during backoff): don't burn
             // another attempt on a job whose caller already gave up.
-            let err = RunError::Cancelled { at_line: None, reason: token.reason() };
-            attempts.push(Attempt { mode, tier, error: Some(err.to_string()), backoff: wait });
-            return (Err(err), attempts, PolicyAction::Cancelled);
-        }
-        if rung > 0 {
-            degraded = true;
-        }
-        match session.run_tiered(&job.entry, &job.args, mode, tier) {
-            Ok(out) => {
-                attempts.push(Attempt { mode, tier, error: None, backoff: wait });
-                let action = if pin_oracle {
-                    PolicyAction::Quarantined
-                } else if degraded {
-                    PolicyAction::Degraded
-                } else if attempt > 0 {
-                    PolicyAction::Retried
-                } else {
-                    PolicyAction::Completed
-                };
-                return (Ok(out), attempts, action);
+            Err(RunError::Cancelled { at_line: None, reason: token.reason() })
+        } else {
+            session.run_tiered(&job.entry, &job.args, mode, tier)
+        };
+        let error = run.as_ref().err().map(ToString::to_string);
+        attempts.push(Attempt { mode, tier, error, backoff });
+        let action = match &run {
+            Ok(_) if rung > 0 => PolicyAction::Degraded,
+            Ok(_) if retry > 0 => PolicyAction::Retried,
+            Ok(_) => PolicyAction::Completed,
+            Err(e) if matches!(e.root(), RunError::Cancelled { .. }) => PolicyAction::Cancelled,
+            Err(e) if transient(e.root()) && retry < policy.retries as usize => {
+                rung = (rung + 1).min(rungs.len() - 1);
+                continue;
             }
-            Err(e) => {
-                attempts.push(Attempt { mode, tier, error: Some(e.to_string()), backoff: wait });
-                if matches!(e.root(), RunError::Cancelled { .. }) {
-                    return (Err(e), attempts, PolicyAction::Cancelled);
-                }
-                if !transient(e.root()) {
-                    let action =
-                        if pin_oracle { PolicyAction::Quarantined } else { PolicyAction::Failed };
-                    return (Err(e), attempts, action);
-                }
-                if rung + 1 < rungs.len() {
-                    rung += 1;
-                }
-                last = Some(e);
-            }
-        }
+            Err(_) => PolicyAction::Failed,
+        };
+        return JobResult { session: None, result: run, attempts, action, wall: Duration::ZERO };
     }
-    let err = last.unwrap_or(RunError::Rejected { msg: "no attempt was made".into() });
-    let action = if pin_oracle { PolicyAction::Quarantined } else { PolicyAction::Failed };
-    (Err(err), attempts, action)
 }
 
 /// Batches many jobs — possibly over different artifacts — across one
@@ -1324,78 +1295,43 @@ fn run_with_policy(
 /// that traps, trips its limits, or corrupts its own globals cannot
 /// touch a sibling; the pool contains any panic and self-heals. A
 /// [`JobPolicy`] (per job or queue default) bounds each job's failure
-/// mode: a watchdog thread fires over-deadline jobs' cancel tokens,
-/// transient faults retry with backoff and optional tier degradation,
-/// and — when the queue is minted by an [`EngineService`] — the
-/// artifact quarantine breaker refuses or pins repeat offenders.
+/// mode: the job's cancel token expires at its deadline, transient
+/// faults retry with backoff and optional tier degradation, and the
+/// service cache's quarantine breaker refuses or pins repeat offenders.
+/// Minted by [`EngineService::queue`].
 pub struct JobQueue {
     pools: Arc<PoolSet>,
     threads: usize,
     pending: Vec<(JobSource, Job)>,
-    /// Attached by [`EngineService::queue`]: serves deferred compiles
-    /// and carries the quarantine ledger. `None` for bare queues.
-    cache: Option<Arc<ArtifactCache>>,
+    /// The service's cache: serves deferred compiles and carries the
+    /// quarantine ledger.
+    cache: Arc<ArtifactCache>,
     default_policy: JobPolicy,
 }
 
 impl JobQueue {
-    /// A queue dispatching over `pools` with `threads`-wide batch
-    /// concurrency (`0` is clamped to 1).
-    pub fn new(pools: Arc<PoolSet>, threads: usize) -> JobQueue {
-        JobQueue {
-            pools,
-            threads: threads.max(1),
-            pending: Vec::new(),
-            cache: None,
-            default_policy: JobPolicy::default(),
-        }
-    }
-
-    /// Attaches an artifact cache: deferred-compile submissions go
-    /// through it, and trap/cancel faults are recorded against its
-    /// quarantine ledger. [`EngineService::queue`] does this for you.
-    pub fn attach_cache(&mut self, cache: Arc<ArtifactCache>) {
-        self.cache = Some(cache);
-    }
-
     /// Sets the policy applied to jobs without their own
     /// [`Job::policy`]. Defaults to the no-op [`JobPolicy::default`].
     pub fn set_default_policy(&mut self, policy: JobPolicy) {
         self.default_policy = policy;
     }
 
-    /// The queue's default policy.
-    pub fn default_policy(&self) -> JobPolicy {
-        self.default_policy
-    }
-
     /// Enqueues `job` against `artifact`. Nothing runs until
-    /// [`JobQueue::run_batch`].
+    /// [`JobQueue::run_batch_report`].
     pub fn submit(&mut self, artifact: &Arc<CompiledProgram>, job: Job) {
         self.pending.push((JobSource::Artifact(Arc::clone(artifact)), job));
     }
 
-    /// Enqueues `job` against sources compiled at batch time (through
-    /// the attached cache when there is one). A compile failure becomes
-    /// *this job's* [`RunError::Rejected`] result; the batch drains on.
+    /// Enqueues `job` against sources compiled at batch time through the
+    /// service's cache. A compile failure becomes *this job's*
+    /// [`RunError::Rejected`] result; the batch drains on.
     pub fn submit_sources(&mut self, sources: &[&str], job: Job) {
         let owned = sources.iter().map(|s| (*s).to_string()).collect();
         self.pending.push((JobSource::Sources(owned), job));
     }
 
-    /// Number of jobs waiting.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Runs every pending job and returns results in submission order.
-    /// Convenience wrapper over [`JobQueue::run_batch_report`].
-    pub fn run_batch(&mut self) -> Vec<JobResult> {
-        self.run_batch_report().results
-    }
-
     /// Runs every pending job and returns per-job results (submission
-    /// order) plus batch-level timing and watchdog accounting.
+    /// order) plus the batch's wall time.
     ///
     /// Serial/Simulated jobs are dispatched across the batch pool via a
     /// dynamic dispenser (a stalled job does not idle the other
@@ -1409,119 +1345,19 @@ impl JobQueue {
     pub fn run_batch_report(&mut self) -> BatchReport {
         let t_batch = Instant::now();
         let jobs = std::mem::take(&mut self.pending);
-        let cache = self.cache.clone();
-        let default_policy = self.default_policy;
-        let watchdog = omprt::Watchdog::new();
-
-        // Setup phase, drain-safe: resolve each job's artifact and build
-        // its private session; any failure is that job's refusal.
-        let preps: Vec<Prep> = jobs
+        // Setup phase, drain-safe: a job whose session cannot be opened
+        // starts with its refusal already in its slot.
+        let (sessions, slots): (Vec<Option<Session>>, Vec<Mutex<Option<JobResult>>>) = jobs
             .iter()
-            .map(|(src, job)| {
-                let artifact = match src {
-                    JobSource::Artifact(a) => Arc::clone(a),
-                    JobSource::Sources(v) => {
-                        let refs: Vec<&str> = v.iter().map(String::as_str).collect();
-                        let compiled = match &cache {
-                            Some(c) => c.get_or_compile(&refs),
-                            None => CompiledProgram::compile(&refs),
-                        };
-                        match compiled {
-                            Ok(a) => a,
-                            Err(e) => {
-                                return Prep::Refused(RunError::Rejected {
-                                    msg: format!("compile failed: {e}"),
-                                })
-                            }
-                        }
-                    }
-                };
-                let setup = catch_unwind(AssertUnwindSafe(|| {
-                    let mut s = Session::new(Arc::clone(&artifact), Arc::clone(&self.pools));
-                    if let Some(l) = job.limits {
-                        s.set_limits(l);
-                    }
-                    s.debug_faults(job.faults.clone());
-                    let token = CancelToken::new();
-                    s.set_cancel_token(Some(Arc::clone(&token)));
-                    Box::new(ReadyJob { session: s, token, hash: artifact.source_hash() })
-                }));
-                match setup {
-                    Ok(r) => Prep::Ready(r),
-                    Err(p) => Prep::Refused(RunError::Rejected {
-                        msg: format!("session setup panicked: {}", payload_str(&*p)),
-                    }),
-                }
+            .map(|(src, job)| match self.open(src, job) {
+                Ok(session) => (Some(session), Mutex::new(None)),
+                Err(e) => (None, Mutex::new(Some(JobResult::no_run(e)))),
             })
-            .collect();
-
-        let slots: Vec<BatchSlot> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        let watchdog_ref = &watchdog;
-        let cache_ref = &cache;
+            .unzip();
         let run_one = |i: usize| {
-            let (_, job) = &jobs[i];
-            let Prep::Ready(ready) = &preps[i] else { return };
-            let t0 = Instant::now();
-            let policy = job.policy.unwrap_or(default_policy);
-            // Quarantine gate, checked at job start so a breaker opened
-            // earlier in this very batch already protects later jobs.
-            let mut pin_oracle = false;
-            if let Some(c) = cache_ref {
-                if c.is_quarantined(ready.hash) {
-                    match c.quarantine_policy().map(|p| p.mode) {
-                        Some(QuarantineMode::PinOracle) => pin_oracle = true,
-                        // Refuse — also the conservative answer if the
-                        // policy was dropped after the breaker opened.
-                        _ => {
-                            let (t, cx) = c.fault_counts(ready.hash);
-                            *slots[i].lock() = Some((
-                                Err(RunError::Quarantined {
-                                    source_hash: ready.hash,
-                                    faults: t + cx,
-                                }),
-                                Vec::new(),
-                                PolicyAction::Quarantined,
-                                t0.elapsed(),
-                            ));
-                            return;
-                        }
-                    }
-                }
+            if let Some(session) = &sessions[i] {
+                *slots[i].lock() = Some(self.run_job(session, &jobs[i].1));
             }
-            let wd_id = policy.deadline.map(|d| {
-                let tok = Arc::clone(&ready.token);
-                watchdog_ref
-                    .arm(t0 + d, move || tok.cancel(&format!("job deadline of {d:?} exceeded")))
-            });
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                run_with_policy(&ready.session, job, &policy, &ready.token, pin_oracle)
-            }));
-            if let Some(id) = wd_id {
-                watchdog_ref.disarm(id);
-            }
-            let (result, attempts, action) = match run {
-                Ok(r) => r,
-                Err(p) => (
-                    Err(RunError::Trap { what: payload_str(&*p) }),
-                    Vec::new(),
-                    PolicyAction::Failed,
-                ),
-            };
-            // Fault ledger: a fallback or trap-rooted failure counts as
-            // a trap, a cancellation as a cancel.
-            if let Some(c) = cache_ref {
-                let trapped = match &result {
-                    Ok(out) => out.fallback.is_some(),
-                    Err(e) => matches!(e.root(), RunError::Trap { .. }),
-                };
-                if trapped {
-                    c.record_fault(ready.hash, false);
-                }
-                if matches!(&result, Err(e) if matches!(e.root(), RunError::Cancelled { .. })) {
-                    c.record_fault(ready.hash, true);
-                }
-            }
-            *slots[i].lock() = Some((result, attempts, action, t0.elapsed()));
         };
 
         // Pool-dispatched fraction: everything that does not fork a team
@@ -1544,19 +1380,12 @@ impl JobQueue {
                 }
             });
             if let Err(p) = region {
-                // Should be unreachable — `run_one` already contains
+                // Should be unreachable — `run_job` already contains
                 // panics — but if one does escape, pin it on the jobs
                 // that never produced a result rather than losing it.
                 for &i in &pooled {
-                    let mut slot = slots[i].lock();
-                    if slot.is_none() {
-                        *slot = Some((
-                            Err(RunError::Trap { what: p.what.clone() }),
-                            Vec::new(),
-                            PolicyAction::Failed,
-                            Duration::ZERO,
-                        ));
-                    }
+                    let trap = || JobResult::no_run(RunError::Trap { what: p.what.clone() });
+                    slots[i].lock().get_or_insert_with(trap);
                 }
             }
         }
@@ -1568,84 +1397,120 @@ impl JobQueue {
             }
         }
 
-        let results = preps
+        let results = sessions
             .into_iter()
             .zip(slots)
-            .map(|(prep, slot)| match prep {
-                Prep::Refused(err) => JobResult {
-                    session: None,
-                    result: Err(err),
-                    attempts: Vec::new(),
-                    action: PolicyAction::Failed,
-                    wall: Duration::ZERO,
-                },
-                Prep::Ready(ready) => {
-                    let (result, attempts, action, wall) =
-                        slot.into_inner().unwrap_or_else(|| {
-                            (
-                                Err(RunError::Trap { what: "job produced no result".into() }),
-                                Vec::new(),
-                                PolicyAction::Failed,
-                                Duration::ZERO,
-                            )
-                        });
-                    // Detach the batch token so callers reusing the
-                    // session don't inherit a fired one.
-                    ready.session.set_cancel_token(None);
-                    JobResult { session: Some(ready.session), result, attempts, action, wall }
-                }
+            .map(|(session, slot)| {
+                let jr = slot.into_inner().unwrap_or_else(|| {
+                    JobResult::no_run(RunError::Trap { what: "job produced no result".into() })
+                });
+                JobResult { session, ..jr }
             })
             .collect();
-        BatchReport { results, wall: t_batch.elapsed(), watchdog_fired: watchdog.fired() }
+        BatchReport { results, wall: t_batch.elapsed() }
+    }
+
+    /// Opens one job's private session over its artifact, compiled
+    /// through the cache if need be. A compile failure or setup panic is
+    /// this job's refusal, never a batch abort.
+    fn open(&self, src: &JobSource, job: &Job) -> Result<Session, RunError> {
+        let artifact = match src {
+            JobSource::Artifact(a) => Arc::clone(a),
+            JobSource::Sources(v) => {
+                let refs: Vec<&str> = v.iter().map(String::as_str).collect();
+                let compiled = self.cache.get_or_compile(&refs);
+                compiled.map_err(|e| RunError::Rejected { msg: format!("compile failed: {e}") })?
+            }
+        };
+        let setup = catch_unwind(AssertUnwindSafe(|| {
+            let mut s = Session::new(artifact, Arc::clone(&self.pools));
+            if let Some(l) = job.limits {
+                s.set_limits(l);
+            }
+            s.debug_faults(job.faults.clone());
+            s
+        }));
+        setup.map_err(|p| RunError::Rejected {
+            msg: format!("session setup panicked: {}", payload_str(&*p)),
+        })
+    }
+
+    /// One job from its start to its verdict: the quarantine gate, a
+    /// cancel token expiring at the job's deadline, the policy loop, and
+    /// the fault ledger.
+    fn run_job(&self, session: &Session, job: &Job) -> JobResult {
+        let t0 = Instant::now();
+        let hash = session.artifact().source_hash();
+        let policy = job.policy.unwrap_or(self.default_policy);
+        // Quarantine gate, checked at job start so a breaker opened
+        // earlier in this very batch already protects later jobs.
+        let pinned = self.cache.is_quarantined(hash);
+        let breaker = || self.cache.quarantine_policy().map(|p| p.mode);
+        if pinned && breaker() != Some(QuarantineMode::PinOracle) {
+            // Refuse — also the conservative answer if the policy was
+            // dropped after the breaker opened.
+            let (traps, cancels) = self.cache.fault_counts(hash);
+            let err = RunError::Quarantined { source_hash: hash, faults: traps + cancels };
+            let action = PolicyAction::Quarantined;
+            return JobResult { action, wall: t0.elapsed(), ..JobResult::no_run(err) };
+        }
+        let token = match policy.deadline {
+            Some(d) => CancelToken::expiring(t0 + d, format!("job deadline of {d:?} exceeded")),
+            None => CancelToken::new(),
+        };
+        session.set_cancel_token(Some(Arc::clone(&token)));
+        // A pinned job has one rung, the oracle tier at the requested
+        // mode, and every verdict but a cancellation is the breaker's.
+        let rungs = if pinned {
+            vec![(job.mode, ExecTier::TreeWalk)]
+        } else {
+            ladder(job.mode, policy.degrade)
+        };
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            run_with_policy(session, job, &policy, &token, &rungs)
+        }));
+        // Detach the job's token so callers reusing the session don't
+        // inherit a fired one.
+        session.set_cancel_token(None);
+        let mut jr = match run {
+            Ok(jr) if pinned && jr.action != PolicyAction::Cancelled => {
+                JobResult { action: PolicyAction::Quarantined, ..jr }
+            }
+            Ok(jr) => jr,
+            Err(p) => JobResult::no_run(RunError::Trap { what: payload_str(&*p) }),
+        };
+        // Fault ledger: a fallback or trap-rooted failure counts as a
+        // trap, a cancellation as a cancel.
+        match &jr.result {
+            Ok(out) if out.fallback.is_some() => self.cache.record_fault(hash, false),
+            Err(e) if matches!(e.root(), RunError::Trap { .. }) => {
+                self.cache.record_fault(hash, false);
+            }
+            Err(e) if matches!(e.root(), RunError::Cancelled { .. }) => {
+                self.cache.record_fault(hash, true);
+            }
+            _ => {}
+        }
+        jr.wall = t0.elapsed();
+        jr
     }
 }
 
 /// The top of the service layer: an [`ArtifactCache`] plus a shared
-/// [`PoolSet`], from which sessions and job queues are minted. Also the
-/// home of the service-wide defaults: a [`JobPolicy`] stamped onto every
-/// minted queue and the quarantine policy living on the cache.
+/// [`PoolSet`], from which sessions and job queues are minted. The
+/// quarantine policy lives on the cache ([`EngineService::cache`]).
 pub struct EngineService {
     cache: Arc<ArtifactCache>,
     pools: Arc<PoolSet>,
-    default_policy: Mutex<JobPolicy>,
 }
 
 impl EngineService {
     /// A service caching up to `cache_capacity` compiled artifacts.
     pub fn new(cache_capacity: usize) -> EngineService {
-        EngineService::with_cache(ArtifactCache::new(cache_capacity))
-    }
-
-    /// A service whose cache is bounded by entry count *and* estimated
-    /// bytes (see [`ArtifactCache::with_byte_budget`]).
-    pub fn with_byte_budget(cache_capacity: usize, byte_budget: usize) -> EngineService {
-        EngineService::with_cache(ArtifactCache::with_byte_budget(cache_capacity, byte_budget))
-    }
-
-    /// A service over a pre-configured cache.
-    pub fn with_cache(cache: ArtifactCache) -> EngineService {
         EngineService {
-            cache: Arc::new(cache),
+            cache: Arc::new(ArtifactCache::new(cache_capacity)),
             pools: Arc::new(PoolSet::new()),
-            default_policy: Mutex::new(JobPolicy::default()),
         }
-    }
-
-    /// Sets the [`JobPolicy`] stamped onto queues minted *after* this
-    /// call (jobs can still override per [`Job::policy`]).
-    pub fn set_default_policy(&self, policy: JobPolicy) {
-        *self.default_policy.lock() = policy;
-    }
-
-    /// The service-wide default job policy.
-    pub fn default_policy(&self) -> JobPolicy {
-        *self.default_policy.lock()
-    }
-
-    /// Installs (or clears) the artifact quarantine circuit breaker —
-    /// convenience for [`ArtifactCache::set_quarantine_policy`].
-    pub fn set_quarantine_policy(&self, policy: Option<QuarantinePolicy>) {
-        self.cache.set_quarantine_policy(policy);
     }
 
     /// Compiles `sources` through the cache: identical sources return
@@ -1665,25 +1530,24 @@ impl EngineService {
         Session::new(Arc::clone(artifact), Arc::clone(&self.pools))
     }
 
-    /// A job queue with `threads`-wide batch concurrency over the shared
-    /// pool set, wired to the service's cache (deferred compiles +
-    /// quarantine ledger) and stamped with the current default policy.
+    /// The only way to build a [`JobQueue`]: `threads`-wide batch
+    /// concurrency (`0` is clamped to 1) over the shared pool set, wired
+    /// to the service's cache (deferred compiles + quarantine ledger),
+    /// with the no-op default [`JobPolicy`].
     pub fn queue(&self, threads: usize) -> JobQueue {
-        let mut q = JobQueue::new(Arc::clone(&self.pools), threads);
-        q.attach_cache(Arc::clone(&self.cache));
-        q.set_default_policy(self.default_policy());
-        q
+        JobQueue {
+            pools: Arc::clone(&self.pools),
+            threads: threads.max(1),
+            pending: Vec::new(),
+            cache: Arc::clone(&self.cache),
+            default_policy: JobPolicy::default(),
+        }
     }
 
-    /// The artifact cache (hit/miss/eviction/quarantine introspection).
+    /// The artifact cache (hit/miss/eviction/quarantine introspection,
+    /// and the quarantine policy).
     pub fn cache(&self) -> &ArtifactCache {
         &self.cache
-    }
-
-    /// A clonable handle to the artifact cache (for wiring bare
-    /// [`JobQueue`]s or sharing the quarantine ledger across drivers).
-    pub fn cache_handle(&self) -> Arc<ArtifactCache> {
-        Arc::clone(&self.cache)
     }
 
     /// The shared pool set.

@@ -67,7 +67,7 @@ fn refuse_mode_campaign_survives() {
             "seed {seed:#x}: campaign too quiet: {:?}",
             report.injected
         );
-        assert!(report.watchdog_fired >= 1, "seed {seed:#x}: no deadline ever fired");
+        assert!(report.cancelled >= 1, "seed {seed:#x}: no deadline ever fired");
         assert!(report.actions.contains_key("completed"));
         assert!(report.actions.contains_key("cancelled"));
     }
@@ -90,7 +90,7 @@ fn quarantine_off_campaign_survives() {
 #[test]
 fn thirty_job_mixed_batch_acceptance() {
     let service = EngineService::new(16);
-    service.set_quarantine_policy(Some(QuarantinePolicy {
+    service.cache().set_quarantine_policy(Some(QuarantinePolicy {
         threshold: 64, // high: this test exercises policies, not the breaker
         mode: QuarantineMode::Refuse,
     }));
@@ -138,7 +138,7 @@ fn thirty_job_mixed_batch_acceptance() {
                 queue.submit(&arts[base], Job::new(corpus[base].entry, args).mode(mode));
                 plans.push((Plan::Clean { base, mk }, out));
             }
-            // 5 hung jobs: watchdog must cancel them.
+            // 5 hung jobs: their deadline must cancel them.
             1 => {
                 let (args, out) = chaos::make_args("spin");
                 queue.submit(
@@ -236,7 +236,10 @@ fn thirty_job_mixed_batch_acceptance() {
             }
         }
     }
-    assert!(report.watchdog_fired >= 5, "all five hung jobs should trip the watchdog");
+    assert!(
+        report.action_count(PolicyAction::Cancelled) >= 5,
+        "all five hung jobs should trip their deadline"
+    );
 
     // No pool left unusable: a fresh all-clean batch on the same
     // service completes with zero faults — under a fully armed policy
@@ -254,7 +257,7 @@ fn thirty_job_mixed_batch_acceptance() {
         queue.submit(&arts[pi], Job::new(prog.entry, args).mode(ExecMode::Parallel { threads: 2 }));
         outs.push((pi, out));
     }
-    for (k, jr) in queue.run_batch().iter().enumerate() {
+    for (k, jr) in queue.run_batch_report().results.iter().enumerate() {
         let ok = jr.result.as_ref().unwrap_or_else(|e| panic!("post-batch job {k}: {e}"));
         assert!(ok.fallback.is_none(), "post-batch job {k} fell back");
         assert_eq!(jr.action, PolicyAction::Completed, "post-batch job {k}");
@@ -266,6 +269,73 @@ fn thirty_job_mixed_batch_acceptance() {
             "post-batch job {k} diverged — pool damaged by the chaos batch"
         );
     }
+}
+
+/// A team whose members never finish: each spins `n` times in an inner
+/// loop of the parallel DO.
+const TEAM_HOG: &str = r"MODULE tmod
+CONTAINS
+  SUBROUTINE team_spin(n, out)
+    INTEGER :: n
+    REAL(8), DIMENSION(1:4) :: out
+    REAL(8) :: s
+    INTEGER :: i, k
+    !$OMP PARALLEL DO PRIVATE(k, s)
+    DO i = 1, 4
+      s = 0.0
+      DO k = 1, n
+        s = s + 1.0
+      END DO
+      out(i) = s
+    END DO
+    !$OMP END PARALLEL DO
+  END SUBROUTINE team_spin
+END MODULE tmod
+";
+
+/// A deadline reaches into a team: a Parallel job hung inside its
+/// `!$OMP PARALLEL DO` ends `Cancelled` at its policy deadline, long
+/// before its `RunLimits` backstop, and the shared pools it forked serve
+/// the next batch's clean Parallel job bit-equal to a solo run.
+#[test]
+fn deadline_cancels_a_job_inside_its_team() {
+    let service = EngineService::new(4);
+    let team = ExecMode::Parallel { threads: 2 };
+    let deadline = Duration::from_millis(30);
+    let hog = service.compile(&[TEAM_HOG]).expect("team hog compiles");
+    let args = vec![ArgVal::I(4_000_000_000), ArgVal::array_f(&[0.0; 4], 1)];
+    let mut queue = service.queue(2);
+    queue.submit(
+        &hog,
+        Job::new("team_spin", args)
+            .mode(team)
+            .limits(RunLimits { deadline: Some(deadline * 40), ..RunLimits::default() })
+            .policy(JobPolicy { deadline: Some(deadline), ..JobPolicy::default() }),
+    );
+    let report = queue.run_batch_report();
+    let jr = &report.results[0];
+    let err = jr.result.as_ref().expect_err("hung team must not complete");
+    assert!(
+        err.root().to_string().starts_with("cancelled: job deadline of 30ms exceeded"),
+        "expected the deadline's Cancelled, got {err}"
+    );
+    assert_eq!(jr.action, PolicyAction::Cancelled);
+    assert!(jr.wall < deadline * 20, "cancelled only after {:?}", jr.wall);
+
+    let prog = &chaos::base_corpus()[0];
+    let art = service.compile(&[prog.source.as_str()]).expect("corpus compiles");
+    let (args, out) = chaos::make_args(prog.entry);
+    Session::solo(art.clone()).run_tiered(prog.entry, &args, team, ExecTier::Vm).expect("solo");
+    let solo = chaos::out_bits(&out);
+    let (args, out) = chaos::make_args(prog.entry);
+    let mut queue = service.queue(2);
+    queue.submit(&art, Job::new(prog.entry, args).mode(team));
+    let report = queue.run_batch_report();
+    let jr = &report.results[0];
+    let ok = jr.result.as_ref().unwrap_or_else(|e| panic!("clean team job after the hog: {e}"));
+    assert!(ok.fallback.is_none(), "clean team job fell back");
+    assert_eq!(jr.action, PolicyAction::Completed);
+    assert_eq!(chaos::out_bits(&out), solo, "clean team job diverged from its solo run");
 }
 
 /// The campaign's trace invariant, driven directly over many seeds: a

@@ -249,7 +249,7 @@ pub struct CampaignConfig {
     /// Batch pool width.
     pub queue_width: usize,
     /// Policy deadline for deadline-miss jobs; their hard `RunLimits`
-    /// deadline backstop is 40x this, so a broken watchdog shows up as
+    /// deadline backstop is 40x this, so a deadline that never fires shows up as
     /// an invariant violation, never a hung campaign.
     pub deadline: Duration,
     /// Unique throwaway artifacts compiled per round to churn the LRU
@@ -281,7 +281,7 @@ impl Default for CampaignConfig {
 }
 
 /// What a campaign survived: counts per injected fault kind and per
-/// policy verdict, watchdog/eviction accounting, and every invariant
+/// policy verdict, deadline/eviction accounting, and every invariant
 /// violation observed (empty = the campaign passed).
 #[derive(Debug, Default)]
 pub struct CampaignReport {
@@ -291,7 +291,8 @@ pub struct CampaignReport {
     pub injected: BTreeMap<String, u64>,
     /// Job count per policy-verdict label.
     pub actions: BTreeMap<String, u64>,
-    pub watchdog_fired: u64,
+    /// Jobs whose deadline cancelled them (verdict `Cancelled`).
+    pub cancelled: u64,
     pub cache_evictions: u64,
     pub violations: Vec<String>,
 }
@@ -357,7 +358,7 @@ fn quiet_baselines(
 /// structured results or be recorded as violations.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let service = EngineService::new(cfg.cache_capacity);
-    service.set_quarantine_policy(cfg.quarantine);
+    service.cache().set_quarantine_policy(cfg.quarantine);
     let mut rng = Rng::new(cfg.seed);
     let corpus = base_corpus();
     let arts: Vec<Arc<CompiledProgram>> =
@@ -388,7 +389,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         backoff: Duration::ZERO,
         degrade: false,
     };
-    // Hard backstop: even with the watchdog dead, a hog job cannot run
+    // Hard backstop: even if its deadline never fired, a hog job cannot run
     // past 40x the policy deadline — it would trip this RunLimits
     // deadline instead, which the checker flags as a violation (the
     // root must be Cancelled, not Limit).
@@ -584,7 +585,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         }
 
         let batch = queue.run_batch_report();
-        report.watchdog_fired += batch.watchdog_fired;
+        report.cancelled += batch.action_count(PolicyAction::Cancelled) as u64;
         report.jobs += planned.len();
 
         if batch.results.len() != planned.len() {
@@ -633,7 +634,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         let mut queue = service.queue(cfg.queue_width);
         let (args, out) = make_args("scale");
         queue.submit(&victim, Job::new("scale", args));
-        let results = queue.run_batch();
+        let results = queue.run_batch_report().results;
         let healed = results.first().is_some_and(|jr| {
             jr.result.is_ok() && out_bits(&out) == baselines[&(0, 0)]
         });
@@ -720,7 +721,7 @@ fn check_job(
                     }
                 }
                 other => fail(format!(
-                    "deadline miss surfaced as {other} (watchdog dead? backstop tripped)"
+                    "deadline miss surfaced as {other} (deadline never fired? backstop tripped)"
                 )),
             },
         },

@@ -123,7 +123,7 @@ fn batch_rejection_carries_full_diagnostics() {
     let bad = "\n     &X = 1\n      GO TO 999\n      END\n";
     queue.submit_sources(&[bad], Job::new("main", vec![]));
     queue.submit_sources(&[good], Job::new("main", vec![]));
-    let results = queue.run_batch();
+    let results = queue.run_batch_report().results;
     assert_eq!(results.len(), 2);
 
     match &results[0].result {

@@ -556,7 +556,7 @@ fn batched_faults_do_not_poison_sibling_jobs_or_the_pool() {
         queue.submit(&artifact, Job::new("scale", args).mode(mode));
         baseline_arrs.push(arr);
     }
-    for jr in queue.run_batch() {
+    for jr in queue.run_batch_report().results {
         jr.result.expect("baseline job succeeds");
     }
     let baseline: Vec<Vec<u64>> = baseline_arrs
@@ -589,7 +589,7 @@ fn batched_faults_do_not_poison_sibling_jobs_or_the_pool() {
                 .limits(RunLimits { max_steps: Some(2), ..RunLimits::default() }),
         );
     }
-    let results = queue.run_batch();
+    let results = queue.run_batch_report().results;
     assert_eq!(results.len(), 9);
     for (j, jr) in results.iter().enumerate() {
         match j % 3 {
@@ -632,7 +632,7 @@ fn batched_faults_do_not_poison_sibling_jobs_or_the_pool() {
         let (_, args) = mk();
         queue.submit(&artifact, Job::new("scale", args).mode(mode));
     }
-    for (j, jr) in queue.run_batch().into_iter().enumerate() {
+    for (j, jr) in queue.run_batch_report().results.into_iter().enumerate() {
         let out = jr.result.unwrap_or_else(|e| panic!("post-fault batch job {j} failed: {e}"));
         assert!(out.fallback.is_none(), "job {j}: pool left unhealthy");
     }

@@ -330,6 +330,28 @@ fn parameter_expressions_run_the_same_in_both_forms() {
     }
 }
 
+/// An initialized local is implicitly SAVE: it starts from its
+/// initializer once and keeps its value from call to call, whichever
+/// form declares it and whichever tier runs it. (Free form used to
+/// re-run without the initializer: `calls` read 1 on every call.)
+#[test]
+fn initialized_locals_are_saved_in_both_forms() {
+    let case = "REAL(8) :: r\nCOMMON /out/ r\n\
+                INTEGER :: calls = 10\ncalls = calls + 1\nr = calls";
+    let want = [11.0, 12.0, 13.0].map(|v| Some(Val::F(v)));
+    for (form, src) in [("free", render_free(case)), ("fixed", render_fixed(case))] {
+        for tier in [ExecTier::Vm, ExecTier::TreeWalk] {
+            let session = Session::compile(&[&src])
+                .unwrap_or_else(|e| panic!("{form} form rejects:\n{src}\n{e}"));
+            let seen = [(); 3].map(|()| {
+                session.run_tiered("s", &[], ExecMode::Serial, tier).expect("runs");
+                session.global_scalar("common out::r")
+            });
+            assert_eq!(seen, want, "{form} form on {tier:?}:\n{src}");
+        }
+    }
+}
+
 /// A GOTO web is legal on cards and has no spelling in free form; what
 /// free form can say about it — a jump whose target is missing — it
 /// says with the card front end's words.

@@ -8,8 +8,8 @@
 use std::time::Duration;
 
 use fortrans::{
-    ArgVal, EngineService, ExecMode, ExecTier, Job, JobPolicy, PolicyAction, RunError, RunLimits,
-    Session, Val,
+    ArgVal, EngineService, ExecMode, ExecTier, FaultPlan, Job, JobPolicy, PolicyAction, RunError,
+    RunLimits, Session, Val,
 };
 
 const SPIN: &str = r#"
@@ -101,7 +101,7 @@ fn step_budget_trip_retries_and_deadline_trip_does_not() {
     let mut queue = service.queue(1);
     queue.submit(&artifact, budget);
     queue.submit(&artifact, deadline);
-    let results = queue.run_batch();
+    let results = queue.run_batch_report().results;
 
     let retried = &results[0];
     assert!(retried.result.is_ok(), "{:?}", retried.result.as_ref().err());
@@ -118,6 +118,38 @@ fn step_budget_trip_retries_and_deadline_trip_does_not() {
     assert!(err.contains("deadline exceeded"), "{err}");
     assert_eq!(refused.action, PolicyAction::Failed);
     assert_eq!(refused.attempts.len(), 1, "a deadline trip must not be retried");
+}
+
+/// A backoff never outlives the job's deadline: the wait is cut short
+/// where the deadline falls, the job ends `Cancelled`, and the log
+/// records the wait actually slept. (The whole 2 s backoff used to run
+/// first, and the log said `2s`.)
+#[test]
+fn backoff_is_cut_short_at_the_job_deadline() {
+    let service = EngineService::new(4);
+    let artifact = service.compile(&[SPIN]).unwrap();
+    let deadline = Duration::from_millis(50);
+    let policy = JobPolicy {
+        deadline: Some(deadline),
+        retries: 1,
+        backoff: Duration::from_secs(2),
+        degrade: false,
+    };
+    // The whole first attempt fails (VM trap, then oracle trap): a
+    // transient fault, so the policy backs off and retries.
+    let faults = FaultPlan { vm_trap: true, oracle_traps: 1, ..FaultPlan::default() };
+    let args = vec![ArgVal::I(1_000), ArgVal::array_f(&[0.0], 1)];
+    let mut queue = service.queue(1);
+    queue.submit(&artifact, Job::new("spin", args).policy(policy).debug_faults(faults));
+    let report = queue.run_batch_report();
+
+    let jr = &report.results[0];
+    assert_eq!(jr.action, PolicyAction::Cancelled);
+    let err = jr.result.as_ref().expect_err("the deadline cancels the retry").to_string();
+    assert!(err.contains("job deadline of 50ms exceeded"), "{err}");
+    assert!(jr.wall < Duration::from_secs(1), "the backoff outlived the deadline: {:?}", jr.wall);
+    assert_eq!(jr.attempts.len(), 2);
+    assert!(jr.attempts[1].backoff <= deadline, "logged backoff {:?}", jr.attempts[1].backoff);
 }
 
 const FORKS: &str = r#"

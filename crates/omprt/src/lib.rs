@@ -15,9 +15,7 @@
 //! * **named critical sections** ([`sync`]) for `!$OMP CRITICAL`;
 //! * a **sense-reversing barrier** ([`barrier`]);
 //! * **per-region metrics** ([`metrics`]) — worker busy/idle time,
-//!   utilization and imbalance of the last fork;
-//! * a **deadline watchdog** ([`watchdog`]) — a background thread firing
-//!   callbacks (typically cancel tokens) when armed deadlines pass.
+//!   utilization and imbalance of the last fork.
 //!
 //! `!$OMP ATOMIC` updates and reduction combines are the engine's own
 //! (`fortrans::interp`, over its array cells and value type); this crate
@@ -33,11 +31,9 @@ pub mod metrics;
 pub mod pool;
 pub mod schedule;
 pub mod sync;
-pub mod watchdog;
 
 pub use barrier::Barrier;
 pub use metrics::RegionMetrics;
 pub use pool::{PoolSet, RegionPanic, ThreadPool};
 pub use schedule::{chunks_for, guided_chunks, Dispenser, Schedule};
 pub use sync::CriticalRegistry;
-pub use watchdog::Watchdog;
