@@ -102,9 +102,10 @@ pub struct VectorLoopInfo {
     pub unit: String,
     /// Source line of the DO statement.
     pub line: u32,
-    /// Vectorized statements in the loop body.
+    /// Vectorized statements in the loop body (a masked select's `IF`
+    /// counts as one).
     pub stmts: usize,
-    /// True when the loop is a scalar reduction.
+    /// True when the loop is a scalar reduction (a masked select too).
     pub reduction: bool,
 }
 

@@ -555,10 +555,10 @@ impl NativeRegion {
     ///
     /// `None` means "refused": unsupported target, a descriptor that
     /// fails re-verification (corrupted bytecode must never reach the
-    /// emitter), an empty or zero-cost region, or an exec-page
-    /// allocation failure. Refusals are cached by [`NativeCache`] so
-    /// the VM falls through to the vector/scalar path with no repeated
-    /// work.
+    /// emitter), a masked select, an empty or zero-cost region, or an
+    /// exec-page allocation failure. Refusals are cached by
+    /// [`NativeCache`] so the VM falls through to the vector/scalar path
+    /// with no repeated work.
     pub fn compile(
         prog: &RProgram,
         bunits: &[BUnit],
@@ -573,7 +573,9 @@ impl NativeRegion {
             return None;
         }
         let d = &bunits[uidx].vecs[desc as usize];
-        if d.stmts.is_empty() || d.iter_cost == 0 {
+        // The emitter knows f64 lane programs only: a masked select
+        // stays on the vector rung.
+        if d.sel.is_some() || d.stmts.is_empty() || d.iter_cost == 0 {
             return None;
         }
         Self::emit(d)
@@ -1009,6 +1011,7 @@ mod tests {
     mod native {
         use super::super::*;
         use crate::bytecode::{VecAccess, VecRed, VecSub, VSlot, NO_SLOT};
+        use crate::rir::ScalarTy;
 
         /// Reference evaluation of one lane program at iteration `k`
         /// over plain f64 buffers — mirrors the VM's chunked executor
@@ -1141,7 +1144,7 @@ mod tests {
         }
 
         fn acc_f(subs: Vec<VecSub>, write: bool) -> VecAccess {
-            VecAccess { vs: VSlot::A(0), v: 0, subs, write }
+            VecAccess { vs: VSlot::A(0), v: 0, ty: ScalarTy::F, subs, write }
         }
 
         fn sub1() -> VecSub {
@@ -1175,15 +1178,17 @@ mod tests {
                 })
                 .max()
                 .unwrap_or(0);
-            let alias_pairs = VecDesc::write_pairs(&accesses);
+            let alias_pairs = VecDesc::write_pairs(&accesses, &[]);
             VecDesc {
                 accesses,
                 alias_pairs,
                 stmts,
                 red,
+                sel: None,
                 guarded: Vec::new(),
                 max_depth,
                 iter_cost: 4,
+                taken_cost: 0,
                 iter_ledger: None,
                 exit_state: Vec::new(),
                 line: 1,

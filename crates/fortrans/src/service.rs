@@ -168,8 +168,8 @@ fn vector_report_of(prog: &RProgram, bunits: &[BUnit]) -> Vec<VectorLoopInfo> {
         bu.vecs.iter().map(move |d| VectorLoopInfo {
             unit: unit.clone(),
             line: d.line,
-            stmts: d.stmts.len(),
-            reduction: d.red.is_some(),
+            stmts: d.stmts.len() + usize::from(d.sel.is_some()),
+            reduction: d.red.is_some() || d.sel.is_some(),
         })
     });
     per_unit.collect()

@@ -31,12 +31,13 @@
 //! see `tests/fault_injection.rs`.
 
 use crate::bytecode::{
-    nest_exit_state, region_cost, static_ledger, vec_stack_effect, BArg, BInstr, BUnit, PItem,
-    SubOp, VSlot, VecDesc, VecOp, MAX_INLINE_RANK, NO_PC, NO_SDIMS, NO_SLOT, VEC_MAX_ACCESSES,
-    VEC_MAX_DEPTH,
+    dummy_arrays, mask_stack_effect, nest_exit_state, region_cost, static_ledger,
+    vec_stack_effect, BArg, BInstr, BUnit, MaskOp, PItem, SubOp, VSlot, VecDesc, VecOp, VecSel,
+    VecSub, MAX_INLINE_RANK, NO_PC, NO_SDIMS, NO_SLOT, VEC_MAX_ACCESSES, VEC_MAX_DEPTH,
 };
 use crate::error::CompileError;
-use crate::rir::RProgram;
+use crate::intrinsics::Intr;
+use crate::rir::{RProgram, ScalarTy};
 
 /// Verifies every unit of a compiled program. Returns the first
 /// violation as [`CompileError::Verify`] with the unit name and pc.
@@ -275,27 +276,36 @@ impl Verifier<'_> {
                 tgt(exit, "vector loop exit")?;
                 self.vec_desc_ok(desc).map_err(at)?;
                 // A committed entry reserves `trip x iter_cost` steps
-                // and a Simulated one posts `trip x iter_ledger` in place
-                // of the scalar loop `[pc + 1, exit)` this instruction
-                // shadows, so both must be what that loop — inner
+                // (plus `taken x taken_cost` for a masked select) and a
+                // Simulated one posts `trip x iter_ledger` in place of the
+                // scalar loop `[pc + 1, exit)` this instruction shadows,
+                // so all three must be what that loop — inner
                 // constant-trip loops included — retires and posts (a
-                // nest has no ledger).
+                // nest or a select has no ledger).
                 let d = &bu.vecs[desc as usize];
-                let Some((cost, ledger)) = region_cost(&bu.code, pc as usize + 1, exit as usize)
-                else {
+                let Some(cost) = region_cost(&bu.code, pc as usize + 1, exit as usize) else {
                     return Err(at(format!(
                         "vector descriptor {desc}: the loop it shadows is not straight-line \
-                         code and constant-trip nests"
+                         code and constant-trip nests, nor a masked select"
                     )));
                 };
-                if d.iter_cost != cost {
+                if d.iter_cost != cost.iter {
                     return Err(at(format!(
                         "vector descriptor {desc}: iteration cost {} disagrees with the scalar \
-                         loop ({cost})",
-                        d.iter_cost
+                         loop ({})",
+                        d.iter_cost, cost.iter
                     )));
                 }
-                if d.iter_ledger != ledger {
+                if d.taken_cost != cost.taken || d.sel.is_some() != (cost.taken > 0) {
+                    return Err(at(format!(
+                        "vector descriptor {desc}: taken-IF cost {} (select: {}) disagrees with \
+                         the scalar loop ({})",
+                        d.taken_cost,
+                        d.sel.is_some(),
+                        cost.taken
+                    )));
+                }
+                if d.iter_ledger != cost.ledger {
                     return Err(at(format!(
                         "vector descriptor {desc}: iteration ledger disagrees with the scalar loop"
                     )));
@@ -446,6 +456,19 @@ impl Verifier<'_> {
                                     callee.na
                                 )));
                             }
+                        }
+                    }
+                }
+                // An array argument binds its dummy's slot and no other:
+                // `VecDesc::write_pairs` proves non-dummy frame arrays
+                // apart on the strength of it.
+                for (k, arg) in cs.args.iter().enumerate() {
+                    if let BArg::Arr { p } = *arg {
+                        let dummy = callee.vslots.get(cunit.params[k]);
+                        if dummy != Some(&VSlot::A(p)) {
+                            return Err(at(format!(
+                                "array argument {k} binds callee slot {p}, not its dummy's"
+                            )));
                         }
                     }
                 }
@@ -654,7 +677,8 @@ impl Verifier<'_> {
                 d.accesses.len()
             ));
         }
-        if d.alias_pairs != VecDesc::write_pairs(&d.accesses) {
+        let unit = &self.prog.units[bu.unit as usize];
+        if d.alias_pairs != VecDesc::write_pairs(&d.accesses, &dummy_arrays(unit, &bu.vslots)) {
             return Err("vector alias pair list disagrees with the accesses".into());
         }
         for a in &d.accesses {
@@ -700,6 +724,9 @@ impl Verifier<'_> {
         if let Some(&(slot, _)) = d.exit_state.iter().find(|&&(slot, _)| slot >= bu.ni) {
             return Err(format!("vector exit-state i-slot {slot} out of range"));
         }
+        if let Some(sel) = &d.sel {
+            self.select_ok(d, sel)?;
+        }
         if let Some(r) = d.red {
             match r.vs {
                 VSlot::F(s) if s < bu.nf => {}
@@ -723,8 +750,12 @@ impl Verifier<'_> {
                                 d.accesses.len()
                             ));
                         }
-                        if matches!(*op, VecOp::Store(_)) && !d.accesses[ai as usize].write {
+                        let a = &d.accesses[ai as usize];
+                        if matches!(*op, VecOp::Store(_)) && !a.write {
                             return Err(format!("vector store to read-only access {ai}"));
+                        }
+                        if a.ty != ScalarTy::F {
+                            return Err(format!("vector lane op on {:?} access {ai}", a.ty));
                         }
                     }
                     VecOp::SplatF(s) if s >= bu.nf => {
@@ -760,6 +791,45 @@ impl Verifier<'_> {
             }
         }
         Ok(())
+    }
+
+    /// A masked select: the only lane program is the mask, over INTEGER
+    /// read streams, balanced to one LOGICAL lane vector within the
+    /// declared depth; the accumulator is a frame INTEGER slot and the
+    /// fold an INTEGER `MAX`/`MIN`. The select executor indexes lanes
+    /// and streams unchecked on the strength of these.
+    fn select_ok(&self, d: &VecDesc, sel: &VecSel) -> Result<(), String> {
+        let bu = self.bu;
+        if !d.stmts.is_empty() || d.red.is_some() {
+            return Err("vector select descriptor also has lane statements".into());
+        }
+        if sel.acc >= bu.ni {
+            return Err(format!("vector select accumulator i-slot {} out of range", sel.acc));
+        }
+        if !matches!(sel.f, Intr::Max | Intr::Min) {
+            return Err(format!("vector select folds with {:?}", sel.f));
+        }
+        let inv_ok = |s: &VecSub| s.inv == NO_SLOT || s.inv < bu.ni;
+        if !inv_ok(&sel.term) {
+            let inv = sel.term.inv;
+            return Err(format!("vector select term invariant i-slot {inv} out of range"));
+        }
+        for op in &sel.mask {
+            match *op {
+                MaskOp::Load(ai) => match d.accesses.get(ai as usize) {
+                    Some(a) if a.ty == ScalarTy::I && !a.write => {}
+                    _ => return Err(format!("vector mask loads access {ai}, not an INTEGER read")),
+                },
+                MaskOp::Affine(s) if !inv_ok(&s) => {
+                    return Err(format!("vector mask invariant i-slot {} out of range", s.inv));
+                }
+                _ => {}
+            }
+        }
+        match mask_stack_effect(&sel.mask) {
+            Some((1, max)) if max <= d.max_depth => Ok(()),
+            _ => Err("vector mask does not leave one lane vector within its depth".into()),
+        }
     }
 
     // ---------- helpers ----------

@@ -717,7 +717,7 @@ CONTAINS
     twice = 2.0D0 * v
   END FUNCTION twice
   SUBROUTINE zoo(n, a, b, g, idx)
-    INTEGER :: n, i, k
+    INTEGER :: n, i, k, m
     REAL(8), DIMENSION(1:64) :: a, b
     REAL(8), DIMENSION(1:3, 1:64) :: g
     INTEGER, DIMENSION(1:64) :: idx
@@ -752,6 +752,12 @@ CONTAINS
     DO i = 1, n, 2
       a(i) = b(i)
     END DO
+    DO i = 1, n
+      IF (idx(i) > m) m = MAX(m, i)
+    END DO
+    DO i = 1, n
+      IF (idx(i) > 0 .AND. i <= n - k) m = MIN(i + 1, m)
+    END DO
   END SUBROUTINE zoo
 END MODULE m
 "#;
@@ -760,40 +766,42 @@ END MODULE m
     assert_eq!(
         why,
         [
-            (13, Control),
+            (13, Control), // an IF that is not a select reduction
             (16, Call),
             (19, NonAffine),
             (22, ImpureInvariant),
             (25, WrittenPatterns),
             (28, NotInjective),
-            (31, WrittenPatterns), // g(1, i), g(2, i), g(3, i) once unrolled
-            (36, Control),         // nine trips are not looked through ...
-            (37, NotInjective),    // ... and alone the inner loop writes one cell
+            (36, Control),      // nine trips are not looked through ...
+            (37, NotInjective), // ... and alone the inner loop writes one cell
             (41, Shape),
+            (44, Control), // the condition reads the accumulator
         ]
     );
-    // The inner loop at 32 vectorizes on its own once 31 is refused.
-    let regions: Vec<u32> = art.vector_report().iter().map(|r| r.line).collect();
-    assert_eq!(regions, [32]);
+    // g(1, i), g(2, i), g(3, i) at 31 never meet; 47 is a masked select.
+    let regions: Vec<_> = art.vector_report().iter().map(|r| (r.line, r.reduction)).collect();
+    assert_eq!(regions, [(31, false), (47, true)]);
 }
 
 /// Runs `unit` with the vector path on and off and checks both fail the
 /// same way: same error text (so same `in unit at line N`), same
 /// partial stores, and no vector entry.
 fn nest_guard_failure(src: &str, unit: &str, mk: impl Fn() -> Vec<ArgVal>, want_err: &str) {
-    let mut seen = Vec::new();
-    for on in [true, false] {
-        let e = Session::compile(&[src]).unwrap();
-        e.set_vector_enabled(on);
-        let s = snapshot(&e, unit, &mk(), ExecMode::Serial, ExecTier::Vm);
-        assert_eq!(e.vector_entry_count(), 0, "vector={on}: a failed guard must stay scalar");
-        seen.push(s);
+    for mode in [ExecMode::Serial, ExecMode::Parallel { threads: 2 }] {
+        let mut seen = Vec::new();
+        for on in [true, false] {
+            let e = Session::compile(&[src]).unwrap();
+            e.set_vector_enabled(on);
+            let s = snapshot(&e, unit, &mk(), mode, ExecTier::Vm);
+            assert_eq!(e.vector_entry_count(), 0, "vector={on}: a failed guard must stay scalar");
+            seen.push(s);
+        }
+        let oracle = Session::compile(&[src]).unwrap();
+        seen.push(snapshot(&oracle, unit, &mk(), mode, ExecTier::TreeWalk));
+        assert_eq!(seen[0].result, Err(want_err.to_string()), "{mode:?}");
+        assert_eq!(seen[0], seen[1], "vector-on and vector-off diverge under {mode:?}");
+        assert_eq!(seen[0], seen[2], "VM and oracle diverge under {mode:?}");
     }
-    let oracle = Session::compile(&[src]).unwrap();
-    seen.push(snapshot(&oracle, unit, &mk(), ExecMode::Serial, ExecTier::TreeWalk));
-    assert_eq!(seen[0].result, Err(want_err.to_string()));
-    assert_eq!(seen[0], seen[1], "vector-on and vector-off diverge");
-    assert_eq!(seen[0], seen[2], "VM and oracle diverge");
 }
 
 #[test]
@@ -938,6 +946,364 @@ fn nest_step_budget_trips_at_the_same_step_on_both_paths() {
     e.set_native_enabled(false);
     e.run("gg", &green_gauss_args(6), ExecMode::Serial).expect("the budget covers the run");
     assert_eq!(e.vector_entry_count(), 1);
+}
+
+// ---------------------------------------------------------------------
+// Masked select reductions: `IF (c) acc = MAX(acc, t)` over INTEGER lanes
+// ---------------------------------------------------------------------
+
+/// The modes the select and disjointness cases run under.
+const SELECT_MODES: [ExecMode; 3] = [
+    ExecMode::Serial,
+    ExecMode::Parallel { threads: 2 },
+    ExecMode::Simulated { threads: 2 },
+];
+
+/// `ioff_search`'s shape twice over: the largest (`MAX`) and smallest
+/// (`MIN`, accumulator second, an invariant in the term) slot of node
+/// `n1`'s neighbour row holding `n2`, the row cut at `nnbr(n1)`. A
+/// PARALLEL DO asks one query per row of `q`.
+const SEARCH: &str = r#"
+MODULE m
+CONTAINS
+  INTEGER FUNCTION kmax(n1, n2, nn, nbr, nnbr)
+    INTEGER :: n1, n2, nn, j, k
+    INTEGER, DIMENSION(1:8, 1:6) :: nbr
+    INTEGER, DIMENSION(1:6) :: nnbr
+    k = -1
+    DO j = 1, nn
+      IF (j <= nnbr(n1) .AND. nbr(j, n1) == n2) k = MAX(k, j)
+    END DO
+    kmax = k
+  END FUNCTION kmax
+  INTEGER FUNCTION kmin(n1, n2, nbr, nnbr)
+    INTEGER :: n1, n2, j, k
+    INTEGER, DIMENSION(1:8, 1:6) :: nbr
+    INTEGER, DIMENSION(1:6) :: nnbr
+    k = 99
+    DO j = 1, 8
+      IF (.NOT. (j > nnbr(n1)) .AND. nbr(j, n1) == n2) k = MIN(10 * j + n1, k)
+    END DO
+    kmin = k
+  END FUNCTION kmin
+  SUBROUTINE search(nq, q, nbr, nnbr, out)
+    INTEGER :: nq, i
+    INTEGER, DIMENSION(1:2, 1:8) :: q, out
+    INTEGER, DIMENSION(1:8, 1:6) :: nbr
+    INTEGER, DIMENSION(1:6) :: nnbr
+    !$OMP PARALLEL DO DEFAULT(SHARED)
+    DO i = 1, nq
+      out(1, i) = kmax(q(1, i), q(2, i), 8, nbr, nnbr)
+      out(2, i) = kmin(q(1, i), q(2, i), nbr, nnbr)
+    END DO
+    !$OMP END PARALLEL DO
+  END SUBROUTINE search
+  SUBROUTINE probe(n1, n2, nn, nbr, nnbr, out)
+    INTEGER :: n1, n2, nn
+    INTEGER, DIMENSION(1:8, 1:6) :: nbr
+    INTEGER, DIMENSION(1:6) :: nnbr
+    INTEGER, DIMENSION(1:2, 1:8) :: out
+    out(1, 1) = 7
+    out(2, 1) = kmax(n1, n2, nn, nbr, nnbr)
+  END SUBROUTINE probe
+END MODULE m
+"#;
+
+/// Six neighbour rows, one per case: no match (1), a match in the last
+/// lane only (2), several matches (3), matches past the `nnbr` cut (4),
+/// an empty row (5), every lane a match (6).
+fn search_tables() -> (ArgVal, ArgVal) {
+    let rows: [[i64; 8]; 6] = [
+        [2, 3, 4, 5, 6, 2, 3, 4],
+        [1, 3, 4, 6, 1, 3, 4, 5],
+        [4, 7, 4, 1, 4, 2, 0, 0],
+        [6, 6, 2, 6, 6, 6, 6, 6],
+        [3, 3, 3, 3, 3, 3, 3, 3],
+        [1, 1, 1, 1, 1, 1, 1, 1],
+    ];
+    let nbr: Vec<i64> = rows.iter().flatten().copied().collect();
+    (array_i_dims(&nbr, vec![(1, 8), (1, 6)]), ArgVal::array_i(&[8, 8, 6, 2, 0, 8], 1))
+}
+
+fn search_args() -> Vec<ArgVal> {
+    let (nbr, nnbr) = search_tables();
+    let q: Vec<i64> = [(1, 99), (2, 5), (3, 4), (4, 6), (5, 3), (6, 1)]
+        .iter()
+        .flat_map(|&(n1, n2)| [n1, n2])
+        .chain([0; 4])
+        .collect();
+    vec![
+        ArgVal::I(6),
+        array_i_dims(&q, vec![(1, 2), (1, 8)]),
+        nbr,
+        nnbr,
+        array_i_dims(&[0; 16], vec![(1, 2), (1, 8)]),
+    ]
+}
+
+#[test]
+fn select_max_and_min_pick_their_lanes_in_order() {
+    vector_differential_in(&SELECT_MODES, "search", SEARCH, "search", search_args, true);
+    let e = Session::compile(&[SEARCH]).unwrap();
+    let rep = e.vector_report();
+    let selects: Vec<_> = rep.iter().map(|r| (r.unit.as_str(), r.stmts, r.reduction)).collect();
+    assert_eq!(selects, [("kmax", 1, true), ("kmin", 1, true)]);
+    e.set_native_enabled(false);
+    let args = search_args();
+    e.run("search", &args, ExecMode::Serial).unwrap();
+    let out = args[4].handle().unwrap();
+    let got: Vec<i64> = (0..12).map(|k| out.get_i(k)).collect();
+    #[rustfmt::skip]
+    let want = [
+        -1, 99, // nothing matches
+        8, 82,  // only the last lane
+        5, 13,  // MAX takes the last of 1, 3, 5; MIN the first
+        2, 14,  // lanes 4.. are past nnbr(4) = 2
+        -1, 99, // nnbr(5) = 0 cuts every lane
+        8, 16,  // every lane matches
+    ];
+    assert_eq!(got, want);
+    assert_eq!(e.vector_entry_count(), 12, "one entry per call, every call on the vector rung");
+}
+
+#[test]
+fn select_stream_out_of_range_at_the_last_lane_faults_in_the_scalar_loop() {
+    // Nine trips over an eight-row table: `nbr(9, 3)` only exists for
+    // the guard, which refuses the whole entry, so the scalar loop folds
+    // lanes 1..8 and then faults at lane 9 on line 10, after `probe`
+    // stored `out(1, 1)`.
+    let mk = || {
+        let (nbr, nnbr) = search_tables();
+        let out = array_i_dims(&[0; 16], vec![(1, 2), (1, 8)]);
+        vec![ArgVal::I(3), ArgVal::I(4), ArgVal::I(9), nbr, nnbr, out]
+    };
+    nest_guard_failure(
+        SEARCH,
+        "probe",
+        mk,
+        "index 9 out of bounds 1:8 in dimension 0 of `nbr` (in kmax at line 10)",
+    );
+    let e = Session::compile(&[SEARCH]).unwrap();
+    let args = mk();
+    e.run("probe", &args, ExecMode::Serial).expect_err("nbr(9, 3) is out of range");
+    let out = args[5].handle().unwrap();
+    assert_eq!((out.get_i(0), out.get_i(1)), (7, 0));
+}
+
+/// A thousand trips, nine in ten of them taken.
+const BUSY: &str = r#"
+MODULE m
+CONTAINS
+  INTEGER FUNCTION busy(n, v)
+    INTEGER :: n, j, k
+    INTEGER, DIMENSION(1:1000) :: v
+    k = 0
+    DO j = 1, n
+      IF (v(j) /= 0) k = MAX(k, j)
+    END DO
+    busy = k
+  END FUNCTION busy
+END MODULE m
+"#;
+
+fn busy_args(n: i64, taken: impl Fn(i64) -> bool) -> Vec<ArgVal> {
+    let v: Vec<i64> = (1..=1000).map(|j| i64::from(taken(j))).collect();
+    vec![ArgVal::I(n), ArgVal::array_i(&v, 1)]
+}
+
+#[test]
+fn select_step_budget_covers_the_taken_ifs_or_trips_on_the_scalar_path() {
+    let mostly = |j: i64| j % 10 != 0;
+    let scalar = Session::compile(&[BUSY]).unwrap();
+    let steps = |args: Vec<ArgVal>| {
+        let run = scalar.run_profiled("busy", &args, ExecMode::Serial, ExecTier::Vm);
+        run.unwrap().1.steps
+    };
+    // What the entry reserves is what the scalar loop retires: the
+    // not-taken iteration, plus the arm for a taken one.
+    let d = &scalar.artifact().bytecode(false)[0].vecs[0];
+    let (iter, taken) = (u64::from(d.iter_cost), u64::from(d.taken_cost));
+    assert!(d.sel.is_some() && taken > 0);
+    assert_eq!(steps(busy_args(6, |_| false)) - steps(busy_args(5, |_| false)), iter);
+    assert_eq!(steps(busy_args(6, |_| true)) - steps(busy_args(5, |_| true)), iter + taken);
+    let full = steps(busy_args(1000, mostly));
+
+    // A budget that covers every trip at the not-taken price but not the
+    // 900 taken arms: the entry evaluates the mask, cannot reserve, and
+    // both paths trip at the same step.
+    let short = full - 450 * taken;
+    let mut seen = Vec::new();
+    for on in [true, false] {
+        let mut e = Session::compile(&[BUSY]).unwrap();
+        e.set_limits(RunLimits { max_steps: Some(short), ..RunLimits::default() });
+        e.set_vector_enabled(on);
+        e.set_native_enabled(false);
+        let err = e.run("busy", &busy_args(1000, mostly), ExecMode::Serial).expect_err("trips");
+        assert!(err.to_string().contains(&format!("step budget of {short} exhausted")), "{err}");
+        assert_eq!(e.vector_entry_count(), 0, "vector={on}: budget fallback must stay scalar");
+        seen.push(err.to_string());
+    }
+    assert_eq!(seen[0], seen[1]);
+    // With the budget the scalar run needs, the entry reserves and runs.
+    let mut e = Session::compile(&[BUSY]).unwrap();
+    e.set_limits(RunLimits { max_steps: Some(full), ..RunLimits::default() });
+    e.set_native_enabled(false);
+    let out = e.run("busy", &busy_args(1000, mostly), ExecMode::Serial).unwrap();
+    assert_eq!(out.result, Some(Val::I(999)));
+    assert_eq!(e.vector_entry_count(), 1);
+    vector_differential_in(&SELECT_MODES, "busy", BUSY, "busy", || busy_args(1000, mostly), true);
+}
+
+#[test]
+fn selects_outside_the_rule_stay_scalar_and_agree() {
+    // A REAL accumulator, an ELSE, and a term that is not affine.
+    let src = r#"
+MODULE m
+CONTAINS
+  REAL(8) FUNCTION odd(n, v, w)
+    INTEGER :: n, j, k, p
+    REAL(8) :: s
+    INTEGER, DIMENSION(1:50) :: v
+    REAL(8), DIMENSION(1:50) :: w
+    s = 0.0D0
+    k = 0
+    p = 0
+    DO j = 1, n
+      IF (v(j) > 2) s = MAX(s, w(j))
+    END DO
+    DO j = 1, n
+      IF (v(j) > 2) THEN
+        k = MAX(k, j)
+      ELSE
+        k = MIN(k, j)
+      END IF
+    END DO
+    DO j = 1, n
+      IF (v(j) > 2) p = MAX(p, v(j))
+    END DO
+    odd = s + k + p
+  END FUNCTION odd
+END MODULE m
+"#;
+    use fortrans::bytecode::VecRefusal::*;
+    let e = Session::compile(&[src]).unwrap();
+    let why: Vec<_> = e.artifact().vector_refusals().iter().map(|r| (r.line, r.why)).collect();
+    assert_eq!(why, [(12, Control), (15, Control), (22, NonAffine)]);
+    let mk = || {
+        let v: Vec<i64> = (0..50).map(|j| (j * 7) % 5).collect();
+        let w: Vec<f64> = (0..50).map(|j| (j as f64 * 0.3).sin()).collect();
+        vec![ArgVal::I(50), ArgVal::array_i(&v, 1), ArgVal::array_f(&w, 1)]
+    };
+    vector_differential_in(&SELECT_MODES, "odd", src, "odd", mk, false);
+}
+
+// ---------------------------------------------------------------------
+// Alias proofs: constant-subscript disjointness, frame-owned arrays
+// ---------------------------------------------------------------------
+
+const PAIR: &str = r#"
+MODULE m
+CONTAINS
+  SUBROUTINE pair(n, k, g, a)
+    INTEGER :: n, k, i
+    REAL(8), DIMENSION(1:3, 1:40) :: g
+    REAL(8), DIMENSION(1:40) :: a
+    DO i = 1, n
+      g(1, i) = a(i) * 0.5D0
+      g(2, i) = g(1, i) + g(3, i)
+    END DO
+    DO i = 1, n
+      g(k, i) = g(1, i) + 1.0D0
+    END DO
+  END SUBROUTINE pair
+END MODULE m
+"#;
+
+#[test]
+fn literal_subscripts_that_differ_are_disjoint_and_runtime_ones_are_not() {
+    use fortrans::bytecode::VecRefusal::WrittenPatterns;
+    let e = Session::compile(&[PAIR]).unwrap();
+    let regions: Vec<u32> = e.vector_report().iter().map(|r| r.line).collect();
+    assert_eq!(regions, [8], "g(1, i), g(2, i) and g(3, i) never meet");
+    let why: Vec<_> = e.artifact().vector_refusals().iter().map(|r| (r.line, r.why)).collect();
+    assert_eq!(why, [(12, WrittenPatterns)], "g(k, i) may be g(1, i)");
+    // Three patterns of one slot, proven apart: the guard compares only
+    // the two written ones with the dummy `a`.
+    let d = &e.artifact().bytecode(false)[0].vecs[0];
+    let var = |k: u32| d.accesses[k as usize].v;
+    let pair = |&(i, j): &(u32, u32)| var(i).min(var(j))..=var(i).max(var(j));
+    let pairs: Vec<_> = d.alias_pairs.iter().map(pair).collect();
+    assert_eq!(pairs, [2..=3, 2..=3], "g(1, i) and g(2, i) against a(i), vars 2 and 3");
+    for k in [1, 2] {
+        let mk = move || {
+            let g: Vec<f64> = (0..120).map(|c| c as f64 * 0.25).collect();
+            let a: Vec<f64> = (0..40).map(|i| 1.0 / (1.0 + i as f64)).collect();
+            vec![
+                ArgVal::I(40),
+                ArgVal::I(k),
+                ArgVal::array_f_dims(&g, vec![(1, 3), (1, 40)]).unwrap(),
+                ArgVal::array_f(&a, 1),
+            ]
+        };
+        vector_differential_in(&SELECT_MODES, &format!("pair k={k}"), PAIR, "pair", mk, true);
+        let (_, _, entries) = serial_run(PAIR, "pair", mk());
+        assert_eq!(entries, 1, "k={k}: only the first loop is a region");
+    }
+}
+
+#[test]
+fn frame_arrays_skip_the_alias_guard_and_dummies_keep_it() {
+    // `t` is the frame's own array: no pair with it is checked. `a` is a
+    // dummy the caller binds to the module array `g`, which the region
+    // reads one cell ahead: that pair is checked, and it deopts.
+    let src = r#"
+MODULE gm
+  REAL(8), DIMENSION(1:33) :: g
+END MODULE gm
+MODULE m
+  USE gm
+CONTAINS
+  SUBROUTINE shift(n, a, b)
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:33) :: a, b, t
+    DO i = 1, n
+      t(i) = g(i + 1) * 0.5D0
+      a(i) = t(i) + b(i)
+    END DO
+  END SUBROUTINE shift
+  SUBROUTINE drive(n, b)
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:33) :: b
+    DO i = 33, 1, -1
+      g(i) = i * 1.5D0
+    END DO
+    CALL shift(n, g, b)
+  END SUBROUTINE drive
+END MODULE m
+"#;
+    let e = Session::compile(&[src]).unwrap();
+    let d = &e.artifact().bytecode(false)[0].vecs[0];
+    let names: Vec<u32> = d.accesses.iter().map(|a| a.v).collect();
+    let unit = &e.program().units[0];
+    let named = |(i, j): (u32, u32)| {
+        let name = |k: u32| unit.vars[names[k as usize] as usize].name.as_str();
+        (name(i), name(j))
+    };
+    let pairs: Vec<_> = d.alias_pairs.iter().map(|&p| named(p)).collect();
+    assert_eq!(pairs, [("g", "a"), ("a", "b")], "only dummy and global pairs");
+    let mk = || {
+        let b: Vec<f64> = (0..33).map(|i| (i as f64).cos()).collect();
+        vec![ArgVal::I(32), ArgVal::array_f(&b, 1)]
+    };
+    vector_differential_in(&SELECT_MODES, "aliased dummy", src, "drive", mk, false);
+    let (_, _, entries) = serial_run(src, "drive", mk());
+    assert_eq!(entries, 0, "a(i) and g(i + 1) share storage: the guard must deopt");
+    // Called on an array of its own, the same region runs.
+    let (_, _, entries) = serial_run(src, "shift", {
+        let b: Vec<f64> = (0..33).map(|i| (i as f64).cos()).collect();
+        vec![ArgVal::I(32), ArgVal::array_f(&[0.0; 33], 1), ArgVal::array_f(&b, 1)]
+    });
+    assert_eq!(entries, 1);
 }
 
 #[test]

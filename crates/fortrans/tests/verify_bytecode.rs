@@ -716,6 +716,112 @@ fn rejects_quiet_bracket_that_is_not_straight_line() {
     }
 }
 
+/// A masked select reduction and a region whose alias pairs the compiler
+/// pruned: `t` is the frame's own array, `a` and `b` are dummies.
+const SELECT: &str = r#"
+MODULE m
+CONTAINS
+  INTEGER FUNCTION find(n, v, w)
+    INTEGER :: n, w, j, k
+    INTEGER, DIMENSION(1:16) :: v
+    k = 0
+    DO j = 1, n
+      IF (v(j) == w .OR. j > 2 * n) k = MAX(k, j + 1)
+    END DO
+    find = k
+  END FUNCTION find
+  SUBROUTINE halve(n, a, b)
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:16) :: a, b, t
+    DO i = 1, n
+      t(i) = a(i) * 0.5D0
+      b(i) = t(i) + a(i)
+    END DO
+  END SUBROUTINE halve
+  SUBROUTINE outer(n, a, b)
+    INTEGER :: n
+    REAL(8), DIMENSION(1:16) :: a, b
+    CALL halve(n, a, b)
+  END SUBROUTINE outer
+END MODULE m
+"#;
+
+/// A select's costs are read off the IF in the scalar loop it shadows,
+/// its mask reads INTEGER streams only, and its fold is an INTEGER
+/// `MAX`/`MIN` into a frame INTEGER slot; the verifier checks each.
+#[test]
+fn rejects_masked_select_that_disagrees_with_its_scalar_loop() {
+    use fortrans::bytecode::{MaskOp, VecOp};
+    use fortrans::intrinsics::Intr;
+    use fortrans::ScalarTy;
+    let engine = Session::compile(&[SELECT]).unwrap();
+    for traced in [false, true] {
+        let base = compile_program(engine.program(), traced);
+        verify_program(engine.program(), &base).expect("baseline verifies");
+        let d = &base[0].vecs[0];
+        let sel = d.sel.as_ref().expect("the search loop is a masked select");
+        assert!(d.stmts.is_empty() && d.iter_ledger.is_none() && d.taken_cost > 0);
+        assert_eq!(d.accesses.iter().map(|a| a.ty).collect::<Vec<_>>(), [ScalarTy::I]);
+        assert_eq!(sel.mask.len(), 7, "v(j) w == j 2*n > .OR.");
+        let ni = base[0].ni;
+        let reject = |edit: &dyn Fn(&mut BUnit), want: &str| {
+            let mut bad = base.clone();
+            edit(&mut bad[0]);
+            let msg = reject_msg(&engine, &bad);
+            assert!(msg.contains(want), "traced={traced}: {msg}");
+        };
+        reject(&|b| b.vecs[0].taken_cost += 1, "taken-IF cost");
+        reject(&|b| b.vecs[0].taken_cost = 0, "taken-IF cost");
+        reject(&|b| b.vecs[0].sel = None, "taken-IF cost");
+        reject(&|b| b.vecs[0].iter_cost += 1, "iteration cost");
+        reject(&|b| b.vecs[0].accesses[0].ty = ScalarTy::F, "not an INTEGER read");
+        reject(&|b| b.vecs[0].sel.as_mut().unwrap().mask.push(MaskOp::And), "lane vector");
+        reject(&|b| b.vecs[0].sel.as_mut().unwrap().mask.insert(0, MaskOp::Not), "lane vector");
+        reject(&|b| b.vecs[0].sel.as_mut().unwrap().acc = ni, "accumulator i-slot");
+        reject(&|b| b.vecs[0].sel.as_mut().unwrap().f = Intr::Abs, "folds with");
+        reject(&|b| b.vecs[0].sel.as_mut().unwrap().term.inv = ni + 3, "term invariant");
+        reject(&|b| b.vecs[0].stmts.push(vec![VecOp::Load(0)]), "also has lane statements");
+        // An arm that jumps is no select arm the costs could describe.
+        let arm = (0..base[0].code.len())
+            .find(|&pc| matches!(base[0].code[pc], BInstr::IntrI { .. }))
+            .expect("MAX in the arm");
+        reject(&|b| b.code[arm + 1] = BInstr::Jump(arm as u32 + 2), "nor a masked select");
+    }
+}
+
+/// `alias_pairs` is exactly what `write_pairs` keeps: pairs with the
+/// frame's own `t` are pruned, the dummy pair `a`/`b` is not. And an
+/// array argument may bind nothing but its dummy's slot, which is what
+/// makes the pruning sound.
+#[test]
+fn rejects_alias_pairs_and_array_bindings_the_pruning_does_not_allow() {
+    let (engine, base) = compiled(SELECT);
+    let d = &base[1].vecs[0];
+    assert_eq!(d.accesses.len(), 3, "t, a, b");
+    assert_eq!(d.alias_pairs, [(1, 2)], "only the dummies a and b");
+    let reject = |edit: &dyn Fn(&mut [BUnit]), want: &str| {
+        let mut bad = base.clone();
+        edit(&mut bad);
+        let msg = reject_msg(&engine, &bad);
+        assert!(msg.contains(want), "{msg}");
+    };
+    reject(&|b| b[1].vecs[0].alias_pairs.clear(), "alias pair list");
+    reject(&|b| b[1].vecs[0].alias_pairs.push((0, 1)), "alias pair list");
+    // `outer` passes `a` to `halve`'s first array dummy; retarget it at
+    // `halve`'s local `t`, which the pruning assumes no call can reach.
+    let fortrans::bytecode::VSlot::A(t) = base[1].vslots[4] else { panic!("t is a frame array") };
+    reject(
+        &|b| {
+            for arg in &mut b[2].calls[0].args {
+                if let BArg::Arr { p } = arg {
+                    *p = t;
+                }
+            }
+        },
+        "not its dummy's",
+    );
+}
+
 #[test]
 fn every_corpus_program_verifies_in_both_variants() {
     for (label, src) in SWEEP {
@@ -735,7 +841,7 @@ fn every_corpus_program_verifies_in_both_variants() {
 /// corruption, not a pre-existing violation.
 #[test]
 fn rejection_baselines_are_clean() {
-    for src in [BRANCHY, GATHER, NEST] {
+    for src in [BRANCHY, GATHER, NEST, SELECT] {
         let (engine, bunits) = compiled(src);
         verify_program(engine.program(), &bunits).expect("baseline verifies");
     }

@@ -1184,7 +1184,7 @@ END MODULE m
 /// Ranks 7 and 8 — the highest the front end admits, so the longest
 /// subscript lists the VM's fixed buffers ever hold — through every
 /// access kind: operand-addressed loads and stores (frame, module and
-/// allocated arrays; the innermost loop is a `VecLoop` region), by-
+/// allocated arrays; the `DO k` nest is a `VecLoop` region), by-
 /// reference element arguments with copy-out, ATOMIC element updates,
 /// ALLOCATE bounds, and an out-of-range last subscript.
 #[test]
@@ -1247,7 +1247,11 @@ END MODULE hi
             };
             let ((on, entered), (off, _)) = (snap(true), snap(false));
             assert_eq!(on, off, "rank-8 (last {last}) under {mode:?}: vector vs scalar rung");
-            assert!(entered > 0, "the rank-8 inner loop never reached the vector rung");
+            // The unrolled rank-8 patterns differ in literal subscripts,
+            // so the whole nest is one region; a nest has no cost ledger,
+            // so a Simulated run counts it on the scalar head.
+            let simulated = matches!(mode, ExecMode::Simulated { .. });
+            assert_eq!(entered > 0, !simulated, "rank-8 nest under {mode:?}: {entered} entries");
             assert_eq!(on.result.is_err(), last == 0.0, "{:?}", on.result);
         }
     }

@@ -21,8 +21,7 @@
 //!
 //! Finally, [`layout`] names the optimization back-end's
 //! array-of-structures / structure-of-arrays choice (§2.1) — the tag the
-//! code generators branch on — and states the element addressing each
-//! choice means as plain index arithmetic, checked by property tests.
+//! code generators branch on.
 
 pub mod grid;
 pub mod layout;
@@ -30,7 +29,7 @@ pub mod scope;
 pub mod types;
 
 pub use grid::{Dim, ElemType, Field, Grid, GridBuilder};
-pub use layout::{linear_index, ArrayOrder, Layout};
+pub use layout::Layout;
 pub use scope::{GridOrigin, InitData, IntegrationAttr};
 pub use types::DataType;
 

@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release --example fun3d_jacobian [ncells]`
 
+use std::sync::Arc;
+
 use glaf_repro::fun3d::mesh::Mesh;
 use glaf_repro::fun3d::native::{native_jacobian, native_jacobian_parallel};
 use glaf_repro::fortrans::{ArgVal, ExecMode, Session};
@@ -100,6 +102,37 @@ fn main() {
     }
     for r in fused.vector_refusals() {
         println!("  {:12} line {:>3}  scalar: {:?}", r.unit, r.line, r.why);
+    }
+    // Which rung ran those regions over one `zero_jac` + `edgejp` op
+    // after a warm-up op, on the vector rung alone and with eager native
+    // promotion: the benchmark's `vm.vector_entries.fun3d` and
+    // `jit.*.fun3d` rows, which it measures at 3000 cells.
+    println!("\n=== rung entries per op, GLAF serial fused ===");
+    for native in [false, true] {
+        let session = Session::solo(Arc::clone(&fused));
+        session.run("build_mesh", &[ArgVal::I(ncell)], ExecMode::Serial).expect("mesh builds");
+        session.set_native_enabled(native);
+        session.set_native_eager(native);
+        let op = || {
+            for unit in ["zero_jac", "edgejp"] {
+                session.run(unit, &[], ExecMode::Serial).expect("runs");
+            }
+        };
+        op();
+        let count = |s: &Session| {
+            (s.vector_entry_count(), s.native_entry_count(), s.native_deopt_count())
+        };
+        let before = count(&session);
+        op();
+        let after = count(&session);
+        println!(
+            "  {:18} {:>7} vector, {:>7} native entries, {} deopts, {} regions compiled",
+            if native { "native, eager" } else { "vector rung only" },
+            after.0 - before.0,
+            after.1 - before.1,
+            after.2 - before.2,
+            fused.native_cache().compiled_count(),
+        );
     }
 
     // 5. The same noRealloc option on this engine's own clock: the VM
