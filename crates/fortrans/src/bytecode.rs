@@ -20,18 +20,18 @@
 //!   is elementwise REAL arithmetic over affine subscripts — inner loops
 //!   of a few literal trips looked through as if unrolled — get a
 //!   `VecLoop` in front that runs the whole trip as a [`VecDesc`];
-//! * constant subexpressions fold and provably-dead frame-scalar stores
-//!   are eliminated — but only in the *optimized* build variant.
+//! * constant subexpressions fold — but only in the *optimized* build
+//!   variant.
 //!
 //! Two build variants exist per program, and they are the same lowering
 //! but for what changes operation counts. `traced = false` (used by
 //! `ExecMode::Serial` / `Parallel`) applies everything above.
-//! `traced = true` (used by `ExecMode::Simulated`) omits exactly two
-//! things — operator folding and dead-store elimination, each of which
-//! removes operations the interpreter counts — and adds the cost-only
-//! instructions (`CostBranch`, `VecEnter`/`VecLeave`, `Quiet`), so the
-//! VM emits a [`crate::cost::CostTrace`] bit-identical to the
-//! interpreter's. Everything else is cost-neutral and shared: frame
+//! `traced = true` (used by `ExecMode::Simulated`) omits one thing —
+//! operator folding, which removes operations the interpreter counts —
+//! and adds the cost-only instructions (`CostBranch`,
+//! `VecEnter`/`VecLeave`, `Quiet`), so the VM emits a
+//! [`crate::cost::CostTrace`] bit-identical to the interpreter's.
+//! Everything else is cost-neutral and shared: frame
 //! loads, constants and the `Do*` loop instructions post nothing, so
 //! operand-addressed subscripts and fused heads cannot move a count.
 //!
@@ -44,14 +44,14 @@
 //! step (a nest region gets no ledger and stays scalar there). That is
 //! exact, not an estimate: the entry guards prove no iteration can
 //! fault, the counters are integers that only add, and the bucket they
-//! land in cannot change mid-loop (see below). The
-//! ledger describes the *traced* scalar body — unfolded constants, dead
-//! stores and all — while the lane program is built by an analysis that
-//! folds in both builds; the two need not mirror each other because one
-//! supplies only counts and the other only values. What the vector path
-//! adds around the loop (hoisted subscript parts, final values of
-//! forwarded temporaries) re-evaluates expressions the body already
-//! paid for, so a traced build brackets it in `Quiet`. The verifier
+//! land in cannot change mid-loop (see below). The ledger describes
+//! the *traced* scalar body — unfolded constants and all — while the
+//! lane program is built by an analysis that folds in both builds; the
+//! two need not mirror each other because one supplies only counts and
+//! the other only values. What the vector path adds around the loop
+//! (hoisted subscript parts, final values of forwarded temporaries)
+//! re-evaluates expressions the body already paid for, so a traced
+//! build brackets it in `Quiet`. The verifier
 //! recomputes every ledger ([`crate::verify`]).
 //!
 //! Evaluation *order* of side effects (stores, allocations, calls,
@@ -1124,9 +1124,6 @@ struct UnitCompiler<'a> {
     subops: Vec<SubOp>,
     msgs: Vec<String>,
     ctx: Vec<Ctx>,
-    /// Frame scalars that are never read: their pure stores are dropped
-    /// by optimized builds and ignored by the vector analysis of both.
-    dead: Vec<bool>,
     /// Extra hidden i-slots for loop counters/bounds.
     ni_extra: u32,
     /// PC→line debug table under construction.
@@ -1166,7 +1163,6 @@ impl<'a> UnitCompiler<'a> {
                 sdims.push(SDims::of(&info.dims));
             }
         }
-        let dead = find_dead_scalars(unit);
         UnitCompiler {
             prog,
             unit,
@@ -1182,7 +1178,6 @@ impl<'a> UnitCompiler<'a> {
             subops: Vec::new(),
             msgs: Vec::new(),
             ctx: Vec::new(),
-            dead,
             ni_extra: tables[unit_idx].ni,
             lines: Vec::new(),
             last_line: u32::MAX,
@@ -1377,7 +1372,7 @@ impl<'a> UnitCompiler<'a> {
     }
 
     /// True when evaluating `e` has no side effects and cannot fail, so
-    /// a dead store of it can be dropped entirely.
+    /// a vector region's prep code may evaluate it before the loop.
     fn pure_total(&self, e: &RExpr) -> bool {
         match e {
             RExpr::ConstI(_) | RExpr::ConstF(_) | RExpr::ConstB(_) | RExpr::LoadScalar(_) => true,
@@ -1758,9 +1753,6 @@ impl<'a> UnitCompiler<'a> {
     fn emit_stmt(&mut self, s: &RStmt) {
         match s {
             RStmt::AssignScalar { v, e } => {
-                if !self.traced && self.dead[*v] && self.pure_total(e) {
-                    return; // dead-store elimination: the store's operations go too
-                }
                 self.emit_expr(e);
                 self.emit_store_scalar(*v, self.ty_of(e));
             }
@@ -2218,127 +2210,6 @@ fn val_bits(v: Val, ty: ScalarTy) -> u64 {
     }
 }
 
-/// Frame scalars written but never read anywhere in the unit — their
-/// assignments are removable when the RHS is pure.
-fn find_dead_scalars(unit: &RUnit) -> Vec<bool> {
-    let mut read = vec![false; unit.vars.len()];
-    for &p in &unit.params {
-        read[p] = true;
-    }
-    if let Some((rv, _)) = unit.result {
-        read[rv] = true;
-    }
-    fn expr(e: &RExpr, read: &mut [bool]) {
-        match e {
-            RExpr::ConstI(_) | RExpr::ConstF(_) | RExpr::ConstB(_) => {}
-            RExpr::LoadScalar(v) | RExpr::AllocatedQ(v) => read[*v] = true,
-            RExpr::LoadElem { v, subs } => {
-                read[*v] = true;
-                subs.iter().for_each(|s| expr(s, read));
-            }
-            RExpr::Bin { l, r, .. } => {
-                expr(l, read);
-                expr(r, read);
-            }
-            RExpr::Neg(x) | RExpr::Not(x) | RExpr::ToF(x) | RExpr::ToI(x) => expr(x, read),
-            RExpr::Intrinsic { args, .. } => args.iter().for_each(|a| expr(a, read)),
-            RExpr::ArrReduce { v, .. } => read[*v] = true,
-            RExpr::CallFn { args, .. } => args.iter().for_each(|a| rarg(a, read)),
-        }
-    }
-    fn rarg(a: &RArg, read: &mut [bool]) {
-        match a {
-            RArg::ByRefScalar(v) | RArg::Array(v) => read[*v] = true,
-            RArg::ByRefElem { v, subs } => {
-                read[*v] = true;
-                subs.iter().for_each(|s| expr(s, read));
-            }
-            RArg::Value(e) => expr(e, read),
-        }
-    }
-    fn stmt(s: &RStmt, read: &mut [bool]) {
-        match s {
-            RStmt::AssignScalar { e, .. } => expr(e, read),
-            RStmt::AssignElem { v, subs, e } => {
-                read[*v] = true;
-                subs.iter().for_each(|x| expr(x, read));
-                expr(e, read);
-            }
-            RStmt::Broadcast { v, e } => {
-                read[*v] = true;
-                expr(e, read);
-            }
-            RStmt::CopyArray { dst, src } => {
-                read[*dst] = true;
-                read[*src] = true;
-            }
-            RStmt::AtomicUpdate { v, subs, e, .. } => {
-                read[*v] = true;
-                subs.iter().for_each(|x| expr(x, read));
-                expr(e, read);
-            }
-            RStmt::If { arms, else_body } => {
-                for (c, b) in arms {
-                    expr(c, read);
-                    b.iter().for_each(|x| stmt(&x.s, read));
-                }
-                else_body.iter().for_each(|x| stmt(&x.s, read));
-            }
-            RStmt::Do { var, start, end, step, body, omp, collapse_with, .. } => {
-                read[*var] = true;
-                expr(start, read);
-                expr(end, read);
-                if let Some(st) = step {
-                    expr(st, read);
-                }
-                for cd in collapse_with {
-                    read[cd.var] = true;
-                    expr(&cd.start, read);
-                    expr(&cd.end, read);
-                }
-                if let Some(o) = omp {
-                    o.private.iter().for_each(|&v| read[v] = true);
-                    o.reductions.iter().for_each(|&(_, v)| read[v] = true);
-                    if let Some(nt) = &o.num_threads {
-                        expr(nt, read);
-                    }
-                }
-                body.iter().for_each(|x| stmt(&x.s, read));
-            }
-            RStmt::DoWhile { cond, body } => {
-                expr(cond, read);
-                body.iter().for_each(|x| stmt(&x.s, read));
-            }
-            RStmt::CallSub { args, .. } => args.iter().for_each(|a| rarg(a, read)),
-            RStmt::Allocate { v, dims } => {
-                read[*v] = true;
-                for (lo, hi) in dims {
-                    expr(lo, read);
-                    expr(hi, read);
-                }
-            }
-            RStmt::Deallocate { v } => read[*v] = true,
-            RStmt::Critical { body, .. } => body.iter().for_each(|x| stmt(&x.s, read)),
-            RStmt::Print(items) => {
-                for it in items {
-                    if let PrintItem::Val(e) = it {
-                        expr(e, read);
-                    }
-                }
-            }
-            RStmt::Return | RStmt::Exit | RStmt::Cycle | RStmt::Stop(_) | RStmt::Nop => {}
-        }
-    }
-    unit.body.iter().for_each(|s| stmt(&s.s, &mut read));
-    unit.vars
-        .iter()
-        .enumerate()
-        .map(|(v, info)| {
-            !read[v] && info.rank == 0 && matches!(info.place, Place::Frame(_))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2371,9 +2242,9 @@ END MODULE m
 "#;
 
     #[test]
-    fn folding_and_dse_only_in_optimized_builds() {
+    fn folding_only_in_optimized_builds() {
         let (_, opt, traced) = compile(SRC);
-        // The optimized build folds 1.0+2.0 and drops the dead store.
+        // The optimized build folds 1.0+2.0 and 2.0*3.0.
         let consts = |c: &[BInstr]| {
             c.iter()
                 .filter(|i| matches!(i, BInstr::Const(b) if f64::from_bits(*b) == 3.0))
@@ -2382,7 +2253,7 @@ END MODULE m
         assert!(consts(&opt[0].code) >= 1, "folded constant expected");
         assert!(
             opt[0].code.len() < traced[0].code.len(),
-            "optimized build should be shorter (DSE + folding): {} vs {}",
+            "optimized build should be shorter (folding): {} vs {}",
             opt[0].code.len(),
             traced[0].code.len()
         );
@@ -2498,7 +2369,7 @@ END MODULE m
 
     #[test]
     fn traced_build_vectorizes_with_a_ledger_and_quiet_brackets() {
-        let (_, opt, traced) = compile(
+        let (prog, opt, traced) = compile(
             r#"
 MODULE m
 CONTAINS
@@ -2517,14 +2388,20 @@ END MODULE m
 "#,
         );
         let (o, t) = (&opt[0], &traced[0]);
-        // Same region in both builds: the analysis folds and ignores the
-        // dead store whatever the emitter does.
+        // Same region in both builds: the analysis folds whatever the
+        // emitter does, and forwards `unused` like `t`.
         assert_eq!((o.vecs.len(), t.vecs.len()), (1, 1));
         assert_eq!(format!("{:?}", o.vecs[0].stmts), format!("{:?}", t.vecs[0].stmts));
         assert_eq!(o.vecs[0].accesses.len(), t.vecs[0].accesses.len());
-        // The traced scalar body keeps the dead store's MulF and the
-        // unfolded AddF, and its ledger says so; the optimized body has
-        // neither. Subscript `j + 1` is one IOp per iteration in both.
+        // Both builds store `unused` in the scalar body and in the fixup.
+        let u = prog.units[0].vars.iter().position(|v| v.name == "unused").expect("declared");
+        let VSlot::F(su) = o.vslots[u] else { panic!("unused is a frame REAL") };
+        let stores = |u: &BUnit| u.code.iter().filter(|i| matches!(i, BInstr::StoreF(s) if *s == su)).count();
+        assert_eq!((stores(o), stores(t)), (2, 2));
+        // The traced scalar body keeps the unfolded MulF and AddF, and
+        // its ledger says so; the optimized body stores the folded
+        // constants, which posts nothing. Subscript `j + 1` is one IOp
+        // per iteration in both.
         let ops = |l: Option<Ledger>| l.expect("straight-line body").ops;
         assert_eq!(
             ops(t.vecs[0].iter_ledger),
@@ -2534,8 +2411,9 @@ END MODULE m
             ops(o.vecs[0].iter_ledger),
             OpCounts { flop: 2, fdiv: 1, fspecial: 1, iop: 1, load: 2, store: 1 }
         );
-        // Prep (`j + 1` into a hidden slot) and fixup (`t`'s last value)
-        // sit in quiet brackets in the traced build only.
+        // Prep (`j + 1` into a hidden slot) and fixup (the last values
+        // of `unused` and `t`, one bracket) sit in quiet brackets in the
+        // traced build only.
         let quiet = |u: &BUnit| u.code.iter().filter(|i| matches!(i, BInstr::Quiet { .. })).count();
         assert_eq!((quiet(o), quiet(t)), (0, 2));
     }

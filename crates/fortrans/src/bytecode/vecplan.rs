@@ -230,7 +230,7 @@ impl UnitCompiler<'_> {
 
     /// A masked select reduction: a body of exactly `IF (c) acc =
     /// MAX(acc, t)` — or `MIN`, either argument order — with no ELSE.
-    /// Legal when `acc` is a live frame INTEGER scalar that neither `c`
+    /// Legal when `acc` is a frame INTEGER scalar that neither `c`
     /// nor `t` reads, `t` is INTEGER and affine in the loop variable, and
     /// `c` is `.AND.`/`.OR.`/`.NOT.` over INTEGER comparisons. The body
     /// writes no array, so no alias guard applies, and stores no scalar
@@ -259,9 +259,7 @@ impl UnitCompiler<'_> {
             _ => return Err(Control),
         };
         let VSlot::I(slot) = self.vslot(*acc) else { return Err(Control) };
-        // A dead accumulator's store is gone from the optimized build.
         if *acc == var
-            || self.dead[*acc]
             || self.ty_of(t) != ScalarTy::I
             || expr_uses_var(c, *acc)
             || expr_uses_var(t, *acc)
@@ -343,7 +341,6 @@ impl UnitCompiler<'_> {
         for sp in body {
             n += match &sp.s {
                 RStmt::Nop => 0,
-                RStmt::AssignScalar { v, e } if self.vec_skips(*v, e) => 0,
                 RStmt::AssignScalar { v, .. } => {
                     b.sassigned.push(*v);
                     1
@@ -374,14 +371,6 @@ impl UnitCompiler<'_> {
             };
         }
         Ok(n)
-    }
-
-    /// A dead pure store doesn't block the vector path, nor does the
-    /// lane program run it: nothing reads the slot. (A traced build's
-    /// scalar body keeps the store, so its operations are in the
-    /// ledger.)
-    fn vec_skips(&self, v: VarIdx, e: &RExpr) -> bool {
-        self.dead[v] && self.pure_total(e)
     }
 
     /// The literal bounds of an inner `DO` a region looks through: unit
@@ -422,7 +411,6 @@ impl UnitCompiler<'_> {
         let var = b.var;
         for sp in body {
             match &sp.s {
-                RStmt::AssignScalar { v, e } if self.vec_skips(*v, e) => {}
                 RStmt::AssignElem { v, subs, e } => {
                     let subs: Vec<RExpr> =
                         subs.iter().map(|s| subst_scalars(s, idx, &b.temps)).collect();

@@ -72,9 +72,8 @@ pub fn source_hash(sources: &[&str]) -> u64 {
 pub struct CompiledProgram {
     prog: Arc<RProgram>,
     /// `[optimized, traced]`: the optimized build serves Serial/Parallel;
-    /// the traced build — the same lowering without constant folding
-    /// and dead-store elimination — preserves every cost-bearing
-    /// operation for Simulated mode.
+    /// the traced build — the same lowering without constant folding —
+    /// preserves every cost-bearing operation for Simulated mode.
     bytecode: [Arc<Vec<BUnit>>; 2],
     source_hash: u64,
     /// Rough retained-size estimate (both bytecode builds + RIR), fixed
@@ -341,11 +340,6 @@ impl Session {
         *self.cancel.lock() = token;
     }
 
-    /// The currently installed cancellation token.
-    pub fn cancel_token(&self) -> Option<Arc<CancelToken>> {
-        self.cancel.lock().clone()
-    }
-
     /// Test hook: arms every fault `plan` sets on this session; fields
     /// left at their default leave what is already armed alone.
     #[doc(hidden)]
@@ -385,9 +379,9 @@ impl Session {
     where
         I: IntoIterator<Item = (u32, omprt::Schedule)>,
     {
-        let mut cur = (**self.sched_overrides.lock()).clone();
-        cur.by_line = overrides.into_iter().collect();
-        *self.sched_overrides.lock() = Arc::new(cur);
+        let by_line = overrides.into_iter().collect();
+        let mut cur = self.sched_overrides.lock();
+        *cur = Arc::new(ScheduleOverrides { by_line, all: cur.all });
     }
 
     /// Installs (or with `None` clears) a blanket schedule override
@@ -395,14 +389,8 @@ impl Session {
     /// the schedule-matrix benchmarks and the differential suite to run
     /// one program under each schedule kind.
     pub fn set_schedule_override_all(&self, sched: Option<omprt::Schedule>) {
-        let mut cur = (**self.sched_overrides.lock()).clone();
-        cur.all = sched;
-        *self.sched_overrides.lock() = Arc::new(cur);
-    }
-
-    /// The currently installed schedule overrides.
-    pub fn schedule_overrides(&self) -> ScheduleOverrides {
-        (**self.sched_overrides.lock()).clone()
+        let mut cur = self.sched_overrides.lock();
+        *cur = Arc::new(ScheduleOverrides { all: sched, by_line: cur.by_line.clone() });
     }
 
     /// Enables or disables the VM's vector superinstruction path (on by
@@ -432,12 +420,6 @@ impl Session {
     /// results are bit-identical either way.
     pub fn set_native_enabled(&self, on: bool) {
         self.native.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether the native tier is enabled *and* available on this
-    /// target (`false` on non-x86-64 builds regardless of the toggle).
-    pub fn native_enabled(&self) -> bool {
-        crate::jit::available() && self.native.enabled.load(Ordering::Relaxed)
     }
 
     /// Compile loop regions to native code on first entry instead of

@@ -1,5 +1,5 @@
-//! Allocation budgets and the AST and RIR fingerprints of the front end
-//! and of sema, for both source forms.
+//! Allocation budgets of the front end and of sema, and fingerprints of
+//! the AST, RIR and bytecode they lead to, for both source forms.
 //!
 //! Each stage is judged against the size of what it returns: this file
 //! counts heap allocations (`alloc` + `realloc` calls, per thread) made
@@ -17,7 +17,9 @@
 //! `COLLAPSE` clause started saying `collapse: 1` like the free-form
 //! path: 123 of the 200 programs, that substitution and nothing else.)
 //! The RIR literals were computed at the commit before sema resolved
-//! names through a scope chain.
+//! names through a scope chain. The bytecode literals, over both builds
+//! and the vector analysis's reports, were computed at the commit before
+//! dead-store elimination was deleted: no program here has a dead store.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -231,5 +233,37 @@ fn rir_fingerprint_is_the_parents() {
     assert_eq!(
         glaf, 0xb22e_e5ee_20d5_b431,
         "GLAF source sets: sema handed lowering a different program"
+    );
+}
+
+/// Both bytecode builds of every program, and what the vector analysis
+/// reports about them.
+fn bytecode_text(sources: &[&str]) -> String {
+    let set = ProgramSet::from_sources(sources).expect("program ingests");
+    let prog = fortrans::sema::resolve(&set.ast).expect("program resolves");
+    let opt = fortrans::bytecode::compile_program(&prog, false);
+    let traced = fortrans::bytecode::compile_program(&prog, true);
+    let artifact = fortrans::CompiledProgram::compile(sources).expect("program compiles");
+    format!("{opt:?}{traced:?}{:?}{:?}", artifact.vector_report(), artifact.vector_refusals())
+}
+
+#[test]
+fn bytecode_fingerprint_is_the_parents() {
+    let mut f77 = FNV_OFFSET;
+    for seed in 0..32 {
+        fnv1a(&mut f77, &bytecode_text(&refs(&fortrans::gen::generate(seed))));
+    }
+    let mut glaf = FNV_OFFSET;
+    for sources in glaf_source_sets() {
+        fnv1a(&mut glaf, &bytecode_text(&refs(&sources)));
+    }
+    println!("bytecode fingerprints: f77 {f77:#018x}, glaf {glaf:#018x}");
+    assert_eq!(
+        f77, 0x7b13_bb77_159f_4a3a,
+        "generated F77 corpus: lowering emitted different bytecode"
+    );
+    assert_eq!(
+        glaf, 0xe1cf_8f1a_bc1f_0bb6,
+        "GLAF source sets: lowering emitted different bytecode"
     );
 }

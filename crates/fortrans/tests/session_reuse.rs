@@ -9,7 +9,7 @@
 mod common;
 
 use common::{assert_equivalent, corpus, snapshot};
-use fortrans::{ArgVal, EngineService, ExecMode, ExecTier, FaultPlan};
+use fortrans::{ArgVal, EngineService, ExecMode, ExecTier, FaultPlan, Schedule, Session};
 
 #[test]
 fn recycled_session_matches_fresh_over_corpus() {
@@ -110,5 +110,63 @@ END MODULE m
             assert_eq!(outs, first_batch, "batch {batch} diverged after reset");
         }
         session.reset_globals();
+    }
+}
+
+#[test]
+fn racing_schedule_setters_keep_both_overrides() {
+    // The per-line and the blanket override share one snapshot; each
+    // setter must replace its half without losing the other's.
+    let session = Session::compile(&[r#"
+MODULE m
+CONTAINS
+  SUBROUTINE two(a, n)
+    REAL(8), DIMENSION(1:64) :: a
+    INTEGER :: n, i
+    !$OMP PARALLEL DO
+    DO i = 1, n
+      a(i) = a(i) + 1.0D0
+    END DO
+    !$OMP END PARALLEL DO
+    !$OMP PARALLEL DO
+    DO i = 1, n
+      a(i) = a(i) * 2.0D0
+    END DO
+    !$OMP END PARALLEL DO
+  END SUBROUTINE two
+END MODULE m
+"#])
+    .expect("compile");
+    let scheds = || {
+        let args = [ArgVal::array_f(&[1.0; 64], 1), ArgVal::I(64)];
+        let mode = ExecMode::Parallel { threads: 2 };
+        let (_, p) = session.run_profiled("two", &args, mode, ExecTier::Vm).expect("run");
+        p.regions.iter().map(|r| (r.line, r.sched.clone())).collect::<Vec<_>>()
+    };
+    let lines: Vec<u64> = scheds().iter().map(|r| r.0).collect();
+    let [first, second] = lines[..] else { panic!("two regions expected: {lines:?}") };
+    let expect = vec![(first, "dynamic,1".to_string()), (second, "guided,2".to_string())];
+    // Overrides for lines with no loop: a large per-line set is slow to
+    // build and to clone, which is where an unguarded setter loses the
+    // other one's update.
+    let by_line = || {
+        let pad = (10_000..11_000).map(|l| (l, Schedule::StaticBlock));
+        pad.chain([(first as u32, Schedule::Dynamic(1))])
+    };
+    let start = std::sync::Barrier::new(2);
+    for round in 0..2000 {
+        session.set_schedule_overrides([]);
+        session.set_schedule_override_all(None);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                session.set_schedule_overrides(by_line());
+            });
+            s.spawn(|| {
+                start.wait();
+                session.set_schedule_override_all(Some(Schedule::Guided(2)));
+            });
+        });
+        assert_eq!(scheds(), expect, "round {round}: an override was lost");
     }
 }

@@ -53,16 +53,6 @@ impl Affine {
         self.coeffs.is_empty()
     }
 
-    /// True when exactly one loop index appears (a SIV subscript).
-    pub fn single_index(&self) -> Option<(&str, i64)> {
-        if self.coeffs.len() == 1 {
-            let (k, &v) = self.coeffs.iter().next().unwrap();
-            Some((k.as_str(), v))
-        } else {
-            None
-        }
-    }
-
     fn add_assign(&mut self, other: &Affine, sign: i64) {
         self.konst += sign * other.konst;
         for (k, &c) in &other.coeffs {

@@ -1,11 +1,9 @@
-//! Human-readable pretty-printing of the IR — the textual equivalent of
-//! what the GPI renders graphically. Used in diagnostics, docs and tests.
+//! Human-readable rendering of IR expressions in infix syntax. The
+//! dependence analysis names non-affine subscript terms with it.
 
 use std::fmt::Write;
 
 use crate::expr::{BinOp, Callee, Expr, UnOp};
-use crate::program::{Function, GlafModule, Program};
-use crate::stmt::{LValue, Step, StepBody, Stmt};
 
 /// Renders an expression in conventional infix syntax.
 pub fn expr_to_string(e: &Expr) -> String {
@@ -115,149 +113,6 @@ fn write_expr(out: &mut String, e: &Expr, parent_prec: u8) {
     }
 }
 
-fn write_lvalue(out: &mut String, lv: &LValue) {
-    out.push_str(&lv.grid);
-    if let Some(f) = &lv.field {
-        let _ = write!(out, ".{f}");
-    }
-    if !lv.indices.is_empty() {
-        out.push('(');
-        for (i, ix) in lv.indices.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            write_expr(out, ix, 0);
-        }
-        out.push(')');
-    }
-}
-
-fn write_stmt(out: &mut String, s: &Stmt, indent: usize) {
-    let pad = "  ".repeat(indent);
-    match s {
-        Stmt::Assign { target, value } => {
-            out.push_str(&pad);
-            write_lvalue(out, target);
-            out.push_str(" = ");
-            write_expr(out, value, 0);
-            out.push('\n');
-        }
-        Stmt::If { cond, then_body, else_body } => {
-            out.push_str(&pad);
-            out.push_str("if ");
-            write_expr(out, cond, 0);
-            out.push_str(" then\n");
-            for s in then_body {
-                write_stmt(out, s, indent + 1);
-            }
-            if !else_body.is_empty() {
-                let _ = writeln!(out, "{pad}else");
-                for s in else_body {
-                    write_stmt(out, s, indent + 1);
-                }
-            }
-            let _ = writeln!(out, "{pad}end if");
-        }
-        Stmt::CallSub { name, args } => {
-            out.push_str(&pad);
-            let _ = write!(out, "call {name}(");
-            for (i, a) in args.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                write_expr(out, a, 0);
-            }
-            out.push_str(")\n");
-        }
-        Stmt::Return(v) => {
-            out.push_str(&pad);
-            out.push_str("return");
-            if let Some(e) = v {
-                out.push(' ');
-                write_expr(out, e, 0);
-            }
-            out.push('\n');
-        }
-        Stmt::Exit => {
-            let _ = writeln!(out, "{pad}exit");
-        }
-        Stmt::Cycle => {
-            let _ = writeln!(out, "{pad}cycle");
-        }
-    }
-}
-
-/// Renders a step.
-pub fn step_to_string(step: &Step) -> String {
-    let mut out = String::new();
-    if let Some(l) = &step.label {
-        let _ = writeln!(out, "step \"{l}\":");
-    } else {
-        out.push_str("step:\n");
-    }
-    match &step.body {
-        StepBody::Straight(stmts) => {
-            for s in stmts {
-                write_stmt(&mut out, s, 1);
-            }
-        }
-        StepBody::Loop(nest) => {
-            let mut indent = 1;
-            for r in &nest.ranges {
-                let pad = "  ".repeat(indent);
-                let _ = write!(out, "{pad}foreach {} in ", r.var);
-                write_expr(&mut out, &r.start, 0);
-                out.push_str("..");
-                write_expr(&mut out, &r.end, 0);
-                out.push('\n');
-                indent += 1;
-            }
-            if let Some(c) = &nest.condition {
-                let pad = "  ".repeat(indent);
-                let _ = write!(out, "{pad}where ");
-                write_expr(&mut out, c, 0);
-                out.push('\n');
-                indent += 1;
-            }
-            for s in &nest.body {
-                write_stmt(&mut out, s, indent);
-            }
-        }
-    }
-    out
-}
-
-/// Renders a function.
-pub fn function_to_string(f: &Function) -> String {
-    let mut out = String::new();
-    let kind = if f.is_subroutine() { "subroutine" } else { "function" };
-    let _ = writeln!(out, "{kind} {}({})", f.name, f.params.join(", "));
-    for s in &f.steps {
-        out.push_str(&step_to_string(s));
-    }
-    out
-}
-
-/// Renders a module.
-pub fn module_to_string(m: &GlafModule) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "module {}", m.name);
-    for g in &m.globals {
-        let _ = writeln!(out, "  global {} [{:?}]", g.name, g.origin);
-    }
-    for f in &m.functions {
-        for line in function_to_string(f).lines() {
-            let _ = writeln!(out, "  {line}");
-        }
-    }
-    out
-}
-
-/// Renders a whole program.
-pub fn program_to_string(p: &Program) -> String {
-    p.modules.iter().map(module_to_string).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,20 +153,5 @@ mod tests {
     fn field_access_renders() {
         let e = Expr::at_field("atoms", vec![Expr::idx("i")], "charge");
         assert_eq!(expr_to_string(&e), "atoms.charge(i)");
-    }
-
-    #[test]
-    fn stmt_rendering() {
-        let s = Stmt::If {
-            cond: Expr::idx("i").cmp(BinOp::Gt, Expr::int(0)),
-            then_body: vec![Stmt::assign(LValue::scalar("x"), Expr::real(1.0))],
-            else_body: vec![Stmt::Exit],
-        };
-        let mut out = String::new();
-        write_stmt(&mut out, &s, 0);
-        assert!(out.contains("if i > 0 then"));
-        assert!(out.contains("x = 1.0"));
-        assert!(out.contains("else"));
-        assert!(out.contains("exit"));
     }
 }

@@ -31,14 +31,6 @@ impl Function {
     pub fn grid(&self, name: &str) -> Option<&Grid> {
         self.grids.iter().find(|g| g.name == name)
     }
-
-    /// All loop steps in declaration order.
-    pub fn loop_steps(&self) -> impl Iterator<Item = (usize, &crate::stmt::LoopNest)> {
-        self.steps
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_loop().map(|l| (i, l)))
-    }
 }
 
 /// A GLAF module: a named group of functions plus the grids created in the

@@ -134,20 +134,6 @@ impl Glaf {
         sources.push(&generated.source);
         Session::compile(&sources)
     }
-
-    /// [`Glaf::compile_with`], producing a shareable service-layer
-    /// artifact instead of a solo session: open sessions on it (or
-    /// submit jobs against it) without recompiling.
-    pub fn compile_artifact_with(
-        &self,
-        opts: &CodegenOptions,
-        legacy_sources: &[&str],
-    ) -> Result<std::sync::Arc<fortrans::CompiledProgram>, fortrans::CompileError> {
-        let generated = self.generate(Lang::Fortran, opts);
-        let mut sources: Vec<&str> = legacy_sources.to_vec();
-        sources.push(&generated.source);
-        fortrans::CompiledProgram::compile(&sources)
-    }
 }
 
 #[cfg(test)]
