@@ -20,14 +20,19 @@
 //!   is elementwise REAL arithmetic over affine subscripts — inner loops
 //!   of a few literal trips looked through as if unrolled — get a
 //!   `VecLoop` in front that runs the whole trip as a [`VecDesc`];
-//! * constant subexpressions fold — but only in the *optimized* build
-//!   variant.
+//! * constant subexpressions fold, and *scoped temporaries* — local
+//!   ALLOCATABLEs allocated once, to literal bounds, for the whole span
+//!   that uses them ([`scoped_temporaries`]) — become fixed-shape frame
+//!   arrays whose `ALLOCATE`/`DEALLOCATE` emit nothing; both only in the
+//!   *optimized* build variant.
 //!
 //! Two build variants exist per program, and they are the same lowering
 //! but for what changes operation counts. `traced = false` (used by
 //! `ExecMode::Serial` / `Parallel`) applies everything above.
-//! `traced = true` (used by `ExecMode::Simulated`) omits one thing —
-//! operator folding, which removes operations the interpreter counts —
+//! `traced = true` (used by `ExecMode::Simulated`) omits two things —
+//! operator folding, which removes operations the interpreter counts,
+//! and scoped temporaries, whose `ALLOCATE`s post the `alloc_calls` and
+//! `alloc_bytes` the interpreter counts —
 //! and adds the cost-only instructions (`CostBranch`,
 //! `VecEnter`/`VecLeave`, `Quiet`), so the VM emits a
 //! [`crate::cost::CostTrace`] bit-identical to the interpreter's.
@@ -882,14 +887,21 @@ struct SlotTable {
     nb: u32,
     na: u32,
     fixed_arrays: Vec<FixedArray>,
+    /// Scoped temporaries (see [`scoped_temporaries`]): fixed arrays
+    /// whose `ALLOCATE` and `DEALLOCATE` emit nothing. Optimized build only.
+    scoped: Vec<VarIdx>,
     result: Option<(VSlot, ScalarTy)>,
 }
 
-fn assign_slots(unit: &RUnit) -> SlotTable {
+/// `traced` names the build the table serves: only the optimized one
+/// turns scoped temporaries into fixed arrays, since the traced one must
+/// post each `ALLOCATE`'s `alloc_calls`/`alloc_bytes` like the interpreter.
+fn assign_slots(unit: &RUnit, traced: bool) -> SlotTable {
     let (mut ni, mut nf, mut nb, mut na) = (0u32, 0u32, 0u32, 0u32);
     let mut fixed = Vec::new();
+    let temps = if traced { Vec::new() } else { scoped_temporaries(unit) };
     let mut vslots = Vec::with_capacity(unit.vars.len());
-    for info in &unit.vars {
+    for (v, info) in unit.vars.iter().enumerate() {
         let vs = match info.place {
             Place::Global(cell) => {
                 if info.rank > 0 {
@@ -902,7 +914,9 @@ fn assign_slots(unit: &RUnit) -> SlotTable {
                 if info.rank > 0 {
                     let s = na;
                     na += 1;
-                    if !info.allocatable && !info.is_param {
+                    if let Some((_, dims)) = temps.iter().find(|(t, _)| *t == v) {
+                        fixed.push((s, info.ty, dims.clone()));
+                    } else if !info.allocatable && !info.is_param {
                         fixed.push((s, info.ty, info.dims.clone()));
                     }
                     VSlot::A(s)
@@ -927,13 +941,88 @@ fn assign_slots(unit: &RUnit) -> SlotTable {
         vslots.push(vs);
     }
     let result = unit.result.map(|(rv, rty)| (vslots[rv], rty));
-    SlotTable { vslots, ni, nf, nb, na, fixed_arrays: fixed, result }
+    let scoped = temps.into_iter().map(|(v, _)| v).collect();
+    SlotTable { vslots, ni, nf, nb, na, fixed_arrays: fixed, scoped, result }
+}
+
+/// The unit's *scoped temporaries*, with the shape each is allocated
+/// to: frame-local ALLOCATABLEs (no dummy, no SAVE) whose body holds, at
+/// top level, exactly one `ALLOCATE` with literal bounds that pass
+/// [`ArrayObj::dims_fit`](crate::storage::ArrayObj::dims_fit), followed
+/// at top level by exactly one `DEALLOCATE`, with every other mention
+/// strictly between the two, no `RETURN` between them and no
+/// `ALLOCATED()` query anywhere. Such an array is allocated exactly
+/// while anything can read it, so a fixed frame array — zeroed on every
+/// call, as `ALLOCATE` zeroes — behaves the same, and the pair can emit
+/// nothing: `AlreadyAllocated`, `Unallocated` and the element cap
+/// cannot fire. DESIGN §6 says what breaks without each condition.
+fn scoped_temporaries(unit: &RUnit) -> Vec<(VarIdx, Vec<(i64, i64)>)> {
+    /// What the walk saw of one variable, by top-level statement index.
+    #[derive(Clone)]
+    struct Life {
+        alloc: Option<usize>,
+        dealloc: Option<usize>,
+        /// First and last statement mentioning it otherwise.
+        refs: Option<(usize, usize)>,
+        refused: bool,
+    }
+    let mut life =
+        vec![Life { alloc: None, dealloc: None, refs: None, refused: false }; unit.vars.len()];
+    let mut returns = Vec::new();
+    for (i, sp) in unit.body.iter().enumerate() {
+        walk_stmt(&sp.s, &mut |seen| match seen {
+            Seen::Ref(v) => {
+                let r = &mut life[v].refs;
+                *r = Some(r.map_or((i, i), |(lo, _)| (lo, i)));
+            }
+            Seen::Alloc(v) | Seen::Dealloc(v) => {
+                let top = matches!(sp.s, RStmt::Allocate { v: w, .. } | RStmt::Deallocate { v: w } if w == v);
+                let l = &mut life[v];
+                let at = if matches!(seen, Seen::Alloc(_)) { &mut l.alloc } else { &mut l.dealloc };
+                if top && at.is_none() {
+                    *at = Some(i);
+                } else {
+                    l.refused = true;
+                }
+            }
+            Seen::Query(v) => life[v].refused = true,
+            Seen::Return => returns.push(i),
+        });
+    }
+    let mut out = Vec::new();
+    for (v, (info, l)) in unit.vars.iter().zip(&life).enumerate() {
+        let local = matches!(info.place, Place::Frame(_)) && info.allocatable && !info.is_param;
+        let (Some(a), Some(d), false, true) = (l.alloc, l.dealloc, l.refused, local) else {
+            continue;
+        };
+        let inside = |i: usize| a < i && i < d;
+        if a > d
+            || l.refs.is_some_and(|(lo, hi)| !inside(lo) || !inside(hi))
+            || returns.iter().any(|&i| inside(i))
+        {
+            continue;
+        }
+        let RStmt::Allocate { dims, .. } = &unit.body[a].s else { continue };
+        let dims: Option<Vec<(i64, i64)>> = dims
+            .iter()
+            .map(|bounds| match bounds {
+                (RExpr::ConstI(lo), RExpr::ConstI(hi)) => Some((*lo, *hi)),
+                _ => None,
+            })
+            .collect();
+        if let Some(dims) = dims {
+            if dims.len() == info.rank && crate::storage::ArrayObj::dims_fit(&dims) {
+                out.push((v, dims));
+            }
+        }
+    }
+    out
 }
 
 /// Compiles every unit of `prog`. `traced = true` produces the
 /// cost-exact variant for `ExecMode::Simulated`.
 pub fn compile_program(prog: &RProgram, traced: bool) -> Vec<BUnit> {
-    let tables: Vec<SlotTable> = prog.units.iter().map(assign_slots).collect();
+    let tables: Vec<SlotTable> = prog.units.iter().map(|u| assign_slots(u, traced)).collect();
     prog.units
         .iter()
         .enumerate()
@@ -1150,17 +1239,17 @@ impl<'a> UnitCompiler<'a> {
     ) -> Self {
         // Static-dims table: fixed-shape frame locals only (their handle
         // provably matches the declaration — fresh per call).
+        let t = &tables[unit_idx];
         let mut sdims = Vec::new();
         let mut sdim_of = vec![None; unit.vars.len()];
         for (v, info) in unit.vars.iter().enumerate() {
-            if matches!(info.place, Place::Frame(_))
-                && info.rank > 0
-                && !info.allocatable
-                && !info.is_param
-                && info.dims.len() == info.rank
-            {
-                sdim_of[v] = Some(sdims.len() as u32);
-                sdims.push(SDims::of(&info.dims));
+            let VSlot::A(s) = t.vslots[v] else { continue };
+            match t.fixed_arrays.iter().find(|f| f.0 == s) {
+                Some((_, _, dims)) if dims.len() == info.rank => {
+                    sdim_of[v] = Some(sdims.len() as u32);
+                    sdims.push(SDims::of(dims));
+                }
+                _ => {}
             }
         }
         UnitCompiler {
@@ -1732,7 +1821,15 @@ impl<'a> UnitCompiler<'a> {
     // ---------- statements ----------
 
     fn emit_block(&mut self, body: &[SpStmt]) {
+        let tables = self.tables;
+        let scoped = &tables[self.unit_idx].scoped;
         for sp in body {
+            // A scoped temporary's pair emits nothing, not even a line.
+            if let RStmt::Allocate { v, .. } | RStmt::Deallocate { v } = sp.s {
+                if scoped.contains(&v) {
+                    continue;
+                }
+            }
             if self.last_line != sp.line {
                 let pc = self.pc();
                 self.lines.push((pc, sp.line));

@@ -274,71 +274,127 @@ fn pt_var(v: VarIdx, vars: &[VarInfo], globals: &[GlobalDecl]) -> bool {
 }
 
 fn stmts_touch_pt(stmts: &[SpStmt], vars: &[VarInfo], globals: &[GlobalDecl]) -> bool {
-    let pt = |v: VarIdx| pt_var(v, vars, globals);
-    let pe = |e: &RExpr| expr_touches_pt(e, vars, globals);
-    stmts.iter().any(|sp| match &sp.s {
-        RStmt::AssignScalar { v, e } | RStmt::Broadcast { v, e } => pt(*v) || pe(e),
-        RStmt::AssignElem { v, subs, e } => pt(*v) || subs.iter().any(pe) || pe(e),
-        RStmt::CopyArray { dst, src } => pt(*dst) || pt(*src),
-        RStmt::AtomicUpdate { v, subs, e, .. } => pt(*v) || subs.iter().any(pe) || pe(e),
-        RStmt::If { arms, else_body } => {
-            arms.iter().any(|(c, b)| pe(c) || stmts_touch_pt(b, vars, globals))
-                || stmts_touch_pt(else_body, vars, globals)
+    let mut touched = false;
+    walk_stmts(stmts, &mut |seen| match seen {
+        Seen::Ref(v) | Seen::Alloc(v) | Seen::Dealloc(v) | Seen::Query(v) => {
+            touched |= pt_var(v, vars, globals);
         }
-        RStmt::Do { var, start, end, step, body, collapse_with, .. } => {
-            pt(*var)
-                || pe(start)
-                || pe(end)
-                || step.as_ref().is_some_and(&pe)
-                || collapse_with
-                    .iter()
-                    .any(|c| pt(c.var) || pe(&c.start) || pe(&c.end))
-                || stmts_touch_pt(body, vars, globals)
-        }
-        RStmt::DoWhile { cond, body } => pe(cond) || stmts_touch_pt(body, vars, globals),
-        RStmt::CallSub { args, .. } => args.iter().any(|a| arg_touches_pt(a, vars, globals)),
-        RStmt::Allocate { v, dims } => {
-            pt(*v) || dims.iter().any(|(lo, hi)| pe(lo) || pe(hi))
-        }
-        RStmt::Deallocate { v } => pt(*v),
-        RStmt::Critical { body, .. } => stmts_touch_pt(body, vars, globals),
-        RStmt::Print(items) => items.iter().any(|i| match i {
-            PrintItem::Str(_) => false,
-            PrintItem::Val(e) => pe(e),
-        }),
-        RStmt::Return | RStmt::Exit | RStmt::Cycle | RStmt::Stop(_) | RStmt::Nop => false,
-    })
+        Seen::Return => {}
+    });
+    touched
 }
 
-fn arg_touches_pt(a: &RArg, vars: &[VarInfo], globals: &[GlobalDecl]) -> bool {
-    match a {
-        RArg::ByRefScalar(v) | RArg::Array(v) => pt_var(*v, vars, globals),
-        RArg::ByRefElem { v, subs } => {
-            pt_var(*v, vars, globals)
-                || subs.iter().any(|e| expr_touches_pt(e, vars, globals))
-        }
-        RArg::Value(e) => expr_touches_pt(e, vars, globals),
+/// One thing [`walk_stmts`] reports.
+#[derive(Clone, Copy)]
+pub(crate) enum Seen {
+    /// Any mention of a variable but the three below.
+    Ref(VarIdx),
+    Alloc(VarIdx),
+    Dealloc(VarIdx),
+    /// `ALLOCATED(v)`.
+    Query(VarIdx),
+    Return,
+}
+
+/// Calls `f` on every variable mention and every `RETURN` in `stmts`,
+/// in statement order, nested bodies and OMP clauses included.
+pub(crate) fn walk_stmts(stmts: &[SpStmt], f: &mut dyn FnMut(Seen)) {
+    for sp in stmts {
+        walk_stmt(&sp.s, f);
     }
 }
 
-fn expr_touches_pt(e: &RExpr, vars: &[VarInfo], globals: &[GlobalDecl]) -> bool {
-    let pt = |v: VarIdx| pt_var(v, vars, globals);
+/// [`walk_stmts`] over one statement.
+pub(crate) fn walk_stmt(s: &RStmt, f: &mut dyn FnMut(Seen)) {
+    match s {
+        RStmt::AssignScalar { v, e } | RStmt::Broadcast { v, e } => {
+            f(Seen::Ref(*v));
+            walk_expr(e, f);
+        }
+        RStmt::AssignElem { v, subs, e } | RStmt::AtomicUpdate { v, subs, e, .. } => {
+            f(Seen::Ref(*v));
+            subs.iter().for_each(|x| walk_expr(x, f));
+            walk_expr(e, f);
+        }
+        RStmt::CopyArray { dst, src } => {
+            f(Seen::Ref(*dst));
+            f(Seen::Ref(*src));
+        }
+        RStmt::If { arms, else_body } => {
+            for (c, b) in arms {
+                walk_expr(c, f);
+                walk_stmts(b, f);
+            }
+            walk_stmts(else_body, f);
+        }
+        RStmt::Do { var, start, end, step, body, omp, collapse_with, .. } => {
+            f(Seen::Ref(*var));
+            [start, end].into_iter().chain(step).for_each(|x| walk_expr(x, f));
+            for c in collapse_with {
+                f(Seen::Ref(c.var));
+                walk_expr(&c.start, f);
+                walk_expr(&c.end, f);
+            }
+            if let Some(o) = omp {
+                o.private.iter().for_each(|&v| f(Seen::Ref(v)));
+                o.reductions.iter().for_each(|&(_, v)| f(Seen::Ref(v)));
+                o.num_threads.iter().for_each(|x| walk_expr(x, f));
+            }
+            walk_stmts(body, f);
+        }
+        RStmt::DoWhile { cond, body } => {
+            walk_expr(cond, f);
+            walk_stmts(body, f);
+        }
+        RStmt::CallSub { args, .. } => args.iter().for_each(|a| walk_arg(a, f)),
+        RStmt::Allocate { v, dims } => {
+            f(Seen::Alloc(*v));
+            for (lo, hi) in dims {
+                walk_expr(lo, f);
+                walk_expr(hi, f);
+            }
+        }
+        RStmt::Deallocate { v } => f(Seen::Dealloc(*v)),
+        RStmt::Critical { body, .. } => walk_stmts(body, f),
+        RStmt::Return => f(Seen::Return),
+        RStmt::Print(items) => {
+            for it in items {
+                if let PrintItem::Val(e) = it {
+                    walk_expr(e, f);
+                }
+            }
+        }
+        RStmt::Exit | RStmt::Cycle | RStmt::Stop(_) | RStmt::Nop => {}
+    }
+}
+
+fn walk_expr(e: &RExpr, f: &mut dyn FnMut(Seen)) {
     match e {
-        RExpr::ConstI(_) | RExpr::ConstF(_) | RExpr::ConstB(_) => false,
-        RExpr::LoadScalar(v) | RExpr::ArrReduce { v, .. } | RExpr::AllocatedQ(v) => pt(*v),
+        RExpr::ConstI(_) | RExpr::ConstF(_) | RExpr::ConstB(_) => {}
+        RExpr::LoadScalar(v) | RExpr::ArrReduce { v, .. } => f(Seen::Ref(*v)),
+        RExpr::AllocatedQ(v) => f(Seen::Query(*v)),
         RExpr::LoadElem { v, subs } => {
-            pt(*v) || subs.iter().any(|s| expr_touches_pt(s, vars, globals))
+            f(Seen::Ref(*v));
+            subs.iter().for_each(|x| walk_expr(x, f));
         }
         RExpr::Bin { l, r, .. } => {
-            expr_touches_pt(l, vars, globals) || expr_touches_pt(r, vars, globals)
+            walk_expr(l, f);
+            walk_expr(r, f);
         }
-        RExpr::Neg(x) | RExpr::Not(x) | RExpr::ToF(x) | RExpr::ToI(x) => {
-            expr_touches_pt(x, vars, globals)
+        RExpr::Neg(x) | RExpr::Not(x) | RExpr::ToF(x) | RExpr::ToI(x) => walk_expr(x, f),
+        RExpr::Intrinsic { args, .. } => args.iter().for_each(|x| walk_expr(x, f)),
+        RExpr::CallFn { args, .. } => args.iter().for_each(|a| walk_arg(a, f)),
+    }
+}
+
+fn walk_arg(a: &RArg, f: &mut dyn FnMut(Seen)) {
+    match a {
+        RArg::ByRefScalar(v) | RArg::Array(v) => f(Seen::Ref(*v)),
+        RArg::ByRefElem { v, subs } => {
+            f(Seen::Ref(*v));
+            subs.iter().for_each(|x| walk_expr(x, f));
         }
-        RExpr::Intrinsic { args, .. } => {
-            args.iter().any(|a| expr_touches_pt(a, vars, globals))
-        }
-        RExpr::CallFn { args, .. } => args.iter().any(|a| arg_touches_pt(a, vars, globals)),
+        RArg::Value(x) => walk_expr(x, f),
     }
 }
 

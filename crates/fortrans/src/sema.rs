@@ -681,6 +681,9 @@ impl Resolver {
                     return Err(serr("one array per DEALLOCATE statement, please", *span));
                 }
                 let v = uc.var(self, names[0].base(), *span)?;
+                if !uc.vars[v].allocatable {
+                    return Err(serr(format!("`{}` is not ALLOCATABLE", names[0].base()), *span));
+                }
                 Ok(RStmt::Deallocate { v })
             }
             Stmt::Critical { name, body, span: _ } => Ok(RStmt::Critical {
@@ -1092,6 +1095,9 @@ impl Resolver {
         if name == "allocated" && part.subs.len() == 1 {
             if let Expr::Name(ad) = &part.subs[0] {
                 let v = uc.var(self, ad.base(), span)?;
+                if !uc.vars[v].allocatable {
+                    return Err(serr(format!("`{}` is not ALLOCATABLE", ad.base()), span));
+                }
                 return Ok((RExpr::AllocatedQ(v), ScalarTy::B));
             }
             return Err(serr("ALLOCATED takes a variable", span));

@@ -126,15 +126,33 @@ impl Verifier<'_> {
         if let Some((vs, _)) = bu.result {
             self.scalar_slot_ok(bu, vs).map_err(|m| (0, m))?;
         }
+        let mut prev = None;
         for &(slot, _, ref dims) in &bu.fixed_arrays {
             if slot >= bu.na {
                 return Err((0, format!("fixed array slot {slot} out of range (na={})", bu.na)));
             }
+            // Frame reset walks the slots and this table in one pass.
+            if prev.is_some_and(|p| p >= slot) {
+                return Err((0, format!("fixed array slot {slot} out of ascending order")));
+            }
+            prev = Some(slot);
             if !crate::storage::ArrayObj::dims_fit(dims) {
                 return Err((0, "fixed array shape exceeds the element cap".into()));
             }
         }
         Ok(())
+    }
+
+    /// A fixed frame array is allocated from frame set-up to return:
+    /// static-shape element access and vector stream resolution rely on
+    /// it, so nothing may allocate, free or query it.
+    fn not_fixed(bu: &BUnit, vs: VSlot) -> Result<(), String> {
+        match vs {
+            VSlot::A(s) if bu.fixed_arrays.iter().any(|f| f.0 == s) => {
+                Err(format!("allocation status of fixed frame array slot {s} is not variable"))
+            }
+            _ => Ok(()),
+        }
     }
 
     // ---------- per-instruction structural checks ----------
@@ -193,7 +211,10 @@ impl Verifier<'_> {
                 self.scalar_slot_ok(bu, vs).map_err(at)?;
                 self.var_ok(v).map_err(at)?;
             }
-            AllocatedQ { vs } => self.slot_ok(bu, vs).map_err(at)?,
+            AllocatedQ { vs } => {
+                self.slot_ok(bu, vs).map_err(at)?;
+                Self::not_fixed(bu, vs).map_err(at)?;
+            }
             CopyArr { dvs, dv, svs, sv } => {
                 self.slot_ok(bu, dvs).map_err(at)?;
                 self.slot_ok(bu, svs).map_err(at)?;
@@ -237,6 +258,7 @@ impl Verifier<'_> {
                 if matches!(vs, VSlot::I(_) | VSlot::F(_) | VSlot::B(_)) {
                     return Err(at("ALLOCATE/DEALLOCATE of a scalar slot".into()));
                 }
+                Self::not_fixed(bu, vs).map_err(at)?;
             }
             Jump(t) => tgt(t, "jump")?,
             JumpIfFalse(t) => tgt(t, "branch")?,

@@ -154,13 +154,14 @@ impl VFrame {
         self.i.iter_mut().for_each(|x| *x = 0);
         self.f.iter_mut().for_each(|x| *x = 0.0);
         self.b.iter_mut().for_each(|x| *x = false);
+        // One merged pass: `fixed_arrays` is in ascending slot order (the
+        // verifier checks it).
+        let mut fixed = bu.fixed_arrays.iter().peekable();
         for (idx, s) in self.a.iter_mut().enumerate() {
-            if !bu.fixed_arrays.iter().any(|(sl, _, _)| *sl as usize == idx) {
+            let Some((_, ty, dims)) = fixed.next_if(|f| f.0 as usize == idx) else {
                 *s = None;
-            }
-        }
-        for (slot, ty, dims) in &bu.fixed_arrays {
-            let s = &mut self.a[*slot as usize];
+                continue;
+            };
             match s {
                 Some(h) if Arc::strong_count(h) == 1 => {
                     for off in 0..h.len() {
@@ -2152,7 +2153,10 @@ CONTAINS
   SUBROUTINE work()
     REAL(8), DIMENSION(:), ALLOCATABLE :: t
     REAL(8), DIMENSION(:), ALLOCATABLE, SAVE :: keep
-    ALLOCATE(t(1:8))
+    INTEGER :: n
+    n = 8
+    ! A bound that is not a literal keeps `t` allocated at run time.
+    ALLOCATE(t(1:n))
     t(3) = 1.5D0
     DEALLOCATE(t)
     ALLOCATE(keep(1:8))

@@ -40,6 +40,16 @@ fn scalar_subscripted_reported() {
     assert!(err.to_string().contains("subscripted"), "{err}");
 }
 
+/// A fixed-shape local is allocated for the whole call: freeing or
+/// querying it is a compile error, as it is for ALLOCATE.
+#[test]
+fn allocation_status_of_a_fixed_array_rejected() {
+    for body in ["    DEALLOCATE(a)", "    IF (ALLOCATED(a)) x = 1.0D0"] {
+        let msg = compile_err(&wrap(body)).to_string();
+        assert!(msg.contains("`a` is not ALLOCATABLE") && msg.contains("line 6"), "{msg}");
+    }
+}
+
 #[test]
 fn exit_outside_loop_rejected() {
     let err = compile_err(&wrap("    EXIT"));

@@ -10,7 +10,7 @@
 //! here explicitly so a verifier regression fails loudly rather than
 //! through some downstream test.
 
-use fortrans::bytecode::{compile_program, BArg, BInstr, BUnit, SubOp, MAX_INLINE_RANK};
+use fortrans::bytecode::{compile_program, BArg, BInstr, BUnit, SubOp, VSlot, MAX_INLINE_RANK};
 use fortrans::verify::verify_program;
 use fortrans::Session;
 
@@ -229,6 +229,67 @@ fn rejects_element_access_of_rank_above_the_inline_cap() {
         }
     }
     assert_eq!(hits, 4, "stash, its copy-out, atomic and allocate");
+}
+
+/// `t` is a scoped temporary (a fixed frame array in the optimized build
+/// only), `w` an allocatable that is queried, `f` a fixed-shape local.
+const FIXED: &str = r#"
+MODULE m
+CONTAINS
+  SUBROUTINE work(a)
+    REAL(8), DIMENSION(1:5) :: a
+    REAL(8), DIMENSION(:), ALLOCATABLE :: t
+    REAL(8), DIMENSION(:), ALLOCATABLE :: w
+    REAL(8), DIMENSION(1:2) :: f
+    ALLOCATE(t(1:5))
+    t(1) = a(1)
+    IF (ALLOCATED(w)) a(3) = 1.0D0
+    f(1) = t(1)
+    a(2) = f(1)
+    DEALLOCATE(t)
+  END SUBROUTINE work
+END MODULE m
+"#;
+
+/// A fixed frame array is allocated for the whole call, so no
+/// instruction may allocate, free or query it, and frame reset walks
+/// `fixed_arrays` in slot order.
+#[test]
+fn rejects_allocation_status_of_a_fixed_array() {
+    let engine = Session::compile(&[FIXED]).expect("compiles");
+    let unit = &engine.program().units[0];
+    let var = |name: &str| unit.vars.iter().position(|v| v.name == name).expect("declared");
+    let opt = compile_program(engine.program(), false);
+    let traced = compile_program(engine.program(), true);
+    let slot = |bu: &BUnit, name: &str| match bu.vslots[var(name)] {
+        VSlot::A(s) => s,
+        other => panic!("{name} has slot {other:?}"),
+    };
+    let fixed = |bu: &BUnit| bu.fixed_arrays.iter().map(|f| f.0).collect::<Vec<_>>();
+    let mut want = [slot(&opt[0], "t"), slot(&opt[0], "f")];
+    want.sort_unstable();
+    assert_eq!(fixed(&opt[0]), want);
+    assert_eq!(fixed(&traced[0]), [slot(&traced[0], "f")]);
+    // The traced build allocates, queries and frees; aim each at `f`.
+    let f = VSlot::A(slot(&traced[0], "f"));
+    let mut hits = 0;
+    for (pc, ins) in traced[0].code.iter().enumerate() {
+        let mut bad = traced.clone();
+        match &mut bad[0].code[pc] {
+            BInstr::Alloc { vs, .. } | BInstr::Dealloc { vs, .. } | BInstr::AllocatedQ { vs } => {
+                *vs = f;
+            }
+            _ => continue,
+        }
+        let msg = reject_msg(&engine, &bad);
+        assert!(msg.contains("fixed frame array"), "{ins:?}: got: {msg}");
+        hits += 1;
+    }
+    assert_eq!(hits, 3, "ALLOCATE, ALLOCATED and DEALLOCATE");
+    let mut bad = opt.clone();
+    bad[0].fixed_arrays.reverse();
+    let msg = reject_msg(&engine, &bad);
+    assert!(msg.contains("ascending"), "got: {msg}");
 }
 
 #[test]
@@ -841,7 +902,7 @@ fn every_corpus_program_verifies_in_both_variants() {
 /// corruption, not a pre-existing violation.
 #[test]
 fn rejection_baselines_are_clean() {
-    for src in [BRANCHY, GATHER, NEST, SELECT] {
+    for src in [BRANCHY, GATHER, NEST, SELECT, FIXED] {
         let (engine, bunits) = compiled(src);
         verify_program(engine.program(), &bunits).expect("baseline verifies");
     }

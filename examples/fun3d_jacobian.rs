@@ -135,9 +135,12 @@ fn main() {
         );
     }
 
-    // 5. The same noRealloc option on this engine's own clock: the VM
-    //    pools ALLOCATE/DEALLOCATE, so SAVE'd temporaries buy nothing
-    //    here (EXPERIMENTS.md, "Simulated on the fast rungs").
+    // 5. The same noRealloc option on this engine's own clock. The
+    //    optimized build already makes the reallocated temporaries
+    //    frame-fixed arrays (scoped temporaries, DESIGN §6), while the
+    //    SAVE'd ones of noRealloc still pay `ALLOCATED` and a global
+    //    handle per access, so noRealloc is the slower of the two here
+    //    (EXPERIMENTS.md, "FUN3D: scoped temporaries").
     println!("\n=== noRealloc, wall clock on the VM (Serial, best of 12) ===");
     for no_realloc in [false, true] {
         let cfg = Fun3dConfig { fuse: true, no_realloc, ..Default::default() };
