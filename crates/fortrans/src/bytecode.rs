@@ -698,9 +698,59 @@ pub struct VecAccess {
     pub ty: ScalarTy,
     pub subs: Vec<VecSub>,
     pub write: bool,
+    /// `(base0, stride)` when lowering proved this stream: its slot has a
+    /// compile-time shape ([`static_shape`]) of its type and no subscript
+    /// has an invariant slot. The element offset at iteration `i` is then
+    /// `base0 + stride*i`, in bounds for every `i` in
+    /// [`VecDesc::window`], so the entry neither checks the handle's
+    /// shape nor the stream's endpoints ([`prove_streams`]).
+    pub proven: Option<StreamProof>,
 }
 
+/// A proven stream's `(base0, stride)` ([`VecAccess::proven`]).
+pub type StreamProof = (i64, i64);
+
+/// A range `(lo, hi)` of the loop variable ([`VecDesc::window`]).
+pub type Window = (i64, i64);
+
 impl VecAccess {
+    /// `(base0, stride)` of this access over an array shaped `dims`, and
+    /// the range of the loop variable over which every subscript lies in
+    /// its dimension ([`EMPTY_WINDOW`] when there is none). `None` when
+    /// a subscript has an invariant slot, the rank differs, or the
+    /// offsets leave `i64`.
+    fn prove(&self, dims: &[(i64, i64)]) -> Option<(StreamProof, Window)> {
+        if dims.len() != self.subs.len() || self.subs.iter().any(|s| s.inv != NO_SLOT) {
+            return None;
+        }
+        // In i128, where a difference of two i64s cannot overflow; the
+        // offsets' products and sums are checked.
+        let floor = |x: i128, d: i128| x.div_euclid(d);
+        let ceil = |x: i128, d: i128| -(-x).div_euclid(d);
+        let (mut lo, mut hi) = (i128::from(i64::MIN), i128::from(i64::MAX));
+        let (mut base, mut stride, mut step) = (0i128, 0i128, 1i128);
+        for (s, &(dlo, dhi)) in self.subs.iter().zip(dims) {
+            let (c, a) = (i128::from(s.coeff), i128::from(s.add));
+            let (dlo, dhi) = (i128::from(dlo), i128::from(dhi));
+            // The `i` with `dlo <= c*i + a <= dhi`: an interval, because
+            // the subscript is affine in `i`.
+            let (l, h) = match c.signum() {
+                0 if (dlo..=dhi).contains(&a) => (lo, hi), // every `i`
+                0 => (1, 0),
+                1 => (ceil(dlo - a, c), floor(dhi - a, c)),
+                _ => (ceil(a - dhi, -c), floor(a - dlo, -c)),
+            };
+            (lo, hi) = (lo.max(l), hi.min(h));
+            base = base.checked_add((a - dlo).checked_mul(step)?)?;
+            stride = stride.checked_add(c.checked_mul(step)?)?;
+            step = step.checked_mul((dhi - dlo + 1).max(0))?;
+        }
+        let fit = |x: i128| i64::try_from(x).ok();
+        // `lo` and `hi` start at i64's ends and only move inwards.
+        let window = if lo > hi { EMPTY_WINDOW } else { (fit(lo)?, fit(hi)?) };
+        Some(((fit(base)?, fit(stride)?), window))
+    }
+
     /// Two subscript patterns of one array that can never name the same
     /// cell: in some position both are literals (`coeff == 0`, no
     /// invariant slot) and the literals differ — `g(1, i)` and `g(2, j)`
@@ -809,6 +859,16 @@ pub struct VecDesc {
     /// The access pairs the entry guard checks for runtime storage
     /// aliasing — exactly [`VecDesc::write_pairs`] of `accesses`.
     pub alias_pairs: Vec<(u32, u32)>,
+    /// The loop-variable range over which every proven access
+    /// ([`VecAccess::proven`]) is in bounds: one entry test,
+    /// `window.0 <= lo && hi <= window.1`, stands for all their bounds
+    /// checks. [`FULL_WINDOW`] when none is proven, [`EMPTY_WINDOW`] when
+    /// one never is (a literal subscript outside its dimension).
+    pub window: Window,
+    /// The distinct global cells the accesses and guarded loads name, in
+    /// first-use order: what the entry fetches into the VM's handle cache
+    /// ([`global_cells`]).
+    pub globals: Vec<u32>,
     /// Max operand depth over all statement programs (or the mask).
     pub max_depth: u32,
     /// Scalar-tier instructions one iteration retires (`DoHead1` through
@@ -851,15 +911,25 @@ impl VecDesc {
     ///   `ALLOCATE`d one (pooled handles are uniquely held), or a
     ///   PRIVATE deep copy. Calls and entry arguments bind dummy slots
     ///   only, which the verifier checks.
+    /// * Two different global cells never share storage either. Each
+    ///   cell gets an array of its own at start-up, on `ALLOCATE` and on
+    ///   `reset_globals`; no call or entry argument binds a global slot;
+    ///   and `EQUIVALENCE` renames its names onto one cell, which is one
+    ///   slot and falls under the first rule.
     ///
-    /// Anything else — dummies and globals, which the caller may have
-    /// bound to one array — keeps its runtime check.
+    /// Anything else — a dummy against a dummy or a global, which the
+    /// caller may have bound to one array — keeps its runtime check.
     pub fn write_pairs(accesses: &[VecAccess], dummies: &[u32]) -> Vec<(u32, u32)> {
         let owned = |vs: VSlot| matches!(vs, VSlot::A(s) if !dummies.contains(&s));
+        let global = |vs: VSlot| matches!(vs, VSlot::GlobA(_));
         let mut pairs = Vec::new();
         for (i, a) in accesses.iter().enumerate() {
             for (j, b) in accesses.iter().enumerate().skip(i + 1) {
-                let apart = if a.vs == b.vs { a.disjoint(b) } else { owned(a.vs) || owned(b.vs) };
+                let apart = if a.vs == b.vs {
+                    a.disjoint(b)
+                } else {
+                    owned(a.vs) || owned(b.vs) || (global(a.vs) && global(b.vs))
+                };
                 if (a.write || b.write) && !apart {
                     pairs.push((i as u32, j as u32));
                 }
@@ -867,6 +937,81 @@ impl VecDesc {
         }
         pairs
     }
+}
+
+/// [`VecDesc::window`] when no access is proven: every range passes.
+pub const FULL_WINDOW: Window = (i64::MIN, i64::MAX);
+/// [`VecDesc::window`] when some proven access is in bounds at no
+/// iteration: no range passes, so every entry runs the scalar loop.
+pub const EMPTY_WINDOW: Window = (1, 0);
+
+/// A global cell whose array exists from start-up with its declared
+/// dims: built with them at start-up and on `reset_globals`, and never
+/// `ALLOCATE`d or `DEALLOCATE`d (sema refuses both, the verifier too).
+pub(crate) fn fixed_global(g: &GlobalDecl) -> bool {
+    !g.allocatable && !g.dims.is_empty()
+}
+
+/// The compile-time type and shape of array slot `vs`, when it has one:
+/// a frame slot listed in `fixed` (instantiated per call, never
+/// allocated, freed or bound by a call or entry argument — the verifier
+/// checks all three) or a [`fixed_global`] cell.
+pub(crate) fn static_shape<'a>(
+    vs: VSlot,
+    fixed: &'a [FixedArray],
+    globals: &'a [GlobalDecl],
+) -> Option<(ScalarTy, &'a [(i64, i64)])> {
+    match vs {
+        VSlot::A(s) => fixed.iter().find(|f| f.0 == s).map(|(_, ty, dims)| (*ty, dims.as_slice())),
+        VSlot::GlobA(c) => {
+            let g = globals.get(c as usize).filter(|g| fixed_global(g))?;
+            Some((g.ty, g.dims.as_slice()))
+        }
+        _ => None,
+    }
+}
+
+/// What lowering proves of the entry guards of `accesses`, with `fixed`
+/// the unit's fixed frame arrays: each access's
+/// [`VecAccess::proven`], and the [`VecDesc::window`] their ranges
+/// intersect to. An access is proven when [`static_shape`] knows its
+/// slot, of the access's type, and no subscript has an invariant slot.
+/// The window is exact: an affine subscript is in bounds on an interval
+/// of the loop variable, so `[lo, hi]` lies in the window iff both
+/// endpoints do. The verifier recomputes both.
+pub(crate) fn prove_streams(
+    accesses: &[VecAccess],
+    fixed: &[FixedArray],
+    globals: &[GlobalDecl],
+) -> (Vec<Option<StreamProof>>, Window) {
+    let mut window = FULL_WINDOW;
+    let proofs = accesses
+        .iter()
+        .map(|a| {
+            let (_, dims) = static_shape(a.vs, fixed, globals).filter(|s| s.0 == a.ty)?;
+            let (proof, (lo, hi)) = a.prove(dims)?;
+            window = (window.0.max(lo), window.1.min(hi));
+            Some(proof)
+        })
+        .collect();
+    if window.0 > window.1 {
+        window = EMPTY_WINDOW;
+    }
+    (proofs, window)
+}
+
+/// The distinct global cells `accesses` and `guarded` name, in first-use
+/// order: [`VecDesc::globals`].
+pub(crate) fn global_cells(accesses: &[VecAccess], guarded: &[GuardedLoad]) -> Vec<u32> {
+    let mut cells = Vec::new();
+    for vs in accesses.iter().map(|a| a.vs).chain(guarded.iter().map(|g| g.vs)) {
+        if let VSlot::GlobA(c) | VSlot::GlobS(c) = vs {
+            if !cells.contains(&c) {
+                cells.push(c);
+            }
+        }
+    }
+    cells
 }
 
 /// The frame array slots of `unit`'s dummies, from its slot table: the
@@ -2123,7 +2268,8 @@ impl<'a> UnitCompiler<'a> {
             // Prep: loop-invariant subscript parts into hidden i-slots.
             // The scalar body evaluates them again every iteration, so
             // in a traced build the prep itself must post nothing.
-            let VecPlan { accesses, stmts, red, sel, max_depth, prep, guarded, fixup, .. } = plan;
+            let VecPlan { mut accesses, stmts, red, sel, max_depth, prep, guarded, fixup, .. } =
+                plan;
             let quiet = self.open_quiet(!prep.is_empty());
             for (e, slot) in &prep {
                 self.emit_expr(e);
@@ -2132,9 +2278,16 @@ impl<'a> UnitCompiler<'a> {
             }
             self.close_quiet(quiet);
             let desc = self.vecs.len() as u32;
-            let dummies = dummy_arrays(self.unit, &self.tables[self.unit_idx].vslots);
+            let t = &self.tables[self.unit_idx];
+            let dummies = dummy_arrays(self.unit, &t.vslots);
+            let (proofs, window) = prove_streams(&accesses, &t.fixed_arrays, &self.prog.globals);
+            for (a, proof) in accesses.iter_mut().zip(proofs) {
+                a.proven = proof;
+            }
             self.vecs.push(VecDesc {
                 alias_pairs: VecDesc::write_pairs(&accesses, &dummies),
+                window,
+                globals: global_cells(&accesses, &guarded),
                 accesses,
                 stmts,
                 red,

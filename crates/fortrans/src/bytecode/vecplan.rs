@@ -585,7 +585,9 @@ impl UnitCompiler<'_> {
             }
             None if plan.accesses.len() >= VEC_MAX_ACCESSES => return Err(VecRefusal::TooBig),
             None => {
-                plan.accesses.push(VecAccess { vs, v: v as u32, ty, subs: vsubs, write });
+                // Emission proves what it can of the stream.
+                let v = v as u32;
+                plan.accesses.push(VecAccess { vs, v, ty, subs: vsubs, write, proven: None });
                 plan.accesses.len() - 1
             }
         };

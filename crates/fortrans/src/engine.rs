@@ -107,6 +107,13 @@ pub struct VectorLoopInfo {
     pub stmts: usize,
     /// True when the loop is a scalar reduction (a masked select too).
     pub reduction: bool,
+    /// Access streams whose bounds lowering proved: the entry checks
+    /// them with one window test (`VecAccess::proven`).
+    pub proven: usize,
+    /// Access streams the entry still resolves with checked arithmetic.
+    pub checked: usize,
+    /// Stream pairs the entry compares for runtime aliasing.
+    pub alias_pairs: usize,
 }
 
 /// One serial DO loop the vector analysis left on the scalar tier, as

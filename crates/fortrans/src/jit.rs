@@ -1144,7 +1144,7 @@ mod tests {
         }
 
         fn acc_f(subs: Vec<VecSub>, write: bool) -> VecAccess {
-            VecAccess { vs: VSlot::A(0), v: 0, ty: ScalarTy::F, subs, write }
+            VecAccess { vs: VSlot::A(0), v: 0, ty: ScalarTy::F, subs, write, proven: None }
         }
 
         fn sub1() -> VecSub {
@@ -1182,6 +1182,8 @@ mod tests {
             VecDesc {
                 accesses,
                 alias_pairs,
+                window: crate::bytecode::FULL_WINDOW,
+                globals: Vec::new(),
                 stmts,
                 red,
                 sel: None,

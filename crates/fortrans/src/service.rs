@@ -169,6 +169,9 @@ fn vector_report_of(prog: &RProgram, bunits: &[BUnit]) -> Vec<VectorLoopInfo> {
             line: d.line,
             stmts: d.stmts.len() + usize::from(d.sel.is_some()),
             reduction: d.red.is_some() || d.sel.is_some(),
+            proven: d.accesses.iter().filter(|a| a.proven.is_some()).count(),
+            checked: d.accesses.iter().filter(|a| a.proven.is_none()).count(),
+            alias_pairs: d.alias_pairs.len(),
         })
     });
     per_unit.collect()

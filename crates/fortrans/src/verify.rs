@@ -31,9 +31,10 @@
 //! see `tests/fault_injection.rs`.
 
 use crate::bytecode::{
-    dummy_arrays, mask_stack_effect, nest_exit_state, region_cost, static_ledger,
-    vec_stack_effect, BArg, BInstr, BUnit, MaskOp, PItem, SubOp, VSlot, VecDesc, VecOp, VecSel,
-    VecSub, MAX_INLINE_RANK, NO_PC, NO_SDIMS, NO_SLOT, VEC_MAX_ACCESSES, VEC_MAX_DEPTH,
+    dummy_arrays, fixed_global, global_cells, mask_stack_effect, nest_exit_state, prove_streams,
+    region_cost, static_ledger, static_shape, vec_stack_effect, BArg, BInstr, BUnit, MaskOp, PItem,
+    SubOp, VSlot, VecDesc, VecOp, VecSel, VecSub, MAX_INLINE_RANK, NO_PC, NO_SDIMS, NO_SLOT,
+    VEC_MAX_ACCESSES, VEC_MAX_DEPTH,
 };
 use crate::error::CompileError;
 use crate::intrinsics::Intr;
@@ -127,9 +128,15 @@ impl Verifier<'_> {
             self.scalar_slot_ok(bu, vs).map_err(|m| (0, m))?;
         }
         let mut prev = None;
+        let dummies = dummy_arrays(unit, &bu.vslots);
         for &(slot, _, ref dims) in &bu.fixed_arrays {
             if slot >= bu.na {
                 return Err((0, format!("fixed array slot {slot} out of range (na={})", bu.na)));
+            }
+            // Calls and entry arguments bind dummy slots: a fixed one
+            // would hold the caller's array, not one of its declared shape.
+            if dummies.contains(&slot) {
+                return Err((0, format!("fixed array slot {slot} is a dummy's")));
             }
             // Frame reset walks the slots and this table in one pass.
             if prev.is_some_and(|p| p >= slot) {
@@ -259,6 +266,15 @@ impl Verifier<'_> {
                     return Err(at("ALLOCATE/DEALLOCATE of a scalar slot".into()));
                 }
                 Self::not_fixed(bu, vs).map_err(at)?;
+                // Proven vector streams rely on a fixed global keeping
+                // the array built with its declared dims.
+                if let VSlot::GlobA(c) | VSlot::GlobS(c) = vs {
+                    if self.prog.globals.get(c as usize).is_some_and(fixed_global) {
+                        return Err(at(format!(
+                            "ALLOCATE/DEALLOCATE of fixed-shape global cell {c}"
+                        )));
+                    }
+                }
             }
             Jump(t) => tgt(t, "jump")?,
             JumpIfFalse(t) => tgt(t, "branch")?,
@@ -691,8 +707,13 @@ impl Verifier<'_> {
         if d.iter_cost == 0 {
             return Err(format!("vector descriptor {desc} has zero iteration cost"));
         }
-        // The entry path resolves the streams into a stack buffer of
-        // this length and walks `alias_pairs` instead of all pairs.
+        // The entry resolves the streams into a table of this length
+        // owned by its caller. Proven streams skip the shape and bounds
+        // checks there (one window test covers them all), so their
+        // proofs are re-derived below from the slots' static shapes;
+        // the alias walk compares `alias_pairs` instead of all pairs,
+        // and the handle prefetch walks `globals` instead of every
+        // access and guarded load.
         if d.accesses.len() > VEC_MAX_ACCESSES {
             return Err(format!(
                 "vector descriptor has {} accesses, cap is {VEC_MAX_ACCESSES}",
@@ -720,6 +741,33 @@ impl Verifier<'_> {
             if a.write && a.subs.iter().all(|s| s.coeff == 0) {
                 return Err("vector write stream does not advance with the loop".into());
             }
+        }
+        let (proofs, window) = prove_streams(&d.accesses, &bu.fixed_arrays, &self.prog.globals);
+        for (k, (a, proof)) in d.accesses.iter().zip(proofs).enumerate() {
+            let shape = static_shape(a.vs, &bu.fixed_arrays, &self.prog.globals);
+            if let (Some(_), Some((ty, _))) = (a.proven, shape) {
+                if ty != a.ty {
+                    return Err(format!(
+                        "proven vector access {k} reads {:?}, its slot is declared {ty:?}",
+                        a.ty
+                    ));
+                }
+            }
+            if a.proven != proof {
+                return Err(format!(
+                    "vector access {k} carries proof {:?}, its slot's shape gives {proof:?}",
+                    a.proven
+                ));
+            }
+        }
+        if d.window != window {
+            return Err(format!(
+                "vector window {:?} disagrees with the proven accesses' {window:?}",
+                d.window
+            ));
+        }
+        if d.globals != global_cells(&d.accesses, &d.guarded) {
+            return Err("vector global-cell list disagrees with the accesses".into());
         }
         // The entry gathers a guarded load's subscripts into a fixed
         // buffer and reads `Slot` operands and writes `slot` unchecked.

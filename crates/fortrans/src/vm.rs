@@ -499,21 +499,19 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
 
     // ---------- vector superinstruction execution ----------
 
-    /// Fills the global-handle cache for every global array `d` streams
-    /// or loads from, so [`Self::resolve_vec_streams`] and
-    /// [`Self::fill_guarded`] can borrow from it immutably.
+    /// Fills the global-handle cache for every global cell `d` streams
+    /// or loads from (its `globals` list), so
+    /// [`Self::resolve_vec_streams`] and [`Self::fill_guarded`] can
+    /// borrow from it immutably.
     fn prefetch_globals(
         gcache: &mut [Option<Arc<ArrayObj>>],
         ex: &Exec,
         tid: usize,
         d: &VecDesc,
     ) {
-        let arrays = d.accesses.iter().map(|a| a.vs).chain(d.guarded.iter().map(|g| g.vs));
-        for vs in arrays {
-            if let VSlot::GlobA(c) | VSlot::GlobS(c) = vs {
-                if let Some(slot @ None) = gcache.get_mut(c as usize) {
-                    *slot = ex.globals.cells[c as usize].array_handle(tid);
-                }
+        for &c in &d.globals {
+            if let Some(slot @ None) = gcache.get_mut(c as usize) {
+                *slot = ex.globals.cells[c as usize].array_handle(tid);
             }
         }
     }
@@ -551,15 +549,19 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
     }
 
     /// Resolves every access stream of `d` for the whole range
-    /// `[lo, hi]`: the array (borrowed from the frame's handle bank
+    /// `[lo, hi]` into the caller's table `rt` (indexed like
+    /// `d.accesses`): the array (borrowed from the frame's handle bank
     /// `fa` or the prefetched global-handle cache — no refcount
     /// traffic), the flat base offset at iteration `lo`, and the
     /// per-iteration element stride, with per-dimension bounds proven
-    /// for the whole range. Shared by the vector and native tiers so
-    /// both commit (or give up) on exactly the same guards. Returns
-    /// `None` — no state touched — when any guard fails:
-    /// unallocated/mistyped handle, rank mismatch, subscript overflow,
-    /// out-of-range endpoint extrema, or aliasing.
+    /// for the whole range — by lowering for a proven stream, whose
+    /// bounds are one window test for all of them, by checked
+    /// arithmetic here for the others. Shared by the vector and native
+    /// tiers so both commit (or give up) on exactly the same guards.
+    /// Returns `None` — no state touched but `rt` — when any guard
+    /// fails: `[lo, hi]` outside the window, unallocated/mistyped
+    /// handle, rank mismatch, subscript overflow, out-of-range endpoint
+    /// extrema, or aliasing.
     fn resolve_vec_streams<'a>(
         gcache: &'a [Option<Arc<ArrayObj>>],
         fa: &'a [Option<Arc<ArrayObj>>],
@@ -567,7 +569,8 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         d: &VecDesc,
         lo: i64,
         hi: i64,
-    ) -> Option<VStreams<'a>> {
+        rt: &mut VStreams<'a>,
+    ) -> Option<()> {
         // Injected/corrupted descriptors (fault-injection harness) must
         // deopt, not index out of range: the length check and every
         // `get` below validate the stream count and the slot, cell and
@@ -575,13 +578,24 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         if d.accesses.len() > VEC_MAX_ACCESSES {
             return None;
         }
-        let mut rt: VStreams<'a> = [None; VEC_MAX_ACCESSES];
+        // The bounds of every proven stream, in one test.
+        if lo < d.window.0 || hi > d.window.1 {
+            return None;
+        }
         for (a, out) in d.accesses.iter().zip(rt.iter_mut()) {
             let h = match a.vs {
                 VSlot::A(s) => fa.get(s as usize)?.as_deref()?,
                 VSlot::GlobA(c) | VSlot::GlobS(c) => gcache.get(c as usize)?.as_deref()?,
                 _ => return None,
             };
+            if let Some((base0, stride)) = a.proven {
+                // The verified slot holds an array of the proven type and
+                // shape, and `[lo, hi]` is inside the window: the offset
+                // at `lo` is in bounds, so the wrapping sum is exact.
+                let base = base0.wrapping_add(stride.wrapping_mul(lo));
+                *out = Some(VStream { arr: h, base, stride });
+                continue;
+            }
             if h.ty != a.ty || h.dims.len() != a.subs.len() {
                 return None;
             }
@@ -620,7 +634,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 return None;
             }
         }
-        Some(rt)
+        Some(())
     }
 
     /// Runs a compiled region over iterations `[0, n)` in blocks of
@@ -640,8 +654,13 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
     ) -> Result<f64, RunError> {
         // Stream pointers address the element at iteration `lo`; every
         // offset `base + stride*k` for the whole range was proven
-        // in-bounds by `resolve_vec_streams` (affine subscripts,
-        // endpoint extrema), so the emitted code needs no bounds checks.
+        // in-bounds (affine subscripts, endpoint extrema): by
+        // `resolve_vec_streams` for a checked stream, by lowering for a
+        // proven one, whose slot the verifier shows holds an array of the
+        // proven shape (re-derived from the fixed frame array or fixed
+        // global's declaration, no ALLOCATE/DEALLOCATE of it, no call or
+        // entry argument binding it) while the entry checked `[lo, hi]`
+        // against the window. So the emitted code needs no bounds checks.
         streams.clear();
         streams.extend(rt.iter().map_while(|s| s.as_ref()).map(|s| JitStream {
             // SAFETY: `base` is an in-bounds element offset of `cells`
@@ -782,17 +801,20 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             _ => false,
         });
         Self::prefetch_globals(&mut self.gcache, ex, self.tid, d);
-        let rt = Self::fill_guarded(&self.gcache, &frame.a, &mut frame.i, d)
-            .and_then(|()| Self::resolve_vec_streams(&self.gcache, &frame.a, &frame.i, d, lo, hi));
+        let mut rt: VStreams<'_> = [None; VEC_MAX_ACCESSES];
+        let resolved = red_ok
+            && Self::fill_guarded(&self.gcache, &frame.a, &mut frame.i, d).is_some()
+            && Self::resolve_vec_streams(&self.gcache, &frame.a, &frame.i, d, lo, hi, &mut rt)
+                .is_some();
         if let Some(region) = native {
-            if !red_ok || rt.is_none() || d.accesses.len() != region.naccess {
+            if !resolved || d.accesses.len() != region.naccess {
                 self.native_deopts += 1;
                 native = None;
             }
         }
-        let Some(rt) = rt.filter(|_| red_ok && (native.is_some() || ex.vector_enabled)) else {
+        if !resolved || (native.is_none() && !ex.vector_enabled) {
             return Ok(false);
-        };
+        }
         if let Some(s) = &d.sel {
             // A masked select (never promoted) only reads, so it runs
             // before anything commits: what the scalar loop retires
@@ -916,8 +938,11 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         }
         // A verified lane op only names declared accesses, all resolved.
         let stream = |ai: u32| rt[ai as usize].expect("resolved access stream");
-        vbuf.clear();
-        vbuf.resize((d.max_depth as usize).max(1) * VEC_CHUNK, 0.0);
+        // Every lane is written before it is read: grow, never clear.
+        let need = (d.max_depth as usize).max(1) * VEC_CHUNK;
+        if vbuf.len() < need {
+            vbuf.resize(need, 0.0);
+        }
         let vbuf = vbuf.as_mut_slice();
         let mut args = [0.0f64; 8];
         let mut k0: i64 = 0;

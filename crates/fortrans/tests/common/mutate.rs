@@ -56,7 +56,7 @@ pub fn corrupt(bunits: &mut [BUnit], seed: u64) -> Option<Mutation> {
         return None;
     }
     let u = units[rng.below(units.len())];
-    const KINDS: usize = 13;
+    const KINDS: usize = 14;
     let start = rng.below(KINDS);
     for k in 0..KINDS {
         let got = match (start + k) % KINDS {
@@ -72,6 +72,7 @@ pub fn corrupt(bunits: &mut [BUnit], seed: u64) -> Option<Mutation> {
             9 => vec_red_slot(&mut bunits[u], &mut rng),
             10 => sub_operand(&mut bunits[u], &mut rng),
             11 => vec_iter_ledger(&mut bunits[u], &mut rng),
+            12 => vec_proof(&mut bunits[u], &mut rng),
             _ => call_arity(&mut bunits[u], &mut rng),
         };
         if let Some((kind, detail)) = got {
@@ -398,6 +399,43 @@ fn vec_red_slot(bu: &mut BUnit, rng: &mut Rng) -> Applied {
         r.vs = VSlot::F(bad);
     }
     Some(("vec-red-slot", format!("descriptor {d}: accumulator -> F({bad})")))
+}
+
+/// Widens a vector descriptor's proven window or shifts a proven
+/// stream's base. The entry trusts both instead of checking each proven
+/// stream's bounds: a native region would read and write outside the
+/// array, the vector rung would index past its cells.
+fn vec_proof(bu: &mut BUnit, rng: &mut Rng) -> Applied {
+    use fortrans::bytecode::FULL_WINDOW;
+    let sites: Vec<usize> =
+        (0..bu.vecs.len()).filter(|&d| bu.vecs[d].window != FULL_WINDOW).collect();
+    if sites.is_empty() {
+        return None;
+    }
+    let d = sites[rng.below(sites.len())];
+    let bump = 1 + (rng.next_u64() % 7) as i64;
+    let desc = &mut bu.vecs[d];
+    let proven: Vec<usize> =
+        (0..desc.accesses.len()).filter(|&a| desc.accesses[a].proven.is_some()).collect();
+    let detail = match (rng.below(2), proven.is_empty()) {
+        (0, false) => {
+            let a = proven[rng.below(proven.len())];
+            let (base, _) = desc.accesses[a].proven.as_mut().expect("proven");
+            *base += bump;
+            format!("access {a}: proven base += {bump}")
+        }
+        _ => match desc.window.1.checked_add(bump) {
+            Some(end) => {
+                desc.window.1 = end;
+                format!("window end += {bump}")
+            }
+            None => {
+                desc.window.0 -= bump;
+                format!("window start -= {bump}")
+            }
+        },
+    };
+    Some(("vec-proof", format!("descriptor {d}: {detail}")))
 }
 
 /// Breaks a call site: drops an argument (arity mismatch) or, for

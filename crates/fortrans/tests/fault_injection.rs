@@ -271,6 +271,31 @@ END MODULE m
                 ]
             },
         },
+        // Proven streams: a frame array of the unit's own and a module
+        // array, whose bounds lowering proved (the `vec-proof` target).
+        Prog {
+            label: "proven",
+            src: r#"
+MODULE gm
+  REAL(8), DIMENSION(1:16) :: g
+END MODULE gm
+MODULE m
+  USE gm
+CONTAINS
+  REAL(8) FUNCTION spread(n)
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:16) :: t
+    DO i = 1, n
+      t(i) = i * 0.5D0
+      g(i) = t(i) + 1.0D0
+    END DO
+    spread = g(n) + t(1)
+  END FUNCTION spread
+END MODULE m
+"#,
+            entry: "spread",
+            mk_args: || vec![ArgVal::I(16)],
+        },
     ]
 }
 
@@ -322,6 +347,7 @@ fn seeded_corruptions_are_all_rejected_by_the_verifier() {
         "vec-access-slot",
         "vec-red-slot",
         "vec-iter-ledger",
+        "vec-proof",
         "sub-operand",
     ] {
         assert!(by_kind.contains_key(kind), "mutation kind {kind} never applied: {by_kind:?}");

@@ -17,8 +17,9 @@
 //! `COLLAPSE` clause started saying `collapse: 1` like the free-form
 //! path: 123 of the 200 programs, that substitution and nothing else.)
 //! The RIR literals were computed at the commit before sema resolved
-//! names through a scope chain. The bytecode literals, one per build, are
-//! explained at their tests.
+//! names through a scope chain. The bytecode literals, per build, come in
+//! two parts — instruction streams and vector descriptors — so a change
+//! says which of the two moved; each is explained at its test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -235,54 +236,94 @@ fn rir_fingerprint_is_the_parents() {
     );
 }
 
-/// The optimized build of a program with what the vector analysis
-/// reports about it, and the traced build.
-fn bytecode_texts(sources: &[&str]) -> (String, String) {
+/// One build of a program in two texts: its instruction streams (every
+/// `BUnit` field but `vecs`) and its vector descriptors.
+fn split_texts(bunits: Vec<fortrans::bytecode::BUnit>) -> (String, String) {
+    let (mut streams, mut descs) = (String::new(), String::new());
+    for mut bu in bunits {
+        descs += &format!("{:?}", std::mem::take(&mut bu.vecs));
+        streams += &format!("{bu:?}");
+    }
+    (streams, descs)
+}
+
+/// Both builds of a program, `[optimized, traced]`, split by
+/// [`split_texts`]; the optimized descriptors are followed by what the
+/// vector analysis reports about them.
+fn bytecode_texts(sources: &[&str]) -> [(String, String); 2] {
     let set = ProgramSet::from_sources(sources).expect("program ingests");
     let prog = fortrans::sema::resolve(&set.ast).expect("program resolves");
-    let opt = fortrans::bytecode::compile_program(&prog, false);
-    let traced = fortrans::bytecode::compile_program(&prog, true);
+    let (opt_streams, mut opt_descs) =
+        split_texts(fortrans::bytecode::compile_program(&prog, false));
+    let traced = split_texts(fortrans::bytecode::compile_program(&prog, true));
     let artifact = fortrans::CompiledProgram::compile(sources).expect("program compiles");
-    let report = format!("{:?}{:?}", artifact.vector_report(), artifact.vector_refusals());
-    (format!("{opt:?}{report}"), format!("{traced:?}"))
+    opt_descs += &format!("{:?}{:?}", artifact.vector_report(), artifact.vector_refusals());
+    [(opt_streams, opt_descs), traced]
 }
 
-/// `(optimized, traced)` fingerprints of the generated F77 corpus
-/// (seeds 0..32) and of the GLAF source sets.
-fn bytecode_fingerprints() -> [(u64, u64); 2] {
+/// Fingerprints `[optimized, traced]` of the generated F77 corpus (seeds
+/// 0..32) and of the GLAF source sets, each a pair `(f77, glaf)`, of the
+/// instruction streams (`descs` false) or the vector descriptors.
+fn bytecode_fingerprints(descs: bool) -> [(u64, u64); 2] {
     let hash = |corpus: Vec<Vec<String>>| {
-        let (mut opt, mut traced) = (FNV_OFFSET, FNV_OFFSET);
+        let mut h = [FNV_OFFSET; 2];
         for sources in corpus {
-            let (o, t) = bytecode_texts(&refs(&sources));
-            fnv1a(&mut opt, &o);
-            fnv1a(&mut traced, &t);
+            for (h, texts) in h.iter_mut().zip(bytecode_texts(&refs(&sources))) {
+                fnv1a(h, if descs { &texts.1 } else { &texts.0 });
+            }
         }
-        (opt, traced)
+        h
     };
-    [hash((0..32).map(fortrans::gen::generate).collect()), hash(glaf_source_sets())]
+    let f77 = hash((0..32).map(fortrans::gen::generate).collect());
+    let glaf = hash(glaf_source_sets());
+    [(f77[0], glaf[0]), (f77[1], glaf[1])]
 }
 
-/// The traced build must stay byte-identical: Simulated runs and the
-/// paper's figures rest on it. The literals were computed at the commit
-/// before scoped temporaries.
+/// The traced build's instruction streams must stay byte-identical:
+/// Simulated runs and the paper's figures rest on them. The literals were
+/// computed at the commit before entry-guard proofs (by running this
+/// split at that commit); the build has not changed since scoped
+/// temporaries.
 #[test]
 fn bytecode_fingerprint_is_the_parents() {
-    let [(_, f77), (_, glaf)] = bytecode_fingerprints();
-    println!("traced bytecode fingerprints: f77 {f77:#018x}, glaf {glaf:#018x}");
-    assert_eq!(f77, 0x098c_c788_87cb_25c1, "generated F77 corpus: the traced build changed");
-    assert_eq!(glaf, 0x4781_9f2e_3017_52fd, "GLAF source sets: the traced build changed");
+    let [_, (f77, glaf)] = bytecode_fingerprints(false);
+    println!("traced instruction-stream fingerprints: f77 {f77:#018x}, glaf {glaf:#018x}");
+    assert_eq!(f77, 0x7096_b2b5_204a_fa86, "generated F77 corpus: the traced build changed");
+    assert_eq!(glaf, 0x31be_81e8_5769_101e, "GLAF source sets: the traced build changed");
 }
 
-/// The optimized build, pinned where scoped temporaries left it. The F77
-/// literal is the value at the commit before them: none of the 32
-/// generated programs allocates. In the GLAF sets one unit moved,
-/// `edge_loop`, in the five FUN3D configurations that reallocate its ten
-/// temporaries per call; the three `noRealloc` ones (`Fun3dConfig::best`
-/// among them) SAVE the temporaries, which the rule refuses.
+/// The optimized build's instruction streams, pinned where scoped
+/// temporaries left them: the literals were computed at the commit
+/// before entry-guard proofs, which moved descriptors only.
 #[test]
 fn optimized_bytecode_fingerprint() {
-    let [(f77, _), (glaf, _)] = bytecode_fingerprints();
-    println!("optimized bytecode fingerprints: f77 {f77:#018x}, glaf {glaf:#018x}");
-    assert_eq!(f77, 0x9659_a1c0_0c30_ebd6, "generated F77 corpus: the optimized build changed");
-    assert_eq!(glaf, 0x27cd_8f21_2745_7f8a, "GLAF source sets: the optimized build changed");
+    let [(f77, glaf), _] = bytecode_fingerprints(false);
+    println!("optimized instruction-stream fingerprints: f77 {f77:#018x}, glaf {glaf:#018x}");
+    assert_eq!(f77, 0x7bd9_ecd1_63b2_0593, "generated F77 corpus: the optimized build changed");
+    assert_eq!(glaf, 0x4016_55d2_d1ce_674e, "GLAF source sets: the optimized build changed");
+}
+
+/// The vector descriptors of both builds, re-pinned when lowering began
+/// to prove entry guards. Every descriptor's text moved, since each
+/// access now carries its proof and each descriptor its window and
+/// global-cell list: in the generated F77 corpus every one of the 156
+/// accesses of the 92 descriptors (both builds) is proven, and in the
+/// GLAF sets 547 of 1,110 accesses are, with 280 of 402 descriptors
+/// carrying a window. Alias pairs moved where two different global cells
+/// met and one was written, and every pair of both corpora was such a
+/// pair, so none is left: the F77 corpus's COMMON `sweep` region held
+/// one per program and build (64 in all), the GLAF sets' SARB and FUN3D
+/// regions 1,110 (FUN3D's face nest alone 51).
+#[test]
+fn vector_descriptor_fingerprints() {
+    let [(opt_f77, opt_glaf), (traced_f77, traced_glaf)] = bytecode_fingerprints(true);
+    println!(
+        "descriptor fingerprints: optimized f77 {opt_f77:#018x}, glaf {opt_glaf:#018x}; \
+         traced f77 {traced_f77:#018x}, glaf {traced_glaf:#018x}"
+    );
+    let moved = |corpus: &str, build: &str| format!("{corpus}: the {build} descriptors changed");
+    assert_eq!(opt_f77, 0x27a4_0067_529c_9637, "{}", moved("generated F77 corpus", "optimized"));
+    assert_eq!(opt_glaf, 0xf7f4_86eb_cd8e_7ea0, "{}", moved("GLAF source sets", "optimized"));
+    assert_eq!(traced_f77, 0x2b54_32ad_10b3_bbdf, "{}", moved("generated F77 corpus", "traced"));
+    assert_eq!(traced_glaf, 0x7c91_2d04_d438_42d6, "{}", moved("GLAF source sets", "traced"));
 }

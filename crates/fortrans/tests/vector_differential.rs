@@ -1332,3 +1332,340 @@ END MODULE m
     assert!(rep.iter().all(|r| r.unit == "two"));
     assert_eq!(rep.iter().filter(|r| r.reduction).count(), 1);
 }
+
+// ---------------------------------------------------------------------
+// Entry-guard proofs: fixed-shape streams share one iteration window,
+// distinct global cells drop their alias pairs
+// ---------------------------------------------------------------------
+
+/// Runs `unit` on the tree-walk oracle, the scalar VM, the vector rung
+/// and eager native under [`SELECT_MODES`] and checks that all four
+/// agree — exactly, or with the reduction tolerance under Parallel —
+/// and that no VM run fell back to the oracle. Returns the Serial
+/// vector-rung entries.
+fn proof_differential(label: &str, src: &str, unit: &str, mk: impl Fn() -> Vec<ArgVal>) -> u64 {
+    let mut serial_entries = 0;
+    for mode in SELECT_MODES {
+        let oracle = Session::compile(&[src]).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let want = snapshot(&oracle, unit, &mk(), mode, ExecTier::TreeWalk);
+        for (rung, vector, native) in
+            [("scalar", false, false), ("vector", true, false), ("native", true, true)]
+        {
+            let e = Session::compile(&[src]).unwrap();
+            e.set_vector_enabled(vector);
+            e.set_native_enabled(native);
+            e.set_native_eager(native);
+            let got = snapshot(&e, unit, &mk(), mode, ExecTier::Vm);
+            let what = format!("{label}: {rung} rung against the oracle under {mode:?}");
+            if matches!(mode, ExecMode::Parallel { .. }) {
+                assert_tolerant(&what, &got, &want);
+            } else {
+                assert_eq!(got, want, "{what}");
+            }
+            assert_eq!(e.fallback_count(), 0, "{label}: the {rung} rung fell back under {mode:?}");
+            if (rung, mode) == ("vector", ExecMode::Serial) {
+                serial_entries = e.vector_entry_count();
+            }
+        }
+    }
+    serial_entries
+}
+
+/// The report line of the `k`-th region of `unit` in `src`.
+fn region_of(src: &str, unit: &str, k: usize) -> fortrans::VectorLoopInfo {
+    let rep = Session::compile(&[src]).unwrap().vector_report();
+    rep.into_iter().filter(|r| r.unit == unit).nth(k).expect("the region exists")
+}
+
+#[test]
+fn proven_stream_past_its_extent_faults_where_the_scalar_loop_does() {
+    // `g` is a fixed module array: proven, window [1, 6]. Eight trips
+    // leave the window, so the entry fails and the scalar loop stores
+    // g(1..6) and faults at i = 7 on line 9.
+    let src = r#"
+MODULE m
+  REAL(8), DIMENSION(1:6) :: g
+CONTAINS
+  SUBROUTINE over(n, a)
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:8) :: a
+    DO i = 1, n
+      g(i) = a(i) * 2.0D0
+    END DO
+  END SUBROUTINE over
+END MODULE m
+"#;
+    let r = region_of(src, "over", 0);
+    assert_eq!((r.proven, r.checked), (1, 1), "g is proven, the dummy a is checked");
+    let mk = |n: i64| move || vec![ArgVal::I(n), ArgVal::array_f(&[1.5; 8], 1)];
+    assert_eq!(proof_differential("past the extent", src, "over", mk(8)), 0);
+    let e = Session::compile(&[src]).unwrap();
+    let err = e.run("over", &mk(8)(), ExecMode::Serial).expect_err("g(7) is out of range");
+    let want = "index 7 out of bounds 1:6 in dimension 0 of `g` (in over at line 9)";
+    assert_eq!(err.to_string(), want);
+    assert_eq!(e.global_array("m::g").unwrap().to_f64_vec(), [3.0; 6]);
+    // Six trips are inside the window and take the region.
+    assert_eq!(proof_differential("inside the extent", src, "over", mk(6)), 1);
+}
+
+#[test]
+fn literal_subscript_out_of_its_dimension_never_enters_the_region() {
+    // g(4, i) has no iteration in bounds: the window is empty, every
+    // entry fails, and the scalar loop faults at i = 1.
+    let src = r#"
+MODULE m
+  REAL(8), DIMENSION(1:3, 1:10) :: g
+CONTAINS
+  SUBROUTINE lit(n, a)
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:10) :: a
+    DO i = 1, n
+      a(i) = g(4, i) + 1.0D0
+    END DO
+  END SUBROUTINE lit
+END MODULE m
+"#;
+    let e = Session::compile(&[src]).unwrap();
+    let d = &e.artifact().bytecode(false)[0].vecs[0];
+    assert_eq!(d.window, fortrans::bytecode::EMPTY_WINDOW);
+    let mk = || vec![ArgVal::I(5), ArgVal::array_f(&[0.0; 10], 1)];
+    assert_eq!(proof_differential("literal out of range", src, "lit", mk), 0);
+    let err = e.run("lit", &mk(), ExecMode::Serial).expect_err("g(4, 1) is out of range");
+    let want = "index 4 out of bounds 1:3 in dimension 0 of `g` (in lit at line 9)";
+    assert_eq!(err.to_string(), want);
+}
+
+#[test]
+fn negative_coefficient_streams_are_proven_on_their_reversed_range() {
+    // t(6 - i) is in bounds for i in [1, 5]: five trips run both
+    // regions; six leave the window and the scalar loop faults storing
+    // t(0) at i = 6.
+    let src = r#"
+MODULE m
+CONTAINS
+  SUBROUTINE rev(n, a, b)
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:8) :: a, b
+    REAL(8), DIMENSION(1:5) :: t
+    DO i = 1, n
+      t(6 - i) = a(i) * 3.0D0
+    END DO
+    DO i = 1, 5
+      b(i) = t(i) - t(6 - i)
+    END DO
+  END SUBROUTINE rev
+END MODULE m
+"#;
+    let e = Session::compile(&[src]).unwrap();
+    let d = &e.artifact().bytecode(false)[0].vecs[0];
+    assert_eq!((d.accesses[0].proven, d.window), (Some((5, -1)), (1, 5)));
+    let mk = |n: i64| {
+        move || {
+            let a: Vec<f64> = (0..8).map(|k| k as f64 + 0.5).collect();
+            vec![ArgVal::I(n), ArgVal::array_f(&a, 1), ArgVal::array_f(&[0.0; 8], 1)]
+        }
+    };
+    assert_eq!(proof_differential("reversed", src, "rev", mk(5)), 2);
+    assert_eq!(proof_differential("reversed, one trip too many", src, "rev", mk(6)), 0);
+    let err = e.run("rev", &mk(6)(), ExecMode::Serial).expect_err("t(0) is out of range");
+    let want = "index 0 out of bounds 1:5 in dimension 0 of `t` (in rev at line 9)";
+    assert_eq!(err.to_string(), want);
+}
+
+#[test]
+fn per_thread_fixed_globals_are_proven_per_thread() {
+    // `s` is SAVE'd, so each thread has an instance of its own, built
+    // with the declared shape: proven, and each call's regions see the
+    // calling thread's instance.
+    let src = r#"
+MODULE m
+CONTAINS
+  SUBROUTINE acc(c, out)
+    INTEGER :: c, i
+    REAL(8), DIMENSION(1:4), SAVE :: s
+    REAL(8), DIMENSION(1:4, 1:16) :: out
+    DO i = 1, 4
+      s(i) = c * 1.0D0 + i
+    END DO
+    DO i = 1, 4
+      out(i, c) = s(i) * s(i)
+    END DO
+  END SUBROUTINE acc
+  SUBROUTINE par(n, out)
+    INTEGER :: n, c
+    REAL(8), DIMENSION(1:4, 1:16) :: out
+    !$OMP PARALLEL DO DEFAULT(SHARED)
+    DO c = 1, n
+      CALL acc(c, out)
+    END DO
+    !$OMP END PARALLEL DO
+  END SUBROUTINE par
+END MODULE m
+"#;
+    assert_eq!(region_of(src, "acc", 0).proven, 1);
+    let mk = || {
+        let out = ArgVal::array_f_dims(&[0.0; 64], vec![(1, 4), (1, 16)]).unwrap();
+        vec![ArgVal::I(16), out]
+    };
+    assert_eq!(proof_differential("per-thread SAVE", src, "par", mk), 32);
+}
+
+#[test]
+fn private_copies_of_frame_arrays_are_proven() {
+    // PRIVATE(t) deep-copies the frame's fixed array per thread: same
+    // shape, so its streams stay proven inside the parallel body.
+    let src = r#"
+MODULE m
+CONTAINS
+  SUBROUTINE priv(n, out)
+    INTEGER :: n, c, i
+    REAL(8), DIMENSION(1:5) :: t
+    REAL(8), DIMENSION(1:5, 1:32) :: out
+    !$OMP PARALLEL DO DEFAULT(SHARED) PRIVATE(t, i)
+    DO c = 1, n
+      DO i = 1, 5
+        t(i) = c * 0.5D0 + i
+      END DO
+      DO i = 1, 5
+        out(i, c) = t(i) * t(i) + c
+      END DO
+    END DO
+    !$OMP END PARALLEL DO
+  END SUBROUTINE priv
+END MODULE m
+"#;
+    assert_eq!(region_of(src, "priv", 0).proven, 1);
+    let mk = || {
+        let out = ArgVal::array_f_dims(&[0.0; 160], vec![(1, 5), (1, 32)]).unwrap();
+        vec![ArgVal::I(32), out]
+    };
+    assert_eq!(proof_differential("PRIVATE frame array", src, "priv", mk), 64);
+}
+
+#[test]
+fn explicit_shape_dummies_stay_checked_and_fault_on_a_smaller_actual() {
+    // `a` is declared (1:8) but bound to a four-element actual: it is not
+    // proven, so the entry's checked arithmetic sees the actual's shape,
+    // fails, and the scalar loop faults at i = 5.
+    let src = r#"
+MODULE m
+CONTAINS
+  SUBROUTINE fill(a, n)
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:8) :: a
+    DO i = 1, n
+      a(i) = i * 1.0D0
+    END DO
+  END SUBROUTINE fill
+  SUBROUTINE small(out)
+    REAL(8), DIMENSION(1:4) :: w
+    REAL(8), DIMENSION(1:1) :: out
+    CALL fill(w, 8)
+    out(1) = w(4)
+  END SUBROUTINE small
+END MODULE m
+"#;
+    let r = region_of(src, "fill", 0);
+    assert_eq!((r.proven, r.checked), (0, 1));
+    let mk = || vec![ArgVal::array_f(&[0.0], 1)];
+    assert_eq!(proof_differential("smaller actual", src, "small", mk), 0);
+    let err = Session::compile(&[src]).unwrap().run("small", &mk(), ExecMode::Serial);
+    let err = err.expect_err("a(5) is out of range");
+    let want = "index 5 out of bounds 1:4 in dimension 0 of `a` (in fill at line 8)";
+    assert_eq!(err.to_string(), want);
+}
+
+#[test]
+fn distinct_globals_written_and_read_drop_their_alias_pair() {
+    // p and q are two module cells: never one array, so the only pairs
+    // left are the ones with the dummy `a`, which a caller may bind to
+    // either of them.
+    let src = r#"
+MODULE gm
+  REAL(8), DIMENSION(1:16) :: p, q
+END MODULE gm
+MODULE m
+  USE gm
+CONTAINS
+  SUBROUTINE two(n, a)
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:16) :: a
+    DO i = 1, n
+      p(i) = q(i) * 0.5D0 + a(i)
+      q(i) = p(i) + 1.0D0
+    END DO
+  END SUBROUTINE two
+  SUBROUTINE drive(n)
+    INTEGER :: n, i
+    DO i = 1, 16
+      q(i) = i * 0.25D0
+    END DO
+    CALL two(n, p)
+  END SUBROUTINE drive
+END MODULE m
+"#;
+    let e = Session::compile(&[src]).unwrap();
+    let d = &e.artifact().bytecode(false)[0].vecs[0];
+    let unit = &e.program().units[0];
+    let name = |k: u32| unit.vars[d.accesses[k as usize].v as usize].name.as_str();
+    let pairs: Vec<_> = d.alias_pairs.iter().map(|&(i, j)| (name(i), name(j))).collect();
+    assert_eq!(pairs, [("p", "a"), ("q", "a")], "p against q is not checked");
+    assert_eq!(d.accesses.iter().filter(|a| a.proven.is_some()).count(), 2);
+    let mk = || {
+        let a: Vec<f64> = (0..16).map(|k| (k as f64).sin()).collect();
+        vec![ArgVal::I(16), ArgVal::array_f(&a, 1)]
+    };
+    assert_eq!(proof_differential("distinct globals", src, "two", mk), 1);
+    // Bound to p itself, `a` walks p's cells exactly: the pair's check
+    // passes and the region runs.
+    assert_eq!(proof_differential("dummy bound to p", src, "drive", || vec![ArgVal::I(16)]), 2);
+}
+
+#[test]
+fn equivalenced_names_are_one_cell_and_keep_the_one_slot_rule() {
+    // EQUIVALENCE renames Y onto the COMMON cell X. The first loop's
+    // X(I) and Y(I) are one access; the second loop's X(I) and Y(I + 1)
+    // are two patterns of one written slot, which no alias pair can
+    // clear: it stays scalar.
+    let src = "
+      SUBROUTINE EQV(N)
+      INTEGER N, I
+      REAL X(16), Y(16), B(16)
+      COMMON /BLK/ X, B
+      EQUIVALENCE (X, Y)
+      DO 10 I = 1, N
+        X(I) = B(I) * 2.0
+        B(I) = Y(I) + 1.0
+   10 CONTINUE
+      DO 20 I = 1, N - 1
+        X(I) = Y(I + 1) * 0.5
+   20 CONTINUE
+      END
+";
+    use fortrans::bytecode::VecRefusal::WrittenPatterns;
+    let e = Session::compile(&[src]).unwrap();
+    let d = &e.artifact().bytecode(false)[0].vecs[0];
+    assert_eq!(d.accesses.len(), 2, "X(I) and Y(I) are one stream");
+    assert!(d.alias_pairs.is_empty() && d.accesses.iter().all(|a| a.proven.is_some()));
+    let why: Vec<_> = e.artifact().vector_refusals().iter().map(|r| r.why).collect();
+    assert_eq!(why, [WrittenPatterns]);
+    assert_eq!(proof_differential("EQUIVALENCE", src, "eqv", || vec![ArgVal::I(16)]), 1);
+}
+
+#[test]
+fn fun3d_descriptors_prove_what_the_entry_no_longer_checks() {
+    use fun3d::variants::{build_artifact, Fun3dConfig, Fun3dVariant};
+    let cfg = Fun3dConfig { fuse: true, ..Default::default() };
+    let fused = build_artifact(Fun3dVariant::Glaf(cfg));
+    let rep = fused.vector_report();
+    // The fused edge region and the face nest: the widest region of
+    // `edge_loop` and of `cell_loop`.
+    let widest = |unit: &str| {
+        let mut rs: Vec<_> = rep.iter().filter(|r| r.unit == unit).collect();
+        rs.sort_by_key(|r| r.proven + r.checked);
+        rs.pop().expect("the unit has regions").clone()
+    };
+    let (edge, face) = (widest("edge_loop"), widest("cell_loop"));
+    assert_eq!((edge.proven, edge.proven + edge.checked), (14, 16), "{edge:?}");
+    assert_eq!((face.proven, face.proven + face.checked, face.alias_pairs), (4, 20, 0), "{face:?}");
+}

@@ -883,6 +883,90 @@ fn rejects_alias_pairs_and_array_bindings_the_pruning_does_not_allow() {
     );
 }
 
+const PROVEN: &str = r#"
+MODULE gm
+  REAL(8), DIMENSION(1:4, 1:8) :: g
+  REAL(8), DIMENSION(:), ALLOCATABLE :: h
+END MODULE gm
+MODULE m
+  USE gm
+CONTAINS
+  SUBROUTINE prove(n, a)
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:8) :: a, t
+    DO i = 1, n
+      t(i) = g(2, i) + a(i)
+      g(3, i) = t(i) * h(i)
+    END DO
+  END SUBROUTINE prove
+  SUBROUTINE grow(n)
+    INTEGER :: n
+    ALLOCATE(h(1:n))
+  END SUBROUTINE grow
+END MODULE m
+"#;
+
+/// Lowering's stream proofs are recomputed from the slots' static
+/// shapes: a proven base, a window or the global-cell list that differs
+/// is refused, and so is anything that would let a proven slot hold an
+/// array of another shape — a fixed global's ALLOCATE, a fixed frame
+/// array a call binds.
+#[test]
+fn rejects_stream_proofs_the_slot_shapes_do_not_give() {
+    use fortrans::bytecode::FULL_WINDOW;
+    use fortrans::ScalarTy;
+    let engine = Session::compile(&[PROVEN]).unwrap();
+    for traced in [false, true] {
+        let base = compile_program(engine.program(), traced);
+        verify_program(engine.program(), &base).expect("baseline verifies");
+        let d = &base[0].vecs[0];
+        // t(i), g(2, i), a(i), g(3, i), h(i): the frame's own t and the
+        // fixed module array g are proven, the dummy a and the
+        // allocatable h are not. Only g(3, i) against a is compared:
+        // g against h are two global cells.
+        let proven: Vec<_> = d.accesses.iter().map(|a| a.proven).collect();
+        assert_eq!(proven, [Some((-1, 1)), Some((-3, 4)), None, Some((-2, 4)), None]);
+        assert_eq!((d.window, d.alias_pairs.as_slice()), ((1, 8), [(2, 3)].as_slice()));
+        assert_eq!(d.globals.len(), 2);
+        let reject = |edit: &dyn Fn(&mut [BUnit]), want: &str| {
+            let mut bad = base.clone();
+            edit(&mut bad);
+            let msg = reject_msg(&engine, &bad);
+            assert!(msg.contains(want), "traced={traced}: {msg}");
+        };
+        reject(&|b| b[0].vecs[0].window.1 += 1, "vector window");
+        reject(&|b| b[0].vecs[0].window = FULL_WINDOW, "vector window");
+        reject(&|b| b[0].vecs[0].accesses[1].proven = Some((-2, 4)), "carries proof");
+        reject(&|b| b[0].vecs[0].accesses[0].proven = None, "carries proof");
+        reject(&|b| b[0].vecs[0].accesses[2].proven = Some((-1, 1)), "carries proof");
+        reject(&|b| b[0].vecs[0].accesses[4].proven = Some((-1, 1)), "carries proof");
+        reject(&|b| b[0].vecs[0].accesses[1].ty = ScalarTy::I, "is declared F");
+        reject(&|b| b[0].vecs[0].globals.pop().map_or((), drop), "global-cell list");
+        reject(&|b| b[0].vecs[0].alias_pairs.push((3, 4)), "alias pair list");
+        // `grow` allocates h; aim its ALLOCATE at g's cell.
+        let g = d.accesses[1].vs;
+        reject(
+            &|b| {
+                for ins in &mut b[1].code {
+                    if let BInstr::Alloc { vs, .. } = ins {
+                        *vs = g;
+                    }
+                }
+            },
+            "fixed-shape global cell",
+        );
+        // The dummy a's slot listed as a fixed array.
+        let VSlot::A(a) = d.accesses[2].vs else { panic!("a is a frame array") };
+        reject(
+            &|b| {
+                b[0].fixed_arrays.push((a, ScalarTy::F, vec![(1, 8)]));
+                b[0].fixed_arrays.sort_by_key(|f| f.0);
+            },
+            "is a dummy's",
+        );
+    }
+}
+
 #[test]
 fn every_corpus_program_verifies_in_both_variants() {
     for (label, src) in SWEEP {
@@ -902,7 +986,7 @@ fn every_corpus_program_verifies_in_both_variants() {
 /// corruption, not a pre-existing violation.
 #[test]
 fn rejection_baselines_are_clean() {
-    for src in [BRANCHY, GATHER, NEST, SELECT, FIXED] {
+    for src in [BRANCHY, GATHER, NEST, SELECT, FIXED, PROVEN] {
         let (engine, bunits) = compiled(src);
         verify_program(engine.program(), &bunits).expect("baseline verifies");
     }

@@ -94,11 +94,17 @@ fn main() {
     );
 
     // 4. Where the fused configuration leaves the scalar rung: the loops
-    //    compiled to `VecLoop` regions, and why each other DO was not.
+    //    compiled to `VecLoop` regions, what their entry still checks
+    //    (streams lowering did not prove, alias pairs), and why each
+    //    other DO was not a region.
     println!("\n=== vector regions, GLAF serial fused ===");
     let fused = build_artifact(Fun3dVariant::Glaf(Fun3dConfig { fuse: true, ..Default::default() }));
     for r in fused.vector_report() {
-        println!("  {:12} line {:>3}  region, {} statements", r.unit, r.line, r.stmts);
+        println!(
+            "  {:12} line {:>3}  region, {} statements, streams {} proven / {} checked, \
+             {} alias pairs",
+            r.unit, r.line, r.stmts, r.proven, r.checked, r.alias_pairs
+        );
     }
     for r in fused.vector_refusals() {
         println!("  {:12} line {:>3}  scalar: {:?}", r.unit, r.line, r.why);
@@ -158,4 +164,59 @@ fn main() {
             .expect("twelve runs");
         println!("  {:36} {:>9.2} ms", cfg.tag(), best.as_secs_f64() * 1e3);
     }
+
+    // 6. What one region entry costs on each rung: a leaf unit whose
+    //    only loop is an `edge_loop`-shaped five-lane region over two
+    //    frame temporaries and two module arrays, called 100 k times.
+    //    The rungs differ only in how that region runs, so the spread
+    //    between them is the entry and its five lanes.
+    println!("\n=== one-region leaf, ns per call (Serial, best of 5 x 100k calls) ===");
+    let rungs = [("scalar", false, false), ("vector", true, false), ("native", true, true)];
+    for (rung, vector, native) in rungs {
+        let session = Session::compile(&[ENTRY_PROBE]).expect("probe compiles");
+        session.set_vector_enabled(vector);
+        session.set_native_enabled(native);
+        session.set_native_eager(native);
+        let calls = 100_000;
+        let run = || session.run("drive", &[ArgVal::I(calls)], ExecMode::Serial).expect("runs");
+        run();
+        let best = (0..5)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                run();
+                t.elapsed()
+            })
+            .min()
+            .expect("five runs");
+        println!(
+            "  {rung:7} {:>7.1} ns  ({} vector, {} native entries in all)",
+            best.as_secs_f64() * 1e9 / calls as f64,
+            session.vector_entry_count(),
+            session.native_entry_count()
+        );
+    }
 }
+
+/// The per-entry probe of section 6.
+const ENTRY_PROBE: &str = r#"
+MODULE probe_m
+  REAL(8), DIMENSION(1:5, 1:2) :: q
+  REAL(8), DIMENSION(1:5) :: r
+CONTAINS
+  SUBROUTINE leaf()
+    INTEGER :: m
+    REAL(8), DIMENSION(1:5) :: t, u
+    DO m = 1, 5
+      t(m) = q(m, 1) * 0.5D0
+      u(m) = q(m, 2) - t(m)
+      r(m) = r(m) + u(m) * t(m)
+    END DO
+  END SUBROUTINE leaf
+  SUBROUTINE drive(n)
+    INTEGER :: n, k
+    DO k = 1, n
+      CALL leaf()
+    END DO
+  END SUBROUTINE drive
+END MODULE probe_m
+"#;
