@@ -1168,11 +1168,18 @@ fn scoped_temporaries(unit: &RUnit) -> Vec<(VarIdx, Vec<(i64, i64)>)> {
 /// cost-exact variant for `ExecMode::Simulated`.
 pub fn compile_program(prog: &RProgram, traced: bool) -> Vec<BUnit> {
     let tables: Vec<SlotTable> = prog.units.iter().map(|u| assign_slots(u, traced)).collect();
-    prog.units
+    let mut bunits: Vec<BUnit> = prog
+        .units
         .iter()
         .enumerate()
         .map(|(u, unit)| UnitCompiler::new(prog, unit, u, &tables, traced).compile())
-        .collect()
+        .collect();
+    // Call sites read every unit's table; once all are lowered, each
+    // unit takes its own.
+    for (bu, t) in bunits.iter_mut().zip(tables) {
+        (bu.vslots, bu.fixed_arrays) = (t.vslots, t.fixed_arrays);
+    }
+    bunits
 }
 
 // ---------------------------------------------------------------------
@@ -1403,7 +1410,9 @@ impl<'a> UnitCompiler<'a> {
             unit_idx,
             tables,
             traced,
-            code: Vec::new(),
+            // Past the first few doublings: most units lower to dozens
+            // of instructions or more.
+            code: Vec::with_capacity(64),
             calls: Vec::new(),
             omps: Vec::new(),
             prints: Vec::new(),
@@ -1429,12 +1438,13 @@ impl<'a> UnitCompiler<'a> {
         let t = &self.tables[self.unit_idx];
         BUnit {
             code: self.code,
-            vslots: t.vslots.clone(),
+            // Filled by `compile_program` once every unit is lowered.
+            vslots: Vec::new(),
             ni: self.ni_extra,
             nf: t.nf,
             nb: t.nb,
             na: t.na,
-            fixed_arrays: t.fixed_arrays.clone(),
+            fixed_arrays: Vec::new(),
             calls: self.calls,
             omps: self.omps,
             prints: self.prints,
@@ -2073,11 +2083,12 @@ impl<'a> UnitCompiler<'a> {
                 self.emit_expr(cond);
                 self.emit_cvt(self.ty_of(cond), ScalarTy::B);
                 let jf = self.push(BInstr::JumpIfFalse(NO_PC));
-                self.ctx.push(Ctx::Loop { exit: vec![Patch::Target(jf)], cycle: Vec::new() });
+                self.ctx.push(Ctx::Loop { exit: Vec::new(), cycle: Vec::new() });
                 self.emit_block(body);
                 self.push(BInstr::Jump(head));
                 let Some(Ctx::Loop { exit, cycle }) = self.ctx.pop() else { unreachable!() };
                 let end = self.pc();
+                self.apply_patch(Patch::Target(jf), end);
                 for p in exit {
                     self.apply_patch(p, end);
                 }
@@ -2327,7 +2338,7 @@ impl<'a> UnitCompiler<'a> {
                 h
             }
         };
-        self.ctx.push(Ctx::Loop { exit: vec![Patch::Target(head_idx)], cycle: Vec::new() });
+        self.ctx.push(Ctx::Loop { exit: Vec::new(), cycle: Vec::new() });
         self.region_depth += u32::from(vec_idx.is_some());
         self.emit_block(body);
         self.region_depth -= u32::from(vec_idx.is_some());
@@ -2368,6 +2379,7 @@ impl<'a> UnitCompiler<'a> {
         if self.traced && vec != VecClass::None {
             self.push(BInstr::VecLeave);
         }
+        self.apply_patch(Patch::Target(head_idx), after);
         for p in exit {
             self.apply_patch(p, after);
         }

@@ -7,6 +7,7 @@
 //! module, which also owns the descriptor format.
 
 use super::*;
+use std::borrow::Cow;
 
 /// Caps on the plan, next to the descriptor's own in the parent.
 const VEC_MAX_STMTS: usize = 32;
@@ -101,12 +102,55 @@ fn expr_uses_var(e: &RExpr, var: VarIdx) -> bool {
 /// temp's defining expression (itself already substituted, so the
 /// result never references another temp). `CallFn` arguments are left
 /// alone: a call anywhere disqualifies the loop from vectorizing, so
-/// the substituted tree is never emitted in that case.
-fn subst_scalars(e: &RExpr, idx: &[(VarIdx, i64)], temps: &[(VarIdx, RExpr)]) -> RExpr {
-    if idx.is_empty() && temps.is_empty() {
-        return e.clone();
+/// the substituted tree is never emitted in that case. A tree with
+/// nothing to replace comes back borrowed.
+fn subst_scalars<'e>(
+    e: &'e RExpr,
+    idx: &[(VarIdx, i64)],
+    temps: &[(VarIdx, RExpr)],
+) -> Cow<'e, RExpr> {
+    if substitutes(e, idx, temps) {
+        Cow::Owned(subst_owned(e, idx, temps))
+    } else {
+        Cow::Borrowed(e)
     }
-    let sub = |x: &RExpr| subst_scalars(x, idx, temps);
+}
+
+/// [`subst_scalars`] over a subscript list, borrowed when nothing in
+/// it changes.
+fn subst_all<'e>(
+    es: &'e [RExpr],
+    idx: &[(VarIdx, i64)],
+    temps: &[(VarIdx, RExpr)],
+) -> Cow<'e, [RExpr]> {
+    if es.iter().any(|e| substitutes(e, idx, temps)) {
+        Cow::Owned(es.iter().map(|e| subst_owned(e, idx, temps)).collect())
+    } else {
+        Cow::Borrowed(es)
+    }
+}
+
+/// Whether [`subst_scalars`] replaces anything in `e`: the same walk,
+/// reading only.
+fn substitutes(e: &RExpr, idx: &[(VarIdx, i64)], temps: &[(VarIdx, RExpr)]) -> bool {
+    if idx.is_empty() && temps.is_empty() {
+        return false;
+    }
+    let sub = |x: &RExpr| substitutes(x, idx, temps);
+    match e {
+        RExpr::LoadScalar(v) => {
+            idx.iter().any(|(u, _)| u == v) || temps.iter().any(|(u, _)| u == v)
+        }
+        RExpr::LoadElem { subs, .. } => subs.iter().any(sub),
+        RExpr::Bin { l, r, .. } => sub(l) || sub(r),
+        RExpr::Neg(x) | RExpr::Not(x) | RExpr::ToF(x) | RExpr::ToI(x) => sub(x),
+        RExpr::Intrinsic { args, .. } => args.iter().any(sub),
+        _ => false,
+    }
+}
+
+fn subst_owned(e: &RExpr, idx: &[(VarIdx, i64)], temps: &[(VarIdx, RExpr)]) -> RExpr {
+    let sub = |x: &RExpr| subst_owned(x, idx, temps);
     match e {
         RExpr::LoadScalar(v) => {
             if let Some((_, c)) = idx.iter().find(|(u, _)| u == v) {
@@ -412,8 +456,7 @@ impl UnitCompiler<'_> {
         for sp in body {
             match &sp.s {
                 RStmt::AssignElem { v, subs, e } => {
-                    let subs: Vec<RExpr> =
-                        subs.iter().map(|s| subst_scalars(s, idx, &b.temps)).collect();
+                    let subs = subst_all(subs, idx, &b.temps);
                     let e = subst_scalars(e, idx, &b.temps);
                     // Map shape: every non-forwarded statement an
                     // elementwise store.
@@ -443,6 +486,7 @@ impl UnitCompiler<'_> {
                         && self.vec_temp_ok(&e, &b.awritten, &b.sassigned)
                         && self.vec_intern_reads(&e, var, &mut b.plan).is_ok();
                     if fwd {
+                        let e = e.into_owned();
                         match b.temps.iter_mut().find(|(u, _)| u == v) {
                             Some(slot) => slot.1 = e,
                             None => b.temps.push((*v, e)),
@@ -452,7 +496,7 @@ impl UnitCompiler<'_> {
                         // is the single statement of a reduction.
                         return Err(Shape);
                     } else {
-                        b.red = Some((*v, e));
+                        b.red = Some((*v, e.into_owned()));
                     }
                 }
                 RStmt::Do { var: k, body, .. } => {
@@ -566,13 +610,16 @@ impl UnitCompiler<'_> {
         if !matches!(vs, VSlot::A(_) | VSlot::GlobA(_))
             || info.ty != ty
             || info.rank != subs.len()
+            || subs.len() > MAX_INLINE_RANK
         {
             return Err(VecRefusal::Shape);
         }
-        let mut vsubs = Vec::with_capacity(subs.len());
-        for s in subs {
-            vsubs.push(self.vec_lanes_i(s, var, plan)?);
+        // On the stack until the access turns out to be a new one.
+        let mut buf = [VecSub { coeff: 0, add: 0, inv: NO_SLOT }; MAX_INLINE_RANK];
+        for (s, sub) in subs.iter().zip(&mut buf) {
+            *sub = self.vec_lanes_i(s, var, plan)?;
         }
+        let vsubs = &buf[..subs.len()];
         // Injectivity: a write must move with the loop, else later
         // elements overwrite earlier ones out of statement order.
         if write && vsubs.iter().all(|s| s.coeff == 0) {
@@ -587,7 +634,8 @@ impl UnitCompiler<'_> {
             None => {
                 // Emission proves what it can of the stream.
                 let v = v as u32;
-                plan.accesses.push(VecAccess { vs, v, ty, subs: vsubs, write, proven: None });
+                let subs = vsubs.to_vec();
+                plan.accesses.push(VecAccess { vs, v, ty, subs, write, proven: None });
                 plan.accesses.len() - 1
             }
         };

@@ -176,9 +176,13 @@ impl CancelToken {
         }
     }
 
-    /// Sleeps `wait`, cut short at the expiry; returns the time slept.
-    pub(crate) fn sleep(&self, wait: std::time::Duration) -> std::time::Duration {
-        let wait = match &self.expiry {
+    /// Sleeps `wait`, cut short at `token`'s expiry if it has one;
+    /// returns the time slept.
+    pub(crate) fn sleep(
+        token: Option<&CancelToken>,
+        wait: std::time::Duration,
+    ) -> std::time::Duration {
+        let wait = match token.and_then(|t| t.expiry.as_ref()) {
             Some((at, _)) => wait.min(at.saturating_duration_since(std::time::Instant::now())),
             None => wait,
         };

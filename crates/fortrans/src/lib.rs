@@ -36,9 +36,10 @@
 //!   for the `simcpu` machine model — the substitute for the paper's
 //!   testbeds on a single-core host, see DESIGN.md).
 //! * [`bytecode`] / [`verify`] / [`vm`] — the default tier. Each unit is
-//!   lowered to flat bytecode twice (an optimized build, and a traced one
-//!   that posts the cost events `Simulated` needs), statically verified
-//!   before it may run, and executed by the VM; affine `DO` loops become
+//!   lowered to flat bytecode (an optimized build at compile time, and a
+//!   traced one that posts the cost events `Simulated` needs on the first
+//!   Simulated run), statically verified before it may run, and executed
+//!   by the VM; affine `DO` loops become
 //!   `VecLoop` regions run a vector of iterations at a time. A VM trap
 //!   falls back to the tree-walk tier (DESIGN.md §6).
 //! * [`jit`] — x86-64 machine code for hot `VecLoop` regions, guarded and

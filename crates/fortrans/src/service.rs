@@ -6,9 +6,10 @@
 //! concurrently needs a different shape:
 //!
 //! * [`CompiledProgram`] — everything `compile` produces and nothing a
-//!   run mutates: the resolved program, both statically verified
-//!   bytecode variants (optimized and traced), and the source-content
-//!   hash that keys it. `Arc`-shared across any number of sessions.
+//!   run mutates: the resolved program, the statically verified
+//!   optimized bytecode (the traced variant is verified and added by the
+//!   first Simulated run), and the source-content hash that keys it.
+//!   `Arc`-shared across any number of sessions.
 //! * [`Session`] — everything a run mutates: global storage, schedule
 //!   overrides, [`RunLimits`], the vector-path gate, fallback and
 //!   vector-entry counters. Cheap to create; one per tenant/run-stream.
@@ -26,7 +27,7 @@
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use omprt::{CriticalRegistry, PoolSet, ThreadPool};
@@ -64,56 +65,100 @@ pub fn source_hash(sources: &[&str]) -> u64 {
     h
 }
 
-/// The immutable product of compilation, shared by reference across
-/// sessions. Nothing in here changes after [`CompiledProgram::compile`]
-/// returns: the resolved program (with its pc→line tables and OMP
-/// descriptors), both bytecode variants — already statically verified —
-/// and the content hash that keys the artifact in an [`ArtifactCache`].
+/// The product of compilation, shared by reference across
+/// sessions: the resolved program (with its pc→line tables and OMP
+/// descriptors), the optimized bytecode build — statically verified
+/// before [`CompiledProgram::compile`] returns — and the content hash
+/// that keys the artifact in an [`ArtifactCache`]. The traced build
+/// Simulated runs on is made on first request, once, and only published
+/// after it verifies.
 pub struct CompiledProgram {
     prog: Arc<RProgram>,
-    /// `[optimized, traced]`: the optimized build serves Serial/Parallel;
-    /// the traced build — the same lowering without constant folding —
-    /// preserves every cost-bearing operation for Simulated mode.
-    bytecode: [Arc<Vec<BUnit>>; 2],
+    /// Serves Serial and Parallel runs.
+    optimized: Arc<Vec<BUnit>>,
+    /// The same lowering without operator folding or scoped temporaries,
+    /// plus cost-only instructions: it preserves every cost-bearing
+    /// operation for Simulated mode. Lowered and verified by the first
+    /// caller that needs it (racers wait for that one build); holds the
+    /// build, or the verifier's message.
+    traced: OnceLock<Result<TracedBuild, String>>,
     source_hash: u64,
-    /// Rough retained-size estimate (both bytecode builds + RIR), fixed
-    /// at compile time; feeds the cache's optional byte budget.
+    /// Size estimate of the resolved program plus the optimized build;
+    /// the traced build's share is added once it exists.
     est_bytes: usize,
     /// Native-tier promotion cache (hotness counters + compiled
     /// regions), shared by every session over this artifact: a loop
     /// JIT'd once is native for all sessions, like the bytecode itself.
     native_cache: Arc<crate::jit::NativeCache>,
+    /// Test hook: damages the traced build between lowering and
+    /// verification.
+    #[cfg(test)]
+    damage_traced: Option<fn(Vec<BUnit>) -> Vec<BUnit>>,
+}
+
+/// A traced build that verified, with its share of
+/// [`CompiledProgram::estimated_bytes`].
+struct TracedBuild {
+    bunits: Arc<Vec<BUnit>>,
+    bytes: usize,
 }
 
 impl CompiledProgram {
     /// Parses, resolves, compiles and statically verifies one or more
-    /// source files into a shareable artifact. Both bytecode variants
-    /// are built eagerly so a compiler bug surfaces here as
-    /// [`CompileError::Verify`] instead of undefined VM behavior later.
+    /// source files into a shareable artifact. Only the optimized build
+    /// is lowered here, so a compiler bug in it surfaces as
+    /// [`CompileError::Verify`] instead of undefined VM behavior later;
+    /// the traced build waits for the first Simulated run.
     pub fn compile(sources: &[&str]) -> Result<Arc<CompiledProgram>, CompileError> {
         let hash = source_hash(sources);
         let ast = ProgramSet::from_sources(sources)?.ast;
         let prog = resolve(&ast)?;
         let optimized = compile_program(&prog, false);
         crate::verify::verify_program(&prog, &optimized)?;
-        let traced = compile_program(&prog, true);
-        crate::verify::verify_program(&prog, &traced)?;
-        let est_bytes = estimate_bytes(&prog, &[&optimized, &traced]);
+        let est_bytes = program_bytes(&prog) + build_bytes(&optimized);
         Ok(Arc::new(CompiledProgram {
             prog: Arc::new(prog),
-            bytecode: [Arc::new(optimized), Arc::new(traced)],
+            optimized: Arc::new(optimized),
+            traced: OnceLock::new(),
             source_hash: hash,
             est_bytes,
             native_cache: Arc::new(crate::jit::NativeCache::new()),
+            #[cfg(test)]
+            damage_traced: None,
         }))
     }
 
-    /// Estimated retained size in bytes (bytecode builds + resolved
-    /// program). An estimate — container headers and small side tables
-    /// are priced with flat constants — but monotone in program size,
-    /// which is all the cache's byte budget needs.
+    /// Estimated retained size in bytes: the resolved program and the
+    /// optimized build, plus the traced build once a Simulated run (or
+    /// [`Self::bytecode`]) has made it. An estimate — container headers
+    /// and small side tables are priced with flat constants — but
+    /// monotone in program size, which is all the cache's byte budget
+    /// needs.
     pub fn estimated_bytes(&self) -> usize {
-        self.est_bytes
+        let traced = self.traced.get().and_then(|b| b.as_ref().ok()).map_or(0, |b| b.bytes);
+        self.est_bytes + traced
+    }
+
+    /// The build a run in `traced` mode executes, or the verifier's
+    /// message if the traced lowering does not verify. The first caller
+    /// asking for the traced build lowers and verifies it; every later
+    /// caller, on any thread, gets that one result.
+    fn build(&self, traced: bool) -> Result<&Arc<Vec<BUnit>>, &str> {
+        if !traced {
+            return Ok(&self.optimized);
+        }
+        let built = self.traced.get_or_init(|| {
+            let bunits = compile_program(&self.prog, true);
+            #[cfg(test)]
+            let bunits = match self.damage_traced {
+                Some(damage) => damage(bunits),
+                None => bunits,
+            };
+            crate::verify::verify_program(&self.prog, &bunits).map_err(|e| e.to_string())?;
+            let bytes = build_bytes(&bunits);
+            Ok(TracedBuild { bunits: Arc::new(bunits), bytes })
+        });
+        built.as_ref().map(|b| &b.bunits).map_err(String::as_str)
     }
 
     /// The resolved program (introspection for tests and tooling).
@@ -127,9 +172,18 @@ impl CompiledProgram {
     }
 
     /// Bytecode for the whole program; `traced` selects the Simulated
-    /// build.
+    /// build, lowering and verifying it if no run has yet.
+    ///
+    /// # Panics
+    ///
+    /// If the traced build fails verification (a lowering bug): no
+    /// unverified build is ever handed out. A Simulated run of such an
+    /// artifact gets the verifier's message as a VM trap instead.
     pub fn bytecode(&self, traced: bool) -> Arc<Vec<BUnit>> {
-        Arc::clone(&self.bytecode[usize::from(traced)])
+        match self.build(traced) {
+            Ok(b) => Arc::clone(b),
+            Err(what) => panic!("{what}"),
+        }
     }
 
     /// The shared native-tier promotion cache (hotness + compiled
@@ -144,14 +198,14 @@ impl CompiledProgram {
     /// statement count and reduction flag. Reflects the optimized
     /// (Serial/Parallel) build.
     pub fn vector_report(&self) -> Vec<VectorLoopInfo> {
-        vector_report_of(&self.prog, &self.bytecode[0])
+        vector_report_of(&self.prog, &self.optimized)
     }
 
     /// The other half of [`Self::vector_report`]: every serial DO loop
     /// of the optimized build that got no region, and why. Loops inside
     /// a region (the unrolled inner loops of a nest) are in neither.
     pub fn vector_refusals(&self) -> Vec<VectorRefusalInfo> {
-        let per_unit = self.bytecode[0].iter().flat_map(|bu| {
+        let per_unit = self.optimized.iter().flat_map(|bu| {
             let unit = &self.prog.units[bu.unit as usize].name;
             bu.vec_refusals
                 .iter()
@@ -177,34 +231,37 @@ fn vector_report_of(prog: &RProgram, bunits: &[BUnit]) -> Vec<VectorLoopInfo> {
     per_unit.collect()
 }
 
-/// Rough retained-size model for one artifact: exact element sizes for
-/// the big flat vectors (instruction streams, slot tables, debug
+/// Rough retained-size model for one bytecode build: exact element sizes
+/// for the big flat vectors (instruction streams, slot tables, debug
 /// tables), flat constants for the small heterogeneous side tables
 /// (OMP/call/vec descriptors own nested vectors we don't walk).
-fn estimate_bytes(prog: &RProgram, builds: &[&Vec<BUnit>]) -> usize {
+fn build_bytes(build: &[BUnit]) -> usize {
     let mut total = 0usize;
-    for build in builds {
-        for bu in build.iter() {
-            total += bu.code.len() * std::mem::size_of::<BInstr>();
-            total += bu.vslots.len() * std::mem::size_of::<VSlot>();
-            total += bu.lines.len() * std::mem::size_of::<(u32, u32)>();
-            total += bu.subops.len() * std::mem::size_of::<SubOp>();
-            total += bu.msgs.iter().map(String::len).sum::<usize>();
-            total += (bu.fixed_arrays.len()
-                + bu.calls.len()
-                + bu.prints.len()
-                + bu.sdims.len()
-                + bu.loops.len())
-                * 64;
-            total += bu.vec_refusals.len() * std::mem::size_of::<(u32, VecRefusal)>();
-            total += (bu.omps.len() + bu.vecs.len()) * 256;
-        }
+    for bu in build {
+        total += bu.code.len() * std::mem::size_of::<BInstr>();
+        total += bu.vslots.len() * std::mem::size_of::<VSlot>();
+        total += bu.lines.len() * std::mem::size_of::<(u32, u32)>();
+        total += bu.subops.len() * std::mem::size_of::<SubOp>();
+        total += bu.msgs.iter().map(String::len).sum::<usize>();
+        total += (bu.fixed_arrays.len()
+            + bu.calls.len()
+            + bu.prints.len()
+            + bu.sdims.len()
+            + bu.loops.len())
+            * 64;
+        total += bu.vec_refusals.len() * std::mem::size_of::<(u32, VecRefusal)>();
+        total += (bu.omps.len() + bu.vecs.len()) * 256;
     }
+    total
+}
+
+/// The resolved program's share of [`CompiledProgram::estimated_bytes`].
+fn program_bytes(prog: &RProgram) -> usize {
+    let mut total = 0usize;
     for unit in &prog.units {
         total += unit.name.len() + unit.vars.len() * 96 + unit.body.len() * 96 + 128;
     }
-    total += prog.globals.len() * 96;
-    total
+    total + prog.globals.len() * 96
 }
 
 /// Test hook: the faults a harness arms on one [`Session`] (directly
@@ -336,9 +393,9 @@ impl Session {
     /// Installs (or with `None` clears) the cancellation token polled by
     /// every subsequent run at its safepoints. Fire the token from any
     /// thread via [`CancelToken::cancel`]; affected runs return
-    /// [`RunError::Cancelled`]. [`JobQueue`] installs one per job, expiring
-    /// at the job's [`JobPolicy::deadline`], so the deadline stops exactly
-    /// that job.
+    /// [`RunError::Cancelled`]. [`JobQueue`] installs one per job with a
+    /// [`JobPolicy::deadline`], expiring then, so the deadline stops
+    /// exactly that job.
     pub fn set_cancel_token(&self, token: Option<Arc<CancelToken>>) {
         *self.cancel.lock() = token;
     }
@@ -448,7 +505,9 @@ impl Session {
     /// Static vectorization report for this session's optimized
     /// bytecode (the artifact's, unless a test injected a replacement).
     pub fn vector_report(&self) -> Vec<VectorLoopInfo> {
-        vector_report_of(&self.artifact.prog, &self.bytecode_for(false))
+        let injected = self.bytecode_override.lock()[0].clone();
+        let optimized = injected.unwrap_or_else(|| Arc::clone(&self.artifact.optimized));
+        vector_report_of(&self.artifact.prog, &optimized)
     }
 
     /// Reinitializes all global storage.
@@ -461,12 +520,17 @@ impl Session {
     }
 
     /// Bytecode for the whole program; `traced` selects the Simulated
-    /// build. The session-local injection slot wins over the artifact.
-    fn bytecode_for(&self, traced: bool) -> Arc<Vec<BUnit>> {
+    /// build. The session-local injection slot wins over the artifact
+    /// (and so never makes the artifact build its traced variant); a
+    /// traced build that failed verification is a VM trap.
+    fn bytecode_for(&self, traced: bool) -> Result<Arc<Vec<BUnit>>, RunError> {
         if let Some(b) = &self.bytecode_override.lock()[usize::from(traced)] {
-            return Arc::clone(b);
+            return Ok(Arc::clone(b));
         }
-        self.artifact.bytecode(traced)
+        match self.artifact.build(traced) {
+            Ok(b) => Ok(Arc::clone(b)),
+            Err(what) => Err(RunError::Trap { what: what.to_string() }),
+        }
     }
 
     /// Runs subprogram `name` with `args` under `mode` on the default
@@ -505,7 +569,9 @@ impl Session {
     /// is attached to the oracle re-run, so the returned profile always
     /// describes the execution that produced the result. The fallback
     /// diagnostic and the session-lifetime fallback total are surfaced on
-    /// the profile itself.
+    /// the profile itself. The first Simulated run over an artifact also
+    /// makes its traced build, so that run's `wall_ns` includes lowering
+    /// and verifying it.
     pub fn run_profiled(
         &self,
         name: &str,
@@ -667,9 +733,9 @@ impl Session {
         mode: ExecMode,
         prof: Option<&crate::trace::Collector>,
     ) -> Result<RunOutcome, RunError> {
-        let exec = self.make_exec(mode);
         let traced = matches!(mode, ExecMode::Simulated { .. });
-        let bunits = self.bytecode_for(traced);
+        let bunits = self.bytecode_for(traced)?;
+        let exec = self.make_exec(mode);
         let (result, trace, printed) = crate::vm::run_vm(&exec, &bunits, unit_id, args, prof)?;
         Ok(RunOutcome { result, trace, printed, fallback: None })
     }
@@ -797,9 +863,9 @@ struct FaultStats {
 ///   pinned to the oracle tier until [`ArtifactCache::clear_quarantine`].
 pub struct ArtifactCache {
     cap: usize,
-    /// Optional budget over the entries' `estimated_bytes` sum; the most
-    /// recently inserted entry is always retained even if it alone
-    /// exceeds the budget.
+    /// Optional budget over the entries' `estimated_bytes` sum, checked
+    /// on insert; the most recently inserted entry is always retained
+    /// even if it alone exceeds the budget.
     byte_budget: Option<usize>,
     /// Recency-ordered: front is least recently used, back is most.
     inner: Mutex<Vec<(u64, Arc<CompiledProgram>)>>,
@@ -834,7 +900,10 @@ impl ArtifactCache {
     /// budget in bytes: after each insert, least-recently-used entries
     /// are evicted until the [`CompiledProgram::estimated_bytes`] sum
     /// fits (the newest entry is always kept, so an oversized artifact
-    /// still caches — it just evicts everything else).
+    /// still caches — it just evicts everything else). The budget is
+    /// checked on insert only. A cached artifact grows once, when its
+    /// first Simulated run makes the traced build, so [`Self::bytes`]
+    /// can exceed the budget until the next insert evicts.
     pub fn with_byte_budget(capacity: usize, byte_budget: usize) -> ArtifactCache {
         ArtifactCache { byte_budget: Some(byte_budget), ..ArtifactCache::new(capacity) }
     }
@@ -1232,12 +1301,12 @@ fn ladder(mode: ExecMode, degrade: bool) -> Vec<(ExecMode, ExecTier)> {
 /// further down each time, while there is one), stop immediately on
 /// cancellation. Returns the final outcome, the full attempt log, and
 /// the policy verdict; the caller times the job and the batch attaches
-/// its session.
+/// its session. `token` is the job's deadline, if it has one.
 fn run_with_policy(
     session: &Session,
     job: &Job,
     policy: &JobPolicy,
-    token: &CancelToken,
+    token: Option<&CancelToken>,
     rungs: &[(ExecMode, ExecTier)],
 ) -> JobResult {
     let mut attempts: Vec<Attempt> = Vec::new();
@@ -1248,15 +1317,16 @@ fn run_with_policy(
         // plausible retry count), cut short at the job's deadline.
         let backoff = match retry {
             0 => Duration::ZERO,
-            n => token.sleep(policy.backoff.saturating_mul(1u32 << (n - 1).min(16))),
+            n => CancelToken::sleep(token, policy.backoff.saturating_mul(1 << (n - 1).min(16))),
         };
         let (mode, tier) = rungs[rung];
-        let run = if token.is_cancelled() {
+        let run = match token {
             // Fired between attempts (e.g. during backoff): don't burn
             // another attempt on a job whose caller already gave up.
-            Err(RunError::Cancelled { at_line: None, reason: token.reason() })
-        } else {
-            session.run_tiered(&job.entry, &job.args, mode, tier)
+            Some(t) if t.is_cancelled() => {
+                Err(RunError::Cancelled { at_line: None, reason: t.reason() })
+            }
+            _ => session.run_tiered(&job.entry, &job.args, mode, tier),
         };
         let error = run.as_ref().err().map(ToString::to_string);
         attempts.push(Attempt { mode, tier, error, backoff });
@@ -1421,8 +1491,8 @@ impl JobQueue {
     }
 
     /// One job from its start to its verdict: the quarantine gate, a
-    /// cancel token expiring at the job's deadline, the policy loop, and
-    /// the fault ledger.
+    /// cancel token expiring at the job's deadline (none without one, so
+    /// its runs never poll), the policy loop, and the fault ledger.
     fn run_job(&self, session: &Session, job: &Job) -> JobResult {
         let t0 = Instant::now();
         let hash = session.artifact().source_hash();
@@ -1439,11 +1509,10 @@ impl JobQueue {
             let action = PolicyAction::Quarantined;
             return JobResult { action, wall: t0.elapsed(), ..JobResult::no_run(err) };
         }
-        let token = match policy.deadline {
-            Some(d) => CancelToken::expiring(t0 + d, format!("job deadline of {d:?} exceeded")),
-            None => CancelToken::new(),
-        };
-        session.set_cancel_token(Some(Arc::clone(&token)));
+        let token = policy
+            .deadline
+            .map(|d| CancelToken::expiring(t0 + d, format!("job deadline of {d:?} exceeded")));
+        session.set_cancel_token(token.clone());
         // A pinned job has one rung, the oracle tier at the requested
         // mode, and every verdict but a cancellation is the breaker's.
         let rungs = if pinned {
@@ -1452,7 +1521,7 @@ impl JobQueue {
             ladder(job.mode, policy.degrade)
         };
         let run = catch_unwind(AssertUnwindSafe(|| {
-            run_with_policy(session, job, &policy, &token, &rungs)
+            run_with_policy(session, job, &policy, token.as_deref(), &rungs)
         }));
         // Detach the job's token so callers reusing the session don't
         // inherit a fired one.
@@ -1606,4 +1675,124 @@ pub(crate) fn build_globals(prog: &RProgram) -> Globals {
         })
         .collect();
     Globals { cells }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SRC: &str = r#"
+MODULE m
+CONTAINS
+  REAL(8) FUNCTION f(n)
+    INTEGER :: n
+    INTEGER :: i
+    REAL(8) :: s
+    s = 0.0D0
+    !$OMP PARALLEL DO REDUCTION(+:s)
+    DO i = 1, n
+      s = s + 0.5D0 * i
+    END DO
+    !$OMP END PARALLEL DO
+    f = s
+  END FUNCTION f
+END MODULE m
+"#;
+
+    /// Points the first scalar `REAL` load or store of the traced build
+    /// at a slot no unit has.
+    fn wild_f_slot(mut bunits: Vec<BUnit>) -> Vec<BUnit> {
+        let instr = bunits
+            .iter_mut()
+            .flat_map(|bu| bu.code.iter_mut())
+            .find(|i| matches!(i, BInstr::LoadF(_) | BInstr::StoreF(_)));
+        if let Some(BInstr::LoadF(s) | BInstr::StoreF(s)) = instr {
+            *s = u32::MAX;
+        }
+        bunits
+    }
+
+    #[test]
+    fn a_traced_build_that_fails_verification_traps_on_every_simulated_run() {
+        let mut art = CompiledProgram::compile(&[SRC]).unwrap_or_else(|e| panic!("{e}"));
+        let Some(a) = Arc::get_mut(&mut art) else { panic!("fresh artifact is shared") };
+        a.damage_traced = Some(wild_f_slot);
+        let bytes = art.estimated_bytes();
+        let args = [ArgVal::I(40)];
+        let mode = ExecMode::Simulated { threads: 2 };
+        let oracle =
+            Session::solo(Arc::clone(&art)).run_tiered("f", &args, mode, ExecTier::TreeWalk);
+        let Ok(oracle) = oracle else { panic!("oracle run failed") };
+        // Two runs in one session, one in another: the cell keeps the
+        // verifier's message, so the first run is not special.
+        let first = Session::solo(Arc::clone(&art));
+        let second = Session::solo(Arc::clone(&art));
+        for session in [&first, &first, &second] {
+            let Ok(out) = session.run("f", &args, mode) else { panic!("Simulated run failed") };
+            let Some(fb) = &out.fallback else { panic!("unverified traced build ran") };
+            assert!(
+                fb.what.contains("bytecode verification failed in `f` at pc "),
+                "fallback names the verifier's unit and pc: {}",
+                fb.what
+            );
+            assert_eq!(out.trace, oracle.trace, "the oracle answers with its own trace");
+            assert_eq!(
+                out.result.map(|v| v.as_f().to_bits()),
+                oracle.result.map(|v| v.as_f().to_bits())
+            );
+        }
+        assert_eq!(first.fallback_count(), 2);
+        assert_eq!(art.estimated_bytes(), bytes, "a refused build is not counted");
+        // Serial runs never touch the traced build.
+        let serial = first.run("f", &args, ExecMode::Serial);
+        assert!(matches!(serial, Ok(ref out) if out.fallback.is_none()));
+        // And the accessor refuses to hand the build out.
+        let handed = catch_unwind(AssertUnwindSafe(|| art.bytecode(true)));
+        let Err(payload) = handed else { panic!("bytecode(true) returned an unverified build") };
+        assert!(payload_str(&*payload).contains("bytecode verification failed in `f`"));
+    }
+
+    #[test]
+    fn a_job_without_a_deadline_runs_without_a_token() {
+        let service = EngineService::new(4);
+        let art = service.compile(&[SRC]).unwrap_or_else(|e| panic!("{e}"));
+        let args = vec![ArgVal::I(40)];
+        let direct = Session::solo(Arc::clone(&art)).run("f", &args, ExecMode::Serial);
+        let Ok(direct) = direct else { panic!("direct run failed") };
+        let queue = service.queue(1);
+        for policy in
+            [JobPolicy::default(), JobPolicy { deadline: None, retries: 2, ..JobPolicy::default() }]
+        {
+            let session = service.session_for(&art);
+            let job = Job::new("f", args.clone()).policy(policy);
+            let jr = queue.run_job(&session, &job);
+            assert_eq!(jr.action, PolicyAction::Completed);
+            let Ok(out) = jr.result else { panic!("job failed") };
+            assert_eq!(
+                out.result.map(|v| v.as_f().to_bits()),
+                direct.result.map(|v| v.as_f().to_bits()),
+                "bit-identical to a run outside the queue"
+            );
+            assert!(session.cancel.lock().is_none(), "the job left a token on its session");
+            assert!(!session.make_exec(ExecMode::Serial).limits.poll);
+        }
+        // Without a token a backoff sleeps plainly, for its full length.
+        let session = service.session_for(&art);
+        let failed_attempt = FaultPlan { vm_trap: true, oracle_traps: 1, ..FaultPlan::default() };
+        session.debug_faults(failed_attempt);
+        let backoff = Duration::from_millis(5);
+        let policy = JobPolicy { retries: 1, backoff, ..JobPolicy::default() };
+        let jr = queue.run_job(&session, &Job::new("f", args.clone()).policy(policy));
+        assert_eq!(jr.action, PolicyAction::Retried);
+        assert_eq!(
+            jr.attempts.iter().map(|a| a.backoff).collect::<Vec<_>>(),
+            [Duration::ZERO, backoff]
+        );
+        // A deadline still gets its token for the job, and only for it.
+        let session = service.session_for(&art);
+        let policy = JobPolicy { deadline: Some(Duration::from_secs(60)), ..JobPolicy::default() };
+        let jr = queue.run_job(&session, &Job::new("f", args).policy(policy));
+        assert_eq!(jr.action, PolicyAction::Completed);
+        assert!(session.cancel.lock().is_none());
+    }
 }

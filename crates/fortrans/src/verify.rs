@@ -22,9 +22,10 @@
 //!    falling off the end, `RETURN`, or a loop-flow escape — must leave
 //!    all three stacks empty.
 //!
-//! [`verify_program`] runs after `compile_program` inside
-//! [`crate::CompiledProgram::compile`], so a program that compiles has
-//! *verified* bytecode before the first run. The other half of the
+//! [`verify_program`] runs after `compile_program`: inside
+//! [`crate::CompiledProgram::compile`] for the optimized build, and when
+//! the first Simulated run makes the traced one, so no bytecode runs
+//! before it is *verified*. The other half of the
 //! bargain lives with the tests: `tests/common/mutate.rs` is a
 //! deterministic fault injector that corrupts verified bytecode in ways
 //! the verifier (or the engine's trap-and-fallback path) must catch —
@@ -532,23 +533,51 @@ impl Verifier<'_> {
         let n = self.bu.code.len();
         let mut state: Vec<Option<Depth>> = vec![None; n + 1];
         let mut work: Vec<u32> = Vec::new();
+        // Successors of a branching pc, reused across the walk.
+        let mut succ: Vec<(u32, Depth)> = Vec::with_capacity(4);
         join(&mut state, &mut work, 0, (0, 0, 0), 0)?;
-        while let Some(pc) = work.pop() {
-            let pcu = pc as usize;
-            if pcu == n {
+        while let Some(mut pc) = work.pop() {
+            if pc as usize == n {
                 continue; // virtual exit node; depth checked in `join`
             }
-            let Some(d) = state[pcu] else { continue };
-            for (t, nd) in self.step(pc, self.bu.code[pcu], d)? {
-                join(&mut state, &mut work, t, nd, pc)?;
+            let Some(mut d) = state[pc as usize] else { continue };
+            loop {
+                let pcu = pc as usize;
+                succ.clear();
+                match self.step(pc, self.bu.code[pcu], d, &mut succ)? {
+                    // Straight-line flow into a pc not seen yet goes on
+                    // here: the worklist would pop it next anyway.
+                    Some(nd) if pcu + 1 < n && state[pcu + 1].is_none() => {
+                        state[pcu + 1] = Some(nd);
+                        (pc, d) = (pc + 1, nd);
+                    }
+                    Some(nd) => {
+                        join(&mut state, &mut work, pc + 1, nd, pc)?;
+                        break;
+                    }
+                    None => {
+                        for &(t, nd) in &succ {
+                            join(&mut state, &mut work, t, nd, pc)?;
+                        }
+                        break;
+                    }
+                }
             }
         }
         Ok(())
     }
 
-    /// Transfer function: successors of `pc` with their entry depths.
-    /// Terminators return no successors.
-    fn step(&self, pc: u32, ins: BInstr, d: Depth) -> Result<Vec<(u32, Depth)>, Violation> {
+    /// Transfer function. An instruction whose one successor is `pc + 1`
+    /// returns that successor's entry depths; any other pushes its
+    /// successors with their entry depths onto `succ` and returns `None`.
+    /// Terminators push none.
+    fn step(
+        &self,
+        pc: u32,
+        ins: BInstr,
+        d: Depth,
+        succ: &mut Vec<(u32, Depth)>,
+    ) -> Result<Option<Depth>, Violation> {
         use BInstr::*;
         let (mut s, mut a, mut t) = d;
         let pop = |s: &mut u32, n: u32| -> Result<(), Violation> {
@@ -573,7 +602,7 @@ impl Verifier<'_> {
                 pop(&mut s, 2)?;
                 s += 1;
             }
-            FailArith2 | FailNegB | FailType { .. } | Stop { .. } => return Ok(vec![]),
+            FailArith2 | FailNegB | FailType { .. } | Stop { .. } => return Ok(None),
             IntrI { argc, .. } | IntrF { argc, .. } => {
                 pop(&mut s, u32::from(argc))?;
                 s += 1;
@@ -587,22 +616,33 @@ impl Verifier<'_> {
             Alloc { ndims, .. } => pop(&mut s, 2 * u32::from(ndims))?,
             CopyArr { .. } | Dealloc { .. } | CostBranch | VecEnter(_) | VecLeave | CallPre
             | Quiet { .. } => {}
-            Jump(tg) => return Ok(vec![(tg, (s, a, t))]),
+            Jump(tg) => {
+                succ.push((tg, (s, a, t)));
+                return Ok(None);
+            }
             JumpIfFalse(tg) => {
                 pop(&mut s, 1)?;
-                return Ok(vec![(pc + 1, (s, a, t)), (tg, (s, a, t))]);
+                succ.extend([(pc + 1, (s, a, t)), (tg, (s, a, t))]);
+                return Ok(None);
             }
             DoInitC { .. } => pop(&mut s, 2)?,
             DoInit { .. } => pop(&mut s, 3)?,
             DoHead1 { exit, .. } | DoHeadN { exit, .. } | DoHead { exit, .. } => {
-                return Ok(vec![(pc + 1, d), (exit, d)]);
+                succ.extend([(pc + 1, d), (exit, d)]);
+                return Ok(None);
             }
             // A vector loop either completes and jumps to `exit` or falls
             // through to its scalar head; its lane stack is internal to
             // the descriptor (checked structurally), so both successors
             // see the incoming depths unchanged.
-            VecLoop { exit, .. } => return Ok(vec![(pc + 1, d), (exit, d)]),
-            DoIncr1 { head, .. } | DoIncr { head, .. } => return Ok(vec![(head, d)]),
+            VecLoop { exit, .. } => {
+                succ.extend([(pc + 1, d), (exit, d)]);
+                return Ok(None);
+            }
+            DoIncr1 { head, .. } | DoIncr { head, .. } => {
+                succ.push((head, d));
+                return Ok(None);
+            }
             CheckStepNZ => {
                 if s == 0 {
                     return Err((pc, "operand stack underflow: need 1, have 0".into()));
@@ -615,17 +655,17 @@ impl Verifier<'_> {
                         format!("EXIT/CYCLE/RETURN with non-empty stacks {d:?}"),
                     ));
                 }
-                return Ok(vec![]);
+                return Ok(None);
             }
             Critical { end, exit, cycle, .. } => {
-                let mut succ = vec![(pc + 1, d), (end, d)];
+                succ.extend([(pc + 1, d), (end, d)]);
                 if exit != NO_PC {
                     succ.push((exit, d));
                 }
                 if cycle != NO_PC {
                     succ.push((cycle, d));
                 }
-                return Ok(succ);
+                return Ok(None);
             }
             OmpDo { desc } => {
                 let od = &self.bu.omps[desc as usize];
@@ -639,7 +679,8 @@ impl Verifier<'_> {
                 }
                 // Body runs on a worker's fresh stacks; after the region
                 // execution resumes at the body end.
-                return Ok(vec![(od.body.0, (0, 0, 0)), (od.body.1, (0, 0, 0))]);
+                succ.extend([(od.body.0, (0, 0, 0)), (od.body.1, (0, 0, 0))]);
+                return Ok(None);
             }
             StashElem { nsubs, .. } => {
                 pop(&mut s, u32::from(nsubs))?;
@@ -680,7 +721,7 @@ impl Verifier<'_> {
                 pop(&mut s, nv)?;
             }
         }
-        Ok(vec![(pc + 1, (s, a, t))])
+        Ok(Some((s, a, t)))
     }
 
     // ---------- vector descriptor checks ----------

@@ -1,7 +1,10 @@
 //! Property tests for the [`fortrans::ArtifactCache`]: source-hash
 //! keying, LRU eviction order, the capacity invariant, and monotone
 //! hit/miss/eviction accounting — checked against a reference LRU model
-//! under randomized compile sequences.
+//! under randomized compile sequences. The suite ends with the traced
+//! bytecode build an artifact makes on its first Simulated run: counted
+//! in the size estimate only once it exists, built once under a race,
+//! and never built for a session that overrides it.
 
 use std::sync::Arc;
 
@@ -274,4 +277,147 @@ fn faults_without_a_policy_count_but_never_trip() {
     }
     assert_eq!(cache.fault_counts(h), (100, 0));
     assert!(!cache.is_quarantined(h), "no policy, no breaker");
+}
+
+// ---------------------------------------------------------------------
+// The lazily built traced variant
+// ---------------------------------------------------------------------
+
+use std::sync::Barrier;
+
+use fortrans::bytecode::{compile_program, BInstr};
+use fortrans::{ArgVal, CompiledProgram, ExecMode, ExecTier, FaultPlan, PoolSet, Session};
+
+const SIMULATED: ExecMode = ExecMode::Simulated { threads: 2 };
+
+/// A reduction under an OMP loop: Serial, Parallel and Simulated all
+/// have work to do, and Simulated posts a cost trace.
+fn omp_program() -> Arc<CompiledProgram> {
+    let src = r#"
+MODULE lazy
+CONTAINS
+  REAL(8) FUNCTION total(n)
+    INTEGER :: n
+    INTEGER :: i
+    REAL(8) :: s
+    s = 0.0D0
+    !$OMP PARALLEL DO REDUCTION(+:s)
+    DO i = 1, n
+      s = s + 0.25D0 * i * i
+    END DO
+    !$OMP END PARALLEL DO
+    total = s
+  END FUNCTION total
+END MODULE lazy
+"#;
+    CompiledProgram::compile(&[src]).expect("lazy-build program compiles")
+}
+
+#[test]
+fn only_the_first_simulated_run_builds_the_traced_variant() {
+    let art = omp_program();
+    let session = Session::solo(Arc::clone(&art));
+    let args = [ArgVal::I(64)];
+    let compiled = art.estimated_bytes();
+    for (mode, tier) in [
+        (ExecMode::Serial, ExecTier::Vm),
+        (ExecMode::Parallel { threads: 2 }, ExecTier::Vm),
+        (ExecMode::Serial, ExecTier::TreeWalk),
+        (SIMULATED, ExecTier::TreeWalk),
+    ] {
+        session.run_tiered("total", &args, mode, tier).expect("run succeeds");
+        let built = art.estimated_bytes() != compiled;
+        assert!(!built, "{mode:?} on {tier:?} built the traced variant");
+    }
+    let first = session.run("total", &args, SIMULATED).expect("first Simulated run");
+    assert!(first.fallback.is_none(), "the traced build verified and ran");
+    let grown = art.estimated_bytes();
+    assert!(grown > compiled, "the first Simulated run adds the traced build");
+    let build = art.bytecode(true);
+    let again = Session::solo(Arc::clone(&art)).run("total", &args, SIMULATED).expect("rerun");
+    assert_eq!(again.trace, first.trace);
+    assert_eq!(art.estimated_bytes(), grown, "later Simulated runs build nothing");
+    assert!(Arc::ptr_eq(&build, &art.bytecode(true)), "one traced build per artifact");
+}
+
+#[test]
+fn racing_first_simulated_runs_share_one_traced_build() {
+    let art = omp_program();
+    let pools = Arc::new(PoolSet::new());
+    let start = Barrier::new(8);
+    let (builds, traces): (Vec<_>, Vec<_>) = std::thread::scope(|scope| {
+        let racers: Vec<_> = (0..8)
+            .map(|_| {
+                let session = Session::new(Arc::clone(&art), Arc::clone(&pools));
+                let (art, start) = (&art, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let out = session.run("total", &[ArgVal::I(64)], SIMULATED).expect("run");
+                    assert!(out.fallback.is_none());
+                    (art.bytecode(true), out.trace)
+                })
+            })
+            .collect();
+        racers.into_iter().map(|r| r.join().expect("racer panicked")).unzip()
+    });
+    assert!(builds.iter().all(|b| Arc::ptr_eq(b, &builds[0])), "racers built more than once");
+    assert!(!traces[0].events.is_empty(), "Simulated runs post a trace");
+    assert!(traces.iter().all(|t| *t == traces[0]), "racers' cost traces differ");
+}
+
+#[test]
+fn a_traced_override_runs_without_building_the_artifact_variant() {
+    let art = omp_program();
+    let compiled = art.estimated_bytes();
+    let args = [ArgVal::I(64)];
+    let oracle = Session::solo(Arc::clone(&art))
+        .run_tiered("total", &args, SIMULATED, ExecTier::TreeWalk)
+        .expect("oracle run");
+    let session = Session::solo(Arc::clone(&art));
+    let own = compile_program(art.program(), true);
+    session.debug_faults(FaultPlan { bytecode: Some((true, own)), ..FaultPlan::default() });
+    let out = session.run("total", &args, SIMULATED).expect("override run");
+    assert!(out.fallback.is_none(), "the override executed on the VM");
+    assert_eq!(out.trace, oracle.trace);
+    assert_eq!(art.estimated_bytes(), compiled, "the override built the artifact's variant");
+    // An override that traps still traps, with the artifact untouched.
+    let mut broken = compile_program(art.program(), true);
+    for instr in broken.iter_mut().flat_map(|bu| bu.code.iter_mut()) {
+        if let BInstr::LoadF(slot) | BInstr::StoreF(slot) = instr {
+            *slot = u32::MAX;
+        }
+    }
+    session.debug_faults(FaultPlan { bytecode: Some((true, broken)), ..FaultPlan::default() });
+    let out = session.run("total", &args, SIMULATED).expect("fallback answers");
+    assert!(out.fallback.is_some(), "the broken override executed and trapped");
+    assert_eq!(out.trace, oracle.trace);
+    assert_eq!(art.estimated_bytes(), compiled);
+}
+
+#[test]
+fn a_simulated_run_grows_a_cached_artifact_until_the_next_insert() {
+    let srcs: Vec<String> = (40..43).map(program).collect();
+    let sizes: Vec<usize> = srcs
+        .iter()
+        .map(|src| ArtifactCache::new(1).get_or_compile(&[src]).unwrap().estimated_bytes())
+        .collect();
+    // Room for the first two artifacts as compiled, optimized build only.
+    let budget = sizes[0] + sizes[1];
+    let cache = ArtifactCache::with_byte_budget(8, budget);
+    let first = cache.get_or_compile(&[&srcs[0]]).unwrap();
+    cache.get_or_compile(&[&srcs[1]]).unwrap();
+    assert_eq!((cache.len(), cache.bytes()), (2, budget));
+    Session::solo(Arc::clone(&first))
+        .run("f40", &[ArgVal::F(1.5)], SIMULATED)
+        .expect("Simulated run");
+    assert!(first.estimated_bytes() > sizes[0], "the run made the traced build");
+    // The budget is checked on insert only: the grown entry stays.
+    assert_eq!(cache.len(), 2);
+    assert!(cache.bytes() > budget);
+    assert_eq!(cache.evictions(), 0);
+    // The next insert evicts least recently used first, the grown entry.
+    cache.get_or_compile(&[&srcs[2]]).unwrap();
+    assert!(cache.bytes() <= budget, "the insert restored the budget");
+    assert!(!cache.lru_hashes().contains(&first.source_hash()));
+    assert_eq!(cache.evictions(), 1);
 }

@@ -4,11 +4,17 @@
 //! Each rejection test takes *real* compiler output, breaks one
 //! invariant by hand, and checks that [`fortrans::verify::verify_program`]
 //! refuses the stream with a diagnostic naming the violation. The sweep
-//! at the bottom compiles a corpus spanning the whole feature surface
-//! and checks both bytecode variants (optimized and traced) verify
-//! clean — the same check `Session::compile` performs eagerly, asserted
-//! here explicitly so a verifier regression fails loudly rather than
-//! through some downstream test.
+//! at the bottom compiles a corpus spanning the whole feature surface,
+//! 200 generated F77 programs and the 13 GLAF source sets the benchmark
+//! compiles, and checks both bytecode variants (optimized and traced)
+//! verify clean. `CompiledProgram::compile` verifies only the optimized
+//! build; the traced one is verified on the first Simulated run, which
+//! turns a failure into a trap and an oracle fallback. So a traced
+//! lowering bug fails here, by program name, rather than through some
+//! downstream test.
+
+#[path = "common/sources.rs"]
+mod sources;
 
 use fortrans::bytecode::{compile_program, BArg, BInstr, BUnit, SubOp, VSlot, MAX_INLINE_RANK};
 use fortrans::verify::verify_program;
@@ -969,9 +975,15 @@ fn rejects_stream_proofs_the_slot_shapes_do_not_give() {
 
 #[test]
 fn every_corpus_program_verifies_in_both_variants() {
-    for (label, src) in SWEEP {
+    let corpus = SWEEP.iter().map(|(label, src)| (label.to_string(), vec![src.to_string()]));
+    let generated =
+        (0..200).map(|seed| (format!("gen seed {seed}"), fortrans::gen::generate(seed)));
+    let glaf = sources::glaf_source_sets().into_iter().enumerate();
+    let glaf = glaf.map(|(k, set)| (format!("GLAF source set {k}"), set));
+    for (label, srcs) in corpus.chain(generated).chain(glaf) {
+        let srcs: Vec<&str> = srcs.iter().map(String::as_str).collect();
         let engine =
-            Session::compile(&[src]).unwrap_or_else(|e| panic!("{label} compiles: {e}"));
+            Session::compile(&srcs).unwrap_or_else(|e| panic!("{label} compiles: {e}"));
         for traced in [false, true] {
             let bunits = compile_program(engine.program(), traced);
             verify_program(engine.program(), &bunits).unwrap_or_else(|e| {
