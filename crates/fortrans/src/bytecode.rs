@@ -785,10 +785,12 @@ pub enum VecOp {
     /// for constant exponents with `|e| > 64`, via a `Splat`).
     Pow,
     /// `x.powi(e)` — the scalar tier's `F ** I` small-constant-exponent
-    /// rule, decided at compile time.
+    /// rule, decided at compile time. The lane rungs multiply 2, 3 and
+    /// 4 out inline (`intrinsics::powi_lane`).
     PowI(i32),
     Neg,
-    /// Per-element intrinsic through the shared [`Intr::eval_f`].
+    /// Per-element intrinsic: the lane rungs run its typed kernel
+    /// (`Intr::with_kernel`), the functions [`Intr::eval_f`] calls.
     Intr { f: Intr, argc: u8 },
     /// Scatter the top lanes into the access (map statements only; last
     /// op of its statement).

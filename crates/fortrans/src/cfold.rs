@@ -57,6 +57,10 @@ fn binary(op: Bin, a: &Expr, b: &Expr) -> Option<Expr> {
         (Bin::Sub, _, _) => Expr::Real(num(a)? - num(b)?),
         (Bin::Mul, _, _) => Expr::Real(num(a)? * num(b)?),
         (Bin::Div, _, _) => Expr::Real(num(a)? / num(b)?),
+        // The engine's `F ** I` rule: `powi` for |e| <= 64.
+        (Bin::Pow, Expr::Real(x), Expr::Int(e)) if e.unsigned_abs() <= 64 => {
+            Expr::Real(x.powi(*e as i32))
+        }
         (Bin::Pow, _, _) => Expr::Real(num(a)?.powf(num(b)?)),
         (Bin::Eq, Expr::Logical(x), Expr::Logical(y)) => Expr::Logical(x == y),
         (Bin::Ne, Expr::Logical(x), Expr::Logical(y)) => Expr::Logical(x != y),
@@ -116,6 +120,20 @@ mod tests {
         assert_eq!(cfold(&by_zero, &named), Err(&by_zero));
         let cmp = bin(Bin::And, bin(Bin::Lt, name("n"), Expr::Int(5)), Expr::Logical(true));
         assert_eq!(cfold(&cmp, &named), Ok(Expr::Logical(true)));
+    }
+
+    #[test]
+    fn real_to_an_integer_power_follows_the_engines_powi_rule() {
+        let pow = |e: i64| match cfold(&bin(Bin::Pow, Expr::Real(1.0274), Expr::Int(e)), &named) {
+            Ok(Expr::Real(x)) => x.to_bits(),
+            other => panic!("not a REAL: {other:?}"),
+        };
+        for e in [-64, -3, 3, 64] {
+            let want = std::hint::black_box(1.0274f64).powi(std::hint::black_box(e as i32));
+            assert_eq!(pow(e), want.to_bits(), "1.0274 ** {e}");
+        }
+        assert_eq!(pow(3), 0x3ff1_5a00_343b_0604, "not powf's 0x..0603");
+        assert_eq!(pow(65), 1.0274f64.powf(65.0).to_bits(), "past 64: powf");
     }
 
     #[test]

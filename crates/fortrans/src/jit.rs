@@ -23,10 +23,14 @@
 //! whose safety was proven at entry.
 //!
 //! Bit-exactness: `addsd`/`subsd`/`mulsd`/`divsd` and the sign-flip are
-//! the IEEE-754 operations rustc emits for scalar f64 arithmetic;
-//! `Pow`/`PowI`/`Intr` lanes call back into the *same* Rust functions
-//! (`f64::powf`, `f64::powi`, [`Intr::eval_f`]) the interpreter uses,
-//! so every lane value is bit-identical to the scalar tier's.
+//! the IEEE-754 operations rustc emits for scalar f64 arithmetic.
+//! `PowI` lanes with exponent 2, 3 or 4 are inline `mulsd`s in the
+//! order of `intrinsics::powi_lane`, which is `f64::powi`'s
+//! own; other `PowI` and `Pow` lanes call `f64::powi` and `f64::powf`.
+//! An `Intr` lane calls its intrinsic's typed kernel
+//! (`Intr::lane_kernel`) at the kernel's address —
+//! the functions `Intr::eval_f` calls. So every lane value is
+//! bit-identical to the scalar tier's.
 //!
 //! Safepoints: the trampoline in [`crate::vm`] calls the compiled body
 //! in blocks of ~`1024 / iter_cost` iterations, polling
@@ -47,7 +51,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::bytecode::{BUnit, VecDesc, VecOp, VecRedOp, VEC_MAX_DEPTH};
-use crate::intrinsics::Intr;
+use crate::intrinsics::LaneKernel;
 use crate::rir::RProgram;
 
 /// Whether this build can execute native regions at all.
@@ -253,16 +257,6 @@ extern "sysv64" fn jit_powi(a: f64, e: i32) -> f64 {
     a.powi(e)
 }
 
-/// # Safety
-/// `f` points at a live [`Intr`] (the region pins its intrinsic table)
-/// and `args` at `argc` initialized f64 slots in the [`JitCtx`] spill
-/// area; `argc` was verifier-bounded to 1..=8.
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-unsafe extern "sysv64" fn jit_intr(f: *const Intr, args: *const f64, argc: u64) -> f64 {
-    let s = std::slice::from_raw_parts(args, argc as usize);
-    (*f).eval_f(s)
-}
-
 // ---------------------------------------------------------------------------
 // The emitter (x86_64 Linux only)
 // ---------------------------------------------------------------------------
@@ -394,28 +388,10 @@ mod emit {
             self.d64(v);
         }
 
-        /// mov rdi, imm64
-        pub fn mov_rdi_imm(&mut self, v: u64) {
-            self.b(&[0x48, 0xBF]);
-            self.d64(v);
-        }
-
         /// mov edi, imm32
         pub fn mov_edi_imm(&mut self, v: i32) {
             self.code.push(0xBF);
             self.d32(v);
-        }
-
-        /// mov edx, imm32
-        pub fn mov_edx_imm(&mut self, v: i32) {
-            self.code.push(0xBA);
-            self.d32(v);
-        }
-
-        /// lea rsi, [r12 + disp]
-        pub fn lea_rsi_ctx(&mut self, disp: i32) {
-            self.b(&[0x49, 0x8D, 0xB4, 0x24]);
-            self.d32(disp);
         }
 
         /// xor rax, rcx
@@ -497,6 +473,14 @@ mod emit {
             self.b(&[0x0F, opcode, 0xC0 | ((a & 7) << 3) | (b & 7)]);
         }
 
+        /// mulsd xmm(dst), [r12 + disp]
+        pub fn mulsd_ctx(&mut self, dst: u8, disp: i32) {
+            self.code.push(0xF2);
+            self.sse_rex(dst, true);
+            self.b(&[0x0F, OP_MULSD, 0x84 | ((dst & 7) << 3), 0x24]);
+            self.d32(disp);
+        }
+
         /// cvtsi2sd xmm(dst), rax
         pub fn cvtsi2sd_rax(&mut self, dst: u8) {
             self.code.push(0xF2);
@@ -539,11 +523,6 @@ pub struct NativeRegion {
     buf: exec_mem::ExecBuf,
     /// Invariant-pool recipe, in pool-slot order.
     pub pool: Vec<PoolEntry>,
-    /// Intrinsic descriptors the emitted call sites point into. Never
-    /// read from Rust again — it exists to keep the element addresses
-    /// baked into the code valid for the life of the region.
-    #[allow(dead_code)]
-    intrs: Box<[Intr]>,
     /// Number of access streams the code indexes (trampoline sanity).
     pub naccess: usize,
     /// Whether the region folds a reduction through `JitCtx::acc`.
@@ -585,41 +564,38 @@ impl NativeRegion {
     fn emit(d: &VecDesc) -> Option<Arc<NativeRegion>> {
         use emit::*;
 
-        // Pass 1: pin the intrinsic table so call sites can embed
-        // absolute element addresses.
-        let intrs: Box<[Intr]> = d
-            .stmts
-            .iter()
-            .flatten()
-            .filter_map(|op| match *op {
-                VecOp::Intr { f, .. } => Some(f),
-                _ => None,
-            })
-            .collect();
-
         let mut asm = Asm::new();
         let mut pool: Vec<PoolEntry> = Vec::new();
-        let mut intr_at = 0usize;
 
         asm.prologue();
         asm.cmp_k_k1();
         let empty_jump = asm.jge();
         let top = asm.code.len();
 
-        // Spills live registers below `live`, runs `setup` (argument
-        // marshalling + call), stashes xmm0 into arg slot 0, restores,
-        // and moves the result to `target`.
-        let helper_call = |asm: &mut Asm, live: u8, target: u8, setup: &dyn Fn(&mut Asm)| {
+        // Spills the live lanes below `live`, runs `call` (argument
+        // marshalling and the calls, result in xmm0), stashes xmm0 in
+        // arg slot 0, restores, and moves the result to lane `live`.
+        let helper_call = |asm: &mut Asm, live: u8, call: &dyn Fn(&mut Asm)| {
             for j in 0..live {
                 asm.movsd_store_ctx(j, CTX_SPILL + 8 * i32::from(j));
             }
-            setup(asm);
-            asm.call_rax();
+            call(asm);
             asm.movsd_store_ctx(0, CTX_ARGS);
             for j in 0..live {
                 asm.movsd_load_ctx(j, CTX_SPILL + 8 * i32::from(j));
             }
-            asm.movsd_load_ctx(target, CTX_ARGS);
+            asm.movsd_load_ctx(live, CTX_ARGS);
+        };
+        // Stores lanes `l..l + n` in the arg slots; helper calls clobber
+        // every xmm register, the slots survive them.
+        let stash_args = |asm: &mut Asm, l: u8, n: u8| {
+            for t in 0..n {
+                asm.movsd_store_ctx(l + t, CTX_ARGS + 8 * i32::from(t));
+            }
+        };
+        let call_addr = |asm: &mut Asm, addr: usize| {
+            asm.mov_rax_imm(addr as u64);
+            asm.call_rax();
         };
 
         for ops in &d.stmts {
@@ -697,14 +673,13 @@ impl NativeRegion {
                         if dep < 2 {
                             return None;
                         }
-                        let (la, lb) = (dep - 2, dep - 1);
-                        helper_call(&mut asm, la, la, &|a: &mut Asm| {
+                        let la = dep - 2;
+                        helper_call(&mut asm, la, &|a: &mut Asm| {
                             // Marshal through memory: la/lb may be 0/1.
-                            a.movsd_store_ctx(la, CTX_ARGS);
-                            a.movsd_store_ctx(lb, CTX_ARGS + 8);
+                            stash_args(a, la, 2);
                             a.movsd_load_ctx(0, CTX_ARGS);
                             a.movsd_load_ctx(1, CTX_ARGS + 8);
-                            a.mov_rax_imm(jit_pow as *const () as usize as u64);
+                            call_addr(a, jit_pow as *const () as usize);
                         });
                         dep -= 1;
                     }
@@ -712,13 +687,31 @@ impl NativeRegion {
                         if dep < 1 {
                             return None;
                         }
+                        // 2, 3 and 4 multiply out inline in
+                        // `intrinsics::powi_lane`'s order. For 3 the
+                        // copy of x goes to memory (a depth-16 stack has
+                        // no free register). (x*x)*x has the bits of
+                        // x*(x*x): the product commutes, and a NaN x
+                        // gives both operands its payload.
                         let l = dep - 1;
-                        helper_call(&mut asm, l, l, &|a: &mut Asm| {
-                            a.movsd_store_ctx(l, CTX_ARGS);
-                            a.movsd_load_ctx(0, CTX_ARGS);
-                            a.mov_edi_imm(e);
-                            a.mov_rax_imm(jit_powi as *const () as usize as u64);
-                        });
+                        match e {
+                            2 => asm.sse_op(OP_MULSD, l, l),
+                            3 => {
+                                asm.movsd_store_ctx(l, CTX_ARGS);
+                                asm.sse_op(OP_MULSD, l, l);
+                                asm.mulsd_ctx(l, CTX_ARGS);
+                            }
+                            4 => {
+                                asm.sse_op(OP_MULSD, l, l);
+                                asm.sse_op(OP_MULSD, l, l);
+                            }
+                            _ => helper_call(&mut asm, l, &|a: &mut Asm| {
+                                stash_args(a, l, 1);
+                                a.movsd_load_ctx(0, CTX_ARGS);
+                                a.mov_edi_imm(e);
+                                call_addr(a, jit_powi as *const () as usize);
+                            }),
+                        }
                     }
                     VecOp::Neg => {
                         if dep < 1 {
@@ -732,23 +725,44 @@ impl NativeRegion {
                         asm.xor_rax_rcx();
                         asm.movq_xmm_rax(dep - 1);
                     }
-                    VecOp::Intr { f: _, argc } => {
-                        let na = argc;
-                        if dep < na || u32::from(na) > 8 {
+                    VecOp::Intr { f, argc: na } => {
+                        if dep < na || na == 0 || u32::from(na) > 8 {
                             return None;
                         }
+                        // The intrinsic's lane kernel, called at its
+                        // address with its arguments in xmm0/xmm1.
                         let l = dep - na;
-                        let fp = &intrs[intr_at] as *const Intr as usize as u64;
-                        intr_at += 1;
-                        helper_call(&mut asm, l, l, &|a: &mut Asm| {
-                            for t in 0..na {
-                                a.movsd_store_ctx(l + t, CTX_ARGS + 8 * i32::from(t));
+                        match f.lane_kernel() {
+                            LaneKernel::Const(c) => {
+                                asm.mov_rax_imm(c.to_bits());
+                                asm.movq_xmm_rax(l);
                             }
-                            a.mov_rdi_imm(fp);
-                            a.lea_rsi_ctx(CTX_ARGS);
-                            a.mov_edx_imm(i32::from(na));
-                            a.mov_rax_imm(jit_intr as *const () as usize as u64);
-                        });
+                            LaneKernel::Unary(k) => helper_call(&mut asm, l, &|a: &mut Asm| {
+                                stash_args(a, l, 1);
+                                a.movsd_load_ctx(0, CTX_ARGS);
+                                call_addr(a, k as usize);
+                            }),
+                            LaneKernel::Binary(k) => {
+                                if na < 2 {
+                                    return None;
+                                }
+                                helper_call(&mut asm, l, &|a: &mut Asm| {
+                                    stash_args(a, l, 2);
+                                    a.movsd_load_ctx(0, CTX_ARGS);
+                                    a.movsd_load_ctx(1, CTX_ARGS + 8);
+                                    call_addr(a, k as usize);
+                                });
+                            }
+                            LaneKernel::Fold(seed, k) => helper_call(&mut asm, l, &|a: &mut Asm| {
+                                stash_args(a, l, na);
+                                a.mov_rax_imm(seed.to_bits());
+                                a.movq_xmm_rax(0);
+                                for t in 0..na {
+                                    a.movsd_load_ctx(1, CTX_ARGS + 8 * i32::from(t));
+                                    call_addr(a, k as usize);
+                                }
+                            }),
+                        }
                         dep = l + 1;
                     }
                     VecOp::Store(ai) => {
@@ -798,7 +812,6 @@ impl NativeRegion {
         Some(Arc::new(NativeRegion {
             buf,
             pool,
-            intrs,
             naccess: d.accesses.len(),
             has_red: d.red.is_some(),
         }))
@@ -1011,6 +1024,7 @@ mod tests {
     mod native {
         use super::super::*;
         use crate::bytecode::{VecAccess, VecRed, VecSub, VSlot, NO_SLOT};
+        use crate::intrinsics::Intr;
         use crate::rir::ScalarTy;
 
         /// Reference evaluation of one lane program at iteration `k`
@@ -1198,9 +1212,8 @@ mod tests {
         }
 
         fn check(d: &VecDesc, nbufs: usize, streams: &[(usize, i64, i64)], n: i64, acc0: f64) {
-            let region = NativeRegion::emit(d).expect("emit");
             let len = 2 * n as usize + 8;
-            let mk = |salt: usize| -> Vec<Vec<f64>> {
+            check_on(d, streams, n, acc0, &|salt| {
                 (0..nbufs)
                     .map(|b| {
                         (0..len)
@@ -1208,7 +1221,45 @@ mod tests {
                             .collect()
                     })
                     .collect()
-            };
+            });
+        }
+
+        /// [`check`] over buffers cycling through signed zeros and
+        /// infinities, NaNs with different payloads (one signaling),
+        /// subnormals and negative values.
+        fn check_edges(d: &VecDesc, nbufs: usize, streams: &[(usize, i64, i64)], n: i64) {
+            let edges = [
+                0.0,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::from_bits(0x7ff8_0000_0000_0001),
+                f64::from_bits(0xfff8_0000_0000_0002),
+                f64::from_bits(0x7ff0_0000_0000_0003),
+                f64::from_bits(1),
+                -f64::from_bits(0x000f_ffff_ffff_ffff),
+                -2.5,
+                1.0274,
+                3.0,
+                -1e-300,
+                1e300,
+            ];
+            let len = 2 * n as usize + 8;
+            check_on(d, streams, n, 0.0, &|salt| {
+                (0..nbufs)
+                    .map(|b| (0..len).map(|i| edges[(i * 5 + b * 3 + salt) % edges.len()]).collect())
+                    .collect()
+            });
+        }
+
+        fn check_on(
+            d: &VecDesc,
+            streams: &[(usize, i64, i64)],
+            n: i64,
+            acc0: f64,
+            mk: &dyn Fn(usize) -> Vec<Vec<f64>>,
+        ) {
+            let region = NativeRegion::emit(d).expect("emit");
             let mut want_bufs = mk(3);
             let mut got_bufs = mk(3);
             let want = eval_ref(d, &mut want_bufs, streams, 5, n, acc0);
@@ -1261,26 +1312,140 @@ mod tests {
 
         #[test]
         fn helper_ops_pow_powi_intr() {
-            // a(i) = exp(-b(i)) + b(i)**2 + b(i)**c  — exercises Intr,
-            // PowI, Pow and Neg with live registers across the calls.
+            // a(i) = exp(-b(i)) + b(i)**2 + b(i)**c + b(i)**3 + b(i)**4
+            //        + b(i)**(-1) + b(i)**5 — exercises Intr, the inline
+            // PowI forms, the powi call, Pow and Neg with live registers
+            // across the calls.
+            let mut ops = vec![
+                VecOp::Load(1),
+                VecOp::Neg,
+                VecOp::Intr { f: Intr::Exp, argc: 1 },
+                VecOp::Load(1),
+                VecOp::PowI(2),
+                VecOp::Add,
+                VecOp::Load(1),
+                VecOp::Splat(1.25),
+                VecOp::Pow,
+                VecOp::Add,
+            ];
+            for e in [3, 4, -1, 5] {
+                ops.extend([VecOp::Load(1), VecOp::PowI(e), VecOp::Add]);
+            }
+            ops.push(VecOp::Store(0));
             let d = desc(
                 vec![acc_f(vec![sub1()], true), acc_f(vec![sub1()], false)],
-                vec![vec![
-                    VecOp::Load(1),
-                    VecOp::Neg,
-                    VecOp::Intr { f: Intr::Exp, argc: 1 },
-                    VecOp::Load(1),
-                    VecOp::PowI(2),
-                    VecOp::Add,
-                    VecOp::Load(1),
-                    VecOp::Splat(1.25),
-                    VecOp::Pow,
-                    VecOp::Add,
-                    VecOp::Store(0),
-                ]],
+                vec![ops],
                 None,
             );
             check(&d, 2, &[(0, 0, 1), (1, 3, 1)], 29, 0.0);
+            // On edge inputs, one statement and one output per exponent:
+            // two NaNs never meet in an add, whose payload rustc leaves
+            // to operand order.
+            let es = [2, 3, 4, -1, 5, 0, 1, -2, 64];
+            let stmts = es
+                .iter()
+                .enumerate()
+                .map(|(k, &e)| edge_stmt(vec![VecOp::Load(0), VecOp::PowI(e)], k as u32 + 1))
+                .collect();
+            let d = desc(edge_accesses(es.len()), stmts, None);
+            check_edges(&d, es.len() + 2, &edge_streams(es.len()), 29);
+        }
+
+        #[test]
+        fn inline_powi_3_at_full_lane_depth() {
+            // Sixteen live lanes fill xmm0..15: the cube of the top lane
+            // has no free register and keeps its copy of x in memory.
+            let mut ops: Vec<VecOp> = (0..VEC_MAX_DEPTH).map(|_| VecOp::Load(1)).collect();
+            ops.push(VecOp::PowI(3));
+            ops.extend((1..VEC_MAX_DEPTH).map(|_| VecOp::Add));
+            ops.push(VecOp::Store(0));
+            let d = desc(
+                vec![acc_f(vec![sub1()], true), acc_f(vec![sub1()], false)],
+                vec![ops],
+                None,
+            );
+            assert_eq!(d.max_depth, VEC_MAX_DEPTH);
+            check(&d, 2, &[(0, 0, 1), (1, 1, 1)], 31, 0.0);
+            // The cube alone on edge inputs, still at depth 16.
+            let mut ops: Vec<VecOp> = (1..VEC_MAX_DEPTH).map(|_| VecOp::Splat(0.0)).collect();
+            ops.extend([VecOp::Load(1), VecOp::PowI(3)]);
+            ops.extend((1..VEC_MAX_DEPTH).map(|_| VecOp::Add));
+            ops.push(VecOp::Store(0));
+            let d = desc(
+                vec![acc_f(vec![sub1()], true), acc_f(vec![sub1()], false)],
+                vec![ops],
+                None,
+            );
+            assert_eq!(d.max_depth, VEC_MAX_DEPTH);
+            check_edges(&d, 2, &[(0, 0, 1), (1, 1, 1)], 31);
+        }
+
+        /// `0.5 + (0.25 + value)`: two constant lanes stay live below
+        /// the value (and across its helper calls), and a NaN value
+        /// meets no other NaN.
+        fn edge_stmt(value: Vec<VecOp>, out: u32) -> Vec<VecOp> {
+            let mut ops = vec![VecOp::Splat(0.5), VecOp::Splat(0.25)];
+            ops.extend(value);
+            ops.extend([VecOp::Add, VecOp::Add, VecOp::Store(out)]);
+            ops
+        }
+
+        /// Two inputs (accesses 0 and `outs + 1`) and `outs` outputs.
+        fn edge_accesses(outs: usize) -> Vec<VecAccess> {
+            let mut a = vec![acc_f(vec![sub1()], false)];
+            a.extend((0..outs).map(|_| acc_f(vec![sub1()], true)));
+            a.push(acc_f(vec![sub1()], false));
+            a
+        }
+
+        fn edge_streams(outs: usize) -> Vec<(usize, i64, i64)> {
+            let mut s = vec![(0, 2, 1)];
+            s.extend((1..=outs).map(|k| (k, 0, 1)));
+            s.push((outs + 1, 1, 1));
+            s
+        }
+
+        #[test]
+        fn every_lane_kernel_kind_on_edge_inputs() {
+            // One statement per intrinsic over inputs b and c: constant,
+            // unary, binary and fold kernels, NaNs in every argument
+            // position of MAX and MIN.
+            let (b, c) = (VecOp::Load(0), VecOp::Load(6));
+            let intr = |f, argc| VecOp::Intr { f, argc };
+            let mut values: Vec<Vec<VecOp>> = [
+                Intr::Huge,
+                Intr::Tiny,
+                Intr::Abs,
+                Intr::Log,
+                Intr::Alog,
+                Intr::Log10,
+                Intr::Exp,
+                Intr::Sqrt,
+                Intr::Sin,
+                Intr::Cos,
+                Intr::Tan,
+                Intr::Atan,
+                Intr::Real,
+                Intr::Dble,
+            ]
+            .into_iter()
+            .map(|f| vec![b, intr(f, 1)])
+            .collect();
+            values.extend([
+                vec![b, c, intr(Intr::Mod, 2)],
+                vec![c, b, intr(Intr::Sign, 2)],
+                vec![b, c, intr(Intr::Max, 2)],
+                vec![c, b, intr(Intr::Min, 2)],
+                vec![b, c, VecOp::Splat(0.5), intr(Intr::Max, 3)],
+                vec![c, VecOp::Splat(-1.0), b, c, intr(Intr::Min, 4)],
+                vec![b, c, b, c, b, c, b, c, intr(Intr::Max, 8)],
+            ]);
+            // Statements share five output streams.
+            let stmts =
+                values.into_iter().enumerate().map(|(k, v)| edge_stmt(v, k as u32 % 5 + 1)).collect();
+            let d = desc(edge_accesses(5), stmts, None);
+            check(&d, 7, &edge_streams(5), 41, 0.0);
+            check_edges(&d, 7, &edge_streams(5), 41);
         }
 
         #[test]

@@ -31,6 +31,7 @@ use crate::cost::{CostCounters, CostTrace, OpKind};
 use crate::engine::ArgVal;
 use crate::error::RunError;
 use crate::interp::{atomic_update, combine_vals, store_val, Exec, ExecMode, Flow, Val};
+use crate::intrinsics::{powi_lane, Intr, Kernel1, Kernel2, KernelSink};
 use crate::jit::{JitCtx, NativeRegion, PoolEntry, Stream as JitStream};
 use crate::region::{self, Reduction, RegionSpec, RegionState};
 use crate::rir::{ScalarTy, VecClass};
@@ -96,6 +97,58 @@ fn elem_fault(
             RunError::Unallocated { var: name.clone() }
         }
         (None, _) => RunError::Type { msg: format!("`{name}` is not an array") },
+    }
+}
+
+/// One lane kernel over a chunk's lanes, in place.
+#[inline(always)]
+fn map_lanes(lanes: &mut [f64], k: impl Fn(f64) -> f64) {
+    for x in lanes {
+        *x = k(*x);
+    }
+}
+
+/// A vector intrinsic over one chunk, out of line so the entry path
+/// stays small: each arm of [`Intr::with_kernel`] gets its own loop,
+/// which calls its kernel directly.
+#[inline(never)]
+fn intr_lanes(f: Intr, lanes: &mut [f64], rest: &[f64]) {
+    f.with_kernel(ChunkArgs { lanes, rest });
+}
+
+/// One chunk of an intrinsic's arguments: the first argument's lanes,
+/// which take the result, and the others, one [`VEC_CHUNK`] each.
+struct ChunkArgs<'a> {
+    lanes: &'a mut [f64],
+    rest: &'a [f64],
+}
+
+impl KernelSink for ChunkArgs<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn constant(self, c: f64) {
+        self.lanes.fill(c);
+    }
+    #[inline(always)]
+    fn unary(self, k: Kernel1) {
+        map_lanes(self.lanes, |x| k(x));
+    }
+    #[inline(always)]
+    fn binary(self, k: Kernel2) {
+        let m = self.lanes.len();
+        for (x, &y) in self.lanes.iter_mut().zip(&self.rest[..m]) {
+            *x = k(*x, y);
+        }
+    }
+    #[inline(always)]
+    fn fold(self, seed: f64, k: Kernel2) {
+        let m = self.lanes.len();
+        map_lanes(self.lanes, |x| k(seed, x));
+        for b in self.rest.chunks(VEC_CHUNK) {
+            for (x, &y) in self.lanes.iter_mut().zip(&b[..m]) {
+                *x = k(*x, y);
+            }
+        }
     }
 }
 
@@ -724,6 +777,11 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
     /// vectorization class in force, none of which can change inside
     /// the loop. It stays off the native rung: the promotion cache is
     /// keyed by the optimized build's descriptors.
+    ///
+    /// `#[inline(never)]`: inlined into [`Self::run_range`], its one
+    /// caller, it grows the scalar dispatch loop by 40 %, which cost
+    /// `fun3d_warm` about 6 %.
+    #[inline(never)]
     fn exec_fast_loop(
         &mut self,
         frame: &mut VFrame,
@@ -944,7 +1002,6 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             vbuf.resize(need, 0.0);
         }
         let vbuf = vbuf.as_mut_slice();
-        let mut args = [0.0f64; 8];
         let mut k0: i64 = 0;
         while k0 < n {
             // The scalar tick() only polls the deadline/token every
@@ -1030,9 +1087,14 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                             dep -= 1;
                         }
                         VecOp::PowI(e) => {
-                            let at = (dep - 1) * VEC_CHUNK;
-                            for x in &mut vbuf[at..at + m] {
-                                *x = x.powi(e);
+                            let lanes = &mut vbuf[(dep - 1) * VEC_CHUNK..][..m];
+                            // One loop per unrolled exponent: its lanes
+                            // multiply inline instead of calling powi.
+                            match e {
+                                2 => map_lanes(lanes, |x| powi_lane(x, 2)),
+                                3 => map_lanes(lanes, |x| powi_lane(x, 3)),
+                                4 => map_lanes(lanes, |x| powi_lane(x, 4)),
+                                _ => map_lanes(lanes, |x| x.powi(e)),
                             }
                         }
                         VecOp::Neg => {
@@ -1044,12 +1106,11 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                         VecOp::Intr { f, argc } => {
                             let na = argc as usize;
                             dep -= na;
-                            for j in 0..m {
-                                for (t, a) in args.iter_mut().enumerate().take(na) {
-                                    *a = vbuf[(dep + t) * VEC_CHUNK + j];
-                                }
-                                vbuf[dep * VEC_CHUNK + j] = f.eval_f(&args[..na]);
-                            }
+                            // The first argument's lanes take the result;
+                            // `rest` holds the others, one chunk each.
+                            let (lanes, rest) = vbuf[dep * VEC_CHUNK..(dep + na) * VEC_CHUNK]
+                                .split_at_mut(VEC_CHUNK);
+                            intr_lanes(f, &mut lanes[..m], rest);
                             dep += 1;
                         }
                         VecOp::Store(ai) => {

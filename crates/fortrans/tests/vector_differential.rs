@@ -1669,3 +1669,125 @@ fn fun3d_descriptors_prove_what_the_entry_no_longer_checks() {
     assert_eq!((edge.proven, edge.proven + edge.checked), (14, 16), "{edge:?}");
     assert_eq!((face.proven, face.proven + face.checked, face.alias_pairs), (4, 20, 0), "{face:?}");
 }
+
+// ---------------------------------------------------------------------
+// Lane kernels: every intrinsic the vector rung admits, every PowI form
+// ---------------------------------------------------------------------
+
+/// Every intrinsic a vector lane admits, then `t(i) ** e` for the
+/// unrolled exponents 2, 3 and 4, the `powi` exponents around them and
+/// 65, the first that takes the `powf` route. One statement and one
+/// output column per lane program, so two NaNs never meet in an add
+/// (whose NaN payload rustc leaves to operand order).
+const LANES: &str = r#"
+MODULE m
+CONTAINS
+  SUBROUTINE lanes(n, t, u, o, w)
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:64) :: t, u
+    REAL(8), DIMENSION(1:64, 1:20) :: o
+    REAL(8), DIMENSION(1:64, 1:10) :: w
+    DO i = 1, n
+      o(i, 1) = ABS(t(i))
+      o(i, 2) = LOG(t(i))
+      o(i, 3) = ALOG(u(i))
+      o(i, 4) = LOG10(t(i))
+      o(i, 5) = EXP(t(i))
+      o(i, 6) = SQRT(t(i))
+      o(i, 7) = SIN(t(i))
+      o(i, 8) = COS(t(i))
+      o(i, 9) = TAN(t(i))
+      o(i, 10) = ATAN(t(i))
+      o(i, 11) = REAL(t(i)) * 0.5D0
+      o(i, 12) = DBLE(u(i)) * 0.5D0
+      o(i, 13) = MOD(t(i), u(i))
+      o(i, 14) = SIGN(t(i), u(i))
+      o(i, 15) = MAX(t(i), u(i))
+      o(i, 16) = MIN(u(i), t(i))
+      o(i, 17) = MAX(t(i), u(i), 0.5D0, -t(i))
+      o(i, 18) = MIN(-1.0D0, u(i), t(i))
+      o(i, 19) = HUGE(t(i)) * 0.5D0
+      o(i, 20) = TINY(u(i)) * 4.0D0
+    END DO
+    DO i = 1, n
+      w(i, 1) = t(i) ** (-3)
+      w(i, 2) = t(i) ** (-1)
+      w(i, 3) = t(i) ** 0
+      w(i, 4) = t(i) ** 1
+      w(i, 5) = t(i) ** 2
+      w(i, 6) = t(i) ** 3
+      w(i, 7) = t(i) ** 4
+      w(i, 8) = t(i) ** 5
+      w(i, 9) = t(i) ** 64
+      w(i, 10) = t(i) ** 65
+    END DO
+  END SUBROUTINE lanes
+END MODULE m
+"#;
+
+/// Signed zeros and infinities, NaNs with different payloads (one
+/// signaling), subnormals, negative arguments to LOG and SQRT, and
+/// values around 1 that the high powers keep finite.
+fn lane_args() -> Vec<ArgVal> {
+    let edges = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::from_bits(0x7ff8_0000_0000_0001),
+        f64::from_bits(0xfff8_0000_0000_0002),
+        f64::from_bits(0x7ff0_0000_0000_0003),
+        f64::from_bits(1),
+        -f64::from_bits(0x000f_ffff_ffff_ffff),
+        -2.5,
+        1.0274,
+        -0.75,
+        3.0,
+        0.999,
+        1e300,
+        -1e-300,
+        7.5,
+    ];
+    let t: Vec<f64> = (0..64).map(|k| edges[k % edges.len()]).collect();
+    let u: Vec<f64> = (0..64).map(|k| edges[(k * 5 + 3) % edges.len()]).collect();
+    vec![
+        ArgVal::I(64),
+        ArgVal::array_f(&t, 1),
+        ArgVal::array_f(&u, 1),
+        ArgVal::array_f_dims(&[0.0; 64 * 20], vec![(1, 64), (1, 20)]).unwrap(),
+        ArgVal::array_f_dims(&[0.0; 64 * 10], vec![(1, 64), (1, 10)]).unwrap(),
+    ]
+}
+
+#[test]
+fn every_lane_intrinsic_and_powi_form_agrees_on_every_rung() {
+    let rep = region_of(LANES, "lanes", 0);
+    assert_eq!((rep.stmts, region_of(LANES, "lanes", 1).stmts), (20, 10), "both loops vectorize");
+    let run = |rung: (&str, bool, bool), mode: ExecMode| {
+        let (_, vector, native) = rung;
+        let e = Session::compile(&[LANES]).unwrap();
+        e.set_vector_enabled(vector);
+        e.set_native_enabled(native);
+        e.set_native_eager(native);
+        let args = lane_args();
+        let tier = if rung.0 == "oracle" { ExecTier::TreeWalk } else { ExecTier::Vm };
+        let out = e.run_tiered("lanes", &args, mode, tier).expect("runs");
+        assert!(out.fallback.is_none(), "{} fell back under {mode:?}", rung.0);
+        let arrays: Vec<Vec<u64>> = args.iter().filter_map(|a| a.handle().map(|h| dump(h))).collect();
+        (arrays, out.trace, e.vector_entry_count(), e.native_entry_count())
+    };
+    for mode in SELECT_MODES {
+        let (want, want_trace, _, _) = run(("oracle", false, false), mode);
+        for rung in [("scalar", false, false), ("vector", true, false), ("native", true, true)] {
+            let (got, trace, vector_entries, native_entries) = run(rung, mode);
+            assert_eq!(got, want, "{} rung against the oracle under {mode:?}", rung.0);
+            assert_eq!(trace, want_trace, "{} rung's CostTrace under {mode:?}", rung.0);
+            let entered = match (rung.0, mode) {
+                ("vector", _) => vector_entries,
+                ("native", ExecMode::Serial) => native_entries,
+                _ => continue,
+            };
+            assert_eq!(entered, 2, "{} rung entries under {mode:?}", rung.0);
+        }
+    }
+}

@@ -1256,3 +1256,55 @@ END MODULE hi
         }
     }
 }
+
+#[test]
+fn diff_real_to_integer_power_constants_fold_like_the_statement() {
+    // `PARAMETER`, initializer and `DATA` values of `x ** 3` fold with
+    // the engine's `F ** I` rule (`powi` for |e| <= 64), so they hold
+    // the bits the executable statements compute on either tier.
+    let free = r#"
+MODULE m
+  REAL(8), PARAMETER :: p = 1.0274D0 ** 3
+  REAL(8) :: g = 1.0274D0 ** 3
+  REAL(8) :: b, c, y, x
+CONTAINS
+  SUBROUTINE run()
+    x = 1.0274D0
+    b = 1.0274D0 ** 3
+    c = x ** 3
+    y = p
+  END SUBROUTINE run
+END MODULE m
+"#;
+    let fixed = "
+      SUBROUTINE RUN
+      DOUBLE PRECISION P, D, B, C, Y, X
+      PARAMETER (P = 1.0274D0 ** 3)
+      COMMON /BLK/ B, C, Y
+      DATA D / P /
+      X = 1.0274D0
+      B = X ** 3
+      C = D
+      Y = P
+      END
+";
+    let want = std::hint::black_box(1.0274f64).powi(std::hint::black_box(3));
+    assert_eq!(want.to_bits(), 0x3ff1_5a00_343b_0604);
+    for src in [free, fixed] {
+        differential("pow-constants", src, "run", Vec::new);
+        for tier in [ExecTier::TreeWalk, ExecTier::Vm] {
+            let s = Session::compile(&[src]).unwrap();
+            s.run_tiered("run", &[], ExecMode::Serial, tier).unwrap();
+            let mut names = s.global_names();
+            names.retain(|n| !n.ends_with('x'));
+            assert!(names.len() >= 3, "{names:?}");
+            for name in names {
+                let got = match s.global_scalar(&name) {
+                    Some(Val::F(v)) => v.to_bits(),
+                    other => panic!("{name}: {other:?}"),
+                };
+                assert_eq!(got, want.to_bits(), "{name} on {tier:?}");
+            }
+        }
+    }
+}
