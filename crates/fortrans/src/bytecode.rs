@@ -494,6 +494,19 @@ pub(crate) fn region_cost(code: &[BInstr], head: usize, exit: usize) -> Option<R
     Some(RegionCost { iter: cond.checked_add(3)?, taken: arm.checked_add(1)?, ledger: None })
 }
 
+/// What the forwarded-temp fixup `code[lo..hi]` on a `VecLoop` exit
+/// edge retires ([`VecDesc::fixup_cost`]): each instruction once — a
+/// traced build's `Quiet` bracket around it too — when the block is
+/// straight-line code. `None` for anything else.
+pub(crate) fn fixup_cost(code: &[BInstr], lo: usize, hi: usize) -> Option<u32> {
+    let body = match code.get(lo..hi)? {
+        [BInstr::Quiet { end }, rest @ ..] if *end as usize == hi => rest,
+        block => block,
+    };
+    static_ledger(body)?;
+    u32::try_from(hi - lo).ok()
+}
+
 /// The values the constant-trip loops inside `code[lo..hi]` (a nest
 /// region's scalar body) leave in their variable, counter and end slots,
 /// in code order: [`VecDesc::exit_state`].
@@ -795,23 +808,33 @@ pub enum VecOp {
     /// Scatter the top lanes into the access (map statements only; last
     /// op of its statement).
     Store(u32),
+    /// The accumulator's running value: at each lane, what the
+    /// accumulator holds once that lane's iteration folded its term in
+    /// ([`VecRed::stmt`]). Only statements after the accumulator's read
+    /// it — a running sum.
+    Running,
 }
 
-/// Reduction flavor of a single-statement vector loop.
+/// Reduction flavor of a vector loop's accumulator statement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VecRedOp {
     Add,
     Mul,
 }
 
-/// Reduction tail: `acc = acc op t` (or `t op acc` when `acc_left` is
-/// false), folded sequentially in iteration order for bit-exactness.
+/// The accumulator statement `acc = acc op t` (or `t op acc` when
+/// `acc_left` is false): its program leaves `t`'s lanes, which are
+/// folded sequentially in iteration order, for bit-exactness, right
+/// after it. Statements after it may read the running value
+/// ([`VecOp::Running`]); with none, the loop is a plain reduction.
 #[derive(Debug, Clone, Copy)]
 pub struct VecRed {
     /// Accumulator slot (`F` or `GlobS`).
     pub vs: VSlot,
     pub op: VecRedOp,
     pub acc_left: bool,
+    /// Index of the accumulator statement in [`VecDesc::stmts`].
+    pub stmt: u32,
 }
 
 /// Postfix micro-op of a masked select's mask program. Lanes are i64,
@@ -848,8 +871,8 @@ pub struct VecSel {
 }
 
 /// A vectorized loop body: interned accesses, one postfix program per
-/// statement and the optional reduction tail — or, with no statements,
-/// a masked select.
+/// statement, one of which may be an accumulator's — or, with no
+/// statements, a masked select.
 #[derive(Debug, Clone)]
 pub struct VecDesc {
     pub accesses: Vec<VecAccess>,
@@ -896,6 +919,11 @@ pub struct VecDesc {
     /// unrolled inner loop as the scalar nest leaves them. Read off the
     /// emitted scalar loop like the two fields above.
     pub exit_state: Vec<(u32, i64)>,
+    /// Instructions the forwarded-temp fixup on the `VecLoop` exit edge
+    /// retires (0 without one). The scalar loop jumps over the fixup, so
+    /// a committed entry reserves its steps less these, and the fixup
+    /// retires them ([`fixup_cost`]). Patched after emission.
+    pub fixup_cost: u32,
     /// DO statement source line.
     pub line: u32,
 }
@@ -1308,7 +1336,8 @@ pub fn vec_stack_effect(ops: &[VecOp]) -> Option<(u32, u32)> {
         | VecOp::Splat(_)
         | VecOp::SplatF(_)
         | VecOp::SplatG(_)
-        | VecOp::SplatI { .. } => (0, 1),
+        | VecOp::SplatI { .. }
+        | VecOp::Running => (0, 1),
         VecOp::Add | VecOp::Sub | VecOp::Mul | VecOp::Div | VecOp::Pow => (2, 1),
         VecOp::PowI(_) | VecOp::Neg => (1, 1),
         VecOp::Intr { argc, .. } => (i64::from(*argc), 1),
@@ -2311,6 +2340,7 @@ impl<'a> UnitCompiler<'a> {
                 taken_cost: 0,
                 iter_ledger: None,
                 exit_state: Vec::new(),
+                fixup_cost: 0,
                 line: do_line,
             });
             let idx = self.push(BInstr::VecLoop {
@@ -2353,6 +2383,19 @@ impl<'a> UnitCompiler<'a> {
         let Some(Ctx::Loop { exit, cycle }) = self.ctx.pop() else { unreachable!() };
         let end_pc = self.pc();
         if let Some((vi, fixup)) = vec_idx {
+            // Forwarded-temp fixup, reached only through the VecLoop
+            // exit edge: the vector body never materializes the temps,
+            // so recompute the final value of each one read after the
+            // loop here (the loop variable holds the last trip value at
+            // this point). The scalar loop stores the temps itself and
+            // exits past this. The last iteration's ledger already paid
+            // for these values.
+            let quiet = self.open_quiet(!fixup.is_empty());
+            for (v, e) in &fixup {
+                self.emit_expr(e);
+                self.emit_store_scalar(*v, self.ty_of(e));
+            }
+            self.close_quiet(quiet);
             let (lo, hi) = (head as usize, end_pc as usize);
             // What the scalar loop retires and posts per iteration.
             let cost = region_cost(&self.code, lo, hi)
@@ -2362,19 +2405,9 @@ impl<'a> UnitCompiler<'a> {
                 let d = &mut self.vecs[*desc as usize];
                 (d.iter_cost, d.taken_cost, d.iter_ledger) = (cost.iter, cost.taken, cost.ledger);
                 d.exit_state = nest_exit_state(&self.code, lo, hi);
+                d.fixup_cost = fixup_cost(&self.code, hi, self.code.len())
+                    .expect("a fixup is straight-line code");
             }
-            // Forwarded-temp fixup, reached only through the VecLoop
-            // exit edge: the vector body never materializes the temps,
-            // so recompute each one's final value here (the loop
-            // variable holds the last trip value at this point). The
-            // scalar loop stores the temps itself and exits past this.
-            // The last iteration's ledger already paid for these values.
-            let quiet = self.open_quiet(!fixup.is_empty());
-            for (v, e) in &fixup {
-                self.emit_expr(e);
-                self.emit_store_scalar(*v, self.ty_of(e));
-            }
-            self.close_quiet(quiet);
         }
         let after = self.pc();
         self.loops.push(BLoopSite { init_pc: init_idx as u32, end_pc: after, line: do_line });
@@ -2647,6 +2680,7 @@ CONTAINS
       t = b(i) * (1.0D0 + 2.0D0)
       a(i, j + 1) = t / 4.0D0 + EXP(b(i))
     END DO
+    b(1) = t
   END SUBROUTINE work
 END MODULE m
 "#,
@@ -2657,11 +2691,15 @@ END MODULE m
         assert_eq!((o.vecs.len(), t.vecs.len()), (1, 1));
         assert_eq!(format!("{:?}", o.vecs[0].stmts), format!("{:?}", t.vecs[0].stmts));
         assert_eq!(o.vecs[0].accesses.len(), t.vecs[0].accesses.len());
-        // Both builds store `unused` in the scalar body and in the fixup.
-        let u = prog.units[0].vars.iter().position(|v| v.name == "unused").expect("declared");
-        let VSlot::F(su) = o.vslots[u] else { panic!("unused is a frame REAL") };
-        let stores = |u: &BUnit| u.code.iter().filter(|i| matches!(i, BInstr::StoreF(s) if *s == su)).count();
-        assert_eq!((stores(o), stores(t)), (2, 2));
+        // Both builds store `t` in the scalar body and in the fixup, and
+        // `unused`, which nothing reads after the loop, in the body only.
+        let stores = |name: &str, u: &BUnit| {
+            let v = prog.units[0].vars.iter().position(|v| v.name == name).expect("declared");
+            let VSlot::F(sv) = u.vslots[v] else { panic!("{name} is a frame REAL") };
+            u.code.iter().filter(|i| matches!(i, BInstr::StoreF(s) if *s == sv)).count()
+        };
+        assert_eq!((stores("t", o), stores("t", t)), (2, 2));
+        assert_eq!((stores("unused", o), stores("unused", t)), (1, 1));
         // The traced scalar body keeps the unfolded MulF and AddF, and
         // its ledger says so; the optimized body stores the folded
         // constants, which posts nothing. Subscript `j + 1` is one IOp
@@ -2675,9 +2713,8 @@ END MODULE m
             ops(o.vecs[0].iter_ledger),
             OpCounts { flop: 2, fdiv: 1, fspecial: 1, iop: 1, load: 2, store: 1 }
         );
-        // Prep (`j + 1` into a hidden slot) and fixup (the last values
-        // of `unused` and `t`, one bracket) sit in quiet brackets in the
-        // traced build only.
+        // Prep (`j + 1` into a hidden slot) and fixup (the last value of
+        // `t`) sit in quiet brackets in the traced build only.
         let quiet = |u: &BUnit| u.code.iter().filter(|i| matches!(i, BInstr::Quiet { .. })).count();
         assert_eq!((quiet(o), quiet(t)), (0, 2));
     }

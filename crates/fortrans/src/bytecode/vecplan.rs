@@ -37,7 +37,8 @@ pub enum VecRefusal {
     /// The (unrolled) body exceeds a descriptor cap.
     TooBig,
     /// Anything else about the loop or a statement: non-unit step,
-    /// non-REAL data, a second reduction, a loop-carried scalar, I/O.
+    /// non-REAL data, a second accumulator, a loop-carried scalar (an
+    /// accumulator read before its update included), I/O.
     Shape,
 }
 
@@ -57,11 +58,15 @@ pub(super) struct VecPlan {
     pub(super) guarded: Vec<GuardedLoad>,
     /// Dedup table over both: (`{expr:?}`, slot).
     inv_slots: Vec<(String, u32)>,
-    /// Forward-substituted scalar temps: (temp, final substituted RHS).
-    /// The vector body never materializes these, so the emitter places a
-    /// fixup block on the `VecLoop` exit edge that recomputes each
-    /// temp's last-iteration value (the loop variable already holds the
-    /// final trip value there).
+    /// The accumulator once its statement is compiled: a later read of
+    /// it is its running value ([`VecOp::Running`]).
+    running: Option<VarIdx>,
+    /// Forward-substituted scalar temps that something after the loop
+    /// may read: (temp, final substituted RHS). The vector body never
+    /// materializes these, so the emitter places a fixup block on the
+    /// `VecLoop` exit edge that recomputes each temp's last-iteration
+    /// value (the loop variable already holds the final trip value
+    /// there).
     pub(super) fixup: Vec<(VarIdx, RExpr)>,
 }
 
@@ -79,8 +84,6 @@ struct VecBody {
     temps: Vec<(VarIdx, RExpr)>,
     /// Map statements compiled so far.
     maps: usize,
-    /// The one non-forwardable scalar assignment (a reduction, or bust).
-    red: Option<(VarIdx, RExpr)>,
 }
 
 /// True when `e` references variable `var` anywhere (conservatively true
@@ -95,6 +98,41 @@ fn expr_uses_var(e: &RExpr, var: VarIdx) -> bool {
         RExpr::Intrinsic { args, .. } => args.iter().any(|a| expr_uses_var(a, var)),
         RExpr::CallFn { .. } => true,
     }
+}
+
+/// Whether a statement of `stmts` outside the loop body `skip` (found by
+/// address) may read scalar `v`: conservatively, any expression that
+/// mentions it and every other statement that does (a call's by-ref
+/// argument, an OMP clause), but not the target of an assignment.
+fn read_outside(stmts: &[SpStmt], skip: &[SpStmt], v: VarIdx) -> bool {
+    let ex = |e: &RExpr| expr_uses_var(e, v);
+    stmts.iter().any(|sp| match &sp.s {
+        RStmt::AssignScalar { e, .. } => ex(e),
+        RStmt::AssignElem { subs, e, .. } => subs.iter().any(ex) || ex(e),
+        RStmt::If { arms, else_body } => {
+            arms.iter().any(|(c, b)| ex(c) || read_outside(b, skip, v))
+                || read_outside(else_body, skip, v)
+        }
+        RStmt::Do { start, end, step, body, omp, collapse_with, .. } => {
+            ex(start)
+                || ex(end)
+                || step.as_ref().is_some_and(ex)
+                || collapse_with.iter().any(|c| ex(&c.start) || ex(&c.end))
+                || omp.as_ref().is_some_and(|o| {
+                    o.private.contains(&v)
+                        || o.reductions.iter().any(|&(_, w)| w == v)
+                        || o.num_threads.as_deref().is_some_and(ex)
+                })
+                || (!std::ptr::eq(body.as_slice(), skip) && read_outside(body, skip, v))
+        }
+        RStmt::DoWhile { cond, body } => ex(cond) || read_outside(body, skip, v),
+        RStmt::Critical { body, .. } => read_outside(body, skip, v),
+        s => {
+            let mut seen = false;
+            walk_stmt(s, &mut |x| seen |= matches!(x, Seen::Ref(w) if w == v));
+            seen
+        }
+    })
 }
 
 /// `e` with every `LoadScalar` of an unrolled loop index replaced by
@@ -185,13 +223,14 @@ impl UnitCompiler<'_> {
     /// Legality: every statement is an elementwise REAL array assignment
     /// with affine subscripts — any array both read and written must use
     /// *identical* subscripts with at least one loop-dependent dimension,
-    /// so the only dependences are loop-independent — or the body is a
-    /// single `acc = acc + term` / `acc * term` REAL reduction whose term
-    /// does not reference the accumulator. REAL scalar temps assigned
-    /// from expressions with no loop-carried reads are forward-
+    /// so the only dependences are loop-independent — except at most one
+    /// `acc = acc + term` / `acc * term` REAL accumulator statement whose
+    /// term does not reference the accumulator. REAL scalar temps
+    /// assigned from expressions with no loop-carried reads are forward-
     /// substituted into their consumers (privatization): they don't
     /// block either shape, and a fixup block on the vector exit edge
-    /// restores their final values. Inner loops over literal bounds of
+    /// restores the final values of those read after the loop. Inner
+    /// loops over literal bounds of
     /// at most [`VEC_NEST_TRIP`] trips are looked through: the body is
     /// analysed as if they were fully unrolled in iteration order
     /// (`vec_stmts`), so a same-cell chain such as
@@ -200,6 +239,11 @@ impl UnitCompiler<'_> {
     /// Anything else (control flow, calls, I/O, allocation, non-affine
     /// subscripts, LOGICAL/INTEGER element types) keeps the scalar loop
     /// and says why.
+    ///
+    /// A map statement after the accumulator's may read the accumulator:
+    /// it reads the running value, what the scalar loop holds there
+    /// ([`VecOp::Running`]), so `s = s + a(i); b(i) = s` is a running
+    /// sum. A read before the update is loop-carried and stays scalar.
     pub(super) fn analyze_vec(
         &mut self,
         var: VarIdx,
@@ -221,47 +265,28 @@ impl UnitCompiler<'_> {
             return Err(TooBig);
         }
         self.vec_stmts(body, &mut Vec::new(), &mut b)?;
-        let VecBody { mut plan, temps, maps, red, sassigned, .. } = b;
-        if let Some((acc, e)) = red {
-            // Reduction shape: the accumulator update is the only
-            // non-forwarded statement (`vec_stmts` saw to that).
-            let avs = self.vslot(acc);
-            if self.unit.vars[acc].ty != ScalarTy::F
-                || !matches!(avs, VSlot::F(_) | VSlot::GlobS(_))
-            {
-                return Err(Shape);
-            }
-            let RExpr::Bin { op, ty: ScalarTy::F, l, r } = &e else { return Err(Shape) };
-            let rop = match op {
-                Bin::Add => VecRedOp::Add,
-                Bin::Mul => VecRedOp::Mul,
-                _ => return Err(Shape),
-            };
-            let is_acc = |x: &RExpr| matches!(x, RExpr::LoadScalar(v) if *v == acc);
-            let (acc_left, term) = match (is_acc(l), is_acc(r)) {
-                (true, false) => (true, r.as_ref()),
-                (false, true) => (false, l.as_ref()),
-                _ => return Err(Shape),
-            };
-            // After substitution the term may only reference a body-
-            // assigned scalar through use-before-def — loop-carried, so
-            // reject (this also subsumes the accumulator itself).
-            if sassigned.iter().any(|&t| expr_uses_var(term, t)) {
-                return Err(Shape);
-            }
-            let mut ops = Vec::new();
-            self.vec_operand_f(term, var, &mut plan, &mut ops)?;
-            plan.stmts.push(ops);
-            plan.red = Some(VecRed { vs: avs, op: rop, acc_left });
-        } else if maps == 0 && !temps.is_empty() {
+        let VecBody { mut plan, temps, maps, .. } = b;
+        if plan.red.is_none() && maps == 0 && !temps.is_empty() {
             // A body of only forwarded temps stays scalar — the empty
             // vector loop would win nothing.
             return Err(Shape);
         }
-        plan.fixup = temps;
-        for ops in &plan.stmts {
+        // A temp nothing reads after the loop needs no fixup. A dummy's
+        // value goes back to the caller and a function's result is
+        // returned; SAVE'd locals live in global cells, which are never
+        // forwarded, and EQUIVALENCE names one variable by every alias.
+        let unit = self.unit;
+        plan.fixup = temps
+            .into_iter()
+            .filter(|&(t, _)| {
+                unit.vars[t].is_param
+                    || unit.result.is_some_and(|(r, _)| r == t)
+                    || read_outside(&unit.body, body, t)
+            })
+            .collect();
+        for (k, ops) in plan.stmts.iter().enumerate() {
             let (fin, mx) = vec_stack_effect(ops).ok_or(Shape)?;
-            if fin != u32::from(plan.red.is_some()) {
+            if fin != u32::from(plan.red.is_some_and(|r| r.stmt as usize == k)) {
                 return Err(Shape);
             }
             if mx > VEC_MAX_DEPTH {
@@ -443,8 +468,8 @@ impl UnitCompiler<'_> {
     /// Second pass: the assignments one iteration executes, in order,
     /// as if every inner loop were unrolled — `idx` maps the enclosing
     /// inner loops' variables to the constants they hold — each one
-    /// forwarded, compiled to its lane program, or kept as the
-    /// reduction statement. The first refusal stops the walk.
+    /// forwarded or compiled to its lane program, the accumulator's
+    /// included. The first refusal stops the walk.
     fn vec_stmts(
         &mut self,
         body: &[SpStmt],
@@ -458,11 +483,6 @@ impl UnitCompiler<'_> {
                 RStmt::AssignElem { v, subs, e } => {
                     let subs = subst_all(subs, idx, &b.temps);
                     let e = subst_scalars(e, idx, &b.temps);
-                    // Map shape: every non-forwarded statement an
-                    // elementwise store.
-                    if b.red.is_some() {
-                        return Err(Shape);
-                    }
                     let a = self.vec_access(*v, &subs, var, ScalarTy::F, true, &mut b.plan)?;
                     let mut ops = Vec::new();
                     self.vec_operand_f(&e, var, &mut b.plan, &mut ops)?;
@@ -471,9 +491,13 @@ impl UnitCompiler<'_> {
                     b.maps += 1;
                     // A leftover reference to a body-assigned scalar is a
                     // use-before-def (loop-carried) read: the splat/prep
-                    // machinery would freeze its pre-loop value.
+                    // machinery would freeze its pre-loop value. Only an
+                    // updated accumulator's value is known: it was read
+                    // as `Running`.
+                    let running = b.plan.running;
                     if b.sassigned.iter().any(|&t| {
-                        expr_uses_var(&e, t) || subs.iter().any(|s| expr_uses_var(s, t))
+                        (Some(t) != running && expr_uses_var(&e, t))
+                            || subs.iter().any(|s| expr_uses_var(s, t))
                     }) {
                         return Err(Shape);
                     }
@@ -491,12 +515,12 @@ impl UnitCompiler<'_> {
                             Some(slot) => slot.1 = e,
                             None => b.temps.push((*v, e)),
                         }
-                    } else if b.red.is_some() || b.maps > 0 {
+                    } else if b.plan.red.is_some() {
                         // Not forwardable: the only remaining legal role
-                        // is the single statement of a reduction.
+                        // is the one accumulator statement.
                         return Err(Shape);
                     } else {
-                        b.red = Some((*v, e.into_owned()));
+                        self.vec_accumulate(*v, &e, b)?;
                     }
                 }
                 RStmt::Do { var: k, body, .. } => {
@@ -511,6 +535,50 @@ impl UnitCompiler<'_> {
                 _ => {} // `Nop`; `vec_prescan` refused the rest
             }
         }
+        Ok(())
+    }
+
+    /// The accumulator statement `acc = acc ⊕ t` (`⊕` REAL `+` or `*`,
+    /// `acc` on either side) of a reduction or running sum: `acc` is a
+    /// REAL frame or global scalar and `t`, substituted, reads no scalar
+    /// the body assigns. Compiles `t`'s lanes in statement order; the
+    /// executors fold them right after the statement.
+    fn vec_accumulate(
+        &mut self,
+        acc: VarIdx,
+        e: &RExpr,
+        b: &mut VecBody,
+    ) -> Result<(), VecRefusal> {
+        use VecRefusal::Shape;
+        let avs = self.vslot(acc);
+        if self.unit.vars[acc].ty != ScalarTy::F || !matches!(avs, VSlot::F(_) | VSlot::GlobS(_))
+        {
+            return Err(Shape);
+        }
+        let RExpr::Bin { op, ty: ScalarTy::F, l, r } = e else { return Err(Shape) };
+        let op = match op {
+            Bin::Add => VecRedOp::Add,
+            Bin::Mul => VecRedOp::Mul,
+            _ => return Err(Shape),
+        };
+        let is_acc = |x: &RExpr| matches!(x, RExpr::LoadScalar(v) if *v == acc);
+        let (acc_left, term) = match (is_acc(l), is_acc(r)) {
+            (true, false) => (true, r.as_ref()),
+            (false, true) => (false, l.as_ref()),
+            _ => return Err(Shape),
+        };
+        // After substitution the term may only reference a body-assigned
+        // scalar through use-before-def — loop-carried, so reject (this
+        // also subsumes the accumulator itself).
+        if b.sassigned.iter().any(|&t| expr_uses_var(term, t)) {
+            return Err(Shape);
+        }
+        let mut ops = Vec::new();
+        self.vec_operand_f(term, b.var, &mut b.plan, &mut ops)?;
+        let stmt = b.plan.stmts.len() as u32;
+        b.plan.stmts.push(ops);
+        b.plan.red = Some(VecRed { vs: avs, op, acc_left, stmt });
+        b.plan.running = Some(acc);
         Ok(())
     }
 
@@ -746,6 +814,11 @@ impl UnitCompiler<'_> {
         if self.ty_of(e) != ScalarTy::I {
             return Err(ImpureInvariant);
         }
+        // A running value is not invariant: `INT(s)` would freeze the
+        // accumulator's value before the loop.
+        if plan.running.is_some_and(|a| expr_uses_var(e, a)) {
+            return Err(VecRefusal::Shape);
+        }
         if let RExpr::LoadScalar(v) = e {
             if let VSlot::I(s) = self.vslot(*v) {
                 return Ok(s);
@@ -826,6 +899,7 @@ impl UnitCompiler<'_> {
         }
         match e {
             RExpr::ConstF(c) => ops.push(VecOp::Splat(*c)),
+            RExpr::LoadScalar(v) if plan.running == Some(*v) => ops.push(VecOp::Running),
             RExpr::LoadScalar(v) => ops.push(match self.vslot(*v) {
                 VSlot::F(s) => VecOp::SplatF(s),
                 VSlot::GlobS(c) => VecOp::SplatG(c),

@@ -534,7 +534,8 @@ impl NativeRegion {
     ///
     /// `None` means "refused": unsupported target, a descriptor that
     /// fails re-verification (corrupted bytecode must never reach the
-    /// emitter), a masked select, an empty or zero-cost region, or an
+    /// emitter), a masked select, a running sum (an accumulator
+    /// statement among others), an empty or zero-cost region, or an
     /// exec-page allocation failure. Refusals are cached by
     /// [`NativeCache`] so the VM falls through to the vector/scalar path
     /// with no repeated work.
@@ -552,9 +553,14 @@ impl NativeRegion {
             return None;
         }
         let d = &bunits[uidx].vecs[desc as usize];
-        // The emitter knows f64 lane programs only: a masked select
-        // stays on the vector rung.
-        if d.sel.is_some() || d.stmts.is_empty() || d.iter_cost == 0 {
+        // The emitter knows f64 lane programs only, and folds an
+        // accumulator only as a one-statement body: a masked select and
+        // a running sum stay on the vector rung.
+        if d.sel.is_some()
+            || d.stmts.is_empty()
+            || d.iter_cost == 0
+            || (d.red.is_some() && d.stmts.len() != 1)
+        {
             return None;
         }
         Self::emit(d)
@@ -605,6 +611,7 @@ impl NativeRegion {
                 // re-check defensively so an emitter bug can only ever
                 // refuse, never emit out-of-file register indices.
                 match *op {
+                    VecOp::Running => return None, // refused above
                     VecOp::Load(ai) => {
                         if dep >= VEC_MAX_DEPTH as u8 {
                             return None;
@@ -1058,7 +1065,9 @@ mod tests {
                                 stack[dep] = coeff.wrapping_mul(i).wrapping_add(add) as f64;
                                 dep += 1;
                             }
-                            VecOp::SplatF(_) | VecOp::SplatG(_) => unreachable!("not in tests"),
+                            VecOp::SplatF(_) | VecOp::SplatG(_) | VecOp::Running => {
+                                unreachable!("not in tests")
+                            }
                             VecOp::Add => {
                                 stack[dep - 2] += stack[dep - 1];
                                 dep -= 1;
@@ -1168,28 +1177,8 @@ mod tests {
         fn desc(accesses: Vec<VecAccess>, stmts: Vec<Vec<VecOp>>, red: Option<VecRed>) -> VecDesc {
             let max_depth = stmts
                 .iter()
-                .map(|ops| {
-                    let (mut dep, mut mx) = (0i32, 0i32);
-                    for op in ops {
-                        match op {
-                            VecOp::Load(_)
-                            | VecOp::Splat(_)
-                            | VecOp::SplatF(_)
-                            | VecOp::SplatG(_)
-                            | VecOp::SplatI { .. } => dep += 1,
-                            VecOp::Add
-                            | VecOp::Sub
-                            | VecOp::Mul
-                            | VecOp::Div
-                            | VecOp::Pow
-                            | VecOp::Store(_) => dep -= 1,
-                            VecOp::Intr { argc, .. } => dep -= i32::from(*argc) - 1,
-                            VecOp::PowI(_) | VecOp::Neg => {}
-                        }
-                        mx = mx.max(dep);
-                    }
-                    mx as u32
-                })
+                .filter_map(|ops| crate::bytecode::vec_stack_effect(ops))
+                .map(|(_, mx)| mx)
                 .max()
                 .unwrap_or(0);
             let alias_pairs = VecDesc::write_pairs(&accesses, &[]);
@@ -1207,6 +1196,7 @@ mod tests {
                 taken_cost: 0,
                 iter_ledger: None,
                 exit_state: Vec::new(),
+                fixup_cost: 0,
                 line: 1,
             }
         }
@@ -1295,7 +1285,7 @@ mod tests {
             let d = desc(
                 vec![acc_f(vec![sub1()], false), acc_f(vec![sub1()], false)],
                 vec![vec![VecOp::Load(0), VecOp::Load(1), VecOp::Mul]],
-                Some(VecRed { vs: VSlot::F(0), op: VecRedOp::Add, acc_left: true }),
+                Some(VecRed { vs: VSlot::F(0), op: VecRedOp::Add, acc_left: true, stmt: 0 }),
             );
             check(&d, 2, &[(0, 0, 1), (1, 1, 1)], 100, 0.5);
         }
@@ -1305,7 +1295,7 @@ mod tests {
             let d = desc(
                 vec![acc_f(vec![sub1()], false)],
                 vec![vec![VecOp::Load(0), VecOp::Splat(0.25), VecOp::Add]],
-                Some(VecRed { vs: VSlot::F(0), op: VecRedOp::Mul, acc_left: false }),
+                Some(VecRed { vs: VSlot::F(0), op: VecRedOp::Mul, acc_left: false, stmt: 0 }),
             );
             check(&d, 1, &[(0, 0, 1)], 11, 1.0);
         }
@@ -1503,7 +1493,7 @@ mod tests {
             let d = desc(
                 vec![acc_f(vec![sub1()], false)],
                 vec![vec![VecOp::Load(0), VecOp::Load(0), VecOp::Mul]],
-                Some(VecRed { vs: VSlot::F(0), op: VecRedOp::Add, acc_left: true }),
+                Some(VecRed { vs: VSlot::F(0), op: VecRedOp::Add, acc_left: true, stmt: 0 }),
             );
             let region = NativeRegion::emit(&d).expect("emit");
             let vals: Vec<f64> = (0..64).map(|i| (i as f64) * 0.3 - 4.0).collect();

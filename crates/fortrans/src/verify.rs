@@ -32,10 +32,10 @@
 //! see `tests/fault_injection.rs`.
 
 use crate::bytecode::{
-    dummy_arrays, fixed_global, global_cells, mask_stack_effect, nest_exit_state, prove_streams,
-    region_cost, static_ledger, static_shape, vec_stack_effect, BArg, BInstr, BUnit, MaskOp, PItem,
-    SubOp, VSlot, VecDesc, VecOp, VecSel, VecSub, MAX_INLINE_RANK, NO_PC, NO_SDIMS, NO_SLOT,
-    VEC_MAX_ACCESSES, VEC_MAX_DEPTH,
+    dummy_arrays, fixed_global, fixup_cost, global_cells, mask_stack_effect, nest_exit_state,
+    prove_streams, region_cost, static_ledger, static_shape, vec_stack_effect, BArg, BInstr, BUnit,
+    MaskOp, PItem, SubOp, VSlot, VecDesc, VecOp, VecSel, VecSub, MAX_INLINE_RANK, NO_PC, NO_SDIMS,
+    NO_SLOT, VEC_MAX_ACCESSES, VEC_MAX_DEPTH,
 };
 use crate::error::CompileError;
 use crate::intrinsics::Intr;
@@ -352,6 +352,19 @@ impl Verifier<'_> {
                 if d.exit_state != nest_exit_state(&bu.code, pc as usize + 1, exit as usize) {
                     return Err(at(format!(
                         "vector descriptor {desc}: exit state disagrees with the scalar loop"
+                    )));
+                }
+                // A committed entry reserves the loop's steps less what
+                // the fixup between `exit` and the scalar head's exit
+                // retires (`region_cost` saw the head at `pc + 1`).
+                let DoHead1 { exit: after, .. } = bu.code[pc as usize + 1] else {
+                    unreachable!("region_cost checked the head");
+                };
+                if fixup_cost(&bu.code, exit as usize, after as usize) != Some(d.fixup_cost) {
+                    return Err(at(format!(
+                        "vector descriptor {desc}: fixup cost {} disagrees with the block \
+                         between the loop exits, or that block is not straight-line code",
+                        d.fixup_cost
                     )));
                 }
             }
@@ -729,9 +742,10 @@ impl Verifier<'_> {
     /// Validates one vector-loop descriptor: every access names an
     /// in-range array slot, every lane program references only declared
     /// accesses/slots and balances its lane stack within the declared
-    /// depth, map statements end in a store to a written access, and a
-    /// reduction descriptor is a single program folding into a scalar
-    /// f64 slot. The VM's chunked executor indexes lanes and access
+    /// depth, map statements end in a store to a written access, and an
+    /// accumulator statement leaves one lane vector to fold into a
+    /// scalar f64 slot, whose running value only the statements after
+    /// it read. The VM's chunked executor indexes lanes and access
     /// streams without bounds checks on the strength of these.
     fn vec_desc_ok(&self, desc: u32) -> Result<(), String> {
         let bu = self.bu;
@@ -844,16 +858,36 @@ impl Verifier<'_> {
                 VSlot::GlobS(c) if (c as usize) < self.prog.globals.len() => {}
                 vs => return Err(format!("vector reduction accumulator slot {vs:?} invalid")),
             }
-            if d.stmts.len() != 1 {
+            if r.stmt as usize >= d.stmts.len() {
                 return Err(format!(
-                    "vector reduction descriptor has {} statements, expected 1",
+                    "vector accumulator statement {} out of range ({} statements)",
+                    r.stmt,
                     d.stmts.len()
                 ));
             }
         }
-        for ops in &d.stmts {
+        for (k, ops) in d.stmts.iter().enumerate() {
+            let acc_stmt = d.red.is_some_and(|r| r.stmt as usize == k);
             for op in ops {
                 match *op {
+                    // The running value's lanes are filled by the fold
+                    // after the accumulator statement, chunk by chunk.
+                    VecOp::Running => match d.red {
+                        None => {
+                            return Err(
+                                "vector running-value read in a descriptor with no accumulator"
+                                    .into(),
+                            );
+                        }
+                        Some(r) if k <= r.stmt as usize => {
+                            return Err(format!(
+                                "vector running-value read in statement {k} does not follow \
+                                 the accumulator statement {}",
+                                r.stmt
+                            ));
+                        }
+                        Some(_) => {}
+                    },
                     VecOp::Load(ai) | VecOp::Store(ai) => {
                         if ai as usize >= d.accesses.len() {
                             return Err(format!(
@@ -885,7 +919,7 @@ impl Verifier<'_> {
             let Some((fin, max)) = vec_stack_effect(ops) else {
                 return Err("vector statement underflows its lane stack".into());
             };
-            let want = u32::from(d.red.is_some());
+            let want = u32::from(acc_stmt);
             if fin != want {
                 return Err(format!(
                     "vector statement leaves {fin} lanes on the stack, expected {want}"
@@ -897,7 +931,7 @@ impl Verifier<'_> {
                     d.max_depth
                 ));
             }
-            if d.red.is_none() && !matches!(ops.last(), Some(VecOp::Store(_))) {
+            if !acc_stmt && !matches!(ops.last(), Some(VecOp::Store(_))) {
                 return Err("vector map statement does not end in a store".into());
             }
         }

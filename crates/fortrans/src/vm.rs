@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use crate::bytecode::{
     BArg, BInstr, BUnit, Cmp, MaskOp, OmpDesc, PItem, Posts, SDims, SubOp, VSlot, VecDesc, VecOp,
-    VecRedOp, VecSel, VecSub, MAX_INLINE_RANK, NO_PC, NO_SDIMS, NO_SLOT, VEC_CHUNK,
+    VecRed, VecRedOp, VecSel, VecSub, MAX_INLINE_RANK, NO_PC, NO_SDIMS, NO_SLOT, VEC_CHUNK,
     VEC_MAX_ACCESSES,
 };
 use crate::cost::{CostCounters, CostTrace, OpKind};
@@ -97,6 +97,29 @@ fn elem_fault(
             RunError::Unallocated { var: name.clone() }
         }
         (None, _) => RunError::Type { msg: format!("`{name}` is not an array") },
+    }
+}
+
+/// Folds a chunk of accumulator-statement `terms` into `acc` in
+/// iteration order, the accumulator on the side it held in source, and
+/// writes each lane's running value to `run` when a later statement
+/// reads it.
+#[inline(always)]
+fn fold_lanes(r: VecRed, acc: &mut f64, terms: &[f64], run: Option<&mut [f64]>) {
+    let step = |a: f64, t: f64| match (r.op, r.acc_left) {
+        (VecRedOp::Add, true) => a + t,
+        (VecRedOp::Add, false) => t + a,
+        (VecRedOp::Mul, true) => a * t,
+        (VecRedOp::Mul, false) => t * a,
+    };
+    match run {
+        None => terms.iter().for_each(|&t| *acc = step(*acc, t)),
+        Some(run) => {
+            for (&t, x) in terms.iter().zip(run) {
+                *acc = step(*acc, t);
+                *x = *acc;
+            }
+        }
     }
 }
 
@@ -766,10 +789,16 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
     /// guards run once, before the first element is written, and both
     /// rungs commit on the same set, so a loop either completes on a
     /// fast rung or executes fully scalar, with bit-identical results. A guard failure on a promoted region is a
-    /// *deopt*, counted on the session. Step pre-reservation and the
-    /// interrupt cadence (one poll per ~1024 scalar-equivalent steps) are
-    /// the same on every rung, so `RunLimits` and cancellation trip
-    /// identically.
+    /// *deopt*, counted on the session. Step pre-reservation is the same
+    /// on every rung and exact: an entry that commits retires what the
+    /// scalar loop would, `trip x iter_cost` (plus `taken x taken_cost`
+    /// for a select) and the head once more to leave, less the
+    /// forwarded-temp fixup's `fixup_cost`, which the fixup then retires
+    /// itself on the exit edge the scalar loop jumps over. A budget that
+    /// cannot cover that sends the loop to the scalar head, so
+    /// `RunLimits` trips at the same step on every rung. The interrupt
+    /// cadence (one poll per ~1024 scalar-equivalent steps) is the same
+    /// too, so cancellation trips identically.
     ///
     /// A Simulated run (`TRACE`) commits the same way and then posts
     /// `trip x iter_ledger` — what the scalar body would have posted one
@@ -812,14 +841,18 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             Some(x) if x > 0 => x,
             _ => return Ok(false), // zero-trip: scalar head exits at once
         };
-        // Pre-reserve the steps the scalar loop would retire. If the
-        // budget can't cover them, run scalar so it trips with the
-        // stock error at the right iteration.
-        let cost = (n as u64).saturating_mul(u64::from(d.iter_cost));
-        if let Some(max) = ex.limits.max_steps {
-            if self.steps.saturating_add(cost) > max {
-                return Ok(false);
-            }
+        // Pre-reserve the steps the scalar loop would retire: every
+        // trip, and the head once more to leave. If the budget can't
+        // cover them, run scalar so it trips with the stock error at
+        // the right iteration. The forwarded-temp fixup on the exit edge
+        // retires `fixup_cost` steps of its own, which the scalar loop
+        // jumps over, so a committed entry counts that many fewer; a
+        // trip too short to pay for the fixup runs scalar.
+        let cost = (n as u64).saturating_mul(u64::from(d.iter_cost)).saturating_add(1);
+        let fixup = u64::from(d.fixup_cost);
+        let over = ex.limits.max_steps.is_some_and(|max| self.steps.saturating_add(cost) > max);
+        if cost < fixup || over {
+            return Ok(false);
         }
         // Promotion: count this entry's heat and fetch the compiled
         // region if it's past the threshold (re-verified + emitted on
@@ -889,14 +922,14 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             if ex.limits.max_steps.is_some_and(|max| self.steps.saturating_add(cost) > max) {
                 return Ok(false);
             }
-            self.steps = self.steps.saturating_add(cost);
+            self.steps = self.steps.saturating_add(cost - fixup);
             self.vector_entries += 1;
             frame.i[s.acc as usize] = acc;
             Self::leave_do_state(frame, d, ctr, hi, var);
             return Ok(true);
         }
         // Committed: all guards passed.
-        self.steps = self.steps.saturating_add(cost);
+        self.steps = self.steps.saturating_add(cost - fixup);
         if let Some(l) = ledger {
             self.st.cost.post_scaled(l, n as u64);
         }
@@ -997,11 +1030,15 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         // A verified lane op only names declared accesses, all resolved.
         let stream = |ai: u32| rt[ai as usize].expect("resolved access stream");
         // Every lane is written before it is read: grow, never clear.
-        let need = (d.max_depth as usize).max(1) * VEC_CHUNK;
+        // The running value's lanes sit past the operand depths.
+        let run_at = (d.max_depth as usize).max(1) * VEC_CHUNK;
+        let need = run_at + VEC_CHUNK;
         if vbuf.len() < need {
             vbuf.resize(need, 0.0);
         }
         let vbuf = vbuf.as_mut_slice();
+        // The accumulator statement's index; past the last without one.
+        let acc_stmt = d.red.map_or(d.stmts.len(), |r| r.stmt as usize);
         let mut k0: i64 = 0;
         while k0 < n {
             // The scalar tick() only polls the deadline/token every
@@ -1010,7 +1047,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 ex.limits.check_interrupt(None)?;
             }
             let m = ((n - k0) as usize).min(VEC_CHUNK);
-            for ops in &d.stmts {
+            for (k, ops) in d.stmts.iter().enumerate() {
                 let mut dep = 0usize;
                 for op in ops {
                     match *op {
@@ -1021,6 +1058,10 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                                 *x = arr.get_f(off as usize);
                                 off += stride;
                             }
+                            dep += 1;
+                        }
+                        VecOp::Running => {
+                            vbuf.copy_within(run_at..run_at + m, dep * VEC_CHUNK);
                             dep += 1;
                         }
                         VecOp::Splat(c) => {
@@ -1124,18 +1165,17 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                         }
                     }
                 }
-            }
-            if let (Some(r), Some(a)) = (d.red, acc.as_mut()) {
-                // The single reduction program left its term lanes
-                // at depth 0; fold them in iteration order with the
-                // accumulator on the side it held in source.
-                for &t in &vbuf[..m] {
-                    *a = match (r.op, r.acc_left) {
-                        (VecRedOp::Add, true) => *a + t,
-                        (VecRedOp::Add, false) => t + *a,
-                        (VecRedOp::Mul, true) => *a * t,
-                        (VecRedOp::Mul, false) => t * *a,
-                    };
+                if k == acc_stmt {
+                    if let (Some(r), Some(a)) = (d.red, acc.as_mut()) {
+                        // The accumulator statement left its term lanes
+                        // at depth 0: fold them in iteration order with
+                        // the accumulator on the side it held in source,
+                        // keeping each lane's running value for the
+                        // statements after it.
+                        let (terms, run) = vbuf.split_at_mut(run_at);
+                        let later = k + 1 < d.stmts.len();
+                        fold_lanes(r, a, &terms[..m], later.then(|| &mut run[..m]));
+                    }
                 }
             }
             k0 += m as i64;

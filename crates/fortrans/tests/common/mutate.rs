@@ -56,7 +56,7 @@ pub fn corrupt(bunits: &mut [BUnit], seed: u64) -> Option<Mutation> {
         return None;
     }
     let u = units[rng.below(units.len())];
-    const KINDS: usize = 14;
+    const KINDS: usize = 15;
     let start = rng.below(KINDS);
     for k in 0..KINDS {
         let got = match (start + k) % KINDS {
@@ -73,7 +73,8 @@ pub fn corrupt(bunits: &mut [BUnit], seed: u64) -> Option<Mutation> {
             10 => sub_operand(&mut bunits[u], &mut rng),
             11 => vec_iter_ledger(&mut bunits[u], &mut rng),
             12 => vec_proof(&mut bunits[u], &mut rng),
-            _ => call_arity(&mut bunits[u], &mut rng),
+            13 => call_arity(&mut bunits[u], &mut rng),
+            _ => vec_running_sum(&mut bunits[u], &mut rng),
         };
         if let Some((kind, detail)) = got {
             return Some(Mutation { unit: u, kind, detail });
@@ -436,6 +437,45 @@ fn vec_proof(bu: &mut BUnit, rng: &mut Rng) -> Applied {
         },
     };
     Some(("vec-proof", format!("descriptor {d}: {detail}")))
+}
+
+/// Breaks a running sum: moves a statement that reads the running value
+/// ahead of the accumulator statement, or turns a map descriptor's first
+/// lane push into a running-value read though it has no accumulator.
+/// Either way the vector rung would read lanes no fold has filled.
+fn vec_running_sum(bu: &mut BUnit, rng: &mut Rng) -> Applied {
+    use fortrans::bytecode::VecOp;
+    let reads = |ops: &Vec<VecOp>| ops.iter().any(|op| matches!(op, VecOp::Running));
+    let push = |op: &VecOp| {
+        matches!(
+            op,
+            VecOp::Load(_)
+                | VecOp::Splat(_)
+                | VecOp::SplatF(_)
+                | VecOp::SplatG(_)
+                | VecOp::SplatI { .. }
+        )
+    };
+    let running: Vec<usize> =
+        (0..bu.vecs.len()).filter(|&d| bu.vecs[d].stmts.iter().any(reads)).collect();
+    let maps: Vec<usize> = (0..bu.vecs.len())
+        .filter(|&d| bu.vecs[d].red.is_none() && bu.vecs[d].stmts.iter().flatten().any(push))
+        .collect();
+    if !running.is_empty() && (maps.is_empty() || rng.below(2) == 0) {
+        let d = running[rng.below(running.len())];
+        let desc = &mut bu.vecs[d];
+        let k = desc.stmts.iter().position(reads).expect("a statement reads it");
+        let stmt = desc.stmts.remove(k);
+        desc.stmts.insert(0, stmt);
+        if let Some(r) = &mut desc.red {
+            r.stmt += 1;
+        }
+        return Some(("vec-running-sum", format!("descriptor {d}: statement {k} moved first")));
+    }
+    let d = *maps.get(rng.below(maps.len()))?;
+    let op = bu.vecs[d].stmts.iter_mut().flatten().find(|op| push(op)).expect("a lane push");
+    *op = VecOp::Running;
+    Some(("vec-running-sum", format!("descriptor {d}: a lane push reads a running value")))
 }
 
 /// Breaks a call site: drops an argument (arity mismatch) or, for

@@ -296,6 +296,34 @@ END MODULE m
             entry: "spread",
             mk_args: || vec![ArgVal::I(16)],
         },
+        // A running sum after a map statement (the `vec-running-sum`
+        // target).
+        Prog {
+            label: "running",
+            src: r#"
+MODULE m
+CONTAINS
+  REAL(8) FUNCTION scan(a, n)
+    REAL(8), DIMENSION(1:16) :: a
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:16) :: c
+    REAL(8) :: s
+    s = 0.0D0
+    DO i = 1, n
+      c(i) = a(i) * 0.5D0
+      s = s + c(i)
+      a(i) = s * 2.0D0
+    END DO
+    scan = s + a(n)
+  END FUNCTION scan
+END MODULE m
+"#,
+            entry: "scan",
+            mk_args: || {
+                let a: Vec<f64> = (1..=16).map(|i| i as f64 * 0.25).collect();
+                vec![ArgVal::array_f(&a, 1), ArgVal::I(16)]
+            },
+        },
     ]
 }
 
@@ -349,6 +377,7 @@ fn seeded_corruptions_are_all_rejected_by_the_verifier() {
         "vec-iter-ledger",
         "vec-proof",
         "sub-operand",
+        "vec-running-sum",
     ] {
         assert!(by_kind.contains_key(kind), "mutation kind {kind} never applied: {by_kind:?}");
     }

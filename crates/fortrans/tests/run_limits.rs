@@ -365,3 +365,138 @@ fn limit_errors_carry_context_too() {
         assert!(err.contains("in spin at line "), "{tier:?} context missing: {err}");
     }
 }
+
+/// One region of each shape over 64 trips: a map, a reduction, a masked
+/// select, a nest, a map whose forwarded temp is read after the loop (so
+/// its fixup stays), and a running sum.
+const SHAPES: &str = r#"
+MODULE m
+CONTAINS
+  SUBROUTINE map(n, a, b, k, g, out)
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:64) :: a, b, out
+    INTEGER, DIMENSION(1:64) :: k
+    REAL(8), DIMENSION(1:3, 1:64) :: g
+    DO i = 1, n
+      b(i) = a(i) * 2.0D0 + 1.0D0
+    END DO
+  END SUBROUTINE map
+  SUBROUTINE red(n, a, b, k, g, out)
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:64) :: a, b, out
+    INTEGER, DIMENSION(1:64) :: k
+    REAL(8), DIMENSION(1:3, 1:64) :: g
+    REAL(8) :: s
+    s = 0.0D0
+    DO i = 1, n
+      s = s + a(i) * a(i)
+    END DO
+    out(1) = s
+  END SUBROUTINE red
+  SUBROUTINE sel(n, a, b, k, g, out)
+    INTEGER :: n, i, j
+    REAL(8), DIMENSION(1:64) :: a, b, out
+    INTEGER, DIMENSION(1:64) :: k
+    REAL(8), DIMENSION(1:3, 1:64) :: g
+    j = 0
+    DO i = 1, n
+      IF (k(i) > 3) j = MAX(j, i)
+    END DO
+    out(1) = j
+  END SUBROUTINE sel
+  SUBROUTINE nest(n, a, b, k, g, out)
+    INTEGER :: n, i, d
+    REAL(8), DIMENSION(1:64) :: a, b, out
+    INTEGER, DIMENSION(1:64) :: k
+    REAL(8), DIMENSION(1:3, 1:64) :: g
+    DO i = 1, n
+      DO d = 1, 3
+        g(d, i) = a(i) * d
+      END DO
+    END DO
+  END SUBROUTINE nest
+  SUBROUTINE fwd(n, a, b, k, g, out)
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:64) :: a, b, out
+    INTEGER, DIMENSION(1:64) :: k
+    REAL(8), DIMENSION(1:3, 1:64) :: g
+    REAL(8) :: t
+    DO i = 1, n
+      t = a(i) * 2.0D0
+      b(i) = t + 1.0D0
+    END DO
+    out(1) = t
+  END SUBROUTINE fwd
+  SUBROUTINE run(n, a, b, k, g, out)
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:64) :: a, b, out
+    INTEGER, DIMENSION(1:64) :: k
+    REAL(8), DIMENSION(1:3, 1:64) :: g
+    REAL(8) :: s
+    s = 1.0D0
+    DO i = 1, n
+      s = s + a(i)
+      b(i) = s * 0.5D0
+    END DO
+    out(1) = s
+  END SUBROUTINE run
+END MODULE m
+"#;
+
+/// The smallest step budget `unit` finishes under on one rung, and the
+/// region entries (vector, native) its run at that budget made.
+fn smallest_budget(unit: &str, vector: bool, native: bool) -> (u64, u64, u64) {
+    let mut engine = Session::compile(&[SHAPES]).unwrap();
+    engine.set_vector_enabled(vector);
+    engine.set_native_enabled(native);
+    engine.set_native_eager(native);
+    let mut run = |max_steps: u64| {
+        engine.set_limits(RunLimits { max_steps: Some(max_steps), ..RunLimits::default() });
+        let a: Vec<f64> = (0..64).map(|x| f64::from(x) * 0.25).collect();
+        let k: Vec<i64> = (0..64).map(|x| x % 7).collect();
+        let args = [
+            ArgVal::I(64),
+            ArgVal::array_f(&a, 1),
+            ArgVal::array_f(&[0.0; 64], 1),
+            ArgVal::array_i(&k, 1),
+            ArgVal::array_f_dims(&[0.0; 3 * 64], vec![(1, 3), (1, 64)]).unwrap(),
+            ArgVal::array_f(&[0.0; 64], 1),
+        ];
+        let before = (engine.vector_entry_count(), engine.native_entry_count());
+        let ok = engine.run_tiered(unit, &args, ExecMode::Serial, ExecTier::Vm).is_ok();
+        let after = (engine.vector_entry_count(), engine.native_entry_count());
+        (ok, (after.0 - before.0, after.1 - before.1))
+    };
+    let (mut lo, mut hi) = (1u64, 1u64 << 16);
+    assert!(run(hi).0, "{unit}: the generous budget trips");
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if run(mid).0 {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    let (ok, (vec_entries, native_entries)) = run(lo);
+    assert!(ok);
+    (lo, vec_entries, native_entries)
+}
+
+/// `RunLimits` trips at the same step on every rung: a committed region
+/// entry retires exactly what its scalar loop would — every trip, the
+/// loop head once more to leave, and not the forwarded-temp fixup the
+/// scalar loop jumps over — so the smallest budget a run finishes under
+/// is the same on the scalar, vector and eager-native rungs, and at that
+/// budget the fast rungs still take the region.
+#[test]
+fn smallest_step_budget_is_the_same_on_every_rung() {
+    for unit in ["map", "red", "sel", "nest", "fwd", "run"] {
+        let (scalar, ..) = smallest_budget(unit, false, false);
+        let (vector, vec_entries, _) = smallest_budget(unit, true, false);
+        assert_eq!((vector, vec_entries), (scalar, 1), "{unit}: vector rung against scalar");
+        let (native, vec_entries, native_entries) = smallest_budget(unit, true, true);
+        assert_eq!(native, scalar, "{unit}: eager native rung against scalar");
+        // Selects and running sums stay on the vector rung.
+        assert_eq!(vec_entries + native_entries, 1, "{unit}: eager native rung entries");
+    }
+}

@@ -759,6 +759,20 @@ CONTAINS
       IF (idx(i) > 0 .AND. i <= n - k) m = MIN(i + 1, m)
     END DO
   END SUBROUTINE zoo
+  SUBROUTINE carried(n, a, b)
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:64) :: a, b
+    REAL(8) :: s
+    s = 0.0D0
+    DO i = 1, n
+      b(i) = s
+      s = s + a(i)
+    END DO
+    DO i = 1, n
+      s = s + a(i)
+      b(i) = a(s)
+    END DO
+  END SUBROUTINE carried
 END MODULE m
 "#;
     let art = Session::compile(&[src]).unwrap();
@@ -776,6 +790,8 @@ END MODULE m
             (37, NotInjective), // ... and alone the inner loop writes one cell
             (41, Shape),
             (44, Control), // the condition reads the accumulator
+            (56, Shape),   // `b(i) = s` reads `s` before its update
+            (60, Shape),   // a subscript would freeze the running value
         ]
     );
     // g(1, i), g(2, i), g(3, i) at 31 never meet; 47 is a masked select.
@@ -1790,4 +1806,201 @@ fn every_lane_intrinsic_and_powi_form_agrees_on_every_rung() {
             assert_eq!(entered, 2, "{} rung entries under {mode:?}", rung.0);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Running sums: an accumulator statement whose running value later
+// statements read
+// ---------------------------------------------------------------------
+
+/// Six running sums: `+` and `*`, the accumulator on either side, frame
+/// accumulators and a module one, the running value read by one later
+/// statement or several, next to forwarded temps (`t` is read after the
+/// loop, so its fixup stays; `w` is not) and after a map statement. The
+/// inputs keep two NaNs from ever meeting in one operation (whose
+/// payload rustc leaves to operand order): `a` holds one signaling NaN
+/// and no infinity, `b` both infinities (one NaN once they meet) and no
+/// NaN, `c` neither.
+const RUNNING: &str = r#"
+MODULE rs_m
+  REAL(8) :: gs
+CONTAINS
+  SUBROUTINE sums(n, a, b, c, o)
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:129) :: a, b, c
+    REAL(8), DIMENSION(1:129, 1:11) :: o
+    REAL(8) :: s, r, p, q, v, t, w
+    s = 0.5D0
+    DO i = 1, n
+      s = s + a(i)
+      o(i, 1) = s
+    END DO
+    r = -0.0D0
+    DO i = 1, n
+      r = b(i) + r
+      o(i, 2) = r * 2.0D0
+      o(i, 3) = EXP(-r / MAX(c(i), 0.01D0))
+    END DO
+    p = 1.0D0
+    DO i = 1, n
+      t = c(i) * 0.5D0
+      p = p * (t + 0.75D0)
+      w = a(i) - 1.0D0
+      o(i, 4) = p - w
+      o(i, 5) = p * t
+    END DO
+    q = -1.0D0
+    DO i = 1, n
+      q = a(i) * q
+      o(i, 6) = q
+    END DO
+    DO i = 1, n
+      gs = gs + c(i) * c(i)
+      o(i, 7) = gs - a(i)
+    END DO
+    v = 0.0D0
+    DO i = 1, n
+      o(i, 8) = c(i) * 3.0D0
+      v = v + o(i, 8)
+      o(i, 9) = v
+    END DO
+    o(1, 10) = s + r + p + q + v
+    o(1, 11) = t
+  END SUBROUTINE sums
+END MODULE rs_m
+"#;
+
+fn running_args(n: i64) -> Vec<ArgVal> {
+    let edges = [0.0, -0.0, f64::from_bits(1), -f64::from_bits(0x000f_ffff_ffff_ffff), 1e-300];
+    let pick = |k: usize, scale: f64| match k % 9 {
+        0..=4 => edges[k % 9],
+        j => scale * (j as f64 - 6.5) * (1.0 + k as f64 / 64.0),
+    };
+    let mut a: Vec<f64> = (0..129).map(|k| pick(k, 0.75)).collect();
+    a[99] = f64::from_bits(0x7ff0_0000_0000_0003);
+    let mut b: Vec<f64> = (0..129).map(|k| pick(k + 3, 2.0)).collect();
+    b[9] = f64::INFINITY;
+    b[69] = f64::NEG_INFINITY;
+    let c: Vec<f64> = (0..129).map(|k| pick(k + 5, 0.5)).collect();
+    vec![
+        ArgVal::I(n),
+        ArgVal::array_f(&a, 1),
+        ArgVal::array_f(&b, 1),
+        ArgVal::array_f(&c, 1),
+        ArgVal::array_f_dims(&[0.0; 129 * 11], vec![(1, 129), (1, 11)]).unwrap(),
+    ]
+}
+
+#[test]
+fn running_sums_agree_on_every_rung_at_the_chunk_edges() {
+    let rep: Vec<_> = Session::compile(&[RUNNING]).unwrap().vector_report();
+    let shapes: Vec<_> = rep.iter().map(|r| (r.stmts, r.reduction)).collect();
+    assert_eq!(shapes, [(2, true), (3, true), (3, true), (2, true), (2, true), (3, true)]);
+    let run = |rung: &str, n: i64, mode: ExecMode| {
+        let e = Session::compile(&[RUNNING]).unwrap();
+        let (vector, native) = (rung != "scalar", rung == "native");
+        e.set_vector_enabled(vector);
+        e.set_native_enabled(native);
+        e.set_native_eager(native);
+        let args = running_args(n);
+        let tier = if rung == "oracle" { ExecTier::TreeWalk } else { ExecTier::Vm };
+        let out = e.run_tiered("sums", &args, mode, tier).expect("runs");
+        assert!(out.fallback.is_none(), "{rung} fell back under {mode:?}");
+        let globals = e.global_names();
+        let gs = globals.iter().map(|g| format!("{g}: {:?}", e.global_scalar(g))).collect();
+        let arrays: Vec<Vec<u64>> =
+            args.iter().filter_map(|a| a.handle().map(|h| dump(h))).collect();
+        let entries = (e.vector_entry_count(), e.native_entry_count(), e.native_deopt_count());
+        (arrays, gs, out.trace, entries)
+    };
+    for n in [0, 1, 63, 64, 65, 129] {
+        for mode in SELECT_MODES {
+            let (want, want_gs, want_trace, _): (_, Vec<String>, _, _) = run("oracle", n, mode);
+            for rung in ["scalar", "vector", "native"] {
+                let (got, gs, trace, entries) = run(rung, n, mode);
+                let at = format!("{rung} rung, n = {n}, {mode:?}");
+                assert_eq!(got, want, "{at}: arrays against the oracle");
+                assert_eq!(gs, want_gs, "{at}: globals against the oracle");
+                assert_eq!(trace, want_trace, "{at}: CostTrace");
+                // The JIT refuses running sums: eager native runs them on
+                // the vector rung, and never deopts.
+                let fast = if rung == "scalar" || n == 0 { 0 } else { 6 };
+                assert_eq!(entries, (fast, 0, 0), "{at}: vector, native entries, deopts");
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Forwarded-temp fixups: only for a temp something reads after the loop
+// ---------------------------------------------------------------------
+
+/// The same map with a forwarded temp four times: `t` read after the
+/// loop, a dummy `d` (its value goes back to the caller), the function
+/// result, and a `t` nothing reads again.
+const FIXUPS: &str = r#"
+MODULE m
+CONTAINS
+  REAL(8) FUNCTION kept(n, a, b)
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:64) :: a, b
+    REAL(8) :: t
+    DO i = 1, n
+      t = a(i) * 2.0D0
+      b(i) = t + 1.0D0
+    END DO
+    kept = t - 1.0D0
+  END FUNCTION kept
+  SUBROUTINE dummy(n, a, b, d)
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:64) :: a, b
+    REAL(8) :: d
+    DO i = 1, n
+      d = a(i) * 2.0D0
+      b(i) = d + 1.0D0
+    END DO
+  END SUBROUTINE dummy
+  REAL(8) FUNCTION result(n, a, b)
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:64) :: a, b
+    DO i = 1, n
+      result = a(i) * 2.0D0
+      b(i) = result + 1.0D0
+    END DO
+  END FUNCTION result
+  SUBROUTINE dropped(n, a, b)
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:64) :: a, b
+    REAL(8) :: t
+    t = 5.0D0
+    DO i = 1, n
+      t = a(i) * 2.0D0
+      b(i) = t + 1.0D0
+    END DO
+  END SUBROUTINE dropped
+END MODULE m
+"#;
+
+#[test]
+fn a_forwarded_temp_keeps_its_fixup_only_when_read_after_the_loop() {
+    let e = Session::compile(&[FIXUPS]).unwrap();
+    for traced in [false, true] {
+        let bunits = e.artifact().bytecode(traced);
+        let fixup = |unit: &str| {
+            let u = e.program().unit_id(unit).expect("unit exists");
+            bunits.iter().find(|b| b.unit as usize == u).expect("lowered").vecs[0].fixup_cost
+        };
+        // `t * 2` recomputed and stored (four instructions: load, constant,
+        // multiply, store), plus the traced build's quiet bracket.
+        let kept = 4 + u32::from(traced);
+        let costs = ["kept", "dummy", "result", "dropped"].map(fixup);
+        assert_eq!(costs, [kept, kept, kept, 0], "traced = {traced}");
+    }
+    let a: Vec<f64> = (0..64).map(|k| f64::from(k) * 0.75 - 9.0).collect();
+    let args = || vec![ArgVal::I(64), ArgVal::array_f(&a, 1), ArgVal::array_f(&[0.0; 64], 1)];
+    let with_dummy = || [args(), vec![ArgVal::F(0.0)]].concat();
+    vector_differential("fixup kept", FIXUPS, "kept", args, true);
+    vector_differential("fixup of a dummy", FIXUPS, "dummy", with_dummy, true);
+    vector_differential("fixup of the result", FIXUPS, "result", args, true);
+    vector_differential("no fixup", FIXUPS, "dropped", args, true);
 }

@@ -617,7 +617,8 @@ END MODULE m
 ];
 
 /// A vectorizable loop with prep (`k + 1` into a hidden slot) and a
-/// forwarded temp, so the traced build carries both quiet brackets.
+/// forwarded temp read after it, so the traced build carries both quiet
+/// brackets.
 const LEDGER: &str = r#"
 MODULE m
 CONTAINS
@@ -630,6 +631,7 @@ CONTAINS
       t = b(i) * 0.5D0
       a(i, k + 1) = t + SQRT(b(i))
     END DO
+    b(1) = t
   END SUBROUTINE sweep
 END MODULE m
 "#;
@@ -1001,5 +1003,75 @@ fn rejection_baselines_are_clean() {
     for src in [BRANCHY, GATHER, NEST, SELECT, FIXED, PROVEN] {
         let (engine, bunits) = compiled(src);
         verify_program(engine.program(), &bunits).expect("baseline verifies");
+    }
+}
+
+/// A running sum after a map statement, then a map whose forwarded temp
+/// is read after the loop (its descriptor carries a fixup cost).
+const RUNNING: &str = r#"
+MODULE m
+CONTAINS
+  SUBROUTINE scan(n, a, b, c)
+    INTEGER :: n, i
+    REAL(8), DIMENSION(1:32) :: a, b, c
+    REAL(8) :: s, t
+    s = 0.0D0
+    DO i = 1, n
+      c(i) = a(i) * 0.5D0
+      s = s + a(i)
+      b(i) = s * 2.0D0
+    END DO
+    DO i = 1, n
+      t = a(i) + 1.0D0
+      c(i) = t * 2.0D0
+    END DO
+    b(1) = t
+  END SUBROUTINE scan
+END MODULE m
+"#;
+
+/// The vector rung fills a running value's lanes when it folds the
+/// accumulator statement, so only the statements after it may read
+/// them, and only in a descriptor that has one; a committed entry
+/// reserves the loop's steps less its fixup's. The verifier checks each.
+#[test]
+fn rejects_running_value_reads_the_fold_has_not_filled_and_a_wrong_fixup_cost() {
+    use fortrans::bytecode::VecOp;
+    let engine = Session::compile(&[RUNNING]).unwrap();
+    for traced in [false, true] {
+        let base = compile_program(engine.program(), traced);
+        verify_program(engine.program(), &base).expect("baseline verifies");
+        let (sum, map) = (&base[0].vecs[0], &base[0].vecs[1]);
+        assert_eq!((sum.stmts.len(), sum.red.map(|r| r.stmt)), (3, Some(1)));
+        assert!(matches!(sum.stmts[2].first(), Some(VecOp::Running)), "{:?}", sum.stmts[2]);
+        assert_eq!((map.red.is_none(), map.fixup_cost), (true, 4 + u32::from(traced)));
+
+        // The reading statement moved ahead of the accumulator's.
+        let mut moved = base.clone();
+        let d = &mut moved[0].vecs[0];
+        let read = d.stmts.pop().unwrap();
+        d.stmts.insert(0, read);
+        d.red.as_mut().unwrap().stmt = 2;
+        let msg = reject_msg(&engine, &moved);
+        assert!(msg.contains("running-value read in statement 0 does not follow"), "{msg}");
+
+        // A running-value read in a map descriptor.
+        let mut orphan = base.clone();
+        orphan[0].vecs[1].stmts[0][0] = VecOp::Running;
+        let msg = reject_msg(&engine, &orphan);
+        assert!(msg.contains("running-value read in a descriptor with no accumulator"), "{msg}");
+
+        // An accumulator statement the descriptor does not have.
+        let mut missing = base.clone();
+        missing[0].vecs[0].red.as_mut().unwrap().stmt = 3;
+        let msg = reject_msg(&engine, &missing);
+        assert!(msg.contains("accumulator statement 3 out of range"), "{msg}");
+
+        for fixup_cost in [0, 5 + u32::from(traced)] {
+            let mut miscounted = base.clone();
+            miscounted[0].vecs[1].fixup_cost = fixup_cost;
+            let msg = reject_msg(&engine, &miscounted);
+            assert!(msg.contains("fixup cost"), "{msg}");
+        }
     }
 }

@@ -1,10 +1,12 @@
 //! The Synoptic SARB case study end-to-end (paper §4.1): generate the six
 //! kernels with GLAF, show the legacy-integration features in the output,
-//! substitute them into the legacy code base, verify §4.1.1-style, and
-//! print the Fig. 5 speed-up ladder.
+//! substitute them into the legacy code base, verify §4.1.1-style,
+//! print the Fig. 5 speed-up ladder, and time `g_sw_band`'s direct-beam
+//! attenuation loop on each VM rung.
 //!
 //! Run with: `cargo run --release --example sarb_integration`
 
+use glaf_repro::fortrans::{ArgVal, ExecMode, Session};
 use glaf_repro::glaf::compare_slices;
 use glaf_repro::sarb::variants::{
     generated_source, run_real, run_simulated, SarbVariant,
@@ -60,4 +62,90 @@ fn main() {
             base.report.total_cycles / r.report.total_cycles
         );
     }
+
+    // 4. What one `g_sw_band` attenuation loop costs per call on each
+    //    rung: the running sum (`taucum` carried from trip to trip and
+    //    read by the `swdir` statement), and the same loop without the
+    //    recurrence. The JIT refuses running sums, so the native row of
+    //    the first loop runs on the vector rung.
+    println!("\n=== g_sw_band attenuation loop, us per call (Serial, best of 9 x 20k calls) ===");
+    let rungs = [("scalar", false, false), ("vector", true, false), ("native", true, true)];
+    for (loop_name, driver) in [("running sum", "drive_band"), ("no recurrence", "drive_flat")] {
+        for (rung, vector, native) in rungs {
+            let session = Session::compile(&[SW_PROBE]).expect("probe compiles");
+            session.set_vector_enabled(vector);
+            session.set_native_enabled(native);
+            session.set_native_eager(native);
+            session.run("fill", &[], ExecMode::Serial).expect("inputs fill");
+            let calls = 20_000;
+            let run = || session.run(driver, &[ArgVal::I(calls)], ExecMode::Serial).expect("runs");
+            run();
+            let best = (0..9)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    run();
+                    t.elapsed()
+                })
+                .min()
+                .expect("nine runs");
+            println!(
+                "  {loop_name:13} {rung:7} {:>6.2} us  ({} vector, {} native entries in all)",
+                best.as_secs_f64() * 1e6 / calls as f64,
+                session.vector_entry_count(),
+                session.native_entry_count()
+            );
+        }
+    }
 }
+
+/// `g_sw_band` as GLAF generates it (`u0` a global cell, as in the
+/// COMMON block), beside a copy of its attenuation loop without the
+/// recurrence; each driver calls one of them once per band in turn, on
+/// the inputs `fill` leaves in the module.
+const SW_PROBE: &str = r#"
+MODULE swprobe_m
+  REAL(8), DIMENSION(1:6, 1:60) :: tau_sw
+  REAL(8), DIMENSION(1:60) :: swdir
+  REAL(8) :: u0
+CONTAINS
+  SUBROUTINE g_sw_band(kbnd)
+    INTEGER :: kbnd, i
+    REAL(8) :: s0w, taucum
+    s0w = 1.36D3 / 2D0 ** kbnd * 7D-1
+    taucum = 0D0
+    DO i = 1, 60
+      taucum = taucum + tau_sw(kbnd, i)
+      swdir(i) = s0w * u0 * EXP((-taucum) / MAX(u0, 1D-2))
+    END DO
+  END SUBROUTINE g_sw_band
+  SUBROUTINE g_sw_flat(kbnd)
+    INTEGER :: kbnd, i
+    REAL(8) :: s0w
+    s0w = 1.36D3 / 2D0 ** kbnd * 7D-1
+    DO i = 1, 60
+      swdir(i) = s0w * u0 * EXP((-tau_sw(kbnd, i)) / MAX(u0, 1D-2))
+    END DO
+  END SUBROUTINE g_sw_flat
+  SUBROUTINE fill()
+    INTEGER :: k, i
+    u0 = 0.5D0
+    DO k = 1, 6
+      DO i = 1, 60
+        tau_sw(k, i) = 0.01D0 * i / k
+      END DO
+    END DO
+  END SUBROUTINE fill
+  SUBROUTINE drive_band(n)
+    INTEGER :: n, k
+    DO k = 1, n
+      CALL g_sw_band(MOD(k, 6) + 1)
+    END DO
+  END SUBROUTINE drive_band
+  SUBROUTINE drive_flat(n)
+    INTEGER :: n, k
+    DO k = 1, n
+      CALL g_sw_flat(MOD(k, 6) + 1)
+    END DO
+  END SUBROUTINE drive_flat
+END MODULE swprobe_m
+"#;
