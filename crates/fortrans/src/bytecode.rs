@@ -20,19 +20,23 @@
 //!   is elementwise REAL arithmetic over affine subscripts — inner loops
 //!   of a few literal trips looked through as if unrolled — get a
 //!   `VecLoop` in front that runs the whole trip as a [`VecDesc`];
-//! * constant subexpressions fold, and *scoped temporaries* — local
+//! * constant subexpressions fold, *scoped temporaries* — local
 //!   ALLOCATABLEs allocated once, to literal bounds, for the whole span
 //!   that uses them ([`scoped_temporaries`]) — become fixed-shape frame
-//!   arrays whose `ALLOCATE`/`DEALLOCATE` emit nothing; both only in the
-//!   *optimized* build variant.
+//!   arrays whose `ALLOCATE`/`DEALLOCATE` emit nothing, and *contracted
+//!   temporaries* — frame arrays each trip of one straight-line loop
+//!   writes at `t(m)` before reading ([`contracted_temporaries`]) —
+//!   become frame scalars; all three only in the *optimized* build
+//!   variant.
 //!
 //! Two build variants exist per program, and they are the same lowering
 //! but for what changes operation counts. `traced = false` (used by
 //! `ExecMode::Serial` / `Parallel`) applies everything above.
-//! `traced = true` (used by `ExecMode::Simulated`) omits two things —
+//! `traced = true` (used by `ExecMode::Simulated`) omits three things —
 //! operator folding, which removes operations the interpreter counts,
-//! and scoped temporaries, whose `ALLOCATE`s post the `alloc_calls` and
-//! `alloc_bytes` the interpreter counts —
+//! scoped temporaries, whose `ALLOCATE`s post the `alloc_calls` and
+//! `alloc_bytes` the interpreter counts, and contracted temporaries,
+//! whose element accesses post the loads and stores it counts —
 //! and adds the cost-only instructions (`CostBranch`,
 //! `VecEnter`/`VecLeave`, `Quiet`), so the VM emits a
 //! [`crate::cost::CostTrace`] bit-identical to the interpreter's.
@@ -78,6 +82,7 @@ use crate::cost::{Ledger, OpKind};
 use crate::intrinsics::Intr;
 use crate::interp::Val;
 use crate::rir::*;
+use std::borrow::Cow;
 
 mod vecplan;
 
@@ -1194,15 +1199,382 @@ fn scoped_temporaries(unit: &RUnit) -> Vec<(VarIdx, Vec<(i64, i64)>)> {
     out
 }
 
+/// A frame array [`contracted_temporaries`] may turn into a frame REAL
+/// scalar, with the pre-order indices of the `DO` loops around its one
+/// home loop, the home loop last.
+struct Contraction {
+    v: VarIdx,
+    loops: Vec<usize>,
+}
+
+/// The unit's *contracted temporaries*: rank-1 REAL frame arrays (no
+/// dummy, no SAVE — those live in global cells) that are scoped
+/// temporaries or fixed-shape locals, whose every mention but a scoped
+/// temporary's `ALLOCATE`/`DEALLOCATE` is an element `t(m)` in the
+/// straight-line body of one serial `DO m` loop — literal bounds inside
+/// the array's extent, unit step, no OMP directive on it or around it in
+/// this unit — that writes `t(m)` before any read of it in every
+/// iteration. Such an array holds, at any read, the value the same
+/// iteration stored, and nothing reads it after the loop or before
+/// the first store, so a scalar that takes each store behaves the same,
+/// bounds faults included: none can fire. DESIGN §6 says what breaks
+/// without each condition.
+fn contracted_temporaries(unit: &RUnit) -> Vec<Contraction> {
+    let scoped = scoped_temporaries(unit);
+    let extent: Vec<Option<(i64, i64)>> = unit
+        .vars
+        .iter()
+        .enumerate()
+        .map(|(v, info)| {
+            let frame = matches!(info.place, Place::Frame(_)) && !info.is_param;
+            if !frame || info.rank != 1 || info.ty != ScalarTy::F {
+                None
+            } else if info.allocatable {
+                scoped.iter().find(|(t, _)| *t == v).map(|(_, dims)| dims[0])
+            } else {
+                info.dims.first().copied()
+            }
+        })
+        .collect();
+    if extent.iter().all(Option::is_none) {
+        return Vec::new();
+    }
+    let mut scan = ContractScan {
+        unit,
+        extent,
+        home: vec![None; unit.vars.len()],
+        refused: vec![false; unit.vars.len()],
+        open: Vec::new(),
+        next_loop: 0,
+        trip: (0, (1, 0)),
+    };
+    scan.stmts(&unit.body, false);
+    let ContractScan { home, refused, .. } = scan;
+    home.into_iter()
+        .zip(refused)
+        .enumerate()
+        .filter_map(|(v, (home, refused))| {
+            Some(Contraction { v, loops: home.filter(|_| !refused)? })
+        })
+        .collect()
+}
+
+/// The walk [`contracted_temporaries`] makes, one per unit.
+struct ContractScan<'a> {
+    unit: &'a RUnit,
+    /// The extent of each candidate array, `None` for every other var.
+    extent: Vec<Option<(i64, i64)>>,
+    /// Per var: the loops around its home loop (see [`Contraction`]).
+    home: Vec<Option<Vec<usize>>>,
+    refused: Vec<bool>,
+    /// Pre-order indices of the serial `DO` loops around the walk.
+    open: Vec<usize>,
+    next_loop: usize,
+    /// The variable and bounds of the home loop being walked.
+    trip: (VarIdx, (i64, i64)),
+}
+
+impl ContractScan<'_> {
+    fn refuse_in(&mut self, e: &RExpr) {
+        walk_expr(e, &mut |seen| {
+            if let Seen::Ref(v) | Seen::Query(v) = seen {
+                self.refused[v] = true;
+            }
+        });
+    }
+
+    fn stmts(&mut self, body: &[SpStmt], in_omp: bool) {
+        for sp in body {
+            match &sp.s {
+                // A scoped temporary's pair, the only ones it has.
+                RStmt::Allocate { v, .. } | RStmt::Deallocate { v }
+                    if self.extent[*v].is_some() && self.unit.vars[*v].allocatable => {}
+                RStmt::Do { var, start, end, step, body, omp, collapse_with, .. } => {
+                    let id = self.next_loop;
+                    self.next_loop += 1;
+                    [start, end].into_iter().chain(step).for_each(|e| self.refuse_in(e));
+                    for c in collapse_with {
+                        self.refuse_in(&c.start);
+                        self.refuse_in(&c.end);
+                    }
+                    if let Some(o) = omp {
+                        for &v in o.private.iter().chain(o.reductions.iter().map(|(_, v)| v)) {
+                            self.refused[v] = true;
+                        }
+                        o.num_threads.iter().for_each(|e| self.refuse_in(e));
+                    }
+                    let in_omp = in_omp || omp.is_some();
+                    self.open.push(id);
+                    match (start, end, step) {
+                        (RExpr::ConstI(lo), RExpr::ConstI(hi), None | Some(RExpr::ConstI(1)))
+                            if !in_omp && collapse_with.is_empty() && self.straight(*var, body) =>
+                        {
+                            self.home_loop(*var, (*lo, *hi), body);
+                        }
+                        _ => self.stmts(body, in_omp),
+                    }
+                    self.open.pop();
+                }
+                RStmt::If { arms, else_body } => {
+                    for (c, b) in arms {
+                        self.refuse_in(c);
+                        self.stmts(b, in_omp);
+                    }
+                    self.stmts(else_body, in_omp);
+                }
+                RStmt::DoWhile { cond, body } => {
+                    self.refuse_in(cond);
+                    self.stmts(body, in_omp);
+                }
+                RStmt::Critical { body, .. } => self.stmts(body, in_omp),
+                s => walk_stmt(s, &mut |seen| match seen {
+                    Seen::Ref(v) | Seen::Alloc(v) | Seen::Dealloc(v) | Seen::Query(v) => {
+                        self.refused[v] = true;
+                    }
+                    Seen::Return => {}
+                }),
+            }
+        }
+    }
+
+    /// Whether a loop over frame variable `var` may be a home loop: its
+    /// body only assigns, and nothing in it stores to `var`.
+    fn straight(&self, var: VarIdx, body: &[SpStmt]) -> bool {
+        matches!(self.unit.vars[var].place, Place::Frame(_))
+            && body.iter().all(|sp| match &sp.s {
+                RStmt::AssignScalar { v, e } => *v != var && !expr_copies_out_to(e, var),
+                RStmt::AssignElem { subs, e, .. } => {
+                    !subs.iter().chain([e]).any(|x| expr_copies_out_to(x, var))
+                }
+                RStmt::Nop => true,
+                _ => false,
+            })
+    }
+
+    /// A straight-line loop body, statement by statement in iteration
+    /// order: a candidate's element `t(var)` makes this loop its home,
+    /// and may be read only once the iteration has written it; any other
+    /// mention refuses it.
+    fn home_loop(&mut self, var: VarIdx, bounds: (i64, i64), body: &[SpStmt]) {
+        self.trip = (var, bounds);
+        let mut written: Vec<VarIdx> = Vec::new();
+        for sp in body {
+            let (target, subs, e) = match &sp.s {
+                RStmt::AssignScalar { e, .. } => (None, &[][..], e),
+                RStmt::AssignElem { v, subs, e } => (Some(*v), subs.as_slice(), e),
+                _ => continue,
+            };
+            for x in subs.iter().chain([e]) {
+                self.reads(x, &written);
+            }
+            if let Some(w) = target.filter(|&w| self.extent[w].is_some()) {
+                if self.at_home(w, subs) {
+                    written.push(w);
+                } else {
+                    self.refused[w] = true;
+                }
+            }
+        }
+    }
+
+    /// Whether `subs` is `(var)` of the home loop being walked, inside
+    /// `w`'s extent on every trip; if so, that loop becomes `w`'s home
+    /// unless another loop already is.
+    fn at_home(&mut self, w: VarIdx, subs: &[RExpr]) -> bool {
+        let (var, (lo, hi)) = self.trip;
+        let Some((elo, ehi)) = self.extent[w] else { return false };
+        if !matches!(subs, [RExpr::LoadScalar(i)] if *i == var) || lo < elo || hi > ehi {
+            return false;
+        }
+        match &self.home[w] {
+            Some(loops) => *loops == self.open,
+            None => {
+                self.home[w] = Some(self.open.clone());
+                true
+            }
+        }
+    }
+
+    /// The candidates `e` reads in a home loop whose iteration has so far
+    /// written `written`: an element `t(var)` of one of those is the only
+    /// mention that does not refuse.
+    fn reads(&mut self, e: &RExpr, written: &[VarIdx]) {
+        match e {
+            RExpr::ConstI(_) | RExpr::ConstF(_) | RExpr::ConstB(_) => {}
+            RExpr::LoadElem { v, subs } => {
+                if self.extent[*v].is_some() && !(written.contains(v) && self.at_home(*v, subs)) {
+                    self.refused[*v] = true;
+                }
+                subs.iter().for_each(|x| self.reads(x, written));
+            }
+            RExpr::Bin { l, r, .. } => {
+                self.reads(l, written);
+                self.reads(r, written);
+            }
+            RExpr::Neg(x) | RExpr::Not(x) | RExpr::ToF(x) | RExpr::ToI(x) => {
+                self.reads(x, written);
+            }
+            RExpr::Intrinsic { args, .. } => args.iter().for_each(|x| self.reads(x, written)),
+            _ => self.refuse_in(e),
+        }
+    }
+}
+
+/// `unit` with the arrays `vars` contracted: each one declared a REAL
+/// scalar, its `ALLOCATE`/`DEALLOCATE` dropped, and every element of it
+/// a load or store of that scalar.
+fn contract(unit: &RUnit, vars: &[VarIdx]) -> RUnit {
+    fn expr(e: &mut RExpr, vars: &[VarIdx]) {
+        match e {
+            RExpr::LoadElem { v, .. } if vars.contains(v) => *e = RExpr::LoadScalar(*v),
+            RExpr::LoadElem { subs: xs, .. } | RExpr::Intrinsic { args: xs, .. } => {
+                xs.iter_mut().for_each(|x| expr(x, vars));
+            }
+            RExpr::Bin { l, r, .. } => {
+                expr(l, vars);
+                expr(r, vars);
+            }
+            RExpr::Neg(x) | RExpr::Not(x) | RExpr::ToF(x) | RExpr::ToI(x) => expr(x, vars),
+            _ => {}
+        }
+    }
+    fn stmts(body: &mut Vec<SpStmt>, vars: &[VarIdx]) {
+        body.retain(|sp| match sp.s {
+            RStmt::Allocate { v, .. } | RStmt::Deallocate { v } => !vars.contains(&v),
+            _ => true,
+        });
+        for sp in body.iter_mut() {
+            match &mut sp.s {
+                RStmt::AssignElem { v, e, .. } if vars.contains(v) => {
+                    let (v, mut e) = (*v, std::mem::replace(e, RExpr::ConstI(0)));
+                    expr(&mut e, vars);
+                    sp.s = RStmt::AssignScalar { v, e };
+                }
+                RStmt::AssignScalar { e, .. } => expr(e, vars),
+                RStmt::AssignElem { subs, e, .. } => {
+                    subs.iter_mut().for_each(|x| expr(x, vars));
+                    expr(e, vars);
+                }
+                RStmt::Do { body, .. }
+                | RStmt::DoWhile { body, .. }
+                | RStmt::Critical { body, .. } => stmts(body, vars),
+                RStmt::If { arms, else_body } => {
+                    arms.iter_mut().for_each(|(_, b)| stmts(b, vars));
+                    stmts(else_body, vars);
+                }
+                _ => {}
+            }
+        }
+    }
+    let mut out = unit.clone();
+    for &v in vars {
+        let info = &mut out.vars[v];
+        (info.rank, info.allocatable) = (0, false);
+        info.dims.clear();
+    }
+    stmts(&mut out.body, vars);
+    out
+}
+
+/// The unit the optimized build lowers: `unit` with its
+/// [`contracted_temporaries`] contracted, less those of any loop that
+/// the vector analysis accepts as it is and would refuse contracted —
+/// forward substitution copies a temporary's definition into each
+/// read, which can outgrow a region's caps. Borrowed when nothing is
+/// contracted.
+fn contracted_unit<'u>(prog: &RProgram, u: usize, unit: &'u RUnit) -> Cow<'u, RUnit> {
+    let mut picks = contracted_temporaries(unit);
+    if picks.is_empty() {
+        return Cow::Borrowed(unit);
+    }
+    let base_table = assign_slots(unit, false);
+    let base_loops = do_loops(&unit.body);
+    let mut base = UnitCompiler::new(prog, unit, u, &base_table, &[], false);
+    loop {
+        let vars: Vec<VarIdx> = picks.iter().map(|c| c.v).collect();
+        let out = contract(unit, &vars);
+        let mut probed: Vec<usize> = picks.iter().flat_map(|c| c.loops.iter().copied()).collect();
+        probed.sort_unstable();
+        probed.dedup();
+        let lost: Vec<usize> = {
+            let table = assign_slots(&out, false);
+            let loops = do_loops(&out.body);
+            let mut probe = UnitCompiler::new(prog, &out, u, &table, &[], false);
+            probed
+                .into_iter()
+                .filter(|&l| {
+                    base.vec_accepts(&base_loops[l].s) && !probe.vec_accepts(&loops[l].s)
+                })
+                .collect()
+        };
+        if lost.is_empty() {
+            return Cow::Owned(out);
+        }
+        picks.retain(|c| !c.loops.iter().any(|l| lost.contains(l)));
+        if picks.is_empty() {
+            return Cow::Borrowed(unit);
+        }
+    }
+}
+
+/// The `DO` statements of `body` in pre-order, the numbering
+/// [`Contraction::loops`] uses; [`contract`] keeps every one.
+fn do_loops(body: &[SpStmt]) -> Vec<&SpStmt> {
+    fn walk<'b>(body: &'b [SpStmt], out: &mut Vec<&'b SpStmt>) {
+        for sp in body {
+            match &sp.s {
+                RStmt::Do { body, .. } => {
+                    out.push(sp);
+                    walk(body, out);
+                }
+                RStmt::If { arms, else_body } => {
+                    arms.iter().for_each(|(_, b)| walk(b, out));
+                    walk(else_body, out);
+                }
+                RStmt::DoWhile { body, .. } | RStmt::Critical { body, .. } => walk(body, out),
+                _ => {}
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(body, &mut out);
+    out
+}
+
+/// How many of the arrays a region's loop mentions the optimized build
+/// contracted into scalars: of `unit` (as resolved), with the build's
+/// slot table `vslots`, the arrays in the `DO` statement at source line
+/// `line` whose slot is a scalar. [`crate::VectorLoopInfo::contracted`].
+pub(crate) fn contracted_in(unit: &RUnit, vslots: &[VSlot], line: u32) -> usize {
+    let mut seen = Vec::new();
+    if let Some(sp) = do_loops(&unit.body).into_iter().find(|sp| sp.line == line) {
+        walk_stmt(&sp.s, &mut |x| {
+            if let Seen::Ref(v) = x {
+                if unit.vars[v].rank > 0 && matches!(vslots[v], VSlot::F(_)) && !seen.contains(&v) {
+                    seen.push(v);
+                }
+            }
+        });
+    }
+    seen.len()
+}
+
 /// Compiles every unit of `prog`. `traced = true` produces the
 /// cost-exact variant for `ExecMode::Simulated`.
 pub fn compile_program(prog: &RProgram, traced: bool) -> Vec<BUnit> {
-    let tables: Vec<SlotTable> = prog.units.iter().map(|u| assign_slots(u, traced)).collect();
-    let mut bunits: Vec<BUnit> = prog
+    // Only the optimized build contracts: an element access posts the
+    // counts the interpreter posts, a frame scalar's load posts none.
+    let units: Vec<Cow<RUnit>> = prog
         .units
         .iter()
         .enumerate()
-        .map(|(u, unit)| UnitCompiler::new(prog, unit, u, &tables, traced).compile())
+        .map(|(u, unit)| if traced { Cow::Borrowed(unit) } else { contracted_unit(prog, u, unit) })
+        .collect();
+    let tables: Vec<SlotTable> = units.iter().map(|u| assign_slots(u, traced)).collect();
+    let mut bunits: Vec<BUnit> = units
+        .iter()
+        .enumerate()
+        .map(|(u, unit)| UnitCompiler::new(prog, unit, u, &tables[u], &tables, traced).compile())
         .collect();
     // Call sites read every unit's table; once all are lowered, each
     // unit takes its own.
@@ -1385,6 +1757,9 @@ struct UnitCompiler<'a> {
     prog: &'a RProgram,
     unit: &'a RUnit,
     unit_idx: usize,
+    /// The unit's own slot table.
+    table: &'a SlotTable,
+    /// Every unit's, for call sites (empty for a probe that emits none).
     tables: &'a [SlotTable],
     traced: bool,
     code: Vec<BInstr>,
@@ -1417,12 +1792,13 @@ impl<'a> UnitCompiler<'a> {
         prog: &'a RProgram,
         unit: &'a RUnit,
         unit_idx: usize,
+        table: &'a SlotTable,
         tables: &'a [SlotTable],
         traced: bool,
     ) -> Self {
         // Static-dims table: fixed-shape frame locals only (their handle
         // provably matches the declaration — fresh per call).
-        let t = &tables[unit_idx];
+        let t = table;
         let mut sdims = Vec::new();
         let mut sdim_of = vec![None; unit.vars.len()];
         for (v, info) in unit.vars.iter().enumerate() {
@@ -1439,6 +1815,7 @@ impl<'a> UnitCompiler<'a> {
             prog,
             unit,
             unit_idx,
+            table,
             tables,
             traced,
             // Past the first few doublings: most units lower to dozens
@@ -1452,7 +1829,7 @@ impl<'a> UnitCompiler<'a> {
             subops: Vec::new(),
             msgs: Vec::new(),
             ctx: Vec::new(),
-            ni_extra: tables[unit_idx].ni,
+            ni_extra: table.ni,
             lines: Vec::new(),
             last_line: u32::MAX,
             loops: Vec::new(),
@@ -1466,7 +1843,7 @@ impl<'a> UnitCompiler<'a> {
         let body = &self.unit.body;
         self.emit_block(body);
         self.loops.sort_by_key(|s| s.init_pc);
-        let t = &self.tables[self.unit_idx];
+        let t = self.table;
         BUnit {
             code: self.code,
             // Filled by `compile_program` once every unit is lowered.
@@ -1494,7 +1871,7 @@ impl<'a> UnitCompiler<'a> {
     // ---------- small helpers ----------
 
     fn vslot(&self, v: VarIdx) -> VSlot {
-        self.tables[self.unit_idx].vslots[v]
+        self.table.vslots[v]
     }
 
     fn pc(&self) -> u32 {
@@ -2007,8 +2384,7 @@ impl<'a> UnitCompiler<'a> {
     // ---------- statements ----------
 
     fn emit_block(&mut self, body: &[SpStmt]) {
-        let tables = self.tables;
-        let scoped = &tables[self.unit_idx].scoped;
+        let scoped = &self.table.scoped;
         for sp in body {
             // A scoped temporary's pair emits nothing, not even a line.
             if let RStmt::Allocate { v, .. } | RStmt::Deallocate { v } = sp.s {
@@ -2244,6 +2620,24 @@ impl<'a> UnitCompiler<'a> {
 
     // ---------- DO loops ----------
 
+    /// Whether a serial `DO` over `var` with `step` gets the fused
+    /// `DoInitC`/`DoHead1`/`DoIncr1` head, which a region needs: a
+    /// frame-I variable and a step that folds to 1.
+    fn fused_head(&self, var: VarIdx, step: Option<&RExpr>) -> bool {
+        let one = step.map_or(Some(1), |e| self.fold(e).map(|v| v.as_i())) == Some(1);
+        one && matches!(self.vslot(var), VSlot::I(_))
+    }
+
+    /// Whether emission outside any region makes the serial `DO` `s` a
+    /// region. The hidden slots the analysis takes are given back.
+    fn vec_accepts(&mut self, s: &RStmt) -> bool {
+        let RStmt::Do { var, step, body, omp: None, .. } = s else { return false };
+        let mark = self.ni_extra;
+        let ok = self.fused_head(*var, step.as_ref()) && self.analyze_vec(*var, body).is_ok();
+        self.ni_extra = mark;
+        ok
+    }
+
     fn emit_serial_do(
         &mut self,
         var: VarIdx,
@@ -2269,7 +2663,7 @@ impl<'a> UnitCompiler<'a> {
             VSlot::I(s) => Some(s),
             _ => None,
         };
-        let fused1 = var_i.is_some() && step_const == Some(1);
+        let fused1 = self.fused_head(var, step);
         let do_line = self.last_line;
         // Vector path: canonical unit-stride frame-I loops only, and not
         // the inner loops of a nest a region already covers. A refused
@@ -2320,7 +2714,7 @@ impl<'a> UnitCompiler<'a> {
             }
             self.close_quiet(quiet);
             let desc = self.vecs.len() as u32;
-            let t = &self.tables[self.unit_idx];
+            let t = self.table;
             let dummies = dummy_arrays(self.unit, &t.vslots);
             let (proofs, window) = prove_streams(&accesses, &t.fixed_arrays, &self.prog.globals);
             for (a, proof) in accesses.iter_mut().zip(proofs) {

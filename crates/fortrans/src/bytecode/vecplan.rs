@@ -101,11 +101,17 @@ fn expr_uses_var(e: &RExpr, var: VarIdx) -> bool {
 }
 
 /// Whether a statement of `stmts` outside the loop body `skip` (found by
-/// address) may read scalar `v`: conservatively, any expression that
-/// mentions it and every other statement that does (a call's by-ref
-/// argument, an OMP clause), but not the target of an assignment.
+/// address) may read frame scalar `v`: conservatively, any expression
+/// that mentions it and every other statement that does (a call's by-ref
+/// argument, an OMP clause), but not the target of an assignment. A
+/// function call reads it only through an argument that mentions it, as
+/// a subroutine call does: a callee cannot reach its caller's frame.
 fn read_outside(stmts: &[SpStmt], skip: &[SpStmt], v: VarIdx) -> bool {
-    let ex = |e: &RExpr| expr_uses_var(e, v);
+    let ex = |e: &RExpr| {
+        let mut seen = false;
+        walk_expr(e, &mut |x| seen |= matches!(x, Seen::Ref(w) if w == v));
+        seen
+    };
     stmts.iter().any(|sp| match &sp.s {
         RStmt::AssignScalar { e, .. } => ex(e),
         RStmt::AssignElem { subs, e, .. } => subs.iter().any(ex) || ex(e),

@@ -368,7 +368,8 @@ pub(crate) fn walk_stmt(s: &RStmt, f: &mut dyn FnMut(Seen)) {
     }
 }
 
-fn walk_expr(e: &RExpr, f: &mut dyn FnMut(Seen)) {
+/// [`walk_stmts`] over one expression, a call's arguments included.
+pub(crate) fn walk_expr(e: &RExpr, f: &mut dyn FnMut(Seen)) {
     match e {
         RExpr::ConstI(_) | RExpr::ConstF(_) | RExpr::ConstB(_) => {}
         RExpr::LoadScalar(v) | RExpr::ArrReduce { v, .. } => f(Seen::Ref(*v)),

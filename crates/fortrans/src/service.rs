@@ -217,15 +217,16 @@ impl CompiledProgram {
 
 fn vector_report_of(prog: &RProgram, bunits: &[BUnit]) -> Vec<VectorLoopInfo> {
     let per_unit = bunits.iter().flat_map(|bu| {
-        let unit = &prog.units[bu.unit as usize].name;
+        let unit = &prog.units[bu.unit as usize];
         bu.vecs.iter().map(move |d| VectorLoopInfo {
-            unit: unit.clone(),
+            unit: unit.name.clone(),
             line: d.line,
             stmts: d.stmts.len() + usize::from(d.sel.is_some()),
             reduction: d.red.is_some() || d.sel.is_some(),
             proven: d.accesses.iter().filter(|a| a.proven.is_some()).count(),
             checked: d.accesses.iter().filter(|a| a.proven.is_none()).count(),
             alias_pairs: d.alias_pairs.len(),
+            contracted: crate::bytecode::contracted_in(unit, &bu.vslots, d.line),
         })
     });
     per_unit.collect()

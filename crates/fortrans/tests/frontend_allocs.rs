@@ -301,13 +301,16 @@ fn bytecode_fingerprint_is_the_parents() {
 /// before entry-guard proofs, which moved descriptors only. The GLAF
 /// literal moved with running sums in the same two units as the traced
 /// build's: one more `VecLoop` in `g_sw_band`, 26 fixup instructions
-/// fewer in `g_ent_band`.
+/// fewer in `g_ent_band`. It moved again with contracted temporaries in
+/// one unit of one set, the fused FUN3D configuration's `edge_loop`:
+/// nine of its ten fixed arrays became frame scalars, and their element
+/// loads and stores scalar ones (119 instructions before and after).
 #[test]
 fn optimized_bytecode_fingerprint() {
     let [(f77, glaf), _] = bytecode_fingerprints(false);
     println!("optimized instruction-stream fingerprints: f77 {f77:#018x}, glaf {glaf:#018x}");
     assert_eq!(f77, 0x7bd9_ecd1_63b2_0593, "generated F77 corpus: the optimized build changed");
-    assert_eq!(glaf, 0x2116_507d_62b5_0076, "GLAF source sets: the optimized build changed");
+    assert_eq!(glaf, 0x48b2_a21b_b94f_448f, "GLAF source sets: the optimized build changed");
 }
 
 /// The vector descriptors of both builds, re-pinned when lowering began
@@ -323,7 +326,10 @@ fn optimized_bytecode_fingerprint() {
 /// regions 1,110 (FUN3D's face nest alone 51). Re-pinned again for
 /// running sums: every descriptor gained `fixup_cost` and every
 /// accumulator `VecRed::stmt`, `g_sw_band`'s attenuation loop became a
-/// region, and `g_ent_band`'s fixup cost is 0.
+/// region, and `g_ent_band`'s fixup cost is 0. Re-pinned for contracted
+/// temporaries: every report line gained `contracted` (which alone moved
+/// the generated F77 corpus's literal), and the fused FUN3D `edge_loop`
+/// region streams 7 accesses instead of 16, nine temporaries contracted.
 #[test]
 fn vector_descriptor_fingerprints() {
     let [(opt_f77, opt_glaf), (traced_f77, traced_glaf)] = bytecode_fingerprints(true);
@@ -332,8 +338,8 @@ fn vector_descriptor_fingerprints() {
          traced f77 {traced_f77:#018x}, glaf {traced_glaf:#018x}"
     );
     let moved = |corpus: &str, build: &str| format!("{corpus}: the {build} descriptors changed");
-    assert_eq!(opt_f77, 0x220f_f883_79f1_6789, "{}", moved("generated F77 corpus", "optimized"));
-    assert_eq!(opt_glaf, 0x0b2f_3752_ebc4_212f, "{}", moved("GLAF source sets", "optimized"));
+    assert_eq!(opt_f77, 0x91b1_3ead_f83b_96e9, "{}", moved("generated F77 corpus", "optimized"));
+    assert_eq!(opt_glaf, 0x20cc_5bf7_9730_79d3, "{}", moved("GLAF source sets", "optimized"));
     assert_eq!(traced_f77, 0xe84a_a725_92c3_2ec9, "{}", moved("generated F77 corpus", "traced"));
     assert_eq!(traced_glaf, 0x352f_6563_d935_9531, "{}", moved("GLAF source sets", "traced"));
 }

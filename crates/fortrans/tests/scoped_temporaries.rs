@@ -6,87 +6,19 @@
 //! rule checks (or puts the temporary inside an OMP region, which the
 //! rule allows). Every program runs on four rungs — the tree-walk
 //! oracle, the scalar VM, the vector rung and eager native — in Serial,
-//! `Parallel{2}` and Simulated, twice per session, and all four must
-//! agree exactly: result, globals, argument arrays, error kind and line
-//! (the error's `Display`), and in Simulated the whole `CostTrace`. No
-//! program reduces REAL values across threads, so Parallel is exact too.
-//! Each program also names the arrays the rule picked, read from the
-//! optimized build's `fixed_arrays`; the traced build never picks one.
+//! `Parallel{2}` and Simulated, and all four must agree exactly
+//! (`common/rungs.rs`). Each program also names the arrays the rule
+//! picked, read from the optimized build's `fixed_arrays`; the traced
+//! build never picks one. Every temporary here is read outside a single
+//! straight-line loop, so none is contracted into a scalar instead
+//! (`array_contraction.rs`).
+
+#[path = "common/rungs.rs"]
+mod rungs;
 
 use fortrans::bytecode::VSlot;
-use fortrans::{ArgVal, CostTrace, ExecMode, ExecTier, Session, Val};
-
-const MODES: [ExecMode; 3] = [
-    ExecMode::Serial,
-    ExecMode::Parallel { threads: 2 },
-    ExecMode::Simulated { threads: 2 },
-];
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Rung {
-    TreeWalk,
-    Scalar,
-    Vector,
-    Native,
-}
-
-const RUNGS: [Rung; 4] = [Rung::TreeWalk, Rung::Scalar, Rung::Vector, Rung::Native];
-
-/// Everything observable from one run.
-#[derive(Debug, PartialEq)]
-struct Snap {
-    result: Result<Option<Val>, String>,
-    globals: Vec<(String, Option<Vec<u64>>)>,
-    args: Vec<Vec<u64>>,
-    /// Simulated runs only.
-    trace: Option<CostTrace>,
-}
-
-fn bits(h: &fortrans::ArrayObj) -> Vec<u64> {
-    (0..h.len()).map(|k| h.get_bits(k)).collect()
-}
-
-/// `work(a, n)` with `a = [1, 2, 3, 4, 5]`.
-fn args(n: i64) -> Vec<ArgVal> {
-    vec![ArgVal::array_f(&[1.0, 2.0, 3.0, 4.0, 5.0], 1), ArgVal::I(n)]
-}
-
-/// Two runs of `work` on one session of `rung`, and that session.
-fn runs(src: &str, n: i64, mode: ExecMode, rung: Rung) -> (Vec<Snap>, Session) {
-    let s = Session::compile(&[src]).expect("program compiles");
-    s.set_vector_enabled(rung != Rung::Scalar);
-    s.set_native_enabled(rung == Rung::Native);
-    s.set_native_eager(true);
-    let tier = if rung == Rung::TreeWalk { ExecTier::TreeWalk } else { ExecTier::Vm };
-    let snaps = (0..2)
-        .map(|_| {
-            let a = args(n);
-            let out = s.run_tiered("work", &a, mode, tier).map_err(|e| e.to_string());
-            let mut names = s.global_names();
-            names.sort();
-            let globals = names
-                .into_iter()
-                .map(|g| {
-                    let v = match s.global_scalar(&g) {
-                        Some(Val::F(x)) => Some(vec![x.to_bits()]),
-                        Some(Val::I(x)) => Some(vec![x as u64]),
-                        Some(Val::B(x)) => Some(vec![u64::from(x)]),
-                        None => s.global_array(&g).map(|h| bits(&h)),
-                    };
-                    (g, v)
-                })
-                .collect();
-            let args = a.iter().filter_map(|x| x.handle().map(|h| bits(h))).collect();
-            let trace = match (&out, mode) {
-                (Ok(o), ExecMode::Simulated { .. }) => Some(o.trace.clone()),
-                _ => None,
-            };
-            Snap { result: out.map(|o| o.result), globals, args, trace }
-        })
-        .collect();
-    assert_eq!(s.fallback_count(), 0, "{rung:?} under {mode:?} trapped into the oracle");
-    (snaps, s)
-}
+use fortrans::{ExecMode, Session};
+use rungs::{agree, line_of, runs, Rung, Snap};
 
 /// `unit::var` for every ALLOCATABLE the `traced` build made a fixed array.
 fn picked(s: &Session, traced: bool) -> Vec<String> {
@@ -108,23 +40,10 @@ fn picked(s: &Session, traced: bool) -> Vec<String> {
 /// Runs `src` everywhere, checks the rungs agree and the rule picked
 /// exactly `want`, and returns the oracle's Serial snapshots.
 fn check(label: &str, src: &str, n: i64, want: &[&str]) -> Vec<Snap> {
-    let mut serial = None;
-    for mode in MODES {
-        let (oracle, s) = runs(src, n, mode, Rung::TreeWalk);
-        assert_eq!(picked(&s, false), want, "{label}: the rule's picks");
-        assert!(picked(&s, true).is_empty(), "{label}: the traced build picked a temporary");
-        for rung in &RUNGS[1..] {
-            let (got, _) = runs(src, n, mode, *rung);
-            assert_eq!(got, oracle, "{label}: {rung:?} under {mode:?} diverges from the oracle");
-        }
-        serial.get_or_insert(oracle);
-    }
-    serial.expect("ran Serial")
-}
-
-/// 1-based line of the first source line containing `marker`.
-fn line_of(src: &str, marker: &str) -> usize {
-    src.lines().position(|l| l.contains(marker)).expect("marker in source") + 1
+    agree(label, src, n, |s| {
+        assert_eq!(picked(s, false), want, "{label}: the rule's picks");
+        assert!(picked(s, true).is_empty(), "{label}: the traced build picked a temporary");
+    })
 }
 
 /// `work(a, n)` over a 5-element `a`, with `decls` after the standard

@@ -95,15 +95,16 @@ fn main() {
 
     // 4. Where the fused configuration leaves the scalar rung: the loops
     //    compiled to `VecLoop` regions, what their entry still checks
-    //    (streams lowering did not prove, alias pairs), and why each
-    //    other DO was not a region.
+    //    (streams lowering did not prove, alias pairs), how many of
+    //    their temporaries became scalars instead of streams, and why
+    //    each other DO was not a region.
     println!("\n=== vector regions, GLAF serial fused ===");
     let fused = build_artifact(Fun3dVariant::Glaf(Fun3dConfig { fuse: true, ..Default::default() }));
     for r in fused.vector_report() {
         println!(
             "  {:12} line {:>3}  region, {} statements, streams {} proven / {} checked, \
-             {} alias pairs",
-            r.unit, r.line, r.stmts, r.proven, r.checked, r.alias_pairs
+             {} alias pairs, {} contracted",
+            r.unit, r.line, r.stmts, r.proven, r.checked, r.alias_pairs, r.contracted
         );
     }
     for r in fused.vector_refusals() {
@@ -169,7 +170,9 @@ fn main() {
     //    only loop is an `edge_loop`-shaped five-lane region over two
     //    frame temporaries and two module arrays, called 100 k times.
     //    The rungs differ only in how that region runs, so the spread
-    //    between them is the entry and its five lanes.
+    //    between them is the entry and its five lanes. The leaf reads
+    //    both temporaries after the loop, so they stay arrays (not
+    //    contracted) and the region keeps its five streams.
     println!("\n=== one-region leaf, ns per call (Serial, best of 5 x 100k calls) ===");
     let rungs = [("scalar", false, false), ("vector", true, false), ("native", true, true)];
     for (rung, vector, native) in rungs {
@@ -202,6 +205,7 @@ const ENTRY_PROBE: &str = r#"
 MODULE probe_m
   REAL(8), DIMENSION(1:5, 1:2) :: q
   REAL(8), DIMENSION(1:5) :: r
+  REAL(8) :: last
 CONTAINS
   SUBROUTINE leaf()
     INTEGER :: m
@@ -211,6 +215,7 @@ CONTAINS
       u(m) = q(m, 2) - t(m)
       r(m) = r(m) + u(m) * t(m)
     END DO
+    last = t(5) + u(5)
   END SUBROUTINE leaf
   SUBROUTINE drive(n)
     INTEGER :: n, k
