@@ -133,6 +133,9 @@ fn read_outside(stmts: &[SpStmt], skip: &[SpStmt], v: VarIdx) -> bool {
         }
         RStmt::DoWhile { cond, body } => ex(cond) || read_outside(body, skip, v),
         RStmt::Critical { body, .. } => read_outside(body, skip, v),
+        RStmt::Inlined { enter, body, leave, .. } => {
+            [enter, body, leave].into_iter().any(|b| read_outside(b, skip, v))
+        }
         s => {
             let mut seen = false;
             walk_stmt(s, &mut |x| seen |= matches!(x, Seen::Ref(w) if w == v));
@@ -434,7 +437,7 @@ impl UnitCompiler<'_> {
                     }
                     None => return Err(Control),
                 },
-                RStmt::CallSub { .. } => return Err(Call),
+                RStmt::CallSub { .. } | RStmt::Inlined { .. } => return Err(Call),
                 RStmt::If { .. }
                 | RStmt::DoWhile { .. }
                 | RStmt::Critical { .. }

@@ -686,21 +686,7 @@ impl<'e> Task<'e> {
         let mut frame = Frame::new(callee.frame_size);
         for info in &callee.vars {
             if let Place::Frame(slot) = info.place {
-                if info.rank > 0 {
-                    if info.allocatable || info.is_param {
-                        frame.slots[slot] = FrameVal::Arr(None);
-                    } else {
-                        // Fixed-shape local: fresh zeroed array per call.
-                        frame.slots[slot] =
-                            FrameVal::Arr(Some(Arc::new(ArrayObj::new(info.ty, info.dims.clone()))));
-                    }
-                } else {
-                    frame.slots[slot] = match info.ty {
-                        ScalarTy::I => FrameVal::I(0),
-                        ScalarTy::F => FrameVal::F(0.0),
-                        ScalarTy::B => FrameVal::B(false),
-                    };
-                }
+                frame.slots[slot] = fresh_frameval(info);
             }
         }
         frame
@@ -1053,6 +1039,34 @@ impl<'e> Task<'e> {
                 Ok(Flow::Normal)
             }
             RStmt::Stop(msg) => Err(RunError::Stop { msg: msg.clone().unwrap_or_default() }),
+            RStmt::Inlined { unit: callee, locals, enter, body, leave } => {
+                // `call_unit`'s protocol, over the caller's own frame.
+                if self.depth >= self.ex.limits.max_call_depth {
+                    return Err(RunError::Limit { msg: "call depth exceeded".into() });
+                }
+                for info in &unit.vars[locals.clone()] {
+                    if let Place::Frame(slot) = info.place {
+                        frame.slots[slot] = fresh_frameval(info);
+                    }
+                }
+                self.exec_block(unit, frame, enter)?;
+                let (saved_unit, saved_line) = (self.cur_unit, self.cur_line);
+                self.cur_unit = *callee;
+                self.depth += 1;
+                if let Some(p) = self.prof {
+                    p.unit_enter(&self.ex.prog.units[*callee].name);
+                }
+                let flow = self.exec_block(unit, frame, body);
+                self.depth -= 1;
+                let flow = flow?;
+                if let Some(p) = self.prof {
+                    p.unit_exit();
+                }
+                self.cur_unit = saved_unit;
+                self.cur_line = saved_line;
+                debug_assert_eq!(flow, Flow::Normal, "an inlined leaf has no RETURN");
+                self.exec_block(unit, frame, leave)
+            }
         }
     }
 
@@ -1310,6 +1324,20 @@ impl<'e> region::Tier for TaskSite<'_, 'e> {
 
     fn steps(task: &mut Self::Exe) -> &mut u64 {
         &mut task.steps
+    }
+}
+
+/// What a call's fresh frame holds in `info`'s slot: zero, or a
+/// zeroed array of its declared shape for a fixed-shape local, or no
+/// array for a dummy or an allocatable.
+fn fresh_frameval(info: &VarInfo) -> FrameVal {
+    if info.rank == 0 {
+        return typed_frameval(zero_of(info.ty), info.ty);
+    }
+    if info.allocatable || info.is_param {
+        FrameVal::Arr(None)
+    } else {
+        FrameVal::Arr(Some(Arc::new(ArrayObj::new(info.ty, info.dims.clone()))))
     }
 }
 

@@ -1,8 +1,12 @@
 //! The resolved IR: names replaced by slots, types settled, intrinsics
-//! identified. Produced by [`crate::sema`], consumed by [`crate::interp`].
+//! identified. Produced by [`crate::sema`], consumed by [`crate::interp`];
+//! [`rewrite`] holds the program-to-program rules the optimized build
+//! applies before lowering.
 
 use crate::ast::{Bin, RedOp};
 use crate::intrinsics::Intr;
+
+pub mod rewrite;
 
 /// Scalar evaluation types. `REAL` and `REAL(8)` both evaluate as `F`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,6 +165,20 @@ pub enum RStmt {
     Print(Vec<PrintItem>),
     Stop(Option<String>),
     Nop,
+    /// A call of leaf unit `unit` with the callee's body in place
+    /// ([`rewrite::inline_leaves`]): the variables `locals` of the
+    /// enclosing unit are the callee's frame, reset on entry as a call
+    /// resets a fresh frame; `enter` copies the arguments in and `leave`
+    /// copies them out (and the function result to its target), both on
+    /// the call's line; `body` runs as the callee, one call level
+    /// deeper.
+    Inlined {
+        unit: UnitId,
+        locals: std::ops::Range<VarIdx>,
+        enter: Vec<SpStmt>,
+        body: Vec<SpStmt>,
+        leave: Vec<SpStmt>,
+    },
 }
 
 /// One item of a PRINT list.
@@ -217,10 +235,11 @@ pub struct GlobalDecl {
     pub init_elems: Option<Vec<u64>>,
 }
 
-/// The resolved program.
+/// The resolved program. Units are shared, so a rewrite that changes a
+/// few of them ([`rewrite`]) clones only those.
 #[derive(Debug, Clone, Default)]
 pub struct RProgram {
-    pub units: Vec<RUnit>,
+    pub units: Vec<std::sync::Arc<RUnit>>,
     pub globals: Vec<GlobalDecl>,
 }
 
@@ -233,7 +252,7 @@ pub struct RProgram {
 pub fn mark_per_thread_regions(prog: &mut RProgram) {
     let RProgram { units, globals } = prog;
     for u in units.iter_mut() {
-        let RUnit { vars, body, .. } = u;
+        let RUnit { vars, body, .. } = std::sync::Arc::make_mut(u);
         mark_stmts(body, vars, globals);
     }
 }
@@ -261,7 +280,9 @@ fn mark_stmts(stmts: &mut [SpStmt], vars: &[VarInfo], globals: &mut [GlobalDecl]
                 }
                 mark_stmts(else_body, vars, globals);
             }
-            RStmt::DoWhile { body, .. } | RStmt::Critical { body, .. } => {
+            RStmt::DoWhile { body, .. }
+            | RStmt::Critical { body, .. }
+            | RStmt::Inlined { body, .. } => {
                 mark_stmts(body, vars, globals);
             }
             _ => {}
@@ -297,7 +318,9 @@ pub(crate) enum Seen {
 }
 
 /// Calls `f` on every variable mention and every `RETURN` in `stmts`,
-/// in statement order, nested bodies and OMP clauses included.
+/// in statement order, nested bodies and OMP clauses included. An
+/// inlined block's reset of its locals is no mention: it writes what a
+/// fresh frame holds, which no statement outside the block reads.
 pub(crate) fn walk_stmts(stmts: &[SpStmt], f: &mut dyn FnMut(Seen)) {
     for sp in stmts {
         walk_stmt(&sp.s, f);
@@ -363,6 +386,11 @@ pub(crate) fn walk_stmt(s: &RStmt, f: &mut dyn FnMut(Seen)) {
                     walk_expr(e, f);
                 }
             }
+        }
+        RStmt::Inlined { enter, body, leave, .. } => {
+            walk_stmts(enter, f);
+            walk_stmts(body, f);
+            walk_stmts(leave, f);
         }
         RStmt::Exit | RStmt::Cycle | RStmt::Stop(_) | RStmt::Nop => {}
     }

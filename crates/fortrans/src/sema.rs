@@ -47,7 +47,7 @@ pub fn resolve(ast: &Ast) -> Result<RProgram, CompileError> {
     let units = r
         .units
         .into_iter()
-        .map(|u| u.expect("every signature has a body"))
+        .map(|u| std::sync::Arc::new(u.expect("every signature has a body")))
         .collect();
     let mut prog = RProgram { units, globals: r.globals };
     mark_per_thread_regions(&mut prog);

@@ -74,6 +74,10 @@ pub fn source_hash(sources: &[&str]) -> u64 {
 /// after it verifies.
 pub struct CompiledProgram {
     prog: Arc<RProgram>,
+    /// The program the optimized build is lowered from: `prog` with its
+    /// leaf calls inlined ([`crate::rir::rewrite::inline_leaves`]), or
+    /// `prog` itself when that inlines nothing.
+    lowered: Arc<RProgram>,
     /// Serves Serial and Parallel runs.
     optimized: Arc<Vec<BUnit>>,
     /// The same lowering without operator folding or scoped temporaries,
@@ -112,12 +116,30 @@ impl CompiledProgram {
     pub fn compile(sources: &[&str]) -> Result<Arc<CompiledProgram>, CompileError> {
         let hash = source_hash(sources);
         let ast = ProgramSet::from_sources(sources)?.ast;
-        let prog = resolve(&ast)?;
-        let optimized = compile_program(&prog, false);
-        crate::verify::verify_program(&prog, &optimized)?;
-        let est_bytes = program_bytes(&prog) + build_bytes(&optimized);
+        Self::build_from(resolve(&ast)?, hash)
+    }
+
+    /// [`Self::compile`] from a resolved program, with content hash 0:
+    /// lets a test run the tree-walker on a rewritten program.
+    #[doc(hidden)]
+    pub fn from_resolved(prog: RProgram) -> Result<Arc<CompiledProgram>, CompileError> {
+        Self::build_from(prog, 0)
+    }
+
+    fn build_from(prog: RProgram, hash: u64) -> Result<Arc<CompiledProgram>, CompileError> {
+        let inlined = match crate::rir::rewrite::inline_leaves(&prog) {
+            std::borrow::Cow::Owned(p) => Some(p),
+            std::borrow::Cow::Borrowed(_) => None,
+        };
+        let prog = Arc::new(prog);
+        let inlined_bytes = inlined.as_ref().map_or(0, program_bytes);
+        let lowered = inlined.map_or_else(|| Arc::clone(&prog), Arc::new);
+        let optimized = compile_program(&lowered, false);
+        crate::verify::verify_program(&lowered, &optimized)?;
+        let est_bytes = program_bytes(&prog) + inlined_bytes + build_bytes(&optimized);
         Ok(Arc::new(CompiledProgram {
-            prog: Arc::new(prog),
+            prog,
+            lowered,
             optimized: Arc::new(optimized),
             traced: OnceLock::new(),
             source_hash: hash,
@@ -166,6 +188,16 @@ impl CompiledProgram {
         &self.prog
     }
 
+    /// The program the `traced` or optimized build was lowered from:
+    /// the optimized one's leaf calls are inlined.
+    pub fn lowered_program(&self, traced: bool) -> &Arc<RProgram> {
+        if traced {
+            &self.prog
+        } else {
+            &self.lowered
+        }
+    }
+
     /// Content hash of the sources this artifact was compiled from.
     pub fn source_hash(&self) -> u64 {
         self.source_hash
@@ -198,7 +230,7 @@ impl CompiledProgram {
     /// statement count and reduction flag. Reflects the optimized
     /// (Serial/Parallel) build.
     pub fn vector_report(&self) -> Vec<VectorLoopInfo> {
-        vector_report_of(&self.prog, &self.optimized)
+        vector_report_of(&self.lowered, &self.optimized)
     }
 
     /// The other half of [`Self::vector_report`]: every serial DO loop
@@ -206,7 +238,7 @@ impl CompiledProgram {
     /// a region (the unrolled inner loops of a nest) are in neither.
     pub fn vector_refusals(&self) -> Vec<VectorRefusalInfo> {
         let per_unit = self.optimized.iter().flat_map(|bu| {
-            let unit = &self.prog.units[bu.unit as usize].name;
+            let unit = &self.lowered.units[bu.unit as usize].name;
             bu.vec_refusals
                 .iter()
                 .map(move |&(line, why)| VectorRefusalInfo { unit: unit.clone(), line, why })
@@ -241,7 +273,8 @@ fn build_bytes(build: &[BUnit]) -> usize {
     for bu in build {
         total += bu.code.len() * std::mem::size_of::<BInstr>();
         total += bu.vslots.len() * std::mem::size_of::<VSlot>();
-        total += bu.lines.len() * std::mem::size_of::<(u32, u32)>();
+        total += (bu.lines.len() + bu.units.len()) * std::mem::size_of::<(u32, u32)>();
+        total += bu.inlines.len() * std::mem::size_of::<crate::bytecode::InlineDesc>();
         total += bu.subops.len() * std::mem::size_of::<SubOp>();
         total += bu.msgs.iter().map(String::len).sum::<usize>();
         total += (bu.fixed_arrays.len()
@@ -508,7 +541,7 @@ impl Session {
     pub fn vector_report(&self) -> Vec<VectorLoopInfo> {
         let injected = self.bytecode_override.lock()[0].clone();
         let optimized = injected.unwrap_or_else(|| Arc::clone(&self.artifact.optimized));
-        vector_report_of(&self.artifact.prog, &optimized)
+        vector_report_of(&self.artifact.lowered, &optimized)
     }
 
     /// Reinitializes all global storage.
@@ -737,7 +770,9 @@ impl Session {
         let traced = matches!(mode, ExecMode::Simulated { .. });
         let bunits = self.bytecode_for(traced)?;
         let exec = self.make_exec(mode);
-        let (result, trace, printed) = crate::vm::run_vm(&exec, &bunits, unit_id, args, prof)?;
+        let prog = self.artifact.lowered_program(traced);
+        let (result, trace, printed) =
+            crate::vm::run_vm(&exec, prog, &bunits, unit_id, args, prof)?;
         Ok(RunOutcome { result, trace, printed, fallback: None })
     }
 

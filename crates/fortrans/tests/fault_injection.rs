@@ -324,6 +324,41 @@ END MODULE m
                 vec![ArgVal::array_f(&a, 1), ArgVal::I(16)]
             },
         },
+        // Inlined leaves in a called unit, one nested in the other's
+        // block (the `inline-enter` target).
+        Prog {
+            label: "inlined",
+            src: r#"
+MODULE m
+  REAL(8), DIMENSION(1:8) :: w
+CONTAINS
+  REAL(8) FUNCTION sq(x)
+    REAL(8) :: x
+    sq = x * x
+  END FUNCTION sq
+  SUBROUTINE put(k, x)
+    INTEGER :: k
+    REAL(8) :: x
+    REAL(8) :: t
+    t = sq(x)
+    w(k) = t + k
+  END SUBROUTINE put
+  SUBROUTINE spread(n)
+    INTEGER :: n, i
+    DO i = 1, n
+      CALL put(i, i * 0.5D0)
+    END DO
+  END SUBROUTINE spread
+  REAL(8) FUNCTION fill(n)
+    INTEGER :: n
+    CALL spread(n)
+    fill = w(1) + w(n)
+  END FUNCTION fill
+END MODULE m
+"#,
+            entry: "fill",
+            mk_args: || vec![ArgVal::I(8)],
+        },
     ]
 }
 
@@ -342,7 +377,9 @@ fn seeded_corruptions_are_all_rejected_by_the_verifier() {
         let engine =
             Session::compile(&[p.src]).unwrap_or_else(|e| panic!("{} compiles: {e}", p.label));
         for traced in [false, true] {
-            let base = compile_program(engine.program(), traced);
+            // What the session lowers: the optimized build inlines leaves.
+            let prog = engine.artifact().lowered_program(traced);
+            let base = compile_program(prog, traced);
             for round in 0..40u64 {
                 let seed = ((pi as u64) << 40) | (u64::from(traced) << 32) | round;
                 let mut mutated = base.clone();
@@ -351,7 +388,7 @@ fn seeded_corruptions_are_all_rejected_by_the_verifier() {
                 };
                 applied += 1;
                 *by_kind.entry(m.kind).or_default() += 1;
-                let v = verify_program(engine.program(), &mutated);
+                let v = verify_program(prog, &mutated);
                 assert!(
                     v.is_err(),
                     "{} seed {seed:#x}: corruption escaped the verifier: {m}",
@@ -378,6 +415,7 @@ fn seeded_corruptions_are_all_rejected_by_the_verifier() {
         "vec-proof",
         "sub-operand",
         "vec-running-sum",
+        "inline-enter",
     ] {
         assert!(by_kind.contains_key(kind), "mutation kind {kind} never applied: {by_kind:?}");
     }
@@ -401,7 +439,7 @@ fn injected_corruption_never_panics_across_the_engine_boundary() {
         let mut engine =
             Session::compile(&[p.src]).unwrap_or_else(|e| panic!("{} compiles: {e}", p.label));
         engine.set_limits(RunLimits { max_steps: Some(2_000_000), ..RunLimits::default() });
-        let base = compile_program(engine.program(), false);
+        let base = compile_program(engine.artifact().lowered_program(false), false);
         for round in 0..24u64 {
             let seed = ((pi as u64) << 32) | round;
             let mut mutated = base.clone();

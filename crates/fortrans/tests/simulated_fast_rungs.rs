@@ -17,6 +17,7 @@
 
 use std::sync::Arc;
 
+use fortrans::bytecode::BInstr;
 use fortrans::{
     ArgVal, ArrayObj, CompiledProgram, CostTrace, ExecMode, ExecTier, RunLimits, ScalarTy, Session,
     Val,
@@ -169,11 +170,22 @@ fn sarb_v3_takes_the_vector_rung_under_simulated() {
     let case = Case { mk_args: &mk, ..Case::new(&art, "run_columns") };
     let (_, entries) = case.run(4, Rung::Vector);
     assert!(entries > 0, "vector_entry_count stayed 0 under Simulated");
-    // The traced build carries the same regions the optimized one does,
-    // each with a ledger (a region without one stays scalar).
+    // The traced build carries the same regions the optimized one does
+    // in each unit's own code (the optimized one adds the copies its
+    // inlined leaves bring), each with a ledger (a region without one
+    // stays scalar).
     let (opt, traced) = (art.bytecode(false), art.bytecode(true));
-    let regions = |b: &[fortrans::bytecode::BUnit]| b.iter().map(|u| u.vecs.len()).sum::<usize>();
+    let regions = |b: &[fortrans::bytecode::BUnit]| {
+        let own = |u: &fortrans::bytecode::BUnit| {
+            let region = |(pc, i): &(usize, &BInstr)| {
+                matches!(i, BInstr::VecLoop { .. }) && u.unit_for_pc(*pc as u32) == u.unit
+            };
+            u.code.iter().enumerate().filter(region).count()
+        };
+        b.iter().map(own).sum::<usize>()
+    };
     assert_eq!(regions(&opt), regions(&traced));
+    assert_eq!(regions(&traced), traced.iter().map(|u| u.vecs.len()).sum::<usize>());
     assert!(traced.iter().flat_map(|u| &u.vecs).all(|d| d.iter_ledger.is_some()));
 }
 

@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use glaf_repro::fun3d::mesh::Mesh;
 use glaf_repro::fun3d::native::{native_jacobian, native_jacobian_parallel};
+use glaf_repro::fortrans::bytecode::BInstr;
 use glaf_repro::fortrans::{ArgVal, ExecMode, Session};
 use glaf_repro::fun3d::variants::{
     build_artifact, run_real, run_simulated, Fun3dConfig, Fun3dVariant,
@@ -198,6 +199,134 @@ fn main() {
             session.native_entry_count()
         );
     }
+
+    // 7. What a call costs, and what inlining a leaf saves: three
+    //    callees, each run inlined (a leaf the optimized build inlines)
+    //    and as a real call (the same body with one SAVE'd local, which
+    //    keeps it a call). The driver loop is the same around both, so
+    //    the difference is the call: depth check, frame reset, argument
+    //    copies and the callee's dispatch.
+    println!("\n=== per-call probe, ns per call (Serial, vector rung, best of 5 x 100k calls) ===");
+    let src = call_probe_source();
+    let session = Session::compile(&[&src]).expect("call probe compiles");
+    session.run("fill", &[], ExecMode::Serial).expect("fill runs");
+    // The leaf loops call nothing; each SAVE'd twin's loop keeps its call.
+    let calls_in = |unit: &str| {
+        let u = session.program().unit_id(unit).expect("probe unit");
+        let bu = &session.artifact().bytecode(false)[u];
+        bu.code.iter().filter(|i| matches!(i, BInstr::Call { .. })).count()
+    };
+    for callee in ["empty", "inc", "search"] {
+        let counts = (calls_in(&format!("loop_{callee}_leaf")), calls_in(&format!("loop_{callee}_call")));
+        assert_eq!(counts, (0, 1), "{callee}: calls left in the leaf and the SAVE'd loop");
+    }
+    let calls = 100_000;
+    let time = |unit: &str| {
+        let run = || session.run(unit, &[ArgVal::I(calls)], ExecMode::Serial).expect("runs");
+        run();
+        let best = (0..5)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                run();
+                t.elapsed()
+            })
+            .min()
+            .expect("five runs");
+        best.as_secs_f64() * 1e9 / calls as f64
+    };
+    println!("  {:22} {:>9} {:>9} {:>9}", "callee", "inlined", "called", "saved");
+    for (callee, label) in [
+        ("empty", "empty subroutine"),
+        ("inc", "INTEGER function(i)"),
+        ("search", "ioff_search body"),
+    ] {
+        let inlined = time(&format!("drive_{callee}_leaf"));
+        let called = time(&format!("drive_{callee}_call"));
+        println!("  {label:22} {inlined:>9.1} {called:>9.1} {:>9.1}", called - inlined);
+    }
+}
+
+/// Section 7's callees, each twice: as a leaf the optimized build
+/// inlines, and as the same body made a real call by one SAVE'd local.
+/// The bodies are an empty subroutine, a one-argument INTEGER function
+/// and `ioff_search`'s search. Each `drive_*` entry calls a `loop_*`
+/// unit that makes the calls: only a unit that is called inlines.
+fn call_probe_source() -> String {
+    let mut units = String::new();
+    for (suffix, save) in [("leaf", ""), ("call", "\n    INTEGER, SAVE :: pin")] {
+        units += &format!(
+            r#"
+  SUBROUTINE empty_{suffix}(){save}
+  END SUBROUTINE empty_{suffix}
+  INTEGER FUNCTION inc_{suffix}(i)
+    INTEGER :: i{save}
+    inc_{suffix} = i + 1
+  END FUNCTION inc_{suffix}
+  INTEGER FUNCTION search_{suffix}(n1v, n2v)
+    INTEGER :: n1v, n2v, kfound, j{save}
+    kfound = 1
+    DO j = 1, 8
+      IF (j <= nnbr(n1v) .AND. nbr(j, n1v) == n2v) THEN
+        kfound = MAX(kfound, j)
+      END IF
+    END DO
+    search_{suffix} = kfound
+    RETURN
+  END FUNCTION search_{suffix}
+  SUBROUTINE drive_empty_{suffix}(n)
+    INTEGER :: n
+    CALL loop_empty_{suffix}(n)
+  END SUBROUTINE drive_empty_{suffix}
+  SUBROUTINE loop_empty_{suffix}(n)
+    INTEGER :: n, k
+    DO k = 1, n
+      CALL empty_{suffix}()
+    END DO
+  END SUBROUTINE loop_empty_{suffix}
+  SUBROUTINE drive_inc_{suffix}(n)
+    INTEGER :: n
+    CALL loop_inc_{suffix}(n)
+  END SUBROUTINE drive_inc_{suffix}
+  SUBROUTINE loop_inc_{suffix}(n)
+    INTEGER :: n, k
+    DO k = 1, n
+      acc = inc_{suffix}(k)
+    END DO
+  END SUBROUTINE loop_inc_{suffix}
+  SUBROUTINE drive_search_{suffix}(n)
+    INTEGER :: n
+    CALL loop_search_{suffix}(n)
+  END SUBROUTINE drive_search_{suffix}
+  SUBROUTINE loop_search_{suffix}(n)
+    INTEGER :: n, k, n1
+    DO k = 1, n
+      n1 = MOD(k, 4) + 1
+      acc = search_{suffix}(n1, 3)
+    END DO
+  END SUBROUTINE loop_search_{suffix}
+"#
+        );
+    }
+    format!(
+        r#"
+MODULE call_probe
+  INTEGER, DIMENSION(1:8, 1:4) :: nbr
+  INTEGER, DIMENSION(1:4) :: nnbr
+  INTEGER :: acc
+CONTAINS
+  SUBROUTINE fill()
+    INTEGER :: n, j
+    DO n = 1, 4
+      nnbr(n) = 4 + MOD(n, 3)
+      DO j = 1, 8
+        nbr(j, n) = MOD(j * n, 5) + 1
+      END DO
+    END DO
+  END SUBROUTINE fill
+{units}
+END MODULE call_probe
+"#
+    )
 }
 
 /// The per-entry probe of section 6.
