@@ -329,6 +329,14 @@ pub enum BInstr {
     /// Exit of the inlined block `inlines[desc]`: closes the callee's
     /// unit span in a profiled run, and does nothing otherwise.
     InlineExit { desc: u32 },
+    /// Entry of the fused span `spans[span]` ([`SpanDesc`]): runs the
+    /// span's S and the fused loop's set-up speculated, then at the fused
+    /// loop's `VecLoop` the fused region, and continues at the span's
+    /// end; or, when any of that fails — a fault or limit in S, a refused
+    /// entry guard or step reservation — or the run is profiled or has no
+    /// vector rung, puts the step count back and continues at the
+    /// original statements.
+    SpanEnter { span: u32 },
 }
 
 /// What one execution of an instruction posts to the Simulated-mode
@@ -376,7 +384,7 @@ impl BInstr {
             | DoIncr { .. } | CheckStepNZ | FlowExit | FlowCycle | FlowReturn
             | Critical { .. } | OmpDo { .. } | CallPre | StashElem { .. } | PushArr { .. }
             | Call { .. } | Print { .. } | Stop { .. } | InlineEnter { .. }
-            | InlineExit { .. } => Posts::Dynamic,
+            | InlineExit { .. } | SpanEnter { .. } => Posts::Dynamic,
         }
     }
 }
@@ -522,6 +530,42 @@ pub(crate) fn fixup_cost(code: &[BInstr], lo: usize, hi: usize) -> Option<u32> {
     u32::try_from(hi - lo).ok()
 }
 
+/// A span's step constants, [`SpanDesc::fixed`] and
+/// [`SpanDesc::per_iter`], from its original `loops` (first instruction,
+/// `DoHead1`) and its fused loop's set-up and `VecLoop`,
+/// `code[setup.0..=setup.1]`: `None` unless each loop's instructions up
+/// to its head run once ([`straight_setup`]) and its iteration costs a
+/// constant (no select).
+pub(crate) fn span_steps(
+    code: &[BInstr],
+    loops: &[(u32, u32)],
+    setup: (u32, u32),
+) -> Option<(i64, u32)> {
+    let fast = straight_setup(code, setup.0, setup.1.checked_add(1)?)?;
+    let (mut fixed, mut per_iter) = (-1 - i64::from(fast), 0u32);
+    for &(start, head) in loops {
+        let BInstr::DoHead1 { exit, .. } = *code.get(head as usize)? else { return None };
+        let cost = region_cost(code, head as usize, exit as usize).filter(|c| c.taken == 0)?;
+        fixed += i64::from(straight_setup(code, start, head)?) + 1;
+        per_iter = per_iter.checked_add(cost.iter)?;
+    }
+    Some((fixed, per_iter))
+}
+
+/// How many instructions a loop's set-up `code[lo..hi]` — bounds,
+/// `DoInitC`, prep and a `VecLoop` last — retires: each one once, when
+/// none but the `VecLoop` transfers control. `None` otherwise.
+pub(crate) fn straight_setup(code: &[BInstr], lo: u32, hi: u32) -> Option<u32> {
+    let range = code.get(lo as usize..hi as usize)?;
+    let last = range.len().checked_sub(1);
+    let once = |(k, ins): (usize, &BInstr)| match ins {
+        BInstr::DoInitC { .. } => true,
+        BInstr::VecLoop { .. } => Some(k) == last,
+        ins => !matches!(ins.posts(), Posts::Dynamic),
+    };
+    range.iter().enumerate().all(once).then_some(hi - lo)
+}
+
 /// The values the constant-trip loops inside `code[lo..hi]` (a nest
 /// region's scalar body) leave in their variable, counter and end slots,
 /// in code order: [`VecDesc::exit_state`].
@@ -616,6 +660,41 @@ pub struct InlineDesc {
     pub a: (u32, u32),
 }
 
+/// A fused span ([`RStmt::Span`]) as the optimized build lays it out:
+///
+/// ```text
+/// SpanEnter   S   bounds DoInitC prep   VecLoop (fused)  scalar loop   Jump end
+/// slow: loop 1  S1  loop 2 … loop k   end:
+/// ```
+///
+/// The scalar copy of the fused loop is never run (the fused `VecLoop`
+/// commits the span or sends it to `slow`); it is there so the region's
+/// costs are read off it like any other region's.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpanDesc {
+    /// `[lo, hi)`: the span's S as `fast` runs it, every S of `slow` in
+    /// order. The fused loop's bounds, `DoInitC` and prep follow, up to
+    /// its `VecLoop` at `fused`.
+    pub s: (u32, u32),
+    pub fused: u32,
+    /// The original statements, `[slow, end)`.
+    pub slow: u32,
+    pub end: u32,
+    /// Per original loop, in order: its first instruction and its
+    /// `DoHead1`. Each S of `slow` lies between one loop's exit and the
+    /// next loop's first instruction.
+    pub loops: Vec<(u32, u32)>,
+    /// What `slow` retires besides its S and `trip x per_iter`, less the
+    /// steps `fast` retires outside S and the region (`SpanEnter` and
+    /// `[s.1, fused]`, the `VecLoop` included): each loop's instructions
+    /// up to its head, and the head once more to leave. A committed span
+    /// has retired what `slow` would have: the steps so far, `fixed`,
+    /// and `trip x per_iter`.
+    pub fixed: i64,
+    /// The original loops' iteration costs, summed.
+    pub per_iter: u32,
+}
+
 /// A compiled unit.
 #[derive(Debug, Clone)]
 pub struct BUnit {
@@ -657,6 +736,8 @@ pub struct BUnit {
     /// `lines`: the unit whose source an instruction was compiled from,
     /// where it is not `unit` (an inlined body). Empty without inlining.
     pub units: Vec<(u32, u32)>,
+    /// Fused spans, indexed by `SpanEnter`.
+    pub spans: Vec<SpanDesc>,
 }
 
 /// The entry of a sorted `(first_pc, value)` table covering `pc`.
@@ -1307,6 +1388,11 @@ impl ContractScan<'_> {
                         self.stmts(b, in_omp);
                     }
                 }
+                // A fresh temporary of `fast` is its fused loop's alone.
+                RStmt::Span { fast, slow } => {
+                    self.stmts(fast, in_omp);
+                    self.stmts(slow, in_omp);
+                }
                 s => walk_stmt(s, &mut |seen| match seen {
                     Seen::Ref(v) | Seen::Alloc(v) | Seen::Dealloc(v) | Seen::Query(v) => {
                         self.refused[v] = true;
@@ -1447,6 +1533,10 @@ fn contract(unit: &RUnit, vars: &[VarIdx]) -> RUnit {
                         stmts(b, vars);
                     }
                 }
+                RStmt::Span { fast, slow } => {
+                    stmts(fast, vars);
+                    stmts(slow, vars);
+                }
                 _ => {}
             }
         }
@@ -1461,45 +1551,66 @@ fn contract(unit: &RUnit, vars: &[VarIdx]) -> RUnit {
     out
 }
 
+/// A serial `DO` loop's vector analysis, made once: the plan — its
+/// hidden i-slots numbered from `base`, `taken` of them — or why the
+/// loop stays scalar. Emission takes a loop's probe instead of analysing
+/// it again ([`VecPlan::relocate`] moves the slots to where it is).
+struct Probe {
+    plan: Result<VecPlan, VecRefusal>,
+    base: u32,
+    taken: u32,
+}
+
+/// Per `DO` of a unit, in [`do_loops`] order: its probe, if one was made.
+type Probes = Vec<Option<Probe>>;
+
 /// The unit the optimized build lowers: `unit` with its
 /// [`contracted_temporaries`] contracted, less those of any loop that
 /// the vector analysis accepts as it is and would refuse contracted —
 /// forward substitution copies a temporary's definition into each
 /// read, which can outgrow a region's caps. Borrowed when nothing is
-/// contracted.
-fn contracted_unit<'u>(prog: &RProgram, u: usize, unit: &'u RUnit) -> Cow<'u, RUnit> {
+/// contracted. With it, the probes of the lowered unit's loops that
+/// deciding took, for its emission to reuse.
+fn contracted_unit<'u>(prog: &RProgram, u: usize, unit: &'u RUnit) -> (Cow<'u, RUnit>, Probes) {
     let mut picks = contracted_temporaries(unit);
     if picks.is_empty() {
-        return Cow::Borrowed(unit);
+        return (Cow::Borrowed(unit), Vec::new());
     }
     let base_table = assign_slots(unit, false);
     let base_loops = do_loops(&unit.body);
     let mut base = UnitCompiler::new(prog, unit, u, &base_table, &[], false);
+    let mut base_probes: Probes = Vec::new();
+    base_probes.resize_with(base_loops.len(), || None);
     loop {
         let vars: Vec<VarIdx> = picks.iter().map(|c| c.v).collect();
         let out = contract(unit, &vars);
         let mut probed: Vec<usize> = picks.iter().flat_map(|c| c.loops.iter().copied()).collect();
         probed.sort_unstable();
         probed.dedup();
-        let lost: Vec<usize> = {
-            let table = assign_slots(&out, false);
-            let loops = do_loops(&out.body);
-            let mut probe = UnitCompiler::new(prog, &out, u, &table, &[], false);
-            // The contracted loop first: it is accepted almost always,
-            // which spares analysing the loop as it was.
-            probed
-                .into_iter()
-                .filter(|&l| {
-                    !probe.vec_accepts(&loops[l].s) && base.vec_accepts(&base_loops[l].s)
-                })
-                .collect()
-        };
+        let table = assign_slots(&out, false);
+        let loops = do_loops(&out.body);
+        let mut probe = UnitCompiler::new(prog, &out, u, &table, &[], false);
+        let mut probes: Probes = Vec::new();
+        probes.resize_with(loops.len(), || None);
+        let mut lost = Vec::new();
+        // The contracted loop first: it is accepted almost always,
+        // which spares analysing the loop as it was.
+        for l in probed {
+            let p = probe.probe(&loops[l].s);
+            if p.plan.is_err() {
+                let b = base_probes[l].get_or_insert_with(|| base.probe(&base_loops[l].s));
+                if b.plan.is_ok() {
+                    lost.push(l);
+                }
+            }
+            probes[l] = Some(p);
+        }
         if lost.is_empty() {
-            return Cow::Owned(out);
+            return (Cow::Owned(out), probes);
         }
         picks.retain(|c| !c.loops.iter().any(|l| lost.contains(l)));
         if picks.is_empty() {
-            return Cow::Borrowed(unit);
+            return (Cow::Borrowed(unit), base_probes);
         }
     }
 }
@@ -1524,6 +1635,10 @@ fn do_loops(body: &[SpStmt]) -> Vec<&SpStmt> {
                         walk(b, out);
                     }
                 }
+                RStmt::Span { fast, slow } => {
+                    walk(fast, out);
+                    walk(slow, out);
+                }
                 _ => {}
             }
         }
@@ -1535,11 +1650,12 @@ fn do_loops(body: &[SpStmt]) -> Vec<&SpStmt> {
 
 /// How many of the arrays a region's loop mentions the optimized build
 /// contracted into scalars: of `unit` (as resolved), with the build's
-/// slot table `vslots`, the arrays in the `DO` statement at source line
-/// `line` whose slot is a scalar. [`crate::VectorLoopInfo::contracted`].
-pub(crate) fn contracted_in(unit: &RUnit, vslots: &[VSlot], line: u32) -> usize {
+/// slot table `vslots`, the arrays in the `nth` `DO` statement at source
+/// line `line` (a fused span's loop comes before its first original
+/// loop) whose slot is a scalar. [`crate::VectorLoopInfo::contracted`].
+pub(crate) fn contracted_in(unit: &RUnit, vslots: &[VSlot], line: u32, nth: usize) -> usize {
     let mut seen = Vec::new();
-    if let Some(sp) = do_loops(&unit.body).into_iter().find(|sp| sp.line == line) {
+    if let Some(sp) = do_loops(&unit.body).into_iter().filter(|sp| sp.line == line).nth(nth) {
         walk_stmt(&sp.s, &mut |x| {
             if let Seen::Ref(v) = x {
                 if unit.vars[v].rank > 0 && matches!(vslots[v], VSlot::F(_)) && !seen.contains(&v) {
@@ -1556,23 +1672,27 @@ pub(crate) fn contracted_in(unit: &RUnit, vslots: &[VSlot], line: u32) -> usize 
 pub fn compile_program(prog: &RProgram, traced: bool) -> Vec<BUnit> {
     // Only the optimized build contracts: an element access posts the
     // counts the interpreter posts, a frame scalar's load posts none.
-    let units: Vec<Cow<RUnit>> = prog
+    let (units, mut probes): (Vec<Cow<RUnit>>, Vec<Probes>) = prog
         .units
         .iter()
         .enumerate()
         .map(|(u, unit)| {
             if traced {
-                Cow::Borrowed(&**unit)
+                (Cow::Borrowed(&**unit), Vec::new())
             } else {
                 contracted_unit(prog, u, unit)
             }
         })
-        .collect();
+        .unzip();
     let tables: Vec<SlotTable> = units.iter().map(|u| assign_slots(u, traced)).collect();
     let mut bunits: Vec<BUnit> = units
         .iter()
         .enumerate()
-        .map(|(u, unit)| UnitCompiler::new(prog, unit, u, &tables[u], &tables, traced).compile())
+        .map(|(u, unit)| {
+            let mut uc = UnitCompiler::new(prog, unit, u, &tables[u], &tables, traced);
+            uc.probes = std::mem::take(&mut probes[u]);
+            uc.compile()
+        })
         .collect();
     // Call sites read every unit's table; once all are lowered, each
     // unit takes its own.
@@ -1788,6 +1908,16 @@ struct UnitCompiler<'a> {
     units: Vec<(u32, u32)>,
     /// The inlined blocks enclosing the statement being emitted.
     inline_open: Vec<u32>,
+    /// Fused-span descriptors under construction.
+    spans: Vec<SpanDesc>,
+    /// Per `DO` of the unit in [`do_loops`] order, the probe that chose
+    /// its temporaries, taken by its emission.
+    probes: Probes,
+    /// The [`do_loops`] index of the next `DO` emitted.
+    next_do: usize,
+    /// The last serial `DO` emitted: its `DoHead1`/`DoHeadN`/`DoHead`,
+    /// and its `VecLoop` if it has one.
+    last_do: (u32, Option<u32>),
 }
 
 impl<'a> UnitCompiler<'a> {
@@ -1842,6 +1972,10 @@ impl<'a> UnitCompiler<'a> {
             inlines: Vec::new(),
             units: Vec::new(),
             inline_open: Vec::new(),
+            spans: Vec::new(),
+            probes: Vec::new(),
+            next_do: 0,
+            last_do: (0, None),
         }
     }
 
@@ -1873,6 +2007,7 @@ impl<'a> UnitCompiler<'a> {
             vec_refusals: self.vec_refusals,
             inlines: self.inlines,
             units: self.units,
+            spans: self.spans,
         }
     }
 
@@ -2512,10 +2647,12 @@ impl<'a> UnitCompiler<'a> {
                 }
             }
             RStmt::Do { var, start, end, step, body, omp, vec, collapse_with } => {
+                let idx = self.next_do;
+                self.next_do += 1;
                 if let Some(o) = omp {
                     self.emit_omp_do(*var, start, end, step.as_ref(), body, o, collapse_with);
                 } else {
-                    self.emit_serial_do(*var, start, end, step.as_ref(), body, *vec);
+                    self.emit_serial_do(idx, *var, start, end, step.as_ref(), body, *vec);
                 }
             }
             RStmt::CallSub { unit, args } => {
@@ -2614,7 +2751,70 @@ impl<'a> UnitCompiler<'a> {
                 self.push(BInstr::InlineExit { desc });
                 self.emit_block(leave);
             }
+            RStmt::Span { fast, slow } => self.emit_span(fast, slow),
         }
+    }
+
+    /// A fused span ([`SpanDesc`] shows the layout). `fast` is lowered
+    /// only when its fused loop becomes a region of map statements — no
+    /// accumulator, select or fixup, which the span's step accounting
+    /// leaves out — outside any region, in the optimized build; `slow`
+    /// alone otherwise. The fused loop is analysed once: here, or by the
+    /// probe that chose the unit's temporaries, and its emission takes
+    /// that analysis.
+    fn emit_span(&mut self, fast: &[SpStmt], slow: &[SpStmt]) {
+        let (fused, between) = fast.split_last().expect("a span ends in its fused loop");
+        let at = self.next_do + do_loops(between).len();
+        let lowered = !self.traced && self.region_depth == 0 && {
+            let probe = match self.probes.get_mut(at).and_then(Option::take) {
+                Some(p) => p,
+                None => self.probe(&fused.s),
+            };
+            let maps = matches!(&probe.plan,
+                Ok(p) if p.red.is_none() && p.sel.is_none() && p.fixup.is_empty());
+            if self.probes.len() <= at {
+                self.probes.resize_with(at + 1, || None);
+            }
+            self.probes[at] = Some(probe);
+            maps
+        };
+        if !lowered {
+            self.next_do += do_loops(fast).len();
+            self.emit_block(slow);
+            return;
+        }
+        let span = self.spans.len() as u32;
+        let enter = self.push(BInstr::SpanEnter { span });
+        self.emit_block(between);
+        let s_end = self.pc();
+        self.emit_block(std::slice::from_ref(fused));
+        let fused_pc = self.last_do.1.expect("the fused loop is a region");
+        let jump = self.push(BInstr::Jump(NO_PC));
+        let slow_pc = self.pc();
+        let RStmt::Do { var, .. } = fused.s else { unreachable!("a fused loop") };
+        let mut loops = Vec::new();
+        for sp in slow {
+            let start = self.pc();
+            self.emit_block(std::slice::from_ref(sp));
+            // The original loops are the ones over the fused variable,
+            // which no S assigns.
+            if matches!(sp.s, RStmt::Do { var: v, .. } if v == var) {
+                loops.push((start, self.last_do.0));
+            }
+        }
+        let end = self.pc();
+        self.set_target(jump, end);
+        let (fixed, per_iter) = span_steps(&self.code, &loops, (s_end, fused_pc))
+            .expect("a span's original loops are straight-line region loops");
+        self.spans.push(SpanDesc {
+            s: (enter as u32 + 1, s_end),
+            fused: fused_pc,
+            slow: slow_pc,
+            end,
+            loops,
+            fixed,
+            per_iter,
+        });
     }
 
     /// Starts attributing the instructions emitted next to `unit`'s
@@ -2689,18 +2889,34 @@ impl<'a> UnitCompiler<'a> {
         one && matches!(self.vslot(var), VSlot::I(_))
     }
 
-    /// Whether emission outside any region makes the serial `DO` `s` a
-    /// region. The hidden slots the analysis takes are given back.
-    fn vec_accepts(&mut self, s: &RStmt) -> bool {
-        let RStmt::Do { var, step, body, omp: None, .. } = s else { return false };
-        let mark = self.ni_extra;
-        let ok = self.fused_head(*var, step.as_ref()) && self.analyze_vec(*var, body).is_ok();
-        self.ni_extra = mark;
-        ok
+    /// The vector analysis of the serial `DO` `s` as emission outside
+    /// any region would make it. The hidden slots it takes are given
+    /// back.
+    fn probe(&mut self, s: &RStmt) -> Probe {
+        match s {
+            RStmt::Do { var, step, body, omp: None, .. } => {
+                self.probe_loop(*var, step.as_ref(), body)
+            }
+            _ => Probe { plan: Err(VecRefusal::Shape), base: self.ni_extra, taken: 0 },
+        }
     }
 
+    fn probe_loop(&mut self, var: VarIdx, step: Option<&RExpr>, body: &[SpStmt]) -> Probe {
+        let base = self.ni_extra;
+        let plan = if self.fused_head(var, step) {
+            self.analyze_vec(var, body)
+        } else {
+            Err(VecRefusal::Shape)
+        };
+        let taken = self.ni_extra - base;
+        self.ni_extra = base;
+        Probe { plan, base, taken }
+    }
+
+    #[allow(clippy::too_many_arguments)]
     fn emit_serial_do(
         &mut self,
+        idx: usize,
         var: VarIdx,
         start: &RExpr,
         end: &RExpr,
@@ -2732,13 +2948,21 @@ impl<'a> UnitCompiler<'a> {
         let vec_plan = if self.region_depth > 0 {
             None
         } else {
-            let mark = self.ni_extra;
-            let plan = if fused1 { self.analyze_vec(var, body) } else { Err(VecRefusal::Shape) };
-            plan.map_err(|why| {
-                self.ni_extra = mark;
-                self.vec_refusals.push((do_line, why));
-            })
-            .ok()
+            let probe = match self.probes.get_mut(idx).and_then(Option::take) {
+                Some(p) => p,
+                None => self.probe_loop(var, step, body),
+            };
+            match probe.plan {
+                Ok(mut plan) => {
+                    plan.relocate(probe.base, self.ni_extra);
+                    self.ni_extra += probe.taken;
+                    Some(plan)
+                }
+                Err(why) => {
+                    self.vec_refusals.push((do_line, why));
+                    None
+                }
+            }
         };
         let (ctr, ends) = (self.hidden_i(), self.hidden_i());
         let steps = if fused1 { 0 } else { self.hidden_i() };
@@ -2837,6 +3061,7 @@ impl<'a> UnitCompiler<'a> {
         }
         let Some(Ctx::Loop { exit, cycle }) = self.ctx.pop() else { unreachable!() };
         let end_pc = self.pc();
+        let vec_pc = vec_idx.as_ref().map(|&(vi, _)| vi as u32);
         if let Some((vi, fixup)) = vec_idx {
             // Forwarded-temp fixup, reached only through the VecLoop
             // exit edge: the vector body never materializes the temps,
@@ -2865,6 +3090,7 @@ impl<'a> UnitCompiler<'a> {
             }
         }
         let after = self.pc();
+        self.last_do = (head, vec_pc);
         self.loops.push(BLoopSite { init_pc: init_idx as u32, end_pc: after, line: do_line });
         if self.traced && vec != VecClass::None {
             self.push(BInstr::VecLeave);

@@ -56,8 +56,8 @@ pub(super) struct VecPlan {
     pub(super) prep: Vec<(RExpr, u32)>,
     /// Invariant element loads the `VecLoop` entry performs instead.
     pub(super) guarded: Vec<GuardedLoad>,
-    /// Dedup table over both: (`{expr:?}`, slot).
-    inv_slots: Vec<(String, u32)>,
+    /// Dedup table over both: (expression, slot).
+    inv_slots: Vec<(RExpr, u32)>,
     /// The accumulator once its statement is compiled: a later read of
     /// it is its running value ([`VecOp::Running`]).
     running: Option<VarIdx>,
@@ -68,6 +68,49 @@ pub(super) struct VecPlan {
     /// value (the loop variable already holds the final trip value
     /// there).
     pub(super) fixup: Vec<(VarIdx, RExpr)>,
+}
+
+impl VecPlan {
+    /// Moves the hidden i-slots the analysis took, numbered from `from`,
+    /// to start at `to` instead: every i-slot at or past `from` in the
+    /// plan is one of them, as the unit's own variables' slots lie below
+    /// the first hidden slot.
+    pub(super) fn relocate(&mut self, from: u32, to: u32) {
+        if from == to {
+            return;
+        }
+        let slot = |s: &mut u32| {
+            if *s != NO_SLOT && *s >= from {
+                *s = *s - from + to;
+            }
+        };
+        for a in &mut self.accesses {
+            a.subs.iter_mut().for_each(|sub| slot(&mut sub.inv));
+        }
+        for op in self.stmts.iter_mut().flatten() {
+            if let VecOp::SplatI { inv, .. } = op {
+                slot(inv);
+            }
+        }
+        if let Some(sel) = &mut self.sel {
+            slot(&mut sel.term.inv);
+            for op in &mut sel.mask {
+                if let MaskOp::Affine(sub) = op {
+                    slot(&mut sub.inv);
+                }
+            }
+        }
+        self.prep.iter_mut().for_each(|(_, s)| slot(s));
+        for g in &mut self.guarded {
+            slot(&mut g.slot);
+            for op in &mut g.subs {
+                if let SubOp::Slot(s) = op {
+                    slot(s);
+                }
+            }
+        }
+        self.inv_slots.iter_mut().for_each(|(_, s)| slot(s));
+    }
 }
 
 /// What the analysis knows about a loop body while it walks it.
@@ -100,48 +143,65 @@ fn expr_uses_var(e: &RExpr, var: VarIdx) -> bool {
     }
 }
 
-/// Whether a statement of `stmts` outside the loop body `skip` (found by
-/// address) may read frame scalar `v`: conservatively, any expression
-/// that mentions it and every other statement that does (a call's by-ref
-/// argument, an OMP clause), but not the target of an assignment. A
-/// function call reads it only through an argument that mentions it, as
-/// a subroutine call does: a callee cannot reach its caller's frame.
-fn read_outside(stmts: &[SpStmt], skip: &[SpStmt], v: VarIdx) -> bool {
-    let ex = |e: &RExpr| {
-        let mut seen = false;
-        walk_expr(e, &mut |x| seen |= matches!(x, Seen::Ref(w) if w == v));
-        seen
-    };
-    stmts.iter().any(|sp| match &sp.s {
-        RStmt::AssignScalar { e, .. } => ex(e),
-        RStmt::AssignElem { subs, e, .. } => subs.iter().any(ex) || ex(e),
-        RStmt::If { arms, else_body } => {
-            arms.iter().any(|(c, b)| ex(c) || read_outside(b, skip, v))
-                || read_outside(else_body, skip, v)
+/// Calls `f` on every variable a statement of `stmts` outside the loop
+/// body `skip` (found by address) may read: conservatively, those any
+/// expression mentions and every one another statement does (a call's
+/// by-ref argument, an OMP clause), but not the target of an
+/// assignment. A function call reads one only through an argument that
+/// mentions it, as a subroutine call does: a callee cannot reach its
+/// caller's frame. One walk serves every forwarded temp of a loop.
+fn reads_outside(stmts: &[SpStmt], skip: &[SpStmt], f: &mut dyn FnMut(VarIdx)) {
+    fn ex(e: &RExpr, f: &mut dyn FnMut(VarIdx)) {
+        walk_expr(e, &mut |x| {
+            if let Seen::Ref(w) = x {
+                f(w);
+            }
+        });
+    }
+    for sp in stmts {
+        match &sp.s {
+            RStmt::AssignScalar { e, .. } => ex(e, f),
+            RStmt::AssignElem { subs, e, .. } => subs.iter().chain([e]).for_each(|x| ex(x, f)),
+            RStmt::If { arms, else_body } => {
+                for (c, b) in arms {
+                    ex(c, f);
+                    reads_outside(b, skip, f);
+                }
+                reads_outside(else_body, skip, f);
+            }
+            RStmt::Do { start, end, step, body, omp, collapse_with, .. } => {
+                [start, end].into_iter().chain(step).for_each(|x| ex(x, f));
+                for c in collapse_with {
+                    ex(&c.start, f);
+                    ex(&c.end, f);
+                }
+                if let Some(o) = omp {
+                    o.private.iter().chain(o.reductions.iter().map(|(_, w)| w)).for_each(|&w| f(w));
+                    o.num_threads.iter().for_each(|x| ex(x, f));
+                }
+                if !std::ptr::eq(body.as_slice(), skip) {
+                    reads_outside(body, skip, f);
+                }
+            }
+            RStmt::DoWhile { cond, body } => {
+                ex(cond, f);
+                reads_outside(body, skip, f);
+            }
+            RStmt::Critical { body, .. } => reads_outside(body, skip, f),
+            RStmt::Inlined { enter, body, leave, .. } => {
+                [enter, body, leave].into_iter().for_each(|b| reads_outside(b, skip, f));
+            }
+            RStmt::Span { fast, slow } => {
+                reads_outside(fast, skip, f);
+                reads_outside(slow, skip, f);
+            }
+            s => walk_stmt(s, &mut |x| {
+                if let Seen::Ref(w) = x {
+                    f(w);
+                }
+            }),
         }
-        RStmt::Do { start, end, step, body, omp, collapse_with, .. } => {
-            ex(start)
-                || ex(end)
-                || step.as_ref().is_some_and(ex)
-                || collapse_with.iter().any(|c| ex(&c.start) || ex(&c.end))
-                || omp.as_ref().is_some_and(|o| {
-                    o.private.contains(&v)
-                        || o.reductions.iter().any(|&(_, w)| w == v)
-                        || o.num_threads.as_deref().is_some_and(ex)
-                })
-                || (!std::ptr::eq(body.as_slice(), skip) && read_outside(body, skip, v))
-        }
-        RStmt::DoWhile { cond, body } => ex(cond) || read_outside(body, skip, v),
-        RStmt::Critical { body, .. } => read_outside(body, skip, v),
-        RStmt::Inlined { enter, body, leave, .. } => {
-            [enter, body, leave].into_iter().any(|b| read_outside(b, skip, v))
-        }
-        s => {
-            let mut seen = false;
-            walk_stmt(s, &mut |x| seen |= matches!(x, Seen::Ref(w) if w == v));
-            seen
-        }
-    })
+    }
 }
 
 /// `e` with every `LoadScalar` of an unrolled loop index replaced by
@@ -285,12 +345,14 @@ impl UnitCompiler<'_> {
         // returned; SAVE'd locals live in global cells, which are never
         // forwarded, and EQUIVALENCE names one variable by every alias.
         let unit = self.unit;
+        let mut read = vec![false; if temps.is_empty() { 0 } else { unit.vars.len() }];
+        if !temps.is_empty() {
+            reads_outside(&unit.body, body, &mut |w| read[w] = true);
+        }
         plan.fixup = temps
             .into_iter()
             .filter(|&(t, _)| {
-                unit.vars[t].is_param
-                    || unit.result.is_some_and(|(r, _)| r == t)
-                    || read_outside(&unit.body, body, t)
+                unit.vars[t].is_param || unit.result.is_some_and(|(r, _)| r == t) || read[t]
             })
             .collect();
         for (k, ops) in plan.stmts.iter().enumerate() {
@@ -439,6 +501,7 @@ impl UnitCompiler<'_> {
                 },
                 RStmt::CallSub { .. } | RStmt::Inlined { .. } => return Err(Call),
                 RStmt::If { .. }
+                | RStmt::Span { .. }
                 | RStmt::DoWhile { .. }
                 | RStmt::Critical { .. }
                 | RStmt::Return
@@ -833,14 +896,13 @@ impl UnitCompiler<'_> {
                 return Ok(s);
             }
         }
-        let key = format!("{e:?}");
-        if let Some((_, s)) = plan.inv_slots.iter().find(|(k, _)| *k == key) {
+        if let Some((_, s)) = plan.inv_slots.iter().find(|(k, _)| k.same(e)) {
             return Ok(*s);
         }
         if self.pure_total(e) {
             let s = self.hidden_i();
             plan.prep.push((e.clone(), s));
-            plan.inv_slots.push((key, s));
+            plan.inv_slots.push((e.clone(), s));
             return Ok(s);
         }
         let RExpr::LoadElem { v, subs } = e else { return Err(ImpureInvariant) };
@@ -861,7 +923,7 @@ impl UnitCompiler<'_> {
         }
         let slot = self.hidden_i();
         plan.guarded.push(GuardedLoad { slot, vs, v: *v as u32, subs: ops });
-        plan.inv_slots.push((key, slot));
+        plan.inv_slots.push((e.clone(), slot));
         Ok(slot)
     }
 

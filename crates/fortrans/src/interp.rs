@@ -1067,6 +1067,9 @@ impl<'e> Task<'e> {
                 debug_assert_eq!(flow, Flow::Normal, "an inlined leaf has no RETURN");
                 self.exec_block(unit, frame, leave)
             }
+            // The original statements: `fast` runs the same (the
+            // rewrite's oracle runs it in their place).
+            RStmt::Span { slow, .. } => self.exec_block(unit, frame, slow),
         }
     }
 

@@ -66,6 +66,32 @@ pub enum RExpr {
     CallFn { unit: UnitId, args: Vec<RArg>, ret: ScalarTy },
 }
 
+impl RExpr {
+    /// Structural equality, constants bit for bit: two expressions that
+    /// are the same tree evaluate alike. A function call is equal to
+    /// nothing, since two calls need not return alike.
+    pub fn same(&self, other: &RExpr) -> bool {
+        use RExpr::*;
+        let all = |a: &[RExpr], b: &[RExpr]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.same(y))
+        };
+        match (self, other) {
+            (ConstI(x), ConstI(y)) => x == y,
+            (ConstF(x), ConstF(y)) => x.to_bits() == y.to_bits(),
+            (ConstB(x), ConstB(y)) => x == y,
+            (LoadScalar(x), LoadScalar(y)) | (AllocatedQ(x), AllocatedQ(y)) => x == y,
+            (LoadElem { v, subs }, LoadElem { v: w, subs: t }) => v == w && all(subs, t),
+            (Bin { op, ty, l, r }, Bin { op: o, ty: u, l: m, r: q }) => {
+                op == o && ty == u && l.same(m) && r.same(q)
+            }
+            (Neg(x), Neg(y)) | (Not(x), Not(y)) | (ToF(x), ToF(y)) | (ToI(x), ToI(y)) => x.same(y),
+            (Intrinsic { f, args }, Intrinsic { f: g, args: b }) => f == g && all(args, b),
+            (ArrReduce { f, v }, ArrReduce { f: g, v: w }) => f == g && v == w,
+            _ => false,
+        }
+    }
+}
+
 /// Whole-array reductions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrRed {
@@ -179,6 +205,13 @@ pub enum RStmt {
         body: Vec<SpStmt>,
         leave: Vec<SpStmt>,
     },
+    /// Same-range loops fused into one ([`rewrite::fuse_spans`]): `slow`
+    /// is the original statements, `DO v = a, b` … S … `DO v = a, b`
+    /// (more loops for a chain); `fast` runs S first, then one loop
+    /// whose body is the loops' bodies in order. Both run the same; the
+    /// optimized build tries `fast` and falls back to `slow` (DESIGN §6),
+    /// every other tier runs `slow`. Spans do not nest.
+    Span { fast: Vec<SpStmt>, slow: Vec<SpStmt> },
 }
 
 /// One item of a PRINT list.
@@ -284,6 +317,10 @@ fn mark_stmts(stmts: &mut [SpStmt], vars: &[VarInfo], globals: &mut [GlobalDecl]
             | RStmt::Critical { body, .. }
             | RStmt::Inlined { body, .. } => {
                 mark_stmts(body, vars, globals);
+            }
+            RStmt::Span { fast, slow } => {
+                mark_stmts(fast, vars, globals);
+                mark_stmts(slow, vars, globals);
             }
             _ => {}
         }
@@ -391,6 +428,10 @@ pub(crate) fn walk_stmt(s: &RStmt, f: &mut dyn FnMut(Seen)) {
             walk_stmts(enter, f);
             walk_stmts(body, f);
             walk_stmts(leave, f);
+        }
+        RStmt::Span { fast, slow } => {
+            walk_stmts(fast, f);
+            walk_stmts(slow, f);
         }
         RStmt::Exit | RStmt::Cycle | RStmt::Stop(_) | RStmt::Nop => {}
     }

@@ -12,6 +12,10 @@ use std::sync::Arc;
 
 use super::*;
 
+mod fuse;
+
+pub use fuse::fuse_spans;
+
 /// The most statements (nested bodies and an inlined block's copies
 /// included) inlining may grow a unit to. A call whose block would take
 /// its caller past it stays a call; a unit already past it takes none.
@@ -286,7 +290,8 @@ fn own_exprs<'a>(s: &'a RStmt, f: &mut dyn FnMut(&'a RExpr)) {
         | RStmt::Cycle
         | RStmt::Stop(_)
         | RStmt::Nop
-        | RStmt::Inlined { .. } => {}
+        | RStmt::Inlined { .. }
+        | RStmt::Span { .. } => {}
     }
 }
 
@@ -307,6 +312,10 @@ fn each_child<'a>(s: &'a RStmt, f: &mut dyn FnMut(&'a [SpStmt])) {
             f(enter);
             f(body);
             f(leave);
+        }
+        RStmt::Span { fast, slow } => {
+            f(fast);
+            f(slow);
         }
         _ => {}
     }
@@ -347,7 +356,7 @@ fn inline_into(units: &[Arc<RUnit>], u: UnitId, leaves: &[Option<Leaf>]) -> Opti
     };
     fn any_site(body: &[SpStmt], fits: &dyn Fn(&RStmt) -> bool) -> bool {
         body.iter().any(|sp| match &sp.s {
-            RStmt::Do { omp: Some(_), .. } | RStmt::Inlined { .. } => false,
+            RStmt::Do { omp: Some(_), .. } | RStmt::Inlined { .. } | RStmt::Span { .. } => false,
             s => {
                 let mut found = fits(s);
                 each_child(s, &mut |b| found = found || any_site(b, fits));
@@ -413,7 +422,7 @@ impl Inliner<'_> {
                 continue;
             }
             match &mut sp.s {
-                RStmt::Do { omp: Some(_), .. } | RStmt::Inlined { .. } => {}
+                RStmt::Do { omp: Some(_), .. } | RStmt::Inlined { .. } | RStmt::Span { .. } => {}
                 RStmt::If { arms, else_body } => {
                     arms.iter_mut().for_each(|(_, b)| self.block(b, fits));
                     self.block(else_body, fits);
@@ -784,6 +793,10 @@ impl Remap {
                 self.stmts(enter);
                 self.stmts(body);
                 self.stmts(leave);
+            }
+            RStmt::Span { fast, slow } => {
+                self.stmts(fast);
+                self.stmts(slow);
             }
             RStmt::Return | RStmt::Exit | RStmt::Cycle | RStmt::Stop(_) | RStmt::Nop => {}
         }

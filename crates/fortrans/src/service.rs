@@ -75,8 +75,9 @@ pub fn source_hash(sources: &[&str]) -> u64 {
 pub struct CompiledProgram {
     prog: Arc<RProgram>,
     /// The program the optimized build is lowered from: `prog` with its
-    /// leaf calls inlined ([`crate::rir::rewrite::inline_leaves`]), or
-    /// `prog` itself when that inlines nothing.
+    /// leaf calls inlined ([`crate::rir::rewrite::inline_leaves`]) and
+    /// its same-range loops fused ([`crate::rir::rewrite::fuse_spans`]),
+    /// or `prog` itself when those change nothing.
     lowered: Arc<RProgram>,
     /// Serves Serial and Parallel runs.
     optimized: Arc<Vec<BUnit>>,
@@ -127,13 +128,19 @@ impl CompiledProgram {
     }
 
     fn build_from(prog: RProgram, hash: u64) -> Result<Arc<CompiledProgram>, CompileError> {
-        let inlined = match crate::rir::rewrite::inline_leaves(&prog) {
-            std::borrow::Cow::Owned(p) => Some(p),
-            std::borrow::Cow::Borrowed(_) => None,
+        use crate::rir::rewrite::{fuse_spans, inline_leaves};
+        use std::borrow::Cow;
+        let fused = |p: &RProgram| match fuse_spans(p) {
+            Cow::Owned(f) => Some(f),
+            Cow::Borrowed(_) => None,
+        };
+        let rewritten = match inline_leaves(&prog) {
+            Cow::Owned(p) => Some(fused(&p).unwrap_or(p)),
+            Cow::Borrowed(_) => fused(&prog),
         };
         let prog = Arc::new(prog);
-        let inlined_bytes = inlined.as_ref().map_or(0, program_bytes);
-        let lowered = inlined.map_or_else(|| Arc::clone(&prog), Arc::new);
+        let inlined_bytes = rewritten.as_ref().map_or(0, program_bytes);
+        let lowered = rewritten.map_or_else(|| Arc::clone(&prog), Arc::new);
         let optimized = compile_program(&lowered, false);
         crate::verify::verify_program(&lowered, &optimized)?;
         let est_bytes = program_bytes(&prog) + inlined_bytes + build_bytes(&optimized);
@@ -189,7 +196,8 @@ impl CompiledProgram {
     }
 
     /// The program the `traced` or optimized build was lowered from:
-    /// the optimized one's leaf calls are inlined.
+    /// the optimized one's leaf calls are inlined and its same-range
+    /// loops fused.
     pub fn lowered_program(&self, traced: bool) -> &Arc<RProgram> {
         if traced {
             &self.prog
@@ -250,7 +258,7 @@ impl CompiledProgram {
 fn vector_report_of(prog: &RProgram, bunits: &[BUnit]) -> Vec<VectorLoopInfo> {
     let per_unit = bunits.iter().flat_map(|bu| {
         let unit = &prog.units[bu.unit as usize];
-        bu.vecs.iter().map(move |d| VectorLoopInfo {
+        bu.vecs.iter().enumerate().map(move |(k, d)| VectorLoopInfo {
             unit: unit.name.clone(),
             line: d.line,
             stmts: d.stmts.len() + usize::from(d.sel.is_some()),
@@ -258,7 +266,15 @@ fn vector_report_of(prog: &RProgram, bunits: &[BUnit]) -> Vec<VectorLoopInfo> {
             proven: d.accesses.iter().filter(|a| a.proven.is_some()).count(),
             checked: d.accesses.iter().filter(|a| a.proven.is_none()).count(),
             alias_pairs: d.alias_pairs.len(),
-            contracted: crate::bytecode::contracted_in(unit, &bu.vslots, d.line),
+            // A fused span's region and its first original loop share
+            // the DO line: the regions before this one at its line say
+            // which of the loops there it is.
+            contracted: crate::bytecode::contracted_in(
+                unit,
+                &bu.vslots,
+                d.line,
+                bu.vecs[..k].iter().filter(|e| e.line == d.line).count(),
+            ),
         })
     });
     per_unit.collect()
@@ -839,9 +855,15 @@ impl Session {
         true
     }
 
-    /// Array handle of a global (thread 0 instance for per-thread cells).
+    /// Array handle of a global (thread 0 instance for per-thread
+    /// cells); `None` for a scalar one, as [`Self::global_scalar`] gives
+    /// `None` for an array.
     pub fn global_array(&self, name: &str) -> Option<Arc<ArrayObj>> {
-        let id = self.artifact.prog.global_id(name)?;
+        let prog = &self.artifact.prog;
+        let id = prog.global_id(name)?;
+        if prog.globals[id].rank == 0 {
+            return None;
+        }
         self.globals.cells[id].array_handle(0)
     }
 

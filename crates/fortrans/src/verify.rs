@@ -33,9 +33,9 @@
 
 use crate::bytecode::{
     dummy_arrays, fixed_global, fixup_cost, global_cells, mask_stack_effect, nest_exit_state,
-    prove_streams, region_cost, static_ledger, static_shape, vec_stack_effect, BArg, BInstr, BUnit,
-    MaskOp, PItem, SubOp, VSlot, VecDesc, VecOp, VecSel, VecSub, MAX_INLINE_RANK, NO_PC, NO_SDIMS,
-    NO_SLOT, VEC_MAX_ACCESSES, VEC_MAX_DEPTH,
+    prove_streams, region_cost, span_steps, static_ledger, static_shape, vec_stack_effect, BArg,
+    BInstr, BUnit, MaskOp, PItem, SubOp, VSlot, VecDesc, VecOp, VecSel, VecSub, MAX_INLINE_RANK,
+    NO_PC, NO_SDIMS, NO_SLOT, VEC_MAX_ACCESSES, VEC_MAX_DEPTH,
 };
 use crate::error::CompileError;
 use crate::intrinsics::Intr;
@@ -543,6 +543,7 @@ impl Verifier<'_> {
                 }
             }
             InlineEnter { desc } | InlineExit { desc } => self.inline_ok(desc).map_err(at)?,
+            SpanEnter { span } => self.span_ok(pc, span).map_err(at)?,
             // Pure stack/cost instructions carry no indices.
             Const(_) | CvtIF | CvtFI | CvtIB | CvtFB | AddF | SubF | MulF | DivF | PowFF
             | PowFI | NegF | AddI | SubI | MulI | DivI | PowII | NegI | NotB | AndB | OrB
@@ -758,6 +759,15 @@ impl Verifier<'_> {
                     return Err((pc, m));
                 }
                 open = desc;
+            }
+            // The span's S and its fused region run and commit, or `slow`
+            // runs: from the speculated range, whose flow from `pc + 1`
+            // reaches the region with the depths it started with, or
+            // from `SpanEnter` itself.
+            SpanEnter { span } => {
+                let sd = &self.bu.spans[span as usize];
+                succ.extend([(pc + 1, d), (sd.slow, d), (sd.end, d)]);
+                return Ok(None);
             }
             InlineExit { desc } => {
                 if open != desc {
@@ -1062,6 +1072,190 @@ impl Verifier<'_> {
         Ok(())
     }
 
+    /// A fused span's descriptor, re-derived from the code: the layout
+    /// [`crate::bytecode::SpanDesc`] documents; the step constants from
+    /// the original loops and the fused loop's set-up; an S that writes
+    /// only frame scalars and transfers control only within itself, the
+    /// same instructions as `slow`'s S in order; and each S independent
+    /// of the original loops before it — it writes no slot they read or
+    /// write and reads none they write, and reads no array that may be
+    /// one they store to. Speculating S ahead of those loops is exact on
+    /// the strength of that.
+    fn span_ok(&self, pc: u32, span: u32) -> Result<(), String> {
+        let bu = self.bu;
+        let code = &bu.code;
+        let d = bu.spans.get(span as usize).ok_or_else(|| format!("span {span} out of range"))?;
+        let n = code.len() as u32;
+        let (lo, hi) = d.s;
+        if !(lo == pc + 1 && lo <= hi && hi <= d.fused && d.fused < d.slow && d.slow < d.end)
+            || d.end > n
+        {
+            return Err(format!("span {span} ranges out of order: {d:?}"));
+        }
+        let BInstr::VecLoop { desc, .. } = code[d.fused as usize] else {
+            return Err(format!("span {span} fuses no vector loop at {}", d.fused));
+        };
+        let v = bu
+            .vecs
+            .get(desc as usize)
+            .ok_or_else(|| format!("span {span}: no descriptor {desc}"))?;
+        if v.fixup_cost != 0 || v.red.is_some() || v.sel.is_some() {
+            return Err(format!("span {span}: its region is not map statements alone"));
+        }
+        if !matches!(code[d.slow as usize - 1], BInstr::Jump(t) if t == d.end) {
+            return Err(format!("span {span}: the fused loop does not jump past `slow`"));
+        }
+        // The original loops tile `slow`, an S between each two.
+        let mut between = Vec::new();
+        let mut at = d.slow;
+        for (k, &(start, head)) in d.loops.iter().enumerate() {
+            let Some(&BInstr::DoHead1 { exit, .. }) = code.get(head as usize) else {
+                return Err(format!("span {span}: loop {k} has no head at {head}"));
+            };
+            let placed = start >= at && (k > 0 || start == at) && start < head && head < exit;
+            if !placed || exit > d.end {
+                return Err(format!("span {span}: loop {k} ({start}, {head}) out of place"));
+            }
+            if k > 0 {
+                between.push((at, start));
+            }
+            at = exit;
+        }
+        if d.loops.len() < 2 || at != d.end {
+            return Err(format!("span {span}: its loops do not end it"));
+        }
+        if span_steps(code, &d.loops, (hi, d.fused)) != Some((d.fixed, d.per_iter)) {
+            return Err(format!(
+                "span {span}: step constants ({}, {}) disagree with its loops",
+                d.fixed, d.per_iter
+            ));
+        }
+        let kind = |p: u32| std::mem::discriminant(&code[p as usize]);
+        let slow_s = between.iter().flat_map(|&(a, b)| a..b).map(kind);
+        if !slow_s.eq((lo..hi).map(kind)) {
+            return Err(format!("span {span}: its S is not `slow`'s"));
+        }
+        for p in lo..hi {
+            self.speculable(code[p as usize], (lo, hi))
+                .map_err(|m| format!("span {span}: S at {p} {m}"))?;
+        }
+        // Each S of `fast` against the loops `slow` runs before it.
+        let dummies = dummy_arrays(&self.prog.units[bu.unit as usize], &bu.vslots);
+        let (mut s_at, mut loops) = (lo, Vec::new());
+        for (k, &(a, b)) in between.iter().enumerate() {
+            let s = self.slot_use(s_at, s_at + (b - a));
+            s_at += b - a;
+            if a == b {
+                continue;
+            }
+            for &(start, head) in &d.loops[loops.len()..=k] {
+                let BInstr::DoHead1 { exit, .. } = code[head as usize] else { unreachable!() };
+                loops.push(self.slot_use(start, exit));
+            }
+            for (j, l) in loops.iter().enumerate() {
+                if let Some(m) = s.conflict(l, &dummies) {
+                    return Err(format!("span {span}: S {k} and loop {j} {m}"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// An instruction of a span's S, which runs `[s.0, s.1)` ahead of
+    /// the loops before it: no store but to a frame scalar, no call,
+    /// I/O, allocation, OMP or CRITICAL, and control flow only within S.
+    fn speculable(&self, ins: BInstr, (lo, hi): (u32, u32)) -> Result<(), String> {
+        use BInstr::*;
+        let within = |t: u32| {
+            if (lo..=hi).contains(&t) {
+                Ok(())
+            } else {
+                Err(format!("leaves S for {t}"))
+            }
+        };
+        match ins {
+            Jump(t) | JumpIfFalse(t) => within(t),
+            DoHead1 { exit, .. } | DoHeadN { exit, .. } | DoHead { exit, .. } => within(exit),
+            DoIncr1 { head, .. } | DoIncr { head, .. } => within(head),
+            VecLoop { desc, exit, .. } => {
+                let v = &self.bu.vecs[desc as usize];
+                if v.accesses.iter().any(|a| a.write)
+                    || v.red.is_some_and(|r| !matches!(r.vs, VSlot::F(_)))
+                {
+                    return Err("runs a region that stores outside the frame scalars".into());
+                }
+                within(exit)
+            }
+            StoreG(_) | StoreElemS { .. } | AtomicScal { .. } | AtomicElem { .. }
+            | Broadcast { .. } | CopyArr { .. } | Alloc { .. } | Dealloc { .. } | FlowExit
+            | FlowCycle | FlowReturn | Critical { .. } | OmpDo { .. } | CallPre
+            | StashElem { .. } | PushArr { .. } | Call { .. } | Print { .. } | Stop { .. }
+            | SpanEnter { .. } | Quiet { .. } | VecEnter(_) | VecLeave | CostBranch => {
+                Err(format!("is {ins:?}, which S may not run"))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The slots `code[lo..hi]` reads and writes, by bank.
+    fn slot_use(&self, lo: u32, hi: u32) -> SlotUse {
+        use BInstr::*;
+        let bu = self.bu;
+        let mut u = SlotUse::default();
+        for &ins in &bu.code[lo as usize..hi as usize] {
+            match ins {
+                LoadI(s) => u.read.push(VSlot::I(s)),
+                LoadF(s) => u.read.push(VSlot::F(s)),
+                LoadB(s) => u.read.push(VSlot::B(s)),
+                LoadG(c) => u.read.push(VSlot::GlobS(c)),
+                StoreI(s) => u.write.push(VSlot::I(s)),
+                StoreF(s) => u.write.push(VSlot::F(s)),
+                StoreB(s) => u.write.push(VSlot::B(s)),
+                StoreG(c) => u.write.push(VSlot::GlobS(c)),
+                LoadElemS { vs, subs, n, .. } | StoreElemS { vs, subs, n, .. } => {
+                    let ops = bu.subops.get(subs as usize..subs as usize + n as usize);
+                    for op in ops.into_iter().flatten() {
+                        if let SubOp::Slot(s) = *op {
+                            u.read.push(VSlot::I(s));
+                        }
+                    }
+                    match ins {
+                        StoreElemS { .. } => u.write.push(vs),
+                        _ => u.read.push(vs),
+                    }
+                }
+                ArrRed { vs, .. } | AllocatedQ { vs } => u.read.push(vs),
+                DoInitC { ctr, end } => u.write.extend([VSlot::I(ctr), VSlot::I(end)]),
+                DoInit { ctr, end, step, .. } => {
+                    u.write.extend([VSlot::I(ctr), VSlot::I(end), VSlot::I(step)]);
+                }
+                DoHead1 { ctr, end, var, .. } | DoHeadN { ctr, end, var, .. } => {
+                    u.read.extend([VSlot::I(ctr), VSlot::I(end)]);
+                    u.write.push(VSlot::I(var));
+                }
+                DoHead { ctr, end, .. } => u.read.extend([VSlot::I(ctr), VSlot::I(end)]),
+                DoIncr1 { ctr, .. } | DoIncr { ctr, .. } => {
+                    u.read.push(VSlot::I(ctr));
+                    u.write.push(VSlot::I(ctr));
+                }
+                VecLoop { desc, ctr, end, var, .. } => {
+                    u.read.extend([VSlot::I(ctr), VSlot::I(end)]);
+                    u.write.extend([VSlot::I(ctr), VSlot::I(var)]);
+                    u.region(&bu.vecs[desc as usize]);
+                }
+                InlineEnter { desc } => {
+                    let d = &bu.inlines[desc as usize];
+                    u.write.extend((d.i.0..d.i.1).map(VSlot::I));
+                    u.write.extend((d.f.0..d.f.1).map(VSlot::F));
+                    u.write.extend((d.b.0..d.b.1).map(VSlot::B));
+                    u.write.extend((d.a.0..d.a.1).map(VSlot::A));
+                }
+                _ => {}
+            }
+        }
+        u
+    }
+
     fn glob_ok(&self, c: u32) -> Result<(), String> {
         if c as usize >= self.prog.globals.len() {
             Err(format!("global cell {c} out of range ({} cells)", self.prog.globals.len()))
@@ -1104,6 +1298,88 @@ impl Verifier<'_> {
         } else {
             Err(format!("variable index {v} out of range ({nvars} vars)"))
         }
+    }
+}
+
+/// The storage a range of code reads and writes ([`Verifier::slot_use`]):
+/// frame scalars and global scalars by slot, arrays by the slot that
+/// holds them.
+#[derive(Default)]
+struct SlotUse {
+    read: Vec<VSlot>,
+    write: Vec<VSlot>,
+}
+
+impl SlotUse {
+    /// A region's slots: its streams, invariants, accumulator, guarded
+    /// loads and the inner loops' exit state.
+    fn region(&mut self, v: &VecDesc) {
+        let inv = |s: &VecSub| (s.inv != NO_SLOT).then_some(VSlot::I(s.inv));
+        for a in &v.accesses {
+            self.read.extend(a.subs.iter().filter_map(inv));
+            if a.write {
+                self.write.push(a.vs);
+            } else {
+                self.read.push(a.vs);
+            }
+        }
+        for op in v.stmts.iter().flatten() {
+            match *op {
+                VecOp::SplatF(s) => self.read.push(VSlot::F(s)),
+                VecOp::SplatG(c) => self.read.push(VSlot::GlobS(c)),
+                VecOp::SplatI { inv, .. } if inv != NO_SLOT => self.read.push(VSlot::I(inv)),
+                _ => {}
+            }
+        }
+        if let Some(r) = v.red {
+            self.read.push(r.vs);
+            self.write.push(r.vs);
+        }
+        if let Some(sel) = &v.sel {
+            self.read.push(VSlot::I(sel.acc));
+            self.write.push(VSlot::I(sel.acc));
+            self.read.extend(inv(&sel.term));
+            for op in &sel.mask {
+                if let MaskOp::Affine(s) = op {
+                    self.read.extend(inv(s));
+                }
+            }
+        }
+        for g in &v.guarded {
+            self.read.push(g.vs);
+            self.write.push(VSlot::I(g.slot));
+            for op in &g.subs {
+                if let SubOp::Slot(s) = *op {
+                    self.read.push(VSlot::I(s));
+                }
+            }
+        }
+        self.write.extend(v.exit_state.iter().map(|&(s, _)| VSlot::I(s)));
+    }
+
+    /// What makes running `self` before `later` differ from after it,
+    /// if anything: a write of something `later` reads or writes, or a
+    /// read of something it writes. Arrays in different slots meet when
+    /// neither is a frame array of the unit's own (`dummies` lists the
+    /// dummy ones) and they are not two global cells.
+    fn conflict(&self, later: &SlotUse, dummies: &[u32]) -> Option<String> {
+        let own = |vs: VSlot| matches!(vs, VSlot::A(s) if !dummies.contains(&s));
+        let array = |vs: VSlot| matches!(vs, VSlot::A(_) | VSlot::GlobA(_));
+        let meet = |x: VSlot, y: VSlot| {
+            x == y
+                || (array(x)
+                    && array(y)
+                    && !own(x)
+                    && !own(y)
+                    && !matches!((x, y), (VSlot::GlobA(_), VSlot::GlobA(_))))
+        };
+        let hit = |mine: &[VSlot], theirs: &[VSlot]| {
+            mine.iter().find(|&&x| theirs.iter().any(|&y| meet(x, y))).copied()
+        };
+        if let Some(x) = hit(&self.write, &later.read).or_else(|| hit(&self.write, &later.write)) {
+            return Some(format!("both touch {x:?}, which S writes"));
+        }
+        hit(&self.read, &later.write).map(|x| format!("both touch {x:?}, which the loop writes"))
     }
 }
 

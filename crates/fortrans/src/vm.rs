@@ -200,6 +200,19 @@ fn store_elem_bits(arr: &ArrayObj, off: usize, bits: u64, src: ScalarTy) {
     }
 }
 
+/// A fused span whose S and set-up are running speculated
+/// ([`BInstr::SpanEnter`]): what a fallback puts back and where it goes.
+#[derive(Clone, Copy)]
+struct Spec {
+    span: u32,
+    /// The step count before `SpanEnter`, and the operand stack's depth.
+    saved: u64,
+    depth: usize,
+    /// The fused loop's `VecLoop`, where the span commits, and `slow`.
+    fused: u32,
+    slow: u32,
+}
+
 /// Unboxed per-type value banks for one call frame.
 #[derive(Clone)]
 pub(crate) struct VFrame {
@@ -1317,12 +1330,44 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
 
     // ---------- the dispatch loop ----------
 
+    /// Runs `[lo, hi)` of unit `uidx`. A fused span's S and set-up run
+    /// here speculated (`SpanEnter`): whatever they raise — a fault, a
+    /// limit, a cancellation — is dropped, what the span changed is put
+    /// back, and the run resumes at the span's original statements,
+    /// which raise it again or raise something before it.
     fn run_range(
         &mut self,
         uidx: usize,
         frame: &mut VFrame,
         lo: u32,
         hi: u32,
+    ) -> Result<Flow, RunError> {
+        let mut at = lo;
+        loop {
+            let mut spec = None;
+            match self.dispatch(uidx, frame, at, hi, &mut spec) {
+                Err(e) => match spec {
+                    Some(s) => {
+                        self.fall_back(s);
+                        at = s.slow;
+                    }
+                    None => return Err(e),
+                },
+                ok => return ok,
+            }
+        }
+    }
+
+    /// The dispatch loop over `[lo, hi)`; `spec` is the span it is
+    /// speculating, if any.
+    #[inline(always)]
+    fn dispatch(
+        &mut self,
+        uidx: usize,
+        frame: &mut VFrame,
+        lo: u32,
+        hi: u32,
+        spec: &mut Option<Spec>,
     ) -> Result<Flow, RunError> {
         let bu: &'e BUnit = &self.bunits[uidx];
         let code: &'e [BInstr] = &bu.code;
@@ -1766,6 +1811,10 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     }
                 }
                 BInstr::VecLoop { desc, ctr, end, var, exit } => {
+                    if let Some(s) = spec.take_if(|s| s.fused == pc as u32) {
+                        pc = self.span_commit(frame, bu, s, desc, ctr, end, var)? as usize;
+                        continue;
+                    }
                     if self.exec_fast_loop(frame, bu, desc, ctr, end, var)? {
                         pc = exit as usize;
                         continue;
@@ -1965,6 +2014,22 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     return Err(RunError::Stop { msg: bu.msgs[msg as usize].clone() });
                 }
                 BInstr::InlineEnter { desc } => self.inline_enter(bu, frame, desc)?,
+                BInstr::SpanEnter { span } => {
+                    let d = &bu.spans[span as usize];
+                    let ex = self.ex;
+                    if TRACE || self.prof.is_some() || (!ex.vector_enabled && ex.native.is_none()) {
+                        self.steps -= 1;
+                        pc = d.slow as usize;
+                        continue;
+                    }
+                    *spec = Some(Spec {
+                        span,
+                        saved: self.steps - 1,
+                        depth: self.stack.len(),
+                        fused: d.fused,
+                        slow: d.slow,
+                    });
+                }
                 BInstr::InlineExit { .. } => {
                     if let Some(p) = self.prof {
                         p.unit_exit();
@@ -1974,6 +2039,52 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             pc += 1;
         }
         Ok(Flow::Normal)
+    }
+
+    /// A speculated span's commit, at its fused loop's `VecLoop`: the
+    /// pc to go on at. The region's entry runs the loop and the span
+    /// continues at its end, with the step count where `slow` would
+    /// leave it ([`SpanDesc::fixed`]); or, when the trip is empty or the
+    /// entry's guards or step reservation refuse, the count and the
+    /// operand stack go back to where `SpanEnter` found them and the
+    /// span continues at `slow`.
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn span_commit(
+        &mut self,
+        frame: &mut VFrame,
+        bu: &'e BUnit,
+        spec: Spec,
+        desc: u32,
+        ctr: u32,
+        end: u32,
+        var: u32,
+    ) -> Result<u32, RunError> {
+        let d = &bu.spans[spec.span as usize];
+        let (lo, hi) = (frame.i[ctr as usize], frame.i[end as usize]);
+        let trip = i128::from(hi) - i128::from(lo) + 1;
+        // Where `slow` would leave the count, and what the region's own
+        // entry reserves on top of where it starts.
+        let total = i128::from(self.steps) + i128::from(d.fixed) + trip * i128::from(d.per_iter);
+        let entry = trip * i128::from(bu.vecs[desc as usize].iter_cost) + 1;
+        let start = u64::try_from(total - entry).ok().filter(|_| total <= i128::from(u64::MAX));
+        if let (true, Some(start)) = (trip > 0, start) {
+            self.steps = start;
+            if self.exec_fast_loop(frame, bu, desc, ctr, end, var)? {
+                return Ok(d.end);
+            }
+        }
+        self.fall_back(spec);
+        Ok(d.slow)
+    }
+
+    /// Puts back what a speculated span changed outside the frame's
+    /// scalars and hidden slots: the step count, to where it stood before
+    /// its `SpanEnter`, whose step is then `slow`'s first instruction's,
+    /// and the operand stack.
+    fn fall_back(&mut self, spec: Spec) {
+        self.stack.truncate(spec.depth);
+        self.steps = spec.saved;
     }
 
     // ---------- calls ----------

@@ -461,27 +461,38 @@ fn function_calls_read_a_forwarded_temp_only_through_arguments() {
 
 /// Contraction gives regions up to no loop: the 13 GLAF source sets
 /// (five SARB, eight FUN3D) keep the region counts they had before it,
-/// counted in each unit's own code. The report also lists the copies
-/// inlined leaves bring into their callers (a FUN3D `cell_loop` holds
-/// `edge_loop`'s three regions, a SARB band integration its bands'),
-/// which it counts on top.
+/// counted in each unit's own code. A fused span's region comes on top
+/// of the regions of the loops it fuses, which its original statements
+/// keep, and is counted apart; a region in its S is in both copies of
+/// S. The report also lists the copies inlined
+/// leaves bring into their callers (a FUN3D `cell_loop` holds
+/// `edge_loop`'s regions, a SARB band integration its bands'), which it
+/// counts on top.
 #[test]
 fn glaf_source_sets_keep_their_region_counts() {
-    let (own, reported): (Vec<usize>, Vec<usize>) = sources::glaf_source_sets()
+    let counts: Vec<(usize, usize, usize)> = sources::glaf_source_sets()
         .iter()
         .map(|set| {
             let refs: Vec<&str> = set.iter().map(String::as_str).collect();
             let art = CompiledProgram::compile(&refs).expect("source set compiles");
-            let own = |bu: &fortrans::bytecode::BUnit| {
+            let own = |bu: &fortrans::bytecode::BUnit, fused: bool| {
                 let at = |pc: usize| bu.unit_for_pc(pc as u32) == bu.unit;
-                let region =
-                    |(pc, i): &(usize, &BInstr)| matches!(i, BInstr::VecLoop { .. }) && at(*pc);
+                let span = |pc: usize| bu.spans.iter().any(|s| s.fused as usize == pc);
+                let region = |(pc, i): &(usize, &BInstr)| {
+                    matches!(i, BInstr::VecLoop { .. }) && at(*pc) && span(*pc) == fused
+                };
                 bu.code.iter().enumerate().filter(region).count()
             };
-            (art.bytecode(false).iter().map(own).sum::<usize>(), art.vector_report().len())
+            let bc = art.bytecode(false);
+            let count = |fused| bc.iter().map(|bu| own(bu, fused)).sum::<usize>();
+            (count(false), count(true), art.vector_report().len())
         })
-        .unzip();
+        .collect();
+    let own: Vec<usize> = counts.iter().map(|c| c.0).collect();
+    let fused: Vec<usize> = counts.iter().map(|c| c.1).collect();
+    let reported: Vec<usize> = counts.iter().map(|c| c.2).collect();
     assert_eq!(own, [28, 5, 10, 26, 28, 19, 10, 19, 10, 18, 18, 13, 2]);
-    assert_eq!(reported, [40, 5, 10, 33, 35, 32, 14, 20, 11, 19, 19, 14, 2]);
+    assert_eq!(fused, [4, 0, 2, 4, 4, 2, 2, 2, 2, 2, 2, 1, 0]);
+    assert_eq!(reported, [44, 5, 12, 37, 39, 37, 19, 23, 14, 21, 21, 15, 2]);
 }
 

@@ -59,7 +59,7 @@ pub fn corrupt(bunits: &mut [BUnit], seed: u64) -> Option<Mutation> {
         return None;
     }
     let u = units[rng.below(units.len())];
-    const KINDS: usize = 16;
+    const KINDS: usize = 17;
     let start = rng.below(KINDS);
     for k in 0..KINDS {
         let got = match (start + k) % KINDS {
@@ -78,7 +78,8 @@ pub fn corrupt(bunits: &mut [BUnit], seed: u64) -> Option<Mutation> {
             12 => vec_proof(&mut bunits[u], &mut rng),
             13 => call_arity(&mut bunits[u], &mut rng),
             14 => vec_running_sum(&mut bunits[u], &mut rng),
-            _ => inline_enter(&mut bunits[u], &mut rng),
+            15 => inline_enter(&mut bunits[u], &mut rng),
+            _ => span(&mut bunits[u], &mut rng),
         };
         if let Some((kind, detail)) = got {
             return Some(Mutation { unit: u, kind, detail });
@@ -553,4 +554,44 @@ fn inline_enter(bu: &mut BUnit, rng: &mut Rng) -> Applied {
         }
     };
     Some(("inline-enter", detail))
+}
+
+/// Breaks a fused span: widens its S over the instructions after it —
+/// the fused loop's set-up, its region and the scalar loop's stores —
+/// so the speculated range would store and transfer control; or
+/// misstates one of its step constants, so a committed span would
+/// retire other steps than its original statements.
+fn span(bu: &mut BUnit, rng: &mut Rng) -> Applied {
+    use BInstr::*;
+    let spans: Vec<u32> = bu
+        .code
+        .iter()
+        .filter_map(|i| match i {
+            SpanEnter { span } => Some(*span),
+            _ => None,
+        })
+        .collect();
+    if spans.is_empty() {
+        return None;
+    }
+    let k = spans[rng.below(spans.len())];
+    let d = &mut bu.spans[k as usize];
+    let detail = match rng.below(3) {
+        0 => {
+            let store = (d.s.1..d.slow).find(|&p| {
+                matches!(bu.code[p as usize], StoreElemS { .. } | StoreF(_) | VecLoop { .. })
+            });
+            d.s.1 = store.map_or(d.slow, |p| p + 1);
+            format!("span {k}: S widened to {:?}", d.s)
+        }
+        1 => {
+            d.fixed += 1 + (rng.next_u64() % 5) as i64;
+            format!("span {k}: fixed steps -> {}", d.fixed)
+        }
+        _ => {
+            d.per_iter += 1 + (rng.next_u64() % 3) as u32;
+            format!("span {k}: steps per iteration -> {}", d.per_iter)
+        }
+    };
+    Some(("span", detail))
 }

@@ -359,6 +359,38 @@ END MODULE m
             entry: "fill",
             mk_args: || vec![ArgVal::I(8)],
         },
+        // One unit, so every seed that draws it can find the span: the
+        // flux and accumulation loops fuse around the leaf call between
+        // them, as FUN3D's edge loops do.
+        Prog {
+            label: "spans",
+            src: r#"
+MODULE m
+  REAL(8), DIMENSION(1:5) :: acc
+CONTAINS
+  SUBROUTINE edge(q, n)
+    REAL(8), DIMENSION(1:5) :: q
+    INTEGER :: n
+    REAL(8), DIMENSION(1:5) :: flux
+    INTEGER :: i, j, kk
+    kk = 1
+    DO i = 1, 5
+      flux(i) = q(i) * 0.5D0 + n
+    END DO
+    DO j = 1, n
+      IF (j * 2 > n) THEN
+        kk = MAX(kk, j)
+      END IF
+    END DO
+    DO i = 1, 5
+      acc(i) = acc(i) + flux(i) * kk
+    END DO
+  END SUBROUTINE edge
+END MODULE m
+"#,
+            entry: "edge",
+            mk_args: || vec![ArgVal::array_f(&[1.0, 2.0, 3.0, 4.0, 5.0], 1), ArgVal::I(4)],
+        },
     ]
 }
 
@@ -416,6 +448,7 @@ fn seeded_corruptions_are_all_rejected_by_the_verifier() {
         "sub-operand",
         "vec-running-sum",
         "inline-enter",
+        "span",
     ] {
         assert!(by_kind.contains_key(kind), "mutation kind {kind} never applied: {by_kind:?}");
     }

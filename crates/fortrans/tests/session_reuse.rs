@@ -170,3 +170,19 @@ END MODULE m
         assert_eq!(scheds(), expect, "round {round}: an override was lost");
     }
 }
+
+/// A global's two accessors answer by its rank, never panic: after a
+/// FUN3D mesh build, `mesh_mod::ncell` is a scalar to `global_scalar`
+/// and `None` to `global_array`, and `mesh_mod::c2n` the other way
+/// round.
+#[test]
+fn global_accessors_answer_by_rank() {
+    use fortrans::Val;
+    use fun3d::variants::{build_artifact, Fun3dVariant};
+    let s = Session::solo(build_artifact(Fun3dVariant::OriginalSerial));
+    s.run("build_mesh", &[ArgVal::I(24)], ExecMode::Serial).expect("mesh builds");
+    assert_eq!(s.global_scalar("mesh_mod::ncell"), Some(Val::I(24)));
+    assert!(s.global_array("mesh_mod::ncell").is_none());
+    assert!(s.global_scalar("mesh_mod::c2n").is_none());
+    assert_eq!(s.global_array("mesh_mod::c2n").map(|h| h.len()), Some(4 * 24));
+}

@@ -172,13 +172,16 @@ fn sarb_v3_takes_the_vector_rung_under_simulated() {
     assert!(entries > 0, "vector_entry_count stayed 0 under Simulated");
     // The traced build carries the same regions the optimized one does
     // in each unit's own code (the optimized one adds the copies its
-    // inlined leaves bring), each with a ledger (a region without one
-    // stays scalar).
+    // inlined leaves bring and its fused spans' regions), each with a
+    // ledger (a region without one stays scalar).
     let (opt, traced) = (art.bytecode(false), art.bytecode(true));
     let regions = |b: &[fortrans::bytecode::BUnit]| {
         let own = |u: &fortrans::bytecode::BUnit| {
+            let fused = |pc: usize| u.spans.iter().any(|s| s.fused as usize == pc);
             let region = |(pc, i): &(usize, &BInstr)| {
-                matches!(i, BInstr::VecLoop { .. }) && u.unit_for_pc(*pc as u32) == u.unit
+                matches!(i, BInstr::VecLoop { .. })
+                    && u.unit_for_pc(*pc as u32) == u.unit
+                    && !fused(*pc)
             };
             u.code.iter().enumerate().filter(region).count()
         };

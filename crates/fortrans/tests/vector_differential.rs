@@ -1674,21 +1674,30 @@ fn fun3d_descriptors_prove_what_the_entry_no_longer_checks() {
     let cfg = Fun3dConfig { fuse: true, ..Default::default() };
     let fused = build_artifact(Fun3dVariant::Glaf(cfg));
     let rep = fused.vector_report();
-    // The fused edge region and the face nest: the widest region of
-    // `edge_loop` and of `cell_loop`.
-    let widest = |unit: &str| {
-        let mut rs: Vec<_> = rep.iter().filter(|r| r.unit == unit).collect();
-        rs.sort_by_key(|r| r.proven + r.checked);
-        rs.pop().expect("the unit has regions").clone()
+    // The regions of `unit` at `line`, in code order.
+    let at = |unit: &str, line: u32| -> Vec<_> {
+        rep.iter().filter(|r| r.unit == unit && r.line == line).cloned().collect()
     };
-    let (edge, face) = (widest("edge_loop"), widest("cell_loop"));
-    // Nine of the edge region's ten temporaries are contracted into
-    // scalars; `flux` is read by the next loop and stays a stream.
+    // The edge span's region, then the original flux loop's, at line 79.
+    let [span, edge] = at("edge_loop", 79).try_into().expect("two regions at line 79");
+    // Nine of the flux loop's ten temporaries are contracted into
+    // scalars; `flux` is read by the next loop and stays a stream. In the
+    // span's region, which also accumulates into `jac`, it is contracted
+    // too: `jac`'s stream is the one stream more.
     assert_eq!(
         (edge.proven, edge.proven + edge.checked, edge.contracted),
         (5, 7, 9),
         "{edge:?}"
     );
+    assert_eq!(
+        (span.proven, span.proven + span.checked, span.contracted),
+        (4, 7, 10),
+        "{span:?}"
+    );
+    // The face nest, the widest region of `cell_loop`'s own prologue
+    // loops, right after the fused prologue's region and the loops it
+    // stands for.
+    let [face] = at("cell_loop", 140).try_into().expect("one face nest");
     assert_eq!((face.proven, face.proven + face.checked, face.alias_pairs), (4, 20, 0), "{face:?}");
 }
 

@@ -311,22 +311,24 @@ mod tests {
     /// constant-trip nests: each must compile to one `VecLoop` region
     /// that covers its inner loops (`grad(1, m)`, `grad(2, m)` and
     /// `grad(3, m)` never meet), and a Serial run must enter exactly the
-    /// regions the cells passing `angle_check` reach.
+    /// regions the cells passing `angle_check` reach. The five `DO m`
+    /// loops of the prologue fuse into one span, whose region (21
+    /// statements) runs in their place.
     #[test]
     fn cell_loop_nests_run_on_the_fast_rungs() {
         let cfg = Fun3dConfig { fuse: true, ..Default::default() };
-        // Per passing cell: zero `qavg`, gather, average, zero `grad`,
-        // face nest; per edge the fused temporaries loop, `ioff_search`'s
-        // masked select and the `jac` accumulate.
-        nests_run_on_the_fast_rungs(Fun3dVariant::Glaf(cfg), "cell_loop", 5 + 6 * 3, 6);
+        // Per passing cell: the fused prologue; per edge `ioff_search`'s
+        // masked select and the fused temporaries-and-accumulate span.
+        nests_run_on_the_fast_rungs(Fun3dVariant::Glaf(cfg), "cell_loop", 1 + 6 * 2, 6);
     }
 
-    /// `jacobian_recon` holds the same three nests inline; its `edge_loop`
-    /// part is ten unfused temporaries loops plus the accumulate (its
-    /// neighbour search EXITs, so it stays scalar).
+    /// `jacobian_recon` holds the same three nests inline, fused with
+    /// the rest of its prologue likewise; its `edge_loop` part is ten
+    /// temporaries loops, the neighbour search (which EXITs, so it stays
+    /// scalar) and the accumulate, all one span whose S is the search.
     #[test]
     fn original_serial_nests_run_on_the_fast_rungs() {
-        nests_run_on_the_fast_rungs(Fun3dVariant::OriginalSerial, "jacobian_recon", 5 + 6 * 11, 0);
+        nests_run_on_the_fast_rungs(Fun3dVariant::OriginalSerial, "jacobian_recon", 1 + 6, 0);
     }
 
     /// `selects_per_cell` of the entries are masked selects, which the
@@ -345,7 +347,11 @@ mod tests {
             .filter(|v| v.unit == unit && v.stmts > 1)
             .map(|v| v.stmts)
             .collect();
-        assert_eq!(nests, [4, 3, 12], "gather, zeroing and face nest regions in `{unit}`");
+        assert_eq!(
+            nests,
+            [21, 4, 3, 12],
+            "fused prologue, gather, zeroing and face nest regions in `{unit}`"
+        );
 
         let mesh = crate::mesh::Mesh::build(CELLS);
         let passing = (0..CELLS)

@@ -97,8 +97,8 @@ fn main() {
     // 4. Where the fused configuration leaves the scalar rung: the loops
     //    compiled to `VecLoop` regions, what their entry still checks
     //    (streams lowering did not prove, alias pairs), how many of
-    //    their temporaries became scalars instead of streams, and why
-    //    each other DO was not a region.
+    //    their temporaries became scalars instead of streams, why each
+    //    other DO was not a region, and which loops fused into spans.
     println!("\n=== vector regions, GLAF serial fused ===");
     let fused = build_artifact(Fun3dVariant::Glaf(Fun3dConfig { fuse: true, ..Default::default() }));
     for r in fused.vector_report() {
@@ -110,6 +110,29 @@ fn main() {
     }
     for r in fused.vector_refusals() {
         println!("  {:12} line {:>3}  scalar: {:?}", r.unit, r.line, r.why);
+    }
+    // Same-range loops fused into spans (DESIGN §6, "Fused spans"): the
+    // DO lines of the loops each span fuses, and how many statements the
+    // one region that runs them all in their place holds. Its regions
+    // are among those above: the fused region at the first loop's line,
+    // then the original loops' own, which the span falls back to.
+    let lowered = fused.lowered_program(false);
+    for bu in fused.bytecode(false).iter() {
+        for d in &bu.spans {
+            let lines: Vec<String> = d
+                .loops
+                .iter()
+                .filter_map(|&(start, _)| bu.line_for_pc(start))
+                .map(|l| l.to_string())
+                .collect();
+            let BInstr::VecLoop { desc, .. } = bu.code[d.fused as usize] else { continue };
+            println!(
+                "  {:12} lines {}  span, one region of {} statements",
+                lowered.units[bu.unit as usize].name,
+                lines.join(", "),
+                bu.vecs[desc as usize].stmts.len()
+            );
+        }
     }
     // Which rung ran those regions over one `zero_jac` + `edgejp` op
     // after a warm-up op, on the vector rung alone and with eager native
