@@ -20,23 +20,28 @@
 //!   is elementwise REAL arithmetic over affine subscripts — inner loops
 //!   of a few literal trips looked through as if unrolled — get a
 //!   `VecLoop` in front that runs the whole trip as a [`VecDesc`];
-//! * constant subexpressions fold, *scoped temporaries* — local
-//!   ALLOCATABLEs allocated once, to literal bounds, for the whole span
-//!   that uses them ([`scoped_temporaries`]) — become fixed-shape frame
-//!   arrays whose `ALLOCATE`/`DEALLOCATE` emit nothing, and *contracted
-//!   temporaries* — frame arrays each trip of one straight-line loop
-//!   writes at `t(m)` before reading ([`contracted_temporaries`]) —
-//!   become frame scalars; all three only in the *optimized* build
-//!   variant.
+//! * constant subexpressions fold, and *contracted temporaries* —
+//!   frame arrays each trip of one straight-line loop writes at `t(m)`
+//!   before reading ([`contracted_temporaries`]) — become frame
+//!   scalars; both only in the *optimized* build variant.
+//!
+//! Lowering takes the program it is given as it is. The optimized
+//! build's program rules — scoped temporaries, inlined leaves, fused
+//! spans — are rewrites of the resolved program before lowering
+//! ([`crate::rir::rewrite::optimized`]); what they leave is ordinary
+//! RIR here (a scoped temporary is a fixed frame array like any other).
+//! Contraction stays here because its veto is the vector analysis of
+//! the lowered unit, whose probes emission reuses (DESIGN §6).
 //!
 //! Two build variants exist per program, and they are the same lowering
 //! but for what changes operation counts. `traced = false` (used by
-//! `ExecMode::Serial` / `Parallel`) applies everything above.
-//! `traced = true` (used by `ExecMode::Simulated`) omits three things —
+//! `ExecMode::Serial` / `Parallel`, on the rewritten program) applies
+//! everything above. `traced = true` (used by `ExecMode::Simulated`, on
+//! the program as resolved, whose `ALLOCATE`s post the `alloc_calls`
+//! and `alloc_bytes` the interpreter counts) omits two things —
 //! operator folding, which removes operations the interpreter counts,
-//! scoped temporaries, whose `ALLOCATE`s post the `alloc_calls` and
-//! `alloc_bytes` the interpreter counts, and contracted temporaries,
-//! whose element accesses post the loads and stores it counts —
+//! and contracted temporaries, whose element accesses post the loads
+//! and stores it counts —
 //! and adds the cost-only instructions (`CostBranch`,
 //! `VecEnter`/`VecLeave`, `Quiet`), so the VM emits a
 //! [`crate::cost::CostTrace`] bit-identical to the interpreter's.
@@ -81,7 +86,6 @@ use crate::ast::{Bin, RedOp};
 use crate::cost::{Ledger, OpKind};
 use crate::intrinsics::Intr;
 use crate::interp::Val;
-use crate::rir::rewrite::scoped_temporaries;
 use crate::rir::*;
 use std::borrow::Cow;
 
@@ -1196,21 +1200,14 @@ struct SlotTable {
     nb: u32,
     na: u32,
     fixed_arrays: Vec<FixedArray>,
-    /// Scoped temporaries (see [`scoped_temporaries`]): fixed arrays
-    /// whose `ALLOCATE` and `DEALLOCATE` emit nothing. Optimized build only.
-    scoped: Vec<VarIdx>,
     result: Option<(VSlot, ScalarTy)>,
 }
 
-/// `traced` names the build the table serves: only the optimized one
-/// turns scoped temporaries into fixed arrays, since the traced one must
-/// post each `ALLOCATE`'s `alloc_calls`/`alloc_bytes` like the interpreter.
-fn assign_slots(unit: &RUnit, traced: bool) -> SlotTable {
+fn assign_slots(unit: &RUnit) -> SlotTable {
     let (mut ni, mut nf, mut nb, mut na) = (0u32, 0u32, 0u32, 0u32);
     let mut fixed = Vec::new();
-    let temps = if traced { Vec::new() } else { scoped_temporaries(unit) };
     let mut vslots = Vec::with_capacity(unit.vars.len());
-    for (v, info) in unit.vars.iter().enumerate() {
+    for info in &unit.vars {
         let vs = match info.place {
             Place::Global(cell) => {
                 if info.rank > 0 {
@@ -1223,9 +1220,7 @@ fn assign_slots(unit: &RUnit, traced: bool) -> SlotTable {
                 if info.rank > 0 {
                     let s = na;
                     na += 1;
-                    if let Some((_, dims)) = temps.iter().find(|(t, _)| *t == v) {
-                        fixed.push((s, info.ty, dims.clone()));
-                    } else if !info.allocatable && !info.is_param {
+                    if !info.allocatable && !info.is_param {
                         fixed.push((s, info.ty, info.dims.clone()));
                     }
                     VSlot::A(s)
@@ -1250,8 +1245,7 @@ fn assign_slots(unit: &RUnit, traced: bool) -> SlotTable {
         vslots.push(vs);
     }
     let result = unit.result.map(|(rv, rty)| (vslots[rv], rty));
-    let scoped = temps.into_iter().map(|(v, _)| v).collect();
-    SlotTable { vslots, ni, nf, nb, na, fixed_arrays: fixed, scoped, result }
+    SlotTable { vslots, ni, nf, nb, na, fixed_arrays: fixed, result }
 }
 
 /// A frame array [`contracted_temporaries`] may turn into a frame REAL
@@ -1262,10 +1256,9 @@ struct Contraction {
     loops: Vec<usize>,
 }
 
-/// The unit's *contracted temporaries*: rank-1 REAL frame arrays (no
-/// dummy, no SAVE — those live in global cells) that are scoped
-/// temporaries or fixed-shape locals, whose every mention but a scoped
-/// temporary's `ALLOCATE`/`DEALLOCATE` is an element `t(m)` in the
+/// The unit's *contracted temporaries*: rank-1 REAL fixed frame arrays
+/// ([`VarInfo::frame_extent`]; the optimized build's scoped temporaries
+/// are among them) whose every mention is an element `t(m)` in the
 /// straight-line body of one serial `DO m` loop — literal bounds inside
 /// the array's extent, unit step, no OMP directive on it or around it in
 /// this unit — that writes `t(m)` before any read of it in every
@@ -1275,22 +1268,7 @@ struct Contraction {
 /// bounds faults included: none can fire. DESIGN §6 says what breaks
 /// without each condition.
 fn contracted_temporaries(unit: &RUnit) -> Vec<Contraction> {
-    let scoped = scoped_temporaries(unit);
-    let extent: Vec<Option<(i64, i64)>> = unit
-        .vars
-        .iter()
-        .enumerate()
-        .map(|(v, info)| {
-            let frame = matches!(info.place, Place::Frame(_)) && !info.is_param;
-            if !frame || info.rank != 1 || info.ty != ScalarTy::F {
-                None
-            } else if info.allocatable {
-                scoped.iter().find(|(t, _)| *t == v).map(|(_, dims)| dims[0])
-            } else {
-                info.dims.first().copied()
-            }
-        })
-        .collect();
+    let extent: Vec<Option<(i64, i64)>> = unit.vars.iter().map(VarInfo::frame_extent).collect();
     if extent.iter().all(Option::is_none) {
         return Vec::new();
     }
@@ -1341,9 +1319,6 @@ impl ContractScan<'_> {
     fn stmts(&mut self, body: &[SpStmt], in_omp: bool) {
         for sp in body {
             match &sp.s {
-                // A scoped temporary's pair, the only ones it has.
-                RStmt::Allocate { v, .. } | RStmt::Deallocate { v }
-                    if self.extent[*v].is_some() && self.unit.vars[*v].allocatable => {}
                 RStmt::Do { var, start, end, step, body, omp, collapse_with, .. } => {
                     let id = self.next_loop;
                     self.next_loop += 1;
@@ -1369,30 +1344,14 @@ impl ContractScan<'_> {
                         _ => self.stmts(body, in_omp),
                     }
                     self.open.pop();
+                    continue;
                 }
-                RStmt::If { arms, else_body } => {
-                    for (c, b) in arms {
-                        self.refuse_in(c);
-                        self.stmts(b, in_omp);
-                    }
-                    self.stmts(else_body, in_omp);
-                }
-                RStmt::DoWhile { cond, body } => {
-                    self.refuse_in(cond);
-                    self.stmts(body, in_omp);
-                }
-                RStmt::Critical { body, .. } => self.stmts(body, in_omp),
-                // The entry's reset writes what nothing reads.
-                RStmt::Inlined { enter, body, leave, .. } => {
-                    for b in [enter, body, leave] {
-                        self.stmts(b, in_omp);
-                    }
-                }
-                // A fresh temporary of `fast` is its fused loop's alone.
-                RStmt::Span { fast, slow } => {
-                    self.stmts(fast, in_omp);
-                    self.stmts(slow, in_omp);
-                }
+                RStmt::If { arms, .. } => arms.iter().for_each(|(c, _)| self.refuse_in(c)),
+                RStmt::DoWhile { cond, .. } => self.refuse_in(cond),
+                // An inlined block's entry reset writes what nothing
+                // reads, and a fresh temporary of a span's `fast` is its
+                // fused loop's alone.
+                RStmt::Critical { .. } | RStmt::Inlined { .. } | RStmt::Span { .. } => {}
                 s => walk_stmt(s, &mut |seen| match seen {
                     Seen::Ref(v) | Seen::Alloc(v) | Seen::Dealloc(v) | Seen::Query(v) => {
                         self.refused[v] = true;
@@ -1400,6 +1359,7 @@ impl ContractScan<'_> {
                     Seen::Return => {}
                 }),
             }
+            each_child(&sp.s, &mut |b| self.stmts(b, in_omp));
         }
     }
 
@@ -1487,8 +1447,7 @@ impl ContractScan<'_> {
 }
 
 /// `unit` with the arrays `vars` contracted: each one declared a REAL
-/// scalar, its `ALLOCATE`/`DEALLOCATE` dropped, and every element of it
-/// a load or store of that scalar.
+/// scalar, and every element of it a load or store of that scalar.
 fn contract(unit: &RUnit, vars: &[VarIdx]) -> RUnit {
     fn expr(e: &mut RExpr, vars: &[VarIdx]) {
         match e {
@@ -1504,11 +1463,7 @@ fn contract(unit: &RUnit, vars: &[VarIdx]) -> RUnit {
             _ => {}
         }
     }
-    fn stmts(body: &mut Vec<SpStmt>, vars: &[VarIdx]) {
-        body.retain(|sp| match sp.s {
-            RStmt::Allocate { v, .. } | RStmt::Deallocate { v } => !vars.contains(&v),
-            _ => true,
-        });
+    fn stmts(body: &mut [SpStmt], vars: &[VarIdx]) {
         for sp in body.iter_mut() {
             match &mut sp.s {
                 RStmt::AssignElem { v, e, .. } if vars.contains(v) => {
@@ -1521,30 +1476,14 @@ fn contract(unit: &RUnit, vars: &[VarIdx]) -> RUnit {
                     subs.iter_mut().for_each(|x| expr(x, vars));
                     expr(e, vars);
                 }
-                RStmt::Do { body, .. }
-                | RStmt::DoWhile { body, .. }
-                | RStmt::Critical { body, .. } => stmts(body, vars),
-                RStmt::If { arms, else_body } => {
-                    arms.iter_mut().for_each(|(_, b)| stmts(b, vars));
-                    stmts(else_body, vars);
-                }
-                RStmt::Inlined { enter, body, leave, .. } => {
-                    for b in [enter, body, leave] {
-                        stmts(b, vars);
-                    }
-                }
-                RStmt::Span { fast, slow } => {
-                    stmts(fast, vars);
-                    stmts(slow, vars);
-                }
-                _ => {}
+                s => each_child_mut(s, &mut |b| stmts(b, vars)),
             }
         }
     }
     let mut out = unit.clone();
     for &v in vars {
         let info = &mut out.vars[v];
-        (info.rank, info.allocatable) = (0, false);
+        info.rank = 0;
         info.dims.clear();
     }
     stmts(&mut out.body, vars);
@@ -1576,7 +1515,7 @@ fn contracted_unit<'u>(prog: &RProgram, u: usize, unit: &'u RUnit) -> (Cow<'u, R
     if picks.is_empty() {
         return (Cow::Borrowed(unit), Vec::new());
     }
-    let base_table = assign_slots(unit, false);
+    let base_table = assign_slots(unit);
     let base_loops = do_loops(&unit.body);
     let mut base = UnitCompiler::new(prog, unit, u, &base_table, &[], false);
     let mut base_probes: Probes = Vec::new();
@@ -1587,7 +1526,7 @@ fn contracted_unit<'u>(prog: &RProgram, u: usize, unit: &'u RUnit) -> (Cow<'u, R
         let mut probed: Vec<usize> = picks.iter().flat_map(|c| c.loops.iter().copied()).collect();
         probed.sort_unstable();
         probed.dedup();
-        let table = assign_slots(&out, false);
+        let table = assign_slots(&out);
         let loops = do_loops(&out.body);
         let mut probe = UnitCompiler::new(prog, &out, u, &table, &[], false);
         let mut probes: Probes = Vec::new();
@@ -1620,27 +1559,10 @@ fn contracted_unit<'u>(prog: &RProgram, u: usize, unit: &'u RUnit) -> (Cow<'u, R
 fn do_loops(body: &[SpStmt]) -> Vec<&SpStmt> {
     fn walk<'b>(body: &'b [SpStmt], out: &mut Vec<&'b SpStmt>) {
         for sp in body {
-            match &sp.s {
-                RStmt::Do { body, .. } => {
-                    out.push(sp);
-                    walk(body, out);
-                }
-                RStmt::If { arms, else_body } => {
-                    arms.iter().for_each(|(_, b)| walk(b, out));
-                    walk(else_body, out);
-                }
-                RStmt::DoWhile { body, .. } | RStmt::Critical { body, .. } => walk(body, out),
-                RStmt::Inlined { enter, body, leave, .. } => {
-                    for b in [enter, body, leave] {
-                        walk(b, out);
-                    }
-                }
-                RStmt::Span { fast, slow } => {
-                    walk(fast, out);
-                    walk(slow, out);
-                }
-                _ => {}
+            if matches!(sp.s, RStmt::Do { .. }) {
+                out.push(sp);
             }
+            each_child(&sp.s, &mut |b| walk(b, out));
         }
     }
     let mut out = Vec::new();
@@ -1684,7 +1606,7 @@ pub fn compile_program(prog: &RProgram, traced: bool) -> Vec<BUnit> {
             }
         })
         .unzip();
-    let tables: Vec<SlotTable> = units.iter().map(|u| assign_slots(u, traced)).collect();
+    let tables: Vec<SlotTable> = units.iter().map(|u| assign_slots(u)).collect();
     let mut bunits: Vec<BUnit> = units
         .iter()
         .enumerate()
@@ -2527,14 +2449,7 @@ impl<'a> UnitCompiler<'a> {
     // ---------- statements ----------
 
     fn emit_block(&mut self, body: &[SpStmt]) {
-        let scoped = &self.table.scoped;
         for sp in body {
-            // A scoped temporary's pair emits nothing, not even a line.
-            if let RStmt::Allocate { v, .. } | RStmt::Deallocate { v } = sp.s {
-                if scoped.contains(&v) {
-                    continue;
-                }
-            }
             if self.last_line != sp.line {
                 let pc = self.pc();
                 self.lines.push((pc, sp.line));

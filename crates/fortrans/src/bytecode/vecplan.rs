@@ -162,13 +162,7 @@ fn reads_outside(stmts: &[SpStmt], skip: &[SpStmt], f: &mut dyn FnMut(VarIdx)) {
         match &sp.s {
             RStmt::AssignScalar { e, .. } => ex(e, f),
             RStmt::AssignElem { subs, e, .. } => subs.iter().chain([e]).for_each(|x| ex(x, f)),
-            RStmt::If { arms, else_body } => {
-                for (c, b) in arms {
-                    ex(c, f);
-                    reads_outside(b, skip, f);
-                }
-                reads_outside(else_body, skip, f);
-            }
+            RStmt::If { arms, .. } => arms.iter().for_each(|(c, _)| ex(c, f)),
             RStmt::Do { start, end, step, body, omp, collapse_with, .. } => {
                 [start, end].into_iter().chain(step).for_each(|x| ex(x, f));
                 for c in collapse_with {
@@ -179,28 +173,19 @@ fn reads_outside(stmts: &[SpStmt], skip: &[SpStmt], f: &mut dyn FnMut(VarIdx)) {
                     o.private.iter().chain(o.reductions.iter().map(|(_, w)| w)).for_each(|&w| f(w));
                     o.num_threads.iter().for_each(|x| ex(x, f));
                 }
-                if !std::ptr::eq(body.as_slice(), skip) {
-                    reads_outside(body, skip, f);
+                if std::ptr::eq(body.as_slice(), skip) {
+                    continue;
                 }
             }
-            RStmt::DoWhile { cond, body } => {
-                ex(cond, f);
-                reads_outside(body, skip, f);
-            }
-            RStmt::Critical { body, .. } => reads_outside(body, skip, f),
-            RStmt::Inlined { enter, body, leave, .. } => {
-                [enter, body, leave].into_iter().for_each(|b| reads_outside(b, skip, f));
-            }
-            RStmt::Span { fast, slow } => {
-                reads_outside(fast, skip, f);
-                reads_outside(slow, skip, f);
-            }
+            RStmt::DoWhile { cond, .. } => ex(cond, f),
+            RStmt::Critical { .. } | RStmt::Inlined { .. } | RStmt::Span { .. } => {}
             s => walk_stmt(s, &mut |x| {
                 if let Seen::Ref(w) = x {
                     f(w);
                 }
             }),
         }
+        each_child(&sp.s, &mut |b| reads_outside(b, skip, f));
     }
 }
 

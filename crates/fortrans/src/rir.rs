@@ -40,6 +40,20 @@ pub struct VarInfo {
     pub is_param: bool,
 }
 
+impl VarInfo {
+    /// The extent of a rank-1 REAL fixed array of the unit's own frame
+    /// (no dummy, no `SAVE`, no ALLOCATABLE): the arrays contraction
+    /// makes scalars and fusion gives a fresh copy.
+    pub(crate) fn frame_extent(&self) -> Option<(i64, i64)> {
+        let own = matches!(self.place, Place::Frame(_)) && !self.is_param && !self.allocatable;
+        if own && self.rank == 1 && self.ty == ScalarTy::F {
+            self.dims.first().copied()
+        } else {
+            None
+        }
+    }
+}
+
 pub type VarIdx = usize;
 pub type UnitId = usize;
 
@@ -292,38 +306,24 @@ pub fn mark_per_thread_regions(prog: &mut RProgram) {
 
 fn mark_stmts(stmts: &mut [SpStmt], vars: &[VarInfo], globals: &mut [GlobalDecl]) {
     for sp in stmts.iter_mut() {
-        match &mut sp.s {
-            RStmt::Do { var, body, omp, collapse_with, .. } => {
-                mark_stmts(body, vars, globals);
-                if let Some(o) = omp {
-                    let mut touched = pt_var(*var, vars, globals)
-                        || collapse_with.iter().any(|c| pt_var(c.var, vars, globals));
-                    touched = touched || stmts_touch_pt(body, vars, globals);
-                    o.per_thread_access = touched;
-                    for &(_, rv) in &o.reductions {
-                        if let Place::Global(c) = vars[rv].place {
-                            globals[c].reduction = !globals[c].per_thread;
-                        }
-                    }
+        if let RStmt::Do {
+            var,
+            body,
+            omp: Some(o),
+            collapse_with,
+            ..
+        } = &mut sp.s
+        {
+            o.per_thread_access = pt_var(*var, vars, globals)
+                || collapse_with.iter().any(|c| pt_var(c.var, vars, globals))
+                || stmts_touch_pt(body, vars, globals);
+            for &(_, rv) in &o.reductions {
+                if let Place::Global(c) = vars[rv].place {
+                    globals[c].reduction = !globals[c].per_thread;
                 }
             }
-            RStmt::If { arms, else_body } => {
-                for (_, b) in arms.iter_mut() {
-                    mark_stmts(b, vars, globals);
-                }
-                mark_stmts(else_body, vars, globals);
-            }
-            RStmt::DoWhile { body, .. }
-            | RStmt::Critical { body, .. }
-            | RStmt::Inlined { body, .. } => {
-                mark_stmts(body, vars, globals);
-            }
-            RStmt::Span { fast, slow } => {
-                mark_stmts(fast, vars, globals);
-                mark_stmts(slow, vars, globals);
-            }
-            _ => {}
         }
+        each_child_mut(&mut sp.s, &mut |b| mark_stmts(b, vars, globals));
     }
 }
 
@@ -340,6 +340,58 @@ fn stmts_touch_pt(stmts: &[SpStmt], vars: &[VarInfo], globals: &[GlobalDecl]) ->
         Seen::Return => {}
     });
     touched
+}
+
+/// Calls `f` on each statement list nested in `s`, in statement order:
+/// an `IF`'s arms then its `ELSE`, an inlined block's copies in and out
+/// around its body, a span's `fast` then its `slow`.
+pub(crate) fn each_child<'a>(s: &'a RStmt, f: &mut dyn FnMut(&'a [SpStmt])) {
+    match s {
+        RStmt::If { arms, else_body } => {
+            arms.iter().for_each(|(_, b)| f(b));
+            f(else_body);
+        }
+        RStmt::Do { body, .. } | RStmt::DoWhile { body, .. } | RStmt::Critical { body, .. } => {
+            f(body)
+        }
+        RStmt::Inlined {
+            enter, body, leave, ..
+        } => {
+            f(enter);
+            f(body);
+            f(leave);
+        }
+        RStmt::Span { fast, slow } => {
+            f(fast);
+            f(slow);
+        }
+        _ => {}
+    }
+}
+
+/// [`each_child`] with the lists open to change.
+pub(crate) fn each_child_mut(s: &mut RStmt, f: &mut dyn FnMut(&mut [SpStmt])) {
+    match s {
+        RStmt::If { arms, else_body } => {
+            arms.iter_mut().for_each(|(_, b)| f(b));
+            f(else_body);
+        }
+        RStmt::Do { body, .. } | RStmt::DoWhile { body, .. } | RStmt::Critical { body, .. } => {
+            f(body)
+        }
+        RStmt::Inlined {
+            enter, body, leave, ..
+        } => {
+            f(enter);
+            f(body);
+            f(leave);
+        }
+        RStmt::Span { fast, slow } => {
+            f(fast);
+            f(slow);
+        }
+        _ => {}
+    }
 }
 
 /// One thing [`walk_stmts`] reports.

@@ -2,10 +2,13 @@
 //! [`RProgram`] to one that runs the same — outputs, faults and their
 //! unit and line — with its legality predicate beside it, and returns
 //! the program borrowed when it changes nothing. The optimized bytecode
-//! build lowers their output; the traced build lowers the resolved
-//! program as it is, so a Simulated run's `CostTrace` never sees a
-//! rule. The tree-walker runs either program, which is the rules'
-//! oracle (`tests/inline_leaves.rs`). DESIGN §6 states each rule.
+//! build lowers [`optimized`], which runs them in order; the traced
+//! build lowers the resolved program as it is, so a Simulated run's
+//! `CostTrace` never sees a rule. The tree-walker runs either program,
+//! which is the rules' oracle: `tests/inline_leaves.rs` for
+//! [`scope_temporaries`], [`inline_leaves`] and [`optimized`] as a
+//! whole, and `tests/fused_spans.rs` for each span's `fast` of
+//! [`fuse_spans`]. DESIGN §6 states each rule.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -15,6 +18,64 @@ use super::*;
 mod fuse;
 
 pub use fuse::fuse_spans;
+
+/// The program the optimized build lowers: [`scope_temporaries`], then
+/// [`inline_leaves`], then [`fuse_spans`]. Scoping comes first, so an
+/// inlined callee's temporaries are fixed arrays already and fusion
+/// reads every frame array's extent from its declaration.
+pub fn optimized(prog: &RProgram) -> Cow<'_, RProgram> {
+    let mut out = Cow::Borrowed(prog);
+    for rule in [scope_temporaries, inline_leaves, fuse_spans] {
+        if let Cow::Owned(p) = rule(&out) {
+            out = Cow::Owned(p);
+        }
+    }
+    out
+}
+
+/// Makes each unit's scoped temporaries ([`scoped_temporaries`]) fixed
+/// frame arrays of the shape they are allocated to, and deletes their
+/// `ALLOCATE` and `DEALLOCATE`. A call's fresh frame holds such an array
+/// zeroed, as `ALLOCATE` leaves it, for the whole span anything reads
+/// it, and neither statement can fault. Variable indices stay as they
+/// are.
+pub fn scope_temporaries(prog: &RProgram) -> Cow<'_, RProgram> {
+    each_unit(prog, |unit| {
+        let temps = scoped_temporaries(unit);
+        if temps.is_empty() {
+            return None;
+        }
+        let mut out = unit.clone();
+        out.body.retain(|sp| match sp.s {
+            RStmt::Allocate { v, .. } | RStmt::Deallocate { v } => {
+                !temps.iter().any(|(t, _)| *t == v)
+            }
+            _ => true,
+        });
+        for (v, dims) in temps {
+            (out.vars[v].allocatable, out.vars[v].dims) = (false, dims);
+        }
+        Some(out)
+    })
+}
+
+/// `prog` with each unit `rule` rewrites replaced, borrowed when it
+/// rewrites none.
+fn each_unit(prog: &RProgram, mut rule: impl FnMut(&RUnit) -> Option<RUnit>) -> Cow<'_, RProgram> {
+    let mut units: Option<Vec<Arc<RUnit>>> = None;
+    for (u, unit) in prog.units.iter().enumerate() {
+        if let Some(out) = rule(unit) {
+            units.get_or_insert_with(|| prog.units.clone())[u] = Arc::new(out);
+        }
+    }
+    match units {
+        Some(units) => Cow::Owned(RProgram {
+            units,
+            globals: prog.globals.clone(),
+        }),
+        None => Cow::Borrowed(prog),
+    }
+}
 
 /// The most statements (nested bodies and an inlined block's copies
 /// included) inlining may grow a unit to. A call whose block would take
@@ -155,8 +216,6 @@ fn each_call(body: &[SpStmt], f: &mut dyn FnMut(UnitId)) {
 /// What inlining a leaf needs of it, worked out once.
 #[derive(Clone)]
 struct Leaf {
-    /// Its scoped temporaries, which its blocks hold as fixed arrays.
-    scoped: Vec<(VarIdx, Vec<(i64, i64)>)>,
     /// Its statement count.
     size: usize,
     /// Per dummy: whether the body may store to it.
@@ -188,7 +247,6 @@ impl Leaf {
                 .enumerate()
                 .all(|(i, sp)| tail_return(i, &sp.s) || leaf_stmt(&sp.s));
         leaf.then(|| Leaf {
-            scoped: scoped_temporaries(unit),
             size: stmt_count(&unit.body),
             assigned: unit
                 .params
@@ -295,32 +353,6 @@ fn own_exprs<'a>(s: &'a RStmt, f: &mut dyn FnMut(&'a RExpr)) {
     }
 }
 
-/// Calls `f` on each statement list nested in `s`, an inlined block's
-/// copies included.
-fn each_child<'a>(s: &'a RStmt, f: &mut dyn FnMut(&'a [SpStmt])) {
-    match s {
-        RStmt::If { arms, else_body } => {
-            arms.iter().for_each(|(_, b)| f(b));
-            f(else_body);
-        }
-        RStmt::Do { body, .. } | RStmt::DoWhile { body, .. } | RStmt::Critical { body, .. } => {
-            f(body)
-        }
-        RStmt::Inlined {
-            enter, body, leave, ..
-        } => {
-            f(enter);
-            f(body);
-            f(leave);
-        }
-        RStmt::Span { fast, slow } => {
-            f(fast);
-            f(slow);
-        }
-        _ => {}
-    }
-}
-
 /// How many statements `body` holds, nested ones included.
 pub fn stmt_count(body: &[SpStmt]) -> usize {
     let mut n = body.len();
@@ -423,14 +455,7 @@ impl Inliner<'_> {
             }
             match &mut sp.s {
                 RStmt::Do { omp: Some(_), .. } | RStmt::Inlined { .. } | RStmt::Span { .. } => {}
-                RStmt::If { arms, else_body } => {
-                    arms.iter_mut().for_each(|(_, b)| self.block(b, fits));
-                    self.block(else_body, fits);
-                }
-                RStmt::Do { body, .. }
-                | RStmt::DoWhile { body, .. }
-                | RStmt::Critical { body, .. } => self.block(body, fits),
-                _ => {}
+                s => each_child_mut(s, &mut |b| self.block(b, fits)),
             }
         }
     }
@@ -447,9 +472,8 @@ impl Inliner<'_> {
     /// The block that replaces a call of `callee` (leaf `leaf`) with
     /// `args` on `line` (and, for `x = f(…)`, stores the result to
     /// `target`). The callee's variables become fresh caller variables,
-    /// in order, so the block's locals are one range; its scoped
-    /// temporaries become fixed arrays and their `ALLOCATE`/`DEALLOCATE`
-    /// pairs go; its trailing `RETURN` goes. The copies follow the call
+    /// in order, so the block's locals are one range; its trailing
+    /// `RETURN` goes. The copies follow the call
     /// protocol of `Task::call_unit`: arguments in order — an element's
     /// subscripts evaluated once, into INTEGER temporaries — then, after
     /// the body, each by-reference argument copied back in order, then
@@ -464,15 +488,11 @@ impl Inliner<'_> {
     ) -> SpStmt {
         let c = &*self.units[callee];
         let base = self.caller.vars.len();
-        for (v, info) in c.vars.iter().enumerate() {
-            let mut info = VarInfo {
+        for info in &c.vars {
+            self.push_var(VarInfo {
                 is_param: false,
                 ..info.clone()
-            };
-            if let Some((_, dims)) = leaf.scoped.iter().find(|(t, _)| *t == v) {
-                (info.allocatable, info.dims) = (false, dims.clone());
-            }
-            self.push_var(info);
+            });
         }
         self.caller.frame_size += c.frame_size;
         let at = |s: RStmt| SpStmt { line, s };
@@ -560,13 +580,7 @@ impl Inliner<'_> {
         let mut body: Vec<SpStmt> = c
             .body
             .iter()
-            .filter(|sp| match &sp.s {
-                RStmt::Allocate { v, .. } | RStmt::Deallocate { v } => {
-                    !leaf.scoped.iter().any(|(t, _)| t == v)
-                }
-                RStmt::Return => false,
-                _ => true,
-            })
+            .filter(|sp| !matches!(sp.s, RStmt::Return))
             .cloned()
             .collect();
         Remap { base, by }.stmts(&mut body);
@@ -592,7 +606,7 @@ impl Inliner<'_> {
 /// call, as `ALLOCATE` zeroes — behaves the same, and the pair can emit
 /// nothing: `AlreadyAllocated`, `Unallocated` and the element cap
 /// cannot fire. DESIGN §6 says what breaks without each condition.
-pub(crate) fn scoped_temporaries(unit: &RUnit) -> Vec<(VarIdx, Vec<(i64, i64)>)> {
+fn scoped_temporaries(unit: &RUnit) -> Vec<(VarIdx, Vec<(i64, i64)>)> {
     /// What the walk saw of one variable, by top-level statement index.
     #[derive(Clone)]
     struct Life {
@@ -725,19 +739,12 @@ impl Remap {
                 self.var(dst);
                 self.var(src);
             }
-            RStmt::If { arms, else_body } => {
-                for (c, b) in arms {
-                    self.expr(c);
-                    self.stmts(b);
-                }
-                self.stmts(else_body);
-            }
+            RStmt::If { arms, .. } => arms.iter_mut().for_each(|(c, _)| self.expr(c)),
             RStmt::Do {
                 var,
                 start,
                 end,
                 step,
-                body,
                 omp,
                 collapse_with,
                 ..
@@ -759,12 +766,8 @@ impl Remap {
                         self.expr(nt);
                     }
                 }
-                self.stmts(body);
             }
-            RStmt::DoWhile { cond, body } => {
-                self.expr(cond);
-                self.stmts(body);
-            }
+            RStmt::DoWhile { cond, .. } => self.expr(cond),
             RStmt::CallSub { args, .. } => args.iter_mut().for_each(|a| self.arg(a)),
             RStmt::Allocate { v, dims } => {
                 self.var(v);
@@ -774,7 +777,6 @@ impl Remap {
                 }
             }
             RStmt::Deallocate { v } => self.var(v),
-            RStmt::Critical { body, .. } => self.stmts(body),
             RStmt::Print(items) => {
                 for it in items {
                     if let PrintItem::Val(e) = it {
@@ -782,24 +784,18 @@ impl Remap {
                     }
                 }
             }
-            RStmt::Inlined {
-                locals,
-                enter,
-                body,
-                leave,
-                ..
-            } => {
+            RStmt::Inlined { locals, .. } => {
                 *locals = locals.start + self.base..locals.end + self.base;
-                self.stmts(enter);
-                self.stmts(body);
-                self.stmts(leave);
             }
-            RStmt::Span { fast, slow } => {
-                self.stmts(fast);
-                self.stmts(slow);
-            }
-            RStmt::Return | RStmt::Exit | RStmt::Cycle | RStmt::Stop(_) | RStmt::Nop => {}
+            RStmt::Critical { .. }
+            | RStmt::Span { .. }
+            | RStmt::Return
+            | RStmt::Exit
+            | RStmt::Cycle
+            | RStmt::Stop(_)
+            | RStmt::Nop => {}
         }
+        each_child_mut(s, &mut |b| self.stmts(b));
     }
 
     fn expr(&self, e: &mut RExpr) {

@@ -53,33 +53,21 @@ const NEST_TRIP: i64 = 8;
 /// optimized build lowers `fast` only when the vector analysis makes
 /// the fused loop one region (DESIGN §6).
 pub fn fuse_spans(prog: &RProgram) -> Cow<'_, RProgram> {
-    let mut units: Option<Vec<Arc<RUnit>>> = None;
-    for (u, unit) in prog.units.iter().enumerate() {
+    each_unit(prog, |unit| {
         if !has_run(&unit.body, unit) {
-            continue;
+            return None;
         }
-        let mut out = RUnit::clone(unit);
+        let mut out = unit.clone();
         let mut body = std::mem::take(&mut out.body);
         let mut fuser = Fuser {
             unit,
             out: &mut out,
             refs: mention_counts(unit),
-            scoped: scoped_temporaries(unit),
             changed: false,
         };
         fuser.block(&mut body);
-        if fuser.changed {
-            out.body = body;
-            units.get_or_insert_with(|| prog.units.clone())[u] = Arc::new(out);
-        }
-    }
-    match units {
-        Some(units) => Cow::Owned(RProgram {
-            units,
-            globals: prog.globals.clone(),
-        }),
-        None => Cow::Borrowed(prog),
-    }
+        fuser.changed.then_some(RUnit { body, ..out })
+    })
 }
 
 /// Whether some statement list [`Fuser`] searches holds two loops of a
@@ -476,13 +464,11 @@ impl Between {
 
 /// One unit's rewrite.
 struct Fuser<'a> {
-    /// The unit as resolved: the mention counts and scoped temporaries
-    /// below are its.
+    /// The unit as it was: the mention counts below are its.
     unit: &'a RUnit,
     /// The rewritten unit, which gains the fresh temporaries.
     out: &'a mut RUnit,
     refs: Vec<usize>,
-    scoped: Vec<(VarIdx, Vec<(i64, i64)>)>,
     changed: bool,
 }
 
@@ -565,15 +551,11 @@ impl Fuser<'_> {
             .map(|k| &stmts[k])
             .collect();
         for t in self.renamed(&looped, &body, var, (&start, &end)) {
-            let mut info = VarInfo {
-                allocatable: false,
-                ..self.out.vars[t.0].clone()
-            };
-            info.dims = vec![t.1];
+            let mut info = self.out.vars[t].clone();
             info.place = Place::Frame(self.out.frame_size);
             self.out.frame_size += 1;
             self.out.vars.push(info);
-            rename(&mut body, t.0, self.out.vars.len() - 1);
+            rename(&mut body, t, self.out.vars.len() - 1);
         }
         let RStmt::Do { step, vec, .. } = &stmts[0].s else {
             unreachable!("a run starts with a loop")
@@ -598,16 +580,15 @@ impl Fuser<'_> {
     }
 
     /// The temporaries of the fused `body` over `var` with literal
-    /// `bounds` that get a fresh array (see [`fuse_spans`]), with their
-    /// extents. `looped` are the run's loops, where every mention of one
-    /// must lie.
+    /// `bounds` that get a fresh array (see [`fuse_spans`]). `looped` are
+    /// the run's loops, where every mention of one must lie.
     fn renamed(
         &self,
         looped: &[&SpStmt],
         body: &[SpStmt],
         var: VarIdx,
         bounds: (&RExpr, &RExpr),
-    ) -> Vec<(VarIdx, (i64, i64))> {
+    ) -> Vec<VarIdx> {
         let (RExpr::ConstI(lo), RExpr::ConstI(hi)) = bounds else {
             return Vec::new();
         };
@@ -619,22 +600,6 @@ impl Fuser<'_> {
                 }
             });
         }
-        let unit = self.unit;
-        let extent = |v: VarIdx| {
-            let info = &unit.vars[v];
-            if !matches!(info.place, Place::Frame(_))
-                || info.is_param
-                || info.rank != 1
-                || info.ty != ScalarTy::F
-            {
-                return None;
-            }
-            if info.allocatable {
-                self.scoped.iter().find(|(t, _)| *t == v).map(|(_, d)| d[0])
-            } else {
-                info.dims.first().copied()
-            }
-        };
         let mut out = Vec::new();
         let mut refused = Vec::new();
         let mut written: Vec<VarIdx> = Vec::new();
@@ -671,16 +636,16 @@ impl Fuser<'_> {
             }
         }
         for &v in &written {
-            let Some((elo, ehi)) = extent(v) else {
+            let Some((elo, ehi)) = self.unit.vars[v].frame_extent() else {
                 continue;
             };
-            if refused.contains(&v) || out.iter().any(|o: &(VarIdx, _)| o.0 == v) {
+            if refused.contains(&v) || out.contains(&v) {
                 continue;
             }
             if *lo < elo || *hi > ehi || inside[v] != self.refs[v] {
                 continue;
             }
-            out.push((v, (elo, ehi)));
+            out.push(v);
         }
         out
     }

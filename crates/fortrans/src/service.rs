@@ -74,18 +74,18 @@ pub fn source_hash(sources: &[&str]) -> u64 {
 /// after it verifies.
 pub struct CompiledProgram {
     prog: Arc<RProgram>,
-    /// The program the optimized build is lowered from: `prog` with its
-    /// leaf calls inlined ([`crate::rir::rewrite::inline_leaves`]) and
-    /// its same-range loops fused ([`crate::rir::rewrite::fuse_spans`]),
-    /// or `prog` itself when those change nothing.
+    /// The program the optimized build is lowered from,
+    /// [`crate::rir::rewrite::optimized`] of `prog`: its scoped
+    /// temporaries fixed, its leaf calls inlined and its same-range loops
+    /// fused, or `prog` itself when those change nothing.
     lowered: Arc<RProgram>,
     /// Serves Serial and Parallel runs.
     optimized: Arc<Vec<BUnit>>,
-    /// The same lowering without operator folding or scoped temporaries,
-    /// plus cost-only instructions: it preserves every cost-bearing
-    /// operation for Simulated mode. Lowered and verified by the first
-    /// caller that needs it (racers wait for that one build); holds the
-    /// build, or the verifier's message.
+    /// `prog` as it is, lowered without operator folding or contracted
+    /// temporaries, plus cost-only instructions: it preserves every
+    /// cost-bearing operation for Simulated mode. Lowered and verified
+    /// by the first caller that needs it (racers wait for that one
+    /// build); holds the build, or the verifier's message.
     traced: OnceLock<Result<TracedBuild, String>>,
     source_hash: u64,
     /// Size estimate of the resolved program plus the optimized build;
@@ -128,22 +128,16 @@ impl CompiledProgram {
     }
 
     fn build_from(prog: RProgram, hash: u64) -> Result<Arc<CompiledProgram>, CompileError> {
-        use crate::rir::rewrite::{fuse_spans, inline_leaves};
-        use std::borrow::Cow;
-        let fused = |p: &RProgram| match fuse_spans(p) {
-            Cow::Owned(f) => Some(f),
-            Cow::Borrowed(_) => None,
-        };
-        let rewritten = match inline_leaves(&prog) {
-            Cow::Owned(p) => Some(fused(&p).unwrap_or(p)),
-            Cow::Borrowed(_) => fused(&prog),
+        let rewritten = match crate::rir::rewrite::optimized(&prog) {
+            std::borrow::Cow::Owned(p) => Some(p),
+            std::borrow::Cow::Borrowed(_) => None,
         };
         let prog = Arc::new(prog);
-        let inlined_bytes = rewritten.as_ref().map_or(0, program_bytes);
+        let rewritten_bytes = rewritten.as_ref().map_or(0, program_bytes);
         let lowered = rewritten.map_or_else(|| Arc::clone(&prog), Arc::new);
         let optimized = compile_program(&lowered, false);
         crate::verify::verify_program(&lowered, &optimized)?;
-        let est_bytes = program_bytes(&prog) + inlined_bytes + build_bytes(&optimized);
+        let est_bytes = program_bytes(&prog) + rewritten_bytes + build_bytes(&optimized);
         Ok(Arc::new(CompiledProgram {
             prog,
             lowered,
@@ -195,9 +189,8 @@ impl CompiledProgram {
         &self.prog
     }
 
-    /// The program the `traced` or optimized build was lowered from:
-    /// the optimized one's leaf calls are inlined and its same-range
-    /// loops fused.
+    /// The program the `traced` or optimized build was lowered from: the
+    /// resolved program, or [`crate::rir::rewrite::optimized`] of it.
     pub fn lowered_program(&self, traced: bool) -> &Arc<RProgram> {
         if traced {
             &self.prog

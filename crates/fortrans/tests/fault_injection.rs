@@ -530,7 +530,7 @@ fn corrupt_vector_descriptors_are_refused_at_promotion_or_deopt() {
                 .expect("clean run succeeds")
                 .result;
             let engine = Session::compile(&[p.src]).unwrap();
-            let mut mutated = compile_program(engine.program(), false);
+            let mut mutated = compile_program(engine.artifact().lowered_program(false), false);
             let Some(m) = mutate::corrupt(&mut mutated, seed) else { continue };
             // The descriptor-level kinds: these must deopt cleanly. The
             // op-level kinds (`vec-op-oob`, `vec-unbalance`) are still
@@ -627,14 +627,15 @@ fn forced_vm_trap_falls_back_to_the_oracle_with_the_correct_result() {
 fn trapped_corruption_recovers_the_oracle_answer() {
     use fortrans::bytecode::BInstr;
     let engine = Session::compile(&[SCALE_SRC]).unwrap();
-    let mut bad = compile_program(engine.program(), false);
+    let lowered = engine.artifact().lowered_program(false);
+    let mut bad = compile_program(lowered, false);
     let u = (0..bad.len())
-        .find(|&u| engine.program().units[u].name == "scale")
+        .find(|&u| lowered.units[u].name == "scale")
         .expect("entry unit present");
     // Operand-stack underflow at pc 0 — the verifier would reject this
     // stream (checked below); injection bypasses it on purpose.
     bad[u].code[0] = BInstr::AddI;
-    assert!(verify_program(engine.program(), &bad).is_err(), "verifier rejects the stream");
+    assert!(verify_program(lowered, &bad).is_err(), "verifier rejects the stream");
     engine.debug_faults(inject(bad));
     let a = ArgVal::array_f(&[1.0, 2.0, 3.0, 4.0], 1);
     let out = engine
@@ -771,9 +772,10 @@ fn batched_faults_do_not_poison_sibling_jobs_or_the_pool() {
 #[test]
 fn verify_error_display_names_unit_and_pc() {
     let engine = Session::compile(&[SCALE_SRC]).unwrap();
-    let mut bad = compile_program(engine.program(), false);
+    let lowered = engine.artifact().lowered_program(false);
+    let mut bad = compile_program(lowered, false);
     let m = mutate::corrupt(&mut bad, 1).expect("mutator finds a target");
-    let err = verify_program(engine.program(), &bad).expect_err("rejected");
+    let err = verify_program(lowered, &bad).expect_err("rejected");
     let s = err.to_string();
     assert!(
         s.contains("bytecode verification failed in `"),

@@ -260,16 +260,15 @@ fn split_texts(bunits: Vec<fortrans::bytecode::BUnit>) -> (String, String) {
 }
 
 /// Both builds of a program, `[optimized, traced]`, split by
-/// [`split_texts`]; the optimized build is lowered from the program with
-/// its leaf calls inlined and its same-range loops fused, as
+/// [`split_texts`]; the optimized build is lowered from
+/// `rir::rewrite::optimized` of the program, as
 /// `CompiledProgram::compile` lowers it, and
 /// its descriptors are followed by what the vector analysis reports
 /// about them.
 fn bytecode_texts(sources: &[&str]) -> [(String, String); 2] {
     let set = ProgramSet::from_sources(sources).expect("program ingests");
     let prog = fortrans::sema::resolve(&set.ast).expect("program resolves");
-    let inlined = fortrans::rir::rewrite::inline_leaves(&prog);
-    let lowered = fortrans::rir::rewrite::fuse_spans(&inlined);
+    let lowered = fortrans::rir::rewrite::optimized(&prog);
     let (opt_streams, mut opt_descs) =
         split_texts(fortrans::bytecode::compile_program(&lowered, false));
     let traced = split_texts(fortrans::bytecode::compile_program(&prog, true));

@@ -1,5 +1,5 @@
 //! Fused spans: the optimized build lowers `rir::rewrite::fuse_spans`
-//! of the inlined program, which turns `DO v = a, b` … S … `DO v = a, b`
+//! of the scoped and inlined program, which turns `DO v = a, b` … S … `DO v = a, b`
 //! into a span whose `fast` runs S, then one loop over both bodies, and
 //! whose `slow` is the original statements; the VM speculates `fast`
 //! and falls back to `slow` when S faults or trips a limit, or the fused
@@ -12,9 +12,10 @@
 //! alone, a call-depth trip in S's inlined block — and limits: the
 //! smallest step budget and the trip of every smaller one on every VM
 //! rung, a pre-fired cancel token, the profiled span tree. Last, the
-//! rewrite's own oracle: the tree-walker runs every span's `fast` as it
-//! runs the program before fusion, over the service corpus, the
-//! generated F77 corpus and the GLAF source sets.
+//! rewrite's own oracle: the tree-walker runs every span's `fast` of
+//! the program the optimized build lowers as it runs the resolved
+//! program, over the service corpus, the generated F77 corpus and the
+//! GLAF source sets.
 
 #[path = "common/mod.rs"]
 mod common;
@@ -27,7 +28,7 @@ mod sources;
 
 use std::sync::Arc;
 
-use fortrans::rir::rewrite::{fuse_spans, inline_leaves};
+use fortrans::rir::rewrite::optimized;
 use fortrans::rir::{RProgram, RStmt, RUnit, SpStmt};
 use fortrans::{
     ArgVal, CancelToken, CompiledProgram, ExecMode, ExecTier, RunLimits, Session, SpanNode, Val,
@@ -650,23 +651,22 @@ fn count(body: &[SpStmt], n: &mut usize) {
     }
 }
 
-/// Runs `calls` on the tree-walker over `prog` with its leaves inlined,
-/// as it is and with every span `fuse_spans` makes of it replaced by
-/// its `fast`, under Serial and `Parallel{2}`; on a run that does not
-/// fault they must agree, bit for bit, and under `Parallel` up to
-/// [`team_agrees`]. Returns how many spans there were.
+/// Runs `calls` on the tree-walker over `prog` and over the program the
+/// optimized build lowers (`rir::rewrite::optimized`) with every span
+/// replaced by its `fast`, under Serial and `Parallel{2}`; on a run that
+/// does not fault they must agree, bit for bit, and under `Parallel` up
+/// to [`team_agrees`]. Returns how many spans there were.
 fn fusion_agrees(
     label: &str,
     prog: RProgram,
     calls: &dyn Fn() -> Vec<(&'static str, Vec<ArgVal>)>,
 ) -> usize {
-    let inlined = inline_leaves(&prog).into_owned();
-    let fused = fuse_spans(&inlined).into_owned();
+    let fused = optimized(&prog).into_owned();
     let n = span_count(&fused);
     if n == 0 {
         return 0;
     }
-    let before = CompiledProgram::from_resolved(inlined).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let before = CompiledProgram::from_resolved(prog).unwrap_or_else(|e| panic!("{label}: {e}"));
     let after = CompiledProgram::from_resolved(fast_of(&fused)).expect("fast program compiles");
     for mode in [ExecMode::Serial, ExecMode::Parallel { threads: 2 }] {
         let want = tree_walk(&Session::solo(before.clone()), &calls(), mode);

@@ -1,5 +1,5 @@
 //! Inlined leaf units: the optimized build lowers
-//! `rir::rewrite::inline_leaves` of the resolved program, which replaces
+//! `rir::rewrite::inline_leaves` of the scoped program, which replaces
 //! each call of a *leaf* — no call, no OMP construct, `CRITICAL` or
 //! `ATOMIC`, no `SAVE`, `RETURN` only last, no array dummy — with the
 //! callee's body over fresh caller variables.
@@ -10,8 +10,9 @@
 //! inlined. Then limits and faults: the oracle's fault message, unit and
 //! line from inside an inlined body, the call-depth limit and the step
 //! budget on every rung, the size bound on a 10 x 10 x 10 call tree and
-//! the profiled span tree. Last, the rewrite's own oracle: the
-//! tree-walker runs `inline_leaves(p)` exactly as it runs `p` over the
+//! the profiled span tree. Last, the rules' own oracle: the tree-walker
+//! runs `rule(p)` exactly as it runs `p`, for `inline_leaves`,
+//! `scope_temporaries` and the whole pipeline `optimized`, over the
 //! service corpus, the generated F77 corpus and the GLAF source sets,
 //! the first two also with each entry's body moved behind a thin entry:
 //! an entry keeps its calls, so only then are their leaf calls
@@ -27,11 +28,14 @@ mod rungs;
 mod sources;
 
 use fortrans::bytecode::BInstr;
-use fortrans::rir::rewrite::{inline_leaves, stmt_count, INLINE_MAX_STMTS};
+use fortrans::rir::rewrite::{
+    inline_leaves, optimized, scope_temporaries, stmt_count, INLINE_MAX_STMTS,
+};
 use fortrans::rir::RProgram;
 use fortrans::{ArgVal, CompiledProgram, ExecMode, ExecTier, RunLimits, Session, SpanNode, Val};
 use oracle::{resolved, team_agrees, thin_entry, tree_walk};
 use rungs::{agree, line_of, MODES};
+use std::borrow::Cow;
 
 /// The units the optimized build of `unit` still calls, and the units
 /// whose bodies it inlined, each in code order.
@@ -747,30 +751,39 @@ fn profiled_span_tree_matches_the_tree_walker() {
 }
 
 // ---------------------------------------------------------------------
-// The rewrite's oracle: tree-walk of inline_leaves(p) equals tree-walk
-// of p
+// The rules' oracle: tree-walk of rule(p) equals tree-walk of p, for
+// inline_leaves, scope_temporaries and the whole pipeline, optimized
 // ---------------------------------------------------------------------
 
-/// Runs `calls` on the tree-walker over `prog` as it is and as
-/// rewritten, under Serial and `Parallel{2}`, and checks they agree:
+/// A program-to-program rule of the optimized build.
+type Rule = for<'a> fn(&'a RProgram) -> Cow<'a, RProgram>;
+
+/// The rules the oracle runs, by name.
+const RULES: [(&str, Rule); 3] = [
+    ("inline_leaves", inline_leaves),
+    ("scope_temporaries", scope_temporaries),
+    ("optimized", optimized),
+];
+
+/// Runs `calls` on the tree-walker over `prog` as it is and as `rule`
+/// rewrites it, under Serial and `Parallel{2}`, and checks they agree:
 /// bit for bit, fault message and line included, and under `Parallel`
-/// up to [`team_agrees`]. Returns whether the rewrite inlined anything.
+/// up to [`team_agrees`]. Returns whether the rule changed anything.
 fn rewrite_agrees(
+    rule: Rule,
     label: &str,
-    prog: RProgram,
+    prog: &RProgram,
     calls: &dyn Fn() -> Vec<(&'static str, Vec<ArgVal>)>,
 ) -> bool {
-    let rewritten = inline_leaves(&prog).into_owned();
-    let changed = rewritten
-        .units
-        .iter()
-        .zip(&prog.units)
-        .any(|(r, p)| stmt_count(&r.body) != stmt_count(&p.body));
-    let art = CompiledProgram::from_resolved(prog).unwrap_or_else(|e| panic!("{label}: {e}"));
-    let inlined = CompiledProgram::from_resolved(rewritten).expect("rewritten program compiles");
+    let Cow::Owned(rewritten) = rule(prog) else {
+        return false;
+    };
+    let art =
+        CompiledProgram::from_resolved(prog.clone()).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let after = CompiledProgram::from_resolved(rewritten).expect("rewritten program compiles");
     for mode in [ExecMode::Serial, ExecMode::Parallel { threads: 2 }] {
         let before = tree_walk(&Session::solo(art.clone()), &calls(), mode);
-        let after = tree_walk(&Session::solo(inlined.clone()), &calls(), mode);
+        let after = tree_walk(&Session::solo(after.clone()), &calls(), mode);
         if mode == ExecMode::Serial {
             assert_eq!(after, before, "{label}: the rewrite changed the Serial run");
         } else {
@@ -780,36 +793,57 @@ fn rewrite_agrees(
             );
         }
     }
-    changed
+    true
+}
+
+/// Per rule of [`RULES`], in order, whether it changed `prog`, each
+/// checked by [`rewrite_agrees`].
+fn rules_agree(
+    label: &str,
+    prog: &RProgram,
+    calls: &dyn Fn() -> Vec<(&'static str, Vec<ArgVal>)>,
+) -> [bool; 3] {
+    RULES.map(|(name, rule)| rewrite_agrees(rule, &format!("{label} ({name})"), prog, calls))
 }
 
 /// Each service corpus case as written, where its entry keeps its
 /// calls, and behind a thin entry. The corpus is mostly one-unit
 /// programs: only `value-result` calls a unit (`bump`, twice), and
-/// behind a thin entry it inlines both calls.
+/// behind a thin entry it inlines both calls. No case holds a scoped
+/// temporary; `vec-memset`'s loops fuse, entry or not.
 #[test]
 fn rewrite_preserves_the_service_corpus() {
-    let (mut written, mut thin) = (Vec::new(), Vec::new());
+    let mut changed: [Vec<String>; 3] = Default::default();
     for case in common::corpus() {
         let calls = || vec![(case.unit, (case.mk_args)())];
         let prog = resolved(case.label, &[case.src]);
         let wrapped = thin_entry(&prog, case.unit);
-        if rewrite_agrees(case.label, prog, &calls) {
-            written.push(case.label);
-        }
-        if rewrite_agrees(&format!("{} (thin entry)", case.label), wrapped, &calls) {
-            thin.push(case.label);
+        let thin = format!("{} (thin entry)", case.label);
+        for (label, prog) in [(case.label.to_string(), prog), (thin, wrapped)] {
+            for (labels, hit) in changed.iter_mut().zip(rules_agree(&label, &prog, &calls)) {
+                if hit {
+                    labels.push(label.clone());
+                }
+            }
         }
     }
-    assert_eq!(written, [""; 0], "cases inlining as written");
-    assert_eq!(thin, ["value-result"], "cases inlining behind a thin entry");
+    let [inlined, scoped, optimized] = changed;
+    assert_eq!(inlined, ["value-result (thin entry)"], "cases inlining");
+    assert_eq!(scoped, [""; 0], "cases scoping");
+    let fused = [
+        "value-result (thin entry)",
+        "vec-memset",
+        "vec-memset (thin entry)",
+    ];
+    assert_eq!(optimized, fused, "cases the pipeline changes");
 }
 
 /// A generated program makes its calls from its main program, an
 /// entry, which keeps them; behind a thin entry `FILLUP`, `SWEEP` (a
 /// constant argument) and `STIR` (the loop variable, by reference)
 /// inline in every program. `BLEND` is called inside a sum, so it
-/// never does.
+/// never does. As written, no rule changes a generated program: no
+/// program allocates, and none holds a run fusion takes.
 #[test]
 fn rewrite_preserves_the_generated_corpus() {
     for seed in 0..200u64 {
@@ -819,14 +853,20 @@ fn rewrite_preserves_the_generated_corpus() {
         let prog = resolved(&label, &srcs);
         let wrapped = thin_entry(&prog, "main");
         let calls = || vec![("main", vec![])];
-        assert!(!rewrite_agrees(&label, prog, &calls), "{label}: an entry inlined");
+        let changed = rules_agree(&label, &prog, &calls);
+        assert_eq!(changed, [false; 3], "{label}: inlined, scoped, optimized");
         let label = format!("{label} (thin entry)");
         let art = CompiledProgram::from_resolved(wrapped.clone()).expect("wrapped compiles");
-        let (kept, mut inlined) = calls_and_inlines(&Session::solo(art), "main%body");
-        inlined.sort();
-        assert_eq!(inlined, ["fillup", "stir", "sweep"], "{label}");
+        let (kept, mut inlines) = calls_and_inlines(&Session::solo(art), "main%body");
+        inlines.sort();
+        assert_eq!(inlines, ["fillup", "stir", "sweep"], "{label}");
         assert!(kept.iter().all(|c| c == "blend"), "{label}: {kept:?}");
-        assert!(rewrite_agrees(&label, wrapped, &calls), "{label}: nothing inlined");
+        let changed = rules_agree(&label, &wrapped, &calls);
+        assert_eq!(
+            changed,
+            [true, false, true],
+            "{label}: inlined, scoped, optimized"
+        );
     }
 }
 
@@ -834,10 +874,13 @@ fn rewrite_preserves_the_generated_corpus() {
 /// FUN3D configuration's `cell_loop` or `edge_loop`, and the band
 /// integrations of SARB's serial, v2 and v3 sets; v0 and v1 (sets 1
 /// and 2) parallelize every band loop, so no band unit is a leaf, and
-/// `run_columns`, an entry, keeps its calls.
+/// `run_columns`, an entry, keeps its calls. The FUN3D configurations
+/// that allocate `edge_loop`'s work arrays on every call (sets 5, 6, 9,
+/// 11 and 12) hold scoped temporaries. The pipeline changes the sets
+/// that inline, and set 2, which fuses.
 #[test]
 fn rewrite_preserves_the_glaf_source_sets() {
-    let mut inlined = Vec::new();
+    let mut changed: [Vec<usize>; 3] = Default::default();
     for (k, set) in sources::glaf_source_sets().iter().enumerate() {
         let srcs: Vec<&str> = set.iter().map(String::as_str).collect();
         let sarb = srcs.iter().any(|s| s.contains("SUBROUTINE run_columns"));
@@ -850,9 +893,23 @@ fn rewrite_preserves_the_glaf_source_sets() {
             }
         };
         let label = format!("GLAF set {k}");
-        if rewrite_agrees(&label, resolved(&label, &srcs), &calls) {
-            inlined.push(k);
+        let prog = resolved(&label, &srcs);
+        for (sets, hit) in changed.iter_mut().zip(rules_agree(&label, &prog, &calls)) {
+            if hit {
+                sets.push(k);
+            }
         }
     }
-    assert_eq!(inlined, [0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
+    let [inlined, scoped, optimized] = changed;
+    assert_eq!(
+        inlined,
+        [0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
+        "sets inlining"
+    );
+    assert_eq!(scoped, [5, 6, 9, 11, 12], "sets scoping");
+    assert_eq!(
+        optimized,
+        [0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
+        "sets the pipeline changes"
+    );
 }

@@ -222,9 +222,10 @@ fn injected_bytecode_corrupts_only_the_injecting_session() {
 
     let service = Arc::new(EngineService::new(4));
     let artifact = service.compile(&[SCALE_SRC]).expect("compiles");
-    let mut bad = compile_program(artifact.program(), false);
+    let lowered = artifact.lowered_program(false);
+    let mut bad = compile_program(lowered, false);
     let u = (0..bad.len())
-        .find(|&u| artifact.program().units[u].name == "scale")
+        .find(|&u| lowered.units[u].name == "scale")
         .expect("entry unit present");
     bad[u].code[0] = BInstr::AddI; // operand-stack underflow at pc 0
 

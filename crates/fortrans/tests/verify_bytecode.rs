@@ -20,16 +20,27 @@ use fortrans::bytecode::{compile_program, BArg, BInstr, BUnit, SubOp, VSlot, MAX
 use fortrans::verify::verify_program;
 use fortrans::Session;
 
+/// The `traced` or optimized build of `engine`'s program, lowered from
+/// the program that build runs (`CompiledProgram::lowered_program`).
+fn build(engine: &Session, traced: bool) -> Vec<BUnit> {
+    compile_program(engine.artifact().lowered_program(traced), traced)
+}
+
+/// A session over `src` and its optimized build.
 fn compiled(src: &str) -> (Session, Vec<BUnit>) {
     let engine = Session::compile(&[src]).expect("corpus program compiles");
-    let bunits = compile_program(engine.program(), false);
+    let bunits = build(&engine, false);
     (engine, bunits)
 }
 
-fn reject_msg(engine: &Session, bad: &[BUnit]) -> String {
-    verify_program(engine.program(), bad)
-        .expect_err("verifier accepts a corrupted stream")
-        .to_string()
+/// Verifies `bunits` as the `traced` or optimized build of `engine`'s
+/// program.
+fn verify(engine: &Session, traced: bool, bunits: &[BUnit]) -> Result<(), String> {
+    verify_program(engine.artifact().lowered_program(traced), bunits).map_err(|e| e.to_string())
+}
+
+fn reject_msg(engine: &Session, traced: bool, bad: &[BUnit]) -> String {
+    verify(engine, traced, bad).expect_err("verifier accepts a corrupted stream")
 }
 
 const BRANCHY: &str = r#"
@@ -69,7 +80,7 @@ fn rejects_branch_target_out_of_range() {
         BInstr::Jump(t) | BInstr::JumpIfFalse(t) => *t = wild,
         _ => unreachable!(),
     }
-    let msg = reject_msg(&engine, &bad);
+    let msg = reject_msg(&engine, false, &bad);
     assert!(msg.contains("out of range"), "got: {msg}");
     assert!(msg.contains("target"), "got: {msg}");
 }
@@ -91,7 +102,7 @@ fn rejects_scalar_slot_out_of_range() {
         BInstr::LoadF(s) | BInstr::StoreF(s) => *s = u32::MAX,
         _ => unreachable!(),
     }
-    let msg = reject_msg(&engine, &bad);
+    let msg = reject_msg(&engine, false, &bad);
     assert!(msg.contains("out of range"), "got: {msg}");
 }
 
@@ -137,7 +148,7 @@ fn rejects_subscript_table_index_out_of_range() {
     let len = bad[u].subops.len() as u32;
     let BInstr::StoreElemS { subs, .. } = &mut bad[u].code[pc] else { unreachable!() };
     *subs = len - 1; // the run now hangs over the end of the table
-    let msg = reject_msg(&engine, &bad);
+    let msg = reject_msg(&engine, false, &bad);
     assert!(msg.contains("subscript operands"), "got: {msg}");
     assert!(msg.contains("out of range"), "got: {msg}");
 }
@@ -148,7 +159,7 @@ fn rejects_subscript_operand_slot_out_of_range() {
     let (u, pc) = slot_addressed_store(&bad);
     let BInstr::StoreElemS { subs, .. } = bad[u].code[pc] else { unreachable!() };
     bad[u].subops[subs as usize] = SubOp::Slot(bad[u].ni);
-    let msg = reject_msg(&engine, &bad);
+    let msg = reject_msg(&engine, false, &bad);
     assert!(msg.contains("subscript operand i-slot"), "got: {msg}");
     assert!(msg.contains("out of range"), "got: {msg}");
 }
@@ -161,7 +172,7 @@ fn rejects_over_long_subscript_operand_list() {
     bad[u].subops.extend([SubOp::Const(1); MAX_INLINE_RANK + 1]);
     let BInstr::StoreElemS { n, .. } = &mut bad[u].code[pc] else { unreachable!() };
     *n = MAX_INLINE_RANK as u8 + 1;
-    let msg = reject_msg(&engine, &bad);
+    let msg = reject_msg(&engine, false, &bad);
     assert!(msg.contains("exceeds the cap"), "got: {msg}");
 }
 
@@ -200,7 +211,7 @@ fn rejects_element_access_of_rank_above_the_inline_cap() {
     // can name one.
     let over = MAX_INLINE_RANK as u8 + 1;
     let (engine, base) = compiled(STACK_SUBSCRIPTS);
-    verify_program(engine.program(), &base).expect("baseline verifies");
+    verify(&engine, false, &base).expect("baseline verifies");
     let mut hits = 0;
     for (u, unit) in base.iter().enumerate() {
         for (pc, ins) in unit.code.iter().enumerate() {
@@ -211,7 +222,7 @@ fn rejects_element_access_of_rank_above_the_inline_cap() {
                 | BInstr::Alloc { ndims: n, .. } => *n = over,
                 _ => continue,
             }
-            let msg = reject_msg(&engine, &bad);
+            let msg = reject_msg(&engine, false, &bad);
             assert!(msg.contains("exceeds the cap"), "{ins:?}: got: {msg}");
             hits += 1;
         }
@@ -228,7 +239,7 @@ fn rejects_element_access_of_rank_above_the_inline_cap() {
                 let BArg::Elem { nsubs, .. } = &mut site.args[k] else { unreachable!() };
                 site.n_stash += u32::from(over - *nsubs);
                 *nsubs = over;
-                let msg = reject_msg(&engine, &bad);
+                let msg = reject_msg(&engine, false, &bad);
                 assert!(msg.contains("exceeds the cap"), "copy-out: got: {msg}");
                 hits += 1;
             }
@@ -265,8 +276,8 @@ fn rejects_allocation_status_of_a_fixed_array() {
     let engine = Session::compile(&[FIXED]).expect("compiles");
     let unit = &engine.program().units[0];
     let var = |name: &str| unit.vars.iter().position(|v| v.name == name).expect("declared");
-    let opt = compile_program(engine.program(), false);
-    let traced = compile_program(engine.program(), true);
+    let opt = build(&engine, false);
+    let traced = build(&engine, true);
     let slot = |bu: &BUnit, name: &str| match bu.vslots[var(name)] {
         VSlot::A(s) => s,
         other => panic!("{name} has slot {other:?}"),
@@ -287,14 +298,14 @@ fn rejects_allocation_status_of_a_fixed_array() {
             }
             _ => continue,
         }
-        let msg = reject_msg(&engine, &bad);
+        let msg = reject_msg(&engine, true, &bad);
         assert!(msg.contains("fixed frame array"), "{ins:?}: got: {msg}");
         hits += 1;
     }
     assert_eq!(hits, 3, "ALLOCATE, ALLOCATED and DEALLOCATE");
     let mut bad = opt.clone();
     bad[0].fixed_arrays.reverse();
-    let msg = reject_msg(&engine, &bad);
+    let msg = reject_msg(&engine, false, &bad);
     assert!(msg.contains("ascending"), "got: {msg}");
 }
 
@@ -306,7 +317,7 @@ fn rejects_a_stack_operand_nobody_pushed() {
     // The slot read becomes a pop: the access now consumes one value
     // more than the lowering pushed.
     bad[u].subops[subs as usize] = SubOp::Stack;
-    let msg = reject_msg(&engine, &bad);
+    let msg = reject_msg(&engine, false, &bad);
     assert!(msg.contains("underflow") || msg.contains("inconsistent"), "got: {msg}");
 }
 
@@ -315,7 +326,7 @@ fn rejects_operand_stack_underflow() {
     let (engine, mut bad) = compiled(BRANCHY);
     // Entry depth is zero; a binary op at pc 0 must underflow.
     bad[0].code[0] = BInstr::AddF;
-    let msg = reject_msg(&engine, &bad);
+    let msg = reject_msg(&engine, false, &bad);
     assert!(msg.contains("underflow"), "got: {msg}");
 }
 
@@ -327,7 +338,7 @@ fn rejects_unbalanced_stack_at_unit_end() {
     for b in &mut bad {
         b.code.push(BInstr::Const(0));
     }
-    let msg = reject_msg(&engine, &bad);
+    let msg = reject_msg(&engine, false, &bad);
     assert!(
         msg.contains("not empty at unit end") || msg.contains("non-empty stacks"),
         "got: {msg}"
@@ -366,7 +377,7 @@ END MODULE gm
         }
     }
     assert!(found, "expected an unchecked DoInit with a constant stride");
-    let msg = reject_msg(&engine, &bad);
+    let msg = reject_msg(&engine, false, &bad);
     assert!(msg.contains("non-zero"), "got: {msg}");
 }
 
@@ -398,7 +409,7 @@ END MODULE m
         }
     }
     assert!(found, "driver program has a call with arguments");
-    let msg = reject_msg(&engine, &bad);
+    let msg = reject_msg(&engine, false, &bad);
     assert!(msg.contains("call"), "got: {msg}");
 }
 
@@ -429,7 +440,7 @@ END MODULE m
         }
     }
     assert!(found, "program has an OMP descriptor");
-    let msg = reject_msg(&engine, &bad);
+    let msg = reject_msg(&engine, false, &bad);
     assert!(msg.contains("no loop dimensions"), "got: {msg}");
 }
 
@@ -643,8 +654,8 @@ END MODULE m
 fn rejects_iteration_ledger_that_disagrees_with_the_scalar_loop() {
     let engine = Session::compile(&[LEDGER]).unwrap();
     for traced in [false, true] {
-        let base = compile_program(engine.program(), traced);
-        verify_program(engine.program(), &base).expect("baseline verifies");
+        let base = build(&engine, traced);
+        verify(&engine, traced, &base).expect("baseline verifies");
         let ledger = base[0].vecs[0].iter_ledger.expect("straight-line body has a ledger");
         assert_eq!((ledger.ops.load, ledger.ops.store, ledger.ops.fspecial), (2, 1, 1));
         let mut miscounted = base.clone();
@@ -660,7 +671,7 @@ fn rejects_iteration_ledger_that_disagrees_with_the_scalar_loop() {
             .expect("t = b(i) * 0.5");
         body_changed[0].code[mul] = BInstr::DivF;
         for bad in [miscounted, dropped, body_changed] {
-            let msg = reject_msg(&engine, &bad);
+            let msg = reject_msg(&engine, traced, &bad);
             assert!(msg.contains("iteration ledger disagrees"), "traced={traced}: {msg}");
         }
     }
@@ -692,8 +703,8 @@ END MODULE m
 fn rejects_nest_region_that_disagrees_with_the_nested_scalar_code() {
     let engine = Session::compile(&[NEST]).unwrap();
     for traced in [false, true] {
-        let base = compile_program(engine.program(), traced);
-        verify_program(engine.program(), &base).expect("baseline verifies");
+        let base = build(&engine, traced);
+        verify(&engine, traced, &base).expect("baseline verifies");
         let (at, head, exit) = base[0]
             .code
             .iter()
@@ -712,7 +723,7 @@ fn rejects_nest_region_that_disagrees_with_the_nested_scalar_code() {
         let reject = |edit: &dyn Fn(&mut BUnit), want: &str| {
             let mut bad = base.clone();
             edit(&mut bad[0]);
-            let msg = reject_msg(&engine, &bad);
+            let msg = reject_msg(&engine, traced, &bad);
             assert!(msg.contains(want), "traced={traced}: {msg}");
         };
         // The cost a flat loop over the same code would carry.
@@ -738,7 +749,7 @@ fn rejects_guarded_load_out_of_range() {
     let reject = |edit: &dyn Fn(&mut BUnit), want: &str| {
         let mut bad = base.clone();
         edit(&mut bad[0]);
-        let msg = reject_msg(&engine, &bad);
+        let msg = reject_msg(&engine, false, &bad);
         assert!(msg.contains(want), "{msg}");
     };
     reject(&|b| b.vecs[0].guarded[1].slot = ni, "guarded load target i-slot");
@@ -757,7 +768,7 @@ fn rejects_guarded_load_out_of_range() {
 #[test]
 fn rejects_quiet_bracket_that_is_not_straight_line() {
     let engine = Session::compile(&[LEDGER]).unwrap();
-    let base = compile_program(engine.program(), true);
+    let base = build(&engine, true);
     let brackets: Vec<(usize, u32)> = base[0]
         .code
         .iter()
@@ -772,16 +783,16 @@ fn rejects_quiet_bracket_that_is_not_straight_line() {
         // A jump inside the bracket would leave the nested range.
         let mut jumps = base.clone();
         jumps[0].code[pc + 1] = BInstr::Jump(0);
-        assert!(reject_msg(&engine, &jumps).contains("not straight-line"));
+        assert!(reject_msg(&engine, true, &jumps).contains("not straight-line"));
         // So would a bracket that swallows what follows it (the loop,
         // or past the fixup the unit's end).
         let mut overlong = base.clone();
         overlong[0].code[pc] = BInstr::Quiet { end: end + 2 };
-        let msg = reject_msg(&engine, &overlong);
+        let msg = reject_msg(&engine, true, &overlong);
         assert!(msg.contains("not straight-line") || msg.contains("out of range"), "{msg}");
         let mut backwards = base.clone();
         backwards[0].code[pc] = BInstr::Quiet { end: pc as u32 };
-        assert!(reject_msg(&engine, &backwards).contains("not straight-line"));
+        assert!(reject_msg(&engine, true, &backwards).contains("not straight-line"));
     }
 }
 
@@ -825,8 +836,8 @@ fn rejects_masked_select_that_disagrees_with_its_scalar_loop() {
     use fortrans::ScalarTy;
     let engine = Session::compile(&[SELECT]).unwrap();
     for traced in [false, true] {
-        let base = compile_program(engine.program(), traced);
-        verify_program(engine.program(), &base).expect("baseline verifies");
+        let base = build(&engine, traced);
+        verify(&engine, traced, &base).expect("baseline verifies");
         let d = &base[0].vecs[0];
         let sel = d.sel.as_ref().expect("the search loop is a masked select");
         assert!(d.stmts.is_empty() && d.iter_ledger.is_none() && d.taken_cost > 0);
@@ -836,7 +847,7 @@ fn rejects_masked_select_that_disagrees_with_its_scalar_loop() {
         let reject = |edit: &dyn Fn(&mut BUnit), want: &str| {
             let mut bad = base.clone();
             edit(&mut bad[0]);
-            let msg = reject_msg(&engine, &bad);
+            let msg = reject_msg(&engine, traced, &bad);
             assert!(msg.contains(want), "traced={traced}: {msg}");
         };
         reject(&|b| b.vecs[0].taken_cost += 1, "taken-IF cost");
@@ -871,7 +882,7 @@ fn rejects_alias_pairs_and_array_bindings_the_pruning_does_not_allow() {
     let reject = |edit: &dyn Fn(&mut [BUnit]), want: &str| {
         let mut bad = base.clone();
         edit(&mut bad);
-        let msg = reject_msg(&engine, &bad);
+        let msg = reject_msg(&engine, false, &bad);
         assert!(msg.contains(want), "{msg}");
     };
     reject(&|b| b[1].vecs[0].alias_pairs.clear(), "alias pair list");
@@ -925,8 +936,8 @@ fn rejects_stream_proofs_the_slot_shapes_do_not_give() {
     use fortrans::ScalarTy;
     let engine = Session::compile(&[PROVEN]).unwrap();
     for traced in [false, true] {
-        let base = compile_program(engine.program(), traced);
-        verify_program(engine.program(), &base).expect("baseline verifies");
+        let base = build(&engine, traced);
+        verify(&engine, traced, &base).expect("baseline verifies");
         let d = &base[0].vecs[0];
         // t(i), g(2, i), a(i), g(3, i), h(i): the frame's own t and the
         // fixed module array g are proven, the dummy a and the
@@ -939,7 +950,7 @@ fn rejects_stream_proofs_the_slot_shapes_do_not_give() {
         let reject = |edit: &dyn Fn(&mut [BUnit]), want: &str| {
             let mut bad = base.clone();
             edit(&mut bad);
-            let msg = reject_msg(&engine, &bad);
+            let msg = reject_msg(&engine, traced, &bad);
             assert!(msg.contains(want), "traced={traced}: {msg}");
         };
         reject(&|b| b[0].vecs[0].window.1 += 1, "vector window");
@@ -1062,7 +1073,7 @@ fn rejects_inlined_blocks_that_reset_outside_the_frame_or_stay_open() {
 fn rejection_baselines_are_clean() {
     for src in [BRANCHY, GATHER, NEST, SELECT, FIXED, PROVEN] {
         let (engine, bunits) = compiled(src);
-        verify_program(engine.program(), &bunits).expect("baseline verifies");
+        verify(&engine, false, &bunits).expect("baseline verifies");
     }
 }
 
@@ -1099,8 +1110,8 @@ fn rejects_running_value_reads_the_fold_has_not_filled_and_a_wrong_fixup_cost() 
     use fortrans::bytecode::VecOp;
     let engine = Session::compile(&[RUNNING]).unwrap();
     for traced in [false, true] {
-        let base = compile_program(engine.program(), traced);
-        verify_program(engine.program(), &base).expect("baseline verifies");
+        let base = build(&engine, traced);
+        verify(&engine, traced, &base).expect("baseline verifies");
         let (sum, map) = (&base[0].vecs[0], &base[0].vecs[1]);
         assert_eq!((sum.stmts.len(), sum.red.map(|r| r.stmt)), (3, Some(1)));
         assert!(matches!(sum.stmts[2].first(), Some(VecOp::Running)), "{:?}", sum.stmts[2]);
@@ -1112,25 +1123,25 @@ fn rejects_running_value_reads_the_fold_has_not_filled_and_a_wrong_fixup_cost() 
         let read = d.stmts.pop().unwrap();
         d.stmts.insert(0, read);
         d.red.as_mut().unwrap().stmt = 2;
-        let msg = reject_msg(&engine, &moved);
+        let msg = reject_msg(&engine, traced, &moved);
         assert!(msg.contains("running-value read in statement 0 does not follow"), "{msg}");
 
         // A running-value read in a map descriptor.
         let mut orphan = base.clone();
         orphan[0].vecs[1].stmts[0][0] = VecOp::Running;
-        let msg = reject_msg(&engine, &orphan);
+        let msg = reject_msg(&engine, traced, &orphan);
         assert!(msg.contains("running-value read in a descriptor with no accumulator"), "{msg}");
 
         // An accumulator statement the descriptor does not have.
         let mut missing = base.clone();
         missing[0].vecs[0].red.as_mut().unwrap().stmt = 3;
-        let msg = reject_msg(&engine, &missing);
+        let msg = reject_msg(&engine, traced, &missing);
         assert!(msg.contains("accumulator statement 3 out of range"), "{msg}");
 
         for fixup_cost in [0, 5 + u32::from(traced)] {
             let mut miscounted = base.clone();
             miscounted[0].vecs[1].fixup_cost = fixup_cost;
-            let msg = reject_msg(&engine, &miscounted);
+            let msg = reject_msg(&engine, traced, &miscounted);
             assert!(msg.contains("fixup cost"), "{msg}");
         }
     }
