@@ -1075,10 +1075,9 @@ impl VecDesc {
     /// * Two different slots never share storage when one of them is a
     ///   frame array that is not a dummy (`dummies` lists the unit's
     ///   array dummy slots, `dummy_arrays`). Such a slot only ever
-    ///   holds an array of its own: a fresh or reset fixed local, an
-    ///   `ALLOCATE`d one (pooled handles are uniquely held), or a
-    ///   PRIVATE deep copy. Calls and entry arguments bind dummy slots
-    ///   only, which the verifier checks.
+    ///   holds an array of its own: a fresh or reset fixed local, a
+    ///   fresh `ALLOCATE`d one, or a PRIVATE deep copy. Calls and entry
+    ///   arguments bind dummy slots only, which the verifier checks.
     /// * Two different global cells never share storage either. Each
     ///   cell gets an array of its own at start-up, on `ALLOCATE` and on
     ///   `reset_globals`; no call or entry argument binds a global slot;
@@ -1318,46 +1317,31 @@ impl ContractScan<'_> {
 
     fn stmts(&mut self, body: &[SpStmt], in_omp: bool) {
         for sp in body {
-            match &sp.s {
-                RStmt::Do { var, start, end, step, body, omp, collapse_with, .. } => {
-                    let id = self.next_loop;
-                    self.next_loop += 1;
-                    [start, end].into_iter().chain(step).for_each(|e| self.refuse_in(e));
-                    for c in collapse_with {
-                        self.refuse_in(&c.start);
-                        self.refuse_in(&c.end);
-                    }
-                    if let Some(o) = omp {
-                        for &v in o.private.iter().chain(o.reductions.iter().map(|(_, v)| v)) {
-                            self.refused[v] = true;
-                        }
-                        o.num_threads.iter().for_each(|e| self.refuse_in(e));
-                    }
-                    let in_omp = in_omp || omp.is_some();
-                    self.open.push(id);
-                    match (start, end, step) {
-                        (RExpr::ConstI(lo), RExpr::ConstI(hi), None | Some(RExpr::ConstI(1)))
-                            if !in_omp && collapse_with.is_empty() && self.straight(*var, body) =>
-                        {
-                            self.home_loop(*var, (*lo, *hi), body);
-                        }
-                        _ => self.stmts(body, in_omp),
-                    }
-                    self.open.pop();
-                    continue;
+            // Every mention in a statement's own parts refuses. An
+            // inlined block and a span have none: the block's entry
+            // reset writes what nothing reads, and a fresh temporary of
+            // a span's `fast` is its fused loop's alone.
+            walk_own(&sp.s, &mut |seen| match seen {
+                Seen::Ref(v) | Seen::Store(v) | Seen::Alloc(v) | Seen::Dealloc(v) | Seen::Query(v) => {
+                    self.refused[v] = true;
                 }
-                RStmt::If { arms, .. } => arms.iter().for_each(|(c, _)| self.refuse_in(c)),
-                RStmt::DoWhile { cond, .. } => self.refuse_in(cond),
-                // An inlined block's entry reset writes what nothing
-                // reads, and a fresh temporary of a span's `fast` is its
-                // fused loop's alone.
-                RStmt::Critical { .. } | RStmt::Inlined { .. } | RStmt::Span { .. } => {}
-                s => walk_stmt(s, &mut |seen| match seen {
-                    Seen::Ref(v) | Seen::Alloc(v) | Seen::Dealloc(v) | Seen::Query(v) => {
-                        self.refused[v] = true;
+                Seen::Return => {}
+            });
+            if let RStmt::Do { var, start, end, step, body, omp, collapse_with, .. } = &sp.s {
+                let id = self.next_loop;
+                self.next_loop += 1;
+                let in_omp = in_omp || omp.is_some();
+                self.open.push(id);
+                match (start, end, step) {
+                    (RExpr::ConstI(lo), RExpr::ConstI(hi), None | Some(RExpr::ConstI(1)))
+                        if !in_omp && collapse_with.is_empty() && self.straight(*var, body) =>
+                    {
+                        self.home_loop(*var, (*lo, *hi), body);
                     }
-                    Seen::Return => {}
-                }),
+                    _ => self.stmts(body, in_omp),
+                }
+                self.open.pop();
+                continue;
             }
             each_child(&sp.s, &mut |b| self.stmts(b, in_omp));
         }
@@ -1426,23 +1410,15 @@ impl ContractScan<'_> {
     /// mention that does not refuse.
     fn reads(&mut self, e: &RExpr, written: &[VarIdx]) {
         match e {
-            RExpr::ConstI(_) | RExpr::ConstF(_) | RExpr::ConstB(_) => {}
             RExpr::LoadElem { v, subs } => {
                 if self.extent[*v].is_some() && !(written.contains(v) && self.at_home(*v, subs)) {
                     self.refused[*v] = true;
                 }
-                subs.iter().for_each(|x| self.reads(x, written));
             }
-            RExpr::Bin { l, r, .. } => {
-                self.reads(l, written);
-                self.reads(r, written);
-            }
-            RExpr::Neg(x) | RExpr::Not(x) | RExpr::ToF(x) | RExpr::ToI(x) => {
-                self.reads(x, written);
-            }
-            RExpr::Intrinsic { args, .. } => args.iter().for_each(|x| self.reads(x, written)),
-            _ => self.refuse_in(e),
+            RExpr::CallFn { .. } => return self.refuse_in(e),
+            _ => expr_vars(e, &mut |_, &v| self.refused[v] = true),
         }
+        operands(e, &mut |x| self.reads(x, written));
     }
 }
 
@@ -1452,32 +1428,19 @@ fn contract(unit: &RUnit, vars: &[VarIdx]) -> RUnit {
     fn expr(e: &mut RExpr, vars: &[VarIdx]) {
         match e {
             RExpr::LoadElem { v, .. } if vars.contains(v) => *e = RExpr::LoadScalar(*v),
-            RExpr::LoadElem { subs: xs, .. } | RExpr::Intrinsic { args: xs, .. } => {
-                xs.iter_mut().for_each(|x| expr(x, vars));
-            }
-            RExpr::Bin { l, r, .. } => {
-                expr(l, vars);
-                expr(r, vars);
-            }
-            RExpr::Neg(x) | RExpr::Not(x) | RExpr::ToF(x) | RExpr::ToI(x) => expr(x, vars),
-            _ => {}
+            _ => operands_mut(e, &mut |x| expr(x, vars)),
         }
     }
     fn stmts(body: &mut [SpStmt], vars: &[VarIdx]) {
         for sp in body.iter_mut() {
-            match &mut sp.s {
-                RStmt::AssignElem { v, e, .. } if vars.contains(v) => {
-                    let (v, mut e) = (*v, std::mem::replace(e, RExpr::ConstI(0)));
-                    expr(&mut e, vars);
+            if let RStmt::AssignElem { v, e, .. } = &mut sp.s {
+                if vars.contains(v) {
+                    let (v, e) = (*v, std::mem::replace(e, RExpr::ConstI(0)));
                     sp.s = RStmt::AssignScalar { v, e };
                 }
-                RStmt::AssignScalar { e, .. } => expr(e, vars),
-                RStmt::AssignElem { subs, e, .. } => {
-                    subs.iter_mut().for_each(|x| expr(x, vars));
-                    expr(e, vars);
-                }
-                s => each_child_mut(s, &mut |b| stmts(b, vars)),
             }
+            own_exprs_mut(&mut sp.s, &mut |x| expr(x, vars));
+            each_child_mut(&mut sp.s, &mut |b| stmts(b, vars));
         }
     }
     let mut out = unit.clone();
@@ -1579,7 +1542,7 @@ pub(crate) fn contracted_in(unit: &RUnit, vslots: &[VSlot], line: u32, nth: usiz
     let mut seen = Vec::new();
     if let Some(sp) = do_loops(&unit.body).into_iter().filter(|sp| sp.line == line).nth(nth) {
         walk_stmt(&sp.s, &mut |x| {
-            if let Seen::Ref(v) = x {
+            if let Seen::Ref(v) | Seen::Store(v) = x {
                 if unit.vars[v].rank > 0 && matches!(vslots[v], VSlot::F(_)) && !seen.contains(&v) {
                     seen.push(v);
                 }
@@ -1770,27 +1733,10 @@ pub(crate) fn mask_stack_effect(ops: &[MaskOp]) -> Option<(u32, u32)> {
 /// user function call passing `var` by reference does (copy-out on
 /// return); nothing else in an expression assigns.
 fn expr_copies_out_to(e: &RExpr, var: VarIdx) -> bool {
-    let any = |es: &[RExpr]| es.iter().any(|x| expr_copies_out_to(x, var));
-    match e {
-        RExpr::ConstI(_)
-        | RExpr::ConstF(_)
-        | RExpr::ConstB(_)
-        | RExpr::LoadScalar(_)
-        | RExpr::AllocatedQ(_)
-        | RExpr::ArrReduce { .. } => false,
-        RExpr::LoadElem { subs, .. } => any(subs),
-        RExpr::Bin { l, r, .. } => expr_copies_out_to(l, var) || expr_copies_out_to(r, var),
-        RExpr::Neg(x) | RExpr::Not(x) | RExpr::ToF(x) | RExpr::ToI(x) => {
-            expr_copies_out_to(x, var)
-        }
-        RExpr::Intrinsic { args, .. } => any(args),
-        RExpr::CallFn { args, .. } => args.iter().any(|a| match a {
-            RArg::ByRefScalar(v) => *v == var,
-            RArg::ByRefElem { subs, .. } => any(subs),
-            RArg::Value(x) => expr_copies_out_to(x, var),
-            RArg::Array(_) => false,
-        }),
-    }
+    let mut out = matches!(e, RExpr::CallFn { args, .. }
+        if args.iter().any(|a| matches!(a, RArg::ByRefScalar(v) if *v == var)));
+    operands(e, &mut |x| out = out || expr_copies_out_to(x, var));
+    out
 }
 
 struct UnitCompiler<'a> {

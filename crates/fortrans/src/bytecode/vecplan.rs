@@ -132,80 +132,60 @@ struct VecBody {
 /// True when `e` references variable `var` anywhere (conservatively true
 /// for user calls, whose by-ref arguments could smuggle it through).
 fn expr_uses_var(e: &RExpr, var: VarIdx) -> bool {
-    match e {
-        RExpr::ConstI(_) | RExpr::ConstF(_) | RExpr::ConstB(_) => false,
-        RExpr::LoadScalar(v) | RExpr::AllocatedQ(v) | RExpr::ArrReduce { v, .. } => *v == var,
-        RExpr::LoadElem { v, subs } => *v == var || subs.iter().any(|s| expr_uses_var(s, var)),
-        RExpr::Bin { l, r, .. } => expr_uses_var(l, var) || expr_uses_var(r, var),
-        RExpr::Neg(x) | RExpr::Not(x) | RExpr::ToF(x) | RExpr::ToI(x) => expr_uses_var(x, var),
-        RExpr::Intrinsic { args, .. } => args.iter().any(|a| expr_uses_var(a, var)),
-        RExpr::CallFn { .. } => true,
-    }
+    let mut uses = matches!(e, RExpr::CallFn { .. });
+    expr_vars(e, &mut |_, &v| uses |= v == var);
+    operands(e, &mut |x| uses = uses || expr_uses_var(x, var));
+    uses
 }
 
 /// Calls `f` on every variable a statement of `stmts` outside the loop
-/// body `skip` (found by address) may read: conservatively, those any
-/// expression mentions and every one another statement does (a call's
-/// by-ref argument, an OMP clause), but not the target of an
-/// assignment. A function call reads one only through an argument that
-/// mentions it, as a subroutine call does: a callee cannot reach its
-/// caller's frame. One walk serves every forwarded temp of a loop.
+/// body `skip` (found by address) may read: conservatively, every
+/// [`Seen::Ref`] — any expression's mention and a statement's own (a
+/// call's by-ref argument, an OMP clause) — but not a [`Seen::Store`],
+/// the target of an assignment. A function call reads one only through
+/// an argument that mentions it, as a subroutine call does: a callee
+/// cannot reach its caller's frame. One walk serves every forwarded temp
+/// of a loop.
 fn reads_outside(stmts: &[SpStmt], skip: &[SpStmt], f: &mut dyn FnMut(VarIdx)) {
-    fn ex(e: &RExpr, f: &mut dyn FnMut(VarIdx)) {
-        walk_expr(e, &mut |x| {
-            if let Seen::Ref(w) = x {
+    for sp in stmts {
+        walk_own(&sp.s, &mut |seen| {
+            if let Seen::Ref(w) = seen {
                 f(w);
             }
         });
-    }
-    for sp in stmts {
-        match &sp.s {
-            RStmt::AssignScalar { e, .. } => ex(e, f),
-            RStmt::AssignElem { subs, e, .. } => subs.iter().chain([e]).for_each(|x| ex(x, f)),
-            RStmt::If { arms, .. } => arms.iter().for_each(|(c, _)| ex(c, f)),
-            RStmt::Do { start, end, step, body, omp, collapse_with, .. } => {
-                [start, end].into_iter().chain(step).for_each(|x| ex(x, f));
-                for c in collapse_with {
-                    ex(&c.start, f);
-                    ex(&c.end, f);
-                }
-                if let Some(o) = omp {
-                    o.private.iter().chain(o.reductions.iter().map(|(_, w)| w)).for_each(|&w| f(w));
-                    o.num_threads.iter().for_each(|x| ex(x, f));
-                }
-                if std::ptr::eq(body.as_slice(), skip) {
-                    continue;
-                }
+        each_child(&sp.s, &mut |b| {
+            if !std::ptr::eq(b, skip) {
+                reads_outside(b, skip, f);
             }
-            RStmt::DoWhile { cond, .. } => ex(cond, f),
-            RStmt::Critical { .. } | RStmt::Inlined { .. } | RStmt::Span { .. } => {}
-            s => walk_stmt(s, &mut |x| {
-                if let Seen::Ref(w) = x {
-                    f(w);
-                }
-            }),
-        }
-        each_child(&sp.s, &mut |b| reads_outside(b, skip, f));
+        });
     }
 }
 
 /// `e` with every `LoadScalar` of an unrolled loop index replaced by
 /// the constant it holds and every one of a forwarded temp by the
 /// temp's defining expression (itself already substituted, so the
-/// result never references another temp). `CallFn` arguments are left
-/// alone: a call anywhere disqualifies the loop from vectorizing, so
-/// the substituted tree is never emitted in that case. A tree with
-/// nothing to replace comes back borrowed.
+/// result never references another temp). A tree with nothing to
+/// replace comes back borrowed.
 fn subst_scalars<'e>(
     e: &'e RExpr,
     idx: &[(VarIdx, i64)],
     temps: &[(VarIdx, RExpr)],
 ) -> Cow<'e, RExpr> {
-    if substitutes(e, idx, temps) {
-        Cow::Owned(subst_owned(e, idx, temps))
-    } else {
-        Cow::Borrowed(e)
+    let has = |v: VarIdx| idx.iter().any(|(u, _)| *u == v) || temps.iter().any(|(u, _)| *u == v);
+    let mut hit = false;
+    if !idx.is_empty() || !temps.is_empty() {
+        walk_expr(e, &mut |seen| hit |= matches!(seen, Seen::Ref(v) if has(v)));
     }
+    if !hit {
+        return Cow::Borrowed(e);
+    }
+    let by = |v: VarIdx| match idx.iter().find(|(u, _)| *u == v) {
+        Some((_, c)) => Some(RExpr::ConstI(*c)),
+        None => temps.iter().find(|(u, _)| *u == v).map(|(_, d)| d.clone()),
+    };
+    let mut out = e.clone();
+    rename_expr(&mut out, &mut |_| {}, &by);
+    Cow::Owned(out)
 }
 
 /// [`subst_scalars`] over a subscript list, borrowed when nothing in
@@ -215,59 +195,13 @@ fn subst_all<'e>(
     idx: &[(VarIdx, i64)],
     temps: &[(VarIdx, RExpr)],
 ) -> Cow<'e, [RExpr]> {
-    if es.iter().any(|e| substitutes(e, idx, temps)) {
-        Cow::Owned(es.iter().map(|e| subst_owned(e, idx, temps)).collect())
-    } else {
-        Cow::Borrowed(es)
+    let mut out: Option<Vec<RExpr>> = None;
+    for (k, e) in es.iter().enumerate() {
+        if let Cow::Owned(x) = subst_scalars(e, idx, temps) {
+            out.get_or_insert_with(|| es.to_vec())[k] = x;
+        }
     }
-}
-
-/// Whether [`subst_scalars`] replaces anything in `e`: the same walk,
-/// reading only.
-fn substitutes(e: &RExpr, idx: &[(VarIdx, i64)], temps: &[(VarIdx, RExpr)]) -> bool {
-    if idx.is_empty() && temps.is_empty() {
-        return false;
-    }
-    let sub = |x: &RExpr| substitutes(x, idx, temps);
-    match e {
-        RExpr::LoadScalar(v) => {
-            idx.iter().any(|(u, _)| u == v) || temps.iter().any(|(u, _)| u == v)
-        }
-        RExpr::LoadElem { subs, .. } => subs.iter().any(sub),
-        RExpr::Bin { l, r, .. } => sub(l) || sub(r),
-        RExpr::Neg(x) | RExpr::Not(x) | RExpr::ToF(x) | RExpr::ToI(x) => sub(x),
-        RExpr::Intrinsic { args, .. } => args.iter().any(sub),
-        _ => false,
-    }
-}
-
-fn subst_owned(e: &RExpr, idx: &[(VarIdx, i64)], temps: &[(VarIdx, RExpr)]) -> RExpr {
-    let sub = |x: &RExpr| subst_owned(x, idx, temps);
-    match e {
-        RExpr::LoadScalar(v) => {
-            if let Some((_, c)) = idx.iter().find(|(u, _)| u == v) {
-                RExpr::ConstI(*c)
-            } else if let Some((_, d)) = temps.iter().find(|(u, _)| u == v) {
-                d.clone()
-            } else {
-                e.clone()
-            }
-        }
-        RExpr::LoadElem { v, subs } => {
-            RExpr::LoadElem { v: *v, subs: subs.iter().map(sub).collect() }
-        }
-        RExpr::Bin { op, ty, l, r } => {
-            RExpr::Bin { op: *op, ty: *ty, l: Box::new(sub(l)), r: Box::new(sub(r)) }
-        }
-        RExpr::Neg(x) => RExpr::Neg(Box::new(sub(x))),
-        RExpr::Not(x) => RExpr::Not(Box::new(sub(x))),
-        RExpr::ToF(x) => RExpr::ToF(Box::new(sub(x))),
-        RExpr::ToI(x) => RExpr::ToI(Box::new(sub(x))),
-        RExpr::Intrinsic { f, args } => {
-            RExpr::Intrinsic { f: *f, args: args.iter().map(sub).collect() }
-        }
-        _ => e.clone(),
-    }
+    out.map_or(Cow::Borrowed(es), Cow::Owned)
 }
 
 impl UnitCompiler<'_> {
@@ -690,11 +624,6 @@ impl UnitCompiler<'_> {
         plan: &mut VecPlan,
     ) -> Result<(), VecRefusal> {
         match e {
-            RExpr::ConstI(_)
-            | RExpr::ConstF(_)
-            | RExpr::ConstB(_)
-            | RExpr::LoadScalar(_)
-            | RExpr::AllocatedQ(_) => Ok(()),
             // An invariant INTEGER read is proven by the entry's guarded
             // load of it instead.
             RExpr::LoadElem { v, .. }
@@ -705,17 +634,16 @@ impl UnitCompiler<'_> {
             RExpr::LoadElem { v, subs } => {
                 self.vec_access(*v, subs, var, ScalarTy::F, false, plan).map(|_| ())
             }
-            RExpr::Bin { l, r, .. } => {
-                self.vec_intern_reads(l, var, plan)?;
-                self.vec_intern_reads(r, var, plan)
-            }
-            RExpr::Neg(x) | RExpr::Not(x) | RExpr::ToF(x) | RExpr::ToI(x) => {
-                self.vec_intern_reads(x, var, plan)
-            }
-            RExpr::Intrinsic { args, .. } => {
-                args.iter().try_for_each(|a| self.vec_intern_reads(a, var, plan))
-            }
             RExpr::ArrReduce { .. } | RExpr::CallFn { .. } => Err(VecRefusal::Shape),
+            _ => {
+                let mut out = Ok(());
+                operands(e, &mut |x| {
+                    if out.is_ok() {
+                        out = self.vec_intern_reads(x, var, plan);
+                    }
+                });
+                out
+            }
         }
     }
 

@@ -2,6 +2,16 @@
 //! identified. Produced by [`crate::sema`], consumed by [`crate::interp`];
 //! [`rewrite`] holds the program-to-program rules the optimized build
 //! applies before lowering.
+//!
+//! What a node holds is written down here once: an expression's
+//! operands, a statement's own expressions and the variables a node
+//! names (the `node_parts!` walks, each with a `_mut` twin), and the
+//! statement lists nested in a statement ([`each_child`]). The rewrites,
+//! contraction and the vector analysis reach a node's contents only
+//! through them, [`walk_stmts`] for every mention and [`rename_stmts`]
+//! to rename in place; a pass matches on a variant only where the
+//! variant decides something. The tree-walker and the verifier keep
+//! their own matches.
 
 use crate::ast::{Bin, RedOp};
 use crate::intrinsics::Intr;
@@ -334,7 +344,7 @@ fn pt_var(v: VarIdx, vars: &[VarInfo], globals: &[GlobalDecl]) -> bool {
 fn stmts_touch_pt(stmts: &[SpStmt], vars: &[VarInfo], globals: &[GlobalDecl]) -> bool {
     let mut touched = false;
     walk_stmts(stmts, &mut |seen| match seen {
-        Seen::Ref(v) | Seen::Alloc(v) | Seen::Dealloc(v) | Seen::Query(v) => {
+        Seen::Ref(v) | Seen::Store(v) | Seen::Alloc(v) | Seen::Dealloc(v) | Seen::Query(v) => {
             touched |= pt_var(v, vars, globals);
         }
         Seen::Return => {}
@@ -397,8 +407,12 @@ pub(crate) fn each_child_mut(s: &mut RStmt, f: &mut dyn FnMut(&mut [SpStmt])) {
 /// One thing [`walk_stmts`] reports.
 #[derive(Clone, Copy)]
 pub(crate) enum Seen {
-    /// Any mention of a variable but the three below.
+    /// Any mention of a variable but the four below.
     Ref(VarIdx),
+    /// The variable a statement stores to as a whole target: an
+    /// assignment's, a `DO` loop's (a collapsed one's too). A call's
+    /// by-reference argument is a [`Seen::Ref`].
+    Store(VarIdx),
     Alloc(VarIdx),
     Dealloc(VarIdx),
     /// `ALLOCATED(v)`.
@@ -406,10 +420,190 @@ pub(crate) enum Seen {
     Return,
 }
 
-/// Calls `f` on every variable mention and every `RETURN` in `stmts`,
-/// in statement order, nested bodies and OMP clauses included. An
-/// inlined block's reset of its locals is no mention: it writes what a
-/// fresh frame holds, which no statement outside the block reads.
+/// What an RIR node holds, written down once for both borrows: the
+/// walks below call `f` on the parts of one node, not on those of the
+/// nodes inside them, and each has a `_mut` twin (`$m` = `mut`) for the
+/// rewrites that change the parts in place. A new `RExpr` or `RStmt`
+/// variant is listed here and in [`each_child`], and every walk of the
+/// optimized build's passes follows.
+macro_rules! node_parts {
+    ($operands:ident, $arg_exprs:ident, $own_exprs:ident, $expr_vars:ident,
+     $stmt_vars:ident, $arg_var:ident $(, $m:tt)?) => {
+        /// Calls `f` on each operand of `e`, in evaluation order, a
+        /// call's argument expressions included.
+        pub(crate) fn $operands<'a>(e: &'a $($m)? RExpr, f: &mut dyn FnMut(&'a $($m)? RExpr)) {
+            match e {
+                RExpr::LoadElem { subs: xs, .. } | RExpr::Intrinsic { args: xs, .. } => {
+                    xs.into_iter().for_each(f)
+                }
+                RExpr::Bin { l, r, .. } => {
+                    f(l);
+                    f(r);
+                }
+                RExpr::Neg(x) | RExpr::Not(x) | RExpr::ToF(x) | RExpr::ToI(x) => f(x),
+                RExpr::CallFn { args, .. } => args.into_iter().for_each(|a| $arg_exprs(a, f)),
+                RExpr::ConstI(_)
+                | RExpr::ConstF(_)
+                | RExpr::ConstB(_)
+                | RExpr::LoadScalar(_)
+                | RExpr::ArrReduce { .. }
+                | RExpr::AllocatedQ(_) => {}
+            }
+        }
+
+        /// Calls `f` on the expressions argument `a` evaluates.
+        pub(crate) fn $arg_exprs<'a>(a: &'a $($m)? RArg, f: &mut dyn FnMut(&'a $($m)? RExpr)) {
+            match a {
+                RArg::ByRefElem { subs, .. } => subs.into_iter().for_each(f),
+                RArg::Value(e) => f(e),
+                RArg::ByRefScalar(_) | RArg::Array(_) => {}
+            }
+        }
+
+        /// Calls `f` on the expressions `s` evaluates itself, in
+        /// statement order (not those of the statements nested in it).
+        pub(crate) fn $own_exprs<'a>(s: &'a $($m)? RStmt, f: &mut dyn FnMut(&'a $($m)? RExpr)) {
+            match s {
+                RStmt::AssignScalar { e, .. } | RStmt::Broadcast { e, .. } => f(e),
+                RStmt::AssignElem { subs, e, .. } | RStmt::AtomicUpdate { subs, e, .. } => {
+                    subs.into_iter().for_each(&mut *f);
+                    f(e);
+                }
+                RStmt::If { arms, .. } => arms.into_iter().for_each(|(c, _)| f(c)),
+                RStmt::Do { start, end, step, omp, collapse_with, .. } => {
+                    f(start);
+                    f(end);
+                    step.into_iter().for_each(&mut *f);
+                    for CollapseDim { start, end, .. } in collapse_with {
+                        f(start);
+                        f(end);
+                    }
+                    if let Some(ROmp { num_threads: Some(nt), .. }) = omp {
+                        f(nt);
+                    }
+                }
+                RStmt::DoWhile { cond, .. } => f(cond),
+                RStmt::CallSub { args, .. } => args.into_iter().for_each(|a| $arg_exprs(a, f)),
+                RStmt::Allocate { dims, .. } => {
+                    for (lo, hi) in dims {
+                        f(lo);
+                        f(hi);
+                    }
+                }
+                RStmt::Print(items) => {
+                    for it in items {
+                        if let PrintItem::Val(e) = it {
+                            f(e);
+                        }
+                    }
+                }
+                RStmt::CopyArray { .. }
+                | RStmt::Deallocate { .. }
+                | RStmt::Critical { .. }
+                | RStmt::Return
+                | RStmt::Exit
+                | RStmt::Cycle
+                | RStmt::Stop(_)
+                | RStmt::Nop
+                | RStmt::Inlined { .. }
+                | RStmt::Span { .. } => {}
+            }
+        }
+
+        /// Calls `f` on each variable `e` names itself (not its
+        /// operands), with the [`Seen`] each one is: a call's
+        /// by-reference and array arguments included.
+        pub(crate) fn $expr_vars<'a>(
+            e: &'a $($m)? RExpr,
+            f: &mut dyn FnMut(fn(VarIdx) -> Seen, &'a $($m)? VarIdx),
+        ) {
+            match e {
+                RExpr::LoadScalar(v) | RExpr::LoadElem { v, .. } | RExpr::ArrReduce { v, .. } => {
+                    f(Seen::Ref, v)
+                }
+                RExpr::AllocatedQ(v) => f(Seen::Query, v),
+                RExpr::CallFn { args, .. } => args.into_iter().for_each(|a| $arg_var(a, f)),
+                RExpr::ConstI(_)
+                | RExpr::ConstF(_)
+                | RExpr::ConstB(_)
+                | RExpr::Bin { .. }
+                | RExpr::Neg(_)
+                | RExpr::Not(_)
+                | RExpr::ToF(_)
+                | RExpr::ToI(_)
+                | RExpr::Intrinsic { .. } => {}
+            }
+        }
+
+        /// Calls `f` on each variable `s` names itself (not in its
+        /// expressions or nested statements), with the [`Seen`] each
+        /// one is. An inlined block's `locals` are no mention (see
+        /// [`walk_stmts`]).
+        pub(crate) fn $stmt_vars<'a>(
+            s: &'a $($m)? RStmt,
+            f: &mut dyn FnMut(fn(VarIdx) -> Seen, &'a $($m)? VarIdx),
+        ) {
+            match s {
+                RStmt::AssignScalar { v, .. }
+                | RStmt::AssignElem { v, .. }
+                | RStmt::Broadcast { v, .. } => f(Seen::Store, v),
+                RStmt::CopyArray { dst, src } => {
+                    f(Seen::Store, dst);
+                    f(Seen::Ref, src);
+                }
+                RStmt::AtomicUpdate { v, .. } => f(Seen::Ref, v),
+                RStmt::Do { var, omp, collapse_with, .. } => {
+                    f(Seen::Store, var);
+                    for CollapseDim { var, .. } in collapse_with {
+                        f(Seen::Store, var);
+                    }
+                    if let Some(ROmp { private, reductions, .. }) = omp {
+                        private.into_iter().for_each(|v| f(Seen::Ref, v));
+                        reductions.into_iter().for_each(|(_, v)| f(Seen::Ref, v));
+                    }
+                }
+                RStmt::CallSub { args, .. } => args.into_iter().for_each(|a| $arg_var(a, f)),
+                RStmt::Allocate { v, .. } => f(Seen::Alloc, v),
+                RStmt::Deallocate { v } => f(Seen::Dealloc, v),
+                RStmt::If { .. }
+                | RStmt::DoWhile { .. }
+                | RStmt::Critical { .. }
+                | RStmt::Return
+                | RStmt::Exit
+                | RStmt::Cycle
+                | RStmt::Print(_)
+                | RStmt::Stop(_)
+                | RStmt::Nop
+                | RStmt::Inlined { .. }
+                | RStmt::Span { .. } => {}
+            }
+        }
+
+        fn $arg_var<'a>(a: &'a $($m)? RArg, f: &mut dyn FnMut(fn(VarIdx) -> Seen, &'a $($m)? VarIdx)) {
+            match a {
+                RArg::ByRefScalar(v) | RArg::Array(v) | RArg::ByRefElem { v, .. } => f(Seen::Ref, v),
+                RArg::Value(_) => {}
+            }
+        }
+    };
+}
+
+node_parts!(operands, arg_exprs, own_exprs, expr_vars, stmt_vars, arg_var);
+node_parts!(
+    operands_mut,
+    arg_exprs_mut,
+    own_exprs_mut,
+    expr_vars_mut,
+    stmt_vars_mut,
+    arg_var_mut,
+    mut
+);
+
+/// Calls `f` on every variable mention and every `RETURN` in `stmts`:
+/// each statement's own, then those of the statements nested in it,
+/// OMP clauses included. An inlined block's reset of its locals is no
+/// mention: it writes what a fresh frame holds, which no statement
+/// outside the block reads.
 pub(crate) fn walk_stmts(stmts: &[SpStmt], f: &mut dyn FnMut(Seen)) {
     for sp in stmts {
         walk_stmt(&sp.s, f);
@@ -418,106 +612,61 @@ pub(crate) fn walk_stmts(stmts: &[SpStmt], f: &mut dyn FnMut(Seen)) {
 
 /// [`walk_stmts`] over one statement.
 pub(crate) fn walk_stmt(s: &RStmt, f: &mut dyn FnMut(Seen)) {
-    match s {
-        RStmt::AssignScalar { v, e } | RStmt::Broadcast { v, e } => {
-            f(Seen::Ref(*v));
-            walk_expr(e, f);
-        }
-        RStmt::AssignElem { v, subs, e } | RStmt::AtomicUpdate { v, subs, e, .. } => {
-            f(Seen::Ref(*v));
-            subs.iter().for_each(|x| walk_expr(x, f));
-            walk_expr(e, f);
-        }
-        RStmt::CopyArray { dst, src } => {
-            f(Seen::Ref(*dst));
-            f(Seen::Ref(*src));
-        }
-        RStmt::If { arms, else_body } => {
-            for (c, b) in arms {
-                walk_expr(c, f);
-                walk_stmts(b, f);
-            }
-            walk_stmts(else_body, f);
-        }
-        RStmt::Do { var, start, end, step, body, omp, collapse_with, .. } => {
-            f(Seen::Ref(*var));
-            [start, end].into_iter().chain(step).for_each(|x| walk_expr(x, f));
-            for c in collapse_with {
-                f(Seen::Ref(c.var));
-                walk_expr(&c.start, f);
-                walk_expr(&c.end, f);
-            }
-            if let Some(o) = omp {
-                o.private.iter().for_each(|&v| f(Seen::Ref(v)));
-                o.reductions.iter().for_each(|&(_, v)| f(Seen::Ref(v)));
-                o.num_threads.iter().for_each(|x| walk_expr(x, f));
-            }
-            walk_stmts(body, f);
-        }
-        RStmt::DoWhile { cond, body } => {
-            walk_expr(cond, f);
-            walk_stmts(body, f);
-        }
-        RStmt::CallSub { args, .. } => args.iter().for_each(|a| walk_arg(a, f)),
-        RStmt::Allocate { v, dims } => {
-            f(Seen::Alloc(*v));
-            for (lo, hi) in dims {
-                walk_expr(lo, f);
-                walk_expr(hi, f);
-            }
-        }
-        RStmt::Deallocate { v } => f(Seen::Dealloc(*v)),
-        RStmt::Critical { body, .. } => walk_stmts(body, f),
-        RStmt::Return => f(Seen::Return),
-        RStmt::Print(items) => {
-            for it in items {
-                if let PrintItem::Val(e) = it {
-                    walk_expr(e, f);
-                }
-            }
-        }
-        RStmt::Inlined { enter, body, leave, .. } => {
-            walk_stmts(enter, f);
-            walk_stmts(body, f);
-            walk_stmts(leave, f);
-        }
-        RStmt::Span { fast, slow } => {
-            walk_stmts(fast, f);
-            walk_stmts(slow, f);
-        }
-        RStmt::Exit | RStmt::Cycle | RStmt::Stop(_) | RStmt::Nop => {}
+    walk_own(s, f);
+    each_child(s, &mut |b| walk_stmts(b, f));
+}
+
+/// [`walk_stmt`] less the statements nested in `s`.
+pub(crate) fn walk_own(s: &RStmt, f: &mut dyn FnMut(Seen)) {
+    if let RStmt::Return = s {
+        f(Seen::Return);
     }
+    stmt_vars(s, &mut |seen, &v| f(seen(v)));
+    own_exprs(s, &mut |e| walk_expr(e, f));
 }
 
 /// [`walk_stmts`] over one expression, a call's arguments included.
 pub(crate) fn walk_expr(e: &RExpr, f: &mut dyn FnMut(Seen)) {
-    match e {
-        RExpr::ConstI(_) | RExpr::ConstF(_) | RExpr::ConstB(_) => {}
-        RExpr::LoadScalar(v) | RExpr::ArrReduce { v, .. } => f(Seen::Ref(*v)),
-        RExpr::AllocatedQ(v) => f(Seen::Query(*v)),
-        RExpr::LoadElem { v, subs } => {
-            f(Seen::Ref(*v));
-            subs.iter().for_each(|x| walk_expr(x, f));
+    expr_vars(e, &mut |seen, &v| f(seen(v)));
+    operands(e, &mut |x| walk_expr(x, f));
+}
+
+/// Renames the variables of `stmts` in place: the one mutable walk the
+/// renamers share. `f` maps every variable mention [`walk_stmts`]
+/// reports, and each inlined block's `locals` move with their first
+/// variable; a scalar load `load` gives an expression for becomes that
+/// expression, which the walk leaves as it is.
+pub(crate) fn rename_stmts(
+    stmts: &mut [SpStmt],
+    f: &mut dyn FnMut(&mut VarIdx),
+    load: &dyn Fn(VarIdx) -> Option<RExpr>,
+) {
+    for sp in stmts {
+        if let RStmt::Inlined { locals, .. } = &mut sp.s {
+            let n = locals.len();
+            f(&mut locals.start);
+            locals.end = locals.start + n;
         }
-        RExpr::Bin { l, r, .. } => {
-            walk_expr(l, f);
-            walk_expr(r, f);
-        }
-        RExpr::Neg(x) | RExpr::Not(x) | RExpr::ToF(x) | RExpr::ToI(x) => walk_expr(x, f),
-        RExpr::Intrinsic { args, .. } => args.iter().for_each(|x| walk_expr(x, f)),
-        RExpr::CallFn { args, .. } => args.iter().for_each(|a| walk_arg(a, f)),
+        stmt_vars_mut(&mut sp.s, &mut |_, v| f(v));
+        own_exprs_mut(&mut sp.s, &mut |e| rename_expr(e, f, load));
+        each_child_mut(&mut sp.s, &mut |b| rename_stmts(b, f, load));
     }
 }
 
-fn walk_arg(a: &RArg, f: &mut dyn FnMut(Seen)) {
-    match a {
-        RArg::ByRefScalar(v) | RArg::Array(v) => f(Seen::Ref(*v)),
-        RArg::ByRefElem { v, subs } => {
-            f(Seen::Ref(*v));
-            subs.iter().for_each(|x| walk_expr(x, f));
+/// [`rename_stmts`] over one expression.
+pub(crate) fn rename_expr(
+    e: &mut RExpr,
+    f: &mut dyn FnMut(&mut VarIdx),
+    load: &dyn Fn(VarIdx) -> Option<RExpr>,
+) {
+    if let RExpr::LoadScalar(v) = e {
+        if let Some(x) = load(*v) {
+            *e = x;
+            return;
         }
-        RArg::Value(x) => walk_expr(x, f),
     }
+    expr_vars_mut(e, &mut |_, v| f(v));
+    operands_mut(e, &mut |x| rename_expr(x, f, load));
 }
 
 impl RProgram {
@@ -529,5 +678,204 @@ impl RProgram {
     /// Finds a global cell index by its diagnostic name.
     pub fn global_id(&self, name: &str) -> Option<usize> {
         self.globals.iter().position(|g| g.name == name)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::Cell;
+
+    /// Which `RExpr` variant `e` is, and how many there are.
+    fn expr_kind(e: &RExpr) -> usize {
+        match e {
+            RExpr::ConstI(_) => 0,
+            RExpr::ConstF(_) => 1,
+            RExpr::ConstB(_) => 2,
+            RExpr::LoadScalar(_) => 3,
+            RExpr::LoadElem { .. } => 4,
+            RExpr::Bin { .. } => 5,
+            RExpr::Neg(_) => 6,
+            RExpr::Not(_) => 7,
+            RExpr::ToF(_) => 8,
+            RExpr::ToI(_) => 9,
+            RExpr::Intrinsic { .. } => 10,
+            RExpr::ArrReduce { .. } => 11,
+            RExpr::AllocatedQ(_) => 12,
+            RExpr::CallFn { .. } => 13,
+        }
+    }
+    const EXPR_KINDS: usize = 14;
+
+    /// Which `RStmt` variant `s` is, and how many there are.
+    fn stmt_kind(s: &RStmt) -> usize {
+        match s {
+            RStmt::AssignScalar { .. } => 0,
+            RStmt::AssignElem { .. } => 1,
+            RStmt::Broadcast { .. } => 2,
+            RStmt::CopyArray { .. } => 3,
+            RStmt::AtomicUpdate { .. } => 4,
+            RStmt::If { .. } => 5,
+            RStmt::Do { .. } => 6,
+            RStmt::DoWhile { .. } => 7,
+            RStmt::CallSub { .. } => 8,
+            RStmt::Allocate { .. } => 9,
+            RStmt::Deallocate { .. } => 10,
+            RStmt::Critical { .. } => 11,
+            RStmt::Return => 12,
+            RStmt::Exit => 13,
+            RStmt::Cycle => 14,
+            RStmt::Print(_) => 15,
+            RStmt::Stop(_) => 16,
+            RStmt::Nop => 17,
+            RStmt::Inlined { .. } => 18,
+            RStmt::Span { .. } => 19,
+        }
+    }
+    const STMT_KINDS: usize = 20;
+
+    /// A body holding every statement and expression variant, each
+    /// mention a variable of its own: 0, 1, 2, … in no particular order.
+    fn every_variant() -> Vec<SpStmt> {
+        let next = Cell::new(0);
+        let v = || {
+            next.set(next.get() + 1);
+            next.get() - 1
+        };
+        let bx = Box::new;
+        let e = || RExpr::Bin {
+            op: Bin::Add,
+            ty: ScalarTy::F,
+            l: bx(RExpr::Intrinsic {
+                f: Intr::Max,
+                args: vec![
+                    RExpr::Neg(bx(RExpr::LoadScalar(v()))),
+                    RExpr::ToF(bx(RExpr::ConstI(1))),
+                    RExpr::ConstF(2.0),
+                    RExpr::ArrReduce { f: ArrRed::Sum, v: v() },
+                ],
+            }),
+            r: bx(RExpr::CallFn {
+                unit: 0,
+                ret: ScalarTy::F,
+                args: vec![
+                    RArg::ByRefScalar(v()),
+                    RArg::ByRefElem {
+                        v: v(),
+                        subs: vec![RExpr::ToI(bx(RExpr::LoadElem {
+                            v: v(),
+                            subs: vec![RExpr::LoadScalar(v())],
+                        }))],
+                    },
+                    RArg::Array(v()),
+                    RArg::Value(RExpr::Not(bx(RExpr::AllocatedQ(v())))),
+                    RArg::Value(RExpr::ConstB(true)),
+                ],
+            }),
+        };
+        let at = |s: RStmt| SpStmt { line: 1, s };
+        let leaf = || {
+            vec![
+                at(RStmt::AssignScalar { v: v(), e: e() }),
+                at(RStmt::AssignElem { v: v(), subs: vec![e()], e: e() }),
+                at(RStmt::Broadcast { v: v(), e: e() }),
+                at(RStmt::CopyArray { dst: v(), src: v() }),
+                at(RStmt::AtomicUpdate { v: v(), subs: vec![e()], op: RedOp::Add, e: e() }),
+                at(RStmt::CallSub { unit: 0, args: vec![RArg::ByRefScalar(v()), RArg::Value(e())] }),
+                at(RStmt::Allocate { v: v(), dims: vec![(e(), e())] }),
+                at(RStmt::Deallocate { v: v() }),
+                at(RStmt::Print(vec![PrintItem::Str("x".into()), PrintItem::Val(e())])),
+                at(RStmt::Exit),
+                at(RStmt::Cycle),
+                at(RStmt::Stop(None)),
+                at(RStmt::Nop),
+                at(RStmt::Return),
+            ]
+        };
+        let mut body = leaf();
+        body.push(at(RStmt::If { arms: vec![(e(), leaf()), (e(), leaf())], else_body: leaf() }));
+        body.push(at(RStmt::Do {
+            var: v(),
+            start: e(),
+            end: e(),
+            step: Some(e()),
+            body: leaf(),
+            omp: Some(ROmp {
+                private: vec![v()],
+                reductions: vec![(RedOp::Add, v())],
+                collapse: 2,
+                num_threads: Some(bx(e())),
+                sched: omprt::Schedule::StaticBlock,
+                per_thread_access: false,
+            }),
+            vec: VecClass::None,
+            collapse_with: vec![CollapseDim { var: v(), start: e(), end: e() }],
+        }));
+        body.push(at(RStmt::DoWhile { cond: e(), body: leaf() }));
+        body.push(at(RStmt::Critical { name: "c".into(), body: leaf() }));
+        body.push(at(RStmt::Inlined {
+            unit: 0,
+            locals: 1000..1010,
+            enter: leaf(),
+            body: leaf(),
+            leave: leaf(),
+        }));
+        body.push(at(RStmt::Span { fast: leaf(), slow: leaf() }));
+        body
+    }
+
+    /// Every mention [`walk_stmts`] reports, and how many `RETURN`s.
+    fn mentions(body: &[SpStmt]) -> (Vec<VarIdx>, usize) {
+        let (mut vars, mut returns) = (Vec::new(), 0);
+        walk_stmts(body, &mut |seen| match seen {
+            Seen::Ref(v) | Seen::Store(v) | Seen::Alloc(v) | Seen::Dealloc(v) | Seen::Query(v) => {
+                vars.push(v)
+            }
+            Seen::Return => returns += 1,
+        });
+        (vars, returns)
+    }
+
+    /// The sample holds every variant, so the walks below see them all.
+    #[test]
+    fn the_sample_holds_every_variant() {
+        fn kinds(body: &[SpStmt], s: &mut [bool], e: &mut [bool]) {
+            fn expr(x: &RExpr, e: &mut [bool]) {
+                e[expr_kind(x)] = true;
+                operands(x, &mut |y| expr(y, e));
+            }
+            for sp in body {
+                s[stmt_kind(&sp.s)] = true;
+                own_exprs(&sp.s, &mut |x| expr(x, e));
+                each_child(&sp.s, &mut |b| kinds(b, s, e));
+            }
+        }
+        let (mut s, mut e) = ([false; STMT_KINDS], [false; EXPR_KINDS]);
+        kinds(&every_variant(), &mut s, &mut e);
+        assert!(s.iter().all(|&k| k), "statement kinds: {s:?}");
+        assert!(e.iter().all(|&k| k), "expression kinds: {e:?}");
+    }
+
+    /// The shared walk reports each mention once, and renaming every
+    /// variable `v` to `v + k` through the mutable walk shifts each one
+    /// by `k` — none missed, none renamed twice — and moves an inlined
+    /// block's locals with them.
+    #[test]
+    fn renaming_shifts_every_mention_once() {
+        let mut body = every_variant();
+        let (before, returns) = mentions(&body);
+        let mut sorted = before.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..before.len()).collect::<Vec<_>>(), "each mention once");
+        assert_eq!(returns, 12, "the RETURN of each of the 12 statement lists");
+        let k = 10_000;
+        rename_stmts(&mut body, &mut |v| *v += k, &|_| None);
+        let (after, _) = mentions(&body);
+        let shifted: Vec<VarIdx> = before.iter().map(|v| v + k).collect();
+        assert_eq!(after, shifted);
+        let RStmt::Inlined { locals, .. } = &body[body.len() - 2].s else {
+            panic!("the sample's inlined block");
+        };
+        assert_eq!(*locals, 1000 + k..1010 + k);
     }
 }

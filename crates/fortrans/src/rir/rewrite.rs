@@ -8,7 +8,10 @@
 //! which is the rules' oracle: `tests/inline_leaves.rs` for
 //! [`scope_temporaries`], [`inline_leaves`] and [`optimized`] as a
 //! whole, and `tests/fused_spans.rs` for each span's `fast` of
-//! [`fuse_spans`]. DESIGN §6 states each rule.
+//! [`fuse_spans`]. DESIGN §6 states each rule. The rules read and
+//! rename a node's contents through the walks of [`crate::rir`], which
+//! say once what each node holds; what is written here is each rule's
+//! decisions.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -188,21 +191,10 @@ impl CallGraph {
 /// Calls `f` on the callee of every call in `body`.
 fn each_call(body: &[SpStmt], f: &mut dyn FnMut(UnitId)) {
     fn expr(e: &RExpr, f: &mut dyn FnMut(UnitId)) {
-        match e {
-            RExpr::CallFn { unit, args, .. } => {
-                f(*unit);
-                args.iter().for_each(|a| arg_exprs(a, &mut |x| expr(x, f)));
-            }
-            RExpr::LoadElem { subs: xs, .. } | RExpr::Intrinsic { args: xs, .. } => {
-                xs.iter().for_each(|x| expr(x, f));
-            }
-            RExpr::Bin { l, r, .. } => {
-                expr(l, f);
-                expr(r, f);
-            }
-            RExpr::Neg(x) | RExpr::Not(x) | RExpr::ToF(x) | RExpr::ToI(x) => expr(x, f),
-            _ => {}
+        if let RExpr::CallFn { unit, .. } = e {
+            f(*unit);
         }
+        operands(e, &mut |x| expr(x, f));
     }
     for sp in body {
         if let RStmt::CallSub { unit, .. } = &sp.s {
@@ -278,79 +270,9 @@ fn leaf_stmt(s: &RStmt) -> bool {
 
 /// Whether `e` calls a user function.
 fn calls(e: &RExpr) -> bool {
-    match e {
-        RExpr::CallFn { .. } => true,
-        RExpr::LoadElem { subs: xs, .. } | RExpr::Intrinsic { args: xs, .. } => {
-            xs.iter().any(calls)
-        }
-        RExpr::Bin { l, r, .. } => calls(l) || calls(r),
-        RExpr::Neg(x) | RExpr::Not(x) | RExpr::ToF(x) | RExpr::ToI(x) => calls(x),
-        _ => false,
-    }
-}
-
-/// Calls `f` on the expressions argument `a` evaluates.
-fn arg_exprs<'a>(a: &'a RArg, f: &mut dyn FnMut(&'a RExpr)) {
-    match a {
-        RArg::ByRefElem { subs, .. } => subs.iter().for_each(f),
-        RArg::Value(e) => f(e),
-        RArg::ByRefScalar(_) | RArg::Array(_) => {}
-    }
-}
-
-/// Calls `f` on the expressions `s` evaluates itself (not those of the
-/// statements nested in it).
-fn own_exprs<'a>(s: &'a RStmt, f: &mut dyn FnMut(&'a RExpr)) {
-    match s {
-        RStmt::AssignScalar { e, .. } | RStmt::Broadcast { e, .. } => f(e),
-        RStmt::AssignElem { subs, e, .. } | RStmt::AtomicUpdate { subs, e, .. } => {
-            subs.iter().for_each(&mut *f);
-            f(e);
-        }
-        RStmt::If { arms, .. } => arms.iter().for_each(|(c, _)| f(c)),
-        RStmt::Do {
-            start,
-            end,
-            step,
-            omp,
-            collapse_with,
-            ..
-        } => {
-            [start, end].into_iter().chain(step).for_each(&mut *f);
-            for c in collapse_with {
-                f(&c.start);
-                f(&c.end);
-            }
-            if let Some(nt) = omp.as_ref().and_then(|o| o.num_threads.as_deref()) {
-                f(nt);
-            }
-        }
-        RStmt::DoWhile { cond, .. } => f(cond),
-        RStmt::CallSub { args, .. } => args.iter().for_each(|a| arg_exprs(a, f)),
-        RStmt::Allocate { dims, .. } => {
-            for (lo, hi) in dims {
-                f(lo);
-                f(hi);
-            }
-        }
-        RStmt::Print(items) => {
-            for it in items {
-                if let PrintItem::Val(e) = it {
-                    f(e);
-                }
-            }
-        }
-        RStmt::CopyArray { .. }
-        | RStmt::Deallocate { .. }
-        | RStmt::Critical { .. }
-        | RStmt::Return
-        | RStmt::Exit
-        | RStmt::Cycle
-        | RStmt::Stop(_)
-        | RStmt::Nop
-        | RStmt::Inlined { .. }
-        | RStmt::Span { .. } => {}
-    }
+    let mut found = matches!(e, RExpr::CallFn { .. });
+    operands(e, &mut |x| found = found || calls(x));
+    found
 }
 
 /// How many statements `body` holds, nested ones included.
@@ -583,7 +505,10 @@ impl Inliner<'_> {
             .filter(|sp| !matches!(sp.s, RStmt::Return))
             .cloned()
             .collect();
-        Remap { base, by }.stmts(&mut body);
+        // Into the caller: each variable index gains `base`, and each
+        // read of a variable `by` names becomes that expression (which
+        // is the caller's already).
+        rename_stmts(&mut body, &mut |v| *v += base, &|v| by[v].clone());
         let locals = base..self.caller.vars.len();
         at(RStmt::Inlined {
             unit: callee,
@@ -628,7 +553,7 @@ fn scoped_temporaries(unit: &RUnit) -> Vec<(VarIdx, Vec<(i64, i64)>)> {
     let mut returns = Vec::new();
     for (i, sp) in unit.body.iter().enumerate() {
         walk_stmt(&sp.s, &mut |seen| match seen {
-            Seen::Ref(v) => {
+            Seen::Ref(v) | Seen::Store(v) => {
                 let r = &mut life[v].refs;
                 *r = Some(r.map_or((i, i), |(lo, _)| (lo, i)));
             }
@@ -685,15 +610,9 @@ fn scoped_temporaries(unit: &RUnit) -> Vec<(VarIdx, Vec<(i64, i64)>)> {
 /// Whether `body` may store to scalar `v`: a leaf stores only as an
 /// assignment's target or a `DO` variable (it makes no call).
 fn assigns(body: &[SpStmt], v: VarIdx) -> bool {
-    body.iter().any(|sp| {
-        let own = match &sp.s {
-            RStmt::AssignScalar { v: w, .. } | RStmt::Do { var: w, .. } => *w == v,
-            _ => false,
-        };
-        let mut nested = false;
-        each_child(&sp.s, &mut |b| nested = nested || assigns(b, v));
-        own || nested
-    })
+    let mut found = false;
+    walk_stmts(body, &mut |seen| found |= matches!(seen, Seen::Store(w) if w == v));
+    found
 }
 
 /// The type of a constant.
@@ -702,132 +621,5 @@ fn const_ty(e: &RExpr) -> ScalarTy {
         RExpr::ConstI(_) => ScalarTy::I,
         RExpr::ConstF(_) => ScalarTy::F,
         _ => ScalarTy::B,
-    }
-}
-
-/// Moves a callee's statements into its caller: each variable index
-/// gains `base`, and each read of a variable `by` names becomes that
-/// expression (which is the caller's already).
-struct Remap {
-    base: VarIdx,
-    by: Vec<Option<RExpr>>,
-}
-
-impl Remap {
-    fn stmts(&self, body: &mut [SpStmt]) {
-        for sp in body {
-            self.stmt(&mut sp.s);
-        }
-    }
-
-    fn var(&self, v: &mut VarIdx) {
-        *v += self.base;
-    }
-
-    fn stmt(&self, s: &mut RStmt) {
-        match s {
-            RStmt::AssignScalar { v, e } | RStmt::Broadcast { v, e } => {
-                self.var(v);
-                self.expr(e);
-            }
-            RStmt::AssignElem { v, subs, e } | RStmt::AtomicUpdate { v, subs, e, .. } => {
-                self.var(v);
-                subs.iter_mut().for_each(|x| self.expr(x));
-                self.expr(e);
-            }
-            RStmt::CopyArray { dst, src } => {
-                self.var(dst);
-                self.var(src);
-            }
-            RStmt::If { arms, .. } => arms.iter_mut().for_each(|(c, _)| self.expr(c)),
-            RStmt::Do {
-                var,
-                start,
-                end,
-                step,
-                omp,
-                collapse_with,
-                ..
-            } => {
-                self.var(var);
-                [start, end]
-                    .into_iter()
-                    .chain(step)
-                    .for_each(|x| self.expr(x));
-                for c in collapse_with {
-                    self.var(&mut c.var);
-                    self.expr(&mut c.start);
-                    self.expr(&mut c.end);
-                }
-                if let Some(o) = omp {
-                    o.private.iter_mut().for_each(|v| self.var(v));
-                    o.reductions.iter_mut().for_each(|(_, v)| self.var(v));
-                    if let Some(nt) = &mut o.num_threads {
-                        self.expr(nt);
-                    }
-                }
-            }
-            RStmt::DoWhile { cond, .. } => self.expr(cond),
-            RStmt::CallSub { args, .. } => args.iter_mut().for_each(|a| self.arg(a)),
-            RStmt::Allocate { v, dims } => {
-                self.var(v);
-                for (lo, hi) in dims {
-                    self.expr(lo);
-                    self.expr(hi);
-                }
-            }
-            RStmt::Deallocate { v } => self.var(v),
-            RStmt::Print(items) => {
-                for it in items {
-                    if let PrintItem::Val(e) = it {
-                        self.expr(e);
-                    }
-                }
-            }
-            RStmt::Inlined { locals, .. } => {
-                *locals = locals.start + self.base..locals.end + self.base;
-            }
-            RStmt::Critical { .. }
-            | RStmt::Span { .. }
-            | RStmt::Return
-            | RStmt::Exit
-            | RStmt::Cycle
-            | RStmt::Stop(_)
-            | RStmt::Nop => {}
-        }
-        each_child_mut(s, &mut |b| self.stmts(b));
-    }
-
-    fn expr(&self, e: &mut RExpr) {
-        match e {
-            RExpr::ConstI(_) | RExpr::ConstF(_) | RExpr::ConstB(_) => {}
-            RExpr::LoadScalar(v) => match &self.by[*v] {
-                Some(x) => *e = x.clone(),
-                None => self.var(v),
-            },
-            RExpr::AllocatedQ(v) | RExpr::ArrReduce { v, .. } => self.var(v),
-            RExpr::LoadElem { v, subs } => {
-                self.var(v);
-                subs.iter_mut().for_each(|x| self.expr(x));
-            }
-            RExpr::Bin { l, r, .. } => {
-                self.expr(l);
-                self.expr(r);
-            }
-            RExpr::Neg(x) | RExpr::Not(x) | RExpr::ToF(x) | RExpr::ToI(x) => self.expr(x),
-            RExpr::Intrinsic { args, .. } => args.iter_mut().for_each(|x| self.expr(x)),
-            RExpr::CallFn { args, .. } => args.iter_mut().for_each(|a| self.arg(a)),
-        }
-    }
-
-    fn arg(&self, a: &mut RArg) {
-        match a {
-            RArg::ByRefScalar(v) | RArg::Array(v) => self.var(v),
-            RArg::ByRefElem { v, subs } => {
-                self.var(v);
-                subs.iter_mut().for_each(|x| self.expr(x));
-            }
-            RArg::Value(x) => self.expr(x),
-        }
     }
 }

@@ -119,11 +119,11 @@ fn nest(body: &[SpStmt]) -> bool {
 }
 
 /// How many times each variable of `unit` is mentioned
-/// ([`Seen::Ref`]) in its body.
+/// ([`Seen::Ref`] or [`Seen::Store`]) in its body.
 fn mention_counts(unit: &RUnit) -> Vec<usize> {
     let mut refs = vec![0; unit.vars.len()];
     walk_stmts(&unit.body, &mut |seen| {
-        if let Seen::Ref(v) = seen {
+        if let Seen::Ref(v) | Seen::Store(v) = seen {
             refs[v] += 1;
         }
     });
@@ -302,20 +302,11 @@ impl<'a> Bodies<'a> {
     }
 
     fn expr(&mut self, e: &'a RExpr, k: usize) {
-        mentions(e, &mut self.reads);
-        let mut stack = vec![e];
-        while let Some(e) = stack.pop() {
-            match e {
-                RExpr::LoadElem { v, subs } => {
-                    self.elems.push((k, *v, subs));
-                    stack.extend(subs);
-                }
-                RExpr::Bin { l, r, .. } => stack.extend([&**l, &**r]),
-                RExpr::Neg(x) | RExpr::Not(x) | RExpr::ToF(x) | RExpr::ToI(x) => stack.push(x),
-                RExpr::Intrinsic { args, .. } => stack.extend(args),
-                _ => {}
-            }
+        expr_vars(e, &mut |_, &v| self.reads.push(v));
+        if let RExpr::LoadElem { v, subs } = e {
+            self.elems.push((k, *v, subs));
         }
+        operands(e, &mut |x| self.expr(x, k));
     }
 
     /// No fusion-preventing dependence among the bodies over `var` (see
@@ -555,7 +546,8 @@ impl Fuser<'_> {
             info.place = Place::Frame(self.out.frame_size);
             self.out.frame_size += 1;
             self.out.vars.push(info);
-            rename(&mut body, t, self.out.vars.len() - 1);
+            let to = self.out.vars.len() - 1;
+            rename_stmts(&mut body, &mut |v| if *v == t { *v = to }, &|_| None);
         }
         let RStmt::Do { step, vec, .. } = &stmts[0].s else {
             unreachable!("a run starts with a loop")
@@ -595,7 +587,7 @@ impl Fuser<'_> {
         let mut inside = vec![0usize; self.unit.vars.len()];
         for sp in looped {
             walk_stmt(&sp.s, &mut |seen| {
-                if let Seen::Ref(v) = seen {
+                if let Seen::Ref(v) | Seen::Store(v) = seen {
                     inside[v] += 1;
                 }
             });
@@ -617,7 +609,7 @@ impl Fuser<'_> {
                     }
                 }
                 s => walk_stmt(s, &mut |seen| {
-                    if let Seen::Ref(v) = seen {
+                    if let Seen::Ref(v) | Seen::Store(v) = seen {
                         refused.push(v);
                     }
                 }),
@@ -648,35 +640,5 @@ impl Fuser<'_> {
             out.push(v);
         }
         out
-    }
-}
-
-/// Renames array `from` to `to` in a fused body's element statements.
-fn rename(body: &mut [SpStmt], from: VarIdx, to: VarIdx) {
-    fn expr(e: &mut RExpr, from: VarIdx, to: VarIdx) {
-        match e {
-            RExpr::LoadElem { v, subs } => {
-                if *v == from {
-                    *v = to;
-                }
-                subs.iter_mut().for_each(|x| expr(x, from, to));
-            }
-            RExpr::Bin { l, r, .. } => {
-                expr(l, from, to);
-                expr(r, from, to);
-            }
-            RExpr::Neg(x) | RExpr::Not(x) | RExpr::ToF(x) | RExpr::ToI(x) => expr(x, from, to),
-            RExpr::Intrinsic { args, .. } => args.iter_mut().for_each(|x| expr(x, from, to)),
-            _ => {}
-        }
-    }
-    for sp in body {
-        if let RStmt::AssignElem { v, subs, e } = &mut sp.s {
-            if *v == from {
-                *v = to;
-            }
-            subs.iter_mut().for_each(|x| expr(x, from, to));
-            expr(e, from, to);
-        }
     }
 }

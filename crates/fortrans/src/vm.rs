@@ -325,15 +325,10 @@ pub(crate) struct Vm<'e, const TRACE: bool> {
     /// reallocated); within one VM every handle change flows through this
     /// VM's own instructions, so the cache stays coherent.
     gcache: Vec<Option<Arc<ArrayObj>>>,
-    /// Frame free-list per unit: call-heavy kernels (one frame per edge
-    /// or cell) would otherwise pay four Vec allocations plus fixed-array
-    /// instantiation on every call.
+    /// Frame free-list per unit: call-heavy kernels (FUN3D's optimized
+    /// build makes one frame per cell) would otherwise pay four Vec
+    /// allocations plus fixed-array instantiation on every call.
     fpool: Vec<Vec<VFrame>>,
-    /// Free-list for ALLOCATE/DEALLOCATE of frame-local allocatables
-    /// (the FUN3D edge loop frees ten small temporaries per call).
-    /// Only uniquely-owned handles enter the pool; reuse re-zeroes the
-    /// cells, matching `ArrayObj::new`.
-    apool: Vec<Arc<ArrayObj>>,
     /// Region-protocol state; its cost accumulator is dormant (never
     /// touched) when `TRACE = false`.
     st: RegionState,
@@ -388,7 +383,6 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             iscratch: Vec::new(),
             gcache: vec![None; ex.globals.cells.len()],
             fpool: vec![Vec::new(); bunits.len()],
-            apool: Vec::new(),
             st: RegionState::default(),
             vec_stack: Vec::new(),
             depth: 0,
@@ -588,16 +582,6 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             buf[d] = b as i64;
         }
         self.stack.truncate(at);
-    }
-
-    /// Takes a matching array from the ALLOCATE pool, re-zeroed.
-    fn apool_take(&mut self, ty: ScalarTy, rd: &[(i64, i64)]) -> Option<Arc<ArrayObj>> {
-        let idx = self.apool.iter().position(|h| h.ty == ty && h.dims == rd)?;
-        let h = self.apool.swap_remove(idx);
-        for off in 0..h.len() {
-            h.set_bits(off, 0);
-        }
-        Some(h)
     }
 
     fn vec_snapshot(&self) -> (VecClass, usize) {
@@ -1694,7 +1678,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     self.stack.truncate(at);
                     // A per-thread cell builds one array per instance
                     // itself; every other target installs the array
-                    // taken here, so only those touch the pool.
+                    // made here.
                     let per_thread = match vs {
                         VSlot::GlobA(c) | VSlot::GlobS(c) => {
                             self.ex.globals.cells[c as usize].is_per_thread()
@@ -1704,10 +1688,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     let obj = if per_thread {
                         None
                     } else {
-                        Some(match self.apool_take(ty, rd) {
-                            Some(o) => o,
-                            None => Arc::new(ArrayObj::try_new(ty, rd.to_vec())?),
-                        })
+                        Some(Arc::new(ArrayObj::try_new(ty, rd.to_vec())?))
                     };
                     let len = match &obj {
                         Some(o) => o.len(),
@@ -1744,11 +1725,8 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     let name = || self.var_name(uidx, v).to_string();
                     match vs {
                         VSlot::A(s) => {
-                            let Some(h) = frame.a[s as usize].take() else {
+                            if frame.a[s as usize].take().is_none() {
                                 return Err(RunError::Unallocated { var: name() });
-                            };
-                            if self.apool.len() < 64 && Arc::strong_count(&h) == 1 {
-                                self.apool.push(h);
                             }
                         }
                         VSlot::GlobA(c) | VSlot::GlobS(c) => {
@@ -2423,58 +2401,4 @@ fn go<const TRACE: bool>(
         .result
         .map(|(rvs, rty)| Val::from_bits(frame.read(rvs, exec, 0), rty));
     Ok((result, vm.st.cost.finish(), vm.st.out))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::service::Session;
-
-    /// A per-thread (SAVE) cell builds its own arrays on ALLOCATE, so a
-    /// pooled array of the same type and shape must stay pooled — and a
-    /// frame-local ALLOCATE right after must still be able to reuse it.
-    #[test]
-    fn threadprivate_allocate_leaves_the_array_pool_untouched() {
-        let session = Session::compile(&[r#"
-MODULE m
-CONTAINS
-  SUBROUTINE work()
-    REAL(8), DIMENSION(:), ALLOCATABLE :: t
-    REAL(8), DIMENSION(:), ALLOCATABLE, SAVE :: keep
-    INTEGER :: n
-    n = 8
-    ! A bound that is not a literal keeps `t` allocated at run time.
-    ALLOCATE(t(1:n))
-    t(3) = 1.5D0
-    DEALLOCATE(t)
-    ALLOCATE(keep(1:8))
-  END SUBROUTINE work
-  SUBROUTINE again()
-    REAL(8), DIMENSION(:), ALLOCATABLE :: t
-    ALLOCATE(t(1:8))
-  END SUBROUTINE again
-END MODULE m
-"#])
-        .unwrap();
-        let exec = session.make_exec(ExecMode::Serial);
-        let bunits = session.artifact().bytecode(false);
-        let mut vm = Vm::<false>::new(&exec, &exec.prog, &bunits, 0);
-        let run = |vm: &mut Vm<'_, false>, name: &str| {
-            let uid = exec.prog.unit_id(name).unwrap();
-            let mut frame = VFrame::new(&bunits[uid]);
-            vm.run_range(uid, &mut frame, 0, bunits[uid].code.len() as u32).unwrap();
-            frame
-        };
-        run(&mut vm, "work");
-        assert_eq!(vm.apool.len(), 1, "the SAVE'd ALLOCATE consumed the pooled array");
-        let pooled = Arc::as_ptr(&vm.apool[0]);
-        let keep = session.global_array("work::keep").expect("keep is allocated");
-        assert!(!std::ptr::eq(Arc::as_ptr(&keep), pooled));
-        // The frame arm does take it, re-zeroed.
-        let frame = run(&mut vm, "again");
-        assert!(vm.apool.is_empty());
-        let t = frame.a.iter().flatten().next().expect("t is allocated");
-        assert!(std::ptr::eq(Arc::as_ptr(t), pooled));
-        assert_eq!(t.get_f(2), 0.0);
-    }
 }

@@ -62,6 +62,11 @@ fn spans(s: &Session, unit: &str) -> Vec<(Vec<u32>, usize)> {
 /// arrays `g(5)` and `h(2, 5)`, and `units` after them in the module.
 /// `run` is called, so the leaves it calls are inlined into it.
 fn program(body: &str, units: &str) -> String {
+    program_on("a", body, units)
+}
+
+/// [`program`] whose `work` passes `arg` as `run`'s dummy `a`.
+fn program_on(arg: &str, body: &str, units: &str) -> String {
     format!(
         r#"
 MODULE m
@@ -73,7 +78,7 @@ CONTAINS
   SUBROUTINE work(a, n)
     REAL(8), DIMENSION(1:5) :: a
     INTEGER :: n
-    CALL run(a, n)
+    CALL run({arg}, n)
   END SUBROUTINE work
   SUBROUTINE run(a, n)
     REAL(8), DIMENSION(1:5) :: a
@@ -312,6 +317,32 @@ fn backward_dependence_is_refused() {
         9.0,
         "a(5) = g(4) + 1 = 2 * a(4) + 1 as read before"
     );
+}
+
+/// `work` passes module array `g` as `run`'s dummy `a`, so the two
+/// names are one object: fusion counts a dummy and a global as one
+/// array. Fused, the second body would read `a(i + 1)` before the first
+/// body's next iteration writes it, and S, moved ahead of the first
+/// body, would read `a(2)` before it is written.
+#[test]
+fn global_passed_as_the_dummy_is_one_array() {
+    let body = r#"
+    DO i = 1, 4
+      g(i) = a(i) * 2.0D0
+    END DO
+    DO i = 1, 4
+      h(1, i) = a(i + 1)
+    END DO"#;
+    refused("a body reads the global through the dummy", &program_on("g", body, ""));
+    let body = r#"
+    DO i = 1, 5
+      g(i) = a(i) * 2.0D0
+    END DO
+    y = a(2)
+    DO i = 1, 5
+      h(1, i) = g(i) + y
+    END DO"#;
+    refused("S reads the global through the dummy", &program_on("g", body, ""));
 }
 
 // ---------------------------------------------------------------------

@@ -498,6 +498,30 @@ END MODULE m
     differential_n("alloc-fresh", src, "fresh", Vec::new, 2);
 }
 
+/// An array allocated again after a `DEALLOCATE` reads zero: a bound
+/// that is not a literal keeps the pair a run-time one in both builds.
+#[test]
+fn diff_reallocate_reads_zero() {
+    let src = r#"
+MODULE m
+CONTAINS
+  REAL(8) FUNCTION again(n)
+    INTEGER :: n
+    INTEGER :: k
+    REAL(8), DIMENSION(:), ALLOCATABLE :: tmp
+    again = 0.0D0
+    DO k = 1, 3
+      ALLOCATE(tmp(1:n))
+      again = again + tmp(2) + k
+      tmp(2) = 5.0D0
+      DEALLOCATE(tmp)
+    END DO
+  END FUNCTION again
+END MODULE m
+"#;
+    differential_n("realloc-zero", src, "again", || vec![ArgVal::I(4)], 2);
+}
+
 #[test]
 fn diff_do_while_exit_cycle() {
     let src = r#"
