@@ -307,17 +307,31 @@ pub struct Exec {
     /// Allow the bytecode tier to take the vector superinstruction path.
     /// Off forces every `VecLoop` to fall through to its scalar head.
     pub vector_enabled: bool,
-    /// Count of loop entries that actually ran vectorized (all tiers,
-    /// all threads); feeds the CI vector smoke check.
-    pub vector_entries: Arc<std::sync::atomic::AtomicU64>,
+    /// The session's rung entry and deopt counts, which each VM folds
+    /// its own into when it retires.
+    pub(crate) counts: Arc<RungCounts>,
     /// Chaos hook: the worker with this logical thread id panics on OMP
     /// region entry (exercises `RegionPanic` containment end to end).
     /// One-shot: the session arms it for a single `make_exec`.
     pub(crate) debug_panic_worker: Option<usize>,
-    /// Native-tier (JIT) promotion hooks for this run. `None` means the
-    /// tier is off for this run or unavailable on this target, and the
-    /// `VecLoop` dispatch pays a single pointer test.
-    pub(crate) native: Option<Arc<crate::jit::NativeHooks>>,
+    /// The promotion table of the build this run executes. `None` means
+    /// the native tier is off for this run, unavailable on this target
+    /// or the run is Simulated, and the `VecLoop` entry pays a single
+    /// pointer test.
+    pub(crate) native: Option<Arc<crate::jit::NativeCache>>,
+    /// Compile a region on its first entry instead of at
+    /// [`crate::jit::DEFAULT_HOT_THRESHOLD`].
+    pub(crate) native_eager: bool,
+}
+
+/// `VecLoop` entries that ran on the vector rung and natively, and
+/// native deopts (entry-guard failures on promoted regions), across
+/// all of a session's runs and threads.
+#[derive(Default)]
+pub(crate) struct RungCounts {
+    pub(crate) vector_entries: AtomicU64,
+    pub(crate) native_entries: AtomicU64,
+    pub(crate) native_deopts: AtomicU64,
 }
 
 /// Statement outcome.

@@ -44,11 +44,8 @@
 //! [`NativeRegion::compile`] returns `None`, and the VM falls through
 //! to the vector/scalar paths — a clean no-JIT build.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 
 use crate::bytecode::{BUnit, VecDesc, VecOp, VecRedOp, VEC_MAX_DEPTH};
 use crate::intrinsics::LaneKernel;
@@ -181,9 +178,12 @@ mod exec_mem {
         len: usize,
     }
 
-    // The mapping is immutable (RX) after construction; sharing the
+    // SAFETY: the mapping is read-execute from construction on and
+    // nothing writes through `ptr`; it is unmapped only by `Drop`, which
+    // runs once no thread holds the buffer, so moving or sharing the
     // pointer across threads is sound.
     unsafe impl Send for ExecBuf {}
+    // SAFETY: as for `Send`: `&ExecBuf` only reads `ptr` and `len`.
     unsafe impl Sync for ExecBuf {}
 
     impl ExecBuf {
@@ -236,8 +236,9 @@ mod exec_mem {
 
     impl Drop for ExecBuf {
         fn drop(&mut self) {
-            // SAFETY: unmaps the mapping this struct owns; the Arc'd
-            // region is dropped only when no session can enter it.
+            // SAFETY: unmaps the mapping this struct owns; its region is
+            // dropped with the promotion table, which every run that can
+            // enter it holds.
             unsafe { syscall6(SYS_MUNMAP, self.ptr as i64, self.len as i64, 0, 0, 0, 0) };
         }
     }
@@ -544,7 +545,7 @@ impl NativeRegion {
         bunits: &[BUnit],
         uidx: usize,
         desc: u32,
-    ) -> Option<Arc<NativeRegion>> {
+    ) -> Option<NativeRegion> {
         // Native regions are only ever emitted from verifier-accepted
         // bytecode: re-run the descriptor acceptance check here, which
         // also refuses descriptors a fault-injection harness corrupted
@@ -567,7 +568,7 @@ impl NativeRegion {
     }
 
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-    fn emit(d: &VecDesc) -> Option<Arc<NativeRegion>> {
+    fn emit(d: &VecDesc) -> Option<NativeRegion> {
         use emit::*;
 
         let mut asm = Asm::new();
@@ -816,16 +817,11 @@ impl NativeRegion {
         asm.epilogue();
 
         let buf = exec_mem::ExecBuf::new(&asm.code)?;
-        Some(Arc::new(NativeRegion {
-            buf,
-            pool,
-            naccess: d.accesses.len(),
-            has_red: d.red.is_some(),
-        }))
+        Some(NativeRegion { buf, pool, naccess: d.accesses.len(), has_red: d.red.is_some() })
     }
 
     #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-    fn emit(_d: &VecDesc) -> Option<Arc<NativeRegion>> {
+    fn emit(_d: &VecDesc) -> Option<NativeRegion> {
         None
     }
 
@@ -853,161 +849,70 @@ impl NativeRegion {
 }
 
 // ---------------------------------------------------------------------------
-// Promotion cache + per-session hooks
+// Promotion table
 // ---------------------------------------------------------------------------
 
-/// Outcome of one promotion step, as seen by the VM dispatch loop.
-/// `Ready` and `Refused` are final for a given cache, so the VM may
-/// memoize them per run and skip the shared cache's mutex on the hot
-/// path; `NotYet` means the region is still warming and the next entry
-/// must ask again.
-pub(crate) enum Promotion {
-    NotYet,
-    Ready(Arc<NativeRegion>),
-    Refused,
-}
-
-/// Promotion state of one `(unit, descriptor)` region.
-enum Slot {
-    /// Seen `n` entries, not yet past the hotness threshold.
-    Warm(u32),
-    /// Compiled and ready.
-    Ready(Arc<NativeRegion>),
-    /// Compilation refused; never retried.
-    Refused,
-}
-
-/// Shared promotion cache: per-region hotness counters and compiled
-/// code, keyed `(unit index, descriptor index)`. Lives on the
-/// [`crate::service::CompiledProgram`] artifact so every session over
-/// the same artifact shares JIT work; a session that injects corrupted
-/// bytecode swaps in a private cache (descriptor indices no longer
-/// match the artifact's).
+/// Promotion state of one region: the entries it has seen, and once
+/// settled, its compiled code or `None` for a refusal (never retried).
 #[derive(Default)]
+struct Promoted {
+    heat: AtomicU32,
+    region: OnceLock<Option<NativeRegion>>,
+}
+
+/// The native tier's promotion table for one optimized build: one slot
+/// per `(unit, descriptor)`, stored flat, unit `u`'s slots at
+/// `first[u]..first[u + 1]`. It is made beside the build it indexes —
+/// the artifact's, shared by every session over it, or a session's
+/// injected one — so a VM always reads the table of the bytecode it
+/// runs.
 pub struct NativeCache {
-    slots: Mutex<HashMap<(u32, u32), Slot>>,
+    first: Box<[u32]>,
+    slots: Box<[Promoted]>,
 }
 
 impl NativeCache {
-    pub fn new() -> NativeCache {
-        NativeCache::default()
+    /// A table for `bunits` with every slot cold.
+    pub fn new(bunits: &[BUnit]) -> NativeCache {
+        let first = std::iter::once(0).chain(bunits.iter().scan(0, |n, bu| {
+            *n += bu.vecs.len() as u32;
+            Some(*n)
+        }));
+        let first: Box<[u32]> = first.collect();
+        let slots = (0..first[bunits.len()]).map(|_| Promoted::default()).collect();
+        NativeCache { first, slots }
     }
 
     /// Number of regions compiled so far.
     pub fn compiled_count(&self) -> usize {
-        self.slots.lock().values().filter(|s| matches!(s, Slot::Ready(_))).count()
+        self.slots.iter().filter(|s| matches!(s.region.get(), Some(Some(_)))).count()
     }
 
-    /// One promotion step for a loop entry: returns the compiled
-    /// region when this entry should run natively. Counts the entry
-    /// otherwise, compiling once the count reaches
-    /// [`DEFAULT_HOT_THRESHOLD`] (or at once under `eager`). Compilation
-    /// runs outside the lock; a racing duplicate compile is harmless
-    /// (last insert wins, both results are equivalent).
-    fn promote(
+    /// The compiled region a `VecLoop` entry of `(uidx, desc)` runs, if
+    /// any. An unsettled slot counts the entry and compiles once it has
+    /// [`DEFAULT_HOT_THRESHOLD`] (at once under `eager`). Compilation
+    /// runs outside any lock: racing compiles are equivalent, the first
+    /// to settle the slot wins, and no thread waits on another's. A
+    /// descriptor outside the table (injected bytecode is not verified)
+    /// is a refusal.
+    pub(crate) fn region(
         &self,
         prog: &RProgram,
         bunits: &[BUnit],
-        uidx: u32,
+        uidx: usize,
         desc: u32,
         eager: bool,
-    ) -> Promotion {
-        let key = (uidx, desc);
-        {
-            let mut slots = self.slots.lock();
-            match slots.get_mut(&key) {
-                Some(Slot::Ready(r)) => return Promotion::Ready(Arc::clone(r)),
-                Some(Slot::Refused) => return Promotion::Refused,
-                Some(Slot::Warm(n)) => {
-                    *n = n.saturating_add(1);
-                    if !eager && *n < DEFAULT_HOT_THRESHOLD {
-                        return Promotion::NotYet;
-                    }
-                }
-                None => {
-                    slots.insert(key, Slot::Warm(1));
-                    if !eager {
-                        return Promotion::NotYet;
-                    }
-                }
-            }
+    ) -> Option<&NativeRegion> {
+        let &[lo, hi, ..] = self.first.get(uidx..)? else { return None };
+        let slot = self.slots[lo as usize..hi as usize].get(desc as usize)?;
+        if let Some(settled) = slot.region.get() {
+            return settled.as_ref();
         }
-        let compiled = NativeRegion::compile(prog, bunits, uidx as usize, desc);
-        let slot = match &compiled {
-            Some(r) => Slot::Ready(Arc::clone(r)),
-            None => Slot::Refused,
-        };
-        self.slots.lock().insert(key, slot);
-        match compiled {
-            Some(r) => Promotion::Ready(r),
-            None => Promotion::Refused,
-        }
-    }
-}
-
-/// Per-run snapshot of the session's native-tier configuration,
-/// threaded through [`crate::interp::Exec`] to the VM dispatch loop.
-/// `None` on the `Exec` means the tier is off (or unavailable on this
-/// target) and the `VecLoop` handler pays a single pointer-null test.
-pub struct NativeHooks {
-    /// Compile on first entry instead of waiting for the threshold.
-    pub eager: bool,
-    pub cache: Arc<NativeCache>,
-    /// Loop entries that ran natively (session-lifetime, all threads).
-    pub entries: Arc<AtomicU64>,
-    /// Guard failures on promoted regions that deopted back to the
-    /// VM's vector/scalar path (session-lifetime).
-    pub deopts: Arc<AtomicU64>,
-}
-
-impl NativeHooks {
-    /// Promotion step for one `VecLoop` entry (see
-    /// [`NativeCache::promote`]).
-    pub(crate) fn promote(
-        &self,
-        prog: &RProgram,
-        bunits: &[BUnit],
-        uidx: u32,
-        desc: u32,
-    ) -> Promotion {
-        self.cache.promote(prog, bunits, uidx, desc, self.eager)
-    }
-}
-
-/// The session-owned durable native-tier state ([`NativeHooks`] is the
-/// per-run snapshot of this).
-pub struct NativeState {
-    pub enabled: AtomicBool,
-    pub eager: AtomicBool,
-    pub entries: Arc<AtomicU64>,
-    pub deopts: Arc<AtomicU64>,
-    /// Swappable so bytecode injection detaches from the shared cache.
-    pub cache: Mutex<Arc<NativeCache>>,
-}
-
-impl NativeState {
-    pub fn new(cache: Arc<NativeCache>) -> NativeState {
-        NativeState {
-            enabled: AtomicBool::new(true),
-            eager: AtomicBool::new(false),
-            entries: Arc::new(AtomicU64::new(0)),
-            deopts: Arc::new(AtomicU64::new(0)),
-            cache: Mutex::new(cache),
-        }
-    }
-
-    /// Builds the per-run snapshot; `None` when the tier is off or the
-    /// target has no JIT.
-    pub fn hooks(&self) -> Option<Arc<NativeHooks>> {
-        if !available() || !self.enabled.load(Ordering::Relaxed) {
+        if !eager && slot.heat.fetch_add(1, Ordering::Relaxed) < DEFAULT_HOT_THRESHOLD - 1 {
             return None;
         }
-        Some(Arc::new(NativeHooks {
-            eager: self.eager.load(Ordering::Relaxed),
-            cache: Arc::clone(&self.cache.lock()),
-            entries: Arc::clone(&self.entries),
-            deopts: Arc::clone(&self.deopts),
-        }))
+        let _ = slot.region.set(NativeRegion::compile(prog, bunits, uidx, desc));
+        slot.region.get()?.as_ref()
     }
 }
 
@@ -1554,10 +1459,14 @@ mod tests {
 
     #[test]
     fn cache_counts_then_promotes_and_caches_refusals() {
-        // Exercised through the public service path in integration
-        // tests; here just the counting logic with an un-compilable
-        // descriptor (no program available → use the refusal arm).
-        let cache = NativeCache::new();
+        // Threshold promotion and sharing are exercised through the
+        // service in `tests/native_tier.rs`; here the table's edges: an
+        // empty build has no slots, and a unit or descriptor outside the
+        // table is a refusal, not a panic.
+        let prog = RProgram::default();
+        let cache = NativeCache::new(&[]);
         assert_eq!(cache.compiled_count(), 0);
+        assert!(cache.region(&prog, &[], 0, 0, true).is_none());
+        assert!(cache.region(&prog, &[], usize::MAX, u32::MAX, false).is_none());
     }
 }

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use omprt::{CriticalRegistry, PoolSet, ThreadPool};
+use omprt::{CriticalRegistry, PoolSet};
 use parking_lot::Mutex;
 
 use crate::bytecode::{compile_program, BInstr, BUnit, SubOp, VSlot, VecRefusal};
@@ -39,8 +39,9 @@ use crate::engine::{
 };
 use crate::error::{CompileError, RunError};
 use crate::interp::{
-    CancelToken, EffLimits, Exec, ExecMode, RunLimits, ScheduleOverrides, Task, Val,
+    CancelToken, EffLimits, Exec, ExecMode, RungCounts, RunLimits, ScheduleOverrides, Task, Val,
 };
+use crate::jit::NativeCache;
 use crate::parse::ProgramSet;
 use crate::rir::{RProgram, ScalarTy};
 use crate::sema::resolve;
@@ -91,10 +92,11 @@ pub struct CompiledProgram {
     /// Size estimate of the resolved program plus the optimized build;
     /// the traced build's share is added once it exists.
     est_bytes: usize,
-    /// Native-tier promotion cache (hotness counters + compiled
-    /// regions), shared by every session over this artifact: a loop
-    /// JIT'd once is native for all sessions, like the bytecode itself.
-    native_cache: Arc<crate::jit::NativeCache>,
+    /// The native tier's promotion table for `optimized` (heat counters
+    /// and compiled regions), shared by every session over this
+    /// artifact: a loop JIT'd once is native for all sessions, like the
+    /// bytecode itself.
+    native_cache: Arc<NativeCache>,
     /// Test hook: damages the traced build between lowering and
     /// verification.
     #[cfg(test)]
@@ -138,6 +140,7 @@ impl CompiledProgram {
         let optimized = compile_program(&lowered, false);
         crate::verify::verify_program(&lowered, &optimized)?;
         let est_bytes = program_bytes(&prog) + rewritten_bytes + build_bytes(&optimized);
+        let native_cache = Arc::new(NativeCache::new(&optimized));
         Ok(Arc::new(CompiledProgram {
             prog,
             lowered,
@@ -145,7 +148,7 @@ impl CompiledProgram {
             traced: OnceLock::new(),
             source_hash: hash,
             est_bytes,
-            native_cache: Arc::new(crate::jit::NativeCache::new()),
+            native_cache,
             #[cfg(test)]
             damage_traced: None,
         }))
@@ -219,10 +222,10 @@ impl CompiledProgram {
         }
     }
 
-    /// The shared native-tier promotion cache (hotness + compiled
-    /// regions) for this artifact. Number of compiled regions is
-    /// visible via [`crate::jit::NativeCache::compiled_count`].
-    pub fn native_cache(&self) -> &Arc<crate::jit::NativeCache> {
+    /// The shared native-tier promotion table (heat + compiled regions)
+    /// of this artifact's optimized build. Number of compiled regions
+    /// is visible via [`NativeCache::compiled_count`].
+    pub fn native_cache(&self) -> &Arc<NativeCache> {
         &self.native_cache
     }
 
@@ -351,13 +354,18 @@ pub struct Session {
     sched_overrides: Mutex<Arc<ScheduleOverrides>>,
     /// Gate for the VM's vector superinstruction path; on by default.
     vector_enabled: AtomicBool,
-    /// Loop entries that actually ran vectorized, across all runs.
-    vector_entries: Arc<AtomicU64>,
+    /// Gate for the native tier (on by default, and always off where
+    /// the target has none), and whether it compiles a region on its
+    /// first entry.
+    native_enabled: AtomicBool,
+    native_eager: AtomicBool,
+    /// Rung entries and native deopts, across all runs.
+    counts: Arc<RungCounts>,
     /// Session-local bytecode replacement (`[optimized, traced]`),
     /// normally empty. `FaultPlan::bytecode` lands here so the
     /// fault-injection harness corrupts *this session's* view only —
     /// the shared artifact stays pristine for every other session.
-    bytecode_override: Mutex<[Option<Arc<Vec<BUnit>>>; 2]>,
+    bytecode_override: Mutex<[Option<Build>; 2]>,
     /// Cooperative cancellation token snapshotted into every run's
     /// safepoint checks; any holder of the `Arc` firing it, or its
     /// expiry passing, makes in-flight and future runs return
@@ -369,11 +377,11 @@ pub struct Session {
     /// Chaos hook: logical worker tid to panic on the next run's OMP
     /// region entry; -1 = off. One-shot.
     panic_worker: AtomicI64,
-    /// Native-tier (tier 3) state: enable/eager/threshold toggles, the
-    /// entry/deopt counters, and the promotion cache (the artifact's
-    /// shared one, unless bytecode injection swapped in a private one).
-    native: crate::jit::NativeState,
 }
+
+/// A bytecode build a VM runs, with the promotion table made beside it
+/// (the optimized build's only: Simulated runs never go native).
+type Build = (Arc<Vec<BUnit>>, Option<Arc<NativeCache>>);
 
 impl Session {
     /// Opens a session over `artifact`, forking parallel regions on the
@@ -381,7 +389,6 @@ impl Session {
     /// threads instead of oversubscribing the host).
     pub fn new(artifact: Arc<CompiledProgram>, pools: Arc<PoolSet>) -> Session {
         let globals = Arc::new(build_globals(&artifact.prog));
-        let native = crate::jit::NativeState::new(Arc::clone(&artifact.native_cache));
         Session {
             artifact,
             globals,
@@ -392,12 +399,13 @@ impl Session {
             force_vm_trap: AtomicBool::new(false),
             sched_overrides: Mutex::new(Arc::new(ScheduleOverrides::default())),
             vector_enabled: AtomicBool::new(true),
-            vector_entries: Arc::new(AtomicU64::new(0)),
+            native_enabled: AtomicBool::new(crate::jit::available()),
+            native_eager: AtomicBool::new(false),
+            counts: Arc::default(),
             bytecode_override: Mutex::new([None, None]),
             cancel: Mutex::new(None),
             force_oracle_traps: AtomicU32::new(0),
             panic_worker: AtomicI64::new(-1),
-            native,
         }
     }
 
@@ -457,13 +465,11 @@ impl Session {
             self.panic_worker.store(tid as i64, Ordering::Relaxed);
         }
         if let Some((traced, bunits)) = plan.bytecode {
-            self.bytecode_override.lock()[usize::from(traced)] = Some(Arc::new(bunits));
-            // Detach from the artifact's shared promotion cache: its
-            // compiled regions were emitted from the *pristine* bytecode,
-            // whose descriptor indices no longer describe this session's
-            // view. A fresh private cache re-verifies (and usually refuses)
-            // the injected descriptors at promotion time.
-            *self.native.cache.lock() = Arc::new(crate::jit::NativeCache::new());
+            // An injected optimized build gets a promotion table of its
+            // own, which re-verifies (and usually refuses) the injected
+            // descriptors at promotion time.
+            let table = (!traced).then(|| Arc::new(NativeCache::new(&bunits)));
+            self.bytecode_override.lock()[usize::from(traced)] = Some((Arc::new(bunits), table));
         }
     }
 
@@ -513,7 +519,7 @@ impl Session {
     /// far (this session's runs, all threads). Zero after runs with the
     /// path enabled means every candidate fell back at a runtime guard.
     pub fn vector_entry_count(&self) -> u64 {
-        self.vector_entries.load(Ordering::Relaxed)
+        self.counts.vector_entries.load(Ordering::Relaxed)
     }
 
     /// Enables or disables the native (tier 3) execution path — hot
@@ -522,7 +528,7 @@ impl Session {
     /// Disabling forces every loop back to the vector/scalar tiers;
     /// results are bit-identical either way.
     pub fn set_native_enabled(&self, on: bool) {
-        self.native.enabled.store(on, Ordering::Relaxed);
+        self.native_enabled.store(on && crate::jit::available(), Ordering::Relaxed);
     }
 
     /// Compile loop regions to native code on first entry instead of
@@ -530,25 +536,25 @@ impl Session {
     /// Benchmarks and differential sweeps use this to guarantee the
     /// native path is exercised.
     pub fn set_native_eager(&self, eager: bool) {
-        self.native.eager.store(eager, Ordering::Relaxed);
+        self.native_eager.store(eager, Ordering::Relaxed);
     }
 
     /// Loop entries that executed natively so far (this session's runs,
     /// all threads).
     pub fn native_entry_count(&self) -> u64 {
-        self.native.entries.load(Ordering::Relaxed)
+        self.counts.native_entries.load(Ordering::Relaxed)
     }
 
     /// Entry-guard failures on promoted regions that deopted back to
     /// the vector/scalar tiers (this session's runs, all threads).
     pub fn native_deopt_count(&self) -> u64 {
-        self.native.deopts.load(Ordering::Relaxed)
+        self.counts.native_deopts.load(Ordering::Relaxed)
     }
 
     /// Static vectorization report for this session's optimized
     /// bytecode (the artifact's, unless a test injected a replacement).
     pub fn vector_report(&self) -> Vec<VectorLoopInfo> {
-        let injected = self.bytecode_override.lock()[0].clone();
+        let injected = self.bytecode_override.lock()[0].as_ref().map(|b| Arc::clone(&b.0));
         let optimized = injected.unwrap_or_else(|| Arc::clone(&self.artifact.optimized));
         vector_report_of(&self.artifact.lowered, &optimized)
     }
@@ -558,20 +564,18 @@ impl Session {
         self.globals = Arc::new(build_globals(&self.artifact.prog));
     }
 
-    fn pool_for(&self, threads: usize) -> Arc<ThreadPool> {
-        self.pools.pool_for(threads)
-    }
-
-    /// Bytecode for the whole program; `traced` selects the Simulated
-    /// build. The session-local injection slot wins over the artifact
-    /// (and so never makes the artifact build its traced variant); a
-    /// traced build that failed verification is a VM trap.
-    fn bytecode_for(&self, traced: bool) -> Result<Arc<Vec<BUnit>>, RunError> {
+    /// Bytecode for the whole program, with its promotion table;
+    /// `traced` selects the Simulated build. The session-local injection
+    /// slot wins over the artifact (and so never makes the artifact
+    /// build its traced variant); a traced build that failed
+    /// verification is a VM trap.
+    fn bytecode_for(&self, traced: bool) -> Result<Build, RunError> {
         if let Some(b) = &self.bytecode_override.lock()[usize::from(traced)] {
-            return Ok(Arc::clone(b));
+            return Ok(b.clone());
         }
+        let table = (!traced).then(|| Arc::clone(&self.artifact.native_cache));
         match self.artifact.build(traced) {
-            Ok(b) => Ok(Arc::clone(b)),
+            Ok(b) => Ok((Arc::clone(b), table)),
             Err(what) => Err(RunError::Trap { what: what.to_string() }),
         }
     }
@@ -651,7 +655,7 @@ impl Session {
         // Worker busy-time accounting is cheap but not free: the pool
         // collects it only while a profiled Parallel run is in flight.
         let pool = match mode {
-            ExecMode::Parallel { threads } if profiled => Some(self.pool_for(threads)),
+            ExecMode::Parallel { threads } if profiled => Some(self.pools.pool_for(threads)),
             _ => None,
         };
         if let Some(p) = &pool {
@@ -747,9 +751,11 @@ impl Session {
         finish(run, "tree-walk", prof, t0, fallback)
     }
 
-    pub(crate) fn make_exec(&self, mode: ExecMode) -> Exec {
+    /// The run's shared services; `native` is the promotion table of the
+    /// build it executes, if that build has one.
+    pub(crate) fn make_exec(&self, mode: ExecMode, native: Option<Arc<NativeCache>>) -> Exec {
         let pool = match mode {
-            ExecMode::Parallel { threads } => Some(self.pool_for(threads)),
+            ExecMode::Parallel { threads } => Some(self.pools.pool_for(threads)),
             _ => None,
         };
         let panic_worker = self.panic_worker.swap(-1, Ordering::Relaxed);
@@ -763,9 +769,10 @@ impl Session {
             sched_overrides: Arc::clone(&self.sched_overrides.lock()),
             limits: EffLimits::start(&self.limits, self.cancel.lock().clone()),
             vector_enabled: self.vector_enabled.load(Ordering::Relaxed),
-            vector_entries: Arc::clone(&self.vector_entries),
+            counts: Arc::clone(&self.counts),
             debug_panic_worker: usize::try_from(panic_worker).ok(),
-            native: self.native.hooks(),
+            native: native.filter(|_| self.native_enabled.load(Ordering::Relaxed)),
+            native_eager: self.native_eager.load(Ordering::Relaxed),
         }
     }
 
@@ -777,8 +784,8 @@ impl Session {
         prof: Option<&crate::trace::Collector>,
     ) -> Result<RunOutcome, RunError> {
         let traced = matches!(mode, ExecMode::Simulated { .. });
-        let bunits = self.bytecode_for(traced)?;
-        let exec = self.make_exec(mode);
+        let (bunits, native) = self.bytecode_for(traced)?;
+        let exec = self.make_exec(mode, native);
         let prog = self.artifact.lowered_program(traced);
         let (result, trace, printed) =
             crate::vm::run_vm(&exec, prog, &bunits, unit_id, args, prof)?;
@@ -804,7 +811,7 @@ impl Session {
             {
                 panic!("forced oracle trap (test hook)");
             }
-            let exec = self.make_exec(mode);
+            let exec = self.make_exec(mode, None);
             let mut task = Task::new(&exec, 0, traced);
             task.prof = prof;
             let frame = task.entry_frame(unit_id, args)?;
@@ -1825,7 +1832,7 @@ END MODULE m
                 "bit-identical to a run outside the queue"
             );
             assert!(session.cancel.lock().is_none(), "the job left a token on its session");
-            assert!(!session.make_exec(ExecMode::Serial).limits.poll);
+            assert!(!session.make_exec(ExecMode::Serial, None).limits.poll);
         }
         // Without a token a backoff sleeps plainly, for its full length.
         let session = service.session_for(&art);

@@ -37,16 +37,6 @@ use crate::region::{self, Reduction, RegionSpec, RegionState};
 use crate::rir::{RProgram, ScalarTy, VecClass};
 use crate::storage::ArrayObj;
 
-/// Per-run promotion verdict for one vector descriptor. `Ready` and
-/// `Refused` are final for the run's cache; `Unknown` asks the shared
-/// cache again on the next entry.
-#[derive(Clone)]
-enum NativeMemo {
-    Unknown,
-    Ready(Arc<NativeRegion>),
-    Refused,
-}
-
 /// One access stream of a vector-loop entry, resolved for the whole
 /// trip range: the array (borrowed from the frame or the global-handle
 /// cache, which own the `Arc`s for the entry's duration — no
@@ -351,12 +341,6 @@ pub(crate) struct Vm<'e, const TRACE: bool> {
     /// Lane scratch for the vector superinstruction path: `max_depth`
     /// stacked lanes of [`VEC_CHUNK`] f64 each, reused across loops.
     vbuf: Vec<f64>,
-    /// Native-tier promotion memo, indexed `[unit][descriptor]` (rows
-    /// sized on a unit's first entry): after the first resolution a loop
-    /// entry costs two indexed loads instead of the shared cache's
-    /// mutex + hash lookup (hot kernels make thousands of entries over
-    /// a handful of distinct loops).
-    nmemo: Vec<Vec<NativeMemo>>,
     /// Reused operand-pool and stream buffers for native-tier entries.
     npool: Vec<u64>,
     nstreams: Vec<JitStream>,
@@ -391,7 +375,6 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             cur_pc: 0,
             steps: 0,
             vbuf: Vec::new(),
-            nmemo: Vec::new(),
             npool: Vec::new(),
             nstreams: Vec::new(),
             vector_entries: 0,
@@ -410,11 +393,10 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 shared.fetch_add(std::mem::take(n), Relaxed);
             }
         };
-        fold(&self.ex.vector_entries, &mut self.vector_entries);
-        if let Some(nh) = &self.ex.native {
-            fold(&nh.entries, &mut self.native_entries);
-            fold(&nh.deopts, &mut self.native_deopts);
-        }
+        let shared = &self.ex.counts;
+        fold(&shared.vector_entries, &mut self.vector_entries);
+        fold(&shared.native_entries, &mut self.native_entries);
+        fold(&shared.native_deopts, &mut self.native_deopts);
     }
 
     // ---------- cost hooks: compiled out unless TRACE ----------
@@ -826,8 +808,8 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
     /// `trip x iter_ledger` — what the scalar body would have posted one
     /// instruction at a time — under the bucket, CRITICAL depth and
     /// vectorization class in force, none of which can change inside
-    /// the loop. It stays off the native rung: the promotion cache is
-    /// keyed by the optimized build's descriptors.
+    /// the loop. It stays off the native rung: only the optimized build
+    /// has a promotion table.
     ///
     /// `#[inline(never)]`: inlined into [`Self::run_range`], its one
     /// caller, it grows the scalar dispatch loop by 40 %, which cost
@@ -843,10 +825,10 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         var: u32,
     ) -> Result<bool, RunError> {
         let ex = self.ex;
-        let nh = if TRACE { None } else { ex.native.as_deref() };
+        let table = if TRACE { None } else { ex.native.as_deref() };
         // Profiled runs want per-iteration loop events, so they take the
         // scalar path.
-        if self.prof.is_some() || (nh.is_none() && !ex.vector_enabled) {
+        if self.prof.is_some() || (table.is_none() && !ex.vector_enabled) {
             return Ok(false);
         }
         let d = &bu.vecs[desc as usize];
@@ -876,33 +858,12 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         if cost < fixup || over {
             return Ok(false);
         }
-        // Promotion: count this entry's heat and fetch the compiled
-        // region if it's past the threshold (re-verified + emitted on
-        // first promotion; refusals are cached). Final outcomes are
-        // memoized per run so steady-state entries skip the shared
-        // cache's mutex.
-        let mut native: Option<&NativeRegion> = None;
-        if let Some(nh) = nh {
-            let uidx = self.cur_uidx;
-            if self.nmemo.is_empty() {
-                self.nmemo.resize_with(self.bunits.len(), Vec::new);
-            }
-            let row = &mut self.nmemo[uidx];
-            if row.is_empty() {
-                row.resize(bu.vecs.len(), NativeMemo::Unknown);
-            }
-            let memo = &mut row[desc as usize];
-            if let NativeMemo::Unknown = memo {
-                match nh.promote(self.prog, self.bunits, uidx as u32, desc) {
-                    crate::jit::Promotion::NotYet => {}
-                    crate::jit::Promotion::Ready(r) => *memo = NativeMemo::Ready(r),
-                    crate::jit::Promotion::Refused => *memo = NativeMemo::Refused,
-                }
-            }
-            if let NativeMemo::Ready(region) = &*memo {
-                native = Some(region);
-            }
-        }
+        // Promotion: the region's slot in the build's table runs it
+        // natively once compiled, and until it settles counts this
+        // entry's heat (compiling at the threshold; refusals settle too).
+        let mut native = table.and_then(|t| {
+            t.region(self.prog, self.bunits, self.cur_uidx, desc, ex.native_eager)
+        });
         if native.is_none() && !ex.vector_enabled {
             return Ok(false);
         }

@@ -2,7 +2,10 @@
 //! cancellation and deadlines must trip *inside* JIT'd loops, session
 //! recycling must scrub native-run state, guard-failure deopts must be
 //! counted and surfaced through `run_profiled`, and concurrent sessions
-//! sharing one native cache must stay bit-identical to the oracle.
+//! sharing one native cache must stay bit-identical to the oracle. A
+//! region promotes on its `DEFAULT_HOT_THRESHOLD`th entry, counted
+//! across every session over the artifact, and the worker VMs of every
+//! fork enter the region an earlier fork compiled.
 //!
 //! Every test runs on every platform: where the JIT backend is
 //! unavailable (`!fortrans::jit::available()`), eager promotion is a
@@ -181,6 +184,116 @@ fn aliased_streams_deopt_and_match_oracle() {
     assert_eq!(a.handle().unwrap().get_f(0), 2.0 * 2.0 + 1.0);
     if fortrans::jit::available() {
         assert!(native.native_entry_count() > 0, "unaliased call should run natively");
+    }
+}
+
+/// One `shift` entry over distinct arrays: the region commits on
+/// whichever fast rung the session's promotion state picks.
+fn shift_once(session: &Session) {
+    let init: Vec<f64> = (1..=64).map(|k| k as f64).collect();
+    let (a, b) = (ArgVal::array_f(&init, 1), ArgVal::array_f(&init, 1));
+    session.run_tiered("shift", &[a.clone(), b], ExecMode::Serial, ExecTier::Vm).unwrap();
+    assert_eq!(a.handle().unwrap().get_f(0), 2.0 * 2.0 + 1.0);
+}
+
+#[test]
+fn default_promotion_compiles_at_the_hot_threshold() {
+    let threshold = fortrans::jit::DEFAULT_HOT_THRESHOLD;
+    assert_eq!(threshold, 32, "DESIGN and the benchmark notes quote 32 entries");
+    let session = Session::compile(&[SHIFT]).unwrap();
+    let compiled = || session.artifact().native_cache().compiled_count();
+    for k in 1..u64::from(threshold) {
+        shift_once(&session);
+        assert_eq!(session.native_entry_count(), 0, "entry {k} is below the threshold");
+        assert_eq!(compiled(), 0, "entry {k} compiled early");
+        assert_eq!(session.vector_entry_count(), k);
+    }
+    // Entry 32 compiles and runs natively, and so does every later one.
+    shift_once(&session);
+    shift_once(&session);
+    if fortrans::jit::available() {
+        assert_eq!(session.native_entry_count(), 2);
+        assert_eq!(compiled(), 1);
+        assert_eq!(session.vector_entry_count(), u64::from(threshold) - 1);
+    } else {
+        assert_eq!(session.vector_entry_count(), u64::from(threshold) + 1);
+    }
+}
+
+#[test]
+fn sessions_over_one_artifact_share_promotion_heat() {
+    let artifact = fortrans::CompiledProgram::compile(&[SHIFT]).unwrap();
+    let first = Session::solo(Arc::clone(&artifact));
+    let second = Session::solo(Arc::clone(&artifact));
+    let half = fortrans::jit::DEFAULT_HOT_THRESHOLD / 2;
+    for _ in 0..half {
+        shift_once(&first);
+    }
+    for _ in 1..half {
+        shift_once(&second);
+    }
+    assert_eq!(first.native_entry_count() + second.native_entry_count(), 0);
+    assert_eq!(artifact.native_cache().compiled_count(), 0);
+    // The second session's 16th entry is the region's 32nd: it compiles,
+    // and the first session's next entry runs that code.
+    shift_once(&second);
+    shift_once(&first);
+    if fortrans::jit::available() {
+        assert_eq!(second.native_entry_count(), 1);
+        assert_eq!(first.native_entry_count(), 1);
+        assert_eq!(artifact.native_cache().compiled_count(), 1, "compiled once for both");
+    }
+}
+
+/// A vectorizable loop inside an OMP body: every team member's VM
+/// enters it, and each fork makes fresh worker VMs.
+const ROWS: &str = r#"
+MODULE m
+CONTAINS
+  SUBROUTINE rows(a, n, m)
+    REAL(8), DIMENSION(1:64, 1:40) :: a
+    INTEGER :: n, m
+    INTEGER :: i, j
+    !$OMP PARALLEL DO PRIVATE(i)
+    DO j = 1, m
+      DO i = 1, n
+        a(i, j) = a(i, j) * 1.1D0 + SQRT(i * 0.5D0)
+      END DO
+    END DO
+    !$OMP END PARALLEL DO
+  END SUBROUTINE rows
+END MODULE m
+"#;
+
+#[test]
+fn team_workers_enter_promoted_regions_on_every_fork() {
+    let native = eager(ROWS);
+    let oracle = Session::compile(&[ROWS]).unwrap();
+    let init: Vec<f64> = (0..64 * 40).map(|k| k as f64 * 0.25).collect();
+    let arr = || ArgVal::array_f_dims(&init, vec![(1, 64), (1, 40)]).unwrap();
+    let (a, o) = (arr(), arr());
+    let mode = ExecMode::Parallel { threads: 2 };
+    let mut compiled = None;
+    for run in 1..=2u64 {
+        let args = |x: &ArgVal| [x.clone(), ArgVal::I(64), ArgVal::I(40)];
+        native.run_tiered("rows", &args(&a), mode, ExecTier::Vm).unwrap();
+        oracle.run_tiered("rows", &args(&o), mode, ExecTier::TreeWalk).unwrap();
+        let (got, want) = (a.handle().unwrap(), o.handle().unwrap());
+        for k in 0..64 * 40 {
+            assert_eq!(got.get_bits(k), want.get_bits(k), "run {run}: element {k} diverges");
+        }
+        assert_eq!(native.fallback_count(), 0);
+        if fortrans::jit::available() {
+            // One entry per row, all native: workers of the second fork
+            // find the region the first fork compiled.
+            assert_eq!(native.native_entry_count(), 40 * run, "run {run}");
+            assert_eq!(native.vector_entry_count(), 0, "run {run}");
+            let now = native.artifact().native_cache().compiled_count();
+            assert_eq!(now, 1, "run {run}");
+            assert_eq!(*compiled.get_or_insert(now), now, "run {run} compiled again");
+        } else {
+            assert_eq!(native.vector_entry_count(), 40 * run, "run {run}");
+        }
     }
 }
 
