@@ -62,10 +62,11 @@
 //! the *traced* scalar body — unfolded constants and all — while the
 //! lane program is built by an analysis that folds in both builds; the
 //! two need not mirror each other because one supplies only counts and
-//! the other only values. What the vector path adds around the loop
-//! (hoisted subscript parts, final values of forwarded temporaries)
-//! re-evaluates expressions the body already paid for, so a traced
-//! build brackets it in `Quiet`. The verifier
+//! the other only values. What the vector path adds in front of the
+//! loop (hoisted subscript parts) re-evaluates expressions the body
+//! already paid for, so a traced build brackets it in `Quiet`. Every
+//! region falls back to code that runs: the scalar loop it shadows, or
+//! a fused span's original statements. The verifier
 //! recomputes every ledger ([`crate::verify`]).
 //!
 //! Evaluation *order* of side effects (stores, allocations, calls,
@@ -284,16 +285,17 @@ pub enum BInstr {
     VecLeave,
     /// Traced builds only: runs the straight-line code `[pc+1, end)`
     /// with cost accounting suspended, then continues at `end`. Brackets
-    /// the vector path's prep and fixup code, which recomputes values
-    /// the scalar loop body already pays for.
+    /// the vector path's prep code, which recomputes values the scalar
+    /// loop body already pays for.
     Quiet { end: u32 },
     /// Pops end, start into i-slots; constant step 1.
     DoInitC { ctr: u32, end: u32 },
     /// Vector superinstruction covering the whole `DoHead1` loop that
     /// follows: executes `vecs[desc]` over `[i[ctr], i[end]]` in chunked
-    /// slice form and jumps to `exit`, or — when any runtime guard fails
-    /// (alias, bounds, shape, budget, vector tier disabled) — falls
-    /// through to the scalar head with no state changed.
+    /// slice form and jumps to `exit`, the loop's, or — when any runtime
+    /// guard fails (alias, bounds, shape, budget, vector tier disabled) —
+    /// falls through to the scalar head with no state changed. A span's
+    /// fused region falls through to the original statements instead.
     VecLoop { desc: u32, ctr: u32, end: u32, var: u32, exit: u32 },
     /// Pops step, end, start; `check` enforces the zero-step error.
     DoInit { ctr: u32, end: u32, step: u32, check: bool },
@@ -521,39 +523,39 @@ pub(crate) fn region_cost(code: &[BInstr], head: usize, exit: usize) -> Option<R
     Some(RegionCost { iter: cond.checked_add(3)?, taken: arm.checked_add(1)?, ledger: None })
 }
 
-/// What the forwarded-temp fixup `code[lo..hi]` on a `VecLoop` exit
-/// edge retires ([`VecDesc::fixup_cost`]): each instruction once — a
-/// traced build's `Quiet` bracket around it too — when the block is
-/// straight-line code. `None` for anything else.
-pub(crate) fn fixup_cost(code: &[BInstr], lo: usize, hi: usize) -> Option<u32> {
-    let body = match code.get(lo..hi)? {
-        [BInstr::Quiet { end }, rest @ ..] if *end as usize == hi => rest,
-        block => block,
-    };
-    static_ledger(body)?;
-    u32::try_from(hi - lo).ok()
+/// A span's step constant and its fused region's costs: what
+/// [`span_cost`] derives and the compiler patches into [`SpanDesc::fixed`],
+/// [`VecDesc::iter_cost`] and [`VecDesc::exit_state`].
+#[derive(Debug, PartialEq)]
+pub(crate) struct SpanCost {
+    pub fixed: i64,
+    pub iter: u32,
+    pub exit_state: Vec<(u32, i64)>,
 }
 
-/// A span's step constants, [`SpanDesc::fixed`] and
-/// [`SpanDesc::per_iter`], from its original `loops` (first instruction,
-/// `DoHead1`) and its fused loop's set-up and `VecLoop`,
-/// `code[setup.0..=setup.1]`: `None` unless each loop's instructions up
-/// to its head run once ([`straight_setup`]) and its iteration costs a
-/// constant (no select).
-pub(crate) fn span_steps(
+/// A span's [`SpanCost`] from its original `loops` (first instruction,
+/// `DoHead1`) and its fused loop, `code[setup.0..=setup.1]` (bounds,
+/// `DoInitC`, prep and the `VecLoop`): the region's iteration cost is
+/// the loops' summed, its exit state theirs in order. `None` unless each
+/// loop's instructions up to its head run once ([`straight_setup`]) and
+/// its iteration costs a constant (no select).
+pub(crate) fn span_cost(
     code: &[BInstr],
     loops: &[(u32, u32)],
     setup: (u32, u32),
-) -> Option<(i64, u32)> {
+) -> Option<SpanCost> {
     let fast = straight_setup(code, setup.0, setup.1.checked_add(1)?)?;
-    let (mut fixed, mut per_iter) = (-1 - i64::from(fast), 0u32);
+    // `SpanEnter` and the fused loop, and the head once more to leave,
+    // which the region's entry reserves itself.
+    let mut c = SpanCost { fixed: -2 - i64::from(fast), iter: 0, exit_state: Vec::new() };
     for &(start, head) in loops {
         let BInstr::DoHead1 { exit, .. } = *code.get(head as usize)? else { return None };
-        let cost = region_cost(code, head as usize, exit as usize).filter(|c| c.taken == 0)?;
-        fixed += i64::from(straight_setup(code, start, head)?) + 1;
-        per_iter = per_iter.checked_add(cost.iter)?;
+        let cost = region_cost(code, head as usize, exit as usize).filter(|r| r.taken == 0)?;
+        c.fixed += i64::from(straight_setup(code, start, head)?) + 1;
+        c.iter = c.iter.checked_add(cost.iter)?;
+        c.exit_state.extend(nest_exit_state(code, head as usize, exit as usize));
     }
-    Some((fixed, per_iter))
+    Some(c)
 }
 
 /// How many instructions a loop's set-up `code[lo..hi]` — bounds,
@@ -667,36 +669,34 @@ pub struct InlineDesc {
 /// A fused span ([`RStmt::Span`]) as the optimized build lays it out:
 ///
 /// ```text
-/// SpanEnter   S   bounds DoInitC prep   VecLoop (fused)  scalar loop   Jump end
-/// slow: loop 1  S1  loop 2 … loop k   end:
+/// SpanEnter   S   bounds DoInitC prep VecLoop   loop 1  S1  loop 2 … loop k   end:
 /// ```
 ///
-/// The scalar copy of the fused loop is never run (the fused `VecLoop`
-/// commits the span or sends it to `slow`); it is there so the region's
-/// costs are read off it like any other region's.
+/// The fused loop is its region alone. Its `VecLoop` commits the span
+/// and jumps to `end`, or falls through to the original statements,
+/// which run as they would without the span and leave at `end` too.
+/// The region's costs are the original loops' ([`span_cost`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanDesc {
-    /// `[lo, hi)`: the span's S as `fast` runs it, every S of `slow` in
-    /// order. The fused loop's bounds, `DoInitC` and prep follow, up to
-    /// its `VecLoop` at `fused`.
+    /// `[lo, hi)`: the span's S as `fast` runs it, every S of the
+    /// original statements in order. The fused loop's bounds, `DoInitC`
+    /// and prep follow, up to its `VecLoop` at `fused`; the original
+    /// statements start at `fused + 1`.
     pub s: (u32, u32),
     pub fused: u32,
-    /// The original statements, `[slow, end)`.
-    pub slow: u32,
-    pub end: u32,
     /// Per original loop, in order: its first instruction and its
-    /// `DoHead1`. Each S of `slow` lies between one loop's exit and the
-    /// next loop's first instruction.
+    /// `DoHead1`. Each S of the original statements lies between one
+    /// loop's exit and the next loop's first instruction.
     pub loops: Vec<(u32, u32)>,
-    /// What `slow` retires besides its S and `trip x per_iter`, less the
-    /// steps `fast` retires outside S and the region (`SpanEnter` and
-    /// `[s.1, fused]`, the `VecLoop` included): each loop's instructions
-    /// up to its head, and the head once more to leave. A committed span
-    /// has retired what `slow` would have: the steps so far, `fixed`,
-    /// and `trip x per_iter`.
+    /// What the original statements retire besides their S and the
+    /// loops' iterations, less what `fast` retires outside S (`SpanEnter`
+    /// and `[s.1, fused]`, the `VecLoop` included) and the head once more
+    /// to leave that the region's entry reserves: each loop's
+    /// instructions up to its head, and its head once more to leave. A
+    /// committed span has retired what the original statements would
+    /// have: the steps so far, `fixed`, and the region's `trip x
+    /// iter_cost + 1`.
     pub fixed: i64,
-    /// The original loops' iteration costs, summed.
-    pub per_iter: u32,
 }
 
 /// A compiled unit.
@@ -1057,11 +1057,6 @@ pub struct VecDesc {
     /// unrolled inner loop as the scalar nest leaves them. Read off the
     /// emitted scalar loop like the two fields above.
     pub exit_state: Vec<(u32, i64)>,
-    /// Instructions the forwarded-temp fixup on the `VecLoop` exit edge
-    /// retires (0 without one). The scalar loop jumps over the fixup, so
-    /// a committed entry reserves its steps less these, and the fixup
-    /// retires them ([`fixup_cost`]). Patched after emission.
-    pub fixup_cost: u32,
     /// DO statement source line.
     pub line: u32,
 }
@@ -1453,6 +1448,18 @@ fn contract(unit: &RUnit, vars: &[VarIdx]) -> RUnit {
     out
 }
 
+/// What [`UnitCompiler::emit_loop_head`] laid out: the loop's hidden
+/// counter, end and (unfused heads only) step slots, its `DoInitC` or
+/// `DoInit`, its `VecLoop` if it is a region, and its `DO` line.
+struct LoopHead {
+    ctr: u32,
+    ends: u32,
+    steps: u32,
+    init: usize,
+    vec_loop: Option<usize>,
+    line: u32,
+}
+
 /// A serial `DO` loop's vector analysis, made once: the plan — its
 /// hidden i-slots numbered from `base`, `taken` of them — or why the
 /// loop stays scalar. Emission takes a loop's probe instead of analysing
@@ -1783,9 +1790,8 @@ struct UnitCompiler<'a> {
     probes: Probes,
     /// The [`do_loops`] index of the next `DO` emitted.
     next_do: usize,
-    /// The last serial `DO` emitted: its `DoHead1`/`DoHeadN`/`DoHead`,
-    /// and its `VecLoop` if it has one.
-    last_do: (u32, Option<u32>),
+    /// The `DoHead1`/`DoHeadN`/`DoHead` of the last serial `DO` emitted.
+    last_head: u32,
 }
 
 impl<'a> UnitCompiler<'a> {
@@ -1843,7 +1849,7 @@ impl<'a> UnitCompiler<'a> {
             spans: Vec::new(),
             probes: Vec::new(),
             next_do: 0,
-            last_do: (0, None),
+            last_head: 0,
         }
     }
 
@@ -1905,18 +1911,6 @@ impl<'a> UnitCompiler<'a> {
     fn hidden_i(&mut self) -> u32 {
         self.ni_extra += 1;
         self.ni_extra - 1
-    }
-
-    /// Opens a cost-suspended bracket in a traced build when `wanted`
-    /// (untraced runs post nothing anyway); pair with `close_quiet`.
-    fn open_quiet(&mut self, wanted: bool) -> Option<usize> {
-        (self.traced && wanted).then(|| self.push(BInstr::Quiet { end: NO_PC }))
-    }
-
-    fn close_quiet(&mut self, open: Option<usize>) {
-        if let Some(idx) = open {
-            self.code[idx] = BInstr::Quiet { end: self.pc() };
-        }
     }
 
     /// Static type of an expression (mirrors sema's typing).
@@ -2396,12 +2390,16 @@ impl<'a> UnitCompiler<'a> {
 
     fn emit_block(&mut self, body: &[SpStmt]) {
         for sp in body {
-            if self.last_line != sp.line {
-                let pc = self.pc();
-                self.lines.push((pc, sp.line));
-                self.last_line = sp.line;
-            }
+            self.line_at(sp.line);
             self.emit_stmt(&sp.s);
+        }
+    }
+
+    /// Attributes the instructions emitted next to source line `line`.
+    fn line_at(&mut self, line: u32) {
+        if self.last_line != line {
+            self.lines.push((self.pc(), line));
+            self.last_line = line;
         }
     }
 
@@ -2618,21 +2616,21 @@ impl<'a> UnitCompiler<'a> {
 
     /// A fused span ([`SpanDesc`] shows the layout). `fast` is lowered
     /// only when its fused loop becomes a region of map statements — no
-    /// accumulator, select or fixup, which the span's step accounting
-    /// leaves out — outside any region, in the optimized build; `slow`
-    /// alone otherwise. The fused loop is analysed once: here, or by the
-    /// probe that chose the unit's temporaries, and its emission takes
-    /// that analysis.
+    /// accumulator or select, which the span's step accounting leaves
+    /// out — outside any region, in the optimized build; `slow` alone
+    /// otherwise. The fused loop is analysed once: here, or by the probe
+    /// that chose the unit's temporaries, and its emission takes that
+    /// analysis.
     fn emit_span(&mut self, fast: &[SpStmt], slow: &[SpStmt]) {
         let (fused, between) = fast.split_last().expect("a span ends in its fused loop");
         let at = self.next_do + do_loops(between).len();
+        let after_fast = self.next_do + do_loops(fast).len();
         let lowered = !self.traced && self.region_depth == 0 && {
             let probe = match self.probes.get_mut(at).and_then(Option::take) {
                 Some(p) => p,
                 None => self.probe(&fused.s),
             };
-            let maps = matches!(&probe.plan,
-                Ok(p) if p.red.is_none() && p.sel.is_none() && p.fixup.is_empty());
+            let maps = matches!(&probe.plan, Ok(p) if p.red.is_none() && p.sel.is_none());
             if self.probes.len() <= at {
                 self.probes.resize_with(at + 1, || None);
             }
@@ -2640,7 +2638,7 @@ impl<'a> UnitCompiler<'a> {
             maps
         };
         if !lowered {
-            self.next_do += do_loops(fast).len();
+            self.next_do = after_fast;
             self.emit_block(slow);
             return;
         }
@@ -2648,34 +2646,31 @@ impl<'a> UnitCompiler<'a> {
         let enter = self.push(BInstr::SpanEnter { span });
         self.emit_block(between);
         let s_end = self.pc();
-        self.emit_block(std::slice::from_ref(fused));
-        let fused_pc = self.last_do.1.expect("the fused loop is a region");
-        let jump = self.push(BInstr::Jump(NO_PC));
-        let slow_pc = self.pc();
-        let RStmt::Do { var, .. } = fused.s else { unreachable!("a fused loop") };
+        let RStmt::Do { var, start, end, step, body, vec, .. } = &fused.s else {
+            unreachable!("a fused loop")
+        };
+        self.line_at(fused.line);
+        let head = self.emit_loop_head(at, *var, start, end, step.as_ref(), body, *vec);
+        let vi = head.vec_loop.expect("the fused loop is a region");
+        self.next_do = after_fast;
         let mut loops = Vec::new();
         for sp in slow {
             let start = self.pc();
             self.emit_block(std::slice::from_ref(sp));
             // The original loops are the ones over the fused variable,
             // which no S assigns.
-            if matches!(sp.s, RStmt::Do { var: v, .. } if v == var) {
-                loops.push((start, self.last_do.0));
+            if matches!(sp.s, RStmt::Do { var: v, .. } if v == *var) {
+                loops.push((start, self.last_head));
             }
         }
-        let end = self.pc();
-        self.set_target(jump, end);
-        let (fixed, per_iter) = span_steps(&self.code, &loops, (s_end, fused_pc))
+        let exit = self.pc();
+        let SpanCost { fixed, iter, exit_state } = span_cost(&self.code, &loops, (s_end, vi as u32))
             .expect("a span's original loops are straight-line region loops");
-        self.spans.push(SpanDesc {
-            s: (enter as u32 + 1, s_end),
-            fused: fused_pc,
-            slow: slow_pc,
-            end,
-            loops,
-            fixed,
-            per_iter,
-        });
+        let BInstr::VecLoop { desc, exit: e, .. } = &mut self.code[vi] else { unreachable!() };
+        *e = exit;
+        let d = &mut self.vecs[*desc as usize];
+        (d.iter_cost, d.exit_state) = (iter, exit_state);
+        self.spans.push(SpanDesc { s: (enter as u32 + 1, s_end), fused: vi as u32, loops, fixed });
     }
 
     /// Starts attributing the instructions emitted next to `unit`'s
@@ -2774,8 +2769,13 @@ impl<'a> UnitCompiler<'a> {
         Probe { plan, base, taken }
     }
 
+    /// The head of the serial `DO` `idx` ([`do_loops`] order) over
+    /// `var`: bounds, `DoInitC` (or `DoInit`), a traced build's
+    /// `VecEnter`, and, when the vector analysis accepts the loop, its
+    /// prep and a `VecLoop` whose exit and costs the caller patches. A
+    /// span's fused loop is its head alone.
     #[allow(clippy::too_many_arguments)]
-    fn emit_serial_do(
+    fn emit_loop_head(
         &mut self,
         idx: usize,
         var: VarIdx,
@@ -2784,25 +2784,13 @@ impl<'a> UnitCompiler<'a> {
         step: Option<&RExpr>,
         body: &[SpStmt],
         vec: VecClass,
-    ) {
+    ) -> LoopHead {
         self.emit_expr(start);
         self.emit_cvt(self.ty_of(start), ScalarTy::I);
         self.emit_expr(end);
         self.emit_cvt(self.ty_of(end), ScalarTy::I);
-        // The step: a folded constant 1 selects the fused loop head
-        // (traced builds fold a literal step only; a computed one takes
-        // the generic path — including the interpreter's zero-step check).
-        let step_const: Option<i64> = match step {
-            None => Some(1),
-            Some(e) => self.fold(e).map(|v| v.as_i()),
-        };
-        // Fused heads also need a frame-I loop variable.
-        let var_i = match self.vslot(var) {
-            VSlot::I(s) => Some(s),
-            _ => None,
-        };
         let fused1 = self.fused_head(var, step);
-        let do_line = self.last_line;
+        let line = self.last_line;
         // Vector path: canonical unit-stride frame-I loops only, and not
         // the inner loops of a nest a region already covers. A refused
         // analysis gives back the hidden slots it took.
@@ -2820,23 +2808,24 @@ impl<'a> UnitCompiler<'a> {
                     Some(plan)
                 }
                 Err(why) => {
-                    self.vec_refusals.push((do_line, why));
+                    self.vec_refusals.push((line, why));
                     None
                 }
             }
         };
         let (ctr, ends) = (self.hidden_i(), self.hidden_i());
         let steps = if fused1 { 0 } else { self.hidden_i() };
-        let init_idx = if fused1 {
+        // A step that folds to 1 (traced builds fold a literal step only)
+        // needs no zero check; a computed one takes the interpreter's.
+        let init = if fused1 {
             self.push(BInstr::DoInitC { ctr, end: ends })
         } else {
             match step {
-                Some(e) if step_const != Some(1) => {
+                Some(e) if self.fold(e).map(|v| v.as_i()) != Some(1) => {
                     self.emit_expr(e);
                     self.emit_cvt(self.ty_of(e), ScalarTy::I);
                     self.push(BInstr::DoInit { ctr, end: ends, step: steps, check: true })
                 }
-                // Absent, or folded to exactly 1 (no zero check needed).
                 _ => {
                     self.push(BInstr::Const(1));
                     self.push(BInstr::DoInit { ctr, end: ends, step: steps, check: false })
@@ -2846,19 +2835,21 @@ impl<'a> UnitCompiler<'a> {
         if self.traced && vec != VecClass::None {
             self.push(BInstr::VecEnter(vec));
         }
-        let vec_idx = vec_plan.map(|plan| {
+        let vec_loop = vec_plan.map(|plan| {
             // Prep: loop-invariant subscript parts into hidden i-slots.
             // The scalar body evaluates them again every iteration, so
             // in a traced build the prep itself must post nothing.
-            let VecPlan { mut accesses, stmts, red, sel, max_depth, prep, guarded, fixup, .. } =
-                plan;
-            let quiet = self.open_quiet(!prep.is_empty());
+            let VecPlan { mut accesses, stmts, red, sel, max_depth, prep, guarded, .. } = plan;
+            let quiet = (self.traced && !prep.is_empty())
+                .then(|| self.push(BInstr::Quiet { end: NO_PC }));
             for (e, slot) in &prep {
                 self.emit_expr(e);
                 self.emit_cvt(self.ty_of(e), ScalarTy::I);
                 self.push(BInstr::StoreI(*slot));
             }
-            self.close_quiet(quiet);
+            if let Some(q) = quiet {
+                self.code[q] = BInstr::Quiet { end: self.pc() };
+            }
             let desc = self.vecs.len() as u32;
             let t = self.table;
             let dummies = dummy_arrays(self.unit, &t.vslots);
@@ -2880,27 +2871,37 @@ impl<'a> UnitCompiler<'a> {
                 taken_cost: 0,
                 iter_ledger: None,
                 exit_state: Vec::new(),
-                fixup_cost: 0,
-                line: do_line,
+                line,
             });
-            let idx = self.push(BInstr::VecLoop {
-                desc,
-                ctr,
-                end: ends,
-                var: var_i.unwrap_or(0),
-                exit: NO_PC,
-            });
-            (idx, fixup)
+            let VSlot::I(var) = self.vslot(var) else { unreachable!("a region's loop is fused") };
+            self.push(BInstr::VecLoop { desc, ctr, end: ends, var, exit: NO_PC })
         });
+        LoopHead { ctr, ends, steps, init, vec_loop, line }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn emit_serial_do(
+        &mut self,
+        idx: usize,
+        var: VarIdx,
+        start: &RExpr,
+        end: &RExpr,
+        step: Option<&RExpr>,
+        body: &[SpStmt],
+        vec: VecClass,
+    ) {
+        let LoopHead { ctr, ends, steps, init, vec_loop, line } =
+            self.emit_loop_head(idx, var, start, end, step, body, vec);
+        let fused1 = self.fused_head(var, step);
         let head = self.pc();
-        let head_idx = match var_i {
-            Some(vslot) if fused1 => {
+        let head_idx = match self.vslot(var) {
+            VSlot::I(vslot) if fused1 => {
                 self.push(BInstr::DoHead1 { ctr, end: ends, var: vslot, exit: NO_PC })
             }
-            Some(vslot) => {
+            VSlot::I(vslot) => {
                 self.push(BInstr::DoHeadN { ctr, end: ends, step: steps, var: vslot, exit: NO_PC })
             }
-            None => {
+            _ => {
                 let h = self.push(BInstr::DoHead { ctr, end: ends, step: steps, exit: NO_PC });
                 // Store the loop variable (global or non-I): converted
                 // from the counter, costing a Store for globals exactly
@@ -2911,9 +2912,9 @@ impl<'a> UnitCompiler<'a> {
             }
         };
         self.ctx.push(Ctx::Loop { exit: Vec::new(), cycle: Vec::new() });
-        self.region_depth += u32::from(vec_idx.is_some());
+        self.region_depth += u32::from(vec_loop.is_some());
         self.emit_block(body);
-        self.region_depth -= u32::from(vec_idx.is_some());
+        self.region_depth -= u32::from(vec_loop.is_some());
         let incr = self.pc();
         if fused1 {
             self.push(BInstr::DoIncr1 { ctr, head });
@@ -2921,38 +2922,21 @@ impl<'a> UnitCompiler<'a> {
             self.push(BInstr::DoIncr { ctr, step: steps, head });
         }
         let Some(Ctx::Loop { exit, cycle }) = self.ctx.pop() else { unreachable!() };
-        let end_pc = self.pc();
-        let vec_pc = vec_idx.as_ref().map(|&(vi, _)| vi as u32);
-        if let Some((vi, fixup)) = vec_idx {
-            // Forwarded-temp fixup, reached only through the VecLoop
-            // exit edge: the vector body never materializes the temps,
-            // so recompute the final value of each one read after the
-            // loop here (the loop variable holds the last trip value at
-            // this point). The scalar loop stores the temps itself and
-            // exits past this. The last iteration's ledger already paid
-            // for these values.
-            let quiet = self.open_quiet(!fixup.is_empty());
-            for (v, e) in &fixup {
-                self.emit_expr(e);
-                self.emit_store_scalar(*v, self.ty_of(e));
-            }
-            self.close_quiet(quiet);
-            let (lo, hi) = (head as usize, end_pc as usize);
+        let after = self.pc();
+        if let Some(vi) = vec_loop {
             // What the scalar loop retires and posts per iteration.
+            let (lo, hi) = (head as usize, after as usize);
             let cost = region_cost(&self.code, lo, hi)
                 .expect("a region's scalar loop has a shape `region_cost` prices");
             if let BInstr::VecLoop { desc, exit, .. } = &mut self.code[vi] {
-                *exit = end_pc;
+                *exit = after;
                 let d = &mut self.vecs[*desc as usize];
                 (d.iter_cost, d.taken_cost, d.iter_ledger) = (cost.iter, cost.taken, cost.ledger);
                 d.exit_state = nest_exit_state(&self.code, lo, hi);
-                d.fixup_cost = fixup_cost(&self.code, hi, self.code.len())
-                    .expect("a fixup is straight-line code");
             }
         }
-        let after = self.pc();
-        self.last_do = (head, vec_pc);
-        self.loops.push(BLoopSite { init_pc: init_idx as u32, end_pc: after, line: do_line });
+        self.last_head = head;
+        self.loops.push(BLoopSite { init_pc: init as u32, end_pc: after, line });
         if self.traced && vec != VecClass::None {
             self.push(BInstr::VecLeave);
         }
@@ -3230,7 +3214,6 @@ CONTAINS
       t = b(i) * (1.0D0 + 2.0D0)
       a(i, j + 1) = t / 4.0D0 + EXP(b(i))
     END DO
-    b(1) = t
   END SUBROUTINE work
 END MODULE m
 "#,
@@ -3241,14 +3224,14 @@ END MODULE m
         assert_eq!((o.vecs.len(), t.vecs.len()), (1, 1));
         assert_eq!(format!("{:?}", o.vecs[0].stmts), format!("{:?}", t.vecs[0].stmts));
         assert_eq!(o.vecs[0].accesses.len(), t.vecs[0].accesses.len());
-        // Both builds store `t` in the scalar body and in the fixup, and
-        // `unused`, which nothing reads after the loop, in the body only.
+        // Both builds store `t` and `unused`, which nothing reads after
+        // the loop, in the scalar body only.
         let stores = |name: &str, u: &BUnit| {
             let v = prog.units[0].vars.iter().position(|v| v.name == name).expect("declared");
             let VSlot::F(sv) = u.vslots[v] else { panic!("{name} is a frame REAL") };
             u.code.iter().filter(|i| matches!(i, BInstr::StoreF(s) if *s == sv)).count()
         };
-        assert_eq!((stores("t", o), stores("t", t)), (2, 2));
+        assert_eq!((stores("t", o), stores("t", t)), (1, 1));
         assert_eq!((stores("unused", o), stores("unused", t)), (1, 1));
         // The traced scalar body keeps the unfolded MulF and AddF, and
         // its ledger says so; the optimized body stores the folded
@@ -3263,9 +3246,9 @@ END MODULE m
             ops(o.vecs[0].iter_ledger),
             OpCounts { flop: 2, fdiv: 1, fspecial: 1, iop: 1, load: 2, store: 1 }
         );
-        // Prep (`j + 1` into a hidden slot) and fixup (the last value of
-        // `t`) sit in quiet brackets in the traced build only.
+        // Prep (`j + 1` into a hidden slot) sits in a quiet bracket in
+        // the traced build only.
         let quiet = |u: &BUnit| u.code.iter().filter(|i| matches!(i, BInstr::Quiet { .. })).count();
-        assert_eq!((quiet(o), quiet(t)), (0, 2));
+        assert_eq!((quiet(o), quiet(t)), (0, 1));
     }
 }

@@ -1,10 +1,9 @@
 //! The vector analysis: decides which serial `DO` loops become
 //! `VecLoop` regions and plans each one — the descriptor's accesses and
-//! lane programs, the prep code and guarded loads that fill its
-//! invariant slots, and the fixup of forwarded temps — or says why a
-//! loop stays scalar ([`VecRefusal`]). Emission of the plan (prep,
-//! `VecLoop`, the scalar loop it shadows, fixup) stays in the parent
-//! module, which also owns the descriptor format.
+//! lane programs, and the prep code and guarded loads that fill its
+//! invariant slots — or says why a loop stays scalar ([`VecRefusal`]).
+//! Emission of the plan (prep, `VecLoop`, the scalar loop it shadows)
+//! stays in the parent module, which also owns the descriptor format.
 
 use super::*;
 use std::borrow::Cow;
@@ -38,7 +37,10 @@ pub enum VecRefusal {
     TooBig,
     /// Anything else about the loop or a statement: non-unit step,
     /// non-REAL data, a second accumulator, a loop-carried scalar (an
-    /// accumulator read before its update included), I/O.
+    /// accumulator read before its update included), I/O, or a
+    /// forward-substituted scalar temp that something after the loop may
+    /// read (a region never stores such a temp, so its last value would
+    /// be lost).
     Shape,
 }
 
@@ -61,13 +63,6 @@ pub(super) struct VecPlan {
     /// The accumulator once its statement is compiled: a later read of
     /// it is its running value ([`VecOp::Running`]).
     running: Option<VarIdx>,
-    /// Forward-substituted scalar temps that something after the loop
-    /// may read: (temp, final substituted RHS). The vector body never
-    /// materializes these, so the emitter places a fixup block on the
-    /// `VecLoop` exit edge that recomputes each temp's last-iteration
-    /// value (the loop variable already holds the final trip value
-    /// there).
-    pub(super) fixup: Vec<(VarIdx, RExpr)>,
 }
 
 impl VecPlan {
@@ -216,9 +211,9 @@ impl UnitCompiler<'_> {
     /// term does not reference the accumulator. REAL scalar temps
     /// assigned from expressions with no loop-carried reads are forward-
     /// substituted into their consumers (privatization): they don't
-    /// block either shape, and a fixup block on the vector exit edge
-    /// restores the final values of those read after the loop. Inner
-    /// loops over literal bounds of
+    /// block either shape, as long as nothing after the loop may read
+    /// one, whose last value the region never stores. Inner loops over
+    /// literal bounds of
     /// at most [`VEC_NEST_TRIP`] trips are looked through: the body is
     /// analysed as if they were fully unrolled in iteration order
     /// (`vec_stmts`), so a same-cell chain such as
@@ -245,8 +240,9 @@ impl UnitCompiler<'_> {
         // scalars assigned anywhere in the body — unrolled loop indices
         // included, which are constants inside their loop and loop-
         // carried outside it. A temp's RHS may not read either set — a
-        // written array would make the fixup re-read clobbered elements,
-        // and a still-assigned scalar read is either loop-carried or an
+        // written array would make a consumer that statement-at-a-time
+        // lane execution runs after the store read the stored value, and
+        // a still-assigned scalar read is either loop-carried or an
         // accumulator reference.
         let mut b = VecBody { var, ..VecBody::default() };
         if self.vec_prescan(body, &mut Vec::new(), &mut b)? > VEC_MAX_STMTS {
@@ -259,21 +255,22 @@ impl UnitCompiler<'_> {
             // vector loop would win nothing.
             return Err(Shape);
         }
-        // A temp nothing reads after the loop needs no fixup. A dummy's
-        // value goes back to the caller and a function's result is
-        // returned; SAVE'd locals live in global cells, which are never
-        // forwarded, and EQUIVALENCE names one variable by every alias.
-        let unit = self.unit;
-        let mut read = vec![false; if temps.is_empty() { 0 } else { unit.vars.len() }];
+        // The region never stores a temp, so one that may be read after
+        // the loop keeps it scalar: a dummy's value goes back to the
+        // caller and a function's result is returned. SAVE'd locals live
+        // in global cells, which are never forwarded, and EQUIVALENCE
+        // names one variable by every alias.
         if !temps.is_empty() {
+            let unit = self.unit;
+            let mut read = vec![false; unit.vars.len()];
             reads_outside(&unit.body, body, &mut |w| read[w] = true);
-        }
-        plan.fixup = temps
-            .into_iter()
-            .filter(|&(t, _)| {
+            let live = |&(t, _): &(VarIdx, RExpr)| {
                 unit.vars[t].is_param || unit.result.is_some_and(|(r, _)| r == t) || read[t]
-            })
-            .collect();
+            };
+            if temps.iter().any(live) {
+                return Err(Shape);
+            }
+        }
         for (k, ops) in plan.stmts.iter().enumerate() {
             let (fin, mx) = vec_stack_effect(ops).ok_or(Shape)?;
             if fin != u32::from(plan.red.is_some_and(|r| r.stmt as usize == k)) {
@@ -576,8 +573,8 @@ impl UnitCompiler<'_> {
     /// Whether a (substituted) scalar-temp RHS is safe to forward: no
     /// trap potential outside interned array reads, no read of a scalar
     /// assigned in the body (loop-carried or accumulator), and no read
-    /// of an array the body writes (the exit fixup re-evaluates the RHS
-    /// after all vector stores have landed). Array element reads are
+    /// of an array the body writes (a consumer's substituted read may
+    /// run after the store lands). Array element reads are
     /// allowed — `vec_intern_reads` registers them so the vector
     /// entry guard proves them in-bounds for the whole trip range.
     fn vec_temp_ok(&self, e: &RExpr, awritten: &[VarIdx], sassigned: &[VarIdx]) -> bool {
@@ -614,9 +611,10 @@ impl UnitCompiler<'_> {
 
     /// Interns every array element read of a forwarded temp's RHS as a
     /// read access of the plan, so the vector entry guard bounds-checks
-    /// it (the exit fixup re-executes the read outside any per-element
-    /// check) and the dependence rule sees it. Fails on non-affine
-    /// subscripts, which would leave the fixup read unprovable.
+    /// it (the scalar loop reads it every iteration, whether or not a
+    /// statement consumes the temp) and the dependence rule sees it.
+    /// Fails on non-affine subscripts, which would leave the read
+    /// unprovable.
     fn vec_intern_reads(
         &mut self,
         e: &RExpr,

@@ -273,8 +273,8 @@ impl EffLimits {
 ///
 /// Set on a session with [`crate::Session::set_schedule_overrides`] (the
 /// feedback path: a measured profile keys overrides by `omp@line`) or
-/// [`crate::Session::set_schedule_override_all`] (schedule-matrix
-/// benchmarking). Both execution tiers consult the same snapshot.
+/// [`crate::Session::set_schedule_override_all`] (one schedule for every
+/// parallel DO). Both execution tiers consult the same snapshot.
 #[derive(Debug, Default, Clone)]
 pub struct ScheduleOverrides {
     /// Blanket override applied to every parallel DO.

@@ -1101,7 +1101,6 @@ mod tests {
                 taken_cost: 0,
                 iter_ledger: None,
                 exit_state: Vec::new(),
-                fixup_cost: 0,
                 line: 1,
             }
         }

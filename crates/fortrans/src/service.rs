@@ -494,9 +494,9 @@ impl Session {
     }
 
     /// Installs (or with `None` clears) a blanket schedule override
-    /// applied to every parallel DO without a per-line override. Used by
-    /// the schedule-matrix benchmarks and the differential suite to run
-    /// one program under each schedule kind.
+    /// applied to every parallel DO without a per-line override: one
+    /// program run under each schedule kind (the OMP-semantics,
+    /// differential and session-reuse tests do this).
     pub fn set_schedule_override_all(&self, sched: Option<omprt::Schedule>) {
         let mut cur = self.sched_overrides.lock();
         *cur = Arc::new(ScheduleOverrides { all: sched, by_line: cur.by_line.clone() });

@@ -32,10 +32,10 @@
 //! see `tests/fault_injection.rs`.
 
 use crate::bytecode::{
-    dummy_arrays, fixed_global, fixup_cost, global_cells, mask_stack_effect, nest_exit_state,
-    prove_streams, region_cost, span_steps, static_ledger, static_shape, vec_stack_effect, BArg,
-    BInstr, BUnit, MaskOp, PItem, SubOp, VSlot, VecDesc, VecOp, VecSel, VecSub, MAX_INLINE_RANK,
-    NO_PC, NO_SDIMS, NO_SLOT, VEC_MAX_ACCESSES, VEC_MAX_DEPTH,
+    dummy_arrays, fixed_global, global_cells, mask_stack_effect, nest_exit_state, prove_streams,
+    region_cost, span_cost, static_ledger, static_shape, vec_stack_effect, BArg, BInstr, BUnit,
+    MaskOp, PItem, SpanCost, SubOp, VSlot, VecDesc, VecOp, VecSel, VecSub, MAX_INLINE_RANK, NO_PC,
+    NO_SDIMS, NO_SLOT, VEC_MAX_ACCESSES, VEC_MAX_DEPTH,
 };
 use crate::error::CompileError;
 use crate::intrinsics::Intr;
@@ -326,58 +326,15 @@ impl Verifier<'_> {
                 islot(var, "DO variable")?;
                 tgt(exit, "vector loop exit")?;
                 self.vec_desc_ok(desc).map_err(at)?;
-                // A committed entry reserves `trip x iter_cost` steps
-                // (plus `taken x taken_cost` for a masked select) and a
-                // Simulated one posts `trip x iter_ledger` in place of the
-                // scalar loop `[pc + 1, exit)` this instruction shadows,
-                // so all three must be what that loop — inner
-                // constant-trip loops included — retires and posts (a
-                // nest or a select has no ledger).
-                let d = &bu.vecs[desc as usize];
-                let Some(cost) = region_cost(&bu.code, pc as usize + 1, exit as usize) else {
-                    return Err(at(format!(
-                        "vector descriptor {desc}: the loop it shadows is not straight-line \
-                         code and constant-trip nests, nor a masked select"
-                    )));
-                };
-                if d.iter_cost != cost.iter {
-                    return Err(at(format!(
-                        "vector descriptor {desc}: iteration cost {} disagrees with the scalar \
-                         loop ({})",
-                        d.iter_cost, cost.iter
-                    )));
-                }
-                if d.taken_cost != cost.taken || d.sel.is_some() != (cost.taken > 0) {
-                    return Err(at(format!(
-                        "vector descriptor {desc}: taken-IF cost {} (select: {}) disagrees with \
-                         the scalar loop ({})",
-                        d.taken_cost,
-                        d.sel.is_some(),
-                        cost.taken
-                    )));
-                }
-                if d.iter_ledger != cost.ledger {
-                    return Err(at(format!(
-                        "vector descriptor {desc}: iteration ledger disagrees with the scalar loop"
-                    )));
-                }
-                if d.exit_state != nest_exit_state(&bu.code, pc as usize + 1, exit as usize) {
-                    return Err(at(format!(
-                        "vector descriptor {desc}: exit state disagrees with the scalar loop"
-                    )));
-                }
-                // A committed entry reserves the loop's steps less what
-                // the fixup between `exit` and the scalar head's exit
-                // retires (`region_cost` saw the head at `pc + 1`).
-                let DoHead1 { exit: after, .. } = bu.code[pc as usize + 1] else {
-                    unreachable!("region_cost checked the head");
-                };
-                if fixup_cost(&bu.code, exit as usize, after as usize) != Some(d.fixup_cost) {
-                    return Err(at(format!(
-                        "vector descriptor {desc}: fixup cost {} disagrees with the block \
-                         between the loop exits, or that block is not straight-line code",
-                        d.fixup_cost
-                    )));
+                // A span's fused region is priced from the span's loops,
+                // by its `SpanEnter` (`span_ok`).
+                let fused = bu.spans.iter().enumerate().any(|(k, sd)| {
+                    let enter = sd.s.0.checked_sub(1).and_then(|p| bu.code.get(p as usize));
+                    let named = matches!(enter, Some(SpanEnter { span }) if *span as usize == k);
+                    sd.fused == pc && named
+                });
+                if !fused {
+                    self.region_ok(pc, desc, exit).map_err(at)?;
                 }
             }
             Quiet { end } => {
@@ -760,13 +717,13 @@ impl Verifier<'_> {
                 }
                 open = desc;
             }
-            // The span's S and its fused region run and commit, or `slow`
-            // runs: from the speculated range, whose flow from `pc + 1`
-            // reaches the region with the depths it started with, or
-            // from `SpanEnter` itself.
+            // The span's S and its fused region run, and the region
+            // commits or falls through to the original statements; a
+            // fault in S or a refused `SpanEnter` goes to them directly,
+            // with the depths `SpanEnter` found.
             SpanEnter { span } => {
                 let sd = &self.bu.spans[span as usize];
-                succ.extend([(pc + 1, d), (sd.slow, d), (sd.end, d)]);
+                succ.extend([(pc + 1, d), (sd.fused + 1, d)]);
                 return Ok(None);
             }
             InlineExit { desc } => {
@@ -1072,48 +1029,90 @@ impl Verifier<'_> {
         Ok(())
     }
 
+    /// A `VecLoop` region at `pc` against the scalar loop `[pc + 1, exit)`
+    /// it shadows, which it leaves where that loop does. A committed
+    /// entry reserves `trip x iter_cost` steps (plus `taken x
+    /// taken_cost` for a masked select) and a Simulated one posts `trip
+    /// x iter_ledger` in place of the loop, so all three must be what
+    /// that loop — inner constant-trip loops included — retires and
+    /// posts (a nest or a select has no ledger).
+    fn region_ok(&self, pc: u32, desc: u32, exit: u32) -> Result<(), String> {
+        let (code, d) = (&self.bu.code, &self.bu.vecs[desc as usize]);
+        let Some(cost) = region_cost(code, pc as usize + 1, exit as usize) else {
+            return Err(format!(
+                "vector descriptor {desc}: the loop it shadows is not straight-line code and \
+                 constant-trip nests, nor a masked select"
+            ));
+        };
+        if !matches!(code[pc as usize + 1], BInstr::DoHead1 { exit: e, .. } if e == exit) {
+            return Err(format!("vector descriptor {desc}: exit {exit} is not its scalar loop's"));
+        }
+        if d.iter_cost != cost.iter {
+            return Err(format!(
+                "vector descriptor {desc}: iteration cost {} disagrees with the scalar loop ({})",
+                d.iter_cost, cost.iter
+            ));
+        }
+        if d.taken_cost != cost.taken || d.sel.is_some() != (cost.taken > 0) {
+            return Err(format!(
+                "vector descriptor {desc}: taken-IF cost {} (select: {}) disagrees with the \
+                 scalar loop ({})",
+                d.taken_cost,
+                d.sel.is_some(),
+                cost.taken
+            ));
+        }
+        if d.iter_ledger != cost.ledger {
+            return Err(format!(
+                "vector descriptor {desc}: iteration ledger disagrees with the scalar loop"
+            ));
+        }
+        if d.exit_state != nest_exit_state(code, pc as usize + 1, exit as usize) {
+            return Err(format!(
+                "vector descriptor {desc}: exit state disagrees with the scalar loop"
+            ));
+        }
+        Ok(())
+    }
+
     /// A fused span's descriptor, re-derived from the code: the layout
-    /// [`crate::bytecode::SpanDesc`] documents; the step constants from
-    /// the original loops and the fused loop's set-up; an S that writes
-    /// only frame scalars and transfers control only within itself, the
-    /// same instructions as `slow`'s S in order; and each S independent
-    /// of the original loops before it — it writes no slot they read or
-    /// write and reads none they write, and reads no array that may be
-    /// one they store to. Speculating S ahead of those loops is exact on
-    /// the strength of that.
+    /// [`crate::bytecode::SpanDesc`] documents; the step constant and
+    /// the fused region's costs from the original loops ([`span_cost`]);
+    /// an S that writes only frame scalars and transfers control only
+    /// within itself, the same instructions as the original statements'
+    /// S in order; and each S independent of the original loops before
+    /// it — it writes no slot they read or write and reads none they
+    /// write, and reads no array that may be one they store to.
+    /// Speculating S ahead of those loops is exact on the strength of
+    /// that.
     fn span_ok(&self, pc: u32, span: u32) -> Result<(), String> {
         let bu = self.bu;
         let code = &bu.code;
         let d = bu.spans.get(span as usize).ok_or_else(|| format!("span {span} out of range"))?;
-        let n = code.len() as u32;
         let (lo, hi) = d.s;
-        if !(lo == pc + 1 && lo <= hi && hi <= d.fused && d.fused < d.slow && d.slow < d.end)
-            || d.end > n
-        {
-            return Err(format!("span {span} ranges out of order: {d:?}"));
-        }
-        let BInstr::VecLoop { desc, .. } = code[d.fused as usize] else {
+        let Some(&BInstr::VecLoop { desc, exit: end, .. }) = code.get(d.fused as usize) else {
             return Err(format!("span {span} fuses no vector loop at {}", d.fused));
         };
+        if !(lo == pc + 1 && lo <= hi && hi <= d.fused) || end > code.len() as u32 {
+            return Err(format!("span {span} ranges out of order: {d:?}"));
+        }
         let v = bu
             .vecs
             .get(desc as usize)
             .ok_or_else(|| format!("span {span}: no descriptor {desc}"))?;
-        if v.fixup_cost != 0 || v.red.is_some() || v.sel.is_some() {
+        if v.red.is_some() || v.sel.is_some() {
             return Err(format!("span {span}: its region is not map statements alone"));
         }
-        if !matches!(code[d.slow as usize - 1], BInstr::Jump(t) if t == d.end) {
-            return Err(format!("span {span}: the fused loop does not jump past `slow`"));
-        }
-        // The original loops tile `slow`, an S between each two.
+        // The original loops tile what the region falls through to, an S
+        // between each two, up to the region's exit.
         let mut between = Vec::new();
-        let mut at = d.slow;
+        let mut at = d.fused + 1;
         for (k, &(start, head)) in d.loops.iter().enumerate() {
             let Some(&BInstr::DoHead1 { exit, .. }) = code.get(head as usize) else {
                 return Err(format!("span {span}: loop {k} has no head at {head}"));
             };
             let placed = start >= at && (k > 0 || start == at) && start < head && head < exit;
-            if !placed || exit > d.end {
+            if !placed || exit > end {
                 return Err(format!("span {span}: loop {k} ({start}, {head}) out of place"));
             }
             if k > 0 {
@@ -1121,13 +1120,17 @@ impl Verifier<'_> {
             }
             at = exit;
         }
-        if d.loops.len() < 2 || at != d.end {
+        if d.loops.len() < 2 || at != end {
             return Err(format!("span {span}: its loops do not end it"));
         }
-        if span_steps(code, &d.loops, (hi, d.fused)) != Some((d.fixed, d.per_iter)) {
+        let region =
+            SpanCost { fixed: d.fixed, iter: v.iter_cost, exit_state: v.exit_state.clone() };
+        if span_cost(code, &d.loops, (hi, d.fused)) != Some(region)
+            || (v.taken_cost, v.iter_ledger) != (0, None)
+        {
             return Err(format!(
-                "span {span}: step constants ({}, {}) disagree with its loops",
-                d.fixed, d.per_iter
+                "span {span}: its step constant {} or its region's costs disagree with its loops",
+                d.fixed
             ));
         }
         let kind = |p: u32| std::mem::discriminant(&code[p as usize]);

@@ -198,9 +198,9 @@ struct Spec {
     /// The step count before `SpanEnter`, and the operand stack's depth.
     saved: u64,
     depth: usize,
-    /// The fused loop's `VecLoop`, where the span commits, and `slow`.
+    /// The fused loop's `VecLoop`, where the span commits; the original
+    /// statements follow it.
     fused: u32,
-    slow: u32,
 }
 
 /// Unboxed per-type value banks for one call frame.
@@ -796,9 +796,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
     /// *deopt*, counted on the session. Step pre-reservation is the same
     /// on every rung and exact: an entry that commits retires what the
     /// scalar loop would, `trip x iter_cost` (plus `taken x taken_cost`
-    /// for a select) and the head once more to leave, less the
-    /// forwarded-temp fixup's `fixup_cost`, which the fixup then retires
-    /// itself on the exit edge the scalar loop jumps over. A budget that
+    /// for a select) and the head once more to leave. A budget that
     /// cannot cover that sends the loop to the scalar head, so
     /// `RunLimits` trips at the same step on every rung. The interrupt
     /// cadence (one poll per ~1024 scalar-equivalent steps) is the same
@@ -848,14 +846,9 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         // Pre-reserve the steps the scalar loop would retire: every
         // trip, and the head once more to leave. If the budget can't
         // cover them, run scalar so it trips with the stock error at
-        // the right iteration. The forwarded-temp fixup on the exit edge
-        // retires `fixup_cost` steps of its own, which the scalar loop
-        // jumps over, so a committed entry counts that many fewer; a
-        // trip too short to pay for the fixup runs scalar.
+        // the right iteration.
         let cost = (n as u64).saturating_mul(u64::from(d.iter_cost)).saturating_add(1);
-        let fixup = u64::from(d.fixup_cost);
-        let over = ex.limits.max_steps.is_some_and(|max| self.steps.saturating_add(cost) > max);
-        if cost < fixup || over {
+        if ex.limits.max_steps.is_some_and(|max| self.steps.saturating_add(cost) > max) {
             return Ok(false);
         }
         // Promotion: the region's slot in the build's table runs it
@@ -905,14 +898,14 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             if ex.limits.max_steps.is_some_and(|max| self.steps.saturating_add(cost) > max) {
                 return Ok(false);
             }
-            self.steps = self.steps.saturating_add(cost - fixup);
+            self.steps = self.steps.saturating_add(cost);
             self.vector_entries += 1;
             frame.i[s.acc as usize] = acc;
             Self::leave_do_state(frame, d, ctr, hi, var);
             return Ok(true);
         }
         // Committed: all guards passed.
-        self.steps = self.steps.saturating_add(cost - fixup);
+        self.steps = self.steps.saturating_add(cost);
         if let Some(l) = ledger {
             self.st.cost.post_scaled(l, n as u64);
         }
@@ -1294,7 +1287,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 Err(e) => match spec {
                     Some(s) => {
                         self.fall_back(s);
-                        at = s.slow;
+                        at = s.fused + 1;
                     }
                     None => return Err(e),
                 },
@@ -1750,15 +1743,16 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     }
                 }
                 BInstr::VecLoop { desc, ctr, end, var, exit } => {
-                    if let Some(s) = spec.take_if(|s| s.fused == pc as u32) {
-                        pc = self.span_commit(frame, bu, s, desc, ctr, end, var)? as usize;
-                        continue;
-                    }
-                    if self.exec_fast_loop(frame, bu, desc, ctr, end, var)? {
+                    let ran = match spec.take_if(|s| s.fused == pc as u32) {
+                        Some(s) => self.span_commit(frame, bu, s, desc, ctr, end, var)?,
+                        None => self.exec_fast_loop(frame, bu, desc, ctr, end, var)?,
+                    };
+                    if ran {
                         pc = exit as usize;
                         continue;
                     }
-                    // Guards failed: fall through to the scalar head.
+                    // Refused: fall through to the scalar head, or to a
+                    // fused span's original statements.
                 }
                 BInstr::DoInit { ctr, end, step, check } => {
                     let st = self.popi();
@@ -1958,7 +1952,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     let ex = self.ex;
                     if TRACE || self.prof.is_some() || (!ex.vector_enabled && ex.native.is_none()) {
                         self.steps -= 1;
-                        pc = d.slow as usize;
+                        pc = d.fused as usize + 1;
                         continue;
                     }
                     *spec = Some(Spec {
@@ -1966,7 +1960,6 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                         saved: self.steps - 1,
                         depth: self.stack.len(),
                         fused: d.fused,
-                        slow: d.slow,
                     });
                 }
                 BInstr::InlineExit { .. } => {
@@ -1980,13 +1973,14 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         Ok(Flow::Normal)
     }
 
-    /// A speculated span's commit, at its fused loop's `VecLoop`: the
-    /// pc to go on at. The region's entry runs the loop and the span
-    /// continues at its end, with the step count where `slow` would
-    /// leave it ([`SpanDesc::fixed`]); or, when the trip is empty or the
-    /// entry's guards or step reservation refuse, the count and the
-    /// operand stack go back to where `SpanEnter` found them and the
-    /// span continues at `slow`.
+    /// A speculated span's commit, at its fused loop's `VecLoop`: with
+    /// the step count where the original statements would leave it less
+    /// what the region's entry reserves ([`SpanDesc::fixed`]), the entry
+    /// runs the loop and the span continues at the region's exit; or,
+    /// when the entry refuses (an empty trip, a guard or the step
+    /// reservation), the count and the operand stack go back to where
+    /// `SpanEnter` found them and the span falls through to the original
+    /// statements.
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     fn span_commit(
@@ -1998,29 +1992,21 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         ctr: u32,
         end: u32,
         var: u32,
-    ) -> Result<u32, RunError> {
-        let d = &bu.spans[spec.span as usize];
-        let (lo, hi) = (frame.i[ctr as usize], frame.i[end as usize]);
-        let trip = i128::from(hi) - i128::from(lo) + 1;
-        // Where `slow` would leave the count, and what the region's own
-        // entry reserves on top of where it starts.
-        let total = i128::from(self.steps) + i128::from(d.fixed) + trip * i128::from(d.per_iter);
-        let entry = trip * i128::from(bu.vecs[desc as usize].iter_cost) + 1;
-        let start = u64::try_from(total - entry).ok().filter(|_| total <= i128::from(u64::MAX));
-        if let (true, Some(start)) = (trip > 0, start) {
-            self.steps = start;
+    ) -> Result<bool, RunError> {
+        if let Some(steps) = self.steps.checked_add_signed(bu.spans[spec.span as usize].fixed) {
+            self.steps = steps;
             if self.exec_fast_loop(frame, bu, desc, ctr, end, var)? {
-                return Ok(d.end);
+                return Ok(true);
             }
         }
         self.fall_back(spec);
-        Ok(d.slow)
+        Ok(false)
     }
 
     /// Puts back what a speculated span changed outside the frame's
     /// scalars and hidden slots: the step count, to where it stood before
-    /// its `SpanEnter`, whose step is then `slow`'s first instruction's,
-    /// and the operand stack.
+    /// its `SpanEnter`, whose step is then the original statements' first
+    /// instruction's, and the operand stack.
     fn fall_back(&mut self, spec: Spec) {
         self.stack.truncate(spec.depth);
         self.steps = spec.saved;

@@ -10,16 +10,16 @@
 //! the Simulated `CostTrace` included (`common/rungs.rs`). Each program
 //! also names the arrays the rule contracted, read from the optimized
 //! build's slot table; the traced build never contracts one. The file
-//! ends with the function-call fixup rule contraction relies on and the
-//! region counts of the GLAF source sets, which contraction must not
-//! lower.
+//! ends with the rule for function calls after a forwarded temp's loop,
+//! which contraction relies on, and the region counts of the GLAF source
+//! sets, which contraction must not lower.
 
 #[path = "common/rungs.rs"]
 mod rungs;
 #[path = "common/sources.rs"]
 mod sources;
 
-use fortrans::bytecode::{BInstr, VSlot};
+use fortrans::bytecode::{BInstr, VSlot, VecRefusal};
 use fortrans::{CompiledProgram, ExecMode, Session};
 use rungs::{agree, line_of, runs, Rung, Snap};
 
@@ -91,16 +91,16 @@ fn col(snap: &Snap, j: usize) -> Vec<f64> {
     b[5 * j..5 * j + 5].iter().map(|&x| f64::from_bits(x)).collect()
 }
 
-/// The step count of the fixup after `work`'s first region.
-fn fixup_cost(src: &str) -> u32 {
-    let s = Session::compile(&[src]).expect("program compiles");
-    let u = s.program().unit_id("work").expect("work exists");
-    s.artifact().bytecode(false)[u].vecs[0].fixup_cost
+/// Why the vector analysis left `work`'s loops scalar, in source order.
+fn refusals(src: &str) -> Vec<VecRefusal> {
+    let art = CompiledProgram::compile(&[src]).expect("program compiles");
+    art.vector_refusals().into_iter().filter(|r| r.unit == "work").map(|r| r.why).collect()
 }
 
 /// `edge_loop`'s shape: a scoped temporary and two fixed locals, each
 /// written and then read in one five-trip loop, a function call after
-/// it. The region streams `a` and `b` alone and needs no fixup.
+/// it. The region streams `a` and `b` alone, and the call reads none
+/// of the forwarded temporaries.
 #[test]
 fn scoped_and_fixed_temporaries_contract() {
     let src = program(
@@ -121,7 +121,7 @@ fn scoped_and_fixed_temporaries_contract() {
     check("edge shape", &src, 5, &["work::s", "work::t", "work::u"]);
     let r = region(&src, 0);
     assert_eq!((r.stmts, r.proven + r.checked, r.contracted), (1, 2, 3), "{r:?}");
-    assert_eq!(fixup_cost(&src), 0, "a call that is not passed a temp reads none");
+    assert!(refusals(&src).is_empty(), "a call that is not passed a temp reads none");
     let (_, s) = runs(&src, 5, ExecMode::Serial, Rung::Vector);
     assert!(s.vector_entry_count() > 0, "no VecLoop entry");
     if fortrans::jit::available() {
@@ -432,8 +432,9 @@ fn contraction_that_would_cost_a_region_keeps_the_arrays() {
 }
 
 /// A function call outside a loop reads a forwarded scalar temp only
-/// through an argument that names it: not passed, the temp needs no
-/// fixup; passed by reference, the callee reads its final value.
+/// through an argument that names it: not passed, the loop is a region;
+/// passed by reference, the callee reads its final value, which a
+/// region never stores, so the loop stays scalar (`Shape`).
 #[test]
 fn function_calls_read_a_forwarded_temp_only_through_arguments() {
     let units = r#"
@@ -451,11 +452,11 @@ fn function_calls_read_a_forwarded_temp_only_through_arguments() {
     let around = format!("    x = twice(n)\n{loop_}    total = total + twice(n)\n");
     let src = program("    REAL(8) :: x", &around, units);
     check("call around", &src, 5, &[]);
-    assert_eq!(fixup_cost(&src), 0, "no call is passed x");
+    assert!(refusals(&src).is_empty(), "no call is passed x");
     let by_ref = format!("{loop_}    total = total + peek(x)\n");
     let src = program("    REAL(8) :: x", &by_ref, units);
     let serial = check("x by reference", &src, 5, &[]);
-    assert!(fixup_cost(&src) > 0, "peek reads x's final value");
+    assert_eq!(refusals(&src), [VecRefusal::Shape], "peek reads x's final value");
     assert_eq!(serial[0].globals[1].1, Some(vec![30.0f64.to_bits()]), "peek(10.0)");
 }
 

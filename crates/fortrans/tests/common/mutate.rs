@@ -557,10 +557,11 @@ fn inline_enter(bu: &mut BUnit, rng: &mut Rng) -> Applied {
 }
 
 /// Breaks a fused span: widens its S over the instructions after it —
-/// the fused loop's set-up, its region and the scalar loop's stores —
-/// so the speculated range would store and transfer control; or
-/// misstates one of its step constants, so a committed span would
-/// retire other steps than its original statements.
+/// the fused loop's set-up and its region — so the speculated range
+/// would store and transfer control; or misstates its step constant or
+/// its fused region's iteration cost or exit state, so a committed span
+/// would retire other steps than its original statements or leave other
+/// loop state.
 fn span(bu: &mut BUnit, rng: &mut Rng) -> Applied {
     use BInstr::*;
     let spans: Vec<u32> = bu
@@ -576,21 +577,27 @@ fn span(bu: &mut BUnit, rng: &mut Rng) -> Applied {
     }
     let k = spans[rng.below(spans.len())];
     let d = &mut bu.spans[k as usize];
-    let detail = match rng.below(3) {
+    let VecLoop { desc, .. } = bu.code[d.fused as usize] else { return None };
+    let v = &mut bu.vecs[desc as usize];
+    let detail = match rng.below(4) {
         0 => {
-            let store = (d.s.1..d.slow).find(|&p| {
-                matches!(bu.code[p as usize], StoreElemS { .. } | StoreF(_) | VecLoop { .. })
-            });
-            d.s.1 = store.map_or(d.slow, |p| p + 1);
+            d.s.1 = d.fused + 1;
             format!("span {k}: S widened to {:?}", d.s)
         }
         1 => {
             d.fixed += 1 + (rng.next_u64() % 5) as i64;
             format!("span {k}: fixed steps -> {}", d.fixed)
         }
+        2 => {
+            v.iter_cost += 1 + (rng.next_u64() % 3) as u32;
+            format!("span {k}: fused iteration cost -> {}", v.iter_cost)
+        }
         _ => {
-            d.per_iter += 1 + (rng.next_u64() % 3) as u32;
-            format!("span {k}: steps per iteration -> {}", d.per_iter)
+            match v.exit_state.last_mut() {
+                Some((_, value)) => *value += 1,
+                None => v.exit_state.push((0, 1)),
+            }
+            format!("span {k}: fused exit state -> {:?}", v.exit_state)
         }
     };
     Some(("span", detail))

@@ -28,6 +28,7 @@ mod sources;
 
 use std::sync::Arc;
 
+use fortrans::bytecode::BInstr;
 use fortrans::rir::rewrite::optimized;
 use fortrans::rir::{RProgram, RStmt, RUnit, SpStmt};
 use fortrans::{
@@ -49,7 +50,7 @@ fn spans(s: &Session, unit: &str) -> Vec<(Vec<u32>, usize)> {
                 .iter()
                 .map(|&(start, _)| bu.line_for_pc(start).unwrap())
                 .collect();
-            let fortrans::bytecode::BInstr::VecLoop { desc, .. } = bu.code[d.fused as usize] else {
+            let BInstr::VecLoop { desc, .. } = bu.code[d.fused as usize] else {
                 panic!("a span fuses a region");
             };
             (lines, bu.vecs[desc as usize].stmts.len())
@@ -529,6 +530,29 @@ fn step_budgets_trip_alike_on_every_rung() {
     );
 }
 
+/// A committed span reserves what its original statements retire and
+/// not a step more: under the smallest budget `work` finishes under on
+/// the scalar rung, the vector and eager-native rungs enter the regions
+/// they enter with no budget, the span's fused region included.
+#[test]
+fn the_smallest_budget_still_commits_the_span() {
+    let src = limits_program();
+    let mut scalar = rung_session(&src, false, false);
+    let smallest = (1..4096u64)
+        .find(|&b| budgeted(&mut scalar, b).is_ok())
+        .expect("the program fits 4096 steps");
+    let entries = |s: &mut Session, budget: u64| {
+        let before = s.vector_entry_count() + s.native_entry_count();
+        budgeted(s, budget).expect("work finishes");
+        s.vector_entry_count() + s.native_entry_count() - before
+    };
+    for native in [false, true] {
+        let mut s = rung_session(&src, true, native);
+        let free = entries(&mut s, u64::MAX);
+        assert_eq!(entries(&mut s, smallest), free, "native {native}");
+    }
+}
+
 /// A token cancelled before the run: the first safepoint trips. On the
 /// vector and native rungs that is the first region's entry, which for
 /// the speculated span is its S's select, then the fused region: they
@@ -611,6 +635,39 @@ fn fun3d_cells_fuse_their_prologue_and_edges() {
         spans(&s, "cell_loop"),
         [(vec![120, 124, 130, 134, 140], 21), (vec![79, 94], 1)]
     );
+}
+
+/// Every region falls back to code that runs. In the fused FUN3D build
+/// and the SARB GLAF-serial build, each span's fused `VecLoop` falls
+/// through to its first original loop's first instruction and exits at
+/// the span's end, the last original loop's exit.
+#[test]
+fn fused_regions_fall_through_to_the_original_loops() {
+    use fun3d::variants::{Fun3dConfig, Fun3dVariant};
+    use sarb::variants::SarbVariant;
+    let fused = Fun3dVariant::Glaf(Fun3dConfig { fuse: true, ..Default::default() });
+    let builds = [
+        ("FUN3D fused", fun3d::variants::build_artifact(fused)),
+        ("SARB GLAF serial", sarb::variants::build_artifact(SarbVariant::GlafSerial)),
+    ];
+    for (label, art) in builds {
+        let mut spans = 0;
+        for bu in art.bytecode(false).iter() {
+            for d in &bu.spans {
+                let BInstr::VecLoop { exit, .. } = bu.code[d.fused as usize] else {
+                    panic!("{label}: a span fuses a region");
+                };
+                let (first, _) = d.loops[0];
+                let &(_, last) = d.loops.last().expect("a span fuses loops");
+                let BInstr::DoHead1 { exit: end, .. } = bu.code[last as usize] else {
+                    panic!("{label}: an original loop has a fused head");
+                };
+                assert_eq!((d.fused + 1, exit), (first, end), "{label}: span {spans}");
+                spans += 1;
+            }
+        }
+        assert!(spans > 0, "{label}: no span");
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -367,8 +367,8 @@ fn limit_errors_carry_context_too() {
 }
 
 /// One region of each shape over 64 trips: a map, a reduction, a masked
-/// select, a nest, a map whose forwarded temp is read after the loop (so
-/// its fixup stays), and a running sum.
+/// select, a nest and a running sum; and a map whose forwarded temp is
+/// read after the loop, which keeps it scalar.
 const SHAPES: &str = r#"
 MODULE m
 CONTAINS
@@ -443,6 +443,20 @@ CONTAINS
 END MODULE m
 "#;
 
+/// The arguments every unit of [`SHAPES`] runs on.
+fn shape_args() -> [ArgVal; 6] {
+    let a: Vec<f64> = (0..64).map(|x| f64::from(x) * 0.25).collect();
+    let k: Vec<i64> = (0..64).map(|x| x % 7).collect();
+    [
+        ArgVal::I(64),
+        ArgVal::array_f(&a, 1),
+        ArgVal::array_f(&[0.0; 64], 1),
+        ArgVal::array_i(&k, 1),
+        ArgVal::array_f_dims(&[0.0; 3 * 64], vec![(1, 3), (1, 64)]).unwrap(),
+        ArgVal::array_f(&[0.0; 64], 1),
+    ]
+}
+
 /// The smallest step budget `unit` finishes under on one rung, and the
 /// region entries (vector, native) its run at that budget made.
 fn smallest_budget(unit: &str, vector: bool, native: bool) -> (u64, u64, u64) {
@@ -452,16 +466,7 @@ fn smallest_budget(unit: &str, vector: bool, native: bool) -> (u64, u64, u64) {
     engine.set_native_eager(native);
     let mut run = |max_steps: u64| {
         engine.set_limits(RunLimits { max_steps: Some(max_steps), ..RunLimits::default() });
-        let a: Vec<f64> = (0..64).map(|x| f64::from(x) * 0.25).collect();
-        let k: Vec<i64> = (0..64).map(|x| x % 7).collect();
-        let args = [
-            ArgVal::I(64),
-            ArgVal::array_f(&a, 1),
-            ArgVal::array_f(&[0.0; 64], 1),
-            ArgVal::array_i(&k, 1),
-            ArgVal::array_f_dims(&[0.0; 3 * 64], vec![(1, 3), (1, 64)]).unwrap(),
-            ArgVal::array_f(&[0.0; 64], 1),
-        ];
+        let args = shape_args();
         let before = (engine.vector_entry_count(), engine.native_entry_count());
         let ok = engine.run_tiered(unit, &args, ExecMode::Serial, ExecTier::Vm).is_ok();
         let after = (engine.vector_entry_count(), engine.native_entry_count());
@@ -483,20 +488,41 @@ fn smallest_budget(unit: &str, vector: bool, native: bool) -> (u64, u64, u64) {
 }
 
 /// `RunLimits` trips at the same step on every rung: a committed region
-/// entry retires exactly what its scalar loop would — every trip, the
-/// loop head once more to leave, and not the forwarded-temp fixup the
-/// scalar loop jumps over — so the smallest budget a run finishes under
-/// is the same on the scalar, vector and eager-native rungs, and at that
-/// budget the fast rungs still take the region.
+/// entry retires exactly what its scalar loop would — every trip and the
+/// loop head once more to leave — so the smallest budget a run finishes
+/// under is the same on the scalar, vector and eager-native rungs, and
+/// at that budget the fast rungs still take the region. `fwd`'s loop is
+/// refused (`Shape`): it takes no region, and leaves the same arrays on
+/// the tree-walker and every VM rung.
 #[test]
 fn smallest_step_budget_is_the_same_on_every_rung() {
     for unit in ["map", "red", "sel", "nest", "fwd", "run"] {
+        let region = u64::from(unit != "fwd");
         let (scalar, ..) = smallest_budget(unit, false, false);
         let (vector, vec_entries, _) = smallest_budget(unit, true, false);
-        assert_eq!((vector, vec_entries), (scalar, 1), "{unit}: vector rung against scalar");
+        assert_eq!((vector, vec_entries), (scalar, region), "{unit}: vector rung against scalar");
         let (native, vec_entries, native_entries) = smallest_budget(unit, true, true);
         assert_eq!(native, scalar, "{unit}: eager native rung against scalar");
         // Selects and running sums stay on the vector rung.
-        assert_eq!(vec_entries + native_entries, 1, "{unit}: eager native rung entries");
+        assert_eq!(vec_entries + native_entries, region, "{unit}: eager native rung entries");
+    }
+    let engine = Session::compile(&[SHAPES]).unwrap();
+    let refused: Vec<_> =
+        engine.artifact().vector_refusals().into_iter().map(|r| (r.unit, r.why)).collect();
+    assert_eq!(refused, [("fwd".to_string(), fortrans::bytecode::VecRefusal::Shape)]);
+    let run = |vector: bool, native: bool, tier: ExecTier| {
+        let s = Session::compile(&[SHAPES]).unwrap();
+        s.set_vector_enabled(vector);
+        s.set_native_enabled(native);
+        s.set_native_eager(native);
+        let args = shape_args();
+        s.run_tiered("fwd", &args, ExecMode::Serial, tier).expect("fwd runs");
+        let bits = |h: &fortrans::ArrayObj| (0..h.len()).map(|k| h.get_bits(k)).collect();
+        args.iter().filter_map(|x| x.handle().map(|h| bits(h))).collect::<Vec<Vec<u64>>>()
+    };
+    let want = run(false, false, ExecTier::TreeWalk);
+    for (vector, native) in [(false, false), (true, false), (true, true)] {
+        let at = format!("fwd: vector {vector}, native {native}");
+        assert_eq!(run(vector, native, ExecTier::Vm), want, "{at}");
     }
 }

@@ -646,9 +646,10 @@ END MODULE m
 
 #[test]
 fn nest_two_levels_sibling_loops_and_a_forwarded_temp() {
-    // Two nested unrolled loops, a REAL temp forwarded inside them, an
-    // INTEGER invariant load used as a value, and a sibling loop that
-    // reuses `a`: 6 + 2 statements in one region.
+    // Two nested unrolled loops, a REAL temp forwarded inside them
+    // (nothing reads it after the loop, which would keep the loop
+    // scalar), an INTEGER invariant load used as a value, and a sibling
+    // loop that reuses `a`: 6 + 2 statements in one region.
     let src = r#"
 MODULE m
 CONTAINS
@@ -669,7 +670,7 @@ CONTAINS
         z(i) = z(i) - x(i) * a
       END DO
     END DO
-    sink = t + 100 * a + 10 * b + i
+    sink = 100 * a + 10 * b + i
   END FUNCTION sink
 END MODULE m
 "#;
@@ -686,11 +687,11 @@ END MODULE m
     vector_differential_in(&NEST_MODES, "sink", src, "sink", mk, true);
     // The same arithmetic, in the nest's order.
     let idx = [3.0, -1.0, 4.0];
-    let (mut x, mut z, mut t) = ([1.0f64; 40], [2.0f64; 40], 0.0);
+    let (mut x, mut z) = ([1.0f64; 40], [2.0f64; 40]);
     for i in 0..40 {
         for a in 1..=2usize {
             for b in 1..=3usize {
-                t = y[i + 40 * (a * b - 1)] * idx[b - 1];
+                let t = y[i + 40 * (a * b - 1)] * idx[b - 1];
                 x[i] += t / (a + b) as f64;
             }
         }
@@ -702,7 +703,7 @@ END MODULE m
     assert_eq!(arrays[0], x);
     assert_eq!(arrays[2], z);
     // DO variables after the nest: a = 3, b = 3, i = 40.
-    assert_eq!(result, Some(Val::F(t + 370.0)));
+    assert_eq!(result, Some(Val::F(370.0)));
     assert_eq!(entries, 1);
 }
 
@@ -1830,8 +1831,8 @@ fn every_lane_intrinsic_and_powi_form_agrees_on_every_rung() {
 
 /// Six running sums: `+` and `*`, the accumulator on either side, frame
 /// accumulators and a module one, the running value read by one later
-/// statement or several, next to forwarded temps (`t` is read after the
-/// loop, so its fixup stays; `w` is not) and after a map statement. The
+/// statement or several, next to forwarded temps (`t` and `w`, which
+/// nothing reads after the loop) and after a map statement. The
 /// inputs keep two NaNs from ever meeting in one operation (whose
 /// payload rustc leaves to operand order): `a` holds one signaling NaN
 /// and no infinity, `b` both infinities (one NaN once they meet) and no
@@ -1880,7 +1881,6 @@ CONTAINS
       o(i, 9) = v
     END DO
     o(1, 10) = s + r + p + q + v
-    o(1, 11) = t
   END SUBROUTINE sums
 END MODULE rs_m
 "#;
@@ -1947,7 +1947,7 @@ fn running_sums_agree_on_every_rung_at_the_chunk_edges() {
 }
 
 // ---------------------------------------------------------------------
-// Forwarded-temp fixups: only for a temp something reads after the loop
+// Forwarded temps read after the loop: the region never stores them
 // ---------------------------------------------------------------------
 
 /// The same map with a forwarded temp four times: `t` read after the
@@ -1996,26 +1996,53 @@ CONTAINS
 END MODULE m
 "#;
 
+/// A forwarded temp something may read after the loop keeps the loop
+/// scalar (`Shape`): `kept`, `dummy` and `result` are refused, `dropped`
+/// is a region. All four agree bit for bit on the tree-walker and the
+/// scalar, vector and eager-native rungs, in Serial and Simulated.
 #[test]
-fn a_forwarded_temp_keeps_its_fixup_only_when_read_after_the_loop() {
+fn a_forwarded_temp_read_after_the_loop_keeps_the_loop_scalar() {
+    use fortrans::bytecode::VecRefusal;
     let e = Session::compile(&[FIXUPS]).unwrap();
-    for traced in [false, true] {
-        let bunits = e.artifact().bytecode(traced);
-        let fixup = |unit: &str| {
-            let u = e.program().unit_id(unit).expect("unit exists");
-            bunits.iter().find(|b| b.unit as usize == u).expect("lowered").vecs[0].fixup_cost
-        };
-        // `t * 2` recomputed and stored (four instructions: load, constant,
-        // multiply, store), plus the traced build's quiet bracket.
-        let kept = 4 + u32::from(traced);
-        let costs = ["kept", "dummy", "result", "dropped"].map(fixup);
-        assert_eq!(costs, [kept, kept, kept, 0], "traced = {traced}");
-    }
+    let refused: Vec<(String, VecRefusal)> =
+        e.artifact().vector_refusals().into_iter().map(|r| (r.unit, r.why)).collect();
+    let shape = |u: &str| (u.to_string(), VecRefusal::Shape);
+    assert_eq!(refused, [shape("kept"), shape("dummy"), shape("result")]);
+    let regions: Vec<String> = e.vector_report().into_iter().map(|r| r.unit).collect();
+    assert_eq!(regions, ["dropped"]);
     let a: Vec<f64> = (0..64).map(|k| f64::from(k) * 0.75 - 9.0).collect();
-    let args = || vec![ArgVal::I(64), ArgVal::array_f(&a, 1), ArgVal::array_f(&[0.0; 64], 1)];
-    let with_dummy = || [args(), vec![ArgVal::F(0.0)]].concat();
-    vector_differential("fixup kept", FIXUPS, "kept", args, true);
-    vector_differential("fixup of a dummy", FIXUPS, "dummy", with_dummy, true);
-    vector_differential("fixup of the result", FIXUPS, "result", args, true);
-    vector_differential("no fixup", FIXUPS, "dropped", args, true);
+    for unit in ["kept", "dummy", "result", "dropped"] {
+        let args = || {
+            let mut args =
+                vec![ArgVal::I(64), ArgVal::array_f(&a, 1), ArgVal::array_f(&[0.0; 64], 1)];
+            if unit == "dummy" {
+                args.push(ArgVal::F(0.0));
+            }
+            args
+        };
+        for mode in [ExecMode::Serial, ExecMode::Simulated { threads: 2 }] {
+            let run = |rung: &str| {
+                let s = Session::compile(&[FIXUPS]).unwrap();
+                s.set_vector_enabled(rung != "scalar");
+                s.set_native_enabled(rung == "native");
+                s.set_native_eager(rung == "native");
+                let tier = if rung == "oracle" { ExecTier::TreeWalk } else { ExecTier::Vm };
+                let args = args();
+                let out = s.run_tiered(unit, &args, mode, tier).expect("runs");
+                let result = out.result.map(|v| format!("{v:?}"));
+                let arrays: Vec<Vec<u64>> =
+                    args.iter().filter_map(|a| a.handle().map(|h| dump(h))).collect();
+                let entries = s.vector_entry_count() + s.native_entry_count();
+                ((result, arrays, out.trace), entries)
+            };
+            let (want, _) = run("oracle");
+            for rung in ["scalar", "vector", "native"] {
+                let (got, entries) = run(rung);
+                let at = format!("{unit}, {rung} rung, {mode:?}");
+                assert_eq!(got, want, "{at}: result, arrays and CostTrace against the oracle");
+                let region = unit == "dropped" && rung != "scalar";
+                assert_eq!(entries, u64::from(region), "{at}: region entries");
+            }
+        }
+    }
 }

@@ -642,7 +642,6 @@ CONTAINS
       t = b(i) * 0.5D0
       a(i, k + 1) = t + SQRT(b(i))
     END DO
-    b(1) = t
   END SUBROUTINE sweep
 END MODULE m
 "#;
@@ -778,14 +777,13 @@ fn rejects_quiet_bracket_that_is_not_straight_line() {
             _ => None,
         })
         .collect();
-    assert_eq!(brackets.len(), 2, "prep and fixup brackets");
+    assert_eq!(brackets.len(), 1, "the prep's bracket");
     for (pc, end) in brackets {
         // A jump inside the bracket would leave the nested range.
         let mut jumps = base.clone();
         jumps[0].code[pc + 1] = BInstr::Jump(0);
         assert!(reject_msg(&engine, true, &jumps).contains("not straight-line"));
-        // So would a bracket that swallows what follows it (the loop,
-        // or past the fixup the unit's end).
+        // So would a bracket that swallows what follows it, the loop.
         let mut overlong = base.clone();
         overlong[0].code[pc] = BInstr::Quiet { end: end + 2 };
         let msg = reject_msg(&engine, true, &overlong);
@@ -1077,15 +1075,16 @@ fn rejection_baselines_are_clean() {
     }
 }
 
-/// A running sum after a map statement, then a map whose forwarded temp
-/// is read after the loop (its descriptor carries a fixup cost).
+/// A running sum after a map statement, a map whose forwarded temp `t`
+/// nothing reads after the loop, and one whose temp `w` is read after
+/// it, which keeps that loop scalar.
 const RUNNING: &str = r#"
 MODULE m
 CONTAINS
   SUBROUTINE scan(n, a, b, c)
     INTEGER :: n, i
     REAL(8), DIMENSION(1:32) :: a, b, c
-    REAL(8) :: s, t
+    REAL(8) :: s, t, w
     s = 0.0D0
     DO i = 1, n
       c(i) = a(i) * 0.5D0
@@ -1096,17 +1095,21 @@ CONTAINS
       t = a(i) + 1.0D0
       c(i) = t * 2.0D0
     END DO
-    b(1) = t
+    DO i = 1, n
+      w = c(i) - 1.0D0
+      b(i) = w * 3.0D0
+    END DO
+    b(1) = w
   END SUBROUTINE scan
 END MODULE m
 "#;
 
 /// The vector rung fills a running value's lanes when it folds the
 /// accumulator statement, so only the statements after it may read
-/// them, and only in a descriptor that has one; a committed entry
-/// reserves the loop's steps less its fixup's. The verifier checks each.
+/// them, and only in a descriptor that has one. The verifier checks
+/// each.
 #[test]
-fn rejects_running_value_reads_the_fold_has_not_filled_and_a_wrong_fixup_cost() {
+fn rejects_running_value_reads_the_fold_has_not_filled() {
     use fortrans::bytecode::VecOp;
     let engine = Session::compile(&[RUNNING]).unwrap();
     for traced in [false, true] {
@@ -1115,7 +1118,7 @@ fn rejects_running_value_reads_the_fold_has_not_filled_and_a_wrong_fixup_cost() 
         let (sum, map) = (&base[0].vecs[0], &base[0].vecs[1]);
         assert_eq!((sum.stmts.len(), sum.red.map(|r| r.stmt)), (3, Some(1)));
         assert!(matches!(sum.stmts[2].first(), Some(VecOp::Running)), "{:?}", sum.stmts[2]);
-        assert_eq!((map.red.is_none(), map.fixup_cost), (true, 4 + u32::from(traced)));
+        assert!(map.red.is_none());
 
         // The reading statement moved ahead of the accumulator's.
         let mut moved = base.clone();
@@ -1137,12 +1140,47 @@ fn rejects_running_value_reads_the_fold_has_not_filled_and_a_wrong_fixup_cost() 
         missing[0].vecs[0].red.as_mut().unwrap().stmt = 3;
         let msg = reject_msg(&engine, traced, &missing);
         assert!(msg.contains("accumulator statement 3 out of range"), "{msg}");
+    }
+}
 
-        for fixup_cost in [0, 5 + u32::from(traced)] {
-            let mut miscounted = base.clone();
-            miscounted[0].vecs[1].fixup_cost = fixup_cost;
-            let msg = reject_msg(&engine, traced, &miscounted);
-            assert!(msg.contains("fixup cost"), "{msg}");
+/// A region never stores a forwarded temp, so `scan`'s third loop, whose
+/// temp `w` is read after it, has no descriptor in either build: the
+/// analysis refuses it (`Shape`), and it runs the same on the
+/// tree-walker and the scalar, vector and eager-native rungs.
+#[test]
+fn a_temp_read_after_its_loop_leaves_no_descriptor() {
+    use fortrans::bytecode::VecRefusal;
+    use fortrans::{ArgVal, ExecMode, ExecTier};
+    let engine = Session::compile(&[RUNNING]).unwrap();
+    for traced in [false, true] {
+        assert_eq!(build(&engine, traced)[0].vecs.len(), 2, "traced = {traced}");
+    }
+    let refused: Vec<_> = engine.artifact().vector_refusals().into_iter().map(|r| r.why).collect();
+    assert_eq!(refused, [VecRefusal::Shape]);
+    let a: Vec<f64> = (0..32).map(|k| f64::from(k) * 0.375 - 4.0).collect();
+    for mode in [ExecMode::Serial, ExecMode::Simulated { threads: 2 }] {
+        let run = |rung: &str| {
+            let s = Session::compile(&[RUNNING]).unwrap();
+            s.set_vector_enabled(rung != "scalar");
+            s.set_native_enabled(rung == "native");
+            s.set_native_eager(rung == "native");
+            let tier = if rung == "oracle" { ExecTier::TreeWalk } else { ExecTier::Vm };
+            let zeros = [0.0; 32];
+            let args = [
+                ArgVal::I(32),
+                ArgVal::array_f(&a, 1),
+                ArgVal::array_f(&zeros, 1),
+                ArgVal::array_f(&zeros, 1),
+            ];
+            let out = s.run_tiered("scan", &args, mode, tier).expect("runs");
+            let bits = |h: &fortrans::ArrayObj| (0..h.len()).map(|k| h.get_bits(k)).collect();
+            let arrays: Vec<Vec<u64>> =
+                args.iter().filter_map(|x| x.handle().map(|h| bits(h))).collect();
+            (arrays, out.trace)
+        };
+        let want = run("oracle");
+        for rung in ["scalar", "vector", "native"] {
+            assert_eq!(run(rung), want, "{rung} rung, {mode:?}");
         }
     }
 }

@@ -8,12 +8,16 @@ use std::sync::Arc;
 
 use glaf_repro::fun3d::mesh::Mesh;
 use glaf_repro::fun3d::native::{native_jacobian, native_jacobian_parallel};
-use glaf_repro::fortrans::bytecode::BInstr;
-use glaf_repro::fortrans::{ArgVal, ExecMode, Session};
+use glaf_repro::fortrans::bytecode::{compile_program, BInstr};
+use glaf_repro::fortrans::rir::rewrite;
+use glaf_repro::fortrans::verify::verify_program;
+use glaf_repro::fortrans::{sema, ArgVal, ExecMode, ProgramSet, Session};
 use glaf_repro::fun3d::variants::{
-    build_artifact, run_real, run_simulated, Fun3dConfig, Fun3dVariant,
+    build_artifact, run_real, run_simulated, variant_sources as fun3d_sources,
+    Fun3dConfig, Fun3dVariant,
 };
 use glaf_repro::glaf::{compare_slices, rms};
+use glaf_repro::sarb::variants::{variant_sources as sarb_sources, SarbVariant};
 use glaf_repro::simcpu::MachineModel;
 
 fn main() {
@@ -266,6 +270,55 @@ fn main() {
         let inlined = time(&format!("drive_{callee}_leaf"));
         let called = time(&format!("drive_{callee}_call"));
         println!("  {label:22} {inlined:>9.1} {called:>9.1} {:>9.1}", called - inlined);
+    }
+
+    // 8. What the optimized build's compile stages cost: the three
+    //    program rewrites `rewrite::optimized` chains, lowering the
+    //    rewritten program and verifying what it lowered to, each the
+    //    median of 25 compiles, and how many instructions the build
+    //    holds. The benchmark's `fun3d_warm` runs the fused FUN3D set,
+    //    `sarb_warm` the SARB GLAF-serial one.
+    println!("\n=== compile stages, us per compile (median of 25) ===");
+    println!(
+        "  {:20} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}",
+        "source set", "scope", "inline", "fuse", "lower", "verify", "instrs"
+    );
+    let fun3d = |cfg| fun3d_sources(Fun3dVariant::Glaf(cfg));
+    let sets = [
+        ("FUN3D fused", fun3d(Fun3dConfig { fuse: true, ..Default::default() })),
+        ("FUN3D default", fun3d(Fun3dConfig::default())),
+        ("SARB GLAF serial", sarb_sources(SarbVariant::GlafSerial)),
+    ];
+    for (label, sources) in sets {
+        let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
+        let ast = ProgramSet::from_sources(&refs).expect("source set parses").ast;
+        let prog = sema::resolve(&ast).expect("source set resolves");
+        let mut times = [(); 5].map(|_| Vec::new());
+        let mut instrs = 0;
+        for _ in 0..25 {
+            let mut lap = std::time::Instant::now();
+            let mut stage = |k: usize| {
+                times[k].push(lap.elapsed().as_secs_f64() * 1e6);
+                lap = std::time::Instant::now();
+            };
+            let scoped = rewrite::scope_temporaries(&prog);
+            stage(0);
+            let inlined = rewrite::inline_leaves(&scoped);
+            stage(1);
+            let lowered = rewrite::fuse_spans(&inlined);
+            stage(2);
+            let bunits = compile_program(&lowered, false);
+            stage(3);
+            verify_program(&lowered, &bunits).expect("the optimized build verifies");
+            stage(4);
+            instrs = bunits.iter().map(|bu| bu.code.len()).sum::<usize>();
+        }
+        let median = |t: &mut Vec<f64>| {
+            t.sort_by(f64::total_cmp);
+            t[t.len() / 2]
+        };
+        let [s, i, f, l, v] = times.each_mut().map(median);
+        println!("  {label:20} {s:>7.0} {i:>7.0} {f:>7.0} {l:>7.0} {v:>7.0} {instrs:>7}");
     }
 }
 

@@ -12,7 +12,10 @@ use std::sync::PoisonError;
 
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
 
-pub struct MutexGuard<'a, T: ?Sized>(std::sync::MutexGuard<'a, T>);
+/// The std guard sits in an `Option` so [`Condvar::wait`] can hand it to
+/// std's `wait`, which consumes it, and store the one it returns. It is
+/// `None` only while that call runs, and stays `None` if it unwinds.
+pub struct MutexGuard<'a, T: ?Sized>(Option<std::sync::MutexGuard<'a, T>>);
 
 impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
@@ -26,13 +29,13 @@ impl<T> Mutex<T> {
 
 impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(self.0.lock().unwrap_or_else(PoisonError::into_inner))
+        MutexGuard(Some(self.0.lock().unwrap_or_else(PoisonError::into_inner)))
     }
 
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(g)),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard(p.into_inner())),
+            Ok(g) => Some(MutexGuard(Some(g))),
+            Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard(Some(p.into_inner()))),
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
     }
@@ -57,13 +60,13 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for Mutex<T> {
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.0
+        self.0.as_deref().expect("a guard is held outside `Condvar::wait`")
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
+        self.0.as_deref_mut().expect("a guard is held outside `Condvar::wait`")
     }
 }
 
@@ -76,15 +79,13 @@ impl Condvar {
     }
 
     /// Blocks until notified. std's `wait` consumes the guard and returns a
-    /// new one; parking_lot mutates in place, so the inner guard is moved
-    /// out and written back. `std::sync::Condvar::wait` only errs on
-    /// poisoning, which is recovered, so no unwind can strand the slot.
+    /// new one; parking_lot mutates in place, so the inner guard is taken
+    /// out and the returned one put back. A poisoned mutex is recovered;
+    /// a panic inside std's `wait` leaves the slot empty, so the guard is
+    /// dropped once, by std.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        unsafe {
-            let inner = std::ptr::read(&guard.0);
-            let inner = self.0.wait(inner).unwrap_or_else(PoisonError::into_inner);
-            std::ptr::write(&mut guard.0, inner);
-        }
+        let inner = guard.0.take().expect("a guard is held outside `Condvar::wait`");
+        guard.0 = Some(self.0.wait(inner).unwrap_or_else(PoisonError::into_inner));
     }
 
     pub fn notify_one(&self) -> bool {
@@ -185,6 +186,45 @@ mod tests {
             cv.notify_all();
         }
         h.join().unwrap();
+    }
+
+    /// A holder that panics poisons the std mutex. The data stays
+    /// readable, and a waiter on it still wakes and reads what the last
+    /// holder wrote.
+    #[test]
+    fn poisoned_mutex_still_wakes_a_waiter() {
+        let pair = Arc::new((Mutex::new(0), Condvar::new()));
+        let p = Arc::clone(&pair);
+        let holder = std::thread::spawn(move || {
+            *p.0.lock() = 1;
+            let _g = p.0.lock();
+            panic!("the holder panics with the lock held");
+        });
+        assert!(holder.join().is_err());
+        let p = Arc::clone(&pair);
+        let waiter = std::thread::spawn(move || {
+            let (m, cv) = &*p;
+            let mut g = m.lock();
+            assert_eq!(*g, 1, "the panicking holder's write");
+            *g = 10;
+            while *g == 10 {
+                cv.wait(&mut g);
+            }
+            *g
+        });
+        // 10 under the lock means the waiter is inside `wait`.
+        let (m, cv) = &*pair;
+        loop {
+            let mut g = m.lock();
+            if *g == 10 {
+                *g = 2;
+                cv.notify_all();
+                break;
+            }
+            drop(g);
+            std::thread::yield_now();
+        }
+        assert_eq!(waiter.join().unwrap(), 2);
     }
 
     #[test]
