@@ -23,7 +23,12 @@
 //! * constant subexpressions fold, and *contracted temporaries* —
 //!   frame arrays each trip of one straight-line loop writes at `t(m)`
 //!   before reading ([`contracted_temporaries`]) — become frame
-//!   scalars; both only in the *optimized* build variant.
+//!   scalars; both only in the *optimized* build variant;
+//! * the scalar glue between regions carries its operands, again in the
+//!   optimized build only: an INTEGER frame-scalar assignment whose
+//!   right side is affine in frame INTEGER scalars ([`Affine`]) is one
+//!   `SetI`, and a fused loop over `i32` literal bounds starts with one
+//!   `DoInitK` instead of `Const Const DoInitC`.
 //!
 //! Lowering takes the program it is given as it is. The optimized
 //! build's program rules — scoped temporaries, inlined leaves, fused
@@ -175,6 +180,43 @@ impl SDims {
     }
 }
 
+/// The right side of a [`BInstr::SetI`]: `add + Σ coeff · i[slot]` over
+/// `terms` (`(slot, coeff)`, each slot once, no zero coefficient), in
+/// wrapping i64 arithmetic. It folds an expression built from INTEGER
+/// literals and frame INTEGER scalars with `+`, `-`, unary `-` and `*`
+/// by a constant. Those operations wrap (`AddI`, `SubI`, `MulI`,
+/// `NegI`), so they compute in the ring of integers modulo 2^64, where
+/// distributing, reassociating and collecting terms change no value:
+/// the folded sum is the stack code's result bit for bit. Nothing in
+/// such an expression can fail or store, so when the slots are read
+/// does not matter either.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Affine {
+    pub add: i64,
+    pub terms: Vec<(u32, i64)>,
+}
+
+impl Affine {
+    /// The value over the i-bank `i`.
+    #[inline(always)]
+    pub(crate) fn eval(&self, i: &[i64]) -> i64 {
+        let mut v = self.add;
+        for &(s, c) in &self.terms {
+            v = v.wrapping_add(c.wrapping_mul(i[s as usize]));
+        }
+        v
+    }
+
+    /// Adds `coeff · i[slot]`.
+    fn term(&mut self, slot: u32, coeff: i64) {
+        match self.terms.iter_mut().find(|t| t.0 == slot) {
+            Some(t) => t.1 = t.1.wrapping_add(coeff),
+            None => self.terms.push((slot, coeff)),
+        }
+        self.terms.retain(|t| t.1 != 0);
+    }
+}
+
 /// "Dynamic shape" marker for `LoadElemS`/`StoreElemS::sd`: bounds and
 /// strides come from the array handle at run time.
 pub const NO_SDIMS: u16 = u16::MAX;
@@ -290,6 +332,13 @@ pub enum BInstr {
     Quiet { end: u32 },
     /// Pops end, start into i-slots; constant step 1.
     DoInitC { ctr: u32, end: u32 },
+    /// `DoInitC` of `i32` literal bounds, which it carries: `i[ctr] =
+    /// lo`, `i[end] = hi`. Optimized builds only.
+    DoInitK { ctr: u32, end: u32, lo: i32, hi: i32 },
+    /// `i[dst] = affine[aff]` ([`Affine`]): an INTEGER frame-scalar
+    /// assignment — a set, a move or a `VecLoop`'s prep — whose right
+    /// side is affine in frame INTEGER scalars. Optimized builds only.
+    SetI { dst: u32, aff: u32 },
     /// Vector superinstruction covering the whole `DoHead1` loop that
     /// follows: executes `vecs[desc]` over `[i[ctr], i[end]]` in chunked
     /// slice form and jumps to `exit`, the loop's, or — when any runtime
@@ -370,6 +419,9 @@ impl BInstr {
         match self {
             Const(_) | LoadI(_) | LoadF(_) | LoadB(_) | StoreI(_) | StoreF(_) | StoreB(_)
             | CvtIF | CvtFI | CvtIB | CvtFB | AllocatedQ { .. } => Posts::Free,
+            // The integer operations it stands for post `IOp`s, but only
+            // the traced build, which never emits it, keeps those counts.
+            SetI { .. } => Posts::Free,
             AddF | SubF | MulF | NegF | CmpF(_) => Posts::Op(OpKind::Flop),
             DivF => Posts::Op(OpKind::FDiv),
             PowFF | PowFI => Posts::Op(OpKind::FSpecial),
@@ -385,7 +437,8 @@ impl BInstr {
             CostBranch => Posts::Branch,
             FailArith2 | FailNegB | FailType { .. } | ArrRed { .. } | Broadcast { .. }
             | CopyArr { .. } | Alloc { .. } | Dealloc { .. } | Jump(_) | JumpIfFalse(_)
-            | VecEnter(_) | VecLeave | Quiet { .. } | DoInitC { .. } | VecLoop { .. }
+            | VecEnter(_) | VecLeave | Quiet { .. } | DoInitC { .. } | DoInitK { .. }
+            | VecLoop { .. }
             | DoInit { .. } | DoHead1 { .. } | DoHeadN { .. } | DoHead { .. } | DoIncr1 { .. }
             | DoIncr { .. } | CheckStepNZ | FlowExit | FlowCycle | FlowReturn
             | Critical { .. } | OmpDo { .. } | CallPre | StashElem { .. } | PushArr { .. }
@@ -402,8 +455,11 @@ pub(crate) fn static_ledger(code: &[BInstr]) -> Option<Ledger> {
 }
 
 /// A fused loop over literal bounds, as `emit_serial_do` lays it out:
-/// `Const(start) Const(end) DoInitC [VecEnter] DoHead1 … DoIncr1`.
+/// `DoInitK` (the optimized build) or `Const(start) Const(end) DoInitC`
+/// (the traced build, and bounds past `i32`), then `[VecEnter] DoHead1 …
+/// DoIncr1`. `first` is its first instruction.
 struct ConstLoop {
+    first: usize,
     start: i64,
     end: i64,
     ctr: u32,
@@ -413,14 +469,20 @@ struct ConstLoop {
     exit: usize,
 }
 
-/// The constant-bounds loop whose `DoInitC` sits at `code[init]`, if that
-/// is what the code there is.
+/// The constant-bounds loop whose `DoInitK` or `DoInitC` sits at
+/// `code[init]`, if that is what the code there is.
 fn const_loop_at(code: &[BInstr], init: usize) -> Option<ConstLoop> {
-    let (BInstr::Const(s), BInstr::Const(e)) = (*code.get(init.checked_sub(2)?)?, code[init - 1])
-    else {
-        return None;
+    let (first, s, e, ctr, ends) = match *code.get(init)? {
+        BInstr::DoInitK { ctr, end, lo, hi } => (init, i64::from(lo), i64::from(hi), ctr, end),
+        BInstr::DoInitC { ctr, end } => {
+            let first = init.checked_sub(2)?;
+            let (BInstr::Const(s), BInstr::Const(e)) = (code[first], code[init - 1]) else {
+                return None;
+            };
+            (first, s as i64, e as i64, ctr, end)
+        }
+        _ => return None,
     };
-    let BInstr::DoInitC { ctr, end: ends } = *code.get(init)? else { return None };
     let head = init + 1 + usize::from(matches!(code.get(init + 1), Some(BInstr::VecEnter(_))));
     let BInstr::DoHead1 { ctr: hc, end: he, var, exit } = *code.get(head)? else { return None };
     let exit = exit as usize;
@@ -429,7 +491,7 @@ fn const_loop_at(code: &[BInstr], init: usize) -> Option<ConstLoop> {
         BInstr::DoIncr1 { ctr: ic, head: ih }
             if (hc, he, ic, ih as usize) == (ctr, ends, ctr, head) =>
         {
-            Some(ConstLoop { start: s as i64, end: e as i64, ctr, ends, var, head, exit })
+            Some(ConstLoop { first, start: s, end: e, ctr, ends, var, head, exit })
         }
         _ => None,
     }
@@ -451,8 +513,8 @@ fn pass_cost(code: &[BInstr], lo: usize, hi: usize) -> Option<(u32, Option<Ledge
         steps = steps.checked_add(1)?;
         match (ins.posts(), ins) {
             (Posts::Dynamic, BInstr::VecEnter(_) | BInstr::VecLeave) => ledger = None,
-            (Posts::Dynamic, BInstr::DoInitC { .. }) => {
-                let l = const_loop_at(code, pc).filter(|l| pc >= lo + 2 && l.exit <= hi)?;
+            (Posts::Dynamic, BInstr::DoInitC { .. } | BInstr::DoInitK { .. }) => {
+                let l = const_loop_at(code, pc).filter(|l| l.first >= lo && l.exit <= hi)?;
                 let trip = l.end.checked_sub(l.start)?.checked_add(1)?;
                 let trip = u32::try_from(trip).ok().filter(|&t| i64::from(t) <= VEC_NEST_TRIP)?;
                 let (body, _) = pass_cost(code, l.head + 1, l.exit - 1)?;
@@ -558,14 +620,15 @@ pub(crate) fn span_cost(
     Some(c)
 }
 
-/// How many instructions a loop's set-up `code[lo..hi]` — bounds,
-/// `DoInitC`, prep and a `VecLoop` last — retires: each one once, when
-/// none but the `VecLoop` transfers control. `None` otherwise.
+/// How many instructions a loop's set-up `code[lo..hi]` — bounds and
+/// `DoInitC`, or `DoInitK`, prep and a `VecLoop` last — retires: each
+/// one once, when none but the `VecLoop` transfers control. `None`
+/// otherwise.
 pub(crate) fn straight_setup(code: &[BInstr], lo: u32, hi: u32) -> Option<u32> {
     let range = code.get(lo as usize..hi as usize)?;
     let last = range.len().checked_sub(1);
     let once = |(k, ins): (usize, &BInstr)| match ins {
-        BInstr::DoInitC { .. } => true,
+        BInstr::DoInitC { .. } | BInstr::DoInitK { .. } => true,
         BInstr::VecLoop { .. } => Some(k) == last,
         ins => !matches!(ins.posts(), Posts::Dynamic),
     };
@@ -669,8 +732,11 @@ pub struct InlineDesc {
 /// A fused span ([`RStmt::Span`]) as the optimized build lays it out:
 ///
 /// ```text
-/// SpanEnter   S   bounds DoInitC prep VecLoop   loop 1  S1  loop 2 … loop k   end:
+/// SpanEnter   S   DoInitK prep VecLoop   loop 1  S1  loop 2 … loop k   end:
 /// ```
+///
+/// (A fused loop whose bounds are not `i32` literals has `bounds
+/// DoInitC` for `DoInitK`; each prep is one `SetI` when it is affine.)
 ///
 /// The fused loop is its region alone. Its `VecLoop` commits the span
 /// and jumps to `end`, or falls through to the original statements,
@@ -717,6 +783,8 @@ pub struct BUnit {
     pub sdims: Vec<SDims>,
     /// Subscript table: the operand runs `LoadElemS`/`StoreElemS` name.
     pub subops: Vec<SubOp>,
+    /// Affine table: the right sides `SetI` names.
+    pub affine: Vec<Affine>,
     /// Error/CRITICAL-name/STOP message string table.
     pub msgs: Vec<String>,
     /// Function result slot.
@@ -1762,6 +1830,7 @@ struct UnitCompiler<'a> {
     sdims: Vec<SDims>,
     sdim_of: Vec<Option<u32>>,
     subops: Vec<SubOp>,
+    affine: Vec<Affine>,
     msgs: Vec<String>,
     ctx: Vec<Ctx>,
     /// Extra hidden i-slots for loop counters/bounds.
@@ -1834,6 +1903,7 @@ impl<'a> UnitCompiler<'a> {
             sdims,
             sdim_of,
             subops: Vec::new(),
+            affine: Vec::new(),
             msgs: Vec::new(),
             ctx: Vec::new(),
             ni_extra: table.ni,
@@ -1872,6 +1942,7 @@ impl<'a> UnitCompiler<'a> {
             prints: self.prints,
             sdims: self.sdims,
             subops: self.subops,
+            affine: self.affine,
             msgs: self.msgs,
             result: t.result,
             unit: self.unit_idx as u32,
@@ -2052,6 +2123,65 @@ impl<'a> UnitCompiler<'a> {
             RExpr::Intrinsic { args, .. } => args.iter().all(|a| self.pure_total(a)),
             RExpr::LoadElem { .. } | RExpr::ArrReduce { .. } | RExpr::CallFn { .. } => false,
         }
+    }
+
+    /// `e` as an [`Affine`] right side, when it is one.
+    fn affine(&self, e: &RExpr) -> Option<Affine> {
+        let mut a = Affine::default();
+        self.affine_into(e, 1, &mut a).then_some(a)
+    }
+
+    /// Adds `k · e` to `a`; false when `e` is not affine.
+    fn affine_into(&self, e: &RExpr, k: i64, a: &mut Affine) -> bool {
+        if self.ty_of(e) != ScalarTy::I {
+            return false;
+        }
+        let int = |x: &RExpr| self.ty_of(x) == ScalarTy::I;
+        match e {
+            RExpr::ConstI(c) => a.add = a.add.wrapping_add(k.wrapping_mul(*c)),
+            RExpr::LoadScalar(v) => match self.vslot(*v) {
+                VSlot::I(s) => a.term(s, k),
+                _ => return false,
+            },
+            RExpr::Neg(x) => return self.affine_into(x, k.wrapping_neg(), a),
+            RExpr::Bin { op: Bin::Add, l, r, .. } if int(l) && int(r) => {
+                return self.affine_into(l, k, a) && self.affine_into(r, k, a);
+            }
+            RExpr::Bin { op: Bin::Sub, l, r, .. } if int(l) && int(r) => {
+                return self.affine_into(l, k, a) && self.affine_into(r, k.wrapping_neg(), a);
+            }
+            RExpr::Bin { op: Bin::Mul, l, r, .. } if int(l) && int(r) => {
+                let (c, x) = match (self.const_eval(l), self.const_eval(r)) {
+                    (Some(c), _) => (c, r),
+                    (None, Some(c)) => (c, l),
+                    (None, None) => return false,
+                };
+                return self.affine_into(x, k.wrapping_mul(c.as_i()), a);
+            }
+            _ => match self.const_eval(e) {
+                Some(c) => a.add = a.add.wrapping_add(k.wrapping_mul(c.as_i())),
+                None => return false,
+            },
+        }
+        true
+    }
+
+    /// Emits `i[dst] = e` as one `SetI` when this is the optimized build
+    /// and `e` is affine; false, emitting nothing, otherwise.
+    fn emit_set_i(&mut self, dst: u32, e: &RExpr) -> bool {
+        let Some(a) = (!self.traced).then(|| self.affine(e)).flatten() else {
+            return false;
+        };
+        self.affine.push(a);
+        let aff = self.affine.len() as u32 - 1;
+        self.push(BInstr::SetI { dst, aff });
+        true
+    }
+
+    /// The `i32` value of an INTEGER bound that folds, if any.
+    fn literal_i32(&self, e: &RExpr) -> Option<i32> {
+        let v = self.fold(e).filter(|_| self.ty_of(e) == ScalarTy::I)?;
+        i32::try_from(v.as_i()).ok()
     }
 
     // ---------- expression emission ----------
@@ -2413,10 +2543,13 @@ impl<'a> UnitCompiler<'a> {
 
     fn emit_stmt(&mut self, s: &RStmt) {
         match s {
-            RStmt::AssignScalar { v, e } => {
-                self.emit_expr(e);
-                self.emit_store_scalar(*v, self.ty_of(e));
-            }
+            RStmt::AssignScalar { v, e } => match self.vslot(*v) {
+                VSlot::I(dst) if self.emit_set_i(dst, e) => {}
+                _ => {
+                    self.emit_expr(e);
+                    self.emit_store_scalar(*v, self.ty_of(e));
+                }
+            },
             RStmt::AssignElem { v, subs, e } => {
                 let (vs, src) = (self.vslot(*v), self.ty_of(e));
                 let n = subs.len() as u8;
@@ -2785,11 +2918,17 @@ impl<'a> UnitCompiler<'a> {
         body: &[SpStmt],
         vec: VecClass,
     ) -> LoopHead {
-        self.emit_expr(start);
-        self.emit_cvt(self.ty_of(start), ScalarTy::I);
-        self.emit_expr(end);
-        self.emit_cvt(self.ty_of(end), ScalarTy::I);
         let fused1 = self.fused_head(var, step);
+        // The optimized build carries `i32` literal bounds in `DoInitK`.
+        let literal = (fused1 && !self.traced)
+            .then(|| self.literal_i32(start).zip(self.literal_i32(end)))
+            .flatten();
+        if literal.is_none() {
+            self.emit_expr(start);
+            self.emit_cvt(self.ty_of(start), ScalarTy::I);
+            self.emit_expr(end);
+            self.emit_cvt(self.ty_of(end), ScalarTy::I);
+        }
         let line = self.last_line;
         // Vector path: canonical unit-stride frame-I loops only, and not
         // the inner loops of a nest a region already covers. A refused
@@ -2817,7 +2956,9 @@ impl<'a> UnitCompiler<'a> {
         let steps = if fused1 { 0 } else { self.hidden_i() };
         // A step that folds to 1 (traced builds fold a literal step only)
         // needs no zero check; a computed one takes the interpreter's.
-        let init = if fused1 {
+        let init = if let Some((lo, hi)) = literal {
+            self.push(BInstr::DoInitK { ctr, end: ends, lo, hi })
+        } else if fused1 {
             self.push(BInstr::DoInitC { ctr, end: ends })
         } else {
             match step {
@@ -2843,9 +2984,11 @@ impl<'a> UnitCompiler<'a> {
             let quiet = (self.traced && !prep.is_empty())
                 .then(|| self.push(BInstr::Quiet { end: NO_PC }));
             for (e, slot) in &prep {
-                self.emit_expr(e);
-                self.emit_cvt(self.ty_of(e), ScalarTy::I);
-                self.push(BInstr::StoreI(*slot));
+                if !self.emit_set_i(*slot, e) {
+                    self.emit_expr(e);
+                    self.emit_cvt(self.ty_of(e), ScalarTy::I);
+                    self.push(BInstr::StoreI(*slot));
+                }
             }
             if let Some(q) = quiet {
                 self.code[q] = BInstr::Quiet { end: self.pc() };

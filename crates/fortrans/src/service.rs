@@ -288,6 +288,9 @@ fn build_bytes(build: &[BUnit]) -> usize {
         total += (bu.lines.len() + bu.units.len()) * std::mem::size_of::<(u32, u32)>();
         total += bu.inlines.len() * std::mem::size_of::<crate::bytecode::InlineDesc>();
         total += bu.subops.len() * std::mem::size_of::<SubOp>();
+        for a in &bu.affine {
+            total += std::mem::size_of_val(a) + std::mem::size_of_val(&a.terms[..]);
+        }
         total += bu.msgs.iter().map(String::len).sum::<usize>();
         total += (bu.fixed_arrays.len()
             + bu.calls.len()

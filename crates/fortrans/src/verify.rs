@@ -12,7 +12,7 @@
 //! 1. **Structural pass** over every instruction (reachable or not):
 //!    slot indices within the declared banks, global cells within the
 //!    program's global table, jump/branch/loop targets inside
-//!    `[0, code.len()]`, message/call/OMP/print/shape descriptor
+//!    `[0, code.len()]`, message/call/OMP/print/shape/affine descriptor
 //!    indices within their tables, DO-loop strides provably non-zero
 //!    where the compiler elided the runtime check, and call sites whose
 //!    arity and parameter slots match the callee.
@@ -291,9 +291,18 @@ impl Verifier<'_> {
             }
             Jump(t) => tgt(t, "jump")?,
             JumpIfFalse(t) => tgt(t, "branch")?,
-            DoInitC { ctr, end } => {
+            DoInitC { ctr, end } | DoInitK { ctr, end, .. } => {
                 islot(ctr, "DO counter")?;
                 islot(end, "DO end")?;
+            }
+            SetI { dst, aff } => {
+                islot(dst, "SetI destination")?;
+                let a = bu.affine.get(aff as usize).ok_or_else(|| {
+                    at(format!("affine entry {aff} out of range ({} in table)", bu.affine.len()))
+                })?;
+                for &(s, _) in &a.terms {
+                    islot(s, "affine term")?;
+                }
             }
             DoInit { ctr, end, step, check } => {
                 islot(ctr, "DO counter")?;
@@ -599,7 +608,7 @@ impl Verifier<'_> {
             AtomicElem { nsubs, .. } => pop(&mut s, u32::from(nsubs) + 1)?,
             Alloc { ndims, .. } => pop(&mut s, 2 * u32::from(ndims))?,
             CopyArr { .. } | Dealloc { .. } | CostBranch | VecEnter(_) | VecLeave | CallPre
-            | Quiet { .. } => {}
+            | Quiet { .. } | SetI { .. } | DoInitK { .. } => {}
             Jump(tg) => {
                 succ.push((tg, (s, a, t, open)));
                 return Ok(None);
@@ -1228,7 +1237,14 @@ impl Verifier<'_> {
                     }
                 }
                 ArrRed { vs, .. } | AllocatedQ { vs } => u.read.push(vs),
-                DoInitC { ctr, end } => u.write.extend([VSlot::I(ctr), VSlot::I(end)]),
+                DoInitC { ctr, end } | DoInitK { ctr, end, .. } => {
+                    u.write.extend([VSlot::I(ctr), VSlot::I(end)]);
+                }
+                SetI { dst, aff } => {
+                    let terms = bu.affine.get(aff as usize).map(|a| &a.terms[..]);
+                    u.read.extend(terms.unwrap_or_default().iter().map(|&(s, _)| VSlot::I(s)));
+                    u.write.push(VSlot::I(dst));
+                }
                 DoInit { ctr, end, step, .. } => {
                     u.write.extend([VSlot::I(ctr), VSlot::I(end), VSlot::I(step)]);
                 }

@@ -1325,6 +1325,9 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 BInstr::StoreI(s) => frame.i[s as usize] = self.pop() as i64,
                 BInstr::StoreF(s) => frame.f[s as usize] = f64::from_bits(self.pop()),
                 BInstr::StoreB(s) => frame.b[s as usize] = self.pop() != 0,
+                BInstr::SetI { dst, aff } => {
+                    frame.i[dst as usize] = bu.affine[aff as usize].eval(&frame.i);
+                }
                 ins @ BInstr::LoadG(c) => {
                     self.post(ins);
                     self.push(self.ex.globals.cells[c as usize].load_bits(self.tid));
@@ -1731,9 +1734,14 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     pc = end as usize;
                     continue;
                 }
-                BInstr::DoInitC { ctr, end } => {
-                    let e = self.popi();
-                    let s = self.popi();
+                ins @ (BInstr::DoInitC { ctr, end } | BInstr::DoInitK { ctr, end, .. }) => {
+                    let (s, e) = match ins {
+                        BInstr::DoInitK { lo, hi, .. } => (i64::from(lo), i64::from(hi)),
+                        _ => {
+                            let e = self.popi();
+                            (self.popi(), e)
+                        }
+                    };
                     frame.i[end as usize] = e;
                     frame.i[ctr as usize] = s;
                     if let Some(p) = self.prof {

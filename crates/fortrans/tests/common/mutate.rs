@@ -59,7 +59,7 @@ pub fn corrupt(bunits: &mut [BUnit], seed: u64) -> Option<Mutation> {
         return None;
     }
     let u = units[rng.below(units.len())];
-    const KINDS: usize = 17;
+    const KINDS: usize = 18;
     let start = rng.below(KINDS);
     for k in 0..KINDS {
         let got = match (start + k) % KINDS {
@@ -79,7 +79,8 @@ pub fn corrupt(bunits: &mut [BUnit], seed: u64) -> Option<Mutation> {
             13 => call_arity(&mut bunits[u], &mut rng),
             14 => vec_running_sum(&mut bunits[u], &mut rng),
             15 => inline_enter(&mut bunits[u], &mut rng),
-            _ => span(&mut bunits[u], &mut rng),
+            16 => span(&mut bunits[u], &mut rng),
+            _ => scalar_glue(&mut bunits[u], &mut rng),
         };
         if let Some((kind, detail)) = got {
             return Some(Mutation { unit: u, kind, detail });
@@ -601,4 +602,52 @@ fn span(bu: &mut BUnit, rng: &mut Rng) -> Applied {
         }
     };
     Some(("span", detail))
+}
+
+/// Breaks the optimized build's operand-carrying glue: points a `SetI`'s
+/// destination or one of its affine terms past the i-bank, or the
+/// instruction at an affine entry the table does not hold; or points a
+/// `DoInitK`'s counter or end slot past the i-bank. The VM writes and
+/// reads those slots unchecked.
+fn scalar_glue(bu: &mut BUnit, rng: &mut Rng) -> Applied {
+    use BInstr::*;
+    let sites: Vec<usize> = bu
+        .code
+        .iter()
+        .enumerate()
+        .filter(|(_, i)| matches!(i, SetI { .. } | DoInitK { .. }))
+        .map(|(pc, _)| pc)
+        .collect();
+    if sites.is_empty() {
+        return None;
+    }
+    let pc = sites[rng.below(sites.len())];
+    let bad = bu.ni + (rng.next_u64() % 97) as u32;
+    let detail = match &mut bu.code[pc] {
+        SetI { dst, aff } => {
+            let terms = &mut bu.affine[*aff as usize].terms;
+            match rng.below(3) {
+                0 => {
+                    *dst = bad;
+                    format!("pc {pc}: SetI destination -> {bad}")
+                }
+                1 if !terms.is_empty() => {
+                    let k = rng.below(terms.len());
+                    terms[k].0 = bad;
+                    format!("pc {pc}: affine entry {aff} term {k} slot -> {bad}")
+                }
+                _ => {
+                    *aff = bu.affine.len() as u32 + (rng.next_u64() % 9) as u32;
+                    format!("pc {pc}: affine entry -> {aff}")
+                }
+            }
+        }
+        DoInitK { ctr, end, .. } => {
+            let (slot, what) = if rng.below(2) == 0 { (ctr, "counter") } else { (end, "end") };
+            *slot = bad;
+            format!("pc {pc}: DoInitK {what} -> {bad}")
+        }
+        _ => return None,
+    };
+    Some(("scalar-glue", detail))
 }

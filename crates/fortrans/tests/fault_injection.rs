@@ -449,6 +449,7 @@ fn seeded_corruptions_are_all_rejected_by_the_verifier() {
         "vec-running-sum",
         "inline-enter",
         "span",
+        "scalar-glue",
     ] {
         assert!(by_kind.contains_key(kind), "mutation kind {kind} never applied: {by_kind:?}");
     }

@@ -946,7 +946,10 @@ fn nest_step_budget_trips_at_the_same_step_on_both_paths() {
     }
     assert_eq!(seen[0], seen[1]);
     let g = &seen[0].1;
-    assert!(g[0] == 156.0 && g[5] == 1.0, "tripped mid-nest, after some cells: {g:?}");
+    // Five whole cells, then one inner trip of the sixth (each outer
+    // iteration retires 36 steps since the inner loop's literal bounds
+    // became one `DoInitK`; at 38 the sixth cell had stored nothing).
+    assert!(g[0] == 156.0 && g[5] == 9.0, "tripped mid-nest, after some cells: {g:?}");
     // What the entry reserves per outer iteration is what the scalar
     // nest retires for one (profiled runs take the scalar path).
     let scalar = Session::compile(&[GREEN_GAUSS]).unwrap();

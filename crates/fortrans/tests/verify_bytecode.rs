@@ -732,12 +732,17 @@ fn rejects_nest_region_that_disagrees_with_the_nested_scalar_code() {
         reject(&|b| b.vecs[0].exit_state[0].1 += 1, "exit state disagrees");
         // The descriptor goes stale when the inner trip changes under it,
         // and a trip the walker cannot bound is no region body at all.
-        let end_const = (at..exit as usize)
-            .find(|&pc| matches!(base[0].code[pc], BInstr::DoInitC { .. }))
-            .expect("inner loop")
-            - 1;
-        reject(&|b| b.code[end_const] = BInstr::Const(3), "iteration cost");
-        reject(&|b| b.code[end_const] = BInstr::Const(1 << 40), "not straight-line");
+        // The inner loop's end is its `DoInitK`'s `hi` in the optimized
+        // build and the `Const` before its `DoInitC` in the traced one.
+        let init = (at..exit as usize)
+            .find(|&pc| matches!(base[0].code[pc], BInstr::DoInitC { .. } | BInstr::DoInitK { .. }))
+            .expect("inner loop");
+        let set_end = |b: &mut BUnit, end: i32| match &mut b.code[init] {
+            BInstr::DoInitK { hi, .. } => *hi = end,
+            _ => b.code[init - 1] = BInstr::Const(end as u64),
+        };
+        reject(&|b| set_end(b, 3), "iteration cost");
+        reject(&|b| set_end(b, i32::MAX), "not straight-line");
     }
 }
 

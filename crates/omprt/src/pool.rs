@@ -12,7 +12,7 @@
 //! `generation`, the forking caller waits for `active == 0`. While the
 //! team is *hot* — the next fork follows the last join within
 //! [`SPIN_BOUND`] — both are served in user space by
-//! `Shared::spin_until`: Acquire loads of the one atomic the other side
+//! [`SpinGate::spin_until`]: Acquire loads of the one atomic the other side
 //! writes, a `yield_now` every `POLLS_PER_YIELD` loads, and a wall-clock
 //! bound. Past the bound the waiter parks on its condvar, as every waiter
 //! did before: an idle pool costs no CPU. The wake-up syscalls follow the
@@ -22,7 +22,8 @@
 //! what an in-region [`crate::Barrier`] phase costs.
 //!
 //! Spinning pays only while every team thread has a CPU to itself, and
-//! two gates keep it to that case; neither is a setting.
+//! two gates keep it to that case; neither is a setting. They are one
+//! [`SpinGate`], which an in-region [`crate::Barrier`] keeps too.
 //!
 //! * A team wider than `std::thread::available_parallelism()` (read once
 //!   per pool) never spins: its members cannot all be running, so a
@@ -90,7 +91,7 @@ use crate::schedule::Schedule;
 /// (1 ms and up).
 pub const SPIN_BOUND: Duration = Duration::from_micros(200);
 
-/// Loads between two `yield_now` calls of [`Shared::spin_until`].
+/// Loads between two `yield_now` calls of [`SpinGate::spin_until`].
 const POLLS_PER_YIELD: u32 = 64;
 
 /// A yield slower than [`SPIN_BOUND`] is confirmed as crowding by a second
@@ -170,6 +171,70 @@ struct Slot {
     suspect: AtomicU32,
 }
 
+/// The two gates of a bounded user-space wait (module docs): a team
+/// wider than the host's CPUs never spins, and a host found crowded
+/// bars spinning for `CROWDED_BACKOFF` times what the confirming yield
+/// lost. One per pool, shared by its waiters, and one per barrier.
+pub(crate) struct SpinGate {
+    /// The team fits the host's CPUs, so its waits spin before parking.
+    hot: bool,
+    /// Creation: the origin of `crowded_until_ns`.
+    born: Instant,
+    /// While `born.elapsed()` is below this, the host is taken to be
+    /// crowded and no wait spins. A hint, so `Relaxed` throughout.
+    crowded_until_ns: AtomicU64,
+}
+
+impl SpinGate {
+    /// The gate of a team of `team` threads.
+    pub(crate) fn new(team: usize) -> Self {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        SpinGate { hot: team <= cpus, born: Instant::now(), crowded_until_ns: AtomicU64::new(0) }
+    }
+
+    /// The bounded user-space wait: polls `ready` until it holds
+    /// (`true`), or until [`SPIN_BOUND`] has passed or the gate bars
+    /// spinning (`false`; the caller parks). `suspect` counts the yields
+    /// left in which a slow one confirms the host as crowded.
+    pub(crate) fn spin_until(&self, suspect: &AtomicU32, ready: impl Fn() -> bool) -> bool {
+        if !self.hot {
+            return false;
+        }
+        let since_born = |t: Instant| (t - self.born).as_nanos() as u64;
+        let t0 = Instant::now();
+        if since_born(t0) < self.crowded_until_ns.load(Ordering::Relaxed) {
+            return false;
+        }
+        let mut last = t0;
+        loop {
+            if (0..POLLS_PER_YIELD).any(|_| ready()) {
+                return true;
+            }
+            std::thread::yield_now();
+            let now = Instant::now();
+            let lost = now - last;
+            if lost > SPIN_BOUND {
+                // One round of polls is nanoseconds: the yield ran
+                // somebody else's thread on this CPU, or the host took
+                // the CPU away. The second time in a row it is the former.
+                if suspect.swap(CONFIRM_YIELDS, Ordering::Relaxed) > 0 {
+                    let cold = lost.as_nanos() as u64 * u64::from(CROWDED_BACKOFF);
+                    self.crowded_until_ns.store(since_born(now) + cold, Ordering::Relaxed);
+                }
+                return ready();
+            }
+            let left = suspect.load(Ordering::Relaxed);
+            if left > 0 {
+                suspect.store(left - 1, Ordering::Relaxed);
+            }
+            if now - t0 >= SPIN_BOUND {
+                return ready();
+            }
+            last = now;
+        }
+    }
+}
+
 struct Shared {
     state: Mutex<State>,
     work_cv: Condvar,
@@ -183,13 +248,8 @@ struct Shared {
     panics: Mutex<Vec<RegionPanic>>,
     /// When set, every region records a [`RegionMetrics`] entry.
     metrics_on: AtomicBool,
-    /// The team fits the host's CPUs, so its waits spin before parking.
-    hot: bool,
-    /// Pool creation: the origin of `crowded_until_ns`.
-    born: Instant,
-    /// While `born.elapsed()` is below this, the host is taken to be
-    /// crowded and no wait spins. A hint, so `Relaxed` throughout.
-    crowded_until_ns: AtomicU64,
+    /// Whether and when the team's waits spin.
+    gate: SpinGate,
     /// Per-thread slots, indexed by tid (busy/start time are zeroed at
     /// each timed fork).
     slots: Vec<Slot>,
@@ -200,46 +260,10 @@ struct Shared {
 
 impl Shared {
     /// The bounded user-space wait both sides of a region use, here on
-    /// behalf of thread `tid`: polls `ready` until it holds (`true`), or
-    /// until [`SPIN_BOUND`] has passed or the pool may not spin at all
-    /// (`false`; the caller parks). See the module docs for the two gates.
+    /// behalf of thread `tid` ([`SpinGate::spin_until`]).
     fn spin_until(&self, tid: usize, ready: impl Fn() -> bool) -> bool {
-        if !self.hot {
-            return false;
-        }
-        let since_born = |t: Instant| (t - self.born).as_nanos() as u64;
-        let t0 = Instant::now();
-        if since_born(t0) < self.crowded_until_ns.load(Ordering::Relaxed) {
-            return false;
-        }
         let slot = &self.slots[tid];
-        let mut last = t0;
-        let met = loop {
-            if (0..POLLS_PER_YIELD).any(|_| ready()) {
-                break true;
-            }
-            std::thread::yield_now();
-            let now = Instant::now();
-            let lost = now - last;
-            if lost > SPIN_BOUND {
-                // One round of polls is nanoseconds: the yield ran
-                // somebody else's thread on this CPU, or the host took
-                // the CPU away. The second time in a row it is the former.
-                if slot.suspect.swap(CONFIRM_YIELDS, Ordering::Relaxed) > 0 {
-                    let cold = lost.as_nanos() as u64 * u64::from(CROWDED_BACKOFF);
-                    self.crowded_until_ns.store(since_born(now) + cold, Ordering::Relaxed);
-                }
-                break ready();
-            }
-            let suspect = slot.suspect.load(Ordering::Relaxed);
-            if suspect > 0 {
-                slot.suspect.store(suspect - 1, Ordering::Relaxed);
-            }
-            if now - t0 >= SPIN_BOUND {
-                break ready();
-            }
-            last = now;
-        };
+        let met = self.gate.spin_until(&slot.suspect, ready);
         if met {
             slot.spin_exits.fetch_add(1, Ordering::Relaxed);
         }
@@ -282,7 +306,6 @@ impl ThreadPool {
     /// treated as 1.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 job: None,
@@ -297,9 +320,7 @@ impl ThreadPool {
             active: AtomicUsize::new(0),
             panics: Mutex::new(Vec::new()),
             metrics_on: AtomicBool::new(false),
-            hot: threads <= cpus,
-            born: Instant::now(),
-            crowded_until_ns: AtomicU64::new(0),
+            gate: SpinGate::new(threads),
             slots: (0..threads).map(|_| Slot::default()).collect(),
             contained: AtomicU64::new(0),
         });

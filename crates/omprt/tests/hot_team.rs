@@ -1,17 +1,18 @@
 //! The spin-then-park fork/join of [`omprt::ThreadPool`]: the spin-hit
 //! path, the park path and the boundary between them, under panics,
-//! shutdown and concurrent callers.
+//! shutdown and concurrent callers; and the same gate in an in-region
+//! [`omprt::Barrier`] next to CPU hogs.
 //!
 //! Every test body runs on a thread of its own while the test thread
 //! waits for it with a deadline, so a lost wake-up fails the test instead
 //! of hanging the suite.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use omprt::pool::SPIN_BOUND;
-use omprt::ThreadPool;
+use omprt::{Barrier, ThreadPool};
 
 /// Runs `body` under a watchdog: panics if it has not finished within
 /// `limit`, re-raises its panic if it has one.
@@ -185,5 +186,70 @@ fn a_team_wider_than_the_host_never_spins() {
         let (spin_exits, parks) = pool.wait_counts();
         assert_eq!(spin_exits, 0, "an oversubscribed team parks at once");
         assert!(parks > 0);
+    });
+}
+
+/// CPU hogs on every CPU (two on a 2-CPU host; the test stands down on
+/// a single CPU or past four) next to a team of two that fits the host:
+/// the team's threads keep losing their CPUs to the hogs, so the
+/// barrier's waiters find the host crowded, or outwait the spin bound
+/// while the thread they wait for is off its CPU, and sleep instead of
+/// yielding to the hogs; every phase still completes, with one last
+/// arriver each.
+#[test]
+fn a_barrier_sleeps_next_to_cpu_hogs() {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if hot_width().is_none() || cpus > 4 {
+        return;
+    }
+    watched(Duration::from_secs(120), move || {
+        let stop = Arc::new(AtomicBool::new(false));
+        let started = Arc::new(AtomicU64::new(0));
+        let hogs: Vec<_> = (0..cpus)
+            .map(|k| {
+                let (stop, started) = (Arc::clone(&stop), Arc::clone(&started));
+                std::thread::spawn(move || {
+                    started.fetch_add(1, Ordering::Relaxed);
+                    let t0 = Instant::now();
+                    while !stop.load(Ordering::Relaxed) && t0.elapsed() < Duration::from_secs(60) {
+                        body_work(k);
+                    }
+                })
+            })
+            .collect();
+        while started.load(Ordering::Relaxed) < cpus as u64 {
+            std::thread::yield_now();
+        }
+        const PHASES: u64 = 100;
+        let pool = ThreadPool::new(2);
+        let barrier = Barrier::new(2);
+        let lasts = AtomicU64::new(0);
+        // Until a wait slept, for at least 300 ms — long enough for the
+        // scheduler to take the team's CPUs many times over (slices are
+        // milliseconds) — and at most 5 s: the load balancer may keep
+        // both team threads on one CPU a while, where each yield hands
+        // that CPU to the partner and comes straight back.
+        let (t0, mut regions) = (Instant::now(), 0u64);
+        while t0.elapsed() < Duration::from_millis(300)
+            || (barrier.park_count() == 0 && t0.elapsed() < Duration::from_secs(5))
+        {
+            pool.run(|tid| {
+                for _ in 0..PHASES {
+                    body_work(tid);
+                    if barrier.wait() {
+                        lasts.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            })
+            .unwrap();
+            regions += 1;
+        }
+        stop.store(true, Ordering::Relaxed);
+        for h in hogs {
+            h.join().unwrap();
+        }
+        assert_eq!(lasts.load(Ordering::Relaxed), regions * PHASES);
+        assert_eq!(barrier.wait_count(), 2 * regions * PHASES);
+        assert!(barrier.park_count() > 0, "no barrier wait slept next to the CPU hogs");
     });
 }
