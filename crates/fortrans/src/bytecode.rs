@@ -20,39 +20,35 @@
 //!   is elementwise REAL arithmetic over affine subscripts — inner loops
 //!   of a few literal trips looked through as if unrolled — get a
 //!   `VecLoop` in front that runs the whole trip as a [`VecDesc`];
-//! * constant subexpressions fold, and *contracted temporaries* —
-//!   frame arrays each trip of one straight-line loop writes at `t(m)`
-//!   before reading ([`contracted_temporaries`]) — become frame
-//!   scalars; both only in the *optimized* build variant;
+//! * constant subexpressions fold, only in the *optimized* build
+//!   variant;
 //! * the scalar glue between regions carries its operands, again in the
 //!   optimized build only: an INTEGER frame-scalar assignment whose
 //!   right side is affine in frame INTEGER scalars ([`Affine`]) is one
 //!   `SetI`, and a fused loop over `i32` literal bounds starts with one
 //!   `DoInitK` instead of `Const Const DoInitC`.
 //!
-//! Lowering takes the program it is given as it is. The optimized
-//! build's program rules — scoped temporaries, inlined leaves, fused
-//! spans — are rewrites of the resolved program before lowering
+//! Lowering takes the program it is given as it is and applies no
+//! program rule. The optimized build's rules — scoped temporaries,
+//! inlined leaves, fused spans, contracted temporaries — are rewrites of
+//! the resolved program before lowering
 //! ([`crate::rir::rewrite::optimized`]); what they leave is ordinary
-//! RIR here (a scoped temporary is a fixed frame array like any other).
-//! Contraction stays here because its veto is the vector analysis of
-//! the lowered unit, whose probes emission reuses (DESIGN §6).
+//! RIR here (a scoped temporary is a fixed frame array like any other,
+//! a contracted one a frame scalar).
 //!
 //! Two build variants exist per program, and they are the same lowering
 //! but for what changes operation counts. `traced = false` (used by
 //! `ExecMode::Serial` / `Parallel`, on the rewritten program) applies
 //! everything above. `traced = true` (used by `ExecMode::Simulated`, on
-//! the program as resolved, whose `ALLOCATE`s post the `alloc_calls`
-//! and `alloc_bytes` the interpreter counts) omits two things —
-//! operator folding, which removes operations the interpreter counts,
-//! and contracted temporaries, whose element accesses post the loads
-//! and stores it counts —
-//! and adds the cost-only instructions (`CostBranch`,
-//! `VecEnter`/`VecLeave`, `Quiet`), so the VM emits a
+//! the program as resolved, whose `ALLOCATE`s and element accesses post
+//! the counts the interpreter posts) omits operator folding, which
+//! removes operations the interpreter counts, and the scalar glue's
+//! `SetI` sets and `DoInitK` heads, and adds the cost-only instructions
+//! (`CostBranch`, `VecEnter`/`VecLeave`), so the VM emits a
 //! [`crate::cost::CostTrace`] bit-identical to the interpreter's.
-//! Everything else is cost-neutral and shared: frame
-//! loads, constants and the `Do*` loop instructions post nothing, so
-//! operand-addressed subscripts and fused heads cannot move a count.
+//! Everything else is cost-neutral and shared: frame loads, constants,
+//! a region's prep `SetI`s and the `Do*` loop instructions post nothing,
+//! so operand-addressed subscripts and fused heads cannot move a count.
 //!
 //! Vector regions are shared too. A flat `VecLoop` body is straight-line
 //! and lane-independent, so the scalar tier posts the same counts on
@@ -69,7 +65,8 @@
 //! two need not mirror each other because one supplies only counts and
 //! the other only values. What the vector path adds in front of the
 //! loop (hoisted subscript parts) re-evaluates expressions the body
-//! already paid for, so a traced build brackets it in `Quiet`. Every
+//! already paid for, so it is one `SetI` per part in both builds, which
+//! posts nothing. Every
 //! region falls back to code that runs: the scalar loop it shadows, or
 //! a fused span's original statements. The verifier
 //! recomputes every ledger ([`crate::verify`]).
@@ -93,7 +90,6 @@ use crate::cost::{Ledger, OpKind};
 use crate::intrinsics::Intr;
 use crate::interp::Val;
 use crate::rir::*;
-use std::borrow::Cow;
 
 mod vecplan;
 
@@ -325,19 +321,15 @@ pub enum BInstr {
     /// Traced builds only: serial-loop vectorization bracket.
     VecEnter(VecClass),
     VecLeave,
-    /// Traced builds only: runs the straight-line code `[pc+1, end)`
-    /// with cost accounting suspended, then continues at `end`. Brackets
-    /// the vector path's prep code, which recomputes values the scalar
-    /// loop body already pays for.
-    Quiet { end: u32 },
     /// Pops end, start into i-slots; constant step 1.
     DoInitC { ctr: u32, end: u32 },
     /// `DoInitC` of `i32` literal bounds, which it carries: `i[ctr] =
     /// lo`, `i[end] = hi`. Optimized builds only.
     DoInitK { ctr: u32, end: u32, lo: i32, hi: i32 },
-    /// `i[dst] = affine[aff]` ([`Affine`]): an INTEGER frame-scalar
-    /// assignment — a set, a move or a `VecLoop`'s prep — whose right
-    /// side is affine in frame INTEGER scalars. Optimized builds only.
+    /// `i[dst] = affine[aff]` ([`Affine`]): a `VecLoop`'s prep in both
+    /// builds, and in the optimized build an INTEGER frame-scalar
+    /// assignment — a set or a move — whose right side is affine in
+    /// frame INTEGER scalars.
     SetI { dst: u32, aff: u32 },
     /// Vector superinstruction covering the whole `DoHead1` loop that
     /// follows: executes `vecs[desc]` over `[i[ctr], i[end]]` in chunked
@@ -420,7 +412,8 @@ impl BInstr {
             Const(_) | LoadI(_) | LoadF(_) | LoadB(_) | StoreI(_) | StoreF(_) | StoreB(_)
             | CvtIF | CvtFI | CvtIB | CvtFB | AllocatedQ { .. } => Posts::Free,
             // The integer operations it stands for post `IOp`s, but only
-            // the traced build, which never emits it, keeps those counts.
+            // the traced build keeps those counts, and there it is a
+            // prep, which recomputes what the scalar body pays for.
             SetI { .. } => Posts::Free,
             AddF | SubF | MulF | NegF | CmpF(_) => Posts::Op(OpKind::Flop),
             DivF => Posts::Op(OpKind::FDiv),
@@ -437,7 +430,7 @@ impl BInstr {
             CostBranch => Posts::Branch,
             FailArith2 | FailNegB | FailType { .. } | ArrRed { .. } | Broadcast { .. }
             | CopyArr { .. } | Alloc { .. } | Dealloc { .. } | Jump(_) | JumpIfFalse(_)
-            | VecEnter(_) | VecLeave | Quiet { .. } | DoInitC { .. } | DoInitK { .. }
+            | VecEnter(_) | VecLeave | DoInitC { .. } | DoInitK { .. }
             | VecLoop { .. }
             | DoInit { .. } | DoHead1 { .. } | DoHeadN { .. } | DoHead { .. } | DoIncr1 { .. }
             | DoIncr { .. } | CheckStepNZ | FlowExit | FlowCycle | FlowReturn
@@ -446,12 +439,6 @@ impl BInstr {
             | InlineExit { .. } | SpanEnter { .. } => Posts::Dynamic,
         }
     }
-}
-
-/// The sum of what straight-line `code` posts per execution, or `None`
-/// when any instruction in it is [`Posts::Dynamic`].
-pub(crate) fn static_ledger(code: &[BInstr]) -> Option<Ledger> {
-    pass_cost(code, 0, code.len())?.1
 }
 
 /// A fused loop over literal bounds, as `emit_serial_do` lays it out:
@@ -736,7 +723,7 @@ pub struct InlineDesc {
 /// ```
 ///
 /// (A fused loop whose bounds are not `i32` literals has `bounds
-/// DoInitC` for `DoInitK`; each prep is one `SetI` when it is affine.)
+/// DoInitC` for `DoInitK`; each prep is one `SetI`.)
 ///
 /// The fused loop is its region alone. Its `VecLoop` commits the span
 /// and jumps to `end`, or falls through to the original statements,
@@ -1310,212 +1297,6 @@ fn assign_slots(unit: &RUnit) -> SlotTable {
     SlotTable { vslots, ni, nf, nb, na, fixed_arrays: fixed, result }
 }
 
-/// A frame array [`contracted_temporaries`] may turn into a frame REAL
-/// scalar, with the pre-order indices of the `DO` loops around its one
-/// home loop, the home loop last.
-struct Contraction {
-    v: VarIdx,
-    loops: Vec<usize>,
-}
-
-/// The unit's *contracted temporaries*: rank-1 REAL fixed frame arrays
-/// ([`VarInfo::frame_extent`]; the optimized build's scoped temporaries
-/// are among them) whose every mention is an element `t(m)` in the
-/// straight-line body of one serial `DO m` loop — literal bounds inside
-/// the array's extent, unit step, no OMP directive on it or around it in
-/// this unit — that writes `t(m)` before any read of it in every
-/// iteration. Such an array holds, at any read, the value the same
-/// iteration stored, and nothing reads it after the loop or before
-/// the first store, so a scalar that takes each store behaves the same,
-/// bounds faults included: none can fire. DESIGN §6 says what breaks
-/// without each condition.
-fn contracted_temporaries(unit: &RUnit) -> Vec<Contraction> {
-    let extent: Vec<Option<(i64, i64)>> = unit.vars.iter().map(VarInfo::frame_extent).collect();
-    if extent.iter().all(Option::is_none) {
-        return Vec::new();
-    }
-    let mut scan = ContractScan {
-        unit,
-        extent,
-        home: vec![None; unit.vars.len()],
-        refused: vec![false; unit.vars.len()],
-        open: Vec::new(),
-        next_loop: 0,
-        trip: (0, (1, 0)),
-    };
-    scan.stmts(&unit.body, false);
-    let ContractScan { home, refused, .. } = scan;
-    home.into_iter()
-        .zip(refused)
-        .enumerate()
-        .filter_map(|(v, (home, refused))| {
-            Some(Contraction { v, loops: home.filter(|_| !refused)? })
-        })
-        .collect()
-}
-
-/// The walk [`contracted_temporaries`] makes, one per unit.
-struct ContractScan<'a> {
-    unit: &'a RUnit,
-    /// The extent of each candidate array, `None` for every other var.
-    extent: Vec<Option<(i64, i64)>>,
-    /// Per var: the loops around its home loop (see [`Contraction`]).
-    home: Vec<Option<Vec<usize>>>,
-    refused: Vec<bool>,
-    /// Pre-order indices of the serial `DO` loops around the walk.
-    open: Vec<usize>,
-    next_loop: usize,
-    /// The variable and bounds of the home loop being walked.
-    trip: (VarIdx, (i64, i64)),
-}
-
-impl ContractScan<'_> {
-    fn refuse_in(&mut self, e: &RExpr) {
-        walk_expr(e, &mut |seen| {
-            if let Seen::Ref(v) | Seen::Query(v) = seen {
-                self.refused[v] = true;
-            }
-        });
-    }
-
-    fn stmts(&mut self, body: &[SpStmt], in_omp: bool) {
-        for sp in body {
-            // Every mention in a statement's own parts refuses. An
-            // inlined block and a span have none: the block's entry
-            // reset writes what nothing reads, and a fresh temporary of
-            // a span's `fast` is its fused loop's alone.
-            walk_own(&sp.s, &mut |seen| match seen {
-                Seen::Ref(v) | Seen::Store(v) | Seen::Alloc(v) | Seen::Dealloc(v) | Seen::Query(v) => {
-                    self.refused[v] = true;
-                }
-                Seen::Return => {}
-            });
-            if let RStmt::Do { var, start, end, step, body, omp, collapse_with, .. } = &sp.s {
-                let id = self.next_loop;
-                self.next_loop += 1;
-                let in_omp = in_omp || omp.is_some();
-                self.open.push(id);
-                match (start, end, step) {
-                    (RExpr::ConstI(lo), RExpr::ConstI(hi), None | Some(RExpr::ConstI(1)))
-                        if !in_omp && collapse_with.is_empty() && self.straight(*var, body) =>
-                    {
-                        self.home_loop(*var, (*lo, *hi), body);
-                    }
-                    _ => self.stmts(body, in_omp),
-                }
-                self.open.pop();
-                continue;
-            }
-            each_child(&sp.s, &mut |b| self.stmts(b, in_omp));
-        }
-    }
-
-    /// Whether a loop over frame variable `var` may be a home loop: its
-    /// body only assigns, and nothing in it stores to `var`.
-    fn straight(&self, var: VarIdx, body: &[SpStmt]) -> bool {
-        matches!(self.unit.vars[var].place, Place::Frame(_))
-            && body.iter().all(|sp| match &sp.s {
-                RStmt::AssignScalar { v, e } => *v != var && !expr_copies_out_to(e, var),
-                RStmt::AssignElem { subs, e, .. } => {
-                    !subs.iter().chain([e]).any(|x| expr_copies_out_to(x, var))
-                }
-                RStmt::Nop => true,
-                _ => false,
-            })
-    }
-
-    /// A straight-line loop body, statement by statement in iteration
-    /// order: a candidate's element `t(var)` makes this loop its home,
-    /// and may be read only once the iteration has written it; any other
-    /// mention refuses it.
-    fn home_loop(&mut self, var: VarIdx, bounds: (i64, i64), body: &[SpStmt]) {
-        self.trip = (var, bounds);
-        let mut written: Vec<VarIdx> = Vec::new();
-        for sp in body {
-            let (target, subs, e) = match &sp.s {
-                RStmt::AssignScalar { e, .. } => (None, &[][..], e),
-                RStmt::AssignElem { v, subs, e } => (Some(*v), subs.as_slice(), e),
-                _ => continue,
-            };
-            for x in subs.iter().chain([e]) {
-                self.reads(x, &written);
-            }
-            if let Some(w) = target.filter(|&w| self.extent[w].is_some()) {
-                if self.at_home(w, subs) {
-                    written.push(w);
-                } else {
-                    self.refused[w] = true;
-                }
-            }
-        }
-    }
-
-    /// Whether `subs` is `(var)` of the home loop being walked, inside
-    /// `w`'s extent on every trip; if so, that loop becomes `w`'s home
-    /// unless another loop already is.
-    fn at_home(&mut self, w: VarIdx, subs: &[RExpr]) -> bool {
-        let (var, (lo, hi)) = self.trip;
-        let Some((elo, ehi)) = self.extent[w] else { return false };
-        if !matches!(subs, [RExpr::LoadScalar(i)] if *i == var) || lo < elo || hi > ehi {
-            return false;
-        }
-        match &self.home[w] {
-            Some(loops) => *loops == self.open,
-            None => {
-                self.home[w] = Some(self.open.clone());
-                true
-            }
-        }
-    }
-
-    /// The candidates `e` reads in a home loop whose iteration has so far
-    /// written `written`: an element `t(var)` of one of those is the only
-    /// mention that does not refuse.
-    fn reads(&mut self, e: &RExpr, written: &[VarIdx]) {
-        match e {
-            RExpr::LoadElem { v, subs } => {
-                if self.extent[*v].is_some() && !(written.contains(v) && self.at_home(*v, subs)) {
-                    self.refused[*v] = true;
-                }
-            }
-            RExpr::CallFn { .. } => return self.refuse_in(e),
-            _ => expr_vars(e, &mut |_, &v| self.refused[v] = true),
-        }
-        operands(e, &mut |x| self.reads(x, written));
-    }
-}
-
-/// `unit` with the arrays `vars` contracted: each one declared a REAL
-/// scalar, and every element of it a load or store of that scalar.
-fn contract(unit: &RUnit, vars: &[VarIdx]) -> RUnit {
-    fn expr(e: &mut RExpr, vars: &[VarIdx]) {
-        match e {
-            RExpr::LoadElem { v, .. } if vars.contains(v) => *e = RExpr::LoadScalar(*v),
-            _ => operands_mut(e, &mut |x| expr(x, vars)),
-        }
-    }
-    fn stmts(body: &mut [SpStmt], vars: &[VarIdx]) {
-        for sp in body.iter_mut() {
-            if let RStmt::AssignElem { v, e, .. } = &mut sp.s {
-                if vars.contains(v) {
-                    let (v, e) = (*v, std::mem::replace(e, RExpr::ConstI(0)));
-                    sp.s = RStmt::AssignScalar { v, e };
-                }
-            }
-            own_exprs_mut(&mut sp.s, &mut |x| expr(x, vars));
-            each_child_mut(&mut sp.s, &mut |b| stmts(b, vars));
-        }
-    }
-    let mut out = unit.clone();
-    for &v in vars {
-        let info = &mut out.vars[v];
-        info.rank = 0;
-        info.dims.clear();
-    }
-    stmts(&mut out.body, vars);
-    out
-}
-
 /// What [`UnitCompiler::emit_loop_head`] laid out: the loop's hidden
 /// counter, end and (unfused heads only) step slots, its `DoInitC` or
 /// `DoInit`, its `VecLoop` if it is a region, and its `DO` line.
@@ -1538,121 +1319,15 @@ struct Probe {
     taken: u32,
 }
 
-/// Per `DO` of a unit, in [`do_loops`] order: its probe, if one was made.
-type Probes = Vec<Option<Probe>>;
-
-/// The unit the optimized build lowers: `unit` with its
-/// [`contracted_temporaries`] contracted, less those of any loop that
-/// the vector analysis accepts as it is and would refuse contracted —
-/// forward substitution copies a temporary's definition into each
-/// read, which can outgrow a region's caps. Borrowed when nothing is
-/// contracted. With it, the probes of the lowered unit's loops that
-/// deciding took, for its emission to reuse.
-fn contracted_unit<'u>(prog: &RProgram, u: usize, unit: &'u RUnit) -> (Cow<'u, RUnit>, Probes) {
-    let mut picks = contracted_temporaries(unit);
-    if picks.is_empty() {
-        return (Cow::Borrowed(unit), Vec::new());
-    }
-    let base_table = assign_slots(unit);
-    let base_loops = do_loops(&unit.body);
-    let mut base = UnitCompiler::new(prog, unit, u, &base_table, &[], false);
-    let mut base_probes: Probes = Vec::new();
-    base_probes.resize_with(base_loops.len(), || None);
-    loop {
-        let vars: Vec<VarIdx> = picks.iter().map(|c| c.v).collect();
-        let out = contract(unit, &vars);
-        let mut probed: Vec<usize> = picks.iter().flat_map(|c| c.loops.iter().copied()).collect();
-        probed.sort_unstable();
-        probed.dedup();
-        let table = assign_slots(&out);
-        let loops = do_loops(&out.body);
-        let mut probe = UnitCompiler::new(prog, &out, u, &table, &[], false);
-        let mut probes: Probes = Vec::new();
-        probes.resize_with(loops.len(), || None);
-        let mut lost = Vec::new();
-        // The contracted loop first: it is accepted almost always,
-        // which spares analysing the loop as it was.
-        for l in probed {
-            let p = probe.probe(&loops[l].s);
-            if p.plan.is_err() {
-                let b = base_probes[l].get_or_insert_with(|| base.probe(&base_loops[l].s));
-                if b.plan.is_ok() {
-                    lost.push(l);
-                }
-            }
-            probes[l] = Some(p);
-        }
-        if lost.is_empty() {
-            return (Cow::Owned(out), probes);
-        }
-        picks.retain(|c| !c.loops.iter().any(|l| lost.contains(l)));
-        if picks.is_empty() {
-            return (Cow::Borrowed(unit), base_probes);
-        }
-    }
-}
-
-/// The `DO` statements of `body` in pre-order, the numbering
-/// [`Contraction::loops`] uses; [`contract`] keeps every one.
-fn do_loops(body: &[SpStmt]) -> Vec<&SpStmt> {
-    fn walk<'b>(body: &'b [SpStmt], out: &mut Vec<&'b SpStmt>) {
-        for sp in body {
-            if matches!(sp.s, RStmt::Do { .. }) {
-                out.push(sp);
-            }
-            each_child(&sp.s, &mut |b| walk(b, out));
-        }
-    }
-    let mut out = Vec::new();
-    walk(body, &mut out);
-    out
-}
-
-/// How many of the arrays a region's loop mentions the optimized build
-/// contracted into scalars: of `unit` (as resolved), with the build's
-/// slot table `vslots`, the arrays in the `nth` `DO` statement at source
-/// line `line` (a fused span's loop comes before its first original
-/// loop) whose slot is a scalar. [`crate::VectorLoopInfo::contracted`].
-pub(crate) fn contracted_in(unit: &RUnit, vslots: &[VSlot], line: u32, nth: usize) -> usize {
-    let mut seen = Vec::new();
-    if let Some(sp) = do_loops(&unit.body).into_iter().filter(|sp| sp.line == line).nth(nth) {
-        walk_stmt(&sp.s, &mut |x| {
-            if let Seen::Ref(v) | Seen::Store(v) = x {
-                if unit.vars[v].rank > 0 && matches!(vslots[v], VSlot::F(_)) && !seen.contains(&v) {
-                    seen.push(v);
-                }
-            }
-        });
-    }
-    seen.len()
-}
-
-/// Compiles every unit of `prog`. `traced = true` produces the
+/// Compiles every unit of `prog` as it is. `traced = true` produces the
 /// cost-exact variant for `ExecMode::Simulated`.
 pub fn compile_program(prog: &RProgram, traced: bool) -> Vec<BUnit> {
-    // Only the optimized build contracts: an element access posts the
-    // counts the interpreter posts, a frame scalar's load posts none.
-    let (units, mut probes): (Vec<Cow<RUnit>>, Vec<Probes>) = prog
+    let tables: Vec<SlotTable> = prog.units.iter().map(|u| assign_slots(u)).collect();
+    let mut bunits: Vec<BUnit> = prog
         .units
         .iter()
         .enumerate()
-        .map(|(u, unit)| {
-            if traced {
-                (Cow::Borrowed(&**unit), Vec::new())
-            } else {
-                contracted_unit(prog, u, unit)
-            }
-        })
-        .unzip();
-    let tables: Vec<SlotTable> = units.iter().map(|u| assign_slots(u)).collect();
-    let mut bunits: Vec<BUnit> = units
-        .iter()
-        .enumerate()
-        .map(|(u, unit)| {
-            let mut uc = UnitCompiler::new(prog, unit, u, &tables[u], &tables, traced);
-            uc.probes = std::mem::take(&mut probes[u]);
-            uc.compile()
-        })
+        .map(|(u, unit)| UnitCompiler::new(prog, unit, u, &tables[u], &tables, traced).compile())
         .collect();
     // Call sites read every unit's table; once all are lowered, each
     // unit takes its own.
@@ -1804,23 +1479,13 @@ pub(crate) fn mask_stack_effect(ops: &[MaskOp]) -> Option<(u32, u32)> {
     })
 }
 
-/// True when evaluating `e` can store to frame scalar `var`: only a
-/// user function call passing `var` by reference does (copy-out on
-/// return); nothing else in an expression assigns.
-fn expr_copies_out_to(e: &RExpr, var: VarIdx) -> bool {
-    let mut out = matches!(e, RExpr::CallFn { args, .. }
-        if args.iter().any(|a| matches!(a, RArg::ByRefScalar(v) if *v == var)));
-    operands(e, &mut |x| out = out || expr_copies_out_to(x, var));
-    out
-}
-
 struct UnitCompiler<'a> {
     prog: &'a RProgram,
     unit: &'a RUnit,
     unit_idx: usize,
     /// The unit's own slot table.
     table: &'a SlotTable,
-    /// Every unit's, for call sites (empty for a probe that emits none).
+    /// Every unit's, for call sites.
     tables: &'a [SlotTable],
     traced: bool,
     code: Vec<BInstr>,
@@ -1854,11 +1519,6 @@ struct UnitCompiler<'a> {
     inline_open: Vec<u32>,
     /// Fused-span descriptors under construction.
     spans: Vec<SpanDesc>,
-    /// Per `DO` of the unit in [`do_loops`] order, the probe that chose
-    /// its temporaries, taken by its emission.
-    probes: Probes,
-    /// The [`do_loops`] index of the next `DO` emitted.
-    next_do: usize,
     /// The `DoHead1`/`DoHeadN`/`DoHead` of the last serial `DO` emitted.
     last_head: u32,
 }
@@ -1917,8 +1577,6 @@ impl<'a> UnitCompiler<'a> {
             units: Vec::new(),
             inline_open: Vec::new(),
             spans: Vec::new(),
-            probes: Vec::new(),
-            next_do: 0,
             last_head: 0,
         }
     }
@@ -2099,32 +1757,6 @@ impl<'a> UnitCompiler<'a> {
         }
     }
 
-    /// True when evaluating `e` has no side effects and cannot fail, so
-    /// a vector region's prep code may evaluate it before the loop.
-    fn pure_total(&self, e: &RExpr) -> bool {
-        match e {
-            RExpr::ConstI(_) | RExpr::ConstF(_) | RExpr::ConstB(_) | RExpr::LoadScalar(_) => true,
-            RExpr::AllocatedQ(v) => {
-                // Global-scalar ALLOCATED would panic in storage; keep it.
-                !matches!(self.vslot(*v), VSlot::GlobS(_))
-            }
-            RExpr::Bin { op, ty, l, r } => {
-                let arith = matches!(op, Bin::Add | Bin::Sub | Bin::Mul | Bin::Div | Bin::Pow);
-                if arith && *ty == ScalarTy::B {
-                    return false; // runtime type error
-                }
-                if matches!(op, Bin::Div) && *ty == ScalarTy::I {
-                    return false; // possible division by zero
-                }
-                self.pure_total(l) && self.pure_total(r)
-            }
-            RExpr::Neg(x) => self.ty_of(x) != ScalarTy::B && self.pure_total(x),
-            RExpr::Not(x) | RExpr::ToF(x) | RExpr::ToI(x) => self.pure_total(x),
-            RExpr::Intrinsic { args, .. } => args.iter().all(|a| self.pure_total(a)),
-            RExpr::LoadElem { .. } | RExpr::ArrReduce { .. } | RExpr::CallFn { .. } => false,
-        }
-    }
-
     /// `e` as an [`Affine`] right side, when it is one.
     fn affine(&self, e: &RExpr) -> Option<Affine> {
         let mut a = Affine::default();
@@ -2166,16 +1798,11 @@ impl<'a> UnitCompiler<'a> {
         true
     }
 
-    /// Emits `i[dst] = e` as one `SetI` when this is the optimized build
-    /// and `e` is affine; false, emitting nothing, otherwise.
-    fn emit_set_i(&mut self, dst: u32, e: &RExpr) -> bool {
-        let Some(a) = (!self.traced).then(|| self.affine(e)).flatten() else {
-            return false;
-        };
+    /// Emits `i[dst] = a` as one `SetI`.
+    fn emit_set_i(&mut self, dst: u32, a: Affine) {
         self.affine.push(a);
         let aff = self.affine.len() as u32 - 1;
         self.push(BInstr::SetI { dst, aff });
-        true
     }
 
     /// The `i32` value of an INTEGER bound that folds, if any.
@@ -2543,13 +2170,21 @@ impl<'a> UnitCompiler<'a> {
 
     fn emit_stmt(&mut self, s: &RStmt) {
         match s {
-            RStmt::AssignScalar { v, e } => match self.vslot(*v) {
-                VSlot::I(dst) if self.emit_set_i(dst, e) => {}
-                _ => {
-                    self.emit_expr(e);
-                    self.emit_store_scalar(*v, self.ty_of(e));
+            RStmt::AssignScalar { v, e } => {
+                // The traced build keeps the operations the interpreter
+                // counts.
+                let set = match self.vslot(*v) {
+                    VSlot::I(dst) if !self.traced => self.affine(e).map(|a| (dst, a)),
+                    _ => None,
+                };
+                match set {
+                    Some((dst, a)) => self.emit_set_i(dst, a),
+                    None => {
+                        self.emit_expr(e);
+                        self.emit_store_scalar(*v, self.ty_of(e));
+                    }
                 }
-            },
+            }
             RStmt::AssignElem { v, subs, e } => {
                 let (vs, src) = (self.vslot(*v), self.ty_of(e));
                 let n = subs.len() as u8;
@@ -2639,12 +2274,10 @@ impl<'a> UnitCompiler<'a> {
                 }
             }
             RStmt::Do { var, start, end, step, body, omp, vec, collapse_with } => {
-                let idx = self.next_do;
-                self.next_do += 1;
                 if let Some(o) = omp {
                     self.emit_omp_do(*var, start, end, step.as_ref(), body, o, collapse_with);
                 } else {
-                    self.emit_serial_do(idx, *var, start, end, step.as_ref(), body, *vec);
+                    self.emit_serial_do(*var, start, end, step.as_ref(), body, *vec);
                 }
             }
             RStmt::CallSub { unit, args } => {
@@ -2751,41 +2384,27 @@ impl<'a> UnitCompiler<'a> {
     /// only when its fused loop becomes a region of map statements — no
     /// accumulator or select, which the span's step accounting leaves
     /// out — outside any region, in the optimized build; `slow` alone
-    /// otherwise. The fused loop is analysed once: here, or by the probe
-    /// that chose the unit's temporaries, and its emission takes that
-    /// analysis.
+    /// otherwise. The fused loop is analysed once, here, and its
+    /// emission takes that analysis.
     fn emit_span(&mut self, fast: &[SpStmt], slow: &[SpStmt]) {
         let (fused, between) = fast.split_last().expect("a span ends in its fused loop");
-        let at = self.next_do + do_loops(between).len();
-        let after_fast = self.next_do + do_loops(fast).len();
-        let lowered = !self.traced && self.region_depth == 0 && {
-            let probe = match self.probes.get_mut(at).and_then(Option::take) {
-                Some(p) => p,
-                None => self.probe(&fused.s),
-            };
-            let maps = matches!(&probe.plan, Ok(p) if p.red.is_none() && p.sel.is_none());
-            if self.probes.len() <= at {
-                self.probes.resize_with(at + 1, || None);
-            }
-            self.probes[at] = Some(probe);
-            maps
+        let RStmt::Do { var, start, end, step, body, vec, .. } = &fused.s else {
+            unreachable!("a fused loop")
         };
-        if !lowered {
-            self.next_do = after_fast;
+        let probe = (!self.traced && self.region_depth == 0)
+            .then(|| self.probe_loop(*var, step.as_ref(), body))
+            .filter(|p| matches!(&p.plan, Ok(p) if p.red.is_none() && p.sel.is_none()));
+        let Some(probe) = probe else {
             self.emit_block(slow);
             return;
-        }
+        };
         let span = self.spans.len() as u32;
         let enter = self.push(BInstr::SpanEnter { span });
         self.emit_block(between);
         let s_end = self.pc();
-        let RStmt::Do { var, start, end, step, body, vec, .. } = &fused.s else {
-            unreachable!("a fused loop")
-        };
         self.line_at(fused.line);
-        let head = self.emit_loop_head(at, *var, start, end, step.as_ref(), body, *vec);
+        let head = self.emit_loop_head(Some(probe), *var, start, end, step.as_ref(), body, *vec);
         let vi = head.vec_loop.expect("the fused loop is a region");
-        self.next_do = after_fast;
         let mut loops = Vec::new();
         for sp in slow {
             let start = self.pc();
@@ -2878,18 +2497,9 @@ impl<'a> UnitCompiler<'a> {
         one && matches!(self.vslot(var), VSlot::I(_))
     }
 
-    /// The vector analysis of the serial `DO` `s` as emission outside
-    /// any region would make it. The hidden slots it takes are given
-    /// back.
-    fn probe(&mut self, s: &RStmt) -> Probe {
-        match s {
-            RStmt::Do { var, step, body, omp: None, .. } => {
-                self.probe_loop(*var, step.as_ref(), body)
-            }
-            _ => Probe { plan: Err(VecRefusal::Shape), base: self.ni_extra, taken: 0 },
-        }
-    }
-
+    /// The vector analysis of a serial `DO` over `var` as emission
+    /// outside any region would make it. The hidden slots it takes are
+    /// given back.
     fn probe_loop(&mut self, var: VarIdx, step: Option<&RExpr>, body: &[SpStmt]) -> Probe {
         let base = self.ni_extra;
         let plan = if self.fused_head(var, step) {
@@ -2902,15 +2512,15 @@ impl<'a> UnitCompiler<'a> {
         Probe { plan, base, taken }
     }
 
-    /// The head of the serial `DO` `idx` ([`do_loops`] order) over
-    /// `var`: bounds, `DoInitC` (or `DoInit`), a traced build's
-    /// `VecEnter`, and, when the vector analysis accepts the loop, its
+    /// The head of a serial `DO` over `var`: bounds, `DoInitC` (or
+    /// `DoInit`), a traced build's `VecEnter`, and, when the vector
+    /// analysis — `probe` if the caller made it — accepts the loop, its
     /// prep and a `VecLoop` whose exit and costs the caller patches. A
     /// span's fused loop is its head alone.
     #[allow(clippy::too_many_arguments)]
     fn emit_loop_head(
         &mut self,
-        idx: usize,
+        probe: Option<Probe>,
         var: VarIdx,
         start: &RExpr,
         end: &RExpr,
@@ -2936,10 +2546,7 @@ impl<'a> UnitCompiler<'a> {
         let vec_plan = if self.region_depth > 0 {
             None
         } else {
-            let probe = match self.probes.get_mut(idx).and_then(Option::take) {
-                Some(p) => p,
-                None => self.probe_loop(var, step, body),
-            };
+            let probe = probe.unwrap_or_else(|| self.probe_loop(var, step, body));
             match probe.plan {
                 Ok(mut plan) => {
                     plan.relocate(probe.base, self.ni_extra);
@@ -2977,21 +2584,12 @@ impl<'a> UnitCompiler<'a> {
             self.push(BInstr::VecEnter(vec));
         }
         let vec_loop = vec_plan.map(|plan| {
-            // Prep: loop-invariant subscript parts into hidden i-slots.
-            // The scalar body evaluates them again every iteration, so
-            // in a traced build the prep itself must post nothing.
+            // Prep: loop-invariant subscript parts into hidden i-slots,
+            // one `SetI` each in both builds. The scalar body evaluates
+            // them again every iteration; a `SetI` posts nothing.
             let VecPlan { mut accesses, stmts, red, sel, max_depth, prep, guarded, .. } = plan;
-            let quiet = (self.traced && !prep.is_empty())
-                .then(|| self.push(BInstr::Quiet { end: NO_PC }));
-            for (e, slot) in &prep {
-                if !self.emit_set_i(*slot, e) {
-                    self.emit_expr(e);
-                    self.emit_cvt(self.ty_of(e), ScalarTy::I);
-                    self.push(BInstr::StoreI(*slot));
-                }
-            }
-            if let Some(q) = quiet {
-                self.code[q] = BInstr::Quiet { end: self.pc() };
+            for (a, slot) in prep {
+                self.emit_set_i(slot, a);
             }
             let desc = self.vecs.len() as u32;
             let t = self.table;
@@ -3025,7 +2623,6 @@ impl<'a> UnitCompiler<'a> {
     #[allow(clippy::too_many_arguments)]
     fn emit_serial_do(
         &mut self,
-        idx: usize,
         var: VarIdx,
         start: &RExpr,
         end: &RExpr,
@@ -3034,7 +2631,7 @@ impl<'a> UnitCompiler<'a> {
         vec: VecClass,
     ) {
         let LoopHead { ctr, ends, steps, init, vec_loop, line } =
-            self.emit_loop_head(idx, var, start, end, step, body, vec);
+            self.emit_loop_head(None, var, start, end, step, body, vec);
         let fused1 = self.fused_head(var, step);
         let head = self.pc();
         let head_idx = match self.vslot(var) {
@@ -3342,7 +2939,7 @@ END MODULE m
     }
 
     #[test]
-    fn traced_build_vectorizes_with_a_ledger_and_quiet_brackets() {
+    fn traced_build_vectorizes_with_a_ledger_and_set_i_preps() {
         let (prog, opt, traced) = compile(
             r#"
 MODULE m
@@ -3389,9 +2986,9 @@ END MODULE m
             ops(o.vecs[0].iter_ledger),
             OpCounts { flop: 2, fdiv: 1, fspecial: 1, iop: 1, load: 2, store: 1 }
         );
-        // Prep (`j + 1` into a hidden slot) sits in a quiet bracket in
-        // the traced build only.
-        let quiet = |u: &BUnit| u.code.iter().filter(|i| matches!(i, BInstr::Quiet { .. })).count();
-        assert_eq!((quiet(o), quiet(t)), (0, 1));
+        // Prep (`j + 1` into a hidden slot) is one `SetI` in both builds,
+        // and the traced build emits no other.
+        let set_i = |u: &BUnit| u.code.iter().filter(|i| matches!(i, BInstr::SetI { .. })).count();
+        assert_eq!((set_i(o), set_i(t)), (1, 1));
     }
 }

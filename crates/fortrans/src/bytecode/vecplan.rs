@@ -25,8 +25,9 @@ pub enum VecRefusal {
     /// A subscript (or an INTEGER operand) is not affine in the loop
     /// variable.
     NonAffine,
-    /// A loop-invariant subscript part can trap or has side effects and
-    /// is not a plain INTEGER element load.
+    /// A loop-invariant subscript part is neither affine in frame
+    /// INTEGER scalars (which one `SetI` hoists) nor a plain INTEGER
+    /// element load.
     ImpureInvariant,
     /// A written array is accessed through two subscript patterns that
     /// may name the same cell (they are not [`VecAccess::disjoint`]).
@@ -53,9 +54,9 @@ pub(super) struct VecPlan {
     pub(super) red: Option<VecRed>,
     pub(super) sel: Option<VecSel>,
     pub(super) max_depth: u32,
-    /// Loop-invariant subscript expressions to evaluate into hidden
-    /// i-slots between `DoInitC` and `VecLoop`: (expr, slot).
-    pub(super) prep: Vec<(RExpr, u32)>,
+    /// Loop-invariant subscript parts to set into hidden i-slots between
+    /// `DoInitC` and `VecLoop`, one `SetI` each: (value, slot).
+    pub(super) prep: Vec<(Affine, u32)>,
     /// Invariant element loads the `VecLoop` entry performs instead.
     pub(super) guarded: Vec<GuardedLoad>,
     /// Dedup table over both: (expression, slot).
@@ -786,10 +787,10 @@ impl UnitCompiler<'_> {
     }
 
     /// Hidden i-slot holding a loop-invariant I expression. A bare
-    /// frame-I scalar uses its own slot; an expression that cannot fail
-    /// is evaluated by prep code emitted between `DoInitC` and
-    /// `VecLoop`; an INTEGER element load becomes a [`GuardedLoad`] of
-    /// the region's entry, its own subscripts constants or invariant
+    /// frame-I scalar uses its own slot; an [`Affine`] one is set by a
+    /// prep `SetI` between `DoInitC` and `VecLoop`, which cannot fail and
+    /// posts nothing; an INTEGER element load becomes a [`GuardedLoad`]
+    /// of the region's entry, its own subscripts constants or invariant
     /// slots in turn. Identical expressions within one loop share a
     /// slot.
     fn vec_inv_slot(&mut self, e: &RExpr, plan: &mut VecPlan) -> Result<u32, VecRefusal> {
@@ -810,9 +811,9 @@ impl UnitCompiler<'_> {
         if let Some((_, s)) = plan.inv_slots.iter().find(|(k, _)| k.same(e)) {
             return Ok(*s);
         }
-        if self.pure_total(e) {
+        if let Some(a) = self.affine(e) {
             let s = self.hidden_i();
-            plan.prep.push((e.clone(), s));
+            plan.prep.push((a, s));
             plan.inv_slots.push((e.clone(), s));
             return Ok(s);
         }

@@ -114,9 +114,10 @@ pub struct VectorLoopInfo {
     pub checked: usize,
     /// Stream pairs the entry compares for runtime aliasing.
     pub alias_pairs: usize,
-    /// Arrays of the loop the optimized build contracted into frame
-    /// scalars, which the region forward-substitutes instead of
-    /// streaming (DESIGN §6, "Contracted temporaries").
+    /// Arrays of the loop the optimized build's program contracted into
+    /// frame scalars ([`crate::rir::rewrite::contract_temporaries`]),
+    /// which the region forward-substitutes instead of streaming
+    /// (DESIGN §6, "Contracted temporaries").
     pub contracted: usize,
 }
 

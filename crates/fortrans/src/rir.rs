@@ -6,11 +6,11 @@
 //! What a node holds is written down here once: an expression's
 //! operands, a statement's own expressions and the variables a node
 //! names (the `node_parts!` walks, each with a `_mut` twin), and the
-//! statement lists nested in a statement ([`each_child`]). The rewrites,
-//! contraction and the vector analysis reach a node's contents only
-//! through them, [`walk_stmts`] for every mention and [`rename_stmts`]
-//! to rename in place; a pass matches on a variant only where the
-//! variant decides something. The tree-walker and the verifier keep
+//! statement lists nested in a statement ([`each_child`]). The rewrites
+//! and the vector analysis reach a node's contents only through them,
+//! [`walk_stmts`] for every mention and [`rename_stmts`] to rename in
+//! place; a pass matches on a variant only where the variant decides
+//! something. The tree-walker and the verifier keep
 //! their own matches.
 
 use crate::ast::{Bin, RedOp};
@@ -43,7 +43,9 @@ pub struct VarInfo {
     pub place: Place,
     /// Rank 0 = scalar.
     pub rank: usize,
-    /// Static dims for non-allocatable arrays (lo, hi).
+    /// Static dims for non-allocatable arrays (lo, hi). A contracted
+    /// temporary ([`rewrite::contract_temporaries`]), a scalar now, keeps
+    /// the extent it had as an array.
     pub dims: Vec<(i64, i64)>,
     pub allocatable: bool,
     /// True for parameters (scalars use value-result; arrays share cells).
@@ -629,6 +631,16 @@ pub(crate) fn walk_own(s: &RStmt, f: &mut dyn FnMut(Seen)) {
 pub(crate) fn walk_expr(e: &RExpr, f: &mut dyn FnMut(Seen)) {
     expr_vars(e, &mut |seen, &v| f(seen(v)));
     operands(e, &mut |x| walk_expr(x, f));
+}
+
+/// True when evaluating `e` can store to frame scalar `var`: only a
+/// user function call passing `var` by reference does (copy-out on
+/// return); nothing else in an expression assigns.
+pub(crate) fn expr_copies_out_to(e: &RExpr, var: VarIdx) -> bool {
+    let mut out = matches!(e, RExpr::CallFn { args, .. }
+        if args.iter().any(|a| matches!(a, RArg::ByRefScalar(v) if *v == var)));
+    operands(e, &mut |x| out = out || expr_copies_out_to(x, var));
+    out
 }
 
 /// Renames the variables of `stmts` in place: the one mutable walk the

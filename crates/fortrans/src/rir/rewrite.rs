@@ -2,11 +2,12 @@
 //! [`RProgram`] to one that runs the same — outputs, faults and their
 //! unit and line — with its legality predicate beside it, and returns
 //! the program borrowed when it changes nothing. The optimized bytecode
-//! build lowers [`optimized`], which runs them in order; the traced
-//! build lowers the resolved program as it is, so a Simulated run's
-//! `CostTrace` never sees a rule. The tree-walker runs either program,
-//! which is the rules' oracle: `tests/inline_leaves.rs` for
-//! [`scope_temporaries`], [`inline_leaves`] and [`optimized`] as a
+//! build lowers [`optimized`], which runs them in order, and applies no
+//! program rule of its own; the traced build lowers the resolved program
+//! as it is, so a Simulated run's `CostTrace` never sees a rule. The
+//! tree-walker runs either program, which is the rules' oracle:
+//! `tests/inline_leaves.rs` for [`scope_temporaries`],
+//! [`inline_leaves`], [`contract_temporaries`] and [`optimized`] as a
 //! whole, and `tests/fused_spans.rs` for each span's `fast` of
 //! [`fuse_spans`]. DESIGN §6 states each rule. The rules read and
 //! rename a node's contents through the walks of [`crate::rir`], which
@@ -18,17 +19,21 @@ use std::sync::Arc;
 
 use super::*;
 
+mod contract;
 mod fuse;
 
+pub use contract::contract_temporaries;
 pub use fuse::fuse_spans;
 
 /// The program the optimized build lowers: [`scope_temporaries`], then
-/// [`inline_leaves`], then [`fuse_spans`]. Scoping comes first, so an
-/// inlined callee's temporaries are fixed arrays already and fusion
-/// reads every frame array's extent from its declaration.
+/// [`inline_leaves`], then [`fuse_spans`], then [`contract_temporaries`].
+/// Scoping comes first, so an inlined callee's temporaries are fixed
+/// arrays already and fusion reads every frame array's extent from its
+/// declaration. Contraction comes last, so it reaches the inlined
+/// copies and the fresh temporaries of a span's `fast` (FUN3D's `flux`).
 pub fn optimized(prog: &RProgram) -> Cow<'_, RProgram> {
     let mut out = Cow::Borrowed(prog);
-    for rule in [scope_temporaries, inline_leaves, fuse_spans] {
+    for rule in [scope_temporaries, inline_leaves, fuse_spans, contract_temporaries] {
         if let Cow::Owned(p) = rule(&out) {
             out = Cow::Owned(p);
         }

@@ -43,7 +43,7 @@ use crate::interp::{
 };
 use crate::jit::NativeCache;
 use crate::parse::ProgramSet;
-use crate::rir::{RProgram, ScalarTy};
+use crate::rir::{each_child, walk_stmt, RProgram, RStmt, RUnit, ScalarTy, Seen, SpStmt};
 use crate::sema::resolve;
 use crate::storage::{ArrayObj, GlobalCell, Globals};
 
@@ -77,13 +77,14 @@ pub struct CompiledProgram {
     prog: Arc<RProgram>,
     /// The program the optimized build is lowered from,
     /// [`crate::rir::rewrite::optimized`] of `prog`: its scoped
-    /// temporaries fixed, its leaf calls inlined and its same-range loops
-    /// fused, or `prog` itself when those change nothing.
+    /// temporaries fixed, its leaf calls inlined, its same-range loops
+    /// fused and its per-iteration temporaries contracted, or `prog`
+    /// itself when those change nothing.
     lowered: Arc<RProgram>,
     /// Serves Serial and Parallel runs.
     optimized: Arc<Vec<BUnit>>,
-    /// `prog` as it is, lowered without operator folding or contracted
-    /// temporaries, plus cost-only instructions: it preserves every
+    /// `prog` as it is, lowered without operator folding, plus
+    /// cost-only instructions: it preserves every
     /// cost-bearing operation for Simulated mode. Lowered and verified
     /// by the first caller that needs it (racers wait for that one
     /// build); holds the build, or the verifier's message.
@@ -265,15 +266,44 @@ fn vector_report_of(prog: &RProgram, bunits: &[BUnit]) -> Vec<VectorLoopInfo> {
             // A fused span's region and its first original loop share
             // the DO line: the regions before this one at its line say
             // which of the loops there it is.
-            contracted: crate::bytecode::contracted_in(
+            contracted: contracted_in(
                 unit,
-                &bu.vslots,
                 d.line,
                 bu.vecs[..k].iter().filter(|e| e.line == d.line).count(),
             ),
         })
     });
     per_unit.collect()
+}
+
+/// How many contracted temporaries
+/// ([`crate::rir::rewrite::contract_temporaries`]) the `nth` `DO`
+/// statement at source line `line` of `unit` mentions, counting in
+/// pre-order (a fused span's loop comes before its first original
+/// loop). [`VectorLoopInfo::contracted`].
+fn contracted_in(unit: &RUnit, line: u32, nth: usize) -> usize {
+    fn loops_at<'a>(body: &'a [SpStmt], line: u32, out: &mut Vec<&'a RStmt>) {
+        for sp in body {
+            if matches!(sp.s, RStmt::Do { .. }) && sp.line == line {
+                out.push(&sp.s);
+            }
+            each_child(&sp.s, &mut |b| loops_at(b, line, out));
+        }
+    }
+    let mut loops = Vec::new();
+    loops_at(&unit.body, line, &mut loops);
+    let mut seen = Vec::new();
+    if let Some(s) = loops.get(nth) {
+        walk_stmt(s, &mut |x| {
+            if let Seen::Ref(v) | Seen::Store(v) = x {
+                let info = &unit.vars[v];
+                if info.rank == 0 && !info.dims.is_empty() && !seen.contains(&v) {
+                    seen.push(v);
+                }
+            }
+        });
+    }
+    seen.len()
 }
 
 /// Rough retained-size model for one bytecode build: exact element sizes

@@ -33,7 +33,7 @@
 
 use crate::bytecode::{
     dummy_arrays, fixed_global, global_cells, mask_stack_effect, nest_exit_state, prove_streams,
-    region_cost, span_cost, static_ledger, static_shape, vec_stack_effect, BArg, BInstr, BUnit,
+    region_cost, span_cost, static_shape, vec_stack_effect, BArg, BInstr, BUnit,
     MaskOp, PItem, SpanCost, SubOp, VSlot, VecDesc, VecOp, VecSel, VecSub, MAX_INLINE_RANK, NO_PC,
     NO_SDIMS, NO_SLOT, VEC_MAX_ACCESSES, VEC_MAX_DEPTH,
 };
@@ -346,15 +346,6 @@ impl Verifier<'_> {
                     self.region_ok(pc, desc, exit).map_err(at)?;
                 }
             }
-            Quiet { end } => {
-                tgt(end, "quiet bracket end")?;
-                // The VM runs the bracket as a nested range and resumes
-                // at `end`, so nothing inside may transfer control.
-                let body = bu.code.get(pc as usize + 1..end as usize);
-                if body.and_then(static_ledger).is_none() {
-                    return Err(at("quiet bracket is not straight-line code".into()));
-                }
-            }
             DoHeadN { ctr, end, step, var, exit } => {
                 islot(ctr, "DO counter")?;
                 islot(end, "DO end")?;
@@ -608,7 +599,7 @@ impl Verifier<'_> {
             AtomicElem { nsubs, .. } => pop(&mut s, u32::from(nsubs) + 1)?,
             Alloc { ndims, .. } => pop(&mut s, 2 * u32::from(ndims))?,
             CopyArr { .. } | Dealloc { .. } | CostBranch | VecEnter(_) | VecLeave | CallPre
-            | Quiet { .. } | SetI { .. } | DoInitK { .. } => {}
+            | SetI { .. } | DoInitK { .. } => {}
             Jump(tg) => {
                 succ.push((tg, (s, a, t, open)));
                 return Ok(None);
@@ -1202,7 +1193,7 @@ impl Verifier<'_> {
             | Broadcast { .. } | CopyArr { .. } | Alloc { .. } | Dealloc { .. } | FlowExit
             | FlowCycle | FlowReturn | Critical { .. } | OmpDo { .. } | CallPre
             | StashElem { .. } | PushArr { .. } | Call { .. } | Print { .. } | Stop { .. }
-            | SpanEnter { .. } | Quiet { .. } | VecEnter(_) | VecLeave | CostBranch => {
+            | SpanEnter { .. } | VecEnter(_) | VecLeave | CostBranch => {
                 Err(format!("is {ins:?}, which S may not run"))
             }
             _ => Ok(()),

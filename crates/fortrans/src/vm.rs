@@ -1249,23 +1249,6 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         Ok(Some((acc, taken)))
     }
 
-    /// A `Quiet` bracket: runs `[lo, hi)` posting into a throwaway
-    /// accumulator. Out of line so the swap's temporary stays off the
-    /// (recursive) dispatch loop's frame.
-    #[inline(never)]
-    fn run_quiet(
-        &mut self,
-        uidx: usize,
-        frame: &mut VFrame,
-        lo: u32,
-        hi: u32,
-    ) -> Result<(), RunError> {
-        let held = std::mem::take(&mut self.st.cost);
-        let r = self.run_range(uidx, frame, lo, hi);
-        self.st.cost = held;
-        r.map(|_| ())
-    }
-
     // ---------- the dispatch loop ----------
 
     /// Runs `[lo, hi)` of unit `uidx`. A fused span's S and set-up run
@@ -1728,11 +1711,6 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     if TRACE {
                         self.st.cost.vec_mode = self.vec_stack.pop().unwrap_or(VecClass::None);
                     }
-                }
-                BInstr::Quiet { end } => {
-                    self.run_quiet(uidx, frame, pc as u32 + 1, end)?;
-                    pc = end as usize;
-                    continue;
                 }
                 ins @ (BInstr::DoInitC { ctr, end } | BInstr::DoInitK { ctr, end, .. }) => {
                     let (s, e) = match ins {

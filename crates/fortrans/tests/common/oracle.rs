@@ -1,11 +1,13 @@
 //! The rewrite oracle's side of the optimized build's program rules
 //! (`rir::rewrite`), shared by their suites: a tree-walk run's whole
-//! outcome, the tolerance two team runs agree within, and a thin entry
-//! that makes an entry's calls the calls of a called unit. Pulled in
-//! with `#[path = "common/oracle.rs"]`.
+//! outcome, the tolerance two team runs agree within, the check that a
+//! rule runs as the program it rewrites, and a thin entry that makes an
+//! entry's calls the calls of a called unit. Pulled in with
+//! `#[path = "common/oracle.rs"]`.
 
 #![allow(dead_code)] // each test binary uses its own slice of this module
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use fortrans::rir::{RArg, RExpr, RProgram, RStmt, RUnit, SpStmt};
@@ -82,6 +84,40 @@ pub fn team_agrees(a: &Outcome, b: &Outcome) -> bool {
                 }
         });
     results && lines(&a.1) == lines(&b.1) && globals
+}
+
+/// A program-to-program rule of the optimized build.
+pub type Rule = for<'a> fn(&'a RProgram) -> Cow<'a, RProgram>;
+
+/// Runs `calls` on the tree-walker over `prog` as it is and as `rule`
+/// rewrites it, under Serial and `Parallel{2}`, and checks they agree:
+/// bit for bit, fault message and line included, and under `Parallel`
+/// up to [`team_agrees`]. Returns whether the rule changed anything.
+pub fn rewrite_agrees(
+    rule: Rule,
+    label: &str,
+    prog: &RProgram,
+    calls: &dyn Fn() -> Vec<(&'static str, Vec<ArgVal>)>,
+) -> bool {
+    let Cow::Owned(rewritten) = rule(prog) else {
+        return false;
+    };
+    let art =
+        CompiledProgram::from_resolved(prog.clone()).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let after = CompiledProgram::from_resolved(rewritten).expect("rewritten program compiles");
+    for mode in [ExecMode::Serial, ExecMode::Parallel { threads: 2 }] {
+        let before = tree_walk(&Session::solo(art.clone()), &calls(), mode);
+        let after = tree_walk(&Session::solo(after.clone()), &calls(), mode);
+        if mode == ExecMode::Serial {
+            assert_eq!(after, before, "{label}: the rewrite changed the Serial run");
+        } else {
+            assert!(
+                team_agrees(&after, &before),
+                "{label}: the rewrite changed the Parallel run"
+            );
+        }
+    }
+    true
 }
 
 /// `prog` with entry `name`'s body moved into a new unit `name%body`,

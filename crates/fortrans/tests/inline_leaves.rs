@@ -12,11 +12,13 @@
 //! budget on every rung, the size bound on a 10 x 10 x 10 call tree and
 //! the profiled span tree. Last, the rules' own oracle: the tree-walker
 //! runs `rule(p)` exactly as it runs `p`, for `inline_leaves`,
-//! `scope_temporaries` and the whole pipeline `optimized`, over the
-//! service corpus, the generated F77 corpus and the GLAF source sets,
-//! the first two also with each entry's body moved behind a thin entry:
-//! an entry keeps its calls, so only then are their leaf calls
-//! rewritten.
+//! `scope_temporaries` and the whole pipeline `optimized`, and for
+//! `contract_temporaries` on the program the rules before it leave,
+//! over the service corpus, the generated F77 corpus and the GLAF source
+//! sets, the first two also with each entry's body moved behind a thin
+//! entry: an entry keeps its calls, so only then are their leaf calls
+//! rewritten. `array_contraction.rs` runs the contraction oracle over
+//! the programs that rule accepts.
 
 #[path = "common/mod.rs"]
 mod common;
@@ -29,11 +31,12 @@ mod sources;
 
 use fortrans::bytecode::BInstr;
 use fortrans::rir::rewrite::{
-    inline_leaves, optimized, scope_temporaries, stmt_count, INLINE_MAX_STMTS,
+    contract_temporaries, fuse_spans, inline_leaves, optimized, scope_temporaries, stmt_count,
+    INLINE_MAX_STMTS,
 };
 use fortrans::rir::RProgram;
 use fortrans::{ArgVal, CompiledProgram, ExecMode, ExecTier, RunLimits, Session, SpanNode, Val};
-use oracle::{resolved, team_agrees, thin_entry, tree_walk};
+use oracle::{resolved, rewrite_agrees, thin_entry, Rule};
 use rungs::{agree, line_of, MODES};
 use std::borrow::Cow;
 
@@ -752,68 +755,52 @@ fn profiled_span_tree_matches_the_tree_walker() {
 
 // ---------------------------------------------------------------------
 // The rules' oracle: tree-walk of rule(p) equals tree-walk of p, for
-// inline_leaves, scope_temporaries and the whole pipeline, optimized
+// inline_leaves, scope_temporaries, contract_temporaries and the whole
+// pipeline, optimized
 // ---------------------------------------------------------------------
 
-/// A program-to-program rule of the optimized build.
-type Rule = for<'a> fn(&'a RProgram) -> Cow<'a, RProgram>;
-
-/// The rules the oracle runs, by name.
-const RULES: [(&str, Rule); 3] = [
-    ("inline_leaves", inline_leaves),
-    ("scope_temporaries", scope_temporaries),
-    ("optimized", optimized),
-];
-
-/// Runs `calls` on the tree-walker over `prog` as it is and as `rule`
-/// rewrites it, under Serial and `Parallel{2}`, and checks they agree:
-/// bit for bit, fault message and line included, and under `Parallel`
-/// up to [`team_agrees`]. Returns whether the rule changed anything.
-fn rewrite_agrees(
-    rule: Rule,
-    label: &str,
-    prog: &RProgram,
-    calls: &dyn Fn() -> Vec<(&'static str, Vec<ArgVal>)>,
-) -> bool {
-    let Cow::Owned(rewritten) = rule(prog) else {
-        return false;
-    };
-    let art =
-        CompiledProgram::from_resolved(prog.clone()).unwrap_or_else(|e| panic!("{label}: {e}"));
-    let after = CompiledProgram::from_resolved(rewritten).expect("rewritten program compiles");
-    for mode in [ExecMode::Serial, ExecMode::Parallel { threads: 2 }] {
-        let before = tree_walk(&Session::solo(art.clone()), &calls(), mode);
-        let after = tree_walk(&Session::solo(after.clone()), &calls(), mode);
-        if mode == ExecMode::Serial {
-            assert_eq!(after, before, "{label}: the rewrite changed the Serial run");
-        } else {
-            assert!(
-                team_agrees(&after, &before),
-                "{label}: the rewrite changed the Parallel run"
-            );
+/// The program contraction meets in `optimized`: `prog` scoped, inlined
+/// and fused. Only there are GLAF's per-call work arrays fixed arrays,
+/// and only there do inlined leaves bring theirs into their callers.
+fn before_contraction(prog: &RProgram) -> RProgram {
+    let mut p = prog.clone();
+    for rule in [scope_temporaries, inline_leaves, fuse_spans] {
+        if let Cow::Owned(q) = rule(&p) {
+            p = q;
         }
     }
-    true
+    p
 }
 
-/// Per rule of [`RULES`], in order, whether it changed `prog`, each
-/// checked by [`rewrite_agrees`].
+/// Whether each rule changed the program it meets, each checked by
+/// [`rewrite_agrees`]: `inline_leaves`, `scope_temporaries` and the
+/// whole pipeline `optimized` on `prog`, and `contract_temporaries` on
+/// [`before_contraction`] of it.
 fn rules_agree(
     label: &str,
     prog: &RProgram,
     calls: &dyn Fn() -> Vec<(&'static str, Vec<ArgVal>)>,
-) -> [bool; 3] {
-    RULES.map(|(name, rule)| rewrite_agrees(rule, &format!("{label} ({name})"), prog, calls))
+) -> [bool; 4] {
+    let agrees = |name: &str, rule: Rule, p: &RProgram| {
+        rewrite_agrees(rule, &format!("{label} ({name})"), p, calls)
+    };
+    [
+        agrees("inline_leaves", inline_leaves, prog),
+        agrees("scope_temporaries", scope_temporaries, prog),
+        agrees("contract_temporaries", contract_temporaries, &before_contraction(prog)),
+        agrees("optimized", optimized, prog),
+    ]
 }
 
 /// Each service corpus case as written, where its entry keeps its
 /// calls, and behind a thin entry. The corpus is mostly one-unit
 /// programs: only `value-result` calls a unit (`bump`, twice), and
 /// behind a thin entry it inlines both calls. No case holds a scoped
-/// temporary; `vec-memset`'s loops fuse, entry or not.
+/// temporary and none a temporary contraction takes; `vec-memset`'s
+/// loops fuse, entry or not.
 #[test]
 fn rewrite_preserves_the_service_corpus() {
-    let mut changed: [Vec<String>; 3] = Default::default();
+    let mut changed: [Vec<String>; 4] = Default::default();
     for case in common::corpus() {
         let calls = || vec![(case.unit, (case.mk_args)())];
         let prog = resolved(case.label, &[case.src]);
@@ -827,9 +814,10 @@ fn rewrite_preserves_the_service_corpus() {
             }
         }
     }
-    let [inlined, scoped, optimized] = changed;
+    let [inlined, scoped, contracted, optimized] = changed;
     assert_eq!(inlined, ["value-result (thin entry)"], "cases inlining");
     assert_eq!(scoped, [""; 0], "cases scoping");
+    assert_eq!(contracted, [""; 0], "cases contracting");
     let fused = [
         "value-result (thin entry)",
         "vec-memset",
@@ -843,7 +831,8 @@ fn rewrite_preserves_the_service_corpus() {
 /// constant argument) and `STIR` (the loop variable, by reference)
 /// inline in every program. `BLEND` is called inside a sum, so it
 /// never does. As written, no rule changes a generated program: no
-/// program allocates, and none holds a run fusion takes.
+/// program allocates, none holds a run fusion takes, and none a
+/// per-iteration array temporary.
 #[test]
 fn rewrite_preserves_the_generated_corpus() {
     for seed in 0..200u64 {
@@ -854,7 +843,7 @@ fn rewrite_preserves_the_generated_corpus() {
         let wrapped = thin_entry(&prog, "main");
         let calls = || vec![("main", vec![])];
         let changed = rules_agree(&label, &prog, &calls);
-        assert_eq!(changed, [false; 3], "{label}: inlined, scoped, optimized");
+        assert_eq!(changed, [false; 4], "{label}: inlined, scoped, contracted, optimized");
         let label = format!("{label} (thin entry)");
         let art = CompiledProgram::from_resolved(wrapped.clone()).expect("wrapped compiles");
         let (kept, mut inlines) = calls_and_inlines(&Session::solo(art), "main%body");
@@ -864,8 +853,8 @@ fn rewrite_preserves_the_generated_corpus() {
         let changed = rules_agree(&label, &wrapped, &calls);
         assert_eq!(
             changed,
-            [true, false, true],
-            "{label}: inlined, scoped, optimized"
+            [true, false, false, true],
+            "{label}: inlined, scoped, contracted, optimized"
         );
     }
 }
@@ -876,11 +865,12 @@ fn rewrite_preserves_the_generated_corpus() {
 /// and 2) parallelize every band loop, so no band unit is a leaf, and
 /// `run_columns`, an entry, keeps its calls. The FUN3D configurations
 /// that allocate `edge_loop`'s work arrays on every call (sets 5, 6, 9,
-/// 11 and 12) hold scoped temporaries. The pipeline changes the sets
-/// that inline, and set 2, which fuses.
+/// 11 and 12) hold scoped temporaries, and once scoped those of every
+/// set but 12, whose edge loop is a `PARALLEL DO`, contract. The
+/// pipeline changes the sets that inline, and set 2, which fuses.
 #[test]
 fn rewrite_preserves_the_glaf_source_sets() {
-    let mut changed: [Vec<usize>; 3] = Default::default();
+    let mut changed: [Vec<usize>; 4] = Default::default();
     for (k, set) in sources::glaf_source_sets().iter().enumerate() {
         let srcs: Vec<&str> = set.iter().map(String::as_str).collect();
         let sarb = srcs.iter().any(|s| s.contains("SUBROUTINE run_columns"));
@@ -900,7 +890,8 @@ fn rewrite_preserves_the_glaf_source_sets() {
             }
         }
     }
-    let [inlined, scoped, optimized] = changed;
+    let [inlined, scoped, contracted, optimized] = changed;
+    assert_eq!(contracted, [5, 6, 9, 11], "sets contracting");
     assert_eq!(
         inlined,
         [0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],

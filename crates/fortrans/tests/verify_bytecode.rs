@@ -627,9 +627,8 @@ END MODULE m
     ),
 ];
 
-/// A vectorizable loop with prep (`k + 1` into a hidden slot) and a
-/// forwarded temp read after it, so the traced build carries both quiet
-/// brackets.
+/// A vectorizable loop with prep (`k + 1` into a hidden slot, one
+/// `SetI` in either build) and a forwarded temp.
 const LEDGER: &str = r#"
 MODULE m
 CONTAINS
@@ -769,33 +768,35 @@ fn rejects_guarded_load_out_of_range() {
     reject(&|b| b.vecs[0].exit_state[0].0 = ni, "exit-state i-slot");
 }
 
+/// A region's prep is one `SetI` in either build — in the traced one,
+/// where it posts nothing, too — and the verifier checks its
+/// destination, table entry and terms in both.
 #[test]
-fn rejects_quiet_bracket_that_is_not_straight_line() {
+fn rejects_a_prep_that_names_no_slot_in_either_build() {
     let engine = Session::compile(&[LEDGER]).unwrap();
-    let base = build(&engine, true);
-    let brackets: Vec<(usize, u32)> = base[0]
-        .code
-        .iter()
-        .enumerate()
-        .filter_map(|(pc, i)| match *i {
-            BInstr::Quiet { end } => Some((pc, end)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(brackets.len(), 1, "the prep's bracket");
-    for (pc, end) in brackets {
-        // A jump inside the bracket would leave the nested range.
-        let mut jumps = base.clone();
-        jumps[0].code[pc + 1] = BInstr::Jump(0);
-        assert!(reject_msg(&engine, true, &jumps).contains("not straight-line"));
-        // So would a bracket that swallows what follows it, the loop.
-        let mut overlong = base.clone();
-        overlong[0].code[pc] = BInstr::Quiet { end: end + 2 };
-        let msg = reject_msg(&engine, true, &overlong);
-        assert!(msg.contains("not straight-line") || msg.contains("out of range"), "{msg}");
-        let mut backwards = base.clone();
-        backwards[0].code[pc] = BInstr::Quiet { end: pc as u32 };
-        assert!(reject_msg(&engine, true, &backwards).contains("not straight-line"));
+    for traced in [false, true] {
+        let base = build(&engine, traced);
+        let preps: Vec<(usize, u32)> = base[0]
+            .code
+            .iter()
+            .enumerate()
+            .filter_map(|(pc, i)| match *i {
+                BInstr::SetI { aff, .. } => Some((pc, aff)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(preps.len(), 1, "`k + 1`'s prep, traced: {traced}");
+        let (pc, aff) = preps[0];
+        let ni = base[0].ni;
+        let mut dst = base.clone();
+        dst[0].code[pc] = BInstr::SetI { dst: ni, aff };
+        assert!(reject_msg(&engine, traced, &dst).contains("SetI destination"));
+        let mut entry = base.clone();
+        entry[0].code[pc] = BInstr::SetI { dst: ni - 1, aff: aff + 1 };
+        assert!(reject_msg(&engine, traced, &entry).contains("out of range"));
+        let mut term = base.clone();
+        term[0].affine[aff as usize].terms[0].0 = ni;
+        assert!(reject_msg(&engine, traced, &term).contains("affine term"));
     }
 }
 
@@ -989,6 +990,10 @@ fn rejects_stream_proofs_the_slot_shapes_do_not_give() {
     }
 }
 
+/// Both builds of every program, each lowered from the program it runs,
+/// and the optimized lowering of the program as resolved, which the
+/// benchmark's frozen stage replay lowers and verifies: lowering applies
+/// no program rule, so it takes either program.
 #[test]
 fn every_corpus_program_verifies_in_both_variants() {
     let corpus = SWEEP.iter().map(|(label, src)| (label.to_string(), vec![src.to_string()]));
@@ -1000,11 +1005,16 @@ fn every_corpus_program_verifies_in_both_variants() {
         let srcs: Vec<&str> = srcs.iter().map(String::as_str).collect();
         let engine =
             Session::compile(&srcs).unwrap_or_else(|e| panic!("{label} compiles: {e}"));
-        for traced in [false, true] {
-            let prog = engine.artifact().lowered_program(traced);
+        let art = engine.artifact();
+        let builds = [
+            (&**art.lowered_program(false), false),
+            (&**art.lowered_program(true), true),
+            (art.program(), false),
+        ];
+        for (k, (prog, traced)) in builds.into_iter().enumerate() {
             let bunits = compile_program(prog, traced);
             verify_program(prog, &bunits).unwrap_or_else(|e| {
-                panic!("{label} (traced={traced}) fails verification: {e}")
+                panic!("{label} (build {k}, traced={traced}) fails verification: {e}")
             });
         }
     }

@@ -272,7 +272,7 @@ fn main() {
         println!("  {label:22} {inlined:>9.1} {called:>9.1} {:>9.1}", called - inlined);
     }
 
-    // 8. What the optimized build's compile stages cost: the three
+    // 8. What the optimized build's compile stages cost: the four
     //    program rewrites `rewrite::optimized` chains, lowering the
     //    rewritten program and verifying what it lowered to, each the
     //    median of 25 compiles, and how many instructions the build
@@ -280,8 +280,8 @@ fn main() {
     //    `sarb_warm` the SARB GLAF-serial one.
     println!("\n=== compile stages, us per compile (median of 25) ===");
     println!(
-        "  {:20} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}",
-        "source set", "scope", "inline", "fuse", "lower", "verify", "instrs"
+        "  {:20} {:>7} {:>7} {:>7} {:>8} {:>7} {:>7} {:>7}",
+        "source set", "scope", "inline", "fuse", "contract", "lower", "verify", "instrs"
     );
     let fun3d = |cfg| fun3d_sources(Fun3dVariant::Glaf(cfg));
     let sets = [
@@ -293,7 +293,7 @@ fn main() {
         let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
         let ast = ProgramSet::from_sources(&refs).expect("source set parses").ast;
         let prog = sema::resolve(&ast).expect("source set resolves");
-        let mut times = [(); 5].map(|_| Vec::new());
+        let mut times = [(); 6].map(|_| Vec::new());
         let mut instrs = 0;
         for _ in 0..25 {
             let mut lap = std::time::Instant::now();
@@ -305,20 +305,22 @@ fn main() {
             stage(0);
             let inlined = rewrite::inline_leaves(&scoped);
             stage(1);
-            let lowered = rewrite::fuse_spans(&inlined);
+            let fused = rewrite::fuse_spans(&inlined);
             stage(2);
-            let bunits = compile_program(&lowered, false);
+            let lowered = rewrite::contract_temporaries(&fused);
             stage(3);
-            verify_program(&lowered, &bunits).expect("the optimized build verifies");
+            let bunits = compile_program(&lowered, false);
             stage(4);
+            verify_program(&lowered, &bunits).expect("the optimized build verifies");
+            stage(5);
             instrs = bunits.iter().map(|bu| bu.code.len()).sum::<usize>();
         }
         let median = |t: &mut Vec<f64>| {
             t.sort_by(f64::total_cmp);
             t[t.len() / 2]
         };
-        let [s, i, f, l, v] = times.each_mut().map(median);
-        println!("  {label:20} {s:>7.0} {i:>7.0} {f:>7.0} {l:>7.0} {v:>7.0} {instrs:>7}");
+        let [s, i, f, c, l, v] = times.each_mut().map(median);
+        println!("  {label:20} {s:>7.0} {i:>7.0} {f:>7.0} {c:>8.0} {l:>7.0} {v:>7.0} {instrs:>7}");
     }
 }
 
