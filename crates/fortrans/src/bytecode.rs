@@ -87,12 +87,13 @@
 
 use crate::ast::{Bin, RedOp};
 use crate::cost::{Ledger, OpKind};
-use crate::intrinsics::Intr;
+use crate::intrinsics::{self, Intr};
 use crate::interp::Val;
 use crate::rir::*;
 
 mod vecplan;
 
+pub use crate::intrinsics::Cmp;
 pub use vecplan::VecRefusal;
 use vecplan::VecPlan;
 
@@ -114,47 +115,6 @@ pub enum VSlot {
     GlobS(u32),
     /// Global array cell.
     GlobA(u32),
-}
-
-/// Comparison selector for `CmpI`/`CmpF`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Cmp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
-impl Cmp {
-    /// The selector of a comparison operator; `None` for any other.
-    pub(crate) fn of(op: Bin) -> Option<Cmp> {
-        Some(match op {
-            Bin::Eq => Cmp::Eq,
-            Bin::Ne => Cmp::Ne,
-            Bin::Lt => Cmp::Lt,
-            Bin::Le => Cmp::Le,
-            Bin::Gt => Cmp::Gt,
-            Bin::Ge => Cmp::Ge,
-            _ => return None,
-        })
-    }
-
-    /// `a <op> b` on INTEGER mask lanes. The scalar `CmpI`/`CmpF`
-    /// handlers keep their own copies, so the dispatch loop is the one
-    /// every rung has been measured on.
-    #[inline(always)]
-    pub(crate) fn holds(self, a: i64, b: i64) -> bool {
-        match self {
-            Cmp::Eq => a == b,
-            Cmp::Ne => a != b,
-            Cmp::Lt => a < b,
-            Cmp::Le => a <= b,
-            Cmp::Gt => a > b,
-            Cmp::Ge => a >= b,
-        }
-    }
 }
 
 /// Precomputed layout of a fixed-shape array (column-major strides).
@@ -292,7 +252,8 @@ pub enum BInstr {
     FailType { msg: u32 },
     /// Integer-flavored intrinsic (all operands statically I).
     IntrI { f: Intr, argc: u8 },
-    /// Float-flavored intrinsic; `to_int` for INT/NINT results.
+    /// Float-flavored intrinsic ([`Intr::call_f`]); `to_int` when its
+    /// result is an INTEGER (INT/NINT).
     IntrF { f: Intr, argc: u8, to_int: bool },
     /// Array element access, operand-addressed: the `n` subscripts are
     /// `subops[subs..subs + n]`; only the `Stack` ones are popped. `sd`
@@ -421,9 +382,7 @@ impl BInstr {
             AddI | SubI | MulI | DivI | PowII | NegI | NotB | AndB | OrB | CmpI(_) => {
                 Posts::Op(OpKind::IOp)
             }
-            IntrI { f, .. } | IntrF { f, .. } => {
-                Posts::Op(if f.is_special() { OpKind::FSpecial } else { OpKind::Flop })
-            }
+            IntrI { f, .. } | IntrF { f, .. } => Posts::Op(f.cost()),
             LoadG(_) | LoadElemS { .. } => Posts::Op(OpKind::Load),
             StoreG(_) | StoreElemS { .. } => Posts::Op(OpKind::Store),
             AtomicScal { .. } | AtomicElem { .. } => Posts::Atomic,
@@ -1338,85 +1297,6 @@ pub fn compile_program(prog: &RProgram, traced: bool) -> Vec<BUnit> {
 }
 
 // ---------------------------------------------------------------------
-// Constant folding / purity analysis
-// ---------------------------------------------------------------------
-
-/// Folds `op(a, b)` when total (no error, no environment dependence).
-fn const_bin(op: Bin, ty: ScalarTy, a: Val, b: Val) -> Option<Val> {
-    match op {
-        Bin::And => return Some(Val::B(a.as_b() && b.as_b())),
-        Bin::Or => return Some(Val::B(a.as_b() || b.as_b())),
-        Bin::Eq | Bin::Ne | Bin::Lt | Bin::Le | Bin::Gt | Bin::Ge => {
-            let r = match ty {
-                ScalarTy::F => {
-                    let (x, y) = (a.as_f(), b.as_f());
-                    match op {
-                        Bin::Eq => x == y,
-                        Bin::Ne => x != y,
-                        Bin::Lt => x < y,
-                        Bin::Le => x <= y,
-                        Bin::Gt => x > y,
-                        _ => x >= y,
-                    }
-                }
-                _ => {
-                    let (x, y) = (a.as_i(), b.as_i());
-                    match op {
-                        Bin::Eq => x == y,
-                        Bin::Ne => x != y,
-                        Bin::Lt => x < y,
-                        Bin::Le => x <= y,
-                        Bin::Gt => x > y,
-                        _ => x >= y,
-                    }
-                }
-            };
-            return Some(Val::B(r));
-        }
-        _ => {}
-    }
-    match ty {
-        ScalarTy::F => {
-            let (x, y) = (a.as_f(), b.as_f());
-            Some(Val::F(match op {
-                Bin::Add => x + y,
-                Bin::Sub => x - y,
-                Bin::Mul => x * y,
-                Bin::Div => x / y,
-                Bin::Pow => match b {
-                    Val::I(e) if e.unsigned_abs() <= 64 => x.powi(e as i32),
-                    _ => x.powf(y),
-                },
-                _ => unreachable!(),
-            }))
-        }
-        ScalarTy::I => {
-            let (x, y) = (a.as_i(), b.as_i());
-            Some(Val::I(match op {
-                Bin::Add => x.wrapping_add(y),
-                Bin::Sub => x.wrapping_sub(y),
-                Bin::Mul => x.wrapping_mul(y),
-                Bin::Div => {
-                    if y == 0 {
-                        return None; // keep the runtime error
-                    }
-                    x / y
-                }
-                Bin::Pow => {
-                    if y < 0 {
-                        0
-                    } else {
-                        x.checked_pow(y.min(63) as u32).unwrap_or(i64::MAX)
-                    }
-                }
-                _ => unreachable!(),
-            }))
-        }
-        ScalarTy::B => None, // runtime "arithmetic on LOGICAL"
-    }
-}
-
-// ---------------------------------------------------------------------
 // The per-unit compiler
 // ---------------------------------------------------------------------
 
@@ -1659,13 +1539,8 @@ impl<'a> UnitCompiler<'a> {
             RExpr::Not(_) => ScalarTy::B,
             RExpr::ToF(_) => ScalarTy::F,
             RExpr::ToI(_) => ScalarTy::I,
-            RExpr::Intrinsic { f, args } => {
-                if self.intr_int_flavor(*f, args) || matches!(f, Intr::Int | Intr::Nint) {
-                    ScalarTy::I
-                } else {
-                    ScalarTy::F
-                }
-            }
+            RExpr::Intrinsic { f, args } if self.intr_int_flavor(*f, args) => ScalarTy::I,
+            RExpr::Intrinsic { f, .. } => f.result_ty(ScalarTy::F),
             RExpr::ArrReduce { f, v } => {
                 if *f == ArrRed::Size {
                     ScalarTy::I
@@ -1679,8 +1554,7 @@ impl<'a> UnitCompiler<'a> {
     }
 
     fn intr_int_flavor(&self, f: Intr, args: &[RExpr]) -> bool {
-        matches!(f, Intr::Abs | Intr::Max | Intr::Min | Intr::Mod | Intr::Sign)
-            && args.iter().all(|a| self.ty_of(a) == ScalarTy::I)
+        f.int_flavor(args.iter().all(|a| self.ty_of(a) == ScalarTy::I))
     }
 
     /// Conversion instructions between static types (`Val::as_*`).
@@ -1715,43 +1589,29 @@ impl<'a> UnitCompiler<'a> {
         self.const_eval(e)
     }
 
-    /// Compile-time constant evaluation (`None` keeps the runtime
-    /// evaluation, including its error behaviour). The vector analysis
-    /// calls this directly in both builds: a lane program computes the
-    /// same values however its constants were obtained, and the cost of
-    /// a vectorized trip comes from the scalar body's ledger.
+    /// Compile-time constant evaluation through the operator table
+    /// ([`crate::intrinsics`]), the one the run-time tiers call. `None`
+    /// keeps the run-time evaluation: the expression reads state, or its
+    /// operation fails (integer division by zero, arithmetic on or
+    /// negation of a LOGICAL) and keeps its run-time error. The vector
+    /// analysis calls this directly in both builds: a lane program
+    /// computes the same values however its constants were obtained, and
+    /// the cost of a vectorized trip comes from the scalar body's ledger.
     fn const_eval(&self, e: &RExpr) -> Option<Val> {
         match e {
             RExpr::ConstI(v) => Some(Val::I(*v)),
             RExpr::ConstF(v) => Some(Val::F(*v)),
             RExpr::ConstB(v) => Some(Val::B(*v)),
             RExpr::Bin { op, ty, l, r } => {
-                let a = self.const_eval(l)?;
-                let b = self.const_eval(r)?;
-                const_bin(*op, *ty, a, b)
+                intrinsics::bin(*op, *ty, self.const_eval(l)?, self.const_eval(r)?).ok()
             }
-            RExpr::Neg(x) => match self.const_eval(x)? {
-                Val::I(v) => Some(Val::I(v.wrapping_neg())),
-                Val::F(v) => Some(Val::F(-v)),
-                Val::B(_) => None,
-            },
-            RExpr::Not(x) => Some(Val::B(!self.const_eval(x)?.as_b())),
-            RExpr::ToF(x) => Some(Val::F(self.const_eval(x)?.as_f())),
-            RExpr::ToI(x) => Some(Val::I(self.const_eval(x)?.as_i())),
+            RExpr::Neg(x) => intrinsics::neg(self.const_eval(x)?).ok(),
+            RExpr::Not(x) => Some(intrinsics::not(self.const_eval(x)?)),
+            RExpr::ToF(x) => Some(intrinsics::to_f(self.const_eval(x)?)),
+            RExpr::ToI(x) => Some(intrinsics::to_i(self.const_eval(x)?)),
             RExpr::Intrinsic { f, args } => {
                 let vals: Option<Vec<Val>> = args.iter().map(|a| self.const_eval(a)).collect();
-                let vals = vals?;
-                if self.intr_int_flavor(*f, args) {
-                    let iv: Vec<i64> = vals.iter().map(|v| v.as_i()).collect();
-                    Some(Val::I(f.eval_i(&iv)))
-                } else {
-                    let fv: Vec<f64> = vals.iter().map(|v| v.as_f()).collect();
-                    let r = f.eval_f(&fv);
-                    Some(match f {
-                        Intr::Int | Intr::Nint => Val::I(r as i64),
-                        _ => Val::F(r),
-                    })
-                }
+                Some(f.call(&vals?))
             }
             _ => None,
         }
@@ -1816,7 +1676,7 @@ impl<'a> UnitCompiler<'a> {
     /// Emits `e`; leaves one value of static type `ty_of(e)` on the stack.
     fn emit_expr(&mut self, e: &RExpr) {
         if let Some(v) = self.fold(e) {
-            let bits = val_bits(v, self.ty_of(e));
+            let bits = v.to_bits(self.ty_of(e));
             self.push(BInstr::Const(bits));
             return;
         }
@@ -1872,11 +1732,8 @@ impl<'a> UnitCompiler<'a> {
                 if int_flavor {
                     self.push(BInstr::IntrI { f: *f, argc });
                 } else {
-                    self.push(BInstr::IntrF {
-                        f: *f,
-                        argc,
-                        to_int: matches!(f, Intr::Int | Intr::Nint),
-                    });
+                    let to_int = f.result_ty(ScalarTy::F) == ScalarTy::I;
+                    self.push(BInstr::IntrF { f: *f, argc, to_int });
                 }
             }
             RExpr::ArrReduce { f, v } => {
@@ -2770,14 +2627,6 @@ fn at_pc(table: &mut Vec<(u32, u32)>, pc: u32, v: u32) {
     match table.last_mut() {
         Some(last) if last.0 == pc => last.1 = v,
         _ => table.push((pc, v)),
-    }
-}
-
-fn val_bits(v: Val, ty: ScalarTy) -> u64 {
-    match ty {
-        ScalarTy::I => v.as_i() as u64,
-        ScalarTy::F => v.as_f().to_bits(),
-        ScalarTy::B => u64::from(v.as_b()),
     }
 }
 

@@ -909,11 +909,9 @@ impl UnitCompiler<'_> {
                         // `F ** I` needs a constant exponent so the
                         // powi-vs-powf rule resolves at compile time.
                         let ev = self.const_eval(r).ok_or(Shape)?.as_i();
-                        if ev.unsigned_abs() <= 64 {
-                            ops.push(VecOp::PowI(ev as i32));
-                        } else {
-                            ops.push(VecOp::Splat(ev as f64));
-                            ops.push(VecOp::Pow);
+                        match intrinsics::powi_exponent(ev) {
+                            Some(e) => ops.push(VecOp::PowI(e)),
+                            None => ops.extend([VecOp::Splat(ev as f64), VecOp::Pow]),
                         }
                     } else {
                         self.vec_operand_f(r, var, plan, ops)?;

@@ -5,14 +5,21 @@
 //! name stands for. [`crate::f77spec`] answers from the `PARAMETER`s a
 //! unit has folded so far (`EQUIVALENCE` and `DATA` need extents before
 //! sema runs), [`crate::sema`] by walking its scope chain.
+//!
+//! What an operator computes is the operator table's
+//! ([`crate::intrinsics::bin`]), the one the run-time tiers and
+//! lowering's folder call; this file only types the operands as sema
+//! does. So a `PARAMETER` holds what the same expression computes at run
+//! time, and an operation that fails there (integer division by zero)
+//! does not fold.
 
 use crate::ast::{Bin, DimDecl, Expr};
+use crate::interp::Val;
+use crate::intrinsics;
+use crate::rir::ScalarTy;
 
 /// Folds `e` to a literal; `named(n)` is the literal the constant `n`
 /// folded to. `Err` is the subexpression that is not constant.
-///
-/// Integer `+ - *` and negation wrap, `/` and `**` are checked; an
-/// operation with a REAL side is done in `f64`.
 pub(crate) fn cfold<'a>(
     e: &'a Expr,
     named: &dyn Fn(&str) -> Option<Expr>,
@@ -23,57 +30,48 @@ pub(crate) fn cfold<'a>(
             [p] if p.subs.is_empty() => named(&p.name),
             _ => None,
         },
-        Expr::Neg(a) => match cfold(a, named)? {
-            Expr::Int(i) => Some(Expr::Int(i.wrapping_neg())),
-            Expr::Real(r) => Some(Expr::Real(-r)),
+        Expr::Neg(a) => val(&cfold(a, named)?).and_then(|v| intrinsics::neg(v).ok()).map(lit),
+        Expr::Not(a) => match val(&cfold(a, named)?) {
+            Some(v @ Val::B(_)) => Some(lit(intrinsics::not(v))),
             _ => None,
         },
-        Expr::Not(a) => match cfold(a, named)? {
-            Expr::Logical(b) => Some(Expr::Logical(!b)),
-            _ => None,
-        },
-        Expr::Bin(op, a, b) => binary(*op, &cfold(a, named)?, &cfold(b, named)?),
+        Expr::Bin(op, a, b) => {
+            let (a, b) = (cfold(a, named)?, cfold(b, named)?);
+            binary(*op, val(&a), val(&b))
+        }
     };
     folded.ok_or(e)
 }
 
-fn binary(op: Bin, a: &Expr, b: &Expr) -> Option<Expr> {
-    fn num(e: &Expr) -> Option<f64> {
-        match e {
-            Expr::Int(i) => Some(*i as f64),
-            Expr::Real(r) => Some(*r),
-            _ => None,
-        }
+/// `op` on two folded literals, typed as sema types it: `.AND.`/`.OR.`
+/// on LOGICALs, everything else on numbers, REAL if either side is,
+/// with `F ** I` keeping its INTEGER exponent.
+fn binary(op: Bin, a: Option<Val>, b: Option<Val>) -> Option<Expr> {
+    let (a, b) = (a?, b?);
+    let ty = match (op, a, b) {
+        (Bin::And | Bin::Or, Val::B(_), Val::B(_)) => ScalarTy::B,
+        (Bin::And | Bin::Or, ..) | (_, Val::B(_), _) | (_, _, Val::B(_)) => return None,
+        (_, Val::F(_), _) | (_, _, Val::F(_)) => ScalarTy::F,
+        _ => ScalarTy::I,
+    };
+    intrinsics::bin(op, ty, a, b).ok().map(lit)
+}
+
+fn val(e: &Expr) -> Option<Val> {
+    match *e {
+        Expr::Int(i) => Some(Val::I(i)),
+        Expr::Real(r) => Some(Val::F(r)),
+        Expr::Logical(b) => Some(Val::B(b)),
+        _ => None,
     }
-    Some(match (op, a, b) {
-        (Bin::Add, Expr::Int(x), Expr::Int(y)) => Expr::Int(x.wrapping_add(*y)),
-        (Bin::Sub, Expr::Int(x), Expr::Int(y)) => Expr::Int(x.wrapping_sub(*y)),
-        (Bin::Mul, Expr::Int(x), Expr::Int(y)) => Expr::Int(x.wrapping_mul(*y)),
-        (Bin::Div, Expr::Int(x), Expr::Int(y)) => Expr::Int(x.checked_div(*y)?),
-        (Bin::Pow, Expr::Int(x), Expr::Int(y)) if (0..=62).contains(y) => {
-            Expr::Int(x.checked_pow(*y as u32)?)
-        }
-        (Bin::Add, _, _) => Expr::Real(num(a)? + num(b)?),
-        (Bin::Sub, _, _) => Expr::Real(num(a)? - num(b)?),
-        (Bin::Mul, _, _) => Expr::Real(num(a)? * num(b)?),
-        (Bin::Div, _, _) => Expr::Real(num(a)? / num(b)?),
-        // The engine's `F ** I` rule: `powi` for |e| <= 64.
-        (Bin::Pow, Expr::Real(x), Expr::Int(e)) if e.unsigned_abs() <= 64 => {
-            Expr::Real(x.powi(*e as i32))
-        }
-        (Bin::Pow, _, _) => Expr::Real(num(a)?.powf(num(b)?)),
-        (Bin::Eq, Expr::Logical(x), Expr::Logical(y)) => Expr::Logical(x == y),
-        (Bin::Ne, Expr::Logical(x), Expr::Logical(y)) => Expr::Logical(x != y),
-        (Bin::Eq, _, _) => Expr::Logical(num(a)? == num(b)?),
-        (Bin::Ne, _, _) => Expr::Logical(num(a)? != num(b)?),
-        (Bin::Lt, _, _) => Expr::Logical(num(a)? < num(b)?),
-        (Bin::Le, _, _) => Expr::Logical(num(a)? <= num(b)?),
-        (Bin::Gt, _, _) => Expr::Logical(num(a)? > num(b)?),
-        (Bin::Ge, _, _) => Expr::Logical(num(a)? >= num(b)?),
-        (Bin::And, Expr::Logical(x), Expr::Logical(y)) => Expr::Logical(*x && *y),
-        (Bin::Or, Expr::Logical(x), Expr::Logical(y)) => Expr::Logical(*x || *y),
-        _ => return None,
-    })
+}
+
+fn lit(v: Val) -> Expr {
+    match v {
+        Val::I(i) => Expr::Int(i),
+        Val::F(r) => Expr::Real(r),
+        Val::B(b) => Expr::Logical(b),
+    }
 }
 
 /// The folded `(lo, hi)` of each dimension, `lo` defaulting to 1; `None`

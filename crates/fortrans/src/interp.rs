@@ -29,10 +29,10 @@ use std::sync::Arc;
 use omprt::{CriticalRegistry, Schedule, ThreadPool};
 use parking_lot::Mutex;
 
-use crate::ast::{Bin, RedOp};
+use crate::ast::RedOp;
 use crate::cost::{CostCounters, CostTrace, OpKind};
 use crate::error::RunError;
-use crate::intrinsics::Intr;
+use crate::intrinsics;
 use crate::region::{self, Reduction, RegionSpec, RegionState};
 use crate::rir::*;
 use crate::storage::{ArrayObj, Frame, FrameVal, Globals};
@@ -501,82 +501,36 @@ impl<'e> Task<'e> {
             RExpr::Bin { op, ty, l, r } => {
                 let a = self.eval(unit, frame, l)?;
                 let b = self.eval(unit, frame, r)?;
-                self.eval_bin(*op, *ty, a, b)
+                if let Some(k) = intrinsics::bin_cost(*op, *ty) {
+                    self.op(k);
+                }
+                intrinsics::bin(*op, *ty, a, b)
             }
             RExpr::Neg(x) => {
                 let v = self.eval(unit, frame, x)?;
-                self.op(match v {
-                    Val::F(_) => OpKind::Flop,
-                    _ => OpKind::IOp,
-                });
-                Ok(match v {
-                    Val::I(i) => Val::I(-i),
-                    Val::F(f) => Val::F(-f),
-                    Val::B(_) => return Err(RunError::Type { msg: "negate LOGICAL".into() }),
-                })
+                self.op(if matches!(v, Val::F(_)) { OpKind::Flop } else { OpKind::IOp });
+                intrinsics::neg(v)
             }
             RExpr::Not(x) => {
                 let v = self.eval(unit, frame, x)?;
                 self.op(OpKind::IOp);
-                Ok(Val::B(!v.as_b()))
+                Ok(intrinsics::not(v))
             }
-            RExpr::ToF(x) => {
-                let v = self.eval(unit, frame, x)?;
-                Ok(Val::F(v.as_f()))
-            }
-            RExpr::ToI(x) => {
-                let v = self.eval(unit, frame, x)?;
-                Ok(Val::I(v.as_i()))
-            }
+            RExpr::ToF(x) => Ok(intrinsics::to_f(self.eval(unit, frame, x)?)),
+            RExpr::ToI(x) => Ok(intrinsics::to_i(self.eval(unit, frame, x)?)),
             RExpr::Intrinsic { f, args } => {
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
                     vals.push(self.eval(unit, frame, a)?);
                 }
-                self.op(if f.is_special() { OpKind::FSpecial } else { OpKind::Flop });
-                // Integer-flavored when every operand is I.
-                if vals.iter().all(|v| matches!(v, Val::I(_)))
-                    && matches!(
-                        f,
-                        Intr::Abs | Intr::Max | Intr::Min | Intr::Mod | Intr::Sign
-                    )
-                {
-                    let iv: Vec<i64> = vals.iter().map(|v| v.as_i()).collect();
-                    return Ok(Val::I(f.eval_i(&iv)));
-                }
-                let fv: Vec<f64> = vals.iter().map(|v| v.as_f()).collect();
-                let r = f.eval_f(&fv);
-                Ok(match f {
-                    Intr::Int | Intr::Nint => Val::I(r as i64),
-                    _ => Val::F(r),
-                })
+                self.op(f.cost());
+                Ok(f.call(&vals))
             }
             RExpr::ArrReduce { f, v } => {
                 let arr = self.array_handle(unit, frame, *v)?;
-                let n = arr.len();
-                self.op_n(OpKind::Load, n as u64);
-                self.op_n(OpKind::Flop, n as u64);
-                Ok(match f {
-                    ArrRed::Size => Val::I(n as i64),
-                    ArrRed::Sum => match arr.ty {
-                        ScalarTy::I => Val::I((0..n).map(|i| arr.get_i(i)).sum()),
-                        _ => Val::F((0..n).map(|i| arr.get_f(i)).sum()),
-                    },
-                    ArrRed::Maxval => match arr.ty {
-                        ScalarTy::I => {
-                            Val::I((0..n).map(|i| arr.get_i(i)).max().unwrap_or(i64::MIN))
-                        }
-                        _ => Val::F(
-                            (0..n).map(|i| arr.get_f(i)).fold(f64::NEG_INFINITY, f64::max),
-                        ),
-                    },
-                    ArrRed::Minval => match arr.ty {
-                        ScalarTy::I => {
-                            Val::I((0..n).map(|i| arr.get_i(i)).min().unwrap_or(i64::MAX))
-                        }
-                        _ => Val::F((0..n).map(|i| arr.get_f(i)).fold(f64::INFINITY, f64::min)),
-                    },
-                })
+                self.op_n(OpKind::Load, arr.len() as u64);
+                self.op_n(OpKind::Flop, arr.len() as u64);
+                Ok(intrinsics::reduce(*f, &arr))
             }
             RExpr::AllocatedQ(v) => {
                 let info = &unit.vars[*v];
@@ -592,105 +546,6 @@ impl<'e> Task<'e> {
                 let r = self.call_unit(unit, frame, *callee, args)?;
                 r.ok_or_else(|| RunError::Type { msg: "function returned nothing".into() })
             }
-        }
-    }
-
-    fn eval_bin(&mut self, op: Bin, ty: ScalarTy, a: Val, b: Val) -> Result<Val, RunError> {
-        match op {
-            Bin::And => {
-                self.op(OpKind::IOp);
-                return Ok(Val::B(a.as_b() && b.as_b()));
-            }
-            Bin::Or => {
-                self.op(OpKind::IOp);
-                return Ok(Val::B(a.as_b() || b.as_b()));
-            }
-            Bin::Eq | Bin::Ne | Bin::Lt | Bin::Le | Bin::Gt | Bin::Ge => {
-                self.op(if ty == ScalarTy::F { OpKind::Flop } else { OpKind::IOp });
-                let r = match ty {
-                    ScalarTy::F => {
-                        let (x, y) = (a.as_f(), b.as_f());
-                        match op {
-                            Bin::Eq => x == y,
-                            Bin::Ne => x != y,
-                            Bin::Lt => x < y,
-                            Bin::Le => x <= y,
-                            Bin::Gt => x > y,
-                            _ => x >= y,
-                        }
-                    }
-                    _ => {
-                        let (x, y) = (a.as_i(), b.as_i());
-                        match op {
-                            Bin::Eq => x == y,
-                            Bin::Ne => x != y,
-                            Bin::Lt => x < y,
-                            Bin::Le => x <= y,
-                            Bin::Gt => x > y,
-                            _ => x >= y,
-                        }
-                    }
-                };
-                return Ok(Val::B(r));
-            }
-            _ => {}
-        }
-        match ty {
-            ScalarTy::F => {
-                let (x, y) = (a.as_f(), b.as_f());
-                let r = match op {
-                    Bin::Add => {
-                        self.op(OpKind::Flop);
-                        x + y
-                    }
-                    Bin::Sub => {
-                        self.op(OpKind::Flop);
-                        x - y
-                    }
-                    Bin::Mul => {
-                        self.op(OpKind::Flop);
-                        x * y
-                    }
-                    Bin::Div => {
-                        self.op(OpKind::FDiv);
-                        x / y
-                    }
-                    Bin::Pow => {
-                        self.op(OpKind::FSpecial);
-                        match b {
-                            Val::I(e) if e.unsigned_abs() <= 64 => x.powi(e as i32),
-                            _ => x.powf(y),
-                        }
-                    }
-                    _ => unreachable!(),
-                };
-                Ok(Val::F(r))
-            }
-            ScalarTy::I => {
-                let (x, y) = (a.as_i(), b.as_i());
-                self.op(OpKind::IOp);
-                let r = match op {
-                    Bin::Add => x.wrapping_add(y),
-                    Bin::Sub => x.wrapping_sub(y),
-                    Bin::Mul => x.wrapping_mul(y),
-                    Bin::Div => {
-                        if y == 0 {
-                            return Err(RunError::Arith { msg: "integer division by zero".into() });
-                        }
-                        x / y
-                    }
-                    Bin::Pow => {
-                        if y < 0 {
-                            0
-                        } else {
-                            x.checked_pow(y.min(63) as u32).unwrap_or(i64::MAX)
-                        }
-                    }
-                    _ => unreachable!(),
-                };
-                Ok(Val::I(r))
-            }
-            ScalarTy::B => Err(RunError::Type { msg: "arithmetic on LOGICAL".into() }),
         }
     }
 
@@ -964,32 +819,20 @@ impl<'e> Task<'e> {
                     rd.push((lo, hi));
                 }
                 let info = &unit.vars[*v];
-                let ty = info.ty;
-                let obj = Arc::new(ArrayObj::try_new(ty, rd.clone())?);
+                let len = ArrayObj::checked_len(&rd)?;
                 self.add_misc(|c| {
                     c.alloc_calls += 1;
+                    c.alloc_bytes += (len * 8) as u64;
                 });
-                let bytes = (obj.len() * 8) as u64;
-                self.add_misc(move |c| c.alloc_bytes += bytes);
                 match info.place {
                     Place::Frame(slot) => {
                         if matches!(&frame.slots[slot], FrameVal::Arr(Some(_))) {
                             return Err(RunError::AlreadyAllocated { var: info.name.clone() });
                         }
-                        frame.slots[slot] = FrameVal::Arr(Some(obj));
+                        frame.slots[slot] = FrameVal::Arr(Some(Arc::new(ArrayObj::new(info.ty, rd))));
                     }
                     Place::Global(cell) => {
-                        let gc = &self.ex.globals.cells[cell];
-                        let prev = if gc.is_per_thread() {
-                            gc.set_array_all_threads(self.tid, || {
-                                Arc::new(ArrayObj::new(ty, rd.clone()))
-                            })
-                        } else {
-                            gc.set_array(self.tid, Some(obj))
-                        };
-                        if prev.is_some() {
-                            return Err(RunError::AlreadyAllocated { var: info.name.clone() });
-                        }
+                        self.ex.globals.cells[cell].allocate(self.tid, &info.name, info.ty, &rd)?
                     }
                 }
                 Ok(Flow::Normal)
@@ -1004,15 +847,7 @@ impl<'e> Task<'e> {
                         frame.slots[slot] = FrameVal::Arr(None);
                     }
                     Place::Global(cell) => {
-                        let gc = &self.ex.globals.cells[cell];
-                        let prev = if gc.is_per_thread() {
-                            gc.clear_array_all_threads(self.tid)
-                        } else {
-                            gc.set_array(self.tid, None)
-                        };
-                        if prev.is_none() {
-                            return Err(RunError::Unallocated { var: info.name.clone() });
-                        }
+                        self.ex.globals.cells[cell].deallocate(self.tid, &info.name)?
                     }
                 }
                 Ok(Flow::Normal)
@@ -1039,12 +874,7 @@ impl<'e> Task<'e> {
                     match item {
                         PrintItem::Str(s) => line.push_str(s),
                         PrintItem::Val(e) => {
-                            let v = self.eval(unit, frame, e)?;
-                            match v {
-                                Val::I(x) => line.push_str(&x.to_string()),
-                                Val::F(x) => line.push_str(&format!("{x:.6}")),
-                                Val::B(b) => line.push_str(if b { "T" } else { "F" }),
-                            }
+                            intrinsics::print_item(&mut line, self.eval(unit, frame, e)?)
                         }
                     }
                 }

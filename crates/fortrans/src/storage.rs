@@ -224,7 +224,7 @@ pub struct ThreadInstance {
     arr: Option<Arc<ArrayObj>>,
     /// The instance's own thread ALLOCATEd it. False while it is only
     /// *provisioned* — filled in by another thread's ALLOCATE (see
-    /// [`GlobalCell::set_array_all_threads`]) — which the owning thread
+    /// [`GlobalCell::allocate`]) — which the owning thread
     /// may still ALLOCATE once without an "already allocated" error.
     claimed: bool,
 }
@@ -333,55 +333,59 @@ impl GlobalCell {
         }
     }
 
-    /// True for SAVE/THREADPRIVATE per-thread cells.
-    pub fn is_per_thread(&self) -> bool {
-        matches!(self, GlobalCell::PerThreadArray(_) | GlobalCell::PerThreadScalar(_))
-    }
-
-    /// ALLOCATE semantics for per-thread arrays: `tid` claims its own
-    /// instance (a fresh zeroed array) and *provisions* every other
-    /// thread's unallocated instance, so inner parallel regions forked
-    /// by any thread find their instance allocated — FORTRAN
-    /// SAVE-allocate-once semantics lifted to the per-thread model.
+    /// `ALLOCATE` of this cell to `dims` (which passed
+    /// [`ArrayObj::checked_len`]) by thread `tid`; `var` names it in the
+    /// error. A shared cell takes one zeroed array.
     ///
-    /// Returns `tid`'s previous handle for the already-allocated check:
-    /// `Some` only when `tid` itself allocated the instance before. An
-    /// instance merely provisioned by another thread reports `None` and
-    /// is replaced — otherwise `IF (.NOT. ALLOCATED(x)) ALLOCATE(x)`
-    /// races: thread B sees "not allocated", thread A's ALLOCATE
-    /// provisions B's instance, and B's own ALLOCATE would then fail.
-    pub fn set_array_all_threads(
+    /// A per-thread cell: `tid` claims its own instance (a fresh zeroed
+    /// array) and *provisions* every other thread's unallocated
+    /// instance, so inner parallel regions forked by any thread find
+    /// their instance allocated — FORTRAN SAVE-allocate-once semantics
+    /// lifted to the per-thread model. It is "already allocated" only
+    /// when `tid` itself allocated its instance before. An instance
+    /// merely provisioned by another thread is replaced — otherwise
+    /// `IF (.NOT. ALLOCATED(x)) ALLOCATE(x)` races: thread B sees "not
+    /// allocated", thread A's ALLOCATE provisions B's instance, and B's
+    /// own ALLOCATE would then fail.
+    pub fn allocate(
         &self,
         tid: usize,
-        mk: impl Fn() -> Arc<ArrayObj>,
-    ) -> Option<Arc<ArrayObj>> {
-        match self {
+        var: &str,
+        ty: ScalarTy,
+        dims: &[(i64, i64)],
+    ) -> Result<(), RunError> {
+        let mk = || Arc::new(ArrayObj::new(ty, dims.to_vec()));
+        let taken = match self {
             GlobalCell::PerThreadArray(v) => {
-                {
-                    let mut own = v[tid].write();
-                    if own.claimed {
-                        return own.arr.clone();
-                    }
+                let mut own = v[tid].write();
+                let taken = own.claimed;
+                if !taken {
                     *own = ThreadInstance { arr: Some(mk()), claimed: true };
-                }
-                // One lock at a time: two threads allocating concurrently
-                // never wait on each other while holding a slot.
-                for slot in v.iter() {
-                    let mut w = slot.write();
-                    if w.arr.is_none() {
-                        w.arr = Some(mk());
+                    drop(own);
+                    // One lock at a time: two threads allocating
+                    // concurrently never wait on each other while
+                    // holding a slot.
+                    for slot in v.iter() {
+                        let mut w = slot.write();
+                        if w.arr.is_none() {
+                            w.arr = Some(mk());
+                        }
                     }
                 }
-                None
+                taken
             }
-            _ => self.set_array(tid, Some(mk())),
+            _ => self.set_array(tid, Some(mk())).is_some(),
+        };
+        if taken {
+            return Err(RunError::AlreadyAllocated { var: var.to_string() });
         }
+        Ok(())
     }
 
-    /// DEALLOCATE counterpart: clears every thread's instance (and its
-    /// claim).
-    pub fn clear_array_all_threads(&self, tid: usize) -> Option<Arc<ArrayObj>> {
-        match self {
+    /// `DEALLOCATE` of this cell by thread `tid`: of a per-thread cell,
+    /// every thread's instance (and its claim).
+    pub fn deallocate(&self, tid: usize, var: &str) -> Result<(), RunError> {
+        let prev = match self {
             GlobalCell::PerThreadArray(v) => {
                 let prev = v[tid].read().arr.clone();
                 for slot in v.iter() {
@@ -390,7 +394,8 @@ impl GlobalCell {
                 prev
             }
             _ => self.set_array(tid, None),
-        }
+        };
+        prev.map(drop).ok_or_else(|| RunError::Unallocated { var: var.to_string() })
     }
 }
 
@@ -506,26 +511,38 @@ mod tests {
 
     #[test]
     fn provisioned_instance_can_be_claimed_once() {
-        let mk = || Arc::new(ArrayObj::new(ScalarTy::F, vec![(1, 5)]));
+        let alloc = |c: &GlobalCell, tid| c.allocate(tid, "x", ScalarTy::F, &[(1, 5)]).is_ok();
         let c = GlobalCell::new_per_thread_array();
         // Thread 1 has seen "not allocated" ...
         assert!(c.array_handle(1).is_none());
         // ... thread 0 allocates, provisioning thread 1's instance ...
-        assert!(c.set_array_all_threads(0, mk).is_none());
+        assert!(alloc(&c, 0));
         let provisioned = c.array_handle(1).expect("provisioned for inner regions");
         provisioned.set_f(0, 7.0);
         // ... and thread 1's own ALLOCATE claims a fresh zeroed array.
-        assert!(c.set_array_all_threads(1, mk).is_none());
+        assert!(alloc(&c, 1));
         let claimed = c.array_handle(1).expect("claimed");
         assert!(!Arc::ptr_eq(&provisioned, &claimed));
         assert_eq!(claimed.get_f(0), 0.0);
         // A second ALLOCATE by either owning thread is still an error.
-        assert!(c.set_array_all_threads(0, mk).is_some());
-        assert!(c.set_array_all_threads(1, mk).is_some());
+        assert!(!alloc(&c, 0));
+        let again = c.allocate(1, "x", ScalarTy::F, &[(1, 5)]).unwrap_err();
+        assert!(matches!(again, RunError::AlreadyAllocated { var } if var == "x"));
         // DEALLOCATE resets instances and claims alike.
-        assert!(c.clear_array_all_threads(1).is_some());
+        assert!(c.deallocate(1, "x").is_ok());
         assert!(c.array_handle(0).is_none());
-        assert!(c.set_array_all_threads(0, mk).is_none());
+        assert!(c.deallocate(0, "x").is_err(), "nothing left to deallocate");
+        assert!(alloc(&c, 0));
+    }
+
+    #[test]
+    fn shared_cell_allocates_one_array() {
+        let c = GlobalCell::new_array();
+        assert!(c.allocate(1, "g", ScalarTy::I, &[(0, 2)]).is_ok());
+        assert_eq!(c.array_handle(0).map(|a| (a.ty, a.len())), Some((ScalarTy::I, 3)));
+        assert!(c.allocate(0, "g", ScalarTy::I, &[(0, 2)]).is_err());
+        assert!(c.deallocate(0, "g").is_ok());
+        assert!(c.deallocate(0, "g").is_err());
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use crate::bytecode::{
-    BArg, BInstr, BUnit, Cmp, FixedArray, InlineDesc, MaskOp, OmpDesc, PItem, Posts, SDims, SubOp,
+    BArg, BInstr, BUnit, FixedArray, InlineDesc, MaskOp, OmpDesc, PItem, Posts, SDims, SubOp,
     VSlot, VecDesc, VecOp, VecRed, VecRedOp, VecSel, VecSub, MAX_INLINE_RANK, NO_PC, NO_SDIMS,
     NO_SLOT, VEC_CHUNK, VEC_MAX_ACCESSES,
 };
@@ -31,7 +31,7 @@ use crate::cost::{CostCounters, CostTrace, OpKind};
 use crate::engine::ArgVal;
 use crate::error::RunError;
 use crate::interp::{atomic_update, combine_vals, store_val, Exec, ExecMode, Flow, Val};
-use crate::intrinsics::{powi_lane, Intr, Kernel1, Kernel2, KernelSink};
+use crate::intrinsics::{self, powi_lane, Intr, Kernel1, Kernel2, KernelSink};
 use crate::jit::{JitCtx, NativeRegion, PoolEntry, Stream as JitStream};
 use crate::region::{self, Reduction, RegionSpec, RegionState};
 use crate::rir::{RProgram, ScalarTy, VecClass};
@@ -1359,14 +1359,13 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 ins @ BInstr::PowFF => {
                     let (b, a) = (self.popf(), self.popf());
                     self.post(ins);
-                    self.push(a.powf(b).to_bits());
+                    self.push(intrinsics::pow_f(a, b).to_bits());
                 }
                 ins @ BInstr::PowFI => {
                     let e = self.popi();
                     let x = self.popf();
                     self.post(ins);
-                    let r = if e.unsigned_abs() <= 64 { x.powi(e as i32) } else { x.powf(e as f64) };
-                    self.push(r.to_bits());
+                    self.push(intrinsics::pow_fi(x, e).to_bits());
                 }
                 ins @ BInstr::NegF => {
                     let x = self.popf();
@@ -1391,25 +1390,17 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 ins @ BInstr::DivI => {
                     let (b, a) = (self.popi(), self.popi());
                     self.post(ins);
-                    if b == 0 {
-                        return Err(RunError::Arith { msg: "integer division by zero".into() });
-                    }
-                    self.push((a / b) as u64);
+                    self.push(intrinsics::div_i(a, b)? as u64);
                 }
                 ins @ BInstr::PowII => {
                     let (b, a) = (self.popi(), self.popi());
                     self.post(ins);
-                    let r = if b < 0 {
-                        0
-                    } else {
-                        a.checked_pow(b.min(63) as u32).unwrap_or(i64::MAX)
-                    };
-                    self.push(r as u64);
+                    self.push(intrinsics::pow_i(a, b) as u64);
                 }
                 ins @ BInstr::NegI => {
                     let x = self.popi();
                     self.post(ins);
-                    self.push(x.wrapping_neg() as u64);
+                    self.push(intrinsics::neg_i(x) as u64);
                 }
                 ins @ BInstr::NotB => {
                     let x = self.pop();
@@ -1429,35 +1420,17 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 ins @ BInstr::CmpF(c) => {
                     let (b, a) = (self.popf(), self.popf());
                     self.post(ins);
-                    let r = match c {
-                        Cmp::Eq => a == b,
-                        Cmp::Ne => a != b,
-                        Cmp::Lt => a < b,
-                        Cmp::Le => a <= b,
-                        Cmp::Gt => a > b,
-                        Cmp::Ge => a >= b,
-                    };
-                    self.push(u64::from(r));
+                    self.push(u64::from(c.holds(a, b)));
                 }
                 ins @ BInstr::CmpI(c) => {
                     let (b, a) = (self.popi(), self.popi());
                     self.post(ins);
-                    let r = match c {
-                        Cmp::Eq => a == b,
-                        Cmp::Ne => a != b,
-                        Cmp::Lt => a < b,
-                        Cmp::Le => a <= b,
-                        Cmp::Gt => a > b,
-                        Cmp::Ge => a >= b,
-                    };
-                    self.push(u64::from(r));
+                    self.push(u64::from(c.holds(a, b)));
                 }
-                BInstr::FailArith2 => {
-                    return Err(RunError::Type { msg: "arithmetic on LOGICAL".into() });
-                }
+                BInstr::FailArith2 => return Err(intrinsics::logical_arith()),
                 BInstr::FailNegB => {
                     self.op(OpKind::IOp);
-                    return Err(RunError::Type { msg: "negate LOGICAL".into() });
+                    return Err(intrinsics::logical_neg());
                 }
                 BInstr::FailType { msg } => {
                     return Err(RunError::Type { msg: bu.msgs[msg as usize].clone() });
@@ -1469,9 +1442,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     self.iscratch.extend(self.stack[at..].iter().map(|&b| b as i64));
                     self.stack.truncate(at);
                     self.post(ins);
-                    let args = std::mem::take(&mut self.iscratch);
-                    let r = f.eval_i(&args);
-                    self.iscratch = args;
+                    let r = f.eval_i(&self.iscratch);
                     self.push(r as u64);
                 }
                 ins @ BInstr::IntrF { f, argc, to_int } => {
@@ -1481,14 +1452,8 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     self.fscratch.extend(self.stack[at..].iter().map(|&b| f64::from_bits(b)));
                     self.stack.truncate(at);
                     self.post(ins);
-                    let args = std::mem::take(&mut self.fscratch);
-                    let r = f.eval_f(&args);
-                    self.fscratch = args;
-                    if to_int {
-                        self.push((r as i64) as u64);
-                    } else {
-                        self.push(r.to_bits());
-                    }
+                    let ty = if to_int { ScalarTy::I } else { ScalarTy::F };
+                    self.push(f.call_f(&self.fscratch).to_bits(ty));
                 }
                 ins @ BInstr::LoadElemS { vs, v, subs, n, sd, want } => {
                     let n = n as usize;
@@ -1512,31 +1477,9 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 }
                 BInstr::ArrRed { f, vs, v, want } => {
                     let arr = self.handle_in(uidx, frame, vs, v)?;
-                    let n = arr.len();
-                    self.op_n(OpKind::Load, n as u64);
-                    self.op_n(OpKind::Flop, n as u64);
-                    let val = match f {
-                        crate::rir::ArrRed::Size => Val::I(n as i64),
-                        crate::rir::ArrRed::Sum => match arr.ty {
-                            ScalarTy::I => Val::I((0..n).map(|i| arr.get_i(i)).sum()),
-                            _ => Val::F((0..n).map(|i| arr.get_f(i)).sum()),
-                        },
-                        crate::rir::ArrRed::Maxval => match arr.ty {
-                            ScalarTy::I => {
-                                Val::I((0..n).map(|i| arr.get_i(i)).max().unwrap_or(i64::MIN))
-                            }
-                            _ => Val::F(
-                                (0..n).map(|i| arr.get_f(i)).fold(f64::NEG_INFINITY, f64::max),
-                            ),
-                        },
-                        crate::rir::ArrRed::Minval => match arr.ty {
-                            ScalarTy::I => {
-                                Val::I((0..n).map(|i| arr.get_i(i)).min().unwrap_or(i64::MAX))
-                            }
-                            _ => Val::F((0..n).map(|i| arr.get_f(i)).fold(f64::INFINITY, f64::min)),
-                        },
-                    };
-                    self.push(val.to_bits(want));
+                    self.op_n(OpKind::Load, arr.len() as u64);
+                    self.op_n(OpKind::Flop, arr.len() as u64);
+                    self.push(intrinsics::reduce(f, &arr).to_bits(want));
                 }
                 BInstr::AllocatedQ { vs } => {
                     let alloc = match vs {
@@ -1603,82 +1546,42 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     atomic_update(&arr.cells[off], arr.ty, op, delta);
                 }
                 BInstr::Alloc { vs, v, ndims, ty } => {
-                    // Bounds go to a stack buffer; a `Vec` is built only
-                    // when a new `ArrayObj` really is (pool miss).
-                    let n = ndims as usize;
-                    let at = self.stack.len() - 2 * n;
-                    let bound = |d: usize| {
-                        (self.stack[at + 2 * d] as i64, self.stack[at + 2 * d + 1] as i64)
-                    };
-                    let mut buf = [(0i64, 0i64); MAX_INLINE_RANK];
-                    for (d, b) in buf[..n].iter_mut().enumerate() {
-                        *b = bound(d);
-                    }
-                    let rd = &buf[..n];
+                    let at = self.stack.len() - 2 * ndims as usize;
+                    let rd: Vec<(i64, i64)> =
+                        self.stack[at..].chunks(2).map(|b| (b[0] as i64, b[1] as i64)).collect();
                     self.stack.truncate(at);
-                    // A per-thread cell builds one array per instance
-                    // itself; every other target installs the array
-                    // made here.
-                    let per_thread = match vs {
-                        VSlot::GlobA(c) | VSlot::GlobS(c) => {
-                            self.ex.globals.cells[c as usize].is_per_thread()
-                        }
-                        _ => false,
-                    };
-                    let obj = if per_thread {
-                        None
-                    } else {
-                        Some(Arc::new(ArrayObj::try_new(ty, rd.to_vec())?))
-                    };
-                    let len = match &obj {
-                        Some(o) => o.len(),
-                        None => ArrayObj::checked_len(rd)?,
-                    };
-                    self.add_misc(|c| c.alloc_calls += 1);
-                    let bytes = (len * 8) as u64;
-                    self.add_misc(move |c| c.alloc_bytes += bytes);
-                    let name = || self.var_name(uidx, v).to_string();
-                    match (vs, obj) {
-                        (VSlot::A(s), Some(obj)) => {
+                    let len = ArrayObj::checked_len(&rd)?;
+                    self.add_misc(|c| {
+                        c.alloc_calls += 1;
+                        c.alloc_bytes += (len * 8) as u64;
+                    });
+                    match vs {
+                        VSlot::A(s) => {
                             if frame.a[s as usize].is_some() {
-                                return Err(RunError::AlreadyAllocated { var: name() });
+                                let var = self.var_name(uidx, v).to_string();
+                                return Err(RunError::AlreadyAllocated { var });
                             }
-                            frame.a[s as usize] = Some(obj);
+                            frame.a[s as usize] = Some(Arc::new(ArrayObj::new(ty, rd)));
                         }
-                        (VSlot::GlobA(c) | VSlot::GlobS(c), obj) => {
-                            let gc = &self.ex.globals.cells[c as usize];
-                            let prev = match obj {
-                                Some(obj) => gc.set_array(self.tid, Some(obj)),
-                                None => gc.set_array_all_threads(self.tid, || {
-                                    Arc::new(ArrayObj::new(ty, rd.to_vec()))
-                                }),
-                            };
-                            if prev.is_some() {
-                                return Err(RunError::AlreadyAllocated { var: name() });
-                            }
+                        VSlot::GlobA(c) | VSlot::GlobS(c) => {
+                            let var = self.var_name(uidx, v);
+                            self.ex.globals.cells[c as usize].allocate(self.tid, var, ty, &rd)?;
                             self.gcache[c as usize] = None;
                         }
                         _ => unreachable!("ALLOCATE of a scalar"),
                     }
                 }
                 BInstr::Dealloc { vs, v } => {
-                    let name = || self.var_name(uidx, v).to_string();
                     match vs {
                         VSlot::A(s) => {
                             if frame.a[s as usize].take().is_none() {
-                                return Err(RunError::Unallocated { var: name() });
+                                let var = self.var_name(uidx, v).to_string();
+                                return Err(RunError::Unallocated { var });
                             }
                         }
                         VSlot::GlobA(c) | VSlot::GlobS(c) => {
-                            let gc = &self.ex.globals.cells[c as usize];
-                            let prev = if gc.is_per_thread() {
-                                gc.clear_array_all_threads(self.tid)
-                            } else {
-                                gc.set_array(self.tid, None)
-                            };
-                            if prev.is_none() {
-                                return Err(RunError::Unallocated { var: name() });
-                            }
+                            let var = self.var_name(uidx, v);
+                            self.ex.globals.cells[c as usize].deallocate(self.tid, var)?;
                             self.gcache[c as usize] = None;
                         }
                         _ => unreachable!("DEALLOCATE of a scalar"),
@@ -1915,13 +1818,8 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                         match item {
                             PItem::Str(s) => line.push_str(s),
                             PItem::Val(ty) => {
-                                let val = Val::from_bits(self.stack[vi], *ty);
+                                intrinsics::print_item(&mut line, Val::from_bits(self.stack[vi], *ty));
                                 vi += 1;
-                                match val {
-                                    Val::I(x) => line.push_str(&x.to_string()),
-                                    Val::F(x) => line.push_str(&format!("{x:.6}")),
-                                    Val::B(b) => line.push_str(if b { "T" } else { "F" }),
-                                }
                             }
                         }
                     }
