@@ -14,9 +14,11 @@
 //!   [`SubOp`]s in the unit's subscript table and the VM reads the
 //!   slots directly (`LoadElemS`/`StoreElemS`; fixed-shape local arrays
 //!   additionally carry their precomputed strides/bounds, [`SDims`]);
-//! * canonical unit-stride `DO` loops compile to a fused
-//!   `DoInitC`/`DoHead1`/`DoIncr1` triple (one bounds check + one
-//!   counter store + one increment per iteration), and those whose body
+//! * every `DO` loop fixes its trip count when it starts
+//!   ([`intrinsics::do_trips`]) and one `DoHead` counts it down; a
+//!   canonical unit-stride loop over a frame INTEGER compiles to a fused
+//!   `DoInitC`/`DoHead`/`DoIncr1` triple (one trip test + one variable
+//!   store + one increment per iteration), and those whose body
 //!   is elementwise REAL arithmetic over affine subscripts — inner loops
 //!   of a few literal trips looked through as if unrolled — get a
 //!   `VecLoop` in front that runs the whole trip as a [`VecDesc`];
@@ -53,7 +55,7 @@
 //! Vector regions are shared too. A flat `VecLoop` body is straight-line
 //! and lane-independent, so the scalar tier posts the same counts on
 //! every iteration; `region_cost` sums them once, from the emitted
-//! scalar loop `DoHead1 … DoIncr1` through the per-instruction table
+//! scalar loop `DoHead … DoIncr1` through the per-instruction table
 //! (`BInstr::posts`) the VM's own handlers post from, and a Simulated
 //! run that commits to the vector rung posts `trip x ledger` in one
 //! step (a nest region gets no ledger and stays scalar there). That is
@@ -252,9 +254,9 @@ pub enum BInstr {
     FailType { msg: u32 },
     /// Integer-flavored intrinsic (all operands statically I).
     IntrI { f: Intr, argc: u8 },
-    /// Float-flavored intrinsic ([`Intr::call_f`]); `to_int` when its
-    /// result is an INTEGER (INT/NINT).
-    IntrF { f: Intr, argc: u8, to_int: bool },
+    /// Float-flavored intrinsic ([`Intr::call_f`]); INT and NINT give an
+    /// INTEGER.
+    IntrF { f: Intr, argc: u8 },
     /// Array element access, operand-addressed: the `n` subscripts are
     /// `subops[subs..subs + n]`; only the `Stack` ones are popped. `sd`
     /// is the static shape of a fixed frame array (`vs` is then its `A`
@@ -282,31 +284,34 @@ pub enum BInstr {
     /// Traced builds only: serial-loop vectorization bracket.
     VecEnter(VecClass),
     VecLeave,
-    /// Pops end, start into i-slots; constant step 1.
-    DoInitC { ctr: u32, end: u32 },
-    /// `DoInitC` of `i32` literal bounds, which it carries: `i[ctr] =
-    /// lo`, `i[end] = hi`. Optimized builds only.
-    DoInitK { ctr: u32, end: u32, lo: i32, hi: i32 },
+    /// Pops end, start; constant step 1. `i[ctr] = start`, and `i[left]`
+    /// is the loop's trip count ([`intrinsics::do_trips`]), which the
+    /// head counts down.
+    DoInitC { ctr: u32, left: u32 },
+    /// `DoInitC` of `i32` literal bounds, which it carries. Optimized
+    /// builds only.
+    DoInitK { ctr: u32, left: u32, lo: i32, hi: i32 },
     /// `i[dst] = affine[aff]` ([`Affine`]): a `VecLoop`'s prep in both
     /// builds, and in the optimized build an INTEGER frame-scalar
     /// assignment — a set or a move — whose right side is affine in
     /// frame INTEGER scalars.
     SetI { dst: u32, aff: u32 },
-    /// Vector superinstruction covering the whole `DoHead1` loop that
-    /// follows: executes `vecs[desc]` over `[i[ctr], i[end]]` in chunked
-    /// slice form and jumps to `exit`, the loop's, or — when any runtime
+    /// Vector superinstruction covering the whole unit-step loop that
+    /// follows: executes `vecs[desc]` over the `i[left]` trips from
+    /// `i[ctr]` in chunked slice form, leaves the DO state the loop's
+    /// head would and jumps to `exit`, the loop's, or — when any runtime
     /// guard fails (alias, bounds, shape, budget, vector tier disabled) —
     /// falls through to the scalar head with no state changed. A span's
     /// fused region falls through to the original statements instead.
-    VecLoop { desc: u32, ctr: u32, end: u32, var: u32, exit: u32 },
-    /// Pops step, end, start; `check` enforces the zero-step error.
-    DoInit { ctr: u32, end: u32, step: u32, check: bool },
-    /// Fused unit-stride head: check, store loop var, fall through.
-    DoHead1 { ctr: u32, end: u32, var: u32, exit: u32 },
-    /// Fused generic-step head for frame-I loop vars.
-    DoHeadN { ctr: u32, end: u32, step: u32, var: u32, exit: u32 },
-    /// Unfused head (loop var stored by following instructions).
-    DoHead { ctr: u32, end: u32, step: u32, exit: u32 },
+    VecLoop { desc: u32, ctr: u32, left: u32, var: u32, exit: u32 },
+    /// Pops step, end, start: `DoInitC` with `i[step]` the step; `check`
+    /// enforces the zero-step error.
+    DoInit { ctr: u32, left: u32, step: u32, check: bool },
+    /// Every loop's head: jumps to `exit` when no trip is left, else
+    /// counts one down and stores the counter in the loop variable —
+    /// `var` is `ctr` when that is no frame INTEGER, and the following
+    /// instructions store it.
+    DoHead { ctr: u32, left: u32, var: u32, exit: u32 },
     DoIncr1 { ctr: u32, head: u32 },
     DoIncr { ctr: u32, step: u32, head: u32 },
     /// Peeks the i64 top of stack; errors if zero ("zero DO step").
@@ -389,27 +394,25 @@ impl BInstr {
             CostBranch => Posts::Branch,
             FailArith2 | FailNegB | FailType { .. } | ArrRed { .. } | Broadcast { .. }
             | CopyArr { .. } | Alloc { .. } | Dealloc { .. } | Jump(_) | JumpIfFalse(_)
-            | VecEnter(_) | VecLeave | DoInitC { .. } | DoInitK { .. }
-            | VecLoop { .. }
-            | DoInit { .. } | DoHead1 { .. } | DoHeadN { .. } | DoHead { .. } | DoIncr1 { .. }
-            | DoIncr { .. } | CheckStepNZ | FlowExit | FlowCycle | FlowReturn
-            | Critical { .. } | OmpDo { .. } | CallPre | StashElem { .. } | PushArr { .. }
-            | Call { .. } | Print { .. } | Stop { .. } | InlineEnter { .. }
-            | InlineExit { .. } | SpanEnter { .. } => Posts::Dynamic,
+            | VecEnter(_) | VecLeave | DoInitC { .. } | DoInitK { .. } | VecLoop { .. }
+            | DoInit { .. } | DoHead { .. } | DoIncr1 { .. } | DoIncr { .. } | CheckStepNZ
+            | FlowExit | FlowCycle | FlowReturn | Critical { .. } | OmpDo { .. } | CallPre
+            | StashElem { .. } | PushArr { .. } | Call { .. } | Print { .. } | Stop { .. }
+            | InlineEnter { .. } | InlineExit { .. } | SpanEnter { .. } => Posts::Dynamic,
         }
     }
 }
 
 /// A fused loop over literal bounds, as `emit_serial_do` lays it out:
 /// `DoInitK` (the optimized build) or `Const(start) Const(end) DoInitC`
-/// (the traced build, and bounds past `i32`), then `[VecEnter] DoHead1 …
-/// DoIncr1`. `first` is its first instruction.
+/// (the traced build, and bounds past `i32`), then `[VecEnter] DoHead …
+/// DoIncr1`. `first` is its first instruction, `trips` its count.
 struct ConstLoop {
     first: usize,
     start: i64,
-    end: i64,
+    trips: u64,
     ctr: u32,
-    ends: u32,
+    left: u32,
     var: u32,
     head: usize,
     exit: usize,
@@ -418,26 +421,27 @@ struct ConstLoop {
 /// The constant-bounds loop whose `DoInitK` or `DoInitC` sits at
 /// `code[init]`, if that is what the code there is.
 fn const_loop_at(code: &[BInstr], init: usize) -> Option<ConstLoop> {
-    let (first, s, e, ctr, ends) = match *code.get(init)? {
-        BInstr::DoInitK { ctr, end, lo, hi } => (init, i64::from(lo), i64::from(hi), ctr, end),
-        BInstr::DoInitC { ctr, end } => {
+    let (first, s, e, ctr, left) = match *code.get(init)? {
+        BInstr::DoInitK { ctr, left, lo, hi } => (init, i64::from(lo), i64::from(hi), ctr, left),
+        BInstr::DoInitC { ctr, left } => {
             let first = init.checked_sub(2)?;
             let (BInstr::Const(s), BInstr::Const(e)) = (code[first], code[init - 1]) else {
                 return None;
             };
-            (first, s as i64, e as i64, ctr, end)
+            (first, s as i64, e as i64, ctr, left)
         }
         _ => return None,
     };
     let head = init + 1 + usize::from(matches!(code.get(init + 1), Some(BInstr::VecEnter(_))));
-    let BInstr::DoHead1 { ctr: hc, end: he, var, exit } = *code.get(head)? else { return None };
+    let BInstr::DoHead { ctr: hc, left: hl, var, exit } = *code.get(head)? else { return None };
     let exit = exit as usize;
     let incr = exit.checked_sub(1).filter(|&p| p > head)?;
     match *code.get(incr)? {
         BInstr::DoIncr1 { ctr: ic, head: ih }
-            if (hc, he, ic, ih as usize) == (ctr, ends, ctr, head) =>
+            if (hc, hl, ic, ih as usize) == (ctr, left, ctr, head) =>
         {
-            Some(ConstLoop { first, start: s, end: e, ctr, ends, var, head, exit })
+            let trips = intrinsics::do_trips(s, e, 1);
+            Some(ConstLoop { first, start: s, trips, ctr, left, var, head, exit })
         }
         _ => None,
     }
@@ -445,7 +449,7 @@ fn const_loop_at(code: &[BInstr], init: usize) -> Option<ConstLoop> {
 
 /// What one pass over `code[lo..hi]` retires (VM steps) and posts, when
 /// the range is straight-line code and constant-trip loops of at most
-/// [`VEC_NEST_TRIP`] iterations — the only shapes the body of a
+/// [`NEST_TRIP`] iterations — the only shapes the body of a
 /// `VecLoop` region takes. `None` for anything else. The ledger is
 /// `None` as soon as the range holds a loop: innermost loops post under
 /// their own vectorization class (`VecEnter`), which one scaled posting
@@ -461,8 +465,7 @@ fn pass_cost(code: &[BInstr], lo: usize, hi: usize) -> Option<(u32, Option<Ledge
             (Posts::Dynamic, BInstr::VecEnter(_) | BInstr::VecLeave) => ledger = None,
             (Posts::Dynamic, BInstr::DoInitC { .. } | BInstr::DoInitK { .. }) => {
                 let l = const_loop_at(code, pc).filter(|l| l.first >= lo && l.exit <= hi)?;
-                let trip = l.end.checked_sub(l.start)?.checked_add(1)?;
-                let trip = u32::try_from(trip).ok().filter(|&t| i64::from(t) <= VEC_NEST_TRIP)?;
+                let trip = u32::try_from(l.trips).ok().filter(|&t| u64::from(t) <= NEST_TRIP)?;
                 let (body, _) = pass_cost(code, l.head + 1, l.exit - 1)?;
                 // Head and increment retire every trip, the head once more
                 // to leave; a `VecEnter` in front of the head retires once.
@@ -500,7 +503,7 @@ pub(crate) struct RegionCost {
 }
 
 /// Cost of one iteration of the scalar loop `code[head..exit]` =
-/// `DoHead1 … DoIncr1` that a `VecLoop` region shadows. The body is
+/// `DoHead … DoIncr1` that a `VecLoop` region shadows. The body is
 /// straight-line code and constant-trip nests, or a masked select's
 /// `cond JumpIfFalse(incr) arm Jump(incr)`, whose `IF` is priced apart:
 /// `iter` when it is not taken, `taken` more when it is, and no ledger
@@ -512,7 +515,7 @@ pub(crate) fn region_cost(code: &[BInstr], head: usize, exit: usize) -> Option<R
         return None;
     }
     let (lo, incr) = (head + 1, exit - 1);
-    let (BInstr::DoHead1 { .. }, BInstr::DoIncr1 { .. }) = (code.get(head)?, code.get(incr)?) else {
+    let (BInstr::DoHead { .. }, BInstr::DoIncr1 { .. }) = (code.get(head)?, code.get(incr)?) else {
         return None;
     };
     let to_incr = |pc: usize| matches!(code[pc], BInstr::JumpIfFalse(t) if t as usize == incr);
@@ -542,7 +545,7 @@ pub(crate) struct SpanCost {
 }
 
 /// A span's [`SpanCost`] from its original `loops` (first instruction,
-/// `DoHead1`) and its fused loop, `code[setup.0..=setup.1]` (bounds,
+/// `DoHead`) and its fused loop, `code[setup.0..=setup.1]` (bounds,
 /// `DoInitC`, prep and the `VecLoop`): the region's iteration cost is
 /// the loops' summed, its exit state theirs in order. `None` unless each
 /// loop's instructions up to its head run once ([`straight_setup`]) and
@@ -557,7 +560,7 @@ pub(crate) fn span_cost(
     // which the region's entry reserves itself.
     let mut c = SpanCost { fixed: -2 - i64::from(fast), iter: 0, exit_state: Vec::new() };
     for &(start, head) in loops {
-        let BInstr::DoHead1 { exit, .. } = *code.get(head as usize)? else { return None };
+        let BInstr::DoHead { exit, .. } = *code.get(head as usize)? else { return None };
         let cost = region_cost(code, head as usize, exit as usize).filter(|r| r.taken == 0)?;
         c.fixed += i64::from(straight_setup(code, start, head)?) + 1;
         c.iter = c.iter.checked_add(cost.iter)?;
@@ -582,13 +585,16 @@ pub(crate) fn straight_setup(code: &[BInstr], lo: u32, hi: u32) -> Option<u32> {
 }
 
 /// The values the constant-trip loops inside `code[lo..hi]` (a nest
-/// region's scalar body) leave in their variable, counter and end slots,
-/// in code order: [`VecDesc::exit_state`].
+/// region's scalar body) leave in their variable, counter and trip
+/// slots, in code order: [`VecDesc::exit_state`]. A loop that never ran
+/// leaves its variable as it was.
 pub(crate) fn nest_exit_state(code: &[BInstr], lo: usize, hi: usize) -> Vec<(u32, i64)> {
     let mut out = Vec::new();
     for pc in lo..hi {
         if let Some(l) = const_loop_at(code, pc) {
-            out.extend([(l.var, l.end), (l.ctr, l.end.wrapping_add(1)), (l.ends, l.end)]);
+            let at = |k| intrinsics::do_index(l.start, 1, k);
+            out.extend(l.trips.checked_sub(1).map(|k| (l.var, at(k))));
+            out.extend([(l.ctr, at(l.trips)), (l.left, 0)]);
         }
     }
     out
@@ -697,7 +703,7 @@ pub struct SpanDesc {
     pub s: (u32, u32),
     pub fused: u32,
     /// Per original loop, in order: its first instruction and its
-    /// `DoHead1`. Each S of the original statements lies between one
+    /// `DoHead`. Each S of the original statements lies between one
     /// loop's exit and the next loop's first instruction.
     pub loops: Vec<(u32, u32)>,
     /// What the original statements retire besides their S and the
@@ -814,8 +820,6 @@ pub const VEC_CHUNK: usize = 64;
 /// Caps keeping descriptors (and the executor's scratch) small.
 pub const VEC_MAX_DEPTH: u32 = 16;
 pub const VEC_MAX_ACCESSES: usize = 32;
-/// Longest constant trip of an inner loop a region unrolls.
-const VEC_NEST_TRIP: i64 = 8;
 
 /// A loop-invariant INTEGER element load that a region's subscripts (or
 /// integer operands) depend on — `c2n(2, cidx)` in `qn(m, c2n(2, cidx))`.
@@ -1048,7 +1052,7 @@ pub struct VecDesc {
     pub globals: Vec<u32>,
     /// Max operand depth over all statement programs (or the mask).
     pub max_depth: u32,
-    /// Scalar-tier instructions one iteration retires (`DoHead1` through
+    /// Scalar-tier instructions one iteration retires (`DoHead` through
     /// `DoIncr1`, inner constant-trip loops counted trip by trip), used
     /// by the VM to pre-reserve the step budget so a run that would
     /// exhaust its budget falls back to the scalar head and trips
@@ -1067,7 +1071,7 @@ pub struct VecDesc {
     /// both.
     pub iter_ledger: Option<Ledger>,
     /// `(i-slot, value)` stores a committed entry makes on top of the
-    /// outer DO state: the variable, counter and end slot of every
+    /// outer DO state: the variable, counter and trip slot of every
     /// unrolled inner loop as the scalar nest leaves them. Read off the
     /// emitted scalar loop like the two fields above.
     pub exit_state: Vec<(u32, i64)>,
@@ -1257,11 +1261,11 @@ fn assign_slots(unit: &RUnit) -> SlotTable {
 }
 
 /// What [`UnitCompiler::emit_loop_head`] laid out: the loop's hidden
-/// counter, end and (unfused heads only) step slots, its `DoInitC` or
+/// counter, trip and (unfused heads only) step slots, its `DoInitC` or
 /// `DoInit`, its `VecLoop` if it is a region, and its `DO` line.
 struct LoopHead {
     ctr: u32,
-    ends: u32,
+    left: u32,
     steps: u32,
     init: usize,
     vec_loop: Option<usize>,
@@ -1302,7 +1306,7 @@ pub fn compile_program(prog: &RProgram, traced: bool) -> Vec<BUnit> {
 
 /// Pending jump-target patch inside a loop context.
 enum Patch {
-    /// `Jump` / `JumpIfFalse` / `DoHead*` exit operand at this index.
+    /// `Jump` / `JumpIfFalse` / `DoHead` exit operand at this index.
     Target(usize),
     CritExit(usize),
     CritCycle(usize),
@@ -1399,7 +1403,7 @@ struct UnitCompiler<'a> {
     inline_open: Vec<u32>,
     /// Fused-span descriptors under construction.
     spans: Vec<SpanDesc>,
-    /// The `DoHead1`/`DoHeadN`/`DoHead` of the last serial `DO` emitted.
+    /// The `DoHead` of the last serial `DO` emitted.
     last_head: u32,
 }
 
@@ -1732,8 +1736,7 @@ impl<'a> UnitCompiler<'a> {
                 if int_flavor {
                     self.push(BInstr::IntrI { f: *f, argc });
                 } else {
-                    let to_int = f.result_ty(ScalarTy::F) == ScalarTy::I;
-                    self.push(BInstr::IntrF { f: *f, argc, to_int });
+                    self.push(BInstr::IntrF { f: *f, argc });
                 }
             }
             RExpr::ArrReduce { f, v } => {
@@ -2321,9 +2324,7 @@ impl<'a> UnitCompiler<'a> {
     fn set_target(&mut self, idx: usize, pc: u32) {
         match &mut self.code[idx] {
             BInstr::Jump(t) | BInstr::JumpIfFalse(t) => *t = pc,
-            BInstr::DoHead1 { exit, .. }
-            | BInstr::DoHeadN { exit, .. }
-            | BInstr::DoHead { exit, .. } => *exit = pc,
+            BInstr::DoHead { exit, .. } => *exit = pc,
             other => unreachable!("not a patchable instruction: {other:?}"),
         }
     }
@@ -2347,7 +2348,7 @@ impl<'a> UnitCompiler<'a> {
     // ---------- DO loops ----------
 
     /// Whether a serial `DO` over `var` with `step` gets the fused
-    /// `DoInitC`/`DoHead1`/`DoIncr1` head, which a region needs: a
+    /// `DoInitC`/`DoHead`/`DoIncr1` head, which a region needs: a
     /// frame-I variable and a step that folds to 1.
     fn fused_head(&self, var: VarIdx, step: Option<&RExpr>) -> bool {
         let one = step.map_or(Some(1), |e| self.fold(e).map(|v| v.as_i())) == Some(1);
@@ -2416,24 +2417,24 @@ impl<'a> UnitCompiler<'a> {
                 }
             }
         };
-        let (ctr, ends) = (self.hidden_i(), self.hidden_i());
+        let (ctr, left) = (self.hidden_i(), self.hidden_i());
         let steps = if fused1 { 0 } else { self.hidden_i() };
         // A step that folds to 1 (traced builds fold a literal step only)
         // needs no zero check; a computed one takes the interpreter's.
         let init = if let Some((lo, hi)) = literal {
-            self.push(BInstr::DoInitK { ctr, end: ends, lo, hi })
+            self.push(BInstr::DoInitK { ctr, left, lo, hi })
         } else if fused1 {
-            self.push(BInstr::DoInitC { ctr, end: ends })
+            self.push(BInstr::DoInitC { ctr, left })
         } else {
             match step {
                 Some(e) if self.fold(e).map(|v| v.as_i()) != Some(1) => {
                     self.emit_expr(e);
                     self.emit_cvt(self.ty_of(e), ScalarTy::I);
-                    self.push(BInstr::DoInit { ctr, end: ends, step: steps, check: true })
+                    self.push(BInstr::DoInit { ctr, left, step: steps, check: true })
                 }
                 _ => {
                     self.push(BInstr::Const(1));
-                    self.push(BInstr::DoInit { ctr, end: ends, step: steps, check: false })
+                    self.push(BInstr::DoInit { ctr, left, step: steps, check: false })
                 }
             }
         };
@@ -2472,9 +2473,9 @@ impl<'a> UnitCompiler<'a> {
                 line,
             });
             let VSlot::I(var) = self.vslot(var) else { unreachable!("a region's loop is fused") };
-            self.push(BInstr::VecLoop { desc, ctr, end: ends, var, exit: NO_PC })
+            self.push(BInstr::VecLoop { desc, ctr, left, var, exit: NO_PC })
         });
-        LoopHead { ctr, ends, steps, init, vec_loop, line }
+        LoopHead { ctr, left, steps, init, vec_loop, line }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -2487,27 +2488,23 @@ impl<'a> UnitCompiler<'a> {
         body: &[SpStmt],
         vec: VecClass,
     ) {
-        let LoopHead { ctr, ends, steps, init, vec_loop, line } =
+        let LoopHead { ctr, left, steps, init, vec_loop, line } =
             self.emit_loop_head(None, var, start, end, step, body, vec);
         let fused1 = self.fused_head(var, step);
         let head = self.pc();
-        let head_idx = match self.vslot(var) {
-            VSlot::I(vslot) if fused1 => {
-                self.push(BInstr::DoHead1 { ctr, end: ends, var: vslot, exit: NO_PC })
-            }
-            VSlot::I(vslot) => {
-                self.push(BInstr::DoHeadN { ctr, end: ends, step: steps, var: vslot, exit: NO_PC })
-            }
-            _ => {
-                let h = self.push(BInstr::DoHead { ctr, end: ends, step: steps, exit: NO_PC });
-                // Store the loop variable (global or non-I): converted
-                // from the counter, costing a Store for globals exactly
-                // like the interpreter's per-iteration write_scalar.
-                self.push(BInstr::LoadI(ctr));
-                self.emit_store_scalar(var, ScalarTy::I);
-                h
-            }
+        let frame_var = match self.vslot(var) {
+            VSlot::I(vslot) => Some(vslot),
+            _ => None,
         };
+        let head_idx =
+            self.push(BInstr::DoHead { ctr, left, var: frame_var.unwrap_or(ctr), exit: NO_PC });
+        if frame_var.is_none() {
+            // Store the loop variable (global or non-I): converted from
+            // the counter, costing a Store for globals exactly like the
+            // interpreter's per-iteration write_scalar.
+            self.push(BInstr::LoadI(ctr));
+            self.emit_store_scalar(var, ScalarTy::I);
+        }
         self.ctx.push(Ctx::Loop { exit: Vec::new(), cycle: Vec::new() });
         self.region_depth += u32::from(vec_loop.is_some());
         self.emit_block(body);
@@ -2687,7 +2684,7 @@ END MODULE m
     #[test]
     fn unit_stride_loop_uses_fused_head() {
         let (_, opt, _) = compile(SRC);
-        assert!(opt[0].code.iter().any(|i| matches!(i, BInstr::DoHead1 { .. })));
+        assert!(opt[0].code.iter().any(|i| matches!(i, BInstr::DoHead { .. })));
         assert!(opt[0].code.iter().any(|i| matches!(i, BInstr::DoIncr1 { .. })));
     }
 

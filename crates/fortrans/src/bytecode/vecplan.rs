@@ -215,7 +215,7 @@ impl UnitCompiler<'_> {
     /// block either shape, as long as nothing after the loop may read
     /// one, whose last value the region never stores. Inner loops over
     /// literal bounds of
-    /// at most [`VEC_NEST_TRIP`] trips are looked through: the body is
+    /// at most [`NEST_TRIP`] trips are looked through: the body is
     /// analysed as if they were fully unrolled in iteration order
     /// (`vec_stmts`), so a same-cell chain such as
     /// `g(d) = g(d) + w(d, f)` over `f` stays in statement order, which
@@ -246,7 +246,7 @@ impl UnitCompiler<'_> {
         // a still-assigned scalar read is either loop-carried or an
         // accumulator reference.
         let mut b = VecBody { var, ..VecBody::default() };
-        if self.vec_prescan(body, &mut Vec::new(), &mut b)? > VEC_MAX_STMTS {
+        if self.vec_prescan(body, &mut vec![var], &mut b)? > VEC_MAX_STMTS {
             return Err(TooBig);
         }
         self.vec_stmts(body, &mut Vec::new(), &mut b)?;
@@ -385,8 +385,8 @@ impl UnitCompiler<'_> {
     /// refuses statement kinds no region holds, records what the body
     /// writes and assigns, and returns how many assignments one
     /// iteration executes once every inner loop over literal bounds is
-    /// unrolled. `open` holds the variables of the enclosing inner
-    /// loops.
+    /// unrolled ([`unrolled_bounds`]). `open` holds the variables of the
+    /// region's loop and the enclosing inner loops.
     fn vec_prescan(
         &self,
         body: &[SpStmt],
@@ -406,16 +406,16 @@ impl UnitCompiler<'_> {
                     b.awritten.push(*v);
                     1
                 }
-                RStmt::Do { var: k, body, .. } => match self.vec_unrolls(&sp.s, b.var, open) {
-                    Some((lo, hi)) => {
-                        b.sassigned.push(*k);
-                        open.push(*k);
-                        let inner = self.vec_prescan(body, open, b)?;
-                        open.pop();
-                        inner.saturating_mul((hi - lo + 1) as usize)
-                    }
-                    None => return Err(Control),
-                },
+                RStmt::Do { var: k, body, .. } => {
+                    let Some((lo, hi)) = unrolled_bounds(&sp.s, &self.unit.vars, open) else {
+                        return Err(Control);
+                    };
+                    b.sassigned.push(*k);
+                    open.push(*k);
+                    let inner = self.vec_prescan(body, open, b)?;
+                    open.pop();
+                    inner.saturating_mul((hi - lo + 1) as usize)
+                }
                 RStmt::CallSub { .. } | RStmt::Inlined { .. } => return Err(Call),
                 RStmt::If { .. }
                 | RStmt::Span { .. }
@@ -429,29 +429,6 @@ impl UnitCompiler<'_> {
             };
         }
         Ok(n)
-    }
-
-    /// The literal bounds of an inner `DO` a region looks through: unit
-    /// step, 1 to [`VEC_NEST_TRIP`] trips, a frame-I variable that is
-    /// neither the region's nor an enclosing inner loop's.
-    fn vec_unrolls(&self, s: &RStmt, var: VarIdx, open: &[VarIdx]) -> Option<(i64, i64)> {
-        match s {
-            RStmt::Do {
-                var: k,
-                start: RExpr::ConstI(lo),
-                end: RExpr::ConstI(hi),
-                step: None | Some(RExpr::ConstI(1)),
-                omp: None,
-                ..
-            } if matches!(self.vslot(*k), VSlot::I(_))
-                && *k != var
-                && !open.contains(k)
-                && hi.checked_sub(*lo).is_some_and(|d| (0..VEC_NEST_TRIP).contains(&d)) =>
-            {
-                Some((*lo, *hi))
-            }
-            _ => None,
-        }
     }
 
     /// Second pass: the assignments one iteration executes, in order,
@@ -513,8 +490,9 @@ impl UnitCompiler<'_> {
                     }
                 }
                 RStmt::Do { var: k, body, .. } => {
-                    let open: Vec<VarIdx> = idx.iter().map(|&(j, _)| j).collect();
-                    let (lo, hi) = self.vec_unrolls(&sp.s, var, &open).expect("prescanned");
+                    let open: Vec<VarIdx> = idx.iter().map(|&(j, _)| j).chain([var]).collect();
+                    let (lo, hi) =
+                        unrolled_bounds(&sp.s, &self.unit.vars, &open).expect("prescanned");
                     for val in lo..=hi {
                         idx.push((*k, val));
                         self.vec_stmts(body, idx, b)?;

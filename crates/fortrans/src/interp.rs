@@ -1033,18 +1033,19 @@ impl<'e> Task<'e> {
             self.st.cost.vec_mode = vec;
         }
         let mut i = s0;
-        let flow = loop {
-            if (st > 0 && i > e0) || (st < 0 && i < e0) {
-                break Flow::Normal;
-            }
+        let mut flow = Flow::Normal;
+        for _ in 0..intrinsics::do_trips(s0, e0, st) {
             self.write_scalar(unit, frame, var, Val::I(i));
             match self.exec_block(unit, frame, body)? {
                 Flow::Normal | Flow::Cycle => {}
-                Flow::Exit => break Flow::Normal,
-                Flow::Return => break Flow::Return,
+                Flow::Exit => break,
+                Flow::Return => {
+                    flow = Flow::Return;
+                    break;
+                }
             }
-            i += st;
-        };
+            i = i.wrapping_add(st);
+        }
         self.st.cost.vec_mode = prev_vec;
         Ok(flow)
     }
@@ -1222,20 +1223,6 @@ pub(crate) fn store_val(arr: &ArrayObj, off: usize, v: Val) {
     }
 }
 
-pub(crate) fn trip_count(lo: i64, hi: i64, step: i64) -> u64 {
-    if step > 0 {
-        if hi < lo {
-            0
-        } else {
-            ((hi - lo) / step + 1) as u64
-        }
-    } else if lo < hi {
-        0
-    } else {
-        ((lo - hi) / (-step) + 1) as u64
-    }
-}
-
 pub(crate) fn combine_f(op: RedOp, a: f64, b: f64) -> f64 {
     match op {
         RedOp::Add => a + b,
@@ -1288,15 +1275,6 @@ pub(crate) fn atomic_update(cell: &AtomicU64, ty: ScalarTy, op: RedOp, delta: Va
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trip_counts() {
-        assert_eq!(trip_count(1, 10, 1), 10);
-        assert_eq!(trip_count(1, 10, 3), 4);
-        assert_eq!(trip_count(10, 1, -1), 10);
-        assert_eq!(trip_count(5, 4, 1), 0);
-        assert_eq!(trip_count(4, 5, -1), 0);
-    }
 
     #[test]
     fn val_conversions() {

@@ -1,12 +1,15 @@
 //! Intrinsic functions — the FORTRAN library surface GLAF's extended
 //! library back-end targets (§3.6: ABS, ALOG, SUM "and other functions")
-//! — and the operator table: what every value operation computes.
+//! — and the operator table: what every value operation computes, and
+//! how many times a DO loop runs ([`do_trips`]).
 //!
 //! The table is one set of pure functions. The tree-walker, the VM's
 //! handlers, lowering's constant folder and `cfold` all call it, so a
 //! `PARAMETER`, a folded constant and both run-time tiers cannot disagree
-//! on a value. The lane kernels and the JIT keep their own one-instruction
-//! forms; `tests` pins the table with literal expectations.
+//! on a value, nor the loop heads, the region driver and the fast-rung
+//! entry on a trip count. The lane kernels and the JIT keep their own
+//! one-instruction forms; `tests` pins the table with literal
+//! expectations.
 
 use crate::ast::Bin;
 use crate::cost::OpKind;
@@ -300,8 +303,8 @@ pub(crate) fn div_i(a: i64, b: i64) -> Result<i64, RunError> {
 
 /// INTEGER `x ** n`. F77 gives `1 / x**|n|` for `n < 0`, in integer
 /// arithmetic: 1 for x = 1, ±1 for x = −1, 0 for |x| > 1; `0 ** n` with
-/// `n < 0` is 0 here rather than a fault. A result past `i64` is
-/// `i64::MAX`.
+/// `n < 0` is 0 here rather than a fault. A result past `i64` wraps,
+/// like `*`: `MIN ** 2` and `(-2) ** 65` are 0.
 #[inline(always)]
 pub(crate) fn pow_i(x: i64, n: i64) -> i64 {
     match x {
@@ -309,7 +312,18 @@ pub(crate) fn pow_i(x: i64, n: i64) -> i64 {
         -1 if n % 2 == 0 => 1,
         -1 => -1,
         _ if n < 0 => 0,
-        _ => u32::try_from(n).ok().and_then(|n| x.checked_pow(n)).unwrap_or(i64::MAX),
+        _ => {
+            // Square and multiply over the exponent's bits.
+            let (mut base, mut e, mut acc) = (x, n as u64, 1i64);
+            while e > 0 {
+                if e & 1 == 1 {
+                    acc = acc.wrapping_mul(base);
+                }
+                base = base.wrapping_mul(base);
+                e >>= 1;
+            }
+            acc
+        }
     }
 }
 
@@ -393,6 +407,31 @@ pub(crate) fn print_item(line: &mut String, v: Val) {
         Val::F(x) => line.push_str(&format!("{x:.6}")),
         Val::B(b) => line.push(if b { 'T' } else { 'F' }),
     }
+}
+
+/// How many times `DO v = lo, hi, step` runs: F77's count,
+/// `MAX(INT((hi - lo + step) / step), 0)` (ANSI X3.9-1978 §11.10.3),
+/// fixed when the loop starts and computed without overflow. A count
+/// past `u64` saturates at `u64::MAX`, which no run finishes; so does a
+/// zero step, which every tier rejects before a loop starts.
+#[inline(always)]
+pub(crate) fn do_trips(lo: i64, hi: i64, step: i64) -> u64 {
+    let span = match step {
+        1.. if hi >= lo => hi.wrapping_sub(lo) as u64,
+        ..=-1 if lo >= hi => lo.wrapping_sub(hi) as u64,
+        0 => return u64::MAX,
+        _ => return 0,
+    };
+    (span / step.unsigned_abs()).saturating_add(1)
+}
+
+/// The loop variable on iteration `k` (from 0) of a DO loop from `lo` by
+/// `step`: it advances by wrapping addition. Iteration `trips` is where
+/// the counter stands once the loop is done, and the variable keeps
+/// iteration `trips - 1` (a loop that never ran leaves it as it was).
+#[inline(always)]
+pub(crate) fn do_index(lo: i64, step: i64, k: u64) -> i64 {
+    lo.wrapping_add((k as i64).wrapping_mul(step))
 }
 
 /// A lane kernel: a function of one or two f64 arguments.
@@ -584,6 +623,32 @@ mod tests {
         assert_eq!(Intr::Abs.eval_i(&[-9]), 9);
         assert_eq!(Intr::Max.eval_i(&[1, 7, 3]), 7);
         assert_eq!(Intr::Min.eval_i(&[1, 7, 3]), 1);
+    }
+
+    #[test]
+    fn do_trips_follow_f77() {
+        const MIN: i64 = i64::MIN;
+        const MAX: i64 = i64::MAX;
+        assert_eq!(do_trips(1, 10, 1), 10);
+        assert_eq!(do_trips(1, 10, 3), 4);
+        assert_eq!(do_trips(10, 1, -1), 10);
+        assert_eq!(do_trips(5, 4, 1), 0);
+        assert_eq!(do_trips(4, 5, -1), 0);
+        // At the edges of i64, where `hi - lo` and `i + step` overflow.
+        assert_eq!(do_trips(MAX - 1, MAX, 1), 2);
+        assert_eq!(do_trips(MIN + 1, MIN, -1), 2);
+        assert_eq!(do_trips(MAX - 7, MAX, 3), 3);
+        assert_eq!(do_trips(MIN, MAX, 1 << 62), 4);
+        assert_eq!(do_trips(MAX, MIN, MIN), 2);
+        assert_eq!(do_trips(MIN, MAX, MAX), 3);
+        assert_eq!(do_trips(MIN, MAX, 1), u64::MAX, "2**64 saturates");
+        assert_eq!(do_trips(MAX, MIN, -1), u64::MAX);
+        assert_eq!(do_trips(0, 0, 0), u64::MAX);
+        // The variable wraps from the last iteration to the counter's end.
+        assert_eq!(do_index(MAX - 1, 1, 1), MAX);
+        assert_eq!(do_index(MAX - 1, 1, 2), MIN);
+        assert_eq!(do_index(MIN, 1 << 62, 3), 1 << 62);
+        assert_eq!(do_index(MIN, 1 << 62, 4), MIN);
     }
 
     #[test]
@@ -856,15 +921,16 @@ mod tests {
                 &[0, -1, 1, 0],
                 &[0, MIN + 1, MAX, 1],
             ]),
-            // Bases MIN, -1, 0, 1, MAX, 2, -2 over EXPS; past i64 is MAX.
+            // Bases MIN, -1, 0, 1, MAX, 2, -2 over EXPS; past i64 wraps
+            // (`MAX * MAX` is 1).
             grid(Pow, I, &ints(&[MIN, -1, 0, 1, MAX, 2, -2]), &ints(&EXPS), vec![
-                ints(&[0, 0, 0, 1, MIN, MAX, MAX, MAX, MAX]),
+                ints(&[0, 0, 0, 1, MIN, 0, 0, 0, 0]),
                 ints(&[-1, 1, -1, 1, -1, 1, -1, 1, -1]),
                 ints(&[0, 0, 0, 1, 0, 0, 0, 0, 0]),
                 ints(&[1, 1, 1, 1, 1, 1, 1, 1, 1]),
-                ints(&[0, 0, 0, 1, MAX, MAX, MAX, MAX, MAX]),
-                ints(&[0, 0, 0, 1, 2, 1 << 62, MAX, MAX, MAX]),
-                ints(&[0, 0, 0, 1, -2, 1 << 62, MIN, MAX, MAX]),
+                ints(&[0, 0, 0, 1, MAX, 1, MAX, 1, MAX]),
+                ints(&[0, 0, 0, 1, 2, 1 << 62, MIN, 0, 0]),
+                ints(&[0, 0, 0, 1, -2, 1 << 62, MIN, 0, 0]),
             ]),
             real_grid(Add, [
                 [0.0, 0.0, N, INF, -INF],

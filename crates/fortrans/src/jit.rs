@@ -154,6 +154,8 @@ mod exec_mem {
     /// The caller passes a valid syscall number and arguments for it.
     unsafe fn syscall6(n: i64, a1: i64, a2: i64, a3: i64, a4: i64, a5: i64, a6: i64) -> i64 {
         let ret: i64;
+        // SAFETY: the caller's number and arguments (above); the kernel
+        // writes only rax, rcx and r11, all declared, and no stack.
         std::arch::asm!(
             "syscall",
             inlateout("rax") n => ret,
@@ -835,6 +837,9 @@ impl NativeRegion {
     /// slots filled from this region's recipe.
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     pub unsafe fn enter(&self, ctx: &mut JitCtx) {
+        // SAFETY: `buf` holds the code `emit` generated for this region,
+        // a sysv64 function of one `*mut JitCtx`; what it reads through
+        // `ctx` is valid by the caller's contract (above).
         let f: extern "sysv64" fn(*mut JitCtx) = std::mem::transmute(self.buf.entry());
         f(ctx);
     }
@@ -844,6 +849,7 @@ impl NativeRegion {
     /// compiling.
     #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
     pub unsafe fn enter(&self, _ctx: &mut JitCtx) {
+        // SAFETY: nothing to uphold: no `NativeRegion` exists here.
         unreachable!("native regions cannot be constructed on this target");
     }
 }

@@ -25,7 +25,8 @@ use parking_lot::Mutex;
 use crate::ast::RedOp;
 use crate::cost::CostAcc;
 use crate::error::RunError;
-use crate::interp::{combine_vals, identity_val, trip_count, Exec, ExecMode, Flow, Val};
+use crate::interp::{combine_vals, identity_val, Exec, ExecMode, Flow, Val};
+use crate::intrinsics::{do_index, do_trips};
 use crate::rir::ScalarTy;
 use crate::storage::MAX_THREADS;
 
@@ -101,9 +102,10 @@ pub(crate) trait Tier: Sync {
     fn steps(exe: &mut Self::Exe) -> &mut u64;
 }
 
-/// Iterations of the whole collapsed space.
+/// Iterations of the whole collapsed space, saturating like
+/// [`do_trips`].
 fn total(trips: &[u64]) -> usize {
-    trips.iter().product::<u64>() as usize
+    trips.iter().fold(1u64, |n, &t| n.saturating_mul(t)) as usize
 }
 
 /// Decomposes flat iteration `k` of the collapsed space (row-major,
@@ -120,7 +122,7 @@ fn set_indices<T: Tier>(
     for (d, &(lo, _)) in spec.bounds.iter().enumerate().rev() {
         let t = trips[d].max(1);
         let step = if d == 0 { spec.outer_step } else { 1 };
-        tier.set_index(exe, frame, d, lo + (rem % t) as i64 * step);
+        tier.set_index(exe, frame, d, do_index(lo, step, rem % t));
         rem /= t;
     }
 }
@@ -142,7 +144,7 @@ pub(crate) fn run<T: Tier>(
     // Trip count per collapsed dimension.
     let step = |d| if d == 0 { spec.outer_step } else { 1 };
     let trips: Vec<u64> =
-        spec.bounds.iter().enumerate().map(|(d, &(lo, hi))| trip_count(lo, hi, step(d))).collect();
+        spec.bounds.iter().enumerate().map(|(d, &(lo, hi))| do_trips(lo, hi, step(d))).collect();
     let team = spec.num_threads.map_or(ex.mode.threads(), |n| n.max(1) as usize).min(MAX_THREADS);
     let st = T::state(exe);
     match ex.mode {

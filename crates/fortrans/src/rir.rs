@@ -633,6 +633,30 @@ pub(crate) fn walk_expr(e: &RExpr, f: &mut dyn FnMut(Seen)) {
     operands(e, &mut |x| walk_expr(x, f));
 }
 
+/// Longest constant trip of an inner loop a `VecLoop` region unrolls.
+pub(crate) const NEST_TRIP: u64 = 8;
+
+/// The literal bounds of an inner `DO` a region unrolls, and so a fused
+/// body may hold: unit step, 1 to [`NEST_TRIP`] trips, over a frame
+/// INTEGER scalar none of the enclosing loops `open` uses.
+pub(crate) fn unrolled_bounds(s: &RStmt, vars: &[VarInfo], open: &[VarIdx]) -> Option<(i64, i64)> {
+    let RStmt::Do {
+        var,
+        start: RExpr::ConstI(lo),
+        end: RExpr::ConstI(hi),
+        step: None | Some(RExpr::ConstI(1)),
+        omp: None,
+        ..
+    } = s
+    else {
+        return None;
+    };
+    let v = &vars[*var];
+    let frame_int = matches!(v.place, Place::Frame(_)) && v.rank == 0 && v.ty == ScalarTy::I;
+    let trips = crate::intrinsics::do_trips(*lo, *hi, 1);
+    (frame_int && !open.contains(var) && (1..=NEST_TRIP).contains(&trips)).then_some((*lo, *hi))
+}
+
 /// True when evaluating `e` can store to frame scalar `var`: only a
 /// user function call passing `var` by reference does (copy-out on
 /// return); nothing else in an expression assigns.

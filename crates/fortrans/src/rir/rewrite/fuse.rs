@@ -2,19 +2,15 @@
 
 use super::*;
 
-/// The longest constant trip of an inner loop a fused body may hold: a
-/// region unrolls no longer one (`bytecode`'s `VEC_NEST_TRIP`), so a
-/// longer one would leave the fused loop scalar and the span useless.
-const NEST_TRIP: i64 = 8;
-
 /// Fuses runs of same-range loops into [`RStmt::Span`]s.
 ///
 /// A run is `DO v = a, b` … S … `DO v = a, b` (… S … `DO v = a, b` for a
 /// chain) in one statement list, outside OMP region and `CRITICAL`
 /// bodies and outside any `DO` body a nest region could cover. Each
 /// loop has unit step, a frame INTEGER variable and a body of REAL
-/// element assignments and inner loops of at most [`NEST_TRIP`]
-/// literal trips, so no reduction, running sum or masked select is
+/// element assignments and inner loops a region unrolls
+/// ([`unrolled_bounds`]; a longer one would leave the fused loop scalar
+/// and the span useless), so no reduction, running sum or masked select is
 /// fused. The span's `slow` is the run as written; its `fast` runs every
 /// S first, then one loop whose body is the bodies in order. That runs
 /// the same when:
@@ -193,30 +189,15 @@ fn bound(e: &RExpr) -> bool {
 }
 
 /// A fused body: REAL element assignments that call nothing, and inner
-/// loops of [`NEST_TRIP`] literal trips or fewer over frame INTEGER
-/// variables no enclosing loop (`open`) uses, holding the same.
+/// loops a region unrolls (`open` holds the enclosing loops' variables),
+/// holding the same.
 fn body_shape(body: &[SpStmt], unit: &RUnit, open: &mut Vec<VarIdx>) -> bool {
     body.iter().all(|sp| match &sp.s {
         RStmt::Nop => true,
         RStmt::AssignElem { v, subs, e } => {
             unit.vars[*v].ty == ScalarTy::F && !subs.iter().chain([e]).any(calls)
         }
-        RStmt::Do {
-            var,
-            start: RExpr::ConstI(lo),
-            end: RExpr::ConstI(hi),
-            step: None | Some(RExpr::ConstI(1)),
-            body,
-            omp: None,
-            collapse_with,
-            ..
-        } if collapse_with.is_empty()
-            && frame_int(unit, *var)
-            && !open.contains(var)
-            && hi
-                .checked_sub(*lo)
-                .is_some_and(|d| (0..NEST_TRIP).contains(&d)) =>
-        {
+        RStmt::Do { var, body, .. } if unrolled_bounds(&sp.s, &unit.vars, open).is_some() => {
             open.push(*var);
             let ok = body_shape(body, unit, open);
             open.pop();

@@ -291,9 +291,9 @@ impl Verifier<'_> {
             }
             Jump(t) => tgt(t, "jump")?,
             JumpIfFalse(t) => tgt(t, "branch")?,
-            DoInitC { ctr, end } | DoInitK { ctr, end, .. } => {
+            DoInitC { ctr, left } | DoInitK { ctr, left, .. } => {
                 islot(ctr, "DO counter")?;
-                islot(end, "DO end")?;
+                islot(left, "DO trips")?;
             }
             SetI { dst, aff } => {
                 islot(dst, "SetI destination")?;
@@ -304,9 +304,9 @@ impl Verifier<'_> {
                     islot(s, "affine term")?;
                 }
             }
-            DoInit { ctr, end, step, check } => {
+            DoInit { ctr, left, step, check } => {
                 islot(ctr, "DO counter")?;
-                islot(end, "DO end")?;
+                islot(left, "DO trips")?;
                 islot(step, "DO step")?;
                 if !check {
                     // The compiler only elides the runtime zero-step check
@@ -323,15 +323,15 @@ impl Verifier<'_> {
                     }
                 }
             }
-            DoHead1 { ctr, end, var, exit } => {
+            DoHead { ctr, left, var, exit } => {
                 islot(ctr, "DO counter")?;
-                islot(end, "DO end")?;
+                islot(left, "DO trips")?;
                 islot(var, "DO variable")?;
                 tgt(exit, "loop exit")?;
             }
-            VecLoop { desc, ctr, end, var, exit } => {
+            VecLoop { desc, ctr, left, var, exit } => {
                 islot(ctr, "DO counter")?;
-                islot(end, "DO end")?;
+                islot(left, "DO trips")?;
                 islot(var, "DO variable")?;
                 tgt(exit, "vector loop exit")?;
                 self.vec_desc_ok(desc).map_err(at)?;
@@ -345,19 +345,6 @@ impl Verifier<'_> {
                 if !fused {
                     self.region_ok(pc, desc, exit).map_err(at)?;
                 }
-            }
-            DoHeadN { ctr, end, step, var, exit } => {
-                islot(ctr, "DO counter")?;
-                islot(end, "DO end")?;
-                islot(step, "DO step")?;
-                islot(var, "DO variable")?;
-                tgt(exit, "loop exit")?;
-            }
-            DoHead { ctr, end, step, exit } => {
-                islot(ctr, "DO counter")?;
-                islot(end, "DO end")?;
-                islot(step, "DO step")?;
-                tgt(exit, "loop exit")?;
             }
             DoIncr1 { ctr, head } => {
                 islot(ctr, "DO counter")?;
@@ -611,7 +598,7 @@ impl Verifier<'_> {
             }
             DoInitC { .. } => pop(&mut s, 2)?,
             DoInit { .. } => pop(&mut s, 3)?,
-            DoHead1 { exit, .. } | DoHeadN { exit, .. } | DoHead { exit, .. } => {
+            DoHead { exit, .. } => {
                 succ.extend([(pc + 1, d), (exit, d)]);
                 return Ok(None);
             }
@@ -1044,7 +1031,7 @@ impl Verifier<'_> {
                  constant-trip nests, nor a masked select"
             ));
         };
-        if !matches!(code[pc as usize + 1], BInstr::DoHead1 { exit: e, .. } if e == exit) {
+        if !matches!(code[pc as usize + 1], BInstr::DoHead { exit: e, .. } if e == exit) {
             return Err(format!("vector descriptor {desc}: exit {exit} is not its scalar loop's"));
         }
         if d.iter_cost != cost.iter {
@@ -1108,7 +1095,7 @@ impl Verifier<'_> {
         let mut between = Vec::new();
         let mut at = d.fused + 1;
         for (k, &(start, head)) in d.loops.iter().enumerate() {
-            let Some(&BInstr::DoHead1 { exit, .. }) = code.get(head as usize) else {
+            let Some(&BInstr::DoHead { exit, .. }) = code.get(head as usize) else {
                 return Err(format!("span {span}: loop {k} has no head at {head}"));
             };
             let placed = start >= at && (k > 0 || start == at) && start < head && head < exit;
@@ -1152,7 +1139,7 @@ impl Verifier<'_> {
                 continue;
             }
             for &(start, head) in &d.loops[loops.len()..=k] {
-                let BInstr::DoHead1 { exit, .. } = code[head as usize] else { unreachable!() };
+                let BInstr::DoHead { exit, .. } = code[head as usize] else { unreachable!() };
                 loops.push(self.slot_use(start, exit));
             }
             for (j, l) in loops.iter().enumerate() {
@@ -1178,7 +1165,7 @@ impl Verifier<'_> {
         };
         match ins {
             Jump(t) | JumpIfFalse(t) => within(t),
-            DoHead1 { exit, .. } | DoHeadN { exit, .. } | DoHead { exit, .. } => within(exit),
+            DoHead { exit, .. } => within(exit),
             DoIncr1 { head, .. } | DoIncr { head, .. } => within(head),
             VecLoop { desc, exit, .. } => {
                 let v = &self.bu.vecs[desc as usize];
@@ -1228,29 +1215,28 @@ impl Verifier<'_> {
                     }
                 }
                 ArrRed { vs, .. } | AllocatedQ { vs } => u.read.push(vs),
-                DoInitC { ctr, end } | DoInitK { ctr, end, .. } => {
-                    u.write.extend([VSlot::I(ctr), VSlot::I(end)]);
+                DoInitC { ctr, left } | DoInitK { ctr, left, .. } => {
+                    u.write.extend([VSlot::I(ctr), VSlot::I(left)]);
                 }
                 SetI { dst, aff } => {
                     let terms = bu.affine.get(aff as usize).map(|a| &a.terms[..]);
                     u.read.extend(terms.unwrap_or_default().iter().map(|&(s, _)| VSlot::I(s)));
                     u.write.push(VSlot::I(dst));
                 }
-                DoInit { ctr, end, step, .. } => {
-                    u.write.extend([VSlot::I(ctr), VSlot::I(end), VSlot::I(step)]);
+                DoInit { ctr, left, step, .. } => {
+                    u.write.extend([VSlot::I(ctr), VSlot::I(left), VSlot::I(step)]);
                 }
-                DoHead1 { ctr, end, var, .. } | DoHeadN { ctr, end, var, .. } => {
-                    u.read.extend([VSlot::I(ctr), VSlot::I(end)]);
-                    u.write.push(VSlot::I(var));
+                DoHead { ctr, left, var, .. } => {
+                    u.read.extend([VSlot::I(ctr), VSlot::I(left)]);
+                    u.write.extend([VSlot::I(left), VSlot::I(var)]);
                 }
-                DoHead { ctr, end, .. } => u.read.extend([VSlot::I(ctr), VSlot::I(end)]),
                 DoIncr1 { ctr, .. } | DoIncr { ctr, .. } => {
                     u.read.push(VSlot::I(ctr));
                     u.write.push(VSlot::I(ctr));
                 }
-                VecLoop { desc, ctr, end, var, .. } => {
-                    u.read.extend([VSlot::I(ctr), VSlot::I(end)]);
-                    u.write.extend([VSlot::I(ctr), VSlot::I(var)]);
+                VecLoop { desc, ctr, left, var, .. } => {
+                    u.read.extend([VSlot::I(ctr), VSlot::I(left)]);
+                    u.write.extend([VSlot::I(ctr), VSlot::I(left), VSlot::I(var)]);
                     u.region(&bu.vecs[desc as usize]);
                 }
                 InlineEnter { desc } => {

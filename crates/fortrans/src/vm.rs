@@ -602,6 +602,12 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
     /// fault or is not of an INTEGER array: the scalar loop then
     /// raises the error where it belongs. Indices are checked, not
     /// trusted, like the stream resolution's.
+    ///
+    /// `#[inline(always)]`: its one caller is [`Self::exec_fast_loop`],
+    /// and LLVM stopped inlining it into the traced instantiation when
+    /// the entry began to read its trip count from the loop state, which
+    /// cost `simulated` about 6 % in `ops_per_s` and `setup_s`.
+    #[inline(always)]
     fn fill_guarded(
         gcache: &[Option<Arc<ArrayObj>>],
         fa: &[Option<Arc<ArrayObj>>],
@@ -787,13 +793,17 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
     /// `Ok(true)` — the loop ran (caller jumps to `exit`). `Ok(false)` —
     /// a guard failed, no program-visible state was touched (at most
     /// the region's own guarded-load slots) and the caller falls through
-    /// to the scalar `DoHead1`, which re-runs the loop — the whole nest,
+    /// to the scalar `DoHead`, which re-runs the loop — the whole nest,
     /// for a nest region — with the exact scalar semantics, including
-    /// the bounds/limit error at the precise faulting iteration. All
-    /// guards run once, before the first element is written, and both
-    /// rungs commit on the same set, so a loop either completes on a
-    /// fast rung or executes fully scalar, with bit-identical results. A guard failure on a promoted region is a
-    /// *deopt*, counted on the session. Step pre-reservation is the same
+    /// the bounds/limit error at the precise faulting iteration. The
+    /// entry reads the trip count the loop's `DoInitC`/`DoInitK` fixed
+    /// ([`intrinsics::do_trips`]), the one the head counts down, and a
+    /// committed entry leaves the state that head would
+    /// ([`Self::leave_do_state`]). All guards run once, before the first
+    /// element is written, and both rungs commit on the same set, so a
+    /// loop either completes on a fast rung or executes fully scalar,
+    /// with bit-identical results. A guard failure on a promoted region
+    /// is a *deopt*, counted on the session. Step pre-reservation is the same
     /// on every rung and exact: an entry that commits retires what the
     /// scalar loop would, `trip x iter_cost` (plus `taken x taken_cost`
     /// for a select) and the head once more to leave. A budget that
@@ -819,7 +829,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         bu: &'e BUnit,
         desc: u32,
         ctr: u32,
-        end: u32,
+        left: u32,
         var: u32,
     ) -> Result<bool, RunError> {
         let ex = self.ex;
@@ -837,11 +847,12 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             Some(l) => Some(l),
             None => return Ok(false),
         };
-        let lo = frame.i[ctr as usize];
-        let hi = frame.i[end as usize];
-        let n = match hi.checked_sub(lo).and_then(|x| x.checked_add(1)) {
-            Some(x) if x > 0 => x,
-            _ => return Ok(false), // zero-trip: scalar head exits at once
+        // The trips the loop's `DoInitC`/`DoInitK` fixed. With none left
+        // the scalar head exits at once, and no run finishes more than
+        // `i64` holds.
+        let (lo, n) = (frame.i[ctr as usize], frame.i[left as usize]);
+        let Some(hi) = (n > 0).then(|| lo.checked_add(n - 1)).flatten() else {
+            return Ok(false);
         };
         // Pre-reserve the steps the scalar loop would retire: every
         // trip, and the head once more to leave. If the budget can't
@@ -901,7 +912,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             self.steps = self.steps.saturating_add(cost);
             self.vector_entries += 1;
             frame.i[s.acc as usize] = acc;
-            Self::leave_do_state(frame, d, ctr, hi, var);
+            Self::leave_do_state(frame, d, ctr, left, hi, var);
             return Ok(true);
         }
         // Committed: all guards passed.
@@ -963,17 +974,19 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 _ => unreachable!("verified reduction accumulator slot"),
             }
         }
-        Self::leave_do_state(frame, d, ctr, hi, var);
+        Self::leave_do_state(frame, d, ctr, left, hi, var);
         Ok(true)
     }
 
     /// Leaves the DO state exactly as the scalar head/incr would: the
-    /// variable holds the last iteration, the counter one past — and
-    /// likewise for the inner loops of a nest.
+    /// variable holds the last iteration `hi`, the counter one step past
+    /// it and no trip is left — and likewise for the inner loops of a
+    /// nest.
     #[inline(always)]
-    fn leave_do_state(frame: &mut VFrame, d: &VecDesc, ctr: u32, hi: i64, var: u32) {
+    fn leave_do_state(frame: &mut VFrame, d: &VecDesc, ctr: u32, left: u32, hi: i64, var: u32) {
         frame.i[var as usize] = hi;
         frame.i[ctr as usize] = hi.wrapping_add(1);
+        frame.i[left as usize] = 0;
         for &(slot, v) in &d.exit_state {
             frame.i[slot as usize] = v;
         }
@@ -1445,15 +1458,14 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     let r = f.eval_i(&self.iscratch);
                     self.push(r as u64);
                 }
-                ins @ BInstr::IntrF { f, argc, to_int } => {
+                ins @ BInstr::IntrF { f, argc } => {
                     let n = argc as usize;
                     let at = self.stack.len() - n;
                     self.fscratch.clear();
                     self.fscratch.extend(self.stack[at..].iter().map(|&b| f64::from_bits(b)));
                     self.stack.truncate(at);
                     self.post(ins);
-                    let ty = if to_int { ScalarTy::I } else { ScalarTy::F };
-                    self.push(f.call_f(&self.fscratch).to_bits(ty));
+                    self.push(f.call_f(&self.fscratch).to_bits(f.result_ty(ScalarTy::F)));
                 }
                 ins @ BInstr::LoadElemS { vs, v, subs, n, sd, want } => {
                     let n = n as usize;
@@ -1615,7 +1627,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                         self.st.cost.vec_mode = self.vec_stack.pop().unwrap_or(VecClass::None);
                     }
                 }
-                ins @ (BInstr::DoInitC { ctr, end } | BInstr::DoInitK { ctr, end, .. }) => {
+                ins @ (BInstr::DoInitC { ctr, left } | BInstr::DoInitK { ctr, left, .. }) => {
                     let (s, e) = match ins {
                         BInstr::DoInitK { lo, hi, .. } => (i64::from(lo), i64::from(hi)),
                         _ => {
@@ -1623,7 +1635,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                             (self.popi(), e)
                         }
                     };
-                    frame.i[end as usize] = e;
+                    frame.i[left as usize] = intrinsics::do_trips(s, e, 1) as i64;
                     frame.i[ctr as usize] = s;
                     if let Some(p) = self.prof {
                         if let Some(site) = bu.loop_site_at(pc as u32) {
@@ -1631,10 +1643,10 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                         }
                     }
                 }
-                BInstr::VecLoop { desc, ctr, end, var, exit } => {
+                BInstr::VecLoop { desc, ctr, left, var, exit } => {
                     let ran = match spec.take_if(|s| s.fused == pc as u32) {
-                        Some(s) => self.span_commit(frame, bu, s, desc, ctr, end, var)?,
-                        None => self.exec_fast_loop(frame, bu, desc, ctr, end, var)?,
+                        Some(s) => self.span_commit(frame, bu, s, desc, ctr, left, var)?,
+                        None => self.exec_fast_loop(frame, bu, desc, ctr, left, var)?,
                     };
                     if ran {
                         pc = exit as usize;
@@ -1643,7 +1655,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     // Refused: fall through to the scalar head, or to a
                     // fused span's original statements.
                 }
-                BInstr::DoInit { ctr, end, step, check } => {
+                BInstr::DoInit { ctr, left, step, check } => {
                     let st = self.popi();
                     let e = self.popi();
                     let s = self.popi();
@@ -1651,7 +1663,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                         return Err(RunError::Arith { msg: "zero DO step".into() });
                     }
                     frame.i[step as usize] = st;
-                    frame.i[end as usize] = e;
+                    frame.i[left as usize] = intrinsics::do_trips(s, e, st) as i64;
                     frame.i[ctr as usize] = s;
                     if let Some(p) = self.prof {
                         if let Some(site) = bu.loop_site_at(pc as u32) {
@@ -1659,41 +1671,17 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                         }
                     }
                 }
-                BInstr::DoHead1 { ctr, end, var, exit } => {
-                    let i = frame.i[ctr as usize];
-                    if i > frame.i[end as usize] {
+                BInstr::DoHead { ctr, left, var, exit } => {
+                    let n = frame.i[left as usize];
+                    if n == 0 {
                         if let Some(p) = self.prof {
                             p.close_loops_at(exit);
                         }
                         pc = exit as usize;
                         continue;
                     }
-                    frame.i[var as usize] = i;
-                }
-                BInstr::DoHeadN { ctr, end, step, var, exit } => {
-                    let i = frame.i[ctr as usize];
-                    let e = frame.i[end as usize];
-                    let st = frame.i[step as usize];
-                    if (st > 0 && i > e) || (st < 0 && i < e) {
-                        if let Some(p) = self.prof {
-                            p.close_loops_at(exit);
-                        }
-                        pc = exit as usize;
-                        continue;
-                    }
-                    frame.i[var as usize] = i;
-                }
-                BInstr::DoHead { ctr, end, step, exit } => {
-                    let i = frame.i[ctr as usize];
-                    let e = frame.i[end as usize];
-                    let st = frame.i[step as usize];
-                    if (st > 0 && i > e) || (st < 0 && i < e) {
-                        if let Some(p) = self.prof {
-                            p.close_loops_at(exit);
-                        }
-                        pc = exit as usize;
-                        continue;
-                    }
+                    frame.i[left as usize] = n.wrapping_sub(1);
+                    frame.i[var as usize] = frame.i[ctr as usize];
                 }
                 BInstr::DoIncr1 { ctr, head } => {
                     frame.i[ctr as usize] = frame.i[ctr as usize].wrapping_add(1);
@@ -1874,12 +1862,12 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         spec: Spec,
         desc: u32,
         ctr: u32,
-        end: u32,
+        left: u32,
         var: u32,
     ) -> Result<bool, RunError> {
         if let Some(steps) = self.steps.checked_add_signed(bu.spans[spec.span as usize].fixed) {
             self.steps = steps;
-            if self.exec_fast_loop(frame, bu, desc, ctr, end, var)? {
+            if self.exec_fast_loop(frame, bu, desc, ctr, left, var)? {
                 return Ok(true);
             }
         }

@@ -103,8 +103,6 @@ fn retarget_jump(bu: &mut BUnit, rng: &mut Rng) -> Applied {
                 i,
                 Jump(_)
                     | JumpIfFalse(_)
-                    | DoHead1 { .. }
-                    | DoHeadN { .. }
                     | DoHead { .. }
                     | DoIncr1 { .. }
                     | DoIncr { .. }
@@ -120,7 +118,7 @@ fn retarget_jump(bu: &mut BUnit, rng: &mut Rng) -> Applied {
     let bad = bu.code.len() as u32 + 1 + (rng.next_u64() % 97) as u32;
     match &mut bu.code[pc] {
         Jump(t) | JumpIfFalse(t) => *t = bad,
-        DoHead1 { exit, .. } | DoHeadN { exit, .. } | DoHead { exit, .. } => *exit = bad,
+        DoHead { exit, .. } => *exit = bad,
         DoIncr1 { head, .. } | DoIncr { head, .. } => *head = bad,
         Critical { end, .. } => *end = bad,
         _ => return None,
@@ -607,7 +605,7 @@ fn span(bu: &mut BUnit, rng: &mut Rng) -> Applied {
 /// Breaks the optimized build's operand-carrying glue: points a `SetI`'s
 /// destination or one of its affine terms past the i-bank, or the
 /// instruction at an affine entry the table does not hold; or points a
-/// `DoInitK`'s counter or end slot past the i-bank. The VM writes and
+/// `DoInitK`'s counter or trip slot past the i-bank. The VM writes and
 /// reads those slots unchecked.
 fn scalar_glue(bu: &mut BUnit, rng: &mut Rng) -> Applied {
     use BInstr::*;
@@ -642,8 +640,8 @@ fn scalar_glue(bu: &mut BUnit, rng: &mut Rng) -> Applied {
                 }
             }
         }
-        DoInitK { ctr, end, .. } => {
-            let (slot, what) = if rng.below(2) == 0 { (ctr, "counter") } else { (end, "end") };
+        DoInitK { ctr, left, .. } => {
+            let (slot, what) = if rng.below(2) == 0 { (ctr, "counter") } else { (left, "trips") };
             *slot = bad;
             format!("pc {pc}: DoInitK {what} -> {bad}")
         }

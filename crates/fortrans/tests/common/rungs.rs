@@ -12,7 +12,7 @@
 
 #![allow(dead_code)] // each test binary uses its own slice of this module
 
-use fortrans::{ArgVal, CostTrace, ExecMode, ExecTier, Session, Val};
+use fortrans::{ArgVal, CostTrace, ExecMode, ExecTier, RunLimits, Session, Val};
 
 pub const MODES: [ExecMode; 3] = [
     ExecMode::Serial,
@@ -51,7 +51,19 @@ fn args(n: i64) -> Vec<ArgVal> {
 
 /// Two runs of `work` on one session of `rung`, and that session.
 pub fn runs(src: &str, n: i64, mode: ExecMode, rung: Rung) -> (Vec<Snap>, Session) {
-    let s = Session::compile(&[src]).expect("program compiles");
+    runs_within(src, n, mode, rung, RunLimits::default())
+}
+
+/// [`runs`] on a session with `limits`.
+pub fn runs_within(
+    src: &str,
+    n: i64,
+    mode: ExecMode,
+    rung: Rung,
+    limits: RunLimits,
+) -> (Vec<Snap>, Session) {
+    let mut s = Session::compile(&[src]).expect("program compiles");
+    s.set_limits(limits);
     s.set_vector_enabled(rung != Rung::Scalar);
     s.set_native_enabled(rung == Rung::Native);
     s.set_native_eager(true);

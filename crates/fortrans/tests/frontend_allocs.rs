@@ -306,13 +306,20 @@ fn bytecode_fingerprints(descs: bool) -> [(u64, u64); 2] {
 /// `wb` and `ub`, which nothing reads after its loop. It moved again
 /// when each region's prep became one `SetI` in place of a `Quiet`
 /// bracket around stack code (0x3e8d_c791_c833_58dd before); no
-/// generated program has a prep.
+/// generated program has a prep. Both literals moved when every loop
+/// began to count its trips: `DoHead1`, `DoHeadN` and `DoHead` became
+/// one `DoHead { ctr, left, var, exit }` (`var` is `ctr` where the
+/// variable is no frame INTEGER), the `Do*` instructions' `end` slot
+/// became `left`, and `IntrF` lost its `to_int` field, which follows
+/// from `f`. With those renames made in the parent's text, every
+/// stream of both corpora and both builds reads as it did
+/// (0x7096_b2b5_204a_fa86 and 0x34c4_10c7_e2c5_607b before).
 #[test]
 fn bytecode_fingerprint_is_the_parents() {
     let [_, (f77, glaf)] = bytecode_fingerprints(false);
     println!("traced instruction-stream fingerprints: f77 {f77:#018x}, glaf {glaf:#018x}");
-    assert_eq!(f77, 0x7096_b2b5_204a_fa86, "generated F77 corpus: the traced build changed");
-    assert_eq!(glaf, 0x34c4_10c7_e2c5_607b, "GLAF source sets: the traced build changed");
+    assert_eq!(f77, 0x5479_50bf_0c66_aebc, "generated F77 corpus: the traced build changed");
+    assert_eq!(glaf, 0xffe2_f030_76c0_a856, "GLAF source sets: the traced build changed");
 }
 
 /// The optimized build's instruction streams, pinned where scoped
@@ -344,13 +351,15 @@ fn bytecode_fingerprint_is_the_parents() {
 /// glue began to carry its operands: affine INTEGER frame-scalar
 /// assignments and `VecLoop` preps lower to one `SetI` with an affine
 /// table, and fused loops over `i32` literal bounds start with one
-/// `DoInitK`, in both corpora.
+/// `DoInitK`, in both corpora. Both moved again with the traced build's
+/// for the one loop head and `IntrF`'s field, and for nothing else
+/// (0xc7eb_4f08_9a19_49f3 and 0xbb76_1cdb_3d51_f577 before).
 #[test]
 fn optimized_bytecode_fingerprint() {
     let [(f77, glaf), _] = bytecode_fingerprints(false);
     println!("optimized instruction-stream fingerprints: f77 {f77:#018x}, glaf {glaf:#018x}");
-    assert_eq!(f77, 0xc7eb_4f08_9a19_49f3, "generated F77 corpus: the optimized build changed");
-    assert_eq!(glaf, 0xbb76_1cdb_3d51_f577, "GLAF source sets: the optimized build changed");
+    assert_eq!(f77, 0xbbc4_1f7e_72b2_bb2d, "generated F77 corpus: the optimized build changed");
+    assert_eq!(glaf, 0x192d_7e62_1c87_3572, "GLAF source sets: the optimized build changed");
 }
 
 /// The vector descriptors of both builds, re-pinned when lowering began
@@ -384,7 +393,11 @@ fn optimized_bytecode_fingerprint() {
 /// inner loops, and a fused region's original loops, retire two steps
 /// fewer per inner loop or original loop, so the iteration costs of the
 /// optimized GLAF sets' nest and fused regions moved (the generated
-/// corpus holds neither).
+/// corpus holds neither). Re-pinned when every loop began to count its
+/// trips: a nest region's exit state leaves each inner loop's trip slot
+/// at 0, where it left the end bound, so both GLAF literals moved
+/// (0xc330_88d9_b834_f7a0 and 0x6eb3_5bd3_28bc_8e3b before) and nothing
+/// else in any descriptor did.
 #[test]
 fn vector_descriptor_fingerprints() {
     let [(opt_f77, opt_glaf), (traced_f77, traced_glaf)] = bytecode_fingerprints(true);
@@ -394,7 +407,7 @@ fn vector_descriptor_fingerprints() {
     );
     let moved = |corpus: &str, build: &str| format!("{corpus}: the {build} descriptors changed");
     assert_eq!(opt_f77, 0xe0a7_aa3c_3c90_3297, "{}", moved("generated F77 corpus", "optimized"));
-    assert_eq!(opt_glaf, 0xc330_88d9_b834_f7a0, "{}", moved("GLAF source sets", "optimized"));
+    assert_eq!(opt_glaf, 0x07e2_7a8d_46aa_197c, "{}", moved("GLAF source sets", "optimized"));
     assert_eq!(traced_f77, 0x22d0_f02b_8b54_95df, "{}", moved("generated F77 corpus", "traced"));
-    assert_eq!(traced_glaf, 0x6eb3_5bd3_28bc_8e3b, "{}", moved("GLAF source sets", "traced"));
+    assert_eq!(traced_glaf, 0x1aa0_c379_ff92_56a3, "{}", moved("GLAF source sets", "traced"));
 }

@@ -659,7 +659,7 @@ fn fused_regions_fall_through_to_the_original_loops() {
                 };
                 let (first, _) = d.loops[0];
                 let &(_, last) = d.loops.last().expect("a span fuses loops");
-                let BInstr::DoHead1 { exit: end, .. } = bu.code[last as usize] else {
+                let BInstr::DoHead { exit: end, .. } = bu.code[last as usize] else {
                     panic!("{label}: an original loop has a fused head");
                 };
                 assert_eq!((d.fused + 1, exit), (first, end), "{label}: span {spans}");

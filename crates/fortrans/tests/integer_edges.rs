@@ -1,11 +1,12 @@
 //! INTEGER operations at the edges of `i64`, where an earlier engine
 //! trapped or answered wrong on every rung: `MIN / -1`, `MOD(MIN, -1)`,
-//! `-MIN`, `SIGN(MIN, -1)` and powers with a base of ±1.
+//! `-MIN`, `SIGN(MIN, -1)`, powers with a base of ±1 and powers past
+//! `i64`.
 //!
 //! One operator table ([`fortrans::intrinsics`]) now says what each
-//! computes, and every rung calls it: `+ - * /` and negation wrap, so
-//! `MIN / -1` and `-MIN` are `MIN`, and a power follows F77's integer
-//! rule, `1 / x**|n|` for `n < 0`. The programs read their operands
+//! computes, and every rung calls it: `+ - * / **` and negation wrap, so
+//! `MIN / -1` and `-MIN` are `MIN` and `MIN ** 2` is 0, and a power
+//! follows F77's integer rule, `1 / x**|n|` for `n < 0`. The programs read their operands
 //! from the run-time argument `n`, so lowering cannot fold them; they
 //! run on the tree-walk oracle, the scalar VM, the vector rung and eager
 //! native in Serial, `Parallel{2}` and Simulated (`common/rungs.rs`),
@@ -58,12 +59,14 @@ fn negating_min_wraps_on_every_rung() {
     assert_eq!(results("-MIN", body)[..4], [MIN, MIN, MIN, MIN]);
 }
 
+/// A power past `i64` wraps like `*`: `(-2) ** 65` and `MIN ** 2` are 0.
 #[test]
 fn integer_powers_follow_f77_on_every_rung() {
     let body = "    r(1) = n ** (n - 2)\n    r(2) = (n - 2) ** (-3 * n)\n    \
                 r(3) = (n - 2) ** (64 * n)\n    r(4) = (n + 1) ** (n - 2)\n    \
-                r(5) = (n - 2) ** (65 * n)\n    r(6) = (n - n) ** (n - 2)";
-    assert_eq!(results("powers", body)[..6], [1, -1, 1, 0, -1, 0]);
+                r(5) = (n - 2) ** (65 * n)\n    r(6) = (n - n) ** (n - 2)\n    \
+                r(7) = (n - 3) ** (65 * n)\n    r(8) = m ** (2 * n)";
+    assert_eq!(results("powers", body), [1, -1, 1, 0, -1, 0, 0, 0]);
 }
 
 /// The same operations on literals fold at compile time, through the

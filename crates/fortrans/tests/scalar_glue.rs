@@ -314,7 +314,7 @@ fn fun3d_per_edge_fast_path_and_preps() {
         .expect("the edge span");
     let head = (0..enter)
         .rev()
-        .find(|&p| matches!(bu.code[p], BInstr::DoHead1 { exit, .. } if exit as usize > enter))
+        .find(|&p| matches!(bu.code[p], BInstr::DoHead { exit, .. } if exit as usize > enter))
         .expect("the edge loop around the span");
     let mut path = Vec::new();
     let mut pc = head;
@@ -326,7 +326,7 @@ fn fun3d_per_edge_fast_path_and_preps() {
             BInstr::Jump(_) | BInstr::JumpIfFalse(_) | BInstr::DoIncr1 { .. } => {
                 panic!("the fast path branches at {pc}: {:?}", bu.code[pc])
             }
-            BInstr::DoHead1 { .. } if pc != head => panic!("a scalar loop at {pc}"),
+            BInstr::DoHead { .. } if pc != head => panic!("a scalar loop at {pc}"),
             _ => pc + 1,
         };
     }

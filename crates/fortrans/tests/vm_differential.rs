@@ -981,8 +981,8 @@ END MODULE m
 #[test]
 fn diff_global_loop_variable() {
     // DO variable living in module storage exercises the non-fused
-    // DoHead path (the counter must be written back every iteration,
-    // with a Store cost in Simulated mode).
+    // head (the counter must be written back every iteration, with a
+    // Store cost in Simulated mode).
     let src = r#"
 MODULE m
   INTEGER :: gi
@@ -1002,7 +1002,7 @@ END MODULE m
 
 #[test]
 fn diff_step_expression_loop() {
-    // Step computed from an argument: must use the general DoHeadN path
+    // Step computed from an argument: must use the general `DoInit`
     // and reject a zero step exactly like the tree-walker.
     let src = r#"
 MODULE m

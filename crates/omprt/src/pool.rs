@@ -125,8 +125,10 @@ struct JobPtr(*const (dyn Fn(usize) + Sync));
 
 // SAFETY: the pointee is `Sync` (shared invocation from many threads is its
 // contract) and the pool guarantees the pointee outlives all uses (see
-// above).
+// above), so a worker may hold the pointer.
 unsafe impl Send for JobPtr {}
+// SAFETY: as for `Send`: a shared `JobPtr` only hands out the pointer,
+// which is `Copy`, and the pointee is `Sync`.
 unsafe impl Sync for JobPtr {}
 
 /// A panic that escaped a region closure, caught at the pool boundary.
