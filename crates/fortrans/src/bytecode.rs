@@ -22,6 +22,10 @@
 //!   is elementwise REAL arithmetic over affine subscripts — inner loops
 //!   of a few literal trips looked through as if unrolled — get a
 //!   `VecLoop` in front that runs the whole trip as a [`VecDesc`];
+//! * a call is its copies in ([`RCall`]'s `enter`, ordinary stores),
+//!   one `Call` whose [`CallSpec`] binds each dummy slot to a caller
+//!   slot of its bank ([`Bind`]), and its copies back: no argument
+//!   payload rides the operand stack;
 //! * constant subexpressions fold, only in the *optimized* build
 //!   variant;
 //! * the scalar glue between regions carries its operands, again in the
@@ -325,12 +329,10 @@ pub enum BInstr {
     Critical { name: u32, end: u32, exit: u32, cycle: u32 },
     /// OMP PARALLEL DO; stack holds bounds/clauses, body in the descriptor.
     OmpDo { desc: u32 },
-    /// Call-depth check + call cost, before argument evaluation.
+    /// Call-depth check + call cost, before the call's copies in.
     CallPre,
-    /// By-ref element argument: pops subs into the stash, pushes the value.
-    StashElem { vs: VSlot, v: u32, nsubs: u8, want: ScalarTy },
-    /// Whole-array argument: pushes the handle onto the array stack.
-    PushArr { vs: VSlot, v: u32 },
+    /// Runs `calls[spec]` ([`CallSpec`]) over a fresh callee frame and
+    /// pushes a function's result when `push`.
     Call { spec: u32, push: bool },
     Print { spec: u32 },
     Stop { msg: u32 },
@@ -397,8 +399,8 @@ impl BInstr {
             | VecEnter(_) | VecLeave | DoInitC { .. } | DoInitK { .. } | VecLoop { .. }
             | DoInit { .. } | DoHead { .. } | DoIncr1 { .. } | DoIncr { .. } | CheckStepNZ
             | FlowExit | FlowCycle | FlowReturn | Critical { .. } | OmpDo { .. } | CallPre
-            | StashElem { .. } | PushArr { .. } | Call { .. } | Print { .. } | Stop { .. }
-            | InlineEnter { .. } | InlineExit { .. } | SpanEnter { .. } => Posts::Dynamic,
+            | Call { .. } | Print { .. } | Stop { .. } | InlineEnter { .. } | InlineExit { .. }
+            | SpanEnter { .. } => Posts::Dynamic,
         }
     }
 }
@@ -626,28 +628,25 @@ pub struct RedSpec {
     pub ty: ScalarTy,
 }
 
-/// One resolved call site.
+/// One call site: the callee, how each of its dummies is bound
+/// ([`RCall::binds`]) and its result slot. The call's copies are code
+/// around its `Call`.
 #[derive(Debug, Clone)]
 pub struct CallSpec {
     pub callee: u32,
-    pub args: Vec<BArg>,
-    /// Total stash entries consumed by `Elem` args.
-    pub n_stash: u32,
+    pub binds: Vec<Bind>,
     /// Callee function-result slot.
     pub ret: Option<(VSlot, ScalarTy)>,
 }
 
-/// One call argument: how to pop it and where to write it back.
-#[derive(Debug, Clone, Copy)]
-pub enum BArg {
-    /// Value-result scalar: pops the value, writes back after the call.
-    Scalar { src_vs: VSlot, src_v: u32, src_ty: ScalarTy, p: VSlot, pty: ScalarTy },
-    /// Value-result array element (subscripts held in the stash).
-    Elem { vs: VSlot, v: u32, nsubs: u8, want: ScalarTy, p: VSlot, pty: ScalarTy },
-    /// Shared whole-array handle.
-    Arr { p: u32 },
-    /// By-value expression.
-    Val { src_ty: ScalarTy, p: VSlot, pty: ScalarTy },
+/// Caller variable `v`, in slot `from`, bound to the callee's dummy slot
+/// `to` of the same bank: a frame scalar is copied in and back, an
+/// array's handle (frame or global) shared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bind {
+    pub from: VSlot,
+    pub v: u32,
+    pub to: VSlot,
 }
 
 /// One PRINT list item (value types resolved statically).
@@ -1553,7 +1552,7 @@ impl<'a> UnitCompiler<'a> {
                 }
             }
             RExpr::AllocatedQ(_) => ScalarTy::B,
-            RExpr::CallFn { ret, .. } => *ret,
+            RExpr::Call { ret, .. } => *ret,
         }
     }
 
@@ -1756,9 +1755,7 @@ impl<'a> UnitCompiler<'a> {
                     }
                 }
             }
-            RExpr::CallFn { unit, args, ret: _ } => {
-                self.emit_call(*unit, args, true);
-            }
+            RExpr::Call { call, .. } => self.emit_call(call, true),
         }
     }
 
@@ -1943,64 +1940,22 @@ impl<'a> UnitCompiler<'a> {
 
     // ---------- calls ----------
 
-    fn emit_call(&mut self, callee: UnitId, args: &[RArg], push: bool) {
+    /// Call `c`: `CallPre`, its copies in, the `Call` that binds each
+    /// dummy, its copies back.
+    fn emit_call(&mut self, c: &RCall, push: bool) {
         self.push(BInstr::CallPre);
-        let ct = &self.tables[callee];
-        let cunit = &self.prog.units[callee];
-        let mut bargs = Vec::with_capacity(args.len());
-        let mut n_stash = 0u32;
-        for (k, arg) in args.iter().enumerate() {
-            let pvar = cunit.params[k];
-            let p = ct.vslots[pvar];
-            let pty = cunit.vars[pvar].ty;
-            match arg {
-                RArg::ByRefScalar(v) => {
-                    self.emit_load_scalar(*v);
-                    let src_ty = self.unit.vars[*v].ty;
-                    bargs.push(BArg::Scalar {
-                        src_vs: self.vslot(*v),
-                        src_v: *v as u32,
-                        src_ty,
-                        p,
-                        pty,
-                    });
-                }
-                RArg::ByRefElem { v, subs } => {
-                    self.emit_subs(subs);
-                    let want = self.unit.vars[*v].ty;
-                    self.push(BInstr::StashElem {
-                        vs: self.vslot(*v),
-                        v: *v as u32,
-                        nsubs: subs.len() as u8,
-                        want,
-                    });
-                    n_stash += subs.len() as u32;
-                    bargs.push(BArg::Elem {
-                        vs: self.vslot(*v),
-                        v: *v as u32,
-                        nsubs: subs.len() as u8,
-                        want,
-                        p,
-                        pty,
-                    });
-                }
-                RArg::Array(v) => {
-                    self.push(BInstr::PushArr { vs: self.vslot(*v), v: *v as u32 });
-                    let VSlot::A(pa) = p else {
-                        unreachable!("array param has an A slot")
-                    };
-                    bargs.push(BArg::Arr { p: pa });
-                }
-                RArg::Value(e) => {
-                    self.emit_expr(e);
-                    bargs.push(BArg::Val { src_ty: self.ty_of(e), p, pty });
-                }
-            }
-        }
-        let spec = CallSpec { callee: callee as u32, args: bargs, n_stash, ret: ct.result };
-        self.calls.push(spec);
-        let s = self.calls.len() as u32 - 1;
-        self.push(BInstr::Call { spec: s, push });
+        self.emit_block(&c.enter);
+        let (ct, cunit) = (&self.tables[c.unit], &self.prog.units[c.unit]);
+        let binds = c
+            .binds
+            .iter()
+            .zip(&cunit.params)
+            .map(|(&b, &p)| Bind { from: self.vslot(b), v: b as u32, to: ct.vslots[p] })
+            .collect();
+        self.calls.push(CallSpec { callee: c.unit as u32, binds, ret: ct.result });
+        let spec = self.calls.len() as u32 - 1;
+        self.push(BInstr::Call { spec, push });
+        self.emit_block(&c.leave);
     }
 
     // ---------- statements ----------
@@ -2140,9 +2095,7 @@ impl<'a> UnitCompiler<'a> {
                     self.emit_serial_do(*var, start, end, step.as_ref(), body, *vec);
                 }
             }
-            RStmt::CallSub { unit, args } => {
-                self.emit_call(*unit, args, false);
-            }
+            RStmt::Call(c) => self.emit_call(c, false),
             RStmt::Allocate { v, dims } => {
                 for (lo, hi) in dims {
                     self.emit_expr(lo);

@@ -128,7 +128,7 @@ struct VecBody {
 /// True when `e` references variable `var` anywhere (conservatively true
 /// for user calls, whose by-ref arguments could smuggle it through).
 fn expr_uses_var(e: &RExpr, var: VarIdx) -> bool {
-    let mut uses = matches!(e, RExpr::CallFn { .. });
+    let mut uses = matches!(e, RExpr::Call { .. });
     expr_vars(e, &mut |_, &v| uses |= v == var);
     operands(e, &mut |x| uses = uses || expr_uses_var(x, var));
     uses
@@ -416,7 +416,7 @@ impl UnitCompiler<'_> {
                     open.pop();
                     inner.saturating_mul((hi - lo + 1) as usize)
                 }
-                RStmt::CallSub { .. } | RStmt::Inlined { .. } => return Err(Call),
+                RStmt::Call(_) | RStmt::Inlined { .. } => return Err(Call),
                 RStmt::If { .. }
                 | RStmt::Span { .. }
                 | RStmt::DoWhile { .. }
@@ -584,7 +584,7 @@ impl UnitCompiler<'_> {
             RExpr::Intrinsic { args, .. } => {
                 args.iter().all(|a| self.vec_temp_ok(a, awritten, sassigned))
             }
-            RExpr::ArrReduce { .. } | RExpr::CallFn { .. } => false,
+            RExpr::ArrReduce { .. } | RExpr::Call { .. } => false,
         }
     }
 
@@ -611,7 +611,7 @@ impl UnitCompiler<'_> {
             RExpr::LoadElem { v, subs } => {
                 self.vec_access(*v, subs, var, ScalarTy::F, false, plan).map(|_| ())
             }
-            RExpr::ArrReduce { .. } | RExpr::CallFn { .. } => Err(VecRefusal::Shape),
+            RExpr::ArrReduce { .. } | RExpr::Call { .. } => Err(VecRefusal::Shape),
             _ => {
                 let mut out = Ok(());
                 operands(e, &mut |x| {
@@ -759,7 +759,7 @@ impl UnitCompiler<'_> {
                 Ok((fit(c.checked_neg())?, fit(a.checked_neg())?, neg_inv(i)))
             }
             RExpr::ToI(x) if self.ty_of(x) == ScalarTy::I => self.vec_affine(x, var),
-            RExpr::CallFn { .. } => Err(VecRefusal::Call),
+            RExpr::Call { .. } => Err(VecRefusal::Call),
             _ => Err(NonAffine),
         }
     }
@@ -915,7 +915,7 @@ impl UnitCompiler<'_> {
                 }
                 ops.push(VecOp::Intr { f: *f, argc: args.len() as u8 });
             }
-            RExpr::CallFn { .. } => return Err(VecRefusal::Call),
+            RExpr::Call { .. } => return Err(VecRefusal::Call),
             _ => return Err(Shape),
         }
         Ok(())

@@ -7,14 +7,17 @@
 //! [`CostTrace`] into simulated time on a machine model.
 //!
 //! Both executors tally through one [`CostAcc`]: it owns the serial
-//! counters, the open parallel region (per-thread buckets, the owner
-//! map that routes each iteration to its thread, the CRITICAL bucket)
+//! counters, the open parallel region (per-thread buckets, the cursor
+//! over its schedule's chunks that routes each iteration to its thread,
+//! the CRITICAL bucket)
 //! and the vectorization class in force. Postings collect in one
 //! pending set of counters and move to their bucket only when the
 //! bucket is about to change. The executors keep only their
 //! call sites — and the gate in front of them (`collect` in the
 //! tree-walker, the `TRACE` const generic in the VM), so an untraced
 //! run never reaches this module.
+
+use omprt::{chunk_sequence, Chunks, Schedule};
 
 use crate::rir::VecClass;
 
@@ -208,8 +211,10 @@ struct OpenRegion {
     critical: CostCounters,
     trip: u64,
     reductions: usize,
-    /// Flat iteration → owning thread under the region's schedule.
-    owner: Vec<u16>,
+    /// The region's schedule, dealt lazily: the chunks after `chunk`.
+    chunks: Chunks,
+    /// The end and owner of the chunk the running iteration belongs to.
+    chunk: (usize, usize),
 }
 
 /// The cost accumulator of one simulated run.
@@ -330,8 +335,15 @@ impl CostAcc {
     }
 
     /// Flushes the serial stretch and opens a region of `team` threads
-    /// whose iteration `k` belongs to thread `owner[k]`.
-    pub(crate) fn open_region(&mut self, owner: Vec<u16>, team: usize, reductions: usize) {
+    /// over `trip` iterations, each belonging to the thread that owns
+    /// its chunk under `sched` ([`chunk_sequence`]).
+    pub(crate) fn open_region(
+        &mut self,
+        sched: Schedule,
+        trip: usize,
+        team: usize,
+        reductions: usize,
+    ) {
         self.flush();
         let serial = std::mem::take(&mut self.serial);
         self.trace.push_serial(serial);
@@ -339,17 +351,23 @@ impl CostAcc {
             per_thread: vec![CostCounters::default(); team],
             cur: 0,
             critical: CostCounters::default(),
-            trip: owner.len() as u64,
+            trip: trip as u64,
             reductions,
-            owner,
+            chunks: chunk_sequence(sched, trip, team),
+            chunk: (0, 0),
         }));
     }
 
     /// Routes what follows to the thread owning flat iteration `k`.
+    /// Iterations begin in order, so the chunks are walked once.
     pub(crate) fn begin_iteration(&mut self, k: usize) {
-        if let Some(thread) = self.region.as_ref().map(|r| usize::from(r.owner[k])) {
-            self.route_to(thread);
+        let Some(r) = &mut self.region else { return };
+        while k >= r.chunk.0 {
+            let (_, hi, thread) = r.chunks.next().expect("the chunks cover every iteration");
+            r.chunk = (hi, thread);
         }
+        let thread = r.chunk.1;
+        self.route_to(thread);
     }
 
     /// Routes what follows to the master thread (the end of a nest).
@@ -449,8 +467,8 @@ mod tests {
     fn critical_op_in_a_region_lands_in_thread_and_critical_buckets() {
         let mut acc = CostAcc::default();
         acc.op_n(OpKind::Flop, 2); // serial stretch
-        acc.open_region(vec![0, 1, 1], 2, 0);
-        acc.begin_iteration(2);
+        acc.open_region(Schedule::StaticBlock, 3, 2, 0);
+        acc.begin_iteration(2); // thread 1's
         acc.enter_critical();
         acc.op_n(OpKind::Load, 3);
         acc.add_misc(|c| c.atomics += 1);
@@ -512,8 +530,8 @@ mod tests {
                 let mut accs = [CostAcc::default(), CostAcc::default()];
                 for acc in &mut accs {
                     if in_region {
-                        acc.open_region(vec![1, 0], 2, 0);
-                        acc.begin_iteration(0);
+                        acc.open_region(Schedule::StaticBlock, 2, 2, 0);
+                        acc.begin_iteration(1);
                     }
                     acc.vec_mode = vec;
                     (0..critical).for_each(|_| acc.enter_critical());
@@ -540,14 +558,20 @@ mod tests {
     }
 
     #[test]
-    fn owner_map_routes_iterations_and_close_emits_the_event() {
-        let owner = vec![0, 0, 2, 1, 2];
+    fn schedule_routes_iterations_and_close_emits_the_event() {
+        // Chunks of two, dealt round-robin: 0..2, 2..4, 4..5.
         let mut acc = CostAcc::default();
-        acc.open_region(owner.clone(), 3, 2);
+        acc.open_region(Schedule::StaticChunk(2), 5, 3, 2);
         assert!(acc.in_region());
-        for k in 0..owner.len() {
+        for k in 0..5 {
             acc.begin_iteration(k);
             acc.op_n(OpKind::Flop, 10u64.pow(k as u32));
+            if k == 2 {
+                // A nested nest ends inside thread 1's chunk: its tail
+                // goes to the master, and iteration 3 back to thread 1.
+                acc.end_iterations();
+                acc.op_n(OpKind::IOp, 1);
+            }
         }
         acc.end_iterations();
         acc.add_misc(|c| c.branches += 1); // after the nest: master thread
@@ -555,9 +579,10 @@ mod tests {
         assert!(!acc.in_region());
         let mut expect = vec![CostCounters::default(); 3];
         expect[0].scalar.flop = 11;
+        expect[0].scalar.iop = 1;
         expect[0].branches = 1;
-        expect[1].scalar.flop = 1_000;
-        expect[2].scalar.flop = 10_100;
+        expect[1].scalar.flop = 1_100;
+        expect[2].scalar.flop = 10_000;
         assert_eq!(
             acc.finish().events,
             vec![TraceEvent::Region(RegionEvent {

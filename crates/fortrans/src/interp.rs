@@ -542,10 +542,9 @@ impl<'e> Task<'e> {
                 };
                 Ok(Val::B(alloc))
             }
-            RExpr::CallFn { unit: callee, args, ret: _ } => {
-                let r = self.call_unit(unit, frame, *callee, args)?;
-                r.ok_or_else(|| RunError::Type { msg: "function returned nothing".into() })
-            }
+            RExpr::Call { call, .. } => self
+                .call(unit, frame, call)?
+                .ok_or_else(|| RunError::Type { msg: "function returned nothing".into() }),
         }
     }
 
@@ -561,69 +560,41 @@ impl<'e> Task<'e> {
         frame
     }
 
-    fn call_unit(
+    /// Runs call `c` ([`RCall`]): the depth check and the call count,
+    /// its copies in, the callee over a fresh frame whose dummies hold
+    /// the bound variables — a scalar copied, an array's handle shared —
+    /// each scalar copied back, then its copies back. Returns a
+    /// function's result.
+    fn call(
         &mut self,
         unit: &RUnit,
         frame: &mut Frame,
-        callee_id: UnitId,
-        args: &[RArg],
+        c: &RCall,
     ) -> Result<Option<Val>, RunError> {
         if self.depth >= self.ex.limits.max_call_depth {
             return Err(RunError::Limit { msg: "call depth exceeded".into() });
         }
         self.add_misc(|c| c.calls += 1);
+        self.exec_block(unit, frame, &c.enter)?;
         let prog = Arc::clone(&self.ex.prog);
-        let callee = &prog.units[callee_id];
+        let callee = &prog.units[c.unit];
         let mut cframe = self.build_frame(callee);
-
-        // Copy-in.
-        enum Writeback {
-            Scalar(VarIdx),
-            Elem(VarIdx, Vec<i64>),
-            None,
-        }
-        let mut writebacks: Vec<Writeback> = Vec::with_capacity(args.len());
-        for (k, arg) in args.iter().enumerate() {
-            let pvar = callee.params[k];
-            let pinfo = &callee.vars[pvar];
-            let Place::Frame(pslot) = pinfo.place else { unreachable!("params are frame vars") };
-            match arg {
-                RArg::ByRefScalar(v) => {
-                    let val = self.read_scalar(unit, frame, *v)?;
-                    cframe.slots[pslot] = typed_frameval(val, pinfo.ty);
-                    writebacks.push(Writeback::Scalar(*v));
-                }
-                RArg::ByRefElem { v, subs } => {
-                    let ix = self.eval_subs(unit, frame, subs)?;
-                    let arr = self.array_handle(unit, frame, *v)?;
-                    let off = arr.offset(&unit.vars[*v].name, &ix)?;
-                    self.op(OpKind::Load);
-                    let val = match arr.ty {
-                        ScalarTy::I => Val::I(arr.get_i(off)),
-                        ScalarTy::F => Val::F(arr.get_f(off)),
-                        ScalarTy::B => Val::B(arr.get_b(off)),
-                    };
-                    cframe.slots[pslot] = typed_frameval(val, pinfo.ty);
-                    writebacks.push(Writeback::Elem(*v, ix));
-                }
-                RArg::Array(v) => {
-                    let h = self.array_handle(unit, frame, *v)?;
-                    cframe.slots[pslot] = FrameVal::Arr(Some(h));
-                    writebacks.push(Writeback::None);
-                }
-                RArg::Value(e) => {
-                    let val = self.eval(unit, frame, e)?;
-                    cframe.slots[pslot] = typed_frameval(val, pinfo.ty);
-                    writebacks.push(Writeback::None);
-                }
-            }
+        let slot = |p: VarIdx| match callee.vars[p].place {
+            Place::Frame(s) => s,
+            Place::Global(_) => unreachable!("dummies are frame vars"),
+        };
+        for (&b, &p) in c.binds.iter().zip(&callee.params) {
+            cframe.slots[slot(p)] = match unit.vars[b].rank {
+                0 => typed_frameval(self.read_scalar(unit, frame, b)?, callee.vars[p].ty),
+                _ => FrameVal::Arr(Some(self.array_handle(unit, frame, b)?)),
+            };
         }
 
         // Execute. The location registers move to the callee and are
         // restored only on success, so a propagating fault keeps the
         // innermost (most precise) location.
         let (saved_unit, saved_line) = (self.cur_unit, self.cur_line);
-        self.cur_unit = callee_id;
+        self.cur_unit = c.unit;
         self.depth += 1;
         if let Some(p) = self.prof {
             p.unit_enter(&callee.name);
@@ -641,35 +612,14 @@ impl<'e> Task<'e> {
             Flow::Normal | Flow::Return => {}
             _ => return Err(RunError::Type { msg: "EXIT/CYCLE escaped a unit".into() }),
         }
-
-        // Copy-out (value-result for scalar designator args).
-        for (k, wb) in writebacks.into_iter().enumerate() {
-            let pvar = callee.params[k];
-            let pinfo = &callee.vars[pvar];
-            let Place::Frame(pslot) = pinfo.place else { unreachable!() };
-            match wb {
-                Writeback::Scalar(v) => {
-                    let val = frameval_to_val(&cframe.slots[pslot], pinfo.ty);
-                    self.write_scalar(unit, frame, v, val);
-                }
-                Writeback::Elem(v, ix) => {
-                    let val = frameval_to_val(&cframe.slots[pslot], pinfo.ty);
-                    let arr = self.array_handle(unit, frame, v)?;
-                    let off = arr.offset(&unit.vars[v].name, &ix)?;
-                    self.op(OpKind::Store);
-                    store_val(&arr, off, val);
-                }
-                Writeback::None => {}
+        for (&b, &p) in c.binds.iter().zip(&callee.params) {
+            if unit.vars[b].rank == 0 {
+                let val = frameval_to_val(&cframe.slots[slot(p)], callee.vars[p].ty);
+                self.write_scalar(unit, frame, b, val);
             }
         }
-
-        // Function result.
-        if let Some((rv, rty)) = callee.result {
-            let Place::Frame(rslot) = callee.vars[rv].place else { unreachable!() };
-            Ok(Some(frameval_to_val(&cframe.slots[rslot], rty)))
-        } else {
-            Ok(None)
-        }
+        self.exec_block(unit, frame, &c.leave)?;
+        Ok(callee.result.map(|(rv, rty)| frameval_to_val(&cframe.slots[slot(rv)], rty)))
     }
 
     // ---------- statements ----------
@@ -807,8 +757,8 @@ impl<'e> Task<'e> {
                 *vec,
                 collapse_with,
             ),
-            RStmt::CallSub { unit: callee, args } => {
-                self.call_unit(unit, frame, *callee, args)?;
+            RStmt::Call(c) => {
+                self.call(unit, frame, c)?;
                 Ok(Flow::Normal)
             }
             RStmt::Allocate { v, dims } => {
@@ -884,7 +834,7 @@ impl<'e> Task<'e> {
             }
             RStmt::Stop(msg) => Err(RunError::Stop { msg: msg.clone().unwrap_or_default() }),
             RStmt::Inlined { unit: callee, locals, enter, body, leave } => {
-                // `call_unit`'s protocol, over the caller's own frame.
+                // `call`'s, over the caller's own frame.
                 if self.depth >= self.ex.limits.max_call_depth {
                     return Err(RunError::Limit { msg: "call depth exceeded".into() });
                 }

@@ -3,8 +3,9 @@
 //!
 //! Everything that decides the paper's two acceptance tests lives here:
 //! team sizing, schedule override and per-thread legalization, the mode
-//! dispatch (Serial / nested team-of-one / Simulated with an owner map /
-//! real fork), decomposition of the collapsed iteration space, work
+//! dispatch (Serial / nested team-of-one / Simulated, which charges each
+//! iteration to the thread its chunk belongs to / real fork),
+//! decomposition of the collapsed iteration space, work
 //! distribution (`Dispenser` for runtime-dispatched schedules,
 //! `chunks_for` otherwise), reduction identities, keyed partials and
 //! their key-ordered fold, print merging, the hand-over of the step
@@ -149,8 +150,7 @@ pub(crate) fn run<T: Tier>(
     let st = T::state(exe);
     match ex.mode {
         ExecMode::Simulated { .. } if !st.in_real_region && !st.cost.in_region() => {
-            let owner = build_owner_map(schedule(ex, spec), total(&trips), team);
-            st.cost.open_region(owner, team, spec.reductions.len());
+            st.cost.open_region(schedule(ex, spec), total(&trips), team, spec.reductions.len());
             let r = serial_nest(tier, exe, frame, spec, &trips, true);
             T::state(exe).cost.close_region(spec.line);
             r
@@ -332,7 +332,6 @@ fn fork<T: Tier>(
             None => {
                 seed(&mut w, &mut wf);
                 let r = chunks_for(sched, total, tid, team)
-                    .into_iter()
                     .try_for_each(|(lo, hi)| run_range(&mut w, &mut wf, lo, hi));
                 keep(tid, r, &w, &wf);
             }
@@ -359,28 +358,9 @@ fn fork<T: Tier>(
     Ok(())
 }
 
-/// Iteration → owning-thread map of a simulated region.
-fn build_owner_map(sched: Schedule, n: usize, threads: usize) -> Vec<u16> {
-    let mut owner = vec![0u16; n];
-    for t in 0..threads {
-        for (lo, hi) in chunks_for(sched, n, t, threads) {
-            owner[lo..hi].fill(t as u16);
-        }
-    }
-    owner
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn owner_map_covers() {
-        let m = build_owner_map(Schedule::StaticBlock, 10, 4);
-        assert_eq!(m.len(), 10);
-        assert_eq!(m[0], 0);
-        assert_eq!(m[9], 3);
-    }
 
     fn f_sum() -> [Reduction; 1] {
         [Reduction { op: RedOp::Add, ty: ScalarTy::F, cell: None }]

@@ -6,7 +6,9 @@
 //! What a node holds is written down here once: an expression's
 //! operands, a statement's own expressions and the variables a node
 //! names (the `node_parts!` walks, each with a `_mut` twin), and the
-//! statement lists nested in a statement ([`each_child`]). The rewrites
+//! statement lists nested in a node ([`each_child`], [`expr_children`]):
+//! a call's copies in and out ([`RCall`]) are such lists, so every pass
+//! sees the stores they make. The rewrites
 //! and the vector analysis reach a node's contents only through them,
 //! [`walk_stmts`] for every mention and [`rename_stmts`] to rename in
 //! place; a pass matches on a variant only where the variant decides
@@ -88,8 +90,9 @@ pub enum RExpr {
     ArrReduce { f: ArrRed, v: VarIdx },
     /// `ALLOCATED(x)`.
     AllocatedQ(VarIdx),
-    /// User function call.
-    CallFn { unit: UnitId, args: Vec<RArg>, ret: ScalarTy },
+    /// A user function reference, evaluated where it stands: the call
+    /// runs, and its result is the value.
+    Call { call: Box<RCall>, ret: ScalarTy },
 }
 
 impl RExpr {
@@ -127,17 +130,20 @@ pub enum ArrRed {
     Size,
 }
 
-/// A resolved call argument.
+/// A call of unit `unit`, as [`crate::sema`] writes every call site
+/// (DESIGN §6, "How a call binds its arguments"): `enter` runs first and
+/// fills the caller's temporaries, in argument order; dummy `k` is then
+/// bound to caller variable `binds[k]`, of its type and rank — a scalar
+/// copied in when the callee starts and back when it returns, an array's
+/// handle shared — and `leave` copies each by-reference temporary back,
+/// in argument order. Both lists hold plain assignments on the call's
+/// line; the executors run them as they run any statement.
 #[derive(Debug, Clone)]
-pub enum RArg {
-    /// Scalar variable: copy-in / copy-out (value-result).
-    ByRefScalar(VarIdx),
-    /// Array element: copy-in / copy-out.
-    ByRefElem { v: VarIdx, subs: Vec<RExpr> },
-    /// Whole array: handle shared with the callee.
-    Array(VarIdx),
-    /// Arbitrary expression: by value.
-    Value(RExpr),
+pub struct RCall {
+    pub unit: UnitId,
+    pub binds: Vec<VarIdx>,
+    pub enter: Vec<SpStmt>,
+    pub leave: Vec<SpStmt>,
 }
 
 /// Resolved OMP PARALLEL DO clauses.
@@ -207,7 +213,8 @@ pub enum RStmt {
         collapse_with: Vec<CollapseDim>,
     },
     DoWhile { cond: RExpr, body: Vec<SpStmt> },
-    CallSub { unit: UnitId, args: Vec<RArg> },
+    /// `CALL`.
+    Call(RCall),
     Allocate { v: VarIdx, dims: Vec<(RExpr, RExpr)> },
     Deallocate { v: VarIdx },
     Critical { name: String, body: Vec<SpStmt> },
@@ -220,10 +227,10 @@ pub enum RStmt {
     /// A call of leaf unit `unit` with the callee's body in place
     /// ([`rewrite::inline_leaves`]): the variables `locals` of the
     /// enclosing unit are the callee's frame, reset on entry as a call
-    /// resets a fresh frame; `enter` copies the arguments in and `leave`
-    /// copies them out (and the function result to its target), both on
-    /// the call's line; `body` runs as the callee, one call level
-    /// deeper.
+    /// resets a fresh frame; `enter` and `leave` are the call's own
+    /// ([`RCall`]), `leave` then storing a function's result to its
+    /// target; `body` runs as the callee, its dummies renamed to the
+    /// variables the call binds, one call level deeper.
     Inlined {
         unit: UnitId,
         locals: std::ops::Range<VarIdx>,
@@ -354,66 +361,15 @@ fn stmts_touch_pt(stmts: &[SpStmt], vars: &[VarInfo], globals: &[GlobalDecl]) ->
     touched
 }
 
-/// Calls `f` on each statement list nested in `s`, in statement order:
-/// an `IF`'s arms then its `ELSE`, an inlined block's copies in and out
-/// around its body, a span's `fast` then its `slow`.
-pub(crate) fn each_child<'a>(s: &'a RStmt, f: &mut dyn FnMut(&'a [SpStmt])) {
-    match s {
-        RStmt::If { arms, else_body } => {
-            arms.iter().for_each(|(_, b)| f(b));
-            f(else_body);
-        }
-        RStmt::Do { body, .. } | RStmt::DoWhile { body, .. } | RStmt::Critical { body, .. } => {
-            f(body)
-        }
-        RStmt::Inlined {
-            enter, body, leave, ..
-        } => {
-            f(enter);
-            f(body);
-            f(leave);
-        }
-        RStmt::Span { fast, slow } => {
-            f(fast);
-            f(slow);
-        }
-        _ => {}
-    }
-}
-
-/// [`each_child`] with the lists open to change.
-pub(crate) fn each_child_mut(s: &mut RStmt, f: &mut dyn FnMut(&mut [SpStmt])) {
-    match s {
-        RStmt::If { arms, else_body } => {
-            arms.iter_mut().for_each(|(_, b)| f(b));
-            f(else_body);
-        }
-        RStmt::Do { body, .. } | RStmt::DoWhile { body, .. } | RStmt::Critical { body, .. } => {
-            f(body)
-        }
-        RStmt::Inlined {
-            enter, body, leave, ..
-        } => {
-            f(enter);
-            f(body);
-            f(leave);
-        }
-        RStmt::Span { fast, slow } => {
-            f(fast);
-            f(slow);
-        }
-        _ => {}
-    }
-}
-
 /// One thing [`walk_stmts`] reports.
 #[derive(Clone, Copy)]
 pub(crate) enum Seen {
     /// Any mention of a variable but the four below.
     Ref(VarIdx),
     /// The variable a statement stores to as a whole target: an
-    /// assignment's, a `DO` loop's (a collapsed one's too). A call's
-    /// by-reference argument is a [`Seen::Ref`].
+    /// assignment's, a `DO` loop's (a collapsed one's too). A variable a
+    /// call binds is a [`Seen::Ref`]; the targets of its copies are
+    /// stores.
     Store(VarIdx),
     Alloc(VarIdx),
     Dealloc(VarIdx),
@@ -426,13 +382,59 @@ pub(crate) enum Seen {
 /// walks below call `f` on the parts of one node, not on those of the
 /// nodes inside them, and each has a `_mut` twin (`$m` = `mut`) for the
 /// rewrites that change the parts in place. A new `RExpr` or `RStmt`
-/// variant is listed here and in [`each_child`], and every walk of the
-/// optimized build's passes follows.
+/// variant is listed here, and every walk of the optimized build's
+/// passes follows.
 macro_rules! node_parts {
-    ($operands:ident, $arg_exprs:ident, $own_exprs:ident, $expr_vars:ident,
-     $stmt_vars:ident, $arg_var:ident $(, $m:tt)?) => {
-        /// Calls `f` on each operand of `e`, in evaluation order, a
-        /// call's argument expressions included.
+    ($each_child:ident, $expr_children:ident, $operands:ident, $own_exprs:ident,
+     $expr_vars:ident, $stmt_vars:ident $(, $m:tt)?) => {
+        /// Calls `f` on each statement list nested in `s`, in statement
+        /// order: an `IF`'s arms then its `ELSE`, a call's copies in and
+        /// out, an inlined block's copies in and out around its body, a
+        /// span's `fast` then its `slow`.
+        pub(crate) fn $each_child<'a>(
+            s: &'a $($m)? RStmt,
+            f: &mut dyn FnMut(&'a $($m)? [SpStmt]),
+        ) {
+            match s {
+                RStmt::If { arms, else_body } => {
+                    arms.into_iter().for_each(|(_, b)| f(b));
+                    f(else_body);
+                }
+                RStmt::Do { body, .. }
+                | RStmt::DoWhile { body, .. }
+                | RStmt::Critical { body, .. } => f(body),
+                RStmt::Call(RCall { enter, leave, .. }) => {
+                    f(enter);
+                    f(leave);
+                }
+                RStmt::Inlined { enter, body, leave, .. } => {
+                    f(enter);
+                    f(body);
+                    f(leave);
+                }
+                RStmt::Span { fast, slow } => {
+                    f(fast);
+                    f(slow);
+                }
+                _ => {}
+            }
+        }
+
+        /// [`each_child`] of an expression: a function reference's
+        /// copies in and out.
+        pub(crate) fn $expr_children<'a>(
+            e: &'a $($m)? RExpr,
+            f: &mut dyn FnMut(&'a $($m)? [SpStmt]),
+        ) {
+            if let RExpr::Call { call, .. } = e {
+                let RCall { enter, leave, .. } = &$($m)? **call;
+                f(enter);
+                f(leave);
+            }
+        }
+
+        /// Calls `f` on each operand of `e`, in evaluation order. A
+        /// call has none: what it evaluates lies in its copies.
         pub(crate) fn $operands<'a>(e: &'a $($m)? RExpr, f: &mut dyn FnMut(&'a $($m)? RExpr)) {
             match e {
                 RExpr::LoadElem { subs: xs, .. } | RExpr::Intrinsic { args: xs, .. } => {
@@ -443,22 +445,13 @@ macro_rules! node_parts {
                     f(r);
                 }
                 RExpr::Neg(x) | RExpr::Not(x) | RExpr::ToF(x) | RExpr::ToI(x) => f(x),
-                RExpr::CallFn { args, .. } => args.into_iter().for_each(|a| $arg_exprs(a, f)),
                 RExpr::ConstI(_)
                 | RExpr::ConstF(_)
                 | RExpr::ConstB(_)
                 | RExpr::LoadScalar(_)
                 | RExpr::ArrReduce { .. }
-                | RExpr::AllocatedQ(_) => {}
-            }
-        }
-
-        /// Calls `f` on the expressions argument `a` evaluates.
-        pub(crate) fn $arg_exprs<'a>(a: &'a $($m)? RArg, f: &mut dyn FnMut(&'a $($m)? RExpr)) {
-            match a {
-                RArg::ByRefElem { subs, .. } => subs.into_iter().for_each(f),
-                RArg::Value(e) => f(e),
-                RArg::ByRefScalar(_) | RArg::Array(_) => {}
+                | RExpr::AllocatedQ(_)
+                | RExpr::Call { .. } => {}
             }
         }
 
@@ -485,7 +478,6 @@ macro_rules! node_parts {
                     }
                 }
                 RStmt::DoWhile { cond, .. } => f(cond),
-                RStmt::CallSub { args, .. } => args.into_iter().for_each(|a| $arg_exprs(a, f)),
                 RStmt::Allocate { dims, .. } => {
                     for (lo, hi) in dims {
                         f(lo);
@@ -500,6 +492,7 @@ macro_rules! node_parts {
                     }
                 }
                 RStmt::CopyArray { .. }
+                | RStmt::Call(_)
                 | RStmt::Deallocate { .. }
                 | RStmt::Critical { .. }
                 | RStmt::Return
@@ -513,8 +506,8 @@ macro_rules! node_parts {
         }
 
         /// Calls `f` on each variable `e` names itself (not its
-        /// operands), with the [`Seen`] each one is: a call's
-        /// by-reference and array arguments included.
+        /// operands), with the [`Seen`] each one is: a call's binds
+        /// included.
         pub(crate) fn $expr_vars<'a>(
             e: &'a $($m)? RExpr,
             f: &mut dyn FnMut(fn(VarIdx) -> Seen, &'a $($m)? VarIdx),
@@ -524,7 +517,10 @@ macro_rules! node_parts {
                     f(Seen::Ref, v)
                 }
                 RExpr::AllocatedQ(v) => f(Seen::Query, v),
-                RExpr::CallFn { args, .. } => args.into_iter().for_each(|a| $arg_var(a, f)),
+                RExpr::Call { call, .. } => {
+                    let RCall { binds, .. } = &$($m)? **call;
+                    binds.into_iter().for_each(|v| f(Seen::Ref, v));
+                }
                 RExpr::ConstI(_)
                 | RExpr::ConstF(_)
                 | RExpr::ConstB(_)
@@ -564,7 +560,7 @@ macro_rules! node_parts {
                         reductions.into_iter().for_each(|(_, v)| f(Seen::Ref, v));
                     }
                 }
-                RStmt::CallSub { args, .. } => args.into_iter().for_each(|a| $arg_var(a, f)),
+                RStmt::Call(RCall { binds, .. }) => binds.into_iter().for_each(|v| f(Seen::Ref, v)),
                 RStmt::Allocate { v, .. } => f(Seen::Alloc, v),
                 RStmt::Deallocate { v } => f(Seen::Dealloc, v),
                 RStmt::If { .. }
@@ -580,32 +576,25 @@ macro_rules! node_parts {
                 | RStmt::Span { .. } => {}
             }
         }
-
-        fn $arg_var<'a>(a: &'a $($m)? RArg, f: &mut dyn FnMut(fn(VarIdx) -> Seen, &'a $($m)? VarIdx)) {
-            match a {
-                RArg::ByRefScalar(v) | RArg::Array(v) | RArg::ByRefElem { v, .. } => f(Seen::Ref, v),
-                RArg::Value(_) => {}
-            }
-        }
     };
 }
 
-node_parts!(operands, arg_exprs, own_exprs, expr_vars, stmt_vars, arg_var);
+node_parts!(each_child, expr_children, operands, own_exprs, expr_vars, stmt_vars);
 node_parts!(
+    each_child_mut,
+    expr_children_mut,
     operands_mut,
-    arg_exprs_mut,
     own_exprs_mut,
     expr_vars_mut,
     stmt_vars_mut,
-    arg_var_mut,
     mut
 );
 
 /// Calls `f` on every variable mention and every `RETURN` in `stmts`:
 /// each statement's own, then those of the statements nested in it,
-/// OMP clauses included. An inlined block's reset of its locals is no
-/// mention: it writes what a fresh frame holds, which no statement
-/// outside the block reads.
+/// OMP clauses and a call's copies included. An inlined block's reset
+/// of its locals is no mention: it writes what a fresh frame holds,
+/// which no statement outside the block reads.
 pub(crate) fn walk_stmts(stmts: &[SpStmt], f: &mut dyn FnMut(Seen)) {
     for sp in stmts {
         walk_stmt(&sp.s, f);
@@ -627,10 +616,12 @@ pub(crate) fn walk_own(s: &RStmt, f: &mut dyn FnMut(Seen)) {
     own_exprs(s, &mut |e| walk_expr(e, f));
 }
 
-/// [`walk_stmts`] over one expression, a call's arguments included.
+/// [`walk_stmts`] over one expression, a call's binds and copies
+/// included.
 pub(crate) fn walk_expr(e: &RExpr, f: &mut dyn FnMut(Seen)) {
     expr_vars(e, &mut |seen, &v| f(seen(v)));
     operands(e, &mut |x| walk_expr(x, f));
+    expr_children(e, &mut |b| walk_stmts(b, f));
 }
 
 /// Longest constant trip of an inner loop a `VecLoop` region unrolls.
@@ -658,12 +649,18 @@ pub(crate) fn unrolled_bounds(s: &RStmt, vars: &[VarInfo], open: &[VarIdx]) -> O
 }
 
 /// True when evaluating `e` can store to frame scalar `var`: only a
-/// user function call passing `var` by reference does (copy-out on
-/// return); nothing else in an expression assigns.
+/// call can, binding `var` to a dummy (the copy back on return) or
+/// storing to it in one of its copies, which are plain assignments;
+/// nothing else in an expression assigns.
 pub(crate) fn expr_copies_out_to(e: &RExpr, var: VarIdx) -> bool {
-    let mut out = matches!(e, RExpr::CallFn { args, .. }
-        if args.iter().any(|a| matches!(a, RArg::ByRefScalar(v) if *v == var)));
+    let mut out = matches!(e, RExpr::Call { call, .. } if call.binds.contains(&var));
     operands(e, &mut |x| out = out || expr_copies_out_to(x, var));
+    expr_children(e, &mut |b| {
+        for sp in b {
+            stmt_vars(&sp.s, &mut |seen, &v| out |= matches!(seen(v), Seen::Store(w) if w == var));
+            own_exprs(&sp.s, &mut |x| out = out || expr_copies_out_to(x, var));
+        }
+    });
     out
 }
 
@@ -703,6 +700,7 @@ pub(crate) fn rename_expr(
     }
     expr_vars_mut(e, &mut |_, v| f(v));
     operands_mut(e, &mut |x| rename_expr(x, f, load));
+    expr_children_mut(e, &mut |b| rename_stmts(b, f, load));
 }
 
 impl RProgram {
@@ -738,7 +736,7 @@ mod tests {
             RExpr::Intrinsic { .. } => 10,
             RExpr::ArrReduce { .. } => 11,
             RExpr::AllocatedQ(_) => 12,
-            RExpr::CallFn { .. } => 13,
+            RExpr::Call { .. } => 13,
         }
     }
     const EXPR_KINDS: usize = 14;
@@ -754,7 +752,7 @@ mod tests {
             RStmt::If { .. } => 5,
             RStmt::Do { .. } => 6,
             RStmt::DoWhile { .. } => 7,
-            RStmt::CallSub { .. } => 8,
+            RStmt::Call(_) => 8,
             RStmt::Allocate { .. } => 9,
             RStmt::Deallocate { .. } => 10,
             RStmt::Critical { .. } => 11,
@@ -779,6 +777,7 @@ mod tests {
             next.get() - 1
         };
         let bx = Box::new;
+        let at = |s: RStmt| SpStmt { line: 1, s };
         let e = || RExpr::Bin {
             op: Bin::Add,
             ty: ScalarTy::F,
@@ -791,25 +790,26 @@ mod tests {
                     RExpr::ArrReduce { f: ArrRed::Sum, v: v() },
                 ],
             }),
-            r: bx(RExpr::CallFn {
-                unit: 0,
+            r: bx(RExpr::Call {
                 ret: ScalarTy::F,
-                args: vec![
-                    RArg::ByRefScalar(v()),
-                    RArg::ByRefElem {
+                call: Box::new(RCall {
+                    unit: 0,
+                    binds: vec![v(), v()],
+                    enter: vec![at(RStmt::AssignScalar {
                         v: v(),
-                        subs: vec![RExpr::ToI(bx(RExpr::LoadElem {
+                        e: RExpr::ToI(bx(RExpr::LoadElem {
                             v: v(),
                             subs: vec![RExpr::LoadScalar(v())],
-                        }))],
-                    },
-                    RArg::Array(v()),
-                    RArg::Value(RExpr::Not(bx(RExpr::AllocatedQ(v())))),
-                    RArg::Value(RExpr::ConstB(true)),
-                ],
+                        })),
+                    })],
+                    leave: vec![at(RStmt::AssignElem {
+                        v: v(),
+                        subs: vec![RExpr::Not(bx(RExpr::AllocatedQ(v())))],
+                        e: RExpr::ConstB(true),
+                    })],
+                }),
             }),
         };
-        let at = |s: RStmt| SpStmt { line: 1, s };
         let leaf = || {
             vec![
                 at(RStmt::AssignScalar { v: v(), e: e() }),
@@ -817,7 +817,12 @@ mod tests {
                 at(RStmt::Broadcast { v: v(), e: e() }),
                 at(RStmt::CopyArray { dst: v(), src: v() }),
                 at(RStmt::AtomicUpdate { v: v(), subs: vec![e()], op: RedOp::Add, e: e() }),
-                at(RStmt::CallSub { unit: 0, args: vec![RArg::ByRefScalar(v()), RArg::Value(e())] }),
+                at(RStmt::Call(RCall {
+                    unit: 0,
+                    binds: vec![v()],
+                    enter: vec![at(RStmt::AssignScalar { v: v(), e: e() })],
+                    leave: vec![at(RStmt::AssignScalar { v: v(), e: RExpr::LoadScalar(v()) })],
+                })),
                 at(RStmt::Allocate { v: v(), dims: vec![(e(), e())] }),
                 at(RStmt::Deallocate { v: v() }),
                 at(RStmt::Print(vec![PrintItem::Str("x".into()), PrintItem::Val(e())])),
@@ -876,13 +881,14 @@ mod tests {
     #[test]
     fn the_sample_holds_every_variant() {
         fn kinds(body: &[SpStmt], s: &mut [bool], e: &mut [bool]) {
-            fn expr(x: &RExpr, e: &mut [bool]) {
+            fn expr(x: &RExpr, s: &mut [bool], e: &mut [bool]) {
                 e[expr_kind(x)] = true;
-                operands(x, &mut |y| expr(y, e));
+                operands(x, &mut |y| expr(y, s, e));
+                expr_children(x, &mut |b| kinds(b, s, e));
             }
             for sp in body {
                 s[stmt_kind(&sp.s)] = true;
-                own_exprs(&sp.s, &mut |x| expr(x, e));
+                own_exprs(&sp.s, &mut |x| expr(x, s, e));
                 each_child(&sp.s, &mut |b| kinds(b, s, e));
             }
         }

@@ -196,14 +196,15 @@ impl CallGraph {
 /// Calls `f` on the callee of every call in `body`.
 fn each_call(body: &[SpStmt], f: &mut dyn FnMut(UnitId)) {
     fn expr(e: &RExpr, f: &mut dyn FnMut(UnitId)) {
-        if let RExpr::CallFn { unit, .. } = e {
-            f(*unit);
+        if let RExpr::Call { call, .. } = e {
+            f(call.unit);
         }
         operands(e, &mut |x| expr(x, f));
+        expr_children(e, &mut |b| each_call(b, f));
     }
     for sp in body {
-        if let RStmt::CallSub { unit, .. } = &sp.s {
-            f(*unit);
+        if let RStmt::Call(c) = &sp.s {
+            f(c.unit);
         }
         own_exprs(&sp.s, &mut |e| expr(e, f));
         each_child(&sp.s, &mut |b| each_call(b, f));
@@ -258,7 +259,7 @@ impl Leaf {
 /// `ATOMIC` or `RETURN` anywhere in it.
 fn leaf_stmt(s: &RStmt) -> bool {
     let mut ok = match s {
-        RStmt::CallSub { .. }
+        RStmt::Call(_)
         | RStmt::Critical { .. }
         | RStmt::AtomicUpdate { .. }
         | RStmt::Return
@@ -275,7 +276,7 @@ fn leaf_stmt(s: &RStmt) -> bool {
 
 /// Whether `e` calls a user function.
 fn calls(e: &RExpr) -> bool {
-    let mut found = matches!(e, RExpr::CallFn { .. });
+    let mut found = matches!(e, RExpr::Call { .. });
     operands(e, &mut |x| found = found || calls(x));
     found
 }
@@ -289,14 +290,14 @@ pub fn stmt_count(body: &[SpStmt]) -> usize {
     n
 }
 
-/// A call site: the callee, its arguments and, for `x = f(…)`, `x`.
-fn site(s: &RStmt) -> Option<(UnitId, &[RArg], Option<VarIdx>)> {
+/// A call site: the call and, for `x = f(…)`, `x`.
+fn site(s: &RStmt) -> Option<(&RCall, Option<VarIdx>)> {
     match s {
-        RStmt::CallSub { unit, args } => Some((*unit, args, None)),
+        RStmt::Call(c) => Some((c, None)),
         RStmt::AssignScalar {
             v,
-            e: RExpr::CallFn { unit, args, .. },
-        } => Some((*unit, args, Some(*v))),
+            e: RExpr::Call { call, .. },
+        } => Some((call, Some(*v))),
         _ => None,
     }
 }
@@ -305,22 +306,28 @@ fn site(s: &RStmt) -> Option<(UnitId, &[RArg], Option<VarIdx>)> {
 /// when it has none. `leaves` holds the leaves among its callees.
 fn inline_into(units: &[Arc<RUnit>], u: UnitId, leaves: &[Option<Leaf>]) -> Option<RUnit> {
     let fits = |s: &RStmt| {
-        site(s).is_some_and(|(callee, args, _)| {
-            leaves[callee].is_some()
-                && args.len() == units[callee].params.len()
-                && !args
-                    .iter()
-                    .any(|a| matches!(a, RArg::Array(_)) || arg_calls(a))
+        site(s).is_some_and(|(c, _)| {
+            let mut copies_call = false;
+            for sp in c.enter.iter().chain(&c.leave) {
+                own_exprs(&sp.s, &mut |e| copies_call |= calls(e));
+            }
+            leaves[c.unit].is_some() && !copies_call
         })
     };
     fn any_site(body: &[SpStmt], fits: &dyn Fn(&RStmt) -> bool) -> bool {
-        body.iter().any(|sp| match &sp.s {
-            RStmt::Do { omp: Some(_), .. } | RStmt::Inlined { .. } | RStmt::Span { .. } => false,
-            s => {
-                let mut found = fits(s);
-                each_child(s, &mut |b| found = found || any_site(b, fits));
-                found
-            }
+        body.iter().any(|sp| {
+            fits(&sp.s)
+                || match &sp.s {
+                    RStmt::Do { omp: Some(_), .. }
+                    | RStmt::Call(_)
+                    | RStmt::Inlined { .. }
+                    | RStmt::Span { .. } => false,
+                    s => {
+                        let mut found = false;
+                        each_child(s, &mut |b| found = found || any_site(b, fits));
+                        found
+                    }
+                }
         })
     }
     if !any_site(&units[u].body, &fits) {
@@ -339,14 +346,8 @@ fn inline_into(units: &[Arc<RUnit>], u: UnitId, leaves: &[Option<Leaf>]) -> Opti
     Some(out)
 }
 
-fn arg_calls(a: &RArg) -> bool {
-    let mut found = false;
-    arg_exprs(a, &mut |e| found |= calls(e));
-    found
-}
-
 /// One caller's rewrite: walks its statements outside OMP region
-/// bodies and replaces each site that fits.
+/// bodies and a call's copies, and replaces each site that fits.
 struct Inliner<'a> {
     units: &'a [Arc<RUnit>],
     leaves: &'a [Option<Leaf>],
@@ -359,165 +360,85 @@ impl Inliner<'_> {
     fn block(&mut self, body: &mut [SpStmt], fits: &dyn Fn(&RStmt) -> bool) {
         for sp in body.iter_mut() {
             if fits(&sp.s) {
-                let (callee, args, target) = site(&sp.s).expect("a site fits");
-                let leaf = self.leaves[callee].as_ref().expect("a leaf");
-                let args = args.to_vec();
-                // At most the block statement, two copies per argument
-                // and a temporary per element subscript, the result's
-                // copy and the body, in place of the call.
-                let copies: usize = args
-                    .iter()
-                    .map(|a| match a {
-                        RArg::ByRefElem { subs, .. } => 2 + subs.len(),
-                        _ => 2,
-                    })
-                    .sum();
-                if self.size + copies + 1 + leaf.size > INLINE_MAX_STMTS {
+                let (c, target) = site(&sp.s).expect("a site fits");
+                let leaf = self.leaves[c.unit].as_ref().expect("a leaf");
+                // The block holds the call's copies, the body and the
+                // result's copy.
+                if self.size + leaf.size + 1 > INLINE_MAX_STMTS {
                     continue;
                 }
-                let block = self.inline_call(callee, leaf, &args, target, sp.line);
-                self.size += stmt_count(std::slice::from_ref(&block)) - 1;
+                let block = self.inline_call(c, leaf, target, sp.line);
+                let grown = stmt_count(std::slice::from_ref(&block));
+                self.size = self.size + grown - stmt_count(std::slice::from_ref(sp));
                 sp.s = block.s;
                 continue;
             }
             match &mut sp.s {
-                RStmt::Do { omp: Some(_), .. } | RStmt::Inlined { .. } | RStmt::Span { .. } => {}
+                RStmt::Do { omp: Some(_), .. }
+                | RStmt::Call(_)
+                | RStmt::Inlined { .. }
+                | RStmt::Span { .. } => {}
                 s => each_child_mut(s, &mut |b| self.block(b, fits)),
             }
         }
     }
 
-    /// A new caller variable, appended to its frame.
-    fn push_var(&mut self, mut info: VarInfo) -> VarIdx {
-        if let Place::Frame(s) = &mut info.place {
-            *s += self.caller.frame_size;
-        }
-        self.caller.vars.push(info);
-        self.caller.vars.len() - 1
-    }
-
-    /// The block that replaces a call of `callee` (leaf `leaf`) with
-    /// `args` on `line` (and, for `x = f(…)`, stores the result to
-    /// `target`). The callee's variables become fresh caller variables,
-    /// in order, so the block's locals are one range; its trailing
-    /// `RETURN` goes. The copies follow the call
-    /// protocol of `Task::call_unit`: arguments in order — an element's
-    /// subscripts evaluated once, into INTEGER temporaries — then, after
-    /// the body, each by-reference argument copied back in order, then
-    /// the result.
-    fn inline_call(
-        &mut self,
-        callee: UnitId,
-        leaf: &Leaf,
-        args: &[RArg],
-        target: Option<VarIdx>,
-        line: u32,
-    ) -> SpStmt {
-        let c = &*self.units[callee];
+    /// The block that replaces call `c` of leaf `leaf` on `line` (and,
+    /// for `x = f(…)`, stores the result to `target`): the call's copies
+    /// around the callee's body, whose trailing `RETURN` goes. Each
+    /// dummy becomes the variable the call binds to it, and each other
+    /// callee variable a fresh caller variable, in order, so the block's
+    /// locals are one range. A dummy the body never stores to, bound to
+    /// a temporary that the copies in set to a constant of its type,
+    /// reads as that constant instead, and that copy goes.
+    fn inline_call(&mut self, c: &RCall, leaf: &Leaf, target: Option<VarIdx>, line: u32) -> SpStmt {
+        let callee = &*self.units[c.unit];
         let base = self.caller.vars.len();
-        for info in &c.vars {
-            self.push_var(VarInfo {
+        for info in &callee.vars {
+            let mut info = VarInfo {
                 is_param: false,
                 ..info.clone()
-            });
+            };
+            if let Place::Frame(s) = &mut info.place {
+                *s += self.caller.frame_size;
+            }
+            self.caller.vars.push(info);
         }
-        self.caller.frame_size += c.frame_size;
-        let at = |s: RStmt| SpStmt { line, s };
-        let (mut enter, mut leave) = (Vec::new(), Vec::new());
-        // Per callee variable: what its reads become instead.
-        let mut by: Vec<Option<RExpr>> = vec![None; c.vars.len()];
-        for (k, arg) in args.iter().enumerate() {
-            let (q, p) = (c.params[k], base + c.params[k]);
-            let (ty, kept) = (c.vars[q].ty, !leaf.assigned[k]);
-            match arg {
-                // A dummy the body never stores to, bound to a scalar of
-                // the caller's frame (which the body cannot reach) of its
-                // type and passed once, holds that scalar's value
-                // throughout and copies it back unchanged: the body reads
-                // the scalar, and neither copy is made.
-                RArg::ByRefScalar(v)
-                    if kept
-                        && matches!(self.caller.vars[*v].place, Place::Frame(_))
-                        && self.caller.vars[*v].ty == ty
-                        && args
-                            .iter()
-                            .filter(|a| matches!(a, RArg::ByRefScalar(w) if w == v))
-                            .count()
-                            == 1 =>
-                {
-                    by[q] = Some(RExpr::LoadScalar(*v));
-                }
-                RArg::ByRefScalar(v) => {
-                    enter.push(at(RStmt::AssignScalar {
-                        v: p,
-                        e: RExpr::LoadScalar(*v),
-                    }));
-                    leave.push(at(RStmt::AssignScalar {
-                        v: *v,
-                        e: RExpr::LoadScalar(p),
-                    }));
-                }
-                // Likewise a constant of the dummy's type.
-                RArg::Value(e @ (RExpr::ConstI(_) | RExpr::ConstF(_) | RExpr::ConstB(_)))
-                    if kept && const_ty(e) == ty =>
-                {
-                    by[q] = Some(e.clone());
-                }
-                RArg::ByRefElem { v, subs } => {
-                    let subs: Vec<RExpr> = subs
-                        .iter()
-                        .enumerate()
-                        .map(|(j, e)| match e {
-                            RExpr::ConstI(_) => e.clone(),
-                            _ => {
-                                let name = format!("{}%{}", self.caller.vars[*v].name, j + 1);
-                                let t = self.push_var(VarInfo {
-                                    name,
-                                    ty: ScalarTy::I,
-                                    place: Place::Frame(0),
-                                    rank: 0,
-                                    dims: Vec::new(),
-                                    allocatable: false,
-                                    is_param: false,
-                                });
-                                self.caller.frame_size += 1;
-                                enter.push(at(RStmt::AssignScalar { v: t, e: e.clone() }));
-                                RExpr::LoadScalar(t)
-                            }
-                        })
-                        .collect();
-                    let e = RExpr::LoadElem {
-                        v: *v,
-                        subs: subs.clone(),
-                    };
-                    enter.push(at(RStmt::AssignScalar { v: p, e }));
-                    let e = RExpr::LoadScalar(p);
-                    leave.push(at(RStmt::AssignElem { v: *v, subs, e }));
-                }
-                RArg::Value(e) => enter.push(at(RStmt::AssignScalar { v: p, e: e.clone() })),
-                RArg::Array(_) => unreachable!("a leaf takes no array dummy"),
+        self.caller.frame_size += callee.frame_size;
+        let mut enter = c.enter.clone();
+        // Per callee variable: the caller's variable, and what a dummy
+        // read as a constant reads instead.
+        let mut to: Vec<VarIdx> = (base..self.caller.vars.len()).collect();
+        let mut by: Vec<Option<RExpr>> = vec![None; callee.vars.len()];
+        for (k, (&p, &b)) in callee.params.iter().zip(&c.binds).enumerate() {
+            to[p] = b;
+            let ty = Some(callee.vars[p].ty);
+            let set = enter.iter().position(|sp| {
+                matches!(&sp.s, RStmt::AssignScalar { v, e } if *v == b && const_ty(e) == ty)
+            });
+            if let Some(i) = set.filter(|_| !leaf.assigned[k]) {
+                let RStmt::AssignScalar { e, .. } = enter.remove(i).s else { unreachable!() };
+                by[p] = Some(e);
             }
         }
-        if let (Some(x), Some((rv, _))) = (target, c.result) {
+        let at = |s: RStmt| SpStmt { line, s };
+        let mut leave = c.leave.clone();
+        if let (Some(x), Some((rv, _))) = (target, callee.result) {
             leave.push(at(RStmt::AssignScalar {
                 v: x,
-                e: RExpr::LoadScalar(base + rv),
+                e: RExpr::LoadScalar(to[rv]),
             }));
         }
-        let mut body: Vec<SpStmt> = c
+        let mut body: Vec<SpStmt> = callee
             .body
             .iter()
             .filter(|sp| !matches!(sp.s, RStmt::Return))
             .cloned()
             .collect();
-        // Into the caller: each variable index gains `base`, and each
-        // read of a variable `by` names becomes that expression (which
-        // is the caller's already).
-        rename_stmts(&mut body, &mut |v| *v += base, &|v| by[v].clone());
-        let locals = base..self.caller.vars.len();
+        rename_stmts(&mut body, &mut |v| *v = to[*v], &|v| by[v].clone());
         at(RStmt::Inlined {
-            unit: callee,
-            locals,
+            unit: c.unit,
+            locals: base..self.caller.vars.len(),
             enter,
             body,
             leave,
@@ -620,11 +541,12 @@ fn assigns(body: &[SpStmt], v: VarIdx) -> bool {
     found
 }
 
-/// The type of a constant.
-fn const_ty(e: &RExpr) -> ScalarTy {
+/// The type of `e` when it is a constant.
+fn const_ty(e: &RExpr) -> Option<ScalarTy> {
     match e {
-        RExpr::ConstI(_) => ScalarTy::I,
-        RExpr::ConstF(_) => ScalarTy::F,
-        _ => ScalarTy::B,
+        RExpr::ConstI(_) => Some(ScalarTy::I),
+        RExpr::ConstF(_) => Some(ScalarTy::F),
+        RExpr::ConstB(_) => Some(ScalarTy::B),
+        _ => None,
     }
 }

@@ -159,7 +159,7 @@ impl ContractScan<'_> {
                     self.refused[*v] = true;
                 }
             }
-            RExpr::CallFn { .. } => return self.refuse_in(e),
+            RExpr::Call { .. } => return self.refuse_in(e),
             _ => expr_vars(e, &mut |_, &v| self.refused[v] = true),
         }
         operands(e, &mut |x| self.reads(x, written));

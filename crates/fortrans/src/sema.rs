@@ -37,18 +37,28 @@ pub fn resolve(ast: &Ast) -> Result<RProgram, CompileError> {
     let mut r = Resolver::default();
     r.collect_modules(ast)?;
     r.collect_unit_signatures(ast)?;
+    // Every unit's declarations before any body, so that each call site
+    // knows its callee's dummies.
+    let mut heads = Vec::new();
     for (mi, m) in ast.modules.iter().enumerate() {
         for u in &m.units {
-            let ru = r.resolve_unit(mi, u)?;
-            let id = r.unit_sigs[&ru.name].id;
-            r.units[id] = Some(ru);
+            let uc = r.unit_head(mi, u)?;
+            r.dummies.push(uc.vars[..u.params.len()].iter().map(|d| (d.ty, d.rank)).collect());
+            heads.push((uc, u));
         }
     }
-    let units = r
-        .units
-        .into_iter()
-        .map(|u| std::sync::Arc::new(u.expect("every signature has a body")))
-        .collect();
+    let mut units = Vec::with_capacity(heads.len());
+    for (mut uc, u) in heads {
+        let body = r.resolve_block(&mut uc, &u.body)?;
+        units.push(std::sync::Arc::new(RUnit {
+            name: u.name.clone(),
+            params: (0..u.params.len()).collect(),
+            frame_size: uc.frame_size,
+            result: uc.result,
+            vars: uc.vars,
+            body,
+        }));
+    }
     let mut prog = RProgram { units, globals: r.globals };
     mark_per_thread_regions(&mut prog);
     Ok(prog)
@@ -105,7 +115,6 @@ impl DeclInfo {
 struct UnitSig {
     id: UnitId,
     ret: Option<ScalarTy>,
-    nparams: usize,
 }
 
 /// What one module declares, and which modules its units can see.
@@ -135,7 +144,8 @@ struct Resolver {
     /// COMMON block layouts: block name -> member cells.
     commons: HashMap<String, Vec<Sym>>,
     unit_sigs: HashMap<String, UnitSig>,
-    units: Vec<Option<RUnit>>,
+    /// Per unit, in id order: each dummy's type and rank.
+    dummies: Vec<Vec<(ScalarTy, usize)>>,
 }
 
 #[derive(Debug, Clone)]
@@ -431,7 +441,7 @@ impl Resolver {
                 };
                 if self
                     .unit_sigs
-                    .insert(u.name.clone(), UnitSig { id, ret, nparams: u.params.len() })
+                    .insert(u.name.clone(), UnitSig { id, ret })
                     .is_some()
                 {
                     return Err(serr(format!("duplicate subprogram `{}`", u.name), u.span));
@@ -439,13 +449,14 @@ impl Resolver {
                 id += 1;
             }
         }
-        self.units = (0..id).map(|_| None).collect();
         Ok(())
     }
 
     // ------------- phase C: units -------------
 
-    fn resolve_unit(&mut self, mi: usize, u: &ast::Unit) -> Result<RUnit, CompileError> {
+    /// Unit `u`'s declarations: its variables, the globals its COMMON
+    /// blocks and SAVEs make, and its result slot; the dummies first.
+    fn unit_head<'u>(&mut self, mi: usize, u: &'u ast::Unit) -> Result<UnitCtx<'u>, CompileError> {
         // The unit's own USEs (paper §3.1 — per-subprogram USE statements)
         // come before its module's chain.
         let mut scope: Vec<usize> = Vec::new();
@@ -576,16 +587,7 @@ impl Resolver {
             let result = Sym { place, ty, rank: 0, dims: vec![], allocatable: false };
             uc.result = Some((uc.bind(u.name.clone(), result, false), ty));
         }
-
-        let body = self.resolve_block(&mut uc, &u.body)?;
-        Ok(RUnit {
-            name: u.name.clone(),
-            params: (0..u.params.len()).collect(),
-            frame_size: uc.frame_size,
-            result: uc.result,
-            vars: uc.vars,
-            body,
-        })
+        Ok(uc)
     }
 
     // ------------- statements -------------
@@ -638,14 +640,7 @@ impl Resolver {
                 if sig.ret.is_some() {
                     return Err(serr(format!("`{name}` is a FUNCTION, not a SUBROUTINE"), *span));
                 }
-                if sig.nparams != args.len() {
-                    return Err(serr(
-                        format!("`{name}` takes {} args, got {}", sig.nparams, args.len()),
-                        *span,
-                    ));
-                }
-                let rargs = self.resolve_args(uc, args, *span)?;
-                Ok(RStmt::CallSub { unit: sig.id, args: rargs })
+                Ok(RStmt::Call(self.call(uc, sig.id, name, args, *span)?))
             }
             Stmt::Allocate { items, span } => {
                 // One RStmt per item; wrap in a flat sequence via If-less
@@ -898,39 +893,139 @@ impl Resolver {
         })
     }
 
-    fn resolve_args(
+    /// The call of unit `callee`, named `name`, with `args` on the line
+    /// of `span`, its copies written out (DESIGN §6, "How a call binds
+    /// its arguments"). Dummy `k` is bound to a caller variable of its
+    /// type and rank: a whole-array actual itself; a frame scalar of its
+    /// type that the call passes once and no argument's evaluation can
+    /// store to; or else a fresh frame temporary, which `enter` fills in
+    /// argument order — an element's subscripts first, each but a
+    /// literal into an INTEGER temporary, so they are taken once — and,
+    /// for a variable or an element, `leave` copies back in argument
+    /// order. A whole array passed to a scalar dummy, and anything else
+    /// passed to an array dummy, is refused here: an element for an
+    /// array dummy would be sequence association, which is not
+    /// supported.
+    fn call(
         &mut self,
         uc: &mut UnitCtx,
+        callee: UnitId,
+        name: &str,
         args: &[Expr],
         span: Span,
-    ) -> Result<Vec<RArg>, CompileError> {
-        args.iter()
-            .map(|a| {
-                if let Expr::Name(d) = a {
-                    if d.parts.len() == 1 {
-                        if let Some(v) = uc.lookup(self, d.base()) {
-                            let info = &uc.vars[v];
-                            if d.parts[0].subs.is_empty() {
-                                return Ok(if info.rank > 0 {
-                                    RArg::Array(v)
-                                } else {
-                                    RArg::ByRefScalar(v)
-                                });
-                            } else if info.rank > 0 && d.parts[0].subs.len() == info.rank {
-                                let subs = d.parts[0]
-                                    .subs
-                                    .iter()
-                                    .map(|e| self.resolve_int_expr(uc, e, span))
-                                    .collect::<Result<Vec<_>, _>>()?;
-                                return Ok(RArg::ByRefElem { v, subs });
-                            }
-                        }
+    ) -> Result<RCall, CompileError> {
+        let dummies = self.dummies[callee].clone();
+        if dummies.len() != args.len() {
+            let msg = format!("`{name}` takes {} args, got {}", dummies.len(), args.len());
+            return Err(serr(msg, span));
+        }
+        /// An actual argument: a whole variable, an element, or a value.
+        enum Actual {
+            Var(VarIdx),
+            Elem(VarIdx, Vec<RExpr>),
+            Value(RExpr),
+        }
+        let mut actuals = Vec::with_capacity(args.len());
+        for a in args {
+            let (var, subs) = match a {
+                Expr::Name(d) if d.parts.len() == 1 => {
+                    (uc.lookup(self, d.base()), &d.parts[0].subs[..])
+                }
+                _ => (None, &[][..]),
+            };
+            actuals.push(match var {
+                Some(v) if subs.is_empty() => Actual::Var(v),
+                Some(v) if uc.vars[v].rank == subs.len() => {
+                    let subs = subs
+                        .iter()
+                        .map(|e| self.resolve_int_expr(uc, e, span))
+                        .collect::<Result<_, _>>()?;
+                    Actual::Elem(v, subs)
+                }
+                _ => Actual::Value(self.resolve_expr(uc, a, span)?.0),
+            });
+        }
+        let stored = |v: VarIdx| {
+            actuals.iter().any(|a| match a {
+                Actual::Var(_) => false,
+                Actual::Elem(_, subs) => subs.iter().any(|e| expr_copies_out_to(e, v)),
+                Actual::Value(e) => expr_copies_out_to(e, v),
+            })
+        };
+        let at = |s: RStmt| SpStmt { line: span.line, s };
+        let (binds, enter, leave) = (Vec::new(), Vec::new(), Vec::new());
+        let mut call = RCall { unit: callee, binds, enter, leave };
+        for ((k, a), &(ty, rank)) in (1..).zip(&actuals).zip(&dummies) {
+            let shape = |what: String, dummy: &str| {
+                serr(format!("`{name}` argument {k}: {what} passed to {dummy} dummy"), span)
+            };
+            let temp = |uc: &mut UnitCtx, label: String, ty: ScalarTy| {
+                let place = uc.new_slot();
+                let sym = Sym { place, ty, rank: 0, dims: Vec::new(), allocatable: false };
+                uc.bind(format!("{name}%{label}"), sym, false)
+            };
+            let bind = match *a {
+                Actual::Var(v) if uc.vars[v].rank > 0 => {
+                    if rank == 0 {
+                        return Err(shape(format!("array `{}`", uc.vars[v].name), "a scalar"));
+                    }
+                    v
+                }
+                _ if rank > 0 => {
+                    let what = match a {
+                        Actual::Var(v) => format!("scalar `{}`", uc.vars[*v].name),
+                        Actual::Elem(v, _) => format!(
+                            "an element of `{}` (sequence association is not supported)",
+                            uc.vars[*v].name
+                        ),
+                        Actual::Value(_) => "an expression".to_string(),
+                    };
+                    return Err(shape(what, "an array"));
+                }
+                Actual::Var(v) => {
+                    let info = &uc.vars[v];
+                    let once = actuals.iter().filter(|b| matches!(b, Actual::Var(w) if *w == v));
+                    if matches!(info.place, Place::Frame(_))
+                        && info.ty == ty
+                        && once.count() == 1
+                        && !stored(v)
+                    {
+                        v
+                    } else {
+                        let t = temp(uc, k.to_string(), ty);
+                        call.enter.push(at(RStmt::AssignScalar { v: t, e: RExpr::LoadScalar(v) }));
+                        call.leave.push(at(RStmt::AssignScalar { v, e: RExpr::LoadScalar(t) }));
+                        t
                     }
                 }
-                let (e, _) = self.resolve_expr(uc, a, span)?;
-                Ok(RArg::Value(e))
-            })
-            .collect()
+                Actual::Elem(v, ref subs) => {
+                    let mut taken = Vec::with_capacity(subs.len());
+                    for (j, e) in subs.iter().enumerate() {
+                        taken.push(match e {
+                            RExpr::ConstI(_) => e.clone(),
+                            _ => {
+                                let s = temp(uc, format!("{k}%{}", j + 1), ScalarTy::I);
+                                call.enter.push(at(RStmt::AssignScalar { v: s, e: e.clone() }));
+                                RExpr::LoadScalar(s)
+                            }
+                        });
+                    }
+                    let t = temp(uc, k.to_string(), ty);
+                    let e = RExpr::LoadElem { v, subs: taken.clone() };
+                    call.enter.push(at(RStmt::AssignScalar { v: t, e }));
+                    let e = RExpr::LoadScalar(t);
+                    call.leave.push(at(RStmt::AssignElem { v, subs: taken, e }));
+                    t
+                }
+                Actual::Value(ref e) => {
+                    let t = temp(uc, k.to_string(), ty);
+                    call.enter.push(at(RStmt::AssignScalar { v: t, e: e.clone() }));
+                    t
+                }
+            };
+            call.binds.push(bind);
+        }
+        Ok(call)
     }
 
     // ------------- expressions -------------
@@ -1177,14 +1272,8 @@ impl Resolver {
             let ret = sig
                 .ret
                 .ok_or_else(|| serr(format!("SUBROUTINE `{name}` used as a function"), span))?;
-            if sig.nparams != part.subs.len() {
-                return Err(serr(
-                    format!("`{name}` takes {} args, got {}", sig.nparams, part.subs.len()),
-                    span,
-                ));
-            }
-            let rargs = self.resolve_args(uc, &part.subs, span)?;
-            return Ok((RExpr::CallFn { unit: sig.id, args: rargs, ret }, ret));
+            let call = Box::new(self.call(uc, sig.id, name, &part.subs, span)?);
+            return Ok((RExpr::Call { call, ret }, ret));
         }
 
         Err(serr(format!("unknown name `{name}`"), span))

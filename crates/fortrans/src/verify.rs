@@ -14,13 +14,14 @@
 //!    program's global table, jump/branch/loop targets inside
 //!    `[0, code.len()]`, message/call/OMP/print/shape/affine descriptor
 //!    indices within their tables, DO-loop strides provably non-zero
-//!    where the compiler elided the runtime check, and call sites whose
-//!    arity and parameter slots match the callee.
-//! 2. **Abstract interpretation** of stack depths from the entry point:
-//!    each reachable pc gets a `(operand, array, stash)` depth triple;
-//!    joins must agree, pops must not underflow, and every exit —
+//!    where the compiler elided the runtime check, and call sites that
+//!    bind each of the callee's dummy slots, and no other, to a caller
+//!    slot of its bank.
+//! 2. **Abstract interpretation** of the operand stack from the entry
+//!    point: each reachable pc gets a depth and the inlined block open
+//!    there; joins must agree, pops must not underflow, and every exit —
 //!    falling off the end, `RETURN`, or a loop-flow escape — must leave
-//!    all three stacks empty.
+//!    the stack empty and no block open.
 //!
 //! [`verify_program`] runs after `compile_program`: inside
 //! [`crate::CompiledProgram::compile`] for the optimized build, and when
@@ -33,7 +34,7 @@
 
 use crate::bytecode::{
     dummy_arrays, fixed_global, global_cells, mask_stack_effect, nest_exit_state, prove_streams,
-    region_cost, span_cost, static_shape, vec_stack_effect, BArg, BInstr, BUnit,
+    region_cost, span_cost, static_shape, vec_stack_effect, BInstr, BUnit,
     MaskOp, PItem, SpanCost, SubOp, VSlot, VecDesc, VecOp, VecSel, VecSub, MAX_INLINE_RANK, NO_PC,
     NO_SDIMS, NO_SLOT, VEC_MAX_ACCESSES, VEC_MAX_DEPTH,
 };
@@ -81,13 +82,12 @@ fn unit_name(prog: &RProgram, bu: &BUnit) -> String {
     }
 }
 
-/// Abstract machine state: depths of the operand stack, the array-handle
-/// stack and the subscript stash, and the innermost open inlined block
-/// ([`NO_PC`] for none).
-type Depth = (u32, u32, u32, u32);
+/// Abstract machine state: the operand stack's depth and the innermost
+/// open inlined block ([`NO_PC`] for none).
+type Depth = (u32, u32);
 
 /// The state at a unit's entry and at every exit from it.
-const EMPTY: Depth = (0, 0, 0, NO_PC);
+const EMPTY: Depth = (0, NO_PC);
 
 /// A violation: (pc, message).
 type Violation = (u32, String);
@@ -218,12 +218,12 @@ impl Verifier<'_> {
             }
             LoadG(c) | StoreG(c) => self.glob_ok(c).map_err(at)?,
             FailType { msg } | Stop { msg } => msg_ok(msg)?,
-            StashElem { vs, v, nsubs, .. } | AtomicElem { vs, v, nsubs, .. } => {
+            AtomicElem { vs, v, nsubs, .. } => {
                 self.slot_ok(bu, vs).map_err(at)?;
                 self.var_ok(v).map_err(at)?;
                 rank_ok(nsubs).map_err(at)?;
             }
-            Broadcast { vs, v, .. } | ArrRed { vs, v, .. } | PushArr { vs, v } => {
+            Broadcast { vs, v, .. } | ArrRed { vs, v, .. } => {
                 self.slot_ok(bu, vs).map_err(at)?;
                 self.var_ok(v).map_err(at)?;
             }
@@ -415,26 +415,12 @@ impl Verifier<'_> {
                     .units
                     .get(cs.callee as usize)
                     .ok_or_else(|| at(format!("callee unit {} out of range", cs.callee)))?;
-                if cs.args.len() != cunit.params.len() {
+                if cs.binds.len() != cunit.params.len() {
                     return Err(at(format!(
-                        "call to `{}` passes {} args, callee takes {}",
+                        "call to `{}` binds {} dummies, callee takes {}",
                         cunit.name,
-                        cs.args.len(),
+                        cs.binds.len(),
                         cunit.params.len()
-                    )));
-                }
-                let stash: u32 = cs
-                    .args
-                    .iter()
-                    .map(|a| match *a {
-                        BArg::Elem { nsubs, .. } => u32::from(nsubs),
-                        _ => 0,
-                    })
-                    .sum();
-                if stash != cs.n_stash {
-                    return Err(at(format!(
-                        "call stash count {} disagrees with arguments ({stash})",
-                        cs.n_stash
                     )));
                 }
                 if push && cs.ret.is_none() {
@@ -443,41 +429,27 @@ impl Verifier<'_> {
                 if let Some((rvs, _)) = cs.ret {
                     self.scalar_slot_ok(callee, rvs).map_err(at)?;
                 }
-                for arg in &cs.args {
-                    match *arg {
-                        BArg::Scalar { src_vs, src_v, p, .. } => {
-                            self.scalar_slot_ok(bu, src_vs).map_err(at)?;
-                            self.var_ok(src_v).map_err(at)?;
-                            self.scalar_slot_ok(callee, p).map_err(at)?;
-                        }
-                        BArg::Val { p, .. } => self.scalar_slot_ok(callee, p).map_err(at)?,
-                        BArg::Elem { vs, v, nsubs, p, .. } => {
-                            rank_ok(nsubs).map_err(at)?;
-                            self.slot_ok(bu, vs).map_err(at)?;
-                            self.var_ok(v).map_err(at)?;
-                            self.scalar_slot_ok(callee, p).map_err(at)?;
-                        }
-                        BArg::Arr { p } => {
-                            if p >= callee.na {
-                                return Err(at(format!(
-                                    "array argument slot {p} out of callee range (na={})",
-                                    callee.na
-                                )));
-                            }
-                        }
-                    }
-                }
-                // An array argument binds its dummy's slot and no other:
+                // Each bind takes a caller slot to its dummy's slot and no
+                // other, of the same bank: the VM copies slot to slot, and
                 // `VecDesc::write_pairs` proves non-dummy frame arrays
-                // apart on the strength of it.
-                for (k, arg) in cs.args.iter().enumerate() {
-                    if let BArg::Arr { p } = *arg {
-                        let dummy = callee.vslots.get(cunit.params[k]);
-                        if dummy != Some(&VSlot::A(p)) {
-                            return Err(at(format!(
-                                "array argument {k} binds callee slot {p}, not its dummy's"
-                            )));
-                        }
+                // apart on the strength of an array binding a dummy alone.
+                for (k, (b, &p)) in cs.binds.iter().zip(&cunit.params).enumerate() {
+                    self.slot_ok(bu, b.from).map_err(at)?;
+                    self.var_ok(b.v).map_err(at)?;
+                    if callee.vslots.get(p) != Some(&b.to) {
+                        let m = format!("bind {k} targets callee slot {:?}, not its dummy's", b.to);
+                        return Err(at(m));
+                    }
+                    let banks = matches!(
+                        (b.from, b.to),
+                        (VSlot::I(_), VSlot::I(_))
+                            | (VSlot::F(_), VSlot::F(_))
+                            | (VSlot::B(_), VSlot::B(_))
+                            | (VSlot::A(_) | VSlot::GlobA(_), VSlot::A(_))
+                    );
+                    if !banks {
+                        let m = format!("bind {k} takes {:?} to {:?}, another bank", b.from, b.to);
+                        return Err(at(m));
                     }
                 }
             }
@@ -550,7 +522,7 @@ impl Verifier<'_> {
         succ: &mut Vec<(u32, Depth)>,
     ) -> Result<Option<Depth>, Violation> {
         use BInstr::*;
-        let (mut s, mut a, mut t, mut open) = d;
+        let (mut s, mut open) = d;
         let pop = |s: &mut u32, n: u32| -> Result<(), Violation> {
             if *s < n {
                 Err((pc, format!("operand stack underflow: need {n}, have {}", *s)))
@@ -588,12 +560,12 @@ impl Verifier<'_> {
             CopyArr { .. } | Dealloc { .. } | CostBranch | VecEnter(_) | VecLeave | CallPre
             | SetI { .. } | DoInitK { .. } => {}
             Jump(tg) => {
-                succ.push((tg, (s, a, t, open)));
+                succ.push((tg, (s, open)));
                 return Ok(None);
             }
             JumpIfFalse(tg) => {
                 pop(&mut s, 1)?;
-                succ.extend([(pc + 1, (s, a, t, open)), (tg, (s, a, t, open))]);
+                succ.extend([(pc + 1, (s, open)), (tg, (s, open))]);
                 return Ok(None);
             }
             DoInitC { .. } => pop(&mut s, 2)?,
@@ -642,12 +614,11 @@ impl Verifier<'_> {
                 let od = &self.bu.omps[desc as usize];
                 let npop = 3 + 2 * (od.dims.len() as u32 - 1) + u32::from(od.has_nt);
                 pop(&mut s, npop)?;
-                if (s, a, t, open) != EMPTY {
+                if (s, open) != EMPTY {
                     return Err((
                         pc,
                         format!(
-                            "OMP region entered with non-empty stacks ({s}, {a}, {t}) or \
-                             in inlined block {open}"
+                            "OMP region entered with operand depth {s} or in inlined block {open}"
                         ),
                     ));
                 }
@@ -656,37 +627,7 @@ impl Verifier<'_> {
                 succ.extend([(od.body.0, EMPTY), (od.body.1, EMPTY)]);
                 return Ok(None);
             }
-            StashElem { nsubs, .. } => {
-                pop(&mut s, u32::from(nsubs))?;
-                s += 1;
-                t += u32::from(nsubs);
-            }
-            PushArr { .. } => a += 1,
-            Call { spec, push } => {
-                let cs = &self.bu.calls[spec as usize];
-                let (mut ops, mut arrs) = (0u32, 0u32);
-                for arg in &cs.args {
-                    match arg {
-                        BArg::Arr { .. } => arrs += 1,
-                        _ => ops += 1,
-                    }
-                }
-                pop(&mut s, ops)?;
-                if a < arrs {
-                    return Err((pc, format!("array stack underflow: need {arrs}, have {a}")));
-                }
-                a -= arrs;
-                if t < cs.n_stash {
-                    return Err((
-                        pc,
-                        format!("subscript stash underflow: need {}, have {t}", cs.n_stash),
-                    ));
-                }
-                t -= cs.n_stash;
-                if push {
-                    s += 1;
-                }
-            }
+            Call { push, .. } => s += u32::from(push),
             Print { spec } => {
                 let nv = self.bu.prints[spec as usize]
                     .iter()
@@ -721,7 +662,7 @@ impl Verifier<'_> {
                 open = self.bu.inlines[desc as usize].outer;
             }
         }
-        Ok(Some((s, a, t, open)))
+        Ok(Some((s, open)))
     }
 
     // ---------- vector descriptor checks ----------
@@ -1178,9 +1119,9 @@ impl Verifier<'_> {
             }
             StoreG(_) | StoreElemS { .. } | AtomicScal { .. } | AtomicElem { .. }
             | Broadcast { .. } | CopyArr { .. } | Alloc { .. } | Dealloc { .. } | FlowExit
-            | FlowCycle | FlowReturn | Critical { .. } | OmpDo { .. } | CallPre
-            | StashElem { .. } | PushArr { .. } | Call { .. } | Print { .. } | Stop { .. }
-            | SpanEnter { .. } | VecEnter(_) | VecLeave | CostBranch => {
+            | FlowCycle | FlowReturn | Critical { .. } | OmpDo { .. } | CallPre | Call { .. }
+            | Print { .. } | Stop { .. } | SpanEnter { .. } | VecEnter(_) | VecLeave
+            | CostBranch => {
                 Err(format!("is {ins:?}, which S may not run"))
             }
             _ => Ok(()),
@@ -1404,7 +1345,7 @@ fn join(
     if tu == n && d != EMPTY {
         return Err((
             from,
-            format!("stacks not empty at unit end: {d:?} (operand, array, stash, block)"),
+            format!("stack not empty at unit end: {d:?} (operand, block)"),
         ));
     }
     match state[tu] {
@@ -1418,7 +1359,7 @@ fn join(
                 t,
                 format!(
                     "inconsistent stack depths or inlined block at join: {prev:?} vs {d:?} \
-                     (operand, array, stash, block)"
+                     (operand, block)"
                 ),
             ));
         }

@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use crate::bytecode::{
-    BArg, BInstr, BUnit, FixedArray, InlineDesc, MaskOp, OmpDesc, PItem, Posts, SDims, SubOp,
+    BInstr, BUnit, FixedArray, InlineDesc, MaskOp, OmpDesc, PItem, Posts, SDims, SubOp,
     VSlot, VecDesc, VecOp, VecRed, VecRedOp, VecSel, VecSub, MAX_INLINE_RANK, NO_PC, NO_SDIMS,
     NO_SLOT, VEC_CHUNK, VEC_MAX_ACCESSES,
 };
@@ -303,8 +303,6 @@ pub(crate) struct Vm<'e, const TRACE: bool> {
     bunits: &'e [BUnit],
     tid: usize,
     stack: Vec<u64>,
-    astack: Vec<Arc<ArrayObj>>,
-    sstash: Vec<i64>,
     fscratch: Vec<f64>,
     /// `IntrI` arguments, and a masked select's INTEGER lanes.
     iscratch: Vec<i64>,
@@ -361,8 +359,6 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             bunits,
             tid,
             stack: Vec::with_capacity(32),
-            astack: Vec::new(),
-            sstash: Vec::new(),
             fscratch: Vec::new(),
             iscratch: Vec::new(),
             gcache: vec![None; ex.globals.cells.len()],
@@ -1766,20 +1762,6 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     }
                     self.add_misc(|c| c.calls += 1);
                 }
-                BInstr::StashElem { vs, v, nsubs, want } => {
-                    let n = nsubs as usize;
-                    let mut subs = [0i64; MAX_INLINE_RANK];
-                    self.pop_subs_into(n, &mut subs);
-                    let arr = self.handle_in(uidx, frame, vs, v)?;
-                    let off = arr.offset(self.var_name(uidx, v), &subs[..n])?;
-                    self.op(OpKind::Load);
-                    self.sstash.extend_from_slice(&subs[..n]);
-                    self.push(load_elem_bits(&arr, off, want));
-                }
-                BInstr::PushArr { vs, v } => {
-                    let h = self.handle_in(uidx, frame, vs, v)?;
-                    self.astack.push(h);
-                }
                 BInstr::Call { spec, push } => {
                     let ret = self.exec_call(uidx, frame, bu, spec as usize)?;
                     if push {
@@ -1908,8 +1890,9 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         Ok(())
     }
 
-    /// Executes a call; returns the function-result bits when the callee
-    /// is a function (already in the result's declared type).
+    /// Executes a call: binds each dummy ([`Bind`](crate::bytecode::Bind)) in a fresh callee
+    /// frame, runs the callee and copies each scalar dummy back. Returns
+    /// the function-result bits when the callee is a function.
     fn exec_call(
         &mut self,
         uidx: usize,
@@ -1926,21 +1909,15 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             }
             None => VFrame::new(callee),
         };
-        // Copy-in: payloads were pushed in argument order; pop in reverse.
-        for arg in cs.args.iter().rev() {
-            match *arg {
-                BArg::Scalar { src_ty, p, pty, .. } | BArg::Val { src_ty, p, pty } => {
-                    let val = Val::from_bits(self.pop(), src_ty);
-                    cframe.write(p, pty, val, self.ex, self.tid);
+        for b in &cs.binds {
+            match (b.from, b.to) {
+                (VSlot::I(s), VSlot::I(d)) => cframe.i[d as usize] = frame.i[s as usize],
+                (VSlot::F(s), VSlot::F(d)) => cframe.f[d as usize] = frame.f[s as usize],
+                (VSlot::B(s), VSlot::B(d)) => cframe.b[d as usize] = frame.b[s as usize],
+                (from, VSlot::A(d)) => {
+                    cframe.a[d as usize] = Some(self.handle_in(uidx, frame, from, b.v)?);
                 }
-                BArg::Elem { want, p, pty, .. } => {
-                    let val = Val::from_bits(self.pop(), want);
-                    cframe.write(p, pty, val, self.ex, self.tid);
-                }
-                BArg::Arr { p } => {
-                    let h = self.astack.pop().expect("array argument on stack");
-                    cframe.a[p as usize] = Some(h);
-                }
+                _ => unreachable!("the verifier checks that a bind's slots share a bank"),
             }
         }
         // Execute the callee body.
@@ -1964,42 +1941,14 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             Flow::Normal | Flow::Return => {}
             _ => return Err(RunError::Type { msg: "EXIT/CYCLE escaped a unit".into() }),
         }
-        // Copy-out (value-result), forward order; Elem subscripts were
-        // stashed left-to-right, so walk the stash tail forward.
-        let base = self.sstash.len() - cs.n_stash as usize;
-        let mut soff = base;
-        for arg in &cs.args {
-            match *arg {
-                BArg::Scalar { src_vs, src_v, src_ty, p, pty } => {
-                    let val = Val::from_bits(cframe.read(p, self.ex, self.tid), pty);
-                    match src_vs {
-                        VSlot::GlobS(_) => self.op(OpKind::Store),
-                        VSlot::A(_) | VSlot::GlobA(_) => {
-                            return Err(RunError::Type {
-                                msg: format!(
-                                    "array `{}` read as scalar",
-                                    self.var_name(uidx, src_v)
-                                ),
-                            });
-                        }
-                        _ => {}
-                    }
-                    frame.write(src_vs, src_ty, val, self.ex, self.tid);
-                }
-                BArg::Elem { vs, v, nsubs, p, pty, .. } => {
-                    let val = Val::from_bits(cframe.read(p, self.ex, self.tid), pty);
-                    let n = nsubs as usize;
-                    let mut buf = [0i64; MAX_INLINE_RANK];
-                    buf[..n].copy_from_slice(&self.sstash[soff..soff + n]);
-                    let (arr, off) = self.elem_at(uidx, frame, (vs, v), None, &buf[..n])?;
-                    store_val(arr, off, val);
-                    soff += n;
-                    self.op(OpKind::Store);
-                }
-                BArg::Arr { .. } | BArg::Val { .. } => {}
+        for b in &cs.binds {
+            match (b.from, b.to) {
+                (VSlot::I(s), VSlot::I(d)) => frame.i[s as usize] = cframe.i[d as usize],
+                (VSlot::F(s), VSlot::F(d)) => frame.f[s as usize] = cframe.f[d as usize],
+                (VSlot::B(s), VSlot::B(d)) => frame.b[s as usize] = cframe.b[d as usize],
+                _ => {}
             }
         }
-        self.sstash.truncate(base);
         let ret = cs
             .ret
             .map(|(rvs, rty)| Val::from_bits(cframe.read(rvs, self.ex, self.tid), rty).to_bits(rty));

@@ -59,7 +59,7 @@ pub fn corrupt(bunits: &mut [BUnit], seed: u64) -> Option<Mutation> {
         return None;
     }
     let u = units[rng.below(units.len())];
-    const KINDS: usize = 18;
+    const KINDS: usize = 19;
     let start = rng.below(KINDS);
     for k in 0..KINDS {
         let got = match (start + k) % KINDS {
@@ -80,6 +80,7 @@ pub fn corrupt(bunits: &mut [BUnit], seed: u64) -> Option<Mutation> {
             14 => vec_running_sum(&mut bunits[u], &mut rng),
             15 => inline_enter(&mut bunits[u], &mut rng),
             16 => span(&mut bunits[u], &mut rng),
+            17 => call_bind(&mut bunits[u], &mut rng),
             _ => scalar_glue(&mut bunits[u], &mut rng),
         };
         if let Some((kind, detail)) = got {
@@ -482,7 +483,7 @@ fn vec_running_sum(bu: &mut BUnit, rng: &mut Rng) -> Applied {
     Some(("vec-running-sum", format!("descriptor {d}: a lane push reads a running value")))
 }
 
-/// Breaks a call site: drops an argument (arity mismatch) or, for
+/// Breaks a call site: drops a bind (arity mismatch) or, for
 /// zero-argument calls, points the callee out of range.
 fn call_arity(bu: &mut BUnit, rng: &mut Rng) -> Applied {
     use BInstr::*;
@@ -499,12 +500,40 @@ fn call_arity(bu: &mut BUnit, rng: &mut Rng) -> Applied {
     }
     let spec = sites[rng.below(sites.len())] as usize;
     let cs = &mut bu.calls[spec];
-    if cs.args.pop().is_some() {
-        Some(("call-arity", format!("spec {spec}: dropped one argument")))
+    if cs.binds.pop().is_some() {
+        Some(("call-arity", format!("spec {spec}: dropped one bind")))
     } else {
         cs.callee = u32::MAX - 1;
         Some(("call-arity", format!("spec {spec}: callee -> out of range")))
     }
+}
+
+/// Retargets one bind of a call site ([`fortrans::bytecode::Bind`]):
+/// its callee slot moves to another bank, or to an array slot that is
+/// not its dummy's. A bind across banks would copy one bank's bits into
+/// another's slot, and an array bound to a callee local would break
+/// the alias proof that local arrays stand apart.
+fn call_bind(bu: &mut BUnit, rng: &mut Rng) -> Applied {
+    use fortrans::bytecode::VSlot::*;
+    let sites: Vec<usize> = (0..bu.calls.len()).filter(|&c| !bu.calls[c].binds.is_empty()).collect();
+    if sites.is_empty() {
+        return None;
+    }
+    let spec = sites[rng.below(sites.len())];
+    let binds = &mut bu.calls[spec].binds;
+    let k = rng.below(binds.len());
+    let b = &mut binds[k];
+    let (to, what) = match (rng.below(2), b.to) {
+        (0, I(s)) => (F(s), "another bank"),
+        (0, F(s)) => (B(s), "another bank"),
+        (0, B(s)) => (I(s), "another bank"),
+        (0, A(s)) => (F(s), "another bank"),
+        (_, A(s)) => (A(s + 1), "an array slot not its dummy's"),
+        _ => (A(0), "an array slot not its dummy's"),
+    };
+    let detail = format!("spec {spec} bind {k}: {:?} -> {to:?}, {what}", b.to);
+    b.to = to;
+    Some(("call-bind", detail))
 }
 
 /// Breaks an inlined block: points its entry at a descriptor that does

@@ -10,7 +10,7 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use fortrans::rir::{RArg, RExpr, RProgram, RStmt, RUnit, SpStmt};
+use fortrans::rir::{RCall, RExpr, RProgram, RStmt, RUnit, SpStmt};
 use fortrans::{ArgVal, CompiledProgram, ExecMode, ExecTier, ScalarTy, Session, Val};
 
 /// Result, printed output and every global's type and bits after one
@@ -135,24 +135,22 @@ pub fn thin_entry(prog: &RProgram, name: &str) -> RProgram {
         name: format!("{}%body", entry.name),
         ..RUnit::clone(entry)
     }));
-    let args = entry
-        .params
-        .iter()
-        .map(|&p| match entry.vars[p].rank {
-            0 => RArg::ByRefScalar(p),
-            _ => RArg::Array(p),
-        })
-        .collect();
+    // The entry's own dummies, each bound as it is: no copies.
+    let call = RCall {
+        unit: inner,
+        binds: entry.params.clone(),
+        enter: Vec::new(),
+        leave: Vec::new(),
+    };
     let s = match entry.result {
         Some((v, ret)) => RStmt::AssignScalar {
             v,
-            e: RExpr::CallFn {
-                unit: inner,
-                args,
+            e: RExpr::Call {
+                call: Box::new(call),
                 ret,
             },
         },
-        None => RStmt::CallSub { unit: inner, args },
+        None => RStmt::Call(call),
     };
     let line = entry.body.first().map_or(1, |sp| sp.line);
     out.units[u] = Arc::new(RUnit {

@@ -109,6 +109,54 @@ END MODULE m
     assert!(err.to_string().contains("takes 2 args, got 1"), "{err}");
 }
 
+/// `s`, which calls `take(…)` with `actual` on line 6 (a subroutine or,
+/// `function`, a REAL(8) function), followed by `take`, whose one dummy
+/// `p` is declared `dummy`.
+fn call_with(actual: &str, function: bool, dummy: &str) -> String {
+    let (call, head, tail) = if function {
+        (format!("x = take({actual})"), "REAL(8) FUNCTION take(p)", "take = 1.0D0\n  END FUNCTION take")
+    } else {
+        (format!("CALL take({actual})"), "SUBROUTINE take(p)", "END SUBROUTINE take")
+    };
+    format!(
+        "MODULE m\nCONTAINS\n  SUBROUTINE s()\n    REAL(8) :: x\n    REAL(8), DIMENSION(1:4) :: a\n    \
+         {call}\n  END SUBROUTINE s\n  {head}\n    {dummy}\n    {tail}\nEND MODULE m\n"
+    )
+}
+
+/// A whole array passed to a scalar dummy is refused at the call's line
+/// (it once panicked inside lowering), as a CALL and as a function
+/// reference.
+#[test]
+fn array_passed_to_a_scalar_dummy_rejected() {
+    for function in [false, true] {
+        let src = call_with("a", function, "REAL(8) :: p");
+        let msg = compile_err(&src).to_string();
+        assert!(msg.contains("array `a` passed to a scalar dummy"), "{msg}");
+        assert!(msg.contains("line 6"), "{msg}");
+        let service = fortrans::EngineService::new(4);
+        assert!(service.compile(&[&src]).is_err(), "the service refuses it too");
+    }
+}
+
+/// A scalar passed to an array dummy is a user error at the call's
+/// line, not a bytecode verifier finding.
+#[test]
+fn scalar_passed_to_an_array_dummy_rejected() {
+    let msg = compile_err(&call_with("x", false, "REAL(8), DIMENSION(1:4) :: p")).to_string();
+    assert!(msg.contains("scalar `x` passed to an array dummy"), "{msg}");
+    assert!(msg.contains("line 6") && !msg.contains("verif"), "{msg}");
+}
+
+/// An element passed to an array dummy would be sequence association,
+/// which the engine does not support: it is refused, not run.
+#[test]
+fn element_passed_to_an_array_dummy_rejected() {
+    let msg = compile_err(&call_with("a(2)", false, "REAL(8), DIMENSION(1:4) :: p")).to_string();
+    assert!(msg.contains("an element of `a` (sequence association is not supported)"), "{msg}");
+    assert!(msg.contains("passed to an array dummy") && msg.contains("line 6"), "{msg}");
+}
+
 #[test]
 fn common_block_shape_mismatch_rejected() {
     let src = r#"

@@ -438,6 +438,7 @@ fn seeded_corruptions_are_all_rejected_by_the_verifier() {
         "truncated-stream",
         "zero-stride",
         "call-arity",
+        "call-bind",
         "vec-op-oob",
         "vec-unbalance",
         "vec-iter-cost",

@@ -212,6 +212,11 @@ fn sema_allocation_budgets() {
     assert!(mean <= 550, "sema makes {mean} allocations per generated program (budget 550)");
 }
 
+/// Both literals moved once since, when sema began to write each call
+/// site's copies ([`fortrans::rir::RCall`]): a call is `Call`, its
+/// arguments `binds` and the `enter`/`leave` copies that fill and empty
+/// fresh temporaries, where it held per-argument `RArg`s
+/// (0xb2fd_67da_7fa4_b4ed and 0xb22e_e5ee_20d5_b431 before).
 #[test]
 fn rir_fingerprint_is_the_parents() {
     let mut f77 = FNV_OFFSET;
@@ -227,11 +232,11 @@ fn rir_fingerprint_is_the_parents() {
     }
     println!("RIR fingerprints: f77 {f77:#018x}, glaf {glaf:#018x}");
     assert_eq!(
-        f77, 0xb2fd_67da_7fa4_b4ed,
+        f77, 0xcf1d_1935_6c7b_29a7,
         "generated F77 corpus: sema handed lowering a different program"
     );
     assert_eq!(
-        glaf, 0xb22e_e5ee_20d5_b431,
+        glaf, 0x0ae1_037c_3558_be83,
         "GLAF source sets: sema handed lowering a different program"
     );
 }
@@ -313,13 +318,22 @@ fn bytecode_fingerprints(descs: bool) -> [(u64, u64); 2] {
 /// became `left`, and `IntrF` lost its `to_int` field, which follows
 /// from `f`. With those renames made in the parent's text, every
 /// stream of both corpora and both builds reads as it did
-/// (0x7096_b2b5_204a_fa86 and 0x34c4_10c7_e2c5_607b before).
+/// (0x7096_b2b5_204a_fa86 and 0x34c4_10c7_e2c5_607b before). Both moved
+/// again when a call's arguments stopped riding the operand stack: a
+/// `CallSpec` binds each dummy to a caller slot (`binds` for `args` and
+/// `n_stash`), a frame scalar of the dummy's type is bound as it is, so
+/// its `LoadI`/`LoadF` goes, and a literal argument is stored to a frame
+/// temporary. Outside each `CallPre … Call` window every unit of both
+/// corpora and both builds holds the instructions it held (checked by
+/// dumping both); inside, the generated corpus lost 64 `LoadI`s and
+/// gained 32 `StoreF`s, the GLAF sets lost 105 `LoadI`s and 10 `LoadF`s
+/// (0x5479_50bf_0c66_aebc and 0xffe2_f030_76c0_a856 before).
 #[test]
 fn bytecode_fingerprint_is_the_parents() {
     let [_, (f77, glaf)] = bytecode_fingerprints(false);
     println!("traced instruction-stream fingerprints: f77 {f77:#018x}, glaf {glaf:#018x}");
-    assert_eq!(f77, 0x5479_50bf_0c66_aebc, "generated F77 corpus: the traced build changed");
-    assert_eq!(glaf, 0xffe2_f030_76c0_a856, "GLAF source sets: the traced build changed");
+    assert_eq!(f77, 0x3fca_cafe_f28f_80ff, "generated F77 corpus: the traced build changed");
+    assert_eq!(glaf, 0x8e4c_f15c_5fff_b530, "GLAF source sets: the traced build changed");
 }
 
 /// The optimized build's instruction streams, pinned where scoped
@@ -353,13 +367,17 @@ fn bytecode_fingerprint_is_the_parents() {
 /// table, and fused loops over `i32` literal bounds start with one
 /// `DoInitK`, in both corpora. Both moved again with the traced build's
 /// for the one loop head and `IntrF`'s field, and for nothing else
-/// (0xc7eb_4f08_9a19_49f3 and 0xbb76_1cdb_3d51_f577 before).
+/// (0xc7eb_4f08_9a19_49f3 and 0xbb76_1cdb_3d51_f577 before), and again
+/// with the traced build's for the call sites, whose windows alone
+/// moved: the generated corpus's as in the traced build, the GLAF sets'
+/// lost 70 `LoadI`s and 8 `LoadF`s
+/// (0xbbc4_1f7e_72b2_bb2d and 0x192d_7e62_1c87_3572 before).
 #[test]
 fn optimized_bytecode_fingerprint() {
     let [(f77, glaf), _] = bytecode_fingerprints(false);
     println!("optimized instruction-stream fingerprints: f77 {f77:#018x}, glaf {glaf:#018x}");
-    assert_eq!(f77, 0xbbc4_1f7e_72b2_bb2d, "generated F77 corpus: the optimized build changed");
-    assert_eq!(glaf, 0x192d_7e62_1c87_3572, "GLAF source sets: the optimized build changed");
+    assert_eq!(f77, 0x1756_2d8b_0d80_8fd3, "generated F77 corpus: the optimized build changed");
+    assert_eq!(glaf, 0x602e_3e15_d948_d416, "GLAF source sets: the optimized build changed");
 }
 
 /// The vector descriptors of both builds, re-pinned when lowering began

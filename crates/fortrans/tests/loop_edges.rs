@@ -165,11 +165,42 @@ fn a_region_at_the_end_of_i64_sums_what_the_scalar_loop_sums() {
 fn a_loop_over_all_of_i64_exhausts_the_step_budget() {
     let src = program(&counted(1, "m, 9223372036854775807"));
     for mode in MODES {
-        for rung in RUNGS {
-            for snap in rungs::runs_within(&src, 1, mode, rung, budget()).0 {
-                let err = snap.result.expect_err("the budget trips");
-                assert!(err.contains("step budget of 100000 exhausted"), "{rung:?} {mode:?}: {err}");
-            }
+        exhausts_the_budget(&src, mode);
+    }
+}
+
+/// `!$OMP PARALLEL DO i = MIN, HUGE` summing its trips, with `clause`
+/// after the directive.
+fn region_over_all_of_i64(clause: &str) -> String {
+    program(&format!(
+        "    c = 0\n    !$OMP PARALLEL DO{clause} REDUCTION(+:c)\n    DO i = m, 9223372036854775807\n      \
+         c = c + 1\n    END DO\n    !$OMP END PARALLEL DO\n    r(1) = c\n"
+    ))
+}
+
+/// Every rung of `mode` trips the step budget with the stock error.
+fn exhausts_the_budget(src: &str, mode: ExecMode) {
+    for rung in RUNGS {
+        for snap in rungs::runs_within(src, 1, mode, rung, budget()).0 {
+            let err = snap.result.expect_err("the budget trips");
+            assert!(err.contains("step budget of 100000 exhausted"), "{rung:?} {mode:?}: {err}");
         }
     }
+}
+
+/// The same loop as a Simulated region: each iteration is charged to
+/// the thread its chunk belongs to, found by walking the chunks as the
+/// iterations run. A map from every iteration to its thread, laid out
+/// before the first one ran, overflowed its capacity here.
+#[test]
+fn a_simulated_region_over_all_of_i64_exhausts_the_step_budget() {
+    exhausts_the_budget(&region_over_all_of_i64(""), ExecMode::Simulated { threads: 2 });
+}
+
+/// The same loop on a real team, one iteration per chunk: each thread
+/// is dealt its chunks as it runs them, not all 2**63 of them first.
+#[test]
+fn a_region_of_one_iteration_chunks_over_all_of_i64_exhausts_the_step_budget() {
+    let src = region_over_all_of_i64(" SCHEDULE(STATIC, 1)");
+    exhausts_the_budget(&src, ExecMode::Parallel { threads: 2 });
 }

@@ -16,7 +16,7 @@
 #[path = "common/sources.rs"]
 mod sources;
 
-use fortrans::bytecode::{compile_program, BArg, BInstr, BUnit, SubOp, VSlot, MAX_INLINE_RANK};
+use fortrans::bytecode::{compile_program, BInstr, BUnit, SubOp, VSlot, MAX_INLINE_RANK};
 use fortrans::verify::verify_program;
 use fortrans::Session;
 
@@ -176,8 +176,8 @@ fn rejects_over_long_subscript_operand_list() {
     assert!(msg.contains("exceeds the cap"), "got: {msg}");
 }
 
-/// The accesses that still pop their subscripts (or bounds) from the
-/// operand stack: a by-reference element argument, an ATOMIC element
+/// Subscript and bound lists the VM gathers into fixed buffers: a
+/// by-reference element argument's copies in and back, an ATOMIC element
 /// update and an ALLOCATE.
 const STACK_SUBSCRIPTS: &str = r#"
 MODULE m
@@ -217,7 +217,8 @@ fn rejects_element_access_of_rank_above_the_inline_cap() {
         for (pc, ins) in unit.code.iter().enumerate() {
             let mut bad = base.clone();
             match &mut bad[u].code[pc] {
-                BInstr::StashElem { nsubs: n, .. }
+                BInstr::LoadElemS { n, .. }
+                | BInstr::StoreElemS { n, .. }
                 | BInstr::AtomicElem { nsubs: n, .. }
                 | BInstr::Alloc { ndims: n, .. } => *n = over,
                 _ => continue,
@@ -226,26 +227,8 @@ fn rejects_element_access_of_rank_above_the_inline_cap() {
             assert!(msg.contains("exceeds the cap"), "{ins:?}: got: {msg}");
             hits += 1;
         }
-        // The copy-out half of the by-reference argument.
-        for (c, call) in unit.calls.iter().enumerate() {
-            for (k, arg) in call.args.iter().enumerate() {
-                if !matches!(arg, BArg::Elem { .. }) {
-                    continue;
-                }
-                // (With the call's stash count kept in step, so that the
-                // rank is the only thing wrong.)
-                let mut bad = base.clone();
-                let site = &mut bad[u].calls[c];
-                let BArg::Elem { nsubs, .. } = &mut site.args[k] else { unreachable!() };
-                site.n_stash += u32::from(over - *nsubs);
-                *nsubs = over;
-                let msg = reject_msg(&engine, false, &bad);
-                assert!(msg.contains("exceeds the cap"), "copy-out: got: {msg}");
-                hits += 1;
-            }
-        }
     }
-    assert_eq!(hits, 4, "stash, its copy-out, atomic and allocate");
+    assert_eq!(hits, 4, "the element argument's copy in and back, atomic and allocate");
 }
 
 /// `t` is a scoped temporary (a fixed frame array in the optimized build
@@ -402,8 +385,8 @@ END MODULE m
     let (engine, mut bad) = compiled(src);
     let mut found = false;
     for b in &mut bad {
-        if let Some(cs) = b.calls.iter_mut().find(|c| !c.args.is_empty()) {
-            cs.args.pop();
+        if let Some(cs) = b.calls.iter_mut().find(|c| !c.binds.is_empty()) {
+            cs.binds.pop();
             found = true;
             break;
         }
@@ -896,9 +879,9 @@ fn rejects_alias_pairs_and_array_bindings_the_pruning_does_not_allow() {
     let fortrans::bytecode::VSlot::A(t) = base[1].vslots[4] else { panic!("t is a frame array") };
     reject(
         &|b| {
-            for arg in &mut b[2].calls[0].args {
-                if let BArg::Arr { p } = arg {
-                    *p = t;
+            for bind in &mut b[2].calls[0].binds {
+                if let VSlot::A(_) = bind.to {
+                    bind.to = VSlot::A(t);
                 }
             }
         },

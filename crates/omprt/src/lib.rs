@@ -35,5 +35,5 @@ pub mod sync;
 pub use barrier::Barrier;
 pub use metrics::RegionMetrics;
 pub use pool::{PoolSet, RegionPanic, ThreadPool};
-pub use schedule::{chunks_for, guided_chunks, Dispenser, Schedule};
+pub use schedule::{chunk_sequence, chunks_for, Chunks, Dispenser, Schedule};
 pub use sync::CriticalRegistry;

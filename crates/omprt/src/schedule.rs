@@ -1,12 +1,12 @@
 //! Loop scheduling: `SCHEDULE(STATIC|DYNAMIC|GUIDED[, chunk])`.
 //!
-//! Static kinds partition the iteration space up front with
-//! [`chunks_for`]; dynamic and guided kinds dispatch chunks at run time
-//! through the lock-free [`Dispenser`]. For deterministic replay
-//! (Simulated mode, owner maps) the dynamic/guided kinds also have a
-//! *canonical* static partition — [`chunks_for`] assigns the claim
-//! sequence round-robin to threads, which covers the same chunks the
-//! dispenser would hand out, just with a fixed owner per chunk.
+//! Static kinds partition the iteration space with [`chunks_for`];
+//! dynamic and guided kinds dispatch chunks at run time through the
+//! lock-free [`Dispenser`]. For deterministic replay (Simulated mode)
+//! the dynamic/guided kinds also have a *canonical* static partition —
+//! [`chunk_sequence`] deals the claim sequence round-robin to threads,
+//! which covers the same chunks the dispenser would hand out, just with
+//! a fixed owner per chunk.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -71,32 +71,11 @@ impl Schedule {
     }
 }
 
-/// The deterministic guided chunk sequence over `n` iterations for a
-/// team of `threads`: each chunk is `remaining / (2 * threads)` clamped
-/// to at least `min_chunk` and at most the remaining count.
-///
-/// The dispenser's CAS serializes claims, so concurrent workers carve
-/// the space into exactly this sequence of `(lo, hi)` ranges — only the
-/// *owner* of each chunk is racy, never the chunk boundaries.
-pub fn guided_chunks(n: usize, threads: usize, min_chunk: usize) -> Vec<(usize, usize)> {
-    let threads = threads.max(1);
-    let min_chunk = min_chunk.max(1);
-    let mut out = Vec::new();
-    let mut lo = 0usize;
-    while lo < n {
-        let remaining = n - lo;
-        let chunk = (remaining / (2 * threads)).max(min_chunk).min(remaining);
-        out.push((lo, lo + chunk));
-        lo += chunk;
-    }
-    out
-}
-
 /// Lock-free iteration dispenser for the dynamic and guided schedules.
 ///
 /// Workers call [`Dispenser::claim`] in a loop until it returns `None`.
 /// Every iteration in `0..n` is handed out exactly once across the
-/// team; for `Guided` the chunk *boundaries* match [`guided_chunks`]
+/// team; for `Guided` the chunk *boundaries* match [`chunk_sequence`]'s
 /// regardless of which worker claims which chunk.
 #[derive(Debug)]
 pub struct Dispenser {
@@ -160,48 +139,68 @@ impl Dispenser {
     }
 }
 
-/// The iteration chunks (as half-open `lo..hi` index ranges over a
-/// zero-based iteration space of `n` iterations) owned by thread `tid` of
-/// `threads`.
+/// The chunks of `sched` over `n` iterations for a team of `threads`,
+/// in iteration order: half-open `(lo, hi)` ranges over a zero-based
+/// iteration space, each with the thread that owns it. Lazy, so a
+/// schedule over `2**64` iterations costs nothing until its chunks are
+/// asked for.
 ///
-/// For `Dynamic` and `Guided` this is the *canonical* owner assignment
-/// used by Simulated mode and owner maps: the dispenser's chunk
-/// sequence dealt round-robin to threads. Real parallel runs claim the
-/// same chunks first-come-first-served.
-pub fn chunks_for(sched: Schedule, n: usize, tid: usize, threads: usize) -> Vec<(usize, usize)> {
-    let threads = threads.max(1);
-    debug_assert!(tid < threads);
-    match sched {
-        Schedule::StaticBlock => {
-            // Balanced blocks: the first `rem` threads get one extra
-            // iteration.
-            let base = n / threads;
-            let rem = n % threads;
-            let lo = tid * base + tid.min(rem);
-            let len = base + usize::from(tid < rem);
-            if len == 0 {
-                vec![]
-            } else {
-                vec![(lo, lo + len)]
-            }
+/// A block schedule gives each thread one contiguous block, the first
+/// `n % threads` of them one iteration more. A chunked schedule deals
+/// chunks of its size round-robin; a guided one deals decaying chunks
+/// round-robin, each `remaining / (2 * threads)` clamped to at least its
+/// minimum and at most what remains. For `Dynamic` and `Guided` this is
+/// the *canonical* owner assignment that Simulated mode replays: real
+/// runs claim the same chunks through the [`Dispenser`]
+/// first-come-first-served, whose CAS serializes claims, so only a
+/// chunk's owner is racy, never its boundaries.
+pub fn chunk_sequence(sched: Schedule, n: usize, threads: usize) -> Chunks {
+    Chunks { sched, n, threads: threads.max(1), lo: 0, dealt: 0 }
+}
+
+/// The iterator [`chunk_sequence`] returns: `(lo, hi, owner)` per chunk.
+#[derive(Debug, Clone)]
+pub struct Chunks {
+    sched: Schedule,
+    n: usize,
+    threads: usize,
+    /// Where the next chunk starts.
+    lo: usize,
+    /// Chunks dealt so far.
+    dealt: usize,
+}
+
+impl Iterator for Chunks {
+    type Item = (usize, usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize, usize)> {
+        let (lo, remaining, threads) = (self.lo, self.n - self.lo, self.threads);
+        if remaining == 0 {
+            return None;
         }
-        Schedule::StaticChunk(chunk) | Schedule::Dynamic(chunk) => {
-            let chunk = chunk.max(1);
-            let mut out = Vec::new();
-            let mut start = tid * chunk;
-            while start < n {
-                out.push((start, (start + chunk).min(n)));
-                start += threads * chunk;
-            }
-            out
-        }
-        Schedule::Guided(min_chunk) => guided_chunks(n, threads, min_chunk)
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| i % threads == tid)
-            .map(|(_, c)| c)
-            .collect(),
+        // A block schedule's blocks sum to `n`, so none is empty while
+        // iterations remain.
+        let len = match self.sched {
+            Schedule::StaticBlock => self.n / threads + usize::from(self.dealt < self.n % threads),
+            Schedule::StaticChunk(c) | Schedule::Dynamic(c) => c.max(1),
+            Schedule::Guided(min_chunk) => (remaining / (2 * threads)).max(min_chunk.max(1)),
+        };
+        self.lo += len.min(remaining);
+        self.dealt += 1;
+        Some((lo, self.lo, (self.dealt - 1) % threads))
     }
+}
+
+/// The chunks of [`chunk_sequence`] that thread `tid` of `threads` owns,
+/// in iteration order.
+pub fn chunks_for(
+    sched: Schedule,
+    n: usize,
+    tid: usize,
+    threads: usize,
+) -> impl Iterator<Item = (usize, usize)> {
+    debug_assert!(tid < threads.max(1));
+    chunk_sequence(sched, n, threads).filter(move |c| c.2 == tid).map(|(lo, hi, _)| (lo, hi))
 }
 
 #[cfg(test)]
@@ -249,7 +248,6 @@ mod tests {
         let lens: Vec<usize> = (0..4)
             .map(|t| {
                 chunks_for(Schedule::StaticBlock, 10, t, 4)
-                    .iter()
                     .map(|(lo, hi)| hi - lo)
                     .sum()
             })
@@ -262,7 +260,7 @@ mod tests {
         for sched in all_kinds(4) {
             for tid in 0..4 {
                 assert!(
-                    chunks_for(sched, 0, tid, 4).is_empty(),
+                    chunks_for(sched, 0, tid, 4).next().is_none(),
                     "{sched:?} tid={tid}"
                 );
             }
@@ -293,7 +291,10 @@ mod tests {
 
     #[test]
     fn guided_chunks_decay_and_cover() {
-        let seq = guided_chunks(100, 4, 1);
+        let guided = |min| -> Vec<(usize, usize)> {
+            chunk_sequence(Schedule::Guided(min), 100, 4).map(|(lo, hi, _)| (lo, hi)).collect()
+        };
+        let seq = guided(1);
         // Contiguous cover of 0..100.
         assert_eq!(seq.first(), Some(&(0, 12)));
         assert_eq!(seq.last().map(|&(_, hi)| hi), Some(100));
@@ -302,7 +303,7 @@ mod tests {
             assert!(w[0].1 - w[0].0 >= w[1].1 - w[1].0, "chunks non-increasing");
         }
         // The minimum chunk is respected until the tail remnant.
-        let seq = guided_chunks(100, 4, 8);
+        let seq = guided(8);
         for &(lo, hi) in &seq[..seq.len() - 1] {
             assert!(hi - lo >= 8);
         }
@@ -325,6 +326,18 @@ mod tests {
             canonical.sort_unstable();
             assert_eq!(claimed, canonical, "{sched:?}");
         }
+    }
+
+    /// Chunks are dealt as they are asked for: the round-robin of a
+    /// schedule over every `usize` index starts at once.
+    #[test]
+    fn chunks_are_dealt_lazily() {
+        let n = usize::MAX;
+        let seq: Vec<_> = chunk_sequence(Schedule::StaticChunk(1), n, 2).take(3).collect();
+        assert_eq!(seq, vec![(0, 1, 0), (1, 2, 1), (2, 3, 0)]);
+        assert_eq!(chunks_for(Schedule::Dynamic(4), n, 1, 2).nth(1), Some((12, 16)));
+        let half = n / 2 + 1;
+        assert_eq!(chunks_for(Schedule::StaticBlock, n, 0, 2).next(), Some((0, half)));
     }
 
     proptest! {
